@@ -44,18 +44,6 @@ fn bench_search(c: &mut Criterion) {
             b.iter(|| black_box(engine.search_uncached(black_box(&broad))))
         });
 
-        // Parallel scoring on the full-scan (ablation) configuration: the
-        // acceptance surface for the bounded top-k + worker-pool path.
-        for workers in [2usize, 4] {
-            engine.workers = workers;
-            group.bench_with_input(
-                BenchmarkId::new(format!("broad-linear-{workers}-workers"), n),
-                &n,
-                |b, _| b.iter(|| black_box(engine.search_uncached(black_box(&broad)))),
-            );
-        }
-        engine.workers = 1;
-
         // Result cache: cold rescoring vs repeated-query hits against an
         // unchanged catalog generation.
         group.bench_with_input(BenchmarkId::new("broad-cold", n), &n, |b, _| {

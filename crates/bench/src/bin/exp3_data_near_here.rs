@@ -103,35 +103,12 @@ fn main() {
         report.set_f64(&format!("{prefix}.speedup"), speedup);
     }
 
-    // Parallel scoring on the full-scan configuration: worker-pool scaling
-    // over the largest catalog of the series (results are bit-identical to
-    // sequential; only latency changes).
-    println!("\nparallel scoring, full scan (poster query, mean of 200 runs):");
-    let spec = ArchiveSpec { months: 96, stations: 10, ..ArchiveSpec::default() };
-    let (mut ctx_par, _) = wrangle_archive(&spec);
-    let q = Query::parse(POSTER_QUERY).unwrap();
-    let mut sequential_mean = None;
-    for workers in [1usize, 2, 4, 8] {
-        ctx_par.search_parallelism = workers;
-        let mut engine = engine_from_ctx(&ctx_par);
-        engine.use_indexes = false;
-        let samples = sample_uncached(&engine, &q, 200);
-        let latency = mean(&samples);
-        let base = *sequential_mean.get_or_insert(latency);
-        println!(
-            "  {workers} worker(s): {:>10.2?}  ({:.2}x vs sequential)",
-            latency,
-            base.as_secs_f64() / latency.as_secs_f64()
-        );
-        let prefix = format!("scaling.workers{workers}");
-        report.record_samples(&prefix, &samples);
-        report.set_f64(&format!("{prefix}.speedup"), base.as_secs_f64() / latency.as_secs_f64());
-    }
-
     // Result cache: repeated queries against an unchanged published catalog
-    // are served without rescoring.
+    // are served without rescoring (largest catalog of the series).
     println!("\nresult cache (poster query, mean of 200 runs):");
-    let engine = engine_from_ctx(&ctx_par);
+    let spec = ArchiveSpec { months: 96, stations: 10, ..ArchiveSpec::default() };
+    let (ctx, _) = wrangle_archive(&spec);
+    let engine = engine_from_ctx(&ctx);
     let cold = sample_uncached(&engine, &q, 200);
     let cached = sample_cached(&engine, &q, 200);
     let stats = engine.cache_stats();

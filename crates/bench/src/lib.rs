@@ -225,14 +225,9 @@ pub fn wrangle_archive(spec: &ArchiveSpec) -> (PipelineContext, GroundTruth) {
     (ctx, truth)
 }
 
-/// Builds a search engine over the context's published catalog, honoring
-/// the context's `search_parallelism` knob (the read-path sibling of
-/// `harvest.parallelism`).
+/// Builds a search engine over the context's published catalog.
 pub fn engine_from_ctx(ctx: &PipelineContext) -> metamess_search::SearchEngine {
-    let mut engine =
-        metamess_search::SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
-    engine.workers = ctx.search_parallelism;
-    engine
+    metamess_search::SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone())
 }
 
 /// [`engine_from_ctx`] with an explicit shard layout — the scatter-gather
@@ -241,13 +236,7 @@ pub fn sharded_engine_from_ctx(
     ctx: &PipelineContext,
     spec: metamess_search::ShardSpec,
 ) -> metamess_search::SearchEngine {
-    let mut engine = metamess_search::SearchEngine::build_sharded(
-        &ctx.catalogs.published,
-        ctx.vocab.clone(),
-        spec,
-    );
-    engine.workers = ctx.search_parallelism;
-    engine
+    metamess_search::SearchEngine::build_sharded(&ctx.catalogs.published, ctx.vocab.clone(), spec)
 }
 
 /// Formats a float as a percentage with one decimal.

@@ -121,7 +121,8 @@ mod sys {
     const LOCK_NB: i32 = 4;
 
     extern "C" {
-        fn flock(fd: i32, operation: i32) -> i32;
+        #[link_name = "flock"]
+        fn c_flock(fd: i32, operation: i32) -> i32;
     }
 
     /// Non-blocking `flock(2)`; `WouldBlock` when the lock is contended.
@@ -132,7 +133,7 @@ mod sys {
         };
         // SAFETY: `flock` is async-signal-safe, takes a valid open fd, and
         // only returns an integer status; no memory is shared with C.
-        if unsafe { flock(file.as_raw_fd(), op) } == 0 {
+        if unsafe { c_flock(file.as_raw_fd(), op) } == 0 {
             Ok(())
         } else {
             Err(std::io::Error::last_os_error())

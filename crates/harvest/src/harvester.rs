@@ -226,9 +226,9 @@ pub fn harvest(
         let mut slots: Vec<Option<FileOutcome>> = Vec::new();
         slots.resize_with(entries.len(), || None);
         let slots_mutex = std::sync::Mutex::new(&mut slots);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let ix = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if ix >= entries.len() {
                         break;
@@ -237,8 +237,7 @@ pub fn harvest(
                     slots_mutex.lock().expect("slot lock")[ix] = Some(outcome);
                 });
             }
-        })
-        .expect("harvest workers never panic");
+        });
         slots.into_iter().map(|s| s.expect("every slot filled")).collect()
     } else {
         entries.iter().map(|e| process_entry(source, config, previous, e)).collect()

@@ -76,11 +76,6 @@ pub struct PipelineContext {
     /// and output digests. Persist/restore it (see [`crate::save_state`])
     /// to resume incrementality across processes.
     pub ledger: RunLedger,
-    /// Worker threads for search-engine scoring over the published catalog
-    /// (the read-path sibling of `harvest.parallelism`); 0 or 1 =
-    /// single-threaded. Results are identical regardless of the setting, so
-    /// callers can raise this freely.
-    pub search_parallelism: usize,
 }
 
 impl PipelineContext {
@@ -107,7 +102,6 @@ impl PipelineContext {
             expected_datasets: Vec::new(),
             run_id: 0,
             ledger: RunLedger::new(),
-            search_parallelism: 1,
         }
     }
 

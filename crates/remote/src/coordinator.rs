@@ -1,28 +1,28 @@
-//! The coordinator: scatter a query to N shardd processes, gather, and
-//! merge — bit-identical to in-process sharding, with explicit policy
-//! for everything that can go wrong on a network.
+//! The remote side of the scatter-gather: N shardd processes behind the
+//! search crate's one coordinator, with explicit policy for everything
+//! that can go wrong on a network.
 //!
-//! # The three phases
+//! [`RemoteShardSet::search`] runs `metamess_search::fanout::scatter_gather`
+//! — the same function the in-process `ShardedEngine` runs — over a
+//! [`ShardBackend`] whose probe and score are frame round trips. The
+//! sequence (probe, global admission, full-scan decision, score, merge)
+//! is therefore not written here; what is:
 //!
-//! 1. **Probe.** Every shard is dialed in parallel with the query
-//!    (unless its advertised temporal bound excludes the query — then
-//!    the probe is skipped without a round trip). Probes are idempotent,
-//!    so failures are retried within a budget (exponential backoff with
-//!    deterministic jitter).
-//! 2. **Plan.** The per-shard summaries replay the in-process
-//!    coordinator's global nearest admission and full-scan decision
-//!    ([`plan_scatter`]); shards that failed their probe are excluded
-//!    from scoring, so a degraded answer is *exactly* what a coordinator
-//!    over only the healthy shards would return.
-//! 3. **Score.** Each shard with work scores it (one attempt — by the
-//!    time scoring starts the shard answered its probe milliseconds ago,
-//!    and the partial policy handles the rare mid-query death) and the
-//!    per-shard top-`limit` lists merge under the global rank order.
+//! * **Transport and fan-out.** Each phase dials its shards side by side
+//!   on scoped threads. A shard whose advertised temporal bound excludes
+//!   the query is not dialed at all (the coordinator prunes it).
+//! * **Retries.** Probes are idempotent, so failures are retried within a
+//!   budget (exponential backoff with deterministic jitter). Scoring gets
+//!   one attempt — by the time it starts the shard answered its probe
+//!   milliseconds ago, and the partial policy handles the rare mid-query
+//!   death.
 //!
 //! # Failure policy
 //!
 //! `PartialPolicy::Fail` turns any shard failure into a typed error.
-//! `PartialPolicy::Degrade` drops the failed shards and marks the
+//! `PartialPolicy::Degrade` drops the failed shards — a shard that failed
+//! its probe is not asked to score, so the answer is *exactly* what a
+//! coordinator over only the healthy shards would return — and marks the
 //! response `partial` (surfaced as the `X-Metamess-Partial` header and a
 //! JSON field by the server). A catalog-generation mismatch between
 //! shards — or between phases — is never degradable: merging hits from
@@ -45,12 +45,12 @@ use crate::wire::{
     WireError,
 };
 use metamess_core::error::{Error, Result};
-use metamess_search::fanout::{merge_hits, plan_scatter, probe_prunable, ProbeSummary, ScoreWork};
+use metamess_core::time::TimeInterval;
+use metamess_search::fanout::{scatter_gather, ProbeSummary, ScoreWork, ShardBackend};
 use metamess_search::{Query, SearchHit};
 use metamess_telemetry::trace;
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -183,8 +183,8 @@ enum ShardFailure {
     CircuitOpen,
 }
 
-/// The remote counterpart of the in-process `ShardedEngine`: same
-/// probe/score/merge surface, over [`Transport`] instead of memory.
+/// The remote counterpart of the in-process `ShardedEngine`: the same
+/// scatter-gather, over [`Transport`] instead of memory.
 pub struct RemoteShardSet {
     transport: Arc<dyn Transport>,
     opts: RemoteOptions,
@@ -248,7 +248,7 @@ impl RemoteShardSet {
                 };
             by_slot.push(hello);
         }
-        let first = &by_slot[0];
+        let first = by_slot[0].clone();
         if first.shard_count as usize != n {
             return Err(Error::invalid(format!(
                 "{} hosts shard {}/{} but {} addresses were given",
@@ -291,7 +291,7 @@ impl RemoteShardSet {
         let hello: Vec<HelloResponse> =
             hello.into_iter().map(|h| h.expect("all slots placed")).collect();
         let generation = first.generation;
-        let partitioner = first.partitioner.clone();
+        let partitioner = first.partitioner;
         let circuits = (0..n).map(|_| Mutex::new(CircuitInner::default())).collect();
         Ok(RemoteShardSet {
             transport,
@@ -347,193 +347,71 @@ impl RemoteShardSet {
             .collect()
     }
 
-    /// Runs one fan-out search. See the module docs for phases and
-    /// failure semantics.
+    /// Runs one fan-out search. See the module docs for the failure
+    /// semantics.
     pub fn search(&self, query: &Query) -> Result<RemoteSearch> {
         let on = metamess_telemetry::enabled();
         if on {
             remote_metrics().queries.inc();
         }
-        let trace_id = trace::current_trace_id().unwrap_or(0);
-        let n = self.hello.len();
-        let forced = query.is_empty();
-
-        // Phase 1: probe scatter (skipped entirely for the forced full
-        // scan — the in-process engine does not probe either).
-        let mut summaries: Vec<ProbeSummary> = vec![ProbeSummary::default(); n];
-        let mut failures: Vec<Option<ShardFailure>> = vec![None; n];
-        let mut rtts: Vec<Option<u64>> = vec![None; n];
-        if !forced {
-            let outcomes = self.scatter(|k| {
-                if probe_prunable(query, self.hello[k].bounds.time_interval().as_ref()) {
-                    if on {
-                        remote_metrics().probe_prunes.inc();
-                    }
-                    return (Ok(ProbeSummary { bound_skips: 1, ..ProbeSummary::default() }), None);
-                }
-                let request =
-                    Frame::new(FrameKind::Probe, trace_id, &ProbeRequest { query: query.clone() });
-                let started = Instant::now();
-                let out = self.call_with_retries(k, &request, FrameKind::ProbeOk, true).map(
-                    |r: ProbeResponse| {
-                        if r.generation == self.generation {
-                            Ok(r.summary)
-                        } else {
-                            Err(ShardFailure::Generation(r.generation))
-                        }
-                    },
-                );
-                let rtt = started.elapsed().as_micros() as u64;
-                match out {
-                    Ok(Ok(summary)) => (Ok(summary), Some(rtt)),
-                    Ok(Err(f)) => (Err(f), Some(rtt)),
-                    Err(f) => (Err(f), None),
-                }
-            });
-            for (k, (outcome, rtt)) in outcomes.into_iter().enumerate() {
-                rtts[k] = rtt;
-                match outcome {
-                    Ok(summary) => summaries[k] = summary,
-                    Err(f) => failures[k] = Some(f),
-                }
-            }
-            self.settle(&failures, &rtts, "probe", trace_id, on)?;
-        }
-
-        // Phase 2: replay the global admission; failed shards are
-        // excluded from scoring so degrade returns exactly the
-        // healthy-shard merge.
-        let (_full_scan, mut works) = plan_scatter(query, &summaries);
-        for (k, f) in failures.iter().enumerate() {
-            if f.is_some() {
-                works[k] = ScoreWork::Skip;
-            }
-        }
-
-        // Phase 3: score scatter (single attempt per shard).
-        let mut per_shard: Vec<Vec<SearchHit>> = vec![Vec::new(); n];
-        let mut score_failures: Vec<Option<ShardFailure>> = vec![None; n];
-        let mut score_rtts: Vec<Option<u64>> = vec![None; n];
-        {
-            let works = &works;
-            let outcomes = self.scatter(|k| {
-                if matches!(works[k], ScoreWork::Skip) {
-                    return (Ok(Vec::new()), None);
-                }
-                let request = Frame::new(
-                    FrameKind::Score,
-                    trace_id,
-                    &ScoreRequest { query: query.clone(), work: works[k].clone() },
-                );
-                let started = Instant::now();
-                let out = self.call_with_retries(k, &request, FrameKind::ScoreOk, false).map(
-                    |r: ScoreResponse| {
-                        if r.generation == self.generation {
-                            Ok(r.hits)
-                        } else {
-                            Err(ShardFailure::Generation(r.generation))
-                        }
-                    },
-                );
-                let rtt = started.elapsed().as_micros() as u64;
-                match out {
-                    Ok(Ok(hits)) => (Ok(hits), Some(rtt)),
-                    Ok(Err(f)) => (Err(f), Some(rtt)),
-                    Err(f) => (Err(f), None),
-                }
-            });
-            for (k, (outcome, rtt)) in outcomes.into_iter().enumerate() {
-                score_rtts[k] = rtt;
-                match outcome {
-                    Ok(hits) => per_shard[k] = hits,
-                    Err(f) => score_failures[k] = Some(f),
-                }
-            }
-        }
-        self.settle(&score_failures, &score_rtts, "score", trace_id, on)?;
-
-        let hits = merge_hits(per_shard, query.limit);
-        let failed: Vec<u32> = (0..n)
-            .filter(|&k| failures[k].is_some() || score_failures[k].is_some())
-            .map(|k| k as u32)
-            .collect();
-        let partial = !failed.is_empty();
-        if partial && on {
+        let fleet = Fleet { set: self, trace_id: trace::current_trace_id().unwrap_or(0) };
+        let gathered = scatter_gather(&fleet, query, true, None)?;
+        let partial = !gathered.failed.is_empty();
+        if on && partial {
             remote_metrics().partials.inc();
         }
-        Ok(RemoteSearch { hits, partial, failed, generation: self.generation })
-    }
-
-    /// Fans `call` out to every shard on scoped threads and gathers the
-    /// outcomes in shard order.
-    fn scatter<T: Send>(&self, call: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let n = self.hello.len();
-        if n == 1 {
-            return vec![call(0)];
-        }
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|k| {
-                    scope.spawn({
-                        let call = &call;
-                        move |_| call(k)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scatter call never panics")).collect()
+        Ok(RemoteSearch {
+            hits: gathered.hits,
+            partial,
+            failed: gathered.failed,
+            generation: self.generation,
         })
-        .expect("scatter threads never panic")
     }
 
-    /// Applies one phase's failure outcomes: record spans and rtt
-    /// exemplars, update circuits, and — under the fail policy, or on
-    /// any generation conflict — turn the first failure into a typed
-    /// error.
-    fn settle(
+    /// One phase's request to one shard: the retry budget, the generation
+    /// check (`split` takes the response apart into its generation and its
+    /// answer), then the round-trip metric and the shard's circuit.
+    fn call<R: DeserializeOwned, T>(
         &self,
-        failures: &[Option<ShardFailure>],
-        rtts: &[Option<u64>],
-        phase: &str,
-        trace_id: u128,
-        on: bool,
-    ) -> Result<()> {
-        for (k, rtt) in rtts.iter().enumerate() {
-            let Some(rtt) = *rtt else { continue };
-            if on {
-                remote_metrics().rtt_micros.record_with_exemplar(rtt, trace_id);
-                let name = if phase == "probe" { "remote.probe" } else { "remote.score" };
-                trace::record_span(name, rtt, Some(k as u32));
-            }
-            if failures[k].is_none() {
-                self.record_success(k, rtt);
-            }
+        shard: usize,
+        request: &Frame,
+        expect: FrameKind,
+        idempotent: bool,
+        split: impl FnOnce(R) -> (u64, T),
+    ) -> std::result::Result<T, ShardFailure> {
+        let on = metamess_telemetry::enabled();
+        let started = Instant::now();
+        let answered = self.call_with_retries(shard, request, expect, idempotent);
+        let rtt = started.elapsed().as_micros() as u64;
+        if on && answered.is_ok() {
+            remote_metrics().rtt_micros.record_with_exemplar(rtt, request.trace_id);
         }
-        for (k, failure) in failures.iter().enumerate() {
-            let Some(failure) = failure else { continue };
-            if !matches!(failure, ShardFailure::CircuitOpen) {
-                self.record_failure(k);
+        let outcome = answered.and_then(|response: R| {
+            let (generation, answer) = split(response);
+            if generation == self.generation {
+                Ok(answer)
+            } else {
+                Err(ShardFailure::Generation(generation))
             }
-            if on {
-                match failure {
-                    ShardFailure::Transport(TransportError::Timeout) => {
-                        remote_metrics().timeouts.inc()
+        });
+        match &outcome {
+            Ok(_) => self.record_success(shard, rtt),
+            Err(failure) => {
+                if !matches!(failure, ShardFailure::CircuitOpen) {
+                    self.record_failure(shard);
+                }
+                if on {
+                    match failure {
+                        ShardFailure::Transport(TransportError::Timeout) => {
+                            remote_metrics().timeouts.inc()
+                        }
+                        ShardFailure::Transport(_) => remote_metrics().resets.inc(),
+                        _ => {}
                     }
-                    ShardFailure::Transport(_) => remote_metrics().resets.inc(),
-                    _ => {}
                 }
             }
-            // Generation conflicts are never degradable.
-            if let ShardFailure::Generation(got) = failure {
-                return Err(Error::conflict(format!(
-                    "remote shard {k} moved to catalog generation {got} mid-query (fleet is at {})",
-                    self.generation
-                )));
-            }
-            if self.opts.partial_policy == PartialPolicy::Fail {
-                return Err(self.hard_error(k, phase, failure));
-            }
         }
-        Ok(())
+        outcome
     }
 
     fn hard_error(&self, shard: usize, phase: &str, failure: &ShardFailure) -> Error {
@@ -542,7 +420,7 @@ impl RemoteShardSet {
             ShardFailure::Transport(e) => transport_error(&ctx, "", e),
             ShardFailure::Remote(m) => Error::invalid(format!("{ctx} failed remotely: {m}")),
             ShardFailure::Generation(got) => Error::conflict(format!(
-                "{ctx} is at catalog generation {got}, fleet at {}",
+                "{ctx} moved to catalog generation {got} mid-query (fleet is at {})",
                 self.generation
             )),
             ShardFailure::CircuitOpen => Error::io(
@@ -642,6 +520,92 @@ impl RemoteShardSet {
             .filter(|c| c.lock().consecutive_failures >= self.opts.failure_threshold)
             .count();
         remote_metrics().open_circuits.set(open as i64);
+    }
+}
+
+/// One query's view of the fleet: the frame-RPC [`ShardBackend`].
+struct Fleet<'a> {
+    set: &'a RemoteShardSet,
+    /// The coordinating thread's trace, stamped on every request frame.
+    trace_id: u128,
+}
+
+impl ShardBackend for Fleet<'_> {
+    type Failure = ShardFailure;
+    type Error = Error;
+    const SPANS: (&'static str, &'static str) = ("remote.probe", "remote.score");
+
+    fn shard_count(&self) -> usize {
+        self.set.hello.len()
+    }
+
+    fn shard_len(&self, shard: usize) -> usize {
+        self.set.hello[shard].datasets as usize
+    }
+
+    fn time_bound(&self, shard: usize) -> Option<TimeInterval> {
+        self.set.hello[shard].bounds.time_interval()
+    }
+
+    fn probe(
+        &self,
+        shard: usize,
+        query: &Query,
+    ) -> std::result::Result<ProbeSummary, ShardFailure> {
+        let request =
+            Frame::new(FrameKind::Probe, self.trace_id, &ProbeRequest { query: query.clone() });
+        self.set.call(shard, &request, FrameKind::ProbeOk, true, |r: ProbeResponse| {
+            (r.generation, r.summary)
+        })
+    }
+
+    fn score(
+        &self,
+        shard: usize,
+        query: &Query,
+        work: &ScoreWork,
+    ) -> std::result::Result<Vec<SearchHit>, ShardFailure> {
+        let request = Frame::new(
+            FrameKind::Score,
+            self.trace_id,
+            &ScoreRequest { query: query.clone(), work: work.clone() },
+        );
+        self.set.call(shard, &request, FrameKind::ScoreOk, false, |r: ScoreResponse| {
+            (r.generation, r.hits)
+        })
+    }
+
+    /// One scoped thread per shard: the calls wait on the network.
+    fn scatter<T: Send>(&self, call: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let n = self.shard_count();
+        if n == 1 {
+            return vec![call(0)];
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|k| {
+                    let call = &call;
+                    scope.spawn(move || call(k))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("scatter call never panics")).collect()
+        })
+    }
+
+    fn probes_pruned(&self, count: usize) {
+        if metamess_telemetry::enabled() {
+            remote_metrics().probe_prunes.add(count as u64);
+        }
+    }
+
+    /// Fail or degrade; a generation conflict is never degradable.
+    fn tolerate(&self, shard: usize, phase: &'static str, failure: ShardFailure) -> Result<()> {
+        if self.set.opts.partial_policy == PartialPolicy::Fail
+            || matches!(failure, ShardFailure::Generation(_))
+        {
+            return Err(self.set.hard_error(shard, phase, &failure));
+        }
+        Ok(())
     }
 }
 

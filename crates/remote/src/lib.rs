@@ -10,9 +10,10 @@
 //!   score), mirroring the in-process probe→plan→score phases.
 //! - [`ShardHost`] / [`Shardd`]: the server side — a pure frame handler
 //!   over one `ShardEngine`, and the TCP listener hosting it.
-//! - [`RemoteShardSet`]: the coordinator — deadline-bounded scatter,
-//!   budgeted retries with deterministic backoff jitter, pre-dial
-//!   bound pruning, per-shard circuits, and a partial policy
+//! - [`RemoteShardSet`]: the fleet as a backend of the search crate's one
+//!   coordinator (`metamess_search::fanout::scatter_gather`) —
+//!   deadline-bounded scatter, budgeted retries with deterministic
+//!   backoff jitter, per-shard circuits, and a partial policy
 //!   ([`PartialPolicy`]) deciding whether a dead shard fails the query
 //!   or degrades it.
 //! - [`FaultTransport`]: deterministic fault injection for tests.
@@ -21,13 +22,14 @@
 //!
 //! The shardd builds its shard with the *same* partition assignment the
 //! in-process `ShardedEngine` uses, probes and scores with the same
-//! `fanout` primitives, and the coordinator replays the same global
-//! admission over the gathered summaries. Scores cross the wire through
+//! `fanout` functions, and the probe → admit → score → merge sequence is
+//! the same code for both. Scores cross the wire through
 //! `serde_json` built with `float_roundtrip`, so an `f64` deserializes
 //! to the exact bits the shard computed; the merge order
 //! (score-descending, path-ascending) is a strict total order, so the
 //! merged top-`limit` equals the single-process answer exactly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coordinator;

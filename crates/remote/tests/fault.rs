@@ -226,7 +226,7 @@ fn fleets_that_disagree_are_rejected_at_connect() {
     let dup: Vec<Arc<ShardHost>> =
         (0..2).map(|_| Arc::new(ShardHost::build(&c, vocab.clone(), spec, 0).unwrap())).collect();
     let t = Arc::new(FaultTransport::new(dup));
-    match RemoteShardSet::with_transport(t, fast_opts(PartialPolicy::Fail)) {
+    match RemoteShardSet::with_transport(t, fast_opts(PartialPolicy::Fail)).map(|_| ()) {
         Err(Error::Invalid { message }) => assert!(message.contains("duplicate"), "{message}"),
         other => panic!("expected Invalid, got {other:?}"),
     }
@@ -239,7 +239,7 @@ fn fleets_that_disagree_are_rejected_at_connect() {
         Arc::new(ShardHost::build(&newer, vocab.clone(), spec, 1).unwrap()),
     ];
     let t = Arc::new(FaultTransport::new(skewed));
-    match RemoteShardSet::with_transport(t, fast_opts(PartialPolicy::Fail)) {
+    match RemoteShardSet::with_transport(t, fast_opts(PartialPolicy::Fail)).map(|_| ()) {
         Err(Error::Conflict { .. }) => {}
         other => panic!("expected Conflict, got {other:?}"),
     }

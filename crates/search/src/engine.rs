@@ -1,19 +1,20 @@
-//! The search engine: a thin scatter-gather coordinator over catalog
-//! shards, plus the generation-stamped result cache.
+//! The search engine: the catalog cut into shards, the scatter-gather
+//! over them, and the generation-stamped result cache.
 //!
 //! The catalog is partitioned into `1..=MAX_SHARDS` shards at build time
 //! (see [`ShardSpec`]); each [`ShardEngine`](crate::ShardEngine) owns its
 //! own R-tree, interval index, and term postings, together with pruning
-//! bounds (the union of member bboxes / time intervals). A query is probed
-//! against every shard, but a shard whose bound excludes the query window
-//! skips the index walk, and a shard left with no candidates is never
-//! scored at all — on spatially or temporally partitioned catalogs a
-//! selective query touches a fraction of the datasets.
+//! bounds (the union of member bboxes / time intervals). A query runs
+//! through [`scatter_gather`](crate::fanout::scatter_gather) — the same
+//! coordinator the remote shard protocol uses — over the shards in this
+//! address space: a shard whose bound excludes the query window skips the
+//! index walk, and a shard left with no candidates is never scored at all
+//! — on spatially or temporally partitioned catalogs a selective query
+//! touches a fraction of the datasets.
 //!
 //! # Determinism
 //!
-//! Results are **bit-identical** across shard counts, partitioners, and
-//! worker counts:
+//! Results are **bit-identical** across shard counts and partitioners:
 //!
 //! * every per-dataset index decision (window membership, term postings)
 //!   depends only on the dataset itself, so the union of per-shard
@@ -24,19 +25,8 @@
 //! * the full-scan fallback fires on the *cross-shard* candidate total,
 //!   the same number the unsharded probe would count;
 //! * scoring is pure and the rank order `(score desc, path asc)` is a
-//!   strict total order, so top-k selection and merge are independent
-//!   of how work units were scheduled across the crossbeam worker pool.
-//!
-//! # The allocation-free scoring pass
-//!
-//! Candidates are scored by the allocation-free fast scorer
-//! (`ShardEngine::score_fast`, reading build-time interned `VarKey`s)
-//! into light `(score, shard, local)` tuples held in a reusable
-//! per-thread buffer; only the final `≤ limit` survivors are materialized
-//! into full [`SearchHit`]s (strings + breakdown) by the exact scorer.
-//! The fast total is bit-identical to the exact total (debug-asserted at
-//! materialization), so ranking — and therefore the result list — is
-//! unchanged.
+//!   strict total order, so each shard's top-k holds every global winner
+//!   it owns and the merge is independent of the layout.
 //!
 //! # Result caching
 //!
@@ -53,34 +43,18 @@
 
 use crate::cache::{CacheStats, ResultCache, DEFAULT_CACHE_CAPACITY};
 use crate::explain::{search_metrics, SearchExplain};
+use crate::fanout::{scatter_gather, LocalShards};
 use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::score::ScoreBreakdown;
-use crate::shard::{ShardEngine, ShardProbe, ShardSpec};
-use crate::topk::{LightHit, LightTopK};
+use crate::shard::{ShardEngine, ShardSpec};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_telemetry::{event, trace, Level, Stopwatch};
 use metamess_vocab::Vocabulary;
-use std::cell::RefCell;
-use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
-
-/// Reusable per-thread scoring buffer. The light-candidate heap survives
-/// across searches on the same thread, so a steady-state request on a
-/// server worker allocates nothing on the scoring path.
-struct SearchScratch {
-    lights: Vec<LightHit>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<SearchScratch> =
-        RefCell::new(SearchScratch { lights: Vec::new() });
-}
 
 /// One ranked search result.
 ///
@@ -140,21 +114,6 @@ pub struct ShardedEngine {
     /// Use the indexes for candidate generation (true) or score every
     /// dataset (false) — the ablation switch.
     pub use_indexes: bool,
-    /// Worker threads for candidate scoring; 0 or 1 = single-threaded.
-    /// Results are identical regardless of worker count.
-    pub workers: usize,
-}
-
-/// One unit of scoring work: a slice of one shard, either a dense local
-/// range (full scan) or an explicit candidate list (indexed probe).
-enum UnitWork {
-    All(Range<usize>),
-    List(Vec<usize>),
-}
-
-struct Unit {
-    shard: usize,
-    work: UnitWork,
 }
 
 impl ShardedEngine {
@@ -187,7 +146,6 @@ impl ShardedEngine {
             generation: catalog.generation(),
             cache: Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
             use_indexes: true,
-            workers: 1,
         }
     }
 
@@ -258,9 +216,8 @@ impl ShardedEngine {
     }
 
     /// Canonical cache key: the serialized query plus every engine toggle
-    /// that can change the result set (`workers` and the shard layout
-    /// cannot — results are bit-identical across both — so they are not
-    /// part of the key).
+    /// that can change the result set (the shard layout cannot — results
+    /// are bit-identical across layouts — so it is not part of the key).
     fn cache_key(&self, query: &Query) -> String {
         format!("{}|{}", self.use_indexes, serde_json::to_string(query).expect("query serializes"))
     }
@@ -360,317 +317,19 @@ impl ShardedEngine {
         self.execute_plan(query, plan, None)
     }
 
-    /// Scatter-gather: probe every shard, merge nearest lists globally,
-    /// decide the full-scan fallback on the cross-shard total, then score
-    /// the surviving shards' candidates across the worker pool and merge
-    /// the per-worker top-k pools deterministically.
+    /// Scatter-gather over the shards in this address space, none of which
+    /// can fail.
     fn execute_plan(
         &self,
         query: &Query,
         plan: &QueryPlan,
         explain: Option<&mut SearchExplain>,
     ) -> Vec<SearchHit> {
-        let on = metamess_telemetry::enabled();
-        let timed = on || explain.is_some();
-
-        let probe = Stopwatch::start_if(timed);
-        let probe_span = trace::enter("search.probe");
-        let forced = !self.use_indexes || query.is_empty();
-        let mut probes: Vec<ShardProbe> = Vec::new();
-        let mut bound_skips = 0usize;
-        let mut candidates_total = 0usize;
-        if !forced {
-            let generous = query.limit.saturating_mul(5).max(50);
-            probes.reserve(self.shards.len());
-            for (s, shard) in self.shards.iter().enumerate() {
-                let sw = Stopwatch::start_if(on);
-                let p = shard.probe(query, plan, generous);
-                if on {
-                    let micros = sw.micros();
-                    search_metrics().shard_probe_micros.record(micros);
-                    trace::record_span("shard.probe", micros, Some(s as u32));
-                }
-                probes.push(p);
-            }
-            if query.spatial.is_some() {
-                self.admit_nearest_globally(&mut probes, generous);
-            }
-            bound_skips = probes.iter().map(|p| p.bound_skips).sum();
-            candidates_total = probes.iter().map(|p| p.certain.len()).sum();
+        let local = LocalShards { shards: &self.shards, vocab: &self.vocab, plan };
+        match scatter_gather(&local, query, self.use_indexes, explain) {
+            Ok(gathered) => gathered.hits,
+            Err(never) => match never {},
         }
-        // Similarity ranking: when the candidate pool cannot comfortably
-        // fill the requested k, score everything instead. The decision is
-        // made on the cross-shard total — the same count the unsharded
-        // probe would see.
-        let full_scan = forced || candidates_total < query.limit.saturating_mul(3);
-        drop(probe_span);
-        let probe_micros = probe.micros();
-
-        let (units, visited, pruned, pruned_datasets) = self.plan_units(&probes, full_scan);
-        let candidates = if full_scan { self.total } else { candidates_total };
-        let workers = self.workers.max(1).min(units.len().max(1));
-
-        let scoring = Stopwatch::start_if(timed);
-        let (hits, merge_micros) = self.score_units(query, plan, &units, workers, timed, on);
-        let score_micros = scoring.micros().saturating_sub(merge_micros);
-
-        if on {
-            let m = search_metrics();
-            if full_scan {
-                m.full_scans.inc();
-            }
-            m.probe_micros.record(probe_micros);
-            m.score_micros.record(score_micros);
-            m.merge_micros.record(merge_micros);
-            m.shards_visited.add(visited as u64);
-            m.shards_pruned.add(pruned as u64);
-            trace::record_span("search.score", score_micros, None);
-            trace::record_span("search.merge", merge_micros, None);
-            trace::note_shards(visited as u32, pruned as u32);
-        }
-        if let Some(ex) = explain {
-            ex.probe_micros = probe_micros;
-            ex.score_micros = score_micros;
-            ex.merge_micros = merge_micros;
-            ex.candidates = candidates;
-            ex.full_scan = full_scan;
-            ex.workers = workers;
-            ex.results = hits.len();
-            ex.shards = self.shards.len();
-            ex.shards_visited = visited;
-            ex.shards_pruned = pruned;
-            ex.shard_bound_skips = bound_skips;
-            ex.pruned_datasets = pruned_datasets;
-        }
-        hits
-    }
-
-    /// Admits nearest-neighbour candidates under the *global* total order
-    /// `(distance, global index)`, truncated to `generous` — the exact set
-    /// the unsharded R-tree's single `nearest` call selects (each shard's
-    /// list is its `generous`-smallest under the same order, and the
-    /// global smallest are always among the per-shard smallest).
-    fn admit_nearest_globally(&self, probes: &mut [ShardProbe], generous: usize) {
-        let mut near: Vec<(f64, usize, usize, usize)> = Vec::new();
-        for (s, p) in probes.iter().enumerate() {
-            near.extend(p.near.iter().map(|&(dist, gix, lix)| (dist, gix, s, lix)));
-        }
-        near.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal).then_with(|| a.1.cmp(&b.1))
-        });
-        for &(_, _, s, lix) in near.iter().take(generous) {
-            probes[s].certain.push(lix);
-        }
-        // restore sorted-unique order after the raw pushes
-        for p in probes.iter_mut() {
-            p.finish();
-        }
-    }
-
-    /// Turns the probe outcome into scoring work units of roughly
-    /// `total_work / workers` candidates each, so the pool stays busy even
-    /// when candidates concentrate in one shard. Returns
-    /// `(units, shards visited, shards pruned, datasets in pruned shards)`.
-    fn plan_units(
-        &self,
-        probes: &[ShardProbe],
-        full_scan: bool,
-    ) -> (Vec<Unit>, usize, usize, usize) {
-        let total_work =
-            if full_scan { self.total } else { probes.iter().map(|p| p.certain.len()).sum() };
-        let unit_size = total_work.div_ceil(self.workers.max(1)).max(1);
-        let mut units = Vec::new();
-        let mut visited = 0usize;
-        let mut pruned = 0usize;
-        let mut pruned_datasets = 0usize;
-        if full_scan {
-            for (s, shard) in self.shards.iter().enumerate() {
-                if shard.is_empty() {
-                    continue;
-                }
-                visited += 1;
-                let mut start = 0;
-                while start < shard.len() {
-                    let end = (start + unit_size).min(shard.len());
-                    units.push(Unit { shard: s, work: UnitWork::All(start..end) });
-                    start = end;
-                }
-            }
-        } else {
-            for (s, p) in probes.iter().enumerate() {
-                if p.certain.is_empty() {
-                    if !self.shards[s].is_empty() {
-                        pruned += 1;
-                        pruned_datasets += self.shards[s].len();
-                    }
-                    continue;
-                }
-                visited += 1;
-                for chunk in p.certain.chunks(unit_size) {
-                    units.push(Unit { shard: s, work: UnitWork::List(chunk.to_vec()) });
-                }
-            }
-        }
-        (units, visited, pruned, pruned_datasets)
-    }
-
-    /// Scores the work units into light `(score, shard, local)` candidates
-    /// — sequentially through the reusable per-thread scratch buffer, or
-    /// on up to `workers` scoped threads pulling from a shared cursor,
-    /// each with its own bounded top-k, merged deterministically (the rank
-    /// order is a strict total order, so the merge selects exactly the
-    /// candidates a sequential pass would). Only the surviving `≤ limit`
-    /// are materialized into full hits. Also returns the merge-phase
-    /// duration (0 when untimed).
-    fn score_units(
-        &self,
-        query: &Query,
-        plan: &QueryPlan,
-        units: &[Unit],
-        workers: usize,
-        timed: bool,
-        on: bool,
-    ) -> (Vec<SearchHit>, u64) {
-        if workers <= 1 {
-            return SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                if on && scratch.lights.capacity() > 0 {
-                    metamess_telemetry::global()
-                        .counter("metamess_search_scratch_reuses_total")
-                        .add(1);
-                }
-                let mut lights = std::mem::take(&mut scratch.lights);
-                {
-                    let rank_lt = |a: &LightHit, b: &LightHit| self.light_rank_lt(a, b);
-                    let mut topk = LightTopK::new(query.limit, &mut lights);
-                    for unit in units {
-                        self.score_unit_light(query, plan, unit, &mut topk, &rank_lt, on);
-                    }
-                }
-                let out = self.finish_lights(query, plan, &mut lights, timed);
-                lights.clear();
-                scratch.lights = lights; // hand the capacity back for reuse
-                out
-            });
-        }
-        let cursor = AtomicUsize::new(0);
-        let pools: Vec<Vec<LightHit>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move |_| {
-                        let rank_lt = |a: &LightHit, b: &LightHit| self.light_rank_lt(a, b);
-                        let mut lights = Vec::new();
-                        let mut topk = LightTopK::new(query.limit, &mut lights);
-                        loop {
-                            let u = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                            let Some(unit) = units.get(u) else { break };
-                            self.score_unit_light(query, plan, unit, &mut topk, &rank_lt, on);
-                        }
-                        drop(topk);
-                        lights
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("search worker never panics")).collect()
-        })
-        .expect("search workers never panic");
-        let mut lights = Vec::new();
-        {
-            let rank_lt = |a: &LightHit, b: &LightHit| self.light_rank_lt(a, b);
-            let mut merged = LightTopK::new(query.limit, &mut lights);
-            for pool in pools {
-                for c in pool {
-                    merged.push(c, &rank_lt);
-                }
-            }
-        }
-        self.finish_lights(query, plan, &mut lights, timed)
-    }
-
-    fn score_unit_light(
-        &self,
-        query: &Query,
-        plan: &QueryPlan,
-        unit: &Unit,
-        topk: &mut LightTopK<'_>,
-        rank_lt: &dyn Fn(&LightHit, &LightHit) -> bool,
-        on: bool,
-    ) {
-        let sw = Stopwatch::start_if(on);
-        let shard = &self.shards[unit.shard];
-        match &unit.work {
-            UnitWork::All(range) => {
-                for ix in range.clone() {
-                    let s = shard.score_fast(query, &plan.prepared, ix);
-                    topk.push((s, unit.shard as u32, ix as u32), rank_lt);
-                }
-            }
-            UnitWork::List(ixs) => {
-                for &ix in ixs {
-                    let s = shard.score_fast(query, &plan.prepared, ix);
-                    topk.push((s, unit.shard as u32, ix as u32), rank_lt);
-                }
-            }
-        }
-        if on {
-            let micros = sw.micros();
-            search_metrics().shard_score_micros.record(micros);
-            // Attaches on the sequential scoring path; on the worker pool
-            // the trace builder lives on the coordinating thread, so this
-            // is inert there (the score phase span still covers the time).
-            trace::record_span("shard.score", micros, Some(unit.shard as u32));
-        }
-    }
-
-    /// Sorts the surviving light candidates into final rank order and
-    /// materializes full hits (strings + breakdown) for just those `≤ k`.
-    /// Returns the hits plus the merge/materialize duration.
-    fn finish_lights(
-        &self,
-        query: &Query,
-        plan: &QueryPlan,
-        lights: &mut [LightHit],
-        timed: bool,
-    ) -> (Vec<SearchHit>, u64) {
-        let merge = Stopwatch::start_if(timed);
-        lights.sort_by(|a, b| self.light_rank_cmp(a, b));
-        let hits: Vec<SearchHit> = lights
-            .iter()
-            .map(|&(score, s, l)| {
-                let hit = self.shards[s as usize].score_hit(
-                    query,
-                    &plan.prepared,
-                    &self.vocab,
-                    l as usize,
-                );
-                debug_assert_eq!(
-                    hit.score.to_bits(),
-                    score.to_bits(),
-                    "fast scorer diverged from the exact scorer on {}",
-                    hit.path
-                );
-                hit
-            })
-            .collect();
-        (hits, merge.micros())
-    }
-
-    /// "a ranks strictly before b" under the global hit order — the
-    /// light-candidate mirror of [`crate::topk::rank_cmp`].
-    fn light_rank_lt(&self, a: &LightHit, b: &LightHit) -> bool {
-        self.light_rank_cmp(a, b) == Ordering::Less
-    }
-
-    /// `(score desc, path asc)`, looking paths up lazily — ties on score
-    /// are rare, so most comparisons never touch a string.
-    fn light_rank_cmp(&self, a: &LightHit, b: &LightHit) -> Ordering {
-        b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then_with(|| {
-            self.shards[a.1 as usize]
-                .dataset(a.2 as usize)
-                .path
-                .cmp(&self.shards[b.1 as usize].dataset(b.2 as usize).path)
-        })
     }
 }
 
@@ -812,18 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_workers_match_sequential() {
-        let mut e = engine();
-        e.use_indexes = false; // full scan exercises every dataset
-        let q = Query::parse("near 45.5,-124.4 with water_temperature limit 3").unwrap();
-        let sequential = e.search_uncached(&q);
-        for workers in [2usize, 4, 8] {
-            e.workers = workers;
-            assert_eq!(e.search_uncached(&q), sequential, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn sharded_results_bit_identical_to_unsharded() {
         let c = two_cluster_catalog();
         let vocab = Vocabulary::observatory_default();
@@ -836,12 +483,11 @@ mod tests {
         ];
         for partitioner in [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal] {
             for shards in [1usize, 2, 4, 8] {
-                let mut e = SearchEngine::build_sharded(
+                let e = SearchEngine::build_sharded(
                     &c,
                     vocab.clone(),
                     ShardSpec::new(shards, partitioner),
                 );
-                e.workers = 3;
                 for q in &queries {
                     assert_eq!(
                         e.search_uncached(q),
@@ -1024,7 +670,6 @@ mod tests {
         assert_eq!(ex.results, hits.len());
         assert!(ex.full_scan, "tiny catalog cannot fill limit*3 from indexes");
         assert_eq!(ex.candidates, e.len());
-        assert_eq!(ex.workers, 1);
         assert_eq!(ex.shards, 1);
         assert_eq!(ex.shards_visited, 1);
         assert_eq!(ex.shards_pruned, 0);

@@ -20,9 +20,9 @@ pub struct SearchExplain {
     pub plan_micros: u64,
     /// Candidate generation: R-tree, interval index, and term postings.
     pub probe_micros: u64,
-    /// Exact scoring of every candidate.
+    /// Scoring of every candidate, and each shard's top-k made into hits.
     pub score_micros: u64,
-    /// Top-k pool merge and final ordering.
+    /// Merge of the per-shard top-k lists into the final order.
     pub merge_micros: u64,
     /// End-to-end, including the cache lookup.
     pub total_micros: u64,
@@ -32,8 +32,6 @@ pub struct SearchExplain {
     pub candidates: usize,
     /// The probe fell back to scoring the whole catalog.
     pub full_scan: bool,
-    /// Scoring threads actually used.
-    pub workers: usize,
     /// Hits returned.
     pub results: usize,
     /// Shards in the engine's layout.
@@ -76,12 +74,7 @@ impl SearchExplain {
                 self.shards, self.shards_visited, self.shards_pruned, self.pruned_datasets
             ));
         }
-        out.push_str(&format!(
-            "  score {:>8} µs  ({} worker{})\n",
-            self.score_micros,
-            self.workers,
-            if self.workers == 1 { "" } else { "s" }
-        ));
+        out.push_str(&format!("  score {:>8} µs\n", self.score_micros));
         out.push_str(&format!("  merge {:>8} µs\n", self.merge_micros));
         out.push_str(&format!("  total {:>8} µs  ({} hits)\n", self.total_micros, self.results));
         out
@@ -107,7 +100,7 @@ pub(crate) struct SearchMetrics {
     pub query_micros: Arc<Histogram>,
     /// `metamess_search_shard_probe_micros` — one sample per shard probed.
     pub shard_probe_micros: Arc<Histogram>,
-    /// `metamess_search_shard_score_micros` — one sample per scoring unit.
+    /// `metamess_search_shard_score_micros` — one sample per shard scored.
     pub shard_score_micros: Arc<Histogram>,
     /// `metamess_search_shards_visited_total` / `_pruned_total` — shards
     /// scored vs. skipped with zero candidates.
@@ -151,12 +144,11 @@ mod tests {
             total_micros: 1240,
             expanded_keys: 7,
             candidates: 150,
-            workers: 4,
             results: 10,
             ..SearchExplain::default()
         };
         let text = ex.render();
-        for needle in ["plan", "probe", "score", "merge", "total", "150 candidates", "4 workers"] {
+        for needle in ["plan", "probe", "score", "merge", "total", "150 candidates"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
         assert!(text.contains("indexed"));
@@ -178,14 +170,13 @@ mod tests {
 
     #[test]
     fn render_shows_shard_line_only_when_sharded() {
-        let single = SearchExplain { shards: 1, workers: 1, ..SearchExplain::default() };
+        let single = SearchExplain { shards: 1, ..SearchExplain::default() };
         assert!(!single.render().contains("shards"), "single-shard output stays unchanged");
         let sharded = SearchExplain {
             shards: 4,
             shards_visited: 1,
             shards_pruned: 3,
             pruned_datasets: 120,
-            workers: 1,
             ..SearchExplain::default()
         };
         let text = sharded.render();
@@ -196,8 +187,7 @@ mod tests {
 
     #[test]
     fn render_full_scan_labelled() {
-        let ex = SearchExplain { full_scan: true, workers: 1, ..SearchExplain::default() };
+        let ex = SearchExplain { full_scan: true, ..SearchExplain::default() };
         assert!(ex.render().contains("full scan"));
-        assert!(ex.render().contains("1 worker"));
     }
 }

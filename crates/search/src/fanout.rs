@@ -1,23 +1,19 @@
-//! Stateless fan-out building blocks for scatter-gather over shard
-//! engines that do **not** share an address space.
+//! The scatter-gather: one ranked query over a catalog cut into shards,
+//! wherever the shards live.
 //!
-//! The in-process [`ShardedEngine`](crate::ShardedEngine) probes, scores,
-//! and merges against `&ShardEngine` references. The remote shard
-//! protocol (crate `metamess-remote`) runs the same three phases, but the
-//! probe and score halves execute inside `metamess shardd` processes and
-//! only serializable summaries cross the wire. This module is the single
-//! definition of those halves, written so that
+//! [`scatter_gather`] is the only place the sequence *forced full scan? →
+//! probe → admit nearest globally → full-scan fallback → score → merge* is
+//! written down. It runs over a [`ShardBackend`], which hides where the
+//! shards are: the in-process [`ShardedEngine`](crate::ShardedEngine)
+//! calls its `&[ShardEngine]` directly (`LocalShards`), and crate
+//! `metamess-remote` speaks the frame protocol to `metamess shardd`
+//! processes. Both backends answer a probe and a score request with the
+//! same functions of this module, so the answer is bit-identical at any
+//! shard count, partitioner and location:
 //!
-//! ```text
-//! merge_hits(score_top(..) per shard, limit)
-//!     == ShardedEngine::search_uncached(..)   // bit-identical
-//! ```
-//!
-//! holds at any shard count and partitioner:
-//!
-//! * [`probe_summary`] is exactly `ShardEngine::probe` with the result
-//!   flattened into fixed-width integers;
-//! * [`plan_scatter`] replays the coordinator's decisions — the global
+//! * [`probe_summary`] is one shard's candidate generation, in fixed-width
+//!   integers so it can cross a wire;
+//! * [`plan_scatter`] makes the coordinator's decisions — the global
 //!   nearest-neighbour admission under `(distance, global index)` and the
 //!   cross-shard `candidates < limit*3` full-scan fallback — from
 //!   summaries alone;
@@ -35,20 +31,23 @@
 //! `shardd` processes covers the catalog without overlap or gaps.
 
 use crate::engine::{partition_members, SearchHit};
+use crate::explain::{search_metrics, SearchExplain};
 use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::shard::{expanded_time, ShardEngine, ShardSpec};
-use crate::topk::{LightHit, LightTopK};
+use crate::topk::{rank_cmp, LightHit, LightTopK};
 use metamess_core::catalog::Catalog;
 use metamess_core::time::TimeInterval;
+use metamess_telemetry::{trace, Histogram, Stopwatch};
 use metamess_vocab::Vocabulary;
 use std::cmp::Ordering;
+use std::convert::Infallible;
 
 /// What one shard's probe produced, in wire-friendly form. The local
 /// candidate indices are `u32` (shards are bounded well below 4G members)
 /// and the nearest list keeps `(distance, global index, local index)` —
-/// everything [`plan_scatter`] needs to replay the coordinator's
-/// admission globally.
+/// everything [`plan_scatter`] needs to admit nearest neighbours
+/// globally.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ProbeSummary {
     /// Local indices selected by the window/term indexes (ascending,
@@ -63,13 +62,12 @@ pub struct ProbeSummary {
 /// The candidate-generation over-fetch: how many nearest neighbours each
 /// shard collects per probe. Must match on both ends of the wire — the
 /// shardd probes with it, the coordinator admits with it — so it is a
-/// pure function of the query limit (the same formula the in-process
-/// engine uses).
+/// pure function of the query limit.
 pub fn generous(limit: usize) -> usize {
     limit.saturating_mul(5).max(50)
 }
 
-/// Probes one shard and flattens the outcome for the wire. `generous`
+/// Probes one shard: candidate generation against its indexes. `generous`
 /// must be [`generous`]`(query.limit)`; it is a parameter only so the
 /// call site that already computed it does not recompute.
 pub fn probe_summary(
@@ -78,12 +76,7 @@ pub fn probe_summary(
     plan: &QueryPlan,
     generous: usize,
 ) -> ProbeSummary {
-    let p = shard.probe(query, plan, generous);
-    ProbeSummary {
-        certain: p.certain.iter().map(|&ix| ix as u32).collect(),
-        near: p.near.iter().map(|&(d, gix, lix)| (d, gix as u64, lix as u32)).collect(),
-        bound_skips: p.bound_skips as u32,
-    }
+    shard.probe(query, plan, generous)
 }
 
 /// What one shard must score, as decided by the coordinator.
@@ -97,21 +90,20 @@ pub enum ScoreWork {
     List(Vec<u32>),
 }
 
-/// Replays the coordinator's scatter decisions from per-shard probe
-/// summaries: global nearest-neighbour admission (when the query is
-/// spatial) and the cross-shard full-scan fallback. Returns the fallback
-/// flag (for telemetry) and one [`ScoreWork`] per shard, in shard order.
-///
-/// Mirrors `ShardedEngine::execute_plan` + `admit_nearest_globally` +
-/// `plan_units` exactly; the bit-identity tests in this module and the
-/// `shard_props` suite keep the two in lockstep.
+/// The coordinator's scatter decisions, from per-shard probe summaries:
+/// global nearest-neighbour admission (when the query is spatial) and the
+/// cross-shard full-scan fallback. Returns the fallback flag and one
+/// [`ScoreWork`] per shard, in shard order.
 pub fn plan_scatter(query: &Query, summaries: &[ProbeSummary]) -> (bool, Vec<ScoreWork>) {
     let forced = query.is_empty();
     let mut certain: Vec<Vec<u32>> = summaries.iter().map(|s| s.certain.clone()).collect();
     if !forced && query.spatial.is_some() {
         // Admit nearest candidates under the global total order
         // `(distance, global index)`, truncated to `generous` — the exact
-        // set the unsharded R-tree's single `nearest` call selects.
+        // set the unsharded R-tree's single `nearest` call selects (each
+        // shard's list is its `generous`-smallest under the same order,
+        // and the global smallest are always among the per-shard
+        // smallest).
         let mut near: Vec<(f64, u64, usize, u32)> = Vec::new();
         for (s, summary) in summaries.iter().enumerate() {
             near.extend(summary.near.iter().map(|&(dist, gix, lix)| (dist, gix, s, lix)));
@@ -127,6 +119,9 @@ pub fn plan_scatter(query: &Query, summaries: &[ProbeSummary]) -> (bool, Vec<Sco
             c.dedup();
         }
     }
+    // Similarity ranking: when the candidate pool cannot comfortably fill
+    // the requested k, score everything instead. The decision is made on
+    // the cross-shard total — the same count an unsharded probe would see.
     let candidates_total: usize = if forced { 0 } else { certain.iter().map(Vec::len).sum() };
     let full_scan = forced || candidates_total < query.limit.saturating_mul(3);
     let works = certain
@@ -144,13 +139,13 @@ pub fn plan_scatter(query: &Query, summaries: &[ProbeSummary]) -> (bool, Vec<Sco
     (full_scan, works)
 }
 
-/// Whether a probe round trip to a shard can be skipped outright for this
-/// query, given the shard's advertised temporal pruning bound. Only a
-/// pure time-window query qualifies: spatial queries always collect
-/// nearest neighbours (distance has no bound) and variable terms consult
-/// postings the coordinator cannot see. When it returns `true`, the
-/// shard's probe is exactly the empty summary (one bound skip), so
-/// synthesizing that locally changes nothing downstream.
+/// Whether a probe of a shard can be skipped outright for this query,
+/// given the shard's temporal pruning bound. Only a pure time-window
+/// query qualifies: spatial queries always collect nearest neighbours
+/// (distance has no bound) and variable terms consult postings the
+/// coordinator cannot see. When it returns `true`, the shard's probe is
+/// exactly the empty summary (one bound skip when the shard has a bound),
+/// so synthesizing that changes nothing downstream.
 pub fn probe_prunable(query: &Query, time_bound: Option<&TimeInterval>) -> bool {
     if query.is_empty() || query.spatial.is_some() || !query.variables.is_empty() {
         return false;
@@ -168,10 +163,11 @@ pub fn probe_prunable(query: &Query, time_bound: Option<&TimeInterval>) -> bool 
 
 /// Scores one shard's assigned work and returns its `query.limit`-best
 /// hits under the global rank order `(score desc, path asc)`, best first.
-/// Candidates run through the allocation-free fast scorer; only the
-/// `≤ limit` survivors are materialized by the exact scorer (the same
-/// split the in-process engine uses, with the same debug assertion that
-/// the two scorers agree bit-for-bit).
+/// Candidates run through the allocation-free fast scorer into a bounded
+/// top-k of light `(score, local index)` pairs; only the `≤ limit`
+/// survivors are materialized (strings + breakdown) by the exact scorer.
+/// The fast total is bit-identical to the exact total (debug-asserted
+/// here), so the ranking is the exact scorer's.
 pub fn score_top(
     shard: &ShardEngine,
     query: &Query,
@@ -179,35 +175,31 @@ pub fn score_top(
     vocab: &Vocabulary,
     work: &ScoreWork,
 ) -> Vec<SearchHit> {
-    let rank_cmp = |a: &LightHit, b: &LightHit| {
+    // `(score desc, path asc)`, looking paths up lazily — ties on score
+    // are rare, so most comparisons never touch a string.
+    let light_cmp = |a: &LightHit, b: &LightHit| {
         b.0.partial_cmp(&a.0)
             .unwrap_or(Ordering::Equal)
-            .then_with(|| shard.dataset(a.2 as usize).path.cmp(&shard.dataset(b.2 as usize).path))
+            .then_with(|| shard.dataset(a.1 as usize).path.cmp(&shard.dataset(b.1 as usize).path))
     };
-    let rank_lt = |a: &LightHit, b: &LightHit| rank_cmp(a, b) == Ordering::Less;
+    let rank_lt = |a: &LightHit, b: &LightHit| light_cmp(a, b) == Ordering::Less;
     let mut lights: Vec<LightHit> = Vec::new();
     {
         let mut topk = LightTopK::new(query.limit, &mut lights);
+        let mut offer = |ix: u32| {
+            let s = shard.score_fast(query, &plan.prepared, ix as usize);
+            topk.push((s, ix), &rank_lt);
+        };
         match work {
-            ScoreWork::Skip => return Vec::new(),
-            ScoreWork::Full => {
-                for ix in 0..shard.len() {
-                    let s = shard.score_fast(query, &plan.prepared, ix);
-                    topk.push((s, 0, ix as u32), &rank_lt);
-                }
-            }
-            ScoreWork::List(ixs) => {
-                for &ix in ixs {
-                    let s = shard.score_fast(query, &plan.prepared, ix as usize);
-                    topk.push((s, 0, ix), &rank_lt);
-                }
-            }
+            ScoreWork::Skip => {}
+            ScoreWork::Full => (0..shard.len() as u32).for_each(&mut offer),
+            ScoreWork::List(ixs) => ixs.iter().copied().for_each(&mut offer),
         }
     }
-    lights.sort_by(rank_cmp);
+    lights.sort_by(light_cmp);
     lights
         .iter()
-        .map(|&(score, _, lix)| {
+        .map(|&(score, lix)| {
             let hit = shard.score_hit(query, &plan.prepared, vocab, lix as usize);
             debug_assert_eq!(
                 hit.score.to_bits(),
@@ -226,11 +218,272 @@ pub fn score_top(
 /// guarantees every global winner is present.
 pub fn merge_hits(per_shard: Vec<Vec<SearchHit>>, limit: usize) -> Vec<SearchHit> {
     let mut all: Vec<SearchHit> = per_shard.into_iter().flatten().collect();
-    all.sort_by(|a, b| {
-        b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal).then_with(|| a.path.cmp(&b.path))
-    });
+    all.sort_by(rank_cmp);
     all.truncate(limit);
     all
+}
+
+/// Where the shards of one catalog live, as far as [`scatter_gather`]
+/// needs to know: how big each is, what its temporal bound is, and how to
+/// ask it to probe and to score. A shard that cannot answer reports a
+/// `Failure`; [`ShardBackend::tolerate`] then decides whether the query
+/// goes on without it.
+pub trait ShardBackend: Sync {
+    /// Why one shard did not answer.
+    type Failure: Send;
+    /// Why the whole query is given up.
+    type Error;
+    /// Names of the per-shard probe and score spans.
+    const SPANS: (&'static str, &'static str) = ("shard.probe", "shard.score");
+
+    /// Shards in the layout.
+    fn shard_count(&self) -> usize;
+    /// Datasets in shard `shard`.
+    fn shard_len(&self, shard: usize) -> usize;
+    /// Union of the time intervals of shard `shard`'s members.
+    fn time_bound(&self, shard: usize) -> Option<TimeInterval>;
+    /// Candidate generation on one shard ([`probe_summary`]).
+    fn probe(&self, shard: usize, query: &Query) -> Result<ProbeSummary, Self::Failure>;
+    /// The shard's `limit`-best hits over `work` ([`score_top`]).
+    fn score(
+        &self,
+        shard: usize,
+        query: &Query,
+        work: &ScoreWork,
+    ) -> Result<Vec<SearchHit>, Self::Failure>;
+    /// Runs `call(k)` for every shard `k` and gathers the results in shard
+    /// order; one after the other unless the backend has something to
+    /// wait for.
+    fn scatter<T: Send>(&self, call: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        (0..self.shard_count()).map(call).collect()
+    }
+    /// Called once per failed shard, in shard order, after each phase
+    /// (`"probe"` or `"score"`): `Ok` answers from the remaining shards
+    /// and lists this one in [`Gathered::failed`], `Err` fails the query.
+    fn tolerate(
+        &self,
+        shard: usize,
+        phase: &'static str,
+        failure: Self::Failure,
+    ) -> Result<(), Self::Error>;
+    /// Told, before any shard is asked, how many probes the coordinator
+    /// will not send because the shard's time bound excludes the query
+    /// ([`probe_prunable`]). For a backend that counts saved round trips.
+    fn probes_pruned(&self, _count: usize) {}
+}
+
+/// Shards in this address space: every call is a function call and none
+/// can fail.
+pub(crate) struct LocalShards<'a> {
+    /// The shards, in layout order.
+    pub(crate) shards: &'a [ShardEngine],
+    /// The vocabulary the hits' breakdowns are explained with.
+    pub(crate) vocab: &'a Vocabulary,
+    /// The query's plan, prepared once for all shards.
+    pub(crate) plan: &'a QueryPlan,
+}
+
+impl ShardBackend for LocalShards<'_> {
+    type Failure = Infallible;
+    type Error = Infallible;
+
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn shard_len(&self, shard: usize) -> usize {
+        self.shards[shard].len()
+    }
+
+    fn time_bound(&self, shard: usize) -> Option<TimeInterval> {
+        self.shards[shard].time_bound().copied()
+    }
+
+    fn probe(&self, shard: usize, query: &Query) -> Result<ProbeSummary, Infallible> {
+        Ok(probe_summary(&self.shards[shard], query, self.plan, generous(query.limit)))
+    }
+
+    fn score(
+        &self,
+        shard: usize,
+        query: &Query,
+        work: &ScoreWork,
+    ) -> Result<Vec<SearchHit>, Infallible> {
+        Ok(score_top(&self.shards[shard], query, self.plan, self.vocab, work))
+    }
+
+    fn tolerate(&self, _: usize, _: &'static str, failure: Infallible) -> Result<(), Infallible> {
+        match failure {}
+    }
+}
+
+/// What [`scatter_gather`] returns.
+#[derive(Debug)]
+pub struct Gathered {
+    /// The global top-`limit` hits, best first.
+    pub hits: Vec<SearchHit>,
+    /// Shards that failed and were tolerated, ascending; the hits are
+    /// exactly what a coordinator over the other shards would return.
+    pub failed: Vec<u32>,
+}
+
+/// One scatter phase: asks every shard `call` has a request for, records a
+/// span and a histogram sample per answer, and lets the backend judge each
+/// failure. `None` in the result: not asked, or failed and tolerated.
+fn ask_shards<B: ShardBackend, T: Send>(
+    backend: &B,
+    phase: &'static str,
+    span: &'static str,
+    histogram: &Histogram,
+    failed: &mut [bool],
+    call: impl Fn(usize) -> Option<Result<T, B::Failure>> + Sync,
+) -> Result<Vec<Option<T>>, B::Error> {
+    let on = metamess_telemetry::enabled();
+    let outcomes = backend.scatter(|k| {
+        let sw = Stopwatch::start_if(on);
+        call(k).map(|outcome| (outcome, sw.micros()))
+    });
+    let mut answers = Vec::with_capacity(outcomes.len());
+    for (k, outcome) in outcomes.into_iter().enumerate() {
+        let Some((outcome, micros)) = outcome else {
+            answers.push(None);
+            continue;
+        };
+        if on && outcome.is_ok() {
+            // Spans attach here, on the coordinating thread: the trace
+            // under construction is thread-local, and a backend may have
+            // run the call elsewhere. A shard that did not answer has no
+            // span: its time is the backend's timeout, not the shard's.
+            histogram.record(micros);
+            trace::record_span(span, micros, Some(k as u32));
+        }
+        answers.push(match outcome {
+            Ok(answer) => Some(answer),
+            Err(failure) => {
+                backend.tolerate(k, phase, failure)?;
+                failed[k] = true;
+                None
+            }
+        });
+    }
+    Ok(answers)
+}
+
+/// Runs one ranked query over a backend's shards: probe every shard that
+/// can hold a candidate, admit nearest neighbours globally and decide the
+/// full-scan fallback on the cross-shard total ([`plan_scatter`]), score
+/// the shards left with work, merge their top-`limit` lists. With
+/// `use_indexes` off (the ablation switch), or an empty query, nothing is
+/// probed and every shard scores all it holds.
+///
+/// A shard that fails and is tolerated drops out of every later step, so
+/// a degraded answer is exactly the answer over the healthy shards.
+pub fn scatter_gather<B: ShardBackend>(
+    backend: &B,
+    query: &Query,
+    use_indexes: bool,
+    explain: Option<&mut SearchExplain>,
+) -> Result<Gathered, B::Error> {
+    let on = metamess_telemetry::enabled();
+    let timed = on || explain.is_some();
+    let n = backend.shard_count();
+    let lens: Vec<usize> = (0..n).map(|k| backend.shard_len(k)).collect();
+    let mut failed = vec![false; n];
+
+    let probe = Stopwatch::start_if(timed);
+    let probe_span = trace::enter("search.probe");
+    let forced = !use_indexes || query.is_empty();
+    let mut bound_skips = 0;
+    let (full_scan, mut works) = if forced {
+        (true, vec![ScoreWork::Full; n])
+    } else {
+        let bounds: Vec<Option<TimeInterval>> = (0..n).map(|k| backend.time_bound(k)).collect();
+        let prunable: Vec<bool> =
+            bounds.iter().map(|b| probe_prunable(query, b.as_ref())).collect();
+        backend.probes_pruned(prunable.iter().filter(|&&p| p).count());
+        let histogram = &search_metrics().shard_probe_micros;
+        let probed = ask_shards(backend, "probe", B::SPANS.0, histogram, &mut failed, |k| {
+            (lens[k] > 0 && !prunable[k]).then(|| backend.probe(k, query))
+        })?;
+        let summaries: Vec<ProbeSummary> = probed
+            .into_iter()
+            .enumerate()
+            .map(|(k, summary)| {
+                summary.unwrap_or_else(|| ProbeSummary {
+                    // what the shard's own probe reports for a pruned
+                    // time window
+                    bound_skips: u32::from(prunable[k] && bounds[k].is_some()),
+                    ..ProbeSummary::default()
+                })
+            })
+            .collect();
+        bound_skips = summaries.iter().map(|s| s.bound_skips as usize).sum();
+        plan_scatter(query, &summaries)
+    };
+    // A shard the probe lost, or an empty one, has nothing to score; a
+    // shard the probe left without candidates is pruned.
+    let (mut candidates, mut visited, mut pruned, mut pruned_datasets) = (0, 0, 0, 0);
+    for k in 0..n {
+        if failed[k] || lens[k] == 0 {
+            works[k] = ScoreWork::Skip;
+            continue;
+        }
+        match &works[k] {
+            ScoreWork::Skip => {
+                pruned += 1;
+                pruned_datasets += lens[k];
+                continue;
+            }
+            ScoreWork::Full => candidates += lens[k],
+            ScoreWork::List(ixs) => candidates += ixs.len(),
+        }
+        visited += 1;
+    }
+    drop(probe_span);
+    let probe_micros = probe.micros();
+
+    let scoring = Stopwatch::start_if(timed);
+    let score_span = trace::enter("search.score");
+    let histogram = &search_metrics().shard_score_micros;
+    let per_shard = ask_shards(backend, "score", B::SPANS.1, histogram, &mut failed, |k| {
+        (works[k] != ScoreWork::Skip).then(|| backend.score(k, query, &works[k]))
+    })?;
+    drop(score_span);
+    let score_micros = scoring.micros();
+
+    let merge = Stopwatch::start_if(timed);
+    let hits =
+        merge_hits(per_shard.into_iter().map(Option::unwrap_or_default).collect(), query.limit);
+    let merge_micros = merge.micros();
+
+    if on {
+        let m = search_metrics();
+        if full_scan {
+            m.full_scans.inc();
+        }
+        m.probe_micros.record(probe_micros);
+        m.score_micros.record(score_micros);
+        m.merge_micros.record(merge_micros);
+        m.shards_visited.add(visited as u64);
+        m.shards_pruned.add(pruned as u64);
+        trace::record_span("search.merge", merge_micros, None);
+        trace::note_shards(visited as u32, pruned as u32);
+    }
+    if let Some(ex) = explain {
+        ex.probe_micros = probe_micros;
+        ex.score_micros = score_micros;
+        ex.merge_micros = merge_micros;
+        ex.candidates = candidates;
+        ex.full_scan = full_scan;
+        ex.results = hits.len();
+        ex.shards = n;
+        ex.shards_visited = visited;
+        ex.shards_pruned = pruned;
+        ex.shard_bound_skips = bound_skips;
+        ex.pruned_datasets = pruned_datasets;
+    }
+    let failed = (0..n as u32).filter(|&k| failed[k as usize]).collect();
+    Ok(Gathered { hits, failed })
 }
 
 /// Builds shard `shard_ix` of the layout `spec` over a catalog snapshot,
@@ -302,60 +555,6 @@ mod tests {
             ));
         }
         c
-    }
-
-    /// Runs the full fan-out pipeline over standalone shards, exactly as
-    /// the remote coordinator does (minus the wire).
-    fn fan_out(shards: &[ShardEngine], vocab: &Vocabulary, q: &Query) -> Vec<SearchHit> {
-        let plan = QueryPlan::prepare(q, vocab);
-        let g = generous(q.limit);
-        let summaries: Vec<ProbeSummary> = shards
-            .iter()
-            .map(|s| {
-                if q.is_empty() {
-                    ProbeSummary::default()
-                } else if probe_prunable(q, s.time_bound()) {
-                    ProbeSummary { bound_skips: 1, ..ProbeSummary::default() }
-                } else {
-                    probe_summary(s, q, &plan, g)
-                }
-            })
-            .collect();
-        let (_, works) = plan_scatter(q, &summaries);
-        let per: Vec<Vec<SearchHit>> =
-            shards.iter().zip(&works).map(|(s, w)| score_top(s, q, &plan, vocab, w)).collect();
-        merge_hits(per, q.limit)
-    }
-
-    #[test]
-    fn pipeline_bit_identical_to_sharded_engine() {
-        let c = two_cluster_catalog();
-        let vocab = Vocabulary::observatory_default();
-        let reference = ShardedEngine::build(&c, vocab.clone());
-        let queries = [
-            Query::parse("in 45.9,-124.1..46.2,-123.9 limit 5").unwrap(),
-            Query::parse("near 46.0,-124.0 within 10km with water_temperature limit 4").unwrap(),
-            Query::parse("from 2010-07-01 to 2010-09-30 with salinity limit 6").unwrap(),
-            Query::parse("from 2010-01-01 to 2010-02-15 limit 5").unwrap(),
-            Query::parse("with water_temperature limit 100").unwrap(),
-            Query::new(),
-        ];
-        for partitioner in [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal] {
-            for count in [1usize, 2, 4, 7] {
-                let spec = ShardSpec::new(count, partitioner);
-                let shards: Vec<ShardEngine> =
-                    (0..count).map(|k| build_shard(&c, &vocab, spec, k)).collect();
-                for q in &queries {
-                    let expected = reference.search_uncached(q);
-                    let got = fan_out(&shards, &vocab, q);
-                    assert_eq!(got.len(), expected.len(), "{partitioner:?}/{count}");
-                    for (a, b) in got.iter().zip(expected.iter()) {
-                        assert_eq!(a, b, "{partitioner:?}/{count}");
-                        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{partitioner:?}/{count}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,27 +6,27 @@
 //! interval index for candidate generation, and the text renderings of the
 //! poster's search-interface and dataset-summary figures.
 //!
-//! ## Sharding, concurrency, top-k, and caching
-//!
-//! The read path is built to be parallel and allocation-lean:
+//! ## Sharding, top-k, and caching
 //!
 //! * The catalog is partitioned into shards at build time ([`ShardSpec`]):
-//!   each [`ShardEngine`] has its own indexes plus pruning bounds, and the
-//!   [`ShardedEngine`] coordinator fans queries out, prunes shards whose
-//!   bounds exclude the query, and merges per-shard results — bit-identical
-//!   to the unsharded engine at any shard count.
+//!   each [`ShardEngine`] has its own indexes plus pruning bounds. One
+//!   coordinator, [`fanout::scatter_gather`], probes the shards, prunes
+//!   those whose bounds exclude the query, and merges per-shard results —
+//!   bit-identical to the unsharded engine at any shard count. Where the
+//!   shards live is behind [`fanout::ShardBackend`]: in this address space
+//!   for [`ShardedEngine`], in `metamess shardd` processes for crate
+//!   `metamess-remote`.
 //! * [`QueryPlan`] precomputes vocabulary expansion, hierarchy walks and
 //!   term normalization once per query (shared between candidate generation
 //!   and scoring via `Vocabulary::expand_keys` / `canonical_keys`).
 //! * Candidates are scored by an allocation-free fast scorer (build-time
 //!   interned per-variable name keys; no normalization or `String` per
-//!   candidate) into a bounded top-k heap of light `(score, shard, local)`
-//!   tuples — O(n log k) instead of sorting every scored hit — optionally
-//!   across `SearchEngine::workers` crossbeam scoped threads; only the
-//!   final `≤ limit` survivors are materialized into [`SearchHit`]s. The
-//!   rank order `(score desc, path asc)` is a strict total order, so
-//!   parallel results are **bit-identical** to sequential ones for any
-//!   worker count ([`TopK`] remains the general-purpose building block).
+//!   candidate) into a bounded per-shard top-k heap of light `(score,
+//!   local index)` pairs — O(n log k) instead of sorting every scored hit;
+//!   only each shard's `≤ limit` survivors are materialized into
+//!   [`SearchHit`]s. The rank order `(score desc, path asc)` is a strict
+//!   total order, so the merged result does not depend on the layout
+//!   ([`TopK`] remains the general-purpose building block).
 //! * A generation-stamped LRU [`ResultCache`] serves repeated queries
 //!   against an unchanged published catalog without rescoring; entries are
 //!   invalidated simply by the catalog generation moving on publish, and
@@ -35,6 +35,7 @@
 //!   entries in place ([`ResultCache::retarget`]) so the cache survives
 //!   in-place catalog updates.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod browse;

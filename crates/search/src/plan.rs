@@ -6,7 +6,7 @@
 //! for scoring — two code paths doing overlapping dictionary walks. The
 //! plan runs both once, through the vocabulary's shared expansion helpers
 //! (`Vocabulary::expand_keys` / `canonical_keys`), and is reused across all
-//! candidates and all workers.
+//! candidates and all shards.
 
 use crate::query::Query;
 use crate::score::PreparedTerm;

@@ -3,7 +3,7 @@
 //! A [`ShardEngine`] is one slice of the catalog with its own R-tree,
 //! interval index, and term postings, plus *pruning bounds* — the union of
 //! its members' bounding boxes and time intervals. The coordinator (see
-//! `engine.rs`) probes every shard, but a shard whose bound cannot
+//! `fanout.rs`) probes every shard, but a shard whose bound cannot
 //! intersect the query window skips its index walk entirely, and a shard
 //! that ends up with no candidates is never scored at all.
 //!
@@ -28,6 +28,7 @@
 //! engine's single `nearest` call would.
 
 use crate::engine::SearchHit;
+use crate::fanout::ProbeSummary;
 use crate::interval::IntervalIndex;
 use crate::plan::QueryPlan;
 use crate::query::{Query, SpatialTerm};
@@ -175,32 +176,6 @@ impl Default for ShardSpec {
     }
 }
 
-/// What one shard's probe produced.
-#[derive(Debug, Default)]
-pub(crate) struct ShardProbe {
-    /// Local indices selected by the window/term indexes. Kept as a flat
-    /// vector (one allocation, not a node per candidate); [`finish`]
-    /// restores the sorted-deduplicated set semantics.
-    ///
-    /// [`finish`]: ShardProbe::finish
-    pub certain: Vec<usize>,
-    /// Nearest-neighbour candidates as `(distance, global ix, local ix)`,
-    /// merged globally by the coordinator before any is admitted.
-    pub near: Vec<(f64, usize, usize)>,
-    /// Index walks skipped because the shard bound excluded the query.
-    pub bound_skips: usize,
-}
-
-impl ShardProbe {
-    /// Sorts and deduplicates the candidate list, restoring exactly the
-    /// ascending unique order the old `BTreeSet` representation kept.
-    /// Idempotent; called after every batch of insertions.
-    pub(crate) fn finish(&mut self) {
-        self.certain.sort_unstable();
-        self.certain.dedup();
-    }
-}
-
 /// One slice of the catalog with its own indexes and pruning bounds.
 pub struct ShardEngine {
     datasets: Vec<DatasetFeature>,
@@ -311,22 +286,23 @@ impl ShardEngine {
     /// skipped (and counted) when the shard bound excludes the query;
     /// nearest-neighbour lists are always collected — distance has no
     /// bound — and merged globally by the coordinator.
-    pub(crate) fn probe(&self, query: &Query, plan: &QueryPlan, generous: usize) -> ShardProbe {
-        let mut p = ShardProbe::default();
+    pub(crate) fn probe(&self, query: &Query, plan: &QueryPlan, generous: usize) -> ProbeSummary {
+        let mut p = ProbeSummary::default();
+        let local = |ix: usize| ix as u32;
         if let Some(spatial) = &query.spatial {
             match spatial {
                 SpatialTerm::Near { point, radius_km } => {
                     self.collect_near(point, generous, &mut p);
                     let window = near_window(point, *radius_km);
                     if self.bound_admits_bbox(&window) {
-                        p.certain.extend(self.rtree.intersecting(&window));
+                        p.certain.extend(self.rtree.intersecting(&window).into_iter().map(local));
                     } else if !self.rtree.is_empty() {
                         p.bound_skips += 1;
                     }
                 }
                 SpatialTerm::Region(region) => {
                     if self.bound_admits_bbox(region) {
-                        p.certain.extend(self.rtree.intersecting(region));
+                        p.certain.extend(self.rtree.intersecting(region).into_iter().map(local));
                     } else if !self.rtree.is_empty() {
                         p.bound_skips += 1;
                     }
@@ -337,7 +313,7 @@ impl ShardEngine {
         if let Some(window) = &query.time {
             let expanded = expanded_time(window);
             if self.time_bound.as_ref().is_some_and(|b| b.overlaps(&expanded)) {
-                p.certain.extend(self.intervals.overlapping(&expanded));
+                p.certain.extend(self.intervals.overlapping(&expanded).into_iter().map(local));
             } else if !self.intervals.is_empty() {
                 p.bound_skips += 1;
             }
@@ -345,11 +321,14 @@ impl ShardEngine {
         for keys in &plan.term_keys {
             for k in keys {
                 if let Some(postings) = self.terms.get(k.as_str()) {
-                    p.certain.extend(postings.iter().copied());
+                    p.certain.extend(postings.iter().copied().map(local));
                 }
             }
         }
-        p.finish();
+        // one flat vector, sorted and deduplicated: set semantics without a
+        // node per candidate
+        p.certain.sort_unstable();
+        p.certain.dedup();
         p
     }
 
@@ -361,10 +340,10 @@ impl ShardEngine {
         &self,
         point: &metamess_core::geo::GeoPoint,
         generous: usize,
-        p: &mut ShardProbe,
+        p: &mut ProbeSummary,
     ) {
         for (ix, dist) in self.rtree.nearest(point, generous) {
-            p.near.push((dist, self.global_ix[ix], ix));
+            p.near.push((dist, self.global_ix[ix] as u64, ix as u32));
         }
     }
 

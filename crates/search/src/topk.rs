@@ -1,12 +1,12 @@
-//! Bounded top-k selection over search hits.
+//! Bounded top-k selection over scored candidates.
 //!
-//! The engine used to fully sort every scored candidate and then truncate
-//! to `limit` — O(n log n) on full-catalog fallback scans. A bounded binary
-//! heap keeps only the best `k` seen so far, O(n log k), and because the
-//! rank order `(score desc, path asc)` is a *strict total order* (paths are
-//! unique within a catalog), the selected set — and therefore the final
-//! sorted output — is identical to sort-then-truncate. The same property
-//! makes per-worker heaps mergeable without losing determinism.
+//! Fully sorting every scored candidate and then truncating to `limit` is
+//! O(n log n) on full-catalog fallback scans. A bounded binary heap keeps
+//! only the best `k` seen so far, O(n log k), and because the rank order
+//! `(score desc, path asc)` is a *strict total order* (paths are unique
+//! within a catalog), the selected set — and therefore the final sorted
+//! output — is identical to sort-then-truncate. The same property makes
+//! per-shard top-k lists mergeable without losing determinism.
 
 use crate::engine::SearchHit;
 use std::cmp::Ordering;
@@ -76,7 +76,7 @@ impl TopK {
         }
     }
 
-    /// Folds another accumulator in (used to combine per-worker results).
+    /// Folds another accumulator in (used to combine partial results).
     pub fn merge(&mut self, other: TopK) {
         for w in other.heap {
             self.push(w.0);
@@ -101,16 +101,15 @@ impl TopK {
     }
 }
 
-/// A candidate in the allocation-free scoring pass: `(total score, shard,
-/// local index)`. Twenty bytes of copyable data instead of a materialized
+/// A candidate in the allocation-free scoring pass: `(total score, local
+/// index)`. Sixteen bytes of copyable data instead of a materialized
 /// [`SearchHit`] with its strings and breakdown — only the final `k`
 /// survivors are ever materialized.
-pub(crate) type LightHit = (f64, u32, u32);
+pub(crate) type LightHit = (f64, u32);
 
-/// Bounded top-k over [`LightHit`]s with **caller-owned storage** (the
-/// engine threads a reusable per-thread buffer through, so a steady-state
-/// search allocates nothing here) and a **caller-supplied order** (ranking
-/// ties break on dataset path, which only the engine can look up).
+/// Bounded top-k over [`LightHit`]s with **caller-owned storage** and a
+/// **caller-supplied order** (ranking ties break on dataset path, which
+/// only the shard can look up).
 ///
 /// `rank_lt(a, b)` must be a strict total order meaning "a ranks before
 /// b" — the same `(score desc, path asc)` order as [`rank_cmp`], so the
@@ -263,20 +262,17 @@ mod tests {
 
     #[test]
     fn light_topk_matches_sort_then_truncate() {
-        // order: score desc, ties by (shard, lix) asc — any strict total
-        // order exercises the heap the same way the engine's path order
+        // order: score desc, ties by local index asc — any strict total
+        // order exercises the heap the same way the shard's path order
         // does.
         let lt = |a: &LightHit, b: &LightHit| match b.0.partial_cmp(&a.0).unwrap() {
             Ordering::Less => true,
             Ordering::Greater => false,
-            Ordering::Equal => (a.1, a.2) < (b.1, b.2),
+            Ordering::Equal => a.1 < b.1,
         };
         for (n, k, seed) in [(100usize, 5usize, 7u64), (37, 10, 99), (8, 8, 3), (5, 20, 1)] {
-            let cands: Vec<LightHit> = lcg_scores(n, seed)
-                .into_iter()
-                .enumerate()
-                .map(|(ix, s)| (s, (ix % 3) as u32, ix as u32))
-                .collect();
+            let cands: Vec<LightHit> =
+                lcg_scores(n, seed).into_iter().enumerate().map(|(ix, s)| (s, ix as u32)).collect();
             let mut buf = Vec::new();
             let mut topk = LightTopK::new(k, &mut buf);
             for &c in &cands {
@@ -294,13 +290,13 @@ mod tests {
     #[test]
     fn light_topk_zero_k_and_buffer_reuse() {
         let lt = |a: &LightHit, b: &LightHit| a.0 > b.0;
-        let mut buf = vec![(0.9, 0, 0); 4]; // stale garbage from a prior query
+        let mut buf = vec![(0.9, 0); 4]; // stale garbage from a prior query
         let mut topk = LightTopK::new(0, &mut buf);
-        topk.push((1.0, 0, 1), &lt);
+        topk.push((1.0, 1), &lt);
         assert!(buf.is_empty(), "new() clears, k=0 keeps nothing");
         let mut topk = LightTopK::new(2, &mut buf);
         for s in [0.1, 0.5, 0.3, 0.9] {
-            topk.push((s, 0, (s * 10.0) as u32), &lt);
+            topk.push((s, (s * 10.0) as u32), &lt);
         }
         assert_eq!(buf.len(), 2);
         assert!(buf.iter().all(|c| c.0 >= 0.5));

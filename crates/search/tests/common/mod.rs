@@ -1,0 +1,156 @@
+//! Cases and oracle for the reference sweeps (`reference_sweep.rs` here and
+//! in `crates/remote/tests/`): seeded catalogs and queries, and the naive
+//! search every coordinator configuration must agree with.
+//!
+//! Index-driven candidate generation is an approximation the engine backs
+//! with a full-scan fallback, so a linear oracle only pins it down where it
+//! is exact. The cases stay inside that regime by construction:
+//!
+//! * every dataset has a bbox and catalogs hold fewer datasets than the
+//!   smallest nearest-neighbour over-fetch (50), so a spatial query admits
+//!   the whole catalog as candidates, whatever else it asks for;
+//! * a time-only query's candidates (overlap with the padded window) all
+//!   outscore its non-candidates, because the temporal score falls strictly
+//!   with the gap;
+//! * a variables-only query asks for more hits than a third of the catalog,
+//!   which is the fallback's own trigger;
+//! * the empty query always scans.
+
+use metamess_core::catalog::Catalog;
+use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
+use metamess_core::geo::{GeoBBox, GeoPoint};
+use metamess_core::time::{TimeInterval, Timestamp};
+use metamess_search::{score_dataset_prepared, PreparedTerm, Query, SearchHit};
+use metamess_vocab::Vocabulary;
+
+const VAR_POOL: &[&str] =
+    &["water_temperature", "salinity", "dissolved_oxygen", "turbidity", "nitrate", "wind_speed"];
+
+/// SplitMix64: tiny, dependency-free, and good enough to scatter cases.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn float(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+    }
+}
+
+fn day(n: u64) -> Timestamp {
+    Timestamp::from_ymd(2010, 1, 1).unwrap().plus_days(n as i64)
+}
+
+/// The two clusters datasets and spatial queries sit in, far enough apart
+/// that spatial bounds separate them.
+fn cluster(rng: &mut Rng) -> (f64, f64) {
+    let (lat, lon) = if rng.below(2) == 0 { (46.0, -124.0) } else { (-44.0, 150.0) };
+    (lat + rng.float(-0.5, 0.5), lon + rng.float(-0.5, 0.5))
+}
+
+/// 1..40 datasets, each with a bbox, most with a time interval, 0..3
+/// ranged variables.
+pub fn catalog(rng: &mut Rng) -> Catalog {
+    let mut c = Catalog::new();
+    for ix in 0..1 + rng.below(39) {
+        let mut d = DatasetFeature::new(format!("ds/{ix:02}.csv"));
+        d.title = format!("dataset {ix}");
+        let (lat, lon) = cluster(rng);
+        d.bbox = Some(GeoBBox::point(GeoPoint::new(lat, lon).unwrap()));
+        if rng.below(5) > 0 {
+            let start = rng.below(300);
+            d.time = Some(TimeInterval::new(day(start), day(start + 1 + rng.below(200))));
+        }
+        for _ in 0..rng.below(3) {
+            let name = VAR_POOL[rng.below(VAR_POOL.len() as u64) as usize];
+            if d.variables.iter().any(|v| v.name == name) {
+                continue;
+            }
+            let mut v = VariableFeature::new(name);
+            v.resolve(name, NameResolution::AlreadyCanonical);
+            let lo = rng.float(0.0, 20.0);
+            v.summary.observe(lo);
+            v.summary.observe(lo + rng.float(1.0, 15.0));
+            d.variables.push(v);
+        }
+        c.put(d);
+    }
+    c
+}
+
+/// One query per shape the module docs list, for a catalog of `datasets`.
+pub fn queries(rng: &mut Rng, datasets: usize) -> Vec<Query> {
+    let window = |rng: &mut Rng, q: Query| {
+        let start = rng.below(300);
+        q.between(day(start), day(start + 1 + rng.below(120)))
+    };
+    let variables = |rng: &mut Rng, mut q: Query| {
+        for _ in 0..1 + rng.below(2) {
+            let name = VAR_POOL[rng.below(VAR_POOL.len() as u64) as usize];
+            let range = (rng.below(2) == 0).then(|| {
+                let lo = rng.float(0.0, 15.0);
+                (lo, lo + rng.float(0.1, 10.0))
+            });
+            q = q.with_variable(name, range);
+        }
+        q
+    };
+    let limit = |rng: &mut Rng| 1 + rng.below(8) as usize;
+    let near = |rng: &mut Rng| {
+        let (lat, lon) = cluster(rng);
+        Query::new().near(lat, lon, rng.float(5.0, 100.0)).unwrap().limit(limit(rng))
+    };
+    let time_only = window(rng, Query::new()).limit(limit(rng));
+    let spatial = near(rng);
+    let everything = near(rng);
+    let everything = window(rng, everything);
+    let everything = variables(rng, everything);
+    let beyond = variables(rng, Query::new()).limit(datasets + 1 + rng.below(8) as usize);
+    vec![Query::new(), time_only, spatial, everything, beyond]
+}
+
+/// The oracle: score every dataset with the exact scorer, sort all of them
+/// by `(score desc, path asc)`, keep the best `limit`. No index, no
+/// candidate generation, no shards, no top-k heap.
+pub fn reference_search(catalog: &Catalog, vocab: &Vocabulary, query: &Query) -> Vec<SearchHit> {
+    let prepared: Vec<PreparedTerm> =
+        query.variables.iter().map(|t| PreparedTerm::prepare(t, vocab)).collect();
+    let mut hits: Vec<SearchHit> = catalog
+        .iter()
+        .map(|d| {
+            let breakdown = score_dataset_prepared(query, &prepared, d, vocab);
+            SearchHit {
+                id: d.id,
+                path: d.path.clone(),
+                title: d.title.clone(),
+                score: breakdown.total,
+                breakdown,
+            }
+        })
+        .collect();
+    hits.sort_by(|a, b| {
+        b.score.partial_cmp(&a.score).expect("scores are not NaN").then(a.path.cmp(&b.path))
+    });
+    hits.truncate(query.limit);
+    hits
+}
+
+/// Same hits in the same order, scores equal to the bit.
+pub fn assert_bit_equal(got: &[SearchHit], want: &[SearchHit], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: hit counts differ");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g, w, "{what}");
+        assert_eq!(g.score.to_bits(), w.score.to_bits(), "{what}: score bits of {}", g.path);
+    }
+}

@@ -115,23 +115,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_search_matches_sequential(
-        catalog in arb_catalog(),
-        query in arb_query(),
-        full_scan in proptest::bool::ANY,
-    ) {
-        let mut engine = SearchEngine::build(&catalog, Vocabulary::observatory_default());
-        engine.use_indexes = !full_scan;
-        let sequential = engine.search_uncached(&query);
-        for workers in [2usize, 4, 8] {
-            engine.workers = workers;
-            let parallel = engine.search_uncached(&query);
-            // identical ids, order, and bit-identical scores
-            prop_assert_eq!(&parallel, &sequential, "workers={}", workers);
-        }
-    }
-
-    #[test]
     fn cached_result_equals_fresh_rescore(catalog in arb_catalog(), query in arb_query()) {
         let engine = SearchEngine::build(&catalog, Vocabulary::observatory_default());
         let first = engine.search(&query); // miss: fills the cache

@@ -2,8 +2,8 @@
 //! sharded scatter-gather search is **bit-identical** to the unsharded
 //! engine across shard counts {1, 2, 4, 8}, every partitioner (including
 //! the pruning-enabled spatial/temporal layouts), empty shards (more
-//! shards than datasets), datasets without bboxes or time intervals, both
-//! index modes, and multiple worker counts.
+//! shards than datasets), datasets without bboxes or time intervals, and
+//! both index modes.
 
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
@@ -115,14 +115,8 @@ proptest! {
                 ShardSpec::new(shards, partitioner),
             );
             engine.use_indexes = !full_scan;
-            for workers in [1usize, 4] {
-                engine.workers = workers;
-                let got = engine.search_uncached(&query);
-                prop_assert_eq!(
-                    &got, &expected,
-                    "partitioner={:?} shards={} workers={}", partitioner, shards, workers
-                );
-            }
+            let got = engine.search_uncached(&query);
+            prop_assert_eq!(&got, &expected, "partitioner={:?} shards={}", partitioner, shards);
         }
     }
 

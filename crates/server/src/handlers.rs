@@ -333,7 +333,7 @@ mod tests {
         let v = body_json(&resp);
         assert!(v["count"].as_u64().unwrap() >= 1, "{v}");
         assert!(v.get("explain").is_none());
-        assert_eq!(v["hits"][0]["path"], "2014/07/saturn01_ctd.csv");
+        assert_eq!(v["hits"][0]["path"].as_str(), Some("2014/07/saturn01_ctd.csv"));
     }
 
     #[test]
@@ -345,7 +345,7 @@ mod tests {
         );
         assert_eq!(resp.status, 200);
         let v = body_json(&resp);
-        assert!(v["explain"].is_object(), "{v}");
+        assert!(v["explain"].as_object().is_some(), "{v}");
     }
 
     #[test]
@@ -388,7 +388,7 @@ mod tests {
         let state = fixture_state("dataset");
         let (label, resp) = handle(&state, &get("/datasets/2014/07/jetty_met.csv"));
         assert_eq!((label, resp.status), ("dataset", 200));
-        assert_eq!(body_json(&resp)["dataset"]["path"], "2014/07/jetty_met.csv");
+        assert_eq!(body_json(&resp)["dataset"]["path"].as_str(), Some("2014/07/jetty_met.csv"));
         let (_, resp) = handle(&state, &get("/datasets/nope.csv"));
         assert_eq!(resp.status, 404);
     }
@@ -398,12 +398,12 @@ mod tests {
         let state = fixture_state("browse");
         let (_, resp) = handle(&state, &get("/browse"));
         assert_eq!(resp.status, 200);
-        assert!(body_json(&resp)["taxonomies"].is_array());
+        assert!(body_json(&resp)["taxonomies"].as_array().is_some());
         let (_, resp) = handle(&state, &get("/healthz"));
         let v = body_json(&resp);
-        assert_eq!(v["status"], "ok");
-        assert_eq!(v["datasets"], 2);
-        assert_eq!(v["shards"], 1, "default layout is unsharded");
+        assert_eq!(v["status"].as_str(), Some("ok"));
+        assert_eq!(v["datasets"].as_u64(), Some(2));
+        assert_eq!(v["shards"].as_u64(), Some(1), "default layout is unsharded");
     }
 
     #[test]
@@ -422,7 +422,7 @@ mod tests {
         let spec = metamess_search::ShardSpec::new(4, metamess_search::Partitioner::Hash);
         let state = ServeState::open_sharded(PathBuf::from(&d), spec).unwrap();
         let (_, resp) = handle(&state, &get("/healthz"));
-        assert_eq!(body_json(&resp)["shards"], 4);
+        assert_eq!(body_json(&resp)["shards"].as_u64(), Some(4));
         let (_, resp) = handle(&state, &post("/search", &[], r#"{"q":"with water_temperature"}"#));
         assert_eq!(resp.status, 200);
         assert_eq!(body_json(&resp)["count"].as_u64().unwrap(), 6);
@@ -473,23 +473,23 @@ mod tests {
         let (_, resp) = handle(&state, &post("/search", &[], r#"{"q":"with water_temperature"}"#));
         assert_eq!(resp.status, 200);
         let v = body_json(&resp);
-        assert_eq!(v["count"], 8);
-        assert_eq!(v["partial"], false);
+        assert_eq!(v["count"].as_u64(), Some(8));
+        assert_eq!(v["partial"].as_bool(), Some(false));
         assert!(!resp.extra_headers.iter().any(|(n, _)| n == "x-metamess-partial"));
         let (_, resp) = handle(&state, &get("/healthz"));
         let v = body_json(&resp);
-        assert_eq!(v["shards"], 2);
+        assert_eq!(v["shards"].as_u64(), Some(2));
         let rows = v["shard_states"].as_array().unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0]["mode"], "remote");
-        assert_eq!(rows[0]["state"], "healthy");
+        assert_eq!(rows[0]["mode"].as_str(), Some("remote"));
+        assert_eq!(rows[0]["state"].as_str(), Some("healthy"));
 
         // Kill shard 1: degrade policy serves the survivors, marked.
         transport.push_actions(1, &[FaultAction::Timeout; 3]);
         let (_, resp) = handle(&state, &post("/search", &[], r#"{"q":"with water_temperature"}"#));
         assert_eq!(resp.status, 200);
         let v = body_json(&resp);
-        assert_eq!(v["partial"], true);
+        assert_eq!(v["partial"].as_bool(), Some(true));
         assert_eq!(
             v["count"].as_u64().unwrap(),
             survivor_datasets,
@@ -501,7 +501,7 @@ mod tests {
         );
         let (_, resp) = handle(&state, &get("/healthz"));
         let v = body_json(&resp);
-        assert_eq!(v["shard_states"][1]["state"], "degraded", "one failed query");
+        assert_eq!(v["shard_states"][1]["state"].as_str(), Some("degraded"), "one failed query");
 
         // explain cannot be computed across the wire — clean 400.
         let (_, resp) = handle(
@@ -570,8 +570,8 @@ mod tests {
         assert_eq!((label, resp.status), ("debug_traces", 200));
         let v = body_json(&resp);
         let t = &v["traces"][0];
-        assert_eq!(t["trace_id"], id.as_str());
-        assert_eq!(t["spans"][0]["name"], "request", "root span is the request");
+        assert_eq!(t["trace_id"].as_str(), Some(id.as_str()));
+        assert_eq!(t["spans"][0]["name"].as_str(), Some("request"), "root span is the request");
         let names: Vec<&str> =
             t["spans"].as_array().unwrap().iter().map(|s| s["name"].as_str().unwrap()).collect();
         assert!(names.contains(&"search.plan"), "{names:?}");
@@ -605,10 +605,10 @@ mod tests {
             .as_array()
             .unwrap()
             .iter()
-            .find(|t| t["trace_id"] == id.as_str())
+            .find(|t| t["trace_id"].as_str() == Some(id.as_str()))
             .expect("slow log captured the unsampled request");
-        assert_eq!(captured["slow"], true);
-        assert_eq!(captured["sampled"], false);
+        assert_eq!(captured["slow"].as_bool(), Some(true));
+        assert_eq!(captured["sampled"].as_bool(), Some(false));
     }
 
     #[test]
@@ -616,6 +616,6 @@ mod tests {
         let state = fixture_state("reload");
         let (label, resp) = handle(&state, &post("/admin/reload", &[], ""));
         assert_eq!((label, resp.status), ("reload", 200));
-        assert_eq!(body_json(&resp)["outcome"], "unchanged");
+        assert_eq!(body_json(&resp)["outcome"].as_str(), Some("unchanged"));
     }
 }

@@ -71,19 +71,18 @@ fn connect(addr: SocketAddr) -> TcpStream {
 }
 
 /// Reads exactly one response off the stream: status, lowercased headers,
-/// and a `Content-Length`-delimited body.
+/// and a `Content-Length`-delimited body. The head is read a byte at a
+/// time and the body to its exact length, so a pipelined next response
+/// stays in the socket for the next call.
 fn read_response(stream: &mut TcpStream) -> (u16, Vec<(String, String)>, Vec<u8>) {
     let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
+    let mut byte = [0u8; 1];
+    while !buf.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("read response head");
         assert!(n > 0, "connection closed before a full head: {:?}", String::from_utf8_lossy(&buf));
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end].to_vec()).expect("utf-8 head");
+        buf.push(byte[0]);
+    }
+    let head = String::from_utf8(buf).expect("utf-8 head");
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or_default();
     let status: u16 =
@@ -98,13 +97,8 @@ fn read_response(stream: &mut TcpStream) -> (u16, Vec<(String, String)>, Vec<u8>
         .find(|(n, _)| n == "content-length")
         .map(|(_, v)| v.parse().expect("numeric content-length"))
         .unwrap_or(0);
-    let mut body = buf.split_off(head_end);
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "connection closed mid-body");
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let mut body = vec![0u8; content_length];
+    stream.read_exact(&mut body).expect("read response body");
     (status, headers, body)
 }
 
@@ -191,7 +185,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
         assert_eq!(status, 200, "request {i}");
         assert_eq!(header(&headers, "connection"), Some("keep-alive"), "request {i}");
         let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
-        assert_eq!(v["status"], "ok");
+        assert_eq!(v["status"].as_str(), Some("ok"));
     }
     // An explicit close is honored: response says close, then EOF.
     stream.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").unwrap();
@@ -224,7 +218,7 @@ fn pipelined_requests_in_one_segment_are_both_served() {
     let (status, _, body) = read_response(&mut stream);
     assert_eq!(status, 200, "{:?}", String::from_utf8_lossy(&body));
     let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
-    assert_eq!(v["status"], "ok");
+    assert_eq!(v["status"].as_str(), Some("ok"));
     let summary = server.stop();
     assert_eq!(summary.served, 2);
 }
@@ -360,7 +354,7 @@ fn hot_reload_swaps_generation_without_dropping_service() {
     let (status, _, body) = get(server.addr, "/healthz");
     assert_eq!(status, 200);
     let before: serde_json::Value = serde_json::from_slice(&body).unwrap();
-    assert_eq!(before["datasets"], 2);
+    assert_eq!(before["datasets"].as_u64(), Some(2));
 
     // Publish while serving: the shared store lock admits wranglers.
     let mut store =
@@ -372,12 +366,12 @@ fn hot_reload_swaps_generation_without_dropping_service() {
     let (status, _, body) = post(server.addr, "/admin/reload", "");
     assert_eq!(status, 200);
     let reload: serde_json::Value = serde_json::from_slice(&body).unwrap();
-    assert_eq!(reload["outcome"], "reloaded", "{reload}");
+    assert_eq!(reload["outcome"].as_str(), Some("reloaded"), "{reload}");
 
     let (_, _, body) = get(server.addr, "/healthz");
     let after: serde_json::Value = serde_json::from_slice(&body).unwrap();
-    assert_eq!(after["datasets"], 3);
-    assert_eq!(after["reloads"], 1);
+    assert_eq!(after["datasets"].as_u64(), Some(3));
+    assert_eq!(after["reloads"].as_u64(), Some(1));
     assert!(after["generation"].as_u64().unwrap() > before["generation"].as_u64().unwrap());
 
     let summary = server.stop();
@@ -410,13 +404,13 @@ fn healthz_reports_shard_states_over_the_wire() {
     let (status, _, body) = get(addr, "/healthz");
     assert_eq!(status, 200);
     let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
-    assert_eq!(v["shards"], 2, "historical count field is kept: {v}");
+    assert_eq!(v["shards"].as_u64(), Some(2), "historical count field is kept: {v}");
     let rows = v["shard_states"].as_array().expect("shard_states array");
     assert_eq!(rows.len(), 2, "{v}");
     for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row["id"], i as u64, "{v}");
-        assert_eq!(row["mode"], "local", "{v}");
-        assert_eq!(row["state"], "healthy", "{v}");
+        assert_eq!(row["id"].as_u64(), Some(i as u64), "{v}");
+        assert_eq!(row["mode"].as_str(), Some("local"), "{v}");
+        assert_eq!(row["state"].as_str(), Some("healthy"), "{v}");
         assert!(row["last_rtt_us"].is_null(), "local shards have no rtt: {v}");
         assert_eq!(row["generation"], v["generation"], "{v}");
     }
@@ -525,7 +519,7 @@ fn every_response_carries_trace_id_over_the_wire() {
     let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
     let trace = &v["traces"][0];
     assert_eq!(trace["trace_id"], serde_json::Value::String(id));
-    assert_eq!(trace["spans"][0]["name"], "request");
+    assert_eq!(trace["spans"][0]["name"].as_str(), Some("request"));
     assert!(trace["spans"][0]["micros"].as_u64().unwrap() < 10_000_000);
     server.stop();
 }
