@@ -47,17 +47,18 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Applies one mutation, bumping the generation.
-    pub fn apply(&mut self, m: &Mutation) {
+    /// Applies one mutation, bumping the generation. The mutation is
+    /// consumed: a `Put` moves its feature into the catalog.
+    pub fn apply(&mut self, m: Mutation) {
         match m {
             Mutation::Put(f) => {
-                self.entries.insert(f.id, (**f).clone());
+                self.entries.insert(f.id, *f);
             }
             Mutation::Delete(id) => {
-                self.entries.remove(id);
+                self.entries.remove(&id);
             }
             Mutation::SetProperty { key, value } => {
-                self.properties.insert(key.clone(), value.clone());
+                self.properties.insert(key, value);
             }
             Mutation::Clear => {
                 self.entries.clear();
@@ -69,19 +70,19 @@ impl Catalog {
 
     /// Inserts or replaces a dataset feature.
     pub fn put(&mut self, f: DatasetFeature) {
-        self.apply(&Mutation::Put(Box::new(f)));
+        self.apply(Mutation::Put(Box::new(f)));
     }
 
     /// Removes a dataset; returns whether it was present.
     pub fn delete(&mut self, id: DatasetId) -> bool {
         let present = self.entries.contains_key(&id);
-        self.apply(&Mutation::Delete(id));
+        self.apply(Mutation::Delete(id));
         present
     }
 
     /// Sets a catalog-level property.
     pub fn set_property(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.apply(&Mutation::SetProperty { key: key.into(), value: value.into() });
+        self.apply(Mutation::SetProperty { key: key.into(), value: value.into() });
     }
 
     /// Reads a catalog-level property.
@@ -131,6 +132,13 @@ impl Catalog {
     /// Iterates dataset features in id order.
     pub fn iter(&self) -> impl Iterator<Item = &DatasetFeature> {
         self.entries.values()
+    }
+
+    /// Consumes the catalog, yielding its dataset features in id order —
+    /// how a search engine takes ownership of a recovered catalog without
+    /// copying it.
+    pub fn into_features(self) -> impl Iterator<Item = DatasetFeature> {
+        self.entries.into_values()
     }
 
     /// Iterates mutably in id order (bumps the generation).
@@ -292,7 +300,7 @@ mod tests {
         let mut c = Catalog::new();
         c.put(ds("a.csv", &[]));
         c.set_property("k", "v");
-        c.apply(&Mutation::Clear);
+        c.apply(Mutation::Clear);
         assert!(c.is_empty());
         assert!(c.property("k").is_none());
     }
@@ -307,10 +315,10 @@ mod tests {
             Mutation::Delete(DatasetId::from_path("a.csv")),
         ];
         for m in &muts {
-            c.apply(m);
+            c.apply(m.clone());
         }
         let mut replayed = Catalog::new();
-        for m in &muts {
+        for m in muts {
             replayed.apply(m);
         }
         assert_eq!(c, replayed);
@@ -345,7 +353,7 @@ mod tests {
         // one Put (new.csv), one Delete (gone.csv), one SetProperty
         assert_eq!(delta.len(), 3);
         let mut a2 = a.clone();
-        for m in &delta {
+        for m in delta {
             a2.apply(m);
         }
         assert_eq!(a2.entries, b.entries);

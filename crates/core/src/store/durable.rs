@@ -194,7 +194,7 @@ impl DurableCatalog {
         };
         recovery.wal_mutations = replay.mutations.len();
         recovery.truncated_bytes = replay.truncated_bytes;
-        for m in &replay.mutations {
+        for m in replay.mutations {
             catalog.apply(m);
         }
         if metamess_telemetry::enabled() {
@@ -267,6 +267,14 @@ impl DurableCatalog {
         &self.catalog
     }
 
+    /// Closes the store and hands over the recovered catalog, so a reader
+    /// that only wants the contents (serve, shardd) keeps the one copy
+    /// recovery decoded. Buffered WAL records are flushed, not fsynced, as
+    /// on drop.
+    pub fn into_catalog(self) -> Catalog {
+        self.catalog
+    }
+
     /// Directory backing this store.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -275,7 +283,7 @@ impl DurableCatalog {
     /// Applies a mutation durably: WAL first, then memory.
     pub fn apply(&mut self, m: Mutation) -> Result<()> {
         self.wal.append(&m)?;
-        self.catalog.apply(&m);
+        self.catalog.apply(m);
         self.appends_since_checkpoint += 1;
         if self.options.auto_checkpoint_every > 0
             && self.appends_since_checkpoint >= self.options.auto_checkpoint_every
@@ -679,21 +687,77 @@ mod tests {
         assert!(dir.join("snapshot.bin").exists());
     }
 
+    /// A dataset with enough inside it that a lost or doubled field shows.
+    fn rich(path: &str, records: u64) -> DatasetFeature {
+        let mut f = DatasetFeature::new(path);
+        f.title = format!("title of {path}");
+        f.record_count = records;
+        let mut v = crate::feature::VariableFeature::new("sal");
+        v.resolve("salinity", crate::feature::NameResolution::KnownTranslation);
+        v.summary.observe(records as f64);
+        f.variables.push(v);
+        f
+    }
+
     #[test]
     fn replace_with_copies_full_state() {
         let dir = tmpdir("replace");
         let mut src = Catalog::new();
-        src.put(DatasetFeature::new("x.csv"));
+        src.put(rich("x.csv", 3));
+        src.put(rich("y.csv", 5));
         src.set_property("archive", "sim");
         {
             let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
             s.put(DatasetFeature::new("stale.csv")).unwrap();
+            s.set_property("stale", "yes").unwrap();
             s.replace_with(&src).unwrap();
+            assert_eq!(s.catalog().content_fingerprint(), src.content_fingerprint());
         }
+        // … from the WAL alone, and again from the snapshot it folds into
+        for checkpoint in [false, true] {
+            let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
+            assert!(s.catalog().iter().eq(src.iter()), "checkpointed: {checkpoint}");
+            assert_eq!(s.catalog().properties(), src.properties());
+            s.checkpoint().unwrap();
+        }
+    }
+
+    #[test]
+    fn wal_only_recovery_equals_the_acked_prefix() {
+        let dir = tmpdir("wal-prefix");
+        let mutations = vec![
+            Mutation::Put(Box::new(rich("a.csv", 1))),
+            Mutation::Put(Box::new(rich("b.csv", 2))),
+            Mutation::SetProperty { key: "k".into(), value: "v".into() },
+            Mutation::Put(Box::new(rich("a.csv", 10))), // replaces
+            Mutation::Delete(DatasetId::from_path("b.csv")),
+            Mutation::Put(Box::new(rich("c.csv", 3))),
+        ];
+        let model = |n: usize| {
+            let mut c = Catalog::new();
+            mutations[..n].iter().cloned().for_each(|m| c.apply(m));
+            c
+        };
+        {
+            let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
+            for m in &mutations {
+                s.apply(m.clone()).unwrap();
+            }
+            assert_eq!(s.catalog(), &model(mutations.len()));
+            // no checkpoint: the snapshot never exists
+        }
+        // Everything acked comes back, generation included …
         let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
-        assert_eq!(s.catalog().len(), 1);
-        assert!(s.catalog().get_by_path("x.csv").is_some());
-        assert_eq!(s.catalog().property("archive"), Some("sim"));
+        assert!(!s.recovery_report().snapshot_loaded);
+        assert_eq!(s.recovery_report().wal_mutations, mutations.len());
+        assert_eq!(s.into_catalog(), model(mutations.len()));
+        // … and with the last record torn, everything before it.
+        let wal = dir.join("wal.log");
+        let len = fs::metadata(&wal).unwrap().len();
+        OpenOptions::new().write(true).open(&wal).unwrap().set_len(len - 5).unwrap();
+        let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
+        assert!(s.recovery_report().truncated_bytes > 0);
+        assert_eq!(s.into_catalog(), model(mutations.len() - 1));
     }
 
     #[test]

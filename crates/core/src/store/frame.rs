@@ -41,6 +41,22 @@ pub(crate) fn write_framed(
     Ok(())
 }
 
+/// Bytes before the payload: magic, length, CRC.
+const HEADER_LEN: usize = 16;
+
+/// A framed file that passed verification. It keeps the file's bytes as
+/// they were read, so a 64 MB snapshot is not copied a second time just to
+/// drop its 16-byte header.
+#[derive(Debug)]
+pub(crate) struct Framed(Vec<u8>);
+
+impl Framed {
+    /// The verified payload.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.0[HEADER_LEN..]
+    }
+}
+
 /// Reads and verifies a framed file. Returns `Ok(None)` when the file does
 /// not exist, `Err(Corrupt)` when it exists but fails verification
 /// (bad magic, wrong length, CRC mismatch).
@@ -49,41 +65,29 @@ pub(crate) fn read_framed(
     path: &Path,
     magic: &[u8; 8],
     kind: &str,
-) -> Result<Option<Vec<u8>>> {
+) -> Result<Option<Framed>> {
     let bytes = match vfs.read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(Error::io(format!("open {kind} {}", path.display()), e)),
     };
-    verify_frame(&bytes, magic, kind, path).map(Some)
-}
-
-/// Verifies the framing of `bytes` (magic, declared length, CRC) and
-/// returns the payload.
-pub(crate) fn verify_frame(
-    bytes: &[u8],
-    magic: &[u8; 8],
-    kind: &str,
-    path: &Path,
-) -> Result<Vec<u8>> {
-    if bytes.len() < 16 || &bytes[..8] != magic {
+    if bytes.len() < HEADER_LEN || &bytes[..8] != magic {
         return Err(Error::corrupt(format!("{kind} {}: bad magic/header", path.display())));
     }
     let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    if bytes.len() != 16 + len {
+    if bytes.len() != HEADER_LEN + len {
         return Err(Error::corrupt(format!(
             "{kind} {}: expected {} payload bytes, file has {}",
             path.display(),
             len,
-            bytes.len() - 16
+            bytes.len() - HEADER_LEN
         )));
     }
-    let payload = &bytes[16..];
-    if crc32(payload) != crc {
+    if crc32(&bytes[HEADER_LEN..]) != crc {
         return Err(Error::corrupt(format!("{kind} {}: crc mismatch", path.display())));
     }
-    Ok(payload.to_vec())
+    Ok(Some(Framed(bytes)))
 }
 
 #[cfg(test)]
@@ -107,7 +111,8 @@ mod tests {
         let p = dir.join("x.bin");
         let vfs = std_vfs();
         write_framed(vfs.as_ref(), &p, MAGIC, b"payload", "test").unwrap();
-        assert_eq!(read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap().unwrap(), b"payload");
+        let framed = read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap().unwrap();
+        assert_eq!(framed.payload(), b"payload");
         assert!(!dir.join("x.tmp").exists());
     }
 
@@ -118,12 +123,32 @@ mod tests {
         assert!(read_framed(vfs.as_ref(), &dir.join("none"), MAGIC, "test").unwrap().is_none());
         let p = dir.join("x.bin");
         write_framed(vfs.as_ref(), &p, MAGIC, b"payload", "test").unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        let ix = bytes.len() - 1;
-        bytes[ix] ^= 0x01;
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap_err().is_corrupt());
-        std::fs::write(&p, b"short").unwrap();
-        assert!(read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap_err().is_corrupt());
+        let good = std::fs::read(&p).unwrap();
+        let rejects = |bytes: &[u8], why: &str| {
+            std::fs::write(&p, bytes).unwrap();
+            let e = read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap_err();
+            assert!(e.is_corrupt() && e.to_string().contains(why), "{why}: {e}");
+        };
+        // a payload byte flipped
+        let mut bytes = good.clone();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        rejects(&bytes, "crc mismatch");
+        // somebody else's file
+        let mut bytes = good.clone();
+        bytes[0] ^= 0x01;
+        rejects(&bytes, "bad magic");
+        // shorter than a header
+        rejects(b"short", "bad magic/header");
+        // a byte short of, and a byte past, the declared length
+        rejects(&good[..good.len() - 1], "expected 7 payload bytes, file has 6");
+        let mut bytes = good.clone();
+        bytes.push(0);
+        rejects(&bytes, "expected 7 payload bytes, file has 8");
+        // and the undamaged bytes still read back
+        std::fs::write(&p, &good).unwrap();
+        assert_eq!(
+            read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap().unwrap().payload(),
+            b"payload"
+        );
     }
 }

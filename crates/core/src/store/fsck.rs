@@ -292,10 +292,11 @@ pub fn check_catalog_dir(vfs: &dyn Vfs, dir: &Path, report: &mut FsckReport) -> 
         None => (0, Catalog::new()),
     };
     let replay = wal?;
-    for m in &replay.mutations {
+    let wal_records = replay.mutations.len();
+    for m in replay.mutations {
         recovered.apply(m);
     }
-    let expected = snap_gen + replay.mutations.len() as u64;
+    let expected = snap_gen + wal_records as u64;
     if recovered.generation() != expected {
         report.push(
             "catalog",
@@ -305,7 +306,7 @@ pub fn check_catalog_dir(vfs: &dyn Vfs, dir: &Path, report: &mut FsckReport) -> 
                 "generation disagreement: snapshot at {} + {} wal records should recover to \
                  {}, got {}",
                 snap_gen,
-                replay.mutations.len(),
+                wal_records,
                 expected,
                 recovered.generation()
             ),
@@ -320,7 +321,7 @@ pub fn check_catalog_dir(vfs: &dyn Vfs, dir: &Path, report: &mut FsckReport) -> 
                 "recovered: {} entries at generation {} ({} wal records past the snapshot)",
                 recovered.len(),
                 recovered.generation(),
-                replay.mutations.len()
+                wal_records
             ),
             None,
         );

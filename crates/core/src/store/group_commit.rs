@@ -181,8 +181,8 @@ impl GroupCommit {
             return Err(Error::io("group commit submit", std::io::Error::other(reason.clone())));
         }
         let store = state.store.as_mut().expect("store present until close");
-        for m in &batch {
-            if let Err(e) = store.apply(m.clone()) {
+        for m in batch {
+            if let Err(e) = store.apply(m) {
                 // The WAL tail is now suspect: fail the queue rather than
                 // let later batches ack over a hole.
                 state.failed = Some(e.to_string());

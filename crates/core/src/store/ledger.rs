@@ -110,10 +110,10 @@ pub fn read_ledger(path: impl AsRef<Path>) -> Result<Option<RunLedger>> {
 /// verification.
 pub fn read_ledger_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Option<RunLedger>> {
     let path = path.as_ref();
-    let Some(payload) = read_framed(vfs, path, LEDGER_MAGIC, "ledger")? else {
+    let Some(framed) = read_framed(vfs, path, LEDGER_MAGIC, "ledger")? else {
         return Ok(None);
     };
-    let ledger: RunLedger = serde_json::from_slice(&payload)
+    let ledger: RunLedger = serde_json::from_slice(framed.payload())
         .map_err(|e| Error::corrupt(format!("ledger {}: undecodable: {e}", path.display())))?;
     Ok(Some(ledger))
 }

@@ -40,10 +40,10 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<Catalog>> {
 /// verification.
 pub fn read_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Option<Catalog>> {
     let path = path.as_ref();
-    let Some(payload) = read_framed(vfs, path, SNAPSHOT_MAGIC, "snapshot")? else {
+    let Some(framed) = read_framed(vfs, path, SNAPSHOT_MAGIC, "snapshot")? else {
         return Ok(None);
     };
-    let catalog: Catalog = serde_json::from_slice(&payload)
+    let catalog: Catalog = serde_json::from_slice(framed.payload())
         .map_err(|e| Error::corrupt(format!("snapshot {}: undecodable: {e}", path.display())))?;
     Ok(Some(catalog))
 }

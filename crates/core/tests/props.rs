@@ -150,9 +150,9 @@ proptest! {
             }
         }
         let mut a = Catalog::new();
-        for m in &muts { a.apply(m); }
+        for m in &muts { a.apply(m.clone()); }
         let mut b = Catalog::new();
-        for m in &muts { b.apply(m); }
+        for m in muts { b.apply(m); }
         prop_assert_eq!(a, b);
     }
 
@@ -164,7 +164,7 @@ proptest! {
         let mut b = Catalog::new();
         for p in &paths_b { b.put(DatasetFeature::new(p.clone())); }
         let delta = a.diff(&b);
-        for m in &delta { a.apply(m); }
+        for m in delta { a.apply(m); }
         // After applying the diff, the entries match.
         let ids_a: Vec<_> = a.iter().map(|d| d.id).collect();
         let ids_b: Vec<_> = b.iter().map(|d| d.id).collect();
@@ -197,13 +197,13 @@ fn wal_replay_equals_memory_after_random_workload() {
                 }
             };
             wal.append(&m).unwrap();
-            mem.apply(&m);
+            mem.apply(m);
         }
         wal.flush_and_sync().unwrap();
     }
     let replay = Wal::replay(&wal_path, RecoveryMode::Strict).unwrap();
     let mut rebuilt = Catalog::new();
-    for m in &replay.mutations {
+    for m in replay.mutations {
         rebuilt.apply(m);
     }
     assert_eq!(rebuilt, mem);

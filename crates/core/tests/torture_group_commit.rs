@@ -120,7 +120,7 @@ fn prefix_fingerprints(batches: &[Vec<Mutation>]) -> Vec<u64> {
     let mut fps = vec![model.content_fingerprint()];
     for batch in batches {
         for m in batch {
-            model.apply(m);
+            model.apply(m.clone());
             fps.push(model.content_fingerprint());
         }
     }

@@ -287,10 +287,12 @@ mod tests {
         (archive, root.join("store"))
     }
 
-    /// Copies the first data file in the archive to a new name, the way a
-    /// station upload lands a fresh observation file.
+    /// Copies the first station file in the archive to a new name, the way
+    /// a station upload lands a fresh observation file. Only `stations/` is
+    /// walked: the archive also has `malformed/*.csv`, which can never
+    /// become a dataset.
     fn add_one_file(archive: &Path) -> PathBuf {
-        let mut stack = vec![archive.to_path_buf()];
+        let mut stack = vec![archive.join("stations")];
         while let Some(dir) = stack.pop() {
             for e in std::fs::read_dir(&dir).unwrap() {
                 let p = e.unwrap().path();
@@ -303,7 +305,7 @@ mod tests {
                 }
             }
         }
-        panic!("archive has no csv files");
+        panic!("archive has no station csv files");
     }
 
     fn quick_options(cycles: Option<u64>) -> WatchOptions {

@@ -22,7 +22,7 @@ use crate::wire::{
 };
 use metamess_core::catalog::Catalog;
 use metamess_core::error::{Error, Result};
-use metamess_search::fanout::{build_shard, generous, probe_summary, score_top};
+use metamess_search::fanout::{build_shard, build_shard_from, generous, probe_summary, score_top};
 use metamess_search::{QueryPlan, ShardEngine, ShardSpec};
 use metamess_vocab::Vocabulary;
 use std::io::ErrorKind;
@@ -54,12 +54,41 @@ pub struct ShardHost {
 impl ShardHost {
     /// Builds shard `shard_id` of the layout `spec` over a catalog
     /// snapshot — the same partition assignment the in-process sharded
-    /// engine uses, so a fleet of hosts covers the catalog exactly.
+    /// engine uses, so a fleet of hosts covers the catalog exactly. Only
+    /// the hosted shard's features are cloned.
     pub fn build(
         catalog: &Catalog,
         vocab: Vocabulary,
         spec: ShardSpec,
         shard_id: usize,
+    ) -> Result<ShardHost> {
+        let generation = catalog.generation();
+        ShardHost::host(vocab, spec, shard_id, generation, |v| {
+            build_shard(catalog, v, spec, shard_id)
+        })
+    }
+
+    /// [`ShardHost::build`] out of a catalog nobody else needs (the one
+    /// `metamess shardd` just recovered): the hosted shard's features are
+    /// moved in and the other shards' dropped.
+    pub fn from_catalog(
+        catalog: Catalog,
+        vocab: Vocabulary,
+        spec: ShardSpec,
+        shard_id: usize,
+    ) -> Result<ShardHost> {
+        let generation = catalog.generation();
+        ShardHost::host(vocab, spec, shard_id, generation, |v| {
+            build_shard_from(catalog, v, spec, shard_id)
+        })
+    }
+
+    fn host(
+        vocab: Vocabulary,
+        spec: ShardSpec,
+        shard_id: usize,
+        generation: u64,
+        engine: impl FnOnce(&Vocabulary) -> ShardEngine,
     ) -> Result<ShardHost> {
         if shard_id >= spec.count() {
             return Err(Error::invalid(format!(
@@ -67,14 +96,13 @@ impl ShardHost {
                 spec.count()
             )));
         }
-        let engine = build_shard(catalog, &vocab, spec, shard_id);
         Ok(ShardHost {
-            engine,
+            engine: engine(&vocab),
             vocab,
             shard_id: shard_id as u32,
             shard_count: spec.count() as u32,
             partitioner: spec.partitioner().as_str().to_string(),
-            generation: catalog.generation(),
+            generation,
         })
     }
 

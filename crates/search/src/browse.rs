@@ -8,6 +8,7 @@
 //! expose it to see `fluores375` and `fluores400` separately.
 
 use metamess_core::catalog::Catalog;
+use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_core::text::normalize_term;
 use metamess_vocab::{Taxonomy, TaxonomyNode, Vocabulary};
@@ -76,14 +77,17 @@ impl BrowseTree {
     }
 }
 
-/// Builds the browse tree for one taxonomy over a published catalog.
-///
-/// A dataset counts at concept `c` when one of its searchable variables
-/// resolves to canonical name `c` (through the synonym table when needed).
-pub fn browse_taxonomy(catalog: &Catalog, vocab: &Vocabulary, taxonomy: &Taxonomy) -> BrowseTree {
-    // concept (normalized) → set of dataset ids directly at it
-    let mut direct: BTreeMap<String, BTreeSet<DatasetId>> = BTreeMap::new();
-    for d in catalog.iter() {
+/// Concept (normalized) → the datasets with a searchable variable exactly
+/// at it. A variable sits at the canonical name it resolves to (through
+/// the synonym table when needed).
+type DirectCounts = BTreeMap<String, BTreeSet<DatasetId>>;
+
+fn direct_counts<'a>(
+    datasets: impl Iterator<Item = &'a DatasetFeature>,
+    vocab: &Vocabulary,
+) -> DirectCounts {
+    let mut direct = DirectCounts::new();
+    for d in datasets {
         for v in d.searchable_variables() {
             let canonical = match vocab.synonyms.resolve(v.search_name()) {
                 Some((c, _)) => normalize_term(c),
@@ -92,11 +96,12 @@ pub fn browse_taxonomy(catalog: &Catalog, vocab: &Vocabulary, taxonomy: &Taxonom
             direct.entry(canonical).or_default().insert(d.id);
         }
     }
+    direct
+}
 
-    fn build(
-        node: &TaxonomyNode,
-        direct: &BTreeMap<String, BTreeSet<DatasetId>>,
-    ) -> (BrowseNode, BTreeSet<DatasetId>) {
+/// Annotates one taxonomy with the counts.
+fn annotate(taxonomy: &Taxonomy, direct: &DirectCounts) -> BrowseTree {
+    fn build(node: &TaxonomyNode, direct: &DirectCounts) -> (BrowseNode, BTreeSet<DatasetId>) {
         let own: BTreeSet<DatasetId> =
             direct.get(&normalize_term(&node.name)).cloned().unwrap_or_default();
         let mut reach = own.clone();
@@ -117,19 +122,37 @@ pub fn browse_taxonomy(catalog: &Catalog, vocab: &Vocabulary, taxonomy: &Taxonom
         )
     }
 
-    let roots = taxonomy.root_nodes().iter().map(|r| build(r, &direct).0).collect();
+    let roots = taxonomy.root_nodes().iter().map(|r| build(r, direct).0).collect();
     BrowseTree { taxonomy: taxonomy.name.clone(), roots }
+}
+
+/// Builds the browse tree for one taxonomy over a published catalog.
+///
+/// A dataset counts at concept `c` when one of its searchable variables
+/// resolves to canonical name `c` (through the synonym table when needed).
+pub fn browse_taxonomy(catalog: &Catalog, vocab: &Vocabulary, taxonomy: &Taxonomy) -> BrowseTree {
+    annotate(taxonomy, &direct_counts(catalog.iter(), vocab))
 }
 
 /// Builds browse trees for every taxonomy in the vocabulary.
 pub fn browse_all(catalog: &Catalog, vocab: &Vocabulary) -> Vec<BrowseTree> {
-    vocab.taxonomies.iter().map(|t| browse_taxonomy(catalog, vocab, t)).collect()
+    browse_features(catalog.iter(), vocab)
+}
+
+/// [`browse_all`] over any set of features, in any order: what an engine
+/// that owns its features builds its menus from.
+pub(crate) fn browse_features<'a>(
+    datasets: impl Iterator<Item = &'a DatasetFeature>,
+    vocab: &Vocabulary,
+) -> Vec<BrowseTree> {
+    let direct = direct_counts(datasets, vocab);
+    vocab.taxonomies.iter().map(|t| annotate(t, &direct)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
+    use metamess_core::feature::{NameResolution, VariableFeature};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();

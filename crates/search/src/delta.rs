@@ -32,61 +32,63 @@
 //! wholesale (index keys move); callers must fall back to a full reload in
 //! that case — see `ServeState::poll_reload` in `metamess-server`.
 
-use crate::engine::SearchHit;
+use crate::engine::{SearchEngine, SearchHit};
 use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::score::score_dataset;
 use crate::shard::expanded_time;
-use metamess_core::catalog::{Catalog, Mutation};
+use metamess_core::catalog::Mutation;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_core::text::normalize_term;
 use metamess_vocab::Vocabulary;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// One dataset a delta touched: its content before and after. `None`
-/// means absent (a `before` of `None` is an insert, an `after` of `None`
-/// a delete).
+/// One dataset a delta touched: its content before and after, shared with
+/// the engines on either side. `None` means absent (a `before` of `None`
+/// is an insert, an `after` of `None` a delete).
 #[derive(Debug, Clone)]
 pub struct TouchedDataset {
     /// The dataset's identity.
     pub id: DatasetId,
     /// Content before the delta, when it existed.
-    pub before: Option<Box<DatasetFeature>>,
+    pub before: Option<Arc<DatasetFeature>>,
     /// Content after the delta, when it still exists.
-    pub after: Option<Box<DatasetFeature>>,
+    pub after: Option<Arc<DatasetFeature>>,
 }
 
 /// Computes the per-dataset before/after pairs for a delta.
 ///
-/// `before` and `after` are the catalog as it stood on either side of
-/// applying `mutations`. Returns `None` when the delta contains a `Clear`
-/// — then nothing survives and the caller should drop the whole cache.
-/// `SetProperty` mutations are neutral: properties are not scored.
+/// `before` is the engine the cached results came from and `after` its
+/// [`successor`](SearchEngine::successor) under `mutations`. Returns `None`
+/// when the delta contains a `Clear` — then nothing survives and the
+/// caller should drop the whole cache. `SetProperty` mutations are
+/// neutral: properties are not scored.
 pub fn compute_touches(
-    before: &Catalog,
-    after: &Catalog,
+    before: &SearchEngine,
+    after: &SearchEngine,
     mutations: &[Mutation],
 ) -> Option<Vec<TouchedDataset>> {
-    let mut ids: BTreeMap<DatasetId, ()> = BTreeMap::new();
+    let mut ids: BTreeSet<DatasetId> = BTreeSet::new();
     for m in mutations {
         match m {
             Mutation::Put(f) => {
-                ids.insert(f.id, ());
+                ids.insert(f.id);
             }
             Mutation::Delete(id) => {
-                ids.insert(*id, ());
+                ids.insert(*id);
             }
             Mutation::SetProperty { .. } => {}
             Mutation::Clear => return None,
         }
     }
     Some(
-        ids.into_keys()
+        ids.into_iter()
             .map(|id| TouchedDataset {
                 id,
-                before: before.get(id).map(|f| Box::new(f.clone())),
-                after: after.get(id).map(|f| Box::new(f.clone())),
+                before: before.shared_dataset(id).cloned(),
+                after: after.shared_dataset(id).cloned(),
             })
             .collect(),
     )
@@ -167,7 +169,7 @@ fn is_candidate(query: &Query, plan: &QueryPlan, d: &DatasetFeature, vocab: &Voc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SearchEngine;
+    use metamess_core::catalog::Catalog;
     use metamess_core::feature::VariableFeature;
     use metamess_core::time::{TimeInterval, Timestamp};
 
@@ -177,37 +179,49 @@ mod tests {
         f
     }
 
-    fn catalog(paths_vars: &[(&str, &str)]) -> Catalog {
+    fn engine(paths_vars: &[(&str, &str)]) -> SearchEngine {
         let mut c = Catalog::new();
         for (p, v) in paths_vars {
             c.put(feature(p, v));
         }
-        c
+        SearchEngine::build(&c, Vocabulary::observatory_default())
     }
 
-    /// Real hits for `query` against `cat`, via an actual engine — the
-    /// predicate must agree with what the engine would recompute.
-    fn run(cat: &Catalog, vocab: &Vocabulary, query: &str) -> (String, Vec<SearchHit>) {
-        let engine = SearchEngine::build(cat, vocab.clone());
+    fn put(path: &str, var: &str) -> Mutation {
+        Mutation::Put(Box::new(feature(path, var)))
+    }
+
+    /// What `engine` answers `query` with and the cache key it files the
+    /// answer under — the predicate must agree with what the engine would
+    /// recompute. Uncached, so the shared cache stays out of the way.
+    fn run(engine: &SearchEngine, query: &str) -> (String, Vec<SearchHit>) {
         let q = Query::parse(query).unwrap();
-        let hits = engine.search(&q).to_vec();
         let key = format!("{}|{}", true, serde_json::to_string(&q).unwrap());
-        (key, hits)
+        (key, engine.search_uncached(&q))
+    }
+
+    /// Whether the `before` engine's answer to `query` provably survives
+    /// `mutations`.
+    fn survives(before: &SearchEngine, mutations: &[Mutation], query: &str) -> bool {
+        let after = before.successor(mutations).unwrap();
+        let touches = compute_touches(before, &after, mutations).unwrap();
+        let (key, hits) = run(before, query);
+        entry_survives(&key, &hits, &touches, before.vocabulary())
     }
 
     #[test]
     fn clear_means_nothing_survives() {
-        let c = catalog(&[("a.csv", "salinity")]);
-        assert!(compute_touches(&c, &c, &[Mutation::Clear]).is_none());
-        assert!(compute_touches(&c, &c, &[]).is_some());
+        let e = engine(&[("a.csv", "salinity")]);
+        assert!(compute_touches(&e, &e, &[Mutation::Clear]).is_none());
+        assert!(compute_touches(&e, &e, &[]).is_some());
     }
 
     #[test]
     fn set_property_touches_no_datasets() {
-        let c = catalog(&[("a.csv", "salinity")]);
+        let e = engine(&[("a.csv", "salinity")]);
         let t = compute_touches(
-            &c,
-            &c,
+            &e,
+            &e,
             &[Mutation::SetProperty { key: "k".into(), value: "v".into() }],
         )
         .unwrap();
@@ -215,83 +229,92 @@ mod tests {
     }
 
     #[test]
+    fn touches_share_the_engines_features() {
+        let before = engine(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
+        let gone = DatasetId::from_path("s2.csv");
+        let mutations =
+            [put("s1.csv", "turbidity"), put("t1.csv", "turbidity"), Mutation::Delete(gone)];
+        let after = before.successor(&mutations).unwrap();
+        let touches = compute_touches(&before, &after, &mutations).unwrap();
+        assert_eq!(touches.len(), 3);
+        for t in &touches {
+            assert_eq!(t.before.is_some(), before.dataset(t.id).is_some());
+            assert_eq!(t.after.is_some(), after.dataset(t.id).is_some());
+            if let Some(b) = &t.before {
+                assert!(Arc::ptr_eq(b, before.shared_dataset(t.id).unwrap()));
+            }
+            if let Some(a) = &t.after {
+                assert!(Arc::ptr_eq(a, after.shared_dataset(t.id).unwrap()));
+            }
+        }
+    }
+
+    #[test]
     fn unrelated_insert_survives_full_list() {
-        let vocab = Vocabulary::observatory_default();
-        // Two salinity datasets fill a limit-2 query; a temperature dataset
-        // arrives — different concept, no membership, low score.
-        let before = catalog(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
-        let mut after = before.clone();
-        let newcomer = feature("t1.csv", "water_temperature");
-        after.put(newcomer.clone());
-        let (key, hits) = run(&before, &vocab, "with salinity limit 2");
+        // Two salinity datasets fill a limit-2 query; a turbidity dataset
+        // arrives — the other branch of the taxonomy (`biogeochemical`,
+        // where salinity is `physical`), so no index key of the query
+        // reaches it: no membership, low score.
+        let before = engine(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
+        let mutations = [put("t1.csv", "turbidity")];
+        let (_, hits) = run(&before, "with salinity limit 2");
         assert_eq!(hits.len(), 2);
-        let touches =
-            compute_touches(&before, &after, &[Mutation::Put(Box::new(newcomer))]).unwrap();
-        assert!(entry_survives(&key, &hits, &touches, &vocab));
+        assert!(survives(&before, &mutations, "with salinity limit 2"));
         // And the proof is honest: the engine agrees nothing changed.
-        let (_, hits_after) = run(&after, &vocab, "with salinity limit 2");
-        let paths: Vec<_> = hits.iter().map(|h| &h.path).collect();
-        let paths_after: Vec<_> = hits_after.iter().map(|h| &h.path).collect();
-        assert_eq!(paths, paths_after);
+        let (_, hits_after) = run(&before.successor(&mutations).unwrap(), "with salinity limit 2");
+        assert_eq!(hits, hits_after);
+    }
+
+    #[test]
+    fn sibling_concept_insert_is_evicted() {
+        // `water_temperature` shares the ancestor `physical` with
+        // `salinity`, and the index files a variable under every ancestor
+        // of its concept: the newcomer *is* a candidate for the salinity
+        // query, so the candidate total moves and the entry must go.
+        let before = engine(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
+        assert!(
+            !survives(&before, &[put("t1.csv", "water_temperature")], "with salinity limit 2"),
+            "a new candidate through a shared ancestor must evict"
+        );
     }
 
     #[test]
     fn matching_insert_is_evicted() {
-        let vocab = Vocabulary::observatory_default();
-        let before = catalog(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
-        let mut after = before.clone();
-        let newcomer = feature("s0.csv", "salinity");
-        after.put(newcomer.clone());
-        let (key, hits) = run(&before, &vocab, "with salinity limit 2");
-        let touches =
-            compute_touches(&before, &after, &[Mutation::Put(Box::new(newcomer))]).unwrap();
+        let before = engine(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
         assert!(
-            !entry_survives(&key, &hits, &touches, &vocab),
+            !survives(&before, &[put("s0.csv", "salinity")], "with salinity limit 2"),
             "a new candidate for the same concept must evict"
         );
     }
 
     #[test]
     fn delete_of_a_listed_hit_is_evicted() {
-        let vocab = Vocabulary::observatory_default();
-        let before = catalog(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
-        let mut after = before.clone();
-        let id = before.get_by_path("s1.csv").unwrap().id;
-        after.delete(id);
-        let (key, hits) = run(&before, &vocab, "with salinity limit 2");
-        let touches = compute_touches(&before, &after, &[Mutation::Delete(id)]).unwrap();
-        assert!(!entry_survives(&key, &hits, &touches, &vocab));
+        let before = engine(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
+        let id = DatasetId::from_path("s1.csv");
+        assert!(!survives(&before, &[Mutation::Delete(id)], "with salinity limit 2"));
     }
 
     #[test]
     fn spatial_queries_never_survive() {
-        let vocab = Vocabulary::observatory_default();
-        let before = catalog(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
-        let (key, hits) = run(&before, &vocab, "near 47.6,-122.3 within 50km limit 2");
+        let before = engine(&[("s1.csv", "salinity"), ("s2.csv", "salinity")]);
+        let (_, hits) = run(&before, "near 47.6,-122.3 within 50km limit 2");
         assert_eq!(hits.len(), 2, "full scan still returns both datasets");
-        let mut after = before.clone();
-        let newcomer = feature("t1.csv", "water_temperature");
-        after.put(newcomer.clone());
-        let touches =
-            compute_touches(&before, &after, &[Mutation::Put(Box::new(newcomer))]).unwrap();
         assert!(
-            !entry_survives(&key, &hits, &touches, &vocab),
+            !survives(
+                &before,
+                &[put("t1.csv", "turbidity")],
+                "near 47.6,-122.3 within 50km limit 2"
+            ),
             "nearest-neighbour membership is relative: spatial entries must evict"
         );
     }
 
     #[test]
     fn short_list_is_evicted() {
-        let vocab = Vocabulary::observatory_default();
-        let before = catalog(&[("s1.csv", "salinity")]);
-        let (key, hits) = run(&before, &vocab, "with salinity limit 5");
+        let before = engine(&[("s1.csv", "salinity")]);
+        let (_, hits) = run(&before, "with salinity limit 5");
         assert!(hits.len() < 5);
-        let mut after = before.clone();
-        let newcomer = feature("t1.csv", "water_temperature");
-        after.put(newcomer.clone());
-        let touches =
-            compute_touches(&before, &after, &[Mutation::Put(Box::new(newcomer))]).unwrap();
-        assert!(!entry_survives(&key, &hits, &touches, &vocab));
+        assert!(!survives(&before, &[put("t1.csv", "turbidity")], "with salinity limit 5"));
     }
 
     #[test]

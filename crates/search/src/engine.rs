@@ -41,6 +41,7 @@
 //! part of the cache key: results are bit-identical across layouts, so a
 //! rebuild with a different `--shards` can reuse a warm shared cache.
 
+use crate::browse::{browse_features, BrowseTree};
 use crate::cache::{CacheStats, ResultCache, DEFAULT_CACHE_CAPACITY};
 use crate::explain::{search_metrics, SearchExplain};
 use crate::fanout::{scatter_gather, LocalShards};
@@ -48,12 +49,13 @@ use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::score::ScoreBreakdown;
 use crate::shard::{ShardEngine, ShardSpec};
-use metamess_core::catalog::Catalog;
+use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_telemetry::{event, trace, Level, Stopwatch};
 use metamess_vocab::Vocabulary;
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// One ranked search result.
@@ -75,21 +77,27 @@ pub struct SearchHit {
     pub breakdown: ScoreBreakdown,
 }
 
-/// Partitions a catalog snapshot into per-shard member lists (`(global
-/// index, feature)` pairs in ascending global order) according to `spec`.
-/// Shared by [`ShardedEngine::build_sharded`] and the remote single-shard
-/// builder ([`crate::fanout::build_shard`]), so a `shardd` process and the
-/// in-process coordinator agree on which datasets shard `k` of `n` holds.
-pub(crate) fn partition_members(
-    catalog: &Catalog,
+/// Cuts features (in catalog order) into per-shard member lists — `(global
+/// index, feature)` pairs in ascending global order — according to `spec`.
+/// Every engine and every standalone shard is built from this one
+/// assignment, so a `shardd` process and the in-process coordinator agree on
+/// which datasets shard `k` of `n` holds. Only the shards `keep` admits get
+/// their members; `share` is what it costs to keep one (a clone for a
+/// borrowed feature, a move for an owned one), and is never paid for the
+/// rest.
+pub(crate) fn partition_members<F: Borrow<DatasetFeature>>(
+    features: Vec<F>,
     spec: ShardSpec,
-) -> Vec<Vec<(usize, DatasetFeature)>> {
-    let datasets: Vec<DatasetFeature> = catalog.iter().cloned().collect();
-    let assignment = spec.partitioner().assign(&datasets, spec.count());
-    let mut members: Vec<Vec<(usize, DatasetFeature)>> =
+    keep: impl Fn(usize) -> bool,
+    share: impl Fn(F) -> Arc<DatasetFeature>,
+) -> Vec<Vec<(usize, Arc<DatasetFeature>)>> {
+    let assignment = spec.partitioner().assign(&features, spec.count());
+    let mut members: Vec<Vec<(usize, Arc<DatasetFeature>)>> =
         (0..spec.count()).map(|_| Vec::new()).collect();
-    for (gix, (d, s)) in datasets.into_iter().zip(assignment).enumerate() {
-        members[s].push((gix, d));
+    for (gix, (d, s)) in features.into_iter().zip(assignment).enumerate() {
+        if keep(s) {
+            members[s].push((gix, share(d)));
+        }
     }
     members
 }
@@ -122,15 +130,38 @@ impl ShardedEngine {
         ShardedEngine::build_sharded(catalog, vocab, ShardSpec::single())
     }
 
-    /// Builds the engine over a catalog snapshot partitioned per `spec`.
-    /// The shard count is clamped to `1..=MAX_SHARDS` regardless of how
-    /// the spec was produced.
+    /// Builds the engine over a catalog snapshot partitioned per `spec`,
+    /// cloning each feature once. The shard count is clamped to
+    /// `1..=MAX_SHARDS` regardless of how the spec was produced.
     pub fn build_sharded(catalog: &Catalog, vocab: Vocabulary, spec: ShardSpec) -> ShardedEngine {
+        let features = catalog.iter().map(|d| Arc::new(d.clone())).collect();
+        ShardedEngine::from_features(features, catalog.generation(), vocab, spec)
+    }
+
+    /// Builds the engine out of a catalog nobody else needs — one just
+    /// recovered from a store, say — moving every feature instead of
+    /// cloning it.
+    pub fn from_catalog(catalog: Catalog, vocab: Vocabulary, spec: ShardSpec) -> ShardedEngine {
+        let generation = catalog.generation();
+        let features = catalog.into_features().map(Arc::new).collect();
+        ShardedEngine::from_features(features, generation, vocab, spec)
+    }
+
+    /// The one construction path: `features` in catalog order (ascending,
+    /// unique `DatasetId`), as of catalog generation `generation`.
+    fn from_features(
+        features: Vec<Arc<DatasetFeature>>,
+        generation: u64,
+        vocab: Vocabulary,
+        spec: ShardSpec,
+    ) -> ShardedEngine {
+        debug_assert!(features.windows(2).all(|w| w[0].id < w[1].id), "not in catalog order");
         let spec = ShardSpec::new(spec.count(), spec.partitioner());
-        let members = partition_members(catalog, spec);
-        let total = members.iter().map(Vec::len).sum();
-        let shards: Vec<ShardEngine> =
-            members.into_iter().map(|m| ShardEngine::build(m, &vocab)).collect();
+        let total = features.len();
+        let shards: Vec<ShardEngine> = partition_members(features, spec, |_| true, |d| d)
+            .into_iter()
+            .map(|m| ShardEngine::build(m, &vocab))
+            .collect();
         let mut by_id: HashMap<DatasetId, (u32, u32)> = HashMap::with_capacity(total);
         for (s, shard) in shards.iter().enumerate() {
             for l in 0..shard.len() {
@@ -143,10 +174,53 @@ impl ShardedEngine {
             spec,
             by_id,
             total,
-            generation: catalog.generation(),
+            generation,
             cache: Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
             use_indexes: true,
         }
+    }
+
+    /// The engine over this engine's catalog after `mutations`: same
+    /// vocabulary, layout and result cache, the generation advanced by one
+    /// per mutation (where a catalog applying them lands), and every
+    /// feature the mutations leave alone *shared* with this engine, not
+    /// copied. `None` when a `Clear` is among them: nothing would be
+    /// shared, so the caller may as well build from the store.
+    pub fn successor(&self, mutations: &[Mutation]) -> Option<ShardedEngine> {
+        let mut features: BTreeMap<DatasetId, Arc<DatasetFeature>> =
+            self.features().map(|d| (d.id, Arc::clone(d))).collect();
+        for m in mutations {
+            match m {
+                Mutation::Put(f) => {
+                    features.insert(f.id, Arc::new((**f).clone()));
+                }
+                Mutation::Delete(id) => {
+                    features.remove(id);
+                }
+                Mutation::SetProperty { .. } => {}
+                Mutation::Clear => return None,
+            }
+        }
+        let mut next = ShardedEngine::from_features(
+            features.into_values().collect(),
+            self.generation + mutations.len() as u64,
+            self.vocab.clone(),
+            self.spec,
+        )
+        .with_shared_cache(Arc::clone(&self.cache));
+        next.use_indexes = self.use_indexes;
+        Some(next)
+    }
+
+    /// Every indexed feature as the engine shares it, shard by shard.
+    pub fn features(&self) -> impl Iterator<Item = &Arc<DatasetFeature>> {
+        self.shards.iter().flat_map(|s| s.shared_datasets())
+    }
+
+    /// Drill-down menus over the indexed datasets, one per taxonomy of the
+    /// engine's vocabulary.
+    pub fn browse(&self) -> Vec<BrowseTree> {
+        browse_features(self.features().map(|d| &**d), &self.vocab)
     }
 
     /// Replaces the result cache with a shared one, so the cache (and its
@@ -205,7 +279,12 @@ impl ShardedEngine {
 
     /// The dataset behind a hit (for summary rendering). O(1).
     pub fn dataset(&self, id: DatasetId) -> Option<&DatasetFeature> {
-        self.by_id.get(&id).map(|&(s, l)| self.shards[s as usize].dataset(l as usize))
+        self.shared_dataset(id).map(|d| &**d)
+    }
+
+    /// [`ShardedEngine::dataset`], as the engine shares it.
+    pub fn shared_dataset(&self, id: DatasetId) -> Option<&Arc<DatasetFeature>> {
+        self.by_id.get(&id).map(|&(s, l)| &self.shards[s as usize].shared_datasets()[l as usize])
     }
 
     /// Prepares a reusable [`QueryPlan`] for a query (vocabulary expansion,

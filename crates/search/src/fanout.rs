@@ -37,11 +37,14 @@ use crate::query::Query;
 use crate::shard::{expanded_time, ShardEngine, ShardSpec};
 use crate::topk::{rank_cmp, LightHit, LightTopK};
 use metamess_core::catalog::Catalog;
+use metamess_core::feature::DatasetFeature;
 use metamess_core::time::TimeInterval;
 use metamess_telemetry::{trace, Histogram, Stopwatch};
 use metamess_vocab::Vocabulary;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::convert::Infallible;
+use std::sync::Arc;
 
 /// What one shard's probe produced, in wire-friendly form. The local
 /// candidate indices are `u32` (shards are bounded well below 4G members)
@@ -490,16 +493,38 @@ pub fn scatter_gather<B: ShardBackend>(
 /// standalone — the engine a `metamess shardd` process hosts. Uses the
 /// same partition assignment as `ShardedEngine::build_sharded`, so `n`
 /// processes each building their own index cover the catalog exactly.
-/// `shard_ix` must be `< spec.count()`.
+/// Only the shard's own members are cloned. `shard_ix` must be
+/// `< spec.count()`.
 pub fn build_shard(
     catalog: &Catalog,
     vocab: &Vocabulary,
     spec: ShardSpec,
     shard_ix: usize,
 ) -> ShardEngine {
+    shard_of(catalog.iter().collect(), vocab, spec, shard_ix, |d| Arc::new(d.clone()))
+}
+
+/// [`build_shard`] out of a catalog nobody else needs: the shard's members
+/// are moved into it and the rest dropped.
+pub fn build_shard_from(
+    catalog: Catalog,
+    vocab: &Vocabulary,
+    spec: ShardSpec,
+    shard_ix: usize,
+) -> ShardEngine {
+    shard_of(catalog.into_features().collect(), vocab, spec, shard_ix, Arc::new)
+}
+
+fn shard_of<F: Borrow<DatasetFeature>>(
+    features: Vec<F>,
+    vocab: &Vocabulary,
+    spec: ShardSpec,
+    shard_ix: usize,
+    share: impl Fn(F) -> Arc<DatasetFeature>,
+) -> ShardEngine {
     let spec = ShardSpec::new(spec.count(), spec.partitioner());
     assert!(shard_ix < spec.count(), "shard index {shard_ix} out of 0..{}", spec.count());
-    let members = partition_members(catalog, spec).swap_remove(shard_ix);
+    let members = partition_members(features, spec, |s| s == shard_ix, share).swap_remove(shard_ix);
     ShardEngine::build(members, vocab)
 }
 
@@ -508,7 +533,7 @@ mod tests {
     use super::*;
     use crate::shard::Partitioner;
     use crate::ShardedEngine;
-    use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
+    use metamess_core::feature::{NameResolution, VariableFeature};
     use metamess_core::geo::{GeoBBox, GeoPoint};
     use metamess_core::time::Timestamp;
 

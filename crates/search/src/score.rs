@@ -4,6 +4,7 @@
 
 use crate::query::{Query, SpatialTerm, VariableTerm};
 use metamess_core::feature::{DatasetFeature, VariableFeature};
+use metamess_core::geo::GeoBBox;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
@@ -30,7 +31,11 @@ pub struct ScoreBreakdown {
 /// Inside the box / radius scores 1; outside decays exponentially with the
 /// ratio of distance to the query's characteristic scale.
 pub fn spatial_score(term: &SpatialTerm, dataset: &DatasetFeature) -> f64 {
-    let Some(bbox) = &dataset.bbox else { return 0.0 };
+    bbox_score(term, dataset.bbox.as_ref())
+}
+
+fn bbox_score(term: &SpatialTerm, bbox: Option<&GeoBBox>) -> f64 {
+    let Some(bbox) = bbox else { return 0.0 };
     match term {
         SpatialTerm::Near { point, radius_km } => {
             let d = bbox.distance_km(point);
@@ -56,7 +61,11 @@ pub fn spatial_score(term: &SpatialTerm, dataset: &DatasetFeature) -> f64 {
 /// query window the dataset covers (floored at 0.5 so *any* overlap beats
 /// any non-overlap); disjoint intervals decay exponentially with the gap.
 pub fn temporal_score(window: &TimeInterval, dataset: &DatasetFeature) -> f64 {
-    let Some(extent) = &dataset.time else { return 0.0 };
+    interval_score(window, dataset.time.as_ref())
+}
+
+fn interval_score(window: &TimeInterval, extent: Option<&TimeInterval>) -> f64 {
+    let Some(extent) = extent else { return 0.0 };
     let overlap = window.overlap_secs(extent);
     if window.overlaps(extent) {
         let denom = window.duration_secs().min(extent.duration_secs()).max(1);
@@ -294,6 +303,24 @@ pub(crate) struct VarKey {
     range: Option<(f64, f64)>,
 }
 
+/// Where and when a dataset is: the two fields of a feature the fast scorer
+/// reads, copied out at shard build time. Features are shared between
+/// engines and sit wherever the allocator put them when the store was
+/// decoded; with these (and the [`VarKey`]s) in the shard's own arrays,
+/// scoring a candidate never follows the pointer to its feature.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extent {
+    bbox: Option<GeoBBox>,
+    time: Option<TimeInterval>,
+}
+
+impl Extent {
+    /// The extent of `dataset`.
+    pub(crate) fn of(dataset: &DatasetFeature) -> Extent {
+        Extent { bbox: dataset.bbox, time: dataset.time }
+    }
+}
+
 /// Interns one normalized spelling: catalogs repeat the same handful of
 /// variable names across thousands of datasets, so shard build memory
 /// stays proportional to the vocabulary, not the catalog.
@@ -346,26 +373,26 @@ fn name_similarity_key(pt: &PreparedTerm, key: &VarKey) -> f64 {
 }
 
 /// Allocation-free mirror of [`score_dataset_prepared`] computing only the
-/// combined `total` — the number top-k selection ranks by. `var_keys` must
-/// be the dataset's searchable variables in iteration order (the shard
-/// builds them that way). The arithmetic (operation order, accumulation,
-/// best-tracking) is kept line-for-line identical so the result is
-/// bit-identical to `breakdown.total`.
+/// combined `total` — the number top-k selection ranks by. `extent` must be
+/// the dataset's, and `var_keys` its searchable variables in iteration order
+/// (the shard builds them that way). The arithmetic (operation order,
+/// accumulation, best-tracking) is kept line-for-line identical so the
+/// result is bit-identical to `breakdown.total`.
 pub(crate) fn score_dataset_fast(
     query: &Query,
     prepared: &[PreparedTerm],
-    dataset: &DatasetFeature,
+    extent: &Extent,
     var_keys: &[VarKey],
 ) -> f64 {
     let mut weighted = 0.0;
     let mut total_weight = 0.0;
     if let Some(spatial) = &query.spatial {
-        let s = spatial_score(spatial, dataset);
+        let s = bbox_score(spatial, extent.bbox.as_ref());
         weighted += query.weights.space * s;
         total_weight += query.weights.space;
     }
     if let Some(window) = &query.time {
-        let s = temporal_score(window, dataset);
+        let s = interval_score(window, extent.time.as_ref());
         weighted += query.weights.time * s;
         total_weight += query.weights.time;
     }
@@ -621,7 +648,7 @@ mod tests {
             let prepared: Vec<PreparedTerm> =
                 q.variables.iter().map(|t| PreparedTerm::prepare(t, &v)).collect();
             let slow = score_dataset_prepared(q, &prepared, &d, &v).total;
-            let fast = score_dataset_fast(q, &prepared, &d, &keys);
+            let fast = score_dataset_fast(q, &prepared, &Extent::of(&d), &keys);
             assert_eq!(fast.to_bits(), slow.to_bits(), "query {q:?}: fast {fast} vs slow {slow}");
         }
     }

@@ -33,12 +33,15 @@ use crate::interval::IntervalIndex;
 use crate::plan::QueryPlan;
 use crate::query::{Query, SpatialTerm};
 use crate::rtree::RTree;
-use crate::score::{intern, score_dataset_fast, score_dataset_prepared, PreparedTerm, VarKey};
+use crate::score::{
+    intern, score_dataset_fast, score_dataset_prepared, Extent, PreparedTerm, VarKey,
+};
 use metamess_core::feature::DatasetFeature;
 use metamess_core::geo::GeoBBox;
 use metamess_core::text::normalize_term;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -88,19 +91,25 @@ impl Partitioner {
     }
 
     /// Maps each dataset (in catalog order) to a shard in `0..count`.
-    pub(crate) fn assign(&self, datasets: &[DatasetFeature], count: usize) -> Vec<usize> {
+    /// Borrowed, owned and shared features all qualify, so a builder can
+    /// decide what to keep before it clones anything.
+    pub(crate) fn assign<F: Borrow<DatasetFeature>>(
+        &self,
+        datasets: &[F],
+        count: usize,
+    ) -> Vec<usize> {
         match self {
             Partitioner::Hash => {
-                datasets.iter().map(|d| (mix64(d.id.0) % count as u64) as usize).collect()
+                datasets.iter().map(|d| (mix64(d.borrow().id.0) % count as u64) as usize).collect()
             }
             Partitioner::Spatial => contiguous_by_key(datasets.len(), count, |ix| {
-                datasets[ix].bbox.as_ref().map(|b| {
+                datasets[ix].borrow().bbox.as_ref().map(|b| {
                     let c = b.center();
                     (c.lon, c.lat)
                 })
             }),
             Partitioner::Temporal => contiguous_by_key(datasets.len(), count, |ix| {
-                datasets[ix].time.as_ref().map(|t| (t.start.0 as f64, t.end.0 as f64))
+                datasets[ix].borrow().time.as_ref().map(|t| (t.start.0 as f64, t.end.0 as f64))
             }),
         }
     }
@@ -178,11 +187,21 @@ impl Default for ShardSpec {
 
 /// One slice of the catalog with its own indexes and pruning bounds.
 pub struct ShardEngine {
-    datasets: Vec<DatasetFeature>,
+    /// The members. Shared, so that the engine a delta derives from this
+    /// one points at the same features instead of copying them.
+    datasets: Vec<Arc<DatasetFeature>>,
+    /// Each dataset's bbox and time interval, copied out of the feature:
+    /// with the name keys below, everything scoring a candidate reads.
+    extents: Vec<Extent>,
     /// Precomputed normalized name keys per dataset (searchable variables
     /// in iteration order), so candidate scoring never normalizes or
     /// resolves a spelling. Interned: repeated names share one `Arc<str>`.
-    var_keys: Vec<Vec<VarKey>>,
+    /// All datasets' keys back to back in one allocation — dataset `ix` has
+    /// `var_keys[key_starts[ix]..key_starts[ix + 1]]` — so that how fast a
+    /// candidate scores does not depend on where the allocator happened to
+    /// put 25 000 little vectors.
+    var_keys: Vec<VarKey>,
+    key_starts: Vec<u32>,
     /// Local index → position in the full catalog order. Strictly
     /// increasing (members are added in catalog order), which the
     /// nearest-merge determinism argument relies on.
@@ -199,9 +218,18 @@ pub struct ShardEngine {
 impl ShardEngine {
     /// Builds one shard over `members` (`(global index, feature)` pairs in
     /// ascending global order).
-    pub(crate) fn build(members: Vec<(usize, DatasetFeature)>, vocab: &Vocabulary) -> ShardEngine {
+    pub(crate) fn build(
+        members: Vec<(usize, Arc<DatasetFeature>)>,
+        vocab: &Vocabulary,
+    ) -> ShardEngine {
         let mut datasets = Vec::with_capacity(members.len());
-        let mut var_keys = Vec::with_capacity(members.len());
+        let mut extents = Vec::with_capacity(members.len());
+        // sized once: growing by doubling would hold two copies of the
+        // largest array of the shard while it moved
+        let mut var_keys =
+            Vec::with_capacity(members.iter().map(|(_, d)| d.searchable_variables().count()).sum());
+        let mut key_starts = Vec::with_capacity(members.len() + 1);
+        key_starts.push(0u32);
         let mut global_ix = Vec::with_capacity(members.len());
         let mut spatial_entries = Vec::new();
         let mut time_entries = Vec::new();
@@ -212,6 +240,7 @@ impl ShardEngine {
         for (gix, d) in members {
             let ix = datasets.len();
             global_ix.push(gix);
+            extents.push(Extent::of(&d));
             if let Some(b) = &d.bbox {
                 spatial_entries.push((*b, ix));
                 bbox_bound = Some(match bbox_bound {
@@ -240,9 +269,9 @@ impl ShardEngine {
                     }
                 }
             }
-            var_keys.push(
-                d.searchable_variables().map(|v| VarKey::build(v, vocab, &mut interner)).collect(),
-            );
+            var_keys
+                .extend(d.searchable_variables().map(|v| VarKey::build(v, vocab, &mut interner)));
+            key_starts.push(u32::try_from(var_keys.len()).expect("a shard's variables fit a u32"));
             datasets.push(d);
         }
         ShardEngine {
@@ -252,7 +281,9 @@ impl ShardEngine {
             bbox_bound,
             time_bound,
             datasets,
+            extents,
             var_keys,
+            key_starts,
             global_ix,
         }
     }
@@ -270,6 +301,11 @@ impl ShardEngine {
     /// The dataset at a local index.
     pub fn dataset(&self, local_ix: usize) -> &DatasetFeature {
         &self.datasets[local_ix]
+    }
+
+    /// The datasets by local index, as the shard shares them.
+    pub(crate) fn shared_datasets(&self) -> &[Arc<DatasetFeature>] {
+        &self.datasets
     }
 
     /// Union of member bounding boxes (the spatial pruning bound).
@@ -356,7 +392,8 @@ impl ShardEngine {
         prepared: &[PreparedTerm],
         local_ix: usize,
     ) -> f64 {
-        score_dataset_fast(query, prepared, &self.datasets[local_ix], &self.var_keys[local_ix])
+        let keys = self.key_starts[local_ix] as usize..self.key_starts[local_ix + 1] as usize;
+        score_dataset_fast(query, prepared, &self.extents[local_ix], &self.var_keys[keys])
     }
 
     /// Scores one local candidate exactly.
@@ -475,13 +512,17 @@ mod tests {
     #[test]
     fn shard_bounds_cover_all_members() {
         let vocab = Vocabulary::observatory_default();
-        let members: Vec<(usize, DatasetFeature)> = (0..6)
+        let features: Vec<Arc<DatasetFeature>> = (0..6)
             .map(|i| {
-                (i, feature(&format!("d{i}.csv"), 44.0 + i as f64, -124.0 + i as f64, 1 + i as u32))
+                Arc::new(feature(
+                    &format!("d{i}.csv"),
+                    44.0 + i as f64,
+                    -124.0 + i as f64,
+                    1 + i as u32,
+                ))
             })
             .collect();
-        let features: Vec<DatasetFeature> = members.iter().map(|(_, d)| d.clone()).collect();
-        let shard = ShardEngine::build(members, &vocab);
+        let shard = ShardEngine::build(features.iter().cloned().enumerate().collect(), &vocab);
         let bbox = shard.bbox_bound().expect("members have bboxes");
         let time = shard.time_bound().expect("members have intervals");
         for d in &features {
@@ -510,8 +551,8 @@ mod tests {
     #[test]
     fn bound_excludes_far_query_window() {
         let vocab = Vocabulary::observatory_default();
-        let members: Vec<(usize, DatasetFeature)> =
-            (0..4).map(|i| (i, feature(&format!("d{i}.csv"), 45.0, -124.0, 6))).collect();
+        let members: Vec<(usize, Arc<DatasetFeature>)> =
+            (0..4).map(|i| (i, Arc::new(feature(&format!("d{i}.csv"), 45.0, -124.0, 6)))).collect();
         let shard = ShardEngine::build(members, &vocab);
         // Region query on the other side of the globe: the bound excludes
         // it, so the intersect walk is skipped — but nearest still runs.

@@ -16,12 +16,14 @@
 //!   which is the fallback's own trigger;
 //! * the empty query always scans.
 
-use metamess_core::catalog::Catalog;
+use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
 use metamess_core::geo::{GeoBBox, GeoPoint};
+use metamess_core::id::DatasetId;
 use metamess_core::time::{TimeInterval, Timestamp};
 use metamess_search::{score_dataset_prepared, PreparedTerm, Query, SearchHit};
 use metamess_vocab::Vocabulary;
+use std::collections::BTreeSet;
 
 const VAR_POOL: &[&str] =
     &["water_temperature", "salinity", "dissolved_oxygen", "turbidity", "nitrate", "wind_speed"];
@@ -87,6 +89,45 @@ pub fn catalog(rng: &mut Rng) -> Catalog {
         c.put(d);
     }
     c
+}
+
+/// A published delta over `catalog`: one dataset nobody has seen, one that
+/// replaces an existing dataset with different content, and one delete
+/// (the last two of different datasets, when the catalog has two).
+#[allow(dead_code)] // not every sweep that shares this module draws one
+pub fn delta(rng: &mut Rng, catalog: &Catalog) -> Vec<Mutation> {
+    let pick = |rng: &mut Rng| {
+        catalog.iter().nth(rng.below(catalog.len() as u64) as usize).expect("never empty")
+    };
+    let mut fresh = pick(rng).clone();
+    fresh.path = format!("ds/new-{}.csv", rng.below(1000));
+    fresh.id = DatasetId::from_path(&fresh.path);
+    fresh.title = "a dataset that was not there".into();
+    let mut replaced = pick(rng).clone();
+    replaced.title.push_str(", revised");
+    replaced.variables.truncate(1);
+    let (lat, lon) = cluster(rng);
+    replaced.bbox = Some(GeoBBox::point(GeoPoint::new(lat, lon).unwrap()));
+    let mut mutations =
+        vec![Mutation::Put(Box::new(fresh)), Mutation::Put(Box::new(replaced.clone()))];
+    let gone = pick(rng).id;
+    if gone != replaced.id {
+        mutations.push(Mutation::Delete(gone));
+    }
+    mutations
+}
+
+/// The datasets a delta puts or deletes.
+#[allow(dead_code)] // goes with `delta`
+pub fn touched_ids(mutations: &[Mutation]) -> BTreeSet<DatasetId> {
+    mutations
+        .iter()
+        .map(|m| match m {
+            Mutation::Put(f) => f.id,
+            Mutation::Delete(id) => *id,
+            other => panic!("`delta` draws no {other:?}"),
+        })
+        .collect()
 }
 
 /// One query per shape the module docs list, for a catalog of `datasets`.

@@ -4,12 +4,23 @@
 //! the indexes on and off — including layouts with more shards than
 //! datasets (empty shards), limits beyond the catalog size and the empty
 //! query. `common` says which cases are drawn and why.
+//!
+//! Two more sweeps over the same cases pin down who holds the features: an
+//! engine derived from another by a delta shares what the delta left alone
+//! and answers like one built from scratch, and standalone shards cover the
+//! catalog exactly once, whether they clone their members or take them.
 
 mod common;
 
-use common::{assert_bit_equal, catalog, queries, reference_search, Rng};
-use metamess_search::{Partitioner, SearchEngine, ShardSpec};
+use common::{assert_bit_equal, catalog, delta, queries, reference_search, touched_ids, Rng};
+use metamess_search::fanout::{build_shard, build_shard_from};
+use metamess_search::{Partitioner, SearchEngine, ShardEngine, ShardSpec};
 use metamess_vocab::Vocabulary;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+const PARTITIONERS: [Partitioner; 3] =
+    [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal];
 
 #[test]
 fn every_local_layout_agrees_with_the_reference() {
@@ -21,7 +32,7 @@ fn every_local_layout_agrees_with_the_reference() {
         let c = catalog(&mut rng);
         let qs = queries(&mut rng, c.len());
         let expected: Vec<_> = qs.iter().map(|q| reference_search(&c, &vocab, q)).collect();
-        for partitioner in [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal] {
+        for partitioner in PARTITIONERS {
             for shards in [1usize, 2, 4, 8] {
                 let spec = ShardSpec::new(shards, partitioner);
                 let mut engine = SearchEngine::build_sharded(&c, vocab.clone(), spec);
@@ -46,4 +57,78 @@ fn every_local_layout_agrees_with_the_reference() {
         indexed > 500 && pruned > 20,
         "the sweep left the index path idle: {indexed}, {pruned}"
     );
+}
+
+#[test]
+fn a_successor_shares_what_the_delta_left_alone_and_answers_like_a_rebuild() {
+    let vocab = Vocabulary::observatory_default();
+    let mut shared = 0;
+    for seed in 0..40u64 {
+        let mut rng = Rng(seed);
+        let before = catalog(&mut rng);
+        let mutations = delta(&mut rng, &before);
+        let touched = touched_ids(&mutations);
+        let mut after = before.clone();
+        mutations.iter().cloned().for_each(|m| after.apply(m));
+        let qs = queries(&mut rng, after.len());
+        for partitioner in PARTITIONERS {
+            for shards in [1usize, 3] {
+                let spec = ShardSpec::new(shards, partitioner);
+                let what = format!("seed {seed}, {shards} {partitioner:?} shards");
+                let engine = SearchEngine::build_sharded(&before, vocab.clone(), spec);
+                let next = engine.successor(&mutations).expect("no Clear among them");
+                assert_eq!(next.generation(), after.generation(), "{what}");
+                assert_eq!(next.len(), after.len(), "{what}");
+                assert!(Arc::ptr_eq(next.cache(), engine.cache()), "{what}: the cache moves on");
+                for d in next.features() {
+                    assert_eq!(Some(&**d), after.get(d.id), "{what}: {}", d.path);
+                    if !touched.contains(&d.id) {
+                        let old = engine.shared_dataset(d.id).expect("untouched, so it was there");
+                        assert!(Arc::ptr_eq(d, old), "{what}: {} was copied", d.path);
+                        shared += 1;
+                    }
+                }
+                for q in &qs {
+                    let want = reference_search(&after, &vocab, q);
+                    assert_bit_equal(&next.search_uncached(q), &want, &format!("{what}, {q:?}"));
+                }
+            }
+        }
+        // Once the engine it came from is gone, a successor is the only
+        // holder of every feature it has.
+        let next = SearchEngine::build(&before, vocab.clone()).successor(&mutations).unwrap();
+        assert!(next.features().all(|d| Arc::strong_count(d) == 1), "seed {seed}");
+    }
+    assert!(shared > 1000, "the sweep shared next to nothing: {shared}");
+}
+
+#[test]
+fn standalone_shards_cover_the_catalog_exactly_once() {
+    let vocab = Vocabulary::observatory_default();
+    for seed in 0..40u64 {
+        let c = catalog(&mut Rng(seed));
+        for partitioner in PARTITIONERS {
+            for shards in [1usize, 2, 5, 8] {
+                let spec = ShardSpec::new(shards, partitioner);
+                let what = format!("seed {seed}, {shards} {partitioner:?} shards");
+                let whole = SearchEngine::build_sharded(&c, vocab.clone(), spec);
+                let mut seen = BTreeSet::new();
+                for k in 0..shards {
+                    let cloned = build_shard(&c, &vocab, spec, k);
+                    let taken = build_shard_from(c.clone(), &vocab, spec, k);
+                    let paths = |s: &ShardEngine| -> Vec<String> {
+                        (0..s.len()).map(|l| s.dataset(l).path.clone()).collect()
+                    };
+                    assert_eq!(paths(&cloned), paths(&whole.shards()[k]), "{what}, shard {k}");
+                    assert_eq!(paths(&taken), paths(&cloned), "{what}, shard {k}");
+                    for l in 0..cloned.len() {
+                        let d = cloned.dataset(l);
+                        assert_eq!(Some(d), c.get(d.id), "{what}: {}", d.path);
+                        assert!(seen.insert(d.id), "{what}: {} is in two shards", d.path);
+                    }
+                }
+                assert_eq!(seen.len(), c.len(), "{what}: a dataset is in no shard");
+            }
+        }
+    }
 }

@@ -22,11 +22,12 @@
 //! When a live writer (`metamess watch`) appends published deltas to the
 //! store WAL without checkpointing, the poll path skips reopening the
 //! store entirely: it follows the WAL tail with the non-truncating
-//! [`Wal::read_tail`], applies the decoded mutations to its own copy of
-//! the catalog, and swaps in an epoch built from that — preserving
+//! [`Wal::read_tail`] and swaps in an epoch whose engine is the current
+//! engine's [`successor`](SearchEngine::successor) under the decoded
+//! mutations — sharing every feature they leave alone, and preserving
 //! generation continuity (the generation is the mutation count, so the
-//! delta-applied catalog lands on exactly the generation a full reload
-//! would compute). Before the swap, provably-unaffected result-cache
+//! successor lands on exactly the generation a full reload would
+//! compute). Before the swap, provably-unaffected result-cache
 //! entries are re-stamped in place ([`ResultCache::retarget`] +
 //! `metamess_search::delta`), so cached lists for untouched queries keep
 //! pointer identity across the delta. Anything the delta path cannot
@@ -38,10 +39,10 @@
 
 use crate::metrics;
 use metamess_core::store::{lock_path, StoreLock, Wal};
-use metamess_core::{Catalog, DurableCatalog, RecoveryMode, Result, StoreOptions};
+use metamess_core::{DurableCatalog, RecoveryMode, Result, StoreOptions};
 use metamess_remote::RemoteShardSet;
 use metamess_search::{
-    browse_all, compute_touches, entry_survives, BrowseTree, ResultCache, SearchEngine, ShardSpec,
+    compute_touches, entry_survives, BrowseTree, ResultCache, SearchEngine, ShardSpec,
     DEFAULT_CACHE_CAPACITY,
 };
 use metamess_vocab::Vocabulary;
@@ -53,10 +54,11 @@ use std::time::SystemTime;
 
 /// One immutable generation of serving state.
 pub struct EngineEpoch {
-    /// The search engine built over the store's published catalog.
+    /// The search engine over the store's published catalog. It owns the
+    /// dataset features: the process holds no other copy of them.
     pub engine: SearchEngine,
-    /// Browse trees precomputed at load (the engine does not retain the
-    /// catalog, so drill-down counts are materialized per epoch).
+    /// Browse trees precomputed at load (drill-down counts are
+    /// materialized per epoch rather than per request).
     pub browse: Vec<BrowseTree>,
     /// Catalog generation this epoch serves.
     pub generation: u64,
@@ -64,6 +66,19 @@ pub struct EngineEpoch {
     pub epoch: u64,
     /// Datasets in the catalog.
     pub datasets: usize,
+}
+
+impl EngineEpoch {
+    /// Epoch number `epoch` over `engine`.
+    fn new(engine: SearchEngine, epoch: u64) -> EngineEpoch {
+        EngineEpoch {
+            browse: engine.browse(),
+            generation: engine.generation(),
+            datasets: engine.len(),
+            engine,
+            epoch,
+        }
+    }
 }
 
 /// What a reload attempt concluded.
@@ -150,12 +165,10 @@ impl StoreSignature {
     }
 }
 
-/// The serving-side replica a delta can be applied to: the catalog exactly
-/// as the current epoch was built from it, the vocabulary it was indexed
-/// under, and how many WAL bytes have been consumed so far.
+/// Where the next delta resumes: how many WAL bytes the current epoch's
+/// engine already reflects. The catalog itself is not kept — the engine
+/// has the features, and a delta derives the next engine from it.
 struct DeltaSource {
-    catalog: Catalog,
-    vocab: Vocabulary,
     wal_offset: u64,
     /// Consecutive polls that saw growth but decoded nothing (see
     /// [`MAX_DELTA_STALLS`]).
@@ -407,8 +420,8 @@ impl ServeState {
     }
 
     /// The delta fast path: follow the WAL tail from the last consumed
-    /// offset, apply the decoded mutations to the serving-side catalog
-    /// replica, retarget the cache, and swap an epoch built without
+    /// offset, derive the next engine from the current one and the decoded
+    /// mutations, retarget the cache, and swap the epoch in without
     /// reopening the store. Caller has verified `only_wal_grew` and holds
     /// the reload lock.
     fn try_delta(&self, guard: &mut ReloadState, observed: StoreSignature) -> DeltaTry {
@@ -444,37 +457,25 @@ impl ServeState {
         let started = std::time::Instant::now();
         let previous = self.epoch();
         let from = previous.generation;
-        let mut catalog = source.catalog.clone();
-        for m in &tail.mutations {
-            catalog.apply(m);
-        }
         // A `Clear` rebuilds the world; nothing in the cache survives and
-        // the replica proof breaks down — reopen instead.
-        let Some(touches) = compute_touches(&source.catalog, &catalog, &tail.mutations) else {
+        // nothing would be shared — reopen instead.
+        let Some(engine) = previous.engine.successor(&tail.mutations) else {
             return DeltaTry::FullReload;
         };
-        let to = catalog.generation();
-        let browse = browse_all(&catalog, &source.vocab);
-        let engine = SearchEngine::build_sharded(&catalog, source.vocab.clone(), self.spec)
-            .with_shared_cache(self.cache.clone());
-        let next = EngineEpoch {
-            engine,
-            browse,
-            generation: to,
-            epoch: previous.epoch + 1,
-            datasets: catalog.len(),
+        let Some(touches) = compute_touches(&previous.engine, &engine, &tail.mutations) else {
+            return DeltaTry::FullReload;
         };
+        let to = engine.generation();
         // Retarget BEFORE the swap: every cache entry either carries the
         // new stamp already (and the new epoch hits the same Arc) or is
         // gone. Retargeting after the swap would race the new epoch
         // recomputing a survivor and overwriting it, losing the
         // pointer-identity guarantee.
-        let vocab = &source.vocab;
-        let (survived, dropped) =
-            self.cache.retarget(from, to, |key, hits| entry_survives(key, hits, &touches, vocab));
-        *self.current.write() = Arc::new(next);
+        let (survived, dropped) = self.cache.retarget(from, to, |key, hits| {
+            entry_survives(key, hits, &touches, engine.vocabulary())
+        });
+        *self.current.write() = Arc::new(EngineEpoch::new(engine, previous.epoch + 1));
         self.reloads.fetch_add(1, Ordering::Relaxed);
-        source.catalog = catalog;
         source.wal_offset = tail.new_offset;
         guard.signature = observed;
         metrics::record_reload();
@@ -514,10 +515,10 @@ fn render_healthz(
     )
 }
 
-/// Opens the durable store and builds one serving epoch from it, plus the
-/// delta source future polls apply WAL tails to. The store handle is
-/// dropped after the build — the `ServeState` lifetime lock is what keeps
-/// repairers out.
+/// Opens the durable store and builds one serving epoch out of it — the
+/// recovered catalog is moved into the engine, and the store handle is gone
+/// before the indexes are built; the `ServeState` lifetime lock is what
+/// keeps repairers out — plus where future polls resume reading the WAL.
 fn load_epoch(
     store_dir: &Path,
     cache: &Arc<ResultCache>,
@@ -535,16 +536,9 @@ fn load_epoch(
     } else {
         Vocabulary::observatory_default()
     };
-    let browse = browse_all(store.catalog(), &vocab);
-    let generation = store.catalog().generation();
-    let datasets = store.catalog().len();
-    let catalog = store.catalog().clone();
-    let engine = SearchEngine::build_sharded(store.catalog(), vocab.clone(), spec)
+    let engine = SearchEngine::from_catalog(store.into_catalog(), vocab, spec)
         .with_shared_cache(cache.clone());
-    Ok((
-        EngineEpoch { engine, browse, generation, epoch, datasets },
-        DeltaSource { catalog, vocab, wal_offset, stalls: 0 },
-    ))
+    Ok((EngineEpoch::new(engine, epoch), DeltaSource { wal_offset, stalls: 0 }))
 }
 
 #[cfg(test)]
@@ -733,8 +727,10 @@ mod tests {
         let q = Query::parse("with salinity limit 2").unwrap();
         let cached = before.engine.search(&q);
         assert_eq!(cached.len(), 2);
-        // A live writer appends an unrelated dataset to the WAL only.
-        append_without_checkpoint(&dir, dataset("2014/08/temp01.csv", "water_temperature"));
+        // A live writer appends an unrelated dataset to the WAL only:
+        // turbidity sits under `biogeochemical`, salinity under `physical`,
+        // so no index key of the cached query reaches the newcomer.
+        append_without_checkpoint(&dir, dataset("2014/08/turb01.csv", "turbidity"));
         match state.poll_reload().unwrap() {
             ReloadOutcome::DeltaApplied { from, to, epoch, mutations } => {
                 assert_eq!(from, before.generation);
@@ -746,9 +742,9 @@ mod tests {
         }
         let after = state.epoch();
         assert_eq!(after.datasets, 3, "the delta-applied epoch sees the new dataset");
-        let t = Query::parse("with temperature").unwrap();
+        let t = Query::parse("with turbidity").unwrap();
         let hits = after.engine.search(&t);
-        assert!(hits.iter().any(|h| h.path.contains("temp01")), "new dataset must be searchable");
+        assert!(hits.iter().any(|h| h.path.contains("turb01")), "new dataset must be searchable");
         // The unaffected cached list survived the generation bump — same
         // allocation, not a recompute.
         let again = after.engine.search(&q);

@@ -19,7 +19,7 @@ stage="$root/target/offline-test"
 shims="$root/benchmark/shims"
 crates="archive core discover formats harvest pipeline remote search server telemetry transform vocab"
 # crate:test-file pairs free of proptest
-tests="search:reference_sweep remote:reference_sweep remote:fault remote:e2e server:http server:alloc_guard"
+tests="core:torture_group_commit search:reference_sweep remote:reference_sweep remote:fault remote:e2e server:http server:alloc_guard server:ownership"
 
 rm -rf "$stage/crates"
 mkdir -p "$stage/crates"
@@ -47,5 +47,6 @@ cp -r crates/search/tests/common "$stage/crates/search/tests/"
 
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$stage/target}"
 cargo test --offline --manifest-path "$stage/Cargo.toml" \
+    -p metamess-core -p metamess-pipeline \
     -p metamess-search -p metamess-remote -p metamess-server \
     --no-fail-fast --lib "${selected[@]}" "$@"

@@ -423,7 +423,7 @@ fn open_engine(store_dir: &Path, spec: ShardSpec) -> Result<SearchEngine, metame
     } else {
         Vocabulary::observatory_default()
     };
-    Ok(SearchEngine::build_sharded(store.catalog(), vocab, spec))
+    Ok(SearchEngine::from_catalog(store.into_catalog(), vocab, spec))
 }
 
 /// Strips `--explain` plus the value-taking shard and remote flags out
@@ -660,15 +660,14 @@ fn cmd_shardd(args: &[String]) -> Result<(), metamess::core::Error> {
     } else {
         Vocabulary::observatory_default()
     };
-    let host = metamess::remote::ShardHost::build(
-        store.catalog(),
+    let host = metamess::remote::ShardHost::from_catalog(
+        store.into_catalog(),
         vocab,
         ShardSpec::new(shard_count, partitioner),
         shard_id,
     )?;
     let generation = host.generation();
     let hosted = host.len();
-    drop(store);
 
     let daemon = metamess::remote::Shardd::spawn(std::sync::Arc::new(host), &listen)?;
     let shutdown = metamess::server::ShutdownHandle::new();
