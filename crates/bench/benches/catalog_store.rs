@@ -12,12 +12,8 @@ use std::path::PathBuf;
 fn sample_catalog() -> Catalog {
     let archive = generate(&ArchiveSpec::default());
     let source = MemorySource { files: &archive.files };
-    let config = HarvestConfig {
-        scan: ScanConfig::default(),
-        naming: observatory_rules(),
-        pipeline_run: 1,
-        parallelism: 1,
-    };
+    let config =
+        HarvestConfig { scan: ScanConfig::default(), naming: observatory_rules(), pipeline_run: 1 };
     let report = harvest(&source, &config, None).unwrap();
     let mut c = Catalog::new();
     for f in report.features {
@@ -56,11 +52,7 @@ fn bench_wal_append(c: &mut Criterion) {
         b.iter_with_setup(
             || {
                 let dir = fresh_dir("fsync");
-                DurableCatalog::open(
-                    &dir,
-                    StoreOptions { sync_on_append: true, ..StoreOptions::default() },
-                )
-                .unwrap()
+                DurableCatalog::open(&dir, StoreOptions { sync_on_append: true }).unwrap()
             },
             |mut store| {
                 for f in &features {

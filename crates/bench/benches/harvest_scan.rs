@@ -9,12 +9,7 @@ use metamess_harvest::{harvest, observatory_rules, HarvestConfig, MemorySource, 
 use std::hint::black_box;
 
 fn config() -> HarvestConfig {
-    HarvestConfig {
-        scan: ScanConfig::default(),
-        naming: observatory_rules(),
-        pipeline_run: 1,
-        parallelism: 1,
-    }
+    HarvestConfig { scan: ScanConfig::default(), naming: observatory_rules(), pipeline_run: 1 }
 }
 
 fn bench_harvest(c: &mut Criterion) {
@@ -25,11 +20,6 @@ fn bench_harvest(c: &mut Criterion) {
         b.iter(|| black_box(harvest(black_box(&source), &config(), None).unwrap()))
     });
 
-    let parallel = HarvestConfig { parallelism: 4, ..config() };
-    c.bench_function("harvest/full-scan-4-workers", |b| {
-        b.iter(|| black_box(harvest(black_box(&source), &parallel, None).unwrap()))
-    });
-
     // Previous catalog in place: everything unchanged → fingerprint-only.
     let first = harvest(&source, &config(), None).unwrap();
     let mut prev = Catalog::new();
@@ -38,9 +28,6 @@ fn bench_harvest(c: &mut Criterion) {
     }
     c.bench_function("harvest/incremental-unchanged", |b| {
         b.iter(|| black_box(harvest(black_box(&source), &config(), Some(&prev)).unwrap()))
-    });
-    c.bench_function("harvest/incremental-unchanged-4-workers", |b| {
-        b.iter(|| black_box(harvest(black_box(&source), &parallel, Some(&prev)).unwrap()))
     });
 }
 

@@ -29,8 +29,8 @@ pub use geo::{GeoBBox, GeoPoint};
 pub use id::{DatasetId, VariableId};
 pub use stats::{ColumnSummary, NumericSummary};
 pub use store::{
-    DurableCatalog, FaultKind, FaultPlan, FaultVfs, RecoveryMode, RecoveryReport, RunLedger,
-    StageRecord, StdVfs, StoreOptions, Vfs,
+    DurableCatalog, FaultKind, FaultPlan, FaultVfs, RecoveryReport, RunLedger, StageRecord, StdVfs,
+    StoreOptions, Vfs,
 };
 pub use time::{TimeInterval, Timestamp};
 pub use value::{Record, Value};

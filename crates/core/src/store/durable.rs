@@ -1,24 +1,26 @@
 //! The durable catalog: snapshot + WAL with crash recovery.
 //!
-//! A [`DurableCatalog`] owns a directory containing `snapshot.bin` and
-//! `wal.log`. Every mutation is appended to the WAL before being applied in
-//! memory; `checkpoint` folds the WAL into a fresh snapshot and resets the
-//! log. Opening replays snapshot-then-WAL, optionally truncating a torn
-//! tail.
+//! A store is a directory containing `snapshot.bin` and `wal.log`, read by
+//! many processes while one appends to it. Recovery — snapshot, then every
+//! valid WAL record on top — exists once, in [`read_published`], and never
+//! modifies either file: **a reader reads**. [`DurableCatalog::open`], the
+//! writer's handle, is built on the same load and differs only in what it
+//! does about damage, because it is about to append after it: a damaged WAL
+//! tail is truncated to the valid prefix, and a snapshot or WAL that fails
+//! verification outright is quarantined (recorded in the
+//! [`RecoveryReport`] and `metamess_core_recovery_quarantined_total`) so
+//! the store opens from what is left. A reader handed the same files
+//! serves the valid prefix of a damaged tail and refuses the rest.
 //!
-//! Recovery degrades gracefully rather than erroring: in
-//! [`RecoveryMode::TruncateTail`] a corrupt snapshot is quarantined and the
-//! store falls back to WAL-only replay, and an unreadable WAL (bad magic)
-//! is quarantined so the store can still open from the snapshot. Every
-//! quarantined anomaly is recorded in the [`RecoveryReport`] and the
-//! `metamess_core_recovery_quarantined_total` counter.
+//! Every mutation is appended to the WAL before being applied in memory;
+//! `checkpoint` folds the WAL into a fresh snapshot and resets the log.
 
 use super::lock::{lock_path, StoreLock};
 use super::metrics::store_metrics;
 use super::quarantine::{quarantine_file, QuarantineReason, Quarantined};
 use super::snapshot::{read_snapshot_with, write_snapshot_with};
 use super::vfs::{std_vfs, Vfs};
-use super::wal::{RecoveryMode, ReplaySummary, Wal};
+use super::wal::{TailRead, Wal};
 use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, IoContext, Result};
 use crate::feature::DatasetFeature;
@@ -28,20 +30,84 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Tuning and durability options for a [`DurableCatalog`].
+/// Durability options for a [`DurableCatalog`].
 #[derive(Debug, Clone, Default)]
 pub struct StoreOptions {
     /// fsync the WAL on every append (safest, slowest). When false, records
     /// are buffered and synced at checkpoints and on `flush`.
     pub sync_on_append: bool,
-    /// Automatically checkpoint after this many WAL appends (0 = never).
-    pub auto_checkpoint_every: u64,
-    /// Recovery behaviour for a damaged WAL tail.
-    pub recovery: RecoveryMode,
-    /// Where corrupt files are moved during recovery. Defaults to
-    /// `<store-dir>/quarantine` when unset; the CLI points it at
-    /// `<store>/state/quarantine` so all anomalies live in one place.
-    pub quarantine_dir: Option<PathBuf>,
+}
+
+/// What a store directory holds, as [`read_published`] recovered it.
+#[derive(Debug, Default, PartialEq)]
+pub struct Published {
+    /// The snapshot with every valid WAL record applied on top.
+    pub catalog: Catalog,
+    /// Whether a snapshot was loaded.
+    pub snapshot_loaded: bool,
+    /// Number of WAL mutations applied on top of the snapshot.
+    pub wal_mutations: usize,
+    /// WAL bytes `catalog` reflects: where [`Wal::read_tail`] resumes.
+    pub wal_offset: u64,
+    /// Why the WAL read stopped before end of file (`None` when it consumed
+    /// everything): a writer mid-append, or a damaged tail.
+    pub stopped_early: Option<String>,
+}
+
+/// Reads the catalog published in `catalog_dir` without modifying it: the
+/// snapshot, then every valid WAL record on top. A missing file reads as
+/// empty. Nothing is created, truncated or quarantined, so this is safe
+/// beside a live writer; a snapshot or WAL that fails verification is an
+/// [`Error::Corrupt`], and a damaged (or still being written) WAL tail is
+/// reported in [`Published::stopped_early`] with the prefix before it
+/// served. The shared store lock is held for the duration, so `fsck
+/// --repair` cannot move files mid-read.
+pub fn read_published(catalog_dir: impl AsRef<Path>) -> Result<Published> {
+    let dir = catalog_dir.as_ref();
+    let _lock = StoreLock::shared(lock_path(dir))?;
+    load(std_vfs().as_ref(), dir, |_, e| Err(e))
+}
+
+/// Snapshot, then WAL from byte 0, applied. `unverifiable` is handed each
+/// file that fails verification: a reader passes the error on, the writer
+/// sets the file aside and the load goes on as if it were absent.
+fn load(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    mut unverifiable: impl FnMut(&Path, Error) -> Result<()>,
+) -> Result<Published> {
+    let snap_path = dir.join("snapshot.bin");
+    let snapshot = match read_snapshot_with(vfs, &snap_path) {
+        Err(e) if e.is_corrupt() => {
+            unverifiable(&snap_path, e)?;
+            None
+        }
+        read => read?,
+    };
+    let wal_path = dir.join("wal.log");
+    let tail = match Wal::read_tail_with(vfs, &wal_path, 0) {
+        Err(e) if e.is_corrupt() => {
+            unverifiable(&wal_path, e)?;
+            TailRead::default()
+        }
+        read => read?,
+    };
+    let snapshot_loaded = snapshot.is_some();
+    let mut catalog = snapshot.unwrap_or_default();
+    let wal_mutations = tail.mutations.len();
+    for m in tail.mutations {
+        catalog.apply(m);
+    }
+    if metamess_telemetry::enabled() {
+        store_metrics().recovery_replayed.add(wal_mutations as u64);
+    }
+    Ok(Published {
+        catalog,
+        snapshot_loaded,
+        wal_mutations,
+        wal_offset: tail.new_offset,
+        stopped_early: tail.stopped_early,
+    })
 }
 
 /// When and how a [`DurableCatalog`] folds its WAL into a fresh snapshot.
@@ -119,7 +185,6 @@ pub struct DurableCatalog {
     catalog: Catalog,
     wal: Wal,
     vfs: Arc<dyn Vfs>,
-    options: StoreOptions,
     recovery: RecoveryReport,
     appends_since_checkpoint: u64,
     /// Shared advisory lock held for the store's lifetime so that
@@ -128,8 +193,10 @@ pub struct DurableCatalog {
 }
 
 impl DurableCatalog {
-    /// Opens (creating if needed) a durable catalog in `dir` on the
-    /// standard file system.
+    /// Opens (creating if needed) a durable catalog in `dir` for appending,
+    /// on the standard file system. This is the writer's handle: it repairs
+    /// what it finds damaged (see the module docs). To only read a store,
+    /// use [`read_published`].
     pub fn open(dir: impl AsRef<Path>, options: StoreOptions) -> Result<DurableCatalog> {
         DurableCatalog::open_with(std_vfs(), dir, options)
     }
@@ -149,58 +216,28 @@ impl DurableCatalog {
         // under a fault-injecting VFS — the lock is process coordination,
         // not crash state.
         let lock = StoreLock::shared(lock_path(&dir))?;
-        let snap_path = dir.join("snapshot.bin");
         let wal_path = dir.join("wal.log");
-        let quarantine_dir =
-            options.quarantine_dir.clone().unwrap_or_else(|| dir.join("quarantine"));
-        let lenient = options.recovery == RecoveryMode::TruncateTail;
-
         let mut recovery = RecoveryReport::default();
-        let mut catalog = match read_snapshot_with(vfs.as_ref(), &snap_path) {
-            Ok(Some(c)) => {
-                recovery.snapshot_loaded = true;
-                c
+        let published = load(vfs.as_ref(), &dir, |path, e| {
+            let reason = QuarantineReason {
+                source: path.display().to_string(),
+                detail: e.to_string(),
+                quarantined_by: "recovery".to_string(),
+            };
+            let dest = quarantine_file(vfs.as_ref(), path, &dir.join("quarantine"), &reason)?;
+            recovery.quarantined.push(Quarantined { quarantined_to: dest, reason });
+            Ok(())
+        })?;
+        recovery.snapshot_loaded = published.snapshot_loaded;
+        recovery.wal_mutations = published.wal_mutations;
+        if published.stopped_early.is_some() {
+            // Appends go after the valid prefix, not after the damage.
+            let len = vfs.file_len(&wal_path).io_ctx("stat wal tail")?;
+            vfs.truncate(&wal_path, published.wal_offset).io_ctx("truncate wal tail")?;
+            recovery.truncated_bytes = len - published.wal_offset;
+            if metamess_telemetry::enabled() {
+                store_metrics().recovery_truncated_bytes.add(recovery.truncated_bytes);
             }
-            Ok(None) => Catalog::new(),
-            Err(e) if e.is_corrupt() && lenient => {
-                // Corrupt snapshot: quarantine it and fall back to
-                // WAL-only replay rather than refusing to open.
-                Self::quarantine(
-                    vfs.as_ref(),
-                    &snap_path,
-                    &quarantine_dir,
-                    &e.to_string(),
-                    &mut recovery,
-                )?;
-                Catalog::new()
-            }
-            Err(e) => return Err(e),
-        };
-        let replay = match Wal::replay_with(vfs.as_ref(), &wal_path, options.recovery) {
-            Ok(r) => r,
-            Err(e) if e.is_corrupt() && lenient => {
-                // Unreadable WAL (bad magic): quarantine the whole log and
-                // open from whatever the snapshot gave us.
-                Self::quarantine(
-                    vfs.as_ref(),
-                    &wal_path,
-                    &quarantine_dir,
-                    &e.to_string(),
-                    &mut recovery,
-                )?;
-                ReplaySummary::default()
-            }
-            Err(e) => return Err(e),
-        };
-        recovery.wal_mutations = replay.mutations.len();
-        recovery.truncated_bytes = replay.truncated_bytes;
-        for m in replay.mutations {
-            catalog.apply(m);
-        }
-        if metamess_telemetry::enabled() {
-            let m = store_metrics();
-            m.recovery_replayed.add(recovery.wal_mutations as u64);
-            m.recovery_truncated_bytes.add(recovery.truncated_bytes);
         }
         if !recovery.quarantined.is_empty() {
             event!(
@@ -230,31 +267,13 @@ impl DurableCatalog {
         let wal = Wal::open_with(vfs.clone(), &wal_path, options.sync_on_append)?;
         Ok(DurableCatalog {
             dir,
-            catalog,
+            catalog: published.catalog,
             wal,
             vfs,
-            options,
             recovery,
             appends_since_checkpoint: 0,
             _lock: lock,
         })
-    }
-
-    fn quarantine(
-        vfs: &dyn Vfs,
-        path: &Path,
-        quarantine_dir: &Path,
-        detail: &str,
-        recovery: &mut RecoveryReport,
-    ) -> Result<()> {
-        let reason = QuarantineReason {
-            source: path.display().to_string(),
-            detail: detail.to_string(),
-            quarantined_by: "recovery".to_string(),
-        };
-        let dest = quarantine_file(vfs, path, quarantine_dir, &reason)?;
-        recovery.quarantined.push(Quarantined { quarantined_to: dest, reason });
-        Ok(())
     }
 
     /// The recovery report from `open`.
@@ -267,14 +286,6 @@ impl DurableCatalog {
         &self.catalog
     }
 
-    /// Closes the store and hands over the recovered catalog, so a reader
-    /// that only wants the contents (serve, shardd) keeps the one copy
-    /// recovery decoded. Buffered WAL records are flushed, not fsynced, as
-    /// on drop.
-    pub fn into_catalog(self) -> Catalog {
-        self.catalog
-    }
-
     /// Directory backing this store.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -285,11 +296,6 @@ impl DurableCatalog {
         self.wal.append(&m)?;
         self.catalog.apply(m);
         self.appends_since_checkpoint += 1;
-        if self.options.auto_checkpoint_every > 0
-            && self.appends_since_checkpoint >= self.options.auto_checkpoint_every
-        {
-            self.checkpoint()?;
-        }
         Ok(())
     }
 
@@ -493,7 +499,7 @@ mod tests {
     }
 
     fn opts_sync() -> StoreOptions {
-        StoreOptions { sync_on_append: true, ..StoreOptions::default() }
+        StoreOptions { sync_on_append: true }
     }
 
     #[test]
@@ -556,23 +562,37 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_surfaces_corruption() {
-        let dir = tmpdir("strict");
+    fn a_reader_serves_the_prefix_of_a_torn_tail_and_leaves_the_file_alone() {
+        let dir = tmpdir("reader-torn");
         {
             let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
             s.put(DatasetFeature::new("a.csv")).unwrap();
+            s.put(DatasetFeature::new("b.csv")).unwrap();
         }
         let wal = dir.join("wal.log");
         let len = fs::metadata(&wal).unwrap().len();
         let f = OpenOptions::new().write(true).open(&wal).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
-        let e = DurableCatalog::open(
-            &dir,
-            StoreOptions { recovery: RecoveryMode::Strict, ..StoreOptions::default() },
-        )
-        .unwrap_err();
-        assert!(e.is_corrupt());
+        let torn = fs::read(&wal).unwrap();
+        let p = read_published(&dir).unwrap();
+        assert_eq!(p.catalog.len(), 1);
+        assert_eq!((p.snapshot_loaded, p.wal_mutations), (false, 1));
+        assert!(p.stopped_early.is_some());
+        assert!(p.wal_offset < len - 3);
+        assert_eq!(fs::read(&wal).unwrap(), torn, "a reader never modifies the log");
+        // The writer's open is what truncates, to where the reader stopped.
+        let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
+        assert_eq!(s.catalog(), &p.catalog);
+        assert_eq!(s.wal_bytes(), p.wal_offset);
+    }
+
+    #[test]
+    fn reading_a_store_that_is_not_there_creates_neither_file() {
+        let dir = tmpdir("reader-absent");
+        assert_eq!(read_published(&dir).unwrap(), Published::default());
+        assert!(!dir.join("snapshot.bin").exists());
+        assert!(!dir.join("wal.log").exists());
     }
 
     #[test]
@@ -603,13 +623,11 @@ mod tests {
         assert!(q.quarantined_to.exists());
         assert!(q.reason.detail.contains("crc"), "{}", q.reason.detail);
         assert!(!snap.exists());
-        // Strict mode still refuses instead of quarantining.
-        drop(s);
     }
 
     #[test]
-    fn corrupt_snapshot_in_strict_mode_errors() {
-        let dir = tmpdir("badsnap-strict");
+    fn a_reader_refuses_a_corrupt_snapshot_and_leaves_it_in_place() {
+        let dir = tmpdir("badsnap-reader");
         {
             let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
             s.put(DatasetFeature::new("a.csv")).unwrap();
@@ -620,12 +638,9 @@ mod tests {
         let ix = bytes.len() - 2;
         bytes[ix] ^= 0x20;
         fs::write(&snap, &bytes).unwrap();
-        let e = DurableCatalog::open(
-            &dir,
-            StoreOptions { recovery: RecoveryMode::Strict, ..StoreOptions::default() },
-        )
-        .unwrap_err();
-        assert!(e.is_corrupt());
+        assert!(read_published(&dir).unwrap_err().is_corrupt());
+        assert_eq!(fs::read(&snap).unwrap(), bytes);
+        assert!(!dir.join("quarantine").exists());
     }
 
     #[test]
@@ -647,44 +662,6 @@ mod tests {
         let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
         s.put(DatasetFeature::new("c.csv")).unwrap();
         assert_eq!(s.catalog().len(), 2);
-    }
-
-    #[test]
-    fn quarantine_dir_option_is_honored() {
-        let dir = tmpdir("qdir");
-        let qdir = tmpdir("qdir-target");
-        {
-            let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
-            s.put(DatasetFeature::new("a.csv")).unwrap();
-            s.checkpoint().unwrap();
-        }
-        let snap = dir.join("snapshot.bin");
-        let mut bytes = fs::read(&snap).unwrap();
-        let ix = bytes.len() - 2;
-        bytes[ix] ^= 0x20;
-        fs::write(&snap, &bytes).unwrap();
-        let s = DurableCatalog::open(
-            &dir,
-            StoreOptions { quarantine_dir: Some(qdir.clone()), ..opts_sync() },
-        )
-        .unwrap();
-        assert_eq!(s.recovery_report().quarantined.len(), 1);
-        assert!(s.recovery_report().quarantined[0].quarantined_to.starts_with(&qdir));
-    }
-
-    #[test]
-    fn auto_checkpoint_triggers() {
-        let dir = tmpdir("auto");
-        let mut s = DurableCatalog::open(
-            &dir,
-            StoreOptions { auto_checkpoint_every: 2, sync_on_append: true, ..Default::default() },
-        )
-        .unwrap();
-        s.put(DatasetFeature::new("a.csv")).unwrap();
-        assert_eq!(s.pending_wal_records(), 1);
-        s.put(DatasetFeature::new("b.csv")).unwrap();
-        assert_eq!(s.pending_wal_records(), 0);
-        assert!(dir.join("snapshot.bin").exists());
     }
 
     /// A dataset with enough inside it that a lost or doubled field shows.
@@ -750,14 +727,15 @@ mod tests {
         let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
         assert!(!s.recovery_report().snapshot_loaded);
         assert_eq!(s.recovery_report().wal_mutations, mutations.len());
-        assert_eq!(s.into_catalog(), model(mutations.len()));
+        assert_eq!(s.catalog(), &model(mutations.len()));
+        drop(s);
         // … and with the last record torn, everything before it.
         let wal = dir.join("wal.log");
         let len = fs::metadata(&wal).unwrap().len();
         OpenOptions::new().write(true).open(&wal).unwrap().set_len(len - 5).unwrap();
         let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
         assert!(s.recovery_report().truncated_bytes > 0);
-        assert_eq!(s.into_catalog(), model(mutations.len() - 1));
+        assert_eq!(s.catalog(), &model(mutations.len() - 1));
     }
 
     #[test]

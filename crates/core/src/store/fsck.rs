@@ -12,7 +12,7 @@ use super::ledger::{read_ledger_with, RunLedger};
 use super::quarantine::{quarantine_file, QuarantineReason};
 use super::snapshot::read_snapshot_with;
 use super::vfs::Vfs;
-use super::wal::{RecoveryMode, ReplaySummary, Wal};
+use super::wal::{TailRead, Wal};
 use crate::catalog::Catalog;
 use crate::error::Result;
 use serde::{Deserialize, Serialize};
@@ -201,79 +201,53 @@ pub fn check_ledger(
     }
 }
 
-/// Checks a WAL file record by record. A damaged *tail* yields an `Error`
-/// finding proposing truncation to the valid prefix (the salvageable
-/// records are still returned); unreadable framing (bad magic, damage
-/// mid-file) proposes quarantine. Returns the decoded record summary when
-/// anything was salvageable.
+/// Checks a WAL file record by record, in one read that leaves it as it
+/// is. A read that stops before end of file yields an `Error` finding
+/// proposing truncation to where it stopped (the records before are still
+/// returned); a log that cannot be read at all (bad magic) proposes
+/// quarantine. Returns the decoded records when anything was readable.
 pub fn check_wal(
     vfs: &dyn Vfs,
     path: &Path,
     component: &str,
     report: &mut FsckReport,
-) -> Option<ReplaySummary> {
+) -> Option<TailRead> {
     report.files_checked += 1;
     if !vfs.exists(path) {
         report.push(component, path, FsckSeverity::Info, "absent", None);
         return None;
     }
-    match Wal::replay_with(vfs, path, RecoveryMode::Strict) {
-        Ok(s) => {
-            report.push(
-                component,
-                path,
-                FsckSeverity::Info,
-                format!("ok: {} records", s.mutations.len()),
-                None,
-            );
-            Some(s)
-        }
-        Err(strict_err) if strict_err.is_corrupt() => {
-            // Distinguish a salvageable damaged tail from unreadable framing.
-            match Wal::replay_with(vfs, path, RecoveryMode::TruncateTail) {
-                Ok(s) if s.truncated_bytes > 0 => {
-                    let total = vfs.file_len(path).unwrap_or(0);
-                    let valid = total.saturating_sub(s.truncated_bytes);
+    match Wal::read_tail_with(vfs, path, 0) {
+        Ok(tail) => {
+            match &tail.stopped_early {
+                None => report.push(
+                    component,
+                    path,
+                    FsckSeverity::Info,
+                    format!("ok: {} records", tail.mutations.len()),
+                    None,
+                ),
+                Some(reason) => {
+                    let total = vfs.file_len(path).unwrap_or(tail.new_offset);
                     report.push(
                         component,
                         path,
                         FsckSeverity::Error,
                         format!(
-                            "damaged tail: {} of {} bytes invalid after {} good records",
-                            s.truncated_bytes,
-                            total,
-                            s.mutations.len()
+                            "damaged tail ({reason}): {} of {total} bytes invalid after {} good \
+                             records",
+                            total.saturating_sub(tail.new_offset),
+                            tail.mutations.len()
                         ),
-                        Some(RepairAction::TruncateTo { len: valid }),
+                        Some(RepairAction::TruncateTo { len: tail.new_offset }),
                     );
-                    Some(s)
-                }
-                Ok(s) => {
-                    // Strict failed but lenient found nothing to truncate —
-                    // treat conservatively as damage requiring quarantine.
-                    report.push(
-                        component,
-                        path,
-                        FsckSeverity::Error,
-                        strict_err.to_string(),
-                        Some(RepairAction::Quarantine),
-                    );
-                    Some(s)
-                }
-                Err(e) => {
-                    report.push(
-                        component,
-                        path,
-                        FsckSeverity::Error,
-                        e.to_string(),
-                        Some(RepairAction::Quarantine),
-                    );
-                    None
                 }
             }
+            Some(tail)
         }
         Err(e) => {
-            report.push(component, path, FsckSeverity::Error, e.to_string(), None);
+            let proposed = e.is_corrupt().then_some(RepairAction::Quarantine);
+            report.push(component, path, FsckSeverity::Error, e.to_string(), proposed);
             None
         }
     }
@@ -291,9 +265,9 @@ pub fn check_catalog_dir(vfs: &dyn Vfs, dir: &Path, report: &mut FsckReport) -> 
         Some(c) => (c.generation(), c),
         None => (0, Catalog::new()),
     };
-    let replay = wal?;
-    let wal_records = replay.mutations.len();
-    for m in replay.mutations {
+    let tail = wal?;
+    let wal_records = tail.mutations.len();
+    for m in tail.mutations {
         recovered.apply(m);
     }
     let expected = snap_gen + wal_records as u64;
@@ -384,11 +358,7 @@ mod tests {
     }
 
     fn populated_store(dir: &Path) {
-        let mut s = DurableCatalog::open(
-            dir,
-            StoreOptions { sync_on_append: true, ..StoreOptions::default() },
-        )
-        .unwrap();
+        let mut s = DurableCatalog::open(dir, StoreOptions { sync_on_append: true }).unwrap();
         s.put(DatasetFeature::new("a.csv")).unwrap();
         s.checkpoint().unwrap();
         s.put(DatasetFeature::new("b.csv")).unwrap();
@@ -414,17 +384,25 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&wal).unwrap();
         f.set_len(len - 5).unwrap();
         drop(f);
+        let damaged = fs::read(&wal).unwrap();
 
         let vfs = std_vfs();
         let mut report = FsckReport::default();
         check_catalog_dir(vfs.as_ref(), &dir, &mut report);
         assert_eq!(report.error_count(), 1);
         let finding = report.findings.iter().find(|f| f.proposed.is_some()).unwrap();
-        assert!(matches!(finding.proposed, Some(RepairAction::TruncateTo { .. })));
+        let Some(RepairAction::TruncateTo { len: valid }) = finding.proposed else {
+            panic!("expected a truncation proposal, got {:?}", finding.proposed);
+        };
+        assert!(valid < damaged.len() as u64);
+        // A check only reads: it may run under the shared lock, beside a
+        // writer whose half-written record this tail could be.
+        assert_eq!(fs::read(&wal).unwrap(), damaged, "a check must leave the log as it is");
 
         apply_repairs(vfs.as_ref(), &mut report, &dir.join("quarantine")).unwrap();
         assert_eq!(report.repairs_applied, 1);
         assert!(report.fully_repaired());
+        assert_eq!(fs::read(&wal).unwrap(), damaged[..valid as usize], "the repair shortens it");
         // After repair the store is strict-clean again.
         let mut after = FsckReport::default();
         check_catalog_dir(vfs.as_ref(), &dir, &mut after);

@@ -22,7 +22,8 @@ mod wal;
 
 pub use crc::{crc32, Crc32};
 pub use durable::{
-    CompactionPolicy, CompactionReport, DurableCatalog, RecoveryReport, StoreOptions,
+    read_published, CompactionPolicy, CompactionReport, DurableCatalog, Published, RecoveryReport,
+    StoreOptions,
 };
 pub use fsck::{FsckFinding, FsckReport, FsckSeverity};
 pub use group_commit::{CommitTicket, GroupCommit, GroupCommitOptions};
@@ -36,4 +37,4 @@ pub use snapshot::{
     read_snapshot, read_snapshot_with, write_snapshot, write_snapshot_with, SNAPSHOT_MAGIC,
 };
 pub use vfs::{std_vfs, FaultKind, FaultPlan, FaultVfs, StdVfs, Vfs, VfsFile};
-pub use wal::{RecoveryMode, ReplaySummary, TailRead, Wal, WAL_MAGIC};
+pub use wal::{TailRead, Wal, WAL_MAGIC};

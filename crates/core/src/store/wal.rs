@@ -9,9 +9,14 @@
 //! ```
 //!
 //! `crc` is the CRC-32 of the payload. The payload is the JSON encoding of a
-//! [`Mutation`](crate::catalog::Mutation). Torn final records (a crash during
-//! append) are detected and may be truncated away; corruption *before* the
-//! tail is reported as [`Error::Corrupt`].
+//! [`Mutation`](crate::catalog::Mutation). A record that fails its length,
+//! CRC or decode check stops the read there — the decoder never looks past
+//! it, so damage anywhere reads as a damaged tail (a crash or a writer
+//! mid-append is the usual cause). What happens next is the caller's
+//! policy: [`DurableCatalog::open`](super::DurableCatalog::open), the one
+//! writer, truncates the log to the valid prefix; every reader serves the
+//! prefix and leaves the file alone. Only a bad magic is
+//! [`Error::Corrupt`].
 //!
 //! All file I/O flows through a [`Vfs`], so the same code path can run
 //! against the real file system or the fault-injecting
@@ -31,32 +36,13 @@ pub const WAL_MAGIC: &[u8; 8] = b"MMWAL001";
 /// Refuse to read a single record larger than this (corruption guard).
 const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
-/// How [`Wal::replay`] treats a damaged tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryMode {
-    /// Any invalid data is an error.
-    Strict,
-    /// A damaged *final* region is truncated away (normal crash recovery);
-    /// damage followed by further valid data is still an error.
-    #[default]
-    TruncateTail,
-}
-
-/// Outcome of a WAL replay.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReplaySummary {
-    /// Mutations successfully decoded, in append order.
-    pub mutations: Vec<Mutation>,
-    /// Bytes of damaged tail that were truncated (0 when clean).
-    pub truncated_bytes: u64,
-}
-
-/// Outcome of a [`Wal::read_tail`] incremental read.
+/// Outcome of a [`Wal::read_tail`] read.
 ///
-/// Unlike [`ReplaySummary`], a tail read never mutates the log: a reader
-/// polling a WAL that another process is appending to must not truncate
-/// bytes the writer's buffer still holds, or the two would corrupt each
-/// other. Damage here therefore only *stops* the read.
+/// A tail read never mutates the log: a reader beside a WAL that another
+/// process is appending to must not truncate bytes the writer's buffer
+/// still holds, or the two would corrupt each other. Damage here therefore
+/// only *stops* the read; what to do about it is the caller's policy (a
+/// reader serves the prefix, the one writer truncates to `new_offset`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TailRead {
     /// Complete, CRC-valid mutations decoded from `offset` onwards.
@@ -115,93 +101,6 @@ impl Wal {
         Ok(Wal { path, writer: BufWriter::new(file), appended: 0, sync_on_append })
     }
 
-    /// Replays every valid record from the log at `path` without opening it
-    /// for writing, using the standard file system.
-    pub fn replay(path: impl AsRef<Path>, mode: RecoveryMode) -> Result<ReplaySummary> {
-        Wal::replay_with(std_vfs().as_ref(), path, mode)
-    }
-
-    /// Replays every valid record from the log at `path` through an
-    /// explicit [`Vfs`]. Returns the decoded mutations.
-    pub fn replay_with(
-        vfs: &dyn Vfs,
-        path: impl AsRef<Path>,
-        mode: RecoveryMode,
-    ) -> Result<ReplaySummary> {
-        let path = path.as_ref();
-        let bytes = match vfs.read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(ReplaySummary::default())
-            }
-            Err(e) => return Err(Error::io(format!("open wal {}", path.display()), e)),
-        };
-        if bytes.is_empty() {
-            return Ok(ReplaySummary::default());
-        }
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(Error::corrupt(format!("wal {}: bad magic", path.display())));
-        }
-
-        let mut mutations = Vec::new();
-        let mut pos = WAL_MAGIC.len();
-        let mut valid_end = pos;
-        let mut damage: Option<String> = None;
-        while pos < bytes.len() {
-            if pos + 8 > bytes.len() {
-                damage = Some("torn record header".into());
-                break;
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-            if len > MAX_RECORD_LEN {
-                damage = Some(format!("record length {len} exceeds cap"));
-                break;
-            }
-            let start = pos + 8;
-            let end = start + len as usize;
-            if end > bytes.len() {
-                damage = Some("torn record payload".into());
-                break;
-            }
-            let payload = &bytes[start..end];
-            if crc32(payload) != crc {
-                damage = Some("crc mismatch".into());
-                break;
-            }
-            // A record whose CRC verifies but whose payload no longer
-            // decodes is damage too: in TruncateTail mode the store
-            // degrades gracefully by salvaging the prefix.
-            let m: Mutation = match serde_json::from_slice(payload) {
-                Ok(m) => m,
-                Err(e) => {
-                    damage = Some(format!("undecodable mutation: {e}"));
-                    break;
-                }
-            };
-            mutations.push(m);
-            pos = end;
-            valid_end = end;
-        }
-
-        if let Some(reason) = damage {
-            match mode {
-                RecoveryMode::Strict => {
-                    return Err(Error::corrupt(format!(
-                        "wal {}: {reason} at byte {valid_end}",
-                        path.display()
-                    )));
-                }
-                RecoveryMode::TruncateTail => {
-                    let truncated = (bytes.len() - valid_end) as u64;
-                    vfs.truncate(path, valid_end as u64).io_ctx("truncate wal tail")?;
-                    return Ok(ReplaySummary { mutations, truncated_bytes: truncated });
-                }
-            }
-        }
-        Ok(ReplaySummary { mutations, truncated_bytes: 0 })
-    }
-
     /// Reads complete records from byte `offset` onwards without opening the
     /// log for writing and without ever truncating it, using the standard
     /// file system.
@@ -218,7 +117,8 @@ impl Wal {
         Wal::read_tail_with(std_vfs().as_ref(), path, offset)
     }
 
-    /// [`Wal::read_tail`] through an explicit [`Vfs`].
+    /// [`Wal::read_tail`] through an explicit [`Vfs`]. Every reader of a
+    /// WAL — recovery, serving, fsck — decodes its records here.
     pub fn read_tail_with(vfs: &dyn Vfs, path: impl AsRef<Path>, offset: u64) -> Result<TailRead> {
         let path = path.as_ref();
         let bytes = match vfs.read(path) {
@@ -354,6 +254,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::feature::DatasetFeature;
+    use crate::store::{DurableCatalog, StoreOptions};
     use std::fs::{self, OpenOptions};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -367,6 +268,11 @@ mod tests {
         Mutation::Put(Box::new(DatasetFeature::new(path)))
     }
 
+    /// Everything the log holds, and whether the read reached its end.
+    fn read_all(path: &Path) -> TailRead {
+        Wal::read_tail(path, 0).unwrap()
+    }
+
     #[test]
     fn append_and_replay() {
         let dir = tmpdir("basic");
@@ -378,17 +284,16 @@ mod tests {
             w.append(&Mutation::Delete(crate::id::DatasetId::from_path("a.csv"))).unwrap();
             assert_eq!(w.appended(), 3);
         }
-        let r = Wal::replay(&wal, RecoveryMode::Strict).unwrap();
+        let r = read_all(&wal);
         assert_eq!(r.mutations.len(), 3);
-        assert_eq!(r.truncated_bytes, 0);
+        assert!(r.stopped_early.is_none());
         assert!(matches!(r.mutations[2], Mutation::Delete(_)));
     }
 
     #[test]
     fn replay_missing_file_is_empty() {
         let dir = tmpdir("missing");
-        let r = Wal::replay(dir.join("nope.log"), RecoveryMode::Strict).unwrap();
-        assert!(r.mutations.is_empty());
+        assert_eq!(read_all(&dir.join("nope.log")), TailRead::default());
     }
 
     #[test]
@@ -403,8 +308,9 @@ mod tests {
             let mut w = Wal::open(&wal, true).unwrap();
             w.append(&put("b.csv")).unwrap();
         }
-        let r = Wal::replay(&wal, RecoveryMode::Strict).unwrap();
+        let r = read_all(&wal);
         assert_eq!(r.mutations.len(), 2);
+        assert!(r.stopped_early.is_none());
     }
 
     #[test]
@@ -422,18 +328,22 @@ mod tests {
         f.set_len(len - 10).unwrap();
         drop(f);
 
-        // Strict mode refuses.
-        assert!(Wal::replay(&wal, RecoveryMode::Strict).unwrap_err().is_corrupt());
-        // Truncate mode salvages the first record.
-        let r = Wal::replay(&wal, RecoveryMode::TruncateTail).unwrap();
+        // A read salvages the first record and says where it stopped.
+        let r = read_all(&wal);
         assert_eq!(r.mutations.len(), 1);
-        assert!(r.truncated_bytes > 0);
-        // After truncation the log is clean again and appendable.
+        assert!(r.stopped_early.is_some());
+        // The writer's open truncates there …
+        let store = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(store.recovery_report().truncated_bytes, len - 10 - r.new_offset);
+        drop(store);
+        assert_eq!(fs::metadata(&wal).unwrap().len(), r.new_offset);
+        // … after which the log is clean again and appendable.
         let mut w = Wal::open(&wal, true).unwrap();
         w.append(&put("c.csv")).unwrap();
         drop(w);
-        let r2 = Wal::replay(&wal, RecoveryMode::Strict).unwrap();
+        let r2 = read_all(&wal);
         assert_eq!(r2.mutations.len(), 2);
+        assert!(r2.stopped_early.is_none());
     }
 
     #[test]
@@ -448,14 +358,14 @@ mod tests {
         let ix = bytes.len() - 5;
         bytes[ix] ^= 0x40;
         fs::write(&wal, &bytes).unwrap();
-        assert!(Wal::replay(&wal, RecoveryMode::Strict).unwrap_err().is_corrupt());
-        let r = Wal::replay(&wal, RecoveryMode::TruncateTail).unwrap();
+        let r = read_all(&wal);
         assert!(r.mutations.is_empty());
-        assert!(r.truncated_bytes > 0);
+        assert_eq!(r.stopped_early.as_deref(), Some("crc mismatch"));
+        assert_eq!(r.new_offset, WAL_MAGIC.len() as u64);
     }
 
     #[test]
-    fn undecodable_record_with_valid_crc_is_truncatable_damage() {
+    fn undecodable_record_with_valid_crc_is_damage() {
         let dir = tmpdir("undecodable");
         let wal = dir.join("wal.log");
         {
@@ -470,18 +380,18 @@ mod tests {
         bytes.extend_from_slice(&crc32(junk).to_le_bytes());
         bytes.extend_from_slice(junk);
         fs::write(&wal, &bytes).unwrap();
-        assert!(Wal::replay(&wal, RecoveryMode::Strict).unwrap_err().is_corrupt());
-        let r = Wal::replay(&wal, RecoveryMode::TruncateTail).unwrap();
+        let r = read_all(&wal);
         assert_eq!(r.mutations.len(), 1, "the valid prefix survives");
-        assert!(r.truncated_bytes > 0);
+        assert!(r.stopped_early.unwrap().starts_with("undecodable mutation"));
+        assert!(r.new_offset < bytes.len() as u64);
     }
 
     #[test]
-    fn bad_magic_rejected_even_in_truncate_mode() {
+    fn bad_magic_rejected() {
         let dir = tmpdir("magic");
         let wal = dir.join("wal.log");
         fs::write(&wal, b"NOTAWAL0rest").unwrap();
-        assert!(Wal::replay(&wal, RecoveryMode::TruncateTail).unwrap_err().is_corrupt());
+        assert!(Wal::read_tail(&wal, 0).unwrap_err().is_corrupt());
     }
 
     #[test]
@@ -494,7 +404,7 @@ mod tests {
         assert_eq!(w.appended(), 0);
         w.append(&put("b.csv")).unwrap();
         drop(w);
-        let r = Wal::replay(&wal, RecoveryMode::Strict).unwrap();
+        let r = read_all(&wal);
         assert_eq!(r.mutations.len(), 1);
         assert!(matches!(&r.mutations[0], Mutation::Put(f) if f.path == "b.csv"));
     }
@@ -508,9 +418,9 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.extend_from_slice(b"junk");
         fs::write(&wal, &bytes).unwrap();
-        assert!(Wal::replay(&wal, RecoveryMode::Strict).unwrap_err().is_corrupt());
-        let r = Wal::replay(&wal, RecoveryMode::TruncateTail).unwrap();
+        let r = read_all(&wal);
         assert!(r.mutations.is_empty());
+        assert!(r.stopped_early.unwrap().contains("exceeds cap"));
     }
 
     #[test]
@@ -582,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn append_through_fault_vfs_torn_write_is_salvaged_on_replay() {
+    fn append_through_fault_vfs_torn_write_is_salvaged_on_read() {
         use crate::store::vfs::{FaultKind, FaultPlan, FaultVfs};
         let dir = tmpdir("fault");
         let wal = dir.join("wal.log");
@@ -596,8 +506,8 @@ mod tests {
             assert!(w.append(&put("b.csv")).is_err(), "torn write surfaces");
             assert!(vfs.crashed());
         }
-        // Recovery through the real fs salvages the acknowledged record.
-        let r = Wal::replay(&wal, RecoveryMode::TruncateTail).unwrap();
+        // A read through the real fs salvages the acknowledged record.
+        let r = read_all(&wal);
         assert_eq!(r.mutations.len(), 1);
         assert!(matches!(&r.mutations[0], Mutation::Put(f) if f.path == "a.csv"));
     }

@@ -22,9 +22,7 @@
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
-use metamess_core::store::{
-    DurableCatalog, FaultKind, FaultPlan, FaultVfs, RecoveryMode, StoreOptions, Vfs,
-};
+use metamess_core::store::{DurableCatalog, FaultKind, FaultPlan, FaultVfs, StoreOptions, Vfs};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,11 +50,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 fn torture_opts() -> StoreOptions {
-    StoreOptions {
-        sync_on_append: true,
-        recovery: RecoveryMode::TruncateTail,
-        ..StoreOptions::default()
-    }
+    StoreOptions { sync_on_append: true }
 }
 
 /// Applies `ops` through `vfs` until the injected crash, returning the

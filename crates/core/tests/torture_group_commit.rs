@@ -27,7 +27,7 @@ use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_core::store::{
     CompactionPolicy, DurableCatalog, FaultKind, FaultPlan, FaultVfs, GroupCommit,
-    GroupCommitOptions, RecoveryMode, StoreOptions, Vfs,
+    GroupCommitOptions, StoreOptions, Vfs,
 };
 use metamess_core::Mutation;
 use std::path::PathBuf;
@@ -48,11 +48,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// Group-commit stores defer fsync to the queue; sync-on-append would hide
 /// exactly the window this suite exists to torture.
 fn torture_opts() -> StoreOptions {
-    StoreOptions {
-        sync_on_append: false,
-        recovery: RecoveryMode::TruncateTail,
-        ..StoreOptions::default()
-    }
+    StoreOptions { sync_on_append: false }
 }
 
 fn dataset_path(n: u8) -> String {

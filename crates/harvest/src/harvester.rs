@@ -55,9 +55,6 @@ pub struct HarvestConfig {
     pub naming: Vec<NamingRule>,
     /// Identifier of this pipeline run (stamped into provenance).
     pub pipeline_run: u64,
-    /// Worker threads for parse + extract; 0 or 1 = single-threaded.
-    /// Output is identical regardless of parallelism.
-    pub parallelism: usize,
 }
 
 /// One file the harvester could not read — reported, never fatal: a single
@@ -139,19 +136,14 @@ impl ArchiveSource for MemorySource<'_> {
     }
 }
 
-/// Outcome of processing one scanned file.
-enum FileOutcome {
-    Feature(Box<DatasetFeature>),
-    Reused(Box<DatasetFeature>),
-    Error(HarvestError),
-}
-
+/// Processes one scanned file into `report`: reused, extracted, or an error.
 fn process_entry(
     source: &impl ArchiveSource,
     config: &HarvestConfig,
     previous: Option<&Catalog>,
     entry: &FileEntry,
-) -> FileOutcome {
+    report: &mut HarvestReport,
+) {
     let on = metamess_telemetry::enabled();
     if let Some(prev) = previous {
         if let Some(existing) = prev.get_by_path(&entry.rel_path) {
@@ -161,7 +153,8 @@ fn process_entry(
                 if on {
                     harvest_metrics().files_reused.inc();
                 }
-                return FileOutcome::Reused(Box::new(existing.clone()));
+                report.reused.push(existing.clone());
+                return;
             }
         }
     }
@@ -172,7 +165,8 @@ fn process_entry(
             if on {
                 harvest_metrics().parse_errors.inc();
             }
-            return FileOutcome::Error(HarvestError { rel_path: entry.rel_path.clone(), error: e });
+            report.errors.push(HarvestError { rel_path: entry.rel_path.clone(), error: e });
+            return;
         }
     };
     match sniff_and_parse(Path::new(&entry.rel_path), &content) {
@@ -191,26 +185,22 @@ fn process_entry(
                 m.files_parsed.inc();
                 m.extract_micros.record(timer.micros());
             }
-            FileOutcome::Feature(Box::new(feature))
+            report.features.push(feature);
         }
         Err(e) => {
             if on {
                 harvest_metrics().parse_errors.inc();
             }
             event!(Level::Debug, "harvest", "unparseable {}: {e}", entry.rel_path);
-            FileOutcome::Error(HarvestError { rel_path: entry.rel_path.clone(), error: e })
+            report.errors.push(HarvestError { rel_path: entry.rel_path.clone(), error: e });
         }
     }
 }
 
 /// Harvests an archive. When `previous` is given, unchanged files (same
 /// length and fingerprint) reuse their stored feature instead of re-parsing.
-///
-/// With `config.parallelism > 1`, files are parsed on that many scoped
-/// worker threads; results keep scan order, so output is byte-identical to
-/// the single-threaded run.
 pub fn harvest(
-    source: &(impl ArchiveSource + Sync),
+    source: &impl ArchiveSource,
     config: &HarvestConfig,
     previous: Option<&Catalog>,
 ) -> Result<HarvestReport> {
@@ -220,35 +210,8 @@ pub fn harvest(
     }
     let mut report = HarvestReport { scanned: entries.len(), ..HarvestReport::default() };
 
-    let outcomes: Vec<FileOutcome> = if config.parallelism > 1 && entries.len() > 1 {
-        let workers = config.parallelism.min(entries.len());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<FileOutcome>> = Vec::new();
-        slots.resize_with(entries.len(), || None);
-        let slots_mutex = std::sync::Mutex::new(&mut slots);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let ix = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if ix >= entries.len() {
-                        break;
-                    }
-                    let outcome = process_entry(source, config, previous, &entries[ix]);
-                    slots_mutex.lock().expect("slot lock")[ix] = Some(outcome);
-                });
-            }
-        });
-        slots.into_iter().map(|s| s.expect("every slot filled")).collect()
-    } else {
-        entries.iter().map(|e| process_entry(source, config, previous, e)).collect()
-    };
-
-    for outcome in outcomes {
-        match outcome {
-            FileOutcome::Feature(f) => report.features.push(*f),
-            FileOutcome::Reused(f) => report.reused.push(*f),
-            FileOutcome::Error(e) => report.errors.push(e),
-        }
+    for entry in &entries {
+        process_entry(source, config, previous, entry, &mut report);
     }
     event!(
         Level::Info,
@@ -269,12 +232,7 @@ mod tests {
     use metamess_archive::{generate, ArchiveSpec};
 
     fn config() -> HarvestConfig {
-        HarvestConfig {
-            scan: ScanConfig::default(),
-            naming: observatory_rules(),
-            pipeline_run: 1,
-            parallelism: 1,
-        }
+        HarvestConfig { scan: ScanConfig::default(), naming: observatory_rules(), pipeline_run: 1 }
     }
 
     #[test]
@@ -354,38 +312,6 @@ mod tests {
         let second = harvest(&source2, &config(), Some(&catalog)).unwrap();
         assert_eq!(second.features.len(), 1);
         assert_eq!(second.features[0].path, changed_path);
-    }
-
-    #[test]
-    fn parallel_harvest_identical_to_serial() {
-        let archive = generate(&ArchiveSpec::default());
-        let source = MemorySource { files: &archive.files };
-        let serial = harvest(&source, &config(), None).unwrap();
-        for workers in [2usize, 4, 8] {
-            let cfg = HarvestConfig { parallelism: workers, ..config() };
-            let parallel = harvest(&source, &cfg, None).unwrap();
-            assert_eq!(parallel.features, serial.features, "workers={workers}");
-            assert_eq!(parallel.scanned, serial.scanned);
-            assert_eq!(parallel.errors.len(), serial.errors.len());
-            let se: Vec<&str> = serial.errors.iter().map(|e| e.rel_path.as_str()).collect();
-            let pe: Vec<&str> = parallel.errors.iter().map(|e| e.rel_path.as_str()).collect();
-            assert_eq!(se, pe);
-        }
-    }
-
-    #[test]
-    fn parallel_harvest_with_reuse() {
-        let archive = generate(&ArchiveSpec::tiny());
-        let source = MemorySource { files: &archive.files };
-        let first = harvest(&source, &config(), None).unwrap();
-        let mut prev = Catalog::new();
-        for f in &first.features {
-            prev.put(f.clone());
-        }
-        let cfg = HarvestConfig { parallelism: 4, ..config() };
-        let second = harvest(&source, &cfg, Some(&prev)).unwrap();
-        assert!(second.features.is_empty());
-        assert_eq!(second.reused.len(), first.features.len());
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl PipelineContext {
             archive,
             harvest: HarvestConfig {
                 naming: metamess_harvest::observatory_rules(),
-                // single-threaded by default: the catalog_store bench shows
-                // parallel parsing only pays for large files or slow sources
-                // (small-file parses are allocator-bound); output is
-                // identical either way, so callers can raise this freely
-                parallelism: 1,
                 ..HarvestConfig::default()
             },
             catalogs: CatalogPair::new(),

@@ -96,8 +96,8 @@ fn slot_fingerprint(slot: Slot, ctx: &PipelineContext) -> Result<u64> {
             };
             // the configuration is part of the input: widening the scan or
             // changing naming conventions must dirty the scan stage
-            // (pipeline_run and parallelism deliberately excluded — they
-            // never change what a scan produces, only provenance stamps)
+            // (pipeline_run deliberately excluded — it never changes what
+            // a scan produces, only provenance stamps)
             let config = json_fp(&(&ctx.harvest.scan, &ctx.harvest.naming))?;
             let mut buf = [0u8; 16];
             buf[..8].copy_from_slice(&archive_fingerprint(&entries).to_le_bytes());

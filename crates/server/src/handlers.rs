@@ -236,7 +236,7 @@ fn debug_traces(req: &Request) -> Response {
     Response::json(200, trace::render_traces_json(&traces))
 }
 
-/// `POST /admin/reload`: force a reload check now. A failed reopen keeps
+/// `POST /admin/reload`: force a reload check now. A failed read keeps
 /// the current epoch serving and reports 503 (the store is transiently
 /// unavailable — e.g. an `fsck --repair` holds the exclusive lock).
 fn reload(state: &ServeState) -> Response {
@@ -272,7 +272,7 @@ fn reload(state: &ServeState) -> Response {
                 mutations: None,
             }),
         ),
-        // `reload()` always reopens, but the variant is matched for
+        // `reload()` always reads afresh, but the variant is matched for
         // completeness — the poll loop shares this rendering in logs.
         Ok(ReloadOutcome::DeltaApplied { from, to, epoch, mutations }) => Response::json(
             200,

@@ -13,6 +13,9 @@
 //! * `metamess_server_queue_depth` — connections waiting right now.
 //! * `metamess_server_reloads_total` — hot catalog reloads that swapped an
 //!   epoch.
+//! * `metamess_server_reload_failures_total` — reloads (polled or
+//!   `/admin/reload`) that could not read the store; the previous epoch
+//!   kept serving.
 //! * `metamess_server_delta_applies_total` /
 //!   `metamess_server_delta_mutations_total` — epochs produced by applying
 //!   a WAL-tail delta in place (no store reopen), and the mutations those
@@ -20,8 +23,8 @@
 //! * `metamess_server_delta_cache_survived_total` /
 //!   `metamess_server_delta_cache_dropped_total` — result-cache entries
 //!   re-stamped across a delta vs evicted by it.
-//! * `metamess_server_delta_apply_micros` — end-to-end delta apply latency
-//!   (tail read through epoch swap).
+//! * `metamess_server_delta_apply_micros` — delta apply latency (successor
+//!   engine, cache retarget and browse trees, once the tail is read).
 //! * `metamess_server_panics_total` — panics caught by the worker pool
 //!   (the request gets a 500 or a dropped connection; the worker lives).
 //! * `metamess_server_conn_open` — connections currently owned by the
@@ -76,6 +79,13 @@ pub(crate) fn set_queue_depth(depth: usize) {
 pub(crate) fn record_reload() {
     if metamess_telemetry::enabled() {
         global().counter("metamess_server_reloads_total").add(1);
+    }
+}
+
+/// Records one reload that failed to read the store.
+pub(crate) fn record_reload_failure() {
+    if metamess_telemetry::enabled() {
+        global().counter("metamess_server_reload_failures_total").add(1);
     }
 }
 

@@ -646,9 +646,9 @@ mod imp {
         }
     }
 
-    /// Polls the store signature, hot-reloading when a publish lands.
-    /// Errors are swallowed: the fault model says a failed reopen keeps
-    /// the previous epoch serving.
+    /// Polls the store signature, hot-reloading when a publish lands. A
+    /// failed reload keeps the previous epoch serving and has already been
+    /// counted and logged by the state, so there is nothing to do with it.
     fn poll_loop(state: &ServeState, shutdown: &ShutdownHandle, interval: Duration) {
         let mut last = Instant::now();
         while !shutdown.is_shutdown() {

@@ -12,39 +12,43 @@
 //! invalidates stale entries by construction, while a reload that finds
 //! the same generation keeps the warm cache.
 //!
-//! Fault model under reload: if reopening the store fails (mid-publish
-//! state, or `fsck --repair` holding the exclusive store lock), the error
-//! is reported to the caller and the server **keeps serving the previous
-//! epoch** — a bad reload never takes the service down.
+//! The server is a **reader** of a store that `metamess watch` may be
+//! appending to: it loads through [`read_published`] and follows the WAL
+//! with [`Wal::read_tail`], neither of which ever modifies `snapshot.bin`
+//! or `wal.log`. A half-written record at the end of the log is simply not
+//! served yet.
 //!
-//! ## Delta publication
+//! Fault model under reload: if reading the store fails (a snapshot or
+//! vocabulary that does not decode, or `fsck --repair` holding the
+//! exclusive store lock), the error is reported to the caller, logged and
+//! counted, and the server **keeps serving the previous epoch** — a bad
+//! reload never takes the service down.
 //!
-//! When a live writer (`metamess watch`) appends published deltas to the
-//! store WAL without checkpointing, the poll path skips reopening the
-//! store entirely: it follows the WAL tail with the non-truncating
-//! [`Wal::read_tail`] and swaps in an epoch whose engine is the current
-//! engine's [`successor`](SearchEngine::successor) under the decoded
-//! mutations — sharing every feature they leave alone, and preserving
-//! generation continuity (the generation is the mutation count, so the
-//! successor lands on exactly the generation a full reload would
-//! compute). Before the swap, provably-unaffected result-cache
-//! entries are re-stamped in place ([`ResultCache::retarget`] +
-//! `metamess_search::delta`), so cached lists for untouched queries keep
-//! pointer identity across the delta. Anything the delta path cannot
-//! prove — snapshot replaced (compaction), vocabulary changed, WAL reset,
-//! a `Clear` mutation — falls back to a full reload; full reloads use
-//! [`RecoveryMode::Strict`] so a torn tail mid-append by the live writer
-//! is never truncated out from under it (the reload fails, the previous
-//! epoch keeps serving, and the next poll retries).
+//! ## One way forward
+//!
+//! [`ServeState::reload`] and [`ServeState::poll_reload`] are the same
+//! routine, `advance`, forced or not. It gets the next engine one of two
+//! ways. When only the WAL grew since the last look (a live writer
+//! publishing deltas without checkpointing), the next engine is the current
+//! engine's [`successor`](SearchEngine::successor) under the records past
+//! the stored offset — sharing every feature they leave alone, and landing
+//! on exactly the generation a fresh load would compute, because the
+//! generation is the mutation count. Before the swap, provably-unaffected
+//! result-cache entries are re-stamped in place ([`ResultCache::retarget`]
+//! + `metamess_search::delta`), so cached lists for untouched queries keep
+//! pointer identity across the delta. Anything that path cannot prove —
+//! snapshot replaced (compaction), vocabulary changed, WAL reset, a `Clear`
+//! mutation — and every forced reload reads the store afresh.
 
 use crate::metrics;
-use metamess_core::store::{lock_path, StoreLock, Wal};
-use metamess_core::{DurableCatalog, RecoveryMode, Result, StoreOptions};
+use metamess_core::store::{lock_path, read_published, StoreLock, Wal};
+use metamess_core::Result;
 use metamess_remote::RemoteShardSet;
 use metamess_search::{
     compute_touches, entry_survives, BrowseTree, ResultCache, SearchEngine, ShardSpec,
     DEFAULT_CACHE_CAPACITY,
 };
+use metamess_telemetry::{event, Level};
 use metamess_vocab::Vocabulary;
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
@@ -98,8 +102,8 @@ pub enum ReloadOutcome {
         /// The new epoch number.
         epoch: u64,
     },
-    /// A WAL-tail delta was applied in place: the store was **not**
-    /// reopened, and provably-unaffected cache entries survived the
+    /// A WAL-tail delta was applied in place: the snapshot was **not**
+    /// read again, and provably-unaffected cache entries survived the
     /// generation bump.
     DeltaApplied {
         /// Generation served before the delta.
@@ -112,11 +116,6 @@ pub enum ReloadOutcome {
         mutations: usize,
     },
 }
-
-/// Consecutive polls allowed to see WAL growth without decoding a single
-/// complete record before the delta path gives up and escalates to a full
-/// reload (real tail damage looks exactly like a writer stuck mid-append).
-const MAX_DELTA_STALLS: u32 = 3;
 
 /// Length + mtime of the files whose change implies a republish; lets the
 /// poll loop skip rebuilding the engine when nothing moved on disk.
@@ -165,29 +164,15 @@ impl StoreSignature {
     }
 }
 
-/// Where the next delta resumes: how many WAL bytes the current epoch's
-/// engine already reflects. The catalog itself is not kept — the engine
-/// has the features, and a delta derives the next engine from it.
-struct DeltaSource {
-    wal_offset: u64,
-    /// Consecutive polls that saw growth but decoded nothing (see
-    /// [`MAX_DELTA_STALLS`]).
-    stalls: u32,
-}
-
-/// Everything the reload lock guards: the last on-disk signature for cheap
-/// change detection, and the delta-application state.
+/// Everything the reload lock guards: what the store looked like when the
+/// current epoch was read from it.
 struct ReloadState {
+    /// Last on-disk signature, for cheap change detection.
     signature: StoreSignature,
-    source: Option<DeltaSource>,
-}
-
-/// What the delta fast path concluded.
-enum DeltaTry {
-    /// Handled — either applied in place or provably nothing to do yet.
-    Done(ReloadOutcome),
-    /// Cannot be handled incrementally; caller must fully reload.
-    FullReload,
+    /// WAL bytes the current epoch's engine reflects: where the next tail
+    /// read resumes. The catalog itself is not kept — the engine has the
+    /// features, and a delta derives the next engine from it.
+    wal_offset: u64,
 }
 
 /// Everything the worker pool shares: store handle, current epoch, cache.
@@ -201,7 +186,7 @@ pub struct ServeState {
     cache: Arc<ResultCache>,
     current: RwLock<Arc<EngineEpoch>>,
     /// Serializes reloads (poll thread vs `/admin/reload`) and holds the
-    /// last on-disk signature plus the delta-application source.
+    /// last on-disk signature plus the WAL offset it goes with.
     reload_state: Mutex<ReloadState>,
     reloads: AtomicU64,
     /// Cached `/healthz` JSON body keyed by `(epoch, reloads)`: the
@@ -249,17 +234,17 @@ impl ServeState {
         let store_dir = store_dir.into();
         let lock = StoreLock::shared(lock_path(&store_dir.join("catalog")))?;
         let cache = Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY));
-        // Signature before open: a publish landing mid-load then shows up
-        // as a change on the first poll (one redundant reload) instead of
-        // being folded into the stored signature and never noticed.
+        // Signature before the load: a publish landing mid-load then shows
+        // up as a change on the first poll (one redundant reload) instead
+        // of being folded into the stored signature and never noticed.
         let signature = StoreSignature::capture(&store_dir);
-        let (epoch, source) = load_epoch(&store_dir, &cache, 0, spec, StoreOptions::default())?;
+        let (epoch, wal_offset) = load(&store_dir, spec, &cache, 0)?;
         Ok(ServeState {
             store_dir,
             spec,
             cache,
             current: RwLock::new(Arc::new(epoch)),
-            reload_state: Mutex::new(ReloadState { signature, source: Some(source) }),
+            reload_state: Mutex::new(ReloadState { signature, wal_offset }),
             reloads: AtomicU64::new(0),
             healthz_cache: Mutex::new(None),
             trace_slow_micros: AtomicU64::new(100_000),
@@ -363,134 +348,102 @@ impl ServeState {
         body
     }
 
-    /// Reopens the store and swaps in a new epoch if the generation
+    /// Reads the store afresh and swaps in a new epoch if the generation
     /// advanced. On error the previous epoch keeps serving.
     pub fn reload(&self) -> Result<ReloadOutcome> {
-        let mut guard = self.reload_state.lock();
-        let previous = self.epoch();
-        // Capture before reopening: a publish landing between the capture
-        // and the open makes the next poll see a signature change and
-        // reload redundantly — the safe direction. Capturing after would
-        // fold that publish into the stored signature and serve the stale
-        // epoch until yet another publish.
-        let observed = StoreSignature::capture(&self.store_dir);
-        // Strict recovery: a live `metamess watch` writer may be holding
-        // the WAL mid-append, and default TruncateTail recovery would chop
-        // its half-written record out from under it. A torn tail instead
-        // fails this reload — the previous epoch keeps serving and the
-        // next poll retries once the writer's append completes.
-        let options = StoreOptions { recovery: RecoveryMode::Strict, ..StoreOptions::default() };
-        let (next, source) =
-            load_epoch(&self.store_dir, &self.cache, previous.epoch + 1, self.spec, options)?;
-        guard.signature = observed;
-        guard.source = Some(source);
-        if next.generation == previous.generation {
-            return Ok(ReloadOutcome::Unchanged { generation: previous.generation });
-        }
-        let outcome = ReloadOutcome::Reloaded {
-            from: previous.generation,
-            to: next.generation,
-            epoch: next.epoch,
-        };
-        *self.current.write() = Arc::new(next);
-        self.reloads.fetch_add(1, Ordering::Relaxed);
-        metrics::record_reload();
-        Ok(outcome)
+        self.advance(true)
     }
 
     /// Cheap poll-path reload: does nothing when the on-disk signature
     /// (sizes + mtimes) is unchanged; applies the WAL tail in place when
-    /// only the WAL grew (live delta publication); reopens the store for
-    /// everything else.
+    /// only the WAL grew (live delta publication); reads the store afresh
+    /// for everything else.
     pub fn poll_reload(&self) -> Result<ReloadOutcome> {
-        let observed = StoreSignature::capture(&self.store_dir);
-        {
-            let mut guard = self.reload_state.lock();
-            if guard.signature == observed {
-                return Ok(ReloadOutcome::Unchanged { generation: self.epoch().generation });
-            }
-            if guard.signature.only_wal_grew(&observed) {
-                match self.try_delta(&mut guard, observed) {
-                    DeltaTry::Done(outcome) => return Ok(outcome),
-                    DeltaTry::FullReload => {}
-                }
-            }
-        }
-        self.reload()
+        self.advance(false)
     }
 
-    /// The delta fast path: follow the WAL tail from the last consumed
-    /// offset, derive the next engine from the current one and the decoded
-    /// mutations, retarget the cache, and swap the epoch in without
-    /// reopening the store. Caller has verified `only_wal_grew` and holds
-    /// the reload lock.
-    fn try_delta(&self, guard: &mut ReloadState, observed: StoreSignature) -> DeltaTry {
-        let Some(source) = guard.source.as_mut() else { return DeltaTry::FullReload };
-        let wal_path = self.store_dir.join("catalog").join("wal.log");
-        let tail = match Wal::read_tail(&wal_path, source.wal_offset) {
-            Ok(t) => t,
-            // Offset beyond the file or bad magic: the log was reset or
-            // replaced underneath us — only a full reload resynchronizes.
-            Err(_) => return DeltaTry::FullReload,
-        };
-        if tail.mutations.is_empty() {
-            let generation = self.epoch().generation;
-            if tail.stopped_early.is_some() {
-                // Growth but no complete record: a writer mid-append.
-                // Leave the stored signature stale so the next poll
-                // retries; escalate if it never resolves (real damage
-                // looks identical from here).
-                source.stalls += 1;
-                if source.stalls >= MAX_DELTA_STALLS {
-                    source.stalls = 0;
-                    return DeltaTry::FullReload;
-                }
-            } else {
-                // Clean end of log — the growth was already consumed by an
-                // earlier poll that read past its own signature capture.
-                source.stalls = 0;
-                guard.signature = observed;
-            }
-            return DeltaTry::Done(ReloadOutcome::Unchanged { generation });
-        }
-        source.stalls = 0;
-        let started = std::time::Instant::now();
+    /// Brings the served epoch up to what the store holds now. `force`
+    /// skips both shortcuts — "nothing moved on disk" and "only the WAL
+    /// grew" — and reads snapshot and WAL afresh.
+    fn advance(&self, force: bool) -> Result<ReloadOutcome> {
+        let mut at = self.reload_state.lock();
+        // Capture before reading: a publish landing in between makes the
+        // next poll see a signature change and advance redundantly — the
+        // safe direction. Capturing after would fold that publish into the
+        // stored signature and serve the stale epoch until yet another one.
+        let observed = StoreSignature::capture(&self.store_dir);
         let previous = self.epoch();
         let from = previous.generation;
-        // A `Clear` rebuilds the world; nothing in the cache survives and
-        // nothing would be shared — reopen instead.
-        let Some(engine) = previous.engine.successor(&tail.mutations) else {
-            return DeltaTry::FullReload;
+        if !force && at.signature == observed {
+            return Ok(ReloadOutcome::Unchanged { generation: from });
+        }
+        // Only the WAL grew: the records past the stored offset. A tail
+        // that cannot be read from there (offset beyond the file, bad
+        // magic) means the log was reset or replaced underneath us, and a
+        // delta with no successor is a `Clear`, after which nothing would
+        // be shared: both are read afresh below.
+        let tail = if !force && at.signature.only_wal_grew(&observed) {
+            Wal::read_tail(self.store_dir.join("catalog").join("wal.log"), at.wal_offset).ok()
+        } else {
+            None
         };
-        let Some(touches) = compute_touches(&previous.engine, &engine, &tail.mutations) else {
-            return DeltaTry::FullReload;
-        };
-        let to = engine.generation();
-        // Retarget BEFORE the swap: every cache entry either carries the
-        // new stamp already (and the new epoch hits the same Arc) or is
-        // gone. Retargeting after the swap would race the new epoch
-        // recomputing a survivor and overwriting it, losing the
-        // pointer-identity guarantee.
-        let (survived, dropped) = self.cache.retarget(from, to, |key, hits| {
-            entry_survives(key, hits, &touches, engine.vocabulary())
+        if let Some(tail) = tail.as_ref().filter(|t| t.mutations.is_empty()) {
+            // Growth that holds no complete record yet (a writer
+            // mid-append), or that an earlier read already consumed. Either
+            // way the next change to the file is what brings news.
+            warn_stopped_early(&self.store_dir, &tail.stopped_early);
+            at.signature = observed;
+            return Ok(ReloadOutcome::Unchanged { generation: from });
+        }
+        let started = std::time::Instant::now();
+        let delta = tail.and_then(|tail| {
+            let engine = previous.engine.successor(&tail.mutations)?;
+            let touches = compute_touches(&previous.engine, &engine, &tail.mutations)?;
+            Some((tail, engine, touches))
         });
-        *self.current.write() = Arc::new(EngineEpoch::new(engine, previous.epoch + 1));
+        let epoch = previous.epoch + 1;
+        let (next, wal_offset, outcome) = match delta {
+            Some((tail, engine, touches)) => {
+                let to = engine.generation();
+                // Retarget BEFORE the swap: every cache entry either
+                // carries the new stamp already (and the new epoch hits the
+                // same Arc) or is gone. Retargeting after the swap would
+                // race the new epoch recomputing a survivor and overwriting
+                // it, losing the pointer-identity guarantee.
+                let (survived, dropped) = self.cache.retarget(from, to, |key, hits| {
+                    entry_survives(key, hits, &touches, engine.vocabulary())
+                });
+                warn_stopped_early(&self.store_dir, &tail.stopped_early);
+                let next = EngineEpoch::new(engine, epoch);
+                let mutations = tail.mutations.len();
+                let micros = started.elapsed().as_micros() as u64;
+                metrics::record_delta_apply(mutations, survived, dropped, micros);
+                (next, tail.new_offset, ReloadOutcome::DeltaApplied { from, to, epoch, mutations })
+            }
+            None => {
+                let (next, wal_offset) = load(&self.store_dir, self.spec, &self.cache, epoch)
+                    .inspect_err(|e| {
+                        metrics::record_reload_failure();
+                        event!(
+                            Level::Warn,
+                            "serve",
+                            "reload of {} failed, generation {from} keeps serving: {e}",
+                            self.store_dir.display()
+                        );
+                    })?;
+                let to = next.generation;
+                (next, wal_offset, ReloadOutcome::Reloaded { from, to, epoch })
+            }
+        };
+        at.signature = observed;
+        at.wal_offset = wal_offset;
+        if next.generation == from {
+            return Ok(ReloadOutcome::Unchanged { generation: from });
+        }
+        *self.current.write() = Arc::new(next);
         self.reloads.fetch_add(1, Ordering::Relaxed);
-        source.wal_offset = tail.new_offset;
-        guard.signature = observed;
         metrics::record_reload();
-        metrics::record_delta_apply(
-            tail.mutations.len(),
-            survived,
-            dropped,
-            started.elapsed().as_micros() as u64,
-        );
-        DeltaTry::Done(ReloadOutcome::DeltaApplied {
-            from,
-            to,
-            epoch: previous.epoch + 1,
-            mutations: tail.mutations.len(),
-        })
+        Ok(outcome)
     }
 }
 
@@ -515,36 +468,44 @@ fn render_healthz(
     )
 }
 
-/// Opens the durable store and builds one serving epoch out of it — the
-/// recovered catalog is moved into the engine, and the store handle is gone
-/// before the indexes are built; the `ServeState` lifetime lock is what
-/// keeps repairers out — plus where future polls resume reading the WAL.
-fn load_epoch(
+/// Reads what the store published into serving epoch number `epoch` — the
+/// recovered catalog is moved into the engine, so the process holds one
+/// copy of the features — and says how many WAL bytes that epoch reflects.
+/// Nothing on disk is touched; the `ServeState` lifetime lock is what keeps
+/// repairers out.
+fn load(
     store_dir: &Path,
+    spec: ShardSpec,
     cache: &Arc<ResultCache>,
     epoch: u64,
-    spec: ShardSpec,
-    options: StoreOptions,
-) -> Result<(EngineEpoch, DeltaSource)> {
-    let store = DurableCatalog::open(store_dir.join("catalog"), options)?;
-    // Everything up to here is already folded into the catalog; the delta
-    // path resumes reading the WAL from this byte onwards.
-    let wal_offset = store.wal_bytes();
-    let vocab_path = store_dir.join("vocabulary.json");
-    let vocab = if vocab_path.exists() {
-        Vocabulary::load(&vocab_path)?
-    } else {
-        Vocabulary::observatory_default()
-    };
-    let engine = SearchEngine::from_catalog(store.into_catalog(), vocab, spec)
-        .with_shared_cache(cache.clone());
-    Ok((EngineEpoch::new(engine, epoch), DeltaSource { wal_offset, stalls: 0 }))
+) -> Result<(EngineEpoch, u64)> {
+    let published = read_published(store_dir.join("catalog"))?;
+    let vocab = Vocabulary::load_or_default(store_dir.join("vocabulary.json"))?;
+    warn_stopped_early(store_dir, &published.stopped_early);
+    let engine =
+        SearchEngine::from_catalog(published.catalog, vocab, spec).with_shared_cache(cache.clone());
+    Ok((EngineEpoch::new(engine, epoch), published.wal_offset))
+}
+
+/// One `Warn` per WAL read that left bytes behind: a writer mid-append
+/// (the next poll picks the record up) looks the same from here as a
+/// damaged tail (which stays until `fsck --repair` or the writer's next
+/// open), so an operator seeing this repeat for one store should run fsck.
+fn warn_stopped_early(store_dir: &Path, stopped_early: &Option<String>) {
+    if let Some(reason) = stopped_early {
+        event!(
+            Level::Warn,
+            "serve",
+            "wal of {} has bytes past its last complete record ({reason}); serving the prefix",
+            store_dir.display()
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metamess_core::{DatasetFeature, VariableFeature};
+    use metamess_core::{DatasetFeature, DurableCatalog, StoreOptions, VariableFeature};
     use metamess_search::Query;
 
     fn fixture_store(name: &str) -> PathBuf {
@@ -711,10 +672,22 @@ mod tests {
         let before = state.epoch();
         publish_one_more(&dir, "2014/08/c.csv");
         std::fs::write(dir.join("vocabulary.json"), b"{broken").unwrap();
+        let failures = || {
+            let snap = metamess_telemetry::global().snapshot();
+            snap.counters.get("metamess_server_reload_failures_total").copied().unwrap_or(0)
+        };
+        let failed_before = failures();
         assert!(state.reload().is_err(), "corrupt vocabulary must fail the reload");
+        assert!(state.poll_reload().is_err(), "… and keeps failing the poll, which retries");
+        if metamess_telemetry::enabled() {
+            assert_eq!(failures(), failed_before + 2, "the admin route and the poll count alike");
+        }
         let after = state.epoch();
         assert_eq!(after.epoch, before.epoch, "failed reload must not swap the epoch");
         assert_eq!(after.datasets, before.datasets);
+        // Once the store reads again the same poll goes through.
+        Vocabulary::observatory_default().save(dir.join("vocabulary.json")).unwrap();
+        assert!(matches!(state.poll_reload().unwrap(), ReloadOutcome::Reloaded { .. }));
     }
 
     #[test]

@@ -76,7 +76,8 @@ fn a_delta_shares_what_it_left_alone_and_answers_like_a_reopened_store() {
             store.apply(m.clone()).unwrap();
         }
         store.flush().unwrap();
-        let expected = store.into_catalog();
+        let expected = store.catalog().clone();
+        drop(store);
 
         match state.poll_reload().unwrap() {
             ReloadOutcome::DeltaApplied { mutations: applied, .. } => {

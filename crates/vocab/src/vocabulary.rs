@@ -294,6 +294,16 @@ impl Vocabulary {
             .io_ctx(format!("read vocabulary {}", path.as_ref().display()))?;
         Vocabulary::from_json(&text)
     }
+
+    /// Loads the vocabulary a store published at `path`; a store that
+    /// published none is read with [`Vocabulary::observatory_default`].
+    pub fn load_or_default(path: impl AsRef<Path>) -> Result<Vocabulary> {
+        if path.as_ref().exists() {
+            Vocabulary::load(path)
+        } else {
+            Ok(Vocabulary::observatory_default())
+        }
+    }
 }
 
 /// Convenience: builds a taxonomy from `(term, path)` pairs, used by the
@@ -448,6 +458,12 @@ mod tests {
         let back = Vocabulary::load(&path).unwrap();
         assert_eq!(back.version, 2);
         assert!(back.synonyms.contains("wtemp"));
+        // what a store published wins, no file means the default, and a
+        // file that does not parse is an error, not a silent default
+        assert_eq!(Vocabulary::load_or_default(&path).unwrap().version, 2);
+        assert_eq!(Vocabulary::load_or_default(dir.join("none.json")).unwrap().version, 1);
+        std::fs::write(&path, b"{broken").unwrap();
+        assert!(Vocabulary::load_or_default(&path).is_err());
     }
 
     #[test]

@@ -9,7 +9,11 @@
 # benchmark/shims/ (serde, serde_json, rand, parking_lot) through
 # `[patch.crates-io]`. proptest and criterion have no stand-in, so their
 # dev-dependency lines are stripped and only the integration tests that do
-# not use them are copied. Nothing under benchmark/ is written.
+# not use them are copied. The facade (src/, examples/, tests/end_to_end.rs)
+# is staged the same way: bins, examples and that test are type-checked and
+# the library's unit tests run; the other root tests need proptest or
+# `serde_json::Value` methods the stand-in lacks. Nothing under benchmark/
+# is written.
 
 set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -19,17 +23,22 @@ stage="$root/target/offline-test"
 shims="$root/benchmark/shims"
 crates="archive core discover formats harvest pipeline remote search server telemetry transform vocab"
 # crate:test-file pairs free of proptest
-tests="core:torture_group_commit search:reference_sweep remote:reference_sweep remote:fault remote:e2e server:http server:alloc_guard server:ownership"
+tests="core:torture_group_commit search:reference_sweep remote:reference_sweep remote:fault remote:e2e server:http server:alloc_guard server:ownership server:reader_beside_writer"
 
 rm -rf "$stage/crates"
 mkdir -p "$stage/crates"
+# the root manifest whole, facade [package] included
 {
-    sed '/^\[package\]/,$d' Cargo.toml | grep -vE '^(proptest|criterion) *='
+    grep -vE '^(proptest|criterion)(\.workspace)? *=' Cargo.toml
     echo '[patch.crates-io]'
     for shim in serde serde_derive serde_json rand parking_lot; do
         echo "$shim = { path = \"$shims/$shim\" }"
     done
 } > "$stage/Cargo.toml"
+rm -rf "$stage/src" "$stage/examples" "$stage/tests"
+mkdir -p "$stage/tests"
+cp -r src examples "$stage/"
+cp tests/end_to_end.rs "$stage/tests/"
 for c in $crates; do
     mkdir -p "$stage/crates/$c"
     cp -r "crates/$c/src" "$stage/crates/$c/"
@@ -46,7 +55,9 @@ done
 cp -r crates/search/tests/common "$stage/crates/search/tests/"
 
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$stage/target}"
+cargo check --offline --manifest-path "$stage/Cargo.toml" \
+    -p metamess --bins --examples --test end_to_end
 cargo test --offline --manifest-path "$stage/Cargo.toml" \
-    -p metamess-core -p metamess-pipeline \
-    -p metamess-search -p metamess-remote -p metamess-server \
+    -p metamess-core -p metamess-vocab -p metamess-harvest -p metamess-pipeline \
+    -p metamess-search -p metamess-remote -p metamess-server -p metamess \
     --no-fail-fast --lib "${selected[@]}" "$@"

@@ -29,7 +29,7 @@ use metamess_core::{Error, Result};
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Where fsck (and recovery) put damaged files, relative to the store root.
+/// Where `fsck --repair` puts damaged files, relative to the store root.
 pub fn quarantine_dir(store_dir: &Path) -> std::path::PathBuf {
     store_dir.join("state").join("quarantine")
 }
@@ -187,6 +187,31 @@ mod tests {
         assert_eq!(report.repairs_applied, 1);
         assert!(!dir.join("vocabulary.json").exists());
         assert!(quarantine_dir(&dir).join("vocabulary.json.0.reason.json").exists());
+    }
+
+    #[test]
+    fn a_check_leaves_a_damaged_wal_tail_for_repair_to_shorten() {
+        let dir = store("tail");
+        let mut s = DurableCatalog::open(dir.join("catalog"), StoreOptions::default()).unwrap();
+        s.put(DatasetFeature::new("b.csv")).unwrap();
+        s.flush().unwrap();
+        drop(s);
+        let wal = dir.join("catalog").join("wal.log");
+        let whole = std::fs::read(&wal).unwrap();
+        let damaged = &whole[..whole.len() - 5];
+        std::fs::write(&wal, damaged).unwrap();
+
+        // Under the shared lock a check only reads: the tail may be a live
+        // writer's half-written record.
+        let report = run_fsck(&dir, false).unwrap();
+        assert_eq!(report.error_count(), 1, "{}", render_report(&report));
+        assert_eq!(report.repairs_applied, 0);
+        assert_eq!(std::fs::read(&wal).unwrap(), damaged);
+
+        let report = run_fsck(&dir, true).unwrap();
+        assert!(report.fully_repaired(), "{}", render_report(&report));
+        assert!(std::fs::metadata(&wal).unwrap().len() < damaged.len() as u64);
+        assert!(run_fsck(&dir, false).unwrap().is_clean());
     }
 
     #[cfg(unix)]

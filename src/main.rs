@@ -28,6 +28,7 @@
 //! Prometheus text, or JSON — and their request traces into
 //! `<store>/state/traces.json`, which `trace` renders as span trees.
 
+use metamess::core::store::read_published;
 use metamess::core::{DurableCatalog, StoreOptions};
 use metamess::pipeline::Severity;
 use metamess::prelude::*;
@@ -415,15 +416,16 @@ fn expert_synonyms() -> Vec<(String, String)> {
     .collect()
 }
 
-fn open_engine(store_dir: &Path, spec: ShardSpec) -> Result<SearchEngine, metamess::core::Error> {
+/// What the store published, read without modifying it: `search`,
+/// `summary`, `browse` and `shardd` may all run beside a live `watch`.
+fn read_store(store_dir: &Path) -> Result<(Catalog, Vocabulary), metamess::core::Error> {
     let (catalog_dir, vocab_path) = store_paths(store_dir);
-    let store = DurableCatalog::open(&catalog_dir, StoreOptions::default())?;
-    let vocab = if vocab_path.exists() {
-        Vocabulary::load(&vocab_path)?
-    } else {
-        Vocabulary::observatory_default()
-    };
-    Ok(SearchEngine::from_catalog(store.into_catalog(), vocab, spec))
+    Ok((read_published(catalog_dir)?.catalog, Vocabulary::load_or_default(vocab_path)?))
+}
+
+fn open_engine(store_dir: &Path, spec: ShardSpec) -> Result<SearchEngine, metamess::core::Error> {
+    let (catalog, vocab) = read_store(store_dir)?;
+    Ok(SearchEngine::from_catalog(catalog, vocab, spec))
 }
 
 /// Strips `--explain` plus the value-taking shard and remote flags out
@@ -581,14 +583,8 @@ fn cmd_browse(args: &[String]) -> Result<(), metamess::core::Error> {
     let store_dir = args
         .first()
         .ok_or_else(|| metamess::core::Error::invalid("browse needs a store directory"))?;
-    let (catalog_dir, vocab_path) = store_paths(Path::new(store_dir));
-    let store = DurableCatalog::open(&catalog_dir, StoreOptions::default())?;
-    let vocab = if vocab_path.exists() {
-        Vocabulary::load(&vocab_path)?
-    } else {
-        Vocabulary::observatory_default()
-    };
-    for tree in metamess::search::browse_all(store.catalog(), &vocab) {
+    let (catalog, vocab) = read_store(Path::new(store_dir))?;
+    for tree in metamess::search::browse_all(&catalog, &vocab) {
         print!("{}", tree.render());
         println!();
     }
@@ -653,15 +649,9 @@ fn cmd_shardd(args: &[String]) -> Result<(), metamess::core::Error> {
     };
     let listen = parse_flag(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
 
-    let (catalog_dir, vocab_path) = store_paths(store_dir);
-    let store = DurableCatalog::open(&catalog_dir, StoreOptions::default())?;
-    let vocab = if vocab_path.exists() {
-        Vocabulary::load(&vocab_path)?
-    } else {
-        Vocabulary::observatory_default()
-    };
+    let (catalog, vocab) = read_store(store_dir)?;
     let host = metamess::remote::ShardHost::from_catalog(
-        store.into_catalog(),
+        catalog,
         vocab,
         ShardSpec::new(shard_count, partitioner),
         shard_id,
