@@ -23,7 +23,7 @@ fn main() {
     )
     .unwrap();
     let hits = engine.search(&q);
-    for h in &hits {
+    for h in hits.iter() {
         let d = engine.dataset(h.id).expect("hit resolves");
         println!("{}", render_summary(d));
     }

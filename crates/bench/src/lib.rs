@@ -1,9 +1,9 @@
 //! # metamess-bench
 //!
 //! Shared harness code for the experiments that regenerate the poster's
-//! table and figures (the `exp*` binaries) and for the Criterion benches:
-//! ground-truth scoring of wrangling quality, standard IR metrics, and the
-//! scripted curator's domain knowledge.
+//! table and figures (the `exp*` binaries): ground-truth scoring of
+//! wrangling quality, standard IR metrics, and the scripted curator's
+//! domain knowledge.
 
 pub mod report;
 
@@ -230,15 +230,6 @@ pub fn engine_from_ctx(ctx: &PipelineContext) -> metamess_search::SearchEngine {
     metamess_search::SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone())
 }
 
-/// [`engine_from_ctx`] with an explicit shard layout — the scatter-gather
-/// configurations the shard-scaling experiment sweeps.
-pub fn sharded_engine_from_ctx(
-    ctx: &PipelineContext,
-    spec: metamess_search::ShardSpec,
-) -> metamess_search::SearchEngine {
-    metamess_search::SearchEngine::build_sharded(&ctx.catalogs.published, ctx.vocab.clone(), spec)
-}
-
 /// Formats a float as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
@@ -273,18 +264,23 @@ mod tests {
         assert_eq!(empty.precision(), 1.0);
     }
 
+    /// The paper's E1 (EXPERIMENTS.md): the default archive is seed
+    /// 20130408, the one `exp1_semantic_diversity` prints.
     #[test]
-    fn full_wrangle_scores_high_across_categories() {
+    fn e1_no_wrong_assignment_in_any_category() {
         let (ctx, truth) = wrangle_archive(&ArchiveSpec::default());
         let scores = score_against_truth(&ctx.catalogs.published, &truth);
+        assert_eq!(scores.len(), 8, "seven kinds of mess and the clean names: {scores:?}");
         for (cat, s) in &scores {
             assert!(s.injected > 0, "{cat:?} never injected");
+            assert_eq!(s.wrong, 0, "{cat:?} has wrong assignments: {s:?}");
             assert!(s.recall() > 0.6, "category {cat:?} recall {} too low: {s:?}", s.recall());
-            assert!(s.precision() > 0.8, "category {cat:?} precision too low: {s:?}");
         }
-        // clean names must essentially never be broken
-        let clean = &scores[&MessCategory::Clean];
-        assert!(clean.recall() > 0.95, "{clean:?}");
+        let injected: usize = scores.values().map(|s| s.injected).sum();
+        let correct: usize = scores.values().map(|s| s.correct).sum();
+        assert!(correct * 100 >= injected * 97, "{correct}/{injected} resolved, E1 says ≥ 97 %");
+        // clean names must never be broken
+        assert_eq!(scores[&MessCategory::Clean].recall(), 1.0);
         let mix = resolution_mix(&ctx.catalogs.published);
         assert!(mix.get("discovered-translation").copied().unwrap_or(0) > 0, "{mix:?}");
     }

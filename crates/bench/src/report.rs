@@ -152,11 +152,11 @@ mod tests {
         r.set_f64("c.bad", f64::NAN);
         let text = r.render();
         let v: serde_json::Value = serde_json::from_str(&text).expect("valid json");
-        assert_eq!(v["schema"], SCHEMA);
-        assert_eq!(v["experiment"], "search");
-        assert_eq!(v["metrics"]["b.count"], 2);
-        assert_eq!(v["metrics"]["a.speedup"], 2.5);
-        assert_eq!(v["metrics"]["c.bad"], 0.0, "non-finite stored as 0");
+        assert_eq!(v["schema"].as_str(), Some(SCHEMA));
+        assert_eq!(v["experiment"].as_str(), Some("search"));
+        assert_eq!(v["metrics"]["b.count"].as_u64(), Some(2));
+        assert_eq!(v["metrics"]["a.speedup"].as_f64(), Some(2.5));
+        assert_eq!(v["metrics"]["c.bad"].as_f64(), Some(0.0), "non-finite stored as 0");
         assert!(text.find("a.speedup").unwrap() < text.find("b.count").unwrap());
         assert_eq!(text, r.clone().render(), "re-render is byte-stable");
     }
@@ -168,12 +168,12 @@ mod tests {
         r.record_samples("lat", &samples);
         let text = r.render();
         let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(v["metrics"]["lat.count"], 100);
-        assert_eq!(v["metrics"]["lat.p50_micros"], 50);
-        assert_eq!(v["metrics"]["lat.p95_micros"], 95);
-        assert_eq!(v["metrics"]["lat.p99_micros"], 99);
-        assert_eq!(v["metrics"]["lat.max_micros"], 100);
-        assert_eq!(v["metrics"]["lat.mean_micros"], 50.5);
+        assert_eq!(v["metrics"]["lat.count"].as_u64(), Some(100));
+        assert_eq!(v["metrics"]["lat.p50_micros"].as_u64(), Some(50));
+        assert_eq!(v["metrics"]["lat.p95_micros"].as_u64(), Some(95));
+        assert_eq!(v["metrics"]["lat.p99_micros"].as_u64(), Some(99));
+        assert_eq!(v["metrics"]["lat.max_micros"].as_u64(), Some(100));
+        assert_eq!(v["metrics"]["lat.mean_micros"].as_f64(), Some(50.5));
     }
 
     #[test]
@@ -181,8 +181,8 @@ mod tests {
         let mut r = BenchReport::new("t");
         r.record_samples("lat", &[]);
         let v: serde_json::Value = serde_json::from_str(&r.render()).unwrap();
-        assert_eq!(v["metrics"]["lat.count"], 0);
-        assert_eq!(v["metrics"]["lat.p99_micros"], 0);
+        assert_eq!(v["metrics"]["lat.count"].as_u64(), Some(0));
+        assert_eq!(v["metrics"]["lat.p99_micros"].as_u64(), Some(0));
     }
 
     #[test]
@@ -194,8 +194,8 @@ mod tests {
         let mut r = BenchReport::new("t");
         r.record_histogram("h", &h.snapshot());
         let v: serde_json::Value = serde_json::from_str(&r.render()).unwrap();
-        assert_eq!(v["metrics"]["h.count"], 4);
-        assert_eq!(v["metrics"]["h.max_micros"], 1000);
+        assert_eq!(v["metrics"]["h.count"].as_u64(), Some(4));
+        assert_eq!(v["metrics"]["h.max_micros"].as_u64(), Some(1000));
         let p50 = v["metrics"]["h.p50_micros"].as_u64().unwrap();
         assert!((18..=30).contains(&p50), "p50 {p50} should bracket 20 within bucket error");
     }

@@ -8,7 +8,7 @@ pub type Result<T, E = Error> = std::result::Result<T, E>;
 /// Unified error type for catalog, storage, parsing and validation failures.
 ///
 /// Substrate crates define their own richer error enums where useful and
-/// convert into `Error` at crate boundaries via [`Error::context`] or `From`.
+/// convert into `Error` at crate boundaries via [`Error::io`] or `From`.
 #[derive(Debug)]
 pub enum Error {
     /// An I/O error, annotated with the operation that failed.

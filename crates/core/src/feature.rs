@@ -2,7 +2,7 @@
 //! stores instead of the data itself.
 //!
 //! "Individual datasets scanned once, summarized into a 'feature' per data
-//! [set]; features stored in catalog; similarity search is performed over
+//! \[set\]; features stored in catalog; similarity search is performed over
 //! catalog's contents." — the poster's IR-architecture figure.
 
 use crate::geo::GeoBBox;

@@ -411,7 +411,7 @@ impl DurableCatalog {
         self.wal.reset()?;
         self.appends_since_checkpoint = 0;
         report.snapshot_bytes = self.snapshot_bytes();
-        report.pruned = self.prune_retained(&retained_dir, policy.retain)?;
+        report.pruned = self.prune_retained(policy.retain)?;
         if on {
             let m = store_metrics();
             m.compactions.inc();
@@ -456,7 +456,7 @@ impl DurableCatalog {
 
     /// Removes the oldest retained snapshots beyond `retain`, returning how
     /// many were pruned.
-    fn prune_retained(&self, retained_dir: &Path, retain: usize) -> Result<usize> {
+    fn prune_retained(&self, retain: usize) -> Result<usize> {
         let snapshots = self.retained_snapshots()?;
         let excess = snapshots.len().saturating_sub(retain);
         for old in &snapshots[..excess] {

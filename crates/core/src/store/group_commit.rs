@@ -16,7 +16,8 @@
 //! equals the acked-ticket prefix.
 //!
 //! A zero `commit_interval` degenerates to one fsync per submission —
-//! the baseline that `exp10` measures amortization against.
+//! the baseline `tests::one_window_means_one_fsync` counts a window's
+//! fsyncs against.
 
 use super::durable::{CompactionPolicy, CompactionReport, DurableCatalog};
 use super::metrics::store_metrics;
@@ -341,7 +342,7 @@ fn flusher_loop(shared: &Shared, interval: Duration, compaction: Option<&Compact
 mod tests {
     use super::*;
     use crate::feature::DatasetFeature;
-    use crate::store::{StoreOptions, Wal};
+    use crate::store::{FaultKind, FaultPlan, FaultVfs, StoreOptions, Wal};
     use std::fs;
     use std::path::PathBuf;
 
@@ -381,26 +382,33 @@ mod tests {
 
     #[test]
     fn one_window_means_one_fsync() {
-        // With a wide window, N quick submissions share a single sync:
-        // observable as the WAL containing all records after exactly one
-        // ticket resolution.
-        let dir = tmpdir("window");
-        let gc = GroupCommit::new(
-            open(&dir),
-            GroupCommitOptions {
-                commit_interval: Duration::from_millis(40),
-                ..GroupCommitOptions::default()
-            },
-        );
-        let tickets: Vec<CommitTicket> =
-            (0..10).map(|i| gc.submit(vec![put(&format!("f{i}.csv"))]).unwrap()).collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        // All ten landed in one or two windows; the durable seq covers all.
-        assert_eq!(gc.durable_seq(), 10);
-        let store = gc.close().unwrap();
-        assert_eq!(store.catalog().len(), 10);
+        // Fsyncs of a 50-submission burst, counted by a fault VFS whose
+        // fault never comes.
+        let fsyncs_of_burst = |name: &str, commit_interval: Duration| -> u64 {
+            let plan = FaultPlan { crash_at: u64::MAX, kind: FaultKind::FsyncError, seed: 0 };
+            let vfs = Arc::new(FaultVfs::new(plan));
+            let store =
+                DurableCatalog::open_with(vfs.clone(), tmpdir(name), StoreOptions::default())
+                    .unwrap();
+            let options = GroupCommitOptions { commit_interval, ..GroupCommitOptions::default() };
+            let gc = GroupCommit::new(store, options);
+            let before = vfs.sites();
+            let tickets: Vec<CommitTicket> =
+                (0..50).map(|i| gc.submit(vec![put(&format!("f{i}.csv"))]).unwrap()).collect();
+            for t in tickets {
+                t.wait().unwrap();
+            }
+            assert_eq!(gc.durable_seq(), 50);
+            let fsyncs = vfs.sites() - before;
+            assert_eq!(gc.close().unwrap().catalog().len(), 50);
+            fsyncs
+        };
+        // No window: the submitter is its own flusher. With a wide one the
+        // quick submissions share a sync (or, on a stalled machine, a few).
+        let each = fsyncs_of_burst("window-zero", Duration::ZERO);
+        let windowed = fsyncs_of_burst("window", Duration::from_millis(40));
+        assert_eq!(each, 50);
+        assert!(windowed >= 1 && each >= 4 * windowed, "{windowed} fsyncs in the window");
     }
 
     #[test]

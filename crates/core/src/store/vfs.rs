@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 ///
 /// Buffered writers (`std::io::BufWriter`) can wrap a `Box<dyn VfsFile>`
 /// directly since the trait extends [`Write`].
+#[allow(clippy::len_without_is_empty)] // a file's length, read from the OS; not a collection
 pub trait VfsFile: Write + Send {
     /// Flushes OS buffers for this file to stable storage (fsync).
     fn sync_all(&mut self) -> io::Result<()>;
@@ -294,6 +295,12 @@ impl FaultVfs {
     /// Number of faults injected so far (0 or 1).
     pub fn faults_injected(&self) -> u64 {
         self.state.lock().unwrap().faults_injected
+    }
+
+    /// Operations of the planned kind seen so far. With a crash point that
+    /// is never reached this counts them: the fsyncs of a run, say.
+    pub fn sites(&self) -> u64 {
+        self.state.lock().unwrap().sites
     }
 
     /// Clears the crashed state and disables further injection, turning

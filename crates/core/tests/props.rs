@@ -1,5 +1,9 @@
-//! Property-based tests for core invariants.
+//! Seeded sweeps over core invariants: each property runs on `CASES`
+//! generators (see `common`); a failure names its seed.
 
+mod common;
+
+use common::{printable, sweep, Rng, LOWER};
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::DatasetFeature;
 use metamess_core::geo::{GeoBBox, GeoPoint};
@@ -7,141 +11,172 @@ use metamess_core::stats::NumericSummary;
 use metamess_core::store::{crc32, Wal};
 use metamess_core::time::{TimeInterval, Timestamp};
 use metamess_core::value::Value;
-use proptest::prelude::*;
 
-fn arb_timestamp() -> impl Strategy<Value = Timestamp> {
-    // Roughly 1900..2100
-    (-2_208_988_800i64..4_102_444_800i64).prop_map(Timestamp)
+const CASES: u64 = 256;
+
+/// Roughly 1900..2100.
+fn timestamp(rng: &mut Rng) -> Timestamp {
+    Timestamp(rng.range(-2_208_988_800, 4_102_444_800))
 }
 
-fn arb_point() -> impl Strategy<Value = GeoPoint> {
-    (-90.0f64..=90.0, -180.0f64..=180.0).prop_map(|(lat, lon)| GeoPoint { lat, lon })
+fn interval(rng: &mut Rng) -> TimeInterval {
+    TimeInterval::new(timestamp(rng), timestamp(rng))
 }
 
-fn arb_bbox() -> impl Strategy<Value = GeoBBox> {
-    (arb_point(), arb_point()).prop_map(|(a, b)| GeoBBox {
+fn point(rng: &mut Rng) -> GeoPoint {
+    GeoPoint { lat: rng.float(-90.0, 90.0), lon: rng.float(-180.0, 180.0) }
+}
+
+fn bbox(rng: &mut Rng) -> GeoBBox {
+    let (a, b) = (point(rng), point(rng));
+    GeoBBox {
         min_lat: a.lat.min(b.lat),
         max_lat: a.lat.max(b.lat),
         min_lon: a.lon.min(b.lon),
         max_lon: a.lon.max(b.lon),
-    })
+    }
 }
 
-proptest! {
-    #[test]
-    fn timestamp_iso_round_trip(t in arb_timestamp()) {
-        let s = t.to_iso8601();
-        let back = Timestamp::parse(&s).unwrap();
-        prop_assert_eq!(back, t);
-    }
+#[test]
+fn timestamp_iso_round_trip() {
+    sweep(CASES, |rng| {
+        let t = timestamp(rng);
+        assert_eq!(Timestamp::parse(&t.to_iso8601()).unwrap(), t);
+    });
+}
 
-    #[test]
-    fn timestamp_civil_round_trip(t in arb_timestamp()) {
+#[test]
+fn timestamp_civil_round_trip() {
+    sweep(CASES, |rng| {
+        let t = timestamp(rng);
         let (y, mo, d, h, mi, s) = t.to_civil();
-        let back = Timestamp::from_ymd_hms(y, mo, d, h, mi, s).unwrap();
-        prop_assert_eq!(back, t);
-    }
+        assert_eq!(Timestamp::from_ymd_hms(y, mo, d, h, mi, s).unwrap(), t);
+    });
+}
 
-    #[test]
-    fn civil_components_in_range(t in arb_timestamp()) {
-        let (_, mo, d, h, mi, s) = t.to_civil();
-        prop_assert!((1..=12).contains(&mo));
-        prop_assert!((1..=31).contains(&d));
-        prop_assert!(h < 24 && mi < 60 && s < 60);
-    }
+#[test]
+fn civil_components_in_range() {
+    sweep(CASES, |rng| {
+        let (_, mo, d, h, mi, s) = timestamp(rng).to_civil();
+        assert!((1..=12).contains(&mo));
+        assert!((1..=31).contains(&d));
+        assert!(h < 24 && mi < 60 && s < 60);
+    });
+}
 
-    #[test]
-    fn interval_overlap_symmetric(a in arb_timestamp(), b in arb_timestamp(),
-                                  c in arb_timestamp(), d in arb_timestamp()) {
-        let x = TimeInterval::new(a, b);
-        let y = TimeInterval::new(c, d);
-        prop_assert_eq!(x.overlaps(&y), y.overlaps(&x));
-        prop_assert_eq!(x.overlap_secs(&y), y.overlap_secs(&x));
-        prop_assert_eq!(x.gap_secs(&y), y.gap_secs(&x));
+#[test]
+fn interval_overlap_symmetric() {
+    sweep(CASES, |rng| {
+        let (x, y) = (interval(rng), interval(rng));
+        assert_eq!(x.overlaps(&y), y.overlaps(&x));
+        assert_eq!(x.overlap_secs(&y), y.overlap_secs(&x));
+        assert_eq!(x.gap_secs(&y), y.gap_secs(&x));
         // Exactly one of overlap/gap is nonzero unless both are zero (touching).
-        if x.overlaps(&y) { prop_assert_eq!(x.gap_secs(&y), 0); }
-        else { prop_assert!(x.gap_secs(&y) > 0); }
-    }
+        if x.overlaps(&y) {
+            assert_eq!(x.gap_secs(&y), 0);
+        } else {
+            assert!(x.gap_secs(&y) > 0);
+        }
+    });
+}
 
-    #[test]
-    fn interval_union_contains_both(a in arb_timestamp(), b in arb_timestamp(),
-                                    c in arb_timestamp(), d in arb_timestamp()) {
-        let x = TimeInterval::new(a, b);
-        let y = TimeInterval::new(c, d);
+#[test]
+fn interval_union_contains_both() {
+    sweep(CASES, |rng| {
+        let (x, y) = (interval(rng), interval(rng));
         let u = x.union(&y);
-        prop_assert!(u.contains(x.start) && u.contains(x.end));
-        prop_assert!(u.contains(y.start) && u.contains(y.end));
-    }
+        assert!(u.contains(x.start) && u.contains(x.end));
+        assert!(u.contains(y.start) && u.contains(y.end));
+    });
+}
 
-    #[test]
-    fn haversine_metric_axioms(a in arb_point(), b in arb_point()) {
+#[test]
+fn haversine_metric_axioms() {
+    sweep(CASES, |rng| {
+        let (a, b) = (point(rng), point(rng));
         let dab = a.distance_km(&b);
         let dba = b.distance_km(&a);
-        prop_assert!(dab >= 0.0);
-        prop_assert!((dab - dba).abs() < 1e-6);
+        assert!(dab >= 0.0);
+        assert!((dab - dba).abs() < 1e-6);
         // Bounded by half the Earth's circumference.
-        prop_assert!(dab <= std::f64::consts::PI * metamess_core::geo::EARTH_RADIUS_KM + 1.0);
-    }
+        assert!(dab <= std::f64::consts::PI * metamess_core::geo::EARTH_RADIUS_KM + 1.0);
+    });
+}
 
-    #[test]
-    fn bbox_distance_zero_iff_contains(b in arb_bbox(), p in arb_point()) {
+#[test]
+fn bbox_distance_zero_iff_contains() {
+    sweep(CASES, |rng| {
+        let (b, p) = (bbox(rng), point(rng));
         let d = b.distance_km(&p);
         if b.contains(&p) {
-            prop_assert_eq!(d, 0.0);
+            assert_eq!(d, 0.0);
         } else {
-            prop_assert!(d > 0.0);
+            assert!(d > 0.0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn bbox_union_covers(b1 in arb_bbox(), b2 in arb_bbox(), p in arb_point()) {
-        let u = b1.union(&b2);
+#[test]
+fn bbox_union_covers() {
+    sweep(CASES, |rng| {
+        let (b1, b2, p) = (bbox(rng), bbox(rng), point(rng));
         if b1.contains(&p) || b2.contains(&p) {
-            prop_assert!(u.contains(&p));
+            assert!(b1.union(&b2).contains(&p));
         }
-    }
+    });
+}
 
-    #[test]
-    fn numeric_summary_merge_associative(xs in prop::collection::vec(-1e6f64..1e6, 0..200),
-                                         split in 0usize..200) {
-        let split = split.min(xs.len());
-        let mut whole = NumericSummary::new();
-        for &x in &xs { whole.observe(x); }
-        let mut l = NumericSummary::new();
-        let mut r = NumericSummary::new();
-        for &x in &xs[..split] { l.observe(x); }
-        for &x in &xs[split..] { r.observe(x); }
-        l.merge(&r);
-        prop_assert_eq!(l.count, whole.count);
+#[test]
+fn numeric_summary_merge_associative() {
+    sweep(CASES, |rng| {
+        let xs = rng.vec(0, 200, |rng| rng.float(-1e6, 1e6));
+        let split = rng.size(0, 200).min(xs.len());
+        let summary = |xs: &[f64]| {
+            let mut s = NumericSummary::new();
+            xs.iter().for_each(|&x| s.observe(x));
+            s
+        };
+        let whole = summary(&xs);
+        let mut l = summary(&xs[..split]);
+        l.merge(&summary(&xs[split..]));
+        assert_eq!(l.count, whole.count);
         if whole.count > 0 {
-            prop_assert!((l.mean - whole.mean).abs() < 1e-6);
-            prop_assert!((l.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-3);
-            prop_assert_eq!(l.range(), whole.range());
+            assert!((l.mean - whole.mean).abs() < 1e-6);
+            assert!((l.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-3);
+            assert_eq!(l.range(), whole.range());
         }
-    }
+    });
+}
 
-    #[test]
-    fn value_sniff_render_idempotent(raw in "[ -~]{0,24}") {
+#[test]
+fn value_sniff_render_idempotent() {
+    sweep(CASES, |rng| {
         // sniff(render(sniff(x))) == sniff(x): rendering is a fixpoint.
-        let v1 = Value::sniff(&raw);
+        let v1 = Value::sniff(&rng.string(&printable(), 0, 24));
         let v2 = Value::sniff(&v1.render());
         match (&v1, &v2) {
-            (Value::Float(a), Value::Float(b)) => prop_assert!((a - b).abs() <= f64::EPSILON * a.abs().max(1.0)),
-            _ => prop_assert_eq!(&v1, &v2),
+            (Value::Float(a), Value::Float(b)) => {
+                assert!((a - b).abs() <= f64::EPSILON * a.abs().max(1.0))
+            }
+            _ => assert_eq!(&v1, &v2),
         }
-    }
+    });
+}
 
-    #[test]
-    fn crc_detects_mutation(data in prop::collection::vec(any::<u8>(), 1..256),
-                            ix in 0usize..256, bit in 0u8..8) {
-        let ix = ix % data.len();
+#[test]
+fn crc_detects_mutation() {
+    sweep(CASES, |rng| {
+        let data = rng.bytes(1, 256);
         let mut mutated = data.clone();
-        mutated[ix] ^= 1 << bit;
-        prop_assert_ne!(crc32(&data), crc32(&mutated));
-    }
+        mutated[rng.size(0, data.len())] ^= 1 << rng.below(8);
+        assert_ne!(crc32(&data), crc32(&mutated));
+    });
+}
 
-    #[test]
-    fn catalog_replay_equivalence(paths in prop::collection::vec("[a-z]{1,8}\\.csv", 1..20)) {
+#[test]
+fn catalog_replay_equivalence() {
+    sweep(CASES, |rng| {
+        let paths = rng.vec(1, 20, |rng| rng.string(LOWER, 1, 8) + ".csv");
         let mut muts: Vec<Mutation> = Vec::new();
         for (i, p) in paths.iter().enumerate() {
             muts.push(Mutation::Put(Box::new(DatasetFeature::new(p.clone()))));
@@ -150,32 +185,42 @@ proptest! {
             }
         }
         let mut a = Catalog::new();
-        for m in &muts { a.apply(m.clone()); }
+        for m in &muts {
+            a.apply(m.clone());
+        }
         let mut b = Catalog::new();
-        for m in muts { b.apply(m); }
-        prop_assert_eq!(a, b);
-    }
+        for m in muts {
+            b.apply(m);
+        }
+        assert_eq!(a, b);
+    });
+}
 
-    #[test]
-    fn catalog_diff_applies_to_target(paths_a in prop::collection::vec("[a-z]{1,6}", 0..10),
-                                      paths_b in prop::collection::vec("[a-z]{1,6}", 0..10)) {
-        let mut a = Catalog::new();
-        for p in &paths_a { a.put(DatasetFeature::new(p.clone())); }
-        let mut b = Catalog::new();
-        for p in &paths_b { b.put(DatasetFeature::new(p.clone())); }
-        let delta = a.diff(&b);
-        for m in delta { a.apply(m); }
+#[test]
+fn catalog_diff_applies_to_target() {
+    sweep(CASES, |rng| {
+        let catalog = |rng: &mut Rng| {
+            let mut c = Catalog::new();
+            for p in rng.vec(0, 10, |rng| rng.string(LOWER, 1, 6)) {
+                c.put(DatasetFeature::new(p));
+            }
+            c
+        };
+        let (mut a, b) = (catalog(rng), catalog(rng));
+        for m in a.diff(&b) {
+            a.apply(m);
+        }
         // After applying the diff, the entries match.
         let ids_a: Vec<_> = a.iter().map(|d| d.id).collect();
         let ids_b: Vec<_> = b.iter().map(|d| d.id).collect();
-        prop_assert_eq!(ids_a, ids_b);
-    }
+        assert_eq!(ids_a, ids_b);
+    });
 }
 
 #[test]
 fn wal_replay_equals_memory_after_random_workload() {
     // Deterministic pseudo-random workload over a real WAL file.
-    let dir = std::env::temp_dir().join(format!("metamess-proptest-wal-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("metamess-props-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let wal_path = dir.join("wal.log");

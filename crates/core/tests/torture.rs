@@ -8,22 +8,21 @@
 //! prefix of acknowledged operations: an op whose `apply` returned `Ok`
 //! under `sync_on_append` is durable, an op that errored never happened.
 //!
-//! Two harnesses cover the space:
-//!
-//! * `seeded_sweep_recovers_acknowledged_prefix` — a deterministic sweep:
-//!   case N derives its op sequence and fault plan from seed N via
-//!   SplitMix64, so a given case count always replays the same faults.
-//!   `METAMESS_TORTURE_CASES` scales it (default 300; CI runs 1000+).
-//! * proptest properties — randomized exploration with shrinking, including
-//!   a separate no-panic property for short reads (which may legitimately
-//!   lose acknowledged data by truncating a partially-read tail, so they
-//!   are excluded from the equality property).
+//! Every case derives its op sequence and fault plan from its seed via
+//! SplitMix64, so a given case count always replays the same faults.
+//! `METAMESS_TORTURE_CASES` scales `seeded_sweep_recovers_acknowledged_prefix`
+//! (default 300; `scripts/verify.sh` runs 1000). Short reads have a no-panic
+//! property of their own: they may legitimately lose acknowledged data by
+//! truncating a partially-read tail, so they are excluded from the equality
+//! property.
 
+mod common;
+
+use common::{sweep, Rng};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_core::store::{DurableCatalog, FaultKind, FaultPlan, FaultVfs, StoreOptions, Vfs};
-use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,7 +63,7 @@ fn run_until_crash(vfs: Arc<dyn Vfs>, dir: &PathBuf, ops: &[Op]) -> Catalog {
     for op in ops {
         let acked = match op {
             Op::Put(n) => {
-                let f = DatasetFeature::new(&dataset_path(*n));
+                let f = DatasetFeature::new(dataset_path(*n));
                 match store.put(f.clone()) {
                     Ok(()) => {
                         model.put(f);
@@ -120,34 +119,19 @@ fn assert_recovers_model(dir: &PathBuf, model: &Catalog, context: &str) {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic seeded sweep
-// ---------------------------------------------------------------------------
-
-/// SplitMix64: tiny, dependency-free, and good enough to scatter cases.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+fn op(rng: &mut Rng) -> Op {
+    match rng.next() % 9 {
+        0..=3 => Op::Put(rng.next() as u8),
+        4..=5 => Op::Delete(rng.next() as u8),
+        6..=7 => Op::SetProp(rng.next() as u8 % 8, rng.next() as u8),
+        _ => Op::Checkpoint,
     }
 }
 
 fn derive_case(seed: u64) -> (Vec<Op>, FaultPlan) {
     let mut rng = Rng(seed);
     let n_ops = 1 + (rng.next() % 32) as usize;
-    let ops = (0..n_ops)
-        .map(|_| match rng.next() % 9 {
-            0..=3 => Op::Put(rng.next() as u8),
-            4..=5 => Op::Delete(rng.next() as u8),
-            6..=7 => Op::SetProp(rng.next() as u8 % 8, rng.next() as u8),
-            _ => Op::Checkpoint,
-        })
-        .collect();
+    let ops = (0..n_ops).map(|_| op(&mut rng)).collect();
     let kind = match rng.next() % 4 {
         0 => FaultKind::TornWrite,
         1 => FaultKind::BitFlip,
@@ -187,109 +171,70 @@ fn seeded_sweep_recovers_acknowledged_prefix() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Proptest exploration with shrinking
-// ---------------------------------------------------------------------------
+/// Cases of each property below the sweep.
+const CASES: u64 = 96;
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => any::<u8>().prop_map(Op::Put),
-        2 => any::<u8>().prop_map(Op::Delete),
-        2 => (0u8..8, any::<u8>()).prop_map(|(k, v)| Op::SetProp(k, v)),
-        1 => Just(Op::Checkpoint),
-    ]
-}
-
-fn fault_kind_strategy() -> impl Strategy<Value = FaultKind> {
-    prop_oneof![
-        Just(FaultKind::TornWrite),
-        Just(FaultKind::BitFlip),
-        Just(FaultKind::FsyncError),
-        Just(FaultKind::RenameFail),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
-
-    #[test]
-    fn random_crashes_recover_acknowledged_prefix(
-        ops in prop::collection::vec(op_strategy(), 1..24),
-        kind in fault_kind_strategy(),
-        crash_at in 1u64..40,
-        seed in any::<u64>(),
-    ) {
-        let dir = fresh_dir("prop");
-        let plan = FaultPlan { crash_at, kind, seed };
-        let fault = Arc::new(FaultVfs::new(plan));
-        let model = run_until_crash(fault, &dir, &ops);
-        assert_recovers_model(&dir, &model, &format!("plan {plan:?}"));
-        let _ = std::fs::remove_dir_all(&dir);
+/// Applies `op` to a healthy store and, unless it is a checkpoint, to the
+/// model.
+fn apply_both(store: &mut DurableCatalog, model: &mut Catalog, op: &Op) {
+    match op {
+        Op::Put(n) => {
+            let f = DatasetFeature::new(dataset_path(*n));
+            store.put(f.clone()).unwrap();
+            model.put(f);
+        }
+        Op::Delete(n) => {
+            let id = DatasetId::from_path(&dataset_path(*n));
+            store.delete(id).unwrap();
+            model.delete(id);
+        }
+        Op::SetProp(k, v) => {
+            store.set_property(format!("k{k}"), format!("v{v}")).unwrap();
+            model.set_property(format!("k{k}"), format!("v{v}"));
+        }
+        Op::Checkpoint => store.checkpoint().unwrap(),
     }
+}
 
-    /// Short reads can truncate a tail that was merely *read* short, so
-    /// acknowledged data may legitimately be lost — the guarantee is
-    /// graceful degradation: no panic, and the store always reopens.
-    #[test]
-    fn short_reads_degrade_gracefully(
-        ops in prop::collection::vec(op_strategy(), 1..16),
-        crash_at in 1u64..5,
-        seed in any::<u64>(),
-    ) {
+/// Short reads can truncate a tail that was merely *read* short, so
+/// acknowledged data may legitimately be lost — the guarantee is
+/// graceful degradation: no panic, and the store always reopens.
+#[test]
+fn short_reads_degrade_gracefully() {
+    sweep(CASES, |rng| {
         let dir = fresh_dir("shortread");
         {
             let mut store = DurableCatalog::open(&dir, torture_opts()).unwrap();
-            for op in &ops {
-                match op {
-                    Op::Put(n) => store.put(DatasetFeature::new(&dataset_path(*n))).unwrap(),
-                    Op::Delete(n) => {
-                        store.delete(DatasetId::from_path(&dataset_path(*n))).unwrap()
-                    }
-                    Op::SetProp(k, v) => {
-                        store.set_property(format!("k{k}"), format!("v{v}")).unwrap()
-                    }
-                    Op::Checkpoint => store.checkpoint().unwrap(),
-                }
+            let mut model = Catalog::new();
+            for op in rng.vec(1, 16, op) {
+                apply_both(&mut store, &mut model, &op);
             }
         }
-        let plan = FaultPlan { crash_at, kind: FaultKind::ShortRead, seed };
+        let plan =
+            FaultPlan { crash_at: 1 + rng.below(4), kind: FaultKind::ShortRead, seed: rng.next() };
         // Opening through the fault may fail, but must not panic…
         let _ = DurableCatalog::open_with(Arc::new(FaultVfs::new(plan)), &dir, torture_opts());
         // …and the store must still open through the real file system.
         DurableCatalog::open(&dir, torture_opts())
             .unwrap_or_else(|e| panic!("store unopenable after short read: {e}"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Without any fault, the model and store agree trivially — guards the
-    /// harness itself against drift.
-    #[test]
-    fn faultless_runs_round_trip(ops in prop::collection::vec(op_strategy(), 1..24)) {
+/// Without any fault, the model and store agree trivially — guards the
+/// harness itself against drift.
+#[test]
+fn faultless_runs_round_trip() {
+    sweep(CASES, |rng| {
         let dir = fresh_dir("clean");
         let mut model = Catalog::new();
         {
             let mut store = DurableCatalog::open(&dir, torture_opts()).unwrap();
-            for op in &ops {
-                match op {
-                    Op::Put(n) => {
-                        let f = DatasetFeature::new(&dataset_path(*n));
-                        store.put(f.clone()).unwrap();
-                        model.put(f);
-                    }
-                    Op::Delete(n) => {
-                        let id = DatasetId::from_path(&dataset_path(*n));
-                        store.delete(id).unwrap();
-                        model.delete(id);
-                    }
-                    Op::SetProp(k, v) => {
-                        store.set_property(format!("k{k}"), format!("v{v}")).unwrap();
-                        model.set_property(format!("k{k}"), format!("v{v}"));
-                    }
-                    Op::Checkpoint => store.checkpoint().unwrap(),
-                }
+            for op in rng.vec(1, 24, op) {
+                apply_both(&mut store, &mut model, &op);
             }
         }
         assert_recovers_model(&dir, &model, "faultless");
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }

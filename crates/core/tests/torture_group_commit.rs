@@ -22,6 +22,9 @@
 //! Cases derive deterministically from their seed via SplitMix64;
 //! `METAMESS_TORTURE_CASES` scales the sweep (default 300; CI runs 1000).
 
+mod common;
+
+use common::Rng;
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
@@ -55,22 +58,9 @@ fn dataset_path(n: u8) -> String {
     format!("stations/s{:02}/2010/{:02}.csv", n % 8, n % 12 + 1)
 }
 
-/// SplitMix64: tiny, dependency-free, and good enough to scatter cases.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 fn mutation(rng: &mut Rng) -> Mutation {
     match rng.next() % 8 {
-        0..=4 => Mutation::Put(Box::new(DatasetFeature::new(&dataset_path(rng.next() as u8)))),
+        0..=4 => Mutation::Put(Box::new(DatasetFeature::new(dataset_path(rng.next() as u8)))),
         5..=6 => Mutation::Delete(DatasetId::from_path(&dataset_path(rng.next() as u8))),
         _ => Mutation::SetProperty {
             key: format!("k{}", rng.next() % 8),
@@ -101,11 +91,8 @@ fn derive_case(seed: u64) -> (Vec<Vec<Mutation>>, FaultPlan, Option<CompactionPo
     // operation happens far less often than in the single-writer suite,
     // so high crash points would mostly never fire.
     let plan = FaultPlan { crash_at: 1 + rng.next() % 24, kind, seed: rng.next() };
-    let compaction = (rng.next() % 2 == 0).then(|| CompactionPolicy {
-        wal_ratio: 0.01,
-        min_wal_bytes: 1,
-        retain: 1,
-    });
+    let compaction =
+        rng.coin().then_some(CompactionPolicy { wal_ratio: 0.01, min_wal_bytes: 1, retain: 1 });
     (batches, plan, compaction)
 }
 

@@ -1,113 +1,135 @@
-//! Property tests: write→parse round trips for every archive format, and
-//! parser robustness on arbitrary input.
+//! Seeded sweeps: write→parse round trips for every archive format, and
+//! parser robustness on arbitrary input. Each property runs on `CASES`
+//! generators; a failure names its seed.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::{sweep, Rng, ALPHA, DIGITS, IDENT, LOWER};
 use metamess_core::value::{Record, Value};
 use metamess_formats::*;
-use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A column name the formats can all carry (OBSLOG cannot hold whitespace).
-fn arb_column() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,14}"
+const CASES: u64 = 256;
+
+/// `first` then up to `rest_max` characters of `rest`.
+fn name(rng: &mut Rng, first: &str, rest: &str, rest_max: usize) -> String {
+    rng.string(first, 1, 1) + &rng.string(rest, 0, rest_max)
 }
 
 /// A cell value every format can round-trip.
-fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (-1_000_000i64..1_000_000).prop_map(Value::Int),
-        (-1e6f64..1e6).prop_map(|f| Value::Float((f * 1000.0).round() / 1000.0)),
-        "[a-zA-Z][a-zA-Z0-9_]{0,10}"
+fn value(rng: &mut Rng) -> Value {
+    match rng.below(4) {
+        0 => Value::Null,
+        1 => Value::Int(rng.range(-1_000_000, 1_000_000)),
+        2 => Value::Float((rng.float(-1e6, 1e6) * 1000.0).round() / 1000.0),
+        _ => loop {
             // sentinels like "na"/"NaN"/"true" sniff into other types and
             // cannot round-trip as text — that is by design, skip them
-            .prop_filter("sniffs as non-text", |s| { matches!(Value::sniff(s), Value::Text(_)) })
-            .prop_map(Value::Text),
-    ]
-}
-
-fn arb_parsed_file(max_cols: usize, max_rows: usize) -> impl Strategy<Value = ParsedFile> {
-    (
-        prop::collection::btree_set(arb_column(), 1..=max_cols),
-        prop::collection::vec(prop::collection::vec(arb_value(), max_cols), 0..max_rows),
-        prop::collection::btree_map("[a-z][a-z_]{0,8}", "[a-zA-Z0-9 ._-]{0,12}", 0..4),
-    )
-        .prop_map(|(cols, rows, mut metadata)| {
-            let columns: Vec<ColumnDef> = cols
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if i % 2 == 0 {
-                        ColumnDef::with_unit(c.clone(), "degC")
-                    } else {
-                        ColumnDef::new(c.clone())
-                    }
-                })
-                .collect();
-            let mut out = ParsedFile::new(FormatKind::Csv);
-            // metadata values must survive trimming in headers
-            metadata.retain(|_, v| !v.trim().is_empty() && v.trim() == v.as_str());
-            out.metadata = metadata;
-            for row in rows {
-                let mut r = Record::new();
-                for (i, (c, v)) in columns.iter().zip(row).enumerate() {
-                    // an entirely-blank CSV line is indistinguishable from no
-                    // line at all; keep the first cell non-null
-                    let v = if i == 0 && v.is_null() { Value::Int(0) } else { v };
-                    r.set(c.name.clone(), v);
-                }
-                out.rows.push(r);
+            let s = name(rng, ALPHA, &format!("{ALPHA}{DIGITS}_"), 10);
+            if matches!(Value::sniff(&s), Value::Text(_)) {
+                break Value::Text(s);
             }
-            out.columns = columns;
-            out
-        })
+        },
+    }
 }
 
-proptest! {
-    #[test]
-    fn csv_round_trip(file in arb_parsed_file(5, 8)) {
-        let text = write_csv(&file, ',');
-        let back = parse_csv(&text, &CsvOptions::default()).unwrap();
-        prop_assert_eq!(&back.columns, &file.columns);
-        prop_assert_eq!(&back.rows, &file.rows);
-        prop_assert_eq!(&back.metadata, &file.metadata);
+/// 1..=`max_cols` columns (every other one with a unit), up to `max_rows`
+/// rows, up to three header entries.
+fn parsed_file(rng: &mut Rng, max_cols: usize, max_rows: usize) -> ParsedFile {
+    // a column name the formats can all carry (OBSLOG cannot hold whitespace)
+    let cols: BTreeSet<String> = rng
+        .vec(1, max_cols + 1, |rng| name(rng, LOWER, &format!("{LOWER}{DIGITS}_"), 14))
+        .into_iter()
+        .collect();
+    let columns: Vec<ColumnDef> = cols
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| if i % 2 == 0 { ColumnDef::with_unit(c, "degC") } else { ColumnDef::new(c) })
+        .collect();
+    let mut out = ParsedFile::new(FormatKind::Csv);
+    for _ in 0..rng.size(0, max_rows) {
+        let mut r = Record::new();
+        for (i, c) in columns.iter().enumerate() {
+            // an entirely-blank CSV line is indistinguishable from no line
+            // at all; keep the first cell non-null
+            let v = match value(rng) {
+                Value::Null if i == 0 => Value::Int(0),
+                v => v,
+            };
+            r.set(c.name.clone(), v);
+        }
+        out.rows.push(r);
     }
+    let mut metadata: BTreeMap<String, String> = rng
+        .vec(0, 4, |rng| {
+            (name(rng, LOWER, IDENT, 8), rng.string(&format!("{ALPHA}{DIGITS} ._-"), 0, 12))
+        })
+        .into_iter()
+        .collect();
+    // metadata values must survive trimming in headers
+    metadata.retain(|_, v| !v.trim().is_empty() && v.trim() == v.as_str());
+    out.metadata = metadata;
+    out.columns = columns;
+    out
+}
 
-    #[test]
-    fn cdl_round_trip(mut file in arb_parsed_file(4, 6)) {
+#[test]
+fn csv_round_trip() {
+    sweep(CASES, |rng| {
+        let file = parsed_file(rng, 5, 8);
+        let back = parse_csv(&write_csv(&file, ','), &CsvOptions::default()).unwrap();
+        assert_eq!(back.columns, file.columns);
+        assert_eq!(back.rows, file.rows);
+        assert_eq!(back.metadata, file.metadata);
+    });
+}
+
+#[test]
+fn cdl_round_trip() {
+    sweep(CASES, |rng| {
+        let mut file = parsed_file(rng, 4, 6);
         file.format = FormatKind::Cdl;
         file.metadata.insert("dataset_name".into(), "propfile".into());
-        let text = write_cdl(&file);
-        let back = parse_cdl(&text).unwrap();
-        prop_assert_eq!(&back.columns, &file.columns);
-        prop_assert_eq!(&back.rows, &file.rows);
-    }
+        let back = parse_cdl(&write_cdl(&file)).unwrap();
+        assert_eq!(back.columns, file.columns);
+        assert_eq!(back.rows, file.rows);
+    });
+}
 
-    #[test]
-    fn obslog_round_trip(mut file in arb_parsed_file(4, 6)) {
+#[test]
+fn obslog_round_trip() {
+    sweep(CASES, |rng| {
+        let mut file = parsed_file(rng, 4, 6);
         file.format = FormatKind::Obslog;
-        let text = write_obslog(&file);
-        let back = parse_obslog(&text).unwrap();
-        prop_assert_eq!(&back.columns, &file.columns);
-        prop_assert_eq!(&back.rows, &file.rows);
-    }
+        let back = parse_obslog(&write_obslog(&file)).unwrap();
+        assert_eq!(back.columns, file.columns);
+        assert_eq!(back.rows, file.rows);
+    });
+}
 
-    #[test]
-    fn parsers_never_panic_on_arbitrary_text(text in "\\PC{0,300}") {
+#[test]
+fn parsers_never_panic_on_arbitrary_text() {
+    sweep(CASES, |rng| {
+        let text = rng.text(0, 300);
         let _ = parse_csv(&text, &CsvOptions::default());
         let _ = parse_cdl(&text);
         let _ = parse_obslog(&text);
         let _ = sniff_content(&text);
-    }
+    });
+}
 
-    #[test]
-    fn sniffer_agrees_with_writer(file in arb_parsed_file(3, 4)) {
-        let csv = write_csv(&file, ',');
+#[test]
+fn sniffer_agrees_with_writer() {
+    sweep(CASES, |rng| {
+        let file = parsed_file(rng, 3, 4);
         // single-column CSVs have no delimiter; skip those
         if file.columns.len() > 1 {
-            prop_assert_eq!(sniff_content(&csv), Some(FormatKind::Csv));
+            assert_eq!(sniff_content(&write_csv(&file, ',')), Some(FormatKind::Csv));
         }
         let mut cdl_file = file.clone();
         cdl_file.metadata.insert("dataset_name".into(), "x".into());
-        prop_assert_eq!(sniff_content(&write_cdl(&cdl_file)), Some(FormatKind::Cdl));
-        prop_assert_eq!(sniff_content(&write_obslog(&file)), Some(FormatKind::Obslog));
-    }
+        assert_eq!(sniff_content(&write_cdl(&cdl_file)), Some(FormatKind::Cdl));
+        assert_eq!(sniff_content(&write_obslog(&file)), Some(FormatKind::Obslog));
+    });
 }

@@ -58,21 +58,16 @@ impl Slot {
 }
 
 /// Whether a stage executed or was skipped by the incremental engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StageStatus {
     /// The stage executed.
+    #[default]
     Ran,
     /// The engine skipped the stage.
     Skipped {
         /// Why the stage was skipped (e.g. "inputs unchanged").
         reason: String,
     },
-}
-
-impl Default for StageStatus {
-    fn default() -> Self {
-        StageStatus::Ran
-    }
 }
 
 /// What one stage did, for the run report and the curator's review.

@@ -1,10 +1,16 @@
-//! Property tests for the wrangling pipeline over randomized mess
-//! intensities and archive shapes.
+//! Seeded sweeps of the wrangling pipeline over randomized mess
+//! intensities and archive shapes: each property runs on `CASES`
+//! generators; a failure names its seed.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::{sweep, Rng};
 use metamess_archive::{generate, ArchiveSpec, MessIntensity};
 use metamess_pipeline::{ArchiveInput, Pipeline, PipelineContext};
 use metamess_vocab::Vocabulary;
-use proptest::prelude::*;
+
+const CASES: u64 = 24;
 
 /// One random archive edit between incremental pipeline runs.
 #[derive(Debug, Clone)]
@@ -18,15 +24,12 @@ enum Edit {
     Add(u32),
 }
 
-fn arb_edits() -> impl Strategy<Value = Vec<Edit>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0usize..64).prop_map(Edit::Modify),
-            (0usize..64).prop_map(Edit::Remove),
-            (0u32..1000).prop_map(Edit::Add),
-        ],
-        1..5,
-    )
+fn edits(rng: &mut Rng) -> Vec<Edit> {
+    rng.vec(1, 5, |rng| match rng.below(3) {
+        0 => Edit::Modify(rng.size(0, 64)),
+        1 => Edit::Remove(rng.size(0, 64)),
+        _ => Edit::Add(rng.below(1000) as u32),
+    })
 }
 
 fn apply_edit(files: &mut Vec<(String, String)>, edit: &Edit) {
@@ -63,39 +66,29 @@ fn normalized_entries(
     out
 }
 
-fn arb_spec() -> impl Strategy<Value = ArchiveSpec> {
-    (
-        0u64..10_000,
-        1usize..4,
-        0usize..3,
-        1usize..4,
-        (0.0f64..0.4, 0.0f64..0.4, 0.0f64..0.3, 0.0f64..1.0, 0.0f64..0.4),
-    )
-        .prop_map(|(seed, stations, cruises, months, (mis, syn, abbr, exc, amb))| {
-            ArchiveSpec {
-                seed,
-                stations,
-                cruises,
-                glider_missions: 1,
-                months,
-                rows_per_file: 8,
-                mess: MessIntensity {
-                    misspelling: mis,
-                    synonym: syn,
-                    abbreviation: abbr,
-                    excessive: exc,
-                    ambiguous: amb,
-                },
-                include_malformed: true,
-            }
-        })
+fn spec(rng: &mut Rng) -> ArchiveSpec {
+    ArchiveSpec {
+        seed: rng.below(10_000),
+        stations: rng.size(1, 4),
+        cruises: rng.size(0, 3),
+        glider_missions: 1,
+        months: rng.size(1, 4),
+        rows_per_file: 8,
+        mess: MessIntensity {
+            misspelling: rng.float(0.0, 0.4),
+            synonym: rng.float(0.0, 0.4),
+            abbreviation: rng.float(0.0, 0.3),
+            excessive: rng.float(0.0, 1.0),
+            ambiguous: rng.float(0.0, 0.4),
+        },
+        include_malformed: true,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn pipeline_never_fails_and_resolution_is_monotone(spec in arb_spec()) {
+#[test]
+fn pipeline_never_fails_and_resolution_is_monotone() {
+    sweep(CASES, |rng| {
+        let spec = spec(rng);
         let archive = generate(&spec);
         let n_datasets = archive.truth.datasets.len();
         let mut ctx = PipelineContext::new(
@@ -106,15 +99,15 @@ proptest! {
         let report = pipeline.run(&mut ctx).unwrap();
 
         // every well-formed dataset published, malformed reported not fatal
-        prop_assert_eq!(ctx.catalogs.published.len(), n_datasets);
-        prop_assert_eq!(
+        assert_eq!(ctx.catalogs.published.len(), n_datasets);
+        assert_eq!(
             report.stage("scan-archive").unwrap().errors.len(),
             archive.truth.malformed.len()
         );
         // resolution monotone across the chain
         let traj = report.resolution_trajectory();
         for w in traj.windows(2) {
-            prop_assert!(w[1].1 >= w[0].1 - 1e-9, "{traj:?}");
+            assert!(w[1].1 >= w[0].1 - 1e-9, "{traj:?}");
         }
         // QA flags only on QA-truth columns (marking never misfires)
         for td in &archive.truth.datasets {
@@ -122,7 +115,7 @@ proptest! {
             for tv in &td.variables {
                 if let Some(v) = d.variable(&tv.harvested) {
                     if v.flags.qa {
-                        prop_assert!(
+                        assert!(
                             tv.qa || tv.harvested.ends_with("_flag"),
                             "false QA mark on {} in {}",
                             tv.harvested,
@@ -132,10 +125,13 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn rerun_is_idempotent(spec in arb_spec()) {
+#[test]
+fn rerun_is_idempotent() {
+    sweep(CASES, |rng| {
+        let spec = spec(rng);
         let archive = generate(&spec);
         let mut ctx = PipelineContext::new(
             ArchiveInput::Memory(archive.files),
@@ -146,18 +142,21 @@ proptest! {
         let first = ctx.catalogs.published.clone();
         let r2 = pipeline.run(&mut ctx).unwrap();
         // nothing rescanned, published catalog entries unchanged
-        prop_assert_eq!(r2.stage("scan-archive").unwrap().changed, 0);
+        assert_eq!(r2.stage("scan-archive").unwrap().changed, 0);
         let ids1: Vec<_> = first.iter().map(|d| d.id).collect();
         let ids2: Vec<_> = ctx.catalogs.published.iter().map(|d| d.id).collect();
-        prop_assert_eq!(ids1, ids2);
+        assert_eq!(ids1, ids2);
         for d in first.iter() {
             let d2 = ctx.catalogs.published.get(d.id).unwrap();
-            prop_assert_eq!(d, d2);
+            assert_eq!(d, d2);
         }
-    }
+    });
+}
 
-    #[test]
-    fn incremental_run_matches_scratch_run(spec in arb_spec(), edits in arb_edits()) {
+#[test]
+fn incremental_run_matches_scratch_run() {
+    sweep(CASES, |rng| {
+        let (spec, edits) = (spec(rng), edits(rng));
         let archive = generate(&spec);
         let mut files = archive.files;
         let mut inc = PipelineContext::new(
@@ -174,21 +173,21 @@ proptest! {
         }
         // a from-scratch run over the final archive must publish the same
         // catalog (modulo the pipeline_run provenance stamp)
-        let mut scratch = PipelineContext::new(
-            ArchiveInput::Memory(files),
-            Vocabulary::observatory_default(),
-        );
+        let mut scratch =
+            PipelineContext::new(ArchiveInput::Memory(files), Vocabulary::observatory_default());
         Pipeline::standard().run(&mut scratch).unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             normalized_entries(&inc.catalogs.published),
             normalized_entries(&scratch.catalogs.published)
         );
-    }
+    });
+}
 
-    #[test]
-    fn zero_mess_resolves_completely(seed in 0u64..5_000) {
+#[test]
+fn zero_mess_resolves_completely() {
+    sweep(CASES, |rng| {
         let spec = ArchiveSpec {
-            seed,
+            seed: rng.below(5_000),
             stations: 2,
             cruises: 1,
             glider_missions: 1,
@@ -210,10 +209,10 @@ proptest! {
         );
         Pipeline::standard().run(&mut ctx).unwrap();
         // all names are canonical; resolution is total
-        prop_assert!(
+        assert!(
             (ctx.catalogs.published.resolution_fraction() - 1.0).abs() < 1e-12,
             "{}",
             ctx.catalogs.published.resolution_fraction()
         );
-    }
+    });
 }

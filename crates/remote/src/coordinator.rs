@@ -49,9 +49,8 @@ use metamess_core::time::TimeInterval;
 use metamess_search::fanout::{scatter_gather, ProbeSummary, ScoreWork, ShardBackend};
 use metamess_search::{Query, SearchHit};
 use metamess_telemetry::trace;
-use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What to do when a shard cannot answer.
@@ -230,19 +229,16 @@ impl RemoteShardSet {
         }
         // Hello every slot (idempotent → retried within the budget).
         let mut by_slot: Vec<HelloResponse> = Vec::with_capacity(n);
-        for slot in 0..n {
+        for (slot, label) in labels.iter().enumerate() {
             let frame = Frame::new(FrameKind::Hello, 0, &HelloRequest::default());
             let hello: HelloResponse =
                 match exchange_checked(transport.as_ref(), slot, &frame, FrameKind::HelloOk) {
                     Ok(h) => h,
                     Err(ShardFailure::Transport(e)) => {
-                        return Err(transport_error(&labels[slot], "hello", &e));
+                        return Err(transport_error(label, "hello", &e));
                     }
                     Err(ShardFailure::Remote(m)) => {
-                        return Err(Error::invalid(format!(
-                            "{} rejected hello: {m}",
-                            labels[slot]
-                        )));
+                        return Err(Error::invalid(format!("{label} rejected hello: {m}")));
                     }
                     Err(_) => unreachable!("hello checks neither generation nor circuits"),
                 };
@@ -334,7 +330,7 @@ impl RemoteShardSet {
     pub fn health(&self) -> Vec<ShardHealth> {
         (0..self.hello.len())
             .map(|k| {
-                let c = self.circuits[k].lock();
+                let c = self.circuit(k);
                 ShardHealth {
                     shard_id: k as u32,
                     addr: self.addrs[k].clone(),
@@ -442,7 +438,7 @@ impl RemoteShardSet {
         idempotent: bool,
     ) -> std::result::Result<T, ShardFailure> {
         {
-            let c = self.circuits[shard].lock();
+            let c = self.circuit(shard);
             if c.consecutive_failures >= self.opts.failure_threshold {
                 let cooled = c.opened_at.map(|t| t.elapsed() >= self.opts.cooldown).unwrap_or(true);
                 if !cooled {
@@ -489,8 +485,14 @@ impl RemoteShardSet {
         Duration::from_micros(half + if half == 0 { 0 } else { mixed % (half + 1) })
     }
 
+    /// Shard `shard`'s circuit. A poisoned lock is taken over: the circuit
+    /// is counters and timestamps, each valid whatever the others hold.
+    fn circuit(&self, shard: usize) -> MutexGuard<'_, CircuitInner> {
+        self.circuits[shard].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn record_success(&self, shard: usize, rtt_us: u64) {
-        let mut c = self.circuits[shard].lock();
+        let mut c = self.circuit(shard);
         c.consecutive_failures = 0;
         c.opened_at = None;
         c.last_rtt_us = Some(rtt_us);
@@ -499,7 +501,7 @@ impl RemoteShardSet {
     }
 
     fn record_failure(&self, shard: usize) {
-        let mut c = self.circuits[shard].lock();
+        let mut c = self.circuit(shard);
         c.consecutive_failures = c.consecutive_failures.saturating_add(1);
         if c.consecutive_failures >= self.opts.failure_threshold {
             // (Re-)arm the cooldown from the latest failure, so a dead
@@ -514,10 +516,8 @@ impl RemoteShardSet {
         if !metamess_telemetry::enabled() {
             return;
         }
-        let open = self
-            .circuits
-            .iter()
-            .filter(|c| c.lock().consecutive_failures >= self.opts.failure_threshold)
+        let open = (0..self.circuits.len())
+            .filter(|&k| self.circuit(k).consecutive_failures >= self.opts.failure_threshold)
             .count();
         remote_metrics().open_circuits.set(open as i64);
     }

@@ -13,10 +13,9 @@
 use crate::frame::{self, Frame};
 use crate::shardd::ShardHost;
 use crate::transport::{Transport, TransportError};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// What one exchange attempt against a shard does.
@@ -54,7 +53,7 @@ impl FaultTransport {
     /// connecting the coordinator — the hello exchange pops the schedule
     /// too.
     pub fn push_actions(&self, shard: usize, actions: &[FaultAction]) {
-        let mut schedules = self.schedules.lock();
+        let mut schedules = self.schedules.lock().unwrap_or_else(PoisonError::into_inner);
         schedules[shard].extend(actions.iter().copied());
     }
 
@@ -87,7 +86,9 @@ impl FaultTransport {
 impl Transport for FaultTransport {
     fn exchange(&self, shard: usize, request: &Frame) -> Result<Frame, TransportError> {
         self.attempts[shard].fetch_add(1, Ordering::Relaxed);
-        let action = self.schedules.lock()[shard].pop_front().unwrap_or(FaultAction::Ok);
+        let action = self.schedules.lock().unwrap_or_else(PoisonError::into_inner)[shard]
+            .pop_front()
+            .unwrap_or(FaultAction::Ok);
         match action {
             FaultAction::Ok => self.answer(shard, request),
             FaultAction::Timeout => Err(TransportError::Timeout),

@@ -21,7 +21,7 @@
 //! error, an unknown version is invalid (speak-first negotiation: the
 //! responder answers with its own version so old coordinators fail
 //! cleanly), a CRC mismatch is corruption, truncation is corruption —
-//! and never a panic; the codec proptests in `tests/codec.rs` hold the
+//! and never a panic; the codec sweeps in `tests/codec.rs` hold the
 //! line.
 
 use metamess_core::error::{Error, Result};

@@ -8,9 +8,9 @@
 //! seeded failure schedules in tests and against real TCP in production.
 
 use crate::frame::{self, Frame};
-use parking_lot::Mutex;
 use std::io::ErrorKind;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Why an exchange failed, coarse enough for policy decisions: timeouts
@@ -121,16 +121,24 @@ impl TcpTransport {
     }
 }
 
+impl TcpTransport {
+    /// Shard `shard`'s idle connections. A poisoned lock is taken over: the
+    /// pool is a plain vector, valid after every push, pop and clear.
+    fn pool(&self, shard: usize) -> MutexGuard<'_, Vec<TcpStream>> {
+        self.pools[shard].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl Transport for TcpTransport {
     fn exchange(&self, shard: usize, request: &Frame) -> Result<Frame, TransportError> {
-        let pooled = self.pools[shard].lock().pop();
+        let pooled = self.pool(shard).pop();
         let (mut stream, reused) = match pooled {
             Some(s) => (s, true),
             None => (self.dial(shard)?, false),
         };
         match self.exchange_on(&mut stream, request) {
             Ok(resp) => {
-                let mut pool = self.pools[shard].lock();
+                let mut pool = self.pool(shard);
                 if pool.len() < POOL_DEPTH {
                     pool.push(stream);
                 }
@@ -140,17 +148,17 @@ impl Transport for TcpTransport {
                 // The idle connection may simply have aged out on the
                 // server; retry exactly once on a fresh dial before
                 // reporting failure, and drop the stale siblings.
-                self.pools[shard].lock().clear();
+                self.pool(shard).clear();
                 let mut fresh = self.dial(shard)?;
                 let resp = self.exchange_on(&mut fresh, request)?;
-                let mut pool = self.pools[shard].lock();
+                let mut pool = self.pool(shard);
                 if pool.len() < POOL_DEPTH {
                     pool.push(fresh);
                 }
                 Ok(resp)
             }
             Err(e) => {
-                self.pools[shard].lock().clear();
+                self.pool(shard).clear();
                 Err(e)
             }
         }

@@ -1,94 +1,109 @@
-//! Property tests for the shard-protocol frame codec: every byte
+//! Seeded sweeps over the shard-protocol frame codec: every byte
 //! sequence — well-formed, truncated, bit-flipped, version-skewed, or
 //! pure garbage — maps to either a frame or a **typed** error, never a
-//! panic and never a silent mis-decode.
+//! panic and never a silent mis-decode. Each property runs on `CASES`
+//! generators; a failure names its seed.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::{sweep, Rng};
 use metamess_core::error::Error;
 use metamess_remote::frame::{self, Frame, FrameKind, HEADER_LEN, PROTO_VERSION};
-use proptest::prelude::*;
 
-fn arb_kind() -> impl Strategy<Value = FrameKind> {
-    prop_oneof![
-        Just(FrameKind::Hello),
-        Just(FrameKind::HelloOk),
-        Just(FrameKind::Probe),
-        Just(FrameKind::ProbeOk),
-        Just(FrameKind::Score),
-        Just(FrameKind::ScoreOk),
-        Just(FrameKind::Error),
-    ]
-}
+const CASES: u64 = 256;
 
-fn arb_frame() -> impl Strategy<Value = Frame> {
-    (arb_kind(), any::<u128>(), prop::collection::vec(any::<u8>(), 0..512))
-        .prop_map(|(kind, trace_id, payload)| Frame { kind, trace_id, payload })
-}
+const KINDS: [FrameKind; 7] = [
+    FrameKind::Hello,
+    FrameKind::HelloOk,
+    FrameKind::Probe,
+    FrameKind::ProbeOk,
+    FrameKind::Score,
+    FrameKind::ScoreOk,
+    FrameKind::Error,
+];
 
-proptest! {
-    /// Encode → decode is the identity, via both the slice decoder and
-    /// the stream reader (which must also report the clean EOF after).
-    #[test]
-    fn any_frame_roundtrips(f in arb_frame()) {
-        let bytes = f.encode();
-        prop_assert_eq!(bytes.len(), HEADER_LEN + f.payload.len());
-        prop_assert_eq!(frame::decode(&bytes).unwrap(), f.clone());
-        let mut cursor = std::io::Cursor::new(&bytes);
-        prop_assert_eq!(frame::read_frame(&mut cursor).unwrap(), Some(f));
-        prop_assert_eq!(frame::read_frame(&mut cursor).unwrap(), None);
+fn frame(rng: &mut Rng) -> Frame {
+    Frame {
+        kind: *rng.pick(&KINDS),
+        trace_id: u128::from(rng.next()) << 64 | u128::from(rng.next()),
+        payload: rng.bytes(0, 512),
     }
+}
 
-    /// Cutting an encoded frame anywhere short of its full length is a
-    /// typed corruption error from the slice decoder, and a typed error
-    /// (corrupt header or I/O on the payload read) from the stream
-    /// reader. Neither panics, neither returns a frame.
-    #[test]
-    fn truncation_at_any_cut_is_typed(f in arb_frame(), cut in any::<prop::sample::Index>()) {
+/// Encode → decode is the identity, via both the slice decoder and
+/// the stream reader (which must also report the clean EOF after).
+#[test]
+fn any_frame_roundtrips() {
+    sweep(CASES, |rng| {
+        let f = frame(rng);
         let bytes = f.encode();
-        let cut = cut.index(bytes.len()); // 0..len, always short of a full frame
-        prop_assert!(matches!(frame::decode(&bytes[..cut]), Err(Error::Corrupt { .. })));
+        assert_eq!(bytes.len(), HEADER_LEN + f.payload.len());
+        assert_eq!(frame::decode(&bytes).unwrap(), f);
+        let mut cursor = std::io::Cursor::new(&bytes);
+        assert_eq!(frame::read_frame(&mut cursor).unwrap(), Some(f));
+        assert_eq!(frame::read_frame(&mut cursor).unwrap(), None);
+    });
+}
+
+/// Cutting an encoded frame anywhere short of its full length is a
+/// typed corruption error from the slice decoder, and a typed error
+/// (corrupt header or I/O on the payload read) from the stream
+/// reader. Neither panics, neither returns a frame.
+#[test]
+fn truncation_at_any_cut_is_typed() {
+    sweep(CASES, |rng| {
+        let bytes = frame(rng).encode();
+        let cut = rng.size(0, bytes.len()); // always short of a full frame
+        assert!(matches!(frame::decode(&bytes[..cut]), Err(Error::Corrupt { .. })));
         let mut cursor = std::io::Cursor::new(&bytes[..cut]);
         match frame::read_frame(&mut cursor) {
-            Ok(None) => prop_assert_eq!(cut, 0, "only an empty stream is a clean EOF"),
+            Ok(None) => assert_eq!(cut, 0, "only an empty stream is a clean EOF"),
             Err(Error::Corrupt { .. }) | Err(Error::Io { .. }) => {}
-            other => prop_assert!(false, "expected typed error, got {:?}", other),
+            other => panic!("expected typed error, got {other:?}"),
         }
-    }
+    });
+}
 
-    /// Flipping any single bit of the payload fails the CRC check.
-    #[test]
-    fn payload_bit_flips_fail_the_crc(
-        f in arb_frame(),
-        byte in any::<prop::sample::Index>(),
-        bit in 0u8..8,
-    ) {
-        prop_assume!(!f.payload.is_empty());
+/// Flipping any single bit of the payload fails the CRC check.
+#[test]
+fn payload_bit_flips_fail_the_crc() {
+    sweep(CASES, |rng| {
+        let f = Frame { payload: rng.bytes(1, 512), ..frame(rng) };
         let mut bytes = f.encode();
-        let ix = HEADER_LEN + byte.index(f.payload.len());
-        bytes[ix] ^= 1 << bit;
-        prop_assert!(matches!(frame::decode(&bytes), Err(Error::Corrupt { .. })));
-    }
+        bytes[HEADER_LEN + rng.size(0, f.payload.len())] ^= 1 << rng.below(8);
+        assert!(matches!(frame::decode(&bytes), Err(Error::Corrupt { .. })));
+    });
+}
 
-    /// Any version other than ours is a clean `Invalid` error naming the
-    /// version — old coordinators against new shardds fail loudly, not
-    /// weirdly.
-    #[test]
-    fn any_other_version_is_invalid(f in arb_frame(), version in any::<u16>()) {
-        prop_assume!(version != PROTO_VERSION);
-        let mut bytes = f.encode();
+/// Any version other than ours is a clean `Invalid` error naming the
+/// version — old coordinators against new shardds fail loudly, not
+/// weirdly.
+#[test]
+fn any_other_version_is_invalid() {
+    sweep(CASES, |rng| {
+        let version = rng.next() as u16;
+        if version == PROTO_VERSION {
+            return;
+        }
+        let mut bytes = frame(rng).encode();
         bytes[8..10].copy_from_slice(&version.to_le_bytes());
         match frame::decode(&bytes) {
             Err(Error::Invalid { message }) => {
-                prop_assert!(message.contains(&version.to_string()), "{}", message);
+                assert!(message.contains(&version.to_string()), "{message}");
             }
-            other => prop_assert!(false, "expected Invalid, got {:?}", other),
+            other => panic!("expected Invalid, got {other:?}"),
         }
-    }
+    });
+}
 
-    /// Arbitrary garbage never panics the decoder or the stream reader.
-    #[test]
-    fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+/// Arbitrary garbage never panics the decoder or the stream reader.
+#[test]
+fn garbage_never_panics() {
+    sweep(CASES, |rng| {
+        let bytes = rng.bytes(0, 256);
         let _ = frame::decode(&bytes);
         let mut cursor = std::io::Cursor::new(&bytes);
         let _ = frame::read_frame(&mut cursor);
-    }
+    });
 }

@@ -13,15 +13,14 @@
 //! count instead of cloning every `SearchHit` (each of which owns strings
 //! and a score breakdown), so the hot hit path allocates nothing.
 //!
-//! Guarded by a `parking_lot` mutex; hit/miss counters are exposed for the
+//! Guarded by a mutex; hit/miss counters are exposed for the
 //! benches and experiment binaries.
 
 use crate::engine::SearchHit;
 use metamess_telemetry::{trace, Stopwatch};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default number of cached result lists per engine.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
@@ -72,6 +71,12 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
+    /// The LRU map. A poisoned lock is taken over: an entry is inserted or
+    /// evicted whole, so the map is valid at every step.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// An empty cache holding at most `capacity` result lists (0 disables
     /// caching entirely — every lookup misses and nothing is stored).
     pub fn new(capacity: usize) -> ResultCache {
@@ -86,7 +91,7 @@ impl ResultCache {
     /// matches `generation`. A hit clones the `Arc`, never the hits.
     pub fn get(&self, key: &str, generation: u64) -> Option<Arc<[SearchHit]>> {
         let sw = Stopwatch::start_if(metamess_telemetry::enabled());
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(key) {
@@ -110,7 +115,7 @@ impl ResultCache {
     /// Stores a result list under `key`, stamped with `generation`,
     /// evicting the least-recently-used entry when over capacity.
     pub fn put(&self, key: String, generation: u64, hits: Arc<[SearchHit]>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         if inner.capacity == 0 {
             return;
         }
@@ -136,7 +141,7 @@ impl ResultCache {
 
     /// Number of cached result lists.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner().entries.len()
     }
 
     /// True when nothing is cached.
@@ -146,7 +151,7 @@ impl ResultCache {
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        self.inner.lock().entries.clear();
+        self.inner().entries.clear();
     }
 
     /// Re-stamps entries from generation `from` to generation `to` when
@@ -167,7 +172,7 @@ impl ResultCache {
         to: u64,
         survives: impl Fn(&str, &[SearchHit]) -> bool,
     ) -> (usize, usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         let mut survived = 0;
         let mut dropped = 0;
         inner.entries.retain(|key, e| {

@@ -25,8 +25,7 @@
 //!   local index)` pairs — O(n log k) instead of sorting every scored hit;
 //!   only each shard's `≤ limit` survivors are materialized into
 //!   [`SearchHit`]s. The rank order `(score desc, path asc)` is a strict
-//!   total order, so the merged result does not depend on the layout
-//!   ([`TopK`] remains the general-purpose building block).
+//!   total order, so the merged result does not depend on the layout.
 //! * A generation-stamped LRU [`ResultCache`] serves repeated queries
 //!   against an unchanged published catalog without rescoring; entries are
 //!   invalidated simply by the catalog generation moving on publish, and
@@ -69,7 +68,6 @@ pub use score::{
 };
 pub use shard::{clamp_shards, Partitioner, ShardEngine, ShardSpec, MAX_SHARDS};
 pub use summary::{render_results, render_summary};
-pub use topk::TopK;
 
 // Compile-time thread-safety contract: the HTTP server shares one
 // `SearchEngine` (and its `ResultCache`) across worker threads behind an

@@ -10,95 +10,12 @@
 
 use crate::engine::SearchHit;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Total rank order over hits: higher score first, ties broken by
 /// lexicographically smaller path. Scores are finite (always in `[0, 1]`),
 /// and paths are unique per catalog, so the order is total and strict.
 pub(crate) fn rank_cmp(a: &SearchHit, b: &SearchHit) -> Ordering {
     b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal).then_with(|| a.path.cmp(&b.path))
-}
-
-/// Heap wrapper ordering hits worst-rank-first, so the max-heap root is the
-/// current eviction candidate.
-struct Worst(SearchHit);
-
-impl PartialEq for Worst {
-    fn eq(&self, other: &Self) -> bool {
-        rank_cmp(&self.0, &other.0) == Ordering::Equal
-    }
-}
-
-impl Eq for Worst {}
-
-impl PartialOrd for Worst {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Worst {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // greater under rank_cmp = ranks later = worse
-        rank_cmp(&self.0, &other.0)
-    }
-}
-
-/// A bounded top-k accumulator: push every scored hit, keep the best `k`.
-pub struct TopK {
-    k: usize,
-    heap: BinaryHeap<Worst>,
-}
-
-impl TopK {
-    /// An empty accumulator holding at most `k` hits. Preallocation is
-    /// capped — a huge `k` (queries clamp theirs, but `TopK` is a public
-    /// building block) must not become a huge upfront allocation; the heap
-    /// grows on demand past the cap.
-    pub fn new(k: usize) -> TopK {
-        TopK { k, heap: BinaryHeap::with_capacity(k.saturating_add(1).min(4096)) }
-    }
-
-    /// Offers one hit; kept only while it ranks among the best `k` seen.
-    pub fn push(&mut self, hit: SearchHit) {
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(Worst(hit));
-            return;
-        }
-        if let Some(worst) = self.heap.peek() {
-            if rank_cmp(&hit, &worst.0) == Ordering::Less {
-                self.heap.pop();
-                self.heap.push(Worst(hit));
-            }
-        }
-    }
-
-    /// Folds another accumulator in (used to combine partial results).
-    pub fn merge(&mut self, other: TopK) {
-        for w in other.heap {
-            self.push(w.0);
-        }
-    }
-
-    /// Number of hits currently held.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no hits are held.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The kept hits, best first.
-    pub fn into_sorted(self) -> Vec<SearchHit> {
-        let mut out: Vec<SearchHit> = self.heap.into_iter().map(|w| w.0).collect();
-        out.sort_by(rank_cmp);
-        out
-    }
 }
 
 /// A candidate in the allocation-free scoring pass: `(total score, local
@@ -113,7 +30,7 @@ pub(crate) type LightHit = (f64, u32);
 ///
 /// `rank_lt(a, b)` must be a strict total order meaning "a ranks before
 /// b" — the same `(score desc, path asc)` order as [`rank_cmp`], so the
-/// kept set equals sort-then-truncate exactly, like [`TopK`]'s.
+/// kept set equals sort-then-truncate exactly.
 ///
 /// The buffer is maintained as a binary max-heap under "ranks later", so
 /// the root is always the current eviction candidate.
@@ -180,18 +97,6 @@ impl<'a> LightTopK<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::ScoreBreakdown;
-    use metamess_core::id::DatasetId;
-
-    fn hit(path: &str, score: f64) -> SearchHit {
-        SearchHit {
-            id: DatasetId::from_path(path),
-            path: path.to_string(),
-            title: path.to_string(),
-            score,
-            breakdown: ScoreBreakdown::default(),
-        }
-    }
 
     /// Deterministic pseudo-random scores without pulling in `rand`.
     fn lcg_scores(n: usize, seed: u64) -> Vec<f64> {
@@ -202,62 +107,6 @@ mod tests {
                 (state >> 11) as f64 / (1u64 << 53) as f64
             })
             .collect()
-    }
-
-    fn reference(hits: &[SearchHit], k: usize) -> Vec<SearchHit> {
-        let mut v = hits.to_vec();
-        v.sort_by(rank_cmp);
-        v.truncate(k);
-        v
-    }
-
-    #[test]
-    fn matches_sort_then_truncate() {
-        for (n, k, seed) in [(100usize, 5usize, 7u64), (37, 10, 99), (8, 8, 3), (5, 20, 1)] {
-            let hits: Vec<SearchHit> = lcg_scores(n, seed)
-                .into_iter()
-                .enumerate()
-                .map(|(ix, s)| hit(&format!("ds/{ix:04}.csv"), s))
-                .collect();
-            let mut topk = TopK::new(k);
-            for h in hits.iter().cloned() {
-                topk.push(h);
-            }
-            assert_eq!(topk.into_sorted(), reference(&hits, k), "n={n} k={k}");
-        }
-    }
-
-    #[test]
-    fn merge_agrees_with_single_accumulator() {
-        let hits: Vec<SearchHit> = lcg_scores(64, 42)
-            .into_iter()
-            .enumerate()
-            .map(|(ix, s)| hit(&format!("ds/{ix:04}.csv"), s))
-            .collect();
-        for parts in [2usize, 3, 7] {
-            let chunk = hits.len().div_ceil(parts);
-            let mut merged = TopK::new(6);
-            for c in hits.chunks(chunk) {
-                let mut local = TopK::new(6);
-                for h in c.iter().cloned() {
-                    local.push(h);
-                }
-                merged.merge(local);
-            }
-            assert_eq!(merged.into_sorted(), reference(&hits, 6), "parts={parts}");
-        }
-    }
-
-    #[test]
-    fn score_ties_break_by_path() {
-        let mut topk = TopK::new(2);
-        topk.push(hit("b.csv", 0.5));
-        topk.push(hit("a.csv", 0.5));
-        topk.push(hit("c.csv", 0.5));
-        let out = topk.into_sorted();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].path, "a.csv");
-        assert_eq!(out[1].path, "b.csv");
     }
 
     #[test]
@@ -300,14 +149,5 @@ mod tests {
         }
         assert_eq!(buf.len(), 2);
         assert!(buf.iter().all(|c| c.0 >= 0.5));
-    }
-
-    #[test]
-    fn zero_k_keeps_nothing() {
-        let mut topk = TopK::new(0);
-        topk.push(hit("a.csv", 1.0));
-        assert!(topk.is_empty());
-        assert_eq!(topk.len(), 0);
-        assert!(topk.into_sorted().is_empty());
     }
 }

@@ -15,6 +15,19 @@
 //! * a variables-only query asks for more hits than a third of the catalog,
 //!   which is the fallback's own trigger;
 //! * the empty query always scans.
+//!
+//! [`any_catalog`] and [`any_query`] leave that regime — datasets without a
+//! bbox or a time interval, every combination of query terms, small limits —
+//! for the properties that hold of every search (`props.rs`,
+//! `shard_props.rs`), where one engine is compared with another, not with
+//! the oracle.
+
+#![allow(dead_code, unused_imports)] // each test file takes only some of this
+
+#[path = "../../../core/tests/common/mod.rs"]
+mod seeded;
+
+pub use seeded::{sweep, Rng};
 
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
@@ -28,28 +41,6 @@ use std::collections::BTreeSet;
 const VAR_POOL: &[&str] =
     &["water_temperature", "salinity", "dissolved_oxygen", "turbidity", "nitrate", "wind_speed"];
 
-/// SplitMix64: tiny, dependency-free, and good enough to scatter cases.
-pub struct Rng(pub u64);
-
-impl Rng {
-    pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn float(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
-    }
-}
-
 fn day(n: u64) -> Timestamp {
     Timestamp::from_ymd(2010, 1, 1).unwrap().plus_days(n as i64)
 }
@@ -61,32 +52,48 @@ fn cluster(rng: &mut Rng) -> (f64, f64) {
     (lat + rng.float(-0.5, 0.5), lon + rng.float(-0.5, 0.5))
 }
 
-/// 1..40 datasets, each with a bbox, most with a time interval, 0..3
-/// ranged variables.
+/// Dataset `ix`: a bbox (always, or three times in four), most with a time
+/// interval, 0..3 ranged variables.
+fn dataset(rng: &mut Rng, ix: u64, always_located: bool) -> DatasetFeature {
+    let mut d = DatasetFeature::new(format!("ds/{ix:02}.csv"));
+    d.title = format!("dataset {ix}");
+    if always_located || rng.below(4) > 0 {
+        let (lat, lon) = cluster(rng);
+        d.bbox = Some(GeoBBox::point(GeoPoint::new(lat, lon).unwrap()));
+    }
+    if rng.below(5) > 0 {
+        let start = rng.below(300);
+        d.time = Some(TimeInterval::new(day(start), day(start + 1 + rng.below(200))));
+    }
+    for _ in 0..rng.below(3) {
+        let name = VAR_POOL[rng.below(VAR_POOL.len() as u64) as usize];
+        if d.variables.iter().any(|v| v.name == name) {
+            continue;
+        }
+        let mut v = VariableFeature::new(name);
+        v.resolve(name, NameResolution::AlreadyCanonical);
+        let lo = rng.float(0.0, 20.0);
+        v.summary.observe(lo);
+        v.summary.observe(lo + rng.float(1.0, 15.0));
+        d.variables.push(v);
+    }
+    d
+}
+
+/// 1..40 datasets, each with a bbox.
 pub fn catalog(rng: &mut Rng) -> Catalog {
     let mut c = Catalog::new();
     for ix in 0..1 + rng.below(39) {
-        let mut d = DatasetFeature::new(format!("ds/{ix:02}.csv"));
-        d.title = format!("dataset {ix}");
-        let (lat, lon) = cluster(rng);
-        d.bbox = Some(GeoBBox::point(GeoPoint::new(lat, lon).unwrap()));
-        if rng.below(5) > 0 {
-            let start = rng.below(300);
-            d.time = Some(TimeInterval::new(day(start), day(start + 1 + rng.below(200))));
-        }
-        for _ in 0..rng.below(3) {
-            let name = VAR_POOL[rng.below(VAR_POOL.len() as u64) as usize];
-            if d.variables.iter().any(|v| v.name == name) {
-                continue;
-            }
-            let mut v = VariableFeature::new(name);
-            v.resolve(name, NameResolution::AlreadyCanonical);
-            let lo = rng.float(0.0, 20.0);
-            v.summary.observe(lo);
-            v.summary.observe(lo + rng.float(1.0, 15.0));
-            d.variables.push(v);
-        }
-        c.put(d);
+        c.put(dataset(rng, ix, true));
+    }
+    c
+}
+
+/// 1..40 datasets, some of them nowhere, some of them at no time.
+pub fn any_catalog(rng: &mut Rng) -> Catalog {
+    let mut c = Catalog::new();
+    for ix in 0..1 + rng.below(39) {
+        c.put(dataset(rng, ix, false));
     }
     c
 }
@@ -94,7 +101,6 @@ pub fn catalog(rng: &mut Rng) -> Catalog {
 /// A published delta over `catalog`: one dataset nobody has seen, one that
 /// replaces an existing dataset with different content, and one delete
 /// (the last two of different datasets, when the catalog has two).
-#[allow(dead_code)] // not every sweep that shares this module draws one
 pub fn delta(rng: &mut Rng, catalog: &Catalog) -> Vec<Mutation> {
     let pick = |rng: &mut Rng| {
         catalog.iter().nth(rng.below(catalog.len() as u64) as usize).expect("never empty")
@@ -118,7 +124,6 @@ pub fn delta(rng: &mut Rng, catalog: &Catalog) -> Vec<Mutation> {
 }
 
 /// The datasets a delta puts or deletes.
-#[allow(dead_code)] // goes with `delta`
 pub fn touched_ids(mutations: &[Mutation]) -> BTreeSet<DatasetId> {
     mutations
         .iter()
@@ -130,28 +135,34 @@ pub fn touched_ids(mutations: &[Mutation]) -> BTreeSet<DatasetId> {
         .collect()
 }
 
+fn window(rng: &mut Rng, q: Query) -> Query {
+    let start = rng.below(300);
+    q.between(day(start), day(start + 1 + rng.below(120)))
+}
+
+fn variables(rng: &mut Rng, mut q: Query) -> Query {
+    for _ in 0..1 + rng.below(2) {
+        let name = VAR_POOL[rng.below(VAR_POOL.len() as u64) as usize];
+        let range = (rng.below(2) == 0).then(|| {
+            let lo = rng.float(0.0, 15.0);
+            (lo, lo + rng.float(0.1, 10.0))
+        });
+        q = q.with_variable(name, range);
+    }
+    q
+}
+
+fn limit(rng: &mut Rng) -> usize {
+    1 + rng.below(8) as usize
+}
+
+fn near(rng: &mut Rng) -> Query {
+    let (lat, lon) = cluster(rng);
+    Query::new().near(lat, lon, rng.float(5.0, 100.0)).unwrap().limit(limit(rng))
+}
+
 /// One query per shape the module docs list, for a catalog of `datasets`.
 pub fn queries(rng: &mut Rng, datasets: usize) -> Vec<Query> {
-    let window = |rng: &mut Rng, q: Query| {
-        let start = rng.below(300);
-        q.between(day(start), day(start + 1 + rng.below(120)))
-    };
-    let variables = |rng: &mut Rng, mut q: Query| {
-        for _ in 0..1 + rng.below(2) {
-            let name = VAR_POOL[rng.below(VAR_POOL.len() as u64) as usize];
-            let range = (rng.below(2) == 0).then(|| {
-                let lo = rng.float(0.0, 15.0);
-                (lo, lo + rng.float(0.1, 10.0))
-            });
-            q = q.with_variable(name, range);
-        }
-        q
-    };
-    let limit = |rng: &mut Rng| 1 + rng.below(8) as usize;
-    let near = |rng: &mut Rng| {
-        let (lat, lon) = cluster(rng);
-        Query::new().near(lat, lon, rng.float(5.0, 100.0)).unwrap().limit(limit(rng))
-    };
     let time_only = window(rng, Query::new()).limit(limit(rng));
     let spatial = near(rng);
     let everything = near(rng);
@@ -159,6 +170,19 @@ pub fn queries(rng: &mut Rng, datasets: usize) -> Vec<Query> {
     let everything = variables(rng, everything);
     let beyond = variables(rng, Query::new()).limit(datasets + 1 + rng.below(8) as usize);
     vec![Query::new(), time_only, spatial, everything, beyond]
+}
+
+/// Any combination of a spatial term, a time window and variable terms,
+/// with a limit of 1..=8.
+pub fn any_query(rng: &mut Rng) -> Query {
+    let mut q = if rng.coin() { near(rng) } else { Query::new().limit(limit(rng)) };
+    if rng.coin() {
+        q = window(rng, q);
+    }
+    if rng.coin() {
+        q = variables(rng, q);
+    }
+    q
 }
 
 /// The oracle: score every dataset with the exact scorer, sort all of them

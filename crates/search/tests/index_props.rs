@@ -1,103 +1,95 @@
-//! Property tests for the spatial and temporal indexes against brute force.
+//! Seeded sweeps of the spatial and temporal indexes against brute force:
+//! each property runs on `CASES` generators; a failure names its seed.
 
+mod common;
+
+use common::{sweep, Rng};
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::time::{TimeInterval, Timestamp};
 use metamess_search::{IntervalIndex, RTree};
-use proptest::prelude::*;
+
+const CASES: u64 = 256;
 
 /// Boxes within the regional domain the catalog documents: the clamp-then-
 /// haversine box distance is a true minimum there (it is *not* a sphere-wide
 /// lower bound, which `GeoBBox::distance_km`'s docs call out), so nearest-
 /// neighbour search is exact on this domain.
-fn arb_bbox() -> impl Strategy<Value = GeoBBox> {
-    ((40.0f64..50.0, -130.0f64..-120.0), (0.0f64..2.0, 0.0f64..2.0)).prop_map(
-        |((lat, lon), (dlat, dlon))| GeoBBox {
-            min_lat: lat,
-            max_lat: (lat + dlat).min(90.0),
-            min_lon: lon,
-            max_lon: (lon + dlon).min(180.0),
-        },
-    )
-}
-
-fn arb_interval() -> impl Strategy<Value = TimeInterval> {
-    (0i64..1_000_000, 0i64..50_000)
-        .prop_map(|(a, len)| TimeInterval::new(Timestamp(a), Timestamp(a + len)))
-}
-
-proptest! {
-    #[test]
-    fn rtree_intersection_equals_brute_force(
-        boxes in prop::collection::vec(arb_bbox(), 0..120),
-        query in arb_bbox(),
-    ) {
-        let entries: Vec<(GeoBBox, usize)> =
-            boxes.iter().copied().enumerate().map(|(i, b)| (b, i)).collect();
-        let tree = RTree::build(entries.clone());
-        let mut expect: Vec<usize> = entries
-            .iter()
-            .filter(|(b, _)| b.intersects(&query))
-            .map(|(_, p)| *p)
-            .collect();
-        expect.sort_unstable();
-        prop_assert_eq!(tree.intersecting(&query), expect);
+fn bbox(rng: &mut Rng) -> GeoBBox {
+    let (lat, lon) = (rng.float(40.0, 50.0), rng.float(-130.0, -120.0));
+    GeoBBox {
+        min_lat: lat,
+        max_lat: lat + rng.float(0.0, 2.0),
+        min_lon: lon,
+        max_lon: lon + rng.float(0.0, 2.0),
     }
+}
 
-    #[test]
-    fn rtree_nearest_matches_brute_force(
-        boxes in prop::collection::vec(arb_bbox(), 1..100),
-        lat in 38.0f64..52.0,
-        lon in -132.0f64..-118.0,
-        k in 1usize..12,
-    ) {
-        let entries: Vec<(GeoBBox, usize)> =
-            boxes.iter().copied().enumerate().map(|(i, b)| (b, i)).collect();
+fn interval(rng: &mut Rng) -> TimeInterval {
+    let start = rng.range(0, 1_000_000);
+    TimeInterval::new(Timestamp(start), Timestamp(start + rng.range(0, 50_000)))
+}
+
+/// `min..max` draws of `item`, each paired with its position.
+fn entries<T>(
+    rng: &mut Rng,
+    min: usize,
+    max: usize,
+    item: impl FnMut(&mut Rng) -> T,
+) -> Vec<(T, usize)> {
+    rng.vec(min, max, item).into_iter().enumerate().map(|(i, x)| (x, i)).collect()
+}
+
+/// The positions of the entries `keep` holds of, ascending.
+fn brute_force<T>(entries: &[(T, usize)], keep: impl Fn(&T) -> bool) -> Vec<usize> {
+    entries.iter().filter(|(x, _)| keep(x)).map(|(_, p)| *p).collect()
+}
+
+#[test]
+fn rtree_intersection_equals_brute_force() {
+    sweep(CASES, |rng| {
+        let entries = entries(rng, 0, 120, bbox);
+        let query = bbox(rng);
         let tree = RTree::build(entries.clone());
-        let p = GeoPoint { lat, lon };
-        let got = tree.nearest(&p, k);
-        prop_assert_eq!(got.len(), k.min(entries.len()));
+        assert_eq!(tree.intersecting(&query), brute_force(&entries, |b| b.intersects(&query)));
+    });
+}
+
+#[test]
+fn rtree_nearest_matches_brute_force() {
+    sweep(CASES, |rng| {
+        let entries = entries(rng, 1, 100, bbox);
+        let p = GeoPoint { lat: rng.float(38.0, 52.0), lon: rng.float(-132.0, -118.0) };
+        let k = rng.size(1, 12);
+        let got = RTree::build(entries.clone()).nearest(&p, k);
+        assert_eq!(got.len(), k.min(entries.len()));
         let mut all: Vec<f64> = entries.iter().map(|(b, _)| b.distance_km(&p)).collect();
         all.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for (ix, (_, d)) in got.iter().enumerate() {
-            prop_assert!((d - all[ix]).abs() < 1e-9, "rank {ix}: {d} vs {}", all[ix]);
+            assert!((d - all[ix]).abs() < 1e-9, "rank {ix}: {d} vs {}", all[ix]);
         }
         // nondecreasing distances
         for w in got.windows(2) {
-            prop_assert!(w[0].1 <= w[1].1);
+            assert!(w[0].1 <= w[1].1);
         }
-    }
+    });
+}
 
-    #[test]
-    fn interval_index_equals_brute_force(
-        intervals in prop::collection::vec(arb_interval(), 0..150),
-        query in arb_interval(),
-    ) {
-        let entries: Vec<(TimeInterval, usize)> =
-            intervals.iter().copied().enumerate().map(|(i, iv)| (iv, i)).collect();
+#[test]
+fn interval_index_equals_brute_force() {
+    sweep(CASES, |rng| {
+        let entries = entries(rng, 0, 150, interval);
+        let query = interval(rng);
         let ix = IntervalIndex::build(entries.clone());
-        let mut expect: Vec<usize> = entries
-            .iter()
-            .filter(|(iv, _)| iv.overlaps(&query))
-            .map(|(_, p)| *p)
-            .collect();
-        expect.sort_unstable();
-        prop_assert_eq!(ix.overlapping(&query), expect);
-    }
+        assert_eq!(ix.overlapping(&query), brute_force(&entries, |iv| iv.overlaps(&query)));
+    });
+}
 
-    #[test]
-    fn interval_stabbing_equals_brute_force(
-        intervals in prop::collection::vec(arb_interval(), 0..150),
-        t in 0i64..1_050_000,
-    ) {
-        let entries: Vec<(TimeInterval, usize)> =
-            intervals.iter().copied().enumerate().map(|(i, iv)| (iv, i)).collect();
+#[test]
+fn interval_stabbing_equals_brute_force() {
+    sweep(CASES, |rng| {
+        let entries = entries(rng, 0, 150, interval);
+        let t = Timestamp(rng.range(0, 1_050_000));
         let ix = IntervalIndex::build(entries.clone());
-        let mut expect: Vec<usize> = entries
-            .iter()
-            .filter(|(iv, _)| iv.contains(Timestamp(t)))
-            .map(|(_, p)| *p)
-            .collect();
-        expect.sort_unstable();
-        prop_assert_eq!(ix.stabbing(Timestamp(t)), expect);
-    }
+        assert_eq!(ix.stabbing(t), brute_force(&entries, |iv| iv.contains(t)));
+    });
 }

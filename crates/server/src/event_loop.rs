@@ -12,9 +12,6 @@
 //! the server uses monotonically increasing connection tokens so a stale
 //! event for a closed connection can never alias a live one.
 
-use std::io;
-use std::time::Duration;
-
 /// What the caller wants to hear about for one file descriptor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Interest {
@@ -434,6 +431,7 @@ mod tests {
     use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::time::Duration;
 
     #[test]
     fn waker_wakes_and_drains() {

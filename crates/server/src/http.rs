@@ -82,7 +82,7 @@ impl Request {
     }
 }
 
-/// What [`try_parse`] made of the buffered bytes so far.
+/// What `try_parse` made of the buffered bytes so far.
 #[derive(Debug)]
 pub enum Parse {
     /// Not enough bytes for a complete request yet.
@@ -163,6 +163,8 @@ pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
+// The error is the `Parse::Error` that `try_parse` hands back as it is.
+#[allow(clippy::result_large_err)]
 fn parse_head(head: &[u8]) -> Result<Request, Parse> {
     let text =
         std::str::from_utf8(head).map_err(|_| proto_err(400, "request head is not valid utf-8"))?;
@@ -493,7 +495,7 @@ mod tests {
     #[test]
     fn try_parse_enforces_head_and_body_caps() {
         let limits = Limits { max_header_bytes: 64, max_body_bytes: 16, ..Limits::default() };
-        match try_parse(&vec![b'a'; 65], &limits) {
+        match try_parse(&[b'a'; 65], &limits) {
             Parse::Error { status: 413, message } => {
                 assert!(message.contains("head exceeds 64"), "{message}");
             }

@@ -4,7 +4,7 @@
 //! turns the in-process "Data Near Here"
 //! [`SearchEngine`](metamess_search::SearchEngine) into the network
 //! service the paper describes — dependency-light (no async runtime; std +
-//! `parking_lot` + serde), but with real robustness properties:
+//! serde), but with real robustness properties:
 //!
 //! * **Event-driven I/O.** A single nonblocking readiness loop (epoll on
 //!   Linux, `poll(2)` elsewhere, via a tiny FFI shim — still no async

@@ -7,8 +7,8 @@
 //! therefore visible to clients immediately, and memory use is bounded by
 //! `workers + capacity` in-flight requests no matter the offered load.
 
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Bounded FIFO handoff between the accept loop and the worker pool.
@@ -30,10 +30,17 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// The waiting items. A poisoned lock is taken over: the queue is valid
+    /// after every push and pop, and a panicking worker must not stop the
+    /// others from being fed.
+    fn items(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.items.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueues unless full; a full queue returns the item to the caller
     /// (to be shed), never blocks, never buffers past `capacity`.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut items = self.items.lock();
+        let mut items = self.items();
         if items.len() >= self.capacity {
             return Err(item);
         }
@@ -45,27 +52,28 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeues, waiting up to `timeout` for an item.
     pub fn pop(&self, timeout: Duration) -> Option<T> {
-        let mut items = self.items.lock();
+        let mut items = self.items();
         if let Some(item) = items.pop_front() {
             return Some(item);
         }
-        self.available.wait_for(&mut items, timeout);
+        let (mut items, _) =
+            self.available.wait_timeout(items, timeout).unwrap_or_else(PoisonError::into_inner);
         items.pop_front()
     }
 
     /// Items currently waiting.
     pub fn len(&self) -> usize {
-        self.items.lock().len()
+        self.items().len()
     }
 
     /// Whether nothing is waiting.
     pub fn is_empty(&self) -> bool {
-        self.items.lock().is_empty()
+        self.items().is_empty()
     }
 
     /// Removes and returns everything still queued (shutdown accounting).
     pub fn drain(&self) -> Vec<T> {
-        self.items.lock().drain(..).collect()
+        self.items().drain(..).collect()
     }
 }
 

@@ -188,11 +188,11 @@ mod imp {
     use crate::event_loop::{Event, Interest, Poller, Waker};
     use crate::http::{self};
     use crate::{handlers, metrics};
-    use parking_lot::Mutex;
     use std::collections::HashMap;
     use std::io::Write as _;
     use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Mutex, PoisonError};
     use std::time::Instant;
 
     /// The listener's poller token.
@@ -509,7 +509,8 @@ mod imp {
         /// Applies worker completions: stale tokens (connection already
         /// timed out or dropped) are ignored safely.
         fn apply_completions(&mut self, completions: &Mutex<Vec<Completion>>, now: Instant) {
-            let batch: Vec<Completion> = std::mem::take(&mut *completions.lock());
+            let batch: Vec<Completion> =
+                std::mem::take(&mut *completions.lock().unwrap_or_else(PoisonError::into_inner));
             for c in batch {
                 let Some(conn) = self.conns.get_mut(&c.token) else { continue };
                 if conn.state != ConnState::Dispatched {
@@ -631,7 +632,11 @@ mod imp {
                     );
                     let mut bytes = Vec::with_capacity(response.body.len() + 160);
                     response.serialize_into(&mut bytes, keep_alive);
-                    completions.lock().push(Completion { token: job.token, bytes, keep_alive });
+                    completions.lock().unwrap_or_else(PoisonError::into_inner).push(Completion {
+                        token: job.token,
+                        bytes,
+                        keep_alive,
+                    });
                     waker.wake();
                 }
                 // Exit only once the event loop has finished draining AND

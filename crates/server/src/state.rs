@@ -35,7 +35,7 @@
 //! on exactly the generation a fresh load would compute, because the
 //! generation is the mutation count. Before the swap, provably-unaffected
 //! result-cache entries are re-stamped in place ([`ResultCache::retarget`]
-//! + `metamess_search::delta`), so cached lists for untouched queries keep
+//! and `metamess_search::delta`), so cached lists for untouched queries keep
 //! pointer identity across the delta. Anything that path cannot prove —
 //! snapshot replaced (compaction), vocabulary changed, WAL reset, a `Clear`
 //! mutation — and every forced reload reads the store afresh.
@@ -50,10 +50,9 @@ use metamess_search::{
 };
 use metamess_telemetry::{event, Level};
 use metamess_vocab::Vocabulary;
-use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::SystemTime;
 
 /// One immutable generation of serving state.
@@ -120,7 +119,10 @@ pub enum ReloadOutcome {
 /// Length + mtime of the files whose change implies a republish; lets the
 /// poll loop skip rebuilding the engine when nothing moved on disk.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct StoreSignature(Vec<(PathBuf, Option<(u64, Option<SystemTime>)>)>);
+struct StoreSignature(Vec<(PathBuf, FileStamp)>);
+
+/// A file's length and mtime; `None` when it is not there.
+type FileStamp = Option<(u64, Option<SystemTime>)>;
 
 impl StoreSignature {
     const SNAPSHOT: usize = 0;
@@ -297,7 +299,7 @@ impl ServeState {
     /// The current epoch; requests clone the `Arc` once and keep it for
     /// their whole execution.
     pub fn epoch(&self) -> Arc<EngineEpoch> {
-        self.current.read().clone()
+        self.current.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Epoch swaps performed so far.
@@ -327,7 +329,7 @@ impl ServeState {
                 .collect();
             return render_healthz(&epoch, remote.shard_count(), reloads, &rows).into();
         }
-        let mut cache = self.healthz_cache.lock();
+        let mut cache = self.healthz_cache.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((e, r, body)) = cache.as_ref() {
             if *e == epoch.epoch && *r == reloads {
                 return Arc::clone(body);
@@ -366,7 +368,7 @@ impl ServeState {
     /// skips both shortcuts — "nothing moved on disk" and "only the WAL
     /// grew" — and reads snapshot and WAL afresh.
     fn advance(&self, force: bool) -> Result<ReloadOutcome> {
-        let mut at = self.reload_state.lock();
+        let mut at = self.reload_state.lock().unwrap_or_else(PoisonError::into_inner);
         // Capture before reading: a publish landing in between makes the
         // next poll see a signature change and advance redundantly — the
         // safe direction. Capturing after would fold that publish into the
@@ -440,7 +442,7 @@ impl ServeState {
         if next.generation == from {
             return Ok(ReloadOutcome::Unchanged { generation: from });
         }
-        *self.current.write() = Arc::new(next);
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         self.reloads.fetch_add(1, Ordering::Relaxed);
         metrics::record_reload();
         Ok(outcome)

@@ -8,6 +8,7 @@ use metamess_server::{Limits, ServeState, ServeSummary, Server, ServerConfig, Sh
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -146,7 +147,7 @@ fn malformed_request_line_is_400() {
 fn oversized_head_is_413() {
     let server = serve(fixture_store("bighead"), |c| c.limits.max_header_bytes = 256);
     let mut request = b"GET /healthz HTTP/1.1\r\nx-pad: ".to_vec();
-    request.extend(std::iter::repeat(b'a').take(1024));
+    request.extend(std::iter::repeat_n(b'a', 1024));
     // No terminating blank line: the head keeps growing past the cap.
     let (status, _, _) = raw(server.addr, &request);
     assert_eq!(status, 413);
@@ -318,6 +319,22 @@ fn full_queue_sheds_with_503_and_retry_after() {
     assert_eq!(summary.shed, 1);
     assert_eq!(summary.dropped, 0);
     assert_eq!(summary.served, 2);
+
+    // A queue of depth zero takes nothing: the one admitted connection's
+    // request is parsed and then refused by the pool, so everything offered
+    // is shed and nothing is served.
+    let refusing = serve(fixture_store("shed-all"), |c| {
+        c.workers = 1;
+        c.queue_depth = 0;
+    });
+    let offered = 20;
+    for _ in 0..offered {
+        let (status, headers, _) = get(refusing.addr, "/healthz");
+        assert_eq!(status, 503);
+        assert_eq!(header(&headers, "retry-after"), Some("1"));
+    }
+    let summary = refusing.stop();
+    assert_eq!((summary.shed, summary.served), (offered, 0));
 }
 
 #[test]
@@ -356,6 +373,22 @@ fn hot_reload_swaps_generation_without_dropping_service() {
     let before: serde_json::Value = serde_json::from_slice(&body).unwrap();
     assert_eq!(before["datasets"].as_u64(), Some(2));
 
+    // A client that keeps asking across the publish and the swap: every
+    // one of its requests is answered.
+    let stop = Arc::new(AtomicBool::new(false));
+    let background = {
+        let (stop, addr) = (Arc::clone(&stop), server.addr);
+        std::thread::spawn(move || {
+            let mut answered = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let (status, _, _) = get(addr, "/healthz");
+                assert_eq!(status, 200, "a request failed during the hot reload");
+                answered += 1;
+            }
+            answered
+        })
+    };
+
     // Publish while serving: the shared store lock admits wranglers.
     let mut store =
         DurableCatalog::open(server.dir.join("catalog"), StoreOptions::default()).unwrap();
@@ -367,6 +400,9 @@ fn hot_reload_swaps_generation_without_dropping_service() {
     assert_eq!(status, 200);
     let reload: serde_json::Value = serde_json::from_slice(&body).unwrap();
     assert_eq!(reload["outcome"].as_str(), Some("reloaded"), "{reload}");
+    std::thread::sleep(Duration::from_millis(100));
+    stop.store(true, Ordering::Relaxed);
+    assert!(background.join().expect("background client") > 0);
 
     let (_, _, body) = get(server.addr, "/healthz");
     let after: serde_json::Value = serde_json::from_slice(&body).unwrap();
@@ -526,7 +562,6 @@ fn every_response_carries_trace_id_over_the_wire() {
 
 #[test]
 fn slow_loris_connections_do_not_starve_healthy_clients() {
-    use std::sync::atomic::{AtomicBool, Ordering};
     let server = serve(fixture_store("loris"), |_| {});
     let addr = server.addr;
     let stop = Arc::new(AtomicBool::new(false));

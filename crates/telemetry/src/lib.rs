@@ -1,7 +1,7 @@
 //! # metamess-telemetry
 //!
 //! Dependency-light observability for the metamess workspace
-//! (std + `parking_lot`, plus `serde_json` for snapshot persistence): a
+//! (std, plus `serde_json` for snapshot persistence): a
 //! global [`MetricsRegistry`] of named counters, gauges and log-bucketed
 //! histograms, lightweight duration [`Span`]s, and leveled stderr event
 //! mirroring via `METAMESS_LOG`.
@@ -82,9 +82,17 @@ pub fn enabled() -> bool {
 
 #[cfg(test)]
 pub(crate) mod test_support {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
     /// Serializes unit tests that flip the global enabled flag (span and
     /// trace tests share the registry, so the flips must not interleave).
-    pub(crate) static ENABLED_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    static ENABLED_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Takes the lock; a test that failed while holding it does not fail
+    /// the others.
+    pub(crate) fn enabled_lock() -> MutexGuard<'static, ()> {
+        ENABLED_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]

@@ -15,11 +15,10 @@
 //! embedded labels into bucket/sum/count series correctly.
 
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Builds a labeled metric name: `labeled("m", "stage", "scan")` →
 /// `m{stage="scan"}`.
@@ -63,34 +62,44 @@ impl MetricsRegistry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
+    // A poisoned lock is taken over: every update under it is a single map
+    // insert, so the families are valid at every step.
+    fn read(&self) -> RwLockReadGuard<'_, Families> {
+        self.families.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Families> {
+        self.families.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The counter named `name`, registering it on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.families.read().counters.get(name) {
+        if let Some(c) = self.read().counters.get(name) {
             return c.clone();
         }
-        self.families.write().counters.entry(name.to_string()).or_default().clone()
+        self.write().counters.entry(name.to_string()).or_default().clone()
     }
 
     /// The gauge named `name`, registering it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.families.read().gauges.get(name) {
+        if let Some(g) = self.read().gauges.get(name) {
             return g.clone();
         }
-        self.families.write().gauges.entry(name.to_string()).or_default().clone()
+        self.write().gauges.entry(name.to_string()).or_default().clone()
     }
 
     /// The histogram named `name`, registering it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.families.read().histograms.get(name) {
+        if let Some(h) = self.read().histograms.get(name) {
             return h.clone();
         }
-        self.families.write().histograms.entry(name.to_string()).or_default().clone()
+        self.write().histograms.entry(name.to_string()).or_default().clone()
     }
 
     /// Zeroes every registered metric (handles stay valid; names stay
     /// registered).
     pub fn reset(&self) {
-        let fam = self.families.read();
+        let fam = self.read();
         for c in fam.counters.values() {
             c.reset();
         }
@@ -104,7 +113,7 @@ impl MetricsRegistry {
 
     /// Copies the current value of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let fam = self.families.read();
+        let fam = self.read();
         MetricsSnapshot {
             counters: fam.counters.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
             gauges: fam.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),

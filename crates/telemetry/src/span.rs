@@ -99,11 +99,11 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::ENABLED_LOCK;
+    use crate::test_support::enabled_lock;
 
     #[test]
     fn span_records_into_global_histogram() {
-        let _guard = ENABLED_LOCK.lock();
+        let _guard = enabled_lock();
         crate::global().set_enabled(true);
         let name = labeled("metamess_span_micros", "span", "test.span");
         let before = crate::global().histogram(&name).count();
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn disabled_span_records_nothing() {
-        let _guard = ENABLED_LOCK.lock();
+        let _guard = enabled_lock();
         crate::global().set_enabled(true);
         let name = labeled("metamess_span_micros", "span", "test.disabled");
         let before = crate::global().histogram(&name).count();
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn panicking_span_records_counter_not_histogram() {
-        let _guard = ENABLED_LOCK.lock();
+        let _guard = enabled_lock();
         crate::global().set_enabled(true);
         let hist = labeled("metamess_span_micros", "span", "test.panic");
         let ctr = labeled("metamess_span_panicked_total", "span", "test.panic");

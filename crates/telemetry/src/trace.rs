@@ -356,7 +356,7 @@ impl FlightRecorder {
             }
             out.push((seq1, rec));
         }
-        out.sort_by(|a, b| b.0.cmp(&a.0));
+        out.sort_by_key(|entry| std::cmp::Reverse(entry.0));
         out.into_iter().map(|(_, r)| r).collect()
     }
 
@@ -939,8 +939,8 @@ pub fn persist_traces(path: &Path) -> std::io::Result<(usize, usize)> {
 mod tests {
     use super::*;
 
-    fn enabled_guard() -> parking_lot::MutexGuard<'static, ()> {
-        let g = crate::test_support::ENABLED_LOCK.lock();
+    fn enabled_guard() -> std::sync::MutexGuard<'static, ()> {
+        let g = crate::test_support::enabled_lock();
         crate::global().set_enabled(true);
         g
     }
@@ -1017,7 +1017,7 @@ mod tests {
 
     #[test]
     fn disabled_telemetry_records_nothing() {
-        let _g = crate::test_support::ENABLED_LOCK.lock();
+        let _g = crate::test_support::enabled_lock();
         crate::global().set_enabled(false);
         let ctx = TraceContext::start(1.0);
         assert!(!begin(&ctx, "request"));

@@ -2,11 +2,14 @@
 //! boundaries are monotone and stable, and the Prometheus/JSON renders
 //! round-trip a snapshot.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::sweep;
 use metamess_telemetry::{
     bucket_bound, bucket_index, labeled, Histogram, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot,
 };
-use proptest::prelude::*;
 
 #[test]
 fn concurrent_counter_updates_sum_exactly() {
@@ -69,58 +72,64 @@ fn concurrent_registration_yields_one_metric() {
     }
 }
 
-proptest! {
-    /// Bucket boundaries are strictly monotone and stable: the bound of a
-    /// value's bucket is ≥ the value, the previous bucket's bound is < it,
-    /// and re-deriving the index from the bound is the identity.
-    #[test]
-    fn bucket_scheme_is_monotone_and_stable(v in 0u64..(1u64 << 40)) {
-        let ix = bucket_index(v);
-        prop_assert!(v <= bucket_bound(ix));
-        if ix > 0 {
-            prop_assert!(v > bucket_bound(ix - 1));
-            prop_assert!(bucket_bound(ix) > bucket_bound(ix - 1));
-        }
-        prop_assert_eq!(bucket_index(bucket_bound(ix)), ix);
-    }
+/// Cases per seeded property; a failure names its seed.
+const CASES: u64 = 256;
 
-    /// A recorded value is visible in exactly the snapshot bucket whose
-    /// bound brackets it, and quantiles stay within the observed range.
-    #[test]
-    fn snapshot_brackets_observations(values in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let h = Histogram::new();
-        for &v in &values {
-            h.record(v);
+/// Bucket boundaries are strictly monotone and stable: the bound of a
+/// value's bucket is ≥ the value, the previous bucket's bound is < it,
+/// and re-deriving the index from the bound is the identity.
+#[test]
+fn bucket_scheme_is_monotone_and_stable() {
+    sweep(CASES, |rng| {
+        // every magnitude up to 2^40, not mostly the top one
+        let v = rng.below(1 << 40) >> rng.below(40);
+        let ix = bucket_index(v);
+        assert!(v <= bucket_bound(ix));
+        if ix > 0 {
+            assert!(v > bucket_bound(ix - 1));
+            assert!(bucket_bound(ix) > bucket_bound(ix - 1));
         }
-        let s = h.snapshot();
-        prop_assert_eq!(s.count, values.len() as u64);
-        prop_assert_eq!(s.sum, values.iter().sum::<u64>());
+        assert_eq!(bucket_index(bucket_bound(ix)), ix);
+    });
+}
+
+fn recorded(values: &[u64]) -> HistogramSnapshot {
+    let h = Histogram::new();
+    values.iter().for_each(|&v| h.record(v));
+    h.snapshot()
+}
+
+/// A recorded value is visible in exactly the snapshot bucket whose
+/// bound brackets it, and quantiles stay within the observed range.
+#[test]
+fn snapshot_brackets_observations() {
+    sweep(CASES, |rng| {
+        let values = rng.vec(1, 200, |rng| rng.below(1_000_000));
+        let s = recorded(&values);
+        assert_eq!(s.count, values.len() as u64);
+        assert_eq!(s.sum, values.iter().sum::<u64>());
         let lo = *values.iter().min().unwrap();
         let hi = *values.iter().max().unwrap();
-        prop_assert_eq!((s.min, s.max), (lo, hi));
+        assert_eq!((s.min, s.max), (lo, hi));
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
             let est = s.quantile(q);
-            prop_assert!(est <= hi, "quantile {q} = {est} beyond max {hi}");
+            assert!(est <= hi, "quantile {q} = {est} beyond max {hi}");
         }
-        prop_assert!(s.quantile(1.0) >= hi, "p100 must reach the max");
-    }
+        assert!(s.quantile(1.0) >= hi, "p100 must reach the max");
+    });
+}
 
-    /// merge() is equivalent to recording both value sets into one
-    /// histogram.
-    #[test]
-    fn merge_matches_combined_recording(
-        a in prop::collection::vec(0u64..1_000_000, 0..100),
-        b in prop::collection::vec(0u64..1_000_000, 0..100),
-    ) {
-        let ha = Histogram::new();
-        let hb = Histogram::new();
-        let hall = Histogram::new();
-        for &v in &a { ha.record(v); hall.record(v); }
-        for &v in &b { hb.record(v); hall.record(v); }
-        let mut m = ha.snapshot();
-        m.merge(&hb.snapshot());
-        prop_assert_eq!(m, hall.snapshot());
-    }
+/// merge() is equivalent to recording both value sets into one
+/// histogram.
+#[test]
+fn merge_matches_combined_recording() {
+    sweep(CASES, |rng| {
+        let a = rng.vec(0, 100, |rng| rng.below(1_000_000));
+        let b = rng.vec(0, 100, |rng| rng.below(1_000_000));
+        let mut m = recorded(&a);
+        m.merge(&recorded(&b));
+        assert_eq!(m, recorded(&[a, b].concat()));
+    });
 }
 
 fn sample_snapshot() -> MetricsSnapshot {

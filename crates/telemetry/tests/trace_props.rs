@@ -1,12 +1,18 @@
-//! Property tests for request-scoped tracing: parent/child span durations
+//! Seeded sweeps over request-scoped tracing: parent/child span durations
 //! nest (the sum of direct children never exceeds their parent), and the
 //! flight-recorder ring never exceeds its bound under concurrent writers.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::sweep;
 use metamess_telemetry::trace::{
     self, FlightRecorder, SpanRecord, TraceRecord, MAX_SPANS, NO_PARENT, NO_SHARD,
 };
 use metamess_telemetry::TraceContext;
-use proptest::prelude::*;
+
+const NESTING_CASES: u64 = 32;
+const RING_CASES: u64 = 8;
 
 /// Static span names by nesting depth (trace spans require `&'static str`).
 const NAMES: [&str; 6] = ["depth.0", "depth.1", "depth.2", "depth.3", "depth.4", "depth.5"];
@@ -18,18 +24,17 @@ fn spin() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    /// Drives a random open/close/work sequence of nested spans through
-    /// the real clock path, then checks the recorded tree: parents precede
-    /// children, children start no earlier than their parent, and the sum
-    /// of direct children's micros never exceeds the parent's micros.
-    #[test]
-    fn child_micros_nest_within_parent(ops in proptest::collection::vec(0u8..3, 0..48)) {
+/// Drives a random open/close/work sequence of nested spans through
+/// the real clock path, then checks the recorded tree: parents precede
+/// children, children start no earlier than their parent, and the sum
+/// of direct children's micros never exceeds the parent's micros.
+#[test]
+fn child_micros_nest_within_parent() {
+    sweep(NESTING_CASES, |rng| {
+        let ops = rng.vec(0, 48, |rng| rng.below(3));
         let ctx = TraceContext::start(1.0);
-        prop_assert!(ctx.sampled, "rate 1.0 always samples");
-        prop_assert!(trace::begin(&ctx, "root"));
+        assert!(ctx.sampled, "rate 1.0 always samples");
+        assert!(trace::begin(&ctx, "root"));
         let mut stack = Vec::new();
         for op in ops {
             match op {
@@ -48,27 +53,31 @@ proptest! {
         let fin = trace::end(u64::MAX).expect("a trace was active");
         let rec = trace::flight().find(fin.trace_id).expect("sampled trace reaches the ring");
         let spans = rec.spans();
-        prop_assert!(!spans.is_empty());
-        prop_assert_eq!(spans[0].parent, NO_PARENT);
-        prop_assert_eq!(rec.root_micros(), fin.micros);
+        assert!(!spans.is_empty());
+        assert_eq!(spans[0].parent, NO_PARENT);
+        assert_eq!(rec.root_micros(), fin.micros);
         let mut child_sum = vec![0u64; spans.len()];
         for (ix, s) in spans.iter().enumerate().skip(1) {
             let p = s.parent as usize;
-            prop_assert!(p < ix, "parent index precedes the child");
-            prop_assert!(
+            assert!(p < ix, "parent index precedes the child");
+            assert!(
                 s.start_micros >= spans[p].start_micros,
-                "child {} starts before parent {}", s.name, spans[p].name
+                "child {} starts before parent {}",
+                s.name,
+                spans[p].name
             );
             child_sum[p] += s.micros;
         }
         for (ix, s) in spans.iter().enumerate() {
-            prop_assert!(
+            assert!(
                 child_sum[ix] <= s.micros,
                 "children of {} sum to {}µs > parent's {}µs",
-                s.name, child_sum[ix], s.micros
+                s.name,
+                child_sum[ix],
+                s.micros
             );
         }
-    }
+    });
 }
 
 fn record_with_id(id: u128) -> TraceRecord {
@@ -89,18 +98,13 @@ fn record_with_id(id: u128) -> TraceRecord {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
-    /// Hammers a ring from several threads at once; the snapshot must
-    /// never exceed the configured bound, every push must be accounted
-    /// for, and (absent lapping skips) the ring must end exactly full.
-    #[test]
-    fn ring_never_exceeds_bound_under_concurrent_writers(
-        cap in 1usize..24,
-        threads in 1usize..5,
-        per_thread in 1usize..40,
-    ) {
+/// Hammers a ring from several threads at once; the snapshot must
+/// never exceed the configured bound, every push must be accounted
+/// for, and (absent lapping skips) the ring must end exactly full.
+#[test]
+fn ring_never_exceeds_bound_under_concurrent_writers() {
+    sweep(RING_CASES, |rng| {
+        let (cap, threads, per_thread) = (rng.size(1, 24), rng.size(1, 5), rng.size(1, 40));
         let ring = FlightRecorder::new(cap);
         std::thread::scope(|scope| {
             for t in 0..threads {
@@ -113,11 +117,11 @@ proptest! {
                 });
             }
         });
-        prop_assert_eq!(ring.completed(), (threads * per_thread) as u64);
+        assert_eq!(ring.completed(), (threads * per_thread) as u64);
         let snap = ring.snapshot();
-        prop_assert!(snap.len() <= cap);
+        assert!(snap.len() <= cap);
         if ring.skipped() == 0 {
-            prop_assert_eq!(snap.len(), cap.min(threads * per_thread));
+            assert_eq!(snap.len(), cap.min(threads * per_thread));
         }
-    }
+    });
 }

@@ -231,19 +231,24 @@ fn sharded_search_cli() {
     let store = dir.join(".metamess");
     let store_s = store.to_str().unwrap();
 
-    // scatter-gather is invisible in the results: byte-identical stdout
+    // scatter-gather is invisible in the results: byte-identical stdout,
+    // but for the `trace: <id> (<µs>)` line every run draws anew
+    let results = |stdout: String| -> String {
+        stdout.lines().filter(|l| !l.starts_with("trace: ")).map(|l| format!("{l}\n")).collect()
+    };
     let query = ["near", "46.2,-123.9", "within", "50km", "with", "salinity", "limit", "5"];
     let mut unsharded = vec!["search", store_s];
     unsharded.extend_from_slice(&query);
     let (ok, baseline, stderr) = run(&unsharded);
     assert!(ok, "{stderr}");
+    let baseline = results(baseline);
     assert!(baseline.contains("1. ["), "{baseline}");
     for partition in ["hash", "spatial", "temporal"] {
         let mut sharded = vec!["search", store_s, "--shards", "4", "--partition", partition];
         sharded.extend_from_slice(&query);
         let (ok, stdout, stderr) = run(&sharded);
         assert!(ok, "{stderr}");
-        assert_eq!(stdout, baseline, "--partition {partition} changed the results");
+        assert_eq!(results(stdout), baseline, "--partition {partition} changed the results");
     }
 
     // --shards 0 means "unsharded" (clamped to 1), not an error
@@ -251,7 +256,7 @@ fn sharded_search_cli() {
     clamped.extend_from_slice(&query);
     let (ok, stdout, stderr) = run(&clamped);
     assert!(ok, "{stderr}");
-    assert_eq!(stdout, baseline);
+    assert_eq!(results(stdout), baseline);
 
     // --explain reports the shard fan-out when sharded
     let mut explain = vec!["search", store_s, "--shards", "4", "--explain"];

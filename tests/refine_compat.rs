@@ -77,9 +77,9 @@ fn exported_discovered_rules_are_valid_refine_json() {
     // Refine requires the `op` tag on every entry.
     let raw: serde_json::Value = serde_json::from_str(&json).unwrap();
     for entry in raw.as_array().unwrap() {
-        assert_eq!(entry["op"], "core/mass-edit");
-        assert!(entry["edits"].is_array());
-        assert!(entry["columnName"].is_string());
+        assert_eq!(entry["op"].as_str(), Some("core/mass-edit"));
+        assert!(entry["edits"].as_array().is_some());
+        assert!(entry["columnName"].as_str().is_some());
     }
     // and it round-trips structurally
     let back = parse_operations(&json).unwrap();

@@ -1,7 +1,8 @@
 //! End-to-end test of continuous ingestion: `metamess watch` wrangles an
 //! archive into a store, a live `metamess serve` on the same store picks
-//! up a later watch cycle's publish through the in-place delta path (no
-//! store reopen), and the new upload becomes searchable.
+//! up a later watch cycle's publish, and the new upload becomes searchable.
+//! (That a publish can arrive through the in-place delta path is pinned in
+//! `crates/server/tests/{reader_beside_writer,ownership}.rs`.)
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -86,7 +87,7 @@ extern "C" {
 const SIGTERM: i32 = 15;
 
 #[test]
-fn watch_feeds_a_live_serve_through_the_delta_path() {
+fn watch_feeds_a_live_serve() {
     let dir = std::env::temp_dir().join(format!("metamess-watch-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().unwrap();
@@ -121,6 +122,7 @@ fn watch_feeds_a_live_serve_through_the_delta_path() {
     assert_eq!(status, 200, "{body}");
     let health: serde_json::Value = serde_json::from_str(&body).unwrap();
     let datasets_before = health["datasets"].as_u64().unwrap();
+    let generation_before = health["generation"].as_u64().unwrap();
     assert!(datasets_before >= 1, "{body}");
 
     // A new upload lands; one more watch cycle publishes it. The watcher
@@ -131,40 +133,22 @@ fn watch_feeds_a_live_serve_through_the_delta_path() {
     assert!(out.contains("cycle 1: published"), "{out}");
     assert!(out.contains("resuming from"), "{out}");
 
-    // Force a reload check now (the background poller may have beaten us
-    // to it, so "unchanged" is also legitimate here).
+    // Force a reload now: the store is read afresh, unless the background
+    // poller has already brought the publish in and nothing is left to do.
     let (status, body) = post(&addr, "/admin/reload", "");
     assert_eq!(status, 200, "{body}");
     let reload: serde_json::Value = serde_json::from_str(&body).unwrap();
     let outcome = reload["outcome"].as_str().unwrap();
-    assert!(outcome == "delta" || outcome == "unchanged", "{body}");
-    if outcome == "delta" {
-        assert!(reload["mutations"].as_u64().unwrap() >= 1, "{body}");
-        assert!(
-            reload["generation"].as_u64().unwrap()
-                > reload["previous_generation"].as_u64().unwrap(),
-            "{body}"
-        );
-    }
+    assert!(outcome == "reloaded" || outcome == "unchanged", "{body}");
 
-    // However the apply raced, it must have gone through the in-place
-    // delta path — the store was never reopened for this publish.
-    let (status, metrics) = get(&addr, "/metrics");
-    assert_eq!(status, 200);
-    let delta_applies = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("metamess_server_delta_applies_total "))
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0);
-    assert!(delta_applies >= 1, "no in-place delta apply recorded:\n{metrics}");
-
-    // The served catalog grew and the new upload is searchable.
+    // The served catalog moved on and grew, and the new upload is searchable.
     let (status, body) = get(&addr, "/healthz");
     assert_eq!(status, 200, "{body}");
     let health: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert!(health["generation"].as_u64().unwrap() > generation_before, "{body}");
     assert!(health["datasets"].as_u64().unwrap() > datasets_before, "{body}");
 
-    // The delta-published entry is served directly…
+    // The published entry is served directly…
     let (status, body) = get(&addr, &format!("/datasets/{uploaded}"));
     assert_eq!(status, 200, "upload not served: {body}");
     assert!(body.contains("fresh_upload"), "{body}");
