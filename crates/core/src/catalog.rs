@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// A single mutation applied to a catalog. This is also the WAL record type:
 /// replaying mutations in order reconstructs the catalog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mutation {
     /// Insert or replace a dataset feature.
     Put(Box<DatasetFeature>),
@@ -45,6 +45,15 @@ impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Catalog {
         Catalog::default()
+    }
+
+    /// A catalog as the store decoded it.
+    pub(crate) fn from_parts(
+        entries: BTreeMap<DatasetId, DatasetFeature>,
+        properties: BTreeMap<String, String>,
+        generation: u64,
+    ) -> Catalog {
+        Catalog { entries, properties, generation }
     }
 
     /// Applies one mutation, bumping the generation. The mutation is
@@ -178,9 +187,7 @@ impl Catalog {
     /// content-identical catalogs fingerprint differently and defeat the
     /// pipeline engine's skip-unchanged-stage logic.
     pub fn content_fingerprint(&self) -> u64 {
-        let bytes = serde_json::to_vec(&(&self.entries, &self.properties))
-            .expect("catalog entries/properties are JSON-encodable");
-        crate::id::fnv1a(&bytes)
+        crate::store::codec::content_fingerprint(self)
     }
 
     /// Differences between this catalog and `other`, as the mutations that

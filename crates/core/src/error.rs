@@ -32,6 +32,16 @@ pub enum Error {
         /// Description of the corruption site.
         message: String,
     },
+    /// A store file in a format generation this build does not read. The
+    /// file is whole, not damaged: nothing repairs it or sets it aside.
+    UnsupportedFormat {
+        /// The file, as its reader names it.
+        file: String,
+        /// The format generation the file declares.
+        found: u8,
+        /// The one this build reads and writes.
+        supported: u8,
+    },
     /// A referenced entity (dataset, variable, term, component) is missing.
     NotFound {
         /// Entity kind, e.g. `"dataset"`.
@@ -72,6 +82,11 @@ impl Error {
     /// Builds a [`Error::Corrupt`].
     pub fn corrupt(message: impl Into<String>) -> Self {
         Error::Corrupt { message: message.into() }
+    }
+
+    /// Builds a [`Error::UnsupportedFormat`].
+    pub fn unsupported_format(file: impl Into<String>, found: u8, supported: u8) -> Self {
+        Error::UnsupportedFormat { file: file.into(), found, supported }
     }
 
     /// Builds a [`Error::NotFound`].
@@ -116,6 +131,10 @@ impl fmt::Display for Error {
                 write!(f, "parse error in {what}: {message}")
             }
             Error::Corrupt { message } => write!(f, "corrupt store: {message}"),
+            Error::UnsupportedFormat { file, found, supported } => write!(
+                f,
+                "{file}: store format {found}; re-wrangle, this build reads format {supported}"
+            ),
             Error::NotFound { kind, key } => write!(f, "{kind} not found: {key}"),
             Error::Conflict { message } => write!(f, "conflict: {message}"),
             Error::Validation { rule, message } => {
@@ -174,6 +193,13 @@ mod tests {
     fn corruption_flag() {
         assert!(Error::corrupt("bad crc").is_corrupt());
         assert!(!Error::invalid("x").is_corrupt());
+        // an older format is not damage: nobody may quarantine it
+        let e = Error::unsupported_format("snapshot s.bin", 1, 2);
+        assert!(!e.is_corrupt());
+        assert_eq!(
+            e.to_string(),
+            "snapshot s.bin: store format 1; re-wrangle, this build reads format 2"
+        );
     }
 
     #[test]

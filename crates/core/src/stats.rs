@@ -19,7 +19,7 @@ pub struct NumericSummary {
     /// Running mean.
     pub mean: f64,
     /// Sum of squared deviations from the mean (Welford's M2).
-    m2: f64,
+    pub(crate) m2: f64,
 }
 
 impl NumericSummary {

@@ -10,7 +10,9 @@
 //! verification outright is quarantined (recorded in the
 //! [`RecoveryReport`] and `metamess_core_recovery_quarantined_total`) so
 //! the store opens from what is left. A reader handed the same files
-//! serves the valid prefix of a damaged tail and refuses the rest.
+//! serves the valid prefix of a damaged tail and refuses the rest. A file
+//! in an older store format is not damage: reader and writer both refuse it
+//! with [`Error::UnsupportedFormat`] and leave it where it is.
 //!
 //! Every mutation is appended to the WAL before being applied in memory;
 //! `checkpoint` folds the WAL into a fresh snapshot and resets the log.
@@ -662,6 +664,26 @@ mod tests {
         let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
         s.put(DatasetFeature::new("c.csv")).unwrap();
         assert_eq!(s.catalog().len(), 2);
+    }
+
+    #[test]
+    fn a_format_1_file_is_refused_by_name_and_left_byte_for_byte() {
+        // hand-written format 1 headers: a framed `{}` and a bare magic
+        let snapshot = crate::store::codec::tests::format_1_snapshot();
+        for (file, v1) in [("snapshot.bin", &snapshot[..]), ("wal.log", &b"MMWAL001"[..])] {
+            let dir = tmpdir(&format!("v1-{file}"));
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(file), v1).unwrap();
+            for e in [
+                read_published(&dir).unwrap_err(),
+                DurableCatalog::open(&dir, opts_sync()).unwrap_err(),
+            ] {
+                assert!(matches!(e, Error::UnsupportedFormat { found: 1, .. }), "{file}: {e}");
+            }
+            // not set aside, not appended to, not truncated
+            assert_eq!(fs::read(dir.join(file)).unwrap(), v1);
+            assert!(!dir.join("quarantine").exists());
+        }
     }
 
     /// A dataset with enough inside it that a lost or doubled field shows.

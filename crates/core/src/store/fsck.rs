@@ -6,11 +6,14 @@
 //! [`FsckFinding`]s to a report. Damage is never destroyed — findings carry
 //! a [`RepairAction`] proposal, and [`apply_repairs`] either truncates a
 //! damaged WAL tail (keeping the valid prefix) or moves the file into
-//! quarantine with a reason sidecar.
+//! quarantine with a reason sidecar. A file in an older store format is
+//! reported as such and proposed nothing: it is whole, and the build that
+//! wrote it can still read it.
 
+use super::codec::FORMAT_VERSION;
 use super::ledger::{read_ledger_with, RunLedger};
 use super::quarantine::{quarantine_file, QuarantineReason};
-use super::snapshot::read_snapshot_with;
+use super::snapshot::inspect_snapshot_with;
 use super::vfs::Vfs;
 use super::wal::{TailRead, Wal};
 use crate::catalog::Catalog;
@@ -128,13 +131,20 @@ pub fn check_snapshot(
     report: &mut FsckReport,
 ) -> Option<Catalog> {
     report.files_checked += 1;
-    match read_snapshot_with(vfs, path) {
-        Ok(Some(c)) => {
+    match inspect_snapshot_with(vfs, path) {
+        Ok(Some((c, info))) => {
             report.push(
                 component,
                 path,
                 FsckSeverity::Info,
-                format!("ok: {} entries, generation {}", c.len(), c.generation()),
+                format!(
+                    "ok: format {FORMAT_VERSION}, {} datasets at generation {}, {} table \
+                     entries, {} bytes per dataset",
+                    c.len(),
+                    c.generation(),
+                    info.table_entries,
+                    info.payload_bytes / c.len().max(1)
+                ),
                 None,
             );
             Some(c)
@@ -205,7 +215,8 @@ pub fn check_ledger(
 /// is. A read that stops before end of file yields an `Error` finding
 /// proposing truncation to where it stopped (the records before are still
 /// returned); a log that cannot be read at all (bad magic) proposes
-/// quarantine. Returns the decoded records when anything was readable.
+/// quarantine, and one in an older format proposes nothing. Returns the
+/// decoded records when anything was readable.
 pub fn check_wal(
     vfs: &dyn Vfs,
     path: &Path,
@@ -443,6 +454,26 @@ mod tests {
         assert_eq!(finding.proposed, Some(RepairAction::Quarantine));
         apply_repairs(vfs.as_ref(), &mut report, &dir.join("quarantine")).unwrap();
         assert!(!dir.join("wal.log").exists());
+    }
+
+    #[test]
+    fn an_older_format_is_a_mismatch_with_nothing_to_repair() {
+        let dir = tmpdir("v1");
+        let snapshot = crate::store::codec::tests::format_1_snapshot();
+        fs::write(dir.join("snapshot.bin"), &snapshot).unwrap();
+        fs::write(dir.join("wal.log"), b"MMWAL001").unwrap();
+        let vfs = std_vfs();
+        let mut report = FsckReport::default();
+        assert!(check_catalog_dir(vfs.as_ref(), &dir, &mut report).is_none());
+        assert_eq!(report.error_count(), 2);
+        for f in &report.findings {
+            assert!(f.detail.contains("store format 1; re-wrangle"), "{}", f.detail);
+            assert_eq!(f.proposed, None);
+        }
+        apply_repairs(vfs.as_ref(), &mut report, &dir.join("quarantine")).unwrap();
+        assert_eq!(report.repairs_applied, 0);
+        assert_eq!(fs::read(dir.join("snapshot.bin")).unwrap(), snapshot);
+        assert_eq!(fs::read(dir.join("wal.log")).unwrap(), b"MMWAL001");
     }
 
     #[test]

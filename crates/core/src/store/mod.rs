@@ -6,6 +6,7 @@
 //! [`StdVfs`] passthrough. On-disk formats are specified in
 //! `DESIGN.md § Durability`; [`fsck`] verifies them offline.
 
+pub mod codec;
 /// CRC-32 (ISO-HDLC) used by every on-disk frame.
 pub mod crc;
 mod durable;

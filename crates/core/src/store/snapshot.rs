@@ -1,10 +1,12 @@
 //! Point-in-time catalog snapshots.
 //!
-//! Layout: `MMSNAP01` magic, u32 payload length, u32 CRC-32, JSON payload
-//! (the framing shared with the run ledger — see `frame.rs`). Snapshots are
+//! Layout: `MMSNAP02` magic, u32 payload length, u32 CRC-32, payload (the
+//! framing shared with the run ledger — see `frame.rs`); the payload is the
+//! binary catalog encoding of [`codec`](super::codec). Snapshots are
 //! written to a temporary file, fsynced, then atomically renamed into place
 //! so an interrupted checkpoint never damages the previous snapshot.
 
+use super::codec::{decode_catalog, encode_catalog, FORMAT_VERSION};
 use super::frame::{read_framed, write_framed};
 use super::vfs::{std_vfs, Vfs};
 use crate::catalog::Catalog;
@@ -12,7 +14,19 @@ use crate::error::{Error, Result};
 use std::path::Path;
 
 /// The eight magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP01";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP02";
+/// What format 1 (JSON payloads) opened a snapshot with. Recognised only to
+/// be refused by name: such a file is whole, so it must not read as damage.
+const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"MMSNAP01";
+
+/// What a snapshot file holds around its catalog: what `fsck` reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SnapshotInfo {
+    /// Entries in the payload's string table.
+    pub(crate) table_entries: usize,
+    /// Payload bytes (the file is 16 bytes of frame longer).
+    pub(crate) payload_bytes: usize,
+}
 
 /// Writes `catalog` as a snapshot at `path`, atomically, via the standard
 /// file system.
@@ -23,9 +37,7 @@ pub fn write_snapshot(path: impl AsRef<Path>, catalog: &Catalog) -> Result<()> {
 /// Writes `catalog` as a snapshot at `path`, atomically, through an
 /// explicit [`Vfs`].
 pub fn write_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>, catalog: &Catalog) -> Result<()> {
-    let payload = serde_json::to_vec(catalog)
-        .map_err(|e| Error::invalid(format!("unencodable catalog: {e}")))?;
-    write_framed(vfs, path.as_ref(), SNAPSHOT_MAGIC, &payload, "snapshot")
+    write_framed(vfs, path.as_ref(), SNAPSHOT_MAGIC, &encode_catalog(catalog), "snapshot")
 }
 
 /// Reads a snapshot via the standard file system. Returns `Ok(None)` when
@@ -37,15 +49,42 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<Catalog>> {
 
 /// Reads a snapshot through an explicit [`Vfs`]. Returns `Ok(None)` when
 /// the file does not exist, `Err(Corrupt)` when it exists but fails
-/// verification.
+/// verification, and `Err(UnsupportedFormat)` for a format 1 file.
 pub fn read_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Option<Catalog>> {
+    Ok(inspect_snapshot_with(vfs, path)?.map(|(catalog, _)| catalog))
+}
+
+/// [`read_snapshot_with`], also returning the [`SnapshotInfo`].
+pub(crate) fn inspect_snapshot_with(
+    vfs: &dyn Vfs,
+    path: impl AsRef<Path>,
+) -> Result<Option<(Catalog, SnapshotInfo)>> {
     let path = path.as_ref();
-    let Some(framed) = read_framed(vfs, path, SNAPSHOT_MAGIC, "snapshot")? else {
+    let framed = match read_framed(vfs, path, SNAPSHOT_MAGIC, "snapshot") {
+        // Looked at again only once the read has failed, so the good path
+        // reads the file once.
+        Err(e) if e.is_corrupt() && starts_with(vfs, path, SNAPSHOT_MAGIC_V1) => {
+            let file = format!("snapshot {}", path.display());
+            return Err(Error::unsupported_format(file, 1, FORMAT_VERSION));
+        }
+        read => read?,
+    };
+    let Some(framed) = framed else {
         return Ok(None);
     };
-    let catalog: Catalog = serde_json::from_slice(framed.payload())
-        .map_err(|e| Error::corrupt(format!("snapshot {}: undecodable: {e}", path.display())))?;
-    Ok(Some(catalog))
+    let payload = framed.payload();
+    let (catalog, table_entries) = decode_catalog(payload).map_err(|e| match e {
+        Error::Corrupt { message } => {
+            Error::corrupt(format!("snapshot {}: undecodable: {message}", path.display()))
+        }
+        other => other,
+    })?;
+    Ok(Some((catalog, SnapshotInfo { table_entries, payload_bytes: payload.len() })))
+}
+
+/// Whether the file at `path` opens with `magic`.
+pub(crate) fn starts_with(vfs: &dyn Vfs, path: &Path, magic: &[u8; 8]) -> bool {
+    vfs.read(path).is_ok_and(|bytes| bytes.starts_with(magic))
 }
 
 #[cfg(test)]
@@ -66,6 +105,7 @@ mod tests {
         let mut c = Catalog::new();
         c.put(DatasetFeature::new("a.csv"));
         c.put(DatasetFeature::new("b.cdl"));
+        c.put(crate::store::codec::tests::odd_floats());
         c.set_property("archive", "sim");
         c
     }
@@ -74,11 +114,31 @@ mod tests {
     fn round_trip() {
         let dir = tmpdir("rt");
         let p = dir.join("snapshot.bin");
-        let c = sample_catalog();
+        let mut c = sample_catalog();
         write_snapshot(&p, &c).unwrap();
         let back = read_snapshot(&p).unwrap().unwrap();
-        // Generation is part of the snapshot too.
+        // Generation is part of the snapshot too, and so is a summary that
+        // never saw a number (+inf/−inf): what a store hands back is what
+        // publish compares with.
         assert_eq!(back, c);
+        assert_eq!(c.diff(&back), []);
+        // A NaN equals nothing, itself included, and −0.0 equals 0.0: those
+        // are compared by their bits, through the encoding.
+        let odd = c.iter_mut().find(|f| f.path == "odd.csv").unwrap();
+        odd.variables[0].summary.mean = f64::NAN;
+        write_snapshot(&p, &c).unwrap();
+        let back = read_snapshot(&p).unwrap().unwrap();
+        assert_eq!(encode_catalog(&back), encode_catalog(&c));
+    }
+
+    #[test]
+    fn format_1_is_refused_by_name_not_as_damage() {
+        let dir = tmpdir("v1");
+        let p = dir.join("snapshot.bin");
+        fs::write(&p, crate::store::codec::tests::format_1_snapshot()).unwrap();
+        let e = read_snapshot(&p).unwrap_err();
+        assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 2, .. }), "{e}");
+        assert!(!e.is_corrupt());
     }
 
     #[test]
@@ -118,7 +178,7 @@ mod tests {
         c2.put(DatasetFeature::new("c.obslog"));
         write_snapshot(&p, &c2).unwrap();
         let back = read_snapshot(&p).unwrap().unwrap();
-        assert_eq!(back.len(), 3);
+        assert_eq!(back.len(), 4);
         assert!(!dir.join("snapshot.tmp").exists());
     }
 
@@ -134,6 +194,6 @@ mod tests {
         assert!(write_snapshot_with(&vfs, &p, &c2).is_err());
         // The previous snapshot is intact; only the tmp file was touched.
         let back = read_snapshot(&p).unwrap().unwrap();
-        assert_eq!(back.len(), 2);
+        assert_eq!(back.len(), 3);
     }
 }

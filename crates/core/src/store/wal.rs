@@ -4,26 +4,32 @@
 //!
 //! ```text
 //! file   := MAGIC record*
-//! MAGIC  := b"MMWAL001"                       (8 bytes)
+//! MAGIC  := b"MMWAL002"                       (8 bytes)
 //! record := len:u32 crc:u32 payload:[u8; len]
 //! ```
 //!
-//! `crc` is the CRC-32 of the payload. The payload is the JSON encoding of a
-//! [`Mutation`](crate::catalog::Mutation). A record that fails its length,
+//! `crc` is the CRC-32 of the payload. The payload is the binary encoding
+//! of a [`Mutation`](crate::catalog::Mutation), with a string table of its
+//! own ([`codec`](super::codec)), so a record decodes from any record
+//! boundary. A record that fails its length,
 //! CRC or decode check stops the read there — the decoder never looks past
 //! it, so damage anywhere reads as a damaged tail (a crash or a writer
 //! mid-append is the usual cause). What happens next is the caller's
 //! policy: [`DurableCatalog::open`](super::DurableCatalog::open), the one
 //! writer, truncates the log to the valid prefix; every reader serves the
 //! prefix and leaves the file alone. Only a bad magic is
-//! [`Error::Corrupt`].
+//! [`Error::Corrupt`], and the magic of format 1 (JSON payloads) is not
+//! damage at all but [`Error::UnsupportedFormat`]: the log is left where it
+//! is.
 //!
 //! All file I/O flows through a [`Vfs`], so the same code path can run
 //! against the real file system or the fault-injecting
 //! [`FaultVfs`](super::FaultVfs) used by the crash-torture suite.
 
+use super::codec::{decode_mutation, encode_mutation, FORMAT_VERSION};
 use super::crc::crc32;
 use super::metrics::store_metrics;
+use super::snapshot::starts_with;
 use super::vfs::{std_vfs, Vfs, VfsFile};
 use crate::catalog::Mutation;
 use crate::error::{Error, IoContext, Result};
@@ -32,7 +38,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The eight magic bytes opening every WAL file.
-pub const WAL_MAGIC: &[u8; 8] = b"MMWAL001";
+pub const WAL_MAGIC: &[u8; 8] = b"MMWAL002";
+/// What format 1 opened a log with; recognised only to be refused by name.
+const WAL_MAGIC_V1: &[u8; 8] = b"MMWAL001";
 /// Refuse to read a single record larger than this (corruption guard).
 const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
@@ -65,6 +73,13 @@ pub struct Wal {
     appended: u64,
     /// Synchronous durability: fsync after every append.
     sync_on_append: bool,
+    /// The payload of the record being appended; kept so that a publish of
+    /// 25 000 records allocates for it once.
+    scratch: Vec<u8>,
+}
+
+fn format_1(path: &Path) -> Error {
+    Error::unsupported_format(format!("wal {}", path.display()), 1, FORMAT_VERSION)
 }
 
 impl std::fmt::Debug for Wal {
@@ -97,8 +112,14 @@ impl Wal {
         if len == 0 {
             file.write_all(WAL_MAGIC).io_ctx("write wal magic")?;
             file.sync_all().io_ctx("sync wal magic")?;
+        } else if starts_with(vfs.as_ref(), &path, WAL_MAGIC_V1) {
+            // Format 2 records after a format 1 header would be read by
+            // neither build. (A `Vfs` reads whole files; a log is its eight
+            // magic bytes after every checkpoint.)
+            return Err(format_1(&path));
         }
-        Ok(Wal { path, writer: BufWriter::new(file), appended: 0, sync_on_append })
+        let writer = BufWriter::new(file);
+        Ok(Wal { path, writer, appended: 0, sync_on_append, scratch: Vec::new() })
     }
 
     /// Reads complete records from byte `offset` onwards without opening the
@@ -140,7 +161,10 @@ impl Wal {
             if bytes.is_empty() {
                 return Ok(TailRead::default());
             }
-            if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+            if bytes.starts_with(WAL_MAGIC_V1) {
+                return Err(format_1(path));
+            }
+            if !bytes.starts_with(WAL_MAGIC) {
                 return Err(Error::corrupt(format!("wal {}: bad magic", path.display())));
             }
             pos = WAL_MAGIC.len();
@@ -169,7 +193,7 @@ impl Wal {
                 stopped_early = Some("crc mismatch".into());
                 break;
             }
-            match serde_json::from_slice(payload) {
+            match decode_mutation(payload) {
                 Ok(m) => mutations.push(m),
                 Err(e) => {
                     stopped_early = Some(format!("undecodable mutation: {e}"));
@@ -184,16 +208,16 @@ impl Wal {
     /// Appends one mutation. The record is durable after this call when the
     /// log was opened with `sync_on_append`.
     pub fn append(&mut self, m: &Mutation) -> Result<()> {
-        let payload = serde_json::to_vec(m)
-            .map_err(|e| Error::invalid(format!("unencodable mutation: {e}")))?;
+        encode_mutation(m, &mut self.scratch);
+        let payload = &self.scratch;
         if payload.len() as u64 > MAX_RECORD_LEN as u64 {
             return Err(Error::invalid(format!("mutation of {} bytes exceeds cap", payload.len())));
         }
         let len = (payload.len() as u32).to_le_bytes();
-        let crc = crc32(&payload).to_le_bytes();
+        let crc = crc32(payload).to_le_bytes();
         self.writer.write_all(&len).io_ctx("append wal len")?;
         self.writer.write_all(&crc).io_ctx("append wal crc")?;
-        self.writer.write_all(&payload).io_ctx("append wal payload")?;
+        self.writer.write_all(payload).io_ctx("append wal payload")?;
         self.appended += 1;
         if metamess_telemetry::enabled() {
             let m = store_metrics();
@@ -277,17 +301,54 @@ mod tests {
     fn append_and_replay() {
         let dir = tmpdir("basic");
         let wal = dir.join("wal.log");
+        let mut odd = crate::store::codec::tests::odd_floats();
+        let mut written = vec![
+            put("a.csv"),
+            put("b.csv"),
+            Mutation::Delete(crate::id::DatasetId::from_path("a.csv")),
+            Mutation::SetProperty { key: "archive".into(), value: "sim".into() },
+            Mutation::Clear,
+            // a summary that never saw a number (+inf/−inf) comes back equal
+            Mutation::Put(Box::new(odd.clone())),
+        ];
+        // … and a NaN, which equals nothing, comes back with the same bits
+        odd.variables[0].summary.mean = f64::NAN;
+        written.push(Mutation::Put(Box::new(odd)));
         {
             let mut w = Wal::open(&wal, true).unwrap();
-            w.append(&put("a.csv")).unwrap();
-            w.append(&put("b.csv")).unwrap();
-            w.append(&Mutation::Delete(crate::id::DatasetId::from_path("a.csv"))).unwrap();
-            assert_eq!(w.appended(), 3);
+            for m in &written {
+                w.append(m).unwrap();
+            }
+            assert_eq!(w.appended(), 7);
         }
         let r = read_all(&wal);
-        assert_eq!(r.mutations.len(), 3);
         assert!(r.stopped_early.is_none());
-        assert!(matches!(r.mutations[2], Mutation::Delete(_)));
+        assert_eq!(r.mutations[..6], written[..6]);
+        let (mut back, mut original) = (Vec::new(), Vec::new());
+        encode_mutation(&r.mutations[6], &mut back);
+        encode_mutation(&written[6], &mut original);
+        assert_eq!(back, original);
+        // every record carries its own string table: the last one decodes
+        // without the six before it
+        let last = r.new_offset - 8 - original.len() as u64;
+        assert_eq!(Wal::read_tail(&wal, last).unwrap().mutations.len(), 1);
+    }
+
+    #[test]
+    fn format_1_log_is_refused_by_name_and_never_appended_to() {
+        let dir = tmpdir("v1");
+        let wal = dir.join("wal.log");
+        let mut v1 = WAL_MAGIC_V1.to_vec();
+        let payload = br#"{"Delete":7}"#;
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&crc32(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        fs::write(&wal, &v1).unwrap();
+        for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
+            assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 2, .. }), "{e}");
+            assert!(!e.is_corrupt());
+        }
+        assert_eq!(fs::read(&wal).unwrap(), v1);
     }
 
     #[test]
@@ -466,7 +527,8 @@ mod tests {
         // Re-polling after the "writer" completes the tail sees the record.
         let mut bytes = fs::read(&wal).unwrap();
         bytes.truncate(r.new_offset as usize);
-        let payload = serde_json::to_vec(&put("b.csv")).unwrap();
+        let mut payload = Vec::new();
+        encode_mutation(&put("b.csv"), &mut payload);
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);

@@ -1,0 +1,265 @@
+//! The store codec under hostile bytes, and its size.
+//!
+//! The payload decoders sit below a CRC, which stops accidents, not a
+//! decoder bug: whatever bytes they are handed they must return a catalog,
+//! a mutation or [`Error::Corrupt`](metamess_core::Error) — never panic,
+//! and never reserve memory on the word of a count they have not checked
+//! against the bytes that remain. Each seed of
+//! `mutated_payloads_decode_or_are_corrupt` damages a valid snapshot
+//! payload and a valid WAL record twelve ways each;
+//! `METAMESS_TORTURE_CASES` scales it (default 300 seeds;
+//! `scripts/verify.sh` runs 1000, which is 24 000 mutants).
+
+mod common;
+
+use common::{sweep, Rng};
+use metamess_core::catalog::{Catalog, Mutation};
+use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
+use metamess_core::geo::{GeoBBox, GeoPoint};
+use metamess_core::store::codec::{
+    decode_catalog, decode_mutation, encode_catalog, encode_mutation,
+};
+use metamess_core::store::{crc32, Wal, WAL_MAGIC};
+use metamess_core::time::{TimeInterval, Timestamp};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Remembers the largest single request each thread has made of the
+/// allocator, and otherwise is the system allocator.
+struct LargestRequest;
+
+thread_local! {
+    // const-initialised and without a destructor: reading it allocates
+    // nothing and is sound at any point of a thread's life
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller was held to; `note` touches only a
+// `Cell<usize>` and cannot allocate, unwind or re-enter.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestRequest = LargestRequest;
+
+/// Runs `decode` on `bytes` and holds it to the contract: no panic (the
+/// sweep names the seed), nothing but `Corrupt` for an error, and no single
+/// allocation out of proportion to the input — a decoded `Vec` of the
+/// widest item (a 16-byte table entry per input byte) is the most any
+/// honest count can ask for.
+fn decodes_or_is_corrupt<T>(
+    bytes: &[u8],
+    decode: impl FnOnce(&[u8]) -> metamess_core::Result<T>,
+) -> bool {
+    LARGEST.set(0);
+    let decoded = decode(bytes);
+    let largest = LARGEST.get();
+    assert!(
+        largest <= 16 * bytes.len() + 4096,
+        "a {}-byte payload made the decoder ask for {largest} bytes at once",
+        bytes.len()
+    );
+    match decoded {
+        Ok(_) => true,
+        Err(e) => {
+            assert!(e.is_corrupt(), "not reported as corruption: {e}");
+            false
+        }
+    }
+}
+
+const CONTEXTS: [&str; 4] = ["met_station", "ctd", "buoy", "glider"];
+const TERMS: [(&str, &str, &str, &str); 6] = [
+    ("wtemp", "water_temperature", "physical", "temperature"),
+    ("airtemp", "air_temperature", "physical", "temperature"),
+    ("sal", "salinity", "physical", "salinity"),
+    ("do_mgl", "dissolved_oxygen", "chemical", "oxygen"),
+    ("chl", "chlorophyll", "biological", "pigment"),
+    ("turb", "turbidity", "optical", "scattering"),
+];
+
+/// A dataset shaped like the archive generator's after wrangling: 5–7
+/// variables from a controlled vocabulary (hierarchy three deep, unit and
+/// context set), one external pair, an extent in space and in time.
+fn archive_like(i: usize, rng: &mut Rng) -> DatasetFeature {
+    let context = *rng.pick(&CONTEXTS);
+    let mut f = DatasetFeature::new(format!("stations/{context}{:02}/2010/{i:05}.csv", i % 40));
+    f.title = format!("{context} {:02} 2010-{:02}", i % 40, i % 12 + 1);
+    f.source = Some(format!("{context}{:02}", i % 40));
+    let at = GeoPoint { lat: rng.float(44.0, 47.0), lon: rng.float(-125.0, -123.0) };
+    f.bbox = Some(GeoBBox::point(at));
+    let start = Timestamp(1_262_304_000 + rng.range(0, 365) * 86_400);
+    f.time = Some(TimeInterval::new(start, start.plus_days(rng.range(1, 30))));
+    f.record_count = rng.below(4000);
+    f.external.insert("platform".into(), context.into());
+    f.provenance.format = "csv".into();
+    f.provenance.content_fingerprint = rng.next();
+    f.provenance.file_len = f.record_count * 64;
+    f.provenance.pipeline_run = 1;
+    let first = rng.size(0, TERMS.len());
+    for k in 0..rng.size(5, 8) {
+        let (harvested, canonical, root, family) = TERMS[(first + k) % TERMS.len()];
+        // a seventh variable wraps around to the first term: a QA twin
+        let mut v = VariableFeature::new(if k < TERMS.len() {
+            harvested.into()
+        } else {
+            format!("{harvested}_qa")
+        });
+        v.resolve(canonical, NameResolution::KnownTranslation);
+        v.hierarchy = vec![root.into(), family.into(), canonical.into()];
+        v.unit = Some("raw".into());
+        v.canonical_unit = Some("si".into());
+        v.unit_normalized = true;
+        v.context = Some(context.into());
+        v.flags.qa = k >= TERMS.len();
+        let lo = rng.float(-5.0, 30.0);
+        v.summary.observe(lo);
+        v.summary.observe(lo + rng.float(0.5, 20.0));
+        v.total_count = f.record_count;
+        f.variables.push(v);
+    }
+    f
+}
+
+/// A small valid snapshot payload and a small valid WAL record payload.
+fn images() -> (Vec<u8>, Vec<u8>) {
+    let mut rng = Rng(19);
+    let mut catalog = Catalog::new();
+    for i in 0..3 {
+        catalog.put(archive_like(i, &mut rng));
+    }
+    // a variable that never saw a number: +inf and −inf in the image
+    let mut text_only = DatasetFeature::new("notes.csv");
+    text_only.variables.push(VariableFeature::new("station"));
+    catalog.put(text_only);
+    catalog.set_property("archive", "sim");
+    let mut record = Vec::new();
+    encode_mutation(&Mutation::Put(Box::new(archive_like(3, &mut rng))), &mut record);
+    (encode_catalog(&catalog), record)
+}
+
+/// 2^62 as a varint: a count no payload has room for.
+const HUGE: [u8; 9] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
+
+/// Damages `image` one way: a flipped bit, a lost tail, a count of 2^62 or
+/// a byte no table has an entry for written over a random place, a range
+/// cut out, noise let in, or a range repeated.
+fn mutate(image: &[u8], rng: &mut Rng) -> Vec<u8> {
+    let mut bytes = image.to_vec();
+    let at = rng.size(0, bytes.len());
+    let span = at..(at + rng.size(1, 17)).min(bytes.len());
+    match rng.below(7) {
+        0 => bytes[at] ^= 1 << rng.below(8),
+        1 => bytes.truncate(at),
+        2 => drop(bytes.splice(at..at + 1, HUGE)),
+        3 => bytes[at] = *rng.pick(&[0x7f, 0x80, 0xff]),
+        4 => drop(bytes.drain(span)),
+        5 => drop(bytes.splice(at..at, rng.bytes(1, 17))),
+        _ => {
+            let repeated = bytes[span].to_vec();
+            let to = rng.size(0, bytes.len());
+            drop(bytes.splice(to..to, repeated));
+        }
+    }
+    bytes
+}
+
+fn cases() -> u64 {
+    std::env::var("METAMESS_TORTURE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(300)
+}
+
+#[test]
+fn mutated_payloads_decode_or_are_corrupt() {
+    let (snapshot, record) = images();
+    assert!(decodes_or_is_corrupt(&snapshot, decode_catalog));
+    assert!(decodes_or_is_corrupt(&record, decode_mutation));
+    let dir = std::env::temp_dir().join(format!("metamess-codec-hostile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("wal.log");
+    let framed = |payload: &[u8]| {
+        let mut r = (payload.len() as u32).to_le_bytes().to_vec();
+        r.extend_from_slice(&crc32(payload).to_le_bytes());
+        r.extend_from_slice(payload);
+        r
+    };
+    let mut undecodable = 0u64;
+    sweep(cases(), |rng| {
+        for _ in 0..12 {
+            undecodable += !decodes_or_is_corrupt(&mutate(&snapshot, rng), decode_catalog) as u64;
+        }
+        let mut first_bad = None;
+        for _ in 0..12 {
+            let mutant = mutate(&record, rng);
+            if !decodes_or_is_corrupt(&mutant, decode_mutation) {
+                undecodable += 1;
+                first_bad.get_or_insert(mutant);
+            }
+        }
+        // Under a CRC that verifies, an undecodable record is where a log
+        // stops: the record before it is served, the one after is not.
+        let Some(bad) = first_bad else { return };
+        let log = [&WAL_MAGIC[..], &framed(&record), &framed(&bad), &framed(&record)].concat();
+        std::fs::write(&wal, log).unwrap();
+        let tail = Wal::read_tail(&wal, 0).unwrap();
+        assert_eq!(tail.mutations.len(), 1);
+        assert_eq!(tail.new_offset, (WAL_MAGIC.len() + 8 + record.len()) as u64);
+        assert!(tail.stopped_early.unwrap().starts_with("undecodable mutation"));
+    });
+    // the format is dense: most damage must be caught by the decoder itself
+    assert!(undecodable > cases() * 12, "only {undecodable} mutants were refused");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_strict_prefix_is_corrupt() {
+    let (snapshot, record) = images();
+    for n in 0..snapshot.len() {
+        assert!(!decodes_or_is_corrupt(&snapshot[..n], decode_catalog), "snapshot cut at {n}");
+    }
+    for n in 0..record.len() {
+        assert!(!decodes_or_is_corrupt(&record[..n], decode_mutation), "record cut at {n}");
+    }
+}
+
+/// The size gate, without the benchmark: ROADMAP's ≤ 1000 B/dataset.
+#[test]
+fn a_thousand_archive_like_datasets_fit_in_a_thousand_bytes_each() {
+    let mut rng = Rng(1);
+    let mut catalog = Catalog::new();
+    for i in 0..1000 {
+        catalog.put(archive_like(i, &mut rng));
+    }
+    let binary = encode_catalog(&catalog);
+    assert_eq!(binary, encode_catalog(&catalog), "two encodes of one catalog differ");
+    assert_eq!(decode_catalog(&binary).unwrap().0, catalog);
+    let json = serde_json::to_vec(&catalog).unwrap();
+    let per_dataset = binary.len() / catalog.len();
+    assert!(per_dataset <= 1000, "{per_dataset} B/dataset");
+    assert!(
+        json.len() as f64 >= 2.5 * binary.len() as f64,
+        "{} B as JSON is not 2.5x {} B",
+        json.len(),
+        binary.len()
+    );
+}

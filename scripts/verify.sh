@@ -36,12 +36,13 @@ echo "==> trace zero-allocation gate (METAMESS_TELEMETRY=0 alloc guard)"
 METAMESS_TELEMETRY=0 cargo test -q -p metamess-server --test alloc_guard
 
 cases="${METAMESS_TORTURE_CASES:-1000}"
-echo "==> crash-consistency and group-commit torture suites ($cases seeded cases, release)"
+echo "==> crash-consistency, group-commit and hostile-bytes suites ($cases seeded cases, release)"
 # Recovery after an injected fault is the acknowledged prefix; a crash
 # inside the commit window leaves the acked prefix, and compaction
-# mid-fault never loses acked data.
+# mid-fault never loses acked data. Damaged store payloads decode or are
+# refused as corrupt: no panic, no allocation on an unchecked count.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
-  --test torture --test torture_group_commit
+  --test torture --test torture_group_commit --test codec
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
