@@ -7,6 +7,8 @@
 //! with machine-readable ground truth, so the experiments can score
 //! resolution quality exactly.
 
+#![forbid(unsafe_code)]
+
 mod generator;
 mod mess;
 mod spec;

@@ -5,6 +5,8 @@
 //! wrangling quality, standard IR metrics, and the scripted curator's
 //! domain knowledge.
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 
 pub use report::{json_flag, BenchReport};

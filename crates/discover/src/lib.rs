@@ -7,6 +7,8 @@
 //! proposed `core/mass-edit` rule with a confidence score for the curator —
 //! the machinery for "the mess that's left" after known translations run.
 
+#![forbid(unsafe_code)]
+
 mod cluster;
 mod distance;
 mod keys;

@@ -6,6 +6,8 @@
 //! starred instrument cast log ([`parse_obslog`]) — plus format sniffing and
 //! the writers the archive generator uses.
 
+#![forbid(unsafe_code)]
+
 mod cdl;
 mod csv;
 mod model;

@@ -7,6 +7,8 @@
 //!
 //! [`DatasetFeature`]: metamess_core::feature::DatasetFeature
 
+#![forbid(unsafe_code)]
+
 mod extract;
 mod harvester;
 mod naming;

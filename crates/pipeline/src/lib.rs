@@ -20,6 +20,7 @@
 //! queue, so a live `metamess serve` can apply them without reopening the
 //! store.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod component;

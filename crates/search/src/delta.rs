@@ -35,12 +35,11 @@
 use crate::engine::{SearchEngine, SearchHit};
 use crate::plan::QueryPlan;
 use crate::query::Query;
-use crate::score::score_dataset;
-use crate::shard::expanded_time;
+use crate::score::score_dataset_prepared;
+use crate::shard::{expanded_time, index_keys};
 use metamess_core::catalog::Mutation;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
-use metamess_core::text::normalize_term;
 use metamess_vocab::Vocabulary;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -128,7 +127,7 @@ pub fn entry_survives(
             return false; // obligation 4
         }
         if let Some(after) = touch.after.as_deref() {
-            let score = score_dataset(&query, after, vocab).total;
+            let score = score_dataset_prepared(&query, &plan.prepared, after, vocab).total;
             let ranks_below = score < kth.score || (score == kth.score && after.path > kth.path);
             if !ranks_below {
                 return false; // obligation 5
@@ -140,9 +139,8 @@ pub fn entry_survives(
 
 /// Index-membership check mirroring `ShardEngine::probe` for non-spatial
 /// clauses: a dataset is a candidate when its time interval overlaps the
-/// query's padded window, or any of its index keys (canonical concept +
-/// ancestors, raw spelling, search spelling — exactly the shard builder's
-/// key set) matches a probe key of any query term.
+/// query's padded window, or any of its index keys (the shard builder's
+/// [`index_keys`]) matches a probe key of any query term.
 fn is_candidate(query: &Query, plan: &QueryPlan, d: &DatasetFeature, vocab: &Vocabulary) -> bool {
     if let Some(window) = &query.time {
         let expanded = expanded_time(window);
@@ -154,9 +152,7 @@ fn is_candidate(query: &Query, plan: &QueryPlan, d: &DatasetFeature, vocab: &Voc
         return false;
     }
     for v in d.searchable_variables() {
-        let mut dataset_keys = vocab.canonical_keys(v.search_name());
-        dataset_keys.insert(normalize_term(&v.name));
-        dataset_keys.insert(normalize_term(v.search_name()));
+        let dataset_keys = index_keys(v, vocab);
         for keys in &plan.term_keys {
             if keys.iter().any(|k| dataset_keys.contains(k)) {
                 return true;

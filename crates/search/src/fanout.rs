@@ -166,11 +166,10 @@ pub fn probe_prunable(query: &Query, time_bound: Option<&TimeInterval>) -> bool 
 
 /// Scores one shard's assigned work and returns its `query.limit`-best
 /// hits under the global rank order `(score desc, path asc)`, best first.
-/// Candidates run through the allocation-free fast scorer into a bounded
-/// top-k of light `(score, local index)` pairs; only the `≤ limit`
-/// survivors are materialized (strings + breakdown) by the exact scorer.
-/// The fast total is bit-identical to the exact total (debug-asserted
-/// here), so the ranking is the exact scorer's.
+/// Candidates are scored from the shard's own arrays, allocation-free, into
+/// a bounded top-k of light `(score, local index)` pairs; only the
+/// `≤ limit` survivors are materialized (strings + breakdown). Both passes
+/// run the one scoring routine, so a hit's score is the score it ranked by.
 pub fn score_top(
     shard: &ShardEngine,
     query: &Query,
@@ -190,7 +189,7 @@ pub fn score_top(
     {
         let mut topk = LightTopK::new(query.limit, &mut lights);
         let mut offer = |ix: u32| {
-            let s = shard.score_fast(query, &plan.prepared, ix as usize);
+            let s = shard.score(query, &plan.prepared, ix as usize);
             topk.push((s, ix), &rank_lt);
         };
         match work {
@@ -202,16 +201,7 @@ pub fn score_top(
     lights.sort_by(light_cmp);
     lights
         .iter()
-        .map(|&(score, lix)| {
-            let hit = shard.score_hit(query, &plan.prepared, vocab, lix as usize);
-            debug_assert_eq!(
-                hit.score.to_bits(),
-                score.to_bits(),
-                "fast scorer diverged from the exact scorer on {}",
-                hit.path
-            );
-            hit
-        })
+        .map(|&(_, lix)| shard.score_hit(query, &plan.prepared, vocab, lix as usize))
         .collect()
 }
 

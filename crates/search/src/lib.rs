@@ -19,13 +19,15 @@
 //! * [`QueryPlan`] precomputes vocabulary expansion, hierarchy walks and
 //!   term normalization once per query (shared between candidate generation
 //!   and scoring via `Vocabulary::expand_keys` / `canonical_keys`).
-//! * Candidates are scored by an allocation-free fast scorer (build-time
-//!   interned per-variable name keys; no normalization or `String` per
-//!   candidate) into a bounded per-shard top-k heap of light `(score,
-//!   local index)` pairs — O(n log k) instead of sorting every scored hit;
-//!   only each shard's `≤ limit` survivors are materialized into
-//!   [`SearchHit`]s. The rank order `(score desc, path asc)` is a strict
-//!   total order, so the merged result does not depend on the layout.
+//! * One scoring routine ranks and explains: candidates are scored from
+//!   build-time interned per-variable name keys (no normalization or
+//!   `String` per candidate) into a bounded per-shard top-k heap of light
+//!   `(score, local index)` pairs — O(n log k) instead of sorting every
+//!   scored hit; only each shard's `≤ limit` survivors are materialized
+//!   into [`SearchHit`]s, by the same routine filling a [`ScoreBreakdown`]
+//!   ([`score_dataset_prepared`]). The rank order `(score desc, path asc)`
+//!   is a strict total order, so the merged result does not depend on the
+//!   layout.
 //! * A generation-stamped LRU [`ResultCache`] serves repeated queries
 //!   against an unchanged published catalog without rescoring; entries are
 //!   invalidated simply by the catalog generation moving on publish, and
@@ -62,10 +64,7 @@ pub use interval::IntervalIndex;
 pub use plan::QueryPlan;
 pub use query::{Query, SpatialTerm, VariableTerm, Weights, MAX_LIMIT};
 pub use rtree::RTree;
-pub use score::{
-    prepared_term_score, score_dataset, score_dataset_prepared, spatial_score, temporal_score,
-    variable_term_score, PreparedTerm, ScoreBreakdown,
-};
+pub use score::{score_dataset_prepared, PreparedTerm, ScoreBreakdown};
 pub use shard::{clamp_shards, Partitioner, ShardEngine, ShardSpec, MAX_SHARDS};
 pub use summary::{render_results, render_summary};
 

@@ -17,7 +17,8 @@ use std::collections::BTreeSet;
 /// for every variable term.
 pub struct QueryPlan {
     /// Scoring context per variable term (normalized spellings, expansion
-    /// set, hierarchy neighbourhood) — consumed by `score_dataset_prepared`.
+    /// set, hierarchy neighbourhood) — consumed by the scoring routine, in
+    /// both the ranking pass and `score_dataset_prepared`.
     pub prepared: Vec<PreparedTerm>,
     /// Normalized inverted-index probe keys per variable term — consumed by
     /// candidate generation.

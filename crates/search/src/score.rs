@@ -1,6 +1,13 @@
 //! Distance-based similarity scoring — the ranking heart of "Data Near
 //! Here": every facet contributes a similarity in `[0, 1]`, combined by
 //! weighted average over the facets the query actually uses.
+//!
+//! One routine, [`score_keys`], computes that number. It reads a dataset
+//! through its [`Extent`] and [`VarKey`]s and reports what it found into a
+//! [`ScoreSink`] it is generic over: the ranking pass passes `()` and
+//! allocates nothing, and [`score_dataset_prepared`] passes a sink that
+//! fills a [`ScoreBreakdown`]. A hit's explained score and its rank score
+//! are the same arithmetic, so they agree bit for bit by construction.
 
 use crate::query::{Query, SpatialTerm, VariableTerm};
 use metamess_core::feature::{DatasetFeature, VariableFeature};
@@ -26,14 +33,10 @@ pub struct ScoreBreakdown {
     pub total: f64,
 }
 
-/// Spatial similarity of a dataset to the query's spatial term.
+/// Spatial similarity of a dataset's bbox to the query's spatial term.
 ///
 /// Inside the box / radius scores 1; outside decays exponentially with the
 /// ratio of distance to the query's characteristic scale.
-pub fn spatial_score(term: &SpatialTerm, dataset: &DatasetFeature) -> f64 {
-    bbox_score(term, dataset.bbox.as_ref())
-}
-
 fn bbox_score(term: &SpatialTerm, bbox: Option<&GeoBBox>) -> f64 {
     let Some(bbox) = bbox else { return 0.0 };
     match term {
@@ -60,10 +63,6 @@ fn bbox_score(term: &SpatialTerm, bbox: Option<&GeoBBox>) -> f64 {
 /// Temporal similarity: overlapping intervals score by how much of the
 /// query window the dataset covers (floored at 0.5 so *any* overlap beats
 /// any non-overlap); disjoint intervals decay exponentially with the gap.
-pub fn temporal_score(window: &TimeInterval, dataset: &DatasetFeature) -> f64 {
-    interval_score(window, dataset.time.as_ref())
-}
-
 fn interval_score(window: &TimeInterval, extent: Option<&TimeInterval>) -> f64 {
     let Some(extent) = extent else { return 0.0 };
     let overlap = window.overlap_secs(extent);
@@ -148,42 +147,10 @@ impl PreparedTerm {
     }
 }
 
-/// Name-match strength between a prepared query term and one variable:
-/// exact match scores 1, same-canonical 0.9, expansion (synonym/descendant)
-/// 0.85, hierarchy parent/child 0.8 and deep siblings 0.6, otherwise 0.
-fn name_similarity(pt: &PreparedTerm, var: &VariableFeature, vocab: &Vocabulary) -> f64 {
-    use metamess_core::text::normalize_term;
-    let target = var.search_name();
-    let target_norm = normalize_term(target);
-    if pt.name_norm == target_norm || pt.name_norm == normalize_term(&var.name) {
-        return 1.0;
-    }
-    let canon_var = match vocab.synonyms.resolve(target) {
-        Some((c, _)) => normalize_term(c),
-        None => target_norm.clone(),
-    };
-    if pt.canon_norm.as_deref() == Some(canon_var.as_str()) {
-        return 0.9;
-    }
-    if pt.expanded.contains(&target_norm) || pt.expanded.contains(&canon_var) {
-        return 0.85;
-    }
-    if let Some(s) = pt.related.get(&canon_var) {
-        return *s;
-    }
-    0.0
-}
-
 /// Range-match strength between the query's desired value range and the
-/// variable's observed range: fraction of the query range the variable's
-/// range covers. No range in the query → 1; variable lacking numeric data
-/// scores a neutral 0.5.
-fn range_similarity(range: Option<(f64, f64)>, var: &VariableFeature) -> f64 {
-    range_similarity_values(range, var.value_range())
-}
-
-/// The value-level body of [`range_similarity`], shared with the
-/// allocation-free scorer so both paths run the identical arithmetic.
+/// variable's observed range (`VarKey::range`): fraction of the query range
+/// the variable's range covers. No range in the query → 1; variable lacking
+/// numeric data scores a neutral 0.5.
 fn range_similarity_values(range: Option<(f64, f64)>, vrange: Option<(f64, f64)>) -> f64 {
     let Some((qlo, qhi)) = range else { return 1.0 };
     let Some((vlo, vhi)) = vrange else { return 0.5 };
@@ -199,96 +166,11 @@ fn range_similarity_values(range: Option<(f64, f64)>, vrange: Option<(f64, f64)>
     ((hi - lo) / denom).clamp(0.0, 1.0)
 }
 
-/// Best-variable similarity for one prepared term: name × range over the
-/// dataset's searchable variables.
-pub fn prepared_term_score(
-    pt: &PreparedTerm,
-    dataset: &DatasetFeature,
-    vocab: &Vocabulary,
-) -> (Option<String>, f64) {
-    let mut best: (Option<String>, f64) = (None, 0.0);
-    for var in dataset.searchable_variables() {
-        let name_s = name_similarity(pt, var, vocab);
-        if name_s <= 0.0 {
-            continue;
-        }
-        let s = name_s * range_similarity(pt.term.range, var);
-        if s > best.1 {
-            best = (Some(var.name.clone()), s);
-        }
-    }
-    best
-}
-
-/// Best-variable similarity for one query term (convenience wrapper that
-/// prepares the term first; use [`prepared_term_score`] in loops).
-pub fn variable_term_score(
-    term: &VariableTerm,
-    dataset: &DatasetFeature,
-    vocab: &Vocabulary,
-) -> (Option<String>, f64) {
-    prepared_term_score(&PreparedTerm::prepare(term, vocab), dataset, vocab)
-}
-
-/// Scores one dataset against a query with pre-prepared terms; the engine
-/// calls this once per candidate.
-pub fn score_dataset_prepared(
-    query: &Query,
-    prepared: &[PreparedTerm],
-    dataset: &DatasetFeature,
-    vocab: &Vocabulary,
-) -> ScoreBreakdown {
-    let mut b = ScoreBreakdown::default();
-    let mut weighted = 0.0;
-    let mut total_weight = 0.0;
-    if let Some(spatial) = &query.spatial {
-        let s = spatial_score(spatial, dataset);
-        b.space = Some(s);
-        weighted += query.weights.space * s;
-        total_weight += query.weights.space;
-    }
-    if let Some(window) = &query.time {
-        let s = temporal_score(window, dataset);
-        b.time = Some(s);
-        weighted += query.weights.time * s;
-        total_weight += query.weights.time;
-    }
-    if !prepared.is_empty() {
-        let mut sum = 0.0;
-        for pt in prepared {
-            let (matched, s) = prepared_term_score(pt, dataset, vocab);
-            b.variable_matches.push((pt.term.name.clone(), matched, s));
-            sum += s;
-        }
-        let s = sum / prepared.len() as f64;
-        b.variables = Some(s);
-        weighted += query.weights.variables * s;
-        total_weight += query.weights.variables;
-    }
-    b.total = if total_weight > 0.0 { weighted / total_weight } else { 0.0 };
-    b
-}
-
-/// Scores one dataset against a query; returns the full breakdown.
-pub fn score_dataset(
-    query: &Query,
-    dataset: &DatasetFeature,
-    vocab: &Vocabulary,
-) -> ScoreBreakdown {
-    let prepared: Vec<PreparedTerm> =
-        query.variables.iter().map(|t| PreparedTerm::prepare(t, vocab)).collect();
-    score_dataset_prepared(query, &prepared, dataset, vocab)
-}
-
-/// Normalized name keys for one searchable variable, computed (and
-/// interned) once at shard build time. With these in hand, per-candidate
-/// scoring is pure hash lookups and float math — no `normalize_term`, no
-/// synonym resolution, no `String` per candidate.
-///
-/// Invariant: every field holds exactly the value the allocating path
-/// computes per candidate, so [`score_dataset_fast`] is bit-identical to
-/// [`score_dataset_prepared`]'s `total` (asserted in debug builds at
-/// materialization, and by the `fast_scorer_*` tests).
+/// Normalized name keys for one searchable variable — everything
+/// [`score_keys`] reads about it. The shard computes (and interns) them
+/// once at build time, so ranking a candidate is pure hash lookups and
+/// float math — no `normalize_term`, no synonym resolution, no `String`.
+/// [`score_dataset_prepared`] builds them for one dataset on the spot.
 #[derive(Debug, Clone)]
 pub(crate) struct VarKey {
     /// `normalize_term(&var.name)`.
@@ -296,14 +178,13 @@ pub(crate) struct VarKey {
     /// `normalize_term(var.search_name())`.
     search_norm: Arc<str>,
     /// Normalized canonical of `var.search_name()` per the synonym table
-    /// (resolved against the **un**-normalized spelling, exactly like
-    /// [`name_similarity`] does at query time).
+    /// (resolved against the **un**-normalized spelling).
     canon_norm: Option<Arc<str>>,
     /// `var.value_range()`.
     range: Option<(f64, f64)>,
 }
 
-/// Where and when a dataset is: the two fields of a feature the fast scorer
+/// Where and when a dataset is: the two fields of a feature the scorer
 /// reads, copied out at shard build time. Features are shared between
 /// engines and sit wherever the allocator put them when the store was
 /// decoded; with these (and the [`VarKey`]s) in the shard's own arrays,
@@ -353,9 +234,13 @@ impl VarKey {
     }
 }
 
-/// Allocation-free mirror of [`name_similarity`]: every comparison reads a
-/// precomputed key instead of re-normalizing the variable's spellings.
-fn name_similarity_key(pt: &PreparedTerm, key: &VarKey) -> f64 {
+/// Name-match strength between a prepared query term and one variable:
+/// exact match scores 1, same-canonical 0.9, expansion (synonym/descendant)
+/// 0.85, hierarchy parent/child 0.8 and deep siblings 0.6, otherwise 0.
+// Forced: with two instances of `score_keys` calling it, LLVM keeps it out
+// of line, and the ranking loop measured 15–35 % slower per candidate.
+#[inline(always)]
+fn name_tier(pt: &PreparedTerm, key: &VarKey) -> f64 {
     if pt.name_norm.as_str() == &*key.search_norm || pt.name_norm.as_str() == &*key.name_norm {
         return 1.0;
     }
@@ -372,47 +257,90 @@ fn name_similarity_key(pt: &PreparedTerm, key: &VarKey) -> f64 {
     0.0
 }
 
-/// Allocation-free mirror of [`score_dataset_prepared`] computing only the
-/// combined `total` — the number top-k selection ranks by. `extent` must be
-/// the dataset's, and `var_keys` its searchable variables in iteration order
-/// (the shard builds them that way). The arithmetic (operation order,
-/// accumulation, best-tracking) is kept line-for-line identical so the
-/// result is bit-identical to `breakdown.total`.
-pub(crate) fn score_dataset_fast(
+/// What [`score_keys`] reports besides the total. Every method defaults to
+/// doing nothing, so `()` — the ranking pass's sink — compiles to the bare
+/// arithmetic.
+pub(crate) trait ScoreSink {
+    /// The spatial similarity, when the query has a spatial term.
+    fn space(&mut self, _s: f64) {}
+    /// The temporal similarity, when the query has a time window.
+    fn time(&mut self, _s: f64) {}
+    /// Variable term `term`'s similarity and the position (among the
+    /// dataset's `var_keys`) of the variable that scored it, if any did.
+    fn term(&mut self, _term: usize, _best: Option<usize>, _s: f64) {}
+    /// The mean over the variable terms.
+    fn variables(&mut self, _s: f64) {}
+}
+
+impl ScoreSink for () {}
+
+/// Fills a [`ScoreBreakdown`], naming each term and its best variable.
+struct Explained<'a> {
+    breakdown: ScoreBreakdown,
+    prepared: &'a [PreparedTerm],
+    vars: &'a [&'a VariableFeature],
+}
+
+impl ScoreSink for Explained<'_> {
+    fn space(&mut self, s: f64) {
+        self.breakdown.space = Some(s);
+    }
+    fn time(&mut self, s: f64) {
+        self.breakdown.time = Some(s);
+    }
+    fn term(&mut self, term: usize, best: Option<usize>, s: f64) {
+        let var = best.map(|p| self.vars[p].name.clone());
+        self.breakdown.variable_matches.push((self.prepared[term].term.name.clone(), var, s));
+    }
+    fn variables(&mut self, s: f64) {
+        self.breakdown.variables = Some(s);
+    }
+}
+
+/// Scores one dataset against a query — the only place the weighted
+/// average is computed. `extent` must be the dataset's and `var_keys` its
+/// searchable variables in iteration order; returns the combined total,
+/// the number top-k selection ranks by.
+pub(crate) fn score_keys<S: ScoreSink>(
     query: &Query,
     prepared: &[PreparedTerm],
     extent: &Extent,
     var_keys: &[VarKey],
+    sink: &mut S,
 ) -> f64 {
     let mut weighted = 0.0;
     let mut total_weight = 0.0;
     if let Some(spatial) = &query.spatial {
         let s = bbox_score(spatial, extent.bbox.as_ref());
+        sink.space(s);
         weighted += query.weights.space * s;
         total_weight += query.weights.space;
     }
     if let Some(window) = &query.time {
         let s = interval_score(window, extent.time.as_ref());
+        sink.time(s);
         weighted += query.weights.time * s;
         total_weight += query.weights.time;
     }
     if !prepared.is_empty() {
         let mut sum = 0.0;
-        for pt in prepared {
-            let mut best = 0.0;
-            for key in var_keys {
-                let name_s = name_similarity_key(pt, key);
+        for (term, pt) in prepared.iter().enumerate() {
+            let (mut best_at, mut best) = (None, 0.0);
+            for (at, key) in var_keys.iter().enumerate() {
+                let name_s = name_tier(pt, key);
                 if name_s <= 0.0 {
                     continue;
                 }
                 let s = name_s * range_similarity_values(pt.term.range, key.range);
                 if s > best {
-                    best = s;
+                    (best_at, best) = (Some(at), s);
                 }
             }
+            sink.term(term, best_at, best);
             sum += best;
         }
         let s = sum / prepared.len() as f64;
+        sink.variables(s);
         weighted += query.weights.variables * s;
         total_weight += query.weights.variables;
     }
@@ -423,9 +351,28 @@ pub(crate) fn score_dataset_fast(
     }
 }
 
+/// Scores one dataset against a query with pre-prepared terms and explains
+/// the score: `score_keys` over keys built for this dataset alone. For
+/// the `≤ limit` hits a search returns and for the reference oracle; the
+/// ranking pass reads the shard's prebuilt keys instead.
+pub fn score_dataset_prepared(
+    query: &Query,
+    prepared: &[PreparedTerm],
+    dataset: &DatasetFeature,
+    vocab: &Vocabulary,
+) -> ScoreBreakdown {
+    let vars: Vec<&VariableFeature> = dataset.searchable_variables().collect();
+    let mut interner = StdHashSet::new();
+    let keys: Vec<VarKey> = vars.iter().map(|v| VarKey::build(v, vocab, &mut interner)).collect();
+    let mut sink = Explained { breakdown: ScoreBreakdown::default(), prepared, vars: &vars };
+    let total = score_keys(query, prepared, &Extent::of(dataset), &keys, &mut sink);
+    ScoreBreakdown { total, ..sink.breakdown }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metamess_core::feature::NameResolution;
     use metamess_core::geo::{GeoBBox, GeoPoint};
     use metamess_core::time::Timestamp;
 
@@ -441,7 +388,7 @@ mod tests {
             Timestamp::from_ymd(2010, 6, 30).unwrap(),
         ));
         let mut v = VariableFeature::new("wtemp");
-        v.resolve("water_temperature", metamess_core::feature::NameResolution::KnownTranslation);
+        v.resolve("water_temperature", NameResolution::KnownTranslation);
         v.summary.observe(6.0);
         v.summary.observe(12.0);
         d.variables.push(v);
@@ -451,19 +398,40 @@ mod tests {
         d
     }
 
+    fn score(q: &Query, d: &DatasetFeature) -> ScoreBreakdown {
+        let v = vocab();
+        let prepared: Vec<PreparedTerm> =
+            q.variables.iter().map(|t| PreparedTerm::prepare(t, &v)).collect();
+        score_dataset_prepared(q, &prepared, d, &v)
+    }
+
+    /// The matched variable and similarity of the one-term query `name`
+    /// (with `range`) against `d`, read off the breakdown.
+    fn term_match(
+        name: &str,
+        range: Option<(f64, f64)>,
+        d: &DatasetFeature,
+    ) -> (Option<String>, f64) {
+        let mut b = score(&Query::new().with_variable(name, range), d);
+        assert_eq!(b.variable_matches.len(), 1);
+        let (term, matched, s) = b.variable_matches.remove(0);
+        assert_eq!(term, name);
+        (matched, s)
+    }
+
     #[test]
     fn spatial_inside_is_one_outside_decays() {
         let d = dataset();
         let near =
             SpatialTerm::Near { point: GeoPoint::new(46.0, -124.0).unwrap(), radius_km: 25.0 };
-        assert_eq!(spatial_score(&near, &d), 1.0);
+        assert_eq!(bbox_score(&near, d.bbox.as_ref()), 1.0);
         let farish =
             SpatialTerm::Near { point: GeoPoint::new(45.5, -124.4).unwrap(), radius_km: 25.0 };
-        let s = spatial_score(&farish, &d);
+        let s = bbox_score(&farish, d.bbox.as_ref());
         assert!(s > 0.0 && s < 1.0, "{s}");
         let very_far =
             SpatialTerm::Near { point: GeoPoint::new(10.0, 10.0).unwrap(), radius_km: 25.0 };
-        assert!(spatial_score(&very_far, &d) < 1e-6);
+        assert!(bbox_score(&very_far, d.bbox.as_ref()) < 1e-6);
     }
 
     #[test]
@@ -473,25 +441,23 @@ mod tests {
             point: GeoPoint::new(lat, -124.0).unwrap(),
             radius_km: 10.0,
         };
-        let s1 = spatial_score(&mk(46.2), &d);
-        let s2 = spatial_score(&mk(46.8), &d);
-        let s3 = spatial_score(&mk(48.0), &d);
+        let s1 = bbox_score(&mk(46.2), d.bbox.as_ref());
+        let s2 = bbox_score(&mk(46.8), d.bbox.as_ref());
+        let s3 = bbox_score(&mk(48.0), d.bbox.as_ref());
         assert!(s1 >= s2 && s2 >= s3, "{s1} {s2} {s3}");
     }
 
     #[test]
     fn spatial_missing_bbox_zero() {
-        let mut d = dataset();
-        d.bbox = None;
         let t = SpatialTerm::Near { point: GeoPoint::new(46.0, -124.0).unwrap(), radius_km: 10.0 };
-        assert_eq!(spatial_score(&t, &d), 0.0);
+        assert_eq!(bbox_score(&t, None), 0.0);
     }
 
     #[test]
     fn region_intersection_scores_one() {
         let d = dataset();
         let r = SpatialTerm::Region(GeoBBox::new(45.9, 46.1, -124.1, -123.9).unwrap());
-        assert_eq!(spatial_score(&r, &d), 1.0);
+        assert_eq!(bbox_score(&r, d.bbox.as_ref()), 1.0);
     }
 
     #[test]
@@ -501,102 +467,111 @@ mod tests {
             Timestamp::from_ymd(2010, 6, 1).unwrap(),
             Timestamp::from_ymd(2010, 6, 30).unwrap(),
         );
-        assert!(temporal_score(&whole_june, &d) >= 0.99);
+        assert!(interval_score(&whole_june, d.time.as_ref()) >= 0.99);
         let july = TimeInterval::new(
             Timestamp::from_ymd(2010, 7, 5).unwrap(),
             Timestamp::from_ymd(2010, 7, 20).unwrap(),
         );
-        let s_gap = temporal_score(&july, &d);
+        let s_gap = interval_score(&july, d.time.as_ref());
         assert!(s_gap < 0.5, "{s_gap}");
         let partial = TimeInterval::new(
             Timestamp::from_ymd(2010, 6, 25).unwrap(),
             Timestamp::from_ymd(2010, 7, 10).unwrap(),
         );
-        let s_partial = temporal_score(&partial, &d);
+        let s_partial = interval_score(&partial, d.time.as_ref());
         assert!(s_partial > s_gap && s_partial > 0.5, "{s_partial} {s_gap}");
     }
 
     #[test]
     fn temporal_missing_extent_zero() {
-        let mut d = dataset();
-        d.time = None;
         let w = TimeInterval::new(Timestamp(0), Timestamp(100));
-        assert_eq!(temporal_score(&w, &d), 0.0);
+        assert_eq!(interval_score(&w, None), 0.0);
     }
 
     #[test]
     fn temporal_instant_inside_window() {
-        let mut d = dataset();
-        d.time = Some(TimeInterval::instant(Timestamp::from_ymd(2010, 6, 15).unwrap()));
+        let instant = TimeInterval::instant(Timestamp::from_ymd(2010, 6, 15).unwrap());
         let w = TimeInterval::new(
             Timestamp::from_ymd(2010, 6, 1).unwrap(),
             Timestamp::from_ymd(2010, 6, 30).unwrap(),
         );
-        assert_eq!(temporal_score(&w, &d), 1.0);
+        assert_eq!(interval_score(&w, Some(&instant)), 1.0);
     }
 
     #[test]
     fn variable_exact_and_synonym_match() {
         let d = dataset();
-        let v = vocab();
         // canonical name matches the resolved variable
-        let (m, s) = variable_term_score(
-            &VariableTerm { name: "water_temperature".into(), range: None },
-            &d,
-            &v,
-        );
-        assert_eq!(m.as_deref(), Some("wtemp"));
-        assert_eq!(s, 1.0);
+        assert_eq!(term_match("water_temperature", None, &d), (Some("wtemp".into()), 1.0));
+        // so does the raw spelling
+        assert_eq!(term_match("wtemp", None, &d), (Some("wtemp".into()), 1.0));
         // query via a curated alternate resolves to the same canonical
-        let (m2, s2) =
-            variable_term_score(&VariableTerm { name: "t_water".into(), range: None }, &d, &v);
-        assert_eq!(m2.as_deref(), Some("wtemp"));
-        assert!(s2 >= 0.85, "{s2}");
+        assert_eq!(term_match("t_water", None, &d), (Some("wtemp".into()), 0.9));
     }
 
     #[test]
     fn variable_qa_columns_never_match() {
-        let d = dataset();
-        let v = vocab();
-        let (m, s) =
-            variable_term_score(&VariableTerm { name: "qa_level".into(), range: None }, &d, &v);
-        assert_eq!(m, None);
-        assert_eq!(s, 0.0);
+        assert_eq!(term_match("qa_level", None, &dataset()), (None, 0.0));
     }
 
     #[test]
     fn range_overlap_fractions() {
         let d = dataset(); // wtemp range 6..12
-        let v = vocab();
-        let full = VariableTerm { name: "water_temperature".into(), range: Some((6.0, 12.0)) };
-        assert_eq!(variable_term_score(&full, &d, &v).1, 1.0);
+        assert_eq!(term_match("water_temperature", Some((6.0, 12.0)), &d).1, 1.0);
         // query 5..10: variable covers 6..10 of it = 0.8
-        let part = VariableTerm { name: "water_temperature".into(), range: Some((5.0, 10.0)) };
-        let s = variable_term_score(&part, &d, &v).1;
+        let s = term_match("water_temperature", Some((5.0, 10.0)), &d).1;
         assert!((s - 0.8).abs() < 1e-9, "{s}");
         // disjoint range scores low
-        let cold = VariableTerm { name: "water_temperature".into(), range: Some((0.0, 2.0)) };
-        assert!(variable_term_score(&cold, &d, &v).1 < 0.3);
+        assert!(term_match("water_temperature", Some((0.0, 2.0)), &d).1 < 0.3);
     }
 
     #[test]
     fn hierarchy_match_scores_between() {
-        let v = vocab();
         let mut d = dataset();
         let mut fl = VariableFeature::new("fluores375");
-        fl.resolve("fluores375", metamess_core::feature::NameResolution::AlreadyCanonical);
+        fl.resolve("fluores375", NameResolution::AlreadyCanonical);
         d.variables.push(fl);
-        // querying the grouping concept "fluorescence" finds the leaf
-        let (m, s) =
-            variable_term_score(&VariableTerm { name: "fluorescence".into(), range: None }, &d, &v);
-        assert_eq!(m.as_deref(), Some("fluores375"));
-        assert!(s > 0.3 && s < 1.0, "{s}");
+        // querying the grouping concept "fluorescence" finds the leaf, a
+        // sibling of the concept's canonical `chlorophyll_fluorescence`
+        assert_eq!(term_match("fluorescence", None, &d), (Some("fluores375".into()), 0.6));
+    }
+
+    #[test]
+    fn name_tiers_score_exact_values() {
+        // (query term, variable name, its canonical, similarity): every
+        // name tier the default vocabulary can reach, by value.
+        let rows: &[(&str, &str, Option<&str>, f64)] = &[
+            ("water_temperature", "wtemp", Some("water_temperature"), 1.0), // search spelling
+            ("WTEMP", "wtemp", Some("water_temperature"), 1.0),             // raw spelling
+            ("t_water", "wtemp", Some("water_temperature"), 0.9),           // same canonical
+            ("temperature", "wtemp", Some("water_temperature"), 0.85),      // descendant
+            ("optics", "turb", Some("turbidity"), 0.85),                    // descendant
+            ("water_temperature", "temperature", None, 0.8),                // parent
+            ("salinity", "physical", None, 0.8),                            // parent
+            ("water_temperature", "atemp", Some("air_temperature"), 0.6),   // deep sibling
+            ("fluorescence", "fluores400", Some("fluores400"), 0.6),        // deep sibling
+            ("salinity", "wtemp", Some("water_temperature"), 0.0),          // unrelated
+        ];
+        for &(term, name, canonical, want) in rows {
+            let mut d = DatasetFeature::new("tiers.csv");
+            let mut var = VariableFeature::new(name);
+            if let Some(c) = canonical {
+                var.resolve(c, NameResolution::KnownTranslation);
+            }
+            d.variables.push(var);
+            let matched = (want > 0.0).then(|| name.to_string());
+            assert_eq!(term_match(term, None, &d), (matched, want), "{term} vs {name}");
+        }
+        // a QA column is never searched, whatever its name
+        let mut d = DatasetFeature::new("qa.csv");
+        let mut qa = VariableFeature::new("water_temperature");
+        qa.flags.qa = true;
+        d.variables.push(qa);
+        assert_eq!(term_match("water_temperature", None, &d), (None, 0.0));
     }
 
     #[test]
     fn combined_score_weights_facets() {
-        let d = dataset();
-        let v = vocab();
         let q = Query::new()
             .near(46.0, -124.0, 25.0)
             .unwrap()
@@ -605,7 +580,7 @@ mod tests {
                 Timestamp::from_ymd(2010, 6, 30).unwrap(),
             )
             .with_variable("water_temperature", None);
-        let b = score_dataset(&q, &d, &v);
+        let b = score(&q, &dataset());
         assert_eq!(b.space, Some(1.0));
         assert!(b.time.unwrap() >= 0.99);
         assert_eq!(b.variables, Some(1.0));
@@ -615,42 +590,9 @@ mod tests {
 
     #[test]
     fn empty_query_scores_zero() {
-        let b = score_dataset(&Query::new(), &dataset(), &vocab());
+        let b = score(&Query::new(), &dataset());
         assert_eq!(b.total, 0.0);
         assert!(b.space.is_none());
-    }
-
-    #[test]
-    fn fast_scorer_matches_breakdown_total_bitwise() {
-        let v = vocab();
-        let mut d = dataset();
-        let mut fl = VariableFeature::new("fluores375");
-        fl.resolve("fluores375", metamess_core::feature::NameResolution::AlreadyCanonical);
-        d.variables.push(fl);
-        let mut interner = StdHashSet::new();
-        let keys: Vec<VarKey> =
-            d.searchable_variables().map(|var| VarKey::build(var, &v, &mut interner)).collect();
-        let queries = [
-            Query::new(),
-            Query::new().with_variable("water_temperature", None),
-            Query::new().with_variable("t_water", Some((5.0, 10.0))),
-            Query::new().with_variable("fluorescence", None).with_variable("salinity", None),
-            Query::new()
-                .near(45.8, -124.2, 25.0)
-                .unwrap()
-                .between(
-                    Timestamp::from_ymd(2010, 6, 10).unwrap(),
-                    Timestamp::from_ymd(2010, 7, 10).unwrap(),
-                )
-                .with_variable("water_temperature", Some((0.0, 8.0))),
-        ];
-        for q in &queries {
-            let prepared: Vec<PreparedTerm> =
-                q.variables.iter().map(|t| PreparedTerm::prepare(t, &v)).collect();
-            let slow = score_dataset_prepared(q, &prepared, &d, &v).total;
-            let fast = score_dataset_fast(q, &prepared, &Extent::of(&d), &keys);
-            assert_eq!(fast.to_bits(), slow.to_bits(), "query {q:?}: fast {fast} vs slow {slow}");
-        }
     }
 
     #[test]
@@ -664,13 +606,11 @@ mod tests {
 
     #[test]
     fn scores_bounded() {
-        let d = dataset();
-        let v = vocab();
         let q = Query::new()
             .near(45.0, -120.0, 5.0)
             .unwrap()
             .with_variable("salinity", Some((0.0, 1.0)));
-        let b = score_dataset(&q, &d, &v);
+        let b = score(&q, &dataset());
         assert!((0.0..=1.0).contains(&b.total));
         for s in [b.space, b.time, b.variables].into_iter().flatten() {
             assert!((0.0..=1.0).contains(&s));

@@ -33,10 +33,8 @@ use crate::interval::IntervalIndex;
 use crate::plan::QueryPlan;
 use crate::query::{Query, SpatialTerm};
 use crate::rtree::RTree;
-use crate::score::{
-    intern, score_dataset_fast, score_dataset_prepared, Extent, PreparedTerm, VarKey,
-};
-use metamess_core::feature::DatasetFeature;
+use crate::score::{intern, score_dataset_prepared, score_keys, Extent, PreparedTerm, VarKey};
+use metamess_core::feature::{DatasetFeature, VariableFeature};
 use metamess_core::geo::GeoBBox;
 use metamess_core::text::normalize_term;
 use metamess_core::time::TimeInterval;
@@ -256,13 +254,7 @@ impl ShardEngine {
                 });
             }
             for v in d.searchable_variables() {
-                // index under the canonical concept and every hierarchy
-                // ancestor (shared helper with query planning), plus the
-                // raw and search spellings
-                let mut keys: BTreeSet<String> = vocab.canonical_keys(v.search_name());
-                keys.insert(normalize_term(&v.name));
-                keys.insert(normalize_term(v.search_name()));
-                for k in keys {
+                for k in index_keys(v, vocab) {
                     let posting = terms.entry(intern(&mut interner, k)).or_default();
                     if posting.last() != Some(&ix) {
                         posting.push(ix);
@@ -383,20 +375,14 @@ impl ShardEngine {
         }
     }
 
-    /// Scores one local candidate allocation-free, returning only the
-    /// combined total — bit-identical to `score_hit(...).score` (the
-    /// engine asserts so in debug builds when materializing the top k).
-    pub(crate) fn score_fast(
-        &self,
-        query: &Query,
-        prepared: &[PreparedTerm],
-        local_ix: usize,
-    ) -> f64 {
+    /// Scores one local candidate for ranking: the combined total only,
+    /// from the shard's own extent and name-key arrays, allocation-free.
+    pub(crate) fn score(&self, query: &Query, prepared: &[PreparedTerm], local_ix: usize) -> f64 {
         let keys = self.key_starts[local_ix] as usize..self.key_starts[local_ix + 1] as usize;
-        score_dataset_fast(query, prepared, &self.extents[local_ix], &self.var_keys[keys])
+        score_keys(query, prepared, &self.extents[local_ix], &self.var_keys[keys], &mut ())
     }
 
-    /// Scores one local candidate exactly.
+    /// Scores one local candidate into a hit with its explained breakdown.
     pub(crate) fn score_hit(
         &self,
         query: &Query,
@@ -414,6 +400,17 @@ impl ShardEngine {
             breakdown,
         }
     }
+}
+
+/// The inverted-index keys a searchable variable is filed under: its
+/// canonical concept and every hierarchy ancestor (the helper query
+/// planning shares), plus its raw and search spellings. The cache-survival
+/// proofs (`delta.rs`) recompute membership with this same set.
+pub(crate) fn index_keys(v: &VariableFeature, vocab: &Vocabulary) -> BTreeSet<String> {
+    let mut keys = vocab.canonical_keys(v.search_name());
+    keys.insert(normalize_term(&v.name));
+    keys.insert(normalize_term(v.search_name()));
+    keys
 }
 
 /// The "everything within 4 radii" window a `near` clause probes — shared

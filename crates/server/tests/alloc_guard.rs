@@ -2,8 +2,8 @@
 //! on by default).
 //!
 //! The event-loop refactor's zero-allocation story — interned vocabulary
-//! keys, the light-candidate scoring pass with a reusable per-thread
-//! buffer, pre-serialized response fragments — is easy to regress one
+//! keys, a ranking pass that allocates nothing per candidate,
+//! pre-serialized response fragments — is easy to regress one
 //! `format!` at a time. This test pins it down: a warm keep-alive
 //! `POST /search` must stay under a fixed small allocation budget, both
 //! on a result-cache hit and on a full cold scoring pass.
@@ -111,8 +111,9 @@ fn search_request(body: &str) -> Request {
 /// zero-allocation pass, a 240-dataset scoring run materialized a
 /// `SearchHit` (id + path + title strings + breakdown) per candidate:
 /// thousands of allocations. These budgets only fit the refactored path
-/// (parse the JSON body, run the light scoring pass out of the warm
-/// per-thread scratch, materialize ≤ limit survivors, render one response).
+/// (parse the JSON body, rank every candidate into a bounded top-k of
+/// `(score, index)` pairs, materialize ≤ limit survivors, render one
+/// response).
 const CACHE_HIT_BUDGET: u64 = 200;
 const COLD_SCORING_BUDGET: u64 = 1000;
 
@@ -126,10 +127,9 @@ fn warm_keep_alive_search_stays_within_allocation_budget() {
     let dir = fixture_store();
     let state = ServeState::open(&dir).expect("open store");
 
-    // Warm everything a keep-alive connection would have warmed: the
-    // per-thread scoring scratch (grown by real scoring passes — the
-    // distinct limits dodge the result cache) and one cached entry for
-    // the repeated query.
+    // Warm everything a keep-alive connection would have warmed: real
+    // scoring passes (the distinct limits dodge the result cache) and one
+    // cached entry for the repeated query.
     for limit in [7usize, 8, 9] {
         let req = search_request(&format!(r#"{{"q":"with water_temperature","limit":{limit}}}"#));
         let (_, resp) = handle(&state, &req);

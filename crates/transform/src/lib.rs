@@ -9,6 +9,8 @@
 //! discover transformations → export JSON rules → run rules against
 //! metadata → working catalog*.
 
+#![forbid(unsafe_code)]
+
 mod engine;
 pub mod grel;
 mod ops;

@@ -18,6 +18,8 @@
 //! | Source-context variations | [`VariableRegistry`] context rules |
 //! | Concepts at multiple levels | [`Taxonomy`] grouping |
 
+#![forbid(unsafe_code)]
+
 mod registry;
 mod synonym;
 mod taxonomy;
