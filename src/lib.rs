@@ -60,7 +60,6 @@ pub use metamess_transform as transform;
 pub use metamess_vocab as vocab;
 
 pub mod fsck;
-pub mod telemetry_io;
 
 /// The names most programs need, in one import.
 pub mod prelude {

@@ -1,24 +1,8 @@
 //! `metamess` — command-line interface to the metadata-wrangling system.
 //!
-//! ```text
-//! metamess generate <dir> [--seed N] [--months N] [--stations N]
-//! metamess wrangle  <dir> [--store <store-dir>] [--expert] [--explain]
-//! metamess watch    <dir> [--store <store-dir>] [--interval-ms N]
-//!                   [--commit-interval-ms N] [--max-cycles N]
-//!                   [--compact-ratio F] [--retain N]
-//! metamess search   <store-dir> <query...> [--explain] [--shards N] [--partition P]
-//!                   [--remote H:P,H:P,...] [--partial-policy fail|degrade]
-//! metamess summary  <store-dir> <dataset-path>
-//! metamess stats    <store-dir> [--prometheus|--json] [--reset]
-//! metamess validate <dir>
-//! metamess fsck     <store-dir> [--json] [--repair]
-//! metamess shardd   <store-dir> --shard-id K/N [--partition P] [--listen H:P]
-//! metamess serve    <store-dir> [--addr H:P] [--workers N] [--queue-depth N]
-//!                   [--drain-grace-ms N] [--shards N] [--partition P]
-//!                   [--slow-ms N] [--trace-sample-rate F]
-//!                   [--remote H:P,H:P,...] [--partial-policy fail|degrade]
-//! metamess trace    <store-dir> [--slow] [--json] [--id HEX]
-//! ```
+//! `metamess --help` lists the commands and `metamess <command> --help` a
+//! command's operands and flags. Both are generated from [`COMMANDS`] and
+//! [`FLAGS`], the tables the parser reads every command line against.
 //!
 //! `wrangle` runs the full curation loop over an archive directory and
 //! persists the published catalog (snapshot + WAL) plus the vocabulary into
@@ -29,34 +13,30 @@
 //! `<store>/state/traces.json`, which `trace` renders as span trees.
 
 use metamess::core::store::read_published;
-use metamess::core::{DurableCatalog, StoreOptions};
+use metamess::core::{Error, Result};
 use metamess::pipeline::Severity;
 use metamess::prelude::*;
+use metamess::remote::{PartialPolicy, RemoteOptions, RemoteShardSet};
 use metamess::search::{render_results, render_summary, Partitioner, ShardSpec, MAX_SHARDS};
+use metamess::server::{clamp_queue_depth, clamp_workers, ServerConfig};
+use metamess::telemetry::io::{persist_merged, reset, telemetry_path};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("wrangle") => cmd_wrangle(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
-        Some("search") => cmd_search(&args[1..]),
-        Some("summary") => cmd_summary(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("browse") => cmd_browse(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("fsck") => cmd_fsck(&args[1..]),
-        Some("shardd") => cmd_shardd(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = argv.first().and_then(|name| COMMANDS.iter().find(|c| c.name == name));
+    if argv.iter().any(|a| a == "--help") {
+        print!("{}", cmd.map_or_else(usage, help));
+        return ExitCode::SUCCESS;
+    }
+    let Some(cmd) = cmd else {
+        eprint!("{}", usage());
+        return ExitCode::from(2);
     };
-    match result {
+    match parse(cmd, &argv[1..]).and_then(|args| (cmd.run)(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -65,131 +45,264 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-metamess — taming the metadata mess
-
-usage:
-  metamess generate <dir> [--seed N] [--months N] [--stations N]
-      write a synthetic observatory archive (plus ground_truth.json)
-  metamess wrangle <dir> [--store <store-dir>] [--expert] [--explain]
-      run the wrangling pipeline + curation loop over an archive directory;
-      persist the published catalog and vocabulary into the store directory
-      (default: <dir>/.metamess); --expert adds the hand-curated synonym set;
-      --explain prints the telemetry recorded during the run
-  metamess watch <dir> [--store <store-dir>] [--interval-ms N]
-                 [--commit-interval-ms N] [--max-cycles N]
-                 [--compact-ratio F] [--retain N]
-      continuous ingestion: poll the archive every --interval-ms (default
-      1000), re-wrangle only what changed (the fingerprint ledger skips
-      unchanged stages), and publish catalog deltas to the store through a
-      group-commit WAL — many cycles coalesce into one fsync within the
-      --commit-interval-ms window (default 25; 0 = fsync per publish). A
-      live `metamess serve` on the same store applies the deltas in place
-      without reopening. The WAL is folded into a fresh snapshot when it
-      outgrows --compact-ratio × snapshot bytes (default 0.5), keeping
-      --retain previous snapshots (default 2); --max-cycles stops after N
-      cycles (useful for scripting); ctrl-c stops after the current cycle
-  metamess search <store-dir> <query...> [--explain] [--shards N] [--partition P]
-                  [--remote H:P,H:P,...] [--partial-policy fail|degrade]
-      ranked search, e.g.:
-      metamess search ./arc/.metamess near 45.5,-124.4 within 50km with salinity
-      --explain appends a per-phase breakdown (plan/probe/score/merge);
-      --shards splits the catalog into N shards (clamped to 1..=256) searched
-      scatter-gather; --partition picks the layout (hash|spatial|temporal —
-      spatial/temporal give shards prunable bounds); results are identical
-      to unsharded at any shard count; --remote scatter-gathers across a
-      comma-separated shardd fleet instead (bit-identical to local sharding
-      at the same layout) — --partial-policy degrade returns the healthy
-      shards' merge marked partial when a shard is down (default: fail)
-  metamess summary <store-dir> <dataset-path>
-      render the dataset summary page for a catalog entry
-  metamess stats <store-dir> [--prometheus|--json] [--reset]
-      render telemetry accumulated across wrangle/search runs (default:
-      text table; --prometheus and --json switch the exposition format;
-      --reset clears the persisted snapshot)
-  metamess browse <store-dir>
-      hierarchical drill-down menus with dataset counts per concept
-  metamess validate <dir>
-      run the pipeline's validation stage and print findings
-  metamess fsck <store-dir> [--json] [--repair]
-      verify store integrity (CRCs, magic headers, snapshot/WAL agreement);
-      --repair truncates damaged WAL tails and quarantines corrupt files
-      into <store>/state/quarantine; --json emits the machine-readable
-      report; exits nonzero when damage was found and not repaired
-  metamess shardd <store-dir> --shard-id K/N [--partition P] [--listen H:P]
-      host shard K of an N-shard layout over the store as a lean daemon
-      speaking the length-prefixed binary shard protocol; a serve or
-      search coordinator dials a fleet of these with --remote; the bound
-      address is printed at startup (port 0 picks a free port);
-      ctrl-c stops accepting and drains in-flight frames
-  metamess serve <store-dir> [--addr H:P] [--workers N] [--queue-depth N]
-                 [--drain-grace-ms N] [--shards N] [--partition P]
-                 [--slow-ms N] [--trace-sample-rate F]
-                 [--remote H:P,H:P,...] [--partial-policy fail|degrade]
-      serve the store over HTTP (POST /search, GET /datasets/<path>,
-      GET /browse, GET /healthz, GET /metrics, GET /debug/traces,
-      POST /admin/reload): one nonblocking event thread multiplexes every
-      connection and hands complete requests to a bounded worker pool
-      (--workers is clamped to 1..=256, --queue-depth to 0..=4096); excess
-      load is shed with 503 Retry-After, and republished stores are
-      hot-reloaded without dropping requests (reloads rebuild the full
-      shard set and swap it atomically); SIGTERM / ctrl-c drain in-flight
-      work before exiting, waiting up to --drain-grace-ms (default 500)
-      for worker threads to finish; every response carries an
-      X-Metamess-Trace-Id header — requests slower than --slow-ms
-      (default 100) always land in the slow-query log, and
-      --trace-sample-rate (0.0..=1.0, default 1.0) head-samples the
-      flight recorder; --remote makes POST /search scatter-gather across
-      a shardd fleet (degraded responses under --partial-policy degrade
-      carry X-Metamess-Partial: true and a JSON partial flag; per-shard
-      circuit state appears in GET /healthz)
-  metamess trace <store-dir> [--slow] [--json] [--id HEX]
-      render request traces persisted by serve/search/wrangle as span
-      trees with per-span micros and shard attribution (default: recent
-      traces, newest first; --slow shows the slow-query log; --id picks
-      one trace by its 32-hex id; --json emits the /debug/traces shape)";
-
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|ix| args.get(ix + 1).cloned())
+/// One command: its operands, what it does, and the function that runs it.
+/// Its flags are the rows of [`FLAGS`] that name it.
+struct Command {
+    name: &'static str,
+    /// In order. A last operand spelled `<…...>` takes every remaining
+    /// operand and may follow flags; the others must precede every flag.
+    operands: &'static [&'static str],
+    about: &'static str,
+    run: fn(&Args) -> Result<()>,
 }
 
-/// Reads `--shards N` / `--partition hash|spatial|temporal` into a
-/// [`ShardSpec`]. The count is clamped to `1..=MAX_SHARDS` by the spec
-/// constructor (so `--shards 0` means "unsharded" and absurd counts are
-/// capped rather than rejected); an unknown partitioner name is an error.
-fn parse_shard_flags(args: &[String]) -> Result<ShardSpec, metamess::core::Error> {
-    let count = match parse_flag(args, "--shards") {
-        Some(n) => n.parse::<usize>().map_err(|_| {
-            metamess::core::Error::invalid(format!("bad --shards (expected 0..={MAX_SHARDS})"))
-        })?,
-        None => 1,
-    };
-    let partitioner = match parse_flag(args, "--partition") {
-        Some(p) => Partitioner::parse(&p).ok_or_else(|| {
-            metamess::core::Error::invalid(format!(
-                "bad --partition {p:?} (expected hash, spatial or temporal)"
-            ))
-        })?,
-        None => Partitioner::Hash,
-    };
-    Ok(ShardSpec::new(count, partitioner))
+/// One flag of one command: `value` is the placeholder of the flag's
+/// value, empty for a switch.
+struct Flag {
+    command: &'static str,
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), metamess::core::Error> {
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| metamess::core::Error::invalid("generate needs a target directory"))?;
+const fn flag(
+    command: &'static str,
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
+) -> Flag {
+    Flag { command, name, value, help }
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> + '_ {
+        FLAGS.iter().filter(|f| f.command == self.name)
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        operands: &["<dir>"],
+        about: "write a synthetic observatory archive (plus ground_truth.json)",
+        run: cmd_generate,
+    },
+    Command {
+        name: "wrangle",
+        operands: &["<dir>"],
+        about: "run the wrangling pipeline and curation loop over an archive directory,\n\
+                and publish its catalog and vocabulary into the store",
+        run: cmd_wrangle,
+    },
+    Command {
+        name: "watch",
+        operands: &["<dir>"],
+        about: "re-wrangle the archive as it changes and publish each delta through the\n\
+                store's group-commit WAL, where a live `serve` applies it in place;\n\
+                ctrl-c stops after the current cycle",
+        run: cmd_watch,
+    },
+    Command {
+        name: "search",
+        operands: &["<store-dir>", "<query...>"],
+        about: "ranked search, e.g. `near 45.5,-124.4 within 50km with salinity`; the\n\
+                results are the same at any shard count and layout, local or remote",
+        run: cmd_search,
+    },
+    Command {
+        name: "summary",
+        operands: &["<store-dir>", "<dataset-path>"],
+        about: "render the dataset summary page for a catalog entry",
+        run: cmd_summary,
+    },
+    Command {
+        name: "stats",
+        operands: &["<store-dir>"],
+        about: "render telemetry accumulated across runs (default: a text table)",
+        run: cmd_stats,
+    },
+    Command {
+        name: "browse",
+        operands: &["<store-dir>"],
+        about: "hierarchical drill-down menus with dataset counts per concept",
+        run: cmd_browse,
+    },
+    Command {
+        name: "validate",
+        operands: &["<dir>"],
+        about: "run the pipeline's validation stage and print findings",
+        run: cmd_validate,
+    },
+    Command {
+        name: "fsck",
+        operands: &["<store-dir>"],
+        about: "verify store integrity (CRCs, magic headers, snapshot/WAL agreement);\n\
+                exits nonzero on damage left unrepaired",
+        run: cmd_fsck,
+    },
+    Command {
+        name: "shardd",
+        operands: &["<store-dir>"],
+        about: "host one shard of a layout as a daemon for `serve` or `search` --remote;\n\
+                prints its address at startup, and ctrl-c drains in-flight frames",
+        run: cmd_shardd,
+    },
+    Command {
+        name: "serve",
+        operands: &["<store-dir>"],
+        about: "serve the store over HTTP (/search, /datasets, /browse, /healthz, /metrics,\n\
+                /debug/traces, /admin/reload): shed excess load with 503, hot-reload a\n\
+                republished store, drain in-flight work on SIGTERM / ctrl-c",
+        run: cmd_serve,
+    },
+    Command {
+        name: "trace",
+        operands: &["<store-dir>"],
+        about: "render persisted request traces as span trees with per-span micros and\n\
+                shard attribution (default: recent traces, newest first)",
+        run: cmd_trace,
+    },
+];
+
+/// Every (command, flag) pair, in the order `--help` lists them.
+const FLAGS: &[Flag] = &[
+    flag("generate", "--seed", "N", "generator seed; the same flags write the same archive"),
+    flag("generate", "--months", "N", "months of station data, from January 2010"),
+    flag("generate", "--stations", "N", "fixed observation stations (at most 10)"),
+    flag("wrangle", "--store", "<store-dir>", "store directory (default: <dir>/.metamess)"),
+    flag("wrangle", "--expert", "", "add the hand-curated synonym set"),
+    flag("wrangle", "--explain", "", "print the telemetry recorded during the run"),
+    flag("watch", "--store", "<store-dir>", "store directory (default: <dir>/.metamess)"),
+    flag("watch", "--interval-ms", "N", "poll period (default 1000)"),
+    flag("watch", "--commit-interval-ms", "N", "one fsync per window (default 25; 0: each)"),
+    flag("watch", "--max-cycles", "N", "stop after N cycles"),
+    flag("watch", "--compact-ratio", "F", "compact once WAL > F × snapshot (default 0.5)"),
+    flag("watch", "--retain", "N", "previous snapshots kept (default 2)"),
+    flag("search", "--explain", "", "append the plan/probe/score/merge breakdown"),
+    flag("search", "--shards", "N", "search N shards (clamped to 1..=256)"),
+    flag("search", "--partition", "hash|spatial|temporal", "shard layout (default hash)"),
+    flag("search", "--remote", "H:P,...", "search this shardd fleet instead"),
+    flag("search", "--partial-policy", "fail|degrade", "degrade: skip down shards, marked partial"),
+    flag("stats", "--prometheus", "", "Prometheus text exposition"),
+    flag("stats", "--json", "", "JSON exposition"),
+    flag("stats", "--reset", "", "clear the persisted snapshot"),
+    flag("fsck", "--json", "", "emit the machine-readable report"),
+    flag("fsck", "--repair", "", "truncate damaged WAL tails, quarantine corrupt files"),
+    flag("shardd", "--shard-id", "K/N", "the shard to host (required; K < N <= 256)"),
+    flag("shardd", "--partition", "hash|spatial|temporal", "shard layout (default hash)"),
+    flag("shardd", "--listen", "H:P", "listen address (default 127.0.0.1:0, a free port)"),
+    flag("serve", "--addr", "H:P", "listen address (default 127.0.0.1:0, a free port)"),
+    flag("serve", "--workers", "N", "worker threads (default 4, clamped to 1..=256)"),
+    flag("serve", "--queue-depth", "N", "queued requests before 503 (default 64, <= 4096)"),
+    flag("serve", "--drain-grace-ms", "N", "how long a drain waits for workers (default 500)"),
+    flag("serve", "--shards", "N", "search N shards (clamped to 1..=256)"),
+    flag("serve", "--partition", "hash|spatial|temporal", "shard layout (default hash)"),
+    flag("serve", "--slow-ms", "N", "slower requests enter the slow log (default 100)"),
+    flag("serve", "--trace-sample-rate", "F", "traced share, 0.0..=1.0 (default 1.0)"),
+    flag("serve", "--remote", "H:P,...", "search this shardd fleet instead"),
+    flag("serve", "--partial-policy", "fail|degrade", "degrade: skip down shards, marked partial"),
+    flag("trace", "--slow", "", "show the slow-query log"),
+    flag("trace", "--json", "", "emit the /debug/traces document"),
+    flag("trace", "--id", "HEX", "pick one trace by its 32-hex id"),
+];
+
+/// `metamess --help`: every command's synopsis and what it does.
+fn usage() -> String {
+    let mut out = String::from("metamess — taming the metadata mess\n\nusage:\n");
+    for cmd in COMMANDS {
+        out += &format!("  {}\n      {}\n", synopsis(cmd), cmd.about.replace('\n', "\n      "));
+    }
+    out + "\n`metamess <command> --help` lists a command's flags.\n"
+}
+
+/// `metamess <command> --help`: the synopsis, what it does, and every flag.
+fn help(cmd: &Command) -> String {
+    let about = format!("usage: {}\n\n{}\n", synopsis(cmd), cmd.about);
+    let line = |f: &Flag| format!("  {:<34} {}\n", format!("{} {}", f.name, f.value), f.help);
+    let flags: String = cmd.flags().map(line).collect();
+    if flags.is_empty() {
+        about
+    } else {
+        about + "\nflags:\n" + &flags
+    }
+}
+
+fn synopsis(cmd: &Command) -> String {
+    let flags = if cmd.flags().next().is_none() { "" } else { " [flags]" };
+    format!("metamess {} {}{flags}", cmd.name, cmd.operands.join(" "))
+}
+
+/// A command line read against its [`Command`]: the operands in order and
+/// each flag given, with its value (empty for a switch).
+struct Args {
+    operands: Vec<String>,
+    flags: Vec<(&'static Flag, String)>,
+}
+
+/// Reads `argv` (the tokens after the command name) against `cmd`. A token
+/// starting with `--` is a flag, every other token an operand, so a query
+/// word such as `-124.4` stays a word. An unknown flag, a value flag
+/// without its value, and a missing or surplus operand are errors that name
+/// it.
+fn parse(cmd: &'static Command, argv: &[String]) -> Result<Args> {
+    let fixed = cmd.operands.iter().take_while(|o| !o.ends_with("...>")).count();
+    let mut args = Args { operands: Vec::new(), flags: Vec::new() };
+    let mut tokens = argv.iter();
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            args.operands.push(token.clone());
+            continue;
+        }
+        if let Some(operand) = cmd.operands[..fixed].get(args.operands.len()) {
+            return Err(Error::invalid(format!("{} needs {operand} before {token}", cmd.name)));
+        }
+        let flag = cmd.flags().find(|f| f.name == token).ok_or_else(|| {
+            Error::invalid(format!("{} has no flag {token} (see `metamess {0} --help`)", cmd.name))
+        })?;
+        let missing = || Error::invalid(format!("{token} needs a value ({})", flag.value));
+        let value = match flag.value {
+            "" => String::new(),
+            _ => tokens.next().filter(|v| !v.starts_with("--")).cloned().ok_or_else(missing)?,
+        };
+        args.flags.push((flag, value));
+    }
+    if let Some(operand) = cmd.operands.get(args.operands.len()) {
+        return Err(Error::invalid(format!("{} needs {operand}", cmd.name)));
+    }
+    let surplus = args.operands.get(cmd.operands.len()).filter(|_| fixed == cmd.operands.len());
+    match surplus {
+        Some(extra) => Err(Error::invalid(format!("{} takes no operand {extra:?}", cmd.name))),
+        None => Ok(args),
+    }
+}
+
+impl Args {
+    fn given(&self, name: &str) -> Option<&(&'static Flag, String)> {
+        self.flags.iter().find(|(f, _)| f.name == name)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.given(name).is_some()
+    }
+
+    fn value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>> {
+        self.value_with(name, |v| v.parse().ok())
+    }
+
+    /// The flag's value as `read` makes it; `None` from `read` is `bad --flag`.
+    fn value_with<T>(&self, name: &str, read: impl FnOnce(&str) -> Option<T>) -> Result<Option<T>> {
+        let Some((flag, v)) = self.given(name) else { return Ok(None) };
+        let bad = || Error::invalid(format!("bad {name} {v:?} (expected {})", flag.value));
+        read(v).map(Some).ok_or_else(bad)
+    }
+}
+
+fn cmd_generate(args: &Args) -> Result<()> {
+    let dir = &args.operands[0];
     let mut spec = ArchiveSpec::default();
-    if let Some(seed) = parse_flag(args, "--seed") {
-        spec.seed = seed.parse().map_err(|_| metamess::core::Error::invalid("bad --seed"))?;
-    }
-    if let Some(m) = parse_flag(args, "--months") {
-        spec.months = m.parse().map_err(|_| metamess::core::Error::invalid("bad --months"))?;
-    }
-    if let Some(s) = parse_flag(args, "--stations") {
-        spec.stations = s.parse().map_err(|_| metamess::core::Error::invalid("bad --stations"))?;
-    }
+    spec.seed = args.value("--seed")?.unwrap_or(spec.seed);
+    spec.months = args.value("--months")?.unwrap_or(spec.months);
+    spec.stations = args.value("--stations")?.unwrap_or(spec.stations);
     let archive = metamess::archive::generate(&spec);
     archive.write_to(dir)?;
     println!(
@@ -205,16 +318,14 @@ fn store_paths(store_dir: &Path) -> (PathBuf, PathBuf) {
     (store_dir.join("catalog"), store_dir.join("vocabulary.json"))
 }
 
-fn cmd_wrangle(args: &[String]) -> Result<(), metamess::core::Error> {
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| metamess::core::Error::invalid("wrangle needs an archive directory"))?;
-    let store_dir = parse_flag(args, "--store")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new(dir).join(".metamess"));
-    let expert = args.iter().any(|a| a == "--expert");
-    let explain = args.iter().any(|a| a == "--explain");
+/// `--store`, or `<dir>/.metamess` beside the archive.
+fn store_dir(args: &Args) -> Result<PathBuf> {
+    Ok(args.value("--store")?.unwrap_or_else(|| Path::new(&args.operands[0]).join(".metamess")))
+}
+
+fn cmd_wrangle(args: &Args) -> Result<()> {
+    let dir = &args.operands[0];
+    let store_dir = store_dir(args)?;
 
     let mut ctx = PipelineContext::new(
         ArchiveInput::Dir(PathBuf::from(dir)),
@@ -235,7 +346,7 @@ fn cmd_wrangle(args: &[String]) -> Result<(), metamess::core::Error> {
     }
     let mut pipeline = Pipeline::standard();
     let mut policy = CuratorPolicy::default();
-    if expert {
+    if args.switch("--expert") {
         policy.manual_synonyms = expert_synonyms();
     }
     let curator = CurationLoop::new(policy);
@@ -264,7 +375,7 @@ fn cmd_wrangle(args: &[String]) -> Result<(), metamess::core::Error> {
         store_dir.display(),
         ctx.vocab.version
     );
-    if explain {
+    if args.switch("--explain") {
         print!("{}", metamess::telemetry::global().snapshot().render_table());
     }
     persist_telemetry(&store_dir)?;
@@ -274,43 +385,19 @@ fn cmd_wrangle(args: &[String]) -> Result<(), metamess::core::Error> {
 /// Continuous ingestion: `metamess watch <dir>` — the wrangle loop run
 /// forever, publishing catalog deltas through the store's group-commit
 /// queue so a live `metamess serve` picks them up without reopening.
-fn cmd_watch(args: &[String]) -> Result<(), metamess::core::Error> {
-    use std::time::Duration;
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| metamess::core::Error::invalid("watch needs an archive directory"))?;
-    let store_dir = parse_flag(args, "--store")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new(dir).join(".metamess"));
+fn cmd_watch(args: &Args) -> Result<()> {
+    let dir = &args.operands[0];
+    let store_dir = store_dir(args)?;
     let mut options = metamess::pipeline::WatchOptions::default();
-    if let Some(ms) = parse_flag(args, "--interval-ms") {
-        options.interval = ms
-            .parse::<u64>()
-            .map(Duration::from_millis)
-            .map_err(|_| metamess::core::Error::invalid("bad --interval-ms"))?;
-    }
-    if let Some(ms) = parse_flag(args, "--commit-interval-ms") {
-        options.commit_interval = ms
-            .parse::<u64>()
-            .map(Duration::from_millis)
-            .map_err(|_| metamess::core::Error::invalid("bad --commit-interval-ms"))?;
-    }
-    if let Some(n) = parse_flag(args, "--max-cycles") {
-        options.max_cycles =
-            Some(n.parse::<u64>().map_err(|_| metamess::core::Error::invalid("bad --max-cycles"))?);
-    }
-    if let Some(r) = parse_flag(args, "--compact-ratio") {
-        options.compaction.wal_ratio = r
-            .parse::<f64>()
-            .ok()
-            .filter(|r| r.is_finite() && *r > 0.0)
-            .ok_or_else(|| metamess::core::Error::invalid("bad --compact-ratio"))?;
-    }
-    if let Some(n) = parse_flag(args, "--retain") {
-        options.compaction.retain =
-            n.parse::<usize>().map_err(|_| metamess::core::Error::invalid("bad --retain"))?;
-    }
+    options.interval = args.value("--interval-ms")?.map_or(options.interval, Duration::from_millis);
+    options.commit_interval =
+        args.value("--commit-interval-ms")?.map_or(options.commit_interval, Duration::from_millis);
+    options.max_cycles = args.value("--max-cycles")?.or(options.max_cycles);
+    let ratio = args.value_with("--compact-ratio", |r| {
+        r.parse::<f64>().ok().filter(|r| r.is_finite() && *r > 0.0)
+    })?;
+    options.compaction.wal_ratio = ratio.unwrap_or(options.compaction.wal_ratio);
+    options.compaction.retain = args.value("--retain")?.unwrap_or(options.compaction.retain);
 
     let watcher = metamess::pipeline::Watcher::new(dir, &store_dir, options.clone())?;
     if watcher.resumed() {
@@ -341,7 +428,6 @@ fn cmd_watch(args: &[String]) -> Result<(), metamess::core::Error> {
         options.interval.as_millis(),
         options.commit_interval.as_millis()
     );
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
     let telemetry_store = store_dir.clone();
@@ -378,13 +464,12 @@ fn cmd_watch(args: &[String]) -> Result<(), metamess::core::Error> {
 /// its request traces into `<store>/state/traces.json` (the file `metamess
 /// trace` reads). Best-effort: a no-op when telemetry is disabled or
 /// nothing was recorded.
-fn persist_telemetry(store_dir: &Path) -> Result<(), metamess::core::Error> {
-    let path = metamess::telemetry_io::telemetry_path(store_dir);
-    metamess::telemetry_io::persist_merged(&path)
-        .map_err(|e| metamess::core::Error::io(format!("persist {}", path.display()), e))?;
+fn persist_telemetry(store_dir: &Path) -> Result<()> {
+    let path = telemetry_path(store_dir);
+    persist_merged(&path).map_err(|e| Error::io(format!("persist {}", path.display()), e))?;
     let traces = metamess::telemetry::trace::traces_path(store_dir);
     metamess::telemetry::trace::persist_traces(&traces)
-        .map_err(|e| metamess::core::Error::io(format!("persist {}", traces.display()), e))?;
+        .map_err(|e| Error::io(format!("persist {}", traces.display()), e))?;
     Ok(())
 }
 
@@ -418,90 +503,58 @@ fn expert_synonyms() -> Vec<(String, String)> {
 
 /// What the store published, read without modifying it: `search`,
 /// `summary`, `browse` and `shardd` may all run beside a live `watch`.
-fn read_store(store_dir: &Path) -> Result<(Catalog, Vocabulary), metamess::core::Error> {
+fn read_store(store_dir: &Path) -> Result<(Catalog, Vocabulary)> {
     let (catalog_dir, vocab_path) = store_paths(store_dir);
     Ok((read_published(catalog_dir)?.catalog, Vocabulary::load_or_default(vocab_path)?))
 }
 
-fn open_engine(store_dir: &Path, spec: ShardSpec) -> Result<SearchEngine, metamess::core::Error> {
-    let (catalog, vocab) = read_store(store_dir)?;
-    Ok(SearchEngine::from_catalog(catalog, vocab, spec))
+/// `--shards N` (clamped to `1..=MAX_SHARDS` by [`ShardSpec::new`], so 0
+/// means unsharded) in the `--partition` layout.
+fn shard_spec(args: &Args) -> Result<ShardSpec> {
+    Ok(ShardSpec::new(args.value("--shards")?.unwrap_or(1), partitioner(args)?))
 }
 
-/// Strips `--explain` plus the value-taking shard and remote flags out
-/// of the positional arguments, leaving only the query words.
-fn query_words(args: &[String]) -> Vec<String> {
-    let mut words = Vec::new();
-    let mut skip_value = false;
-    for a in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        match a.as_str() {
-            "--explain" => {}
-            "--shards" | "--partition" | "--remote" | "--partial-policy" => skip_value = true,
-            _ => words.push(a.clone()),
-        }
-    }
-    words
+fn partitioner(args: &Args) -> Result<Partitioner> {
+    Ok(args.value_with("--partition", Partitioner::parse)?.unwrap_or(Partitioner::Hash))
 }
 
-/// Splits a `--remote` value into its comma-separated shardd addresses.
-fn parse_remote_addrs(value: &str) -> Result<Vec<String>, metamess::core::Error> {
-    let addrs: Vec<String> =
-        value.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect();
-    if addrs.is_empty() {
-        return Err(metamess::core::Error::invalid(
-            "--remote needs at least one host:port address",
-        ));
-    }
-    Ok(addrs)
+/// Dials the `--remote` shardd fleet, if one is named, under
+/// `--partial-policy` (default fail: a down shard is an error unless
+/// degrade is asked for).
+fn connect_remote(args: &Args) -> Result<Option<RemoteShardSet>> {
+    let addrs = |value: &str| {
+        let addrs: Vec<String> =
+            value.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect();
+        (!addrs.is_empty()).then_some(addrs)
+    };
+    let Some(addrs) = args.value_with("--remote", addrs)? else { return Ok(None) };
+    let mut options = RemoteOptions::default();
+    options.partial_policy = args
+        .value_with("--partial-policy", PartialPolicy::parse)?
+        .unwrap_or(options.partial_policy);
+    Ok(Some(RemoteShardSet::connect(&addrs, options)?))
 }
 
-/// Reads `--partial-policy fail|degrade` into coordinator options
-/// (default: fail — a down shard is an error unless degrade is asked for).
-fn parse_remote_options(
-    args: &[String],
-) -> Result<metamess::remote::RemoteOptions, metamess::core::Error> {
-    let mut opts = metamess::remote::RemoteOptions::default();
-    if let Some(p) = parse_flag(args, "--partial-policy") {
-        opts.partial_policy = metamess::remote::PartialPolicy::parse(&p).ok_or_else(|| {
-            metamess::core::Error::invalid(format!(
-                "bad --partial-policy {p:?} (expected fail or degrade)"
-            ))
-        })?;
-    }
-    Ok(opts)
-}
-
-fn cmd_search(args: &[String]) -> Result<(), metamess::core::Error> {
-    let store_dir = args
-        .first()
-        .ok_or_else(|| metamess::core::Error::invalid("search needs a store directory"))?;
-    let explain = args.iter().any(|a| a == "--explain");
-    let remote = parse_flag(args, "--remote");
-    let spec = parse_shard_flags(args)?;
-    let query_text = query_words(&args[1..]).join(" ");
+fn cmd_search(args: &Args) -> Result<()> {
+    let store_dir = Path::new(&args.operands[0]);
+    let explain = args.switch("--explain");
+    let spec = shard_spec(args)?;
+    let query_text = args.operands[1..].join(" ");
     if query_text.trim().is_empty() {
-        return Err(metamess::core::Error::invalid("search needs a query"));
+        return Err(Error::invalid("search needs a query"));
     }
     let query = Query::parse(&query_text)?;
-    if explain && remote.is_some() {
-        return Err(metamess::core::Error::invalid("--explain is not available over --remote"));
+    if explain && args.switch("--remote") {
+        return Err(Error::invalid("--explain is not available over --remote"));
     }
     // Trace the query like a served request would be (never sampled away:
     // this run exists because someone wants to look at it). The trace is
     // persisted below, so `metamess trace <store> --id <hex>` replays it.
     let trace_ctx = metamess::telemetry::TraceContext::start(1.0);
     let tracing = metamess::telemetry::trace::begin(&trace_ctx, "search");
-    if let Some(remote) = remote {
+    if let Some(set) = connect_remote(args)? {
         // Scatter-gather over a shardd fleet: same probe/score/merge as
         // local sharding, so the rendered results are bit-identical.
-        let set = metamess::remote::RemoteShardSet::connect(
-            &parse_remote_addrs(&remote)?,
-            parse_remote_options(args)?,
-        )?;
         let out = set.search(&query)?;
         print!("{}", render_results(&out.hits));
         if out.partial {
@@ -510,35 +563,31 @@ fn cmd_search(args: &[String]) -> Result<(), metamess::core::Error> {
                 out.failed
             );
         }
-    } else if explain {
-        let engine = open_engine(Path::new(store_dir), spec)?;
-        let (hits, breakdown) = engine.search_explain(&query);
-        print!("{}", render_results(&hits));
-        print!("{}", breakdown.render());
     } else {
-        let engine = open_engine(Path::new(store_dir), spec)?;
-        let hits = engine.search(&query);
-        print!("{}", render_results(&hits));
+        let (catalog, vocab) = read_store(store_dir)?;
+        let engine = SearchEngine::from_catalog(catalog, vocab, spec);
+        if explain {
+            let (hits, breakdown) = engine.search_explain(&query);
+            print!("{}", render_results(&hits));
+            print!("{}", breakdown.render());
+        } else {
+            print!("{}", render_results(&engine.search(&query)));
+        }
     }
     if tracing {
         if let Some(fin) = metamess::telemetry::trace::end(u64::MAX) {
             println!("trace: {} ({}µs)", fin.trace_id_hex(), fin.micros);
         }
     }
-    persist_telemetry(Path::new(store_dir))?;
+    persist_telemetry(store_dir)?;
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), metamess::core::Error> {
-    let store_dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(Path::new)
-        .ok_or_else(|| metamess::core::Error::invalid("stats needs a store directory"))?;
-    let path = metamess::telemetry_io::telemetry_path(store_dir);
-    if args.iter().any(|a| a == "--reset") {
-        metamess::telemetry_io::reset(&path)
-            .map_err(|e| metamess::core::Error::io(format!("reset {}", path.display()), e))?;
+fn cmd_stats(args: &Args) -> Result<()> {
+    let store_dir = Path::new(&args.operands[0]);
+    let path = telemetry_path(store_dir);
+    if args.switch("--reset") {
+        reset(&path).map_err(|e| Error::io(format!("reset {}", path.display()), e))?;
         println!("telemetry reset ({} removed)", path.display());
         return Ok(());
     }
@@ -553,9 +602,9 @@ fn cmd_stats(args: &[String]) -> Result<(), metamess::core::Error> {
         );
         return Ok(());
     }
-    if args.iter().any(|a| a == "--prometheus") {
+    if args.switch("--prometheus") {
         print!("{}", snap.render_prometheus());
-    } else if args.iter().any(|a| a == "--json") {
+    } else if args.switch("--json") {
         println!("{}", snap.render_json());
     } else {
         print!("{}", snap.render_table());
@@ -563,27 +612,18 @@ fn cmd_stats(args: &[String]) -> Result<(), metamess::core::Error> {
     Ok(())
 }
 
-fn cmd_summary(args: &[String]) -> Result<(), metamess::core::Error> {
-    let store_dir = args
-        .first()
-        .ok_or_else(|| metamess::core::Error::invalid("summary needs a store directory"))?;
-    let path = args
-        .get(1)
-        .ok_or_else(|| metamess::core::Error::invalid("summary needs a dataset path"))?;
-    let engine = open_engine(Path::new(store_dir), ShardSpec::default())?;
-    let id = metamess::core::DatasetId::from_path(path);
-    let d = engine
-        .dataset(id)
-        .ok_or_else(|| metamess::core::Error::not_found("dataset", path.clone()))?;
+fn cmd_summary(args: &Args) -> Result<()> {
+    let (catalog, _) = read_store(Path::new(&args.operands[0]))?;
+    let path = &args.operands[1];
+    let d = catalog
+        .get(DatasetId::from_path(path))
+        .ok_or_else(|| Error::not_found("dataset", path.clone()))?;
     print!("{}", render_summary(d));
     Ok(())
 }
 
-fn cmd_browse(args: &[String]) -> Result<(), metamess::core::Error> {
-    let store_dir = args
-        .first()
-        .ok_or_else(|| metamess::core::Error::invalid("browse needs a store directory"))?;
-    let (catalog, vocab) = read_store(Path::new(store_dir))?;
+fn cmd_browse(args: &Args) -> Result<()> {
+    let (catalog, vocab) = read_store(Path::new(&args.operands[0]))?;
     for tree in metamess::search::browse_all(&catalog, &vocab) {
         print!("{}", tree.render());
         println!();
@@ -591,26 +631,20 @@ fn cmd_browse(args: &[String]) -> Result<(), metamess::core::Error> {
     Ok(())
 }
 
-fn cmd_fsck(args: &[String]) -> Result<(), metamess::core::Error> {
-    let store_dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(Path::new)
-        .ok_or_else(|| metamess::core::Error::invalid("fsck needs a store directory"))?;
-    let repair = args.iter().any(|a| a == "--repair");
-    let json = args.iter().any(|a| a == "--json");
-    let report = metamess::fsck::run_fsck(store_dir, repair)?;
-    if json {
+fn cmd_fsck(args: &Args) -> Result<()> {
+    let store_dir = Path::new(&args.operands[0]);
+    let report = metamess::fsck::run_fsck(store_dir, args.switch("--repair"))?;
+    if args.switch("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&report)
-                .map_err(|e| metamess::core::Error::invalid(format!("unencodable report: {e}")))?
+                .map_err(|e| Error::invalid(format!("unencodable report: {e}")))?
         );
     } else {
         print!("{}", metamess::fsck::render_report(&report));
     }
     if report.error_count() > 0 && !report.fully_repaired() {
-        return Err(metamess::core::Error::corrupt(format!(
+        return Err(Error::corrupt(format!(
             "fsck found {} unrepaired error(s) in {}",
             report.error_count(),
             store_dir.display()
@@ -621,41 +655,20 @@ fn cmd_fsck(args: &[String]) -> Result<(), metamess::core::Error> {
 
 /// `metamess shardd <store> --shard-id K/N` — host one shard of an
 /// N-shard layout as a lean daemon speaking the binary shard protocol.
-fn cmd_shardd(args: &[String]) -> Result<(), metamess::core::Error> {
-    use std::io::Write as _;
-    let store_dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(Path::new)
-        .ok_or_else(|| metamess::core::Error::invalid("shardd needs a store directory"))?;
-    let spec_arg = parse_flag(args, "--shard-id")
-        .ok_or_else(|| metamess::core::Error::invalid("shardd needs --shard-id K/N"))?;
-    let (shard_id, shard_count) = spec_arg
-        .split_once('/')
-        .and_then(|(k, n)| Some((k.parse::<usize>().ok()?, n.parse::<usize>().ok()?)))
-        .filter(|(k, n)| *n >= 1 && *n <= MAX_SHARDS && k < n)
-        .ok_or_else(|| {
-            metamess::core::Error::invalid(format!(
-                "bad --shard-id {spec_arg:?} (expected K/N with K < N <= {MAX_SHARDS})"
-            ))
-        })?;
-    let partitioner = match parse_flag(args, "--partition") {
-        Some(p) => Partitioner::parse(&p).ok_or_else(|| {
-            metamess::core::Error::invalid(format!(
-                "bad --partition {p:?} (expected hash, spatial or temporal)"
-            ))
-        })?,
-        None => Partitioner::Hash,
-    };
-    let listen = parse_flag(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
+fn cmd_shardd(args: &Args) -> Result<()> {
+    let store_dir = Path::new(&args.operands[0]);
+    let (shard_id, shard_count) = args
+        .value_with("--shard-id", |s| {
+            let (k, n) = s.split_once('/')?;
+            Some((k.parse::<usize>().ok()?, n.parse::<usize>().ok()?))
+                .filter(|(k, n)| *n >= 1 && *n <= MAX_SHARDS && k < n)
+        })?
+        .ok_or_else(|| Error::invalid("shardd needs --shard-id K/N"))?;
+    let spec = ShardSpec::new(shard_count, partitioner(args)?);
+    let listen: String = args.value("--listen")?.unwrap_or_else(|| "127.0.0.1:0".into());
 
     let (catalog, vocab) = read_store(store_dir)?;
-    let host = metamess::remote::ShardHost::from_catalog(
-        catalog,
-        vocab,
-        ShardSpec::new(shard_count, partitioner),
-        shard_id,
-    )?;
+    let host = metamess::remote::ShardHost::from_catalog(catalog, vocab, spec, shard_id)?;
     let generation = host.generation();
     let hosted = host.len();
 
@@ -670,7 +683,7 @@ fn cmd_shardd(args: &[String]) -> Result<(), metamess::core::Error> {
     );
     let _ = std::io::stdout().flush();
     while !shutdown.is_shutdown() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(50));
     }
     daemon.shutdown();
     println!("shardd stopped");
@@ -678,55 +691,26 @@ fn cmd_shardd(args: &[String]) -> Result<(), metamess::core::Error> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), metamess::core::Error> {
-    let store_dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(PathBuf::from)
-        .ok_or_else(|| metamess::core::Error::invalid("serve needs a store directory"))?;
-    let mut config = metamess::server::ServerConfig::default();
-    if let Some(addr) = parse_flag(args, "--addr") {
-        config.addr = addr;
-    }
-    if let Some(w) = parse_flag(args, "--workers") {
-        config.workers = w
-            .parse::<usize>()
-            .ok()
-            .filter(|w| *w > 0)
-            .map(metamess::server::clamp_workers)
-            .ok_or_else(|| metamess::core::Error::invalid("bad --workers"))?;
-    }
-    if let Some(q) = parse_flag(args, "--queue-depth") {
-        config.queue_depth = q
-            .parse()
-            .map(metamess::server::clamp_queue_depth)
-            .map_err(|_| metamess::core::Error::invalid("bad --queue-depth"))?;
-    }
-    if let Some(g) = parse_flag(args, "--drain-grace-ms") {
-        config.drain_grace = g
-            .parse::<u64>()
-            .map(std::time::Duration::from_millis)
-            .map_err(|_| metamess::core::Error::invalid("bad --drain-grace-ms"))?;
-    }
-    if let Some(s) = parse_flag(args, "--slow-ms") {
-        config.slow_ms =
-            s.parse::<u64>().map_err(|_| metamess::core::Error::invalid("bad --slow-ms"))?;
-    }
-    if let Some(r) = parse_flag(args, "--trace-sample-rate") {
-        // clamped to 0.0..=1.0 by Server::bind
-        config.trace_sample_rate = r
-            .parse::<f64>()
-            .map_err(|_| metamess::core::Error::invalid("bad --trace-sample-rate"))?;
-    }
-    let spec = parse_shard_flags(args)?;
+fn cmd_serve(args: &Args) -> Result<()> {
+    let store_dir = PathBuf::from(&args.operands[0]);
+    let mut config = ServerConfig::default();
+    config.addr = args.value("--addr")?.unwrap_or(config.addr);
+    let workers = args.value_with("--workers", |w| w.parse().ok().filter(|w| *w > 0))?;
+    config.workers = workers.map_or(config.workers, clamp_workers);
+    config.queue_depth = args.value("--queue-depth")?.map_or(config.queue_depth, clamp_queue_depth);
+    let grace = args.value("--drain-grace-ms")?;
+    config.drain_grace = grace.map_or(config.drain_grace, Duration::from_millis);
+    config.slow_ms = args.value("--slow-ms")?.unwrap_or(config.slow_ms);
+    // clamped to 0.0..=1.0 by Server::bind
+    config.trace_sample_rate =
+        args.value("--trace-sample-rate")?.unwrap_or(config.trace_sample_rate);
+    let spec = shard_spec(args)?;
 
     let mut state = metamess::server::ServeState::open_sharded(&store_dir, spec)?;
-    if let Some(remote) = parse_flag(args, "--remote") {
-        let addrs = parse_remote_addrs(&remote)?;
-        let set = metamess::remote::RemoteShardSet::connect(&addrs, parse_remote_options(args)?)?;
+    if let Some(set) = connect_remote(args)? {
         println!(
             "remote fleet connected: {} shard(s), partition {}, generation {}",
-            addrs.len(),
+            set.shard_count(),
             set.partitioner(),
             set.generation()
         );
@@ -744,7 +728,6 @@ fn cmd_serve(args: &[String]) -> Result<(), metamess::core::Error> {
         epoch.datasets,
         epoch.generation
     );
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
     let summary = server.run()?;
@@ -756,36 +739,29 @@ fn cmd_serve(args: &[String]) -> Result<(), metamess::core::Error> {
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), metamess::core::Error> {
+fn cmd_trace(args: &Args) -> Result<()> {
     use metamess::telemetry::trace;
-    let store_dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(Path::new)
-        .ok_or_else(|| metamess::core::Error::invalid("trace needs a store directory"))?;
-    let json = args.iter().any(|a| a == "--json");
-    let slow = args.iter().any(|a| a == "--slow");
+    let store_dir = Path::new(&args.operands[0]);
+    let slow = args.switch("--slow");
+    let id = args.value_with("--id", |id| trace::parse_trace_id(id).map(trace::trace_id_hex))?;
     let path = trace::traces_path(store_dir);
     let Some((recent, slow_log)) = trace::load_persisted_traces(&path) else {
         println!("no traces recorded for {} yet (run search or serve first)", store_dir.display());
         return Ok(());
     };
-    let picked: Vec<trace::OwnedTrace> = if let Some(id) = parse_flag(args, "--id") {
-        let want = trace::parse_trace_id(&id)
-            .map(trace::trace_id_hex)
-            .ok_or_else(|| metamess::core::Error::invalid(format!("bad --id {id:?}")))?;
+    let picked: Vec<trace::OwnedTrace> = if let Some(want) = id {
         let found = recent
             .into_iter()
             .chain(slow_log)
             .find(|t| t.trace_id == want)
-            .ok_or_else(|| metamess::core::Error::not_found("trace", want))?;
+            .ok_or_else(|| Error::not_found("trace", want))?;
         vec![found]
     } else if slow {
         slow_log
     } else {
         recent
     };
-    if json {
+    if args.switch("--json") {
         println!("{}", trace::render_traces_json(&picked));
         return Ok(());
     }
@@ -799,12 +775,9 @@ fn cmd_trace(args: &[String]) -> Result<(), metamess::core::Error> {
     Ok(())
 }
 
-fn cmd_validate(args: &[String]) -> Result<(), metamess::core::Error> {
-    let dir = args
-        .first()
-        .ok_or_else(|| metamess::core::Error::invalid("validate needs an archive directory"))?;
+fn cmd_validate(args: &Args) -> Result<()> {
     let mut ctx = PipelineContext::new(
-        ArchiveInput::Dir(PathBuf::from(dir)),
+        ArchiveInput::Dir(PathBuf::from(&args.operands[0])),
         Vocabulary::observatory_default(),
     );
     ctx.harvest.scan.exclude.push(".metamess".into());
@@ -823,4 +796,90 @@ fn cmd_validate(args: &[String]) -> Result<(), metamess::core::Error> {
     let errors = ctx.findings.iter().filter(|f| f.severity == Severity::Error).count();
     println!("{} findings ({} errors)", ctx.findings.len(), errors);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).expect("declared command")
+    }
+
+    fn error(cmd: &'static Command, line: &str) -> String {
+        parse(cmd, &argv(line)).err().unwrap_or_else(|| panic!("{line:?} parsed")).to_string()
+    }
+
+    /// Over the whole table: an unknown flag and every value flag missing
+    /// its value are refused by name, and `<cmd> --help` lists every flag.
+    #[test]
+    fn every_command_refuses_bad_flags_and_lists_its_own() {
+        for (i, f) in FLAGS.iter().enumerate() {
+            assert!(COMMANDS.iter().any(|c| c.name == f.command), "{}: no command", f.command);
+            let twice = FLAGS[..i].iter().any(|g| g.command == f.command && g.name == f.name);
+            assert!(!twice, "{} {} is declared twice", f.command, f.name);
+        }
+        for cmd in COMMANDS {
+            let operands = cmd.operands.join(" ");
+            assert!(parse(cmd, &argv(&operands)).is_ok(), "{}", cmd.name);
+            assert!(error(cmd, &format!("{operands} --no-such-flag")).contains("--no-such-flag"));
+            let help = help(cmd);
+            for f in cmd.flags() {
+                let listed = format!("{} {}", f.name, f.value);
+                assert!(help.contains(&listed), "{}: {}", cmd.name, f.name);
+                assert!(help.contains(f.help), "{}: {}", cmd.name, f.name);
+                if f.value.is_empty() {
+                    assert!(parse(cmd, &argv(&format!("{operands} {}", f.name))).is_ok());
+                } else {
+                    let missing = error(cmd, &format!("{operands} {}", f.name));
+                    assert!(missing.contains(f.name), "{}: {missing}", cmd.name);
+                    assert!(parse(cmd, &argv(&format!("{operands} {} v", f.name))).is_ok());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn operands_are_positional_and_checked() {
+        let search = command("search");
+        let args = parse(search, &argv("st --shards 4 near 45.5 -124.4 --explain")).unwrap();
+        assert_eq!(args.operands, ["st", "near", "45.5", "-124.4"]);
+        assert_eq!(args.value::<usize>("--shards").unwrap(), Some(4));
+        assert!(args.switch("--explain"));
+        let early = error(search, "--explain st with salinity");
+        assert!(early.contains("--explain") && early.contains("<store-dir>"), "{early}");
+        assert!(error(search, "st").contains("<query...>"));
+        assert!(error(search, "st --remote --explain x").contains("--remote"));
+        assert!(error(command("summary"), "st").contains("<dataset-path>"));
+        assert!(error(command("fsck"), "st repair").contains("repair"));
+        let bad = parse(search, &argv("st --partition zodiac x")).unwrap();
+        let bad = bad.value_with("--partition", Partitioner::parse).unwrap_err().to_string();
+        assert!(bad.contains("--partition \"zodiac\""), "{bad}");
+    }
+
+    /// README's "Command line" block names every command, and each of its
+    /// lines parses.
+    #[test]
+    fn readme_command_lines_parse() {
+        let readme = include_str!("../README.md");
+        let block = readme
+            .split("## Command line")
+            .nth(1)
+            .and_then(|rest| rest.split("```").nth(1))
+            .expect("README has a Command line block");
+        let mut named = Vec::new();
+        for line in block.lines().filter_map(|l| l.strip_prefix("cargo run -- ")) {
+            let words = argv(line.split('#').next().unwrap_or_default());
+            let cmd = command(&words[0]);
+            parse(cmd, &words[1..]).unwrap_or_else(|e| panic!("README {line:?}: {e}"));
+            named.push(cmd.name);
+        }
+        for cmd in COMMANDS {
+            assert!(named.contains(&cmd.name), "README's Command line block omits {}", cmd.name);
+        }
+    }
 }

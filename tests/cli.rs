@@ -332,4 +332,30 @@ fn cli_errors_are_clean() {
     let (ok, _, stderr) = run(&["summary", store.to_str().unwrap(), "nope.csv"]);
     assert!(!ok);
     assert!(stderr.contains("not found"), "{stderr}");
+
+    // --help is generated from the flag table: stdout, exit 0
+    let out = Command::new(bin()).arg("--help").output().unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("usage"));
+    let (ok, stdout, stderr) = run(&["fsck", "--help"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("--repair"), "{stdout}");
+
+    // a misspelt flag, or a flag where the store belongs, is refused by name
+    let store_s = store.to_str().unwrap();
+    for (args, flag) in [
+        (&["fsck", store_s, "--repiar"][..], "--repiar"),
+        (&["search", store_s, "--shard", "4", "with", "salinity"], "--shard"),
+        (&["search", "--explain", store_s, "with", "salinity"], "--explain"),
+    ] {
+        let (ok, _, stderr) = run(args);
+        assert!(!ok, "{args:?} succeeded");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+    // …before anything is written
+    let unwritten = dir.with_extension("seeds");
+    let (ok, _, stderr) = run(&["generate", unwritten.to_str().unwrap(), "--seeds", "5"]);
+    assert!(!ok);
+    assert!(stderr.contains("--seeds"), "{stderr}");
+    assert!(!unwritten.exists());
 }

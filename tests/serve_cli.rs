@@ -149,3 +149,86 @@ fn serve_cli_round_trip() {
     assert!(traces.contains(&format!("trace {tid}")), "{traces}");
     assert!(traces.contains("request"), "{traces}");
 }
+
+/// A spawned daemon, killed if the test fails before stopping it.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `search --remote` over two real `shardd` processes prints what local
+/// `--shards 2 --partition hash` prints; bad remote flags are refused, and
+/// each daemon stops on SIGTERM.
+#[test]
+fn remote_search_cli_matches_local_sharding() {
+    let dir = std::env::temp_dir().join(format!("metamess-remote-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    run(&["generate", dir_s, "--months", "2", "--stations", "2"]);
+    run(&["wrangle", dir_s]);
+    let store = dir.join(".metamess");
+    let store_s = store.to_str().unwrap();
+
+    let daemons: Vec<_> = ["0/2", "1/2"]
+        .into_iter()
+        .map(|id| {
+            let mut child = Daemon(
+                Command::new(bin())
+                    .args(["shardd", store_s, "--shard-id", id, "--listen", "127.0.0.1:0"])
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::piped())
+                    .spawn()
+                    .expect("spawn shardd"),
+            );
+            let mut stdout = BufReader::new(child.0.stdout.take().expect("child stdout"));
+            let mut banner = String::new();
+            stdout.read_line(&mut banner).expect("read startup line");
+            let addr = banner
+                .strip_prefix("shardd listening on ")
+                .and_then(|rest| rest.split_whitespace().next())
+                .unwrap_or_else(|| panic!("no address in {banner:?}"))
+                .to_string();
+            (child, stdout, addr)
+        })
+        .collect();
+    let fleet = daemons.iter().map(|(_, _, addr)| addr.as_str()).collect::<Vec<_>>().join(",");
+
+    // every run draws a fresh trace id; the ranked lines must agree
+    let results = |stdout: String| -> String {
+        stdout.lines().filter(|l| !l.starts_with("trace: ")).map(|l| format!("{l}\n")).collect()
+    };
+    let query = ["near", "46.2,-123.9", "within", "50km", "with", "salinity", "limit", "5"];
+    let mut local = vec!["search", store_s, "--shards", "2", "--partition", "hash"];
+    local.extend_from_slice(&query);
+    let mut remote = vec!["search", store_s, "--remote", &fleet];
+    remote.extend_from_slice(&query);
+    let local = results(run(&local));
+    assert!(local.contains("1. ["), "{local}");
+    assert_eq!(results(run(&remote)), local);
+
+    let refused = |args: &[&str], flag: &str| {
+        let out = Command::new(bin()).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    };
+    refused(&["shardd", store_s, "--shard-id", "2/2"], "--shard-id");
+    refused(&["search", store_s, "--remote", &fleet, "--explain", "with", "salinity"], "--explain");
+
+    // one at a time: each daemon folds its telemetry into the same store
+    for (mut child, mut stdout, addr) in daemons {
+        // SAFETY: kill takes two integers; the pid is a child this test
+        // spawned and has not yet waited for, so it names that process.
+        let rc = unsafe { kill(child.0.id() as i32, SIGTERM) };
+        assert_eq!(rc, 0, "kill(SIGTERM) failed");
+        let status = child.0.wait().expect("shardd exits");
+        assert!(status.success(), "shardd {addr} exited nonzero: {status:?}");
+        let mut rest = String::new();
+        stdout.read_to_string(&mut rest).expect("read shutdown line");
+        assert!(rest.contains("shardd stopped"), "{rest}");
+    }
+}
