@@ -9,10 +9,9 @@
 
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
-use metamess_core::id::DatasetId;
 use metamess_core::text::normalize_term;
 use metamess_vocab::{Taxonomy, TaxonomyNode, Vocabulary};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 
 /// One node of the browse menu.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
@@ -77,61 +76,13 @@ impl BrowseTree {
     }
 }
 
-/// Concept (normalized) → the datasets with a searchable variable exactly
-/// at it. A variable sits at the canonical name it resolves to (through
-/// the synonym table when needed).
-type DirectCounts = BTreeMap<String, BTreeSet<DatasetId>>;
-
-fn direct_counts<'a>(
-    datasets: impl Iterator<Item = &'a DatasetFeature>,
-    vocab: &Vocabulary,
-) -> DirectCounts {
-    let mut direct = DirectCounts::new();
-    for d in datasets {
-        for v in d.searchable_variables() {
-            let canonical = match vocab.synonyms.resolve(v.search_name()) {
-                Some((c, _)) => normalize_term(c),
-                None => normalize_term(v.search_name()),
-            };
-            direct.entry(canonical).or_default().insert(d.id);
-        }
-    }
-    direct
-}
-
-/// Annotates one taxonomy with the counts.
-fn annotate(taxonomy: &Taxonomy, direct: &DirectCounts) -> BrowseTree {
-    fn build(node: &TaxonomyNode, direct: &DirectCounts) -> (BrowseNode, BTreeSet<DatasetId>) {
-        let own: BTreeSet<DatasetId> =
-            direct.get(&normalize_term(&node.name)).cloned().unwrap_or_default();
-        let mut reach = own.clone();
-        let mut children = Vec::new();
-        for c in &node.children {
-            let (child, child_reach) = build(c, direct);
-            reach.extend(child_reach);
-            children.push(child);
-        }
-        (
-            BrowseNode {
-                name: node.name.clone(),
-                direct: own.len(),
-                cumulative: reach.len(),
-                children,
-            },
-            reach,
-        )
-    }
-
-    let roots = taxonomy.root_nodes().iter().map(|r| build(r, direct).0).collect();
-    BrowseTree { taxonomy: taxonomy.name.clone(), roots }
-}
-
 /// Builds the browse tree for one taxonomy over a published catalog.
 ///
 /// A dataset counts at concept `c` when one of its searchable variables
 /// resolves to canonical name `c` (through the synonym table when needed).
 pub fn browse_taxonomy(catalog: &Catalog, vocab: &Vocabulary, taxonomy: &Taxonomy) -> BrowseTree {
-    annotate(taxonomy, &direct_counts(catalog.iter(), vocab))
+    let mut trees = count(&[taxonomy], catalog.iter(), vocab);
+    trees.pop().expect("one tree per taxonomy")
 }
 
 /// Builds browse trees for every taxonomy in the vocabulary.
@@ -145,8 +96,83 @@ pub(crate) fn browse_features<'a>(
     datasets: impl Iterator<Item = &'a DatasetFeature>,
     vocab: &Vocabulary,
 ) -> Vec<BrowseTree> {
-    let direct = direct_counts(datasets, vocab);
-    vocab.taxonomies.iter().map(|t| annotate(t, &direct)).collect()
+    count(&vocab.taxonomies.iter().collect::<Vec<_>>(), datasets, vocab)
+}
+
+/// Counts `datasets` into every node of `taxonomies`, in one pass.
+///
+/// The nodes are numbered depth first, self before children, across the
+/// taxonomies in order. Each distinct `search_name` is resolved once to the
+/// nodes named by its concept. A dataset then adds one to `direct` at each
+/// such node and one to `cumulative` at it and every ancestor, and a stamp
+/// per node (the last dataset counted there) keeps it from counting twice.
+/// Walking up stops at the first stamped node: its ancestors are stamped too.
+fn count<'a>(
+    taxonomies: &[&Taxonomy],
+    datasets: impl Iterator<Item = &'a DatasetFeature>,
+    vocab: &Vocabulary,
+) -> Vec<BrowseTree> {
+    fn number(
+        nodes: &[TaxonomyNode],
+        parent: Option<usize>,
+        parents: &mut Vec<Option<usize>>,
+        named: &mut HashMap<String, Vec<usize>>,
+    ) {
+        for n in nodes {
+            let ix = parents.len();
+            parents.push(parent);
+            named.entry(normalize_term(&n.name)).or_default().push(ix);
+            number(&n.children, Some(ix), parents, named);
+        }
+    }
+    let mut parents = Vec::new();
+    let mut named = HashMap::new();
+    for t in taxonomies {
+        number(t.root_nodes(), None, &mut parents, &mut named);
+    }
+
+    let mut direct = vec![0usize; parents.len()];
+    let mut cumulative = vec![0usize; parents.len()];
+    let (mut direct_stamp, mut cumulative_stamp) =
+        (vec![usize::MAX; parents.len()], vec![usize::MAX; parents.len()]);
+    let mut nodes_of: HashMap<&str, &[usize]> = HashMap::new();
+    for (dix, d) in datasets.enumerate() {
+        for v in d.searchable_variables() {
+            let nodes = nodes_of.entry(v.search_name()).or_insert_with(|| {
+                let concept = match vocab.synonyms.resolve(v.search_name()) {
+                    Some((c, _)) => normalize_term(c),
+                    None => normalize_term(v.search_name()),
+                };
+                named.get(&concept).map_or(&[], Vec::as_slice)
+            });
+            for &n in nodes.iter() {
+                if direct_stamp[n] != dix {
+                    direct_stamp[n] = dix;
+                    direct[n] += 1;
+                }
+                let mut at = Some(n);
+                while let Some(a) = at.filter(|&a| cumulative_stamp[a] != dix) {
+                    cumulative_stamp[a] = dix;
+                    cumulative[a] += 1;
+                    at = parents[a];
+                }
+            }
+        }
+    }
+
+    fn tree(node: &TaxonomyNode, counts: &mut impl Iterator<Item = (usize, usize)>) -> BrowseNode {
+        let (direct, cumulative) = counts.next().expect("one count per node");
+        let children = node.children.iter().map(|c| tree(c, counts)).collect();
+        BrowseNode { name: node.name.clone(), direct, cumulative, children }
+    }
+    let mut counts = direct.into_iter().zip(cumulative);
+    taxonomies
+        .iter()
+        .map(|t| BrowseTree {
+            taxonomy: t.name.clone(),
+            roots: t.root_nodes().iter().map(|r| tree(r, &mut counts)).collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

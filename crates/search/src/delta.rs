@@ -152,7 +152,7 @@ fn is_candidate(query: &Query, plan: &QueryPlan, d: &DatasetFeature, vocab: &Voc
         return false;
     }
     for v in d.searchable_variables() {
-        let dataset_keys = index_keys(v, vocab);
+        let dataset_keys = index_keys(&v.name, v.search_name(), vocab);
         for keys in &plan.term_keys {
             if keys.iter().any(|k| dataset_keys.contains(k)) {
                 return true;

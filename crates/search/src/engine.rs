@@ -48,7 +48,7 @@ use crate::fanout::{scatter_gather, LocalShards};
 use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::score::ScoreBreakdown;
-use crate::shard::{ShardEngine, ShardSpec};
+use crate::shard::{ShardEngine, ShardSpec, Spellings};
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
@@ -158,10 +158,10 @@ impl ShardedEngine {
         debug_assert!(features.windows(2).all(|w| w[0].id < w[1].id), "not in catalog order");
         let spec = ShardSpec::new(spec.count(), spec.partitioner());
         let total = features.len();
-        let shards: Vec<ShardEngine> = partition_members(features, spec, |_| true, |d| d)
-            .into_iter()
-            .map(|m| ShardEngine::build(m, &vocab))
-            .collect();
+        let layout = partition_members(features, spec, |_| true, |d| d);
+        let mut spellings = Spellings::new(&vocab);
+        let shards: Vec<ShardEngine> =
+            layout.iter().map(|m| ShardEngine::build(m, &mut spellings)).collect();
         let mut by_id: HashMap<DatasetId, (u32, u32)> = HashMap::with_capacity(total);
         for (s, shard) in shards.iter().enumerate() {
             for l in 0..shard.len() {

@@ -34,7 +34,7 @@ use crate::engine::{partition_members, SearchHit};
 use crate::explain::{search_metrics, SearchExplain};
 use crate::plan::QueryPlan;
 use crate::query::Query;
-use crate::shard::{expanded_time, ShardEngine, ShardSpec};
+use crate::shard::{expanded_time, ShardEngine, ShardSpec, Spellings};
 use crate::topk::{rank_cmp, LightHit, LightTopK};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
@@ -515,7 +515,7 @@ fn shard_of<F: Borrow<DatasetFeature>>(
     let spec = ShardSpec::new(spec.count(), spec.partitioner());
     assert!(shard_ix < spec.count(), "shard index {shard_ix} out of 0..{}", spec.count());
     let members = partition_members(features, spec, |s| s == shard_ix, share).swap_remove(shard_ix);
-    ShardEngine::build(members, vocab)
+    ShardEngine::build(&members, &mut Spellings::new(vocab))
 }
 
 #[cfg(test)]

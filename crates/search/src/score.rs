@@ -15,7 +15,7 @@ use metamess_core::geo::GeoBBox;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet as StdHashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-facet score breakdown, shown in the result explanation.
@@ -167,12 +167,22 @@ fn range_similarity_values(range: Option<(f64, f64)>, vrange: Option<(f64, f64)>
 }
 
 /// Normalized name keys for one searchable variable — everything
-/// [`score_keys`] reads about it. The shard computes (and interns) them
-/// once at build time, so ranking a candidate is pure hash lookups and
-/// float math — no `normalize_term`, no synonym resolution, no `String`.
-/// [`score_dataset_prepared`] builds them for one dataset on the spot.
-#[derive(Debug, Clone)]
+/// [`score_keys`] reads about it. The shard builds them once, at build
+/// time, out of its spelling table, so ranking a candidate is pure hash
+/// lookups and float math — no `normalize_term`, no synonym resolution, no
+/// `String`. [`score_dataset_prepared`] builds them for one dataset on the
+/// spot.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VarKey {
+    names: VarNames,
+    /// `var.value_range()`.
+    range: Option<(f64, f64)>,
+}
+
+/// The name half of a [`VarKey`]: a pure function of the variable's
+/// `(name, search_name)` spelling and the vocabulary.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct VarNames {
     /// `normalize_term(&var.name)`.
     name_norm: Arc<str>,
     /// `normalize_term(var.search_name())`.
@@ -180,8 +190,31 @@ pub(crate) struct VarKey {
     /// Normalized canonical of `var.search_name()` per the synonym table
     /// (resolved against the **un**-normalized spelling).
     canon_norm: Option<Arc<str>>,
-    /// `var.value_range()`.
-    range: Option<(f64, f64)>,
+}
+
+impl VarNames {
+    /// Resolves one spelling against the vocabulary, storing each key
+    /// through `intern`.
+    pub(crate) fn resolve(
+        name: &str,
+        search_name: &str,
+        vocab: &Vocabulary,
+        mut intern: impl FnMut(String) -> Arc<str>,
+    ) -> VarNames {
+        use metamess_core::text::normalize_term;
+        VarNames {
+            name_norm: intern(normalize_term(name)),
+            search_norm: intern(normalize_term(search_name)),
+            canon_norm: vocab.synonyms.resolve(search_name).map(|(c, _)| intern(normalize_term(c))),
+        }
+    }
+}
+
+impl VarKey {
+    /// The keys of a variable spelled `names` whose values span `range`.
+    pub(crate) fn new(names: VarNames, range: Option<(f64, f64)>) -> VarKey {
+        VarKey { names, range }
+    }
 }
 
 /// Where and when a dataset is: the two fields of a feature the scorer
@@ -202,35 +235,38 @@ impl Extent {
     }
 }
 
-/// Interns one normalized spelling: catalogs repeat the same handful of
-/// variable names across thousands of datasets, so shard build memory
-/// stays proportional to the vocabulary, not the catalog.
-pub(crate) fn intern(interner: &mut StdHashSet<Arc<str>>, s: String) -> Arc<str> {
-    if let Some(existing) = interner.get(s.as_str()) {
-        return existing.clone();
-    }
-    let arc: Arc<str> = s.into();
-    interner.insert(arc.clone());
-    arc
+/// Normalized keys, each stored once and numbered in first-seen order:
+/// catalogs repeat the same handful of variable names across thousands of
+/// datasets, so shard build memory stays proportional to the vocabulary,
+/// not the catalog.
+#[derive(Debug, Default)]
+pub(crate) struct Interner {
+    ids: HashMap<Arc<str>, u32>,
+    keys: Vec<Arc<str>>,
 }
 
-impl VarKey {
-    /// Precomputes the keys for one variable.
-    pub(crate) fn build(
-        var: &VariableFeature,
-        vocab: &Vocabulary,
-        interner: &mut StdHashSet<Arc<str>>,
-    ) -> VarKey {
-        use metamess_core::text::normalize_term;
-        VarKey {
-            name_norm: intern(interner, normalize_term(&var.name)),
-            search_norm: intern(interner, normalize_term(var.search_name())),
-            canon_norm: vocab
-                .synonyms
-                .resolve(var.search_name())
-                .map(|(c, _)| intern(interner, normalize_term(c))),
-            range: var.value_range(),
+impl Interner {
+    /// The number of `s`, numbering it when it is new.
+    pub(crate) fn id(&mut self, s: String) -> u32 {
+        if let Some(&id) = self.ids.get(s.as_str()) {
+            return id;
         }
+        let id = u32::try_from(self.keys.len()).expect("a build's keys fit a u32");
+        let key: Arc<str> = s.into();
+        self.ids.insert(Arc::clone(&key), id);
+        self.keys.push(key);
+        id
+    }
+
+    /// The one shared copy of `s`.
+    pub(crate) fn intern(&mut self, s: String) -> Arc<str> {
+        let id = self.id(s);
+        Arc::clone(self.key(id))
+    }
+
+    /// The key numbered `id`.
+    pub(crate) fn key(&self, id: u32) -> &Arc<str> {
+        &self.keys[id as usize]
     }
 }
 
@@ -241,6 +277,7 @@ impl VarKey {
 // of line, and the ranking loop measured 15–35 % slower per candidate.
 #[inline(always)]
 fn name_tier(pt: &PreparedTerm, key: &VarKey) -> f64 {
+    let key = &key.names;
     if pt.name_norm.as_str() == &*key.search_norm || pt.name_norm.as_str() == &*key.name_norm {
         return 1.0;
     }
@@ -362,8 +399,13 @@ pub fn score_dataset_prepared(
     vocab: &Vocabulary,
 ) -> ScoreBreakdown {
     let vars: Vec<&VariableFeature> = dataset.searchable_variables().collect();
-    let mut interner = StdHashSet::new();
-    let keys: Vec<VarKey> = vars.iter().map(|v| VarKey::build(v, vocab, &mut interner)).collect();
+    let keys: Vec<VarKey> = vars
+        .iter()
+        .map(|v| {
+            let names = VarNames::resolve(&v.name, v.search_name(), vocab, Arc::from);
+            VarKey::new(names, v.value_range())
+        })
+        .collect();
     let mut sink = Explained { breakdown: ScoreBreakdown::default(), prepared, vars: &vars };
     let total = score_keys(query, prepared, &Extent::of(dataset), &keys, &mut sink);
     ScoreBreakdown { total, ..sink.breakdown }
@@ -597,11 +639,13 @@ mod tests {
 
     #[test]
     fn interner_dedupes_spellings() {
-        let mut i = StdHashSet::new();
-        let a = intern(&mut i, "water temperature".to_string());
-        let b = intern(&mut i, "water temperature".to_string());
+        let mut i = Interner::default();
+        let a = i.intern("water temperature".to_string());
+        let b = i.intern("water temperature".to_string());
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(i.len(), 1);
+        assert_eq!(i.id("salinity".to_string()), 1, "numbered in first-seen order");
+        assert_eq!(i.id("water temperature".to_string()), 0);
+        assert!(Arc::ptr_eq(i.key(0), &a));
     }
 
     #[test]

@@ -33,7 +33,9 @@ use crate::interval::IntervalIndex;
 use crate::plan::QueryPlan;
 use crate::query::{Query, SpatialTerm};
 use crate::rtree::RTree;
-use crate::score::{intern, score_dataset_prepared, score_keys, Extent, PreparedTerm, VarKey};
+use crate::score::{
+    score_dataset_prepared, score_keys, Extent, Interner, PreparedTerm, VarKey, VarNames,
+};
 use metamess_core::feature::{DatasetFeature, VariableFeature};
 use metamess_core::geo::GeoBBox;
 use metamess_core::text::normalize_term;
@@ -41,7 +43,7 @@ use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Hard ceiling on the shard count. Beyond a few hundred shards the
@@ -215,10 +217,11 @@ pub struct ShardEngine {
 
 impl ShardEngine {
     /// Builds one shard over `members` (`(global index, feature)` pairs in
-    /// ascending global order).
-    pub(crate) fn build(
-        members: Vec<(usize, Arc<DatasetFeature>)>,
-        vocab: &Vocabulary,
+    /// ascending global order), looking every variable's keys up in
+    /// `spellings` — shared by the shards of one build.
+    pub(crate) fn build<'a>(
+        members: &'a [(usize, Arc<DatasetFeature>)],
+        spellings: &mut Spellings<'a>,
     ) -> ShardEngine {
         let mut datasets = Vec::with_capacity(members.len());
         let mut extents = Vec::with_capacity(members.len());
@@ -231,14 +234,13 @@ impl ShardEngine {
         let mut global_ix = Vec::with_capacity(members.len());
         let mut spatial_entries = Vec::new();
         let mut time_entries = Vec::new();
-        let mut terms: BTreeMap<Arc<str>, Vec<usize>> = BTreeMap::new();
-        let mut interner: HashSet<Arc<str>> = HashSet::new();
+        // by key id, so filing a variable compares no strings
+        let mut postings: Vec<Vec<usize>> = Vec::new();
         let mut bbox_bound: Option<GeoBBox> = None;
         let mut time_bound: Option<TimeInterval> = None;
-        for (gix, d) in members {
-            let ix = datasets.len();
-            global_ix.push(gix);
-            extents.push(Extent::of(&d));
+        for (ix, (gix, d)) in members.iter().enumerate() {
+            global_ix.push(*gix);
+            extents.push(Extent::of(d));
             if let Some(b) = &d.bbox {
                 spatial_entries.push((*b, ix));
                 bbox_bound = Some(match bbox_bound {
@@ -254,18 +256,26 @@ impl ShardEngine {
                 });
             }
             for v in d.searchable_variables() {
-                for k in index_keys(v, vocab) {
-                    let posting = terms.entry(intern(&mut interner, k)).or_default();
-                    if posting.last() != Some(&ix) {
-                        posting.push(ix);
+                let spelling = spellings.of(v);
+                for &k in spelling.keys.iter() {
+                    let k = k as usize;
+                    if k >= postings.len() {
+                        postings.resize_with(k + 1, Vec::new);
+                    }
+                    if postings[k].last() != Some(&ix) {
+                        postings[k].push(ix);
                     }
                 }
+                var_keys.push(VarKey::new(spelling.names.clone(), v.value_range()));
             }
-            var_keys
-                .extend(d.searchable_variables().map(|v| VarKey::build(v, vocab, &mut interner)));
             key_starts.push(u32::try_from(var_keys.len()).expect("a shard's variables fit a u32"));
-            datasets.push(d);
+            datasets.push(Arc::clone(d));
         }
+        let terms = (0u32..)
+            .zip(postings)
+            .filter(|(_, posting)| !posting.is_empty())
+            .map(|(k, posting)| (Arc::clone(spellings.keys.key(k)), posting))
+            .collect();
         ShardEngine {
             rtree: RTree::build(spatial_entries),
             intervals: IntervalIndex::build(time_entries),
@@ -402,15 +412,57 @@ impl ShardEngine {
     }
 }
 
-/// The inverted-index keys a searchable variable is filed under: its
-/// canonical concept and every hierarchy ancestor (the helper query
-/// planning shares), plus its raw and search spellings. The cache-survival
-/// proofs (`delta.rs`) recompute membership with this same set.
-pub(crate) fn index_keys(v: &VariableFeature, vocab: &Vocabulary) -> BTreeSet<String> {
-    let mut keys = vocab.canonical_keys(v.search_name());
-    keys.insert(normalize_term(&v.name));
-    keys.insert(normalize_term(v.search_name()));
+/// The inverted-index keys a searchable variable spelled `(name,
+/// search_name)` is filed under: its canonical concept and every hierarchy
+/// ancestor (the helper query planning shares), plus its raw and search
+/// spellings. The cache-survival proofs (`delta.rs`) recompute membership
+/// with this same set.
+pub(crate) fn index_keys(name: &str, search_name: &str, vocab: &Vocabulary) -> BTreeSet<String> {
+    let mut keys = vocab.canonical_keys(search_name);
+    keys.insert(normalize_term(name));
+    keys.insert(normalize_term(search_name));
     keys
+}
+
+/// An engine build's spelling table. After wrangling, a catalog's many
+/// variables share a few hundred `(name, search_name)` spellings, and what
+/// a shard files and scores a variable under is a pure function of its
+/// spelling and the build's vocabulary — except the value range, which the
+/// shard reads off the variable. So each distinct spelling is resolved
+/// once, here, and every variable that carries it looks it up, by the
+/// borrowed pair.
+pub(crate) struct Spellings<'a> {
+    vocab: &'a Vocabulary,
+    /// Every key of every spelling, shared by all of them.
+    keys: Interner,
+    resolved: HashMap<(&'a str, &'a str), Spelling>,
+}
+
+/// What one spelling resolves to.
+struct Spelling {
+    /// Ids of its [`index_keys`] in the table's interner.
+    keys: Box<[u32]>,
+    /// Its [`VarKey`] name parts.
+    names: VarNames,
+}
+
+impl<'a> Spellings<'a> {
+    /// An empty table over `vocab`.
+    pub(crate) fn new(vocab: &'a Vocabulary) -> Spellings<'a> {
+        Spellings { vocab, keys: Interner::default(), resolved: HashMap::new() }
+    }
+
+    /// The resolution of `var`'s spelling, worked out on first sight.
+    fn of(&mut self, var: &'a VariableFeature) -> &Spelling {
+        let (vocab, keys) = (self.vocab, &mut self.keys);
+        let (name, search_name) = (var.name.as_str(), var.search_name());
+        self.resolved.entry((name, search_name)).or_insert_with(|| {
+            let ids =
+                index_keys(name, search_name, vocab).into_iter().map(|k| keys.id(k)).collect();
+            let names = VarNames::resolve(name, search_name, vocab, |s| keys.intern(s));
+            Spelling { keys: ids, names }
+        })
+    }
 }
 
 /// The "everything within 4 radii" window a `near` clause probes — shared
@@ -519,7 +571,8 @@ mod tests {
                 ))
             })
             .collect();
-        let shard = ShardEngine::build(features.iter().cloned().enumerate().collect(), &vocab);
+        let members: Vec<_> = features.iter().cloned().enumerate().collect();
+        let shard = ShardEngine::build(&members, &mut Spellings::new(&vocab));
         let bbox = shard.bbox_bound().expect("members have bboxes");
         let time = shard.time_bound().expect("members have intervals");
         for d in &features {
@@ -534,7 +587,7 @@ mod tests {
     #[test]
     fn empty_shard_probe_is_empty() {
         let vocab = Vocabulary::observatory_default();
-        let shard = ShardEngine::build(Vec::new(), &vocab);
+        let shard = ShardEngine::build(&[], &mut Spellings::new(&vocab));
         assert!(shard.is_empty());
         let q =
             Query::parse("near 45.0,-124.0 from 2012-01-01 to 2012-02-01 with salinity").unwrap();
@@ -545,12 +598,105 @@ mod tests {
         assert_eq!(p.bound_skips, 0, "an empty shard has nothing to prune");
     }
 
+    /// The per-variable build the spelling table stands in for: every
+    /// variable resolved on its own, nothing remembered between them.
+    fn per_variable_build(
+        members: &[(usize, Arc<DatasetFeature>)],
+        vocab: &Vocabulary,
+    ) -> (BTreeMap<String, Vec<usize>>, Vec<Vec<VarKey>>) {
+        let mut terms: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut var_keys = Vec::new();
+        for (ix, (_, d)) in members.iter().enumerate() {
+            let mut keys = Vec::new();
+            for v in d.searchable_variables() {
+                for k in index_keys(&v.name, v.search_name(), vocab) {
+                    let posting = terms.entry(k).or_default();
+                    if posting.last() != Some(&ix) {
+                        posting.push(ix);
+                    }
+                }
+                let names = VarNames::resolve(&v.name, v.search_name(), vocab, Arc::from);
+                keys.push(VarKey::new(names, v.value_range()));
+            }
+            var_keys.push(keys);
+        }
+        (terms, var_keys)
+    }
+
+    #[test]
+    fn spelling_table_builds_what_resolving_every_variable_builds() {
+        use metamess_core::feature::NameResolution;
+        let vocab = Vocabulary::observatory_default();
+        // (name, canonical, qa, hidden, range) per variable, per dataset
+        type Var<'s> = (&'s str, Option<&'s str>, bool, bool, (f64, f64));
+        let rows: &[&[Var]] = &[
+            // one raw name resolved here and left unresolved below
+            &[("wtemp", Some("water_temperature"), false, false, (5.0, 9.0))],
+            &[("wtemp", None, false, false, (6.0, 8.0))],
+            // spellings that differ only in case or padding, and one that
+            // differs in the raw name alone
+            &[
+                ("WTemp ", Some("water_temperature"), false, false, (1.0, 2.0)),
+                ("wtemp", Some("water_temperature"), false, false, (3.0, 4.0)),
+                ("water_temp", Some("water_temperature"), false, false, (3.0, 4.0)),
+            ],
+            // QA and hidden variables spelled like a searchable one
+            &[
+                ("sal", Some("salinity"), true, false, (0.0, 1.0)),
+                ("sal", Some("salinity"), false, true, (0.0, 1.0)),
+            ],
+            // one spelling, a different range in every dataset
+            &[("sal", Some("salinity"), false, false, (28.0, 33.0))],
+            &[
+                ("sal", Some("salinity"), false, false, (0.0, 5.0)),
+                ("fluores375", None, false, false, (0.1, 0.2)),
+            ],
+            &[
+                ("Fluorescence", None, false, false, (2.0, 3.0)),
+                ("sal", Some("salinity"), false, false, (30.0, 31.0)),
+            ],
+        ];
+        let datasets: Vec<(usize, Arc<DatasetFeature>)> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, vars)| {
+                let mut d = DatasetFeature::new(format!("d{i}.csv"));
+                for &(name, canonical, qa, hidden, (lo, hi)) in vars.iter() {
+                    let mut v = VariableFeature::new(name);
+                    if let Some(c) = canonical {
+                        v.resolve(c, NameResolution::KnownTranslation);
+                    }
+                    (v.flags.qa, v.flags.hidden) = (qa, hidden);
+                    v.summary.observe(lo);
+                    v.summary.observe(hi);
+                    d.variables.push(v);
+                }
+                (i, Arc::new(d))
+            })
+            .collect();
+        // two shards from one table: the second looks up what the first resolved
+        let (first, second) = datasets.split_at(4);
+        let mut spellings = Spellings::new(&vocab);
+        for members in [first, second] {
+            let shard = ShardEngine::build(members, &mut spellings);
+            let (terms, var_keys) = per_variable_build(members, &vocab);
+            let got: BTreeMap<String, Vec<usize>> =
+                shard.terms.iter().map(|(k, p)| (k.to_string(), p.clone())).collect();
+            assert_eq!(got, terms);
+            for (ix, want) in var_keys.iter().enumerate() {
+                let at = shard.key_starts[ix] as usize..shard.key_starts[ix + 1] as usize;
+                assert_eq!(&shard.var_keys[at], &want[..], "{}", shard.dataset(ix).path);
+            }
+        }
+        assert_eq!(spellings.resolved.len(), 7, "one entry per searchable spelling");
+    }
+
     #[test]
     fn bound_excludes_far_query_window() {
         let vocab = Vocabulary::observatory_default();
         let members: Vec<(usize, Arc<DatasetFeature>)> =
             (0..4).map(|i| (i, Arc::new(feature(&format!("d{i}.csv"), 45.0, -124.0, 6)))).collect();
-        let shard = ShardEngine::build(members, &vocab);
+        let shard = ShardEngine::build(&members, &mut Spellings::new(&vocab));
         // Region query on the other side of the globe: the bound excludes
         // it, so the intersect walk is skipped — but nearest still runs.
         let q = Query::parse("in 50.0,-10.0..51.0,-9.0").unwrap();

@@ -21,6 +21,10 @@
 //! for the properties that hold of every search (`props.rs`,
 //! `shard_props.rs`), where one engine is compared with another, not with
 //! the oracle.
+//!
+//! Browse menus have an oracle too, [`reference_browse`], and a catalog
+//! drawn for them, [`respell`]: the same datasets with the spellings a
+//! wrangled archive leaves behind.
 
 #![allow(dead_code, unused_imports)] // each test file takes only some of this
 
@@ -33,10 +37,13 @@ use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::id::DatasetId;
+use metamess_core::text::normalize_term;
 use metamess_core::time::{TimeInterval, Timestamp};
-use metamess_search::{score_dataset_prepared, PreparedTerm, Query, SearchHit};
-use metamess_vocab::Vocabulary;
-use std::collections::BTreeSet;
+use metamess_search::{
+    score_dataset_prepared, BrowseNode, BrowseTree, PreparedTerm, Query, SearchHit,
+};
+use metamess_vocab::{TaxonomyNode, Vocabulary};
+use std::collections::{BTreeMap, BTreeSet};
 
 const VAR_POOL: &[&str] =
     &["water_temperature", "salinity", "dissolved_oxygen", "turbidity", "nitrate", "wind_speed"];
@@ -218,4 +225,127 @@ pub fn assert_bit_equal(got: &[SearchHit], want: &[SearchHit], what: &str) {
         assert_eq!(g, w, "{what}");
         assert_eq!(g.score.to_bits(), w.score.to_bits(), "{what}: score bits of {}", g.path);
     }
+}
+
+/// What a variable may be called after wrangling: canonical terms, curated
+/// alternates, grouping concepts and names no vocabulary knows.
+const SPELLINGS: &[&str] = &[
+    "water_temperature",
+    "wtemp",
+    "salinity",
+    "sal",
+    "temperature",
+    "fluorescence",
+    "fluores375",
+    "chlorophyll_fluorescence",
+    "optics",
+    "turb",
+    "mystery",
+    "sonde_serial",
+];
+
+/// `spelling` in a random case, padded or not.
+fn respelled(rng: &mut Rng, spelling: &str) -> String {
+    let cased = match rng.below(3) {
+        0 => spelling.to_string(),
+        1 => spelling.to_ascii_uppercase(),
+        _ => spelling[..1].to_ascii_uppercase() + &spelling[1..],
+    };
+    match rng.below(3) {
+        0 => cased,
+        1 => format!(" {cased}"),
+        _ => format!("{cased}  "),
+    }
+}
+
+/// `catalog` with every variable renamed: a random spelling in a random
+/// case and padding, resolved to a (re-spelled) canonical or left as
+/// harvested, and one in five QA or hidden. A dataset may carry a spelling
+/// twice; its values stay as drawn.
+pub fn respell(rng: &mut Rng, catalog: Catalog) -> Catalog {
+    let mut out = Catalog::new();
+    for mut d in catalog.into_features() {
+        if rng.below(3) == 0 {
+            if let Some(v) = d.variables.first().cloned() {
+                d.variables.push(v);
+            }
+        }
+        for v in &mut d.variables {
+            let name = *rng.pick(SPELLINGS);
+            v.name = respelled(rng, name);
+            v.canonical_name = None;
+            if rng.coin() {
+                let canonical = *rng.pick(SPELLINGS);
+                v.resolve(respelled(rng, canonical), NameResolution::KnownTranslation);
+            }
+            match rng.below(10) {
+                0 => v.flags.qa = true,
+                1 => v.flags.hidden = true,
+                _ => {}
+            }
+        }
+        out.put(d);
+    }
+    out
+}
+
+/// The default vocabulary and a second taxonomy in which one concept sits
+/// under two parents, nodes are named in odd case and padding, and one is
+/// named by an alternate no variable resolves to.
+pub fn browse_vocabulary() -> Vocabulary {
+    let mut vocab = Vocabulary::observatory_default();
+    let platforms = vocab.taxonomies.get_or_create("platforms");
+    for path in [
+        &["platform", "CTD", "salinity"][..],
+        &["platform", "ctd", "Water_Temperature "],
+        &["platform", "buoy", "salinity"],
+        &["platform", "buoy", "wtemp"],
+        &["platform", " Mystery"],
+        &["fluorescence"],
+    ] {
+        platforms.insert_path(path).expect("a valid path");
+    }
+    vocab
+}
+
+/// The browse oracle: every concept node collects the set of datasets at it
+/// and below it, and counts the set. A dataset is at the concept its
+/// searchable variables resolve to through the synonym table.
+pub fn reference_browse(catalog: &Catalog, vocab: &Vocabulary) -> Vec<BrowseTree> {
+    type Direct = BTreeMap<String, BTreeSet<DatasetId>>;
+    let mut direct = Direct::new();
+    for d in catalog.iter() {
+        for v in d.searchable_variables() {
+            let canonical = match vocab.synonyms.resolve(v.search_name()) {
+                Some((c, _)) => normalize_term(c),
+                None => normalize_term(v.search_name()),
+            };
+            direct.entry(canonical).or_default().insert(d.id);
+        }
+    }
+    fn node(n: &TaxonomyNode, direct: &Direct) -> (BrowseNode, BTreeSet<DatasetId>) {
+        let own = direct.get(&normalize_term(&n.name)).cloned().unwrap_or_default();
+        let mut reach = own.clone();
+        let mut children = Vec::new();
+        for c in &n.children {
+            let (child, child_reach) = node(c, direct);
+            reach.extend(child_reach);
+            children.push(child);
+        }
+        let counted = BrowseNode {
+            name: n.name.clone(),
+            direct: own.len(),
+            cumulative: reach.len(),
+            children,
+        };
+        (counted, reach)
+    }
+    vocab
+        .taxonomies
+        .iter()
+        .map(|t| BrowseTree {
+            taxonomy: t.name.clone(),
+            roots: t.root_nodes().iter().map(|r| node(r, &direct).0).collect(),
+        })
+        .collect()
 }

@@ -9,12 +9,18 @@
 //! engine derived from another by a delta shares what the delta left alone
 //! and answers like one built from scratch, and standalone shards cover the
 //! catalog exactly once, whether they clone their members or take them.
+//!
+//! The last sweep holds browse menus to their oracle: an engine's menus,
+//! however sharded and after a delta, count what `reference_browse` counts.
 
 mod common;
 
-use common::{assert_bit_equal, catalog, delta, queries, reference_search, touched_ids, Rng};
+use common::{
+    any_catalog, assert_bit_equal, browse_vocabulary, catalog, delta, queries, reference_browse,
+    reference_search, respell, touched_ids, Rng,
+};
 use metamess_search::fanout::{build_shard, build_shard_from};
-use metamess_search::{Partitioner, SearchEngine, ShardEngine, ShardSpec};
+use metamess_search::{browse_all, Partitioner, SearchEngine, ShardEngine, ShardSpec};
 use metamess_vocab::Vocabulary;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -131,4 +137,38 @@ fn standalone_shards_cover_the_catalog_exactly_once() {
             }
         }
     }
+}
+
+#[test]
+fn browse_menus_count_what_the_reference_counts() {
+    let vocab = browse_vocabulary();
+    // concepts counted below themselves, and datasets counted at a concept
+    let (mut rolled_up, mut counted) = (0, 0);
+    for seed in 0..60u64 {
+        let mut rng = Rng(seed);
+        let drawn = any_catalog(&mut rng);
+        let before = respell(&mut rng, drawn);
+        let mutations = delta(&mut rng, &before);
+        let mut after = before.clone();
+        mutations.iter().cloned().for_each(|m| after.apply(m));
+        let (want_before, want_after) =
+            (reference_browse(&before, &vocab), reference_browse(&after, &vocab));
+        assert_eq!(browse_all(&before, &vocab), want_before, "seed {seed}");
+        for shards in [1usize, 2, 4] {
+            let what = format!("seed {seed}, {shards} shards");
+            let spec = ShardSpec::new(shards, PARTITIONERS[seed as usize % 3]);
+            let engine = SearchEngine::build_sharded(&before, vocab.clone(), spec);
+            assert_eq!(engine.browse(), want_before, "{what}");
+            let next = engine.successor(&mutations).expect("no Clear among them");
+            assert_eq!(next.browse(), want_after, "{what}, after the delta");
+        }
+        for node in want_before.iter().flat_map(|t| &t.roots).flat_map(|r| r.iter()) {
+            rolled_up += usize::from(node.cumulative > node.direct);
+            counted += node.direct;
+        }
+    }
+    assert!(
+        rolled_up > 200 && counted > 500,
+        "the sweep counted next to nothing: {rolled_up}, {counted}"
+    );
 }

@@ -6,7 +6,9 @@
 //! pre-serialized response fragments — is easy to regress one
 //! `format!` at a time. This test pins it down: a warm keep-alive
 //! `POST /search` must stay under a fixed small allocation budget, both
-//! on a result-cache hit and on a full cold scoring pass.
+//! on a result-cache hit and on a full cold scoring pass. Opening an
+//! engine has a budget too, per dataset: its index and menus resolve each
+//! distinct variable spelling once, not each variable.
 //!
 //! The whole check lives in ONE test function: the counting allocator is
 //! process-global, so a second test running concurrently would bleed its
@@ -14,8 +16,11 @@
 
 #![cfg(feature = "alloc-guard")]
 
+use metamess_core::store::read_published;
 use metamess_core::{DatasetFeature, DurableCatalog, StoreOptions, VariableFeature};
+use metamess_search::{SearchEngine, ShardSpec};
 use metamess_server::{handle, Request, ServeState};
+use metamess_vocab::Vocabulary;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -117,6 +122,12 @@ fn search_request(body: &str) -> Request {
 const CACHE_HIT_BUDGET: u64 = 200;
 const COLD_SCORING_BUDGET: u64 = 1000;
 
+/// Building an engine and its browse menus, per dataset: 516 allocations
+/// over the fixture's 240 datasets (2.2 each) when each spelling is
+/// resolved once; 11 350 (47 each) when every variable was resolved on its
+/// own.
+const OPEN_BUDGET_PER_DATASET: u64 = 5;
+
 #[test]
 fn warm_keep_alive_search_stays_within_allocation_budget() {
     // Instrumentation is not part of the budget: benchmarks and latency-
@@ -180,6 +191,22 @@ fn warm_keep_alive_search_stays_within_allocation_budget() {
     assert_eq!(
         trace_allocs, 0,
         "disabled tracing made {trace_allocs} heap allocations (must be zero)"
+    );
+
+    // Scenario 4: opening an engine — shard index and browse menus — over
+    // the fixture's 240 datasets, whose 360 variables share 2 spellings.
+    // What is left per dataset is the feature's own share and its index
+    // entries; a key walk per variable does not fit.
+    let catalog = read_published(dir.join("catalog")).expect("read the store").catalog;
+    let datasets = catalog.len() as u64;
+    let vocab = Vocabulary::observatory_default();
+    let (trees, open_allocs) =
+        counting(|| SearchEngine::from_catalog(catalog, vocab, ShardSpec::single()).browse());
+    assert!(trees.iter().any(|t| t.total() == datasets as usize));
+    assert!(
+        open_allocs <= OPEN_BUDGET_PER_DATASET * datasets,
+        "opening an engine over {datasets} datasets made {open_allocs} heap allocations \
+         (budget {OPEN_BUDGET_PER_DATASET} per dataset)"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,7 +8,7 @@
 //! side by side in a [`TaxonomySet`].
 
 use metamess_core::error::{Error, Result};
-use metamess_core::text::normalize_term;
+use metamess_core::text::term_eq;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -48,13 +48,12 @@ impl Taxonomy {
         if path.is_empty() {
             return Err(Error::invalid("empty taxonomy path"));
         }
-        if path.iter().any(|p| normalize_term(p).is_empty()) {
+        if path.iter().any(|p| p.trim().is_empty()) {
             return Err(Error::invalid("blank segment in taxonomy path"));
         }
         let mut nodes = &mut self.roots;
         for seg in path {
-            let pos = nodes.iter().position(|n| normalize_term(&n.name) == normalize_term(seg));
-            let ix = match pos {
+            let ix = match nodes.iter().position(|n| term_eq(&n.name, seg)) {
                 Some(ix) => ix,
                 None => {
                     nodes.push(TaxonomyNode::new(*seg));
@@ -69,29 +68,23 @@ impl Taxonomy {
     /// Finds the path from a root to the (first) node named `name`,
     /// root first. Case-insensitive.
     pub fn path_of(&self, name: &str) -> Option<Vec<String>> {
-        fn walk(
-            nodes: &[TaxonomyNode],
-            key: &str,
-            prefix: &mut Vec<String>,
-        ) -> Option<Vec<String>> {
+        fn walk<'a>(nodes: &'a [TaxonomyNode], name: &str, prefix: &mut Vec<&'a str>) -> bool {
             for n in nodes {
-                prefix.push(n.name.clone());
-                if normalize_term(&n.name) == key {
-                    return Some(prefix.clone());
-                }
-                if let Some(found) = walk(&n.children, key, prefix) {
-                    return Some(found);
+                prefix.push(&n.name);
+                if term_eq(&n.name, name) || walk(&n.children, name, prefix) {
+                    return true;
                 }
                 prefix.pop();
             }
-            None
+            false
         }
-        walk(&self.roots, &normalize_term(name), &mut Vec::new())
+        let mut prefix = Vec::new();
+        walk(&self.roots, name, &mut prefix).then(|| prefix.into_iter().map(String::from).collect())
     }
 
     /// True when a node named `name` exists anywhere in the hierarchy.
     pub fn contains(&self, name: &str) -> bool {
-        self.path_of(name).is_some()
+        find(&self.roots, name).is_some()
     }
 
     /// Broader concepts of `name` (its ancestors, nearest first).
@@ -108,17 +101,6 @@ impl Taxonomy {
 
     /// All concepts strictly below `name` (depth-first order).
     pub fn descendants(&self, name: &str) -> Vec<String> {
-        fn find<'a>(nodes: &'a [TaxonomyNode], key: &str) -> Option<&'a TaxonomyNode> {
-            for n in nodes {
-                if normalize_term(&n.name) == key {
-                    return Some(n);
-                }
-                if let Some(f) = find(&n.children, key) {
-                    return Some(f);
-                }
-            }
-            None
-        }
         fn collect(node: &TaxonomyNode, out: &mut Vec<String>) {
             for c in &node.children {
                 out.push(c.name.clone());
@@ -126,7 +108,7 @@ impl Taxonomy {
             }
         }
         let mut out = Vec::new();
-        if let Some(n) = find(&self.roots, &normalize_term(name)) {
+        if let Some(n) = find(&self.roots, name) {
             collect(n, &mut out);
         }
         out
@@ -134,18 +116,7 @@ impl Taxonomy {
 
     /// Direct children of `name` ("expose one level", for hierarchical menus).
     pub fn children_of(&self, name: &str) -> Vec<String> {
-        fn find<'a>(nodes: &'a [TaxonomyNode], key: &str) -> Option<&'a TaxonomyNode> {
-            for n in nodes {
-                if normalize_term(&n.name) == key {
-                    return Some(n);
-                }
-                if let Some(f) = find(&n.children, key) {
-                    return Some(f);
-                }
-            }
-            None
-        }
-        find(&self.roots, &normalize_term(name))
+        find(&self.roots, name)
             .map(|n| n.children.iter().map(|c| c.name.clone()).collect())
             .unwrap_or_default()
     }
@@ -199,6 +170,13 @@ impl Taxonomy {
         }
         Some((pa.len() - shared) + (pb.len() - shared))
     }
+}
+
+/// The first node named `name` (case-insensitive), depth first.
+fn find<'a>(nodes: &'a [TaxonomyNode], name: &str) -> Option<&'a TaxonomyNode> {
+    nodes
+        .iter()
+        .find_map(|n| if term_eq(&n.name, name) { Some(n) } else { find(&n.children, name) })
 }
 
 /// A set of named taxonomies ("link to multiple taxonomies").
@@ -315,6 +293,30 @@ mod tests {
         let t = sample();
         assert!(t.contains("Fluorescence"));
         assert!(!t.contains("nitrogen"));
+    }
+
+    #[test]
+    fn walkers_match_padded_mixed_case_spellings() {
+        // nodes stored with padding and capitals, asked for in other spellings
+        let mut t = Taxonomy::new("vars");
+        t.insert_path(&[" Physical", "TEMPERATURE ", "water_temperature"]).unwrap();
+        t.insert_path(&["physical ", " temperature", "Air_Temperature"]).unwrap();
+        t.insert_path(&["PHYSICAL", "salinity"]).unwrap();
+        assert_eq!(t.node_count(), 5, "a re-spelled segment reuses its node");
+        assert_eq!(t.roots().collect::<Vec<_>>(), [" Physical"]);
+        let path = |leaf: &str| vec![" Physical".to_string(), "TEMPERATURE ".into(), leaf.into()];
+        assert_eq!(t.path_of("  WATER_temperature "), Some(path("water_temperature")));
+        assert_eq!(t.path_of("air_temperature"), Some(path("Air_Temperature")));
+        assert_eq!(t.path_of("temp"), None, "a prefix is not a match");
+        assert_eq!(t.children_of("temperature"), ["water_temperature", "Air_Temperature"]);
+        assert_eq!(
+            t.descendants(" physical "),
+            ["TEMPERATURE ", "water_temperature", "Air_Temperature", "salinity"]
+        );
+        assert_eq!(t.ancestors("Salinity\t"), [" Physical"]);
+        assert!(t.contains(" air_temperature ") && !t.contains("air temperature"));
+        assert_eq!(t.relatedness("WATER_TEMPERATURE", " air_temperature"), Some(2));
+        assert!(t.children_of("Nitrate").is_empty() && t.descendants("").is_empty());
     }
 
     #[test]

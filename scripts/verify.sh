@@ -44,9 +44,10 @@ echo "==> crash-consistency, group-commit and hostile-bytes suites ($cases seede
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
   --test torture --test torture_group_commit --test codec
 
-echo "==> engine vs reference search (release)"
+echo "==> engine vs reference search and browse (release)"
 # Ranking and hit materialization are separate instances of the one scoring
-# routine; check them against the naive reference at serve's opt level.
+# routine; check them, and the engine's browse menus, against the naive
+# references at serve's opt level.
 cargo test -q --release -p metamess-search --test reference_sweep --test shard_props
 cargo test -q --release -p metamess-remote --test reference_sweep
 
