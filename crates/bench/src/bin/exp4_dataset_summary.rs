@@ -25,7 +25,7 @@ fn main() {
     let hits = engine.search(&q);
     for h in hits.iter() {
         let d = engine.dataset(h.id).expect("hit resolves");
-        println!("{}", render_summary(d));
+        println!("{}", render_summary(&d));
     }
 
     // Field-coverage audit over the whole catalog: the poster's page shows

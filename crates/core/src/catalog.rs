@@ -139,7 +139,7 @@ impl Catalog {
     }
 
     /// Iterates dataset features in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &DatasetFeature> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &DatasetFeature> {
         self.entries.values()
     }
 

@@ -20,10 +20,19 @@
 //! decodable on its own, from any [`Wal::read_tail`](super::Wal::read_tail)
 //! offset.
 //!
-//! The decoders are handed bytes that passed a CRC, and trust nothing: every
-//! count is bounded by the bytes that remain before anything is allocated
-//! for it, every reference by the table, every tag by its known bits, and a
-//! payload must be consumed exactly. All failures are [`Error::Corrupt`].
+//! A payload that holds rows — a snapshot, or a WAL put — is kept as an
+//! [`Image`]: its bytes, its string table and where each row starts. A
+//! [`Row`] is a shared image and a row number; its [`RowView`] reads the
+//! fields a search engine needs in place, without allocating, and
+//! [`Row::decode`] builds the owned [`DatasetFeature`] for the callers that
+//! want one. Every reader of a row — [`decode_catalog`], [`decode_mutation`],
+//! the view — goes through the same `Decoder` routines.
+//!
+//! An image is checked in full when it is parsed, and the checks trust
+//! nothing: every count is bounded by the bytes that remain before anything
+//! is allocated for it, every reference by the table, every tag by its known
+//! bits, and a payload must be consumed exactly. All failures are
+//! [`Error::Corrupt`]. Reading a parsed image again cannot fail.
 
 use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, Result};
@@ -33,6 +42,7 @@ use crate::id::DatasetId;
 use crate::stats::NumericSummary;
 use crate::time::{TimeInterval, Timestamp};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The format generation this module writes and reads: the digit the
 /// snapshot and WAL magics end in, and the first byte of every payload.
@@ -71,6 +81,9 @@ const MIN_VARIABLE: usize = 39;
 const MIN_PAIR: usize = 2;
 const MIN_ENTRY: usize = 1;
 
+/// Why reading a parsed image again cannot fail.
+const CHECKED: &str = "an image is checked in full when it is parsed";
+
 /// Encodes `catalog` — generation, properties, entries — as a snapshot
 /// payload.
 pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
@@ -84,15 +97,24 @@ pub(crate) fn content_fingerprint(catalog: &Catalog) -> u64 {
 }
 
 fn encode_catalog_at(catalog: &Catalog, generation: u64) -> Vec<u8> {
+    encode_rows(generation, catalog.properties(), catalog.iter())
+}
+
+/// A catalog payload at `generation` with `properties` and `rows`.
+fn encode_rows<'a>(
+    generation: u64,
+    properties: &BTreeMap<String, String>,
+    rows: impl ExactSizeIterator<Item = &'a DatasetFeature>,
+) -> Vec<u8> {
     let mut e = Encoder::new(Vec::new(), 1024);
     e.varint(generation);
-    e.varint(catalog.properties().len() as u64);
-    for (key, value) in catalog.properties() {
+    e.varint(properties.len() as u64);
+    for (key, value) in properties {
         e.str(key);
         e.str(value);
     }
-    e.varint(catalog.len() as u64);
-    for f in catalog.iter() {
+    e.varint(rows.len() as u64);
+    for f in rows {
         e.row(f);
     }
     e.finish(KIND_CATALOG)
@@ -101,21 +123,8 @@ fn encode_catalog_at(catalog: &Catalog, generation: u64) -> Vec<u8> {
 /// Decodes a snapshot payload, returning the catalog and the number of
 /// entries in its string table.
 pub fn decode_catalog(payload: &[u8]) -> Result<(Catalog, usize)> {
-    let mut d = Decoder::new(payload)?;
-    if d.kind != KIND_CATALOG {
-        return Err(Error::corrupt(format!("payload kind {} is not a catalog", d.kind)));
-    }
-    let generation = d.varint()?;
-    let mut properties = BTreeMap::new();
-    for _ in 0..d.count(MIN_PAIR)? {
-        let key = d.str()?.to_owned();
-        properties.insert(key, d.str()?.to_owned());
-    }
-    let rows = d.count(MIN_ROW)?;
-    let entries =
-        (0..rows).map(|_| d.row().map(|f| (f.id, f))).collect::<Result<BTreeMap<_, _>>>()?;
-    d.finish()?;
-    Ok((Catalog::from_parts(entries, properties, generation), d.table.len()))
+    let image = Image::catalog_at(payload.to_vec(), 0)?;
+    Ok((image.catalog(), image.table_entries()))
 }
 
 /// Encodes one WAL record's payload into `out`, replacing what it held.
@@ -142,19 +151,333 @@ pub fn encode_mutation(m: &Mutation, out: &mut Vec<u8>) {
 
 /// Decodes one WAL record's payload.
 pub fn decode_mutation(payload: &[u8]) -> Result<Mutation> {
-    let mut d = Decoder::new(payload)?;
-    let m = match d.kind {
-        KIND_PUT => Mutation::Put(Box::new(d.row()?)),
-        KIND_DELETE => Mutation::Delete(DatasetId(d.u64_le()?)),
+    Ok(match parse_record(payload)? {
+        Record::Put(row) => Mutation::Put(Box::new(row.decode())),
+        Record::Delete(id) => Mutation::Delete(id),
+        Record::SetProperty { key, value } => Mutation::SetProperty { key, value },
+        Record::Clear => Mutation::Clear,
+    })
+}
+
+/// One WAL record as a store load applies it: a put stays encoded, as the
+/// one row of an image of its own.
+pub(crate) enum Record {
+    Put(Row),
+    Delete(DatasetId),
+    SetProperty { key: String, value: String },
+    Clear,
+}
+
+/// Parses one WAL record's payload.
+pub(crate) fn parse_record(payload: &[u8]) -> Result<Record> {
+    let (kind, table, body) = header(payload)?;
+    if kind == KIND_PUT {
+        let image = Image::with_body(payload.to_vec(), 0, kind, table, body)?;
+        return Ok(Record::Put(Row { image: Arc::new(image), index: 0 }));
+    }
+    let mut d = Decoder { bytes: payload, pos: body, table: &table };
+    let record = match kind {
+        KIND_DELETE => Record::Delete(DatasetId(d.u64_le()?)),
         KIND_SET_PROPERTY => {
             let key = d.str()?.to_owned();
-            Mutation::SetProperty { key, value: d.str()?.to_owned() }
+            Record::SetProperty { key, value: d.str()?.to_owned() }
         }
-        KIND_CLEAR => Mutation::Clear,
+        KIND_CLEAR => Record::Clear,
         other => return Err(Error::corrupt(format!("payload kind {other} is not a mutation"))),
     };
     d.finish()?;
-    Ok(m)
+    Ok(record)
+}
+
+/// One checked payload that holds rows: a snapshot, or a WAL put. Rows are
+/// read from it in place, for as long as a [`Row`] shares it.
+pub struct Image {
+    /// The payload is `bytes[start..]`: a snapshot keeps the file as it was
+    /// read, frame and all, rather than copy 10 MB to drop 16 bytes.
+    bytes: Vec<u8>,
+    start: usize,
+    table: Table,
+    /// Where each row starts in the payload, then where the last one ends.
+    rows: Vec<usize>,
+    generation: u64,
+    properties: BTreeMap<String, String>,
+}
+
+impl Image {
+    /// Parses a snapshot payload or a WAL put record, checking all of it.
+    pub fn parse(payload: Vec<u8>) -> Result<Image> {
+        let (kind, table, body) = header(&payload)?;
+        if kind != KIND_CATALOG && kind != KIND_PUT {
+            return Err(Error::corrupt(format!("payload kind {kind} holds no rows")));
+        }
+        Image::with_body(payload, 0, kind, table, body)
+    }
+
+    /// Encodes `features` as the rows of one image, in the order given: how
+    /// a search engine built from features rather than from a store holds
+    /// them.
+    pub fn encode(features: &[&DatasetFeature]) -> Image {
+        let payload = encode_rows(0, &BTreeMap::new(), features.iter().copied());
+        Image::parse(payload).expect("a payload this module encoded parses")
+    }
+
+    /// Parses the snapshot payload `bytes[start..]`.
+    pub(crate) fn catalog_at(bytes: Vec<u8>, start: usize) -> Result<Image> {
+        let (kind, table, body) = header(&bytes[start..])?;
+        if kind != KIND_CATALOG {
+            return Err(Error::corrupt(format!("payload kind {kind} is not a catalog")));
+        }
+        Image::with_body(bytes, start, kind, table, body)
+    }
+
+    /// Reads the body of a catalog or put payload whose header has been
+    /// read, checking every row, and keeps where each one starts.
+    fn with_body(
+        bytes: Vec<u8>,
+        start: usize,
+        kind: u8,
+        table: Table,
+        body: usize,
+    ) -> Result<Image> {
+        let (rows, generation, properties) = {
+            let mut d = Decoder { bytes: &bytes[start..], pos: body, table: &table };
+            let (generation, properties, count) = if kind == KIND_CATALOG {
+                let generation = d.varint()?;
+                let mut properties = BTreeMap::new();
+                for _ in 0..d.count(MIN_PAIR)? {
+                    let key = d.str()?.to_owned();
+                    properties.insert(key, d.str()?.to_owned());
+                }
+                (generation, properties, d.count(MIN_ROW)?)
+            } else {
+                (0, BTreeMap::new(), 1)
+            };
+            if u32::try_from(count).is_err() {
+                return Err(Error::corrupt(format!("{count} rows: at most 2^32 are numbered")));
+            }
+            let mut rows = Vec::with_capacity(count + 1);
+            for _ in 0..count {
+                rows.push(d.pos);
+                d.row()?;
+            }
+            rows.push(d.pos);
+            d.finish()?;
+            (rows, generation, properties)
+        };
+        Ok(Image { bytes, start, table, rows, generation, properties })
+    }
+
+    /// Rows in the image.
+    pub fn len(&self) -> usize {
+        self.rows.len() - 1
+    }
+
+    /// True when the image holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every row, in image order, each sharing the image.
+    pub fn rows(self: &Arc<Image>) -> impl ExactSizeIterator<Item = Row> + '_ {
+        (0..self.len() as u32).map(|index| Row { image: Arc::clone(self), index })
+    }
+
+    /// The generation a snapshot was written at (0 for a put).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// A snapshot's catalog properties (none for a put).
+    pub fn properties(&self) -> &BTreeMap<String, String> {
+        &self.properties
+    }
+
+    /// Entries in the payload's string table.
+    pub fn table_entries(&self) -> usize {
+        self.table.ends.len()
+    }
+
+    /// The payload, as encoded.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+
+    /// The catalog the image holds, every row decoded.
+    pub fn catalog(&self) -> Catalog {
+        let entries = (0..self.len())
+            .map(|ix| {
+                let view = self.view(ix);
+                (view.id(), view.decode())
+            })
+            .collect();
+        Catalog::from_parts(entries, self.properties.clone(), self.generation)
+    }
+
+    /// Row `ix`, read in place.
+    fn view(&self, ix: usize) -> RowView<'_> {
+        let mut d = Decoder { bytes: self.payload(), pos: self.rows[ix], table: &self.table };
+        RowView { head: d.head().expect(CHECKED), rest: d }
+    }
+}
+
+impl std::fmt::Debug for Image {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Image")
+            .field("rows", &self.len())
+            .field("payload_bytes", &self.payload().len())
+            .field("table_entries", &self.table_entries())
+            .finish()
+    }
+}
+
+/// One dataset, encoded: a shared [`Image`] and the number of a row in it.
+#[derive(Clone)]
+pub struct Row {
+    image: Arc<Image>,
+    index: u32,
+}
+
+impl Row {
+    /// The dataset's id, read straight from the row's first eight bytes.
+    pub fn id(&self) -> DatasetId {
+        let at = self.image.rows[self.index as usize];
+        let bytes = &self.image.payload()[at..at + 8];
+        DatasetId(u64::from_le_bytes(bytes.try_into().expect("eight bytes")))
+    }
+
+    /// The row read in place.
+    pub fn view(&self) -> RowView<'_> {
+        self.image.view(self.index as usize)
+    }
+
+    /// The owned feature the row encodes.
+    pub fn decode(&self) -> DatasetFeature {
+        self.view().decode()
+    }
+
+    /// The image the row is read from, as the row shares it.
+    pub fn image(&self) -> &Arc<Image> {
+        &self.image
+    }
+}
+
+impl std::fmt::Debug for Row {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Row").field("id", &self.id()).field("path", &self.view().path()).finish()
+    }
+}
+
+/// A row of an image read in place: what a search engine needs of a
+/// dataset, borrowed from the image, and nothing allocated to read it.
+#[derive(Clone, Copy)]
+pub struct RowView<'a> {
+    head: Head<'a>,
+    /// Positioned after the head, at the row's external metadata.
+    rest: Decoder<'a>,
+}
+
+/// A searchable variable (not QA, not hidden) as a row holds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SearchableVariable<'a> {
+    /// The name as harvested.
+    pub name: &'a str,
+    /// The name search matches: the canonical name when resolved.
+    pub search_name: &'a str,
+    /// `(min, max)` of the values seen, when any were numbers.
+    pub value_range: Option<(f64, f64)>,
+}
+
+impl<'a> RowView<'a> {
+    /// Stable id.
+    pub fn id(&self) -> DatasetId {
+        self.head.id
+    }
+
+    /// Archive-relative path.
+    pub fn path(&self) -> &'a str {
+        self.head.path
+    }
+
+    /// Human-readable title.
+    pub fn title(&self) -> &'a str {
+        self.head.title
+    }
+
+    /// Spatial extent.
+    pub fn bbox(&self) -> Option<GeoBBox> {
+        self.head.bbox
+    }
+
+    /// Temporal extent.
+    pub fn time(&self) -> Option<TimeInterval> {
+        self.head.time
+    }
+
+    /// How many variables the row has, searchable or not, read without
+    /// reading them.
+    pub fn variable_count(&self) -> usize {
+        let mut rest = self.rest;
+        rest.externals(&mut ()).expect(CHECKED)
+    }
+
+    /// Hands `each` the row's searchable variables, in column order.
+    pub fn searchable_variables(&self, each: impl FnMut(SearchableVariable<'a>)) {
+        struct Searchable<F>(F);
+        impl<'a, F: FnMut(SearchableVariable<'a>)> RowSink<'a> for Searchable<F> {
+            fn variable(&mut self, v: Var<'a>) {
+                if v.curation & (FLAG_QA | FLAG_HIDDEN) == 0 {
+                    (self.0)(SearchableVariable {
+                        name: v.name,
+                        search_name: v.canonical.unwrap_or(v.name),
+                        value_range: v.summary.range(),
+                    });
+                }
+            }
+        }
+        let mut rest = self.rest;
+        rest.lists(&mut Searchable(each)).expect(CHECKED);
+    }
+
+    /// The owned feature.
+    fn decode(&self) -> DatasetFeature {
+        #[derive(Default)]
+        struct Owned {
+            external: BTreeMap<String, String>,
+            variables: Vec<VariableFeature>,
+        }
+        impl<'a> RowSink<'a> for Owned {
+            fn external(&mut self, key: &'a str, value: &'a str) {
+                self.external.insert(key.to_owned(), value.to_owned());
+            }
+            fn variables(&mut self, count: usize) {
+                self.variables.reserve_exact(count);
+            }
+            fn variable(&mut self, v: Var<'a>) {
+                self.variables.push(v.to_feature());
+            }
+        }
+        let mut owned = Owned::default();
+        let mut rest = self.rest;
+        rest.lists(&mut owned).expect(CHECKED);
+        let h = &self.head;
+        DatasetFeature {
+            id: h.id,
+            path: h.path.to_owned(),
+            title: h.title.to_owned(),
+            source: h.source.map(str::to_owned),
+            bbox: h.bbox,
+            time: h.time,
+            record_count: h.record_count,
+            variables: owned.variables,
+            external: owned.external,
+            provenance: Provenance {
+                content_fingerprint: h.content_fingerprint,
+                file_len: h.file_len,
+                pipeline_run: h.pipeline_run,
+                format: h.format.to_owned(),
+            },
+        }
+    }
 }
 
 /// Writes a body while collecting the strings it references; `finish` puts
@@ -314,34 +637,131 @@ fn tag(set: bool, bit: u8) -> u8 {
     }
 }
 
-/// A forward-only reader over a payload whose header and table have been
-/// read.
+/// A payload's string table: its strings back to back, each checked once,
+/// so a reference resolves to a `&str` with no further check.
+#[derive(Debug, Default)]
+struct Table {
+    text: String,
+    /// Entry `i` is `text[ends[i - 1]..ends[i]]`.
+    ends: Vec<usize>,
+}
+
+impl Table {
+    fn get(&self, ix: u64) -> Option<&str> {
+        let ix = usize::try_from(ix).ok()?;
+        let end = *self.ends.get(ix)?;
+        let start = ix.checked_sub(1).map_or(0, |before| self.ends[before]);
+        Some(&self.text[start..end])
+    }
+}
+
+/// Reads a payload's version, kind and string table; returns them with
+/// where the body starts.
+fn header(payload: &[u8]) -> Result<(u8, Table, usize)> {
+    let mut d = Decoder { bytes: payload, pos: 0, table: &Table::default() };
+    let version = d.u8()?;
+    if version != FORMAT_VERSION {
+        return Err(Error::corrupt(format!("payload format {version}, expected {FORMAT_VERSION}")));
+    }
+    let kind = d.u8()?;
+    let entries = d.count(MIN_ENTRY)?;
+    let mut table = Table { text: String::new(), ends: Vec::with_capacity(entries) };
+    for _ in 0..entries {
+        table.text.push_str(d.str()?);
+        table.ends.push(table.text.len());
+    }
+    Ok((kind, table, d.pos))
+}
+
+/// The fixed part of a row, borrowed from the payload and its table.
+#[derive(Clone, Copy)]
+struct Head<'a> {
+    id: DatasetId,
+    path: &'a str,
+    title: &'a str,
+    source: Option<&'a str>,
+    bbox: Option<GeoBBox>,
+    time: Option<TimeInterval>,
+    record_count: u64,
+    content_fingerprint: u64,
+    file_len: u64,
+    pipeline_run: u64,
+    format: &'a str,
+}
+
+/// One variable as a row holds it. The hierarchy is checked as it is
+/// passed over and read again, from `levels`, only to decode it.
+struct Var<'a> {
+    name: &'a str,
+    curation: u8,
+    method: Option<&'a str>,
+    canonical: Option<&'a str>,
+    unit: Option<&'a str>,
+    canonical_unit: Option<&'a str>,
+    context: Option<&'a str>,
+    /// Positioned at the first level, and how many there are.
+    levels: (Decoder<'a>, usize),
+    summary: NumericSummary,
+    null_count: u64,
+    total_count: u64,
+}
+
+impl Var<'_> {
+    fn to_feature(&self) -> VariableFeature {
+        let resolution = match self.curation & RESOLUTION_MASK {
+            0 => NameResolution::Unresolved,
+            1 => NameResolution::AlreadyCanonical,
+            2 => NameResolution::KnownTranslation,
+            RESOLUTION_DISCOVERED => NameResolution::DiscoveredTranslation {
+                method: self.method.expect(CHECKED).to_owned(),
+            },
+            _ => NameResolution::Curated,
+        };
+        let (mut d, levels) = self.levels;
+        VariableFeature {
+            name: self.name.to_owned(),
+            canonical_name: self.canonical.map(str::to_owned),
+            resolution,
+            unit: self.unit.map(str::to_owned),
+            canonical_unit: self.canonical_unit.map(str::to_owned),
+            unit_normalized: self.curation & UNIT_NORMALIZED != 0,
+            context: self.context.map(str::to_owned),
+            hierarchy: (0..levels).map(|_| d.text().expect(CHECKED).to_owned()).collect(),
+            summary: self.summary.clone(),
+            null_count: self.null_count,
+            total_count: self.total_count,
+            flags: VariableFlags {
+                qa: self.curation & FLAG_QA != 0,
+                ambiguous: self.curation & FLAG_AMBIGUOUS != 0,
+                hidden: self.curation & FLAG_HIDDEN != 0,
+            },
+        }
+    }
+}
+
+/// What [`Decoder::lists`] hands on of the part of a row after its head.
+/// Every method defaults to doing nothing, so `()` — the check at parse —
+/// only reads.
+trait RowSink<'a> {
+    /// One external metadata pair.
+    fn external(&mut self, _key: &'a str, _value: &'a str) {}
+    /// How many variables follow.
+    fn variables(&mut self, _count: usize) {}
+    /// One variable.
+    fn variable(&mut self, _var: Var<'a>) {}
+}
+
+impl RowSink<'_> for () {}
+
+/// A forward-only reader over a payload whose header has been read.
+#[derive(Clone, Copy)]
 struct Decoder<'a> {
     bytes: &'a [u8],
     pos: usize,
-    kind: u8,
-    table: Vec<&'a str>,
+    table: &'a Table,
 }
 
 impl<'a> Decoder<'a> {
-    fn new(payload: &'a [u8]) -> Result<Decoder<'a>> {
-        let mut d = Decoder { bytes: payload, pos: 0, kind: 0, table: Vec::new() };
-        let version = d.u8()?;
-        if version != FORMAT_VERSION {
-            return Err(Error::corrupt(format!(
-                "payload format {version}, expected {FORMAT_VERSION}"
-            )));
-        }
-        d.kind = d.u8()?;
-        let entries = d.count(MIN_ENTRY)?;
-        d.table.reserve_exact(entries);
-        for _ in 0..entries {
-            let s = d.str()?;
-            d.table.push(s);
-        }
-        Ok(d)
-    }
-
     /// The payload must have been consumed exactly.
     fn finish(&self) -> Result<()> {
         match self.bytes.len() - self.pos {
@@ -364,7 +784,13 @@ impl<'a> Decoder<'a> {
     }
 
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        match self.bytes.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Ok(self.take(1)?[0]),
+        }
     }
 
     fn u64_le(&mut self) -> Result<u64> {
@@ -376,8 +802,8 @@ impl<'a> Decoder<'a> {
     }
 
     fn varint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
+        let (mut v, mut shift) = (0u64, 0);
+        while shift < 64 {
             let b = self.u8()?;
             let bits = u64::from(b & 0x7f);
             if shift == 63 && bits > 1 {
@@ -387,6 +813,7 @@ impl<'a> Decoder<'a> {
             if b & 0x80 == 0 {
                 return Ok(v);
             }
+            shift += 7;
         }
         Err(Error::corrupt(format!("varint ending at byte {} overflows 64 bits", self.pos)))
     }
@@ -420,19 +847,18 @@ impl<'a> Decoder<'a> {
     }
 
     /// A string by table reference.
-    fn text(&mut self) -> Result<String> {
+    fn text(&mut self) -> Result<&'a str> {
         let ix = self.varint()?;
-        match usize::try_from(ix).ok().and_then(|ix| self.table.get(ix)) {
-            Some(s) => Ok((*s).to_owned()),
-            None => Err(Error::corrupt(format!(
+        self.table.get(ix).ok_or_else(|| {
+            Error::corrupt(format!(
                 "string reference {ix} at byte {}: the table has {} entries",
                 self.pos,
-                self.table.len()
-            ))),
-        }
+                self.table.ends.len()
+            ))
+        })
     }
 
-    fn optional_text(&mut self, tags: u8, bit: u8) -> Result<Option<String>> {
+    fn optional_text(&mut self, tags: u8, bit: u8) -> Result<Option<&'a str>> {
         if tags & bit == 0 {
             Ok(None)
         } else {
@@ -452,10 +878,16 @@ impl<'a> Decoder<'a> {
         Ok(tags)
     }
 
-    fn row(&mut self) -> Result<DatasetFeature> {
+    /// Reads one row, checking every byte of it.
+    fn row(&mut self) -> Result<()> {
+        self.head()?;
+        self.lists(&mut ())
+    }
+
+    fn head(&mut self) -> Result<Head<'a>> {
         let id = DatasetId(self.u64_le()?);
-        let path = self.str()?.to_owned();
-        let title = self.str()?.to_owned();
+        let path = self.str()?;
+        let title = self.str()?;
         let tags = self.tags(HAS_SOURCE | HAS_BBOX | HAS_TIME, "dataset")?;
         let source = self.optional_text(tags, HAS_SOURCE)?;
         let bbox = if tags & HAS_BBOX == 0 {
@@ -475,38 +907,43 @@ impl<'a> Decoder<'a> {
             let end = start.wrapping_add(self.signed()?);
             Some(TimeInterval { start: Timestamp(start), end: Timestamp(end) })
         };
-        let record_count = self.varint()?;
-        let provenance = Provenance {
-            content_fingerprint: self.u64_le()?,
-            file_len: self.varint()?,
-            pipeline_run: self.varint()?,
-            format: self.text()?,
-        };
-        let mut external = BTreeMap::new();
-        for _ in 0..self.count(MIN_PAIR)? {
-            let key = self.text()?;
-            external.insert(key, self.text()?);
-        }
-        let count = self.count(MIN_VARIABLE)?;
-        let mut variables = Vec::with_capacity(count);
-        for _ in 0..count {
-            variables.push(self.variable()?);
-        }
-        Ok(DatasetFeature {
+        Ok(Head {
             id,
             path,
             title,
             source,
             bbox,
             time,
-            record_count,
-            variables,
-            external,
-            provenance,
+            record_count: self.varint()?,
+            content_fingerprint: self.u64_le()?,
+            file_len: self.varint()?,
+            pipeline_run: self.varint()?,
+            format: self.text()?,
         })
     }
 
-    fn variable(&mut self) -> Result<VariableFeature> {
+    /// The part of a row after its head: external pairs, then variables.
+    fn lists(&mut self, sink: &mut impl RowSink<'a>) -> Result<()> {
+        let count = self.externals(sink)?;
+        sink.variables(count);
+        for _ in 0..count {
+            let var = self.variable()?;
+            sink.variable(var);
+        }
+        Ok(())
+    }
+
+    /// A row's external pairs, handed to `sink`; returns how many
+    /// variables follow them.
+    fn externals(&mut self, sink: &mut impl RowSink<'a>) -> Result<usize> {
+        for _ in 0..self.count(MIN_PAIR)? {
+            let key = self.text()?;
+            sink.external(key, self.text()?);
+        }
+        self.count(MIN_VARIABLE)
+    }
+
+    fn variable(&mut self) -> Result<Var<'a>> {
         let name = self.text()?;
         let present = self.tags(
             HAS_CANONICAL | HAS_UNIT | HAS_CANONICAL_UNIT | HAS_CONTEXT,
@@ -516,12 +953,9 @@ impl<'a> Decoder<'a> {
             RESOLUTION_MASK | FLAG_QA | FLAG_AMBIGUOUS | FLAG_HIDDEN | UNIT_NORMALIZED,
             "variable curation",
         )?;
-        let resolution = match curation & RESOLUTION_MASK {
-            0 => NameResolution::Unresolved,
-            1 => NameResolution::AlreadyCanonical,
-            2 => NameResolution::KnownTranslation,
-            RESOLUTION_DISCOVERED => NameResolution::DiscoveredTranslation { method: self.text()? },
-            4 => NameResolution::Curated,
+        let method = match curation & RESOLUTION_MASK {
+            0..=2 | 4 => None,
+            RESOLUTION_DISCOVERED => Some(self.text()?),
             other => {
                 return Err(Error::corrupt(format!(
                     "name resolution {other} at byte {}",
@@ -529,39 +963,33 @@ impl<'a> Decoder<'a> {
                 )))
             }
         };
-        let canonical_name = self.optional_text(present, HAS_CANONICAL)?;
+        let canonical = self.optional_text(present, HAS_CANONICAL)?;
         let unit = self.optional_text(present, HAS_UNIT)?;
         let canonical_unit = self.optional_text(present, HAS_CANONICAL_UNIT)?;
         let context = self.optional_text(present, HAS_CONTEXT)?;
         let levels = self.count(1)?;
-        let mut hierarchy = Vec::with_capacity(levels);
+        let first_level = *self;
         for _ in 0..levels {
-            hierarchy.push(self.text()?);
+            self.text()?;
         }
-        let summary = NumericSummary {
-            count: self.varint()?,
-            min: self.f64()?,
-            max: self.f64()?,
-            mean: self.f64()?,
-            m2: self.f64()?,
-        };
-        Ok(VariableFeature {
+        Ok(Var {
             name,
-            canonical_name,
-            resolution,
+            curation,
+            method,
+            canonical,
             unit,
             canonical_unit,
-            unit_normalized: curation & UNIT_NORMALIZED != 0,
             context,
-            hierarchy,
-            summary,
+            levels: (first_level, levels),
+            summary: NumericSummary {
+                count: self.varint()?,
+                min: self.f64()?,
+                max: self.f64()?,
+                mean: self.f64()?,
+                m2: self.f64()?,
+            },
             null_count: self.varint()?,
             total_count: self.varint()?,
-            flags: VariableFlags {
-                qa: curation & FLAG_QA != 0,
-                ambiguous: curation & FLAG_AMBIGUOUS != 0,
-                hidden: curation & FLAG_HIDDEN != 0,
-            },
         })
     }
 }
@@ -706,6 +1134,79 @@ pub(crate) mod tests {
             .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
             .collect();
         assert_eq!(decode_catalog(&bytes).unwrap().0, two_datasets());
+    }
+
+    #[test]
+    fn an_image_reads_what_the_decoder_decodes_bit_for_bit() {
+        let mut c = two_datasets();
+        // a NaN too, which equals nothing, so compare through the encoding
+        let odd = c.get_mut(DatasetId::from_path("odd.csv")).unwrap();
+        odd.variables[0].summary.mean = f64::NAN;
+        let payload = encode_catalog(&c);
+        let (decoded, _) = decode_catalog(&payload).unwrap();
+        let image = Arc::new(Image::parse(payload.clone()).unwrap());
+        assert_eq!((image.len(), image.generation()), (2, c.generation()));
+        assert_eq!(image.properties(), c.properties());
+        assert_eq!(image.payload(), &payload[..]);
+        for (row, want) in image.rows().zip(decoded.iter()) {
+            let (mut got_bytes, mut want_bytes) = (Vec::new(), Vec::new());
+            encode_mutation(&Mutation::Put(Box::new(row.decode())), &mut got_bytes);
+            encode_mutation(&Mutation::Put(Box::new(want.clone())), &mut want_bytes);
+            assert_eq!(got_bytes, want_bytes, "{}", want.path);
+            // the view reads the same fields in place
+            let view = row.view();
+            assert_eq!((row.id(), view.id()), (want.id, want.id));
+            assert_eq!((view.path(), view.title()), (&want.path[..], &want.title[..]));
+            assert_eq!((view.bbox(), view.time()), (want.bbox, want.time));
+            assert_eq!(view.variable_count(), want.variables.len());
+            let mut searchable = Vec::new();
+            view.searchable_variables(|v| searchable.push(v));
+            let expected: Vec<SearchableVariable> = want
+                .searchable_variables()
+                .map(|v| SearchableVariable {
+                    name: &v.name,
+                    search_name: v.search_name(),
+                    value_range: v.value_range(),
+                })
+                .collect();
+            // ±inf ranges compare equal; −0.0 is checked by its bits below
+            assert_eq!(searchable, expected, "{}", want.path);
+        }
+        let offset = image.rows().nth(1).unwrap();
+        let mut ranges = Vec::new();
+        offset.view().searchable_variables(|v| ranges.push(v.value_range));
+        assert_eq!(ranges[0], None, "a variable that never saw a number");
+        let (lo, hi) = ranges[1].unwrap();
+        assert!(lo.is_sign_negative() && hi.is_sign_negative(), "−0.0 stays −0.0");
+        assert_eq!(image.catalog().content_fingerprint(), c.content_fingerprint());
+    }
+
+    #[test]
+    fn a_put_record_is_an_image_of_one_row_and_encoding_features_makes_one() {
+        let features = [rich("a.csv", "salinity"), odd_floats(), rich("b.csv", "salinity")];
+        let mut record = Vec::new();
+        encode_mutation(&Mutation::Put(Box::new(features[0].clone())), &mut record);
+        let put = Image::parse(record).unwrap();
+        assert_eq!((put.len(), put.generation()), (1, 0));
+        assert!(put.properties().is_empty());
+        let encoded = Arc::new(Image::encode(&features.iter().collect::<Vec<_>>()));
+        assert_eq!(encoded.len(), 3);
+        // one table for all of them: b.csv spells nothing a.csv did not, and
+        // odd.csv adds its two names and its empty format
+        assert_eq!(encoded.table_entries(), put.table_entries() + 3);
+        for (row, f) in encoded.rows().zip(&features) {
+            assert_eq!(row.id(), f.id);
+            assert!(Arc::ptr_eq(row.image(), &encoded));
+            if f.path != "odd.csv" {
+                assert_eq!(row.decode(), *f);
+            }
+        }
+        assert!(Image::encode(&[]).is_empty());
+        // only a catalog or a put holds rows
+        let mut delete = Vec::new();
+        encode_mutation(&Mutation::Delete(DatasetId(7)), &mut delete);
+        let e = Image::parse(delete).unwrap_err();
+        assert!(e.is_corrupt() && e.to_string().contains("kind 2 holds no rows"), "{e}");
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! Every mutation is appended to the WAL before being applied in memory;
 //! `checkpoint` folds the WAL into a fresh snapshot and resets the log.
 
+use super::codec::{parse_record, Record, Row};
 use super::lock::{lock_path, StoreLock};
 use super::metrics::store_metrics;
 use super::quarantine::{quarantine_file, QuarantineReason, Quarantined};
-use super::snapshot::{read_snapshot_with, write_snapshot_with};
+use super::snapshot::{read_image_with, write_snapshot_with};
 use super::vfs::{std_vfs, Vfs};
 use super::wal::{TailRead, Wal};
 use crate::catalog::{Catalog, Mutation};
@@ -28,6 +29,7 @@ use crate::error::{Error, IoContext, Result};
 use crate::feature::DatasetFeature;
 use crate::id::DatasetId;
 use metamess_telemetry::{event, Level, Stopwatch};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -40,23 +42,40 @@ pub struct StoreOptions {
     pub sync_on_append: bool,
 }
 
-/// What a store directory holds, as [`read_published`] recovered it.
-#[derive(Debug, Default, PartialEq)]
+/// What a store directory holds, as [`read_published`] recovered it: every
+/// dataset still encoded, as a [`Row`], with the catalog's generation and
+/// properties beside them.
+#[derive(Debug, Default)]
 pub struct Published {
-    /// The snapshot with every valid WAL record applied on top.
-    pub catalog: Catalog,
+    /// The datasets in catalog (id) order: rows of the snapshot's image, and
+    /// each WAL put that is still current as the one row of an image of its
+    /// own. Nothing is decoded.
+    pub rows: Vec<Row>,
+    /// The catalog generation: the snapshot's, plus one per WAL record.
+    pub generation: u64,
+    /// Catalog properties, as the snapshot and the WAL records left them.
+    pub properties: BTreeMap<String, String>,
     /// Whether a snapshot was loaded.
     pub snapshot_loaded: bool,
     /// Number of WAL mutations applied on top of the snapshot.
     pub wal_mutations: usize,
-    /// WAL bytes `catalog` reflects: where [`Wal::read_tail`] resumes.
+    /// WAL bytes `rows` reflects: where [`Wal::read_tail`] resumes.
     pub wal_offset: u64,
     /// Why the WAL read stopped before end of file (`None` when it consumed
     /// everything): a writer mid-append, or a damaged tail.
     pub stopped_early: Option<String>,
 }
 
-/// Reads the catalog published in `catalog_dir` without modifying it: the
+impl Published {
+    /// The catalog the rows encode, every row decoded: for the callers that
+    /// edit or walk a whole catalog rather than serve it.
+    pub fn catalog(&self) -> Catalog {
+        let entries = self.rows.iter().map(|row| (row.id(), row.decode())).collect();
+        Catalog::from_parts(entries, self.properties.clone(), self.generation)
+    }
+}
+
+/// Reads what is published in `catalog_dir` without modifying it: the
 /// snapshot, then every valid WAL record on top. A missing file reads as
 /// empty. Nothing is created, truncated or quarantined, so this is safe
 /// beside a live writer; a snapshot or WAL that fails verification is an
@@ -70,16 +89,16 @@ pub fn read_published(catalog_dir: impl AsRef<Path>) -> Result<Published> {
     load(std_vfs().as_ref(), dir, |_, e| Err(e))
 }
 
-/// Snapshot, then WAL from byte 0, applied. `unverifiable` is handed each
-/// file that fails verification: a reader passes the error on, the writer
-/// sets the file aside and the load goes on as if it were absent.
+/// Snapshot, then WAL from byte 0, applied by id. `unverifiable` is handed
+/// each file that fails verification: a reader passes the error on, the
+/// writer sets the file aside and the load goes on as if it were absent.
 fn load(
     vfs: &dyn Vfs,
     dir: &Path,
     mut unverifiable: impl FnMut(&Path, Error) -> Result<()>,
 ) -> Result<Published> {
     let snap_path = dir.join("snapshot.bin");
-    let snapshot = match read_snapshot_with(vfs, &snap_path) {
+    let snapshot = match read_image_with(vfs, &snap_path) {
         Err(e) if e.is_corrupt() => {
             unverifiable(&snap_path, e)?;
             None
@@ -87,7 +106,7 @@ fn load(
         read => read?,
     };
     let wal_path = dir.join("wal.log");
-    let tail = match Wal::read_tail_with(vfs, &wal_path, 0) {
+    let tail = match Wal::read_records_with(vfs, &wal_path, 0, parse_record) {
         Err(e) if e.is_corrupt() => {
             unverifiable(&wal_path, e)?;
             TailRead::default()
@@ -95,16 +114,40 @@ fn load(
         read => read?,
     };
     let snapshot_loaded = snapshot.is_some();
-    let mut catalog = snapshot.unwrap_or_default();
+    let (mut rows, mut properties, mut generation) = match snapshot.map(Arc::new) {
+        Some(image) => (
+            image.rows().map(|row| (row.id(), row)).collect(),
+            image.properties().clone(),
+            image.generation(),
+        ),
+        None => (BTreeMap::new(), BTreeMap::new(), 0),
+    };
     let wal_mutations = tail.mutations.len();
-    for m in tail.mutations {
-        catalog.apply(m);
+    for record in tail.mutations {
+        match record {
+            Record::Put(row) => {
+                rows.insert(row.id(), row);
+            }
+            Record::Delete(id) => {
+                rows.remove(&id);
+            }
+            Record::SetProperty { key, value } => {
+                properties.insert(key, value);
+            }
+            Record::Clear => {
+                rows.clear();
+                properties.clear();
+            }
+        }
+        generation += 1;
     }
     if metamess_telemetry::enabled() {
         store_metrics().recovery_replayed.add(wal_mutations as u64);
     }
     Ok(Published {
-        catalog,
+        rows: rows.into_values().collect(),
+        generation,
+        properties,
         snapshot_loaded,
         wal_mutations,
         wal_offset: tail.new_offset,
@@ -269,7 +312,7 @@ impl DurableCatalog {
         let wal = Wal::open_with(vfs.clone(), &wal_path, options.sync_on_append)?;
         Ok(DurableCatalog {
             dir,
-            catalog: published.catalog,
+            catalog: published.catalog(),
             wal,
             vfs,
             recovery,
@@ -578,21 +621,26 @@ mod tests {
         drop(f);
         let torn = fs::read(&wal).unwrap();
         let p = read_published(&dir).unwrap();
-        assert_eq!(p.catalog.len(), 1);
+        assert_eq!(p.rows.len(), 1);
         assert_eq!((p.snapshot_loaded, p.wal_mutations), (false, 1));
         assert!(p.stopped_early.is_some());
         assert!(p.wal_offset < len - 3);
         assert_eq!(fs::read(&wal).unwrap(), torn, "a reader never modifies the log");
         // The writer's open is what truncates, to where the reader stopped.
         let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
-        assert_eq!(s.catalog(), &p.catalog);
+        assert_eq!(s.catalog(), &p.catalog());
         assert_eq!(s.wal_bytes(), p.wal_offset);
     }
 
     #[test]
     fn reading_a_store_that_is_not_there_creates_neither_file() {
         let dir = tmpdir("reader-absent");
-        assert_eq!(read_published(&dir).unwrap(), Published::default());
+        let p = read_published(&dir).unwrap();
+        assert!(p.rows.is_empty() && p.properties.is_empty(), "{p:?}");
+        assert_eq!(
+            (p.generation, p.snapshot_loaded, p.wal_mutations, p.wal_offset),
+            (0, false, 0, 0)
+        );
         assert!(!dir.join("snapshot.bin").exists());
         assert!(!dir.join("wal.log").exists());
     }
@@ -696,6 +744,40 @@ mod tests {
         v.summary.observe(records as f64);
         f.variables.push(v);
         f
+    }
+
+    #[test]
+    fn a_read_keeps_the_snapshots_rows_and_each_put_as_an_image_of_its_own() {
+        let dir = tmpdir("rows");
+        {
+            let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
+            for path in ["a.csv", "b.csv", "c.csv"] {
+                s.put(rich(path, 1)).unwrap();
+            }
+            s.set_property("archive", "sim").unwrap();
+            s.checkpoint().unwrap();
+            s.put(rich("b.csv", 2)).unwrap(); // replaces
+            s.put(rich("d.csv", 3)).unwrap(); // adds
+            s.delete(DatasetId::from_path("a.csv")).unwrap();
+            s.set_property("vocabulary", "v2").unwrap();
+        }
+        let p = read_published(&dir).unwrap();
+        assert_eq!((p.snapshot_loaded, p.wal_mutations), (true, 4));
+        assert!(p.rows.windows(2).all(|w| w[0].id() < w[1].id()), "catalog order");
+        let paths: Vec<&str> = p.rows.iter().map(|row| row.view().path()).collect();
+        let mut sorted = paths.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, ["b.csv", "c.csv", "d.csv"]);
+        for row in &p.rows {
+            // c.csv is still the snapshot's row; the puts are rows of their own
+            let rows_in_image = if row.view().path() == "c.csv" { 3 } else { 1 };
+            assert_eq!(row.image().len(), rows_in_image, "{}", row.view().path());
+        }
+        // the writer recovers the same catalog, by decoding the same rows
+        let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
+        assert_eq!(&p.catalog(), s.catalog());
+        assert_eq!(p.generation, s.catalog().generation());
+        assert_eq!(p.properties.get("vocabulary").map(String::as_str), Some("v2"));
     }
 
     #[test]

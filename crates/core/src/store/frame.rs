@@ -55,6 +55,11 @@ impl Framed {
     pub(crate) fn payload(&self) -> &[u8] {
         &self.0[HEADER_LEN..]
     }
+
+    /// The file's bytes and where in them the payload starts.
+    pub(crate) fn into_parts(self) -> (Vec<u8>, usize) {
+        (self.0, HEADER_LEN)
+    }
 }
 
 /// Reads and verifies a framed file. Returns `Ok(None)` when the file does

@@ -21,6 +21,7 @@ mod snapshot;
 mod vfs;
 mod wal;
 
+pub use codec::{Image, Row, RowView, SearchableVariable};
 pub use crc::{crc32, Crc32};
 pub use durable::{
     read_published, CompactionPolicy, CompactionReport, DurableCatalog, Published, RecoveryReport,

@@ -6,7 +6,7 @@
 //! written to a temporary file, fsynced, then atomically renamed into place
 //! so an interrupted checkpoint never damages the previous snapshot.
 
-use super::codec::{decode_catalog, encode_catalog, FORMAT_VERSION};
+use super::codec::{encode_catalog, Image, FORMAT_VERSION};
 use super::frame::{read_framed, write_framed};
 use super::vfs::{std_vfs, Vfs};
 use crate::catalog::Catalog;
@@ -51,7 +51,7 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<Catalog>> {
 /// the file does not exist, `Err(Corrupt)` when it exists but fails
 /// verification, and `Err(UnsupportedFormat)` for a format 1 file.
 pub fn read_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Option<Catalog>> {
-    Ok(inspect_snapshot_with(vfs, path)?.map(|(catalog, _)| catalog))
+    Ok(read_image_with(vfs, path)?.map(|image| image.catalog()))
 }
 
 /// [`read_snapshot_with`], also returning the [`SnapshotInfo`].
@@ -59,6 +59,18 @@ pub(crate) fn inspect_snapshot_with(
     vfs: &dyn Vfs,
     path: impl AsRef<Path>,
 ) -> Result<Option<(Catalog, SnapshotInfo)>> {
+    Ok(read_image_with(vfs, path)?.map(|image| {
+        let info = SnapshotInfo {
+            table_entries: image.table_entries(),
+            payload_bytes: image.payload().len(),
+        };
+        (image.catalog(), info)
+    }))
+}
+
+/// A snapshot's payload as an [`Image`], checked in full and not decoded:
+/// the file's bytes as they were read, frame and all.
+pub(crate) fn read_image_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Option<Image>> {
     let path = path.as_ref();
     let framed = match read_framed(vfs, path, SNAPSHOT_MAGIC, "snapshot") {
         // Looked at again only once the read has failed, so the good path
@@ -72,14 +84,14 @@ pub(crate) fn inspect_snapshot_with(
     let Some(framed) = framed else {
         return Ok(None);
     };
-    let payload = framed.payload();
-    let (catalog, table_entries) = decode_catalog(payload).map_err(|e| match e {
+    let (bytes, start) = framed.into_parts();
+    let image = Image::catalog_at(bytes, start).map_err(|e| match e {
         Error::Corrupt { message } => {
             Error::corrupt(format!("snapshot {}: undecodable: {message}", path.display()))
         }
         other => other,
     })?;
-    Ok(Some((catalog, SnapshotInfo { table_entries, payload_bytes: payload.len() })))
+    Ok(Some(image))
 }
 
 /// Whether the file at `path` opens with `magic`.

@@ -51,10 +51,10 @@ const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 /// still holds, or the two would corrupt each other. Damage here therefore
 /// only *stops* the read; what to do about it is the caller's policy (a
 /// reader serves the prefix, the one writer truncates to `new_offset`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TailRead {
+#[derive(Debug, Clone, PartialEq)]
+pub struct TailRead<M = Mutation> {
     /// Complete, CRC-valid mutations decoded from `offset` onwards.
-    pub mutations: Vec<Mutation>,
+    pub mutations: Vec<M>,
     /// Byte offset just past the last valid record — pass this back as the
     /// next poll's `offset`.
     pub new_offset: u64,
@@ -63,6 +63,12 @@ pub struct TailRead {
     /// callers should re-poll from `new_offset` rather than assume
     /// corruption.
     pub stopped_early: Option<String>,
+}
+
+impl<M> Default for TailRead<M> {
+    fn default() -> TailRead<M> {
+        TailRead { mutations: Vec::new(), new_offset: 0, stopped_early: None }
+    }
 }
 
 /// An open write-ahead log.
@@ -141,7 +147,17 @@ impl Wal {
     /// [`Wal::read_tail`] through an explicit [`Vfs`]. Every reader of a
     /// WAL — recovery, serving, fsck — decodes its records here.
     pub fn read_tail_with(vfs: &dyn Vfs, path: impl AsRef<Path>, offset: u64) -> Result<TailRead> {
-        let path = path.as_ref();
+        Wal::read_records_with(vfs, path.as_ref(), offset, decode_mutation)
+    }
+
+    /// [`Wal::read_tail_with`], each record's payload handed to `parse`
+    /// instead of decoded: a store load keeps a put as the image it is.
+    pub(crate) fn read_records_with<M>(
+        vfs: &dyn Vfs,
+        path: &Path,
+        offset: u64,
+        parse: impl Fn(&[u8]) -> Result<M>,
+    ) -> Result<TailRead<M>> {
         let bytes = match vfs.read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -193,7 +209,7 @@ impl Wal {
                 stopped_early = Some("crc mismatch".into());
                 break;
             }
-            match decode_mutation(payload) {
+            match parse(payload) {
                 Ok(m) => mutations.push(m),
                 Err(e) => {
                     stopped_early = Some(format!("undecodable mutation: {e}"));

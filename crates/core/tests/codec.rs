@@ -2,9 +2,12 @@
 //!
 //! The payload decoders sit below a CRC, which stops accidents, not a
 //! decoder bug: whatever bytes they are handed they must return a catalog,
-//! a mutation or [`Error::Corrupt`](metamess_core::Error) — never panic,
-//! and never reserve memory on the word of a count they have not checked
-//! against the bytes that remain. Each seed of
+//! a mutation, an [`Image`] or [`Error::Corrupt`](metamess_core::Error) —
+//! never panic, and never reserve memory on the word of a count they have
+//! not checked against the bytes that remain. An image that parses is read
+//! back through every [`RowView`](metamess_core::store::RowView) and
+//! decoded row, which must not panic either, and must decode to what
+//! `decode_catalog` decodes, bit for bit. Each seed of
 //! `mutated_payloads_decode_or_are_corrupt` damages a valid snapshot
 //! payload and a valid WAL record twelve ways each;
 //! `METAMESS_TORTURE_CASES` scales it (default 300 seeds;
@@ -16,13 +19,16 @@ use common::{sweep, Rng};
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
 use metamess_core::geo::{GeoBBox, GeoPoint};
+use metamess_core::id::DatasetId;
 use metamess_core::store::codec::{
     decode_catalog, decode_mutation, encode_catalog, encode_mutation,
 };
-use metamess_core::store::{crc32, Wal, WAL_MAGIC};
+use metamess_core::store::{crc32, Image, Wal, WAL_MAGIC};
 use metamess_core::time::{TimeInterval, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Remembers the largest single request each thread has made of the
 /// allocator, and otherwise is the system allocator.
@@ -86,6 +92,50 @@ fn decodes_or_is_corrupt<T>(
             false
         }
     }
+}
+
+/// Each row of the image `bytes` parse to, by id (the last of an id wins,
+/// as in a catalog), read in place and then decoded: the decoded row as a
+/// put record's bytes, which compare NaN and −0.0 by their bits.
+fn image_rows(bytes: &[u8]) -> metamess_core::Result<BTreeMap<DatasetId, Vec<u8>>> {
+    let image = Arc::new(Image::parse(bytes.to_vec())?);
+    let mut rows = BTreeMap::new();
+    for row in image.rows() {
+        let view = row.view();
+        let mut searchable = Vec::new();
+        view.searchable_variables(|v| searchable.push(v));
+        let decoded = row.decode();
+        assert_eq!((view.id(), row.id()), (decoded.id, decoded.id));
+        assert_eq!((view.path(), view.title()), (&decoded.path[..], &decoded.title[..]));
+        assert_eq!(searchable.len(), decoded.searchable_variables().count());
+        assert_eq!(view.variable_count(), decoded.variables.len());
+        let mut record = Vec::new();
+        encode_mutation(&Mutation::Put(Box::new(decoded)), &mut record);
+        rows.insert(row.id(), record);
+    }
+    Ok(rows)
+}
+
+/// Holds a snapshot mutant's image to its decode: the rows of the one are
+/// the entries of the other, bit for bit, and the two refuse alike.
+fn image_agrees_with_the_decoder(bytes: &[u8]) -> bool {
+    let decoded = decodes_or_is_corrupt(bytes, decode_catalog);
+    let parsed = decodes_or_is_corrupt(bytes, image_rows);
+    if let (Ok((catalog, _)), Ok(rows)) = (decode_catalog(bytes), image_rows(bytes)) {
+        let entries: BTreeMap<DatasetId, Vec<u8>> = catalog
+            .iter()
+            .map(|f| {
+                let mut record = Vec::new();
+                encode_mutation(&Mutation::Put(Box::new(f.clone())), &mut record);
+                (f.id, record)
+            })
+            .collect();
+        assert_eq!(rows, entries, "an image row decodes unlike the decoder");
+    }
+    // a put's payload parses as an image and not as a catalog; nothing else
+    // may tell the two apart
+    assert!(parsed || !decoded, "decode_catalog took what Image::parse refused");
+    decoded
 }
 
 const CONTEXTS: [&str; 4] = ["met_station", "ctd", "buoy", "glider"];
@@ -191,8 +241,9 @@ fn cases() -> u64 {
 #[test]
 fn mutated_payloads_decode_or_are_corrupt() {
     let (snapshot, record) = images();
-    assert!(decodes_or_is_corrupt(&snapshot, decode_catalog));
+    assert!(image_agrees_with_the_decoder(&snapshot));
     assert!(decodes_or_is_corrupt(&record, decode_mutation));
+    assert!(decodes_or_is_corrupt(&record, image_rows));
     let dir = std::env::temp_dir().join(format!("metamess-codec-hostile-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -206,14 +257,23 @@ fn mutated_payloads_decode_or_are_corrupt() {
     let mut undecodable = 0u64;
     sweep(cases(), |rng| {
         for _ in 0..12 {
-            undecodable += !decodes_or_is_corrupt(&mutate(&snapshot, rng), decode_catalog) as u64;
+            undecodable += !image_agrees_with_the_decoder(&mutate(&snapshot, rng)) as u64;
         }
         let mut first_bad = None;
         for _ in 0..12 {
             let mutant = mutate(&record, rng);
+            let parsed = decodes_or_is_corrupt(&mutant, image_rows);
             if !decodes_or_is_corrupt(&mutant, decode_mutation) {
                 undecodable += 1;
                 first_bad.get_or_insert(mutant);
+            } else if let (Ok(Mutation::Put(f)), Ok(rows)) =
+                (decode_mutation(&mutant), image_rows(&mutant))
+            {
+                // a put record decodes alike as a mutation and as an image
+                let mut record = Vec::new();
+                encode_mutation(&Mutation::Put(f), &mut record);
+                assert_eq!(rows.into_values().collect::<Vec<_>>(), [record]);
+                assert!(parsed);
             }
         }
         // Under a CRC that verifies, an undecodable record is where a log
@@ -236,9 +296,11 @@ fn every_strict_prefix_is_corrupt() {
     let (snapshot, record) = images();
     for n in 0..snapshot.len() {
         assert!(!decodes_or_is_corrupt(&snapshot[..n], decode_catalog), "snapshot cut at {n}");
+        assert!(!decodes_or_is_corrupt(&snapshot[..n], image_rows), "snapshot cut at {n}");
     }
     for n in 0..record.len() {
         assert!(!decodes_or_is_corrupt(&record[..n], decode_mutation), "record cut at {n}");
+        assert!(!decodes_or_is_corrupt(&record[..n], image_rows), "record cut at {n}");
     }
 }
 

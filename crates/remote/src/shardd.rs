@@ -22,6 +22,7 @@ use crate::wire::{
 };
 use metamess_core::catalog::Catalog;
 use metamess_core::error::{Error, Result};
+use metamess_core::store::Row;
 use metamess_search::fanout::{build_shard, build_shard_from, generous, probe_summary, score_top};
 use metamess_search::{QueryPlan, ShardEngine, ShardSpec};
 use metamess_vocab::Vocabulary;
@@ -55,7 +56,7 @@ impl ShardHost {
     /// Builds shard `shard_id` of the layout `spec` over a catalog
     /// snapshot — the same partition assignment the in-process sharded
     /// engine uses, so a fleet of hosts covers the catalog exactly. Only
-    /// the hosted shard's features are cloned.
+    /// the hosted shard's features are encoded; none is cloned.
     pub fn build(
         catalog: &Catalog,
         vocab: Vocabulary,
@@ -68,18 +69,19 @@ impl ShardHost {
         })
     }
 
-    /// [`ShardHost::build`] out of a catalog nobody else needs (the one
-    /// `metamess shardd` just recovered): the hosted shard's features are
-    /// moved in and the other shards' dropped.
-    pub fn from_catalog(
-        catalog: Catalog,
+    /// [`ShardHost::build`] over the rows a store read returned (the ones
+    /// `metamess shardd` just read), at catalog generation `generation`: the
+    /// hosted shard keeps its rows and drops the other shards', decoding
+    /// none.
+    pub fn from_rows(
+        rows: Vec<Row>,
+        generation: u64,
         vocab: Vocabulary,
         spec: ShardSpec,
         shard_id: usize,
     ) -> Result<ShardHost> {
-        let generation = catalog.generation();
         ShardHost::host(vocab, spec, shard_id, generation, |v| {
-            build_shard_from(catalog, v, spec, shard_id)
+            build_shard_from(rows, v, spec, shard_id)
         })
     }
 
@@ -330,6 +332,27 @@ mod tests {
         // garbage payload under a valid kind: typed error
         let garbage = Frame { kind: FrameKind::Probe, trace_id: 1, payload: b"not json".to_vec() };
         assert_eq!(host.handle_frame(&garbage).kind, FrameKind::Error);
+    }
+
+    #[test]
+    fn a_host_over_rows_answers_like_a_host_over_the_catalog() {
+        use metamess_core::store::Image;
+        let c = tiny_catalog();
+        let image = Arc::new(Image::encode(&c.iter().collect::<Vec<_>>()));
+        let spec = ShardSpec::new(3, metamess_search::Partitioner::Hash);
+        let vocab = Vocabulary::observatory_default();
+        let q = ScoreRequest { query: Query::new(), work: metamess_search::ScoreWork::Full };
+        for k in 0..3 {
+            let built = ShardHost::build(&c, vocab.clone(), spec, k).unwrap();
+            let rows = image.rows().collect();
+            let kept = ShardHost::from_rows(rows, c.generation(), vocab.clone(), spec, k).unwrap();
+            assert_eq!((kept.len(), kept.generation()), (built.len(), built.generation()));
+            let score =
+                |h: &ShardHost| h.handle_frame(&Frame::new(FrameKind::Score, 1, &q)).payload;
+            assert_eq!(score(&kept), score(&built), "shard {k}");
+        }
+        // the hosts are gone, and every row they kept went with them
+        assert_eq!(Arc::strong_count(&image), 1);
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn a_degraded_answer_is_the_reference_over_the_healthy_shards() {
         let lost = build_shard(&c, &vocab, spec, seed as usize % 4);
         let mut healthy = c.clone();
         for l in 0..lost.len() {
-            healthy.delete(lost.dataset(l).id);
+            healthy.delete(lost.row(l).id());
         }
         let (set, transport) = fleet(&c, &vocab, spec, PartialPolicy::Degrade);
         transport.push_actions(seed as usize % 4, &[FaultAction::Timeout; 3]);

@@ -8,7 +8,6 @@
 //! expose it to see `fluores375` and `fluores400` separately.
 
 use metamess_core::catalog::Catalog;
-use metamess_core::feature::DatasetFeature;
 use metamess_core::text::normalize_term;
 use metamess_vocab::{Taxonomy, TaxonomyNode, Vocabulary};
 use std::collections::HashMap;
@@ -81,36 +80,52 @@ impl BrowseTree {
 /// A dataset counts at concept `c` when one of its searchable variables
 /// resolves to canonical name `c` (through the synonym table when needed).
 pub fn browse_taxonomy(catalog: &Catalog, vocab: &Vocabulary, taxonomy: &Taxonomy) -> BrowseTree {
-    let mut trees = count(&[taxonomy], catalog.iter(), vocab);
+    let mut trees = browse_catalog(&[taxonomy], catalog, vocab);
     trees.pop().expect("one tree per taxonomy")
 }
 
 /// Builds browse trees for every taxonomy in the vocabulary.
 pub fn browse_all(catalog: &Catalog, vocab: &Vocabulary) -> Vec<BrowseTree> {
-    browse_features(catalog.iter(), vocab)
+    browse_catalog(&vocab.taxonomies.iter().collect::<Vec<_>>(), catalog, vocab)
 }
 
-/// [`browse_all`] over any set of features, in any order: what an engine
-/// that owns its features builds its menus from.
-pub(crate) fn browse_features<'a>(
-    datasets: impl Iterator<Item = &'a DatasetFeature>,
+/// Counts a catalog's datasets into `taxonomies`: each distinct
+/// `search_name` is resolved to its concept once, and [`count`] does the
+/// rest — the counting an engine's menus get from its name keys.
+fn browse_catalog(
+    taxonomies: &[&Taxonomy],
+    catalog: &Catalog,
     vocab: &Vocabulary,
 ) -> Vec<BrowseTree> {
-    count(&vocab.taxonomies.iter().collect::<Vec<_>>(), datasets, vocab)
+    let mut concepts: HashMap<&str, String> = HashMap::new();
+    for v in catalog.iter().flat_map(|d| d.searchable_variables()) {
+        concepts.entry(v.search_name()).or_insert_with(|| {
+            match vocab.synonyms.resolve(v.search_name()) {
+                Some((c, _)) => normalize_term(c),
+                None => normalize_term(v.search_name()),
+            }
+        });
+    }
+    let datasets = catalog
+        .iter()
+        .map(|d| d.searchable_variables().map(|v| concepts[v.search_name()].as_str()));
+    count(taxonomies, datasets)
 }
 
-/// Counts `datasets` into every node of `taxonomies`, in one pass.
+/// Counts datasets — each given as the concepts of its searchable
+/// variables, normalized — into every node of `taxonomies`, in one pass.
+/// The one counting routine: an engine's menus and [`browse_all`] both come
+/// from here.
 ///
 /// The nodes are numbered depth first, self before children, across the
-/// taxonomies in order. Each distinct `search_name` is resolved once to the
-/// nodes named by its concept. A dataset then adds one to `direct` at each
-/// such node and one to `cumulative` at it and every ancestor, and a stamp
-/// per node (the last dataset counted there) keeps it from counting twice.
-/// Walking up stops at the first stamped node: its ancestors are stamped too.
-fn count<'a>(
+/// taxonomies in order. A dataset adds one to `direct` at each node named by
+/// one of its concepts, and one to `cumulative` at it and every ancestor,
+/// and a stamp per node (the last dataset counted there) keeps it from
+/// counting twice. Walking up stops at the first stamped node: its ancestors
+/// are stamped too.
+pub(crate) fn count<'c, C: Iterator<Item = &'c str>>(
     taxonomies: &[&Taxonomy],
-    datasets: impl Iterator<Item = &'a DatasetFeature>,
-    vocab: &Vocabulary,
+    datasets: impl Iterator<Item = C>,
 ) -> Vec<BrowseTree> {
     fn number(
         nodes: &[TaxonomyNode],
@@ -135,17 +150,10 @@ fn count<'a>(
     let mut cumulative = vec![0usize; parents.len()];
     let (mut direct_stamp, mut cumulative_stamp) =
         (vec![usize::MAX; parents.len()], vec![usize::MAX; parents.len()]);
-    let mut nodes_of: HashMap<&str, &[usize]> = HashMap::new();
-    for (dix, d) in datasets.enumerate() {
-        for v in d.searchable_variables() {
-            let nodes = nodes_of.entry(v.search_name()).or_insert_with(|| {
-                let concept = match vocab.synonyms.resolve(v.search_name()) {
-                    Some((c, _)) => normalize_term(c),
-                    None => normalize_term(v.search_name()),
-                };
-                named.get(&concept).map_or(&[], Vec::as_slice)
-            });
-            for &n in nodes.iter() {
+    for (dix, concepts) in datasets.enumerate() {
+        for concept in concepts {
+            let Some(nodes) = named.get(concept) else { continue };
+            for &n in nodes {
                 if direct_stamp[n] != dix {
                     direct_stamp[n] = dix;
                     direct[n] += 1;
@@ -178,7 +186,7 @@ fn count<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metamess_core::feature::{NameResolution, VariableFeature};
+    use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();

@@ -42,19 +42,19 @@ use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_vocab::Vocabulary;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-/// One dataset a delta touched: its content before and after, shared with
-/// the engines on either side. `None` means absent (a `before` of `None`
-/// is an insert, an `after` of `None` a delete).
+/// One dataset a delta touched: its content before and after, decoded from
+/// the rows of the engines on either side — the only rows a delta decodes.
+/// `None` means absent (a `before` of `None` is an insert, an `after` of
+/// `None` a delete).
 #[derive(Debug, Clone)]
 pub struct TouchedDataset {
     /// The dataset's identity.
     pub id: DatasetId,
     /// Content before the delta, when it existed.
-    pub before: Option<Arc<DatasetFeature>>,
+    pub before: Option<DatasetFeature>,
     /// Content after the delta, when it still exists.
-    pub after: Option<Arc<DatasetFeature>>,
+    pub after: Option<DatasetFeature>,
 }
 
 /// Computes the per-dataset before/after pairs for a delta.
@@ -84,11 +84,7 @@ pub fn compute_touches(
     }
     Some(
         ids.into_iter()
-            .map(|id| TouchedDataset {
-                id,
-                before: before.shared_dataset(id).cloned(),
-                after: after.shared_dataset(id).cloned(),
-            })
+            .map(|id| TouchedDataset { id, before: before.dataset(id), after: after.dataset(id) })
             .collect(),
     )
 }
@@ -120,13 +116,13 @@ pub fn entry_survives(
             return false; // obligation 3
         }
         let member_before =
-            touch.before.as_deref().is_some_and(|d| is_candidate(&query, &plan, d, vocab));
+            touch.before.as_ref().is_some_and(|d| is_candidate(&query, &plan, d, vocab));
         let member_after =
-            touch.after.as_deref().is_some_and(|d| is_candidate(&query, &plan, d, vocab));
+            touch.after.as_ref().is_some_and(|d| is_candidate(&query, &plan, d, vocab));
         if member_before != member_after {
             return false; // obligation 4
         }
-        if let Some(after) = touch.after.as_deref() {
+        if let Some(after) = &touch.after {
             let score = score_dataset_prepared(&query, &plan.prepared, after, vocab).total;
             let ranks_below = score < kth.score || (score == kth.score && after.path > kth.path);
             if !ranks_below {
@@ -233,16 +229,21 @@ mod tests {
         let after = before.successor(&mutations).unwrap();
         let touches = compute_touches(&before, &after, &mutations).unwrap();
         assert_eq!(touches.len(), 3);
+        // each side is what that engine's row decodes to, and the puts are
+        // what was put
         for t in &touches {
-            assert_eq!(t.before.is_some(), before.dataset(t.id).is_some());
-            assert_eq!(t.after.is_some(), after.dataset(t.id).is_some());
-            if let Some(b) = &t.before {
-                assert!(Arc::ptr_eq(b, before.shared_dataset(t.id).unwrap()));
-            }
-            if let Some(a) = &t.after {
-                assert!(Arc::ptr_eq(a, after.shared_dataset(t.id).unwrap()));
+            assert_eq!(t.before, before.dataset(t.id));
+            assert_eq!(t.after, after.dataset(t.id));
+        }
+        let touch = |id| touches.iter().find(|t| t.id == id).unwrap();
+        for m in &mutations {
+            if let Mutation::Put(f) = m {
+                assert_eq!(touch(f.id).after.as_ref(), Some(&**f));
             }
         }
+        let s1 = touch(DatasetId::from_path("s1.csv")).before.as_ref().unwrap();
+        assert_eq!(s1.variables[0].name, "salinity");
+        assert!(touch(gone).after.is_none() && touch(gone).before.is_some());
     }
 
     #[test]

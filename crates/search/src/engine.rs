@@ -41,20 +41,20 @@
 //! part of the cache key: results are bit-identical across layouts, so a
 //! rebuild with a different `--shards` can reuse a warm shared cache.
 
-use crate::browse::{browse_features, BrowseTree};
+use crate::browse::{count, BrowseTree};
 use crate::cache::{CacheStats, ResultCache, DEFAULT_CACHE_CAPACITY};
 use crate::explain::{search_metrics, SearchExplain};
 use crate::fanout::{scatter_gather, LocalShards};
 use crate::plan::QueryPlan;
 use crate::query::Query;
-use crate::score::ScoreBreakdown;
+use crate::score::{Extent, ScoreBreakdown};
 use crate::shard::{ShardEngine, ShardSpec, Spellings};
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
+use metamess_core::store::{Image, Row};
 use metamess_telemetry::{event, trace, Level, Stopwatch};
-use metamess_vocab::Vocabulary;
-use std::borrow::Borrow;
+use metamess_vocab::{Taxonomy, Vocabulary};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -77,29 +77,37 @@ pub struct SearchHit {
     pub breakdown: ScoreBreakdown,
 }
 
-/// Cuts features (in catalog order) into per-shard member lists — `(global
-/// index, feature)` pairs in ascending global order — according to `spec`.
-/// Every engine and every standalone shard is built from this one
-/// assignment, so a `shardd` process and the in-process coordinator agree on
-/// which datasets shard `k` of `n` holds. Only the shards `keep` admits get
-/// their members; `share` is what it costs to keep one (a clone for a
-/// borrowed feature, a move for an owned one), and is never paid for the
-/// rest.
-pub(crate) fn partition_members<F: Borrow<DatasetFeature>>(
-    features: Vec<F>,
+/// Cuts datasets (in catalog order) into per-shard member lists — `(global
+/// index, item)` pairs in ascending global order — according to `spec`,
+/// each placed by its id and extent. Every engine and every standalone shard
+/// is built from this one assignment, so a `shardd` process and the
+/// in-process coordinator agree on which datasets shard `k` of `n` holds.
+/// Only the shards `keep` admits get their members; the other items are
+/// dropped.
+pub(crate) fn partition<T>(
+    items: impl IntoIterator<Item = T>,
+    placed: &[(DatasetId, Extent)],
     spec: ShardSpec,
     keep: impl Fn(usize) -> bool,
-    share: impl Fn(F) -> Arc<DatasetFeature>,
-) -> Vec<Vec<(usize, Arc<DatasetFeature>)>> {
-    let assignment = spec.partitioner().assign(&features, spec.count());
-    let mut members: Vec<Vec<(usize, Arc<DatasetFeature>)>> =
-        (0..spec.count()).map(|_| Vec::new()).collect();
-    for (gix, (d, s)) in features.into_iter().zip(assignment).enumerate() {
+) -> Vec<Vec<(usize, T)>> {
+    let assignment = spec.partitioner().assign(placed, spec.count());
+    let mut members: Vec<Vec<(usize, T)>> = (0..spec.count()).map(|_| Vec::new()).collect();
+    for (gix, (item, s)) in items.into_iter().zip(assignment).enumerate() {
         if keep(s) {
-            members[s].push((gix, share(d)));
+            members[s].push((gix, item));
         }
     }
     members
+}
+
+/// Where each row of `rows` is: what [`partition`] places it by.
+pub(crate) fn placed_rows(rows: &[Row]) -> Vec<(DatasetId, Extent)> {
+    rows.iter()
+        .map(|row| {
+            let view = row.view();
+            (view.id(), Extent::of_row(&view))
+        })
+        .collect()
 }
 
 /// The historical name: a [`ShardedEngine`] with one shard behaves exactly
@@ -131,41 +139,36 @@ impl ShardedEngine {
     }
 
     /// Builds the engine over a catalog snapshot partitioned per `spec`,
-    /// cloning each feature once. The shard count is clamped to
-    /// `1..=MAX_SHARDS` regardless of how the spec was produced.
+    /// encoding every feature into one image: no feature is cloned. The
+    /// shard count is clamped to `1..=MAX_SHARDS` regardless of how the
+    /// spec was produced.
     pub fn build_sharded(catalog: &Catalog, vocab: Vocabulary, spec: ShardSpec) -> ShardedEngine {
-        let features = catalog.iter().map(|d| Arc::new(d.clone())).collect();
-        ShardedEngine::from_features(features, catalog.generation(), vocab, spec)
+        let image = Arc::new(Image::encode(&catalog.iter().collect::<Vec<_>>()));
+        ShardedEngine::from_rows(image.rows().collect(), catalog.generation(), vocab, spec)
     }
 
-    /// Builds the engine out of a catalog nobody else needs — one just
-    /// recovered from a store, say — moving every feature instead of
-    /// cloning it.
-    pub fn from_catalog(catalog: Catalog, vocab: Vocabulary, spec: ShardSpec) -> ShardedEngine {
-        let generation = catalog.generation();
-        let features = catalog.into_features().map(Arc::new).collect();
-        ShardedEngine::from_features(features, generation, vocab, spec)
-    }
-
-    /// The one construction path: `features` in catalog order (ascending,
-    /// unique `DatasetId`), as of catalog generation `generation`.
-    fn from_features(
-        features: Vec<Arc<DatasetFeature>>,
+    /// The one construction path: `rows` in catalog order (ascending,
+    /// unique `DatasetId`), as of catalog generation `generation` — what
+    /// [`read_published`](metamess_core::store::read_published) returns. The
+    /// engine keeps the rows, sharing their images, and decodes none of them.
+    pub fn from_rows(
+        rows: Vec<Row>,
         generation: u64,
         vocab: Vocabulary,
         spec: ShardSpec,
     ) -> ShardedEngine {
-        debug_assert!(features.windows(2).all(|w| w[0].id < w[1].id), "not in catalog order");
         let spec = ShardSpec::new(spec.count(), spec.partitioner());
-        let total = features.len();
-        let layout = partition_members(features, spec, |_| true, |d| d);
+        let placed = placed_rows(&rows);
+        debug_assert!(placed.windows(2).all(|w| w[0].0 < w[1].0), "not in catalog order");
+        let total = rows.len();
+        let layout = partition(rows, &placed, spec, |_| true);
         let mut spellings = Spellings::new(&vocab);
         let shards: Vec<ShardEngine> =
             layout.iter().map(|m| ShardEngine::build(m, &mut spellings)).collect();
         let mut by_id: HashMap<DatasetId, (u32, u32)> = HashMap::with_capacity(total);
-        for (s, shard) in shards.iter().enumerate() {
-            for l in 0..shard.len() {
-                by_id.insert(shard.dataset(l).id, (s as u32, l as u32));
+        for (s, members) in layout.iter().enumerate() {
+            for (l, (gix, _)) in members.iter().enumerate() {
+                by_id.insert(placed[*gix].0, (s as u32, l as u32));
             }
         }
         ShardedEngine {
@@ -182,27 +185,37 @@ impl ShardedEngine {
 
     /// The engine over this engine's catalog after `mutations`: same
     /// vocabulary, layout and result cache, the generation advanced by one
-    /// per mutation (where a catalog applying them lands), and every
-    /// feature the mutations leave alone *shared* with this engine, not
-    /// copied. `None` when a `Clear` is among them: nothing would be
-    /// shared, so the caller may as well build from the store.
+    /// per mutation (where a catalog applying them lands). The puts are
+    /// encoded into one new image; every row the mutations leave alone is
+    /// *shared* with this engine, image and all, and never decoded. `None`
+    /// when a `Clear` is among them: nothing would be shared, so the caller
+    /// may as well build from the store.
     pub fn successor(&self, mutations: &[Mutation]) -> Option<ShardedEngine> {
-        let mut features: BTreeMap<DatasetId, Arc<DatasetFeature>> =
-            self.features().map(|d| (d.id, Arc::clone(d))).collect();
+        let mut puts = Vec::new();
+        for m in mutations {
+            match m {
+                Mutation::Put(f) => puts.push(&**f),
+                Mutation::Clear => return None,
+                Mutation::Delete(_) | Mutation::SetProperty { .. } => {}
+            }
+        }
+        let image = Arc::new(Image::encode(&puts));
+        let mut fresh = image.rows();
+        let mut rows: BTreeMap<DatasetId, Row> =
+            self.rows().map(|row| (row.id(), row.clone())).collect();
         for m in mutations {
             match m {
                 Mutation::Put(f) => {
-                    features.insert(f.id, Arc::new((**f).clone()));
+                    rows.insert(f.id, fresh.next().expect("one row per put"));
                 }
                 Mutation::Delete(id) => {
-                    features.remove(id);
+                    rows.remove(id);
                 }
-                Mutation::SetProperty { .. } => {}
-                Mutation::Clear => return None,
+                Mutation::SetProperty { .. } | Mutation::Clear => {}
             }
         }
-        let mut next = ShardedEngine::from_features(
-            features.into_values().collect(),
+        let mut next = ShardedEngine::from_rows(
+            rows.into_values().collect(),
             self.generation + mutations.len() as u64,
             self.vocab.clone(),
             self.spec,
@@ -212,15 +225,17 @@ impl ShardedEngine {
         Some(next)
     }
 
-    /// Every indexed feature as the engine shares it, shard by shard.
-    pub fn features(&self) -> impl Iterator<Item = &Arc<DatasetFeature>> {
-        self.shards.iter().flat_map(|s| s.shared_datasets())
+    /// Every indexed dataset, still encoded, shard by shard.
+    pub fn rows(&self) -> impl Iterator<Item = &Row> {
+        self.shards.iter().flat_map(|s| s.rows())
     }
 
     /// Drill-down menus over the indexed datasets, one per taxonomy of the
-    /// engine's vocabulary.
+    /// engine's vocabulary, counted from the concepts of the shards' name
+    /// keys.
     pub fn browse(&self) -> Vec<BrowseTree> {
-        browse_features(self.features().map(|d| &**d), &self.vocab)
+        let taxonomies: Vec<&Taxonomy> = self.vocab.taxonomies.iter().collect();
+        count(&taxonomies, self.shards.iter().flat_map(|s| s.concepts()))
     }
 
     /// Replaces the result cache with a shared one, so the cache (and its
@@ -277,14 +292,15 @@ impl ShardedEngine {
         self.cache.stats()
     }
 
-    /// The dataset behind a hit (for summary rendering). O(1).
-    pub fn dataset(&self, id: DatasetId) -> Option<&DatasetFeature> {
-        self.shared_dataset(id).map(|d| &**d)
+    /// The dataset behind a hit, decoded from its row (for summary
+    /// rendering and `GET /datasets`).
+    pub fn dataset(&self, id: DatasetId) -> Option<DatasetFeature> {
+        self.row(id).map(Row::decode)
     }
 
-    /// [`ShardedEngine::dataset`], as the engine shares it.
-    pub fn shared_dataset(&self, id: DatasetId) -> Option<&Arc<DatasetFeature>> {
-        self.by_id.get(&id).map(|&(s, l)| &self.shards[s as usize].shared_datasets()[l as usize])
+    /// The row of dataset `id`, as the engine shares it. O(1).
+    pub fn row(&self, id: DatasetId) -> Option<&Row> {
+        self.by_id.get(&id).map(|&(s, l)| self.shards[s as usize].row(l as usize))
     }
 
     /// Prepares a reusable [`QueryPlan`] for a query (vocabulary expansion,
@@ -760,6 +776,38 @@ mod tests {
         assert_eq!((ex2.candidates, ex2.probe_micros), (0, 0));
         // explained and plain searches agree
         assert_eq!(e.search(&q), hits);
+    }
+
+    #[test]
+    fn dataset_decodes_the_feature_that_was_published() {
+        use metamess_core::store::{read_published, DurableCatalog, StoreOptions};
+        let dir = std::env::temp_dir().join(format!("metamess-engine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut c = catalog();
+        c.get_mut(DatasetId::from_path("met.csv"))
+            .unwrap()
+            .external
+            .insert("pi".into(), "M".into());
+        let mut store = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
+        store.replace_with(&c).unwrap();
+        store.checkpoint().unwrap();
+        // one more past the snapshot: a row of an image of its own
+        let late = make_dataset("late.csv", 45.0, -124.0, 3, &[("sal", "salinity", 1.0, 2.0)]);
+        store.put(late.clone()).unwrap();
+        store.flush().unwrap();
+        drop(store);
+        c.put(late);
+        let published = read_published(&dir).unwrap();
+        let spec = ShardSpec::new(3, Partitioner::Hash);
+        let vocab = Vocabulary::observatory_default();
+        let e = SearchEngine::from_rows(published.rows, published.generation, vocab, spec);
+        assert_eq!(e.len(), c.len());
+        for d in c.iter() {
+            assert_eq!(e.dataset(d.id).as_ref(), Some(d), "{}", d.path);
+            assert_eq!(e.row(d.id).map(Row::id), Some(d.id));
+        }
+        assert!(e.dataset(DatasetId::from_path("no/such/file.csv")).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,18 +30,19 @@
 //! partition assignment as `ShardedEngine::build_sharded`, so a fleet of
 //! `shardd` processes covers the catalog without overlap or gaps.
 
-use crate::engine::{partition_members, SearchHit};
+use crate::engine::{partition, placed_rows, SearchHit};
 use crate::explain::{search_metrics, SearchExplain};
 use crate::plan::QueryPlan;
 use crate::query::Query;
+use crate::score::Extent;
 use crate::shard::{expanded_time, ShardEngine, ShardSpec, Spellings};
 use crate::topk::{rank_cmp, LightHit, LightTopK};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
+use metamess_core::store::{Image, Row};
 use metamess_core::time::TimeInterval;
 use metamess_telemetry::{trace, Histogram, Stopwatch};
 use metamess_vocab::Vocabulary;
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -168,13 +169,15 @@ pub fn probe_prunable(query: &Query, time_bound: Option<&TimeInterval>) -> bool 
 /// hits under the global rank order `(score desc, path asc)`, best first.
 /// Candidates are scored from the shard's own arrays, allocation-free, into
 /// a bounded top-k of light `(score, local index)` pairs; only the
-/// `≤ limit` survivors are materialized (strings + breakdown). Both passes
-/// run the one scoring routine, so a hit's score is the score it ranked by.
+/// `≤ limit` survivors are materialized (strings + breakdown), from the same
+/// arrays. Both passes run the one scoring routine, so a hit's score is the
+/// score it ranked by. The shard resolved every name against the vocabulary
+/// it was built with, so `_vocab` is no longer read.
 pub fn score_top(
     shard: &ShardEngine,
     query: &Query,
     plan: &QueryPlan,
-    vocab: &Vocabulary,
+    _vocab: &Vocabulary,
     work: &ScoreWork,
 ) -> Vec<SearchHit> {
     // `(score desc, path asc)`, looking paths up lazily — ties on score
@@ -182,7 +185,7 @@ pub fn score_top(
     let light_cmp = |a: &LightHit, b: &LightHit| {
         b.0.partial_cmp(&a.0)
             .unwrap_or(Ordering::Equal)
-            .then_with(|| shard.dataset(a.1 as usize).path.cmp(&shard.dataset(b.1 as usize).path))
+            .then_with(|| shard.path(a.1 as usize).cmp(shard.path(b.1 as usize)))
     };
     let rank_lt = |a: &LightHit, b: &LightHit| light_cmp(a, b) == Ordering::Less;
     let mut lights: Vec<LightHit> = Vec::new();
@@ -199,10 +202,7 @@ pub fn score_top(
         }
     }
     lights.sort_by(light_cmp);
-    lights
-        .iter()
-        .map(|&(_, lix)| shard.score_hit(query, &plan.prepared, vocab, lix as usize))
-        .collect()
+    lights.iter().map(|&(_, lix)| shard.score_hit(query, &plan.prepared, lix as usize)).collect()
 }
 
 /// Merges per-shard top-`limit` hit lists into the global top-`limit`,
@@ -270,7 +270,7 @@ pub trait ShardBackend: Sync {
 pub(crate) struct LocalShards<'a> {
     /// The shards, in layout order.
     pub(crate) shards: &'a [ShardEngine],
-    /// The vocabulary the hits' breakdowns are explained with.
+    /// The vocabulary the shards were built with.
     pub(crate) vocab: &'a Vocabulary,
     /// The query's plan, prepared once for all shards.
     pub(crate) plan: &'a QueryPlan,
@@ -483,39 +483,44 @@ pub fn scatter_gather<B: ShardBackend>(
 /// standalone — the engine a `metamess shardd` process hosts. Uses the
 /// same partition assignment as `ShardedEngine::build_sharded`, so `n`
 /// processes each building their own index cover the catalog exactly.
-/// Only the shard's own members are cloned. `shard_ix` must be
-/// `< spec.count()`.
+/// Only the shard's own members are encoded, into one image; none is
+/// cloned. `shard_ix` must be `< spec.count()`.
 pub fn build_shard(
     catalog: &Catalog,
     vocab: &Vocabulary,
     spec: ShardSpec,
     shard_ix: usize,
 ) -> ShardEngine {
-    shard_of(catalog.iter().collect(), vocab, spec, shard_ix, |d| Arc::new(d.clone()))
+    let spec = checked(spec, shard_ix);
+    let placed: Vec<_> = catalog.iter().map(|d| (d.id, Extent::of(d))).collect();
+    let members = partition(catalog.iter(), &placed, spec, |s| s == shard_ix).swap_remove(shard_ix);
+    let features: Vec<&DatasetFeature> = members.iter().map(|&(_, d)| d).collect();
+    let image = Arc::new(Image::encode(&features));
+    let members: Vec<(usize, Row)> =
+        members.iter().map(|&(gix, _)| gix).zip(image.rows()).collect();
+    ShardEngine::build(&members, &mut Spellings::new(vocab))
 }
 
-/// [`build_shard`] out of a catalog nobody else needs: the shard's members
-/// are moved into it and the rest dropped.
+/// [`build_shard`] over the rows of a store read (in catalog order, as
+/// [`read_published`](metamess_core::store::read_published) returns them):
+/// the shard keeps its members' rows and drops the rest, decoding none.
 pub fn build_shard_from(
-    catalog: Catalog,
+    rows: Vec<Row>,
     vocab: &Vocabulary,
     spec: ShardSpec,
     shard_ix: usize,
 ) -> ShardEngine {
-    shard_of(catalog.into_features().collect(), vocab, spec, shard_ix, Arc::new)
+    let spec = checked(spec, shard_ix);
+    let placed = placed_rows(&rows);
+    let members = partition(rows, &placed, spec, |s| s == shard_ix).swap_remove(shard_ix);
+    ShardEngine::build(&members, &mut Spellings::new(vocab))
 }
 
-fn shard_of<F: Borrow<DatasetFeature>>(
-    features: Vec<F>,
-    vocab: &Vocabulary,
-    spec: ShardSpec,
-    shard_ix: usize,
-    share: impl Fn(F) -> Arc<DatasetFeature>,
-) -> ShardEngine {
+/// `spec` clamped, with `shard_ix` one of its shards.
+fn checked(spec: ShardSpec, shard_ix: usize) -> ShardSpec {
     let spec = ShardSpec::new(spec.count(), spec.partitioner());
     assert!(shard_ix < spec.count(), "shard index {shard_ix} out of 0..{}", spec.count());
-    let members = partition_members(features, spec, |s| s == shard_ix, share).swap_remove(shard_ix);
-    ShardEngine::build(&members, &mut Spellings::new(vocab))
+    spec
 }
 
 #[cfg(test)]
@@ -583,7 +588,7 @@ mod tests {
             let standalone = build_shard(&c, &vocab, spec, k);
             assert_eq!(standalone.len(), member.len(), "shard {k}");
             for l in 0..member.len() {
-                assert_eq!(standalone.dataset(l).path, member.dataset(l).path, "shard {k}/{l}");
+                assert_eq!(standalone.path(l), member.path(l), "shard {k}/{l}");
             }
             total += standalone.len();
         }

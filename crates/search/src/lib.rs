@@ -25,9 +25,14 @@
 //!   `(score, local index)` pairs — O(n log k) instead of sorting every
 //!   scored hit; only each shard's `≤ limit` survivors are materialized
 //!   into [`SearchHit`]s, by the same routine filling a [`ScoreBreakdown`]
-//!   ([`score_dataset_prepared`]). The rank order `(score desc, path asc)`
-//!   is a strict total order, so the merged result does not depend on the
+//!   from the same keys. The rank order `(score desc, path asc)` is a
+//!   strict total order, so the merged result does not depend on the
 //!   layout.
+//! * A shard holds each dataset as the encoded row of a store image
+//!   ([`metamess_core::store::Row`]) and builds its columns — extents, name
+//!   keys, raw variable names, paths — from the rows' views; no
+//!   `DatasetFeature` is decoded to build or to search. One is decoded for
+//!   [`ShardedEngine::dataset`] and for the rows a delta touches.
 //! * A generation-stamped LRU [`ResultCache`] serves repeated queries
 //!   against an unchanged published catalog without rescoring; entries are
 //!   invalidated simply by the catalog generation moving on publish, and

@@ -12,6 +12,7 @@
 use crate::query::{Query, SpatialTerm, VariableTerm};
 use metamess_core::feature::{DatasetFeature, VariableFeature};
 use metamess_core::geo::GeoBBox;
+use metamess_core::store::RowView;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
@@ -215,23 +216,34 @@ impl VarKey {
     pub(crate) fn new(names: VarNames, range: Option<(f64, f64)>) -> VarKey {
         VarKey { names, range }
     }
+
+    /// The concept the variable stands for: its normalized canonical, or
+    /// its normalized search spelling when the synonym table has none. What
+    /// a browse menu counts it under.
+    pub(crate) fn concept(&self) -> &str {
+        self.names.canon_norm.as_deref().unwrap_or(&self.names.search_norm)
+    }
 }
 
 /// Where and when a dataset is: the two fields of a feature the scorer
-/// reads, copied out at shard build time. Features are shared between
-/// engines and sit wherever the allocator put them when the store was
-/// decoded; with these (and the [`VarKey`]s) in the shard's own arrays,
-/// scoring a candidate never follows the pointer to its feature.
+/// reads, copied out at shard build time. With these (and the [`VarKey`]s)
+/// in the shard's own arrays, scoring a candidate never reads the row it
+/// came from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Extent {
-    bbox: Option<GeoBBox>,
-    time: Option<TimeInterval>,
+    pub(crate) bbox: Option<GeoBBox>,
+    pub(crate) time: Option<TimeInterval>,
 }
 
 impl Extent {
     /// The extent of `dataset`.
     pub(crate) fn of(dataset: &DatasetFeature) -> Extent {
         Extent { bbox: dataset.bbox, time: dataset.time }
+    }
+
+    /// The extent of the dataset `row` holds.
+    pub(crate) fn of_row(row: &RowView<'_>) -> Extent {
+        Extent { bbox: row.bbox(), time: row.time() }
     }
 }
 
@@ -277,15 +289,15 @@ impl Interner {
 // of line, and the ranking loop measured 15–35 % slower per candidate.
 #[inline(always)]
 fn name_tier(pt: &PreparedTerm, key: &VarKey) -> f64 {
-    let key = &key.names;
-    if pt.name_norm.as_str() == &*key.search_norm || pt.name_norm.as_str() == &*key.name_norm {
+    let names = &key.names;
+    if pt.name_norm.as_str() == &*names.search_norm || pt.name_norm.as_str() == &*names.name_norm {
         return 1.0;
     }
-    let canon_var: &str = key.canon_norm.as_deref().unwrap_or(&key.search_norm);
+    let canon_var = key.concept();
     if pt.canon_norm.as_deref() == Some(canon_var) {
         return 0.9;
     }
-    if pt.expanded.contains(&*key.search_norm) || pt.expanded.contains(canon_var) {
+    if pt.expanded.contains(&*names.search_norm) || pt.expanded.contains(canon_var) {
         return 0.85;
     }
     if let Some(s) = pt.related.get(canon_var) {
@@ -312,13 +324,14 @@ pub(crate) trait ScoreSink {
 impl ScoreSink for () {}
 
 /// Fills a [`ScoreBreakdown`], naming each term and its best variable.
-struct Explained<'a> {
+struct Explained<'a, N> {
     breakdown: ScoreBreakdown,
     prepared: &'a [PreparedTerm],
-    vars: &'a [&'a VariableFeature],
+    /// The raw name of each variable `score_keys` is handed, in its order.
+    names: &'a [N],
 }
 
-impl ScoreSink for Explained<'_> {
+impl<N: AsRef<str>> ScoreSink for Explained<'_, N> {
     fn space(&mut self, s: f64) {
         self.breakdown.space = Some(s);
     }
@@ -326,7 +339,7 @@ impl ScoreSink for Explained<'_> {
         self.breakdown.time = Some(s);
     }
     fn term(&mut self, term: usize, best: Option<usize>, s: f64) {
-        let var = best.map(|p| self.vars[p].name.clone());
+        let var = best.map(|p| self.names[p].as_ref().to_owned());
         self.breakdown.variable_matches.push((self.prepared[term].term.name.clone(), var, s));
     }
     fn variables(&mut self, s: f64) {
@@ -388,10 +401,25 @@ pub(crate) fn score_keys<S: ScoreSink>(
     }
 }
 
+/// [`score_keys`] with the breakdown filled in: `names` are the raw names
+/// of the variables `var_keys` stand for.
+pub(crate) fn explain_keys<N: AsRef<str>>(
+    query: &Query,
+    prepared: &[PreparedTerm],
+    extent: &Extent,
+    var_keys: &[VarKey],
+    names: &[N],
+) -> ScoreBreakdown {
+    let mut sink = Explained { breakdown: ScoreBreakdown::default(), prepared, names };
+    let total = score_keys(query, prepared, extent, var_keys, &mut sink);
+    ScoreBreakdown { total, ..sink.breakdown }
+}
+
 /// Scores one dataset against a query with pre-prepared terms and explains
-/// the score: `score_keys` over keys built for this dataset alone. For
-/// the `≤ limit` hits a search returns and for the reference oracle; the
-/// ranking pass reads the shard's prebuilt keys instead.
+/// the score: the one scoring routine over keys built for this dataset
+/// alone, its breakdown filled in as a shard fills a hit's. For the
+/// reference oracle and the cache-survival proofs; a shard explains its hits
+/// from the keys it built at build time.
 pub fn score_dataset_prepared(
     query: &Query,
     prepared: &[PreparedTerm],
@@ -406,9 +434,8 @@ pub fn score_dataset_prepared(
             VarKey::new(names, v.value_range())
         })
         .collect();
-    let mut sink = Explained { breakdown: ScoreBreakdown::default(), prepared, vars: &vars };
-    let total = score_keys(query, prepared, &Extent::of(dataset), &keys, &mut sink);
-    ScoreBreakdown { total, ..sink.breakdown }
+    let names: Vec<&str> = vars.iter().map(|v| v.name.as_str()).collect();
+    explain_keys(query, prepared, &Extent::of(dataset), &keys, &names)
 }
 
 #[cfg(test)]

@@ -33,15 +33,13 @@ use crate::interval::IntervalIndex;
 use crate::plan::QueryPlan;
 use crate::query::{Query, SpatialTerm};
 use crate::rtree::RTree;
-use crate::score::{
-    score_dataset_prepared, score_keys, Extent, Interner, PreparedTerm, VarKey, VarNames,
-};
-use metamess_core::feature::{DatasetFeature, VariableFeature};
+use crate::score::{explain_keys, score_keys, Extent, Interner, PreparedTerm, VarKey, VarNames};
 use metamess_core::geo::GeoBBox;
+use metamess_core::id::DatasetId;
+use metamess_core::store::Row;
 use metamess_core::text::normalize_term;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -90,26 +88,22 @@ impl Partitioner {
         }
     }
 
-    /// Maps each dataset (in catalog order) to a shard in `0..count`.
-    /// Borrowed, owned and shared features all qualify, so a builder can
-    /// decide what to keep before it clones anything.
-    pub(crate) fn assign<F: Borrow<DatasetFeature>>(
-        &self,
-        datasets: &[F],
-        count: usize,
-    ) -> Vec<usize> {
+    /// Maps each dataset (in catalog order), placed by its id and extent,
+    /// to a shard in `0..count`. Features and rows place alike, so a
+    /// builder can decide what to keep before it encodes anything.
+    pub(crate) fn assign(&self, placed: &[(DatasetId, Extent)], count: usize) -> Vec<usize> {
         match self {
             Partitioner::Hash => {
-                datasets.iter().map(|d| (mix64(d.borrow().id.0) % count as u64) as usize).collect()
+                placed.iter().map(|(id, _)| (mix64(id.0) % count as u64) as usize).collect()
             }
-            Partitioner::Spatial => contiguous_by_key(datasets.len(), count, |ix| {
-                datasets[ix].borrow().bbox.as_ref().map(|b| {
+            Partitioner::Spatial => contiguous_by_key(placed.len(), count, |ix| {
+                placed[ix].1.bbox.as_ref().map(|b| {
                     let c = b.center();
                     (c.lon, c.lat)
                 })
             }),
-            Partitioner::Temporal => contiguous_by_key(datasets.len(), count, |ix| {
-                datasets[ix].borrow().time.as_ref().map(|t| (t.start.0 as f64, t.end.0 as f64))
+            Partitioner::Temporal => contiguous_by_key(placed.len(), count, |ix| {
+                placed[ix].1.time.as_ref().map(|t| (t.start.0 as f64, t.end.0 as f64))
             }),
         }
     }
@@ -187,11 +181,12 @@ impl Default for ShardSpec {
 
 /// One slice of the catalog with its own indexes and pruning bounds.
 pub struct ShardEngine {
-    /// The members. Shared, so that the engine a delta derives from this
-    /// one points at the same features instead of copying them.
-    datasets: Vec<Arc<DatasetFeature>>,
-    /// Each dataset's bbox and time interval, copied out of the feature:
-    /// with the name keys below, everything scoring a candidate reads.
+    /// The members, still encoded. Each shares its image, so the engine a
+    /// delta derives from this one points at the same bytes instead of
+    /// copying them.
+    rows: Vec<Row>,
+    /// Each dataset's bbox and time interval, read out of its row: with the
+    /// name keys below, everything scoring a candidate reads.
     extents: Vec<Extent>,
     /// Precomputed normalized name keys per dataset (searchable variables
     /// in iteration order), so candidate scoring never normalizes or
@@ -202,6 +197,14 @@ pub struct ShardEngine {
     /// put 25 000 little vectors.
     var_keys: Vec<VarKey>,
     key_starts: Vec<u32>,
+    /// The raw name of each variable `var_keys` holds keys for, interned
+    /// alike: what a hit's breakdown names as the match.
+    var_names: Vec<Arc<str>>,
+    /// Every member's path back to back — dataset `ix` has
+    /// `paths[path_ends[ix - 1]..path_ends[ix]]` — for the rank order's
+    /// tie-break and the hits.
+    paths: String,
+    path_ends: Vec<usize>,
     /// Local index → position in the full catalog order. Strictly
     /// increasing (members are added in catalog order), which the
     /// nearest-merge determinism argument relies on.
@@ -216,21 +219,31 @@ pub struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Builds one shard over `members` (`(global index, feature)` pairs in
+    /// Builds one shard over `members` (`(global index, row)` pairs in
     /// ascending global order), looking every variable's keys up in
-    /// `spellings` — shared by the shards of one build.
+    /// `spellings` — shared by the shards of one build. Reads each row in
+    /// place; decodes none.
     pub(crate) fn build<'a>(
-        members: &'a [(usize, Arc<DatasetFeature>)],
+        members: &'a [(usize, Row)],
         spellings: &mut Spellings<'a>,
     ) -> ShardEngine {
-        let mut datasets = Vec::with_capacity(members.len());
+        let mut rows = Vec::with_capacity(members.len());
         let mut extents = Vec::with_capacity(members.len());
-        // sized once: growing by doubling would hold two copies of the
-        // largest array of the shard while it moved
-        let mut var_keys =
-            Vec::with_capacity(members.iter().map(|(_, d)| d.searchable_variables().count()).sum());
+        // sized once, for every variable of the members, and cut to the
+        // searchable ones at the end: growing by doubling would hold two
+        // copies of the largest array of the shard while it moved
+        let (mut variables, mut path_bytes) = (0, 0);
+        for (_, row) in members {
+            let view = row.view();
+            path_bytes += view.path().len();
+            variables += view.variable_count();
+        }
+        let mut var_keys = Vec::with_capacity(variables);
+        let mut var_names = Vec::with_capacity(variables);
         let mut key_starts = Vec::with_capacity(members.len() + 1);
         key_starts.push(0u32);
+        let mut paths = String::with_capacity(path_bytes);
+        let mut path_ends = Vec::with_capacity(members.len());
         let mut global_ix = Vec::with_capacity(members.len());
         let mut spatial_entries = Vec::new();
         let mut time_entries = Vec::new();
@@ -238,25 +251,28 @@ impl ShardEngine {
         let mut postings: Vec<Vec<usize>> = Vec::new();
         let mut bbox_bound: Option<GeoBBox> = None;
         let mut time_bound: Option<TimeInterval> = None;
-        for (ix, (gix, d)) in members.iter().enumerate() {
+        for (ix, (gix, row)) in members.iter().enumerate() {
+            let view = row.view();
             global_ix.push(*gix);
-            extents.push(Extent::of(d));
-            if let Some(b) = &d.bbox {
-                spatial_entries.push((*b, ix));
+            extents.push(Extent::of_row(&view));
+            paths.push_str(view.path());
+            path_ends.push(paths.len());
+            if let Some(b) = view.bbox() {
+                spatial_entries.push((b, ix));
                 bbox_bound = Some(match bbox_bound {
-                    Some(acc) => acc.union(b),
-                    None => *b,
+                    Some(acc) => acc.union(&b),
+                    None => b,
                 });
             }
-            if let Some(t) = &d.time {
-                time_entries.push((*t, ix));
+            if let Some(t) = view.time() {
+                time_entries.push((t, ix));
                 time_bound = Some(match time_bound {
                     Some(acc) => TimeInterval::new(acc.start.min(t.start), acc.end.max(t.end)),
-                    None => *t,
+                    None => t,
                 });
             }
-            for v in d.searchable_variables() {
-                let spelling = spellings.of(v);
+            view.searchable_variables(|v| {
+                let spelling = spellings.of(v.name, v.search_name);
                 for &k in spelling.keys.iter() {
                     let k = k as usize;
                     if k >= postings.len() {
@@ -266,11 +282,14 @@ impl ShardEngine {
                         postings[k].push(ix);
                     }
                 }
-                var_keys.push(VarKey::new(spelling.names.clone(), v.value_range()));
-            }
+                var_keys.push(VarKey::new(spelling.names.clone(), v.value_range));
+                var_names.push(Arc::clone(&spelling.name));
+            });
             key_starts.push(u32::try_from(var_keys.len()).expect("a shard's variables fit a u32"));
-            datasets.push(Arc::clone(d));
+            rows.push(row.clone());
         }
+        var_keys.shrink_to_fit();
+        var_names.shrink_to_fit();
         let terms = (0u32..)
             .zip(postings)
             .filter(|(_, posting)| !posting.is_empty())
@@ -282,32 +301,55 @@ impl ShardEngine {
             terms,
             bbox_bound,
             time_bound,
-            datasets,
+            rows,
             extents,
             var_keys,
             key_starts,
+            var_names,
+            paths,
+            path_ends,
             global_ix,
         }
     }
 
     /// Datasets in this shard.
     pub fn len(&self) -> usize {
-        self.datasets.len()
+        self.rows.len()
     }
 
     /// True when the shard holds no datasets.
     pub fn is_empty(&self) -> bool {
-        self.datasets.is_empty()
+        self.rows.is_empty()
     }
 
-    /// The dataset at a local index.
-    pub fn dataset(&self, local_ix: usize) -> &DatasetFeature {
-        &self.datasets[local_ix]
+    /// The row at a local index.
+    pub fn row(&self, local_ix: usize) -> &Row {
+        &self.rows[local_ix]
     }
 
-    /// The datasets by local index, as the shard shares them.
-    pub(crate) fn shared_datasets(&self) -> &[Arc<DatasetFeature>] {
-        &self.datasets
+    /// The rows by local index.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    /// The path of the dataset at a local index.
+    pub fn path(&self, local_ix: usize) -> &str {
+        let start = local_ix.checked_sub(1).map_or(0, |before| self.path_ends[before]);
+        &self.paths[start..self.path_ends[local_ix]]
+    }
+
+    /// The concepts of each member's searchable variables, member by member:
+    /// what its browse menus count.
+    pub(crate) fn concepts(&self) -> impl Iterator<Item = impl Iterator<Item = &str>> {
+        (0..self.len()).map(|ix| self.keys(ix).iter().map(VarKey::concept))
+    }
+
+    fn keys(&self, local_ix: usize) -> &[VarKey] {
+        &self.var_keys[self.key_range(local_ix)]
+    }
+
+    fn key_range(&self, local_ix: usize) -> std::ops::Range<usize> {
+        self.key_starts[local_ix] as usize..self.key_starts[local_ix + 1] as usize
     }
 
     /// Union of member bounding boxes (the spatial pruning bound).
@@ -388,24 +430,31 @@ impl ShardEngine {
     /// Scores one local candidate for ranking: the combined total only,
     /// from the shard's own extent and name-key arrays, allocation-free.
     pub(crate) fn score(&self, query: &Query, prepared: &[PreparedTerm], local_ix: usize) -> f64 {
-        let keys = self.key_starts[local_ix] as usize..self.key_starts[local_ix + 1] as usize;
-        score_keys(query, prepared, &self.extents[local_ix], &self.var_keys[keys], &mut ())
+        score_keys(query, prepared, &self.extents[local_ix], self.keys(local_ix), &mut ())
     }
 
-    /// Scores one local candidate into a hit with its explained breakdown.
+    /// Scores one local candidate into a hit with its explained breakdown:
+    /// the same keys, raw names from the shard's column, path from its
+    /// paths, and only the title read from the row.
     pub(crate) fn score_hit(
         &self,
         query: &Query,
         prepared: &[PreparedTerm],
-        vocab: &Vocabulary,
         local_ix: usize,
     ) -> SearchHit {
-        let d = &self.datasets[local_ix];
-        let breakdown = score_dataset_prepared(query, prepared, d, vocab);
+        let keys = self.key_range(local_ix);
+        let breakdown = explain_keys(
+            query,
+            prepared,
+            &self.extents[local_ix],
+            &self.var_keys[keys.clone()],
+            &self.var_names[keys],
+        );
+        let row = &self.rows[local_ix];
         SearchHit {
-            id: d.id,
-            path: d.path.clone(),
-            title: d.title.clone(),
+            id: row.id(),
+            path: self.path(local_ix).to_owned(),
+            title: row.view().title().to_owned(),
             score: breakdown.total,
             breakdown,
         }
@@ -444,6 +493,8 @@ struct Spelling {
     keys: Box<[u32]>,
     /// Its [`VarKey`] name parts.
     names: VarNames,
+    /// The raw name, interned.
+    name: Arc<str>,
 }
 
 impl<'a> Spellings<'a> {
@@ -452,15 +503,15 @@ impl<'a> Spellings<'a> {
         Spellings { vocab, keys: Interner::default(), resolved: HashMap::new() }
     }
 
-    /// The resolution of `var`'s spelling, worked out on first sight.
-    fn of(&mut self, var: &'a VariableFeature) -> &Spelling {
+    /// The resolution of the spelling `(name, search_name)`, worked out on
+    /// first sight.
+    fn of(&mut self, name: &'a str, search_name: &'a str) -> &Spelling {
         let (vocab, keys) = (self.vocab, &mut self.keys);
-        let (name, search_name) = (var.name.as_str(), var.search_name());
         self.resolved.entry((name, search_name)).or_insert_with(|| {
             let ids =
                 index_keys(name, search_name, vocab).into_iter().map(|k| keys.id(k)).collect();
             let names = VarNames::resolve(name, search_name, vocab, |s| keys.intern(s));
-            Spelling { keys: ids, names }
+            Spelling { keys: ids, names, name: keys.intern(name.to_owned()) }
         })
     }
 }
@@ -489,8 +540,20 @@ pub(crate) fn expanded_time(window: &TimeInterval) -> TimeInterval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metamess_core::feature::{DatasetFeature, VariableFeature};
     use metamess_core::geo::GeoPoint;
+    use metamess_core::store::Image;
     use metamess_core::time::Timestamp;
+
+    /// `features` encoded into one image, as the members of one shard.
+    fn members(features: &[DatasetFeature]) -> Vec<(usize, Row)> {
+        let image = Arc::new(Image::encode(&features.iter().collect::<Vec<_>>()));
+        image.rows().enumerate().collect()
+    }
+
+    fn placed(features: &[DatasetFeature]) -> Vec<(DatasetId, Extent)> {
+        features.iter().map(|d| (d.id, Extent::of(d))).collect()
+    }
 
     fn feature(path: &str, lat: f64, lon: f64, month: u32) -> DatasetFeature {
         let mut d = DatasetFeature::new(path);
@@ -536,12 +599,13 @@ mod tests {
         let datasets: Vec<DatasetFeature> = (0..23)
             .map(|i| feature(&format!("d{i}.csv"), 45.0 + i as f64 * 0.1, -124.0, 1 + i % 12))
             .collect();
+        let placed = placed(&datasets);
         for p in [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal] {
-            let assignment = p.assign(&datasets, 4);
+            let assignment = p.assign(&placed, 4);
             assert_eq!(assignment.len(), datasets.len());
             assert!(assignment.iter().all(|&s| s < 4), "{p:?}");
             // deterministic
-            assert_eq!(assignment, p.assign(&datasets, 4));
+            assert_eq!(assignment, p.assign(&placed, 4));
         }
     }
 
@@ -552,26 +616,22 @@ mod tests {
         let mut bare = DatasetFeature::new("bare.csv");
         bare.time = None;
         datasets.push(bare);
-        let assignment = Partitioner::Spatial.assign(&datasets, 3);
+        let placed = placed(&datasets);
+        let assignment = Partitioner::Spatial.assign(&placed, 3);
         assert_eq!(assignment[8], 2, "dataset without bbox must land in the last shard");
-        let temporal = Partitioner::Temporal.assign(&datasets, 3);
+        let temporal = Partitioner::Temporal.assign(&placed, 3);
         assert_eq!(temporal[8], 2, "dataset without time must land in the last shard");
     }
 
     #[test]
     fn shard_bounds_cover_all_members() {
         let vocab = Vocabulary::observatory_default();
-        let features: Vec<Arc<DatasetFeature>> = (0..6)
+        let features: Vec<DatasetFeature> = (0..6)
             .map(|i| {
-                Arc::new(feature(
-                    &format!("d{i}.csv"),
-                    44.0 + i as f64,
-                    -124.0 + i as f64,
-                    1 + i as u32,
-                ))
+                feature(&format!("d{i}.csv"), 44.0 + i as f64, -124.0 + i as f64, 1 + i as u32)
             })
             .collect();
-        let members: Vec<_> = features.iter().cloned().enumerate().collect();
+        let members = members(&features);
         let shard = ShardEngine::build(&members, &mut Spellings::new(&vocab));
         let bbox = shard.bbox_bound().expect("members have bboxes");
         let time = shard.time_bound().expect("members have intervals");
@@ -598,15 +658,16 @@ mod tests {
         assert_eq!(p.bound_skips, 0, "an empty shard has nothing to prune");
     }
 
-    /// The per-variable build the spelling table stands in for: every
-    /// variable resolved on its own, nothing remembered between them.
-    fn per_variable_build(
-        members: &[(usize, Arc<DatasetFeature>)],
-        vocab: &Vocabulary,
-    ) -> (BTreeMap<String, Vec<usize>>, Vec<Vec<VarKey>>) {
+    /// What a shard files and scores, as a per-variable build over the
+    /// features makes it: every variable resolved on its own, nothing
+    /// remembered between them — the postings, and each dataset's keys
+    /// with the raw names beside them.
+    type Built = (BTreeMap<String, Vec<usize>>, Vec<Vec<(VarKey, String)>>);
+
+    fn per_variable_build(features: &[DatasetFeature], vocab: &Vocabulary) -> Built {
         let mut terms: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut var_keys = Vec::new();
-        for (ix, (_, d)) in members.iter().enumerate() {
+        for (ix, d) in features.iter().enumerate() {
             let mut keys = Vec::new();
             for v in d.searchable_variables() {
                 for k in index_keys(&v.name, v.search_name(), vocab) {
@@ -616,7 +677,7 @@ mod tests {
                     }
                 }
                 let names = VarNames::resolve(&v.name, v.search_name(), vocab, Arc::from);
-                keys.push(VarKey::new(names, v.value_range()));
+                keys.push((VarKey::new(names, v.value_range()), v.name.clone()));
             }
             var_keys.push(keys);
         }
@@ -656,7 +717,7 @@ mod tests {
                 ("sal", Some("salinity"), false, false, (30.0, 31.0)),
             ],
         ];
-        let datasets: Vec<(usize, Arc<DatasetFeature>)> = rows
+        let datasets: Vec<DatasetFeature> = rows
             .iter()
             .enumerate()
             .map(|(i, vars)| {
@@ -671,31 +732,74 @@ mod tests {
                     v.summary.observe(hi);
                     d.variables.push(v);
                 }
-                (i, Arc::new(d))
+                d
             })
             .collect();
         // two shards from one table: the second looks up what the first resolved
         let (first, second) = datasets.split_at(4);
+        let (first_rows, second_rows) = (members(first), members(second));
         let mut spellings = Spellings::new(&vocab);
-        for members in [first, second] {
-            let shard = ShardEngine::build(members, &mut spellings);
-            let (terms, var_keys) = per_variable_build(members, &vocab);
+        for (features, rows) in [(first, &first_rows), (second, &second_rows)] {
+            let shard = ShardEngine::build(rows, &mut spellings);
+            let (terms, var_keys) = per_variable_build(features, &vocab);
             let got: BTreeMap<String, Vec<usize>> =
                 shard.terms.iter().map(|(k, p)| (k.to_string(), p.clone())).collect();
             assert_eq!(got, terms);
             for (ix, want) in var_keys.iter().enumerate() {
-                let at = shard.key_starts[ix] as usize..shard.key_starts[ix + 1] as usize;
-                assert_eq!(&shard.var_keys[at], &want[..], "{}", shard.dataset(ix).path);
+                let at = shard.key_range(ix);
+                let got: Vec<(VarKey, String)> = shard.var_keys[at.clone()]
+                    .iter()
+                    .cloned()
+                    .zip(shard.var_names[at].iter().map(|n| n.to_string()))
+                    .collect();
+                assert_eq!(got, *want, "{}", shard.path(ix));
             }
         }
         assert_eq!(spellings.resolved.len(), 7, "one entry per searchable spelling");
     }
 
     #[test]
+    fn a_hit_from_the_columns_is_the_hit_the_feature_explains() {
+        use crate::score::score_dataset_prepared;
+        use metamess_core::feature::NameResolution;
+        let vocab = Vocabulary::observatory_default();
+        let features: Vec<DatasetFeature> = (0..5)
+            .map(|i| {
+                let mut d = feature(&format!("d{i}.csv"), 45.0 + i as f64, -124.0, 6);
+                d.title = format!("cast {i}");
+                for (name, canonical) in [("WTemp", "water_temperature"), ("sal", "salinity")] {
+                    let mut v = VariableFeature::new(name);
+                    v.resolve(canonical, NameResolution::KnownTranslation);
+                    v.summary.observe(i as f64);
+                    v.summary.observe(10.0);
+                    v.flags.qa = i % 3 == 1 && name == "sal";
+                    d.variables.push(v);
+                }
+                d
+            })
+            .collect();
+        let members = members(&features);
+        let shard = ShardEngine::build(&members, &mut Spellings::new(&vocab));
+        let q = Query::parse("near 46.0,-124.0 with water_temperature between 2 and 8 with sal")
+            .unwrap();
+        let plan = QueryPlan::prepare(&q, &vocab);
+        for (ix, d) in features.iter().enumerate() {
+            assert_eq!(shard.path(ix), d.path);
+            let hit = shard.score_hit(&q, &plan.prepared, ix);
+            let want = score_dataset_prepared(&q, &plan.prepared, d, &vocab);
+            assert_eq!((hit.id, &hit.path[..], &hit.title[..]), (d.id, &d.path[..], &d.title[..]));
+            assert_eq!(hit.breakdown, want, "{}", d.path);
+            assert_eq!(hit.score.to_bits(), want.total.to_bits());
+            assert_eq!(hit.score.to_bits(), shard.score(&q, &plan.prepared, ix).to_bits());
+        }
+    }
+
+    #[test]
     fn bound_excludes_far_query_window() {
         let vocab = Vocabulary::observatory_default();
-        let members: Vec<(usize, Arc<DatasetFeature>)> =
-            (0..4).map(|i| (i, Arc::new(feature(&format!("d{i}.csv"), 45.0, -124.0, 6)))).collect();
+        let features: Vec<DatasetFeature> =
+            (0..4).map(|i| feature(&format!("d{i}.csv"), 45.0, -124.0, 6)).collect();
+        let members = members(&features);
         let shard = ShardEngine::build(&members, &mut Spellings::new(&vocab));
         // Region query on the other side of the globe: the bound excludes
         // it, so the intersect walk is skipped — but nearest still runs.

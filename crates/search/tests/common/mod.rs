@@ -37,6 +37,7 @@ use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::id::DatasetId;
+use metamess_core::store::{Image, Row};
 use metamess_core::text::normalize_term;
 use metamess_core::time::{TimeInterval, Timestamp};
 use metamess_search::{
@@ -44,6 +45,7 @@ use metamess_search::{
 };
 use metamess_vocab::{TaxonomyNode, Vocabulary};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 const VAR_POOL: &[&str] =
     &["water_temperature", "salinity", "dissolved_oxygen", "turbidity", "nitrate", "wind_speed"];
@@ -225,6 +227,23 @@ pub fn assert_bit_equal(got: &[SearchHit], want: &[SearchHit], what: &str) {
         assert_eq!(g, w, "{what}");
         assert_eq!(g.score.to_bits(), w.score.to_bits(), "{what}: score bits of {}", g.path);
     }
+}
+
+/// The images `rows` are read from, each with how many of the rows it backs.
+pub fn images<'a>(
+    rows: impl Iterator<Item = &'a Row>,
+) -> BTreeMap<*const Image, (usize, Arc<Image>)> {
+    let mut held = BTreeMap::new();
+    for row in rows {
+        held.entry(Arc::as_ptr(row.image())).or_insert((0, Arc::clone(row.image()))).0 += 1;
+    }
+    held
+}
+
+/// Whether `rows` are all that holds the images they are read from.
+pub fn sole_holders<'a>(rows: impl Iterator<Item = &'a Row>) -> bool {
+    // one more holder each: the `Arc` `images` keeps
+    images(rows).values().all(|(rows, image)| Arc::strong_count(image) == rows + 1)
 }
 
 /// What a variable may be called after wrangling: canonical terms, curated

@@ -5,10 +5,11 @@
 //! datasets (empty shards), limits beyond the catalog size and the empty
 //! query. `common` says which cases are drawn and why.
 //!
-//! Two more sweeps over the same cases pin down who holds the features: an
-//! engine derived from another by a delta shares what the delta left alone
-//! and answers like one built from scratch, and standalone shards cover the
-//! catalog exactly once, whether they clone their members or take them.
+//! Two more sweeps over the same cases pin down who holds the rows: an
+//! engine derived from another by a delta shares the image of every row the
+//! delta left alone and answers like one built afresh, and standalone
+//! shards cover the catalog exactly once, whether they encode their members
+//! from a catalog or keep them from the rows a store read returns.
 //!
 //! The last sweep holds browse menus to their oracle: an engine's menus,
 //! however sharded and after a delta, count what `reference_browse` counts.
@@ -16,9 +17,10 @@
 mod common;
 
 use common::{
-    any_catalog, assert_bit_equal, browse_vocabulary, catalog, delta, queries, reference_browse,
-    reference_search, respell, touched_ids, Rng,
+    any_catalog, assert_bit_equal, browse_vocabulary, catalog, delta, images, queries,
+    reference_browse, reference_search, respell, sole_holders, touched_ids, Rng,
 };
+use metamess_core::store::Image;
 use metamess_search::fanout::{build_shard, build_shard_from};
 use metamess_search::{browse_all, Partitioner, SearchEngine, ShardEngine, ShardSpec};
 use metamess_vocab::Vocabulary;
@@ -86,11 +88,20 @@ fn a_successor_shares_what_the_delta_left_alone_and_answers_like_a_rebuild() {
                 assert_eq!(next.generation(), after.generation(), "{what}");
                 assert_eq!(next.len(), after.len(), "{what}");
                 assert!(Arc::ptr_eq(next.cache(), engine.cache()), "{what}: the cache moves on");
-                for d in next.features() {
-                    assert_eq!(Some(&**d), after.get(d.id), "{what}: {}", d.path);
-                    if !touched.contains(&d.id) {
-                        let old = engine.shared_dataset(d.id).expect("untouched, so it was there");
-                        assert!(Arc::ptr_eq(d, old), "{what}: {} was copied", d.path);
+                let old_images = images(engine.rows());
+                for row in next.rows() {
+                    let d = row.decode();
+                    assert_eq!(Some(&d), after.get(d.id), "{what}: {}", d.path);
+                    if touched.contains(&d.id) {
+                        let image = Arc::as_ptr(row.image());
+                        assert!(!old_images.contains_key(&image), "{what}: {} is not new", d.path);
+                    } else {
+                        let old = engine.row(d.id).expect("untouched, so it was there");
+                        assert!(
+                            Arc::ptr_eq(row.image(), old.image()),
+                            "{what}: {} was copied",
+                            d.path
+                        );
                         shared += 1;
                     }
                 }
@@ -100,10 +111,10 @@ fn a_successor_shares_what_the_delta_left_alone_and_answers_like_a_rebuild() {
                 }
             }
         }
-        // Once the engine it came from is gone, a successor is the only
-        // holder of every feature it has.
+        // Once the engine it came from is gone, a successor's rows are the
+        // only holders of the images they are read from.
         let next = SearchEngine::build(&before, vocab.clone()).successor(&mutations).unwrap();
-        assert!(next.features().all(|d| Arc::strong_count(d) == 1), "seed {seed}");
+        assert!(sole_holders(next.rows()), "seed {seed}");
     }
     assert!(shared > 1000, "the sweep shared next to nothing: {shared}");
 }
@@ -118,18 +129,21 @@ fn standalone_shards_cover_the_catalog_exactly_once() {
                 let spec = ShardSpec::new(shards, partitioner);
                 let what = format!("seed {seed}, {shards} {partitioner:?} shards");
                 let whole = SearchEngine::build_sharded(&c, vocab.clone(), spec);
+                let image = Arc::new(Image::encode(&c.iter().collect::<Vec<_>>()));
                 let mut seen = BTreeSet::new();
                 for k in 0..shards {
-                    let cloned = build_shard(&c, &vocab, spec, k);
-                    let taken = build_shard_from(c.clone(), &vocab, spec, k);
+                    let encoded = build_shard(&c, &vocab, spec, k);
+                    let kept = build_shard_from(image.rows().collect(), &vocab, spec, k);
                     let paths = |s: &ShardEngine| -> Vec<String> {
-                        (0..s.len()).map(|l| s.dataset(l).path.clone()).collect()
+                        (0..s.len()).map(|l| s.path(l).to_string()).collect()
                     };
-                    assert_eq!(paths(&cloned), paths(&whole.shards()[k]), "{what}, shard {k}");
-                    assert_eq!(paths(&taken), paths(&cloned), "{what}, shard {k}");
-                    for l in 0..cloned.len() {
-                        let d = cloned.dataset(l);
-                        assert_eq!(Some(d), c.get(d.id), "{what}: {}", d.path);
+                    assert_eq!(paths(&encoded), paths(&whole.shards()[k]), "{what}, shard {k}");
+                    assert_eq!(paths(&kept), paths(&encoded), "{what}, shard {k}");
+                    assert!(sole_holders(encoded.rows().iter()), "{what}, shard {k}");
+                    for l in 0..encoded.len() {
+                        let d = encoded.row(l).decode();
+                        assert_eq!(Some(&d), c.get(d.id), "{what}: {}", d.path);
+                        assert_eq!(kept.row(l).decode(), d, "{what}: {}", d.path);
                         assert!(seen.insert(d.id), "{what}: {} is in two shards", d.path);
                     }
                 }

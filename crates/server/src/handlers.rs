@@ -157,7 +157,8 @@ fn search(state: &ServeState, req: &Request) -> Response {
     }
 }
 
-/// `GET /datasets/<archive-relative-path>`: the full catalog entry.
+/// `GET /datasets/<archive-relative-path>`: the full catalog entry, decoded
+/// from the row the engine holds.
 fn dataset(state: &ServeState, path: &str) -> Response {
     let epoch = state.epoch();
     match epoch.engine.dataset(DatasetId::from_path(path)) {
@@ -169,7 +170,7 @@ fn dataset(state: &ServeState, path: &str) -> Response {
             }
             Response::json(
                 200,
-                render(&DatasetBody { generation: epoch.generation, dataset: feature }),
+                render(&DatasetBody { generation: epoch.generation, dataset: &feature }),
             )
         }
         None => error_json(404, &format!("no dataset at path {path:?}")),

@@ -57,8 +57,9 @@ use std::time::SystemTime;
 
 /// One immutable generation of serving state.
 pub struct EngineEpoch {
-    /// The search engine over the store's published catalog. It owns the
-    /// dataset features: the process holds no other copy of them.
+    /// The search engine over the store's published catalog. It holds every
+    /// dataset as its encoded row, sharing the images the store read
+    /// returned: the process holds no decoded copy of them.
     pub engine: SearchEngine,
     /// Browse trees precomputed at load (drill-down counts are
     /// materialized per epoch rather than per request).
@@ -173,7 +174,7 @@ struct ReloadState {
     signature: StoreSignature,
     /// WAL bytes the current epoch's engine reflects: where the next tail
     /// read resumes. The catalog itself is not kept — the engine has the
-    /// features, and a delta derives the next engine from it.
+    /// rows, and a delta derives the next engine from it.
     wal_offset: u64,
 }
 
@@ -471,10 +472,9 @@ fn render_healthz(
 }
 
 /// Reads what the store published into serving epoch number `epoch` — the
-/// recovered catalog is moved into the engine, so the process holds one
-/// copy of the features — and says how many WAL bytes that epoch reflects.
-/// Nothing on disk is touched; the `ServeState` lifetime lock is what keeps
-/// repairers out.
+/// rows the read returned go into the engine as they are, none decoded —
+/// and says how many WAL bytes that epoch reflects. Nothing on disk is
+/// touched; the `ServeState` lifetime lock is what keeps repairers out.
 fn load(
     store_dir: &Path,
     spec: ShardSpec,
@@ -484,8 +484,8 @@ fn load(
     let published = read_published(store_dir.join("catalog"))?;
     let vocab = Vocabulary::load_or_default(store_dir.join("vocabulary.json"))?;
     warn_stopped_early(store_dir, &published.stopped_early);
-    let engine =
-        SearchEngine::from_catalog(published.catalog, vocab, spec).with_shared_cache(cache.clone());
+    let engine = SearchEngine::from_rows(published.rows, published.generation, vocab, spec)
+        .with_shared_cache(cache.clone());
     Ok((EngineEpoch::new(engine, epoch), published.wal_offset))
 }
 

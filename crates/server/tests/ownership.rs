@@ -1,18 +1,26 @@
-//! Who holds the dataset features of a serving process, over the reference
-//! sweeps' seeded cases (`crates/search/tests/common`): the epoch's engine
-//! and nobody else after an open, and after a WAL-tail delta the new epoch
-//! shares with the old one everything the delta left alone — while
-//! answering exactly like a server that opened the store afresh.
+//! Who holds the datasets of a serving process, over the reference sweeps'
+//! seeded cases (`crates/search/tests/common`). The engine holds each
+//! dataset as its encoded row — a shared image and a row number — and no
+//! decoded feature: after an open every row is a row of the snapshot's image
+//! or of a replayed WAL put's own image, and the epoch's engine is all that
+//! holds them. After a WAL-tail delta the new epoch shares the image of
+//! every row the delta left alone with the old one, and every put is a row
+//! of a new image — while it answers exactly like a server that opened the
+//! store afresh.
 
 #[path = "../../search/tests/common/mod.rs"]
 mod common;
 
-use common::{assert_bit_equal, catalog, delta, queries, reference_search, touched_ids, Rng};
+use common::{
+    assert_bit_equal, catalog, delta, images, queries, reference_search, sole_holders, touched_ids,
+    Rng,
+};
 use metamess_core::catalog::Catalog;
-use metamess_core::{DurableCatalog, StoreOptions};
+use metamess_core::{DatasetFeature, DatasetId, DurableCatalog, StoreOptions};
 use metamess_search::{Partitioner, ShardSpec};
 use metamess_server::{ReloadOutcome, ServeState};
 use metamess_vocab::Vocabulary;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -38,23 +46,56 @@ fn layout(seed: u64) -> ShardSpec {
 #[test]
 fn after_an_open_the_engine_is_the_only_holder_of_every_feature() {
     for seed in 0..20u64 {
-        let c = catalog(&mut Rng(seed));
+        let mut rng = Rng(seed);
+        let c = catalog(&mut rng);
         let dir = published(&format!("open-{seed}"), &c);
+        // … and a live writer's puts and deletes past the snapshot
+        let mutations = delta(&mut rng, &c);
+        let put: BTreeSet<DatasetId> = mutations
+            .iter()
+            .filter_map(|m| match m {
+                metamess_core::Mutation::Put(f) => Some(f.id),
+                _ => None,
+            })
+            .collect();
+        let mut store = open_store(&dir);
+        for m in &mutations {
+            store.apply(m.clone()).unwrap();
+        }
+        store.flush().unwrap();
+        let expected = store.catalog().clone();
+        drop(store);
+
         let state = ServeState::open_sharded(&dir, layout(seed)).unwrap();
         let epoch = state.epoch();
-        assert_eq!(epoch.engine.features().count(), c.len(), "seed {seed}");
-        for d in epoch.engine.features() {
-            assert_eq!(Arc::strong_count(d), 1, "seed {seed}: {} has another holder", d.path);
+        assert_eq!(epoch.engine.rows().count(), expected.len(), "seed {seed}");
+        let held = images(epoch.engine.rows());
+        for row in epoch.engine.rows() {
+            let d = row.decode();
+            assert_eq!(Some(&d), expected.get(d.id), "seed {seed}: {}", d.path);
+            if put.contains(&d.id) {
+                // a replayed put: the one row of an image of its own
+                assert_eq!(row.image().len(), 1, "seed {seed}: {}", d.path);
+                assert_eq!(held[&Arc::as_ptr(row.image())].0, 1, "seed {seed}: {}", d.path);
+            } else {
+                // a row of the snapshot's image: one image for all of them
+                assert_eq!(row.image().len(), c.len(), "seed {seed}: {}", d.path);
+            }
         }
-        // … and a full reload drops the old features with the old epoch
+        assert_eq!(held.len(), 1 + put.len(), "seed {seed}: one snapshot image, one per put");
+        drop(held);
+        assert!(sole_holders(epoch.engine.rows()), "seed {seed}: an image has another holder");
+
+        // … and a full reload drops the old rows with the old epoch
+        drop(epoch);
         let mut store = open_store(&dir);
-        store.put(metamess_core::DatasetFeature::new("ds/late.csv")).unwrap();
+        store.put(DatasetFeature::new("ds/late.csv")).unwrap();
         store.checkpoint().unwrap();
         drop(store);
         assert!(matches!(state.reload().unwrap(), ReloadOutcome::Reloaded { .. }));
-        for d in state.epoch().engine.features() {
-            assert_eq!(Arc::strong_count(d), 1, "seed {seed}: {} after a reload", d.path);
-        }
+        let epoch = state.epoch();
+        assert_eq!(images(epoch.engine.rows()).len(), 1, "seed {seed}: one snapshot image");
+        assert!(sole_holders(epoch.engine.rows()), "seed {seed}: after a reload");
     }
 }
 
@@ -86,13 +127,20 @@ fn a_delta_shares_what_it_left_alone_and_answers_like_a_reopened_store() {
             other => panic!("seed {seed}: expected a delta apply, got {other:?}"),
         }
         let after = state.epoch();
-        for d in after.engine.features() {
-            if !touched.contains(&d.id) {
-                let old = before.engine.shared_dataset(d.id).expect("untouched, so it was there");
-                assert!(Arc::ptr_eq(d, old), "seed {seed}: {} was copied", d.path);
-                assert_eq!(Arc::strong_count(d), 2, "seed {seed}: the two epochs, nobody else");
+        let old_images = images(before.engine.rows());
+        for row in after.engine.rows() {
+            let id = row.id();
+            if touched.contains(&id) {
+                let image = Arc::as_ptr(row.image());
+                assert!(!old_images.contains_key(&image), "seed {seed}: a put row is not new");
+            } else {
+                let old = before.engine.row(id).expect("untouched, so it was there");
+                assert!(Arc::ptr_eq(row.image(), old.image()), "seed {seed}: {id:?} was copied");
             }
         }
+        drop(old_images);
+        let both = before.engine.rows().chain(after.engine.rows());
+        assert!(sole_holders(both), "seed {seed}: the two epochs, nobody else");
 
         let reopened = ServeState::open_sharded(&dir, layout(seed)).unwrap().epoch();
         assert_eq!(after.generation, reopened.generation, "seed {seed}");
@@ -108,8 +156,6 @@ fn a_delta_shares_what_it_left_alone_and_answers_like_a_reopened_store() {
 
         // The old epoch goes, and with it the last other holder.
         drop(before);
-        for d in after.engine.features() {
-            assert_eq!(Arc::strong_count(d), 1, "seed {seed}: {} after the swap", d.path);
-        }
+        assert!(sole_holders(after.engine.rows()), "seed {seed}: after the swap");
     }
 }

@@ -51,7 +51,7 @@ fn every_reader_serves_the_prefix_and_leaves_a_half_written_record_alone() {
     };
 
     let published = read_published(dir.join("catalog")).unwrap();
-    assert_eq!(published.catalog.len(), 3);
+    assert_eq!(published.rows.len(), 3);
     assert_eq!(published.wal_offset, prefix);
     assert!(published.stopped_early.is_some());
     untouched("read_published");
@@ -59,7 +59,7 @@ fn every_reader_serves_the_prefix_and_leaves_a_half_written_record_alone() {
     let state = ServeState::open(&dir).unwrap();
     let generation = state.epoch().generation;
     assert_eq!(state.epoch().datasets, 3);
-    assert_eq!(generation, published.catalog.generation());
+    assert_eq!(generation, published.generation);
     untouched("ServeState::open");
 
     assert_eq!(state.reload().unwrap(), ReloadOutcome::Unchanged { generation });
@@ -77,7 +77,7 @@ fn every_reader_serves_the_prefix_and_leaves_a_half_written_record_alone() {
         other => panic!("expected the completed record as a delta, got {other:?}"),
     }
     assert_eq!(state.epoch().datasets, 4);
-    assert!(state.epoch().engine.features().any(|d| d.path == "2014/08/s4.csv"));
+    assert!(state.epoch().engine.rows().any(|row| row.view().path() == "2014/08/s4.csv"));
     assert_eq!(std::fs::read(&wal).unwrap(), complete);
 }
 

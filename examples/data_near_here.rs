@@ -55,7 +55,7 @@ fn main() {
     let hits = engine.search(&poster);
     if let Some(best) = hits.first() {
         let dataset = engine.dataset(best.id).expect("hit resolves");
-        println!("{}", render_summary(dataset));
+        println!("{}", render_summary(&dataset));
     }
 
     // Hierarchical menus: "collapse or expose as needed" — every concept

@@ -44,12 +44,14 @@ echo "==> crash-consistency, group-commit and hostile-bytes suites ($cases seede
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
   --test torture --test torture_group_commit --test codec
 
-echo "==> engine vs reference search and browse (release)"
+echo "==> engine vs reference search and browse, and who holds the rows (release)"
 # Ranking and hit materialization are separate instances of the one scoring
 # routine; check them, and the engine's browse menus, against the naive
-# references at serve's opt level.
+# references at serve's opt level. A serving epoch holds rows of the store's
+# images and shares them across a delta; check that at the same opt level.
 cargo test -q --release -p metamess-search --test reference_sweep --test shard_props
 cargo test -q --release -p metamess-remote --test reference_sweep
+cargo test -q --release -p metamess-server --test ownership
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

@@ -12,7 +12,7 @@
 //! Prometheus text, or JSON — and their request traces into
 //! `<store>/state/traces.json`, which `trace` renders as span trees.
 
-use metamess::core::store::read_published;
+use metamess::core::store::{read_published, Published, Row};
 use metamess::core::{Error, Result};
 use metamess::pipeline::Severity;
 use metamess::prelude::*;
@@ -502,10 +502,11 @@ fn expert_synonyms() -> Vec<(String, String)> {
 }
 
 /// What the store published, read without modifying it: `search`,
-/// `summary`, `browse` and `shardd` may all run beside a live `watch`.
-fn read_store(store_dir: &Path) -> Result<(Catalog, Vocabulary)> {
+/// `summary`, `browse` and `shardd` may all run beside a live `watch`. The
+/// rows come back encoded; a command decodes what it prints.
+fn read_store(store_dir: &Path) -> Result<(Published, Vocabulary)> {
     let (catalog_dir, vocab_path) = store_paths(store_dir);
-    Ok((read_published(catalog_dir)?.catalog, Vocabulary::load_or_default(vocab_path)?))
+    Ok((read_published(catalog_dir)?, Vocabulary::load_or_default(vocab_path)?))
 }
 
 /// `--shards N` (clamped to `1..=MAX_SHARDS` by [`ShardSpec::new`], so 0
@@ -564,8 +565,8 @@ fn cmd_search(args: &Args) -> Result<()> {
             );
         }
     } else {
-        let (catalog, vocab) = read_store(store_dir)?;
-        let engine = SearchEngine::from_catalog(catalog, vocab, spec);
+        let (published, vocab) = read_store(store_dir)?;
+        let engine = SearchEngine::from_rows(published.rows, published.generation, vocab, spec);
         if explain {
             let (hits, breakdown) = engine.search_explain(&query);
             print!("{}", render_results(&hits));
@@ -613,18 +614,21 @@ fn cmd_stats(args: &Args) -> Result<()> {
 }
 
 fn cmd_summary(args: &Args) -> Result<()> {
-    let (catalog, _) = read_store(Path::new(&args.operands[0]))?;
+    let (published, _) = read_store(Path::new(&args.operands[0]))?;
     let path = &args.operands[1];
-    let d = catalog
-        .get(DatasetId::from_path(path))
-        .ok_or_else(|| Error::not_found("dataset", path.clone()))?;
-    print!("{}", render_summary(d));
+    let id = DatasetId::from_path(path);
+    let row = published
+        .rows
+        .binary_search_by_key(&id, Row::id)
+        .map(|at| &published.rows[at])
+        .map_err(|_| Error::not_found("dataset", path.clone()))?;
+    print!("{}", render_summary(&row.decode()));
     Ok(())
 }
 
 fn cmd_browse(args: &Args) -> Result<()> {
-    let (catalog, vocab) = read_store(Path::new(&args.operands[0]))?;
-    for tree in metamess::search::browse_all(&catalog, &vocab) {
+    let (published, vocab) = read_store(Path::new(&args.operands[0]))?;
+    for tree in metamess::search::browse_all(&published.catalog(), &vocab) {
         print!("{}", tree.render());
         println!();
     }
@@ -667,8 +671,14 @@ fn cmd_shardd(args: &Args) -> Result<()> {
     let spec = ShardSpec::new(shard_count, partitioner(args)?);
     let listen: String = args.value("--listen")?.unwrap_or_else(|| "127.0.0.1:0".into());
 
-    let (catalog, vocab) = read_store(store_dir)?;
-    let host = metamess::remote::ShardHost::from_catalog(catalog, vocab, spec, shard_id)?;
+    let (published, vocab) = read_store(store_dir)?;
+    let host = metamess::remote::ShardHost::from_rows(
+        published.rows,
+        published.generation,
+        vocab,
+        spec,
+        shard_id,
+    )?;
     let generation = host.generation();
     let hosted = host.len();
 

@@ -174,7 +174,7 @@ fn search_results_and_summaries_render() {
     let rendered = metamess::search::render_results(&hits);
     assert!(rendered.contains("1. ["));
     let d = engine.dataset(hits[0].id).unwrap();
-    let summary = render_summary(d);
+    let summary = render_summary(&d);
     assert!(summary.contains("variables:"));
     assert!(summary.contains(&d.path));
 }
