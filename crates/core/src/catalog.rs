@@ -7,6 +7,7 @@
 use crate::error::{Error, Result};
 use crate::feature::DatasetFeature;
 use crate::id::DatasetId;
+use crate::store::RowView;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -47,12 +48,15 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// A catalog as the store decoded it.
-    pub(crate) fn from_parts(
-        entries: BTreeMap<DatasetId, DatasetFeature>,
+    /// The catalog a store's `rows` encode, each decoded, with its
+    /// `properties` at its `generation`: the one way a store, or an image
+    /// of one, becomes a `Catalog`.
+    pub(crate) fn from_rows<'a>(
+        rows: impl Iterator<Item = RowView<'a>>,
         properties: BTreeMap<String, String>,
         generation: u64,
     ) -> Catalog {
+        let entries = rows.map(|view| (view.id(), view.decode())).collect();
         Catalog { entries, properties, generation }
     }
 
@@ -193,25 +197,39 @@ impl Catalog {
     /// Differences between this catalog and `other`, as the mutations that
     /// would turn `self` into `other`. Used by publish and by rerun reports.
     pub fn diff(&self, other: &Catalog) -> Vec<Mutation> {
-        let mut out = Vec::new();
-        for (id, f) in &other.entries {
-            match self.entries.get(id) {
-                Some(existing) if existing == f => {}
-                _ => out.push(Mutation::Put(Box::new(f.clone()))),
-            }
-        }
-        for id in self.entries.keys() {
-            if !other.entries.contains_key(id) {
-                out.push(Mutation::Delete(*id));
-            }
-        }
-        for (k, v) in &other.properties {
-            if self.properties.get(k) != Some(v) {
-                out.push(Mutation::SetProperty { key: k.clone(), value: v.clone() });
-            }
-        }
-        out
+        diff_entries(&self.entries, &self.properties, other, |existing, f| existing == f)
     }
+}
+
+/// The mutations that turn a catalog of `entries` and `properties` into
+/// `other`: a put of each of `other`'s datasets that is absent or not
+/// `same`, a delete of each entry `other` lacks, a set of each property that
+/// differs. [`Catalog::diff`] holds features; a store's writer holds rows
+/// and compares each with its feature in place.
+pub(crate) fn diff_entries<T>(
+    entries: &BTreeMap<DatasetId, T>,
+    properties: &BTreeMap<String, String>,
+    other: &Catalog,
+    same: impl Fn(&T, &DatasetFeature) -> bool,
+) -> Vec<Mutation> {
+    let mut out = Vec::new();
+    for (id, f) in &other.entries {
+        match entries.get(id) {
+            Some(existing) if same(existing, f) => {}
+            _ => out.push(Mutation::Put(Box::new(f.clone()))),
+        }
+    }
+    for id in entries.keys() {
+        if !other.entries.contains_key(id) {
+            out.push(Mutation::Delete(*id));
+        }
+    }
+    for (k, v) in &other.properties {
+        if properties.get(k) != Some(v) {
+            out.push(Mutation::SetProperty { key: k.clone(), value: v.clone() });
+        }
+    }
+    out
 }
 
 /// A catalog pair implementing the poster's working → published flow.

@@ -26,13 +26,18 @@
 //! fields a search engine needs in place, without allocating, and
 //! [`Row::decode`] builds the owned [`DatasetFeature`] for the callers that
 //! want one. Every reader of a row — [`decode_catalog`], [`decode_mutation`],
-//! the view — goes through the same `Decoder` routines.
+//! the view — goes through the same `Decoder` routines, and every writer of
+//! one — a feature's row, or a row transcoded from another image by
+//! [`encode_rows_of`] — through the same `Encoder` routines.
 //!
 //! An image is checked in full when it is parsed, and the checks trust
 //! nothing: every count is bounded by the bytes that remain before anything
 //! is allocated for it, every reference by the table, every tag by its known
 //! bits, and a payload must be consumed exactly. All failures are
-//! [`Error::Corrupt`]. Reading a parsed image again cannot fail.
+//! [`Error::Corrupt`]. Reading a parsed image again cannot fail. Bytes this
+//! module has just encoded are not parsed: [`Image::encode`], [`put_image`]
+//! and [`encode_rows_of`] build the image from the encoder's own table and
+//! row starts.
 
 use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, Result};
@@ -81,6 +86,9 @@ const MIN_VARIABLE: usize = 39;
 const MIN_PAIR: usize = 2;
 const MIN_ENTRY: usize = 1;
 
+/// Table entries an encoder finds by scanning before it builds an index.
+const SCANNED_TABLE: usize = 32;
+
 /// Why reading a parsed image again cannot fail.
 const CHECKED: &str = "an image is checked in full when it is parsed";
 
@@ -97,27 +105,76 @@ pub(crate) fn content_fingerprint(catalog: &Catalog) -> u64 {
 }
 
 fn encode_catalog_at(catalog: &Catalog, generation: u64) -> Vec<u8> {
-    encode_rows(generation, catalog.properties(), catalog.iter())
+    catalog_encoder(generation, catalog.properties(), catalog.iter()).finish(KIND_CATALOG)
 }
 
-/// A catalog payload at `generation` with `properties` and `rows`.
-fn encode_rows<'a>(
+/// An encoder holding the body of a catalog payload at `generation` with
+/// `properties` and `features`.
+fn catalog_encoder<'a>(
     generation: u64,
     properties: &BTreeMap<String, String>,
-    rows: impl ExactSizeIterator<Item = &'a DatasetFeature>,
-) -> Vec<u8> {
+    features: impl ExactSizeIterator<Item = &'a DatasetFeature>,
+) -> Encoder<'a> {
     let mut e = Encoder::new(Vec::new(), 1024);
-    e.varint(generation);
-    e.varint(properties.len() as u64);
-    for (key, value) in properties {
-        e.str(key);
-        e.str(value);
-    }
-    e.varint(rows.len() as u64);
-    for f in rows {
+    e.catalog_head(generation, properties, features.len());
+    for f in features {
         e.row(f);
     }
-    e.finish(KIND_CATALOG)
+    e
+}
+
+/// Encodes `rows` as a snapshot payload at `generation` with `properties`,
+/// in the order given, and keeps it as the image of those rows. Each row is
+/// transcoded from the image it is read from: its strings are entered into
+/// the new table as they are met, and no feature is decoded. Rows in catalog
+/// order encode to exactly the bytes [`encode_catalog`] writes for the
+/// catalog they decode to.
+pub fn encode_rows_of<'a>(
+    generation: u64,
+    properties: &BTreeMap<String, String>,
+    rows: impl ExactSizeIterator<Item = &'a Row>,
+) -> Image {
+    /// Hands a row's lists on to the encoder. The external pairs are held
+    /// until the variable count arrives, because their own count goes first.
+    struct Transcode<'e, 'a> {
+        e: &'e mut Encoder<'a>,
+        external: &'e mut Vec<(&'a str, &'a str)>,
+    }
+    impl<'a> RowSink<'a> for Transcode<'_, 'a> {
+        fn external(&mut self, key: &'a str, value: &'a str) {
+            self.external.push((key, value));
+        }
+        fn variables(&mut self, count: usize) {
+            self.e.externals(self.external.drain(..));
+            self.e.varint(count as u64);
+        }
+        fn variable(&mut self, v: Var<'a>) {
+            self.e.variable(&v);
+        }
+    }
+    let mut e = Encoder::new(Vec::new(), 1024);
+    e.catalog_head(generation, properties, rows.len());
+    let mut external = Vec::new();
+    for row in rows {
+        let view = row.view();
+        e.head(&view.head);
+        let mut rest = view.rest;
+        rest.lists(&mut Transcode { e: &mut e, external: &mut external }).expect(CHECKED);
+    }
+    e.finish_image(KIND_CATALOG, generation, properties.clone())
+}
+
+/// Encodes `f` as an image of one row whose payload is the WAL put record
+/// [`encode_mutation`] writes for it: a put logged and kept as one encoding.
+/// The record is written in `scratch`, which a writer keeps so that a run
+/// of puts grows one buffer, and the image keeps an exact copy of it.
+pub fn put_image(f: &DatasetFeature, scratch: &mut Vec<u8>) -> Image {
+    let mut e = Encoder::new(std::mem::take(scratch), 32);
+    e.row(f);
+    let mut image = e.finish_image(KIND_PUT, 0, BTreeMap::new());
+    let exact = image.payload().to_vec();
+    *scratch = std::mem::replace(&mut image.bytes, exact);
+    image
 }
 
 /// Decodes a snapshot payload, returning the catalog and the number of
@@ -173,7 +230,7 @@ pub(crate) fn parse_record(payload: &[u8]) -> Result<Record> {
     let (kind, table, body) = header(payload)?;
     if kind == KIND_PUT {
         let image = Image::with_body(payload.to_vec(), 0, kind, table, body)?;
-        return Ok(Record::Put(Row { image: Arc::new(image), index: 0 }));
+        return Ok(Record::Put(image.into_row()));
     }
     let mut d = Decoder { bytes: payload, pos: body, table: &table };
     let record = match kind {
@@ -190,7 +247,9 @@ pub(crate) fn parse_record(payload: &[u8]) -> Result<Record> {
 }
 
 /// One checked payload that holds rows: a snapshot, or a WAL put. Rows are
-/// read from it in place, for as long as a [`Row`] shares it.
+/// read from it in place, for as long as a [`Row`] shares it. Two images are
+/// equal when they hold the same bytes, table and row starts.
+#[derive(PartialEq)]
 pub struct Image {
     /// The payload is `bytes[start..]`: a snapshot keeps the file as it was
     /// read, frame and all, rather than copy 10 MB to drop 16 bytes.
@@ -217,8 +276,11 @@ impl Image {
     /// a search engine built from features rather than from a store holds
     /// them.
     pub fn encode(features: &[&DatasetFeature]) -> Image {
-        let payload = encode_rows(0, &BTreeMap::new(), features.iter().copied());
-        Image::parse(payload).expect("a payload this module encoded parses")
+        catalog_encoder(0, &BTreeMap::new(), features.iter().copied()).finish_image(
+            KIND_CATALOG,
+            0,
+            BTreeMap::new(),
+        )
     }
 
     /// Parses the snapshot payload `bytes[start..]`.
@@ -304,13 +366,14 @@ impl Image {
 
     /// The catalog the image holds, every row decoded.
     pub fn catalog(&self) -> Catalog {
-        let entries = (0..self.len())
-            .map(|ix| {
-                let view = self.view(ix);
-                (view.id(), view.decode())
-            })
-            .collect();
-        Catalog::from_parts(entries, self.properties.clone(), self.generation)
+        let views = (0..self.len()).map(|ix| self.view(ix));
+        Catalog::from_rows(views, self.properties.clone(), self.generation)
+    }
+
+    /// The one row of a put's image, which it keeps.
+    pub(crate) fn into_row(self) -> Row {
+        assert_eq!(self.len(), 1, "a put's image holds one row");
+        Row { image: Arc::new(self), index: 0 }
     }
 
     /// Row `ix`, read in place.
@@ -438,8 +501,40 @@ impl<'a> RowView<'a> {
         rest.lists(&mut Searchable(each)).expect(CHECKED);
     }
 
+    /// Whether the row decodes to a feature `== f`, found without decoding
+    /// it: each field is compared in place, with `f64`'s `==` as the
+    /// feature's is (so `−0.0` matches `0.0`, and a NaN matches nothing).
+    /// External pairs are compared in the order the row holds them, which is
+    /// key order in every row this module writes.
+    pub(crate) fn matches(&self, f: &DatasetFeature) -> bool {
+        struct Compare<'f> {
+            external: std::collections::btree_map::Iter<'f, String, String>,
+            variables: std::slice::Iter<'f, VariableFeature>,
+            same: bool,
+        }
+        impl<'a> RowSink<'a> for Compare<'_> {
+            fn external(&mut self, key: &'a str, value: &'a str) {
+                self.same &= self.external.next().is_some_and(|(k, v)| k == key && v == value);
+            }
+            fn variables(&mut self, count: usize) {
+                self.same &= self.external.next().is_none() && count == self.variables.len();
+            }
+            fn variable(&mut self, v: Var<'a>) {
+                self.same &= self.variables.next().is_some_and(|want| v == Var::of(want));
+            }
+        }
+        if self.head != Head::of(f) {
+            return false;
+        }
+        let mut compare =
+            Compare { external: f.external.iter(), variables: f.variables.iter(), same: true };
+        let mut rest = self.rest;
+        rest.lists(&mut compare).expect(CHECKED);
+        compare.same
+    }
+
     /// The owned feature.
-    fn decode(&self) -> DatasetFeature {
+    pub(crate) fn decode(&self) -> DatasetFeature {
         #[derive(Default)]
         struct Owned {
             external: BTreeMap<String, String>,
@@ -480,25 +575,62 @@ impl<'a> RowView<'a> {
     }
 }
 
-/// Writes a body while collecting the strings it references; `finish` puts
-/// header and table in front.
+/// Writes a body while collecting the strings it references and noting
+/// where each row starts; `finish` puts header and table in front.
 struct Encoder<'a> {
     out: Vec<u8>,
     table: Vec<&'a str>,
-    /// Looked up, never iterated: the table's order is `table`'s.
+    /// Looked up, never iterated: the table's order is `table`'s. Empty
+    /// until the table is too long to scan.
     index: HashMap<&'a str, u64>,
+    /// Where each row written so far starts in the body.
+    rows: Vec<usize>,
 }
 
 impl<'a> Encoder<'a> {
     fn new(mut out: Vec<u8>, strings: usize) -> Encoder<'a> {
         out.clear();
-        Encoder { out, table: Vec::with_capacity(strings), index: HashMap::with_capacity(strings) }
+        Encoder { out, table: Vec::with_capacity(strings), index: HashMap::new(), rows: Vec::new() }
     }
 
-    /// The table is complete only once the body is written, and has to come
-    /// first for decoding to be one forward pass: it is appended, then the
-    /// buffer is rotated, which needs no second buffer and no offsets.
+    /// The payload: header and table, then the body.
     fn finish(mut self, kind: u8) -> Vec<u8> {
+        self.seal(kind);
+        self.out
+    }
+
+    /// The payload kept as the image of the rows written, with the table and
+    /// the row starts the encoder collected: what [`Image::parse`] would
+    /// find in it, found without reading it again.
+    fn finish_image(
+        mut self,
+        kind: u8,
+        generation: u64,
+        properties: BTreeMap<String, String>,
+    ) -> Image {
+        let mut table = Table {
+            text: String::with_capacity(self.table.iter().map(|s| s.len()).sum()),
+            ends: Vec::with_capacity(self.table.len()),
+        };
+        for s in &self.table {
+            table.text.push_str(s);
+            table.ends.push(table.text.len());
+        }
+        let head = self.seal(kind);
+        let mut rows = std::mem::take(&mut self.rows);
+        for start in &mut rows {
+            *start += head;
+        }
+        rows.push(self.out.len());
+        Image { bytes: self.out, start: 0, table, rows, generation, properties }
+    }
+
+    /// Puts header and table in front of the body and returns how many
+    /// bytes they take. The table is complete only once the body is
+    /// written, and has to come first for decoding to be one forward pass:
+    /// it is appended, then the buffer is rotated, which needs no second
+    /// buffer and no offsets.
+    fn seal(&mut self, kind: u8) -> usize {
         let body = self.out.len();
         self.out.extend_from_slice(&[FORMAT_VERSION, kind]);
         self.varint(self.table.len() as u64);
@@ -506,7 +638,24 @@ impl<'a> Encoder<'a> {
             self.str(s);
         }
         self.out.rotate_left(body);
-        self.out
+        self.out.len() - body
+    }
+
+    /// What a catalog payload's body holds before its rows.
+    fn catalog_head(
+        &mut self,
+        generation: u64,
+        properties: &BTreeMap<String, String>,
+        rows: usize,
+    ) {
+        self.varint(generation);
+        self.varint(properties.len() as u64);
+        for (key, value) in properties {
+            self.str(key);
+            self.str(value);
+        }
+        self.varint(rows as u64);
+        self.rows.reserve_exact(rows + 1);
     }
 
     fn bytes(&mut self, b: &[u8]) {
@@ -536,10 +685,20 @@ impl<'a> Encoder<'a> {
         self.bytes(s.as_bytes());
     }
 
-    /// A string by table reference, entered into the table on first use.
+    /// A string by table reference, entered into the table on first use. A
+    /// table of a few dozen strings — a put's — is scanned; a longer one is
+    /// indexed, from the entry that makes it longer on.
     fn text(&mut self, s: &'a str) {
         let next = self.table.len() as u64;
-        let ix = *self.index.entry(s).or_insert(next);
+        let ix = if self.table.len() < SCANNED_TABLE {
+            self.table.iter().position(|t| *t == s).map_or(next, |ix| ix as u64)
+        } else {
+            if self.index.is_empty() {
+                self.index.reserve(self.table.capacity());
+                self.index.extend(self.table.iter().copied().zip(0..));
+            }
+            *self.index.entry(s).or_insert(next)
+        };
         if ix == next {
             self.table.push(s);
         }
@@ -547,77 +706,71 @@ impl<'a> Encoder<'a> {
     }
 
     fn row(&mut self, f: &'a DatasetFeature) {
-        self.bytes(&f.id.0.to_le_bytes());
-        self.str(&f.path);
-        self.str(&f.title);
+        self.head(&Head::of(f));
+        self.externals(f.external.iter().map(|(key, value)| (&key[..], &value[..])));
+        self.varint(f.variables.len() as u64);
+        for v in &f.variables {
+            self.variable(&Var::of(v));
+        }
+    }
+
+    /// The fixed part of a row, which starts it.
+    fn head(&mut self, h: &Head<'a>) {
+        self.rows.push(self.out.len());
+        self.bytes(&h.id.0.to_le_bytes());
+        self.str(h.path);
+        self.str(h.title);
         self.out.push(
-            tag(f.source.is_some(), HAS_SOURCE)
-                | tag(f.bbox.is_some(), HAS_BBOX)
-                | tag(f.time.is_some(), HAS_TIME),
+            tag(h.source.is_some(), HAS_SOURCE)
+                | tag(h.bbox.is_some(), HAS_BBOX)
+                | tag(h.time.is_some(), HAS_TIME),
         );
-        if let Some(source) = &f.source {
+        if let Some(source) = h.source {
             self.text(source);
         }
-        if let Some(b) = &f.bbox {
+        if let Some(b) = &h.bbox {
             for v in [b.min_lat, b.max_lat, b.min_lon, b.max_lon] {
                 self.f64(v);
             }
         }
-        if let Some(t) = &f.time {
+        if let Some(t) = &h.time {
             self.signed(t.start.0);
             self.signed(t.end.0.wrapping_sub(t.start.0));
         }
-        self.varint(f.record_count);
-        self.bytes(&f.provenance.content_fingerprint.to_le_bytes());
-        self.varint(f.provenance.file_len);
-        self.varint(f.provenance.pipeline_run);
-        self.text(&f.provenance.format);
-        self.varint(f.external.len() as u64);
-        for (key, value) in &f.external {
+        self.varint(h.record_count);
+        self.bytes(&h.content_fingerprint.to_le_bytes());
+        self.varint(h.file_len);
+        self.varint(h.pipeline_run);
+        self.text(h.format);
+    }
+
+    /// A row's external pairs, counted.
+    fn externals(&mut self, pairs: impl ExactSizeIterator<Item = (&'a str, &'a str)>) {
+        self.varint(pairs.len() as u64);
+        for (key, value) in pairs {
             self.text(key);
             self.text(value);
         }
-        self.varint(f.variables.len() as u64);
-        for v in &f.variables {
-            self.variable(v);
-        }
     }
 
-    fn variable(&mut self, v: &'a VariableFeature) {
-        self.text(&v.name);
+    fn variable(&mut self, v: &Var<'a>) {
+        self.text(v.name);
         let optional = [
-            (&v.canonical_name, HAS_CANONICAL),
-            (&v.unit, HAS_UNIT),
-            (&v.canonical_unit, HAS_CANONICAL_UNIT),
-            (&v.context, HAS_CONTEXT),
+            (v.canonical, HAS_CANONICAL),
+            (v.unit, HAS_UNIT),
+            (v.canonical_unit, HAS_CANONICAL_UNIT),
+            (v.context, HAS_CONTEXT),
         ];
         self.out.push(optional.iter().fold(0, |tags, (s, bit)| tags | tag(s.is_some(), *bit)));
-        let (resolution, method) = match &v.resolution {
-            NameResolution::Unresolved => (0, None),
-            NameResolution::AlreadyCanonical => (1, None),
-            NameResolution::KnownTranslation => (2, None),
-            NameResolution::DiscoveredTranslation { method } => {
-                (RESOLUTION_DISCOVERED, Some(method))
-            }
-            NameResolution::Curated => (4, None),
-        };
-        self.out.push(
-            resolution
-                | tag(v.flags.qa, FLAG_QA)
-                | tag(v.flags.ambiguous, FLAG_AMBIGUOUS)
-                | tag(v.flags.hidden, FLAG_HIDDEN)
-                | tag(v.unit_normalized, UNIT_NORMALIZED),
-        );
-        if let Some(method) = method {
+        self.out.push(v.curation);
+        if let Some(method) = v.method {
             self.text(method);
         }
-        for (s, _) in optional {
-            if let Some(s) = s {
-                self.text(s);
-            }
+        for s in optional.into_iter().filter_map(|(s, _)| s) {
+            self.text(s);
         }
-        self.varint(v.hierarchy.len() as u64);
-        for level in &v.hierarchy {
+        self.varint(v.levels.len() as u64);
+        for level in v.levels {
             self.text(level);
         }
         self.varint(v.summary.count);
@@ -639,7 +792,7 @@ fn tag(set: bool, bit: u8) -> u8 {
 
 /// A payload's string table: its strings back to back, each checked once,
 /// so a reference resolves to a `&str` with no further check.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct Table {
     text: String,
     /// Entry `i` is `text[ends[i - 1]..ends[i]]`.
@@ -673,8 +826,10 @@ fn header(payload: &[u8]) -> Result<(u8, Table, usize)> {
     Ok((kind, table, d.pos))
 }
 
-/// The fixed part of a row, borrowed from the payload and its table.
-#[derive(Clone, Copy)]
+/// The fixed part of a row, borrowed from the payload and its table, or
+/// from the feature about to be encoded. Equal heads are the same fields of
+/// equal features.
+#[derive(Clone, Copy, PartialEq)]
 struct Head<'a> {
     id: DatasetId,
     path: &'a str,
@@ -689,24 +844,122 @@ struct Head<'a> {
     format: &'a str,
 }
 
-/// One variable as a row holds it. The hierarchy is checked as it is
-/// passed over and read again, from `levels`, only to decode it.
+impl<'a> Head<'a> {
+    fn of(f: &'a DatasetFeature) -> Head<'a> {
+        Head {
+            id: f.id,
+            path: &f.path,
+            title: &f.title,
+            source: f.source.as_deref(),
+            bbox: f.bbox,
+            time: f.time,
+            record_count: f.record_count,
+            content_fingerprint: f.provenance.content_fingerprint,
+            file_len: f.provenance.file_len,
+            pipeline_run: f.provenance.pipeline_run,
+            format: &f.provenance.format,
+        }
+    }
+}
+
+/// One variable as a row holds it, or as a feature about to be encoded
+/// holds it. Equal variables are equal features.
 struct Var<'a> {
     name: &'a str,
+    /// The resolution, flags and `unit_normalized`, as the row's tag.
     curation: u8,
     method: Option<&'a str>,
     canonical: Option<&'a str>,
     unit: Option<&'a str>,
     canonical_unit: Option<&'a str>,
     context: Option<&'a str>,
-    /// Positioned at the first level, and how many there are.
-    levels: (Decoder<'a>, usize),
+    levels: Levels<'a>,
     summary: NumericSummary,
     null_count: u64,
     total_count: u64,
 }
 
-impl Var<'_> {
+/// A variable's hierarchy, one level at a time. In a row it is checked as it
+/// is passed over and read again only to decode or compare it.
+#[derive(Clone, Copy)]
+enum Levels<'a> {
+    /// Positioned at the first level, and how many there are.
+    Encoded(Decoder<'a>, usize),
+    /// A feature's own.
+    Owned(&'a [String]),
+}
+
+impl<'a> Iterator for Levels<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Levels::Encoded(_, 0) => None,
+            Levels::Encoded(d, left) => {
+                *left -= 1;
+                Some(d.text().expect(CHECKED))
+            }
+            Levels::Owned(levels) => {
+                let (first, rest) = levels.split_first()?;
+                *levels = rest;
+                Some(first)
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = match self {
+            Levels::Encoded(_, left) => *left,
+            Levels::Owned(levels) => levels.len(),
+        };
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Levels<'_> {}
+
+impl PartialEq for Var<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let fields = |v: &Self| {
+            (v.name, v.curation, v.method, v.canonical, v.unit, v.canonical_unit, v.context)
+        };
+        fields(self) == fields(other)
+            && self.levels.eq(other.levels)
+            && self.summary == other.summary
+            && (self.null_count, self.total_count) == (other.null_count, other.total_count)
+    }
+}
+
+impl<'a> Var<'a> {
+    fn of(v: &'a VariableFeature) -> Var<'a> {
+        let (resolution, method) = match &v.resolution {
+            NameResolution::Unresolved => (0, None),
+            NameResolution::AlreadyCanonical => (1, None),
+            NameResolution::KnownTranslation => (2, None),
+            NameResolution::DiscoveredTranslation { method } => {
+                (RESOLUTION_DISCOVERED, Some(&method[..]))
+            }
+            NameResolution::Curated => (4, None),
+        };
+        Var {
+            name: &v.name,
+            curation: resolution
+                | tag(v.flags.qa, FLAG_QA)
+                | tag(v.flags.ambiguous, FLAG_AMBIGUOUS)
+                | tag(v.flags.hidden, FLAG_HIDDEN)
+                | tag(v.unit_normalized, UNIT_NORMALIZED),
+            method,
+            canonical: v.canonical_name.as_deref(),
+            unit: v.unit.as_deref(),
+            canonical_unit: v.canonical_unit.as_deref(),
+            context: v.context.as_deref(),
+            levels: Levels::Owned(&v.hierarchy),
+            summary: v.summary.clone(),
+            null_count: v.null_count,
+            total_count: v.total_count,
+        }
+    }
+
     fn to_feature(&self) -> VariableFeature {
         let resolution = match self.curation & RESOLUTION_MASK {
             0 => NameResolution::Unresolved,
@@ -717,7 +970,6 @@ impl Var<'_> {
             },
             _ => NameResolution::Curated,
         };
-        let (mut d, levels) = self.levels;
         VariableFeature {
             name: self.name.to_owned(),
             canonical_name: self.canonical.map(str::to_owned),
@@ -726,7 +978,7 @@ impl Var<'_> {
             canonical_unit: self.canonical_unit.map(str::to_owned),
             unit_normalized: self.curation & UNIT_NORMALIZED != 0,
             context: self.context.map(str::to_owned),
-            hierarchy: (0..levels).map(|_| d.text().expect(CHECKED).to_owned()).collect(),
+            hierarchy: self.levels.map(str::to_owned).collect(),
             summary: self.summary.clone(),
             null_count: self.null_count,
             total_count: self.total_count,
@@ -980,7 +1232,7 @@ impl<'a> Decoder<'a> {
             unit,
             canonical_unit,
             context,
-            levels: (first_level, levels),
+            levels: Levels::Encoded(first_level, levels),
             summary: NumericSummary {
                 count: self.varint()?,
                 min: self.f64()?,

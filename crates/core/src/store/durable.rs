@@ -15,16 +15,19 @@
 //! with [`Error::UnsupportedFormat`] and leave it where it is.
 //!
 //! Every mutation is appended to the WAL before being applied in memory;
-//! `checkpoint` folds the WAL into a fresh snapshot and resets the log.
+//! `checkpoint` folds the WAL into a fresh snapshot and resets the log. The
+//! writer, like every reader, holds the store as encoded [`Row`]s: a put is
+//! encoded once, as the WAL record it appends and the row it keeps, and a
+//! checkpoint transcodes rows into the snapshot without decoding one.
 
-use super::codec::{parse_record, Record, Row};
+use super::codec::{encode_rows_of, parse_record, put_image, Record, Row};
 use super::lock::{lock_path, StoreLock};
 use super::metrics::store_metrics;
 use super::quarantine::{quarantine_file, QuarantineReason, Quarantined};
-use super::snapshot::{read_image_with, write_snapshot_with};
+use super::snapshot::{read_image_with, write_payload_with};
 use super::vfs::{std_vfs, Vfs};
 use super::wal::{TailRead, Wal};
-use crate::catalog::{Catalog, Mutation};
+use crate::catalog::{diff_entries, Catalog, Mutation};
 use crate::error::{Error, IoContext, Result};
 use crate::feature::DatasetFeature;
 use crate::id::DatasetId;
@@ -70,8 +73,11 @@ impl Published {
     /// The catalog the rows encode, every row decoded: for the callers that
     /// edit or walk a whole catalog rather than serve it.
     pub fn catalog(&self) -> Catalog {
-        let entries = self.rows.iter().map(|row| (row.id(), row.decode())).collect();
-        Catalog::from_parts(entries, self.properties.clone(), self.generation)
+        Catalog::from_rows(
+            self.rows.iter().map(Row::view),
+            self.properties.clone(),
+            self.generation,
+        )
     }
 }
 
@@ -227,8 +233,15 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub struct DurableCatalog {
     dir: PathBuf,
-    catalog: Catalog,
+    /// Every dataset, encoded: a row of the snapshot's image as it was last
+    /// loaded or written, or the one row of the put that logged it since.
+    rows: BTreeMap<DatasetId, Row>,
+    properties: BTreeMap<String, String>,
+    /// One per mutation applied, as [`Catalog::generation`] counts them.
+    generation: u64,
     wal: Wal,
+    /// Where each put is encoded before its image copies it.
+    scratch: Vec<u8>,
     vfs: Arc<dyn Vfs>,
     recovery: RecoveryReport,
     appends_since_checkpoint: u64,
@@ -312,8 +325,11 @@ impl DurableCatalog {
         let wal = Wal::open_with(vfs.clone(), &wal_path, options.sync_on_append)?;
         Ok(DurableCatalog {
             dir,
-            catalog: published.catalog(),
+            rows: published.rows.into_iter().map(|row| (row.id(), row)).collect(),
+            properties: published.properties,
+            generation: published.generation,
             wal,
+            scratch: Vec::new(),
             vfs,
             recovery,
             appends_since_checkpoint: 0,
@@ -326,9 +342,21 @@ impl DurableCatalog {
         &self.recovery
     }
 
-    /// Read access to the in-memory catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+    /// The catalog the store holds, every row decoded into a copy the
+    /// caller owns. The store itself keeps its rows encoded.
+    pub fn catalog(&self) -> Catalog {
+        Catalog::from_rows(
+            self.rows.values().map(Row::view),
+            self.properties.clone(),
+            self.generation,
+        )
+    }
+
+    /// The mutations that turn the store into `other`: exactly
+    /// [`Catalog::diff`] from [`DurableCatalog::catalog`], found by comparing
+    /// each row with its feature in place, so no row is decoded.
+    pub fn diff(&self, other: &Catalog) -> Vec<Mutation> {
+        diff_entries(&self.rows, &self.properties, other, |row, f| row.view().matches(f))
     }
 
     /// Directory backing this store.
@@ -338,15 +366,46 @@ impl DurableCatalog {
 
     /// Applies a mutation durably: WAL first, then memory.
     pub fn apply(&mut self, m: Mutation) -> Result<()> {
+        if let Mutation::Put(f) = &m {
+            return self.append_put(f);
+        }
         self.wal.append(&m)?;
-        self.catalog.apply(m);
-        self.appends_since_checkpoint += 1;
+        match m {
+            Mutation::Put(_) => unreachable!("a put is appended as its image"),
+            Mutation::Delete(id) => {
+                self.rows.remove(&id);
+            }
+            Mutation::SetProperty { key, value } => {
+                self.properties.insert(key, value);
+            }
+            Mutation::Clear => {
+                self.rows.clear();
+                self.properties.clear();
+            }
+        }
+        self.applied();
         Ok(())
+    }
+
+    /// Logs a put as its image's payload, then keeps the image's one row.
+    fn append_put(&mut self, f: &DatasetFeature) -> Result<()> {
+        let put = put_image(f, &mut self.scratch);
+        self.wal.append_payload(put.payload())?;
+        let row = put.into_row();
+        self.rows.insert(row.id(), row);
+        self.applied();
+        Ok(())
+    }
+
+    /// Counts one mutation appended and applied.
+    fn applied(&mut self) {
+        self.generation += 1;
+        self.appends_since_checkpoint += 1;
     }
 
     /// Durable insert-or-replace of a dataset feature.
     pub fn put(&mut self, f: DatasetFeature) -> Result<()> {
-        self.apply(Mutation::Put(Box::new(f)))
+        self.append_put(&f)
     }
 
     /// Durable delete.
@@ -361,14 +420,15 @@ impl DurableCatalog {
 
     /// Replaces the entire catalog contents durably (Clear + Puts + props).
     /// Used by publish: the published store becomes a copy of the working
-    /// catalog in one WAL-ordered sequence.
+    /// catalog in one WAL-ordered sequence. Each dataset is encoded from the
+    /// borrowed feature, and none is cloned.
     pub fn replace_with(&mut self, other: &Catalog) -> Result<()> {
         self.apply(Mutation::Clear)?;
         for (k, v) in other.properties() {
-            self.apply(Mutation::SetProperty { key: k.clone(), value: v.clone() })?;
+            self.set_property(k.as_str(), v.as_str())?;
         }
         for f in other.iter() {
-            self.apply(Mutation::Put(Box::new(f.clone())))?;
+            self.append_put(f)?;
         }
         Ok(())
     }
@@ -383,13 +443,26 @@ impl DurableCatalog {
         let on = metamess_telemetry::enabled();
         let timer = Stopwatch::start_if(on);
         self.wal.flush_and_sync()?;
-        write_snapshot_with(self.vfs.as_ref(), self.dir.join("snapshot.bin"), &self.catalog)?;
+        self.write_snapshot(&self.dir.join("snapshot.bin"))?;
         self.wal.reset()?;
         self.appends_since_checkpoint = 0;
         if on {
             let m = store_metrics();
             m.snapshot_writes.inc();
             m.checkpoint_micros.record(timer.micros());
+        }
+        Ok(())
+    }
+
+    /// Writes the rows as the snapshot at `path`, transcoded from their
+    /// images, then holds each from the new snapshot's image instead: the
+    /// images of the puts it folds in are freed.
+    fn write_snapshot(&mut self, path: &Path) -> Result<()> {
+        let snapshot = encode_rows_of(self.generation, &self.properties, self.rows.values());
+        write_payload_with(self.vfs.as_ref(), path, snapshot.payload())?;
+        let snapshot = Arc::new(snapshot);
+        for (held, row) in self.rows.values_mut().zip(snapshot.rows()) {
+            *held = row;
         }
         Ok(())
     }
@@ -452,7 +525,7 @@ impl DurableCatalog {
             self.retain_snapshot(&snap_path, &retained_dir)?;
             report.retained_previous = true;
         }
-        write_snapshot_with(self.vfs.as_ref(), &snap_path, &self.catalog)?;
+        self.write_snapshot(&snap_path)?;
         self.wal.reset()?;
         self.appends_since_checkpoint = 0;
         report.snapshot_bytes = self.snapshot_bytes();
@@ -628,7 +701,7 @@ mod tests {
         assert_eq!(fs::read(&wal).unwrap(), torn, "a reader never modifies the log");
         // The writer's open is what truncates, to where the reader stopped.
         let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
-        assert_eq!(s.catalog(), &p.catalog());
+        assert_eq!(s.catalog(), p.catalog());
         assert_eq!(s.wal_bytes(), p.wal_offset);
     }
 
@@ -773,9 +846,9 @@ mod tests {
             let rows_in_image = if row.view().path() == "c.csv" { 3 } else { 1 };
             assert_eq!(row.image().len(), rows_in_image, "{}", row.view().path());
         }
-        // the writer recovers the same catalog, by decoding the same rows
+        // the writer keeps the same rows, which decode to the same catalog
         let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
-        assert_eq!(&p.catalog(), s.catalog());
+        assert_eq!(p.catalog(), s.catalog());
         assert_eq!(p.generation, s.catalog().generation());
         assert_eq!(p.properties.get("vocabulary").map(String::as_str), Some("v2"));
     }
@@ -824,14 +897,14 @@ mod tests {
             for m in &mutations {
                 s.apply(m.clone()).unwrap();
             }
-            assert_eq!(s.catalog(), &model(mutations.len()));
+            assert_eq!(s.catalog(), model(mutations.len()));
             // no checkpoint: the snapshot never exists
         }
         // Everything acked comes back, generation included …
         let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
         assert!(!s.recovery_report().snapshot_loaded);
         assert_eq!(s.recovery_report().wal_mutations, mutations.len());
-        assert_eq!(s.catalog(), &model(mutations.len()));
+        assert_eq!(s.catalog(), model(mutations.len()));
         drop(s);
         // … and with the last record torn, everything before it.
         let wal = dir.join("wal.log");
@@ -839,7 +912,7 @@ mod tests {
         OpenOptions::new().write(true).open(&wal).unwrap().set_len(len - 5).unwrap();
         let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
         assert!(s.recovery_report().truncated_bytes > 0);
-        assert_eq!(s.catalog(), &model(mutations.len() - 1));
+        assert_eq!(s.catalog(), model(mutations.len() - 1));
     }
 
     #[test]

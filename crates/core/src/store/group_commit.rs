@@ -170,8 +170,8 @@ impl GroupCommit {
         GroupCommit { shared, options, flusher }
     }
 
-    /// Submits one batch of mutations. They are applied to the in-memory
-    /// catalog and appended (buffered) to the WAL before this returns; the
+    /// Submits one batch of mutations. They are appended (buffered) to the
+    /// WAL and applied to the store's rows before this returns; the
     /// returned ticket resolves once the covering fsync lands.
     pub fn submit(&self, batch: Vec<Mutation>) -> Result<CommitTicket> {
         let mut state = self.shared.state.lock().expect("group-commit lock poisoned");

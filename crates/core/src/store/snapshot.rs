@@ -37,7 +37,12 @@ pub fn write_snapshot(path: impl AsRef<Path>, catalog: &Catalog) -> Result<()> {
 /// Writes `catalog` as a snapshot at `path`, atomically, through an
 /// explicit [`Vfs`].
 pub fn write_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>, catalog: &Catalog) -> Result<()> {
-    write_framed(vfs, path.as_ref(), SNAPSHOT_MAGIC, &encode_catalog(catalog), "snapshot")
+    write_payload_with(vfs, path.as_ref(), &encode_catalog(catalog))
+}
+
+/// Writes a catalog payload as a snapshot at `path`, atomically.
+pub(crate) fn write_payload_with(vfs: &dyn Vfs, path: &Path, payload: &[u8]) -> Result<()> {
+    write_framed(vfs, path, SNAPSHOT_MAGIC, payload, "snapshot")
 }
 
 /// Reads a snapshot via the standard file system. Returns `Ok(None)` when

@@ -79,8 +79,8 @@ pub struct Wal {
     appended: u64,
     /// Synchronous durability: fsync after every append.
     sync_on_append: bool,
-    /// The payload of the record being appended; kept so that a publish of
-    /// 25 000 records allocates for it once.
+    /// The payload of the mutation being appended; kept so that a run of
+    /// appends allocates for it once.
     scratch: Vec<u8>,
 }
 
@@ -224,8 +224,17 @@ impl Wal {
     /// Appends one mutation. The record is durable after this call when the
     /// log was opened with `sync_on_append`.
     pub fn append(&mut self, m: &Mutation) -> Result<()> {
-        encode_mutation(m, &mut self.scratch);
-        let payload = &self.scratch;
+        let mut payload = std::mem::take(&mut self.scratch);
+        encode_mutation(m, &mut payload);
+        let appended = self.append_payload(&payload);
+        self.scratch = payload;
+        appended
+    }
+
+    /// Appends one record whose payload is already encoded: a mutation as
+    /// [`encode_mutation`] writes it, such as a put's
+    /// [`put_image`](super::codec::put_image), which its writer keeps.
+    pub(crate) fn append_payload(&mut self, payload: &[u8]) -> Result<()> {
         if payload.len() as u64 > MAX_RECORD_LEN as u64 {
             return Err(Error::invalid(format!("mutation of {} bytes exceeds cap", payload.len())));
         }

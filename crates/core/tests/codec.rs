@@ -12,19 +12,24 @@
 //! payload and a valid WAL record twelve ways each;
 //! `METAMESS_TORTURE_CASES` scales it (default 300 seeds;
 //! `scripts/verify.sh` runs 1000, which is 24 000 mutants).
+//!
+//! An image the encoder builds for itself — [`Image::encode`],
+//! [`put_image`], [`encode_rows_of`] — is never parsed, so
+//! `encoder_built_images_are_what_their_payloads_parse_to` holds each to
+//! what parsing its payload finds.
 
+mod catalogs;
 mod common;
 
+use catalogs::{archive_like, seeded_catalog};
 use common::{sweep, Rng};
 use metamess_core::catalog::{Catalog, Mutation};
-use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
-use metamess_core::geo::{GeoBBox, GeoPoint};
+use metamess_core::feature::{DatasetFeature, VariableFeature};
 use metamess_core::id::DatasetId;
 use metamess_core::store::codec::{
-    decode_catalog, decode_mutation, encode_catalog, encode_mutation,
+    decode_catalog, decode_mutation, encode_catalog, encode_mutation, encode_rows_of, put_image,
 };
-use metamess_core::store::{crc32, Image, Wal, WAL_MAGIC};
-use metamess_core::time::{TimeInterval, Timestamp};
+use metamess_core::store::{crc32, Image, Row, Wal, WAL_MAGIC};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -94,6 +99,13 @@ fn decodes_or_is_corrupt<T>(
     }
 }
 
+/// A put record's bytes for `f`, which compare NaN and −0.0 by their bits.
+fn put_record(f: &DatasetFeature) -> Vec<u8> {
+    let mut record = Vec::new();
+    encode_mutation(&Mutation::Put(Box::new(f.clone())), &mut record);
+    record
+}
+
 /// Each row of the image `bytes` parse to, by id (the last of an id wins,
 /// as in a catalog), read in place and then decoded: the decoded row as a
 /// put record's bytes, which compare NaN and −0.0 by their bits.
@@ -109,9 +121,7 @@ fn image_rows(bytes: &[u8]) -> metamess_core::Result<BTreeMap<DatasetId, Vec<u8>
         assert_eq!((view.path(), view.title()), (&decoded.path[..], &decoded.title[..]));
         assert_eq!(searchable.len(), decoded.searchable_variables().count());
         assert_eq!(view.variable_count(), decoded.variables.len());
-        let mut record = Vec::new();
-        encode_mutation(&Mutation::Put(Box::new(decoded)), &mut record);
-        rows.insert(row.id(), record);
+        rows.insert(row.id(), put_record(&decoded));
     }
     Ok(rows)
 }
@@ -122,73 +132,14 @@ fn image_agrees_with_the_decoder(bytes: &[u8]) -> bool {
     let decoded = decodes_or_is_corrupt(bytes, decode_catalog);
     let parsed = decodes_or_is_corrupt(bytes, image_rows);
     if let (Ok((catalog, _)), Ok(rows)) = (decode_catalog(bytes), image_rows(bytes)) {
-        let entries: BTreeMap<DatasetId, Vec<u8>> = catalog
-            .iter()
-            .map(|f| {
-                let mut record = Vec::new();
-                encode_mutation(&Mutation::Put(Box::new(f.clone())), &mut record);
-                (f.id, record)
-            })
-            .collect();
+        let entries: BTreeMap<DatasetId, Vec<u8>> =
+            catalog.iter().map(|f| (f.id, put_record(f))).collect();
         assert_eq!(rows, entries, "an image row decodes unlike the decoder");
     }
     // a put's payload parses as an image and not as a catalog; nothing else
     // may tell the two apart
     assert!(parsed || !decoded, "decode_catalog took what Image::parse refused");
     decoded
-}
-
-const CONTEXTS: [&str; 4] = ["met_station", "ctd", "buoy", "glider"];
-const TERMS: [(&str, &str, &str, &str); 6] = [
-    ("wtemp", "water_temperature", "physical", "temperature"),
-    ("airtemp", "air_temperature", "physical", "temperature"),
-    ("sal", "salinity", "physical", "salinity"),
-    ("do_mgl", "dissolved_oxygen", "chemical", "oxygen"),
-    ("chl", "chlorophyll", "biological", "pigment"),
-    ("turb", "turbidity", "optical", "scattering"),
-];
-
-/// A dataset shaped like the archive generator's after wrangling: 5–7
-/// variables from a controlled vocabulary (hierarchy three deep, unit and
-/// context set), one external pair, an extent in space and in time.
-fn archive_like(i: usize, rng: &mut Rng) -> DatasetFeature {
-    let context = *rng.pick(&CONTEXTS);
-    let mut f = DatasetFeature::new(format!("stations/{context}{:02}/2010/{i:05}.csv", i % 40));
-    f.title = format!("{context} {:02} 2010-{:02}", i % 40, i % 12 + 1);
-    f.source = Some(format!("{context}{:02}", i % 40));
-    let at = GeoPoint { lat: rng.float(44.0, 47.0), lon: rng.float(-125.0, -123.0) };
-    f.bbox = Some(GeoBBox::point(at));
-    let start = Timestamp(1_262_304_000 + rng.range(0, 365) * 86_400);
-    f.time = Some(TimeInterval::new(start, start.plus_days(rng.range(1, 30))));
-    f.record_count = rng.below(4000);
-    f.external.insert("platform".into(), context.into());
-    f.provenance.format = "csv".into();
-    f.provenance.content_fingerprint = rng.next();
-    f.provenance.file_len = f.record_count * 64;
-    f.provenance.pipeline_run = 1;
-    let first = rng.size(0, TERMS.len());
-    for k in 0..rng.size(5, 8) {
-        let (harvested, canonical, root, family) = TERMS[(first + k) % TERMS.len()];
-        // a seventh variable wraps around to the first term: a QA twin
-        let mut v = VariableFeature::new(if k < TERMS.len() {
-            harvested.into()
-        } else {
-            format!("{harvested}_qa")
-        });
-        v.resolve(canonical, NameResolution::KnownTranslation);
-        v.hierarchy = vec![root.into(), family.into(), canonical.into()];
-        v.unit = Some("raw".into());
-        v.canonical_unit = Some("si".into());
-        v.unit_normalized = true;
-        v.context = Some(context.into());
-        v.flags.qa = k >= TERMS.len();
-        let lo = rng.float(-5.0, 30.0);
-        v.summary.observe(lo);
-        v.summary.observe(lo + rng.float(0.5, 20.0));
-        v.total_count = f.record_count;
-        f.variables.push(v);
-    }
-    f
 }
 
 /// A small valid snapshot payload and a small valid WAL record payload.
@@ -302,6 +253,52 @@ fn every_strict_prefix_is_corrupt() {
         assert!(!decodes_or_is_corrupt(&record[..n], decode_mutation), "record cut at {n}");
         assert!(!decodes_or_is_corrupt(&record[..n], image_rows), "record cut at {n}");
     }
+}
+
+/// `image` is what [`Image::parse`] makes of its payload: the same bytes,
+/// table and row starts, and each row decodes alike, bit for bit.
+fn parses_to_itself(image: &Arc<Image>) {
+    let parsed = Arc::new(Image::parse(image.payload().to_vec()).unwrap());
+    assert_eq!(parsed, *image);
+    assert_eq!(parsed.table_entries(), image.table_entries());
+    for (ours, theirs) in image.rows().zip(parsed.rows()) {
+        assert_eq!(put_record(&ours.decode()), put_record(&theirs.decode()));
+    }
+}
+
+#[test]
+fn encoder_built_images_are_what_their_payloads_parse_to() {
+    sweep(60, |rng| {
+        let catalog = seeded_catalog(rng);
+        let features: Vec<&DatasetFeature> = catalog.iter().collect();
+        let encoded = Arc::new(Image::encode(&features));
+        parses_to_itself(&encoded);
+        for (row, f) in encoded.rows().zip(&features) {
+            assert_eq!(put_record(&row.decode()), put_record(f));
+        }
+        // a put's image is its WAL record
+        let puts: Vec<Arc<Image>> =
+            features.iter().map(|f| Arc::new(put_image(f, &mut Vec::new()))).collect();
+        for (put, f) in puts.iter().zip(&features) {
+            assert_eq!(put.payload(), &put_record(f)[..]);
+            parses_to_itself(put);
+        }
+        // rows of either, mixed as a writer holds them, transcode to the
+        // snapshot of the catalog they decode to
+        let rows: Vec<Row> = encoded
+            .rows()
+            .zip(&puts)
+            .map(|(row, put)| if rng.coin() { row } else { put.rows().next().unwrap() })
+            .collect();
+        let snapshot =
+            Arc::new(encode_rows_of(catalog.generation(), catalog.properties(), rows.iter()));
+        assert_eq!(snapshot.payload(), &encode_catalog(&catalog)[..]);
+        parses_to_itself(&snapshot);
+    });
+    let empty = Arc::new(Image::encode(&[]));
+    parses_to_itself(&empty);
+    let none = encode_rows_of(0, &BTreeMap::new(), std::iter::empty::<&Row>());
+    assert_eq!(none.payload(), empty.payload());
 }
 
 /// The size gate, without the benchmark: ROADMAP's ≤ 1000 B/dataset.

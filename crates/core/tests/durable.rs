@@ -1,0 +1,166 @@
+//! The writer's rows against the catalog they decode to.
+//!
+//! A [`DurableCatalog`] holds its datasets as encoded rows and decodes none
+//! of them to write a snapshot or to diff: a checkpoint transcodes the rows,
+//! and `diff` compares each row with its feature in place. These sweeps
+//! hold both to the decoded catalog as their oracle — the snapshot a
+//! checkpoint writes is `encode_catalog(&store.catalog())` byte for byte,
+//! and `store.diff(c)` is `store.catalog().diff(c)` — over seeded catalogs
+//! with ±inf, −0.0 and NaN summaries, whose rows come from put records,
+//! from a snapshot, and from both.
+
+mod catalogs;
+mod common;
+
+use catalogs::{seeded_catalog, seeded_dataset};
+use common::{sweep, Rng};
+use metamess_core::catalog::{Catalog, Mutation};
+use metamess_core::id::DatasetId;
+use metamess_core::store::codec::{encode_catalog, encode_mutation};
+use metamess_core::store::{DurableCatalog, StoreOptions};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+const CASES: u64 = 60;
+
+/// Fresh unique store directory per case.
+fn fresh_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let d = std::env::temp_dir().join(format!("metamess-rows-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+fn open(dir: &Path) -> DurableCatalog {
+    DurableCatalog::open(dir, StoreOptions::default()).unwrap()
+}
+
+/// Each mutation as its WAL record: what compares NaN and −0.0 by their
+/// bits.
+fn records(mutations: &[Mutation]) -> Vec<Vec<u8>> {
+    mutations
+        .iter()
+        .map(|m| {
+            let mut record = Vec::new();
+            encode_mutation(m, &mut record);
+            record
+        })
+        .collect()
+}
+
+/// Puts (new datasets and replacements), deletes and property sets.
+fn edit_store(store: &mut DurableCatalog, rng: &mut Rng) {
+    let ids: Vec<DatasetId> = store.catalog().iter().map(|f| f.id).collect();
+    for _ in 0..rng.size(1, 12) {
+        match rng.below(3) {
+            0 => store.put(seeded_dataset(rng.size(0, 40), rng)).unwrap(),
+            1 if !ids.is_empty() => store.delete(*rng.pick(&ids)).unwrap(),
+            _ => store
+                .set_property(format!("k{}", rng.below(4)), format!("v{}", rng.below(9)))
+                .unwrap(),
+        }
+    }
+}
+
+/// Checkpoints `store`, and holds the snapshot it wrote, and the rows it
+/// holds after, to the encoding of the catalog it decoded to before.
+fn checkpoint_writes_the_decoded_catalog(store: &mut DurableCatalog, when: &str) {
+    let want = encode_catalog(&store.catalog());
+    store.checkpoint().unwrap();
+    let file = std::fs::read(store.dir().join("snapshot.bin")).unwrap();
+    // the payload follows the magic, its length and its CRC
+    assert_eq!(&file[16..], &want[..], "{when}");
+    assert_eq!(encode_catalog(&store.catalog()), want, "{when}: the rows it holds after");
+}
+
+#[test]
+fn a_checkpoint_writes_the_catalog_its_rows_decode_to() {
+    sweep(CASES, |rng| {
+        let dir = fresh_dir("checkpoint");
+        let mut store = open(&dir);
+        store.replace_with(&seeded_catalog(rng)).unwrap();
+        checkpoint_writes_the_decoded_catalog(&mut store, "after replace_with");
+        // rows of the snapshot beside rows of puts
+        edit_store(&mut store, rng);
+        checkpoint_writes_the_decoded_catalog(&mut store, "after puts, deletes and properties");
+        // and as a reopen recovers them: the snapshot's, and the WAL's puts
+        edit_store(&mut store, rng);
+        drop(store);
+        let mut store = open(&dir);
+        checkpoint_writes_the_decoded_catalog(&mut store, "after a reopen");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// `c` with, each by the toss of a coin and each to a dataset of its own: a
+/// `record_count` bump, a changed canonical name, a new external pair, −0.0
+/// for 0.0 (or back), a dataset added, one deleted, a property changed.
+fn edited(c: &Catalog, rng: &mut Rng) -> Catalog {
+    let mut next = c.clone();
+    let mut ids: Vec<DatasetId> = c.iter().map(|f| f.id).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.size(0, i + 1));
+    }
+    // the flipped zero goes first, to a dataset that has one: `==` cannot
+    // tell the two apart, so no other edit may touch it
+    let zero = ids.iter().position(|id| {
+        c.get(*id).unwrap().variables.iter().any(|v| v.summary.count > 0 && v.summary.min == 0.0)
+    });
+    if let Some(at) = zero.filter(|_| rng.coin()) {
+        let f = next.get_mut(ids.swap_remove(at)).unwrap();
+        for s in f.variables.iter_mut().map(|v| &mut v.summary).filter(|s| s.min == 0.0) {
+            (s.min, s.max, s.mean) = (-s.min, -s.max, -s.mean);
+        }
+    }
+    let mut targets = ids.into_iter();
+    if rng.coin() {
+        next.get_mut(targets.next().unwrap()).unwrap().record_count += 1;
+    }
+    if rng.coin() {
+        let f = next.get_mut(targets.next().unwrap()).unwrap();
+        let at = rng.size(0, f.variables.len());
+        let v = &mut f.variables[at];
+        v.canonical_name = Some(format!("{}_v2", v.search_name()));
+    }
+    if rng.coin() {
+        let f = next.get_mut(targets.next().unwrap()).unwrap();
+        f.external.insert("principal_investigator".into(), "Megler".into());
+    }
+    if rng.coin() {
+        next.put(seeded_dataset(1000 + rng.size(0, 1000), rng));
+    }
+    if rng.coin() {
+        next.delete(targets.next().unwrap());
+    }
+    if rng.coin() {
+        next.set_property("archive", "sim2");
+    }
+    next
+}
+
+#[test]
+fn diff_from_rows_is_the_diff_of_the_decoded_catalog() {
+    let mut puts = 0;
+    sweep(CASES, |rng| {
+        let dir = fresh_dir("diff");
+        let mut store = open(&dir);
+        let published = seeded_catalog(rng);
+        store.replace_with(&published).unwrap();
+        if rng.coin() {
+            store.checkpoint().unwrap();
+        }
+        let next = edited(&published, rng);
+        let want = store.catalog().diff(&next);
+        assert_eq!(records(&store.diff(&next)), records(&want));
+        // the store itself moves away from `published` too
+        edit_store(&mut store, rng);
+        let want = store.catalog().diff(&next);
+        assert_eq!(records(&store.diff(&next)), records(&want));
+        puts += want.iter().filter(|m| matches!(m, Mutation::Put(_))).count();
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+    assert!(puts > 0, "no seed put anything");
+}

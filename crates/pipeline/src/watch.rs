@@ -11,9 +11,9 @@
 //! 2. runs the curation loop to fixpoint (stage skipping makes this
 //!    incremental: only stages whose inputs changed re-execute), which is
 //!    recorded as a wrangle trace like any other run;
-//! 3. diffs the store's catalog against the freshly published catalog and
-//!    submits the resulting mutations as **one batch** to the group-commit
-//!    queue, acking only after the shared fsync lands;
+//! 3. diffs the store's rows against the freshly published catalog, in
+//!    place, and submits the resulting mutations as **one batch** to the
+//!    group-commit queue, acking only after the shared fsync lands;
 //! 4. saves the vocabulary *only when its version moved* (a rewritten
 //!    vocabulary file forces live readers into a full reload — see the
 //!    delta-publication signature check in `metamess-server`) and persists
@@ -188,11 +188,12 @@ impl Watcher {
             return Ok(report);
         }
         self.curator.run_to_fixpoint(&mut self.pipeline, &mut self.ctx)?;
-        // The store holds the previously published catalog; the diff is
-        // exactly the delta this cycle discovered. One submission per
-        // cycle — the group-commit window coalesces bursty cycles (and
-        // concurrent property writes) into a shared fsync.
-        let delta = self.commits.with_store(|s| s.catalog().diff(&self.ctx.catalogs.published))?;
+        // The store holds the previously published catalog, as rows; the
+        // diff compares them with the new one in place and is exactly the
+        // delta this cycle discovered. One submission per cycle — the
+        // group-commit window coalesces bursty cycles (and concurrent
+        // property writes) into a shared fsync.
+        let delta = self.commits.with_store(|s| s.diff(&self.ctx.catalogs.published))?;
         let mutations = delta.len();
         let wait = Stopwatch::start_if(metamess_telemetry::enabled());
         if mutations > 0 {

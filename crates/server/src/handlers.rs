@@ -454,8 +454,9 @@ mod tests {
         // coordinator is the production one.
         let vocab = Vocabulary::observatory_default();
         let spec = ShardSpec::new(2, Partitioner::Hash);
+        let catalog = s.catalog();
         let hosts: Vec<Arc<ShardHost>> = (0..2)
-            .map(|k| Arc::new(ShardHost::build(s.catalog(), vocab.clone(), spec, k).unwrap()))
+            .map(|k| Arc::new(ShardHost::build(&catalog, vocab.clone(), spec, k).unwrap()))
             .collect();
         let survivor_datasets = hosts[0].len() as u64;
         drop(s);

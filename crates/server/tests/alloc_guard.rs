@@ -8,7 +8,8 @@
 //! `POST /search` must stay under a fixed small allocation budget, both
 //! on a result-cache hit and on a full cold scoring pass. Opening an
 //! engine has a budget too, per dataset: its index and menus resolve each
-//! distinct variable spelling once, not each variable.
+//! distinct variable spelling once, not each variable. So do a publish and
+//! the writer's open: the writer keeps encoded rows, not features.
 //!
 //! The whole check lives in ONE test function: the counting allocator is
 //! process-global, so a second test running concurrently would bleed its
@@ -17,7 +18,7 @@
 #![cfg(feature = "alloc-guard")]
 
 use metamess_core::store::read_published;
-use metamess_core::{DatasetFeature, DurableCatalog, StoreOptions, VariableFeature};
+use metamess_core::{Catalog, DatasetFeature, DurableCatalog, StoreOptions, VariableFeature};
 use metamess_search::{SearchEngine, ShardSpec};
 use metamess_server::{handle, Request, ServeState};
 use metamess_vocab::Vocabulary;
@@ -75,14 +76,10 @@ fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.load(Ordering::Relaxed))
 }
 
-/// A store big enough that a cold scoring pass does real work: a few
-/// hundred datasets with ranged numeric variables.
-fn fixture_store() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("metamess-allocguard-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut store = DurableCatalog::open(dir.join("catalog"), StoreOptions::default()).unwrap();
-    for i in 0..240usize {
+/// A few hundred datasets with ranged numeric variables: enough that a cold
+/// scoring pass does real work.
+fn fixture_datasets() -> impl Iterator<Item = DatasetFeature> {
+    (0..240usize).map(|i| {
         let mut d = DatasetFeature::new(format!("2014/{:02}/station{:03}_ctd.csv", i % 12 + 1, i));
         let mut temp = VariableFeature::new("water_temperature");
         temp.summary.observe(4.0 + (i % 20) as f64);
@@ -94,6 +91,17 @@ fn fixture_store() -> PathBuf {
             sal.summary.observe(34.0);
             d.variables.push(sal);
         }
+        d
+    })
+}
+
+/// The fixture datasets in a store, put one by one and checkpointed.
+fn fixture_store() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("metamess-allocguard-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut store = DurableCatalog::open(dir.join("catalog"), StoreOptions::default()).unwrap();
+    for d in fixture_datasets() {
         store.put(d).unwrap();
     }
     store.checkpoint().unwrap();
@@ -129,6 +137,17 @@ const COLD_SCORING_BUDGET: u64 = 200;
 /// datasets (1.4 each) with every row kept encoded; 1 640 (6.8 each) when
 /// the read decoded each row into a `DatasetFeature` of its own strings.
 const OPEN_BUDGET_PER_DATASET: u64 = 2;
+
+/// A publish — the writer's open of a fresh store, `replace_with`, a
+/// checkpoint — per dataset: 1 538 allocations over the 240 datasets (6.4
+/// each) with each put kept as its encoded image; 1 895 (7.9 each) when the
+/// writer cloned every feature into a catalog of its own.
+const PUBLISH_BUDGET_PER_DATASET: u64 = 7;
+
+/// The writer's open of the published store, per dataset: 80 allocations
+/// (0.3 each) keeping the rows it checked; 1 160 (4.8 each) when it decoded
+/// every row.
+const WRITER_OPEN_BUDGET_PER_DATASET: u64 = 1;
 
 #[test]
 fn warm_keep_alive_search_stays_within_allocation_budget() {
@@ -213,6 +232,34 @@ fn warm_keep_alive_search_stays_within_allocation_budget() {
         open_allocs <= OPEN_BUDGET_PER_DATASET * datasets,
         "opening a store of {datasets} datasets made {open_allocs} heap allocations \
          (budget {OPEN_BUDGET_PER_DATASET} per dataset)"
+    );
+
+    // Scenario 5: a publish — the writer's open of a fresh store, the
+    // fixture catalog through the WAL, a checkpoint — keeps each dataset as
+    // its encoded put and clones no feature.
+    let mut catalog = Catalog::new();
+    fixture_datasets().for_each(|d| catalog.put(d));
+    let published = dir.join("published");
+    let ((), publish_allocs) = counting(|| {
+        let mut store = DurableCatalog::open(&published, StoreOptions::default()).unwrap();
+        store.replace_with(&catalog).unwrap();
+        store.checkpoint().unwrap();
+    });
+    assert!(
+        publish_allocs <= PUBLISH_BUDGET_PER_DATASET * datasets,
+        "publishing {datasets} datasets made {publish_allocs} heap allocations \
+         (budget {PUBLISH_BUDGET_PER_DATASET} per dataset)"
+    );
+
+    // Scenario 6: the writer's open of that store checks its rows and keeps
+    // them; it decodes none.
+    let (reopened, writer_open_allocs) =
+        counting(|| DurableCatalog::open(&published, StoreOptions::default()).unwrap());
+    assert!(reopened.catalog().iter().eq(catalog.iter()));
+    assert!(
+        writer_open_allocs <= WRITER_OPEN_BUDGET_PER_DATASET * datasets,
+        "the writer's open of {datasets} datasets made {writer_open_allocs} heap allocations \
+         (budget {WRITER_OPEN_BUDGET_PER_DATASET} per dataset)"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

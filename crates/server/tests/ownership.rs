@@ -63,7 +63,7 @@ fn after_an_open_the_engine_is_the_only_holder_of_every_feature() {
             store.apply(m.clone()).unwrap();
         }
         store.flush().unwrap();
-        let expected = store.catalog().clone();
+        let expected = store.catalog();
         drop(store);
 
         let state = ServeState::open_sharded(&dir, layout(seed)).unwrap();
@@ -117,7 +117,7 @@ fn a_delta_shares_what_it_left_alone_and_answers_like_a_reopened_store() {
             store.apply(m.clone()).unwrap();
         }
         store.flush().unwrap();
-        let expected = store.catalog().clone();
+        let expected = store.catalog();
         drop(store);
 
         match state.poll_reload().unwrap() {

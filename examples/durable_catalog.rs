@@ -61,9 +61,10 @@ fn main() {
         "recovered: snapshot={} wal_mutations={} truncated_bytes={}",
         report.snapshot_loaded, report.wal_mutations, report.truncated_bytes
     );
-    println!("catalog now holds {} datasets", store.catalog().len());
-    assert!(store.catalog().get_by_path("late/arrival_1.csv").is_some());
-    assert!(store.catalog().get_by_path("late/arrival_2.csv").is_none()); // torn away
-    assert_eq!(store.catalog().property("archive"), Some("cmop-sim"));
+    let catalog = store.catalog();
+    println!("catalog now holds {} datasets", catalog.len());
+    assert!(catalog.get_by_path("late/arrival_1.csv").is_some());
+    assert!(catalog.get_by_path("late/arrival_2.csv").is_none()); // torn away
+    assert_eq!(catalog.property("archive"), Some("cmop-sim"));
     println!("the committed prefix survived; the torn record was discarded");
 }

@@ -36,13 +36,16 @@ echo "==> trace zero-allocation gate (METAMESS_TELEMETRY=0 alloc guard)"
 METAMESS_TELEMETRY=0 cargo test -q -p metamess-server --test alloc_guard
 
 cases="${METAMESS_TORTURE_CASES:-1000}"
-echo "==> crash-consistency, group-commit and hostile-bytes suites ($cases seeded cases, release)"
+echo "==> crash-consistency, group-commit, hostile-bytes and writer-row suites ($cases seeded cases, release)"
 # Recovery after an injected fault is the acknowledged prefix; a crash
 # inside the commit window leaves the acked prefix, and compaction
 # mid-fault never loses acked data. Damaged store payloads decode or are
-# refused as corrupt: no panic, no allocation on an unchecked count.
+# refused as corrupt: no panic, no allocation on an unchecked count. An
+# image the encoder builds is what parsing its payload finds; the writer's
+# checkpoint writes the decoded catalog's bytes, and its row-wise diff is
+# the decoded catalog's diff.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
-  --test torture --test torture_group_commit --test codec
+  --test torture --test torture_group_commit --test codec --test durable
 
 echo "==> engine vs reference search and browse, and who holds the rows (release)"
 # Ranking and hit materialization are separate instances of the one scoring

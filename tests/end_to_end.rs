@@ -152,11 +152,11 @@ fn published_catalog_survives_durable_storage() {
         store.replace_with(&ctx.catalogs.published).unwrap();
         store.checkpoint().unwrap();
     }
-    let store = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
-    assert_eq!(store.catalog().len(), ctx.catalogs.published.len());
+    let stored = DurableCatalog::open(&dir, StoreOptions::default()).unwrap().catalog();
+    assert_eq!(stored.len(), ctx.catalogs.published.len());
     // spot-check a full feature round trip
     let original = ctx.catalogs.published.iter().next().unwrap();
-    let loaded = store.catalog().get(original.id).unwrap();
+    let loaded = stored.get(original.id).unwrap();
     assert_eq!(loaded, original);
 }
 
