@@ -48,7 +48,7 @@ use crate::fanout::{scatter_gather, LocalShards};
 use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::score::{Extent, ScoreBreakdown};
-use crate::shard::{ShardEngine, ShardSpec, Spellings};
+use crate::shard::{ShardEngine, ShardSpec};
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
@@ -162,9 +162,7 @@ impl ShardedEngine {
         debug_assert!(placed.windows(2).all(|w| w[0].0 < w[1].0), "not in catalog order");
         let total = rows.len();
         let layout = partition(rows, &placed, spec, |_| true);
-        let mut spellings = Spellings::new(&vocab);
-        let shards: Vec<ShardEngine> =
-            layout.iter().map(|m| ShardEngine::build(m, &mut spellings)).collect();
+        let shards = ShardEngine::build_all(&layout, &vocab);
         let mut by_id: HashMap<DatasetId, (u32, u32)> = HashMap::with_capacity(total);
         for (s, members) in layout.iter().enumerate() {
             for (l, (gix, _)) in members.iter().enumerate() {
@@ -231,8 +229,8 @@ impl ShardedEngine {
     }
 
     /// Drill-down menus over the indexed datasets, one per taxonomy of the
-    /// engine's vocabulary, counted from the concepts of the shards' name
-    /// keys.
+    /// engine's vocabulary, counted from the concepts of the variables'
+    /// spellings.
     pub fn browse(&self) -> Vec<BrowseTree> {
         let taxonomies: Vec<&Taxonomy> = self.vocab.taxonomies.iter().collect();
         count(&taxonomies, self.shards.iter().flat_map(|s| s.concepts()))

@@ -35,7 +35,7 @@ use crate::explain::{search_metrics, SearchExplain};
 use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::score::Extent;
-use crate::shard::{expanded_time, ShardEngine, ShardSpec, Spellings};
+use crate::shard::{expanded_time, ShardEngine, ShardSpec};
 use crate::topk::{rank_cmp, LightHit, LightTopK};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
@@ -170,9 +170,10 @@ pub fn probe_prunable(query: &Query, time_bound: Option<&TimeInterval>) -> bool 
 /// Candidates are scored from the shard's own arrays, allocation-free, into
 /// a bounded top-k of light `(score, local index)` pairs; only the
 /// `≤ limit` survivors are materialized (strings + breakdown), from the same
-/// arrays. Both passes run the one scoring routine, so a hit's score is the
-/// score it ranked by. The shard resolved every name against the vocabulary
-/// it was built with, so `_vocab` is no longer read.
+/// arrays. Both passes run the one scoring routine through one memo of the
+/// query terms' name tiers per spelling, so a hit's score is the score it
+/// ranked by. The shard resolved every name against the vocabulary it was
+/// built with, so `_vocab` is no longer read.
 pub fn score_top(
     shard: &ShardEngine,
     query: &Query,
@@ -189,10 +190,11 @@ pub fn score_top(
     };
     let rank_lt = |a: &LightHit, b: &LightHit| light_cmp(a, b) == Ordering::Less;
     let mut lights: Vec<LightHit> = Vec::new();
+    let mut memo = shard.tier_memo(plan.prepared.len());
     {
         let mut topk = LightTopK::new(query.limit, &mut lights);
         let mut offer = |ix: u32| {
-            let s = shard.score(query, &plan.prepared, ix as usize);
+            let s = shard.score(query, &plan.prepared, &mut memo, ix as usize);
             topk.push((s, ix), &rank_lt);
         };
         match work {
@@ -202,7 +204,10 @@ pub fn score_top(
         }
     }
     lights.sort_by(light_cmp);
-    lights.iter().map(|&(_, lix)| shard.score_hit(query, &plan.prepared, lix as usize)).collect()
+    lights
+        .iter()
+        .map(|&(_, lix)| shard.score_hit(query, &plan.prepared, &mut memo, lix as usize))
+        .collect()
 }
 
 /// Merges per-shard top-`limit` hit lists into the global top-`limit`,
@@ -498,7 +503,7 @@ pub fn build_shard(
     let image = Arc::new(Image::encode(&features));
     let members: Vec<(usize, Row)> =
         members.iter().map(|&(gix, _)| gix).zip(image.rows()).collect();
-    ShardEngine::build(&members, &mut Spellings::new(vocab))
+    ShardEngine::build_all(&[members], vocab).remove(0)
 }
 
 /// [`build_shard`] over the rows of a store read (in catalog order, as
@@ -513,7 +518,7 @@ pub fn build_shard_from(
     let spec = checked(spec, shard_ix);
     let placed = placed_rows(&rows);
     let members = partition(rows, &placed, spec, |s| s == shard_ix).swap_remove(shard_ix);
-    ShardEngine::build(&members, &mut Spellings::new(vocab))
+    ShardEngine::build_all(&[members], vocab).remove(0)
 }
 
 /// `spec` clamped, with `shard_ix` one of its shards.

@@ -12,14 +12,22 @@ use metamess_core::time::{TimeInterval, Timestamp};
 #[derive(Debug)]
 pub struct IntervalIndex {
     /// Entries sorted by (start, payload).
-    starts: Vec<(TimeInterval, usize)>,
+    starts: Vec<(TimeInterval, u32)>,
     /// `max_end[i]` = max end among `starts[..=i]`.
     max_end: Vec<Timestamp>,
 }
 
 impl IntervalIndex {
     /// Builds the index from `(interval, payload)` pairs.
-    pub fn build(mut entries: Vec<(TimeInterval, usize)>) -> IntervalIndex {
+    ///
+    /// # Panics
+    ///
+    /// When a payload does not fit a `u32`.
+    pub fn build(entries: Vec<(TimeInterval, usize)>) -> IntervalIndex {
+        let mut entries: Vec<(TimeInterval, u32)> = entries
+            .into_iter()
+            .map(|(iv, payload)| (iv, u32::try_from(payload).expect("payloads fit a u32")))
+            .collect();
         entries.sort_by(|a, b| a.0.start.cmp(&b.0.start).then(a.1.cmp(&b.1)));
         let mut max_end = Vec::with_capacity(entries.len());
         let mut cur = Timestamp(i64::MIN);
@@ -45,9 +53,15 @@ impl IntervalIndex {
     /// Payloads of all intervals overlapping `query`, ascending payload order.
     pub fn overlapping(&self, query: &TimeInterval) -> Vec<usize> {
         let mut out = Vec::new();
-        if self.starts.is_empty() {
-            return out;
-        }
+        self.overlapping_into(query, &mut out);
+        let mut out: Vec<usize> = out.into_iter().map(|p| p as usize).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Appends to `out` the payloads of all intervals overlapping `query`,
+    /// in no particular order, allocating nothing but `out`'s growth.
+    pub fn overlapping_into(&self, query: &TimeInterval, out: &mut Vec<u32>) {
         // Entries with start > query.end can never overlap.
         let hi = self.starts.partition_point(|(iv, _)| iv.start <= query.end);
         // Walk backward from hi, pruning when even the best end is too early.
@@ -62,8 +76,6 @@ impl IntervalIndex {
                 out.push(*payload);
             }
         }
-        out.sort_unstable();
-        out
     }
 
     /// Payloads of intervals containing the instant `t`.

@@ -19,19 +19,20 @@
 //! * [`QueryPlan`] precomputes vocabulary expansion, hierarchy walks and
 //!   term normalization once per query (shared between candidate generation
 //!   and scoring via `Vocabulary::expand_keys` / `canonical_keys`).
-//! * One scoring routine ranks and explains: candidates are scored from
-//!   build-time interned per-variable name keys (no normalization or
-//!   `String` per candidate) into a bounded per-shard top-k heap of light
-//!   `(score, local index)` pairs — O(n log k) instead of sorting every
-//!   scored hit; only each shard's `≤ limit` survivors are materialized
-//!   into [`SearchHit`]s, by the same routine filling a [`ScoreBreakdown`]
-//!   from the same keys. The rank order `(score desc, path asc)` is a
-//!   strict total order, so the merged result does not depend on the
-//!   layout.
+//! * One scoring routine ranks and explains: a variable is a spelling id
+//!   into its build's spelling table plus a value range, and each query
+//!   term's name tier against a spelling is worked out once per query and
+//!   shard, then read back for every variable carrying it. Candidates are
+//!   scored into a bounded per-shard top-k heap of light `(score, local
+//!   index)` pairs — O(n log k) instead of sorting every scored hit; only
+//!   each shard's `≤ limit` survivors are materialized into [`SearchHit`]s,
+//!   by the same routine filling a [`ScoreBreakdown`] from the same keys.
+//!   The rank order `(score desc, path asc)` is a strict total order, so
+//!   the merged result does not depend on the layout.
 //! * A shard holds each dataset as the encoded row of a store image
-//!   ([`metamess_core::store::Row`]) and builds its columns — extents, name
-//!   keys, raw variable names, paths — from the rows' views; no
-//!   `DatasetFeature` is decoded to build or to search. One is decoded for
+//!   ([`metamess_core::store::Row`]) and builds its columns — extents,
+//!   variable keys, paths — from the rows' views; no `DatasetFeature` is
+//!   decoded to build or to search. One is decoded for
 //!   [`ShardedEngine::dataset`] and for the rows a delta touches.
 //! * A generation-stamped LRU [`ResultCache`] serves repeated queries
 //!   against an unchanged published catalog without rescoring; entries are

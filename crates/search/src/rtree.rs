@@ -14,7 +14,7 @@ const NODE_CAPACITY: usize = 8;
 #[derive(Debug, Clone)]
 struct Item {
     bbox: GeoBBox,
-    payload: usize,
+    payload: u32,
 }
 
 #[derive(Debug)]
@@ -46,13 +46,22 @@ pub struct RTree {
 
 impl RTree {
     /// Bulk-loads the tree (STR packing) from `(bbox, payload)` pairs.
+    ///
+    /// # Panics
+    ///
+    /// When a payload does not fit a `u32`.
     pub fn build(entries: Vec<(GeoBBox, usize)>) -> RTree {
         let len = entries.len();
         if entries.is_empty() {
             return RTree { root: None, len: 0 };
         }
-        let mut items: Vec<Item> =
-            entries.into_iter().map(|(bbox, payload)| Item { bbox, payload }).collect();
+        let mut items: Vec<Item> = entries
+            .into_iter()
+            .map(|(bbox, payload)| Item {
+                bbox,
+                payload: u32::try_from(payload).expect("payloads fit a u32"),
+            })
+            .collect();
         // STR: sort by center lon, slice, sort each slice by center lat.
         items.sort_by(|a, b| {
             a.bbox.center().lon.partial_cmp(&b.bbox.center().lon).unwrap_or(Ordering::Equal)
@@ -99,26 +108,29 @@ impl RTree {
     /// order (deterministic).
     pub fn intersecting(&self, query: &GeoBBox) -> Vec<usize> {
         let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            let mut stack = vec![root];
-            while let Some(node) = stack.pop() {
-                if !node.bbox().intersects(query) {
-                    continue;
-                }
-                match node {
-                    Node::Leaf { items, .. } => {
-                        for i in items {
-                            if i.bbox.intersects(query) {
-                                out.push(i.payload);
-                            }
-                        }
-                    }
-                    Node::Inner { children, .. } => stack.extend(children.iter()),
-                }
-            }
-        }
+        self.intersecting_into(query, &mut out);
+        let mut out: Vec<usize> = out.into_iter().map(|p| p as usize).collect();
         out.sort_unstable();
         out
+    }
+
+    /// Appends to `out` the payload indices whose boxes intersect `query`,
+    /// in no particular order, allocating nothing but `out`'s growth.
+    pub fn intersecting_into(&self, query: &GeoBBox, out: &mut Vec<u32>) {
+        fn walk(node: &Node, query: &GeoBBox, out: &mut Vec<u32>) {
+            if !node.bbox().intersects(query) {
+                return;
+            }
+            match node {
+                Node::Leaf { items, .. } => {
+                    out.extend(items.iter().filter(|i| i.bbox.intersects(query)).map(|i| i.payload))
+                }
+                Node::Inner { children, .. } => children.iter().for_each(|c| walk(c, query, out)),
+            }
+        }
+        if let Some(root) = &self.root {
+            walk(root, query, out);
+        }
     }
 
     /// The `k` payloads whose boxes are nearest to `point` (by box
@@ -172,7 +184,7 @@ impl RTree {
                         heap.push(Candidate {
                             dist: i.bbox.distance_km(point),
                             node: None,
-                            payload: i.payload,
+                            payload: i.payload as usize,
                         });
                     }
                 }

@@ -8,6 +8,11 @@
 //! allocates nothing, and [`score_dataset_prepared`] passes a sink that
 //! fills a [`ScoreBreakdown`]. A hit's explained score and its rank score
 //! are the same arithmetic, so they agree bit for bit by construction.
+//!
+//! A [`VarKey`] is a spelling id into its build's table of [`VarNames`] plus
+//! a value range. A query term's name tier depends on the spelling alone, so
+//! a [`TierMemo`] works it out once per spelling the query meets, with
+//! [`name_tier`], and every variable carrying that spelling reads it back.
 
 use crate::query::{Query, SpatialTerm, VariableTerm};
 use metamess_core::feature::{DatasetFeature, VariableFeature};
@@ -82,8 +87,10 @@ fn interval_score(window: &TimeInterval, extent: Option<&TimeInterval>) -> f64 {
     }
 }
 
-/// A query variable term with its vocabulary context precomputed, so that
-/// scoring many datasets costs only hash lookups per variable.
+/// A query variable term with its vocabulary context precomputed: its name
+/// tier against a spelling costs a few string compares and searches, paid
+/// once per spelling per query and shard (the shard keeps what it found),
+/// and an array read per variable after that.
 #[derive(Debug, Clone)]
 pub struct PreparedTerm {
     /// The original term.
@@ -92,11 +99,13 @@ pub struct PreparedTerm {
     name_norm: String,
     /// Normalized canonical spelling, when the synonym table knows it.
     canon_norm: Option<String>,
-    /// Normalized expanded spellings (alternates + taxonomy descendants).
-    expanded: std::collections::HashSet<String>,
-    /// Hierarchy-related canonical names → similarity score
-    /// (parent/children 0.8, deep siblings and grandchildren 0.6).
-    related: std::collections::HashMap<String, f64>,
+    /// Normalized expanded spellings (alternates + taxonomy descendants),
+    /// sorted: a handful of strings, searched without hashing.
+    expanded: Vec<String>,
+    /// Hierarchy-related canonical names with their similarity score
+    /// (parent/children 0.8, deep siblings and grandchildren 0.6), sorted
+    /// by name.
+    related: Vec<(String, f64)>,
 }
 
 impl PreparedTerm {
@@ -105,22 +114,25 @@ impl PreparedTerm {
         use metamess_core::text::normalize_term;
         let name_norm = normalize_term(&term.name);
         let canon_norm = vocab.synonyms.resolve(&term.name).map(|(c, _)| normalize_term(c));
-        let expanded: std::collections::HashSet<String> =
+        let mut expanded: Vec<String> =
             vocab.expand_term(&term.name).iter().map(|e| normalize_term(e)).collect();
+        expanded.sort_unstable();
+        expanded.dedup();
 
         // Hierarchy neighbourhood of the canonical concept: parent/children
         // at 0.8; siblings and grandchildren at 0.6 when the shared prefix
         // is at least two levels deep (a shared top-level root like
         // `physical` is not a relationship).
-        let mut related: std::collections::HashMap<String, f64> = Default::default();
+        let mut related: Vec<(String, f64)> = Vec::new();
         if let Some(canon) = &canon_norm {
             for tax in vocab.taxonomies.iter() {
                 let Some(path) = tax.path_of(canon) else { continue };
                 let mut add = |name: &str, score: f64| {
                     let k = normalize_term(name);
-                    let e = related.entry(k).or_insert(0.0);
-                    if score > *e {
-                        *e = score;
+                    match related.iter_mut().find(|(r, _)| *r == k) {
+                        Some((_, e)) if score > *e => *e = score,
+                        Some(_) => {}
+                        None => related.push((k, score)),
                     }
                 };
                 for child in tax.children_of(canon) {
@@ -144,7 +156,19 @@ impl PreparedTerm {
                 }
             }
         }
+        related.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         PreparedTerm { term: term.clone(), name_norm, canon_norm, expanded, related }
+    }
+
+    /// Whether `key` is one of the term's expanded spellings.
+    fn expands_to(&self, key: &str) -> bool {
+        self.expanded.binary_search_by(|e| e.as_str().cmp(key)).is_ok()
+    }
+
+    /// The similarity of the hierarchy-related concept `concept`, if it is one.
+    fn related_score(&self, concept: &str) -> Option<f64> {
+        let at = self.related.binary_search_by(|(k, _)| k.as_str().cmp(concept)).ok()?;
+        Some(self.related[at].1)
     }
 }
 
@@ -167,23 +191,47 @@ fn range_similarity_values(range: Option<(f64, f64)>, vrange: Option<(f64, f64)>
     ((hi - lo) / denom).clamp(0.0, 1.0)
 }
 
-/// Normalized name keys for one searchable variable — everything
-/// [`score_keys`] reads about it. The shard builds them once, at build
-/// time, out of its spelling table, so ranking a candidate is pure hash
-/// lookups and float math — no `normalize_term`, no synonym resolution, no
-/// `String`. [`score_dataset_prepared`] builds them for one dataset on the
-/// spot.
-#[derive(Debug, Clone, PartialEq)]
+/// One searchable variable as [`score_keys`] reads it: the id of its
+/// `(name, search_name)` spelling in a table of [`VarNames`], and its value
+/// range. An engine build numbers each distinct spelling once and its
+/// shards share the table; [`score_dataset_prepared`] makes a table of one
+/// dataset's variables on the spot. The range is two floats and a flag, not
+/// an `Option`, which keeps the key at 24 bytes and holds every range as is.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct VarKey {
-    names: VarNames,
-    /// `var.value_range()`.
-    range: Option<(f64, f64)>,
+    spelling: u32,
+    /// Whether the variable saw a number; `lo` and `hi` are 0 when not.
+    ranged: bool,
+    lo: f64,
+    hi: f64,
 }
 
-/// The name half of a [`VarKey`]: a pure function of the variable's
-/// `(name, search_name)` spelling and the vocabulary.
+impl VarKey {
+    /// The key of a variable spelled as spelling `spelling` of its table,
+    /// whose values span `range`.
+    pub(crate) fn new(spelling: u32, range: Option<(f64, f64)>) -> VarKey {
+        let (lo, hi) = range.unwrap_or_default();
+        VarKey { spelling, ranged: range.is_some(), lo, hi }
+    }
+
+    /// The id of the variable's spelling in its table.
+    pub(crate) fn spelling(&self) -> u32 {
+        self.spelling
+    }
+
+    /// `var.value_range()`.
+    pub(crate) fn range(&self) -> Option<(f64, f64)> {
+        self.ranged.then_some((self.lo, self.hi))
+    }
+}
+
+/// What one `(name, search_name)` spelling resolves to against the
+/// vocabulary: the normalized keys [`name_tier`] reads, and the raw name a
+/// breakdown names a match by.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VarNames {
+    /// `var.name`, as harvested.
+    raw: Arc<str>,
     /// `normalize_term(&var.name)`.
     name_norm: Arc<str>,
     /// `normalize_term(var.search_name())`.
@@ -200,28 +248,56 @@ impl VarNames {
         name: &str,
         search_name: &str,
         vocab: &Vocabulary,
-        mut intern: impl FnMut(String) -> Arc<str>,
+        mut intern: impl FnMut(&str) -> Arc<str>,
     ) -> VarNames {
         use metamess_core::text::normalize_term;
         VarNames {
-            name_norm: intern(normalize_term(name)),
-            search_norm: intern(normalize_term(search_name)),
-            canon_norm: vocab.synonyms.resolve(search_name).map(|(c, _)| intern(normalize_term(c))),
+            raw: intern(name),
+            name_norm: intern(&normalize_term(name)),
+            search_norm: intern(&normalize_term(search_name)),
+            canon_norm: vocab
+                .synonyms
+                .resolve(search_name)
+                .map(|(c, _)| intern(&normalize_term(c))),
         }
+    }
+
+    /// The concept the spelling stands for: its normalized canonical, or
+    /// its normalized search spelling when the synonym table has none. What
+    /// a browse menu counts a variable under.
+    pub(crate) fn concept(&self) -> &str {
+        self.canon_norm.as_deref().unwrap_or(&self.search_norm)
     }
 }
 
-impl VarKey {
-    /// The keys of a variable spelled `names` whose values span `range`.
-    pub(crate) fn new(names: VarNames, range: Option<(f64, f64)>) -> VarKey {
-        VarKey { names, range }
+/// Each prepared term's name tier against each spelling of a table, worked
+/// out by [`name_tier`] the first time a scored variable carries the
+/// spelling and read back after that. A slot holds the exact `f64`
+/// `name_tier` returned, so a total scored through the memo is the total
+/// without it, bit for bit. One memo serves one query on one shard: its
+/// ranking pass and the hits that pass materializes.
+pub(crate) struct TierMemo<'t> {
+    table: &'t [VarNames],
+    /// `tiers[term * table.len() + spelling]`; NaN until worked out, which
+    /// no tier is.
+    tiers: Vec<f64>,
+}
+
+impl<'t> TierMemo<'t> {
+    /// An empty memo for `terms` prepared terms over `table`.
+    pub(crate) fn new(table: &'t [VarNames], terms: usize) -> TierMemo<'t> {
+        TierMemo { table, tiers: vec![f64::NAN; terms * table.len()] }
     }
 
-    /// The concept the variable stands for: its normalized canonical, or
-    /// its normalized search spelling when the synonym table has none. What
-    /// a browse menu counts it under.
-    pub(crate) fn concept(&self) -> &str {
-        self.names.canon_norm.as_deref().unwrap_or(&self.names.search_norm)
+    /// `name_tier(pt, …)` of spelling `spelling`, `pt` being prepared term
+    /// number `term`.
+    #[inline]
+    fn tier(&mut self, term: usize, pt: &PreparedTerm, spelling: u32) -> f64 {
+        let slot = &mut self.tiers[term * self.table.len() + spelling as usize];
+        if slot.is_nan() {
+            *slot = name_tier(pt, &self.table[spelling as usize]);
+        }
+        *slot
     }
 }
 
@@ -259,8 +335,8 @@ pub(crate) struct Interner {
 
 impl Interner {
     /// The number of `s`, numbering it when it is new.
-    pub(crate) fn id(&mut self, s: String) -> u32 {
-        if let Some(&id) = self.ids.get(s.as_str()) {
+    pub(crate) fn id(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
             return id;
         }
         let id = u32::try_from(self.keys.len()).expect("a build's keys fit a u32");
@@ -271,7 +347,7 @@ impl Interner {
     }
 
     /// The one shared copy of `s`.
-    pub(crate) fn intern(&mut self, s: String) -> Arc<str> {
+    pub(crate) fn intern(&mut self, s: &str) -> Arc<str> {
         let id = self.id(s);
         Arc::clone(self.key(id))
     }
@@ -285,25 +361,21 @@ impl Interner {
 /// Name-match strength between a prepared query term and one variable:
 /// exact match scores 1, same-canonical 0.9, expansion (synonym/descendant)
 /// 0.85, hierarchy parent/child 0.8 and deep siblings 0.6, otherwise 0.
-// Forced: with two instances of `score_keys` calling it, LLVM keeps it out
-// of line, and the ranking loop measured 15–35 % slower per candidate.
-#[inline(always)]
-fn name_tier(pt: &PreparedTerm, key: &VarKey) -> f64 {
-    let names = &key.names;
+/// The only definition of a tier; [`TierMemo`] keeps what it returns.
+fn name_tier(pt: &PreparedTerm, names: &VarNames) -> f64 {
     if pt.name_norm.as_str() == &*names.search_norm || pt.name_norm.as_str() == &*names.name_norm {
         return 1.0;
     }
-    let canon_var = key.concept();
+    let canon_var = names.concept();
     if pt.canon_norm.as_deref() == Some(canon_var) {
         return 0.9;
     }
-    if pt.expanded.contains(&*names.search_norm) || pt.expanded.contains(canon_var) {
+    // without a canonical, the concept is the search spelling: one lookup
+    if pt.expands_to(&names.search_norm) || (names.canon_norm.is_some() && pt.expands_to(canon_var))
+    {
         return 0.85;
     }
-    if let Some(s) = pt.related.get(canon_var) {
-        return *s;
-    }
-    0.0
+    pt.related_score(canon_var).unwrap_or(0.0)
 }
 
 /// What [`score_keys`] reports besides the total. Every method defaults to
@@ -314,9 +386,9 @@ pub(crate) trait ScoreSink {
     fn space(&mut self, _s: f64) {}
     /// The temporal similarity, when the query has a time window.
     fn time(&mut self, _s: f64) {}
-    /// Variable term `term`'s similarity and the position (among the
-    /// dataset's `var_keys`) of the variable that scored it, if any did.
-    fn term(&mut self, _term: usize, _best: Option<usize>, _s: f64) {}
+    /// Variable term `term`'s similarity and the spelling of the variable
+    /// that scored it, if any did.
+    fn term(&mut self, _term: usize, _best: Option<&VarNames>, _s: f64) {}
     /// The mean over the variable terms.
     fn variables(&mut self, _s: f64) {}
 }
@@ -324,22 +396,20 @@ pub(crate) trait ScoreSink {
 impl ScoreSink for () {}
 
 /// Fills a [`ScoreBreakdown`], naming each term and its best variable.
-struct Explained<'a, N> {
+struct Explained<'a> {
     breakdown: ScoreBreakdown,
     prepared: &'a [PreparedTerm],
-    /// The raw name of each variable `score_keys` is handed, in its order.
-    names: &'a [N],
 }
 
-impl<N: AsRef<str>> ScoreSink for Explained<'_, N> {
+impl ScoreSink for Explained<'_> {
     fn space(&mut self, s: f64) {
         self.breakdown.space = Some(s);
     }
     fn time(&mut self, s: f64) {
         self.breakdown.time = Some(s);
     }
-    fn term(&mut self, term: usize, best: Option<usize>, s: f64) {
-        let var = best.map(|p| self.names[p].as_ref().to_owned());
+    fn term(&mut self, term: usize, best: Option<&VarNames>, s: f64) {
+        let var = best.map(|names| names.raw.to_string());
         self.breakdown.variable_matches.push((self.prepared[term].term.name.clone(), var, s));
     }
     fn variables(&mut self, s: f64) {
@@ -349,11 +419,13 @@ impl<N: AsRef<str>> ScoreSink for Explained<'_, N> {
 
 /// Scores one dataset against a query — the only place the weighted
 /// average is computed. `extent` must be the dataset's and `var_keys` its
-/// searchable variables in iteration order; returns the combined total,
+/// searchable variables in iteration order, their spelling ids into the
+/// table `memo` was made over for `prepared`; returns the combined total,
 /// the number top-k selection ranks by.
 pub(crate) fn score_keys<S: ScoreSink>(
     query: &Query,
     prepared: &[PreparedTerm],
+    memo: &mut TierMemo<'_>,
     extent: &Extent,
     var_keys: &[VarKey],
     sink: &mut S,
@@ -375,18 +447,18 @@ pub(crate) fn score_keys<S: ScoreSink>(
     if !prepared.is_empty() {
         let mut sum = 0.0;
         for (term, pt) in prepared.iter().enumerate() {
-            let (mut best_at, mut best) = (None, 0.0);
-            for (at, key) in var_keys.iter().enumerate() {
-                let name_s = name_tier(pt, key);
+            let (mut best_spelling, mut best) = (None, 0.0);
+            for key in var_keys {
+                let name_s = memo.tier(term, pt, key.spelling);
                 if name_s <= 0.0 {
                     continue;
                 }
-                let s = name_s * range_similarity_values(pt.term.range, key.range);
+                let s = name_s * range_similarity_values(pt.term.range, key.range());
                 if s > best {
-                    (best_at, best) = (Some(at), s);
+                    (best_spelling, best) = (Some(key.spelling), s);
                 }
             }
-            sink.term(term, best_at, best);
+            sink.term(term, best_spelling.map(|id| &memo.table[id as usize]), best);
             sum += best;
         }
         let s = sum / prepared.len() as f64;
@@ -401,25 +473,26 @@ pub(crate) fn score_keys<S: ScoreSink>(
     }
 }
 
-/// [`score_keys`] with the breakdown filled in: `names` are the raw names
-/// of the variables `var_keys` stand for.
-pub(crate) fn explain_keys<N: AsRef<str>>(
+/// [`score_keys`] with the breakdown filled in, each match named by the
+/// raw name of its spelling.
+pub(crate) fn explain_keys(
     query: &Query,
     prepared: &[PreparedTerm],
+    memo: &mut TierMemo<'_>,
     extent: &Extent,
     var_keys: &[VarKey],
-    names: &[N],
 ) -> ScoreBreakdown {
-    let mut sink = Explained { breakdown: ScoreBreakdown::default(), prepared, names };
-    let total = score_keys(query, prepared, extent, var_keys, &mut sink);
+    let mut sink = Explained { breakdown: ScoreBreakdown::default(), prepared };
+    let total = score_keys(query, prepared, memo, extent, var_keys, &mut sink);
     ScoreBreakdown { total, ..sink.breakdown }
 }
 
 /// Scores one dataset against a query with pre-prepared terms and explains
-/// the score: the one scoring routine over keys built for this dataset
-/// alone, its breakdown filled in as a shard fills a hit's. For the
-/// reference oracle and the cache-survival proofs; a shard explains its hits
-/// from the keys it built at build time.
+/// the score: the one scoring routine over a spelling table of this
+/// dataset's variables alone (the id of each is its position), its
+/// breakdown filled in as a shard fills a hit's. For the reference oracle
+/// and the cache-survival proofs; a shard explains its hits from the table
+/// its build made.
 pub fn score_dataset_prepared(
     query: &Query,
     prepared: &[PreparedTerm],
@@ -427,15 +500,14 @@ pub fn score_dataset_prepared(
     vocab: &Vocabulary,
 ) -> ScoreBreakdown {
     let vars: Vec<&VariableFeature> = dataset.searchable_variables().collect();
-    let keys: Vec<VarKey> = vars
+    let table: Vec<VarNames> = vars
         .iter()
-        .map(|v| {
-            let names = VarNames::resolve(&v.name, v.search_name(), vocab, Arc::from);
-            VarKey::new(names, v.value_range())
-        })
+        .map(|v| VarNames::resolve(&v.name, v.search_name(), vocab, |s| Arc::from(s)))
         .collect();
-    let names: Vec<&str> = vars.iter().map(|v| v.name.as_str()).collect();
-    explain_keys(query, prepared, &Extent::of(dataset), &keys, &names)
+    let keys: Vec<VarKey> =
+        (0u32..).zip(&vars).map(|(id, v)| VarKey::new(id, v.value_range())).collect();
+    let mut memo = TierMemo::new(&table, prepared.len());
+    explain_keys(query, prepared, &mut memo, &Extent::of(dataset), &keys)
 }
 
 #[cfg(test)]
@@ -605,23 +677,25 @@ mod tests {
         assert_eq!(term_match("fluorescence", None, &d), (Some("fluores375".into()), 0.6));
     }
 
+    /// (query term, variable name, its canonical, similarity): every name
+    /// tier the default vocabulary can reach, by value.
+    const NAME_TIERS: &[(&str, &str, Option<&str>, f64)] = &[
+        ("water_temperature", "wtemp", Some("water_temperature"), 1.0), // search spelling
+        ("WTEMP", "wtemp", Some("water_temperature"), 1.0),             // raw spelling
+        ("t_water", "wtemp", Some("water_temperature"), 0.9),           // same canonical
+        ("temperature", "wtemp", Some("water_temperature"), 0.85),      // descendant
+        ("temperature", "t_water", None, 0.85), // descendant, through an alternate's canonical
+        ("optics", "turb", Some("turbidity"), 0.85), // descendant
+        ("water_temperature", "temperature", None, 0.8), // parent
+        ("salinity", "physical", None, 0.8),    // parent
+        ("water_temperature", "atemp", Some("air_temperature"), 0.6), // deep sibling
+        ("fluorescence", "fluores400", Some("fluores400"), 0.6), // deep sibling
+        ("salinity", "wtemp", Some("water_temperature"), 0.0), // unrelated
+    ];
+
     #[test]
     fn name_tiers_score_exact_values() {
-        // (query term, variable name, its canonical, similarity): every
-        // name tier the default vocabulary can reach, by value.
-        let rows: &[(&str, &str, Option<&str>, f64)] = &[
-            ("water_temperature", "wtemp", Some("water_temperature"), 1.0), // search spelling
-            ("WTEMP", "wtemp", Some("water_temperature"), 1.0),             // raw spelling
-            ("t_water", "wtemp", Some("water_temperature"), 0.9),           // same canonical
-            ("temperature", "wtemp", Some("water_temperature"), 0.85),      // descendant
-            ("optics", "turb", Some("turbidity"), 0.85),                    // descendant
-            ("water_temperature", "temperature", None, 0.8),                // parent
-            ("salinity", "physical", None, 0.8),                            // parent
-            ("water_temperature", "atemp", Some("air_temperature"), 0.6),   // deep sibling
-            ("fluorescence", "fluores400", Some("fluores400"), 0.6),        // deep sibling
-            ("salinity", "wtemp", Some("water_temperature"), 0.0),          // unrelated
-        ];
-        for &(term, name, canonical, want) in rows {
+        for &(term, name, canonical, want) in NAME_TIERS {
             let mut d = DatasetFeature::new("tiers.csv");
             let mut var = VariableFeature::new(name);
             if let Some(c) = canonical {
@@ -637,6 +711,90 @@ mod tests {
         qa.flags.qa = true;
         d.variables.push(qa);
         assert_eq!(term_match("water_temperature", None, &d), (None, 0.0));
+    }
+
+    #[test]
+    fn a_shard_scores_through_its_memo_what_the_reference_scores() {
+        use crate::shard::ShardEngine;
+        use metamess_core::store::Image;
+        let vocab = vocab();
+        // every tier by value, and a QA column spelled like the term
+        let cases = NAME_TIERS
+            .iter()
+            .map(|&(term, name, canonical, _)| (term, name, canonical, false))
+            .chain([("water_temperature", "water_temperature", None, true)]);
+        for (term, name, canonical, qa) in cases {
+            // two candidates of one spelling, over different ranges, each
+            // beside a variable only the query's second term matches
+            let datasets: Vec<DatasetFeature> = [(1.0, 5.0), (4.0, 9.0)]
+                .into_iter()
+                .enumerate()
+                .map(|(i, (lo, hi))| {
+                    let mut d = DatasetFeature::new(format!("memo{i}.csv"));
+                    let mut var = VariableFeature::new(name);
+                    if let Some(c) = canonical {
+                        var.resolve(c, NameResolution::KnownTranslation);
+                    }
+                    var.flags.qa = qa;
+                    var.summary.observe(lo);
+                    var.summary.observe(hi);
+                    d.variables.push(var);
+                    d.variables.push(VariableFeature::new("turb"));
+                    d
+                })
+                .collect();
+            let image = Arc::new(Image::encode(&datasets.iter().collect::<Vec<_>>()));
+            let shard =
+                ShardEngine::build_all(&[image.rows().enumerate().collect()], &vocab).remove(0);
+            let q = Query::new().with_variable(term, Some((2.0, 6.0))).with_variable("turb", None);
+            let prepared: Vec<PreparedTerm> =
+                q.variables.iter().map(|t| PreparedTerm::prepare(t, &vocab)).collect();
+            let want: Vec<ScoreBreakdown> =
+                datasets.iter().map(|d| score_dataset_prepared(&q, &prepared, d, &vocab)).collect();
+            let check = |memo: &mut TierMemo<'_>, ix: usize, when: &str| {
+                let ranked = shard.score(&q, &prepared, memo, ix);
+                assert_eq!(ranked.to_bits(), want[ix].total.to_bits(), "{when}: {term} vs {name}");
+                let hit = shard.score_hit(&q, &prepared, memo, ix);
+                assert_eq!(hit.breakdown, want[ix], "{when}: {term} vs {name}");
+                assert_eq!(hit.score.to_bits(), want[ix].total.to_bits());
+            };
+            let mut memo = shard.tier_memo(prepared.len());
+            check(&mut memo, 0, "cold");
+            check(&mut memo, 0, "warm");
+            check(&mut memo, 1, "another range");
+            // a hit explained first, through a cold memo
+            let hit = shard.score_hit(&q, &prepared, &mut shard.tier_memo(prepared.len()), 1);
+            assert_eq!(hit.breakdown, want[1], "cold hit: {term} vs {name}");
+            // The reference scores through a memo of its own, so a memo that
+            // kept the wrong tier would fool both sides alike: check every
+            // slot against `name_tier` itself, and the second term by value.
+            let table = memo.table;
+            for (t, pt) in prepared.iter().enumerate() {
+                for (id, names) in (0u32..).zip(table) {
+                    let (kept, fresh) = (memo.tier(t, pt, id), name_tier(pt, names));
+                    assert_eq!(kept.to_bits(), fresh.to_bits(), "{term} vs {name}: term {t}");
+                }
+            }
+            for b in &want {
+                assert_eq!(b.variable_matches[1], ("turb".into(), Some("turb".into()), 1.0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_variable_key_holds_its_spelling_and_range_in_24_bytes() {
+        assert!(std::mem::size_of::<VarKey>() <= 24, "{}", std::mem::size_of::<VarKey>());
+        let bits = |r: Option<(f64, f64)>| r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        for range in [
+            None,
+            Some((0.0, 0.0)),
+            Some((-0.0, 0.0)),
+            Some((f64::NEG_INFINITY, f64::INFINITY)),
+            Some((f64::NAN, 1.5)),
+        ] {
+            let key = VarKey::new(7, range);
+            assert_eq!((key.spelling(), bits(key.range())), (7, bits(range)));
+        }
     }
 
     #[test]
@@ -667,11 +825,11 @@ mod tests {
     #[test]
     fn interner_dedupes_spellings() {
         let mut i = Interner::default();
-        let a = i.intern("water temperature".to_string());
-        let b = i.intern("water temperature".to_string());
+        let a = i.intern("water temperature");
+        let b = i.intern("water temperature");
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(i.id("salinity".to_string()), 1, "numbered in first-seen order");
-        assert_eq!(i.id("water temperature".to_string()), 0);
+        assert_eq!(i.id("salinity"), 1, "numbered in first-seen order");
+        assert_eq!(i.id("water temperature"), 0);
         assert!(Arc::ptr_eq(i.key(0), &a));
     }
 

@@ -33,7 +33,9 @@ use crate::interval::IntervalIndex;
 use crate::plan::QueryPlan;
 use crate::query::{Query, SpatialTerm};
 use crate::rtree::RTree;
-use crate::score::{explain_keys, score_keys, Extent, Interner, PreparedTerm, VarKey, VarNames};
+use crate::score::{
+    explain_keys, score_keys, Extent, Interner, PreparedTerm, TierMemo, VarKey, VarNames,
+};
 use metamess_core::geo::GeoBBox;
 use metamess_core::id::DatasetId;
 use metamess_core::store::Row;
@@ -186,20 +188,19 @@ pub struct ShardEngine {
     /// copying them.
     rows: Vec<Row>,
     /// Each dataset's bbox and time interval, read out of its row: with the
-    /// name keys below, everything scoring a candidate reads.
+    /// variable keys below, everything scoring a candidate reads.
     extents: Vec<Extent>,
-    /// Precomputed normalized name keys per dataset (searchable variables
-    /// in iteration order), so candidate scoring never normalizes or
-    /// resolves a spelling. Interned: repeated names share one `Arc<str>`.
-    /// All datasets' keys back to back in one allocation — dataset `ix` has
-    /// `var_keys[key_starts[ix]..key_starts[ix + 1]]` — so that how fast a
-    /// candidate scores does not depend on where the allocator happened to
-    /// put 25 000 little vectors.
+    /// The spelling table of the build this shard came from, shared by all
+    /// of that build's shards: each spelling's name keys and raw name, by
+    /// the id a [`VarKey`] carries.
+    spellings: Arc<[VarNames]>,
+    /// One key per searchable variable, in iteration order: its spelling id
+    /// and value range. All datasets' keys back to back in one allocation —
+    /// dataset `ix` has `var_keys[key_starts[ix]..key_starts[ix + 1]]` — so
+    /// that how fast a candidate scores does not depend on where the
+    /// allocator happened to put 25 000 little vectors.
     var_keys: Vec<VarKey>,
     key_starts: Vec<u32>,
-    /// The raw name of each variable `var_keys` holds keys for, interned
-    /// alike: what a hit's breakdown names as the match.
-    var_names: Vec<Arc<str>>,
     /// Every member's path back to back — dataset `ix` has
     /// `paths[path_ends[ix - 1]..path_ends[ix]]` — for the rank order's
     /// tie-break and the hits.
@@ -211,7 +212,7 @@ pub struct ShardEngine {
     global_ix: Vec<usize>,
     rtree: RTree,
     intervals: IntervalIndex,
-    terms: BTreeMap<Arc<str>, Vec<usize>>,
+    terms: BTreeMap<Arc<str>, Vec<u32>>,
     /// Union of member bboxes (None when no member has one).
     bbox_bound: Option<GeoBBox>,
     /// Union of member time intervals (None when no member has one).
@@ -219,14 +220,25 @@ pub struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Builds one shard over `members` (`(global index, row)` pairs in
-    /// ascending global order), looking every variable's keys up in
-    /// `spellings` — shared by the shards of one build. Reads each row in
-    /// place; decodes none.
-    pub(crate) fn build<'a>(
-        members: &'a [(usize, Row)],
-        spellings: &mut Spellings<'a>,
-    ) -> ShardEngine {
+    /// Builds one shard per member list of `layout` (each `(global index,
+    /// row)` pairs in ascending global order), numbering every variable's
+    /// spelling in one table against `vocab` that all of them share. Reads
+    /// each row in place; decodes none.
+    pub(crate) fn build_all(layout: &[Vec<(usize, Row)>], vocab: &Vocabulary) -> Vec<ShardEngine> {
+        let mut spellings = Spellings::new(vocab);
+        let mut shards: Vec<ShardEngine> =
+            layout.iter().map(|members| ShardEngine::build(members, &mut spellings)).collect();
+        let table: Arc<[VarNames]> = spellings.table.into();
+        for shard in &mut shards {
+            shard.spellings = Arc::clone(&table);
+        }
+        shards
+    }
+
+    /// One shard of [`ShardEngine::build_all`], its spelling ids into
+    /// `spellings` — which is still growing, so the shard's own table is
+    /// left empty for the caller to fill in when the build is done.
+    fn build<'a>(members: &'a [(usize, Row)], spellings: &mut Spellings<'a>) -> ShardEngine {
         let mut rows = Vec::with_capacity(members.len());
         let mut extents = Vec::with_capacity(members.len());
         // sized once, for every variable of the members, and cut to the
@@ -239,7 +251,6 @@ impl ShardEngine {
             variables += view.variable_count();
         }
         let mut var_keys = Vec::with_capacity(variables);
-        let mut var_names = Vec::with_capacity(variables);
         let mut key_starts = Vec::with_capacity(members.len() + 1);
         key_starts.push(0u32);
         let mut paths = String::with_capacity(path_bytes);
@@ -248,10 +259,11 @@ impl ShardEngine {
         let mut spatial_entries = Vec::new();
         let mut time_entries = Vec::new();
         // by key id, so filing a variable compares no strings
-        let mut postings: Vec<Vec<usize>> = Vec::new();
+        let mut postings: Vec<Vec<u32>> = Vec::new();
         let mut bbox_bound: Option<GeoBBox> = None;
         let mut time_bound: Option<TimeInterval> = None;
         for (ix, (gix, row)) in members.iter().enumerate() {
+            let local = u32::try_from(ix).expect("a shard's members fit a u32");
             let view = row.view();
             global_ix.push(*gix);
             extents.push(Extent::of_row(&view));
@@ -272,24 +284,22 @@ impl ShardEngine {
                 });
             }
             view.searchable_variables(|v| {
-                let spelling = spellings.of(v.name, v.search_name);
-                for &k in spelling.keys.iter() {
+                let (spelling, keys) = spellings.of(v.name, v.search_name);
+                for &k in keys {
                     let k = k as usize;
                     if k >= postings.len() {
                         postings.resize_with(k + 1, Vec::new);
                     }
-                    if postings[k].last() != Some(&ix) {
-                        postings[k].push(ix);
+                    if postings[k].last() != Some(&local) {
+                        postings[k].push(local);
                     }
                 }
-                var_keys.push(VarKey::new(spelling.names.clone(), v.value_range));
-                var_names.push(Arc::clone(&spelling.name));
+                var_keys.push(VarKey::new(spelling, v.value_range));
             });
             key_starts.push(u32::try_from(var_keys.len()).expect("a shard's variables fit a u32"));
             rows.push(row.clone());
         }
         var_keys.shrink_to_fit();
-        var_names.shrink_to_fit();
         let terms = (0u32..)
             .zip(postings)
             .filter(|(_, posting)| !posting.is_empty())
@@ -303,9 +313,9 @@ impl ShardEngine {
             time_bound,
             rows,
             extents,
+            spellings: Arc::default(),
             var_keys,
             key_starts,
-            var_names,
             paths,
             path_ends,
             global_ix,
@@ -341,15 +351,12 @@ impl ShardEngine {
     /// The concepts of each member's searchable variables, member by member:
     /// what its browse menus count.
     pub(crate) fn concepts(&self) -> impl Iterator<Item = impl Iterator<Item = &str>> {
-        (0..self.len()).map(|ix| self.keys(ix).iter().map(VarKey::concept))
+        (0..self.len())
+            .map(|ix| self.keys(ix).iter().map(|k| self.spellings[k.spelling() as usize].concept()))
     }
 
     fn keys(&self, local_ix: usize) -> &[VarKey] {
-        &self.var_keys[self.key_range(local_ix)]
-    }
-
-    fn key_range(&self, local_ix: usize) -> std::ops::Range<usize> {
-        self.key_starts[local_ix] as usize..self.key_starts[local_ix + 1] as usize
+        &self.var_keys[self.key_starts[local_ix] as usize..self.key_starts[local_ix + 1] as usize]
     }
 
     /// Union of member bounding boxes (the spatial pruning bound).
@@ -368,21 +375,20 @@ impl ShardEngine {
     /// bound — and merged globally by the coordinator.
     pub(crate) fn probe(&self, query: &Query, plan: &QueryPlan, generous: usize) -> ProbeSummary {
         let mut p = ProbeSummary::default();
-        let local = |ix: usize| ix as u32;
         if let Some(spatial) = &query.spatial {
             match spatial {
                 SpatialTerm::Near { point, radius_km } => {
                     self.collect_near(point, generous, &mut p);
                     let window = near_window(point, *radius_km);
                     if self.bound_admits_bbox(&window) {
-                        p.certain.extend(self.rtree.intersecting(&window).into_iter().map(local));
+                        self.rtree.intersecting_into(&window, &mut p.certain);
                     } else if !self.rtree.is_empty() {
                         p.bound_skips += 1;
                     }
                 }
                 SpatialTerm::Region(region) => {
                     if self.bound_admits_bbox(region) {
-                        p.certain.extend(self.rtree.intersecting(region).into_iter().map(local));
+                        self.rtree.intersecting_into(region, &mut p.certain);
                     } else if !self.rtree.is_empty() {
                         p.bound_skips += 1;
                     }
@@ -393,7 +399,7 @@ impl ShardEngine {
         if let Some(window) = &query.time {
             let expanded = expanded_time(window);
             if self.time_bound.as_ref().is_some_and(|b| b.overlaps(&expanded)) {
-                p.certain.extend(self.intervals.overlapping(&expanded).into_iter().map(local));
+                self.intervals.overlapping_into(&expanded, &mut p.certain);
             } else if !self.intervals.is_empty() {
                 p.bound_skips += 1;
             }
@@ -401,7 +407,7 @@ impl ShardEngine {
         for keys in &plan.term_keys {
             for k in keys {
                 if let Some(postings) = self.terms.get(k.as_str()) {
-                    p.certain.extend(postings.iter().copied().map(local));
+                    p.certain.extend_from_slice(postings);
                 }
             }
         }
@@ -427,29 +433,39 @@ impl ShardEngine {
         }
     }
 
+    /// An empty memo of `terms` query terms' name tiers over this shard's
+    /// spelling table: one per query, for [`ShardEngine::score`] and
+    /// [`ShardEngine::score_hit`] alike.
+    pub(crate) fn tier_memo(&self, terms: usize) -> TierMemo<'_> {
+        TierMemo::new(&self.spellings, terms)
+    }
+
     /// Scores one local candidate for ranking: the combined total only,
-    /// from the shard's own extent and name-key arrays, allocation-free.
-    pub(crate) fn score(&self, query: &Query, prepared: &[PreparedTerm], local_ix: usize) -> f64 {
-        score_keys(query, prepared, &self.extents[local_ix], self.keys(local_ix), &mut ())
+    /// from the shard's own extent and variable-key arrays, allocation-free.
+    /// `memo` must be this shard's ([`ShardEngine::tier_memo`]), for
+    /// `prepared`.
+    pub(crate) fn score(
+        &self,
+        query: &Query,
+        prepared: &[PreparedTerm],
+        memo: &mut TierMemo<'_>,
+        local_ix: usize,
+    ) -> f64 {
+        score_keys(query, prepared, memo, &self.extents[local_ix], self.keys(local_ix), &mut ())
     }
 
     /// Scores one local candidate into a hit with its explained breakdown:
-    /// the same keys, raw names from the shard's column, path from its
-    /// paths, and only the title read from the row.
+    /// the same keys and memo, raw names from the spelling table, path from
+    /// the shard's paths, and only the title read from the row.
     pub(crate) fn score_hit(
         &self,
         query: &Query,
         prepared: &[PreparedTerm],
+        memo: &mut TierMemo<'_>,
         local_ix: usize,
     ) -> SearchHit {
-        let keys = self.key_range(local_ix);
-        let breakdown = explain_keys(
-            query,
-            prepared,
-            &self.extents[local_ix],
-            &self.var_keys[keys.clone()],
-            &self.var_names[keys],
-        );
+        let breakdown =
+            explain_keys(query, prepared, memo, &self.extents[local_ix], self.keys(local_ix));
         let row = &self.rows[local_ix];
         SearchHit {
             id: row.id(),
@@ -478,41 +494,39 @@ pub(crate) fn index_keys(name: &str, search_name: &str, vocab: &Vocabulary) -> B
 /// a shard files and scores a variable under is a pure function of its
 /// spelling and the build's vocabulary — except the value range, which the
 /// shard reads off the variable. So each distinct spelling is resolved
-/// once, here, and every variable that carries it looks it up, by the
-/// borrowed pair.
-pub(crate) struct Spellings<'a> {
+/// once, here, and numbered in first-seen order; every variable that
+/// carries it looks it up, by the borrowed pair, and keeps the number.
+struct Spellings<'a> {
     vocab: &'a Vocabulary,
     /// Every key of every spelling, shared by all of them.
     keys: Interner,
-    resolved: HashMap<(&'a str, &'a str), Spelling>,
+    /// Each spelling seen, numbered.
+    ids: HashMap<(&'a str, &'a str), Numbered>,
+    /// By spelling id: its name keys and raw name. What the build's shards
+    /// share when it is done.
+    table: Vec<VarNames>,
 }
 
-/// What one spelling resolves to.
-struct Spelling {
-    /// Ids of its [`index_keys`] in the table's interner.
-    keys: Box<[u32]>,
-    /// Its [`VarKey`] name parts.
-    names: VarNames,
-    /// The raw name, interned.
-    name: Arc<str>,
-}
+/// A spelling's id, and the ids of its [`index_keys`] in the table's
+/// interner.
+type Numbered = (u32, Box<[u32]>);
 
 impl<'a> Spellings<'a> {
     /// An empty table over `vocab`.
-    pub(crate) fn new(vocab: &'a Vocabulary) -> Spellings<'a> {
-        Spellings { vocab, keys: Interner::default(), resolved: HashMap::new() }
+    fn new(vocab: &'a Vocabulary) -> Spellings<'a> {
+        Spellings { vocab, keys: Interner::default(), ids: HashMap::new(), table: Vec::new() }
     }
 
-    /// The resolution of the spelling `(name, search_name)`, worked out on
-    /// first sight.
-    fn of(&mut self, name: &'a str, search_name: &'a str) -> &Spelling {
-        let (vocab, keys) = (self.vocab, &mut self.keys);
-        self.resolved.entry((name, search_name)).or_insert_with(|| {
-            let ids =
-                index_keys(name, search_name, vocab).into_iter().map(|k| keys.id(k)).collect();
-            let names = VarNames::resolve(name, search_name, vocab, |s| keys.intern(s));
-            Spelling { keys: ids, names, name: keys.intern(name.to_owned()) }
-        })
+    /// The id of the spelling `(name, search_name)` and the ids of its
+    /// index keys, worked out on first sight.
+    fn of(&mut self, name: &'a str, search_name: &'a str) -> (u32, &[u32]) {
+        let Spellings { vocab, keys, ids, table } = self;
+        let (id, key_ids) = ids.entry((name, search_name)).or_insert_with(|| {
+            let id = u32::try_from(table.len()).expect("a build's spellings fit a u32");
+            table.push(VarNames::resolve(name, search_name, vocab, |s| keys.intern(s)));
+            (id, index_keys(name, search_name, vocab).iter().map(|k| keys.id(k)).collect())
+        });
+        (*id, key_ids)
     }
 }
 
@@ -549,6 +563,11 @@ mod tests {
     fn members(features: &[DatasetFeature]) -> Vec<(usize, Row)> {
         let image = Arc::new(Image::encode(&features.iter().collect::<Vec<_>>()));
         image.rows().enumerate().collect()
+    }
+
+    /// One shard over `features`, built alone.
+    fn shard_of(features: &[DatasetFeature], vocab: &Vocabulary) -> ShardEngine {
+        ShardEngine::build_all(&[members(features)], vocab).remove(0)
     }
 
     fn placed(features: &[DatasetFeature]) -> Vec<(DatasetId, Extent)> {
@@ -631,8 +650,7 @@ mod tests {
                 feature(&format!("d{i}.csv"), 44.0 + i as f64, -124.0 + i as f64, 1 + i as u32)
             })
             .collect();
-        let members = members(&features);
-        let shard = ShardEngine::build(&members, &mut Spellings::new(&vocab));
+        let shard = shard_of(&features, &vocab);
         let bbox = shard.bbox_bound().expect("members have bboxes");
         let time = shard.time_bound().expect("members have intervals");
         for d in &features {
@@ -647,7 +665,7 @@ mod tests {
     #[test]
     fn empty_shard_probe_is_empty() {
         let vocab = Vocabulary::observatory_default();
-        let shard = ShardEngine::build(&[], &mut Spellings::new(&vocab));
+        let shard = shard_of(&[], &vocab);
         assert!(shard.is_empty());
         let q =
             Query::parse("near 45.0,-124.0 from 2012-01-01 to 2012-02-01 with salinity").unwrap();
@@ -660,14 +678,14 @@ mod tests {
 
     /// What a shard files and scores, as a per-variable build over the
     /// features makes it: every variable resolved on its own, nothing
-    /// remembered between them — the postings, and each dataset's keys
-    /// with the raw names beside them.
-    type Built = (BTreeMap<String, Vec<usize>>, Vec<Vec<(VarKey, String)>>);
+    /// remembered between them — the postings, and each dataset's name keys
+    /// (raw name included) and value range per variable.
+    type Built = (BTreeMap<String, Vec<u32>>, Vec<Vec<(VarNames, Option<(f64, f64)>)>>);
 
     fn per_variable_build(features: &[DatasetFeature], vocab: &Vocabulary) -> Built {
-        let mut terms: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut terms: BTreeMap<String, Vec<u32>> = BTreeMap::new();
         let mut var_keys = Vec::new();
-        for (ix, d) in features.iter().enumerate() {
+        for (ix, d) in (0u32..).zip(features) {
             let mut keys = Vec::new();
             for v in d.searchable_variables() {
                 for k in index_keys(&v.name, v.search_name(), vocab) {
@@ -676,8 +694,8 @@ mod tests {
                         posting.push(ix);
                     }
                 }
-                let names = VarNames::resolve(&v.name, v.search_name(), vocab, Arc::from);
-                keys.push((VarKey::new(names, v.value_range()), v.name.clone()));
+                let names = VarNames::resolve(&v.name, v.search_name(), vocab, |s| Arc::from(s));
+                keys.push((names, v.value_range()));
             }
             var_keys.push(keys);
         }
@@ -735,27 +753,26 @@ mod tests {
                 d
             })
             .collect();
-        // two shards from one table: the second looks up what the first resolved
+        // two shards from one table: the second looks up what the first
+        // resolved, and both hold the one table the build made
         let (first, second) = datasets.split_at(4);
-        let (first_rows, second_rows) = (members(first), members(second));
-        let mut spellings = Spellings::new(&vocab);
-        for (features, rows) in [(first, &first_rows), (second, &second_rows)] {
-            let shard = ShardEngine::build(rows, &mut spellings);
+        let shards = ShardEngine::build_all(&[members(first), members(second)], &vocab);
+        assert!(Arc::ptr_eq(&shards[0].spellings, &shards[1].spellings));
+        assert_eq!(shards[0].spellings.len(), 7, "one entry per searchable spelling");
+        for (features, shard) in [first, second].into_iter().zip(&shards) {
             let (terms, var_keys) = per_variable_build(features, &vocab);
-            let got: BTreeMap<String, Vec<usize>> =
+            let got: BTreeMap<String, Vec<u32>> =
                 shard.terms.iter().map(|(k, p)| (k.to_string(), p.clone())).collect();
             assert_eq!(got, terms);
             for (ix, want) in var_keys.iter().enumerate() {
-                let at = shard.key_range(ix);
-                let got: Vec<(VarKey, String)> = shard.var_keys[at.clone()]
+                let got: Vec<(VarNames, Option<(f64, f64)>)> = shard
+                    .keys(ix)
                     .iter()
-                    .cloned()
-                    .zip(shard.var_names[at].iter().map(|n| n.to_string()))
+                    .map(|k| (shard.spellings[k.spelling() as usize].clone(), k.range()))
                     .collect();
                 assert_eq!(got, *want, "{}", shard.path(ix));
             }
         }
-        assert_eq!(spellings.resolved.len(), 7, "one entry per searchable spelling");
     }
 
     #[test]
@@ -778,19 +795,20 @@ mod tests {
                 d
             })
             .collect();
-        let members = members(&features);
-        let shard = ShardEngine::build(&members, &mut Spellings::new(&vocab));
+        let shard = shard_of(&features, &vocab);
         let q = Query::parse("near 46.0,-124.0 with water_temperature between 2 and 8 with sal")
             .unwrap();
         let plan = QueryPlan::prepare(&q, &vocab);
+        let mut memo = shard.tier_memo(plan.prepared.len());
         for (ix, d) in features.iter().enumerate() {
             assert_eq!(shard.path(ix), d.path);
-            let hit = shard.score_hit(&q, &plan.prepared, ix);
+            let hit = shard.score_hit(&q, &plan.prepared, &mut memo, ix);
             let want = score_dataset_prepared(&q, &plan.prepared, d, &vocab);
             assert_eq!((hit.id, &hit.path[..], &hit.title[..]), (d.id, &d.path[..], &d.title[..]));
             assert_eq!(hit.breakdown, want, "{}", d.path);
             assert_eq!(hit.score.to_bits(), want.total.to_bits());
-            assert_eq!(hit.score.to_bits(), shard.score(&q, &plan.prepared, ix).to_bits());
+            let ranked = shard.score(&q, &plan.prepared, &mut memo, ix);
+            assert_eq!(hit.score.to_bits(), ranked.to_bits());
         }
     }
 
@@ -799,8 +817,7 @@ mod tests {
         let vocab = Vocabulary::observatory_default();
         let features: Vec<DatasetFeature> =
             (0..4).map(|i| feature(&format!("d{i}.csv"), 45.0, -124.0, 6)).collect();
-        let members = members(&features);
-        let shard = ShardEngine::build(&members, &mut Spellings::new(&vocab));
+        let shard = shard_of(&features, &vocab);
         // Region query on the other side of the globe: the bound excludes
         // it, so the intersect walk is skipped — but nearest still runs.
         let q = Query::parse("in 50.0,-10.0..51.0,-9.0").unwrap();

@@ -44,13 +44,27 @@ fn brute_force<T>(entries: &[(T, usize)], keep: impl Fn(&T) -> bool) -> Vec<usiz
     entries.iter().filter(|(x, _)| keep(x)).map(|(_, p)| *p).collect()
 }
 
+/// What an `…_into` probe appends to a vector that already holds an entry,
+/// checking it left that entry alone; ascending, for comparing with the
+/// `Vec`-returning form.
+fn appended(probe: impl FnOnce(&mut Vec<u32>)) -> Vec<usize> {
+    let mut out = vec![u32::MAX];
+    probe(&mut out);
+    assert_eq!(out[0], u32::MAX, "an `_into` probe appends");
+    let mut got: Vec<usize> = out[1..].iter().map(|&p| p as usize).collect();
+    got.sort_unstable();
+    got
+}
+
 #[test]
 fn rtree_intersection_equals_brute_force() {
     sweep(CASES, |rng| {
         let entries = entries(rng, 0, 120, bbox);
         let query = bbox(rng);
         let tree = RTree::build(entries.clone());
-        assert_eq!(tree.intersecting(&query), brute_force(&entries, |b| b.intersects(&query)));
+        let want = brute_force(&entries, |b| b.intersects(&query));
+        assert_eq!(tree.intersecting(&query), want);
+        assert_eq!(appended(|out| tree.intersecting_into(&query, out)), want);
     });
 }
 
@@ -80,7 +94,9 @@ fn interval_index_equals_brute_force() {
         let entries = entries(rng, 0, 150, interval);
         let query = interval(rng);
         let ix = IntervalIndex::build(entries.clone());
-        assert_eq!(ix.overlapping(&query), brute_force(&entries, |iv| iv.overlaps(&query)));
+        let want = brute_force(&entries, |iv| iv.overlaps(&query));
+        assert_eq!(ix.overlapping(&query), want);
+        assert_eq!(appended(|out| ix.overlapping_into(&query, out)), want);
     });
 }
 

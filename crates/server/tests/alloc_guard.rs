@@ -126,16 +126,21 @@ fn search_request(body: &str) -> Request {
 /// thousands of allocations. These budgets only fit the refactored path
 /// (parse the JSON body, rank every candidate into a bounded top-k of
 /// `(score, index)` pairs, materialize ≤ limit survivors from the shard's
-/// own columns, render one response). The cold pass measures 125; it
-/// measured 285 while each hit re-resolved its dataset's variable names
-/// against the vocabulary.
+/// own columns, render one response). The cold pass measures 126: one memo
+/// of the query terms' name tiers per shard, none per candidate or per hit
+/// (125 before the memo). It measured 285 while each hit re-resolved its
+/// dataset's variable names against the vocabulary. The fixture has no
+/// extents, so this query walks no R-tree or interval index; with extents,
+/// a `near` query measured 157 when each probe collected into a vector of
+/// its own and 153 appending straight to the shard's candidate list.
 const CACHE_HIT_BUDGET: u64 = 200;
 const COLD_SCORING_BUDGET: u64 = 200;
 
 /// Reading the store, building an engine over what it returned and its
-/// browse menus, per dataset: 319 allocations over the fixture's 240
-/// datasets (1.4 each) with every row kept encoded; 1 640 (6.8 each) when
-/// the read decoded each row into a `DatasetFeature` of its own strings.
+/// browse menus, per dataset: 318 allocations over the fixture's 240
+/// datasets (1.3 each) with every row kept encoded and each spelling
+/// numbered once; 1 640 (6.8 each) when the read decoded each row into a
+/// `DatasetFeature` of its own strings.
 const OPEN_BUDGET_PER_DATASET: u64 = 2;
 
 /// A publish — the writer's open of a fresh store, `replace_with`, a

@@ -49,10 +49,12 @@ METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
 
 echo "==> engine vs reference search and browse, and who holds the rows (release)"
 # Ranking and hit materialization are separate instances of the one scoring
-# routine; check them, and the engine's browse menus, against the naive
-# references at serve's opt level. A serving epoch holds rows of the store's
-# images and shares them across a delta; check that at the same opt level.
-cargo test -q --release -p metamess-search --test reference_sweep --test shard_props
+# routine, both reading name tiers through a per-query memo; check them, the
+# memo against the one-dataset reference (the search crate's unit tests),
+# and the engine's browse menus, against the naive references at serve's opt
+# level. A serving epoch holds rows of the store's images and shares them
+# across a delta; check that at the same opt level.
+cargo test -q --release -p metamess-search --lib --test reference_sweep --test shard_props
 cargo test -q --release -p metamess-remote --test reference_sweep
 cargo test -q --release -p metamess-server --test ownership
 
