@@ -35,9 +35,9 @@
 //! is allocated for it, every reference by the table, every tag by its known
 //! bits, and a payload must be consumed exactly. All failures are
 //! [`Error::Corrupt`]. Reading a parsed image again cannot fail. Bytes this
-//! module has just encoded are not parsed: [`Image::encode`], [`put_image`]
-//! and [`encode_rows_of`] build the image from the encoder's own table and
-//! row starts.
+//! module has just encoded are not parsed: [`Image::encode`], [`put_image`],
+//! [`encode_rows_of`] and the publish's `catalog_image` build the image from
+//! the encoder's own table and row starts.
 
 use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, Result};
@@ -106,6 +106,17 @@ pub(crate) fn content_fingerprint(catalog: &Catalog) -> u64 {
 
 fn encode_catalog_at(catalog: &Catalog, generation: u64) -> Vec<u8> {
     catalog_encoder(generation, catalog.properties(), catalog.iter()).finish(KIND_CATALOG)
+}
+
+/// Encodes `catalog` as a snapshot payload at `generation` — the bytes
+/// [`encode_catalog`] writes for it at that generation — and keeps it as the
+/// image of its rows.
+pub(crate) fn catalog_image(catalog: &Catalog, generation: u64) -> Image {
+    catalog_encoder(generation, catalog.properties(), catalog.iter()).finish_image(
+        KIND_CATALOG,
+        generation,
+        catalog.properties().clone(),
+    )
 }
 
 /// An encoder holding the body of a catalog payload at `generation` with

@@ -14,13 +14,21 @@
 //! in an older store format is not damage: reader and writer both refuse it
 //! with [`Error::UnsupportedFormat`] and leave it where it is.
 //!
-//! Every mutation is appended to the WAL before being applied in memory;
-//! `checkpoint` folds the WAL into a fresh snapshot and resets the log. The
-//! writer, like every reader, holds the store as encoded [`Row`]s: a put is
-//! encoded once, as the WAL record it appends and the row it keeps, and a
-//! checkpoint transcodes rows into the snapshot without decoding one.
+//! A put, delete or property set is appended to the WAL before it is applied
+//! in memory; `checkpoint` folds the WAL into a fresh snapshot and resets the
+//! log, and does nothing when no record has been logged since the snapshot
+//! this handle loaded or wrote. A whole-catalog replacement logs nothing: it
+//! folds any records the WAL still holds, then writes the new catalog as the
+//! snapshot, and the rename that puts it in place is its commit point. A
+//! crash before the rename recovers the old store; after it, exactly the new
+//! catalog, over an empty log. No reader ever sees half of one.
+//!
+//! The writer, like every reader, holds the store as encoded [`Row`]s: a put
+//! is encoded once, as the WAL record it appends and the row it keeps, a
+//! checkpoint transcodes rows into the snapshot without decoding one, and a
+//! replacement keeps the rows of the snapshot it wrote.
 
-use super::codec::{encode_rows_of, parse_record, put_image, Record, Row};
+use super::codec::{catalog_image, encode_rows_of, parse_record, put_image, Record, Row};
 use super::lock::{lock_path, StoreLock};
 use super::metrics::store_metrics;
 use super::quarantine::{quarantine_file, QuarantineReason, Quarantined};
@@ -244,7 +252,10 @@ pub struct DurableCatalog {
     scratch: Vec<u8>,
     vfs: Arc<dyn Vfs>,
     recovery: RecoveryReport,
-    appends_since_checkpoint: u64,
+    /// Records the WAL may hold that no snapshot has folded in: those
+    /// recovered at open, and each append tried since (a failed one may
+    /// still have reached the file).
+    unfolded: u64,
     /// Shared advisory lock held for the store's lifetime so that
     /// `fsck --repair` (exclusive) cannot interleave with a live user.
     _lock: StoreLock,
@@ -332,7 +343,7 @@ impl DurableCatalog {
             scratch: Vec::new(),
             vfs,
             recovery,
-            appends_since_checkpoint: 0,
+            unfolded: published.wal_mutations as u64,
             _lock: lock,
         })
     }
@@ -369,6 +380,8 @@ impl DurableCatalog {
         if let Mutation::Put(f) = &m {
             return self.append_put(f);
         }
+        // Counted before the append: a failed one may have left a record.
+        self.unfolded += 1;
         self.wal.append(&m)?;
         match m {
             Mutation::Put(_) => unreachable!("a put is appended as its image"),
@@ -383,24 +396,19 @@ impl DurableCatalog {
                 self.properties.clear();
             }
         }
-        self.applied();
+        self.generation += 1;
         Ok(())
     }
 
     /// Logs a put as its image's payload, then keeps the image's one row.
     fn append_put(&mut self, f: &DatasetFeature) -> Result<()> {
         let put = put_image(f, &mut self.scratch);
+        self.unfolded += 1;
         self.wal.append_payload(put.payload())?;
         let row = put.into_row();
         self.rows.insert(row.id(), row);
-        self.applied();
-        Ok(())
-    }
-
-    /// Counts one mutation appended and applied.
-    fn applied(&mut self) {
         self.generation += 1;
-        self.appends_since_checkpoint += 1;
+        Ok(())
     }
 
     /// Durable insert-or-replace of a dataset feature.
@@ -418,18 +426,30 @@ impl DurableCatalog {
         self.apply(Mutation::SetProperty { key: key.into(), value: value.into() })
     }
 
-    /// Replaces the entire catalog contents durably (Clear + Puts + props).
-    /// Used by publish: the published store becomes a copy of the working
-    /// catalog in one WAL-ordered sequence. Each dataset is encoded from the
-    /// borrowed feature, and none is cloned.
+    /// Replaces the entire catalog durably, as one snapshot: how publish
+    /// makes the store a copy of the working catalog.
+    ///
+    /// Records the WAL still holds are folded first, by a checkpoint, so the
+    /// log is empty. Then `other` is encoded once, at the generation a
+    /// `Clear`, its property sets and its puts would have counted to, and
+    /// written as the snapshot (tmp, fsync, rename, directory sync). The
+    /// rename is the commit point: a crash before it recovers the store as it
+    /// was, a crash after it exactly `other`, and no old record can replay
+    /// over it, because the fold emptied the log. Only once the write has
+    /// succeeded does the store hold the new snapshot's rows. Nothing is
+    /// logged, and no feature is cloned.
     pub fn replace_with(&mut self, other: &Catalog) -> Result<()> {
-        self.apply(Mutation::Clear)?;
-        for (k, v) in other.properties() {
-            self.set_property(k.as_str(), v.as_str())?;
+        if self.unfolded > 0 {
+            self.checkpoint()?;
         }
-        for f in other.iter() {
-            self.append_put(f)?;
-        }
+        let timer = Stopwatch::start_if(metamess_telemetry::enabled());
+        let generation = self.generation + 1 + (other.properties().len() + other.len()) as u64;
+        let snapshot = Arc::new(catalog_image(other, generation));
+        write_payload_with(self.vfs.as_ref(), &self.dir.join("snapshot.bin"), snapshot.payload())?;
+        self.rows = snapshot.rows().map(|row| (row.id(), row)).collect();
+        self.properties = snapshot.properties().clone();
+        self.generation = generation;
+        snapshot_written(&timer);
         Ok(())
     }
 
@@ -438,19 +458,20 @@ impl DurableCatalog {
         self.wal.flush_and_sync()
     }
 
-    /// Writes a snapshot of the current catalog and resets the WAL.
+    /// Writes a snapshot of the current catalog and resets the WAL. Does
+    /// nothing when no record has been logged since the snapshot this handle
+    /// loaded or wrote; a store without a snapshot always gets one.
     pub fn checkpoint(&mut self) -> Result<()> {
-        let on = metamess_telemetry::enabled();
-        let timer = Stopwatch::start_if(on);
-        self.wal.flush_and_sync()?;
-        self.write_snapshot(&self.dir.join("snapshot.bin"))?;
-        self.wal.reset()?;
-        self.appends_since_checkpoint = 0;
-        if on {
-            let m = store_metrics();
-            m.snapshot_writes.inc();
-            m.checkpoint_micros.record(timer.micros());
+        let snap_path = self.dir.join("snapshot.bin");
+        if self.unfolded == 0 && self.vfs.exists(&snap_path) {
+            return Ok(());
         }
+        let timer = Stopwatch::start_if(metamess_telemetry::enabled());
+        self.wal.flush_and_sync()?;
+        self.write_snapshot(&snap_path)?;
+        self.wal.reset()?;
+        self.unfolded = 0;
+        snapshot_written(&timer);
         Ok(())
     }
 
@@ -467,9 +488,10 @@ impl DurableCatalog {
         Ok(())
     }
 
-    /// WAL appends since the last checkpoint.
+    /// WAL records no snapshot has folded in yet: those recovered at open,
+    /// and those appended since.
     pub fn pending_wal_records(&self) -> u64 {
-        self.appends_since_checkpoint
+        self.unfolded
     }
 
     /// Current size of the WAL file in bytes (0 when absent).
@@ -527,7 +549,7 @@ impl DurableCatalog {
         }
         self.write_snapshot(&snap_path)?;
         self.wal.reset()?;
-        self.appends_since_checkpoint = 0;
+        self.unfolded = 0;
         report.snapshot_bytes = self.snapshot_bytes();
         report.pruned = self.prune_retained(policy.retain)?;
         if on {
@@ -597,6 +619,16 @@ impl DurableCatalog {
     }
 }
 
+/// Counts a snapshot written by a checkpoint or a replacement, in the time
+/// `timer` has run; nothing when telemetry was off as it started.
+fn snapshot_written(timer: &Stopwatch) {
+    if timer.armed() {
+        let m = store_metrics();
+        m.snapshot_writes.inc();
+        m.checkpoint_micros.record(timer.micros());
+    }
+}
+
 /// Parses the sequence number out of a `retained/snapshot-NNNNNNNNNN.bin`
 /// path; `None` for foreign files (which retention then leaves alone).
 fn retained_seq(path: &Path) -> Option<u64> {
@@ -658,6 +690,14 @@ mod tests {
         assert!(s.recovery_report().snapshot_loaded);
         assert_eq!(s.recovery_report().wal_mutations, 1);
         assert_eq!(s.catalog().len(), 2);
+    }
+
+    #[test]
+    fn a_fresh_store_checkpoints_its_first_snapshot() {
+        let dir = tmpdir("first-ckpt");
+        DurableCatalog::open(&dir, opts_sync()).unwrap().checkpoint().unwrap();
+        let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
+        assert!(s.recovery_report().snapshot_loaded, "nothing to fold, but no snapshot yet");
     }
 
     #[test]
@@ -866,14 +906,16 @@ mod tests {
             s.set_property("stale", "yes").unwrap();
             s.replace_with(&src).unwrap();
             assert_eq!(s.catalog().content_fingerprint(), src.content_fingerprint());
+            assert_eq!(s.pending_wal_records(), 0, "the stale records were folded first");
         }
-        // … from the WAL alone, and again from the snapshot it folds into
-        for checkpoint in [false, true] {
-            let mut s = DurableCatalog::open(&dir, opts_sync()).unwrap();
-            assert!(s.catalog().iter().eq(src.iter()), "checkpointed: {checkpoint}");
-            assert_eq!(s.catalog().properties(), src.properties());
-            s.checkpoint().unwrap();
-        }
+        // … from the snapshot alone: the replacement logged nothing
+        let s = DurableCatalog::open(&dir, opts_sync()).unwrap();
+        let report = s.recovery_report();
+        assert_eq!((report.snapshot_loaded, report.wal_mutations), (true, 0));
+        assert!(s.catalog().iter().eq(src.iter()));
+        assert_eq!(s.catalog().properties(), src.properties());
+        // two stale records, then what a Clear, one property and two puts count
+        assert_eq!(s.catalog().generation(), 2 + 1 + 1 + 2);
     }
 
     #[test]

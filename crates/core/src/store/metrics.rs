@@ -19,7 +19,8 @@ pub(crate) struct StoreMetrics {
     /// `metamess_core_wal_fsync_failures_total` — flush_and_sync calls that
     /// returned an error (the record may not be durable).
     pub wal_fsync_failures: Arc<Counter>,
-    /// `metamess_core_snapshot_writes_total` — checkpoint snapshots written.
+    /// `metamess_core_snapshot_writes_total` — snapshots written by a
+    /// checkpoint or a whole-catalog replacement (compactions count too).
     pub snapshot_writes: Arc<Counter>,
     /// `metamess_core_recovery_replayed_total` — WAL mutations replayed
     /// while opening stores.
@@ -33,7 +34,8 @@ pub(crate) struct StoreMetrics {
     /// `metamess_core_vfs_faults_injected_total` — faults injected by a
     /// [`FaultVfs`](super::FaultVfs) (non-zero only under torture testing).
     pub vfs_faults_injected: Arc<Counter>,
-    /// `metamess_core_checkpoint_micros` — full checkpoint latency.
+    /// `metamess_core_checkpoint_micros` — full checkpoint latency, and a
+    /// replacement's encode and snapshot write.
     pub checkpoint_micros: Arc<Histogram>,
     /// `metamess_core_group_commit_batches_total` — commit windows flushed
     /// by the group-commit queue (each is exactly one WAL fsync).

@@ -7,7 +7,10 @@
 //! checkpoint writes is `encode_catalog(&store.catalog())` byte for byte,
 //! and `store.diff(c)` is `store.catalog().diff(c)` — over seeded catalogs
 //! with ±inf, −0.0 and NaN summaries, whose rows come from put records,
-//! from a snapshot, and from both.
+//! from a snapshot, and from both. A replacement, which logs nothing and
+//! writes the new catalog as the snapshot, is held to the record-by-record
+//! publish it replaced: a `Clear`, each property, a put per dataset and a
+//! checkpoint leave the same snapshot bytes, generation and rows.
 
 mod catalogs;
 mod common;
@@ -20,6 +23,7 @@ use metamess_core::store::codec::{encode_catalog, encode_mutation};
 use metamess_core::store::{DurableCatalog, StoreOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const CASES: u64 = 60;
 
@@ -34,6 +38,22 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 fn open(dir: &Path) -> DurableCatalog {
     DurableCatalog::open(dir, StoreOptions::default()).unwrap()
+}
+
+/// Taken by every test here: the snapshot-write counter is process-wide, so
+/// a test that reads it must not run beside one that checkpoints.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn snapshot_writes() -> u64 {
+    let counters = metamess_telemetry::global().snapshot().counters;
+    counters.get("metamess_core_snapshot_writes_total").copied().unwrap_or(0)
+}
+
+fn snapshot_file(store: &DurableCatalog) -> Vec<u8> {
+    std::fs::read(store.dir().join("snapshot.bin")).unwrap()
 }
 
 /// Each mutation as its WAL record: what compares NaN and −0.0 by their
@@ -68,7 +88,7 @@ fn edit_store(store: &mut DurableCatalog, rng: &mut Rng) {
 fn checkpoint_writes_the_decoded_catalog(store: &mut DurableCatalog, when: &str) {
     let want = encode_catalog(&store.catalog());
     store.checkpoint().unwrap();
-    let file = std::fs::read(store.dir().join("snapshot.bin")).unwrap();
+    let file = snapshot_file(store);
     // the payload follows the magic, its length and its CRC
     assert_eq!(&file[16..], &want[..], "{when}");
     assert_eq!(encode_catalog(&store.catalog()), want, "{when}: the rows it holds after");
@@ -76,6 +96,7 @@ fn checkpoint_writes_the_decoded_catalog(store: &mut DurableCatalog, when: &str)
 
 #[test]
 fn a_checkpoint_writes_the_catalog_its_rows_decode_to() {
+    let _serial = serial();
     sweep(CASES, |rng| {
         let dir = fresh_dir("checkpoint");
         let mut store = open(&dir);
@@ -142,6 +163,7 @@ fn edited(c: &Catalog, rng: &mut Rng) -> Catalog {
 
 #[test]
 fn diff_from_rows_is_the_diff_of_the_decoded_catalog() {
+    let _serial = serial();
     let mut puts = 0;
     sweep(CASES, |rng| {
         let dir = fresh_dir("diff");
@@ -163,4 +185,59 @@ fn diff_from_rows_is_the_diff_of_the_decoded_catalog() {
         let _ = std::fs::remove_dir_all(&dir);
     });
     assert!(puts > 0, "no seed put anything");
+}
+
+/// The publish a replacement took the place of, driven through the public
+/// API: a `Clear`, each property, a put per dataset, then a checkpoint.
+fn publish_record_by_record(store: &mut DurableCatalog, c: &Catalog) {
+    store.apply(Mutation::Clear).unwrap();
+    for (key, value) in c.properties() {
+        store.set_property(key.as_str(), value.as_str()).unwrap();
+    }
+    for f in c.iter() {
+        store.put(f.clone()).unwrap();
+    }
+    store.checkpoint().unwrap();
+}
+
+#[test]
+fn a_replacement_writes_what_its_records_would_have_folded_into() {
+    let _serial = serial();
+    sweep(CASES, |rng| {
+        let published = seeded_catalog(rng);
+        let earlier = seeded_catalog(rng);
+        let tail = rng.next();
+        for unfolded in [false, true] {
+            let when = if unfolded { "over an unfolded tail" } else { "on a fresh store" };
+            let dirs = [fresh_dir("swap"), fresh_dir("records")];
+            let [mut swapped, mut logged] = dirs.clone().map(|dir| open(&dir));
+            if unfolded {
+                // the same snapshot, and the same records after it, in both
+                for store in [&mut swapped, &mut logged] {
+                    store.replace_with(&earlier).unwrap();
+                    edit_store(store, &mut Rng(tail));
+                    assert!(store.pending_wal_records() > 0);
+                }
+            }
+            swapped.replace_with(&published).unwrap();
+            publish_record_by_record(&mut logged, &published);
+            assert_eq!(swapped.pending_wal_records(), 0, "{when}: nothing is logged");
+            assert_eq!(snapshot_file(&swapped), snapshot_file(&logged), "{when}");
+            assert_eq!(swapped.catalog().generation(), logged.catalog().generation(), "{when}");
+            assert_eq!(
+                encode_catalog(&swapped.catalog()),
+                encode_catalog(&logged.catalog()),
+                "{when}: the rows"
+            );
+            // a checkpoint straight after has nothing to fold, and writes nothing
+            let (file, writes) = (snapshot_file(&swapped), snapshot_writes());
+            swapped.checkpoint().unwrap();
+            assert_eq!(snapshot_file(&swapped), file, "{when}");
+            assert_eq!(snapshot_writes(), writes, "{when}: a checkpoint with nothing to fold");
+            drop((swapped, logged));
+            for dir in dirs {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    });
 }

@@ -1,12 +1,16 @@
 //! Crash-consistency torture suite.
 //!
-//! Drives random mutation/checkpoint sequences through a [`FaultVfs`] that
-//! injects exactly one fault (torn write, bit flip, fsync error, rename
-//! failure) at a chosen crash point and then fails every later operation —
-//! simulating a crash. The store is then reopened through the *real* file
-//! system and the recovered catalog must equal the model built from the
-//! prefix of acknowledged operations: an op whose `apply` returned `Ok`
-//! under `sync_on_append` is durable, an op that errored never happened.
+//! Drives random sequences of mutations, checkpoints and whole-catalog
+//! replacements through a [`FaultVfs`] that injects exactly one fault (torn
+//! write, bit flip, fsync error, rename failure) at a chosen crash point and
+//! then fails every later operation — simulating a crash. The store is then
+//! reopened through the *real* file system and the recovered catalog must
+//! equal the model built from the prefix of acknowledged operations: an op
+//! whose call returned `Ok` under `sync_on_append` is durable, an op that
+//! errored never happened. A replacement that errored therefore recovers
+//! the store it would have replaced, whether it crashed folding the WAL or
+//! writing the new snapshot; one that returned `Ok` recovers exactly its
+//! catalog.
 //!
 //! Every case derives its op sequence and fault plan from its seed via
 //! SplitMix64, so a given case count always replays the same faults.
@@ -33,10 +37,23 @@ enum Op {
     Delete(u8),
     SetProp(u8, u8),
     Checkpoint,
+    /// `replace_with` the catalog [`replacement`] draws from the seed.
+    Replace(u8),
 }
 
 fn dataset_path(n: u8) -> String {
     format!("stations/s{:02}/2010/{:02}.csv", n % 8, n % 12 + 1)
+}
+
+/// What `Op::Replace(seed)` publishes: up to six datasets and a property.
+fn replacement(seed: u8) -> Catalog {
+    let mut rng = Rng(u64::from(seed));
+    let mut c = Catalog::new();
+    for _ in 0..rng.below(7) {
+        c.put(DatasetFeature::new(dataset_path(rng.next() as u8)));
+    }
+    c.set_property("published", format!("r{seed}"));
+    c
 }
 
 /// Fresh unique store directory per case.
@@ -52,15 +69,24 @@ fn torture_opts() -> StoreOptions {
     StoreOptions { sync_on_append: true }
 }
 
+/// The op a run stopped at, and whether the WAL held records no snapshot
+/// had folded in when that op began.
+struct Stopped {
+    op: Op,
+    unfolded: bool,
+}
+
 /// Applies `ops` through `vfs` until the injected crash, returning the
-/// model catalog of acknowledged operations.
-fn run_until_crash(vfs: Arc<dyn Vfs>, dir: &PathBuf, ops: &[Op]) -> Catalog {
+/// model catalog of acknowledged operations and the op that failed, if one
+/// did.
+fn run_until_crash(vfs: Arc<dyn Vfs>, dir: &PathBuf, ops: &[Op]) -> (Catalog, Option<Stopped>) {
     let mut model = Catalog::new();
     let Ok(mut store) = DurableCatalog::open_with(vfs, dir, torture_opts()) else {
         // Crashed while creating the store: nothing was acknowledged.
-        return model;
+        return (model, None);
     };
     for op in ops {
+        let unfolded = store.pending_wal_records() > 0;
         let acked = match op {
             Op::Put(n) => {
                 let f = DatasetFeature::new(dataset_path(*n));
@@ -92,12 +118,23 @@ fn run_until_crash(vfs: Arc<dyn Vfs>, dir: &PathBuf, ops: &[Op]) -> Catalog {
             // Checkpoints move bytes between WAL and snapshot but change no
             // content; a failed one must not lose acknowledged ops.
             Op::Checkpoint => store.checkpoint().is_ok(),
+            Op::Replace(seed) => {
+                let next = replacement(*seed);
+                match store.replace_with(&next) {
+                    Ok(()) => {
+                        model = next;
+                        true
+                    }
+                    Err(_) => false,
+                }
+            }
         };
         if !acked {
-            break; // crashed: every later op would fail too
+            // crashed: every later op would fail too
+            return (model, Some(Stopped { op: op.clone(), unfolded }));
         }
     }
-    model
+    (model, None)
 }
 
 /// Recovery through the real file system must succeed and reproduce
@@ -120,11 +157,12 @@ fn assert_recovers_model(dir: &PathBuf, model: &Catalog, context: &str) {
 }
 
 fn op(rng: &mut Rng) -> Op {
-    match rng.next() % 9 {
+    match rng.next() % 10 {
         0..=3 => Op::Put(rng.next() as u8),
         4..=5 => Op::Delete(rng.next() as u8),
         6..=7 => Op::SetProp(rng.next() as u8 % 8, rng.next() as u8),
-        _ => Op::Checkpoint,
+        8 => Op::Checkpoint,
+        _ => Op::Replace(rng.next() as u8),
     }
 }
 
@@ -151,14 +189,20 @@ fn sweep_cases() -> u64 {
 #[test]
 fn seeded_sweep_recovers_acknowledged_prefix() {
     let mut faults_fired = 0u64;
+    // Replacements the fault stopped: over an empty WAL, and over one whose
+    // records the replacement had to fold first.
+    let mut replaces_stopped = [0u64; 2];
     let cases = sweep_cases();
     for seed in 0..cases {
         let (ops, plan) = derive_case(seed);
         let dir = fresh_dir("sweep");
         let fault = Arc::new(FaultVfs::new(plan));
-        let model = run_until_crash(fault.clone(), &dir, &ops);
+        let (model, stopped) = run_until_crash(fault.clone(), &dir, &ops);
         if fault.crashed() {
             faults_fired += 1;
+        }
+        if let Some(Stopped { op: Op::Replace(_), unfolded }) = stopped {
+            replaces_stopped[usize::from(unfolded)] += 1;
         }
         assert_recovers_model(&dir, &model, &format!("seed {seed} plan {plan:?} ops {ops:?}"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -169,6 +213,37 @@ fn seeded_sweep_recovers_acknowledged_prefix() {
         faults_fired >= cases / 4,
         "only {faults_fired}/{cases} cases injected their fault — crash points miscalibrated"
     );
+    if cases >= 300 {
+        assert!(
+            replaces_stopped.iter().all(|&n| n > 0),
+            "crashes inside a replacement over an empty and an unfolded WAL: {replaces_stopped:?}"
+        );
+    }
+}
+
+/// A replacement over records the WAL still holds folds them, by a
+/// checkpoint whose rename succeeds, and then fails at its own rename: the
+/// store recovers as it was before the call — the folded records, from the
+/// snapshot, over an empty log.
+#[test]
+fn a_failed_swap_after_a_fold_recovers_the_folded_store() {
+    let dir = fresh_dir("swap-after-fold");
+    let plan = FaultPlan { crash_at: 2, kind: FaultKind::RenameFail, seed: 0 };
+    let fault = Arc::new(FaultVfs::new(plan));
+    let ops = [Op::Put(1), Op::Put(2), Op::SetProp(0, 7), Op::Delete(1), Op::Replace(3)];
+    let (model, stopped) = run_until_crash(fault.clone(), &dir, &ops);
+    assert!(fault.crashed());
+    assert!(
+        matches!(stopped, Some(Stopped { op: Op::Replace(3), unfolded: true })),
+        "the replacement, over unfolded records, is what failed"
+    );
+    assert!(!replacement(3).is_empty(), "a replacement that would have shown");
+    assert_eq!(model.len(), 1);
+    assert_recovers_model(&dir, &model, "rename failure at the swap");
+    let store = DurableCatalog::open(&dir, torture_opts()).unwrap();
+    let report = store.recovery_report();
+    assert_eq!((report.snapshot_loaded, report.wal_mutations), (true, 0), "the fold landed");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Cases of each property below the sweep.
@@ -193,6 +268,10 @@ fn apply_both(store: &mut DurableCatalog, model: &mut Catalog, op: &Op) {
             model.set_property(format!("k{k}"), format!("v{v}"));
         }
         Op::Checkpoint => store.checkpoint().unwrap(),
+        Op::Replace(seed) => {
+            *model = replacement(*seed);
+            store.replace_with(model).unwrap();
+        }
     }
 }
 

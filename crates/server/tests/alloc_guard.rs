@@ -144,10 +144,12 @@ const COLD_SCORING_BUDGET: u64 = 200;
 const OPEN_BUDGET_PER_DATASET: u64 = 2;
 
 /// A publish — the writer's open of a fresh store, `replace_with`, a
-/// checkpoint — per dataset: 1 538 allocations over the 240 datasets (6.4
-/// each) with each put kept as its encoded image; 1 895 (7.9 each) when the
-/// writer cloned every feature into a catalog of its own.
-const PUBLISH_BUDGET_PER_DATASET: u64 = 7;
+/// checkpoint — per dataset: 78 allocations over the 240 datasets (0.3
+/// each) with the catalog encoded once, as the snapshot the writer then
+/// holds its rows from; 1 538 (6.4 each) when each dataset was logged as a
+/// put image of its own and a checkpoint transcoded them all, and 1 895
+/// (7.9 each) when the writer cloned every feature into a catalog of its own.
+const PUBLISH_BUDGET_PER_DATASET: u64 = 1;
 
 /// The writer's open of the published store, per dataset: 80 allocations
 /// (0.3 each) keeping the rows it checked; 1 160 (4.8 each) when it decoded
@@ -240,8 +242,8 @@ fn warm_keep_alive_search_stays_within_allocation_budget() {
     );
 
     // Scenario 5: a publish — the writer's open of a fresh store, the
-    // fixture catalog through the WAL, a checkpoint — keeps each dataset as
-    // its encoded put and clones no feature.
+    // fixture catalog written as one snapshot, a checkpoint with nothing to
+    // fold — encodes each dataset once and clones no feature.
     let mut catalog = Catalog::new();
     fixture_datasets().for_each(|d| catalog.put(d));
     let published = dir.join("published");

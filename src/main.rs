@@ -366,7 +366,6 @@ fn cmd_wrangle(args: &Args) -> Result<()> {
     let (catalog_dir, vocab_path) = store_paths(&store_dir);
     let mut store = DurableCatalog::open(&catalog_dir, StoreOptions::default())?;
     store.replace_with(&ctx.catalogs.published)?;
-    store.checkpoint()?;
     ctx.vocab.save(&vocab_path)?;
     metamess::pipeline::save_state(&ctx, &state_dir)?;
     println!(

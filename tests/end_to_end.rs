@@ -150,7 +150,6 @@ fn published_catalog_survives_durable_storage() {
     {
         let mut store = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
         store.replace_with(&ctx.catalogs.published).unwrap();
-        store.checkpoint().unwrap();
     }
     let stored = DurableCatalog::open(&dir, StoreOptions::default()).unwrap().catalog();
     assert_eq!(stored.len(), ctx.catalogs.published.len());
