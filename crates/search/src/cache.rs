@@ -154,40 +154,6 @@ impl ResultCache {
         self.inner().entries.clear();
     }
 
-    /// Re-stamps entries from generation `from` to generation `to` when
-    /// `survives` says their result list is provably unchanged by the delta
-    /// that advanced the catalog; entries that fail the predicate (or carry
-    /// any other stamp) are dropped.
-    ///
-    /// This is the delta-publication hook: a catalog delta applied in place
-    /// advances the generation, which would invalidate every entry even
-    /// though most queries never touched the changed datasets. Re-stamping
-    /// mutates only the `generation` field — the `Arc<[SearchHit]>` result
-    /// list is untouched, so surviving entries keep pointer identity (the
-    /// property the serve acceptance test asserts). Returns
-    /// `(survived, dropped)`.
-    pub fn retarget(
-        &self,
-        from: u64,
-        to: u64,
-        survives: impl Fn(&str, &[SearchHit]) -> bool,
-    ) -> (usize, usize) {
-        let mut inner = self.inner();
-        let mut survived = 0;
-        let mut dropped = 0;
-        inner.entries.retain(|key, e| {
-            if e.generation == from && survives(key, &e.hits) {
-                e.generation = to;
-                survived += 1;
-                true
-            } else {
-                dropped += 1;
-                false
-            }
-        });
-        (survived, dropped)
-    }
-
     /// Zeroes the hit/miss counters (entries are kept) — `metamess stats
     /// --reset` starts a fresh measurement window without losing the cache.
     pub fn reset_stats(&self) {
@@ -283,23 +249,6 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.stats().hits, 1);
-    }
-
-    #[test]
-    fn retarget_restamps_survivors_in_place_and_drops_the_rest() {
-        let c = ResultCache::new(8);
-        let kept = hits("a.csv");
-        c.put("keep".into(), 3, kept.clone());
-        c.put("drop".into(), 3, hits("b.csv"));
-        c.put("stale".into(), 2, hits("c.csv"));
-        let (survived, dropped) = c.retarget(3, 4, |key, _| key == "keep");
-        assert_eq!((survived, dropped), (1, 2));
-        // The survivor answers at the new generation with the same Arc.
-        let got = c.get("keep", 4).expect("survivor hit");
-        assert!(Arc::ptr_eq(&kept, &got), "retarget must not touch the hits");
-        assert!(c.get("keep", 3).is_none(), "old stamp is gone");
-        assert!(c.get("drop", 4).is_none());
-        assert!(c.get("stale", 2).is_none(), "other-generation entries dropped");
     }
 
     #[test]

@@ -32,22 +32,19 @@
 //! * A shard holds each dataset as the encoded row of a store image
 //!   ([`metamess_core::store::Row`]) and builds its columns — extents,
 //!   variable keys, paths — from the rows' views; no `DatasetFeature` is
-//!   decoded to build or to search. One is decoded for
-//!   [`ShardedEngine::dataset`] and for the rows a delta touches.
+//!   decoded to build or to search. One is decoded only for
+//!   [`ShardedEngine::dataset`].
 //! * A generation-stamped LRU [`ResultCache`] serves repeated queries
 //!   against an unchanged published catalog without rescoring; entries are
-//!   invalidated simply by the catalog generation moving on publish, and
-//!   hit/miss counters are exposed for the benches. Under live delta
-//!   publication the [`delta`] analysis re-stamps provably-unaffected
-//!   entries in place ([`ResultCache::retarget`]) so the cache survives
-//!   in-place catalog updates.
+//!   invalidated simply by the catalog generation moving — on a publish, a
+//!   reload or a delta applied in place alike — and hit/miss counters are
+//!   exposed for the benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod browse;
 mod cache;
-pub mod delta;
 mod engine;
 mod explain;
 pub mod fanout;
@@ -62,7 +59,6 @@ mod topk;
 
 pub use browse::{browse_all, browse_taxonomy, BrowseNode, BrowseTree};
 pub use cache::{CacheStats, ResultCache, DEFAULT_CACHE_CAPACITY};
-pub use delta::{compute_touches, entry_survives, TouchedDataset};
 pub use engine::{SearchEngine, SearchHit, ShardedEngine};
 pub use explain::SearchExplain;
 pub use fanout::{ProbeSummary, ScoreWork};

@@ -490,9 +490,8 @@ pub(crate) fn explain_keys(
 /// Scores one dataset against a query with pre-prepared terms and explains
 /// the score: the one scoring routine over a spelling table of this
 /// dataset's variables alone (the id of each is its position), its
-/// breakdown filled in as a shard fills a hit's. For the reference oracle
-/// and the cache-survival proofs; a shard explains its hits from the table
-/// its build made.
+/// breakdown filled in as a shard fills a hit's. For the reference oracle;
+/// a shard explains its hits from the table its build made.
 pub fn score_dataset_prepared(
     query: &Query,
     prepared: &[PreparedTerm],

@@ -480,8 +480,7 @@ impl ShardEngine {
 /// The inverted-index keys a searchable variable spelled `(name,
 /// search_name)` is filed under: its canonical concept and every hierarchy
 /// ancestor (the helper query planning shares), plus its raw and search
-/// spellings. The cache-survival proofs (`delta.rs`) recompute membership
-/// with this same set.
+/// spellings.
 pub(crate) fn index_keys(name: &str, search_name: &str, vocab: &Vocabulary) -> BTreeSet<String> {
     let mut keys = vocab.canonical_keys(search_name);
     keys.insert(normalize_term(name));

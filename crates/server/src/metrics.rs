@@ -21,10 +21,12 @@
 //!   a WAL-tail delta in place (no store reopen), and the mutations those
 //!   deltas carried.
 //! * `metamess_server_delta_cache_survived_total` /
-//!   `metamess_server_delta_cache_dropped_total` — result-cache entries
-//!   re-stamped across a delta vs evicted by it.
+//!   `metamess_server_delta_cache_dropped_total` — a delta keeps no cached
+//!   result: `survived` is always 0, and `dropped` adds the entries the
+//!   cache held at the swap, all of them stale from then on (the generation
+//!   stamp moved, as on a full reload).
 //! * `metamess_server_delta_apply_micros` — delta apply latency (successor
-//!   engine, cache retarget and browse trees, once the tail is read).
+//!   engine and browse trees, once the tail is read).
 //! * `metamess_server_panics_total` — panics caught by the worker pool
 //!   (the request gets a 500 or a dropped connection; the worker lives).
 //! * `metamess_server_conn_open` — connections currently owned by the
@@ -90,15 +92,16 @@ pub(crate) fn record_reload_failure() {
 }
 
 /// Records one in-place delta application: the mutation count it carried,
-/// how the result cache fared, and how long the whole apply took.
-pub(crate) fn record_delta_apply(mutations: usize, survived: usize, dropped: usize, micros: u64) {
+/// the cached results it left stale, and how long the whole apply took.
+pub(crate) fn record_delta_apply(mutations: usize, dropped: usize, micros: u64) {
     if !metamess_telemetry::enabled() {
         return;
     }
     let g = global();
     g.counter("metamess_server_delta_applies_total").add(1);
     g.counter("metamess_server_delta_mutations_total").add(mutations as u64);
-    g.counter("metamess_server_delta_cache_survived_total").add(survived as u64);
+    // Always 0, but registered: readers of the delta counters ask for it.
+    g.counter("metamess_server_delta_cache_survived_total").add(0);
     g.counter("metamess_server_delta_cache_dropped_total").add(dropped as u64);
     g.histogram("metamess_server_delta_apply_micros").record(micros);
 }

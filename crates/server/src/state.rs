@@ -8,9 +8,9 @@
 //! reload never invalidates a request mid-execution.
 //!
 //! The [`ResultCache`] is shared *across* epochs: entries are stamped with
-//! the catalog generation (PR 1), so a reload that advances the generation
-//! invalidates stale entries by construction, while a reload that finds
-//! the same generation keeps the warm cache.
+//! the catalog generation, so a swap that advances the generation — a full
+//! reload or a delta alike — invalidates stale entries by construction,
+//! while a reload that finds the same generation keeps the warm cache.
 //!
 //! The server is a **reader** of a store that `metamess watch` may be
 //! appending to: it loads through [`read_published`] and follows the WAL
@@ -31,23 +31,19 @@
 //! ways. When only the WAL grew since the last look (a live writer
 //! publishing deltas without checkpointing), the next engine is the current
 //! engine's [`successor`](SearchEngine::successor) under the records past
-//! the stored offset — sharing every feature they leave alone, and landing
-//! on exactly the generation a fresh load would compute, because the
-//! generation is the mutation count. Before the swap, provably-unaffected
-//! result-cache entries are re-stamped in place ([`ResultCache::retarget`]
-//! and `metamess_search::delta`), so cached lists for untouched queries keep
-//! pointer identity across the delta. Anything that path cannot prove —
-//! snapshot replaced (compaction), vocabulary changed, WAL reset, a `Clear`
-//! mutation — and every forced reload reads the store afresh.
+//! the stored offset — sharing every row they leave alone, and landing on
+//! exactly the generation a fresh load would compute, because the
+//! generation is the mutation count. No row is decoded for it, and the
+//! result cache is left to the generation stamp as on any other swap.
+//! Anything else — snapshot replaced (compaction), vocabulary changed, WAL
+//! reset, a `Clear` mutation — and every forced reload reads the store
+//! afresh.
 
 use crate::metrics;
 use metamess_core::store::{lock_path, read_published, StoreLock, Wal};
 use metamess_core::Result;
 use metamess_remote::RemoteShardSet;
-use metamess_search::{
-    compute_touches, entry_survives, BrowseTree, ResultCache, SearchEngine, ShardSpec,
-    DEFAULT_CACHE_CAPACITY,
-};
+use metamess_search::{BrowseTree, ResultCache, SearchEngine, ShardSpec, DEFAULT_CACHE_CAPACITY};
 use metamess_telemetry::{event, Level};
 use metamess_vocab::Vocabulary;
 use std::path::{Path, PathBuf};
@@ -103,8 +99,8 @@ pub enum ReloadOutcome {
         epoch: u64,
     },
     /// A WAL-tail delta was applied in place: the snapshot was **not**
-    /// read again, and provably-unaffected cache entries survived the
-    /// generation bump.
+    /// read again. Cached results of the old generation miss from now on,
+    /// as after [`Reloaded`](ReloadOutcome::Reloaded).
     DeltaApplied {
         /// Generation served before the delta.
         from: u64,
@@ -150,8 +146,8 @@ impl StoreSignature {
     /// The delta-publication precondition: the WAL strictly grew (or
     /// appeared) and nothing else moved. A changed snapshot means a
     /// checkpoint or compaction replaced the base; a changed vocabulary
-    /// invalidates every index-key proof; a shrunk WAL means a reset. All
-    /// of those need a full reload.
+    /// moves every index key; a shrunk WAL means a reset. All of those need
+    /// a full reload.
     fn only_wal_grew(&self, newer: &StoreSignature) -> bool {
         if self.0[Self::SNAPSHOT] != newer.0[Self::SNAPSHOT]
             || self.0[Self::VOCAB] != newer.0[Self::VOCAB]
@@ -399,28 +395,16 @@ impl ServeState {
             return Ok(ReloadOutcome::Unchanged { generation: from });
         }
         let started = std::time::Instant::now();
-        let delta = tail.and_then(|tail| {
-            let engine = previous.engine.successor(&tail.mutations)?;
-            let touches = compute_touches(&previous.engine, &engine, &tail.mutations)?;
-            Some((tail, engine, touches))
-        });
+        let delta = tail.and_then(|tail| Some((previous.engine.successor(&tail.mutations)?, tail)));
         let epoch = previous.epoch + 1;
         let (next, wal_offset, outcome) = match delta {
-            Some((tail, engine, touches)) => {
+            Some((engine, tail)) => {
                 let to = engine.generation();
-                // Retarget BEFORE the swap: every cache entry either
-                // carries the new stamp already (and the new epoch hits the
-                // same Arc) or is gone. Retargeting after the swap would
-                // race the new epoch recomputing a survivor and overwriting
-                // it, losing the pointer-identity guarantee.
-                let (survived, dropped) = self.cache.retarget(from, to, |key, hits| {
-                    entry_survives(key, hits, &touches, engine.vocabulary())
-                });
                 warn_stopped_early(&self.store_dir, &tail.stopped_early);
                 let next = EngineEpoch::new(engine, epoch);
                 let mutations = tail.mutations.len();
                 let micros = started.elapsed().as_micros() as u64;
-                metrics::record_delta_apply(mutations, survived, dropped, micros);
+                metrics::record_delta_apply(mutations, self.cache.len(), micros);
                 (next, tail.new_offset, ReloadOutcome::DeltaApplied { from, to, epoch, mutations })
             }
             None => {
@@ -694,55 +678,46 @@ mod tests {
 
     #[test]
     fn delta_publication_applies_wal_tail_without_reopening() {
-        let dir = fixture_store_vars("delta");
-        let state = ServeState::open(&dir).unwrap();
-        let before = state.epoch();
-        // Warm the cache with a full-list, non-spatial query the delta
-        // provably cannot affect.
-        let q = Query::parse("with salinity limit 2").unwrap();
-        let cached = before.engine.search(&q);
-        assert_eq!(cached.len(), 2);
-        // A live writer appends an unrelated dataset to the WAL only:
-        // turbidity sits under `biogeochemical`, salinity under `physical`,
-        // so no index key of the cached query reaches the newcomer.
-        append_without_checkpoint(&dir, dataset("2014/08/turb01.csv", "turbidity"));
-        match state.poll_reload().unwrap() {
-            ReloadOutcome::DeltaApplied { from, to, epoch, mutations } => {
-                assert_eq!(from, before.generation);
-                assert!(to > from, "generation must advance monotonically");
-                assert_eq!(epoch, before.epoch + 1);
-                assert_eq!(mutations, 1);
+        // Turbidity sits under `biogeochemical`, salinity under `physical`:
+        // the first newcomer is no candidate for the cached query, the
+        // second one is and ranks first (an equal score, an earlier path).
+        for (name, var, path, ranks) in [
+            ("deltaturb", "turbidity", "2014/08/turb01.csv", false),
+            ("deltasal", "salinity", "2014/07/s0.csv", true),
+        ] {
+            let dir = fixture_store_vars(name);
+            let state = ServeState::open(&dir).unwrap();
+            let before = state.epoch();
+            let q = Query::parse("with salinity limit 2").unwrap();
+            let cached = before.engine.search(&q);
+            assert_eq!(cached.len(), 2);
+            // A live writer appends to the WAL only.
+            append_without_checkpoint(&dir, dataset(path, var));
+            match state.poll_reload().unwrap() {
+                ReloadOutcome::DeltaApplied { from, to, epoch, mutations } => {
+                    assert_eq!(from, before.generation);
+                    assert!(to > from, "generation must advance monotonically");
+                    assert_eq!(epoch, before.epoch + 1);
+                    assert_eq!(mutations, 1);
+                }
+                other => panic!("{name}: expected a delta apply, got {other:?}"),
             }
-            other => panic!("expected a delta apply, got {other:?}"),
+            assert_eq!(state.reloads(), 1);
+            let after = state.epoch();
+            assert_eq!(after.datasets, 3, "the delta-applied epoch sees the new dataset");
+            let hits = after.engine.search(&Query::parse(&format!("with {var}")).unwrap());
+            assert!(hits.iter().any(|h| h.path == path), "{name}: new dataset must be searchable");
+            // The generation stamp moved, so the cached list is recomputed …
+            let again = after.engine.search(&q);
+            assert!(!Arc::ptr_eq(&cached, &again), "{name}: a stale entry must be recomputed");
+            // … into what a server opening the store afresh answers.
+            let fresh = ServeState::open(&dir).unwrap().epoch().engine.search(&q);
+            assert_eq!(again, fresh, "{name}");
+            for (a, f) in again.iter().zip(fresh.iter()) {
+                assert_eq!(a.score.to_bits(), f.score.to_bits(), "{name}: score of {}", a.path);
+            }
+            assert_eq!(again.iter().any(|h| h.path == path), ranks, "{name}: does {path} rank?");
         }
-        let after = state.epoch();
-        assert_eq!(after.datasets, 3, "the delta-applied epoch sees the new dataset");
-        let t = Query::parse("with turbidity").unwrap();
-        let hits = after.engine.search(&t);
-        assert!(hits.iter().any(|h| h.path.contains("turb01")), "new dataset must be searchable");
-        // The unaffected cached list survived the generation bump — same
-        // allocation, not a recompute.
-        let again = after.engine.search(&q);
-        assert!(Arc::ptr_eq(&cached, &again), "unaffected cache entry must keep pointer identity");
-        assert_eq!(state.reloads(), 1);
-    }
-
-    #[test]
-    fn delta_evicts_affected_cache_entries() {
-        let dir = fixture_store_vars("deltaev");
-        let state = ServeState::open(&dir).unwrap();
-        let q = Query::parse("with salinity limit 2").unwrap();
-        let cached = state.epoch().engine.search(&q);
-        assert_eq!(cached.len(), 2);
-        // A third salinity dataset is a new candidate for the cached query
-        // — the entry must be evicted and recomputed.
-        append_without_checkpoint(&dir, dataset("2014/07/s0.csv", "salinity"));
-        match state.poll_reload().unwrap() {
-            ReloadOutcome::DeltaApplied { .. } => {}
-            other => panic!("expected a delta apply, got {other:?}"),
-        }
-        let again = state.epoch().engine.search(&q);
-        assert!(!Arc::ptr_eq(&cached, &again), "affected entry must be recomputed");
     }
 
     #[test]

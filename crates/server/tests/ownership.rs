@@ -6,7 +6,7 @@
 //! holds them. After a WAL-tail delta the new epoch shares the image of
 //! every row the delta left alone with the old one, and every put is a row
 //! of a new image — while it answers exactly like a server that opened the
-//! store afresh.
+//! store afresh, through the result cache it shares with the old epoch too.
 
 #[path = "../../search/tests/common/mod.rs"]
 mod common;
@@ -119,6 +119,11 @@ fn a_delta_shares_what_it_left_alone_and_answers_like_a_reopened_store() {
         store.flush().unwrap();
         let expected = store.catalog();
         drop(store);
+        // The seed's queries are cached at the old generation.
+        let queries = queries(&mut rng, expected.len());
+        for q in &queries {
+            before.engine.search(q);
+        }
 
         match state.poll_reload().unwrap() {
             ReloadOutcome::DeltaApplied { mutations: applied, .. } => {
@@ -147,11 +152,12 @@ fn a_delta_shares_what_it_left_alone_and_answers_like_a_reopened_store() {
         assert_eq!(after.datasets, reopened.datasets, "seed {seed}");
         assert_eq!(after.datasets, expected.len(), "seed {seed}");
         assert_eq!(after.browse, reopened.browse, "seed {seed}");
-        for q in queries(&mut rng, expected.len()) {
+        for q in &queries {
             let what = format!("seed {seed}, {q:?}");
-            let want = reopened.engine.search_uncached(&q);
-            assert_bit_equal(&after.engine.search_uncached(&q), &want, &what);
-            assert_bit_equal(&want, &reference_search(&expected, &vocab, &q), &what);
+            let want = reopened.engine.search_uncached(q);
+            assert_bit_equal(&after.engine.search_uncached(q), &want, &what);
+            assert_bit_equal(&after.engine.search(q), &want, &format!("{what}, cached"));
+            assert_bit_equal(&want, &reference_search(&expected, &vocab, q), &what);
         }
 
         // The old epoch goes, and with it the last other holder.
