@@ -676,48 +676,57 @@ mod tests {
         assert!(matches!(state.poll_reload().unwrap(), ReloadOutcome::Reloaded { .. }));
     }
 
+    /// Warms the cache with `with salinity limit 2`, lets a live writer
+    /// append one `var` dataset at `path` to the WAL only, and checks the
+    /// delta apply: the cached list is recomputed into what a server
+    /// opening the store afresh answers, and the newcomer is in it exactly
+    /// when `ranks`.
+    fn check_delta_put(name: &str, var: &str, path: &str, ranks: bool) {
+        let dir = fixture_store_vars(name);
+        let state = ServeState::open(&dir).unwrap();
+        let before = state.epoch();
+        let q = Query::parse("with salinity limit 2").unwrap();
+        let cached = before.engine.search(&q);
+        assert_eq!(cached.len(), 2);
+        append_without_checkpoint(&dir, dataset(path, var));
+        match state.poll_reload().unwrap() {
+            ReloadOutcome::DeltaApplied { from, to, epoch, mutations } => {
+                assert_eq!(from, before.generation);
+                assert!(to > from, "generation must advance monotonically");
+                assert_eq!(epoch, before.epoch + 1);
+                assert_eq!(mutations, 1);
+            }
+            other => panic!("expected a delta apply, got {other:?}"),
+        }
+        assert_eq!(state.reloads(), 1);
+        let after = state.epoch();
+        assert_eq!(after.datasets, 3, "the delta-applied epoch sees the new dataset");
+        let hits = after.engine.search(&Query::parse(&format!("with {var}")).unwrap());
+        assert!(hits.iter().any(|h| h.path == path), "new dataset must be searchable");
+        // The generation stamp moved, so the cached list is recomputed …
+        let again = after.engine.search(&q);
+        assert!(!Arc::ptr_eq(&cached, &again), "a stale entry must be recomputed");
+        // … into what a server opening the store afresh answers.
+        let fresh = ServeState::open(&dir).unwrap().epoch().engine.search(&q);
+        assert_eq!(again, fresh);
+        for (a, f) in again.iter().zip(fresh.iter()) {
+            assert_eq!(a.score.to_bits(), f.score.to_bits(), "score of {}", a.path);
+        }
+        assert_eq!(again.iter().any(|h| h.path == path), ranks, "does {path} rank?");
+    }
+
     #[test]
     fn delta_publication_applies_wal_tail_without_reopening() {
         // Turbidity sits under `biogeochemical`, salinity under `physical`:
-        // the first newcomer is no candidate for the cached query, the
-        // second one is and ranks first (an equal score, an earlier path).
-        for (name, var, path, ranks) in [
-            ("deltaturb", "turbidity", "2014/08/turb01.csv", false),
-            ("deltasal", "salinity", "2014/07/s0.csv", true),
-        ] {
-            let dir = fixture_store_vars(name);
-            let state = ServeState::open(&dir).unwrap();
-            let before = state.epoch();
-            let q = Query::parse("with salinity limit 2").unwrap();
-            let cached = before.engine.search(&q);
-            assert_eq!(cached.len(), 2);
-            // A live writer appends to the WAL only.
-            append_without_checkpoint(&dir, dataset(path, var));
-            match state.poll_reload().unwrap() {
-                ReloadOutcome::DeltaApplied { from, to, epoch, mutations } => {
-                    assert_eq!(from, before.generation);
-                    assert!(to > from, "generation must advance monotonically");
-                    assert_eq!(epoch, before.epoch + 1);
-                    assert_eq!(mutations, 1);
-                }
-                other => panic!("{name}: expected a delta apply, got {other:?}"),
-            }
-            assert_eq!(state.reloads(), 1);
-            let after = state.epoch();
-            assert_eq!(after.datasets, 3, "the delta-applied epoch sees the new dataset");
-            let hits = after.engine.search(&Query::parse(&format!("with {var}")).unwrap());
-            assert!(hits.iter().any(|h| h.path == path), "{name}: new dataset must be searchable");
-            // The generation stamp moved, so the cached list is recomputed …
-            let again = after.engine.search(&q);
-            assert!(!Arc::ptr_eq(&cached, &again), "{name}: a stale entry must be recomputed");
-            // … into what a server opening the store afresh answers.
-            let fresh = ServeState::open(&dir).unwrap().epoch().engine.search(&q);
-            assert_eq!(again, fresh, "{name}");
-            for (a, f) in again.iter().zip(fresh.iter()) {
-                assert_eq!(a.score.to_bits(), f.score.to_bits(), "{name}: score of {}", a.path);
-            }
-            assert_eq!(again.iter().any(|h| h.path == path), ranks, "{name}: does {path} rank?");
-        }
+        // the newcomer is no candidate for the cached query.
+        check_delta_put("delta", "turbidity", "2014/08/turb01.csv", false);
+    }
+
+    #[test]
+    fn delta_evicts_affected_cache_entries() {
+        // A third salinity dataset is a candidate for the cached query and
+        // ranks first (an equal score, an earlier path).
+        check_delta_put("deltaev", "salinity", "2014/07/s0.csv", true);
     }
 
     #[test]
