@@ -10,6 +10,7 @@
 //! search, the wrangling pipeline — builds on these types.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod error;

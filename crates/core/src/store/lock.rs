@@ -8,8 +8,10 @@
 //! with anybody is `fsck --repair`, which truncates WAL tails and moves
 //! files into quarantine out from under other processes.
 //!
-//! A [`StoreLock`] encodes that policy as an advisory `flock(2)` on a
-//! `.lock` file inside the catalog directory:
+//! A [`StoreLock`] encodes that policy as an advisory lock on a `.lock`
+//! file inside the catalog directory, taken with std's
+//! [`File::try_lock_shared`] / [`File::try_lock`] (a non-blocking
+//! `flock(2)` on unix):
 //!
 //! * every store *user* (open for read or append) takes a **shared** lock;
 //! * `fsck --repair` takes an **exclusive** lock;
@@ -18,13 +20,11 @@
 //!   undefined interleaving (or a silent hang).
 //!
 //! The lock is released when the [`StoreLock`] is dropped (closing the file
-//! descriptor releases a `flock`), and — being advisory — it never blocks
-//! non-metamess tools from reading the files. On non-Unix platforms the
-//! lock degrades to a no-op marker file so the crate still builds; the
-//! repair-vs-serve exclusion is only enforced where `flock` exists.
+//! releases it), and — being advisory on unix — it never blocks
+//! non-metamess tools from reading the store's files.
 
 use crate::error::{Error, Result};
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::path::{Path, PathBuf};
 
 /// How a [`StoreLock`] is held.
@@ -53,7 +53,7 @@ pub fn lock_path(catalog_dir: &Path) -> PathBuf {
 /// A held advisory lock on a store. Dropping it releases the lock.
 #[derive(Debug)]
 pub struct StoreLock {
-    // Kept alive for the flock; never read on non-Unix targets.
+    // Held open for the lock's lifetime: closing it releases the lock.
     _file: File,
     path: PathBuf,
     mode: LockMode,
@@ -85,16 +85,17 @@ impl StoreLock {
             .truncate(false)
             .open(path)
             .map_err(|e| Error::io(format!("open lock file {}", path.display()), e))?;
-        sys::flock(&file, mode).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::WouldBlock {
-                Error::conflict(format!(
-                    "store is locked: could not take a {mode} lock on {} — another metamess \
-                     process (serve, wrangle, or fsck --repair) holds it; retry after it exits",
-                    path.display()
-                ))
-            } else {
-                Error::io(format!("lock {}", path.display()), e)
-            }
+        let locked = match mode {
+            LockMode::Shared => file.try_lock_shared(),
+            LockMode::Exclusive => file.try_lock(),
+        };
+        locked.map_err(|e| match e {
+            TryLockError::WouldBlock => Error::conflict(format!(
+                "store is locked: could not take a {mode} lock on {} — another metamess \
+                 process (serve, wrangle, or fsck --repair) holds it; retry after it exits",
+                path.display()
+            )),
+            TryLockError::Error(e) => Error::io(format!("lock {}", path.display()), e),
         })?;
         Ok(StoreLock { _file: file, path: path.to_path_buf(), mode })
     }
@@ -107,49 +108,6 @@ impl StoreLock {
     /// How the lock is held.
     pub fn mode(&self) -> LockMode {
         self.mode
-    }
-}
-
-#[cfg(unix)]
-mod sys {
-    use super::LockMode;
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const LOCK_SH: i32 = 1;
-    const LOCK_EX: i32 = 2;
-    const LOCK_NB: i32 = 4;
-
-    extern "C" {
-        #[link_name = "flock"]
-        fn c_flock(fd: i32, operation: i32) -> i32;
-    }
-
-    /// Non-blocking `flock(2)`; `WouldBlock` when the lock is contended.
-    pub fn flock(file: &File, mode: LockMode) -> std::io::Result<()> {
-        let op = match mode {
-            LockMode::Shared => LOCK_SH | LOCK_NB,
-            LockMode::Exclusive => LOCK_EX | LOCK_NB,
-        };
-        // SAFETY: `flock` is async-signal-safe, takes a valid open fd, and
-        // only returns an integer status; no memory is shared with C.
-        if unsafe { c_flock(file.as_raw_fd(), op) } == 0 {
-            Ok(())
-        } else {
-            Err(std::io::Error::last_os_error())
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod sys {
-    use super::LockMode;
-    use std::fs::File;
-
-    /// Advisory locking is not enforced on this platform; acquiring always
-    /// succeeds so the store remains usable.
-    pub fn flock(_file: &File, _mode: LockMode) -> std::io::Result<()> {
-        Ok(())
     }
 }
 

@@ -10,7 +10,7 @@
 //!
 //! [`Shardd`] is the listener: a deliberately lean blocking accept loop
 //! with a bounded thread-per-connection pool, **not** the serve crate's
-//! epoll readiness loop. The dependency points the other way (the server
+//! `poll(2)` readiness loop. The dependency points the other way (the server
 //! crate consumes this one for `--remote`), and the fan-in here is tiny
 //! by construction — one coordinator holds a handful of pooled
 //! connections per shard — so nonblocking accept + capped threads covers

@@ -1,16 +1,22 @@
-//! Readiness polling over raw OS primitives — the heart of the
-//! nonblocking serve loop.
+//! Readiness polling with `poll(2)` — the heart of the nonblocking serve
+//! loop.
 //!
-//! One [`Poller`] owns an OS readiness queue (epoll on Linux via the same
-//! kind of tiny FFI shim `shutdown.rs` uses for signals; `poll(2)` on
-//! other unixes) and a [`Waker`] lets worker threads nudge the event
-//! thread out of its wait when a completed response is ready to write.
-//! No async runtime, no new dependencies: the whole shim is a handful of
-//! `extern "C"` declarations against symbols libstd already links.
+//! One [`Poller`] keeps the registered fds as a `pollfd` array and asks
+//! the kernel about all of them in one `poll(2)` call per wait; a
+//! [`Waker`] lets worker threads nudge the event thread out of its wait
+//! when a completed response is ready to write. No async runtime, no new
+//! dependencies: the only foreign declaration is `poll` itself, a symbol
+//! libstd already links. A wait costs O(registered fds), which the
+//! admission cap (`workers + queue_depth`) bounds.
 //!
-//! Tokens are caller-chosen `u64`s carried through the kernel untouched;
-//! the server uses monotonically increasing connection tokens so a stale
+//! Tokens are caller-chosen `u64`s handed back with each event; the
+//! server uses monotonically increasing connection tokens so a stale
 //! event for a closed connection can never alias a live one.
+
+use std::io::{self, Read as _, Write as _};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// What the caller wants to hear about for one file descriptor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,6 +35,17 @@ impl Interest {
     /// Neither — the fd stays registered but silent (backpressure while a
     /// request is being processed).
     pub(crate) const NONE: Interest = Interest { read: false, write: false };
+
+    fn events(self) -> i16 {
+        let mut events = 0;
+        if self.read {
+            events |= sys::POLLIN;
+        }
+        if self.write {
+            events |= sys::POLLOUT;
+        }
+        events
+    }
 }
 
 /// One readiness notification.
@@ -45,399 +62,155 @@ pub(crate) struct Event {
     pub hangup: bool,
 }
 
-pub(crate) use sys::{Poller, Waker};
+/// The registered fds. Owned by the event thread alone, so it needs no
+/// lock; its buffers keep their capacity, so a steady-state wait
+/// allocates nothing.
+pub(crate) struct Poller {
+    fds: Vec<sys::PollFd>,
+    /// `tokens[i]` is the token `fds[i]` was registered with.
+    tokens: Vec<u64>,
+}
 
-#[cfg(target_os = "linux")]
-mod sys {
-    //! epoll + eventfd backend.
-
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::time::Duration;
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-    const EFD_NONBLOCK: i32 = 0o4000;
-    /// Max events drained per `epoll_wait` call; more just wait a tick.
-    const WAIT_BATCH: usize = 128;
-
-    // The kernel packs epoll_event on x86-64 (i386 ABI compatibility);
-    // every other architecture uses the natural C layout.
-    #[cfg(target_arch = "x86_64")]
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+impl Poller {
+    pub(crate) fn new() -> Poller {
+        Poller { fds: Vec::new(), tokens: Vec::new() }
     }
-    #[cfg(not(target_arch = "x86_64"))]
+
+    pub(crate) fn register(&mut self, fd: RawFd, token: u64, interest: Interest) {
+        self.fds.push(sys::PollFd { fd, events: interest.events(), revents: 0 });
+        self.tokens.push(token);
+    }
+
+    /// Changes the interest of a registered fd; an unknown fd is ignored.
+    pub(crate) fn modify(&mut self, fd: RawFd, interest: Interest) {
+        if let Some(p) = self.fds.iter_mut().find(|p| p.fd == fd) {
+            p.events = interest.events();
+        }
+    }
+
+    pub(crate) fn deregister(&mut self, fd: RawFd) {
+        if let Some(i) = self.fds.iter().position(|p| p.fd == fd) {
+            self.fds.swap_remove(i);
+            self.tokens.swap_remove(i);
+        }
+    }
+
+    /// Blocks up to `timeout` (forever when `None`), filling `out` with
+    /// ready events. `EINTR` returns an empty batch.
+    pub(crate) fn wait(
+        &mut self,
+        out: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
+        out.clear();
+        let timeout_ms = timeout.map(|d| d.as_millis().min(i32::MAX as u128) as i32).unwrap_or(-1);
+        if let Err(e) = sys::poll_fds(&mut self.fds, timeout_ms) {
+            return if e.kind() == io::ErrorKind::Interrupted { Ok(()) } else { Err(e) };
+        }
+        for (p, &token) in self.fds.iter().zip(&self.tokens) {
+            if p.revents != 0 {
+                out.push(Event {
+                    token,
+                    readable: p.revents & sys::POLLIN != 0,
+                    writable: p.revents & sys::POLLOUT != 0,
+                    hangup: p.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A nonblocking socket pair the workers write to wake the event thread.
+pub(crate) struct Waker {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl Waker {
+    pub(crate) fn new() -> io::Result<Waker> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
+    }
+
+    /// The fd to register with the poller (read interest).
+    pub(crate) fn fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+
+    /// Nudges the event thread. Never blocks; a full socket buffer is
+    /// still readable, which is all that matters.
+    pub(crate) fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Clears pending wakeups so the next `wake` is level-visible.
+    pub(crate) fn drain(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+    }
+}
+
+#[allow(unsafe_code)]
+mod sys {
+    //! The `poll(2)` shim: the `pollfd` layout, its flag bits (the same
+    //! values on every unix) and one checked call.
+
+    use std::ffi::{c_int, c_short};
+    use std::io;
+
+    pub(super) const POLLIN: c_short = 0x001;
+    pub(super) const POLLOUT: c_short = 0x004;
+    pub(super) const POLLERR: c_short = 0x008;
+    pub(super) const POLLHUP: c_short = 0x010;
+    pub(super) const POLLNVAL: c_short = 0x020;
+
+    /// `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` in the
+    /// BSDs, macOS and bionic.
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::ffi::c_uint;
+
+    /// `struct pollfd`.
     #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+    pub(super) struct PollFd {
+        pub(super) fd: c_int,
+        pub(super) events: c_short,
+        pub(super) revents: c_short,
     }
 
     extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     }
 
-    fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP; // always hear about half-closes
-        if interest.read {
-            m |= EPOLLIN;
+    /// Waits on every entry of `fds`, filling in their `revents`.
+    pub(super) fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<()> {
+        let nfds = NfdsT::try_from(fds.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "too many fds to poll"))?;
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // `struct pollfd`s and `nfds` is its length, so the kernel reads
+        // and writes (only `revents`) inside it; `poll` keeps no pointer
+        // past its return.
+        if unsafe { poll(fds.as_mut_ptr(), nfds, timeout_ms) } < 0 {
+            return Err(io::Error::last_os_error());
         }
-        if interest.write {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-
-    /// An epoll instance.
-    pub(crate) struct Poller {
-        epfd: RawFd,
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller { epfd })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent { events: mask(interest), data: token };
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub(crate) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::NONE)
-        }
-
-        /// Blocks up to `timeout` (forever when `None`), filling `out`
-        /// with ready events. `EINTR` returns an empty batch.
-        pub(crate) fn wait(
-            &self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            out.clear();
-            let timeout_ms =
-                timeout.map(|d| d.as_millis().min(i32::MAX as u128) as i32).unwrap_or(-1);
-            let mut buf = [EpollEvent { events: 0, data: 0 }; WAIT_BATCH];
-            let n =
-                unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), WAIT_BATCH as i32, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for ev in buf.iter().take(n as usize) {
-                // copy fields by value: the struct may be packed on x86-64
-                let bits = ev.events;
-                let token = ev.data;
-                out.push(Event {
-                    token,
-                    readable: bits & EPOLLIN != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe { close(self.epfd) };
-        }
-    }
-
-    /// An eventfd the workers write to wake the event thread.
-    pub(crate) struct Waker {
-        fd: RawFd,
-    }
-
-    impl Waker {
-        pub(crate) fn new() -> io::Result<Waker> {
-            let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Waker { fd })
-        }
-
-        /// The fd to register with the poller (read interest).
-        pub(crate) fn fd(&self) -> RawFd {
-            self.fd
-        }
-
-        /// Nudges the event thread. Never blocks; a saturated counter is
-        /// still readable, which is all that matters.
-        pub(crate) fn wake(&self) {
-            let one: u64 = 1;
-            unsafe { write(self.fd, &one as *const u64 as *const u8, 8) };
-        }
-
-        /// Clears pending wakeups so the next `wake` is level-visible.
-        pub(crate) fn drain(&self) {
-            let mut buf = [0u8; 8];
-            while unsafe { read(self.fd, buf.as_mut_ptr(), 8) } > 0 {}
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
+        Ok(())
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    //! Portable `poll(2)` + self-pipe fallback for non-Linux unixes. Same
-    //! contract as the epoll backend, O(n) per wait — fine at this
-    //! server's bounded connection counts.
-
-    use super::{Event, Interest};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const F_SETFL: i32 = 4;
-    #[cfg(target_os = "macos")]
-    const O_NONBLOCK: i32 = 0x0004;
-    #[cfg(not(target_os = "macos"))]
-    const O_NONBLOCK: i32 = 0o4000;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-        fn pipe(fds: *mut i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
-    }
-
-    pub(crate) struct Poller {
-        fds: Mutex<HashMap<RawFd, (u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
-            Ok(Poller { fds: Mutex::new(HashMap::new()) })
-        }
-
-        pub(crate) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.fds.lock().unwrap().insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.fds.lock().unwrap().insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.fds.lock().unwrap().remove(&fd);
-            Ok(())
-        }
-
-        pub(crate) fn wait(
-            &self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            out.clear();
-            let mut pollfds: Vec<PollFd> = Vec::new();
-            let mut tokens: Vec<u64> = Vec::new();
-            {
-                let fds = self.fds.lock().unwrap();
-                for (&fd, &(token, interest)) in fds.iter() {
-                    let mut events = 0i16;
-                    if interest.read {
-                        events |= POLLIN;
-                    }
-                    if interest.write {
-                        events |= POLLOUT;
-                    }
-                    pollfds.push(PollFd { fd, events, revents: 0 });
-                    tokens.push(token);
-                }
-            }
-            let timeout_ms =
-                timeout.map(|d| d.as_millis().min(i32::MAX as u128) as i32).unwrap_or(-1);
-            let n = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as u64, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for (pfd, &token) in pollfds.iter().zip(&tokens) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token,
-                    readable: pfd.revents & POLLIN != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    hangup: pfd.revents & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    pub(crate) struct Waker {
-        read_fd: RawFd,
-        write_fd: RawFd,
-    }
-
-    impl Waker {
-        pub(crate) fn new() -> io::Result<Waker> {
-            let mut fds = [0i32; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for fd in fds {
-                if unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) } < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-            }
-            Ok(Waker { read_fd: fds[0], write_fd: fds[1] })
-        }
-
-        pub(crate) fn fd(&self) -> RawFd {
-            self.read_fd
-        }
-
-        pub(crate) fn wake(&self) {
-            let byte = 1u8;
-            unsafe { write(self.write_fd, &byte, 1) };
-        }
-
-        pub(crate) fn drain(&self) {
-            let mut buf = [0u8; 64];
-            while unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) } > 0 {}
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.read_fd);
-                close(self.write_fd);
-            }
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod sys {
-    //! Stub: serving needs a unix readiness primitive. Construction fails
-    //! with a clear error instead of the crate failing to compile.
-
-    use super::{Event, Interest};
-    use std::io;
-    use std::time::Duration;
-
-    fn unsupported() -> io::Error {
-        io::Error::new(io::ErrorKind::Unsupported, "metamess serve requires a unix platform")
-    }
-
-    pub(crate) struct Poller;
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
-            Err(unsupported())
-        }
-        pub(crate) fn register(&self, _fd: i32, _t: u64, _i: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub(crate) fn modify(&self, _fd: i32, _t: u64, _i: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub(crate) fn deregister(&self, _fd: i32) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub(crate) fn wait(&self, _out: &mut Vec<Event>, _t: Option<Duration>) -> io::Result<()> {
-            Err(unsupported())
-        }
-    }
-
-    pub(crate) struct Waker;
-
-    impl Waker {
-        pub(crate) fn new() -> io::Result<Waker> {
-            Err(unsupported())
-        }
-        pub(crate) fn fd(&self) -> i32 {
-            -1
-        }
-        pub(crate) fn wake(&self) {}
-        pub(crate) fn drain(&self) {}
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::time::Duration;
 
     #[test]
     fn waker_wakes_and_drains() {
-        let poller = Poller::new().unwrap();
+        let mut poller = Poller::new();
         let waker = Waker::new().unwrap();
-        poller.register(waker.fd(), 7, Interest::READ).unwrap();
+        poller.register(waker.fd(), 7, Interest::READ);
         let mut events = Vec::new();
 
         // no wake → timeout with no events
@@ -462,8 +235,8 @@ mod tests {
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
 
-        let poller = Poller::new().unwrap();
-        poller.register(server_side.as_raw_fd(), 42, Interest::READ).unwrap();
+        let mut poller = Poller::new();
+        poller.register(server_side.as_raw_fd(), 42, Interest::READ);
         let mut events = Vec::new();
 
         poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
@@ -476,10 +249,10 @@ mod tests {
         assert!(events[0].readable);
 
         // interest off → silent even though data is pending
-        poller.modify(server_side.as_raw_fd(), 42, Interest::NONE).unwrap();
+        poller.modify(server_side.as_raw_fd(), Interest::NONE);
         poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
         assert!(events.iter().all(|e| !e.readable), "read interest was dropped");
 
-        poller.deregister(server_side.as_raw_fd()).unwrap();
+        poller.deregister(server_side.as_raw_fd());
     }
 }

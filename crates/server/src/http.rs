@@ -12,13 +12,10 @@
 //!
 //! On the write side, [`Response::serialize_into`] renders a response
 //! into a reusable byte buffer without `format!` (static header
-//! fragments + manual integer formatting), and the fixed responses the
-//! server sends on its hot shed/timeout paths are pre-serialized once
-//! into static blobs.
+//! fragments + manual integer formatting).
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Read-side bounds for one request.
@@ -354,60 +351,6 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&tmp[i..]);
 }
 
-/// The pre-serialized `503 Retry-After: 1` shed response (connection
-/// close). Written as-is on every shed path — over-capacity accepts,
-/// full job queue, drain-deadline leftovers — when telemetry is off, so
-/// shedding costs no per-connection serialization at all. With
-/// telemetry on, the shed paths use [`shed_response_stamped`] instead.
-pub(crate) fn shed_response_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let mut out = Vec::new();
-        Response::text(503, "server at capacity, retry shortly")
-            .with_header("retry-after", "1")
-            .serialize_into(&mut out, false);
-        out
-    })
-}
-
-/// The placeholder stamped into the shed template's trace-id header,
-/// overwritten in place by [`shed_response_stamped`].
-const SHED_ZERO_ID: &str = "00000000000000000000000000000000";
-
-/// The shed blob with a zeroed `x-metamess-trace-id` header, plus the
-/// byte offset of the 32-hex id region inside it.
-fn shed_template() -> &'static (Vec<u8>, usize) {
-    static TPL: OnceLock<(Vec<u8>, usize)> = OnceLock::new();
-    TPL.get_or_init(|| {
-        let mut out = Vec::new();
-        Response::text(503, "server at capacity, retry shortly")
-            .with_header("retry-after", "1")
-            .with_header("x-metamess-trace-id", SHED_ZERO_ID)
-            .serialize_into(&mut out, false);
-        let needle = format!("x-metamess-trace-id: {SHED_ZERO_ID}");
-        let at = out
-            .windows(needle.len())
-            .position(|w| w == needle.as_bytes())
-            .expect("shed template carries the trace-id header");
-        (out, at + "x-metamess-trace-id: ".len())
-    })
-}
-
-/// A copy of the shed 503 with `trace_id` stamped into its
-/// `x-metamess-trace-id` header, so even a shed client gets an id it can
-/// quote back. One memcpy of the template plus 32 byte stores — no
-/// formatting, no serialization — keeping the shed path's zero-allocation
-/// spirit (the copy is unavoidable: the blob differs per connection).
-pub(crate) fn shed_response_stamped(trace_id: u128) -> Vec<u8> {
-    let (template, at) = shed_template();
-    let mut out = template.clone();
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    for (i, byte) in out[*at..*at + 32].iter_mut().enumerate() {
-        *byte = HEX[((trace_id >> (124 - 4 * i)) & 0xf) as usize];
-    }
-    out
-}
-
 /// Reason phrase for the status codes this server emits.
 pub fn status_text(status: u16) -> &'static str {
     match status {
@@ -557,41 +500,9 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("connection: close\r\n"), "{text}");
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");
-    }
 
-    #[test]
-    fn serialize_into_appends_and_shed_blob_is_well_formed() {
         let mut out = b"prefix".to_vec();
         Response::text(200, "ok").serialize_into(&mut out, true);
         assert!(out.starts_with(b"prefix"), "serialize_into must append");
-
-        let shed = String::from_utf8(shed_response_bytes().to_vec()).unwrap();
-        assert!(shed.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{shed}");
-        assert!(shed.contains("retry-after: 1\r\n"), "{shed}");
-        assert!(shed.contains("connection: close\r\n"), "{shed}");
-        assert!(shed.ends_with("server at capacity, retry shortly\n"), "{shed}");
-    }
-
-    #[test]
-    fn stamped_shed_blob_carries_the_trace_id() {
-        let id: u128 = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
-        let shed = String::from_utf8(shed_response_stamped(id)).unwrap();
-        assert!(shed.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{shed}");
-        assert!(shed.contains("retry-after: 1\r\n"), "{shed}");
-        assert!(shed.contains("connection: close\r\n"), "{shed}");
-        assert!(
-            shed.contains("x-metamess-trace-id: 0123456789abcdeffedcba9876543210\r\n"),
-            "{shed}"
-        );
-        assert!(shed.ends_with("server at capacity, retry shortly\n"), "{shed}");
-        // The template itself must stay zeroed: stamping works on a copy.
-        let again = String::from_utf8(shed_response_stamped(1)).unwrap();
-        assert!(
-            again.contains(&format!("x-metamess-trace-id: {}1\r\n", "0".repeat(31))),
-            "{again}"
-        );
-        // Same length as the template regardless of id — the header is
-        // patched in place, never re-serialized.
-        assert_eq!(shed.len(), again.len());
     }
 }

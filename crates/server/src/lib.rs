@@ -6,19 +6,20 @@
 //! service the paper describes — dependency-light (no async runtime; std +
 //! serde), but with real robustness properties:
 //!
-//! * **Event-driven I/O.** A single nonblocking readiness loop (epoll on
-//!   Linux, `poll(2)` elsewhere, via a tiny FFI shim — still no async
-//!   runtime) owns every socket and hands only *complete* requests to the
-//!   worker pool. A slow or stalled client costs one connection slot and a
-//!   few buffered bytes, never a worker thread.
+//! * **Event-driven I/O.** A single nonblocking readiness loop (one
+//!   `poll(2)` call per wait on every unix, the crate's only foreign call
+//!   besides the signal install — still no async runtime) owns every
+//!   socket and hands only *complete* requests to the worker pool. A slow
+//!   or stalled client costs one connection slot and a few buffered
+//!   bytes, never a worker thread.
 //! * **Bounded concurrency.** A fixed worker pool serves parsed requests
 //!   handed over through a bounded job queue ([`BoundedQueue`]); memory
 //!   and thread use are constant under any offered load. Admitted
 //!   connections are capped at `workers + queue_depth`.
 //! * **Load shedding.** Past the admission cap, or when the job queue is
-//!   full, clients are answered with a pre-serialized `503 Retry-After: 1`
-//!   immediately — backpressure is explicit and bounded, never an
-//!   unbounded buffer or a hang.
+//!   full, clients are answered `503 Retry-After: 1` immediately, by the
+//!   same path that answers protocol errors — backpressure is explicit
+//!   and bounded, never an unbounded buffer or a hang.
 //! * **Deadlines everywhere.** Idle keep-alive timeout, per-request read
 //!   deadline (408), bounded head/body sizes (413), write deadlines —
 //!   all enforced by the event loop's sweep, no per-connection timers.
@@ -56,8 +57,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
+#[cfg(unix)]
 mod conn;
+#[cfg(unix)]
 mod event_loop;
 mod expose;
 mod handlers;

@@ -6,20 +6,21 @@
 //!
 //! * The **event thread** owns every socket. It accepts, drives each
 //!   connection's read/parse/write state machine ([`crate::conn`]) on
-//!   readiness (epoll/poll via [`crate::event_loop`], no async runtime),
-//!   enforces all deadlines (idle, 408 read, write stall), and hands only
-//!   *complete* requests to the worker pool. A slow-loris client costs
+//!   readiness (one `poll(2)` per wait via [`crate::event_loop`], no
+//!   async runtime), enforces all deadlines (idle, 408 read, write
+//!   stall), and hands only *complete* requests to the worker pool. A slow-loris client costs
 //!   one admission slot and a few bytes of buffer — never a worker.
 //! * **Workers** pull complete requests from a bounded job queue, run the
 //!   handler (panic-isolated: a panicking handler answers `500`, counted
 //!   in `metamess_server_panics_total`, and the worker lives), serialize
 //!   the response, and post it back to the event thread through a
-//!   completion list plus an eventfd wake.
-//! * **Load shedding** is two-layer and still answers `503 Retry-After: 1`
-//!   in microseconds: admission caps concurrent connections at
-//!   `workers + queue_depth` (a pre-serialized 503 is written inline on
-//!   accept beyond that), and a parsed request that finds the job queue
-//!   full is shed the same way. With `queue_depth = 0` every request is
+//!   completion list plus a socket-pair wake.
+//! * **Load shedding** answers `503 Retry-After: 1` in microseconds, at
+//!   two points: admission caps concurrent connections at
+//!   `workers + queue_depth` (the 503 is written inline on accept beyond
+//!   that), and a parsed request that finds the job queue full is shed the
+//!   same way. Every 503, like every protocol error, is built by one
+//!   function, `closing_response`. With `queue_depth = 0` every request is
 //!   refused deterministically — the E8 shed scenario.
 //! * **Shutdown** (signal or [`crate::ShutdownHandle::trigger`]) stops
 //!   accepting, closes idle keep-alive connections, and lets every
@@ -186,7 +187,6 @@ mod imp {
     use super::*;
     use crate::conn::{Conn, ConnState, ReadEvent, WriteEvent};
     use crate::event_loop::{Event, Interest, Poller, Waker};
-    use crate::http::{self};
     use crate::{handlers, metrics};
     use std::collections::HashMap;
     use std::io::Write as _;
@@ -204,17 +204,26 @@ mod imp {
     const TOKEN_FIRST_CONN: u64 = 2;
     /// Poll tick: upper bound on deadline/shutdown detection latency.
     const TICK: Duration = Duration::from_millis(25);
+    /// The body of every shed 503.
+    const SHED_MESSAGE: &str = "server at capacity, retry shortly";
 
-    /// The shed 503 for one rejection: trace-id-stamped (fresh id per
-    /// shed, so the rejected client can quote it back) when telemetry is
-    /// on, the borrowed static blob — zero allocations — when it is off.
-    fn shed_payload() -> std::borrow::Cow<'static, [u8]> {
-        if metamess_telemetry::enabled() {
-            let id = metamess_telemetry::trace::TraceContext::start(0.0).trace_id;
-            std::borrow::Cow::Owned(http::shed_response_stamped(id))
-        } else {
-            std::borrow::Cow::Borrowed(http::shed_response_bytes())
+    /// A response the event thread answers itself before closing: a
+    /// protocol error (400/408/413/501) or a shed (503, with
+    /// `retry-after: 1`). Neither reaches the handler's tracer; with
+    /// telemetry on it gets a fresh trace id anyway, so even a rejected
+    /// client has an id to quote back.
+    fn closing_response(status: u16, message: &str) -> Vec<u8> {
+        let mut response = Response::text(status, message);
+        if status == 503 {
+            response = response.with_header("retry-after", "1");
         }
+        if metamess_telemetry::enabled() {
+            let ctx = metamess_telemetry::trace::TraceContext::start(1.0);
+            response = response.with_header("x-metamess-trace-id", ctx.trace_id_hex());
+        }
+        let mut bytes = Vec::with_capacity(160);
+        response.serialize_into(&mut bytes, false);
+        bytes
     }
 
     pub(super) fn run(server: Server) -> Result<ServeSummary> {
@@ -223,15 +232,11 @@ mod imp {
         let completions = Arc::new(Mutex::new(Vec::<Completion>::new()));
         let drain_complete = Arc::new(AtomicBool::new(false));
 
-        let poller = Poller::new().map_err(|e| Error::io("create poller", e))?;
+        let mut poller = Poller::new();
         let waker = Arc::new(Waker::new().map_err(|e| Error::io("create waker", e))?);
         listener.set_nonblocking(true).map_err(|e| Error::io("set_nonblocking", e))?;
-        poller
-            .register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .map_err(|e| Error::io("register listener", e))?;
-        poller
-            .register(waker.fd(), TOKEN_WAKER, Interest::READ)
-            .map_err(|e| Error::io("register waker", e))?;
+        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
+        poller.register(waker.fd(), TOKEN_WAKER, Interest::READ);
 
         let mut threads = Vec::new();
         for i in 0..config.workers {
@@ -299,7 +304,7 @@ mod imp {
 
             // ── drain ──────────────────────────────────────────────────
             lp.draining = true;
-            let _ = lp.poller.deregister(listener.as_raw_fd());
+            lp.poller.deregister(listener.as_raw_fd());
             drop(listener);
             let deadline = Instant::now() + config.drain_timeout;
             while !lp.conns.is_empty() && Instant::now() < deadline {
@@ -323,7 +328,7 @@ mod imp {
                 lp.dropped += 1;
                 metrics::record_drained_drop();
                 if let Some(conn) = lp.conns.get_mut(&token) {
-                    let _ = conn.stream.write(&shed_payload());
+                    let _ = conn.stream.write(&closing_response(503, SHED_MESSAGE));
                 }
                 lp.close(token);
             }
@@ -372,7 +377,7 @@ mod imp {
 
     impl EventLoop<'_> {
         /// Accepts until the listener would block. Connections beyond the
-        /// admission cap get the pre-serialized 503 written best-effort
+        /// admission cap get the shed 503 written best-effort
         /// (nonblocking — a hostile peer cannot stall the event thread)
         /// and are closed.
         fn accept_ready(&mut self, listener: &TcpListener, now: Instant) -> Result<()> {
@@ -384,7 +389,7 @@ mod imp {
                             self.shed += 1;
                             metrics::record_shed();
                             let _ = stream.set_nonblocking(true);
-                            let _ = (&stream).write(&shed_payload());
+                            let _ = (&stream).write(&closing_response(503, SHED_MESSAGE));
                             continue; // drop closes
                         }
                         let conn = match Conn::new(stream, now) {
@@ -393,13 +398,7 @@ mod imp {
                         };
                         let token = self.next_token;
                         self.next_token += 1;
-                        if self
-                            .poller
-                            .register(conn.stream.as_raw_fd(), token, Interest::READ)
-                            .is_err()
-                        {
-                            continue; // drop closes
-                        }
+                        self.poller.register(conn.stream.as_raw_fd(), token, Interest::READ);
                         metrics::conn_opened();
                         self.conns.insert(token, conn);
                     }
@@ -450,7 +449,7 @@ mod imp {
                     metrics::record_shed();
                     if let Some(conn) = self.conns.get_mut(&token) {
                         conn.begin_write(
-                            shed_payload().into_owned(),
+                            closing_response(503, SHED_MESSAGE),
                             true,
                             now + self.config.request_timeout,
                         );
@@ -464,17 +463,11 @@ mod imp {
         fn answer_error(&mut self, token: u64, status: u16, message: String, now: Instant) {
             metrics::record_request("invalid", status, 0);
             let Some(conn) = self.conns.get_mut(&token) else { return };
-            let mut bytes = Vec::with_capacity(160);
-            let mut response = Response::text(status, message);
-            if metamess_telemetry::enabled() {
-                // Protocol errors never reach the handler's tracer; mint
-                // an id anyway so even a 400 is correlatable in logs (shed
-                // 503s get theirs stamped into the template the same way).
-                let ctx = metamess_telemetry::trace::TraceContext::start(1.0);
-                response = response.with_header("x-metamess-trace-id", ctx.trace_id_hex());
-            }
-            response.serialize_into(&mut bytes, false);
-            conn.begin_write(bytes, true, now + self.config.request_timeout);
+            conn.begin_write(
+                closing_response(status, &message),
+                true,
+                now + self.config.request_timeout,
+            );
             self.pump_write(token, now);
         }
 
@@ -570,10 +563,7 @@ mod imp {
                 ConnState::Writing => Interest::WRITE,
             };
             if want != conn.registered {
-                if self.poller.modify(conn.stream.as_raw_fd(), token, want).is_err() {
-                    self.close(token);
-                    return;
-                }
+                self.poller.modify(conn.stream.as_raw_fd(), want);
                 conn.registered = want;
             }
         }
@@ -581,7 +571,7 @@ mod imp {
         /// Removes a connection (deregisters, closes, balances the gauge).
         fn close(&mut self, token: u64) {
             if let Some(conn) = self.conns.remove(&token) {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
+                self.poller.deregister(conn.stream.as_raw_fd());
                 metrics::conn_closed();
             }
         }

@@ -39,6 +39,7 @@ impl ShutdownHandle {
 }
 
 #[cfg(unix)]
+#[allow(unsafe_code)]
 mod sys {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, OnceLock};

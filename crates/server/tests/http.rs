@@ -281,6 +281,20 @@ fn concurrent_responses_match_single_threaded_bit_for_bit() {
     assert_eq!(summary.dropped, 0);
 }
 
+/// A shed answer: 503, `retry-after: 1`, the connection closed, and — with
+/// telemetry on — a fresh trace id the rejected client can quote back.
+fn assert_shed(status: u16, headers: &[(String, String)]) {
+    assert_eq!(status, 503);
+    assert_eq!(header(headers, "retry-after"), Some("1"));
+    assert_eq!(header(headers, "connection"), Some("close"));
+    if metamess_telemetry::enabled() {
+        let id = header(headers, "x-metamess-trace-id").expect("shed 503 carries a trace id");
+        assert_eq!(id.len(), 32, "trace id is 128-bit hex: {id}");
+        assert!(id.chars().all(|c| c.is_ascii_hexdigit()), "non-hex trace id: {id}");
+        assert!(id.chars().any(|c| c != '0'), "shed trace id never zero: {id}");
+    }
+}
+
 #[test]
 fn full_queue_sheds_with_503_and_retry_after() {
     let server = serve(fixture_store("shed"), |c| {
@@ -298,19 +312,10 @@ fn full_queue_sheds_with_503_and_retry_after() {
     let (status, headers, _) = read_response(&mut b);
     assert_eq!(status, 200);
     assert_eq!(header(&headers, "connection"), Some("keep-alive"));
-    // C arrives over the cap: an immediate pre-serialized 503, never a
-    // hang — the event thread writes it at accept without queueing.
+    // C arrives over the cap: an immediate 503, never a hang — the event
+    // thread writes it at accept without queueing.
     let (status, headers, _) = raw(server.addr, b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n");
-    assert_eq!(status, 503);
-    assert_eq!(header(&headers, "retry-after"), Some("1"));
-    if metamess_telemetry::enabled() {
-        // Even a shed client gets a trace id to quote back: the template
-        // is stamped with a fresh id per rejection.
-        let id = header(&headers, "x-metamess-trace-id").expect("shed 503 carries a trace id");
-        assert_eq!(id.len(), 32, "trace id is 128-bit hex: {id}");
-        assert!(id.chars().all(|c| c.is_ascii_hexdigit()), "non-hex trace id: {id}");
-        assert!(id.chars().any(|c| c != '0'), "shed trace id never zero: {id}");
-    }
+    assert_shed(status, &headers);
     // A's slot was healthy all along: completing the request serves it.
     a.write_all(b"connection: close\r\n\r\n").unwrap();
     let (status, _, _) = read_response(&mut a);
@@ -330,11 +335,28 @@ fn full_queue_sheds_with_503_and_retry_after() {
     let offered = 20;
     for _ in 0..offered {
         let (status, headers, _) = get(refusing.addr, "/healthz");
-        assert_eq!(status, 503);
-        assert_eq!(header(&headers, "retry-after"), Some("1"));
+        assert_shed(status, &headers);
     }
     let summary = refusing.stop();
     assert_eq!((summary.shed, summary.served), (offered, 0));
+}
+
+/// A client that sends its request and then shuts down its write half
+/// still gets the whole response; the server then sees the EOF and closes
+/// the connection as an idle one, not as a drop.
+#[test]
+fn half_closed_client_gets_its_response_then_the_server_closes() {
+    let server = serve(fixture_store("half-close"), |_| {});
+    let mut stream = connect(server.addr);
+    stream.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let (status, _, body) = read_response(&mut stream);
+    assert_eq!(status, 200, "{:?}", String::from_utf8_lossy(&body));
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("the server closes within the read timeout");
+    assert!(rest.is_empty(), "nothing after the response: {:?}", String::from_utf8_lossy(&rest));
+    let summary = server.stop();
+    assert_eq!((summary.served, summary.dropped), (1, 0));
 }
 
 #[test]

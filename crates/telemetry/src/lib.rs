@@ -44,6 +44,7 @@
 //! [`TraceContext`]s, parent-linked span trees, a bounded flight
 //! recorder, and a sampling-exempt slow-query log.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod io;

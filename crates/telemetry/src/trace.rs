@@ -13,16 +13,17 @@
 //!   ([`enter`]) for phases that enclose other work, and pre-measured
 //!   leaves ([`record_span`]) for per-shard work units whose duration the
 //!   caller already timed with a `Stopwatch`.
-//! * Completed traces land in a lock-free bounded [`FlightRecorder`] ring
-//!   (default 256 slots, `METAMESS_TRACE_BUFFER` override) when sampled,
-//!   and **always** in the slow-query log when the root span exceeds the
-//!   caller's threshold — the slow log is exempt from sampling by design.
+//! * Completed traces land in a bounded, mutex-guarded [`FlightRecorder`]
+//!   ring (default 256 records, `METAMESS_TRACE_BUFFER` override) when
+//!   sampled, and **always** in the slow-query log when the root span
+//!   exceeds the caller's threshold — the slow log is exempt from
+//!   sampling by design.
 //!
 //! # Allocation discipline
 //!
 //! Span storage is arena-backed: every trace is built inside a fixed
 //! `[SpanRecord; MAX_SPANS]` array owned by a per-thread builder that is
-//! recycled across requests, and ring slots are preallocated. After the
+//! recycled across requests, and each ring is preallocated. After the
 //! first trace on a thread, the begin → span… → end cycle performs no
 //! heap allocation; with telemetry disabled the whole module costs one
 //! relaxed load and a branch per call (verified by the counting-allocator
@@ -36,10 +37,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
+use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hasher};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Spans one trace can hold; later spans are counted as dropped instead
@@ -201,6 +203,7 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
+    #[cfg(test)]
     const EMPTY: TraceRecord = TraceRecord {
         trace_id: 0,
         sampled: false,
@@ -249,120 +252,64 @@ impl TraceRecord {
 
 // ── the flight recorder ─────────────────────────────────────────────────
 
-/// A lock-free bounded ring of the last N completed traces.
+/// A bounded ring of the last N completed traces, newest at the back.
 ///
-/// Writers claim a monotonically increasing ticket with one `fetch_add`
-/// and publish into `slots[ticket % capacity]` under a per-slot sequence
-/// number (seqlock discipline: odd while writing, even when stable, and
-/// the even value encodes the ticket so readers can order slots newest
-/// first). A writer that finds its slot still owned by an unfinished
-/// predecessor — only possible when producers lap the ring faster than a
-/// single slot write — drops its record rather than blocking.
-///
-/// Readers copy a slot and accept the copy only when the sequence number
-/// is unchanged and even on both sides of the copy; torn copies are
-/// simply discarded. The record payload is plain `Copy` data, so a
-/// discarded torn copy has no ownership consequences.
+/// One mutex guards the ring; a push is one copy of the record under it,
+/// evicting the oldest when full. The ring is preallocated to capacity,
+/// so a push never allocates, and no update can leave it half-changed:
+/// a poisoned lock is recovered, not propagated.
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-    skipped: AtomicU64,
+    ring: Mutex<VecDeque<TraceRecord>>,
+    capacity: usize,
+    completed: AtomicU64,
 }
-
-struct Slot {
-    /// 0 = never written; odd = write in progress; `2t + 2` = stable
-    /// record from ticket `t`.
-    seq: AtomicU64,
-    rec: std::cell::UnsafeCell<TraceRecord>,
-}
-
-// SAFETY: `rec` is only written under the slot's seqlock (odd `seq`), and
-// readers validate `seq` around their copy, discarding torn reads of the
-// plain-old-data payload.
-unsafe impl Sync for FlightRecorder {}
-unsafe impl Send for FlightRecorder {}
 
 impl FlightRecorder {
     /// A ring holding the last `capacity` traces (clamped into
     /// `1..=MAX_TRACE_BUFFER`).
     pub fn new(capacity: usize) -> FlightRecorder {
         let capacity = clamp_trace_buffer(capacity);
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || Slot {
-            seq: AtomicU64::new(0),
-            rec: std::cell::UnsafeCell::new(TraceRecord::EMPTY),
-        });
         FlightRecorder {
-            slots: slots.into_boxed_slice(),
-            head: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
+            completed: AtomicU64::new(0),
         }
+    }
+
+    fn ring(&self) -> MutexGuard<'_, VecDeque<TraceRecord>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Ring capacity (the bound `snapshot` never exceeds).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Traces pushed so far (including any skipped under extreme lapping).
+    /// Traces pushed so far.
     pub fn completed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.completed.load(Ordering::Relaxed)
     }
 
-    /// Records dropped because a lapping writer still owned the slot.
-    pub fn skipped(&self) -> u64 {
-        self.skipped.load(Ordering::Relaxed)
-    }
-
-    /// Publishes one completed trace, evicting the oldest when full.
-    /// Lock-free; no allocation.
+    /// Records one completed trace, evicting the oldest when full. No
+    /// allocation.
     pub fn push(&self, rec: &TraceRecord) {
-        let cap = self.slots.len() as u64;
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % cap) as usize];
-        let expected = if ticket >= cap { (ticket - cap) * 2 + 2 } else { 0 };
-        if slot
-            .seq
-            .compare_exchange(expected, ticket * 2 + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            // Producers lapped the ring within one slot write; newest data
-            // wins, ours is dropped.
-            self.skipped.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut ring = self.ring();
+        if ring.len() == self.capacity {
+            ring.pop_front();
         }
-        // SAFETY: the successful CAS made this writer the slot's unique
-        // owner for ticket `ticket`; readers discard copies whose seq
-        // moved.
-        unsafe { std::ptr::write(slot.rec.get(), *rec) };
-        slot.seq.store(ticket * 2 + 2, Ordering::Release);
+        ring.push_back(*rec);
+        self.completed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A consistent copy of the ring's stable records, newest first.
-    /// Never longer than [`FlightRecorder::capacity`].
+    /// A copy of the ring's records, newest first. Never longer than
+    /// [`FlightRecorder::capacity`].
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let mut out: Vec<(u64, TraceRecord)> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 == 0 || seq1 & 1 == 1 {
-                continue;
-            }
-            // SAFETY: the copy is validated by re-reading `seq`; a torn
-            // copy of this plain-old-data payload is discarded below.
-            let rec = unsafe { std::ptr::read(slot.rec.get()) };
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq1 {
-                continue;
-            }
-            out.push((seq1, rec));
-        }
-        out.sort_by_key(|entry| std::cmp::Reverse(entry.0));
-        out.into_iter().map(|(_, r)| r).collect()
+        self.ring().iter().rev().copied().collect()
     }
 
-    /// Finds a stable record by trace id.
+    /// The newest record with this trace id.
     pub fn find(&self, trace_id: u128) -> Option<TraceRecord> {
-        self.snapshot().into_iter().find(|r| r.trace_id == trace_id)
+        self.ring().iter().rev().find(|r| r.trace_id == trace_id).copied()
     }
 }
 

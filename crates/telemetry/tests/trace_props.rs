@@ -1,6 +1,7 @@
 //! Seeded sweeps over request-scoped tracing: parent/child span durations
 //! nest (the sum of direct children never exceeds their parent), and the
-//! flight-recorder ring never exceeds its bound under concurrent writers.
+//! flight-recorder ring never exceeds its bound, tears a record or
+//! reorders a writer's records under concurrent writers and readers.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
@@ -10,6 +11,9 @@ use metamess_telemetry::trace::{
     self, FlightRecorder, SpanRecord, TraceRecord, MAX_SPANS, NO_PARENT, NO_SHARD,
 };
 use metamess_telemetry::TraceContext;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 const NESTING_CASES: u64 = 32;
 const RING_CASES: u64 = 8;
@@ -80,12 +84,16 @@ fn child_micros_nest_within_parent() {
     });
 }
 
+/// A record whose every span carries its id, so a copy mixing two
+/// records shows.
 fn record_with_id(id: u128) -> TraceRecord {
-    let empty =
-        SpanRecord { name: "", parent: NO_PARENT, start_micros: 0, micros: 0, shard: NO_SHARD };
-    let mut spans = [empty; MAX_SPANS];
-    spans[0] =
-        SpanRecord { name: "t", parent: NO_PARENT, start_micros: 0, micros: 1, shard: NO_SHARD };
+    let span = SpanRecord {
+        name: "t",
+        parent: NO_PARENT,
+        start_micros: 0,
+        micros: id as u64,
+        shard: NO_SHARD,
+    };
     TraceRecord {
         trace_id: id,
         sampled: true,
@@ -94,34 +102,75 @@ fn record_with_id(id: u128) -> TraceRecord {
         shards_pruned: 0,
         dropped_spans: 0,
         span_count: 1,
-        spans,
+        spans: [span; MAX_SPANS],
     }
 }
 
-/// Hammers a ring from several threads at once; the snapshot must
-/// never exceed the configured bound, every push must be accounted
-/// for, and (absent lapping skips) the ring must end exactly full.
+/// Writer `t`'s `i`-th record id.
+fn writer_id(t: usize, i: usize) -> u128 {
+    ((t as u128) << 32) | (i as u128 + 1)
+}
+
+/// What a snapshot must be at any instant: within the bound, no torn
+/// record, no id twice, and each writer's records newest first.
+fn check_snapshot(snap: &[TraceRecord], cap: usize) {
+    assert!(snap.len() <= cap, "ring exceeded its bound: {} > {cap}", snap.len());
+    let mut seen = HashSet::new();
+    let mut newest_seen: HashMap<u128, u128> = HashMap::new();
+    for rec in snap {
+        assert!(
+            rec.spans.iter().all(|s| s.micros == rec.trace_id as u64),
+            "torn record {:x}",
+            rec.trace_id
+        );
+        assert!(seen.insert(rec.trace_id), "id {:x} twice in one snapshot", rec.trace_id);
+        let (writer, seq) = (rec.trace_id >> 32, rec.trace_id & 0xffff_ffff);
+        if let Some(later) = newest_seen.insert(writer, seq) {
+            assert!(seq < later, "writer {writer}: record {seq} listed after {later}");
+        }
+    }
+}
+
+/// Hammers a ring from several writers while readers snapshot it; every
+/// snapshot passes `check_snapshot`, every push is counted, and the ring
+/// ends exactly full.
 #[test]
 fn ring_never_exceeds_bound_under_concurrent_writers() {
     sweep(RING_CASES, |rng| {
         let (cap, threads, per_thread) = (rng.size(1, 24), rng.size(1, 5), rng.size(1, 40));
+        let readers = rng.size(1, 3);
         let ring = FlightRecorder::new(cap);
+        let start = Barrier::new(threads + readers);
+        let writing = AtomicUsize::new(threads);
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let ring = &ring;
+                let (ring, start, writing) = (&ring, &start, &writing);
                 scope.spawn(move || {
+                    start.wait();
                     for i in 0..per_thread {
-                        ring.push(&record_with_id((t * 10_000 + i + 1) as u128));
+                        ring.push(&record_with_id(writer_id(t, i)));
                         assert!(ring.snapshot().len() <= cap, "ring exceeded its bound");
+                    }
+                    writing.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            for _ in 0..readers {
+                let (ring, start, writing) = (&ring, &start, &writing);
+                scope.spawn(move || {
+                    start.wait();
+                    loop {
+                        let last = writing.load(Ordering::SeqCst) == 0;
+                        check_snapshot(&ring.snapshot(), cap);
+                        if last {
+                            break;
+                        }
                     }
                 });
             }
         });
         assert_eq!(ring.completed(), (threads * per_thread) as u64);
         let snap = ring.snapshot();
-        assert!(snap.len() <= cap);
-        if ring.skipped() == 0 {
-            assert_eq!(snap.len(), cap.min(threads * per_thread));
-        }
+        check_snapshot(&snap, cap);
+        assert_eq!(snap.len(), cap.min(threads * per_thread));
     });
 }

@@ -58,6 +58,12 @@ cargo test -q --release -p metamess-search --lib --test reference_sweep --test s
 cargo test -q --release -p metamess-remote --test reference_sweep
 cargo test -q --release -p metamess-server --test ownership
 
+echo "==> flight recorder under concurrent writers and readers (release)"
+# At full optimisation the writers and readers overlap the most: the ring
+# stays within its bound, never hands out a torn record and keeps each
+# writer's records newest first.
+cargo test -q --release -p metamess-telemetry --test trace_props
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
