@@ -639,6 +639,7 @@ fn retained_seq(path: &Path) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{FaultKind, FaultPlan, FaultVfs};
     use std::fs::{self, OpenOptions};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1053,6 +1054,63 @@ mod tests {
         assert!(s.should_compact(&tiny_floor), "no snapshot yet: any wal growth qualifies");
         assert!(s.maybe_compact(&huge_floor).unwrap().is_none());
         assert!(s.maybe_compact(&tiny_floor).unwrap().is_some());
+    }
+
+    #[test]
+    fn acked_batches_are_durable_across_reopen() {
+        let dir = tmpdir("ack");
+        let mut s = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
+        for batch in [&["a.csv", "b.csv"][..], &["c.csv"]] {
+            for path in batch {
+                s.apply(Mutation::Put(Box::new(DatasetFeature::new(*path)))).unwrap();
+            }
+            s.flush().unwrap();
+        }
+        drop(s); // no checkpoint, no clean close: the flush alone must suffice
+        let s = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(s.catalog().len(), 3);
+    }
+
+    #[test]
+    fn one_window_means_one_fsync() {
+        // Fsyncs of a 50-put batch, counted by a fault VFS whose fault never
+        // comes, flushed once at the end or once after every put.
+        let fsyncs_of_batch = |name: &str, flush_each: bool| -> u64 {
+            let plan = FaultPlan { crash_at: u64::MAX, kind: FaultKind::FsyncError, seed: 0 };
+            let vfs = Arc::new(FaultVfs::new(plan));
+            let mut s =
+                DurableCatalog::open_with(vfs.clone(), tmpdir(name), StoreOptions::default())
+                    .unwrap();
+            let before = vfs.sites();
+            for i in 0..50 {
+                s.apply(Mutation::Put(Box::new(DatasetFeature::new(format!("f{i}.csv"))))).unwrap();
+                if flush_each {
+                    s.flush().unwrap();
+                }
+            }
+            if !flush_each {
+                s.flush().unwrap();
+            }
+            assert_eq!(s.catalog().len(), 50);
+            vfs.sites() - before
+        };
+        assert_eq!(fsyncs_of_batch("fsync-once", false), 1);
+        assert_eq!(fsyncs_of_batch("fsync-each", true), 50);
+    }
+
+    #[test]
+    fn background_compaction_runs_when_policy_trips() {
+        let dir = tmpdir("compact");
+        let policy = CompactionPolicy { wal_ratio: 0.0, min_wal_bytes: 1, retain: 1 };
+        let mut s = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
+        s.apply(Mutation::Put(Box::new(DatasetFeature::new("a.csv")))).unwrap();
+        s.flush().unwrap();
+        assert!(s.maybe_compact(&policy).unwrap().is_some());
+        // The WAL was folded: everything lives in the snapshot now.
+        assert_eq!(s.pending_wal_records(), 0);
+        let r = Wal::read_tail(dir.join("wal.log"), 0).unwrap();
+        assert!(r.mutations.is_empty() && r.stopped_early.is_none());
+        assert_eq!(s.catalog().len(), 1);
     }
 
     #[test]

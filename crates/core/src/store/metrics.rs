@@ -37,15 +37,6 @@ pub(crate) struct StoreMetrics {
     /// `metamess_core_checkpoint_micros` — full checkpoint latency, and a
     /// replacement's encode and snapshot write.
     pub checkpoint_micros: Arc<Histogram>,
-    /// `metamess_core_group_commit_batches_total` — commit windows flushed
-    /// by the group-commit queue (each is exactly one WAL fsync).
-    pub group_commit_batches: Arc<Counter>,
-    /// `metamess_core_group_commit_acked_total` — submissions acknowledged
-    /// durable by the group-commit queue.
-    pub group_commit_acked: Arc<Counter>,
-    /// `metamess_core_group_commit_wait_micros` — time a submitter spent
-    /// blocked waiting for its shared fsync.
-    pub group_commit_wait_micros: Arc<Histogram>,
     /// `metamess_core_compactions_total` — WAL-into-snapshot compactions.
     pub compactions: Arc<Counter>,
     /// `metamess_core_compaction_pruned_total` — retained snapshots removed
@@ -71,9 +62,6 @@ pub(crate) fn store_metrics() -> &'static StoreMetrics {
             recovery_quarantined: r.counter("metamess_core_recovery_quarantined_total"),
             vfs_faults_injected: r.counter("metamess_core_vfs_faults_injected_total"),
             checkpoint_micros: r.histogram("metamess_core_checkpoint_micros"),
-            group_commit_batches: r.counter("metamess_core_group_commit_batches_total"),
-            group_commit_acked: r.counter("metamess_core_group_commit_acked_total"),
-            group_commit_wait_micros: r.histogram("metamess_core_group_commit_wait_micros"),
             compactions: r.counter("metamess_core_compactions_total"),
             compaction_pruned: r.counter("metamess_core_compaction_pruned_total"),
             compaction_micros: r.histogram("metamess_core_compaction_micros"),

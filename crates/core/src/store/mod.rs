@@ -12,7 +12,6 @@ pub mod crc;
 mod durable;
 mod frame;
 pub mod fsck;
-mod group_commit;
 mod ledger;
 mod lock;
 mod metrics;
@@ -28,7 +27,6 @@ pub use durable::{
     StoreOptions,
 };
 pub use fsck::{FsckFinding, FsckReport, FsckSeverity};
-pub use group_commit::{CommitTicket, GroupCommit, GroupCommitOptions};
 pub use ledger::{
     read_ledger, read_ledger_with, write_ledger, write_ledger_with, RunLedger, StageRecord,
     LEDGER_MAGIC,

@@ -1,20 +1,21 @@
-//! Crash-consistency torture suite for the group-commit queue.
+//! Crash-consistency torture suite for the watch loop's publish sequence.
 //!
 //! The single-writer torture suite (`torture.rs`) proves the store's
 //! sync-on-append path recovers the acknowledged prefix. This suite covers
-//! the *group-commit* path, where durability is deferred to a shared fsync
-//! and batches may sit in the commit window when the crash lands:
+//! the path `metamess watch` publishes through, where each batch is
+//! appended buffered and made durable by one `flush` — one fsync per batch
+//! — followed by a compaction check, and the crash may land anywhere in
+//! that sequence:
 //!
-//! * An **acked ticket** (`CommitTicket::wait` returned `Ok`) is durable:
-//!   the recovered catalog must contain every mutation from every acked
-//!   batch.
+//! * An **acked batch** (its `flush` returned `Ok`) is durable: the
+//!   recovered catalog must contain every mutation from every acked batch.
 //! * An **unacked batch** may or may not survive (it was appended but its
-//!   covering fsync never succeeded) — but the recovered catalog must
-//!   still be *some prefix* of the submitted mutation stream. Recovery
-//!   never invents, reorders, or hole-punches mutations.
-//! * **Compaction mid-fault** (the flusher folds the WAL into a fresh
-//!   snapshot right after a window) must never lose acked data — retained
-//!   snapshots and quarantine make a failed fold recoverable.
+//!   fsync never succeeded) — but the recovered catalog must still be
+//!   *some prefix* of the submitted mutation stream. Recovery never
+//!   invents, reorders, or hole-punches mutations.
+//! * **Compaction mid-fault** (the WAL folded into a fresh snapshot right
+//!   after a flush) must never lose acked data — retained snapshots and
+//!   quarantine make a failed fold recoverable.
 //!
 //! The check is therefore: `fingerprint(recovered) ∈
 //! { fingerprint(model after i mutations) : i ≥ acked_mutations }`.
@@ -29,14 +30,12 @@ use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_core::store::{
-    CompactionPolicy, DurableCatalog, FaultKind, FaultPlan, FaultVfs, GroupCommit,
-    GroupCommitOptions, StoreOptions, Vfs,
+    std_vfs, CompactionPolicy, DurableCatalog, FaultKind, FaultPlan, FaultVfs, StoreOptions, Vfs,
 };
 use metamess_core::Mutation;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Fresh unique store directory per case.
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -48,8 +47,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Group-commit stores defer fsync to the queue; sync-on-append would hide
-/// exactly the window this suite exists to torture.
+/// The watch loop defers fsync to one flush per batch; sync-on-append
+/// would hide exactly the window this suite exists to torture.
 fn torture_opts() -> StoreOptions {
     StoreOptions { sync_on_append: false }
 }
@@ -71,7 +70,7 @@ fn mutation(rng: &mut Rng) -> Mutation {
 
 /// One case: a sequence of batches, a fault plan, and (for half the seeds)
 /// a compaction policy aggressive enough to fold the WAL after nearly
-/// every window — putting the crash point inside compaction often.
+/// every flush — putting the crash point inside compaction often.
 fn derive_case(seed: u64) -> (Vec<Vec<Mutation>>, FaultPlan, Option<CompactionPolicy>) {
     let mut rng = Rng(seed);
     let n_batches = 1 + (rng.next() % 12) as usize;
@@ -112,52 +111,44 @@ fn prefix_fingerprints(batches: &[Vec<Mutation>]) -> Vec<u64> {
 
 /// Outcome of driving one case until the injected crash (or completion).
 struct Drive {
-    /// Mutations covered by acked tickets — the durable floor. Group
-    /// commit acks in submission order, so acks always cover a prefix.
+    /// Mutations of batches whose flush returned `Ok` — the durable floor.
+    /// Batches are flushed in order, so acks always cover a prefix.
     acked_mutations: usize,
-    /// Mutations handed to `submit` at all (acked or not) — the ceiling.
+    /// Mutations handed to `apply` at all (acked or not) — the ceiling.
     submitted_mutations: usize,
 }
 
-/// Submits batches through a faulted group-commit queue, recording which
-/// acks landed before the crash.
+/// Publishes batches the way a watch cycle does — apply the batch, flush
+/// once (the batch is acked only on `Ok`), then `maybe_compact` — over a
+/// faulted store, stopping at the first error.
 fn run_until_crash(
     vfs: Arc<dyn Vfs>,
     dir: &PathBuf,
     batches: &[Vec<Mutation>],
-    commit_interval: Duration,
     compaction: Option<CompactionPolicy>,
 ) -> Drive {
-    let Ok(store) = DurableCatalog::open_with(vfs, dir, torture_opts()) else {
+    let mut drive = Drive { acked_mutations: 0, submitted_mutations: 0 };
+    let Ok(mut store) = DurableCatalog::open_with(vfs, dir, torture_opts()) else {
         // Crashed while creating the store: nothing was acknowledged.
-        return Drive { acked_mutations: 0, submitted_mutations: 0 };
+        return drive;
     };
-    let queue = GroupCommit::new(store, GroupCommitOptions { commit_interval, compaction });
-    let mut tickets = Vec::new();
-    let mut submitted = 0usize;
     for batch in batches {
-        // A failed submit may still have appended part of the batch to the
+        // A failed apply may still have appended part of the batch to the
         // WAL before erroring, so it counts toward the ceiling either way.
-        submitted += batch.len();
-        match queue.submit(batch.clone()) {
-            Ok(t) => tickets.push((t, batch.len())),
-            Err(_) => break, // queue poisoned: every later submit fails too
-        }
-    }
-    let mut acked = 0usize;
-    for (ticket, len) in tickets {
-        if ticket.wait().is_ok() {
-            // Acks are a prefix: the covering fsync of batch k covers
-            // every batch before it.
-            acked += len;
-        } else {
+        drive.submitted_mutations += batch.len();
+        if batch.iter().try_for_each(|m| store.apply(m.clone())).is_err() || store.flush().is_err()
+        {
             break;
         }
+        drive.acked_mutations += batch.len();
+        if let Some(policy) = &compaction {
+            if store.maybe_compact(policy).is_err() {
+                break;
+            }
+        }
     }
-    // A poisoned queue refuses to hand the store back; either way the
-    // "process" is gone now and recovery starts from disk alone.
-    let _ = queue.close();
-    Drive { acked_mutations: acked, submitted_mutations: submitted }
+    // The "process" is gone now and recovery starts from disk alone.
+    drive
 }
 
 /// Recovery through the real file system must succeed and land on a
@@ -188,9 +179,8 @@ fn sweep_cases() -> u64 {
     std::env::var("METAMESS_TORTURE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(300)
 }
 
-/// Zero commit window: the submitter is its own flusher, so the crash
-/// point lands inside `submit` → append → shared fsync → (often) the
-/// background compaction fold. Deterministic per seed.
+/// The crash point lands inside append → fsync → (often) the compaction
+/// fold. Deterministic per seed.
 #[test]
 fn group_commit_crash_recovers_acked_prefix() {
     let cases = sweep_cases();
@@ -201,7 +191,7 @@ fn group_commit_crash_recovers_acked_prefix() {
         let dir = fresh_dir("inline");
         let fault = Arc::new(FaultVfs::new(plan));
         let with_compaction = compaction.is_some();
-        let drive = run_until_crash(fault.clone(), &dir, &batches, Duration::ZERO, compaction);
+        let drive = run_until_crash(fault.clone(), &dir, &batches, compaction);
         if fault.crashed() {
             faults_fired += 1;
             if with_compaction {
@@ -223,28 +213,6 @@ fn group_commit_crash_recovers_acked_prefix() {
     );
 }
 
-/// A real commit window: batches pile up unacked while the flusher thread
-/// sleeps, so the crash lands with the window genuinely open. The ack/
-/// submit interleaving depends on thread timing, but the invariant checked
-/// is timing-independent: acked ⇒ recovered, recovered ⇒ submitted prefix.
-#[test]
-fn crash_inside_commit_window_recovers_acked_prefix() {
-    let cases = sweep_cases() / 2;
-    for seed in 0..cases {
-        let (batches, plan, compaction) = derive_case(seed.wrapping_add(0x5eed));
-        let dir = fresh_dir("window");
-        let fault = Arc::new(FaultVfs::new(plan));
-        let drive = run_until_crash(fault, &dir, &batches, Duration::from_millis(2), compaction);
-        assert_recovers_acked_prefix(
-            &dir,
-            &batches,
-            &drive,
-            &format!("windowed seed {seed} plan {plan:?}"),
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
 /// Without any fault, every batch acks and the recovered catalog equals
 /// the full model — guards the harness itself against drift.
 #[test]
@@ -252,17 +220,9 @@ fn faultless_group_commit_round_trips() {
     for seed in 0..24 {
         let (batches, _, compaction) = derive_case(seed);
         let dir = fresh_dir("clean");
+        let drive = run_until_crash(std_vfs(), &dir, &batches, compaction);
+        assert_eq!(drive.acked_mutations, drive.submitted_mutations, "seed {seed}: faultless ack");
         let store = DurableCatalog::open(&dir, torture_opts()).unwrap();
-        let queue = GroupCommit::new(
-            store,
-            GroupCommitOptions { commit_interval: Duration::from_millis(1), compaction },
-        );
-        let tickets: Vec<_> =
-            batches.iter().map(|b| queue.submit(b.clone()).expect("submit")).collect();
-        for t in tickets {
-            t.wait().expect("faultless ack");
-        }
-        let store = queue.close().expect("faultless close");
         let fps = prefix_fingerprints(&batches);
         assert_eq!(
             store.catalog().content_fingerprint(),

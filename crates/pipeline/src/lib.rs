@@ -16,9 +16,9 @@
 //!
 //! The [`watch`] module turns the one-shot wrangle into **continuous
 //! ingestion**: a polling loop that re-runs only affected stages when the
-//! archive changes and publishes catalog deltas through a group-commit
-//! queue, so a live `metamess serve` can apply them without reopening the
-//! store.
+//! archive changes and appends each cycle's catalog delta to the store's
+//! WAL with one fsync, so a live `metamess serve` can apply it without
+//! reopening the store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,10 @@
 //! Continuous ingestion: poll an archive, re-wrangle what changed, and
-//! publish catalog deltas through a group-commit queue.
+//! publish each cycle's catalog delta to the durable store inline.
 //!
 //! A [`Watcher`] owns everything one `metamess watch` process needs: the
 //! pipeline context (with its fingerprint ledger, so unchanged stages are
-//! skipped), the standard pipeline, the curation loop, and a
-//! [`GroupCommit`] queue over the durable store. Each **cycle**:
+//! skipped), the standard pipeline, the curation loop, and the
+//! [`DurableCatalog`] it publishes to. Each **cycle**:
 //!
 //! 1. scans the archive and compares its content fingerprint against the
 //!    previous cycle — an unchanged archive skips the pipeline entirely;
@@ -12,8 +12,9 @@
 //!    incremental: only stages whose inputs changed re-execute), which is
 //!    recorded as a wrangle trace like any other run;
 //! 3. diffs the store's rows against the freshly published catalog, in
-//!    place, and submits the resulting mutations as **one batch** to the
-//!    group-commit queue, acking only after the shared fsync lands;
+//!    place, applies the resulting mutations to the WAL and flushes once —
+//!    the cycle's one fsync, so the delta is durable when the cycle
+//!    returns — then compacts when the WAL has outgrown the snapshot;
 //! 4. saves the vocabulary *only when its version moved* (a rewritten
 //!    vocabulary file forces live readers into a full reload — see the
 //!    delta-publication signature check in `metamess-server`) and persists
@@ -21,8 +22,8 @@
 //!
 //! Because publishes append to the WAL without checkpointing, a live
 //! `metamess serve` follows them via its WAL-tail delta path without
-//! reopening the store; the queue's background compaction folds the WAL
-//! into a fresh snapshot when it outgrows the configured ratio.
+//! reopening the store; compaction folds the WAL into a fresh snapshot
+//! when it outgrows the configured ratio.
 //!
 //! Cycle telemetry lands in the `metamess_ingest_*` families (see
 //! `README.md § Running metamess as a live service`).
@@ -31,8 +32,8 @@ use crate::context::{ArchiveInput, PipelineContext};
 use crate::curator::{CurationLoop, CuratorPolicy};
 use crate::engine::{load_state, save_state};
 use crate::pipeline::Pipeline;
-use metamess_core::store::{CompactionPolicy, GroupCommit, GroupCommitOptions};
-use metamess_core::{DurableCatalog, Result, StoreOptions};
+use metamess_core::store::CompactionPolicy;
+use metamess_core::{DurableCatalog, Error, Mutation, Result, StoreOptions};
 use metamess_harvest::scan::{archive_fingerprint, scan_directory};
 use metamess_telemetry::{global, Stopwatch};
 use metamess_vocab::Vocabulary;
@@ -46,12 +47,9 @@ use std::time::{Duration, Instant};
 pub struct WatchOptions {
     /// Pause between polling cycles.
     pub interval: Duration,
-    /// Group-commit window: how long the store's flusher lets batches
-    /// coalesce before the shared fsync (zero = fsync per publish).
-    pub commit_interval: Duration,
     /// Stop after this many cycles (`None` = run until stopped).
     pub max_cycles: Option<u64>,
-    /// Background compaction policy for the store's WAL.
+    /// When a publish goes on to fold the store's WAL into a snapshot.
     pub compaction: CompactionPolicy,
 }
 
@@ -59,7 +57,6 @@ impl Default for WatchOptions {
     fn default() -> WatchOptions {
         WatchOptions {
             interval: Duration::from_millis(1000),
-            commit_interval: Duration::from_millis(25),
             max_cycles: None,
             compaction: CompactionPolicy::default(),
         }
@@ -104,7 +101,11 @@ pub struct Watcher {
     ctx: PipelineContext,
     pipeline: Pipeline,
     curator: CurationLoop,
-    commits: GroupCommit,
+    store: DurableCatalog,
+    /// The first failed append, fsync or compaction. The files may then no
+    /// longer match what `store` holds, so every later publish is refused
+    /// with it.
+    failed: Option<String>,
     stop: Arc<AtomicBool>,
     last_fingerprint: Option<u64>,
     last_vocab_version: Option<u64>,
@@ -113,10 +114,9 @@ pub struct Watcher {
 }
 
 impl Watcher {
-    /// Opens the store under `store_dir` (creating it if needed), restores
-    /// pipeline state from a previous wrangle or watch, and prepares the
-    /// group-commit queue. Nothing runs until [`Watcher::run`] or
-    /// [`Watcher::run_cycle`].
+    /// Opens the store under `store_dir` (creating it if needed) and restores
+    /// pipeline state from a previous wrangle or watch. Nothing runs until
+    /// [`Watcher::run`] or [`Watcher::run_cycle`].
     pub fn new(
         archive_dir: impl Into<PathBuf>,
         store_dir: impl Into<PathBuf>,
@@ -135,13 +135,6 @@ impl Watcher {
         let vocab_path = store_dir.join("vocabulary.json");
         let last_vocab_version = vocab_path.exists().then_some(ctx.vocab.version);
         let store = DurableCatalog::open(store_dir.join("catalog"), StoreOptions::default())?;
-        let commits = GroupCommit::new(
-            store,
-            GroupCommitOptions {
-                commit_interval: options.commit_interval,
-                compaction: Some(options.compaction.clone()),
-            },
-        );
         Ok(Watcher {
             archive_dir,
             vocab_path,
@@ -150,7 +143,8 @@ impl Watcher {
             ctx,
             pipeline: Pipeline::standard(),
             curator: CurationLoop::new(CuratorPolicy::default()),
-            commits,
+            store,
+            failed: None,
             stop: Arc::new(AtomicBool::new(false)),
             last_fingerprint: None,
             last_vocab_version,
@@ -190,14 +184,12 @@ impl Watcher {
         self.curator.run_to_fixpoint(&mut self.pipeline, &mut self.ctx)?;
         // The store holds the previously published catalog, as rows; the
         // diff compares them with the new one in place and is exactly the
-        // delta this cycle discovered. One submission per cycle — the
-        // group-commit window coalesces bursty cycles (and concurrent
-        // property writes) into a shared fsync.
-        let delta = self.commits.with_store(|s| s.diff(&self.ctx.catalogs.published))?;
+        // delta this cycle discovered.
+        let delta = self.store.diff(&self.ctx.catalogs.published);
         let mutations = delta.len();
         let wait = Stopwatch::start_if(metamess_telemetry::enabled());
         if mutations > 0 {
-            self.commits.submit(delta)?.wait()?;
+            self.publish(delta)?;
         }
         let wait_micros = wait.micros();
         // Rewriting the vocabulary forces live readers into a full reload,
@@ -219,10 +211,37 @@ impl Watcher {
         Ok(report)
     }
 
+    /// Appends `delta` to the WAL and flushes it with one fsync, then
+    /// compacts when the policy trips. A failed append or fsync is returned.
+    /// A failed compaction is not: the batch is already durable, so this
+    /// cycle reports, and the failure surfaces at the next publish or at the
+    /// end of [`Watcher::run`]. Either way every later publish is refused.
+    fn publish(&mut self, delta: Vec<Mutation>) -> Result<()> {
+        self.check_failed()?;
+        let appended = delta.into_iter().try_for_each(|m| self.store.apply(m));
+        if let Err(e) = appended.and_then(|()| self.store.flush()) {
+            self.failed = Some(e.to_string());
+            return Err(e);
+        }
+        if let Err(e) = self.store.maybe_compact(&self.options.compaction) {
+            self.failed = Some(format!("compaction failed: {e}"));
+        }
+        Ok(())
+    }
+
+    /// The sticky failure, if any, as an error.
+    fn check_failed(&self) -> Result<()> {
+        match &self.failed {
+            Some(reason) => Err(Error::io("publish", std::io::Error::other(reason.clone()))),
+            None => Ok(()),
+        }
+    }
+
     /// Runs cycles until the stop flag is raised or `max_cycles` is
     /// reached, sleeping `interval` between cycles (interruptibly), then
-    /// drains and closes the store. `on_cycle` observes every cycle —
-    /// print progress, persist telemetry, or ignore it.
+    /// returns a compaction failure no later publish has. `on_cycle`
+    /// observes every cycle — print progress, persist telemetry, or ignore
+    /// it.
     pub fn run(mut self, mut on_cycle: impl FnMut(&CycleReport)) -> Result<WatchReport> {
         let mut report = WatchReport::default();
         while !self.stop.load(Ordering::Relaxed) {
@@ -246,8 +265,7 @@ impl Watcher {
                 std::thread::sleep((deadline - now).min(Duration::from_millis(50)));
             }
         }
-        // Drains pending batches and fsyncs before returning.
-        self.commits.close().map(|_| report)
+        self.check_failed().map(|()| report)
     }
 
     /// Read access to the published catalog as the watcher sees it.
@@ -312,7 +330,6 @@ mod tests {
     fn quick_options(cycles: Option<u64>) -> WatchOptions {
         WatchOptions {
             interval: Duration::from_millis(1),
-            commit_interval: Duration::ZERO,
             max_cycles: cycles,
             compaction: CompactionPolicy::default(),
         }
@@ -350,6 +367,23 @@ mod tests {
         assert!(
             s.catalog().iter().any(|d| d.path.contains("fresh_upload")),
             "the uploaded file must be durably cataloged"
+        );
+    }
+
+    #[test]
+    fn a_publish_is_on_disk_when_the_cycle_returns() {
+        let (archive, store) = fixture("inline");
+        let mut w = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        w.run_cycle().unwrap();
+        add_one_file(&archive);
+        let r = w.run_cycle().unwrap();
+        // The watcher is still alive: only the cycle's own fsync put the
+        // delta where a reader finds it.
+        let on_disk = metamess_core::store::read_published(store.join("catalog")).unwrap();
+        assert_eq!(on_disk.rows.len(), r.datasets);
+        assert!(
+            on_disk.rows.iter().any(|row| row.view().path().contains("fresh_upload")),
+            "the uploaded file must be published before the cycle returns"
         );
     }
 

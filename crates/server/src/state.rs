@@ -530,7 +530,7 @@ mod tests {
         d
     }
 
-    /// Appends to the WAL without checkpointing — what the group-commit
+    /// Appends to the WAL without checkpointing — what the watch
     /// publish path does between compactions.
     fn append_without_checkpoint(dir: &Path, f: DatasetFeature) {
         let mut s = DurableCatalog::open(dir.join("catalog"), StoreOptions::default()).unwrap();

@@ -36,10 +36,10 @@ echo "==> trace zero-allocation gate (METAMESS_TELEMETRY=0 alloc guard)"
 METAMESS_TELEMETRY=0 cargo test -q -p metamess-server --test alloc_guard
 
 cases="${METAMESS_TORTURE_CASES:-1000}"
-echo "==> crash-consistency, group-commit, hostile-bytes and writer-row suites ($cases seeded cases, release)"
+echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites ($cases seeded cases, release)"
 # Recovery after an injected fault is the acknowledged prefix; a crash
-# inside the commit window leaves the acked prefix, and compaction
-# mid-fault never loses acked data. Damaged store payloads decode or are
+# inside a watch publish (apply, one flush, compaction) leaves the acked
+# prefix, and compaction mid-fault never loses acked data. Damaged store payloads decode or are
 # refused as corrupt: no panic, no allocation on an unchecked count. An
 # image the encoder builds is what parsing its payload finds; the writer's
 # checkpoint writes the decoded catalog's bytes, and its row-wise diff is

@@ -97,8 +97,8 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "watch",
         operands: &["<dir>"],
-        about: "re-wrangle the archive as it changes and publish each delta through the\n\
-                store's group-commit WAL, where a live `serve` applies it in place;\n\
+        about: "re-wrangle the archive as it changes and append each delta to the\n\
+                store's WAL with one fsync, where a live `serve` applies it in place;\n\
                 ctrl-c stops after the current cycle",
         run: cmd_watch,
     },
@@ -174,7 +174,6 @@ const FLAGS: &[Flag] = &[
     flag("wrangle", "--explain", "", "print the telemetry recorded during the run"),
     flag("watch", "--store", "<store-dir>", "store directory (default: <dir>/.metamess)"),
     flag("watch", "--interval-ms", "N", "poll period (default 1000)"),
-    flag("watch", "--commit-interval-ms", "N", "one fsync per window (default 25; 0: each)"),
     flag("watch", "--max-cycles", "N", "stop after N cycles"),
     flag("watch", "--compact-ratio", "F", "compact once WAL > F × snapshot (default 0.5)"),
     flag("watch", "--retain", "N", "previous snapshots kept (default 2)"),
@@ -382,15 +381,13 @@ fn cmd_wrangle(args: &Args) -> Result<()> {
 }
 
 /// Continuous ingestion: `metamess watch <dir>` — the wrangle loop run
-/// forever, publishing catalog deltas through the store's group-commit
-/// queue so a live `metamess serve` picks them up without reopening.
+/// forever, appending each cycle's catalog delta to the store's WAL with one
+/// fsync so a live `metamess serve` picks it up without reopening.
 fn cmd_watch(args: &Args) -> Result<()> {
     let dir = &args.operands[0];
     let store_dir = store_dir(args)?;
     let mut options = metamess::pipeline::WatchOptions::default();
     options.interval = args.value("--interval-ms")?.map_or(options.interval, Duration::from_millis);
-    options.commit_interval =
-        args.value("--commit-interval-ms")?.map_or(options.commit_interval, Duration::from_millis);
     options.max_cycles = args.value("--max-cycles")?.or(options.max_cycles);
     let ratio = args.value_with("--compact-ratio", |r| {
         r.parse::<f64>().ok().filter(|r| r.is_finite() && *r > 0.0)
@@ -422,10 +419,9 @@ fn cmd_watch(args: &Args) -> Result<()> {
         });
     }
     println!(
-        "watching {dir} -> {} (poll {}ms, commit window {}ms; ctrl-c to stop)",
+        "watching {dir} -> {} (poll {}ms; ctrl-c to stop)",
         store_dir.display(),
-        options.interval.as_millis(),
-        options.commit_interval.as_millis()
+        options.interval.as_millis()
     );
     let _ = std::io::stdout().flush();
 
