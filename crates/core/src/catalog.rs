@@ -26,8 +26,6 @@ pub enum Mutation {
         /// Property value.
         value: String,
     },
-    /// Remove all entries and properties (used when rebuilding from scratch).
-    Clear,
 }
 
 /// An in-memory metadata catalog.
@@ -72,10 +70,6 @@ impl Catalog {
             }
             Mutation::SetProperty { key, value } => {
                 self.properties.insert(key, value);
-            }
-            Mutation::Clear => {
-                self.entries.clear();
-                self.properties.clear();
             }
         }
         self.generation += 1;
@@ -318,16 +312,6 @@ mod tests {
         let c = Catalog::new();
         let e = c.get_required(DatasetId(7)).unwrap_err();
         assert!(matches!(e, Error::NotFound { .. }));
-    }
-
-    #[test]
-    fn clear_wipes_everything() {
-        let mut c = Catalog::new();
-        c.put(ds("a.csv", &[]));
-        c.set_property("k", "v");
-        c.apply(Mutation::Clear);
-        assert!(c.is_empty());
-        assert!(c.property("k").is_none());
     }
 
     #[test]

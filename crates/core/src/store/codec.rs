@@ -8,9 +8,15 @@
 //! put      := row        delete := id:u64le        set-property := key:str value:str
 //! ```
 //!
-//! Counts, lengths and table references are LEB128 varints; every `f64` is
-//! its eight little-endian bits, so ±inf, NaN and −0.0 come back as they
-//! went in (a variable that never saw a number has `min = +inf`). Strings
+//! Counts, lengths and table references are LEB128 varints. A number — a
+//! bbox corner, a summary's min, max, mean or m2 — is written as a decimal
+//! when it has one: `m / 10^s` bit for bit, `s ≤ 7`, as the varint
+//! `zigzag(m) << 3 | s` with the smallest such `s`. Anything else — ±inf,
+//! NaN payloads, −0.0, subnormals, more digits — is its eight little-endian
+//! bits, so every `f64` comes back as it went in (a variable that never saw
+//! a number has `min = +inf`), and none takes more than eight bytes. Which
+//! form each number has is marked in the tag byte of its row or variable,
+//! and a box whose corners meet is written as a point, two numbers. Strings
 //! that repeat across a curated catalog — variable names, canonical names,
 //! units, contexts, hierarchy levels, source, format, external keys and
 //! values — are written once, in the table, and referenced by index; `path`
@@ -33,8 +39,10 @@
 //! An image is checked in full when it is parsed, and the checks trust
 //! nothing: every count is bounded by the bytes that remain before anything
 //! is allocated for it, every reference by the table, every tag by its known
-//! bits, and a payload must be consumed exactly. All failures are
-//! [`Error::Corrupt`]. Reading a parsed image again cannot fail. Bytes this
+//! bits, every number by the form its writer would have chosen, and a
+//! payload must be consumed exactly, so one catalog has one encoding. All
+//! failures are [`Error::Corrupt`]. Reading a parsed image again checks
+//! nothing and cannot fail. Bytes this
 //! module has just encoded are not parsed: [`Image::encode`], [`put_image`],
 //! [`encode_rows_of`] and the publish's `catalog_image` build the image from
 //! the encoder's own table and row starts.
@@ -51,18 +59,40 @@ use std::sync::Arc;
 
 /// The format generation this module writes and reads: the digit the
 /// snapshot and WAL magics end in, and the first byte of every payload.
-pub const FORMAT_VERSION: u8 = 2;
+pub const FORMAT_VERSION: u8 = 3;
 
 const KIND_CATALOG: u8 = 0;
 const KIND_PUT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_SET_PROPERTY: u8 = 3;
-const KIND_CLEAR: u8 = 4;
 
 // Dataset tag: which optional fields follow.
 const HAS_SOURCE: u8 = 1;
 const HAS_BBOX: u8 = 1 << 1;
 const HAS_TIME: u8 = 1 << 2;
+/// The bbox's corners meet: only its latitude and longitude are written.
+const POINT: u8 = 1 << 3;
+
+// In the dataset tag and the variable presence tag, bit 4 + i is set when
+// the i-th number the row or variable writes is a decimal.
+const FIRST_DECIMAL: u8 = 1 << 4;
+const DECIMALS: u8 = 0xf0;
+
+/// `10^s` for each decimal scale `s`, each exact as an `f64`.
+const POWERS: [f64; 8] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7];
+/// The largest mantissa at each scale: `|m| · 10^(7 − s) ≤ 10^15`. Every
+/// mantissa is then exact as an `f64`, so a decimal decodes by one correctly
+/// rounded division, and decimals that differ decode to `f64`s that differ.
+const MANTISSA_BOUND: [u64; 8] = [
+    100_000_000,
+    1_000_000_000,
+    10_000_000_000,
+    100_000_000_000,
+    1_000_000_000_000,
+    10_000_000_000_000,
+    100_000_000_000_000,
+    1_000_000_000_000_000,
+];
 
 // Variable presence tag: which optional strings follow.
 const HAS_CANONICAL: u8 = 1;
@@ -82,7 +112,7 @@ const UNIT_NORMALIZED: u8 = 1 << 6;
 /// The fewest bytes a row, a variable, a string pair and a table entry can
 /// take: what bounds a count read from the payload.
 const MIN_ROW: usize = 25;
-const MIN_VARIABLE: usize = 39;
+const MIN_VARIABLE: usize = 11;
 const MIN_PAIR: usize = 2;
 const MIN_ENTRY: usize = 1;
 
@@ -212,7 +242,6 @@ pub fn encode_mutation(m: &Mutation, out: &mut Vec<u8>) {
             e.str(value);
             KIND_SET_PROPERTY
         }
-        Mutation::Clear => KIND_CLEAR,
     };
     *out = e.finish(kind);
 }
@@ -223,7 +252,6 @@ pub fn decode_mutation(payload: &[u8]) -> Result<Mutation> {
         Record::Put(row) => Mutation::Put(Box::new(row.decode())),
         Record::Delete(id) => Mutation::Delete(id),
         Record::SetProperty { key, value } => Mutation::SetProperty { key, value },
-        Record::Clear => Mutation::Clear,
     })
 }
 
@@ -233,7 +261,6 @@ pub(crate) enum Record {
     Put(Row),
     Delete(DatasetId),
     SetProperty { key: String, value: String },
-    Clear,
 }
 
 /// Parses one WAL record's payload.
@@ -243,14 +270,13 @@ pub(crate) fn parse_record(payload: &[u8]) -> Result<Record> {
         let image = Image::with_body(payload.to_vec(), 0, kind, table, body)?;
         return Ok(Record::Put(image.into_row()));
     }
-    let mut d = Decoder { bytes: payload, pos: body, table: &table };
+    let mut d = Decoder { bytes: payload, pos: body, table: &table, parsing: true };
     let record = match kind {
         KIND_DELETE => Record::Delete(DatasetId(d.u64_le()?)),
         KIND_SET_PROPERTY => {
             let key = d.str()?.to_owned();
             Record::SetProperty { key, value: d.str()?.to_owned() }
         }
-        KIND_CLEAR => Record::Clear,
         other => return Err(Error::corrupt(format!("payload kind {other} is not a mutation"))),
     };
     d.finish()?;
@@ -313,7 +339,7 @@ impl Image {
         body: usize,
     ) -> Result<Image> {
         let (rows, generation, properties) = {
-            let mut d = Decoder { bytes: &bytes[start..], pos: body, table: &table };
+            let mut d = Decoder { bytes: &bytes[start..], pos: body, table: &table, parsing: true };
             let (generation, properties, count) = if kind == KIND_CATALOG {
                 let generation = d.varint()?;
                 let mut properties = BTreeMap::new();
@@ -387,9 +413,14 @@ impl Image {
         Row { image: Arc::new(self), index: 0 }
     }
 
-    /// Row `ix`, read in place.
+    /// Row `ix`, read in place, trusting the parse.
     fn view(&self, ix: usize) -> RowView<'_> {
-        let mut d = Decoder { bytes: self.payload(), pos: self.rows[ix], table: &self.table };
+        let mut d = Decoder {
+            bytes: self.payload(),
+            pos: self.rows[ix],
+            table: &self.table,
+            parsing: false,
+        };
         RowView { head: d.head().expect(CHECKED), rest: d }
     }
 }
@@ -681,13 +712,8 @@ impl<'a> Encoder<'a> {
         self.out.push(v as u8);
     }
 
-    /// Zigzag, so small negative numbers stay small.
     fn signed(&mut self, v: i64) {
-        self.varint(((v << 1) ^ (v >> 63)) as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.bytes(&v.to_bits().to_le_bytes());
+        self.varint(zigzag(v));
     }
 
     /// A string in place.
@@ -731,19 +757,21 @@ impl<'a> Encoder<'a> {
         self.bytes(&h.id.0.to_le_bytes());
         self.str(h.path);
         self.str(h.title);
+        let (shape, corners) = match &h.bbox {
+            None => (0, Numbers::of(&[])),
+            Some(b) if is_point(b) => (HAS_BBOX | POINT, Numbers::of(&[b.min_lat, b.min_lon])),
+            Some(b) => (HAS_BBOX, Numbers::of(&[b.min_lat, b.max_lat, b.min_lon, b.max_lon])),
+        };
         self.out.push(
             tag(h.source.is_some(), HAS_SOURCE)
-                | tag(h.bbox.is_some(), HAS_BBOX)
+                | shape
+                | corners.decimals
                 | tag(h.time.is_some(), HAS_TIME),
         );
         if let Some(source) = h.source {
             self.text(source);
         }
-        if let Some(b) = &h.bbox {
-            for v in [b.min_lat, b.max_lat, b.min_lon, b.max_lon] {
-                self.f64(v);
-            }
-        }
+        corners.write(self);
         if let Some(t) = &h.time {
             self.signed(t.start.0);
             self.signed(t.end.0.wrapping_sub(t.start.0));
@@ -772,7 +800,11 @@ impl<'a> Encoder<'a> {
             (v.canonical_unit, HAS_CANONICAL_UNIT),
             (v.context, HAS_CONTEXT),
         ];
-        self.out.push(optional.iter().fold(0, |tags, (s, bit)| tags | tag(s.is_some(), *bit)));
+        let s = &v.summary;
+        let summary = Numbers::of(&[s.min, s.max, s.mean, s.m2]);
+        self.out.push(
+            optional.iter().fold(summary.decimals, |tags, (s, bit)| tags | tag(s.is_some(), *bit)),
+        );
         self.out.push(v.curation);
         if let Some(method) = v.method {
             self.text(method);
@@ -784,10 +816,8 @@ impl<'a> Encoder<'a> {
         for level in v.levels {
             self.text(level);
         }
-        self.varint(v.summary.count);
-        for x in [v.summary.min, v.summary.max, v.summary.mean, v.summary.m2] {
-            self.f64(x);
-        }
+        self.varint(s.count);
+        summary.write(self);
         self.varint(v.null_count);
         self.varint(v.total_count);
     }
@@ -798,6 +828,76 @@ fn tag(set: bool, bit: u8) -> u8 {
         bit
     } else {
         0
+    }
+}
+
+/// Zigzag, so small negative numbers stay small.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
+/// Whether a bbox's corners meet, bit for bit: a point, written as two
+/// numbers.
+fn is_point(b: &GeoBBox) -> bool {
+    b.min_lat.to_bits() == b.max_lat.to_bits() && b.min_lon.to_bits() == b.max_lon.to_bits()
+}
+
+/// `v`'s decimal form, `zigzag(m) << 3 | s` for the smallest scale `s` at
+/// which `m / 10^s` is `v` bit for bit within [`MANTISSA_BOUND`], or `None`
+/// when `v` is written as its eight bytes.
+///
+/// A value with a decimal form has one at scale 7, the same real number
+/// with trailing zeros, so one scale is tried: `v · 10^7` is within 0.23 of
+/// that mantissa, the cast rounds it (`f64::round` is a library call on
+/// baseline x86-64), and the decoder's own division proves it. Stripping
+/// the trailing zeros then gives the smallest scale.
+fn decimal(v: f64) -> Option<u64> {
+    let scaled = v * POWERS[7];
+    // the cast saturates ±inf and takes NaN to 0, which the bound and the
+    // proof refuse
+    let mut m = (scaled + 0.5f64.copysign(scaled)) as i64;
+    if m.unsigned_abs() > MANTISSA_BOUND[7] || (m as f64 / POWERS[7]).to_bits() != v.to_bits() {
+        return None;
+    }
+    let mut s = 7;
+    while s > 0 && m % 10 == 0 {
+        (m, s) = (m / 10, s - 1);
+    }
+    Some(zigzag(m) << 3 | s)
+}
+
+/// The numbers of a row's bbox or of a variable's summary as they are
+/// written: a decimal's varint or a raw number's bits each, and the tag bits
+/// that mark the decimals among them.
+struct Numbers {
+    words: [u64; 4],
+    len: usize,
+    decimals: u8,
+}
+
+impl Numbers {
+    fn of(values: &[f64]) -> Numbers {
+        let mut numbers = Numbers { words: [0; 4], len: values.len(), decimals: 0 };
+        for (i, &v) in values.iter().enumerate() {
+            let form = decimal(v);
+            numbers.words[i] = form.unwrap_or(v.to_bits());
+            numbers.decimals |= tag(form.is_some(), FIRST_DECIMAL << i);
+        }
+        numbers
+    }
+
+    fn write(&self, e: &mut Encoder<'_>) {
+        for (i, &word) in self.words[..self.len].iter().enumerate() {
+            if self.decimals & (FIRST_DECIMAL << i) == 0 {
+                e.bytes(&word.to_le_bytes());
+            } else {
+                e.varint(word);
+            }
+        }
     }
 }
 
@@ -822,7 +922,7 @@ impl Table {
 /// Reads a payload's version, kind and string table; returns them with
 /// where the body starts.
 fn header(payload: &[u8]) -> Result<(u8, Table, usize)> {
-    let mut d = Decoder { bytes: payload, pos: 0, table: &Table::default() };
+    let mut d = Decoder { bytes: payload, pos: 0, table: &Table::default(), parsing: true };
     let version = d.u8()?;
     if version != FORMAT_VERSION {
         return Err(Error::corrupt(format!("payload format {version}, expected {FORMAT_VERSION}")));
@@ -1022,6 +1122,10 @@ struct Decoder<'a> {
     bytes: &'a [u8],
     pos: usize,
     table: &'a Table,
+    /// Whether this is the parse, which also refuses a number in a form its
+    /// writer would not have chosen; a parsed image is read again trusting
+    /// it.
+    parsing: bool,
 }
 
 impl<'a> Decoder<'a> {
@@ -1060,8 +1164,27 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("took eight bytes")))
     }
 
-    fn f64(&mut self) -> Result<f64> {
-        self.u64_le().map(f64::from_bits)
+    /// The `i`-th number of a row or variable whose tag is `tags`: a
+    /// decimal when its bit says so, eight raw bytes otherwise.
+    fn number(&mut self, tags: u8, i: usize) -> Result<f64> {
+        let at = self.pos;
+        if tags & (FIRST_DECIMAL << i) == 0 {
+            let v = f64::from_bits(self.u64_le()?);
+            if self.parsing && decimal(v).is_some() {
+                return Err(Error::corrupt(format!(
+                    "number {v} at byte {at} is written raw but has a decimal form"
+                )));
+            }
+            return Ok(v);
+        }
+        let word = self.varint()?;
+        let (m, s) = (unzigzag(word >> 3), (word & 7) as usize);
+        if self.parsing && (m.unsigned_abs() > MANTISSA_BOUND[s] || s > 0 && m % 10 == 0) {
+            return Err(Error::corrupt(format!(
+                "decimal {m}e-{s} at byte {at} is not in its one written form"
+            )));
+        }
+        Ok(m as f64 / POWERS[s])
     }
 
     fn varint(&mut self) -> Result<u64> {
@@ -1082,8 +1205,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn signed(&mut self) -> Result<i64> {
-        let v = self.varint()?;
-        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+        self.varint().map(unzigzag)
     }
 
     /// A count of items that take at least `min_bytes` each: one the rest
@@ -1151,17 +1273,41 @@ impl<'a> Decoder<'a> {
         let id = DatasetId(self.u64_le()?);
         let path = self.str()?;
         let title = self.str()?;
-        let tags = self.tags(HAS_SOURCE | HAS_BBOX | HAS_TIME, "dataset")?;
+        let at = self.pos;
+        let tags = self.tags(HAS_SOURCE | HAS_BBOX | HAS_TIME | POINT | DECIMALS, "dataset")?;
+        let corners = match (tags & HAS_BBOX != 0, tags & POINT != 0) {
+            (false, false) => Some(0),
+            (true, false) => Some(4),
+            (true, true) => Some(2),
+            (false, true) => None,
+        };
+        // a point with no bbox, or a decimal past the last number written
+        let Some(corners) = corners.filter(|&n| tags & (DECIMALS << n) == 0) else {
+            return Err(Error::corrupt(format!(
+                "dataset tag {tags:#010b} at byte {at} marks what the row does not write"
+            )));
+        };
         let source = self.optional_text(tags, HAS_SOURCE)?;
-        let bbox = if tags & HAS_BBOX == 0 {
-            None
-        } else {
-            Some(GeoBBox {
-                min_lat: self.f64()?,
-                max_lat: self.f64()?,
-                min_lon: self.f64()?,
-                max_lon: self.f64()?,
-            })
+        let bbox = match corners {
+            0 => None,
+            2 => {
+                let (lat, lon) = (self.number(tags, 0)?, self.number(tags, 1)?);
+                Some(GeoBBox { min_lat: lat, max_lat: lat, min_lon: lon, max_lon: lon })
+            }
+            _ => {
+                let b = GeoBBox {
+                    min_lat: self.number(tags, 0)?,
+                    max_lat: self.number(tags, 1)?,
+                    min_lon: self.number(tags, 2)?,
+                    max_lon: self.number(tags, 3)?,
+                };
+                if self.parsing && is_point(&b) {
+                    return Err(Error::corrupt(format!(
+                        "the bbox of the row at byte {at} is a point written as a box"
+                    )));
+                }
+                Some(b)
+            }
         };
         let time = if tags & HAS_TIME == 0 {
             None
@@ -1209,7 +1355,7 @@ impl<'a> Decoder<'a> {
     fn variable(&mut self) -> Result<Var<'a>> {
         let name = self.text()?;
         let present = self.tags(
-            HAS_CANONICAL | HAS_UNIT | HAS_CANONICAL_UNIT | HAS_CONTEXT,
+            HAS_CANONICAL | HAS_UNIT | HAS_CANONICAL_UNIT | HAS_CONTEXT | DECIMALS,
             "variable presence",
         )?;
         let curation = self.tags(
@@ -1246,10 +1392,10 @@ impl<'a> Decoder<'a> {
             levels: Levels::Encoded(first_level, levels),
             summary: NumericSummary {
                 count: self.varint()?,
-                min: self.f64()?,
-                max: self.f64()?,
-                mean: self.f64()?,
-                m2: self.f64()?,
+                min: self.number(present, 0)?,
+                max: self.number(present, 1)?,
+                mean: self.number(present, 2)?,
+                m2: self.number(present, 3)?,
             },
             null_count: self.varint()?,
             total_count: self.varint()?,
@@ -1260,6 +1406,7 @@ impl<'a> Decoder<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::geo::GeoPoint;
 
     /// A dataset whose floats JSON could not carry: a variable that never
     /// saw a number (`min = +inf`, `max = −inf`) and one that saw only
@@ -1274,13 +1421,25 @@ pub(crate) mod tests {
         f
     }
 
+    /// A whole snapshot file of an older format: its `magic` framing
+    /// `payload`.
+    fn older_snapshot(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+        let mut file = magic.to_vec();
+        file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        file.extend_from_slice(&crate::store::crc32(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
+    }
+
     /// A whole format 1 snapshot file: the old magic framing a JSON `{}`.
     pub(crate) fn format_1_snapshot() -> Vec<u8> {
-        let mut file = b"MMSNAP01".to_vec();
-        file.extend_from_slice(&2u32.to_le_bytes());
-        file.extend_from_slice(&crate::store::crc32(b"{}").to_le_bytes());
-        file.extend_from_slice(b"{}");
-        file
+        older_snapshot(b"MMSNAP01", b"{}")
+    }
+
+    /// A whole format 2 snapshot file: the old magic framing an empty
+    /// catalog (version 2, no table, generation 0, no properties, no rows).
+    pub(crate) fn format_2_snapshot() -> Vec<u8> {
+        older_snapshot(b"MMSNAP02", &[2, KIND_CATALOG, 0, 0, 0, 0])
     }
 
     /// Every field set, every tag bit used, both signs of a timestamp.
@@ -1308,8 +1467,10 @@ pub(crate) mod tests {
         v.unit_normalized = true;
         v.context = Some("water".into());
         v.hierarchy = vec!["physical".into(), "temperature".into(), canonical.into()];
+        // decimals, whose mean and m2 are not
         v.summary.observe(4.25);
         v.summary.observe(17.5);
+        v.summary.observe(10.0);
         v.null_count = 2;
         v.total_count = 302;
         v.flags = VariableFlags { qa: false, ambiguous: true, hidden: false };
@@ -1321,10 +1482,14 @@ pub(crate) mod tests {
         f
     }
 
+    /// A box of decimal corners, and a point of one decimal and one raw
+    /// coordinate at the odd floats.
     fn two_datasets() -> Catalog {
         let mut c = Catalog::new();
         c.put(rich("cruise/c1/cast3.cdl", "water_temperature"));
-        c.put(odd_floats());
+        let mut odd = odd_floats();
+        odd.bbox = Some(GeoBBox::point(GeoPoint { lat: 46.2, lon: -123.912_345_678 }));
+        c.put(odd);
         c.set_property("archive", "sim");
         c
     }
@@ -1351,7 +1516,6 @@ pub(crate) mod tests {
             Mutation::Put(Box::new(odd_floats())),
             Mutation::Delete(DatasetId(u64::MAX)),
             Mutation::SetProperty { key: "vocabulary".into(), value: "v7 — ünïcode".into() },
-            Mutation::Clear,
         ] {
             encode_mutation(&m, &mut buf);
             assert_eq!(decode_mutation(&buf).unwrap(), m);
@@ -1377,17 +1541,16 @@ pub(crate) mod tests {
     #[test]
     fn golden_two_dataset_snapshot() {
         const GOLDEN: &str = concat!(
-            "0200100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
+            "0300100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
             "65720641546173746e0b66696e6765727072696e741177617465725f74656d70657261747572650464656743",
             "0763656c7369757305776174657208706879736963616c0b74656d70657261747572650871615f6c6576656c",
             "000773746174696f6e066f6666736574030107617263686976650373696d02776e3803bbd25d201363727569",
-            "73652f63312f63617374332e63646c1b63617374206174206372756973652f63312f63617374332e63646c07",
-            "000000000000c0464000000000002047400000000000205fc00000000000c05ec0ffc50a80b2f4b309ac02ef",
-            "cdab8967452301809601030101020302040f530506070809030a0b0602000000000000114000000000008031",
-            "400000000000c025400000000000f2554002ae020c002c0000000000000000f07f000000000000f0ff000000",
-            "000000000000000000000000000000680277578a05ca43076f64642e637376076f64642e6373760000000000",
-            "000000000000000d00020e00000000000000000000f07f000000000000f0ff00000000000000000000000000",
-            "00000000000f0000000100000000000000800000000000000080000000000000000000000000000000000000",
+            "73652f63312f63617374332e63646c1b63617374206174206372756973652f63312f63617374332e63646cf7",
+            "00f13892c204c99b01a80fffc50a80b2f4b309ac02efcdab8967452301809601030101020302043f53050607",
+            "0809030a0b06039235f115abaaaaaaaa2a2540abaaaaaaaa12564002ae020cc02c0000000000000000f07f00",
+            "0000000000f0ff00000000680277578a05ca43076f64642e637376076f64642e6373761ae1390b6a20df63fa",
+            "5ec000000000000000000000000d00020ec0000000000000000000f07f000000000000f0ff000000000fc000",
+            "00010000000000000080000000000000008000000000",
         );
         let hex: String =
             encode_catalog(&two_datasets()).iter().map(|b| format!("{b:02x}")).collect();
@@ -1485,17 +1648,19 @@ pub(crate) mod tests {
         corrupt(decode_catalog(&put).map(drop), "kind 1 is not a catalog");
         corrupt(decode_mutation(&snapshot).map(drop), "kind 0 is not a mutation");
         // another format generation
-        let mut v3 = put.clone();
-        v3[0] = 3;
-        corrupt(decode_mutation(&v3).map(drop), "payload format 3");
+        let mut next = put.clone();
+        next[0] = FORMAT_VERSION + 1;
+        corrupt(decode_mutation(&next).map(drop), "payload format 4");
+        // the kind format 2 gave a `Clear`
+        corrupt(decode_mutation(&[FORMAT_VERSION, 4, 0]).map(drop), "kind 4 is not a mutation");
         // bytes left over, bytes missing
         let mut long = put.clone();
         long.push(0);
         corrupt(decode_mutation(&long).map(drop), "1 bytes past the end");
-        corrupt(decode_mutation(&put[..put.len() - 1]).map(drop), "the payload has room for");
+        corrupt(decode_mutation(&put[..put.len() - 1]).map(drop), "1 more expected, 0 left");
         corrupt(decode_mutation(&[]).map(drop), "payload ends");
-        // a reference past the table: `Clear` with a one-entry table, then
-        // a put whose first reference (its source) is entry 1
+        // a reference past the table: a put with a one-entry table whose
+        // first reference (its source) is entry 1
         let mut bad = vec![FORMAT_VERSION, KIND_PUT, 1, 0];
         bad.extend_from_slice(&[0; 8]); // id
         bad.extend_from_slice(&[0, 0, HAS_SOURCE, 1]); // path "", title "", source → 1
@@ -1524,10 +1689,103 @@ pub(crate) mod tests {
             .map(drop),
             "overflows 64 bits",
         );
-        // a tag bit nobody wrote
-        let mut tagged = vec![FORMAT_VERSION, KIND_PUT, 0];
-        tagged.extend_from_slice(&[0; 8]);
-        tagged.extend_from_slice(&[0, 0, 0x80]);
+        // a tag bit nobody wrote: the variable's curation tag, nine bytes
+        // from the end
+        let mut tagged = one_number_put(&[0], DECIMALS, &[0]);
+        let curation = tagged.len() - 9;
+        tagged[curation] = 0x80;
         corrupt(decode_mutation(&tagged).map(drop), "unknown bits");
+    }
+
+    /// A put of one dataset with one variable, "v", that saw one number:
+    /// `dataset` is the dataset tag and the corners it writes, `present` the
+    /// variable's presence tag and `min` the bytes of its minimum; its max,
+    /// mean and m2 are the decimal 0 and must be marked so.
+    fn one_number_put(dataset: &[u8], present: u8, min: &[u8]) -> Vec<u8> {
+        let mut put = vec![FORMAT_VERSION, KIND_PUT, 1, 1, b'v'];
+        put.extend_from_slice(&[0; 8]); // id
+        put.extend_from_slice(&[0, 0]); // path "", title ""
+        put.extend_from_slice(dataset);
+        put.push(0); // record count
+        put.extend_from_slice(&[0; 8]); // fingerprint
+        put.extend_from_slice(&[0, 0, 0, 0, 1]); // file len, run, format, no pairs, one variable
+        put.extend_from_slice(&[0, present, 0, 0, 1]); // name, tags, no levels, count
+        put.extend_from_slice(min);
+        put.extend_from_slice(&[0, 0, 0, 0, 0]); // max, mean, m2, nulls, total
+        put
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut e = Encoder::new(Vec::new(), 0);
+        e.varint(v);
+        e.out
+    }
+
+    /// `m / 10^s` as a decimal's bytes, whether or not a writer would.
+    fn decimal_bytes(m: i64, s: u64) -> Vec<u8> {
+        varint(zigzag(m) << 3 | s)
+    }
+
+    #[test]
+    fn a_number_in_a_form_its_writer_would_not_choose_is_corrupt() {
+        const SUMMARY: u8 = 0b1110_0000; // max, mean and m2 are decimals
+        const MIN: u8 = FIRST_DECIMAL;
+        let min = |put: Vec<u8>| match decode_mutation(&put) {
+            Ok(Mutation::Put(f)) => Ok(f.variables[0].summary.min),
+            Ok(other) => panic!("{other:?}"),
+            Err(e) => Err(e),
+        };
+        let corrupt = |put: Vec<u8>, why: &str| {
+            let e = min(put).unwrap_err();
+            assert!(e.is_corrupt() && e.to_string().contains(why), "{why}: {e}");
+        };
+        // what a writer writes
+        assert_eq!(min(one_number_put(&[0], SUMMARY | MIN, &decimal_bytes(15, 1))).unwrap(), 1.5);
+        assert_eq!(min(one_number_put(&[0], SUMMARY | MIN, &[0])).unwrap(), 0.0);
+        let bound = MANTISSA_BOUND[7] as i64 - 1;
+        let at_bound = min(one_number_put(&[0], SUMMARY | MIN, &decimal_bytes(-bound, 7)));
+        assert_eq!(at_bound.unwrap(), -99_999_999.999_999_9);
+        let negative_zero = min(one_number_put(&[0], SUMMARY, &(-0.0f64).to_le_bytes())).unwrap();
+        assert!(negative_zero == 0.0 && negative_zero.is_sign_negative());
+        // a decimal with a trailing zero, zero at a scale, a mantissa past
+        // the bound of its scale
+        let not_written = "is not in its one written form";
+        corrupt(one_number_put(&[0], SUMMARY | MIN, &decimal_bytes(150, 2)), not_written);
+        corrupt(one_number_put(&[0], SUMMARY | MIN, &decimal_bytes(0, 1)), not_written);
+        corrupt(one_number_put(&[0], SUMMARY | MIN, &decimal_bytes(100_000_001, 0)), not_written);
+        corrupt(one_number_put(&[0], SUMMARY | MIN, &decimal_bytes(-(bound + 2), 7)), not_written);
+        // a raw number that has a decimal form
+        let has_decimal = "is written raw but has a decimal form";
+        corrupt(one_number_put(&[0], SUMMARY, &1.5f64.to_le_bytes()), has_decimal);
+        corrupt(one_number_put(&[0], SUMMARY, &0.0f64.to_le_bytes()), has_decimal);
+        // a point, and a point written as a box; a point with no bbox, and a
+        // decimal bit for a corner a point does not write
+        let point = [HAS_BBOX | POINT | 0b0011_0000, 0, 0];
+        assert!(min(one_number_put(&point, SUMMARY | MIN, &[0])).is_ok());
+        let as_box = [HAS_BBOX | DECIMALS, 0, 0, 0, 0];
+        corrupt(one_number_put(&as_box, SUMMARY | MIN, &[0]), "a point written as a box");
+        let not_written = "marks what the row does not write";
+        corrupt(one_number_put(&[POINT], SUMMARY | MIN, &[0]), not_written);
+        corrupt(one_number_put(&[FIRST_DECIMAL], SUMMARY | MIN, &[0]), not_written);
+        corrupt(one_number_put(&[point[0] | 1 << 6, 0, 0], SUMMARY | MIN, &[0]), not_written);
+    }
+
+    #[test]
+    fn a_row_of_the_smallest_variables_parses() {
+        // a variable that saw only 0.0 writes each number in one byte
+        let mut zero = VariableFeature::new("v");
+        zero.summary.observe(0.0);
+        let mut f = DatasetFeature::new("many.csv");
+        f.variables = vec![zero; 40];
+        let mut one = f.clone();
+        one.variables.truncate(1);
+        let (mut record, mut single) = (Vec::new(), Vec::new());
+        encode_mutation(&Mutation::Put(Box::new(f.clone())), &mut record);
+        encode_mutation(&Mutation::Put(Box::new(one)), &mut single);
+        assert_eq!(record.len() - single.len(), 39 * MIN_VARIABLE);
+        // format 2 counted 39 bytes to a variable, and would have found no
+        // room for 40 in this row
+        assert!(record.len() < 40 * 39);
+        assert_eq!(decode_mutation(&record).unwrap(), Mutation::Put(Box::new(f)));
     }
 }

@@ -148,10 +148,6 @@ fn load(
             Record::SetProperty { key, value } => {
                 properties.insert(key, value);
             }
-            Record::Clear => {
-                rows.clear();
-                properties.clear();
-            }
         }
         generation += 1;
     }
@@ -391,10 +387,6 @@ impl DurableCatalog {
             Mutation::SetProperty { key, value } => {
                 self.properties.insert(key, value);
             }
-            Mutation::Clear => {
-                self.rows.clear();
-                self.properties.clear();
-            }
         }
         self.generation += 1;
         Ok(())
@@ -430,20 +422,22 @@ impl DurableCatalog {
     /// makes the store a copy of the working catalog.
     ///
     /// Records the WAL still holds are folded first, by a checkpoint, so the
-    /// log is empty. Then `other` is encoded once, at the generation a
-    /// `Clear`, its property sets and its puts would have counted to, and
-    /// written as the snapshot (tmp, fsync, rename, directory sync). The
-    /// rename is the commit point: a crash before it recovers the store as it
-    /// was, a crash after it exactly `other`, and no old record can replay
-    /// over it, because the fold emptied the log. Only once the write has
-    /// succeeded does the store hold the new snapshot's rows. Nothing is
-    /// logged, and no feature is cloned.
+    /// log is empty. Then `other` is encoded once, at the generation the
+    /// records it stands for would have counted to — a delete of each row
+    /// the store holds, a set of each of its properties and a put of each of
+    /// its datasets — and written as the snapshot (tmp, fsync, rename,
+    /// directory sync). The rename is the commit point: a crash before it
+    /// recovers the store as it was, a crash after it exactly `other`, and
+    /// no old record can replay over it, because the fold emptied the log.
+    /// Only once the write has succeeded does the store hold the new
+    /// snapshot's rows. Nothing is logged, and no feature is cloned.
     pub fn replace_with(&mut self, other: &Catalog) -> Result<()> {
         if self.unfolded > 0 {
             self.checkpoint()?;
         }
         let timer = Stopwatch::start_if(metamess_telemetry::enabled());
-        let generation = self.generation + 1 + (other.properties().len() + other.len()) as u64;
+        let records = self.rows.len() + other.properties().len() + other.len();
+        let generation = self.generation + records as u64;
         let snapshot = Arc::new(catalog_image(other, generation));
         write_payload_with(self.vfs.as_ref(), &self.dir.join("snapshot.bin"), snapshot.payload())?;
         self.rows = snapshot.rows().map(|row| (row.id(), row)).collect();
@@ -915,7 +909,8 @@ mod tests {
         assert_eq!((report.snapshot_loaded, report.wal_mutations), (true, 0));
         assert!(s.catalog().iter().eq(src.iter()));
         assert_eq!(s.catalog().properties(), src.properties());
-        // two stale records, then what a Clear, one property and two puts count
+        // two stale records, then what a delete of the stale row, one
+        // property and two puts count
         assert_eq!(s.catalog().generation(), 2 + 1 + 1 + 2);
     }
 

@@ -1,6 +1,6 @@
 //! Point-in-time catalog snapshots.
 //!
-//! Layout: `MMSNAP02` magic, u32 payload length, u32 CRC-32, payload (the
+//! Layout: `MMSNAP03` magic, u32 payload length, u32 CRC-32, payload (the
 //! framing shared with the run ledger — see `frame.rs`); the payload is the
 //! binary catalog encoding of [`codec`](super::codec). Snapshots are
 //! written to a temporary file, fsynced, then atomically renamed into place
@@ -13,11 +13,9 @@ use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use std::path::Path;
 
-/// The eight magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP02";
-/// What format 1 (JSON payloads) opened a snapshot with. Recognised only to
-/// be refused by name: such a file is whole, so it must not read as damage.
-const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"MMSNAP01";
+/// The eight magic bytes opening every snapshot file. Its last digit is the
+/// format.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP03";
 
 /// What a snapshot file holds around its catalog: what `fsck` reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +52,8 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<Catalog>> {
 
 /// Reads a snapshot through an explicit [`Vfs`]. Returns `Ok(None)` when
 /// the file does not exist, `Err(Corrupt)` when it exists but fails
-/// verification, and `Err(UnsupportedFormat)` for a format 1 file.
+/// verification, and `Err(UnsupportedFormat)` for a file of an older
+/// format.
 pub fn read_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Option<Catalog>> {
     Ok(read_image_with(vfs, path)?.map(|image| image.catalog()))
 }
@@ -80,9 +79,9 @@ pub(crate) fn read_image_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<O
     let framed = match read_framed(vfs, path, SNAPSHOT_MAGIC, "snapshot") {
         // Looked at again only once the read has failed, so the good path
         // reads the file once.
-        Err(e) if e.is_corrupt() && starts_with(vfs, path, SNAPSHOT_MAGIC_V1) => {
-            let file = format!("snapshot {}", path.display());
-            return Err(Error::unsupported_format(file, 1, FORMAT_VERSION));
+        Err(e) if e.is_corrupt() => {
+            let bytes = vfs.read(path).unwrap_or_default();
+            return Err(older_format("snapshot", path, &bytes, SNAPSHOT_MAGIC).unwrap_or(e));
         }
         read => read?,
     };
@@ -99,9 +98,20 @@ pub(crate) fn read_image_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<O
     Ok(Some(image))
 }
 
-/// Whether the file at `path` opens with `magic`.
-pub(crate) fn starts_with(vfs: &dyn Vfs, path: &Path, magic: &[u8; 8]) -> bool {
-    vfs.read(path).is_ok_and(|bytes| bytes.starts_with(magic))
+/// The refusal of the `what` at `path`, which opens with `bytes`, when its
+/// magic is `magic` with the digit of an older format. Such a file is
+/// recognised only to be refused by name: it is whole, so it must not read
+/// as damage.
+pub(crate) fn older_format(
+    what: &str,
+    path: &Path,
+    bytes: &[u8],
+    magic: &[u8; 8],
+) -> Option<Error> {
+    let found = bytes.get(7)?.checked_sub(b'0')?;
+    (bytes.starts_with(&magic[..7]) && (1..FORMAT_VERSION).contains(&found)).then(|| {
+        Error::unsupported_format(format!("{what} {}", path.display()), found, FORMAT_VERSION)
+    })
 }
 
 #[cfg(test)]
@@ -154,8 +164,24 @@ mod tests {
         let p = dir.join("snapshot.bin");
         fs::write(&p, crate::store::codec::tests::format_1_snapshot()).unwrap();
         let e = read_snapshot(&p).unwrap_err();
-        assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 2, .. }), "{e}");
+        assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 3, .. }), "{e}");
         assert!(!e.is_corrupt());
+    }
+
+    #[test]
+    fn format_2_is_refused_by_name_not_as_damage() {
+        let dir = tmpdir("v2");
+        let p = dir.join("snapshot.bin");
+        let file = crate::store::codec::tests::format_2_snapshot();
+        fs::write(&p, &file).unwrap();
+        let e = read_snapshot(&p).unwrap_err();
+        assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 3, .. }), "{e}");
+        assert!(!e.is_corrupt());
+        assert!(e.to_string().contains("store format 2; re-wrangle, this build reads format 3"));
+        assert_eq!(fs::read(&p).unwrap(), file);
+        // a digit that names no older format is damage
+        fs::write(&p, [&b"MMSNAP09"[..], &file[8..]].concat()).unwrap();
+        assert!(read_snapshot(&p).unwrap_err().is_corrupt());
     }
 
     #[test]

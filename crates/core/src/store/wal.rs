@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! file   := MAGIC record*
-//! MAGIC  := b"MMWAL002"                       (8 bytes)
+//! MAGIC  := b"MMWAL003"                       (8 bytes)
 //! record := len:u32 crc:u32 payload:[u8; len]
 //! ```
 //!
@@ -18,18 +18,17 @@
 //! policy: [`DurableCatalog::open`](super::DurableCatalog::open), the one
 //! writer, truncates the log to the valid prefix; every reader serves the
 //! prefix and leaves the file alone. Only a bad magic is
-//! [`Error::Corrupt`], and the magic of format 1 (JSON payloads) is not
-//! damage at all but [`Error::UnsupportedFormat`]: the log is left where it
-//! is.
+//! [`Error::Corrupt`], and the magic of an older format is not damage at
+//! all but [`Error::UnsupportedFormat`]: the log is left where it is.
 //!
 //! All file I/O flows through a [`Vfs`], so the same code path can run
 //! against the real file system or the fault-injecting
 //! [`FaultVfs`](super::FaultVfs) used by the crash-torture suite.
 
-use super::codec::{decode_mutation, encode_mutation, FORMAT_VERSION};
+use super::codec::{decode_mutation, encode_mutation};
 use super::crc::crc32;
 use super::metrics::store_metrics;
-use super::snapshot::starts_with;
+use super::snapshot::older_format;
 use super::vfs::{std_vfs, Vfs, VfsFile};
 use crate::catalog::Mutation;
 use crate::error::{Error, IoContext, Result};
@@ -37,10 +36,9 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The eight magic bytes opening every WAL file.
-pub const WAL_MAGIC: &[u8; 8] = b"MMWAL002";
-/// What format 1 opened a log with; recognised only to be refused by name.
-const WAL_MAGIC_V1: &[u8; 8] = b"MMWAL001";
+/// The eight magic bytes opening every WAL file. Its last digit is the
+/// format.
+pub const WAL_MAGIC: &[u8; 8] = b"MMWAL003";
 /// Refuse to read a single record larger than this (corruption guard).
 const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
@@ -84,10 +82,6 @@ pub struct Wal {
     scratch: Vec<u8>,
 }
 
-fn format_1(path: &Path) -> Error {
-    Error::unsupported_format(format!("wal {}", path.display()), 1, FORMAT_VERSION)
-}
-
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
@@ -118,11 +112,13 @@ impl Wal {
         if len == 0 {
             file.write_all(WAL_MAGIC).io_ctx("write wal magic")?;
             file.sync_all().io_ctx("sync wal magic")?;
-        } else if starts_with(vfs.as_ref(), &path, WAL_MAGIC_V1) {
-            // Format 2 records after a format 1 header would be read by
+        } else if let Some(e) =
+            vfs.read(&path).ok().and_then(|bytes| older_format("wal", &path, &bytes, WAL_MAGIC))
+        {
+            // Records of this format after an older header would be read by
             // neither build. (A `Vfs` reads whole files; a log is its eight
             // magic bytes after every checkpoint.)
-            return Err(format_1(&path));
+            return Err(e);
         }
         let writer = BufWriter::new(file);
         Ok(Wal { path, writer, appended: 0, sync_on_append, scratch: Vec::new() })
@@ -177,8 +173,8 @@ impl Wal {
             if bytes.is_empty() {
                 return Ok(TailRead::default());
             }
-            if bytes.starts_with(WAL_MAGIC_V1) {
-                return Err(format_1(path));
+            if let Some(e) = older_format("wal", path, &bytes, WAL_MAGIC) {
+                return Err(e);
             }
             if !bytes.starts_with(WAL_MAGIC) {
                 return Err(Error::corrupt(format!("wal {}: bad magic", path.display())));
@@ -332,7 +328,6 @@ mod tests {
             put("b.csv"),
             Mutation::Delete(crate::id::DatasetId::from_path("a.csv")),
             Mutation::SetProperty { key: "archive".into(), value: "sim".into() },
-            Mutation::Clear,
             // a summary that never saw a number (+inf/−inf) comes back equal
             Mutation::Put(Box::new(odd.clone())),
         ];
@@ -344,17 +339,17 @@ mod tests {
             for m in &written {
                 w.append(m).unwrap();
             }
-            assert_eq!(w.appended(), 7);
+            assert_eq!(w.appended(), 6);
         }
         let r = read_all(&wal);
         assert!(r.stopped_early.is_none());
-        assert_eq!(r.mutations[..6], written[..6]);
+        assert_eq!(r.mutations[..5], written[..5]);
         let (mut back, mut original) = (Vec::new(), Vec::new());
-        encode_mutation(&r.mutations[6], &mut back);
-        encode_mutation(&written[6], &mut original);
+        encode_mutation(&r.mutations[5], &mut back);
+        encode_mutation(&written[5], &mut original);
         assert_eq!(back, original);
         // every record carries its own string table: the last one decodes
-        // without the six before it
+        // without the five before it
         let last = r.new_offset - 8 - original.len() as u64;
         assert_eq!(Wal::read_tail(&wal, last).unwrap().mutations.len(), 1);
     }
@@ -363,17 +358,39 @@ mod tests {
     fn format_1_log_is_refused_by_name_and_never_appended_to() {
         let dir = tmpdir("v1");
         let wal = dir.join("wal.log");
-        let mut v1 = WAL_MAGIC_V1.to_vec();
+        let mut v1 = b"MMWAL001".to_vec();
         let payload = br#"{"Delete":7}"#;
         v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         v1.extend_from_slice(&crc32(payload).to_le_bytes());
         v1.extend_from_slice(payload);
         fs::write(&wal, &v1).unwrap();
         for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
-            assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 2, .. }), "{e}");
+            assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 3, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
         assert_eq!(fs::read(&wal).unwrap(), v1);
+    }
+
+    #[test]
+    fn format_2_log_is_refused_by_name_and_never_appended_to() {
+        let dir = tmpdir("v2");
+        let wal = dir.join("wal.log");
+        // a format 2 delete record: version 2, kind 2, no table, the id
+        let mut v2 = b"MMWAL002".to_vec();
+        let payload = [&[2u8, 2, 0][..], &7u64.to_le_bytes()].concat();
+        v2.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v2.extend_from_slice(&crc32(&payload).to_le_bytes());
+        v2.extend_from_slice(&payload);
+        fs::write(&wal, &v2).unwrap();
+        for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
+            assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 3, .. }), "{e}");
+            assert!(!e.is_corrupt());
+        }
+        assert_eq!(fs::read(&wal).unwrap(), v2);
+        // the bare magic a checkpoint leaves is refused alike
+        fs::write(&wal, b"MMWAL002").unwrap();
+        assert!(matches!(Wal::open(&wal, true).unwrap_err(), Error::UnsupportedFormat { .. }));
+        assert_eq!(fs::read(&wal).unwrap(), b"MMWAL002");
     }
 
     #[test]

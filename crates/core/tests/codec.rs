@@ -17,6 +17,12 @@
 //! [`put_image`], [`encode_rows_of`] — is never parsed, so
 //! `encoder_built_images_are_what_their_payloads_parse_to` holds each to
 //! what parsing its payload finds.
+//!
+//! A number is written as its short decimal when it has one and as its
+//! eight bits otherwise; `every_float_round_trips_and_has_one_encoding`
+//! holds the edges of both forms and `METAMESS_TORTURE_CASES` seeds of
+//! random ones to a bit-exact round trip through a put and a snapshot, to
+//! bytes that re-encode to themselves, and to no more than eight bytes.
 
 mod catalogs;
 mod common;
@@ -25,6 +31,7 @@ use catalogs::{archive_like, seeded_catalog};
 use common::{sweep, Rng};
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::{DatasetFeature, VariableFeature};
+use metamess_core::geo::GeoBBox;
 use metamess_core::id::DatasetId;
 use metamess_core::store::codec::{
     decode_catalog, decode_mutation, encode_catalog, encode_mutation, encode_rows_of, put_image,
@@ -299,6 +306,143 @@ fn encoder_built_images_are_what_their_payloads_parse_to() {
     parses_to_itself(&empty);
     let none = encode_rows_of(0, &BTreeMap::new(), std::iter::empty::<&Row>());
     assert_eq!(none.payload(), empty.payload());
+}
+
+/// Every form and edge the number encoding meets: both zeros, NaN payloads,
+/// ±inf, subnormals, `0.1 + 0.2`, a decimal at every scale with the largest
+/// mantissa that scale takes, and the bound of the decimal form with the
+/// `f64`s one ulp either side of it.
+fn edge_numbers() -> Vec<f64> {
+    let step = |v: f64, ulps: i64| f64::from_bits(v.to_bits().wrapping_add_signed(ulps));
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001), // signalling
+        f64::from_bits(0xfff8_dead_beef_0001), // negative, with a payload
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MIN_POSITIVE / 3.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        0.1 + 0.2,
+        0.3,
+        1e-8,
+        100_000_001.0,
+        1e15,
+        9_007_199_254_740_993.0,
+    ];
+    for (s, power) in POWERS.into_iter().enumerate() {
+        let largest = (10i64.pow(8 + s as u32) - 1) as f64;
+        edges.extend([3.0 / power, -1_234_567.0 / power, largest / power, -largest / power]);
+    }
+    for bound in [1e8, -1e8, 99_999_999.999_999_9] {
+        edges.extend([bound, step(bound, 1), step(bound, -1)]);
+    }
+    edges
+}
+
+/// `10^s` for each scale a decimal is written at.
+const POWERS: [f64; 8] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7];
+
+/// Random bit patterns, decimals at random scales, the `f64`s one ulp from
+/// them, and uniform draws like the archive's bbox corners.
+fn random_numbers(rng: &mut Rng) -> Vec<f64> {
+    rng.vec(8, 40, |rng| {
+        let s = rng.size(0, 8);
+        let bound = 10i64.pow(8 + s as u32);
+        let decimal = rng.range(-bound, bound + 1) as f64 / POWERS[s];
+        match rng.below(4) {
+            0 => f64::from_bits(rng.next()),
+            1 => decimal,
+            2 => f64::from_bits(decimal.to_bits().wrapping_add_signed(rng.range(-2, 3))),
+            _ => rng.float(-200.0, 200.0),
+        }
+    })
+}
+
+/// Two datasets holding four of the numbers each — as a box and a summary,
+/// and as a point — and the bits of every number each holds.
+fn holding(at: usize, [a, b, c, d]: [f64; 4]) -> [DatasetFeature; 2] {
+    let dataset = |path: String, bbox: GeoBBox| {
+        let mut f = DatasetFeature::new(path);
+        f.bbox = Some(bbox);
+        let mut v = VariableFeature::new("x");
+        (v.summary.min, v.summary.max, v.summary.mean) = (d, c, b);
+        f.variables.push(v);
+        f
+    };
+    [
+        dataset(format!("box{at}.csv"), GeoBBox { min_lat: a, max_lat: b, min_lon: c, max_lon: d }),
+        dataset(
+            format!("point{at}.csv"),
+            GeoBBox { min_lat: c, max_lat: c, min_lon: a, max_lon: a },
+        ),
+    ]
+}
+
+fn bits(f: &DatasetFeature) -> [u64; 7] {
+    let (b, s) = (f.bbox.unwrap(), &f.variables[0].summary);
+    [b.min_lat, b.max_lat, b.min_lon, b.max_lon, s.min, s.max, s.mean].map(f64::to_bits)
+}
+
+/// Holds every number of `numbers` to the encoding's contract: through a put
+/// and through a snapshot it comes back bit for bit, the bytes it comes back
+/// as encode to the bytes it was read from, and it takes no more bytes than
+/// the eight it took in format 2. Returns how many take fewer.
+fn round_trips(numbers: &[f64]) -> usize {
+    let mut catalog = Catalog::new();
+    for (at, window) in numbers.windows(4).enumerate() {
+        for f in holding(at, window.try_into().unwrap()) {
+            let record = put_record(&f);
+            let Mutation::Put(back) = decode_mutation(&record).unwrap() else { panic!("a put") };
+            assert_eq!(bits(&back), bits(&f), "{}: {window:?}", f.path);
+            assert_eq!(put_record(&back), record, "{}: {window:?}", f.path);
+            catalog.put(f);
+        }
+    }
+    let snapshot = encode_catalog(&catalog);
+    let (back, _) = decode_catalog(&snapshot).unwrap();
+    for (got, want) in back.iter().zip(catalog.iter()) {
+        assert_eq!(bits(got), bits(want), "{}", want.path);
+    }
+    assert_eq!(encode_catalog(&back), snapshot);
+    // read in place, trusting the parse
+    let image = Arc::new(Image::parse(snapshot).unwrap());
+    for (row, want) in image.rows().zip(catalog.iter()) {
+        assert_eq!(row.view().bbox().map(|b| b.min_lat.to_bits()), Some(bits(want)[0]));
+    }
+    let mut shorter = 0;
+    for &v in numbers {
+        let [mut written, _] = holding(0, [1.5, 2.5, 3.5, 4.5]);
+        let mut raw = written.clone();
+        written.variables[0].summary.min = v;
+        raw.variables[0].summary.min = f64::NAN;
+        let (written, raw) = (put_record(&written).len(), put_record(&raw).len());
+        assert!(written <= raw, "{v:e} takes {} bytes more than eight", written - raw);
+        shorter += usize::from(written < raw);
+    }
+    shorter
+}
+
+#[test]
+fn every_float_round_trips_and_has_one_encoding() {
+    let edges = edge_numbers();
+    // 0.0, 0.3, ±1e8, and 28 of the 32 at each scale: the largest
+    // mantissas of scales 6 and 7 take eight bytes as decimals too
+    assert_eq!(round_trips(&edges), 32);
+    let (mut shorter, mut all) = (0, 0);
+    sweep(cases(), |rng| {
+        let numbers = random_numbers(rng);
+        shorter += round_trips(&numbers);
+        all += numbers.len();
+    });
+    assert!(shorter > all / 5 && shorter < all / 2, "{shorter} of {all} took fewer bytes");
 }
 
 /// The size gate, without the benchmark: ROADMAP's ≤ 1000 B/dataset.

@@ -185,18 +185,15 @@ impl ShardedEngine {
     /// vocabulary, layout and result cache, the generation advanced by one
     /// per mutation (where a catalog applying them lands). The puts are
     /// encoded into one new image; every row the mutations leave alone is
-    /// *shared* with this engine, image and all, and never decoded. `None`
-    /// when a `Clear` is among them: nothing would be shared, so the caller
-    /// may as well build from the store.
-    pub fn successor(&self, mutations: &[Mutation]) -> Option<ShardedEngine> {
-        let mut puts = Vec::new();
-        for m in mutations {
-            match m {
-                Mutation::Put(f) => puts.push(&**f),
-                Mutation::Clear => return None,
-                Mutation::Delete(_) | Mutation::SetProperty { .. } => {}
-            }
-        }
+    /// *shared* with this engine, image and all, and never decoded.
+    pub fn successor(&self, mutations: &[Mutation]) -> ShardedEngine {
+        let puts: Vec<&DatasetFeature> = mutations
+            .iter()
+            .filter_map(|m| match m {
+                Mutation::Put(f) => Some(&**f),
+                Mutation::Delete(_) | Mutation::SetProperty { .. } => None,
+            })
+            .collect();
         let image = Arc::new(Image::encode(&puts));
         let mut fresh = image.rows();
         let mut rows: BTreeMap<DatasetId, Row> =
@@ -209,7 +206,7 @@ impl ShardedEngine {
                 Mutation::Delete(id) => {
                     rows.remove(id);
                 }
-                Mutation::SetProperty { .. } | Mutation::Clear => {}
+                Mutation::SetProperty { .. } => {}
             }
         }
         let mut next = ShardedEngine::from_rows(
@@ -220,7 +217,7 @@ impl ShardedEngine {
         )
         .with_shared_cache(Arc::clone(&self.cache));
         next.use_indexes = self.use_indexes;
-        Some(next)
+        next
     }
 
     /// Every indexed dataset, still encoded, shard by shard.

@@ -84,7 +84,7 @@ fn a_successor_shares_what_the_delta_left_alone_and_answers_like_a_rebuild() {
                 let spec = ShardSpec::new(shards, partitioner);
                 let what = format!("seed {seed}, {shards} {partitioner:?} shards");
                 let engine = SearchEngine::build_sharded(&before, vocab.clone(), spec);
-                let next = engine.successor(&mutations).expect("no Clear among them");
+                let next = engine.successor(&mutations);
                 assert_eq!(next.generation(), after.generation(), "{what}");
                 assert_eq!(next.len(), after.len(), "{what}");
                 assert!(Arc::ptr_eq(next.cache(), engine.cache()), "{what}: the cache moves on");
@@ -113,7 +113,7 @@ fn a_successor_shares_what_the_delta_left_alone_and_answers_like_a_rebuild() {
         }
         // Once the engine it came from is gone, a successor's rows are the
         // only holders of the images they are read from.
-        let next = SearchEngine::build(&before, vocab.clone()).successor(&mutations).unwrap();
+        let next = SearchEngine::build(&before, vocab.clone()).successor(&mutations);
         assert!(sole_holders(next.rows()), "seed {seed}");
     }
     assert!(shared > 1000, "the sweep shared next to nothing: {shared}");
@@ -173,7 +173,7 @@ fn browse_menus_count_what_the_reference_counts() {
             let spec = ShardSpec::new(shards, PARTITIONERS[seed as usize % 3]);
             let engine = SearchEngine::build_sharded(&before, vocab.clone(), spec);
             assert_eq!(engine.browse(), want_before, "{what}");
-            let next = engine.successor(&mutations).expect("no Clear among them");
+            let next = engine.successor(&mutations);
             assert_eq!(next.browse(), want_after, "{what}, after the delta");
         }
         for node in want_before.iter().flat_map(|t| &t.roots).flat_map(|r| r.iter()) {

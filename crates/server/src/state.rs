@@ -36,8 +36,7 @@
 //! generation is the mutation count. No row is decoded for it, and the
 //! result cache is left to the generation stamp as on any other swap.
 //! Anything else — snapshot replaced (compaction), vocabulary changed, WAL
-//! reset, a `Clear` mutation — and every forced reload reads the store
-//! afresh.
+//! reset — and every forced reload reads the store afresh.
 
 use crate::metrics;
 use metamess_core::store::{lock_path, read_published, StoreLock, Wal};
@@ -378,9 +377,8 @@ impl ServeState {
         }
         // Only the WAL grew: the records past the stored offset. A tail
         // that cannot be read from there (offset beyond the file, bad
-        // magic) means the log was reset or replaced underneath us, and a
-        // delta with no successor is a `Clear`, after which nothing would
-        // be shared: both are read afresh below.
+        // magic) means the log was reset or replaced underneath us: the
+        // store is read afresh below.
         let tail = if !force && at.signature.only_wal_grew(&observed) {
             Wal::read_tail(self.store_dir.join("catalog").join("wal.log"), at.wal_offset).ok()
         } else {
@@ -395,7 +393,7 @@ impl ServeState {
             return Ok(ReloadOutcome::Unchanged { generation: from });
         }
         let started = std::time::Instant::now();
-        let delta = tail.and_then(|tail| Some((previous.engine.successor(&tail.mutations)?, tail)));
+        let delta = tail.map(|tail| (previous.engine.successor(&tail.mutations), tail));
         let epoch = previous.epoch + 1;
         let (next, wal_offset, outcome) = match delta {
             Some((engine, tail)) => {

@@ -40,7 +40,9 @@ echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites 
 # Recovery after an injected fault is the acknowledged prefix; a crash
 # inside a watch publish (apply, one flush, compaction) leaves the acked
 # prefix, and compaction mid-fault never loses acked data. Damaged store payloads decode or are
-# refused as corrupt: no panic, no allocation on an unchecked count. An
+# refused as corrupt: no panic, no allocation on an unchecked count. Every
+# f64, which a row writes as its short decimal when it has one and as its
+# eight bits otherwise, comes back bit for bit and has one encoding. An
 # image the encoder builds is what parsing its payload finds; the writer's
 # checkpoint writes the decoded catalog's bytes, and its row-wise diff is
 # the decoded catalog's diff.

@@ -5,11 +5,11 @@
 //! a `metamess` store directory is laid out:
 //!
 //! ```text
-//! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP02)
-//! <store>/catalog/wal.log           catalog WAL (MMWAL002)
+//! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP03)
+//! <store>/catalog/wal.log           catalog WAL (MMWAL003)
 //! <store>/vocabulary.json           published vocabulary (JSON)
-//! <store>/state/working.bin         pipeline working catalog (MMSNAP02)
-//! <store>/state/published.bin       pipeline published catalog (MMSNAP02)
+//! <store>/state/working.bin         pipeline working catalog (MMSNAP03)
+//! <store>/state/published.bin       pipeline published catalog (MMSNAP03)
 //! <store>/state/ledger.bin          run ledger (MMLEDG01)
 //! <store>/state/vocabulary.json     pipeline vocabulary (JSON)
 //! <store>/state/curation.json       curation side-state (JSON)
