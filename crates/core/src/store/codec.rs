@@ -2,10 +2,14 @@
 //! WAL record (`DESIGN.md § Durability` has the grammar).
 //!
 //! ```text
-//! payload  := version:u8 kind:u8 table body
-//! table    := count:varint (len:varint utf8)*        strings, first-seen order
-//! catalog  := generation:varint  count:varint (key:str value:str)*  count:varint row*
-//! put      := row        delete := id:u64le        set-property := key:str value:str
+//! payload     := version:u8 kind:u8 table descriptors body
+//! table       := count:varint (len:varint utf8)*     strings, first-use order
+//! descriptors := count:varint descriptor*            first-use order, no two alike
+//! descriptor  := name:ref present:u8 curation:u8 method:ref? canonical:ref? unit:ref?
+//!                canonical_unit:ref? context:ref? count:varint level:ref*
+//! catalog     := generation:varint  count:varint (key:str value:str)*  count:varint row*
+//! put         := row        delete := id:u64le        set-property := key:str value:str
+//! variable    := descriptor:varint decimals:u8 n:varint min max mean m2 nulls:varint total:varint
 //! ```
 //!
 //! Counts, lengths and table references are LEB128 varints. A number — a
@@ -20,14 +24,19 @@
 //! that repeat across a curated catalog — variable names, canonical names,
 //! units, contexts, hierarchy levels, source, format, external keys and
 //! values — are written once, in the table, and referenced by index; `path`
-//! and `title` belong to one dataset and are written in place. The table is
-//! ordered by first use, never by hash order, so one catalog always encodes
-//! to the same bytes. A WAL record carries its own small table and is
-//! decodable on its own, from any [`Wal::read_tail`](super::Wal::read_tail)
-//! offset.
+//! and `title` belong to one dataset and are written in place. What
+//! describes a variable — its name, curation, units, context and hierarchy
+//! — repeats too: each distinct descriptor is written once, in the
+//! descriptor table, and a variable refers to it by number, so variables of
+//! one payload with one descriptor number are alike in all of it. Both
+//! tables are ordered by first use, never by hash order, so one catalog
+//! always encodes to the same bytes. A WAL record carries its own small
+//! tables and is decodable on its own, from any
+//! [`Wal::read_tail`](super::Wal::read_tail) offset.
 //!
 //! A payload that holds rows — a snapshot, or a WAL put — is kept as an
-//! [`Image`]: its bytes, its string table and where each row starts. A
+//! [`Image`]: its bytes, its string table, where each descriptor and each
+//! row starts. A
 //! [`Row`] is a shared image and a row number; its [`RowView`] reads the
 //! fields a search engine needs in place, without allocating, and
 //! [`Row::decode`] builds the owned [`DatasetFeature`] for the callers that
@@ -38,14 +47,16 @@
 //!
 //! An image is checked in full when it is parsed, and the checks trust
 //! nothing: every count is bounded by the bytes that remain before anything
-//! is allocated for it, every reference by the table, every tag by its known
-//! bits, every number by the form its writer would have chosen, and a
-//! payload must be consumed exactly, so one catalog has one encoding. All
+//! is allocated for it, every reference by its table, every tag by its known
+//! bits, every number by the form its writer would have chosen, every
+//! descriptor by the earlier ones (none repeats, and each is first used in
+//! table order), and a payload must be consumed exactly, so one catalog has
+//! one encoding. All
 //! failures are [`Error::Corrupt`]. Reading a parsed image again checks
 //! nothing and cannot fail. Bytes this
 //! module has just encoded are not parsed: [`Image::encode`], [`put_image`],
 //! [`encode_rows_of`] and the publish's `catalog_image` build the image from
-//! the encoder's own table and row starts.
+//! the encoder's own tables and row starts.
 
 use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, Result};
@@ -59,7 +70,7 @@ use std::sync::Arc;
 
 /// The format generation this module writes and reads: the digit the
 /// snapshot and WAL magics end in, and the first byte of every payload.
-pub const FORMAT_VERSION: u8 = 3;
+pub const FORMAT_VERSION: u8 = 4;
 
 const KIND_CATALOG: u8 = 0;
 const KIND_PUT: u8 = 1;
@@ -73,8 +84,8 @@ const HAS_TIME: u8 = 1 << 2;
 /// The bbox's corners meet: only its latitude and longitude are written.
 const POINT: u8 = 1 << 3;
 
-// In the dataset tag and the variable presence tag, bit 4 + i is set when
-// the i-th number the row or variable writes is a decimal.
+// In the dataset tag and the variable's decimals byte, bit 4 + i is set
+// when the i-th number the row or variable writes is a decimal.
 const FIRST_DECIMAL: u8 = 1 << 4;
 const DECIMALS: u8 = 0xf0;
 
@@ -94,13 +105,13 @@ const MANTISSA_BOUND: [u64; 8] = [
     1_000_000_000_000_000,
 ];
 
-// Variable presence tag: which optional strings follow.
+// Descriptor presence tag: which optional strings follow.
 const HAS_CANONICAL: u8 = 1;
 const HAS_UNIT: u8 = 1 << 1;
 const HAS_CANONICAL_UNIT: u8 = 1 << 2;
 const HAS_CONTEXT: u8 = 1 << 3;
 
-// Variable curation tag: the resolution in the low three bits, then the
+// Descriptor curation tag: the resolution in the low three bits, then the
 // flags and `unit_normalized`.
 const RESOLUTION_MASK: u8 = 0b111;
 const RESOLUTION_DISCOVERED: u8 = 3;
@@ -109,12 +120,13 @@ const FLAG_AMBIGUOUS: u8 = 1 << 4;
 const FLAG_HIDDEN: u8 = 1 << 5;
 const UNIT_NORMALIZED: u8 = 1 << 6;
 
-/// The fewest bytes a row, a variable, a string pair and a table entry can
-/// take: what bounds a count read from the payload.
+/// The fewest bytes a row, a variable, a string pair, a table entry and a
+/// descriptor can take: what bounds a count read from the payload.
 const MIN_ROW: usize = 25;
-const MIN_VARIABLE: usize = 11;
+const MIN_VARIABLE: usize = 9;
 const MIN_PAIR: usize = 2;
 const MIN_ENTRY: usize = 1;
+const MIN_DESCRIPTOR: usize = 4;
 
 /// Table entries an encoder finds by scanning before it builds an index.
 const SCANNED_TABLE: usize = 32;
@@ -177,11 +189,17 @@ pub fn encode_rows_of<'a>(
 ) -> Image {
     /// Hands a row's lists on to the encoder. The external pairs are held
     /// until the variable count arrives, because their own count goes first.
-    struct Transcode<'e, 'a> {
-        e: &'e mut Encoder<'a>,
-        external: &'e mut Vec<(&'a str, &'a str)>,
+    /// A descriptor of a source image is entered once and renumbered by its
+    /// number after that: the new number of each one met so far is kept,
+    /// by the address of its image, which every row borrowed here keeps
+    /// alive.
+    struct Transcode<'a> {
+        e: Encoder<'a>,
+        external: Vec<(&'a str, &'a str)>,
+        image: *const Image,
+        renumbered: HashMap<(*const Image, u32), u64>,
     }
-    impl<'a> RowSink<'a> for Transcode<'_, 'a> {
+    impl<'a> RowSink<'a> for Transcode<'a> {
         fn external(&mut self, key: &'a str, value: &'a str) {
             self.external.push((key, value));
         }
@@ -189,20 +207,28 @@ pub fn encode_rows_of<'a>(
             self.e.externals(self.external.drain(..));
             self.e.varint(count as u64);
         }
-        fn variable(&mut self, v: Var<'a>) {
-            self.e.variable(&v);
+        fn variable(&mut self, descriptor: u32, v: Var<'a>) {
+            let e = &mut self.e;
+            let renumbered = self.renumbered.entry((self.image, descriptor));
+            let number = *renumbered.or_insert_with(|| e.descriptor(&v.descriptor));
+            e.numbered_variable(number, &v);
         }
     }
-    let mut e = Encoder::new(Vec::new(), 1024);
-    e.catalog_head(generation, properties, rows.len());
-    let mut external = Vec::new();
+    let mut t = Transcode {
+        e: Encoder::new(Vec::new(), 1024),
+        external: Vec::new(),
+        image: std::ptr::null(),
+        renumbered: HashMap::new(),
+    };
+    t.e.catalog_head(generation, properties, rows.len());
     for row in rows {
         let view = row.view();
-        e.head(&view.head);
+        t.e.head(&view.head);
+        t.image = Arc::as_ptr(row.image());
         let mut rest = view.rest;
-        rest.lists(&mut Transcode { e: &mut e, external: &mut external }).expect(CHECKED);
+        rest.lists(&mut t).expect(CHECKED);
     }
-    e.finish_image(KIND_CATALOG, generation, properties.clone())
+    t.e.finish_image(KIND_CATALOG, generation, properties.clone())
 }
 
 /// Encodes `f` as an image of one row whose payload is the WAL put record
@@ -265,12 +291,12 @@ pub(crate) enum Record {
 
 /// Parses one WAL record's payload.
 pub(crate) fn parse_record(payload: &[u8]) -> Result<Record> {
-    let (kind, table, body) = header(payload)?;
+    let Header { kind, table, descriptors, body } = header(payload)?;
     if kind == KIND_PUT {
-        let image = Image::with_body(payload.to_vec(), 0, kind, table, body)?;
+        let image = Image::with_body(payload.to_vec(), 0, kind, table, descriptors, body)?;
         return Ok(Record::Put(image.into_row()));
     }
-    let mut d = Decoder { bytes: payload, pos: body, table: &table, parsing: true };
+    let mut d = Decoder::parsing(payload, body, &table, &descriptors);
     let record = match kind {
         KIND_DELETE => Record::Delete(DatasetId(d.u64_le()?)),
         KIND_SET_PROPERTY => {
@@ -293,6 +319,8 @@ pub struct Image {
     bytes: Vec<u8>,
     start: usize,
     table: Table,
+    /// Where each variable descriptor starts in the payload.
+    descriptors: Vec<usize>,
     /// Where each row starts in the payload, then where the last one ends.
     rows: Vec<usize>,
     generation: u64,
@@ -302,11 +330,11 @@ pub struct Image {
 impl Image {
     /// Parses a snapshot payload or a WAL put record, checking all of it.
     pub fn parse(payload: Vec<u8>) -> Result<Image> {
-        let (kind, table, body) = header(&payload)?;
+        let Header { kind, table, descriptors, body } = header(&payload)?;
         if kind != KIND_CATALOG && kind != KIND_PUT {
             return Err(Error::corrupt(format!("payload kind {kind} holds no rows")));
         }
-        Image::with_body(payload, 0, kind, table, body)
+        Image::with_body(payload, 0, kind, table, descriptors, body)
     }
 
     /// Encodes `features` as the rows of one image, in the order given: how
@@ -322,11 +350,11 @@ impl Image {
 
     /// Parses the snapshot payload `bytes[start..]`.
     pub(crate) fn catalog_at(bytes: Vec<u8>, start: usize) -> Result<Image> {
-        let (kind, table, body) = header(&bytes[start..])?;
+        let Header { kind, table, descriptors, body } = header(&bytes[start..])?;
         if kind != KIND_CATALOG {
             return Err(Error::corrupt(format!("payload kind {kind} is not a catalog")));
         }
-        Image::with_body(bytes, start, kind, table, body)
+        Image::with_body(bytes, start, kind, table, descriptors, body)
     }
 
     /// Reads the body of a catalog or put payload whose header has been
@@ -336,10 +364,11 @@ impl Image {
         start: usize,
         kind: u8,
         table: Table,
+        descriptors: Vec<usize>,
         body: usize,
     ) -> Result<Image> {
         let (rows, generation, properties) = {
-            let mut d = Decoder { bytes: &bytes[start..], pos: body, table: &table, parsing: true };
+            let mut d = Decoder::parsing(&bytes[start..], body, &table, &descriptors);
             let (generation, properties, count) = if kind == KIND_CATALOG {
                 let generation = d.varint()?;
                 let mut properties = BTreeMap::new();
@@ -363,7 +392,7 @@ impl Image {
             d.finish()?;
             (rows, generation, properties)
         };
-        Ok(Image { bytes, start, table, rows, generation, properties })
+        Ok(Image { bytes, start, table, descriptors, rows, generation, properties })
     }
 
     /// Rows in the image.
@@ -396,6 +425,12 @@ impl Image {
         self.table.ends.len()
     }
 
+    /// Entries in the payload's descriptor table: one past the largest
+    /// [`SearchableVariable::descriptor`] a row of the image hands out.
+    pub fn descriptors(&self) -> usize {
+        self.descriptors.len()
+    }
+
     /// The payload, as encoded.
     pub fn payload(&self) -> &[u8] {
         &self.bytes[self.start..]
@@ -419,7 +454,9 @@ impl Image {
             bytes: self.payload(),
             pos: self.rows[ix],
             table: &self.table,
+            descriptors: &self.descriptors,
             parsing: false,
+            used: 0,
         };
         RowView { head: d.head().expect(CHECKED), rest: d }
     }
@@ -431,6 +468,7 @@ impl std::fmt::Debug for Image {
             .field("rows", &self.len())
             .field("payload_bytes", &self.payload().len())
             .field("table_entries", &self.table_entries())
+            .field("descriptors", &self.descriptors())
             .finish()
     }
 }
@@ -490,6 +528,10 @@ pub struct SearchableVariable<'a> {
     pub search_name: &'a str,
     /// `(min, max)` of the values seen, when any were numbers.
     pub value_range: Option<(f64, f64)>,
+    /// The number of the variable's descriptor in its row's image, below
+    /// [`Image::descriptors`]: variables of one image with one number have
+    /// one name and one search name.
+    pub descriptor: u32,
 }
 
 impl<'a> RowView<'a> {
@@ -529,12 +571,14 @@ impl<'a> RowView<'a> {
     pub fn searchable_variables(&self, each: impl FnMut(SearchableVariable<'a>)) {
         struct Searchable<F>(F);
         impl<'a, F: FnMut(SearchableVariable<'a>)> RowSink<'a> for Searchable<F> {
-            fn variable(&mut self, v: Var<'a>) {
-                if v.curation & (FLAG_QA | FLAG_HIDDEN) == 0 {
+            fn variable(&mut self, descriptor: u32, v: Var<'a>) {
+                let d = &v.descriptor;
+                if d.curation & (FLAG_QA | FLAG_HIDDEN) == 0 {
                     (self.0)(SearchableVariable {
-                        name: v.name,
-                        search_name: v.canonical.unwrap_or(v.name),
+                        name: d.name,
+                        search_name: d.canonical.unwrap_or(d.name),
                         value_range: v.summary.range(),
+                        descriptor,
                     });
                 }
             }
@@ -561,7 +605,7 @@ impl<'a> RowView<'a> {
             fn variables(&mut self, count: usize) {
                 self.same &= self.external.next().is_none() && count == self.variables.len();
             }
-            fn variable(&mut self, v: Var<'a>) {
+            fn variable(&mut self, _descriptor: u32, v: Var<'a>) {
                 self.same &= self.variables.next().is_some_and(|want| v == Var::of(want));
             }
         }
@@ -589,7 +633,7 @@ impl<'a> RowView<'a> {
             fn variables(&mut self, count: usize) {
                 self.variables.reserve_exact(count);
             }
-            fn variable(&mut self, v: Var<'a>) {
+            fn variable(&mut self, _descriptor: u32, v: Var<'a>) {
                 self.variables.push(v.to_feature());
             }
         }
@@ -617,14 +661,21 @@ impl<'a> RowView<'a> {
     }
 }
 
-/// Writes a body while collecting the strings it references and noting
-/// where each row starts; `finish` puts header and table in front.
+/// Writes a body while collecting the strings and the descriptors it
+/// references and noting where each row starts; `finish` puts header and
+/// tables in front.
 struct Encoder<'a> {
     out: Vec<u8>,
     table: Vec<&'a str>,
     /// Looked up, never iterated: the table's order is `table`'s. Empty
     /// until the table is too long to scan.
     index: HashMap<&'a str, u64>,
+    /// Each distinct descriptor written so far, encoded, back to back.
+    descriptors: Vec<u8>,
+    /// Where each of them starts in `descriptors`.
+    descriptor_starts: Vec<usize>,
+    /// Each of them by what it holds, borrowed: looked up, never iterated.
+    descriptor_numbers: HashMap<Descriptor<'a>, u64>,
     /// Where each row written so far starts in the body.
     rows: Vec<usize>,
 }
@@ -632,7 +683,15 @@ struct Encoder<'a> {
 impl<'a> Encoder<'a> {
     fn new(mut out: Vec<u8>, strings: usize) -> Encoder<'a> {
         out.clear();
-        Encoder { out, table: Vec::with_capacity(strings), index: HashMap::new(), rows: Vec::new() }
+        Encoder {
+            out,
+            table: Vec::with_capacity(strings),
+            index: HashMap::new(),
+            descriptors: Vec::new(),
+            descriptor_starts: Vec::new(),
+            descriptor_numbers: HashMap::new(),
+            rows: Vec::new(),
+        }
     }
 
     /// The payload: header and table, then the body.
@@ -641,8 +700,8 @@ impl<'a> Encoder<'a> {
         self.out
     }
 
-    /// The payload kept as the image of the rows written, with the table and
-    /// the row starts the encoder collected: what [`Image::parse`] would
+    /// The payload kept as the image of the rows written, with the tables
+    /// and the row starts the encoder collected: what [`Image::parse`] would
     /// find in it, found without reading it again.
     fn finish_image(
         mut self,
@@ -659,19 +718,24 @@ impl<'a> Encoder<'a> {
             table.ends.push(table.text.len());
         }
         let head = self.seal(kind);
+        let mut descriptors = std::mem::take(&mut self.descriptor_starts);
+        let descriptors_at = head - self.descriptors.len();
+        for start in &mut descriptors {
+            *start += descriptors_at;
+        }
         let mut rows = std::mem::take(&mut self.rows);
         for start in &mut rows {
             *start += head;
         }
         rows.push(self.out.len());
-        Image { bytes: self.out, start: 0, table, rows, generation, properties }
+        Image { bytes: self.out, start: 0, table, descriptors, rows, generation, properties }
     }
 
-    /// Puts header and table in front of the body and returns how many
-    /// bytes they take. The table is complete only once the body is
-    /// written, and has to come first for decoding to be one forward pass:
-    /// it is appended, then the buffer is rotated, which needs no second
-    /// buffer and no offsets.
+    /// Puts header and tables in front of the body and returns how many
+    /// bytes they take; the descriptor table is the last of them. The
+    /// tables are complete only once the body is written, and have to come
+    /// first for decoding to be one forward pass: they are appended, then
+    /// the buffer is rotated, which needs no second buffer and no offsets.
     fn seal(&mut self, kind: u8) -> usize {
         let body = self.out.len();
         self.out.extend_from_slice(&[FORMAT_VERSION, kind]);
@@ -679,6 +743,8 @@ impl<'a> Encoder<'a> {
         for s in std::mem::take(&mut self.table) {
             self.str(s);
         }
+        self.varint(self.descriptor_starts.len() as u64);
+        self.out.extend_from_slice(&self.descriptors);
         self.out.rotate_left(body);
         self.out.len() - body
     }
@@ -793,33 +859,56 @@ impl<'a> Encoder<'a> {
     }
 
     fn variable(&mut self, v: &Var<'a>) {
-        self.text(v.name);
-        let optional = [
-            (v.canonical, HAS_CANONICAL),
-            (v.unit, HAS_UNIT),
-            (v.canonical_unit, HAS_CANONICAL_UNIT),
-            (v.context, HAS_CONTEXT),
-        ];
+        let descriptor = self.descriptor(&v.descriptor);
+        self.numbered_variable(descriptor, v);
+    }
+
+    /// A variable whose descriptor has the number `descriptor`.
+    fn numbered_variable(&mut self, descriptor: u64, v: &Var<'a>) {
+        self.varint(descriptor);
         let s = &v.summary;
         let summary = Numbers::of(&[s.min, s.max, s.mean, s.m2]);
-        self.out.push(
-            optional.iter().fold(summary.decimals, |tags, (s, bit)| tags | tag(s.is_some(), *bit)),
-        );
-        self.out.push(v.curation);
-        if let Some(method) = v.method {
+        self.out.push(summary.decimals);
+        self.varint(s.count);
+        summary.write(self);
+        self.varint(v.null_count);
+        self.varint(v.total_count);
+    }
+
+    /// The number of descriptor `d`, entered into the descriptor table on
+    /// first use. It is looked up by its borrowed strings, so a variable
+    /// whose descriptor is not new allocates nothing and enters none of its
+    /// strings into the table again: they are there since its first use.
+    fn descriptor(&mut self, d: &Descriptor<'a>) -> u64 {
+        let next = self.descriptor_starts.len() as u64;
+        let number = *self.descriptor_numbers.entry(*d).or_insert(next);
+        if number < next {
+            return number;
+        }
+        // written with the body's routines, into the table's buffer
+        std::mem::swap(&mut self.out, &mut self.descriptors);
+        self.descriptor_starts.push(self.out.len());
+        self.text(d.name);
+        let optional = [
+            (d.canonical, HAS_CANONICAL),
+            (d.unit, HAS_UNIT),
+            (d.canonical_unit, HAS_CANONICAL_UNIT),
+            (d.context, HAS_CONTEXT),
+        ];
+        self.out.push(optional.iter().fold(0, |tags, (s, bit)| tags | tag(s.is_some(), *bit)));
+        self.out.push(d.curation);
+        if let Some(method) = d.method {
             self.text(method);
         }
         for s in optional.into_iter().filter_map(|(s, _)| s) {
             self.text(s);
         }
-        self.varint(v.levels.len() as u64);
-        for level in v.levels {
+        self.varint(d.levels.len() as u64);
+        for level in d.levels {
             self.text(level);
         }
-        self.varint(s.count);
-        summary.write(self);
-        self.varint(v.null_count);
-        self.varint(v.total_count);
+        std::mem::swap(&mut self.out, &mut self.descriptors);
+        number
     }
 }
 
@@ -919,10 +1008,22 @@ impl Table {
     }
 }
 
-/// Reads a payload's version, kind and string table; returns them with
-/// where the body starts.
-fn header(payload: &[u8]) -> Result<(u8, Table, usize)> {
-    let mut d = Decoder { bytes: payload, pos: 0, table: &Table::default(), parsing: true };
+/// What a payload holds before its body.
+struct Header {
+    kind: u8,
+    table: Table,
+    /// Where each descriptor starts in the payload.
+    descriptors: Vec<usize>,
+    /// Where the body starts.
+    body: usize,
+}
+
+/// Reads a payload's version, kind, string table and descriptor table,
+/// checking every descriptor: its references and tags, and that no two are
+/// alike. That each is used, first in table order, is the body's to show.
+fn header(payload: &[u8]) -> Result<Header> {
+    let no_strings = Table::default();
+    let mut d = Decoder::parsing(payload, 0, &no_strings, &[]);
     let version = d.u8()?;
     if version != FORMAT_VERSION {
         return Err(Error::corrupt(format!("payload format {version}, expected {FORMAT_VERSION}")));
@@ -934,7 +1035,26 @@ fn header(payload: &[u8]) -> Result<(u8, Table, usize)> {
         table.text.push_str(d.str()?);
         table.ends.push(table.text.len());
     }
-    Ok((kind, table, d.pos))
+    let mut d = Decoder::parsing(payload, d.pos, &table, &[]);
+    let count = d.count(MIN_DESCRIPTOR)?;
+    let mut descriptors = Vec::with_capacity(count);
+    for _ in 0..count {
+        descriptors.push(d.pos);
+        d.descriptor()?;
+    }
+    let body = d.pos;
+    let entry = |ix: usize| &payload[descriptors[ix]..descriptors.get(ix + 1).map_or(body, |&e| e)];
+    if count > 1 {
+        let mut order: Vec<usize> = (0..count).collect();
+        order.sort_unstable_by_key(|&ix| (entry(ix), ix));
+        if let Some(pair) = order.windows(2).find(|pair| entry(pair[0]) == entry(pair[1])) {
+            return Err(Error::corrupt(format!(
+                "descriptor {} at byte {} repeats descriptor {}",
+                pair[1], descriptors[pair[1]], pair[0]
+            )));
+        }
+    }
+    Ok(Header { kind, table, descriptors, body })
 }
 
 /// The fixed part of a row, borrowed from the payload and its table, or
@@ -975,9 +1095,20 @@ impl<'a> Head<'a> {
 
 /// One variable as a row holds it, or as a feature about to be encoded
 /// holds it. Equal variables are equal features.
+#[derive(PartialEq)]
 struct Var<'a> {
+    descriptor: Descriptor<'a>,
+    summary: NumericSummary,
+    null_count: u64,
+    total_count: u64,
+}
+
+/// What describes a variable, as its payload's descriptor table holds it:
+/// everything but the counts and the summary.
+#[derive(Clone, Copy)]
+struct Descriptor<'a> {
     name: &'a str,
-    /// The resolution, flags and `unit_normalized`, as the row's tag.
+    /// The resolution, flags and `unit_normalized`, as the table's tag.
     curation: u8,
     method: Option<&'a str>,
     canonical: Option<&'a str>,
@@ -985,13 +1116,11 @@ struct Var<'a> {
     canonical_unit: Option<&'a str>,
     context: Option<&'a str>,
     levels: Levels<'a>,
-    summary: NumericSummary,
-    null_count: u64,
-    total_count: u64,
 }
 
-/// A variable's hierarchy, one level at a time. In a row it is checked as it
-/// is passed over and read again only to decode or compare it.
+/// A variable's hierarchy, one level at a time. In a descriptor it is
+/// checked when the table is parsed and read again only to decode or
+/// compare it.
 #[derive(Clone, Copy)]
 enum Levels<'a> {
     /// Positioned at the first level, and how many there are.
@@ -1029,15 +1158,28 @@ impl<'a> Iterator for Levels<'a> {
 
 impl ExactSizeIterator for Levels<'_> {}
 
-impl PartialEq for Var<'_> {
+impl<'a> Descriptor<'a> {
+    /// Everything but the hierarchy levels.
+    fn fields(&self) -> (&'a str, u8, [Option<&'a str>; 5]) {
+        let optional = [self.method, self.canonical, self.unit, self.canonical_unit, self.context];
+        (self.name, self.curation, optional)
+    }
+}
+
+impl PartialEq for Descriptor<'_> {
     fn eq(&self, other: &Self) -> bool {
-        let fields = |v: &Self| {
-            (v.name, v.curation, v.method, v.canonical, v.unit, v.canonical_unit, v.context)
-        };
-        fields(self) == fields(other)
-            && self.levels.eq(other.levels)
-            && self.summary == other.summary
-            && (self.null_count, self.total_count) == (other.null_count, other.total_count)
+        self.fields() == other.fields() && self.levels.eq(other.levels)
+    }
+}
+
+impl Eq for Descriptor<'_> {}
+
+/// Hashes the name and the canonical name alone: they tell most
+/// descriptors apart, and equality compares the rest. Hashing every field
+/// would cost as much as entering each string into the table.
+impl std::hash::Hash for Descriptor<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self.name, self.canonical).hash(state);
     }
 }
 
@@ -1053,18 +1195,20 @@ impl<'a> Var<'a> {
             NameResolution::Curated => (4, None),
         };
         Var {
-            name: &v.name,
-            curation: resolution
-                | tag(v.flags.qa, FLAG_QA)
-                | tag(v.flags.ambiguous, FLAG_AMBIGUOUS)
-                | tag(v.flags.hidden, FLAG_HIDDEN)
-                | tag(v.unit_normalized, UNIT_NORMALIZED),
-            method,
-            canonical: v.canonical_name.as_deref(),
-            unit: v.unit.as_deref(),
-            canonical_unit: v.canonical_unit.as_deref(),
-            context: v.context.as_deref(),
-            levels: Levels::Owned(&v.hierarchy),
+            descriptor: Descriptor {
+                name: &v.name,
+                curation: resolution
+                    | tag(v.flags.qa, FLAG_QA)
+                    | tag(v.flags.ambiguous, FLAG_AMBIGUOUS)
+                    | tag(v.flags.hidden, FLAG_HIDDEN)
+                    | tag(v.unit_normalized, UNIT_NORMALIZED),
+                method,
+                canonical: v.canonical_name.as_deref(),
+                unit: v.unit.as_deref(),
+                canonical_unit: v.canonical_unit.as_deref(),
+                context: v.context.as_deref(),
+                levels: Levels::Owned(&v.hierarchy),
+            },
             summary: v.summary.clone(),
             null_count: v.null_count,
             total_count: v.total_count,
@@ -1072,31 +1216,32 @@ impl<'a> Var<'a> {
     }
 
     fn to_feature(&self) -> VariableFeature {
-        let resolution = match self.curation & RESOLUTION_MASK {
+        let d = &self.descriptor;
+        let resolution = match d.curation & RESOLUTION_MASK {
             0 => NameResolution::Unresolved,
             1 => NameResolution::AlreadyCanonical,
             2 => NameResolution::KnownTranslation,
             RESOLUTION_DISCOVERED => NameResolution::DiscoveredTranslation {
-                method: self.method.expect(CHECKED).to_owned(),
+                method: d.method.expect(CHECKED).to_owned(),
             },
             _ => NameResolution::Curated,
         };
         VariableFeature {
-            name: self.name.to_owned(),
-            canonical_name: self.canonical.map(str::to_owned),
+            name: d.name.to_owned(),
+            canonical_name: d.canonical.map(str::to_owned),
             resolution,
-            unit: self.unit.map(str::to_owned),
-            canonical_unit: self.canonical_unit.map(str::to_owned),
-            unit_normalized: self.curation & UNIT_NORMALIZED != 0,
-            context: self.context.map(str::to_owned),
-            hierarchy: self.levels.map(str::to_owned).collect(),
+            unit: d.unit.map(str::to_owned),
+            canonical_unit: d.canonical_unit.map(str::to_owned),
+            unit_normalized: d.curation & UNIT_NORMALIZED != 0,
+            context: d.context.map(str::to_owned),
+            hierarchy: d.levels.map(str::to_owned).collect(),
             summary: self.summary.clone(),
             null_count: self.null_count,
             total_count: self.total_count,
             flags: VariableFlags {
-                qa: self.curation & FLAG_QA != 0,
-                ambiguous: self.curation & FLAG_AMBIGUOUS != 0,
-                hidden: self.curation & FLAG_HIDDEN != 0,
+                qa: d.curation & FLAG_QA != 0,
+                ambiguous: d.curation & FLAG_AMBIGUOUS != 0,
+                hidden: d.curation & FLAG_HIDDEN != 0,
             },
         }
     }
@@ -1110,8 +1255,8 @@ trait RowSink<'a> {
     fn external(&mut self, _key: &'a str, _value: &'a str) {}
     /// How many variables follow.
     fn variables(&mut self, _count: usize) {}
-    /// One variable.
-    fn variable(&mut self, _var: Var<'a>) {}
+    /// One variable, and the number of its descriptor.
+    fn variable(&mut self, _descriptor: u32, _var: Var<'a>) {}
 }
 
 impl RowSink<'_> for () {}
@@ -1122,15 +1267,36 @@ struct Decoder<'a> {
     bytes: &'a [u8],
     pos: usize,
     table: &'a Table,
+    /// Where each descriptor starts in `bytes`.
+    descriptors: &'a [usize],
     /// Whether this is the parse, which also refuses a number in a form its
-    /// writer would not have chosen; a parsed image is read again trusting
-    /// it.
+    /// writer would not have chosen and a descriptor out of first-use
+    /// order; a parsed image is read again trusting it.
     parsing: bool,
+    /// While parsing: how many descriptors the rows read so far use.
+    used: u32,
 }
 
 impl<'a> Decoder<'a> {
-    /// The payload must have been consumed exactly.
+    /// The parse of `bytes` from `pos` on.
+    fn parsing(
+        bytes: &'a [u8],
+        pos: usize,
+        table: &'a Table,
+        descriptors: &'a [usize],
+    ) -> Decoder<'a> {
+        Decoder { bytes, pos, table, descriptors, parsing: true, used: 0 }
+    }
+
+    /// The payload must have been consumed exactly, and every descriptor
+    /// used.
     fn finish(&self) -> Result<()> {
+        if let Some(&at) = self.descriptors.get(self.used as usize) {
+            return Err(Error::corrupt(format!(
+                "descriptor {} at byte {at} is never used",
+                self.used
+            )));
+        }
         match self.bytes.len() - self.pos {
             0 => Ok(()),
             n => Err(Error::corrupt(format!("{n} bytes past the end of the payload"))),
@@ -1263,10 +1429,15 @@ impl<'a> Decoder<'a> {
         Ok(tags)
     }
 
-    /// Reads one row, checking every byte of it.
+    /// Reads one row, checking every byte of it. The descriptors were
+    /// checked with their table, so of a variable's only the number is.
     fn row(&mut self) -> Result<()> {
         self.head()?;
-        self.lists(&mut ())
+        for _ in 0..self.externals(&mut ())? {
+            self.descriptor_number()?;
+            self.counts()?;
+        }
+        Ok(())
     }
 
     fn head(&mut self) -> Result<Head<'a>> {
@@ -1336,8 +1507,8 @@ impl<'a> Decoder<'a> {
         let count = self.externals(sink)?;
         sink.variables(count);
         for _ in 0..count {
-            let var = self.variable()?;
-            sink.variable(var);
+            let (descriptor, var) = self.variable()?;
+            sink.variable(descriptor, var);
         }
         Ok(())
     }
@@ -1352,15 +1523,65 @@ impl<'a> Decoder<'a> {
         self.count(MIN_VARIABLE)
     }
 
-    fn variable(&mut self) -> Result<Var<'a>> {
+    /// One variable of a row, with the number of its descriptor.
+    fn variable(&mut self) -> Result<(u32, Var<'a>)> {
+        let (number, start) = self.descriptor_number()?;
+        let descriptor =
+            Decoder { pos: start, parsing: false, ..*self }.descriptor().expect(CHECKED);
+        let (summary, null_count, total_count) = self.counts()?;
+        Ok((number, Var { descriptor, summary, null_count, total_count }))
+    }
+
+    /// A variable's descriptor number, and where that descriptor starts:
+    /// the parse takes a number that is in the table and no later than the
+    /// first one not yet used.
+    fn descriptor_number(&mut self) -> Result<(u32, usize)> {
+        let at = self.pos;
+        let number = self.varint()?;
+        let Some(&start) = usize::try_from(number).ok().and_then(|ix| self.descriptors.get(ix))
+        else {
+            return Err(Error::corrupt(format!(
+                "descriptor reference {number} at byte {at}: the table has {} descriptors",
+                self.descriptors.len()
+            )));
+        };
+        let number = number as u32;
+        if self.parsing && number >= self.used {
+            if number > self.used {
+                return Err(Error::corrupt(format!(
+                    "descriptor {number} at byte {at} is used before descriptor {}",
+                    self.used
+                )));
+            }
+            self.used += 1;
+        }
+        Ok((number, start))
+    }
+
+    /// What a variable holds after its descriptor number: its summary, and
+    /// its null and total counts.
+    fn counts(&mut self) -> Result<(NumericSummary, u64, u64)> {
+        let decimals = self.tags(DECIMALS, "variable decimals")?;
+        let summary = NumericSummary {
+            count: self.varint()?,
+            min: self.number(decimals, 0)?,
+            max: self.number(decimals, 1)?,
+            mean: self.number(decimals, 2)?,
+            m2: self.number(decimals, 3)?,
+        };
+        Ok((summary, self.varint()?, self.varint()?))
+    }
+
+    /// One entry of the descriptor table.
+    fn descriptor(&mut self) -> Result<Descriptor<'a>> {
         let name = self.text()?;
         let present = self.tags(
-            HAS_CANONICAL | HAS_UNIT | HAS_CANONICAL_UNIT | HAS_CONTEXT | DECIMALS,
-            "variable presence",
+            HAS_CANONICAL | HAS_UNIT | HAS_CANONICAL_UNIT | HAS_CONTEXT,
+            "descriptor presence",
         )?;
         let curation = self.tags(
             RESOLUTION_MASK | FLAG_QA | FLAG_AMBIGUOUS | FLAG_HIDDEN | UNIT_NORMALIZED,
-            "variable curation",
+            "descriptor curation",
         )?;
         let method = match curation & RESOLUTION_MASK {
             0..=2 | 4 => None,
@@ -1378,10 +1599,12 @@ impl<'a> Decoder<'a> {
         let context = self.optional_text(present, HAS_CONTEXT)?;
         let levels = self.count(1)?;
         let first_level = *self;
-        for _ in 0..levels {
-            self.text()?;
+        if self.parsing {
+            for _ in 0..levels {
+                self.text()?;
+            }
         }
-        Ok(Var {
+        Ok(Descriptor {
             name,
             curation,
             method,
@@ -1390,15 +1613,6 @@ impl<'a> Decoder<'a> {
             canonical_unit,
             context,
             levels: Levels::Encoded(first_level, levels),
-            summary: NumericSummary {
-                count: self.varint()?,
-                min: self.number(present, 0)?,
-                max: self.number(present, 1)?,
-                mean: self.number(present, 2)?,
-                m2: self.number(present, 3)?,
-            },
-            null_count: self.varint()?,
-            total_count: self.varint()?,
         })
     }
 }
@@ -1442,6 +1656,13 @@ pub(crate) mod tests {
         older_snapshot(b"MMSNAP02", &[2, KIND_CATALOG, 0, 0, 0, 0])
     }
 
+    /// A whole format 3 snapshot file: the old magic framing an empty
+    /// catalog (version 3, no table, generation 0, no properties, no rows),
+    /// which had no descriptor table.
+    pub(crate) fn format_3_snapshot() -> Vec<u8> {
+        older_snapshot(b"MMSNAP03", &[3, KIND_CATALOG, 0, 0, 0, 0])
+    }
+
     /// Every field set, every tag bit used, both signs of a timestamp.
     fn rich(path: &str, canonical: &str) -> DatasetFeature {
         let mut f = DatasetFeature::new(path);
@@ -1483,12 +1704,17 @@ pub(crate) mod tests {
     }
 
     /// A box of decimal corners, and a point of one decimal and one raw
-    /// coordinate at the odd floats.
+    /// coordinate at the odd floats; the QA variable of the one is in the
+    /// other too, with other counts, so the two share its descriptor.
     fn two_datasets() -> Catalog {
         let mut c = Catalog::new();
-        c.put(rich("cruise/c1/cast3.cdl", "water_temperature"));
+        let rich = rich("cruise/c1/cast3.cdl", "water_temperature");
         let mut odd = odd_floats();
         odd.bbox = Some(GeoBBox::point(GeoPoint { lat: 46.2, lon: -123.912_345_678 }));
+        let mut qa = rich.variables[1].clone();
+        qa.total_count = 7;
+        odd.variables.push(qa);
+        c.put(rich);
         c.put(odd);
         c.set_property("archive", "sim");
         c
@@ -1506,6 +1732,8 @@ pub(crate) mod tests {
         let spelled = |s: &str| bytes.windows(s.len()).filter(|w| *w == s.as_bytes()).count();
         assert_eq!(spelled("water_temperature"), 1);
         assert_eq!(table_entries, 16);
+        // five variables, four descriptors: the QA variable's is shared
+        assert_eq!(Image::parse(bytes).unwrap().descriptors(), 4);
     }
 
     #[test]
@@ -1541,16 +1769,17 @@ pub(crate) mod tests {
     #[test]
     fn golden_two_dataset_snapshot() {
         const GOLDEN: &str = concat!(
-            "0300100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
+            "0400100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
             "65720641546173746e0b66696e6765727072696e741177617465725f74656d70657261747572650464656743",
             "0763656c7369757305776174657208706879736963616c0b74656d70657261747572650871615f6c6576656c",
-            "000773746174696f6e066f6666736574030107617263686976650373696d02776e3803bbd25d201363727569",
-            "73652f63312f63617374332e63646c1b63617374206174206372756973652f63312f63617374332e63646cf7",
-            "00f13892c204c99b01a80fffc50a80b2f4b309ac02efcdab8967452301809601030101020302043f53050607",
-            "0809030a0b06039235f115abaaaaaaaa2a2540abaaaaaaaa12564002ae020cc02c0000000000000000f07f00",
-            "0000000000f0ff00000000680277578a05ca43076f64642e637376076f64642e6373761ae1390b6a20df63fa",
-            "5ec000000000000000000000000d00020ec0000000000000000000f07f000000000000f0ff000000000fc000",
-            "00010000000000000080000000000000008000000000",
+            "000773746174696f6e066f666673657404040f530506070809030a0b060c002c000e0000000f000000030107",
+            "617263686976650373696d02776e3803bbd25d20136372756973652f63312f63617374332e63646c1b636173",
+            "74206174206372756973652f63312f63617374332e63646cf700f13892c204c99b01a80fffc50a80b2f4b309",
+            "ac02efcdab89674523018096010301010203020030039235f115abaaaaaaaa2a2540abaaaaaaaa12564002ae",
+            "0201c000000000000000f07f000000000000f0ff00000000680277578a05ca43076f64642e637376076f6464",
+            "2e6373761ae1390b6a20df63fa5ec000000000000000000000000d000302c000000000000000f07f00000000",
+            "0000f0ff0000000003c001000000000000008000000000000000800000000001c000000000000000f07f0000",
+            "00000000f0ff00000007",
         );
         let hex: String =
             encode_catalog(&two_datasets()).iter().map(|b| format!("{b:02x}")).collect();
@@ -1574,7 +1803,10 @@ pub(crate) mod tests {
         assert_eq!((image.len(), image.generation()), (2, c.generation()));
         assert_eq!(image.properties(), c.properties());
         assert_eq!(image.payload(), &payload[..]);
-        for (row, want) in image.rows().zip(decoded.iter()) {
+        // the searchable variables' descriptors: ATastn's, then station's
+        // and offset's (qa_level, between them, is not searchable)
+        let numbers: [&[u32]; 2] = [&[0], &[2, 3]];
+        for ((row, want), numbers) in image.rows().zip(decoded.iter()).zip(numbers) {
             let (mut got_bytes, mut want_bytes) = (Vec::new(), Vec::new());
             encode_mutation(&Mutation::Put(Box::new(row.decode())), &mut got_bytes);
             encode_mutation(&Mutation::Put(Box::new(want.clone())), &mut want_bytes);
@@ -1589,10 +1821,12 @@ pub(crate) mod tests {
             view.searchable_variables(|v| searchable.push(v));
             let expected: Vec<SearchableVariable> = want
                 .searchable_variables()
-                .map(|v| SearchableVariable {
+                .zip(numbers)
+                .map(|(v, &descriptor)| SearchableVariable {
                     name: &v.name,
                     search_name: v.search_name(),
                     value_range: v.value_range(),
+                    descriptor,
                 })
                 .collect();
             // ±inf ranges compare equal; −0.0 is checked by its bits below
@@ -1650,24 +1884,24 @@ pub(crate) mod tests {
         // another format generation
         let mut next = put.clone();
         next[0] = FORMAT_VERSION + 1;
-        corrupt(decode_mutation(&next).map(drop), "payload format 4");
+        corrupt(decode_mutation(&next).map(drop), "payload format 5");
         // the kind format 2 gave a `Clear`
-        corrupt(decode_mutation(&[FORMAT_VERSION, 4, 0]).map(drop), "kind 4 is not a mutation");
+        corrupt(decode_mutation(&[FORMAT_VERSION, 4, 0, 0]).map(drop), "kind 4 is not a mutation");
         // bytes left over, bytes missing
         let mut long = put.clone();
         long.push(0);
         corrupt(decode_mutation(&long).map(drop), "1 bytes past the end");
         corrupt(decode_mutation(&put[..put.len() - 1]).map(drop), "1 more expected, 0 left");
         corrupt(decode_mutation(&[]).map(drop), "payload ends");
-        // a reference past the table: a put with a one-entry table whose
-        // first reference (its source) is entry 1
-        let mut bad = vec![FORMAT_VERSION, KIND_PUT, 1, 0];
+        // a reference past the table: a put with a one-entry table, no
+        // descriptors, and a first reference (its source) to entry 1
+        let mut bad = vec![FORMAT_VERSION, KIND_PUT, 1, 0, 0];
         bad.extend_from_slice(&[0; 8]); // id
         bad.extend_from_slice(&[0, 0, HAS_SOURCE, 1]); // path "", title "", source → 1
         corrupt(decode_mutation(&bad).map(drop), "string reference 1");
         // a count the payload has no room for, before anything is reserved
         let mut huge = vec![FORMAT_VERSION, KIND_CATALOG];
-        huge.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]); // 2^62
+        huge.extend_from_slice(&HUGE_COUNT);
         corrupt(decode_catalog(&huge).map(drop), "count 4611686018427387904");
         // a varint that does not end
         corrupt(
@@ -1689,31 +1923,106 @@ pub(crate) mod tests {
             .map(drop),
             "overflows 64 bits",
         );
-        // a tag bit nobody wrote: the variable's curation tag, nine bytes
+        // a tag bit nobody wrote: the variable's decimals byte, eight bytes
         // from the end
         let mut tagged = one_number_put(&[0], DECIMALS, &[0]);
-        let curation = tagged.len() - 9;
-        tagged[curation] = 0x80;
-        corrupt(decode_mutation(&tagged).map(drop), "unknown bits");
+        let decimals = tagged.len() - 8;
+        tagged[decimals] |= 1;
+        corrupt(decode_mutation(&tagged).map(drop), "variable decimals tag");
     }
 
-    /// A put of one dataset with one variable, "v", that saw one number:
-    /// `dataset` is the dataset tag and the corners it writes, `present` the
-    /// variable's presence tag and `min` the bytes of its minimum; its max,
-    /// mean and m2 are the decimal 0 and must be marked so.
-    fn one_number_put(dataset: &[u8], present: u8, min: &[u8]) -> Vec<u8> {
-        let mut put = vec![FORMAT_VERSION, KIND_PUT, 1, 1, b'v'];
+    /// The descriptor "v": name "v", nothing optional, unresolved, no
+    /// hierarchy levels.
+    const V: &[u8] = &[0, 0, 0, 0];
+    /// The descriptor "v" with the unit "v".
+    const V_UNIT: &[u8] = &[0, HAS_UNIT, 0, 0, 0];
+
+    /// A put of one dataset whose string table is "v" and whose descriptor
+    /// table is `descriptors`: `dataset` is the dataset tag and the corners
+    /// it writes, and `variables` the bytes of each variable.
+    fn put_of(descriptors: &[&[u8]], dataset: &[u8], variables: &[&[u8]]) -> Vec<u8> {
+        let mut put = vec![FORMAT_VERSION, KIND_PUT, 1, 1, b'v', descriptors.len() as u8];
+        put.extend(descriptors.concat());
         put.extend_from_slice(&[0; 8]); // id
         put.extend_from_slice(&[0, 0]); // path "", title ""
         put.extend_from_slice(dataset);
         put.push(0); // record count
         put.extend_from_slice(&[0; 8]); // fingerprint
-        put.extend_from_slice(&[0, 0, 0, 0, 1]); // file len, run, format, no pairs, one variable
-        put.extend_from_slice(&[0, present, 0, 0, 1]); // name, tags, no levels, count
-        put.extend_from_slice(min);
-        put.extend_from_slice(&[0, 0, 0, 0, 0]); // max, mean, m2, nulls, total
+        put.extend_from_slice(&[0, 0, 0, 0, variables.len() as u8]); // file len, run, format, no pairs
+        put.extend(variables.concat());
         put
     }
+
+    /// A variable of descriptor `number` that saw nothing but zeros, each
+    /// number a decimal.
+    fn zeros(number: u8) -> [u8; 9] {
+        [number, DECIMALS, 0, 0, 0, 0, 0, 0, 0]
+    }
+
+    /// A put of one dataset with one variable, "v", that saw one number:
+    /// `dataset` is the dataset tag and the corners it writes, `decimals`
+    /// the variable's decimals byte and `min` the bytes of its minimum; its
+    /// max, mean and m2 are the decimal 0 and must be marked so.
+    fn one_number_put(dataset: &[u8], decimals: u8, min: &[u8]) -> Vec<u8> {
+        // descriptor 0, the decimals, the count, then the numbers
+        let variable = [&[0, decimals, 1], min, &[0, 0, 0, 0, 0]].concat();
+        put_of(&[V], dataset, &[&variable])
+    }
+
+    #[test]
+    fn a_descriptor_table_in_any_form_but_its_one_is_corrupt() {
+        let variables = |put: Vec<u8>| match decode_mutation(&put) {
+            Ok(Mutation::Put(f)) => Ok(f.variables),
+            Ok(other) => panic!("{other:?}"),
+            Err(e) => Err(e),
+        };
+        let corrupt = |put: Vec<u8>, why: &str| {
+            let e = variables(put).unwrap_err();
+            assert!(e.is_corrupt() && e.to_string().contains(why), "{why}: {e}");
+        };
+        // what a writer writes: each descriptor once, first used in order,
+        // and used again by number
+        let three = variables(put_of(&[V, V_UNIT], &[0], &[&zeros(0), &zeros(1), &zeros(0)]));
+        let three = three.unwrap();
+        assert_eq!((three[0].unit.as_deref(), three[1].unit.as_deref()), (None, Some("v")));
+        assert_eq!(three[0], three[2]);
+        // a reference past the table
+        corrupt(put_of(&[V], &[0], &[&zeros(1)]), "descriptor reference 1 at byte");
+        let mut far = put_of(&[V], &[0], &[&zeros(0)]);
+        far.splice(far.len() - 9..far.len() - 8, HUGE_COUNT);
+        corrupt(far, "descriptor reference 4611686018427387904");
+        // an entry equal to an earlier one, an entry never used, and two
+        // used out of first-use order
+        corrupt(put_of(&[V, V], &[0], &[&zeros(0), &zeros(1)]), "descriptor 1 at byte 10 repeats");
+        corrupt(put_of(&[V, V_UNIT], &[0], &[&zeros(0)]), "descriptor 1 at byte 10 is never used");
+        let swapped = put_of(&[V, V_UNIT], &[0], &[&zeros(1), &zeros(0)]);
+        corrupt(swapped, "descriptor 1 at byte 40 is used before descriptor 0");
+        // tag bits nobody wrote, in the entry and in the variable
+        corrupt(put_of(&[&[0, FIRST_DECIMAL, 0, 0]], &[0], &[&zeros(0)]), "presence tag");
+        corrupt(put_of(&[&[0, 0, 0x80, 0]], &[0], &[&zeros(0)]), "curation tag");
+        corrupt(put_of(&[&[0, 0, 5, 0]], &[0], &[&zeros(0)]), "name resolution 5");
+        let mut unknown = zeros(0);
+        unknown[1] |= HAS_UNIT;
+        corrupt(put_of(&[V], &[0], &[&unknown]), "variable decimals tag");
+        // a count the payload cannot hold, refused before anything is
+        // reserved for it: 2^62, and one entry more than there are bytes for
+        let mut huge = vec![FORMAT_VERSION, KIND_PUT, 1, 1, b'v'];
+        huge.extend_from_slice(&HUGE_COUNT);
+        corrupt(huge, "count 4611686018427387904");
+        let mut room = put_of(&[V], &[0], &[&zeros(0)]);
+        let fits = (room.len() - 6) / MIN_DESCRIPTOR;
+        room[5] = fits as u8 + 1;
+        corrupt(room, &format!("count {} at byte 6: the payload has room for {fits}", fits + 1));
+        // a payload that holds no rows uses no descriptor
+        let mut delete = vec![FORMAT_VERSION, KIND_DELETE, 1, 1, b'v', 1];
+        delete.extend_from_slice(V);
+        delete.extend_from_slice(&7u64.to_le_bytes());
+        let e = decode_mutation(&delete).unwrap_err();
+        assert!(e.is_corrupt() && e.to_string().contains("descriptor 0 at byte 6 is never used"));
+    }
+
+    /// 2^62 as a varint: a count or a reference no payload has room for.
+    const HUGE_COUNT: [u8; 9] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
 
     fn varint(v: u64) -> Vec<u8> {
         let mut e = Encoder::new(Vec::new(), 0);

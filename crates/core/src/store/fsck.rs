@@ -139,10 +139,11 @@ pub fn check_snapshot(
                 FsckSeverity::Info,
                 format!(
                     "ok: format {FORMAT_VERSION}, {} datasets at generation {}, {} table \
-                     entries, {} bytes per dataset",
+                     entries, {} descriptors, {} bytes per dataset",
                     c.len(),
                     c.generation(),
                     info.table_entries,
+                    info.descriptors,
                     info.payload_bytes / c.len().max(1)
                 ),
                 None,
@@ -384,6 +385,10 @@ mod tests {
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(recovered.len(), 2);
         assert_eq!(report.files_checked, 2);
+        let snapshot = &report.findings.iter().find(|f| f.component == "catalog/snapshot");
+        let detail = &snapshot.unwrap().detail;
+        assert!(detail.starts_with("ok: format 4, 1 datasets at generation "), "{detail}");
+        assert!(detail.contains(" table entries, 0 descriptors, "), "{detail}");
     }
 
     #[test]
@@ -458,22 +463,27 @@ mod tests {
 
     #[test]
     fn an_older_format_is_a_mismatch_with_nothing_to_repair() {
-        let dir = tmpdir("v1");
-        let snapshot = crate::store::codec::tests::format_1_snapshot();
-        fs::write(dir.join("snapshot.bin"), &snapshot).unwrap();
-        fs::write(dir.join("wal.log"), b"MMWAL001").unwrap();
-        let vfs = std_vfs();
-        let mut report = FsckReport::default();
-        assert!(check_catalog_dir(vfs.as_ref(), &dir, &mut report).is_none());
-        assert_eq!(report.error_count(), 2);
-        for f in &report.findings {
-            assert!(f.detail.contains("store format 1; re-wrangle"), "{}", f.detail);
-            assert_eq!(f.proposed, None);
+        use crate::store::codec::tests::{format_1_snapshot, format_3_snapshot};
+        for (format, snapshot, wal) in
+            [(1, format_1_snapshot(), b"MMWAL001"), (3, format_3_snapshot(), b"MMWAL003")]
+        {
+            let dir = tmpdir(&format!("v{format}"));
+            fs::write(dir.join("snapshot.bin"), &snapshot).unwrap();
+            fs::write(dir.join("wal.log"), wal).unwrap();
+            let vfs = std_vfs();
+            let mut report = FsckReport::default();
+            assert!(check_catalog_dir(vfs.as_ref(), &dir, &mut report).is_none());
+            assert_eq!(report.error_count(), 2);
+            for f in &report.findings {
+                let named = format!("store format {format}; re-wrangle");
+                assert!(f.detail.contains(&named), "{}", f.detail);
+                assert_eq!(f.proposed, None);
+            }
+            apply_repairs(vfs.as_ref(), &mut report, &dir.join("quarantine")).unwrap();
+            assert_eq!(report.repairs_applied, 0);
+            assert_eq!(fs::read(dir.join("snapshot.bin")).unwrap(), snapshot);
+            assert_eq!(fs::read(dir.join("wal.log")).unwrap(), wal);
         }
-        apply_repairs(vfs.as_ref(), &mut report, &dir.join("quarantine")).unwrap();
-        assert_eq!(report.repairs_applied, 0);
-        assert_eq!(fs::read(dir.join("snapshot.bin")).unwrap(), snapshot);
-        assert_eq!(fs::read(dir.join("wal.log")).unwrap(), b"MMWAL001");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Point-in-time catalog snapshots.
 //!
-//! Layout: `MMSNAP03` magic, u32 payload length, u32 CRC-32, payload (the
+//! Layout: `MMSNAP04` magic, u32 payload length, u32 CRC-32, payload (the
 //! framing shared with the run ledger — see `frame.rs`); the payload is the
 //! binary catalog encoding of [`codec`](super::codec). Snapshots are
 //! written to a temporary file, fsynced, then atomically renamed into place
@@ -15,13 +15,15 @@ use std::path::Path;
 
 /// The eight magic bytes opening every snapshot file. Its last digit is the
 /// format.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP03";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP04";
 
 /// What a snapshot file holds around its catalog: what `fsck` reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SnapshotInfo {
     /// Entries in the payload's string table.
     pub(crate) table_entries: usize,
+    /// Entries in the payload's descriptor table.
+    pub(crate) descriptors: usize,
     /// Payload bytes (the file is 16 bytes of frame longer).
     pub(crate) payload_bytes: usize,
 }
@@ -66,6 +68,7 @@ pub(crate) fn inspect_snapshot_with(
     Ok(read_image_with(vfs, path)?.map(|image| {
         let info = SnapshotInfo {
             table_entries: image.table_entries(),
+            descriptors: image.descriptors(),
             payload_bytes: image.payload().len(),
         };
         (image.catalog(), info)
@@ -164,7 +167,7 @@ mod tests {
         let p = dir.join("snapshot.bin");
         fs::write(&p, crate::store::codec::tests::format_1_snapshot()).unwrap();
         let e = read_snapshot(&p).unwrap_err();
-        assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 3, .. }), "{e}");
+        assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 4, .. }), "{e}");
         assert!(!e.is_corrupt());
     }
 
@@ -175,13 +178,26 @@ mod tests {
         let file = crate::store::codec::tests::format_2_snapshot();
         fs::write(&p, &file).unwrap();
         let e = read_snapshot(&p).unwrap_err();
-        assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 3, .. }), "{e}");
+        assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 4, .. }), "{e}");
         assert!(!e.is_corrupt());
-        assert!(e.to_string().contains("store format 2; re-wrangle, this build reads format 3"));
+        assert!(e.to_string().contains("store format 2; re-wrangle, this build reads format 4"));
         assert_eq!(fs::read(&p).unwrap(), file);
         // a digit that names no older format is damage
         fs::write(&p, [&b"MMSNAP09"[..], &file[8..]].concat()).unwrap();
         assert!(read_snapshot(&p).unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn format_3_is_refused_by_name_not_as_damage() {
+        let dir = tmpdir("v3");
+        let p = dir.join("snapshot.bin");
+        let file = crate::store::codec::tests::format_3_snapshot();
+        fs::write(&p, &file).unwrap();
+        let e = read_snapshot(&p).unwrap_err();
+        assert!(matches!(e, Error::UnsupportedFormat { found: 3, supported: 4, .. }), "{e}");
+        assert!(!e.is_corrupt());
+        assert!(e.to_string().contains("store format 3; re-wrangle, this build reads format 4"));
+        assert_eq!(fs::read(&p).unwrap(), file);
     }
 
     #[test]

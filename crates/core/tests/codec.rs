@@ -16,7 +16,11 @@
 //! An image the encoder builds for itself — [`Image::encode`],
 //! [`put_image`], [`encode_rows_of`] — is never parsed, so
 //! `encoder_built_images_are_what_their_payloads_parse_to` holds each to
-//! what parsing its payload finds.
+//! what parsing its payload finds. `encode_rows_of` renumbers the variable
+//! descriptors of each image it reads from;
+//! `rows_of_a_snapshot_and_two_puts_sharing_descriptors_transcode_to_the_catalogs_bytes`
+//! holds a snapshot's rows and two puts' that share its descriptors to the
+//! bytes `encode_catalog` writes.
 //!
 //! A number is written as its short decimal when it has one and as its
 //! eight bits otherwise; `every_float_round_trips_and_has_one_encoding`
@@ -306,6 +310,41 @@ fn encoder_built_images_are_what_their_payloads_parse_to() {
     parses_to_itself(&empty);
     let none = encode_rows_of(0, &BTreeMap::new(), std::iter::empty::<&Row>());
     assert_eq!(none.payload(), empty.payload());
+}
+
+#[test]
+fn rows_of_a_snapshot_and_two_puts_sharing_descriptors_transcode_to_the_catalogs_bytes() {
+    let mut rng = Rng(23);
+    let mut catalog = Catalog::new();
+    for i in 0..10 {
+        catalog.put(archive_like(i, &mut rng));
+    }
+    catalog.set_property("archive", "sim");
+    let snapshot = Arc::new(Image::parse(encode_catalog(&catalog)).unwrap());
+    let variables: usize = catalog.iter().map(|f| f.variables.len()).sum();
+    assert!(snapshot.descriptors() < variables, "the archive's variables share descriptors");
+    // two puts whose variables are one snapshot dataset's, in reverse, so
+    // each put numbers their descriptors unlike the snapshot: one replaces
+    // a dataset the snapshot holds, one is new
+    let template: Vec<VariableFeature> =
+        catalog.iter().nth(7).unwrap().variables.iter().rev().cloned().collect();
+    let mut replaced = catalog.iter().nth(4).unwrap().clone();
+    replaced.variables = template.clone();
+    let mut added = archive_like(10, &mut rng);
+    added.variables = template;
+    let puts: Vec<Arc<Image>> =
+        [&replaced, &added].map(|f| Arc::new(put_image(f, &mut Vec::new()))).into();
+    assert_eq!(puts[0].descriptors(), puts[1].descriptors());
+    let mut rows: BTreeMap<DatasetId, Row> = snapshot.rows().map(|row| (row.id(), row)).collect();
+    for put in &puts {
+        let row = put.rows().next().unwrap();
+        rows.insert(row.id(), row);
+    }
+    catalog.put(replaced);
+    catalog.put(added);
+    let image = encode_rows_of(catalog.generation(), catalog.properties(), rows.values());
+    assert_eq!(image.payload(), &encode_catalog(&catalog)[..]);
+    parses_to_itself(&Arc::new(image));
 }
 
 /// Every form and edge the number encoding meets: both zeros, NaN payloads,

@@ -38,7 +38,7 @@ use crate::score::{
 };
 use metamess_core::geo::GeoBBox;
 use metamess_core::id::DatasetId;
-use metamess_core::store::Row;
+use metamess_core::store::{Image, Row, SearchableVariable};
 use metamess_core::text::normalize_term;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
@@ -283,8 +283,9 @@ impl ShardEngine {
                     None => t,
                 });
             }
+            let memo = spellings.memo_of(row.image());
             view.searchable_variables(|v| {
-                let (spelling, keys) = spellings.of(v.name, v.search_name);
+                let (spelling, keys) = spellings.of(memo, &v);
                 for &k in keys {
                     let k = k as usize;
                     if k >= postings.len() {
@@ -493,39 +494,73 @@ pub(crate) fn index_keys(name: &str, search_name: &str, vocab: &Vocabulary) -> B
 /// a shard files and scores a variable under is a pure function of its
 /// spelling and the build's vocabulary — except the value range, which the
 /// shard reads off the variable. So each distinct spelling is resolved
-/// once, here, and numbered in first-seen order; every variable that
-/// carries it looks it up, by the borrowed pair, and keeps the number.
+/// once, here, and numbered in first-seen order. A variable's image has
+/// already numbered its descriptor, and one descriptor has one spelling, so
+/// the spelling is looked up by the borrowed pair once per descriptor of
+/// each image, and by the descriptor's number after that.
 struct Spellings<'a> {
     vocab: &'a Vocabulary,
     /// Every key of every spelling, shared by all of them.
     keys: Interner,
     /// Each spelling seen, numbered.
-    ids: HashMap<(&'a str, &'a str), Numbered>,
+    ids: HashMap<(&'a str, &'a str), u32>,
+    /// By spelling id: the ids of its [`index_keys`] in `keys`.
+    key_ids: Vec<Box<[u32]>>,
     /// By spelling id: its name keys and raw name. What the build's shards
     /// share when it is done.
     table: Vec<VarNames>,
+    /// For each image met, by address, which entry of `memos` is its.
+    images: HashMap<*const Image, usize>,
+    /// One per image met: by descriptor number, the spelling id, or
+    /// [`UNSEEN`] before a variable of that descriptor is met.
+    memos: Vec<Box<[u32]>>,
 }
 
-/// A spelling's id, and the ids of its [`index_keys`] in the table's
-/// interner.
-type Numbered = (u32, Box<[u32]>);
+/// A descriptor no variable of the build has been met with yet.
+const UNSEEN: u32 = u32::MAX;
 
 impl<'a> Spellings<'a> {
     /// An empty table over `vocab`.
     fn new(vocab: &'a Vocabulary) -> Spellings<'a> {
-        Spellings { vocab, keys: Interner::default(), ids: HashMap::new(), table: Vec::new() }
+        Spellings {
+            vocab,
+            keys: Interner::default(),
+            ids: HashMap::new(),
+            key_ids: Vec::new(),
+            table: Vec::new(),
+            images: HashMap::new(),
+            memos: Vec::new(),
+        }
     }
 
-    /// The id of the spelling `(name, search_name)` and the ids of its
-    /// index keys, worked out on first sight.
-    fn of(&mut self, name: &'a str, search_name: &'a str) -> (u32, &[u32]) {
-        let Spellings { vocab, keys, ids, table } = self;
-        let (id, key_ids) = ids.entry((name, search_name)).or_insert_with(|| {
-            let id = u32::try_from(table.len()).expect("a build's spellings fit a u32");
-            table.push(VarNames::resolve(name, search_name, vocab, |s| keys.intern(s)));
-            (id, index_keys(name, search_name, vocab).iter().map(|k| keys.id(k)).collect())
-        });
-        (*id, key_ids)
+    /// Which memo holds the spellings of `image`'s descriptors, made on
+    /// first sight. The image outlives the build, so its address is not
+    /// reused while the table is.
+    fn memo_of(&mut self, image: &'a Arc<Image>) -> usize {
+        let memos = &mut self.memos;
+        *self.images.entry(Arc::as_ptr(image)).or_insert_with(|| {
+            memos.push(vec![UNSEEN; image.descriptors()].into());
+            memos.len() - 1
+        })
+    }
+
+    /// The id of the spelling of `v`, a variable of the image whose memo is
+    /// `memo`, and the ids of its index keys, worked out on first sight.
+    fn of(&mut self, memo: usize, v: &SearchableVariable<'a>) -> (u32, &[u32]) {
+        let Spellings { vocab, keys, ids, key_ids, table, memos, .. } = self;
+        let id = &mut memos[memo][v.descriptor as usize];
+        if *id == UNSEEN {
+            let (name, search_name) = (v.name, v.search_name);
+            *id = *ids.entry((name, search_name)).or_insert_with(|| {
+                let id = u32::try_from(table.len()).expect("a build's spellings fit a u32");
+                table.push(VarNames::resolve(name, search_name, vocab, |s| keys.intern(s)));
+                key_ids.push(
+                    index_keys(name, search_name, vocab).iter().map(|k| keys.id(k)).collect(),
+                );
+                id
+            });
+        }
+        (*id, &key_ids[*id as usize])
     }
 }
 
@@ -701,10 +736,10 @@ mod tests {
         (terms, var_keys)
     }
 
-    #[test]
-    fn spelling_table_builds_what_resolving_every_variable_builds() {
+    /// Datasets whose variables share spellings in every way a table can be
+    /// tested by: one per row of the literal below.
+    fn spelling_datasets() -> Vec<DatasetFeature> {
         use metamess_core::feature::NameResolution;
-        let vocab = Vocabulary::observatory_default();
         // (name, canonical, qa, hidden, range) per variable, per dataset
         type Var<'s> = (&'s str, Option<&'s str>, bool, bool, (f64, f64));
         let rows: &[&[Var]] = &[
@@ -734,8 +769,7 @@ mod tests {
                 ("sal", Some("salinity"), false, false, (30.0, 31.0)),
             ],
         ];
-        let datasets: Vec<DatasetFeature> = rows
-            .iter()
+        rows.iter()
             .enumerate()
             .map(|(i, vars)| {
                 let mut d = DatasetFeature::new(format!("d{i}.csv"));
@@ -751,15 +785,19 @@ mod tests {
                 }
                 d
             })
-            .collect();
-        // two shards from one table: the second looks up what the first
-        // resolved, and both hold the one table the build made
-        let (first, second) = datasets.split_at(4);
-        let shards = ShardEngine::build_all(&[members(first), members(second)], &vocab);
-        assert!(Arc::ptr_eq(&shards[0].spellings, &shards[1].spellings));
-        assert_eq!(shards[0].spellings.len(), 7, "one entry per searchable spelling");
-        for (features, shard) in [first, second].into_iter().zip(&shards) {
-            let (terms, var_keys) = per_variable_build(features, &vocab);
+            .collect()
+    }
+
+    /// Holds each of `shards`, built over the features `parts`, to what
+    /// resolving every variable builds: its postings, and each dataset's
+    /// spellings and value ranges.
+    fn builds_per_variable(
+        shards: &[ShardEngine],
+        parts: &[&[DatasetFeature]],
+        vocab: &Vocabulary,
+    ) {
+        for (features, shard) in parts.iter().zip(shards) {
+            let (terms, var_keys) = per_variable_build(features, vocab);
             let got: BTreeMap<String, Vec<u32>> =
                 shard.terms.iter().map(|(k, p)| (k.to_string(), p.clone())).collect();
             assert_eq!(got, terms);
@@ -772,6 +810,56 @@ mod tests {
                 assert_eq!(got, *want, "{}", shard.path(ix));
             }
         }
+    }
+
+    #[test]
+    fn spelling_table_builds_what_resolving_every_variable_builds() {
+        let vocab = Vocabulary::observatory_default();
+        let datasets = spelling_datasets();
+        // two shards from one table: the second looks up what the first
+        // resolved, and both hold the one table the build made
+        let (first, second) = datasets.split_at(4);
+        let shards = ShardEngine::build_all(&[members(first), members(second)], &vocab);
+        assert!(Arc::ptr_eq(&shards[0].spellings, &shards[1].spellings));
+        assert_eq!(shards[0].spellings.len(), 7, "one entry per searchable spelling");
+        builds_per_variable(&shards, &[first, second], &vocab);
+    }
+
+    #[test]
+    fn descriptor_numbers_of_many_images_build_what_resolving_every_variable_builds() {
+        use metamess_core::store::codec::put_image;
+        let vocab = Vocabulary::observatory_default();
+        let mut datasets = spelling_datasets();
+        // one spelling under two descriptors of one image: the units differ
+        datasets[5].variables[0].unit = Some("psu".into());
+        // members as a successor holds them: a snapshot's rows, and a put's
+        // image for each dataset written since — in catalog order, so the
+        // images interleave and number one descriptor differently
+        let snapshot: Vec<&DatasetFeature> = datasets.iter().step_by(2).collect();
+        let snapshot = Arc::new(Image::encode(&snapshot));
+        let puts: Vec<Arc<Image>> = datasets
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .map(|f| Arc::new(put_image(f, &mut Vec::new())))
+            .collect();
+        let mut from_snapshot = snapshot.rows();
+        let rows: Vec<Row> = (0..datasets.len())
+            .map(|i| match i % 2 {
+                0 => from_snapshot.next().unwrap(),
+                _ => puts[i / 2].rows().next().unwrap(),
+            })
+            .collect();
+        assert!(rows.iter().zip(&datasets).all(|(row, f)| row.id() == f.id));
+        let members: Vec<(usize, Row)> = rows.into_iter().enumerate().collect();
+        let (first, second) = members.split_at(3);
+        let shards = ShardEngine::build_all(&[first.to_vec(), second.to_vec()], &vocab);
+        builds_per_variable(&shards, &[&datasets[..3], &datasets[3..]], &vocab);
+        // the table is the one a build over a single image makes: each
+        // searchable spelling once, in first-seen order
+        let whole = ShardEngine::build_all(&[self::members(&datasets)], &vocab);
+        assert_eq!(*shards[0].spellings, *whole[0].spellings);
+        assert_eq!(shards[0].spellings.len(), 7);
     }
 
     #[test]

@@ -40,7 +40,10 @@ echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites 
 # Recovery after an injected fault is the acknowledged prefix; a crash
 # inside a watch publish (apply, one flush, compaction) leaves the acked
 # prefix, and compaction mid-fault never loses acked data. Damaged store payloads decode or are
-# refused as corrupt: no panic, no allocation on an unchecked count. Every
+# refused as corrupt: no panic, no allocation on an unchecked count, and a
+# descriptor table (each variable's name, curation, units, context and
+# hierarchy, written once and referred to by number) with a reference past
+# it, an entry repeated or never used, or an unknown tag bit is refused. Every
 # f64, which a row writes as its short decimal when it has one and as its
 # eight bits otherwise, comes back bit for bit and has one encoding. An
 # image the encoder builds is what parsing its payload finds; the writer's

@@ -5,11 +5,11 @@
 //! a `metamess` store directory is laid out:
 //!
 //! ```text
-//! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP03)
-//! <store>/catalog/wal.log           catalog WAL (MMWAL003)
+//! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP04)
+//! <store>/catalog/wal.log           catalog WAL (MMWAL004)
 //! <store>/vocabulary.json           published vocabulary (JSON)
-//! <store>/state/working.bin         pipeline working catalog (MMSNAP03)
-//! <store>/state/published.bin       pipeline published catalog (MMSNAP03)
+//! <store>/state/working.bin         pipeline working catalog (MMSNAP04)
+//! <store>/state/published.bin       pipeline published catalog (MMSNAP04)
 //! <store>/state/ledger.bin          run ledger (MMLEDG01)
 //! <store>/state/vocabulary.json     pipeline vocabulary (JSON)
 //! <store>/state/curation.json       curation side-state (JSON)
