@@ -227,7 +227,8 @@ impl<'a> CtxView<'a> {
     }
 
     /// The catalog pair, for the publish stage's working → published
-    /// promotion. Reads [`Slot::Working`], writes [`Slot::Published`].
+    /// promotion. Reads [`Slot::Working`] and [`Slot::Published`], writes
+    /// [`Slot::Published`].
     pub fn publish_pair(&mut self) -> &mut CatalogPair {
         self.assert_read(Slot::Working);
         self.assert_write(Slot::Published);

@@ -41,9 +41,14 @@
 //! # Durability
 //!
 //! [`save_state`]/[`load_state`] persist the ledger (via the CRC-framed
-//! [`metamess_core::store`] ledger format) together with the catalogs,
-//! vocabulary and curation side-state, next to the catalog snapshot — so a
-//! fresh process resumes incrementality instead of re-running the world.
+//! [`metamess_core::store`] ledger format) together with the working
+//! catalog, vocabulary and curation side-state, next to the catalog
+//! snapshot — so a fresh process resumes incrementality instead of
+//! re-running the world. The published catalog is not part of that state:
+//! the durable store holds it, and a writer restores the published slot
+//! from its `DurableCatalog`. Publish reads that slot, so a slot that does
+//! not hold what the last run published (an empty store, rows lost to
+//! `fsck --repair`) re-runs publish and nothing else.
 //!
 //! # Caveats
 //!
@@ -269,7 +274,6 @@ pub(crate) fn run_chain(
 }
 
 const WORKING_FILE: &str = "working.bin";
-const PUBLISHED_FILE: &str = "published.bin";
 const LEDGER_FILE: &str = "ledger.bin";
 const VOCAB_FILE: &str = "vocabulary.json";
 const SIDECAR_FILE: &str = "curation.json";
@@ -288,15 +292,15 @@ struct Sidecar {
     expected_datasets: Vec<String>,
 }
 
-/// Persists the pipeline state (catalogs, vocabulary, run ledger, curation
-/// side-state) into `dir`, creating it if needed. A context restored with
-/// [`load_state`] resumes incrementality: an unchanged archive re-run in a
-/// fresh process skips every stage.
+/// Persists the pipeline state (working catalog, vocabulary, run ledger,
+/// curation side-state) into `dir`, creating it if needed. A context
+/// restored with [`load_state`], and given the published catalog from the
+/// store, resumes incrementality: an unchanged archive re-run in a fresh
+/// process skips every stage.
 pub fn save_state(ctx: &PipelineContext, dir: impl AsRef<Path>) -> Result<()> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir).io_ctx(format!("create state dir {}", dir.display()))?;
     write_snapshot(dir.join(WORKING_FILE), &ctx.catalogs.working)?;
-    write_snapshot(dir.join(PUBLISHED_FILE), &ctx.catalogs.published)?;
     ctx.vocab.save(dir.join(VOCAB_FILE))?;
     let sidecar = Sidecar {
         run_id: ctx.run_id,
@@ -354,7 +358,8 @@ fn quarantine_state_file(dir: &Path, path: &Path, detail: String) -> Result<bool
 /// the next run starts fresh instead of erroring. The archive input and
 /// configuration are *not* restored — they describe where to wrangle, not
 /// what was wrangled — so callers keep whatever they constructed the
-/// context with.
+/// context with. Neither is the published catalog: it is the store's, and
+/// the caller sets `ctx.catalogs.published` from the store it publishes to.
 pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bool> {
     let dir = dir.as_ref();
     let ledger_path = dir.join(LEDGER_FILE);
@@ -364,20 +369,15 @@ pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bo
         Err(e) if e.is_corrupt() => return quarantine_state_file(dir, &ledger_path, e.to_string()),
         Err(e) => return Err(e),
     };
-    let mut snapshots = Vec::new();
-    for file in [WORKING_FILE, PUBLISHED_FILE] {
-        let path = dir.join(file);
-        match read_snapshot(&path) {
-            Ok(Some(c)) => snapshots.push(c),
-            Ok(None) => return Ok(false),
-            Err(e) if e.is_corrupt() => {
-                return quarantine_state_file(dir, &path, e.to_string());
-            }
-            Err(e) => return Err(e),
+    let working_path = dir.join(WORKING_FILE);
+    let working = match read_snapshot(&working_path) {
+        Ok(Some(c)) => c,
+        Ok(None) => return Ok(false),
+        Err(e) if e.is_corrupt() => {
+            return quarantine_state_file(dir, &working_path, e.to_string())
         }
-    }
-    let published = snapshots.pop().expect("two snapshots read");
-    let working = snapshots.pop().expect("two snapshots read");
+        Err(e) => return Err(e),
+    };
     let vocab_path = dir.join(VOCAB_FILE);
     let sidecar_path = dir.join(SIDECAR_FILE);
     if !vocab_path.exists() || !sidecar_path.exists() {
@@ -401,7 +401,6 @@ pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bo
         }
     };
     ctx.catalogs.working = working;
-    ctx.catalogs.published = published;
     ctx.catalogs.publish_count = sidecar.publish_count;
     ctx.vocab = vocab;
     ctx.external = sidecar.external;
@@ -423,10 +422,27 @@ mod tests {
     use crate::validate::Validate;
     use crate::Publish;
     use metamess_archive::{generate, ArchiveSpec};
+    use metamess_core::{DurableCatalog, StoreOptions};
 
     fn ctx() -> PipelineContext {
         let archive = generate(&ArchiveSpec::tiny());
         PipelineContext::new(ArchiveInput::Memory(archive.files), Vocabulary::observatory_default())
+    }
+
+    /// Publishes `c` to the store under `store` and saves its state beside
+    /// it, as `metamess wrangle` does.
+    fn publish_and_save(c: &PipelineContext, store: &Path) {
+        let mut s = DurableCatalog::open(store.join("catalog"), StoreOptions::default()).unwrap();
+        s.replace_with(&c.catalogs.published).unwrap();
+        save_state(c, store.join("state")).unwrap();
+    }
+
+    /// Takes the published slot from the store under `store` and restores
+    /// the state beside it, as a writer does when it opens.
+    fn resume(c: &mut PipelineContext, store: &Path) -> bool {
+        let s = DurableCatalog::open(store.join("catalog"), StoreOptions::default()).unwrap();
+        c.catalogs.published = s.catalog();
+        load_state(c, store.join("state")).unwrap()
     }
 
     #[test]
@@ -579,25 +595,25 @@ mod tests {
 
     #[test]
     fn state_roundtrip_resumes_incrementality() {
-        let dir =
+        let store =
             std::env::temp_dir().join(format!("metamess-engine-state-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&store);
 
         let archive = generate(&ArchiveSpec::tiny());
-        let mut c = PipelineContext::new(
-            ArchiveInput::Memory(archive.files.clone()),
-            Vocabulary::observatory_default(),
-        );
+        let fresh_ctx = || {
+            PipelineContext::new(
+                ArchiveInput::Memory(archive.files.clone()),
+                Vocabulary::observatory_default(),
+            )
+        };
+        let mut c = fresh_ctx();
         let mut p = Pipeline::standard();
         p.run(&mut c).unwrap();
-        save_state(&c, &dir).unwrap();
+        publish_and_save(&c, &store);
 
         // a fresh process: new context over the same archive
-        let mut c2 = PipelineContext::new(
-            ArchiveInput::Memory(archive.files),
-            Vocabulary::observatory_default(),
-        );
-        assert!(load_state(&mut c2, &dir).unwrap());
+        let mut c2 = fresh_ctx();
+        assert!(resume(&mut c2, &store));
         assert_eq!(c2.run_id, c.run_id);
         assert_eq!(
             c2.catalogs.working.content_fingerprint(),
@@ -606,6 +622,19 @@ mod tests {
         assert_eq!(c2.catalogs.publish_count, c.catalogs.publish_count);
         let r = Pipeline::standard().run(&mut c2).unwrap();
         assert_eq!(r.executed_count(), 0, "restored state must skip everything: {}", r.render());
+
+        // state without the store's published catalog re-runs publish alone
+        let mut bare = fresh_ctx();
+        assert!(load_state(&mut bare, store.join("state")).unwrap());
+        assert!(bare.catalogs.published.is_empty());
+        let r = Pipeline::standard().run(&mut bare).unwrap();
+        let executed: Vec<&str> =
+            r.stages.iter().filter(|s| !s.is_skipped()).map(|s| s.component.as_str()).collect();
+        assert_eq!(executed, vec!["publish"], "{}", r.render());
+        assert_eq!(
+            bare.catalogs.published.content_fingerprint(),
+            c.catalogs.published.content_fingerprint()
+        );
 
         // loading from an empty dir is a clean miss
         let empty =
@@ -642,7 +671,7 @@ mod tests {
             );
             assert!(load_state(&mut fresh, &dirs[cycle - 1]).unwrap());
             save_state(&fresh, &dirs[cycle]).unwrap();
-            for file in [WORKING_FILE, PUBLISHED_FILE, LEDGER_FILE, VOCAB_FILE, SIDECAR_FILE] {
+            for file in [WORKING_FILE, LEDGER_FILE, VOCAB_FILE, SIDECAR_FILE] {
                 let before = std::fs::read(dirs[cycle - 1].join(file)).unwrap();
                 let after = std::fs::read(dirs[cycle].join(file)).unwrap();
                 assert_eq!(before, after, "cycle {cycle}: {file} drifted across save/load/save");
@@ -652,9 +681,9 @@ mod tests {
 
     #[test]
     fn empty_delta_publish_survives_reopen() {
-        let dir =
+        let store =
             std::env::temp_dir().join(format!("metamess-engine-emptydelta-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&store);
         let archive = generate(&ArchiveSpec::tiny());
         let fresh_ctx = || {
             PipelineContext::new(
@@ -666,19 +695,19 @@ mod tests {
         let mut c = fresh_ctx();
         Pipeline::standard().run(&mut c).unwrap();
         let published_fp = c.catalogs.published.content_fingerprint();
-        save_state(&c, &dir).unwrap();
+        publish_and_save(&c, &store);
 
         // Second process: nothing changed, so publish has an empty delta
-        // (it is skipped). Saving that state and reopening a third time
-        // must preserve the published catalog exactly.
+        // (it is skipped). Publishing that and reopening a third time must
+        // preserve the published catalog exactly.
         let mut c2 = fresh_ctx();
-        assert!(load_state(&mut c2, &dir).unwrap());
+        assert!(resume(&mut c2, &store));
         let r = Pipeline::standard().run(&mut c2).unwrap();
         assert!(r.stage("publish").unwrap().is_skipped(), "{}", r.render());
-        save_state(&c2, &dir).unwrap();
+        publish_and_save(&c2, &store);
 
         let mut c3 = fresh_ctx();
-        assert!(load_state(&mut c3, &dir).unwrap());
+        assert!(resume(&mut c3, &store));
         assert_eq!(c3.catalogs.published.content_fingerprint(), published_fp);
         assert_eq!(c3.catalogs.publish_count, c.catalogs.publish_count);
         let r = Pipeline::standard().run(&mut c3).unwrap();

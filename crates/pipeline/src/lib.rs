@@ -13,6 +13,8 @@
 //! engine-backed runner uses content fingerprints over those
 //! declarations to skip stages whose inputs are unchanged since the last
 //! run — including across processes, via [`save_state`]/[`load_state`].
+//! That state holds the working catalog; the published catalog is the
+//! durable store's, and a writer restores it from there.
 //!
 //! The [`watch`] module turns the one-shot wrangle into **continuous
 //! ingestion**: a polling loop that re-runs only affected stages when the

@@ -533,7 +533,10 @@ impl Component for GenerateHierarchies {
     }
 }
 
-/// Stage 8: publish — promote the validated working catalog.
+/// Stage 8: publish — promote the validated working catalog. It reads the
+/// published slot too, since it diffs against it: a slot that no longer
+/// holds what the last run published (an empty store, a store that lost
+/// rows) re-runs publish even when the working catalog is unchanged.
 #[derive(Debug, Default)]
 pub struct Publish {
     /// Refuse to publish while validation errors stand.
@@ -546,7 +549,7 @@ impl Component for Publish {
     }
 
     fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Findings]
+        &[Slot::Working, Slot::Findings, Slot::Published]
     }
 
     fn writes(&self) -> &'static [Slot] {

@@ -18,7 +18,9 @@
 //! 4. saves the vocabulary *only when its version moved* (a rewritten
 //!    vocabulary file forces live readers into a full reload — see the
 //!    delta-publication signature check in `metamess-server`) and persists
-//!    the pipeline state for resume.
+//!    the pipeline state for resume. That state leaves out the published
+//!    catalog: the store is its only copy, and a new `Watcher` takes the
+//!    published slot from the store's rows.
 //!
 //! Because publishes append to the WAL without checkpointing, a live
 //! `metamess serve` follows them via its WAL-tail delta path without
@@ -114,9 +116,10 @@ pub struct Watcher {
 }
 
 impl Watcher {
-    /// Opens the store under `store_dir` (creating it if needed) and restores
-    /// pipeline state from a previous wrangle or watch. Nothing runs until
-    /// [`Watcher::run`] or [`Watcher::run_cycle`].
+    /// Opens the store under `store_dir` (creating it if needed), takes the
+    /// published catalog from it and restores pipeline state from a
+    /// previous wrangle or watch. Nothing runs until [`Watcher::run`] or
+    /// [`Watcher::run_cycle`].
     pub fn new(
         archive_dir: impl Into<PathBuf>,
         store_dir: impl Into<PathBuf>,
@@ -130,11 +133,13 @@ impl Watcher {
         );
         // keep the store out of the scan when it nests inside the archive
         ctx.harvest.scan.exclude.push(".metamess".into());
+        let store = DurableCatalog::open(store_dir.join("catalog"), StoreOptions::default())?;
+        // the store is what was published, whether or not state resumes
+        ctx.catalogs.published = store.catalog();
         let state_dir = store_dir.join("state");
         let resumed = load_state(&mut ctx, &state_dir)?;
         let vocab_path = store_dir.join("vocabulary.json");
         let last_vocab_version = vocab_path.exists().then_some(ctx.vocab.version);
-        let store = DurableCatalog::open(store_dir.join("catalog"), StoreOptions::default())?;
         Ok(Watcher {
             archive_dir,
             vocab_path,
@@ -268,7 +273,8 @@ impl Watcher {
         self.check_failed().map(|()| report)
     }
 
-    /// Read access to the published catalog as the watcher sees it.
+    /// Datasets in the published catalog: the store's rows at
+    /// [`Watcher::new`], then what each cycle published.
     pub fn published_len(&self) -> usize {
         self.ctx.catalogs.published.len()
     }
@@ -325,6 +331,23 @@ mod tests {
             }
         }
         panic!("archive has no station csv files");
+    }
+
+    /// Copies the flat directory `from` to `to`, replacing what `to` held.
+    fn copy_dir(from: &Path, to: &Path) {
+        let _ = std::fs::remove_dir_all(to);
+        std::fs::create_dir_all(to).unwrap();
+        for e in std::fs::read_dir(from).unwrap() {
+            let p = e.unwrap().path();
+            std::fs::copy(&p, to.join(p.file_name().unwrap())).unwrap();
+        }
+    }
+
+    fn store_len(store: &Path) -> usize {
+        DurableCatalog::open(store.join("catalog"), StoreOptions::default())
+            .unwrap()
+            .catalog()
+            .len()
     }
 
     fn quick_options(cycles: Option<u64>) -> WatchOptions {
@@ -422,5 +445,65 @@ mod tests {
         let r2 = w2.run_cycle().unwrap();
         assert_eq!(r2.mutations, 0, "an unchanged archive re-wrangle publishes nothing");
         assert_eq!(r2.datasets, r1.datasets);
+    }
+
+    #[test]
+    fn a_crash_between_publish_and_save_state_resumes_what_the_store_holds() {
+        let (archive, store) = fixture("crash");
+        let state = store.join("state");
+        let saved = store.with_file_name("state-before");
+        let mut w = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        let r1 = w.run_cycle().unwrap();
+        copy_dir(&state, &saved);
+        add_one_file(&archive);
+        let r2 = w.run_cycle().unwrap();
+        assert_eq!(r2.datasets, r1.datasets + 1);
+        drop(w);
+        // The second cycle's delta is in the store, but its state is not:
+        // the process died between the fsync and save_state.
+        copy_dir(&saved, &state);
+        let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        assert!(w2.resumed());
+        assert_eq!(w2.published_len(), r2.datasets, "resume reports what the store serves");
+        let r3 = w2.run_cycle().unwrap();
+        assert_eq!(r3.mutations, 0, "the store already holds the second cycle");
+        assert_eq!(r3.datasets, r2.datasets);
+        drop(w2);
+        assert_eq!(store_len(&store), r2.datasets);
+    }
+
+    #[test]
+    fn a_store_that_lost_a_dataset_is_made_whole_by_the_next_watcher() {
+        let (archive, store) = fixture("lost");
+        let mut w = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        let r1 = w.run_cycle().unwrap();
+        drop(w);
+        let mut s = DurableCatalog::open(store.join("catalog"), StoreOptions::default()).unwrap();
+        let lost = s.catalog().iter().next().unwrap().id;
+        s.delete(lost).unwrap();
+        s.flush().unwrap();
+        drop(s);
+        assert_eq!(store_len(&store), r1.datasets - 1);
+
+        // The archive is unchanged, so every stage but publish skips; publish
+        // re-runs because the published slot lost a dataset.
+        let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        let r2 = w2.run_cycle().unwrap();
+        assert_eq!(r2.mutations, 1, "exactly the lost dataset is republished");
+        assert_eq!(r2.datasets, r1.datasets);
+        drop(w2);
+        assert_eq!(store_len(&store), r1.datasets);
+    }
+
+    #[test]
+    fn a_watcher_resumed_over_an_intact_store_runs_no_stage() {
+        let (archive, store) = fixture("intact");
+        let mut w = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        w.run_cycle().unwrap();
+        drop(w);
+        let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        assert!(w2.resumed());
+        let r = w2.pipeline.run(&mut w2.ctx).unwrap();
+        assert_eq!(r.executed_count(), 0, "{}", r.render());
     }
 }

@@ -9,16 +9,15 @@
 //! <store>/catalog/wal.log           catalog WAL (MMWAL004)
 //! <store>/vocabulary.json           published vocabulary (JSON)
 //! <store>/state/working.bin         pipeline working catalog (MMSNAP04)
-//! <store>/state/published.bin       pipeline published catalog (MMSNAP04)
 //! <store>/state/ledger.bin          run ledger (MMLEDG01)
 //! <store>/state/vocabulary.json     pipeline vocabulary (JSON)
 //! <store>/state/curation.json       curation side-state (JSON)
 //! <store>/state/quarantine/         damaged files + reason sidecars
 //! ```
 //!
-//! Beyond per-file integrity it cross-checks that the durable catalog and
-//! the pipeline's `published.bin` agree on content, and that snapshot + WAL
-//! recover to a consistent generation.
+//! The catalog directory is the only copy of the published catalog. Beyond
+//! per-file integrity it checks that snapshot + WAL recover to a consistent
+//! generation.
 
 use metamess_core::store::fsck::{
     apply_repairs, check_catalog_dir, check_ledger, check_snapshot, FsckReport, FsckSeverity,
@@ -84,33 +83,12 @@ pub fn run_fsck(store_dir: &Path, repair: bool) -> Result<FsckReport> {
     let state = store_dir.join("state");
     let mut report = FsckReport::default();
 
-    let recovered = check_catalog_dir(vfs, &store_dir.join("catalog"), &mut report);
-    let published =
-        check_snapshot(vfs, &state.join("published.bin"), "state/published", &mut report);
+    check_catalog_dir(vfs, &store_dir.join("catalog"), &mut report);
     check_snapshot(vfs, &state.join("working.bin"), "state/working", &mut report);
     check_ledger(vfs, &state.join("ledger.bin"), "state/ledger", &mut report);
     check_json(vfs, &store_dir.join("vocabulary.json"), "vocabulary", &mut report);
     check_json(vfs, &state.join("vocabulary.json"), "state/vocabulary", &mut report);
     check_json(vfs, &state.join("curation.json"), "state/curation", &mut report);
-
-    // Cross-check: the durable catalog is published state; the pipeline's
-    // published.bin snapshot should describe the same datasets.
-    if let (Some(catalog), Some(published)) = (recovered, published) {
-        if catalog.content_fingerprint() != published.content_fingerprint() {
-            report.push(
-                "store",
-                store_dir,
-                FsckSeverity::Warn,
-                format!(
-                    "catalog ({} entries) and state/published.bin ({} entries) disagree on \
-                     content — an interrupted wrangle may have published partially",
-                    catalog.len(),
-                    published.len()
-                ),
-                None,
-            );
-        }
-    }
 
     if repair {
         apply_repairs(vfs, &mut report, &quarantine_dir(store_dir))?;
@@ -226,20 +204,5 @@ mod tests {
         assert!(e.to_string().contains("locked"), "{e}");
         drop(live);
         run_fsck(&dir, true).unwrap();
-    }
-
-    #[test]
-    fn catalog_published_disagreement_warns() {
-        use metamess_core::store::write_snapshot;
-        use metamess_core::Catalog;
-        let dir = store("disagree");
-        let state = dir.join("state");
-        std::fs::create_dir_all(&state).unwrap();
-        let mut other = Catalog::new();
-        other.put(DatasetFeature::new("different.csv"));
-        write_snapshot(state.join("published.bin"), &other).unwrap();
-        let report = run_fsck(&dir, false).unwrap();
-        assert_eq!(report.warn_count(), 1, "{}", render_report(&report));
-        assert_eq!(report.error_count(), 0);
     }
 }

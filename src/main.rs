@@ -332,8 +332,12 @@ fn cmd_wrangle(args: &Args) -> Result<()> {
     );
     // keep the store out of the scan
     ctx.harvest.scan.exclude.push(".metamess".into());
-    // resume incrementality: restore catalogs, vocabulary and the run
-    // ledger from the previous wrangle so unchanged stages are skipped
+    let (catalog_dir, vocab_path) = store_paths(&store_dir);
+    let mut store = DurableCatalog::open(&catalog_dir, StoreOptions::default())?;
+    // the store is what was published; resume incrementality from the
+    // working catalog, vocabulary and run ledger of the previous wrangle so
+    // unchanged stages are skipped
+    ctx.catalogs.published = store.catalog();
     let state_dir = store_dir.join("state");
     if metamess::pipeline::load_state(&mut ctx, &state_dir)? {
         println!(
@@ -362,8 +366,6 @@ fn cmd_wrangle(args: &Args) -> Result<()> {
         );
     }
 
-    let (catalog_dir, vocab_path) = store_paths(&store_dir);
-    let mut store = DurableCatalog::open(&catalog_dir, StoreOptions::default())?;
     store.replace_with(&ctx.catalogs.published)?;
     ctx.vocab.save(&vocab_path)?;
     metamess::pipeline::save_state(&ctx, &state_dir)?;

@@ -161,10 +161,13 @@ fn fsck_detects_and_repairs_corruption() {
     let store = dir.join(".metamess");
     let store_s = store.to_str().unwrap();
 
-    // a freshly wrangled store is clean
+    // a freshly wrangled store is clean, and the catalog is its only copy
+    // of what was published
     let (ok, stdout, stderr) = run(&["fsck", store_s]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("0 error(s)"), "{stdout}");
+    assert!(!store.join("state").join("published.bin").exists());
+    assert!(!stdout.contains("state/published"), "{stdout}");
 
     // corrupt a WAL record: append garbage that can never frame-decode
     let wal = store.join("catalog").join("wal.log");
