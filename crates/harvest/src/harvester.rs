@@ -1,4 +1,5 @@
-//! The harvester: scan → sniff → parse → extract, with incremental reruns.
+//! The harvester: sniff → parse → extract over a scan's listing, with
+//! incremental reruns.
 //!
 //! Running and *re*-running the process is curatorial activity 2; the
 //! harvester skips files whose length and content fingerprint match what the
@@ -6,9 +7,8 @@
 
 use crate::extract::extract_feature;
 use crate::naming::{infer_path_facts, NamingRule};
-use crate::scan::{scan_memory, FileEntry, ScanConfig};
+use crate::scan::{ArchiveInput, FileEntry, ScanConfig};
 use metamess_core::catalog::Catalog;
-use metamess_core::error::{IoContext, Result};
 use metamess_core::feature::DatasetFeature;
 use metamess_formats::sniff_and_parse;
 use metamess_telemetry::{event, Counter, Histogram, Level, Stopwatch};
@@ -80,65 +80,9 @@ pub struct HarvestReport {
     pub scanned: usize,
 }
 
-impl HarvestReport {
-    /// All features (new + reused), path-sorted.
-    pub fn all_features(&self) -> Vec<&DatasetFeature> {
-        let mut out: Vec<&DatasetFeature> =
-            self.features.iter().chain(self.reused.iter()).collect();
-        out.sort_by(|a, b| a.path.cmp(&b.path));
-        out
-    }
-}
-
-/// A content source the harvester can read from.
-pub trait ArchiveSource {
-    /// Lists candidate files.
-    fn list(&self, config: &ScanConfig) -> Result<Vec<FileEntry>>;
-    /// Reads a file's content.
-    fn read(&self, rel_path: &str) -> Result<String>;
-}
-
-/// An archive rooted in a real directory.
-pub struct DirSource<'a> {
-    /// Archive root.
-    pub root: &'a Path,
-}
-
-impl ArchiveSource for DirSource<'_> {
-    fn list(&self, config: &ScanConfig) -> Result<Vec<FileEntry>> {
-        crate::scan::scan_directory(self.root, config)
-    }
-    fn read(&self, rel_path: &str) -> Result<String> {
-        let p = self.root.join(rel_path);
-        let bytes = std::fs::read(&p).io_ctx(format!("read {}", p.display()))?;
-        String::from_utf8(bytes).map_err(|_| {
-            metamess_core::error::Error::parse(format!("file {rel_path}"), "not valid utf-8 text")
-        })
-    }
-}
-
-/// An in-memory archive (`(rel_path, content)` pairs).
-pub struct MemorySource<'a> {
-    /// Files of the archive.
-    pub files: &'a [(String, String)],
-}
-
-impl ArchiveSource for MemorySource<'_> {
-    fn list(&self, config: &ScanConfig) -> Result<Vec<FileEntry>> {
-        Ok(scan_memory(self.files, config))
-    }
-    fn read(&self, rel_path: &str) -> Result<String> {
-        self.files
-            .iter()
-            .find(|(p, _)| p == rel_path)
-            .map(|(_, c)| c.clone())
-            .ok_or_else(|| metamess_core::error::Error::not_found("file", rel_path))
-    }
-}
-
 /// Processes one scanned file into `report`: reused, extracted, or an error.
 fn process_entry(
-    source: &impl ArchiveSource,
+    archive: &ArchiveInput,
     config: &HarvestConfig,
     previous: Option<&Catalog>,
     entry: &FileEntry,
@@ -159,7 +103,7 @@ fn process_entry(
         }
     }
     let timer = Stopwatch::start_if(on);
-    let content = match source.read(&entry.rel_path) {
+    let content = match archive.read(&entry.rel_path) {
         Ok(c) => c,
         Err(e) => {
             if on {
@@ -197,21 +141,22 @@ fn process_entry(
     }
 }
 
-/// Harvests an archive. When `previous` is given, unchanged files (same
-/// length and fingerprint) reuse their stored feature instead of re-parsing.
+/// Harvests the listed files of `archive`. `entries` is the listing
+/// [`ArchiveInput::scan`] returned; the harvester never lists on its own.
+/// When `previous` is given, unchanged files (same length and fingerprint)
+/// reuse their stored feature instead of re-parsing.
 pub fn harvest(
-    source: &impl ArchiveSource,
+    archive: &ArchiveInput,
+    entries: &[FileEntry],
     config: &HarvestConfig,
     previous: Option<&Catalog>,
-) -> Result<HarvestReport> {
-    let entries = source.list(&config.scan)?;
+) -> HarvestReport {
     if metamess_telemetry::enabled() {
         harvest_metrics().files_scanned.add(entries.len() as u64);
     }
     let mut report = HarvestReport { scanned: entries.len(), ..HarvestReport::default() };
-
-    for entry in &entries {
-        process_entry(source, config, previous, entry, &mut report);
+    for entry in entries {
+        process_entry(archive, config, previous, entry, &mut report);
     }
     event!(
         Level::Info,
@@ -222,7 +167,7 @@ pub fn harvest(
         report.reused.len(),
         report.errors.len()
     );
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
@@ -235,11 +180,25 @@ mod tests {
         HarvestConfig { scan: ScanConfig::default(), naming: observatory_rules(), pipeline_run: 1 }
     }
 
+    /// Scans `archive` with `config`'s scan settings and harvests the listing.
+    fn scan_and_harvest(
+        archive: &ArchiveInput,
+        config: &HarvestConfig,
+        previous: Option<&Catalog>,
+    ) -> HarvestReport {
+        let entries = archive.scan(&config.scan).unwrap();
+        harvest(archive, &entries, config, previous)
+    }
+
+    fn tiny() -> (ArchiveInput, metamess_archive::GeneratedArchive) {
+        let archive = generate(&ArchiveSpec::tiny());
+        (ArchiveInput::Memory(archive.files.clone()), archive)
+    }
+
     #[test]
     fn harvest_generated_archive() {
-        let archive = generate(&ArchiveSpec::tiny());
-        let source = MemorySource { files: &archive.files };
-        let report = harvest(&source, &config(), None).unwrap();
+        let (source, archive) = tiny();
+        let report = scan_and_harvest(&source, &config(), None);
         // every truth dataset harvested; every malformed file reported
         assert_eq!(report.features.len(), archive.truth.datasets.len());
         assert_eq!(report.errors.len(), archive.truth.malformed.len());
@@ -261,9 +220,8 @@ mod tests {
 
     #[test]
     fn harvested_variables_match_truth() {
-        let archive = generate(&ArchiveSpec::tiny());
-        let source = MemorySource { files: &archive.files };
-        let report = harvest(&source, &config(), None).unwrap();
+        let (source, archive) = tiny();
+        let report = scan_and_harvest(&source, &config(), None);
         for t in &archive.truth.datasets {
             let f = report.features.iter().find(|f| f.path == t.path).unwrap();
             for tv in &t.variables {
@@ -277,25 +235,22 @@ mod tests {
 
     #[test]
     fn rerun_with_unchanged_archive_reuses_everything() {
-        let archive = generate(&ArchiveSpec::tiny());
-        let source = MemorySource { files: &archive.files };
-        let first = harvest(&source, &config(), None).unwrap();
+        let (source, _) = tiny();
+        let first = scan_and_harvest(&source, &config(), None);
         let mut catalog = Catalog::new();
         for f in &first.features {
             catalog.put(f.clone());
         }
-        let second = harvest(&source, &config(), Some(&catalog)).unwrap();
+        let second = scan_and_harvest(&source, &config(), Some(&catalog));
         assert!(second.features.is_empty());
         assert_eq!(second.reused.len(), first.features.len());
-        assert_eq!(second.all_features().len(), first.features.len());
     }
 
     #[test]
     fn rerun_reparses_only_changed_files() {
         let archive = generate(&ArchiveSpec::tiny());
         let mut files = archive.files.clone();
-        let source = MemorySource { files: &files };
-        let first = harvest(&source, &config(), None).unwrap();
+        let first = scan_and_harvest(&ArchiveInput::Memory(files.clone()), &config(), None);
         let mut catalog = Catalog::new();
         for f in &first.features {
             catalog.put(f.clone());
@@ -308,20 +263,19 @@ mod tests {
         files[ix].1.push('\n');
         files[ix].1 = files[ix].1.replace("10.", "11.");
         let changed_path = files[ix].0.clone();
-        let source2 = MemorySource { files: &files };
-        let second = harvest(&source2, &config(), Some(&catalog)).unwrap();
+        let second = scan_and_harvest(&ArchiveInput::Memory(files), &config(), Some(&catalog));
         assert_eq!(second.features.len(), 1);
         assert_eq!(second.features[0].path, changed_path);
     }
 
     #[test]
     fn disk_source_equivalent_to_memory() {
-        let archive = generate(&ArchiveSpec::tiny());
+        let (mem_source, archive) = tiny();
         let dir = std::env::temp_dir().join(format!("metamess-harv-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         archive.write_to(&dir).unwrap();
-        let disk = harvest(&DirSource { root: &dir }, &config(), None).unwrap();
-        let mem = harvest(&MemorySource { files: &archive.files }, &config(), None).unwrap();
+        let disk = scan_and_harvest(&ArchiveInput::Dir(dir), &config(), None);
+        let mem = scan_and_harvest(&mem_source, &config(), None);
         assert_eq!(disk.features.len(), mem.features.len());
         // features identical modulo nothing — paths and summaries match
         for (d, m) in disk.features.iter().zip(mem.features.iter()) {
@@ -331,11 +285,10 @@ mod tests {
 
     #[test]
     fn scoped_scan_only_sees_its_root() {
-        let archive = generate(&ArchiveSpec::tiny());
-        let source = MemorySource { files: &archive.files };
+        let (source, _) = tiny();
         let mut cfg = config();
         cfg.scan.roots = vec!["cruises".into()];
-        let report = harvest(&source, &cfg, None).unwrap();
+        let report = scan_and_harvest(&source, &cfg, None);
         assert!(report.features.iter().all(|f| f.path.starts_with("cruises/")));
         assert!(!report.features.is_empty());
     }

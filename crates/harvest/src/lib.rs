@@ -1,9 +1,11 @@
 //! # metamess-harvest
 //!
-//! Archive scanning and metadata harvesting: walks the archive (configured
-//! directories, file types, naming conventions), sniffs and parses each
-//! file, and summarizes it into a catalog [`DatasetFeature`] — with
-//! fingerprint-based incremental reruns and per-file error reporting.
+//! Archive scanning and metadata harvesting: [`ArchiveInput::scan`] walks
+//! the archive once (configured directories, file types, naming
+//! conventions) and lists each accepted file with its content fingerprint;
+//! [`harvest`] sniffs and parses the listed files and summarizes each into
+//! a catalog [`DatasetFeature`] — with fingerprint-based incremental reruns
+//! and per-file error reporting.
 //!
 //! [`DatasetFeature`]: metamess_core::feature::DatasetFeature
 
@@ -15,8 +17,6 @@ mod naming;
 pub mod scan;
 
 pub use extract::extract_feature;
-pub use harvester::{
-    harvest, ArchiveSource, DirSource, HarvestConfig, HarvestError, HarvestReport, MemorySource,
-};
+pub use harvester::{harvest, HarvestConfig, HarvestError, HarvestReport};
 pub use naming::{infer_path_facts, observatory_rules, NamingRule, PathFacts};
-pub use scan::{archive_fingerprint, scan_directory, scan_memory, FileEntry, ScanConfig};
+pub use scan::{archive_fingerprint, ArchiveInput, FileEntry, ScanConfig};

@@ -1,14 +1,16 @@
-//! Directory scanning: the configured entry point of the wrangling chain.
+//! Archive scanning: the configured entry point of the wrangling chain.
 //!
 //! "Configure: directories, file types, naming conventions" — the scan stage
 //! walks the archive deterministically, filters by the configured
 //! extensions/directories, and fingerprints content so reruns can skip
-//! unchanged files.
+//! unchanged files. [`ArchiveInput::scan`] is the only walk: a pipeline run
+//! or a watch cycle takes it once, and the engine's archive digest and the
+//! harvester both read that one listing.
 
-use metamess_core::error::{IoContext, Result};
+use metamess_core::error::{Error, IoContext, Result};
 use metamess_core::id::fnv1a;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Scan-stage configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,48 +84,81 @@ pub struct FileEntry {
     pub fingerprint: u64,
 }
 
-/// Walks `archive_dir` and returns accepted files, path-sorted.
-pub fn scan_directory(archive_dir: &Path, config: &ScanConfig) -> Result<Vec<FileEntry>> {
-    let mut out = Vec::new();
-    let mut stack = vec![archive_dir.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let entries = std::fs::read_dir(&dir).io_ctx(format!("read dir {}", dir.display()))?;
-        for e in entries {
-            let e = e.io_ctx("read dir entry")?;
-            let path = e.path();
-            if path.is_dir() {
-                stack.push(path);
-                continue;
-            }
-            let rel = rel_path(archive_dir, &path);
-            if !config.accepts(&rel) {
-                continue;
-            }
-            let bytes = std::fs::read(&path).io_ctx(format!("read file {}", path.display()))?;
-            out.push(FileEntry {
-                rel_path: rel,
-                len: bytes.len() as u64,
-                fingerprint: fnv1a(&bytes),
-            });
-        }
-    }
-    out.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-    Ok(out)
+/// Where the archive lives. [`ArchiveInput::scan`] is the one walk of it;
+/// every reader of the archive takes that listing.
+#[derive(Debug, Clone)]
+pub enum ArchiveInput {
+    /// In-memory `(rel_path, content)` pairs (tests, benches, generators).
+    Memory(Vec<(String, String)>),
+    /// A directory on disk.
+    Dir(PathBuf),
 }
 
-/// Scans an in-memory archive (`(rel_path, content)` pairs) the same way.
-pub fn scan_memory(files: &[(String, String)], config: &ScanConfig) -> Vec<FileEntry> {
-    let mut out: Vec<FileEntry> = files
-        .iter()
-        .filter(|(rel, _)| config.accepts(rel))
-        .map(|(rel, content)| FileEntry {
-            rel_path: rel.clone(),
-            len: content.len() as u64,
-            fingerprint: fnv1a(content.as_bytes()),
-        })
-        .collect();
-    out.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-    out
+impl ArchiveInput {
+    /// Lists the files `config` accepts, path-sorted, each read once for its
+    /// length and content fingerprint. A directory walk never descends
+    /// through a symlink (`up -> ..` would loop); a symlink to a file is
+    /// read like the file.
+    pub fn scan(&self, config: &ScanConfig) -> Result<Vec<FileEntry>> {
+        let mut out = Vec::new();
+        match self {
+            ArchiveInput::Memory(files) => {
+                for (rel, content) in files.iter().filter(|(rel, _)| config.accepts(rel)) {
+                    out.push(FileEntry::of(rel.clone(), content.as_bytes()));
+                }
+            }
+            ArchiveInput::Dir(root) => {
+                let mut stack = vec![root.clone()];
+                while let Some(dir) = stack.pop() {
+                    let entries =
+                        std::fs::read_dir(&dir).io_ctx(format!("read dir {}", dir.display()))?;
+                    for e in entries {
+                        let e = e.io_ctx("read dir entry")?;
+                        let path = e.path();
+                        let kind = e.file_type().io_ctx(format!("stat {}", path.display()))?;
+                        if kind.is_dir() {
+                            stack.push(path);
+                            continue;
+                        }
+                        if kind.is_symlink() && path.is_dir() {
+                            continue;
+                        }
+                        let rel = rel_path(root, &path);
+                        if config.accepts(&rel) {
+                            let bytes = std::fs::read(&path)
+                                .io_ctx(format!("read file {}", path.display()))?;
+                            out.push(FileEntry::of(rel, &bytes));
+                        }
+                    }
+                }
+            }
+        }
+        out.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
+        Ok(out)
+    }
+
+    /// Reads one listed file's content as text.
+    pub fn read(&self, rel_path: &str) -> Result<String> {
+        match self {
+            ArchiveInput::Memory(files) => files
+                .iter()
+                .find(|(p, _)| p == rel_path)
+                .map(|(_, c)| c.clone())
+                .ok_or_else(|| Error::not_found("file", rel_path)),
+            ArchiveInput::Dir(root) => {
+                let p = root.join(rel_path);
+                let bytes = std::fs::read(&p).io_ctx(format!("read {}", p.display()))?;
+                String::from_utf8(bytes)
+                    .map_err(|_| Error::parse(format!("file {rel_path}"), "not valid utf-8 text"))
+            }
+        }
+    }
+}
+
+impl FileEntry {
+    fn of(rel_path: String, bytes: &[u8]) -> FileEntry {
+        FileEntry { rel_path, len: bytes.len() as u64, fingerprint: fnv1a(bytes) }
+    }
 }
 
 /// Stable 64-bit fingerprint of an entire scanned archive, from the
@@ -184,60 +219,81 @@ mod tests {
         assert!(c.accepts("keep/x.csv"));
     }
 
+    fn memory(files: &[(&str, &str)]) -> ArchiveInput {
+        ArchiveInput::Memory(files.iter().map(|(p, c)| (p.to_string(), c.to_string())).collect())
+    }
+
     #[test]
     fn memory_scan_sorted_and_fingerprinted() {
-        let files = vec![
-            ("b.csv".to_string(), "x,y\n1,2\n".to_string()),
-            ("a.csv".to_string(), "x,y\n3,4\n".to_string()),
-        ];
-        let entries = scan_memory(&files, &ScanConfig::default());
+        let archive = memory(&[("b.csv", "x,y\n1,2\n"), ("a.csv", "x,y\n3,4\n")]);
+        let entries = archive.scan(&ScanConfig::default()).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].rel_path, "a.csv");
         assert_ne!(entries[0].fingerprint, entries[1].fingerprint);
         assert_eq!(entries[1].len, 8);
+        assert_eq!(archive.read("b.csv").unwrap(), "x,y\n1,2\n");
+        assert!(archive.read("c.csv").is_err());
     }
 
     #[test]
     fn archive_fingerprint_tracks_content_not_order() {
-        let files = vec![
-            ("b.csv".to_string(), "x,y\n1,2\n".to_string()),
-            ("a.csv".to_string(), "x,y\n3,4\n".to_string()),
-        ];
-        let entries = scan_memory(&files, &ScanConfig::default());
+        let config = ScanConfig::default();
+        let entries =
+            memory(&[("b.csv", "x,y\n1,2\n"), ("a.csv", "x,y\n3,4\n")]).scan(&config).unwrap();
         let fp = archive_fingerprint(&entries);
         // order-insensitive
         let mut reversed = entries.clone();
         reversed.reverse();
         assert_eq!(archive_fingerprint(&reversed), fp);
         // one-byte edit moves it
-        let edited = vec![
-            ("b.csv".to_string(), "x,y\n1,2\n".to_string()),
-            ("a.csv".to_string(), "x,y\n3,5\n".to_string()),
-        ];
-        assert_ne!(archive_fingerprint(&scan_memory(&edited, &ScanConfig::default())), fp);
+        let edited = memory(&[("b.csv", "x,y\n1,2\n"), ("a.csv", "x,y\n3,5\n")]);
+        assert_ne!(archive_fingerprint(&edited.scan(&config).unwrap()), fp);
         // removal moves it
         assert_ne!(archive_fingerprint(&entries[..1]), fp);
         // empty archive has a stable fingerprint
         assert_eq!(archive_fingerprint(&[]), archive_fingerprint(&[]));
     }
 
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("metamess-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn directory_scan_matches_memory_scan() {
-        let dir = std::env::temp_dir().join(format!("metamess-scan-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("scan");
         std::fs::create_dir_all(dir.join("sub")).unwrap();
         std::fs::write(dir.join("a.csv"), "x\n1\n").unwrap();
         std::fs::write(dir.join("sub/b.csv"), "y\n2\n").unwrap();
         std::fs::write(dir.join("skip.md"), "nope").unwrap();
         let config = ScanConfig::default();
-        let disk = scan_directory(&dir, &config).unwrap();
-        let mem = scan_memory(
-            &[
-                ("a.csv".to_string(), "x\n1\n".to_string()),
-                ("sub/b.csv".to_string(), "y\n2\n".to_string()),
-            ],
-            &config,
-        );
-        assert_eq!(disk, mem);
+        let disk = ArchiveInput::Dir(dir.clone());
+        let mem = memory(&[("a.csv", "x\n1\n"), ("sub/b.csv", "y\n2\n")]);
+        assert_eq!(disk.scan(&config).unwrap(), mem.scan(&config).unwrap());
+        assert_eq!(disk.read("sub/b.csv").unwrap(), mem.read("sub/b.csv").unwrap());
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn symlinked_directories_are_not_followed() {
+        use std::os::unix::fs::symlink;
+        let dir = temp_dir("scan-links");
+        std::fs::create_dir_all(dir.join("stations")).unwrap();
+        std::fs::write(dir.join("stations/a.csv"), "x\n1\n").unwrap();
+        let archive = ArchiveInput::Dir(dir.clone());
+        let config = ScanConfig::default();
+        let listed = |archive: &ArchiveInput| -> Vec<String> {
+            archive.scan(&config).unwrap().into_iter().map(|e| e.rel_path).collect()
+        };
+        // a link back up the tree would otherwise loop until ELOOP
+        symlink("..", dir.join("stations/up")).unwrap();
+        assert_eq!(listed(&archive), ["stations/a.csv"]);
+        // two links into each other's trees would otherwise grow without bound
+        symlink("stations", dir.join("mirror")).unwrap();
+        assert_eq!(listed(&archive), ["stations/a.csv"]);
+        // a link to a file is still read
+        symlink("stations/a.csv", dir.join("linked.csv")).unwrap();
+        assert_eq!(listed(&archive), ["linked.csv", "stations/a.csv"]);
     }
 }

@@ -149,9 +149,13 @@ pub trait Component {
     fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport>;
 
     /// Runs the stage directly against a context, outside the engine —
-    /// declaration checks still apply. Used by tests and ad-hoc callers;
-    /// the pipeline runner goes through the incremental engine instead.
+    /// declaration checks still apply. A stage that reads [`Slot::Archive`]
+    /// gets a fresh rescan first. Used by tests and ad-hoc callers; the
+    /// pipeline runner goes through the incremental engine instead.
     fn run_standalone(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
+        if self.reads().contains(&Slot::Archive) {
+            ctx.rescan()?;
+        }
         ctx.harvest.pipeline_run = ctx.run_id;
         let mut view = CtxView::scoped(ctx, self.name(), self.reads(), self.writes());
         self.run(&mut view)

@@ -3,22 +3,13 @@
 
 use crate::component::Slot;
 use metamess_core::catalog::{Catalog, CatalogPair};
+use metamess_core::error::Result;
 use metamess_core::store::RunLedger;
 use metamess_discover::RuleProposal;
-use metamess_harvest::HarvestConfig;
+use metamess_harvest::{archive_fingerprint, ArchiveInput, FileEntry, HarvestConfig};
 use metamess_vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-/// Where the archive lives.
-#[derive(Debug, Clone)]
-pub enum ArchiveInput {
-    /// In-memory `(rel_path, content)` pairs (tests, benches, generators).
-    Memory(Vec<(String, String)>),
-    /// A directory on disk.
-    Dir(PathBuf),
-}
 
 /// One validation finding (curatorial activity 4).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -76,6 +67,9 @@ pub struct PipelineContext {
     /// and output digests. Persist/restore it (see [`crate::save_state`])
     /// to resume incrementality across processes.
     pub ledger: RunLedger,
+    /// The archive's listing from the last [`PipelineContext::rescan`]:
+    /// what [`Slot::Archive`] digests and the scan stage harvests.
+    pub(crate) listing: Vec<FileEntry>,
 }
 
 impl PipelineContext {
@@ -97,7 +91,18 @@ impl PipelineContext {
             expected_datasets: Vec::new(),
             run_id: 0,
             ledger: RunLedger::new(),
+            listing: Vec::new(),
         }
+    }
+
+    /// Walks the archive once under the scan configuration and holds the
+    /// listing for the stages that read [`Slot::Archive`]. Returns the
+    /// listing's [`archive_fingerprint`]. [`crate::Pipeline::run`] and
+    /// [`crate::CurationLoop::run_to_fixpoint`] call this at entry, so set
+    /// `archive` or the scan configuration before either.
+    pub fn rescan(&mut self) -> Result<u64> {
+        self.listing = self.archive.scan(&self.harvest.scan)?;
+        Ok(archive_fingerprint(&self.listing))
     }
 
     /// Errors among the findings.
@@ -170,6 +175,12 @@ impl<'a> CtxView<'a> {
     pub fn archive(&self) -> &ArchiveInput {
         self.assert_read(Slot::Archive);
         &self.ctx.archive
+    }
+
+    /// The archive's listing from the last rescan. Reads [`Slot::Archive`].
+    pub fn scan(&self) -> &[FileEntry] {
+        self.assert_read(Slot::Archive);
+        &self.ctx.listing
     }
 
     /// The harvest configuration. Reads [`Slot::Archive`].

@@ -277,16 +277,28 @@ impl CurationLoop {
             .count()
     }
 
-    /// Runs the pipeline repeatedly, curating between runs, until no
-    /// iteration makes progress (or the iteration cap is hit). Returns the
-    /// per-iteration history and the final run's report.
+    /// Rescans the archive once, then runs the pipeline repeatedly over that
+    /// listing, curating between runs, until no iteration makes progress
+    /// (or the iteration cap is hit). Returns the per-iteration history and
+    /// the final run's report.
     pub fn run_to_fixpoint(
         &self,
         pipeline: &mut Pipeline,
         ctx: &mut PipelineContext,
     ) -> Result<(Vec<CurationStep>, RunReport)> {
+        ctx.rescan()?;
+        self.fixpoint(pipeline, ctx)
+    }
+
+    /// [`CurationLoop::run_to_fixpoint`] over the listing `ctx` already
+    /// holds, reading no archive.
+    pub(crate) fn fixpoint(
+        &self,
+        pipeline: &mut Pipeline,
+        ctx: &mut PipelineContext,
+    ) -> Result<(Vec<CurationStep>, RunReport)> {
         let mut history = Vec::new();
-        let mut last_report = pipeline.run(ctx)?;
+        let mut last_report = pipeline.run_scanned(ctx)?;
         for iteration in 1..=self.policy.max_iterations {
             let before_unresolved = Self::unresolved_count(ctx);
             let (reviewed, accepted) = self.review_proposals(ctx);
@@ -306,7 +318,7 @@ impl CurationLoop {
             if accepted + clarified + abbreviations + manual > 0 {
                 ctx.vocab.bump_version();
             }
-            last_report = pipeline.run(ctx)?;
+            last_report = pipeline.run_scanned(ctx)?;
             let unresolved_after = Self::unresolved_count(ctx);
             history.push(CurationStep {
                 iteration,
@@ -331,7 +343,7 @@ impl CurationLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::ArchiveInput;
+    use crate::ArchiveInput;
     use metamess_archive::{generate, ArchiveSpec};
     use metamess_vocab::Vocabulary;
 
@@ -478,6 +490,26 @@ mod tests {
             history.last().unwrap().stages_skipped >= 7,
             "final iteration should be near-total skip: {history:?}"
         );
+    }
+
+    #[test]
+    fn a_fixpoint_over_a_held_listing_reads_no_archive() {
+        let dir = std::env::temp_dir().join(format!("mm-curator-held-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        generate(&ArchiveSpec::tiny()).write_to(&dir).unwrap();
+        let mut c =
+            PipelineContext::new(ArchiveInput::Dir(dir.clone()), Vocabulary::observatory_default());
+        let mut p = Pipeline::standard();
+        let curator = CurationLoop::new(CuratorPolicy::default());
+        curator.run_to_fixpoint(&mut p, &mut c).unwrap();
+        c.rescan().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        // every digest comes from the held listing: nothing moved, so no
+        // stage runs and nothing reads the (now missing) archive
+        let (_, last) = curator.fixpoint(&mut p, &mut c).unwrap();
+        assert_eq!(last.executed_count(), 0, "{}", last.render());
+        // the entry point walks the archive, and there is none
+        assert!(curator.run_to_fixpoint(&mut p, &mut c).is_err());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! Every [`Slot`] of the [`PipelineContext`] gets a stable 64-bit **content
 //! fingerprint**: catalogs hash their entries and properties (generation
 //! counters excluded), the archive slot hashes the per-file
-//! `(path, len, content-hash)` triples plus the scan/naming configuration
-//! (via [`metamess_harvest::scan::archive_fingerprint`]), and every other
-//! slot hashes its canonical JSON serialization. All of these are
+//! `(path, len, content-hash)` triples of the context's held listing plus
+//! the scan/naming configuration (via
+//! [`metamess_harvest::archive_fingerprint`]), and every other slot hashes
+//! its canonical JSON serialization. All of these are
 //! deterministic: the underlying collections are ordered (`BTreeMap`s,
 //! sorted scans), so equal content always yields an equal fingerprint.
 //!
@@ -50,19 +51,24 @@
 //! not hold what the last run published (an empty store, rows lost to
 //! `fsck --repair`) re-runs publish and nothing else.
 //!
+//! # The one walk
+//!
+//! The archive is walked once per pipeline run, curation loop or watch
+//! cycle, by [`PipelineContext::rescan`]: [`crate::Pipeline::run`] and
+//! [`crate::CurationLoop::run_to_fixpoint`] call it at entry, and
+//! [`crate::Watcher::run_cycle`] calls it for its skip check. The archive
+//! slot's fingerprint hashes the held listing without touching the
+//! archive, and the scan stage harvests that same listing, so the digest
+//! and the harvest always describe one walk.
+//!
 //! # Caveats
 //!
 //! * Stage names must be unique within a pipeline: the ledger is keyed by
 //!   name. Composing the same component twice makes the second occurrence
 //!   share (and clobber) the first one's record.
-//! * Fingerprinting the archive slot re-scans the archive (cheap relative
-//!   to parsing; for directory archives it is the same walk the harvester
-//!   would do). A run where the scan stage executes therefore walks the
-//!   archive twice; a run where it skips walks it once — strictly better
-//!   than the pre-engine behavior on the hot (unchanged) path.
 
 use crate::component::{Component, Slot, StageReport};
-use crate::context::{ArchiveInput, CtxView, PipelineContext, ValidationFinding};
+use crate::context::{CtxView, PipelineContext, ValidationFinding};
 use crate::pipeline::RunReport;
 use metamess_core::error::{Error, IoContext, Result};
 use metamess_core::id::fnv1a;
@@ -71,7 +77,7 @@ use metamess_core::store::{
     QuarantineReason, StageRecord,
 };
 use metamess_discover::RuleProposal;
-use metamess_harvest::scan::{archive_fingerprint, scan_directory, scan_memory};
+use metamess_harvest::archive_fingerprint;
 use metamess_telemetry::{event, labeled, Level, Stopwatch};
 use metamess_vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
@@ -95,17 +101,13 @@ fn json_fp<T: Serialize>(value: &T) -> Result<u64> {
 fn slot_fingerprint(slot: Slot, ctx: &PipelineContext) -> Result<u64> {
     Ok(match slot {
         Slot::Archive => {
-            let entries = match &ctx.archive {
-                ArchiveInput::Memory(files) => scan_memory(files, &ctx.harvest.scan),
-                ArchiveInput::Dir(root) => scan_directory(root, &ctx.harvest.scan)?,
-            };
             // the configuration is part of the input: widening the scan or
             // changing naming conventions must dirty the scan stage
             // (pipeline_run deliberately excluded — it never changes what
             // a scan produces, only provenance stamps)
             let config = json_fp(&(&ctx.harvest.scan, &ctx.harvest.naming))?;
             let mut buf = [0u8; 16];
-            buf[..8].copy_from_slice(&archive_fingerprint(&entries).to_le_bytes());
+            buf[..8].copy_from_slice(&archive_fingerprint(&ctx.listing).to_le_bytes());
             buf[8..].copy_from_slice(&config.to_le_bytes());
             fnv1a(&buf)
         }
@@ -170,7 +172,8 @@ impl Drop for TraceGuard {
 
 /// Runs a component chain incrementally: skips stages whose input digest
 /// matches the context ledger's record, executes the rest through scoped
-/// views, and updates the ledger. Called by [`crate::Pipeline::run`].
+/// views, and updates the ledger. Called by [`crate::Pipeline::run`] over
+/// the listing the context holds.
 pub(crate) fn run_chain(
     components: &mut [Box<dyn Component>],
     ctx: &mut PipelineContext,
@@ -420,7 +423,7 @@ mod tests {
     use crate::pipeline::Pipeline;
     use crate::stages::{PerformKnownTransformations, ScanArchive};
     use crate::validate::Validate;
-    use crate::Publish;
+    use crate::{ArchiveInput, Publish};
     use metamess_archive::{generate, ArchiveSpec};
     use metamess_core::{DurableCatalog, StoreOptions};
 

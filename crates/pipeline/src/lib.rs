@@ -36,9 +36,10 @@ mod validate;
 pub mod watch;
 
 pub use component::{Component, Slot, StageReport, StageStatus};
-pub use context::{ArchiveInput, CtxView, PipelineContext, Severity, ValidationFinding};
+pub use context::{CtxView, PipelineContext, Severity, ValidationFinding};
 pub use curator::{CurationLoop, CurationStep, CuratorPolicy};
 pub use engine::{load_state, save_state};
+pub use metamess_harvest::ArchiveInput;
 pub use pipeline::{Pipeline, RunReport};
 pub use stages::{
     detect_ambiguity, AddExternalMetadata, DiscoverTransformations, DiscoveryConfig,

@@ -148,11 +148,18 @@ impl Pipeline {
         self.components.iter().map(|c| (c.name(), c.reads(), c.writes())).collect()
     }
 
-    /// Runs the chain through the incremental engine: stages whose declared
-    /// inputs are unchanged since the context's last run are skipped (and
-    /// reported as such); the rest execute in order. Stops at the first
-    /// hard error.
+    /// Rescans the archive once, then runs the chain through the
+    /// incremental engine: stages whose declared inputs are unchanged since
+    /// the context's last run are skipped (and reported as such); the rest
+    /// execute in order. Stops at the first hard error.
     pub fn run(&mut self, ctx: &mut PipelineContext) -> Result<RunReport> {
+        ctx.rescan()?;
+        self.run_scanned(ctx)
+    }
+
+    /// Runs the chain over the listing `ctx` already holds, reading no
+    /// archive.
+    pub(crate) fn run_scanned(&mut self, ctx: &mut PipelineContext) -> Result<RunReport> {
         engine::run_chain(&mut self.components, ctx)
     }
 }
@@ -160,7 +167,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::ArchiveInput;
+    use crate::ArchiveInput;
     use metamess_archive::{generate, ArchiveSpec};
     use metamess_vocab::Vocabulary;
 

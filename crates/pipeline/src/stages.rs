@@ -9,7 +9,7 @@
 //! unchanged.
 
 use crate::component::{Component, Slot, StageReport};
-use crate::context::{ArchiveInput, CtxView, Severity};
+use crate::context::{CtxView, Severity};
 use metamess_core::catalog::Catalog;
 use metamess_core::error::Result;
 use metamess_core::feature::NameResolution;
@@ -19,14 +19,14 @@ use metamess_core::DatasetId;
 use metamess_discover::{
     clusters_to_rules, key_collision_clusters, knn_clusters, KeyMethod, KnnConfig, ValueCount,
 };
-use metamess_harvest::{harvest, DirSource, MemorySource};
+use metamess_harvest::harvest;
 use metamess_transform::apply_operations;
 use metamess_vocab::VariableResolution;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Stage 1: scan the archive into the working catalog (incremental on
-/// rerun — unchanged files keep their features, files gone from the archive
-/// are pruned).
+/// Stage 1: harvest the archive's listing (the context's last rescan) into
+/// the working catalog (incremental on rerun — unchanged files keep their
+/// features, files gone from the archive are pruned).
 #[derive(Debug, Default)]
 pub struct ScanArchive;
 
@@ -47,16 +47,7 @@ impl Component for ScanArchive {
 
     fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
-        let hr = {
-            let config = view.harvest_config();
-            let previous = view.working();
-            match view.archive() {
-                ArchiveInput::Memory(files) => {
-                    harvest(&MemorySource { files }, config, Some(previous))?
-                }
-                ArchiveInput::Dir(root) => harvest(&DirSource { root }, config, Some(previous))?,
-            }
-        };
+        let hr = harvest(view.archive(), view.scan(), view.harvest_config(), Some(view.working()));
         report.processed = hr.scanned as u64;
         report.changed = hr.features.len() as u64;
         report.note(format!(
@@ -590,6 +581,7 @@ impl Component for Publish {
 mod tests {
     use super::*;
     use crate::context::PipelineContext;
+    use crate::ArchiveInput;
     use metamess_archive::{generate, ArchiveSpec};
     use metamess_vocab::Vocabulary;
 

@@ -197,8 +197,9 @@ impl Component for Validate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{ArchiveInput, PipelineContext};
+    use crate::context::PipelineContext;
     use crate::stages::{PerformKnownTransformations, ScanArchive};
+    use crate::ArchiveInput;
     use metamess_archive::{generate, ArchiveSpec};
     use metamess_vocab::Vocabulary;
 

@@ -6,11 +6,13 @@
 //! skipped), the standard pipeline, the curation loop, and the
 //! [`DurableCatalog`] it publishes to. Each **cycle**:
 //!
-//! 1. scans the archive and compares its content fingerprint against the
-//!    previous cycle — an unchanged archive skips the pipeline entirely;
-//! 2. runs the curation loop to fixpoint (stage skipping makes this
-//!    incremental: only stages whose inputs changed re-execute), which is
-//!    recorded as a wrangle trace like any other run;
+//! 1. walks the archive once ([`PipelineContext::rescan`]) and compares
+//!    its content fingerprint against the previous cycle — an unchanged
+//!    archive skips the pipeline entirely;
+//! 2. runs the curation loop to fixpoint over that same listing (stage
+//!    skipping makes this incremental: only stages whose inputs changed
+//!    re-execute, and no run walks the archive again), which is recorded
+//!    as a wrangle trace like any other run;
 //! 3. diffs the store's rows against the freshly published catalog, in
 //!    place, applies the resulting mutations to the WAL and flushes once —
 //!    the cycle's one fsync, so the delta is durable when the cycle
@@ -30,13 +32,13 @@
 //! Cycle telemetry lands in the `metamess_ingest_*` families (see
 //! `README.md § Running metamess as a live service`).
 
-use crate::context::{ArchiveInput, PipelineContext};
+use crate::context::PipelineContext;
 use crate::curator::{CurationLoop, CuratorPolicy};
 use crate::engine::{load_state, save_state};
 use crate::pipeline::Pipeline;
 use metamess_core::store::CompactionPolicy;
 use metamess_core::{DurableCatalog, Error, Mutation, Result, StoreOptions};
-use metamess_harvest::scan::{archive_fingerprint, scan_directory};
+use metamess_harvest::ArchiveInput;
 use metamess_telemetry::{global, Stopwatch};
 use metamess_vocab::Vocabulary;
 use std::path::PathBuf;
@@ -96,7 +98,6 @@ pub struct WatchReport {
 
 /// The continuous-ingestion loop: archive in, catalog deltas out.
 pub struct Watcher {
-    archive_dir: PathBuf,
     vocab_path: PathBuf,
     state_dir: PathBuf,
     options: WatchOptions,
@@ -125,10 +126,9 @@ impl Watcher {
         store_dir: impl Into<PathBuf>,
         options: WatchOptions,
     ) -> Result<Watcher> {
-        let archive_dir = archive_dir.into();
         let store_dir = store_dir.into();
         let mut ctx = PipelineContext::new(
-            ArchiveInput::Dir(archive_dir.clone()),
+            ArchiveInput::Dir(archive_dir.into()),
             Vocabulary::observatory_default(),
         );
         // keep the store out of the scan when it nests inside the archive
@@ -141,7 +141,6 @@ impl Watcher {
         let vocab_path = store_dir.join("vocabulary.json");
         let last_vocab_version = vocab_path.exists().then_some(ctx.vocab.version);
         Ok(Watcher {
-            archive_dir,
             vocab_path,
             state_dir,
             options,
@@ -173,8 +172,7 @@ impl Watcher {
     pub fn run_cycle(&mut self) -> Result<CycleReport> {
         let started = Instant::now();
         self.cycle += 1;
-        let entries = scan_directory(&self.archive_dir, &self.ctx.harvest.scan)?;
-        let fingerprint = archive_fingerprint(&entries);
+        let fingerprint = self.ctx.rescan()?;
         if self.last_fingerprint == Some(fingerprint) {
             let report = CycleReport {
                 cycle: self.cycle,
@@ -186,7 +184,7 @@ impl Watcher {
             record_cycle(&report, 0);
             return Ok(report);
         }
-        self.curator.run_to_fixpoint(&mut self.pipeline, &mut self.ctx)?;
+        self.curator.fixpoint(&mut self.pipeline, &mut self.ctx)?;
         // The store holds the previously published catalog, as rows; the
         // diff compares them with the new one in place and is exactly the
         // delta this cycle discovered.

@@ -52,6 +52,13 @@ echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites 
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
   --test torture --test torture_group_commit --test codec --test durable
 
+echo "==> incremental watch vs cold wrangle, and the pipeline's unit tests ($cases seeded cases, release)"
+# A watch cycle walks the archive once and every stage reads that listing;
+# after seeded edit cycles (append, copy, rename, delete, messy header) the
+# watcher's store holds what a cold wrangle with the same curated knowledge
+# publishes.
+METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-pipeline --lib --test watch_oracle
+
 echo "==> engine vs reference search and browse, and who holds the rows (release)"
 # Ranking and hit materialization are separate instances of the one scoring
 # routine, both reading name tiers through a per-query memo; check them, the
