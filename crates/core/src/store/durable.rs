@@ -1021,8 +1021,8 @@ mod tests {
             retained.iter().map(|p| p.file_name().unwrap().to_str().unwrap().to_string()).collect();
         assert_eq!(names, vec!["snapshot-0000000003.bin", "snapshot-0000000004.bin"]);
         // Each retained copy is a readable snapshot of its era.
-        let c = crate::store::snapshot::read_snapshot(&retained[1]).unwrap().unwrap();
-        assert_eq!(c.len(), 4, "snapshot 4 was taken before f4 was folded");
+        let image = read_image_with(std_vfs().as_ref(), &retained[1]).unwrap().unwrap();
+        assert_eq!(image.len(), 4, "snapshot 4 was taken before f4 was folded");
     }
 
     #[test]

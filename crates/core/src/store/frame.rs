@@ -1,36 +1,32 @@
-//! The shared single-record file framing used by snapshots and ledgers.
+//! The shared single-record file framing used by snapshots and the
+//! pipeline's state image, and the one atomic whole-file write under it.
 //!
 //! ```text
 //! file := magic:[u8; 8] len:u32 crc:u32 payload:[u8; len]
 //! ```
 //!
-//! `crc` is the CRC-32 of the payload. Writers stage the frame in a
-//! `<path>.tmp` sibling, fsync it, atomically rename it into place, and
-//! best-effort fsync the parent directory so the rename itself is durable.
+//! `crc` is the CRC-32 of the payload. [`write_atomic`] stages the file in a
+//! `<path>.tmp` sibling, fsyncs it, atomically renames it into place, and
+//! best-effort fsyncs the parent directory so the rename itself is durable.
 
-use super::crc::crc32;
+use super::crc::{crc32, Crc32};
 use super::vfs::Vfs;
 use crate::error::{Error, IoContext, Result};
 use std::io::Write;
 use std::path::Path;
 
-/// Writes `payload` framed under `magic` at `path`, atomically
-/// (tmp file → fsync → rename → directory fsync).
-pub(crate) fn write_framed(
-    vfs: &dyn Vfs,
-    path: &Path,
-    magic: &[u8; 8],
-    payload: &[u8],
-    kind: &str,
-) -> Result<()> {
+/// Replaces the file at `path` with `parts`, written in order, so that a
+/// crash at any point leaves the previous file or the new one whole, never
+/// a prefix: tmp file → one fsync → rename → directory fsync. `kind` names
+/// the file in errors.
+pub fn write_atomic(vfs: &dyn Vfs, path: &Path, parts: &[&[u8]], kind: &str) -> Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f =
             vfs.open_truncate(&tmp).io_ctx(format!("create {kind} tmp {}", tmp.display()))?;
-        f.write_all(magic).io_ctx(format!("write {kind} magic"))?;
-        f.write_all(&(payload.len() as u32).to_le_bytes()).io_ctx(format!("write {kind} len"))?;
-        f.write_all(&crc32(payload).to_le_bytes()).io_ctx(format!("write {kind} crc"))?;
-        f.write_all(payload).io_ctx(format!("write {kind} payload"))?;
+        for part in parts {
+            f.write_all(part).io_ctx(format!("write {kind} tmp {}", tmp.display()))?;
+        }
         f.sync_all().io_ctx(format!("sync {kind} tmp"))?;
     }
     vfs.rename(&tmp, path).io_ctx(format!("rename {kind} into {}", path.display()))?;
@@ -39,6 +35,27 @@ pub(crate) fn write_framed(
         let _ = vfs.sync_dir(dir);
     }
     Ok(())
+}
+
+/// Writes the concatenation of `payload` framed under `magic` at `path`,
+/// through [`write_atomic`]. A payload whose length outgrows a `u32` is
+/// refused, and with it any part that would.
+pub(crate) fn write_framed(
+    vfs: &dyn Vfs,
+    path: &Path,
+    magic: &[u8; 8],
+    payload: &[&[u8]],
+    kind: &str,
+) -> Result<()> {
+    let mut crc = Crc32::new();
+    payload.iter().for_each(|part| crc.update(part));
+    let len = payload.iter().map(|part| part.len()).sum::<usize>();
+    let len = u32::try_from(len)
+        .map_err(|_| Error::invalid(format!("{kind} payload of {len} bytes outgrows its frame")))?;
+    let (len, crc) = (len.to_le_bytes(), crc.finish().to_le_bytes());
+    let parts: Vec<&[u8]> =
+        [&magic[..], &len, &crc].into_iter().chain(payload.iter().copied()).collect();
+    write_atomic(vfs, path, &parts, kind)
 }
 
 /// Bytes before the payload: magic, length, CRC.
@@ -51,11 +68,6 @@ const HEADER_LEN: usize = 16;
 pub(crate) struct Framed(Vec<u8>);
 
 impl Framed {
-    /// The verified payload.
-    pub(crate) fn payload(&self) -> &[u8] {
-        &self.0[HEADER_LEN..]
-    }
-
     /// The file's bytes and where in them the payload starts.
     pub(crate) fn into_parts(self) -> (Vec<u8>, usize) {
         (self.0, HEADER_LEN)
@@ -115,10 +127,46 @@ mod tests {
         let dir = tmpdir("rt");
         let p = dir.join("x.bin");
         let vfs = std_vfs();
-        write_framed(vfs.as_ref(), &p, MAGIC, b"payload", "test").unwrap();
-        let framed = read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap().unwrap();
-        assert_eq!(framed.payload(), b"payload");
+        write_framed(vfs.as_ref(), &p, MAGIC, &[&b"payload"[..]], "test").unwrap();
+        let (bytes, start) =
+            read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap().unwrap().into_parts();
+        assert_eq!(&bytes[start..], b"payload");
         assert!(!dir.join("x.tmp").exists());
+    }
+
+    /// A replacement that crashes at any write, fsync or rename leaves the
+    /// previous file byte for byte; one that does not crash leaves the new
+    /// one whole. Never a prefix of either.
+    #[test]
+    fn a_crash_anywhere_in_an_atomic_write_leaves_the_old_file_or_the_new_one() {
+        use crate::store::vfs::{FaultKind, FaultPlan, FaultVfs};
+        let dir = tmpdir("atomic");
+        let p = dir.join("vocabulary.json");
+        let old = b"{\"version\":1}".to_vec();
+        let new: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        let parts = [&new[..1000], &new[1000..1001], &new[1001..]];
+        let kinds = [
+            FaultKind::TornWrite,
+            FaultKind::BitFlip,
+            FaultKind::FsyncError,
+            FaultKind::RenameFail,
+        ];
+        for kind in kinds {
+            for crash_at in 1.. {
+                std::fs::write(&p, &old).unwrap();
+                let vfs = FaultVfs::new(FaultPlan { crash_at, kind, seed: crash_at });
+                let wrote = write_atomic(&vfs, &p, &parts, "test");
+                let after = std::fs::read(&p).unwrap();
+                if !vfs.crashed() {
+                    assert!(crash_at > 1, "{kind:?}: no site reached");
+                    wrote.unwrap();
+                    assert_eq!(after, new, "{kind:?}: the write that did not crash");
+                    break;
+                }
+                assert!(wrote.is_err(), "{kind:?} at site {crash_at}");
+                assert_eq!(after, old, "{kind:?} at site {crash_at}");
+            }
+        }
     }
 
     #[test]
@@ -127,7 +175,7 @@ mod tests {
         let vfs = std_vfs();
         assert!(read_framed(vfs.as_ref(), &dir.join("none"), MAGIC, "test").unwrap().is_none());
         let p = dir.join("x.bin");
-        write_framed(vfs.as_ref(), &p, MAGIC, b"payload", "test").unwrap();
+        write_framed(vfs.as_ref(), &p, MAGIC, &[&b"payload"[..]], "test").unwrap();
         let good = std::fs::read(&p).unwrap();
         let rejects = |bytes: &[u8], why: &str| {
             std::fs::write(&p, bytes).unwrap();
@@ -151,9 +199,8 @@ mod tests {
         rejects(&bytes, "expected 7 payload bytes, file has 8");
         // and the undamaged bytes still read back
         std::fs::write(&p, &good).unwrap();
-        assert_eq!(
-            read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap().unwrap().payload(),
-            b"payload"
-        );
+        let (bytes, start) =
+            read_framed(vfs.as_ref(), &p, MAGIC, "test").unwrap().unwrap().into_parts();
+        assert_eq!(&bytes[start..], b"payload");
     }
 }

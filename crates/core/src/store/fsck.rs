@@ -2,7 +2,7 @@
 //!
 //! These are the layout-agnostic building blocks behind the `metamess fsck`
 //! CLI subcommand: each function verifies one kind of on-disk artifact
-//! (catalog snapshot, run ledger, WAL) and appends structured
+//! (catalog snapshot, WAL, the pipeline's state image) and appends structured
 //! [`FsckFinding`]s to a report. Damage is never destroyed — findings carry
 //! a [`RepairAction`] proposal, and [`apply_repairs`] either truncates a
 //! damaged WAL tail (keeping the valid prefix) or moves the file into
@@ -11,9 +11,9 @@
 //! wrote it can still read it.
 
 use super::codec::FORMAT_VERSION;
-use super::ledger::{read_ledger_with, RunLedger};
 use super::quarantine::{quarantine_file, QuarantineReason};
 use super::snapshot::inspect_snapshot_with;
+use super::state::read_state;
 use super::vfs::Vfs;
 use super::wal::{TailRead, Wal};
 use crate::catalog::Catalog;
@@ -122,6 +122,34 @@ impl FsckReport {
     }
 }
 
+/// Counts one file and records what reading it found: `ok` describes a
+/// healthy file, an absent one is legitimate, and a damaged one proposes
+/// quarantine. Returns what was read.
+fn record<T>(
+    report: &mut FsckReport,
+    component: &str,
+    path: &Path,
+    read: Result<Option<T>>,
+    ok: impl FnOnce(&T) -> String,
+) -> Option<T> {
+    report.files_checked += 1;
+    match read {
+        Ok(Some(read)) => {
+            report.push(component, path, FsckSeverity::Info, ok(&read), None);
+            Some(read)
+        }
+        Ok(None) => {
+            report.push(component, path, FsckSeverity::Info, "absent", None);
+            None
+        }
+        Err(e) => {
+            let proposed = e.is_corrupt().then_some(RepairAction::Quarantine);
+            report.push(component, path, FsckSeverity::Error, e.to_string(), proposed);
+            None
+        }
+    }
+}
+
 /// Checks a catalog snapshot file. Returns the decoded catalog when the
 /// file is present and healthy.
 pub fn check_snapshot(
@@ -130,86 +158,33 @@ pub fn check_snapshot(
     component: &str,
     report: &mut FsckReport,
 ) -> Option<Catalog> {
-    report.files_checked += 1;
-    match inspect_snapshot_with(vfs, path) {
-        Ok(Some((c, info))) => {
-            report.push(
-                component,
-                path,
-                FsckSeverity::Info,
-                format!(
-                    "ok: format {FORMAT_VERSION}, {} datasets at generation {}, {} table \
-                     entries, {} descriptors, {} bytes per dataset",
-                    c.len(),
-                    c.generation(),
-                    info.table_entries,
-                    info.descriptors,
-                    info.payload_bytes / c.len().max(1)
-                ),
-                None,
-            );
-            Some(c)
-        }
-        Ok(None) => {
-            report.push(component, path, FsckSeverity::Info, "absent", None);
-            None
-        }
-        Err(e) if e.is_corrupt() => {
-            report.push(
-                component,
-                path,
-                FsckSeverity::Error,
-                e.to_string(),
-                Some(RepairAction::Quarantine),
-            );
-            None
-        }
-        Err(e) => {
-            report.push(component, path, FsckSeverity::Error, e.to_string(), None);
-            None
-        }
-    }
+    let read = inspect_snapshot_with(vfs, path);
+    let checked = record(report, component, path, read, |(c, info)| {
+        format!(
+            "ok: format {FORMAT_VERSION}, {} datasets at generation {}, {} table entries, {} \
+             descriptors, {} bytes per dataset",
+            c.len(),
+            c.generation(),
+            info.table_entries,
+            info.descriptors,
+            info.payload_bytes / c.len().max(1)
+        )
+    });
+    checked.map(|(c, _)| c)
 }
 
-/// Checks a run-ledger file. Returns the decoded ledger when the file is
-/// present and healthy.
-pub fn check_ledger(
-    vfs: &dyn Vfs,
-    path: &Path,
-    component: &str,
-    report: &mut FsckReport,
-) -> Option<RunLedger> {
-    report.files_checked += 1;
-    match read_ledger_with(vfs, path) {
-        Ok(Some(l)) => {
-            report.push(
-                component,
-                path,
-                FsckSeverity::Info,
-                format!("ok: run #{}, {} stages", l.run_id, l.len()),
-                None,
-            );
-            Some(l)
-        }
-        Ok(None) => {
-            report.push(component, path, FsckSeverity::Info, "absent", None);
-            None
-        }
-        Err(e) if e.is_corrupt() => {
-            report.push(
-                component,
-                path,
-                FsckSeverity::Error,
-                e.to_string(),
-                Some(RepairAction::Quarantine),
-            );
-            None
-        }
-        Err(e) => {
-            report.push(component, path, FsckSeverity::Error, e.to_string(), None);
-            None
-        }
-    }
+/// Checks the pipeline's state image: its frame, run ledger and working
+/// catalog (the curation bytes are the pipeline's, checked by the CRC).
+pub fn check_state(vfs: &dyn Vfs, path: &Path, component: &str, report: &mut FsckReport) {
+    record(report, component, path, read_state(vfs, path), |s| {
+        format!(
+            "ok: run #{}, {} stages, {} working datasets, {} curation bytes",
+            s.ledger.run_id,
+            s.ledger.len(),
+            s.working.len(),
+            s.curation.len()
+        )
+    });
 }
 
 /// Checks a WAL file record by record, in one read that leaves it as it
@@ -487,24 +462,36 @@ mod tests {
     }
 
     #[test]
-    fn ledger_check_round_trips_and_detects_corruption() {
-        use crate::store::ledger::{write_ledger, RunLedger};
-        let dir = tmpdir("ledger");
-        let p = dir.join("ledger.bin");
+    fn state_check_round_trips_and_detects_corruption() {
+        use crate::store::ledger::RunLedger;
+        use crate::store::state::write_state;
+        let dir = tmpdir("state");
+        let p = dir.join("state.bin");
         let mut l = RunLedger::new();
         l.run_id = 7;
-        write_ledger(&p, &l).unwrap();
+        let mut working = Catalog::new();
+        working.put(DatasetFeature::new("a.csv"));
         let vfs = std_vfs();
+        write_state(vfs.as_ref(), &p, &working, &l, b"{}").unwrap();
         let mut report = FsckReport::default();
-        assert_eq!(check_ledger(vfs.as_ref(), &p, "state/ledger", &mut report).unwrap().run_id, 7);
+        check_state(vfs.as_ref(), &p, "state", &mut report);
         assert!(report.is_clean());
+        let detail = &report.findings[0].detail;
+        assert_eq!(detail, "ok: run #7, 0 stages, 1 working datasets, 2 curation bytes");
 
         let mut bytes = fs::read(&p).unwrap();
         bytes[9] ^= 0xff; // length field
         fs::write(&p, &bytes).unwrap();
         let mut report = FsckReport::default();
-        assert!(check_ledger(vfs.as_ref(), &p, "state/ledger", &mut report).is_none());
+        check_state(vfs.as_ref(), &p, "state", &mut report);
         assert_eq!(report.error_count(), 1);
+        assert_eq!(report.findings[0].proposed, Some(RepairAction::Quarantine));
+        apply_repairs(vfs.as_ref(), &mut report, &dir.join("quarantine")).unwrap();
+        assert!(dir.join("quarantine").join("state.bin.0").exists());
+        let mut report = FsckReport::default();
+        check_state(vfs.as_ref(), &p, "state", &mut report);
+        assert_eq!(report.findings[0].detail, "absent");
+        assert_eq!(report.files_checked, 1);
     }
 
     #[test]

@@ -3,23 +3,15 @@
 //!
 //! For every stage of the last pipeline run the ledger records the digest
 //! of the stage's declared inputs, the digest of its declared outputs, and
-//! how long it took. A fresh process that loads the ledger (next to the
-//! catalog snapshot) resumes incrementality: stages whose input digest
-//! still matches are skipped without re-executing anything.
+//! how long it took. A fresh process that loads the ledger resumes
+//! incrementality: stages whose input digest still matches are skipped
+//! without re-executing anything.
 //!
-//! Layout mirrors the catalog snapshot: `MMLEDG01` magic, u32 payload
-//! length, u32 CRC-32, JSON payload, written to a temporary file and
-//! atomically renamed into place (the shared framing in `frame.rs`).
+//! The ledger is kept as JSON inside the pipeline's state image, beside the
+//! working catalog it describes (`state.rs`).
 
-use super::frame::{read_framed, write_framed};
-use super::vfs::{std_vfs, Vfs};
-use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::Path;
-
-/// The eight magic bytes opening every run-ledger file.
-pub const LEDGER_MAGIC: &[u8; 8] = b"MMLEDG01";
 
 /// What the ledger remembers about one stage of the last run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,43 +78,15 @@ impl RunLedger {
     }
 }
 
-/// Writes `ledger` at `path`, atomically, via the standard file system.
-pub fn write_ledger(path: impl AsRef<Path>, ledger: &RunLedger) -> Result<()> {
-    write_ledger_with(std_vfs().as_ref(), path, ledger)
-}
-
-/// Writes `ledger` at `path`, atomically, through an explicit [`Vfs`].
-pub fn write_ledger_with(vfs: &dyn Vfs, path: impl AsRef<Path>, ledger: &RunLedger) -> Result<()> {
-    let payload = serde_json::to_vec(ledger)
-        .map_err(|e| Error::invalid(format!("unencodable ledger: {e}")))?;
-    write_framed(vfs, path.as_ref(), LEDGER_MAGIC, &payload, "ledger")
-}
-
-/// Reads a ledger via the standard file system. Returns `Ok(None)` when the
-/// file does not exist, `Err(Corrupt)` when it exists but fails
-/// verification.
-pub fn read_ledger(path: impl AsRef<Path>) -> Result<Option<RunLedger>> {
-    read_ledger_with(std_vfs().as_ref(), path)
-}
-
-/// Reads a ledger through an explicit [`Vfs`]. Returns `Ok(None)` when the
-/// file does not exist, `Err(Corrupt)` when it exists but fails
-/// verification.
-pub fn read_ledger_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Option<RunLedger>> {
-    let path = path.as_ref();
-    let Some(framed) = read_framed(vfs, path, LEDGER_MAGIC, "ledger")? else {
-        return Ok(None);
-    };
-    let ledger: RunLedger = serde_json::from_slice(framed.payload())
-        .map_err(|e| Error::corrupt(format!("ledger {}: undecodable: {e}", path.display())))?;
-    Ok(Some(ledger))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
+    use crate::error::Result;
+    use crate::store::state::{read_state, write_state};
+    use crate::store::vfs::std_vfs;
     use std::fs;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("metamess-ledg-{name}-{}", std::process::id()));
@@ -145,31 +109,41 @@ mod tests {
         l
     }
 
+    /// Writes `ledger` in a state image at `path`, beside an empty working
+    /// catalog.
+    fn write_in_state(path: &Path, ledger: &RunLedger) {
+        write_state(std_vfs().as_ref(), path, &Catalog::new(), ledger, b"").unwrap();
+    }
+
+    fn read_from_state(path: &Path) -> Result<Option<RunLedger>> {
+        Ok(read_state(std_vfs().as_ref(), path)?.map(|state| state.ledger))
+    }
+
     #[test]
     fn round_trip() {
         let dir = tmpdir("rt");
-        let p = dir.join("ledger.bin");
+        let p = dir.join("state.bin");
         let l = sample();
-        write_ledger(&p, &l).unwrap();
-        assert_eq!(read_ledger(&p).unwrap().unwrap(), l);
+        write_in_state(&p, &l);
+        assert_eq!(read_from_state(&p).unwrap().unwrap(), l);
     }
 
     #[test]
     fn missing_is_none() {
         let dir = tmpdir("miss");
-        assert!(read_ledger(dir.join("none.bin")).unwrap().is_none());
+        assert!(read_from_state(&dir.join("none.bin")).unwrap().is_none());
     }
 
     #[test]
     fn corrupt_payload_detected() {
         let dir = tmpdir("corrupt");
-        let p = dir.join("ledger.bin");
-        write_ledger(&p, &sample()).unwrap();
+        let p = dir.join("state.bin");
+        write_in_state(&p, &sample());
+        // a byte of the ledger, which opens the payload after its length
         let mut bytes = fs::read(&p).unwrap();
-        let ix = bytes.len() - 2;
-        bytes[ix] ^= 0x04;
+        bytes[16 + 4 + 2] ^= 0x04;
         fs::write(&p, &bytes).unwrap();
-        assert!(read_ledger(&p).unwrap_err().is_corrupt());
+        assert!(read_from_state(&p).unwrap_err().is_corrupt());
     }
 
     #[test]

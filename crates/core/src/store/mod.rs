@@ -1,4 +1,5 @@
-//! Durable storage for the metadata catalog: CRC-checked WAL + snapshots.
+//! Durable storage for the metadata catalog: CRC-checked WAL + snapshots,
+//! and the pipeline's state image beside them.
 //!
 //! All file I/O goes through the [`Vfs`] trait so that crash-consistency
 //! can be torture-tested with a deterministic fault-injecting
@@ -17,6 +18,7 @@ mod lock;
 mod metrics;
 mod quarantine;
 mod snapshot;
+mod state;
 mod vfs;
 mod wal;
 
@@ -26,15 +28,12 @@ pub use durable::{
     read_published, CompactionPolicy, CompactionReport, DurableCatalog, Published, RecoveryReport,
     StoreOptions,
 };
+pub use frame::write_atomic;
 pub use fsck::{FsckFinding, FsckReport, FsckSeverity};
-pub use ledger::{
-    read_ledger, read_ledger_with, write_ledger, write_ledger_with, RunLedger, StageRecord,
-    LEDGER_MAGIC,
-};
+pub use ledger::{RunLedger, StageRecord};
 pub use lock::{lock_path, LockMode, StoreLock};
 pub use quarantine::{quarantine_file, QuarantineReason, Quarantined};
-pub use snapshot::{
-    read_snapshot, read_snapshot_with, write_snapshot, write_snapshot_with, SNAPSHOT_MAGIC,
-};
+pub use snapshot::SNAPSHOT_MAGIC;
+pub use state::{read_state, write_state, StateImage};
 pub use vfs::{std_vfs, FaultKind, FaultPlan, FaultVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{TailRead, Wal, WAL_MAGIC};

@@ -1,14 +1,14 @@
 //! Point-in-time catalog snapshots.
 //!
 //! Layout: `MMSNAP04` magic, u32 payload length, u32 CRC-32, payload (the
-//! framing shared with the run ledger — see `frame.rs`); the payload is the
+//! framing shared with the state image — see `frame.rs`); the payload is the
 //! binary catalog encoding of [`codec`](super::codec). Snapshots are
 //! written to a temporary file, fsynced, then atomically renamed into place
 //! so an interrupted checkpoint never damages the previous snapshot.
 
-use super::codec::{encode_catalog, Image, FORMAT_VERSION};
+use super::codec::{Image, FORMAT_VERSION};
 use super::frame::{read_framed, write_framed};
-use super::vfs::{std_vfs, Vfs};
+use super::vfs::Vfs;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use std::path::Path;
@@ -28,39 +28,12 @@ pub(crate) struct SnapshotInfo {
     pub(crate) payload_bytes: usize,
 }
 
-/// Writes `catalog` as a snapshot at `path`, atomically, via the standard
-/// file system.
-pub fn write_snapshot(path: impl AsRef<Path>, catalog: &Catalog) -> Result<()> {
-    write_snapshot_with(std_vfs().as_ref(), path, catalog)
-}
-
-/// Writes `catalog` as a snapshot at `path`, atomically, through an
-/// explicit [`Vfs`].
-pub fn write_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>, catalog: &Catalog) -> Result<()> {
-    write_payload_with(vfs, path.as_ref(), &encode_catalog(catalog))
-}
-
 /// Writes a catalog payload as a snapshot at `path`, atomically.
 pub(crate) fn write_payload_with(vfs: &dyn Vfs, path: &Path, payload: &[u8]) -> Result<()> {
-    write_framed(vfs, path, SNAPSHOT_MAGIC, payload, "snapshot")
+    write_framed(vfs, path, SNAPSHOT_MAGIC, &[payload], "snapshot")
 }
 
-/// Reads a snapshot via the standard file system. Returns `Ok(None)` when
-/// the file does not exist, `Err(Corrupt)` when it exists but fails
-/// verification.
-pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<Catalog>> {
-    read_snapshot_with(std_vfs().as_ref(), path)
-}
-
-/// Reads a snapshot through an explicit [`Vfs`]. Returns `Ok(None)` when
-/// the file does not exist, `Err(Corrupt)` when it exists but fails
-/// verification, and `Err(UnsupportedFormat)` for a file of an older
-/// format.
-pub fn read_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Option<Catalog>> {
-    Ok(read_image_with(vfs, path)?.map(|image| image.catalog()))
-}
-
-/// [`read_snapshot_with`], also returning the [`SnapshotInfo`].
+/// Reads and decodes a snapshot, also returning the [`SnapshotInfo`].
 pub(crate) fn inspect_snapshot_with(
     vfs: &dyn Vfs,
     path: impl AsRef<Path>,
@@ -121,8 +94,18 @@ pub(crate) fn older_format(
 mod tests {
     use super::*;
     use crate::feature::DatasetFeature;
+    use crate::store::codec::encode_catalog;
+    use crate::store::vfs::std_vfs;
     use std::fs;
     use std::path::PathBuf;
+
+    fn write_snapshot(path: &Path, catalog: &Catalog) -> Result<()> {
+        write_payload_with(std_vfs().as_ref(), path, &encode_catalog(catalog))
+    }
+
+    fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<Catalog>> {
+        Ok(read_image_with(std_vfs().as_ref(), path)?.map(|image| image.catalog()))
+    }
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("metamess-snap-{name}-{}", std::process::id()));
@@ -250,7 +233,7 @@ mod tests {
         let vfs = FaultVfs::new(FaultPlan { crash_at: 1, kind: FaultKind::RenameFail, seed: 2 });
         let mut c2 = sample_catalog();
         c2.put(DatasetFeature::new("c.obslog"));
-        assert!(write_snapshot_with(&vfs, &p, &c2).is_err());
+        assert!(write_payload_with(&vfs, &p, &encode_catalog(&c2)).is_err());
         // The previous snapshot is intact; only the tmp file was touched.
         let back = read_snapshot(&p).unwrap().unwrap();
         assert_eq!(back.len(), 3);

@@ -1,0 +1,166 @@
+//! The pipeline's resume state, as one framed image.
+//!
+//! ```text
+//! payload := ledger_len:u32   ledger:[u8; ledger_len]      run ledger (JSON)
+//!            curation_len:u32 curation:[u8; curation_len]  the pipeline's
+//!            catalog                                       working catalog
+//! ```
+//!
+//! The frame is the one snapshots use (`frame.rs`) under the magic
+//! `MMSTATE1`, and the catalog is the store codec's payload, so it carries
+//! its own format byte. It goes last so that it is read in place, as a
+//! snapshot's is. The curation bytes are the pipeline's: the store keeps
+//! them under the frame's CRC and reads nothing in them.
+//!
+//! A state is written whole by one [`write_atomic`](super::write_atomic): a
+//! reader finds the previous state or the new one, never parts of two runs.
+
+use super::codec::{encode_catalog, Image};
+use super::frame::{read_framed, write_framed};
+use super::ledger::RunLedger;
+use super::vfs::Vfs;
+use crate::catalog::Catalog;
+use crate::error::{Error, Result};
+use std::ops::Range;
+use std::path::Path;
+
+/// The eight magic bytes opening a state image.
+const STATE_MAGIC: &[u8; 8] = b"MMSTATE1";
+
+/// What a state image holds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StateImage {
+    /// The pipeline's working catalog.
+    pub working: Catalog,
+    /// The run ledger.
+    pub ledger: RunLedger,
+    /// The pipeline's curation state, in the pipeline's own encoding.
+    pub curation: Vec<u8>,
+}
+
+/// Writes a state image at `path`, replacing any there atomically: one
+/// fsync, one rename.
+pub fn write_state(
+    vfs: &dyn Vfs,
+    path: &Path,
+    working: &Catalog,
+    ledger: &RunLedger,
+    curation: &[u8],
+) -> Result<()> {
+    let ledger = serde_json::to_vec(ledger)
+        .map_err(|e| Error::invalid(format!("unencodable ledger: {e}")))?;
+    // the frame refuses a payload whose length outgrows a u32, and with it
+    // any part that would
+    let ledger_len = (ledger.len() as u32).to_le_bytes();
+    let curation_len = (curation.len() as u32).to_le_bytes();
+    let catalog = encode_catalog(working);
+    let payload: [&[u8]; 5] = [&ledger_len, &ledger, &curation_len, curation, &catalog];
+    write_framed(vfs, path, STATE_MAGIC, &payload, "state")
+}
+
+/// Reads the state image at `path`. Returns `Ok(None)` when there is none,
+/// and `Err(Corrupt)` when the file fails its frame or a part of it does
+/// not decode.
+pub fn read_state(vfs: &dyn Vfs, path: &Path) -> Result<Option<StateImage>> {
+    let Some(framed) = read_framed(vfs, path, STATE_MAGIC, "state")? else {
+        return Ok(None);
+    };
+    let undecodable =
+        |what: String| Error::corrupt(format!("state {}: undecodable: {what}", path.display()));
+    let (bytes, mut at) = framed.into_parts();
+    let ledger = part(&bytes, &mut at).ok_or_else(|| undecodable("ledger past the end".into()))?;
+    let curation =
+        part(&bytes, &mut at).ok_or_else(|| undecodable("curation past the end".into()))?;
+    let ledger =
+        serde_json::from_slice(&bytes[ledger]).map_err(|e| undecodable(format!("ledger: {e}")))?;
+    let curation = bytes[curation].to_vec();
+    let image = Image::catalog_at(bytes, at).map_err(|e| match e {
+        Error::Corrupt { message } => undecodable(message),
+        other => other,
+    })?;
+    Ok(Some(StateImage { working: image.catalog(), ledger, curation }))
+}
+
+/// The range of the `len:u32`-prefixed part of `bytes` at `*at`, moving
+/// `*at` past it; `None` when the part does not fit.
+fn part(bytes: &[u8], at: &mut usize) -> Option<Range<usize>> {
+    let len = u32::from_le_bytes(bytes.get(*at..*at + 4)?.try_into().ok()?);
+    let start = *at + 4;
+    let end = start.checked_add(len as usize).filter(|&end| end <= bytes.len())?;
+    *at = end;
+    Some(start..end)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::feature::DatasetFeature;
+    use crate::store::ledger::StageRecord;
+    use crate::store::vfs::std_vfs;
+    use std::fs;
+    use std::path::PathBuf;
+
+    fn tmpdir(name: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("metamess-state-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&d);
+        fs::create_dir_all(&d).unwrap();
+        d
+    }
+
+    fn sample() -> StateImage {
+        let mut working = Catalog::new();
+        working.put(DatasetFeature::new("stations/a.csv"));
+        working.put(DatasetFeature::new("cruises/b.cdl"));
+        working.set_property("archive", "sim");
+        let mut ledger = RunLedger::new();
+        ledger.run_id = 4;
+        ledger.record(
+            "publish",
+            StageRecord { input_digest: 1, output_digest: 2, micros: 3, last_run: 4 },
+        );
+        StateImage { working, ledger, curation: br#"{"run_id":4}"#.to_vec() }
+    }
+
+    fn write(path: &Path, s: &StateImage) {
+        write_state(std_vfs().as_ref(), path, &s.working, &s.ledger, &s.curation).unwrap();
+    }
+
+    #[test]
+    fn an_image_reads_back_what_was_written() {
+        let dir = tmpdir("rt");
+        let p = dir.join("state.bin");
+        let s = sample();
+        write(&p, &s);
+        assert_eq!(read_state(std_vfs().as_ref(), &p).unwrap().unwrap(), s);
+        assert!(!dir.join("state.tmp").exists());
+        // empty parts are parts too
+        let empty =
+            StateImage { working: Catalog::new(), ledger: RunLedger::new(), curation: vec![] };
+        write(&p, &empty);
+        assert_eq!(read_state(std_vfs().as_ref(), &p).unwrap().unwrap(), empty);
+    }
+
+    #[test]
+    fn a_part_that_does_not_decode_is_corrupt() {
+        let dir = tmpdir("parts");
+        let p = dir.join("state.bin");
+        let vfs = std_vfs();
+        let s = sample();
+        let ledger = serde_json::to_vec(&s.ledger).unwrap();
+        let catalog = encode_catalog(&s.working);
+        let corrupt = |payload: &[&[u8]], why: &str| {
+            write_framed(vfs.as_ref(), &p, STATE_MAGIC, payload, "state").unwrap();
+            let e = read_state(vfs.as_ref(), &p).unwrap_err();
+            assert!(e.is_corrupt() && e.to_string().contains(why), "{why}: {e}");
+        };
+        let len = |n: usize| (n as u32).to_le_bytes();
+        corrupt(&[], "ledger past the end");
+        corrupt(&[&len(ledger.len() + 1), &ledger], "ledger past the end");
+        corrupt(&[&len(ledger.len()), &ledger, &len(9), b"short"], "curation past the end");
+        corrupt(&[&len(3), b"{]x", &len(0), &catalog], "undecodable: ledger");
+        // a working catalog cut short, or missing
+        let cut = &catalog[..catalog.len() - 1];
+        corrupt(&[&len(ledger.len()), &ledger, &len(0), cut], "state.bin: undecodable: ");
+        corrupt(&[&len(ledger.len()), &ledger, &len(0)], "state.bin: undecodable: ");
+    }
+}

@@ -12,9 +12,14 @@
 //! writing the new snapshot; one that returned `Ok` recovers exactly its
 //! catalog.
 //!
+//! The pipeline's state image gets a sweep of its own: an image written over
+//! another crashes at a seeded write, fsync or rename, and reads back as one
+//! of the two, whole.
+//!
 //! Every case derives its op sequence and fault plan from its seed via
 //! SplitMix64, so a given case count always replays the same faults.
 //! `METAMESS_TORTURE_CASES` scales `seeded_sweep_recovers_acknowledged_prefix`
+//! and `a_state_image_reads_back_as_the_old_one_or_the_new_one_whole`
 //! (default 300; `scripts/verify.sh` runs 1000). Short reads have a no-panic
 //! property of their own: they may legitimately lose acknowledged data by
 //! truncating a partially-read tail, so they are excluded from the equality
@@ -24,10 +29,14 @@ mod common;
 
 use common::{sweep, Rng};
 use metamess_core::catalog::Catalog;
+use metamess_core::error::Result;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
-use metamess_core::store::{DurableCatalog, FaultKind, FaultPlan, FaultVfs, StoreOptions, Vfs};
-use std::path::PathBuf;
+use metamess_core::store::{
+    read_state, std_vfs, write_state, DurableCatalog, FaultKind, FaultPlan, FaultVfs, RunLedger,
+    StageRecord, StateImage, StoreOptions, Vfs,
+};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -316,4 +325,89 @@ fn faultless_runs_round_trip() {
         assert_recovers_model(&dir, &model, "faultless");
         let _ = std::fs::remove_dir_all(&dir);
     });
+}
+
+/// A state image drawn from `seed`: the catalog [`replacement`] draws, a
+/// ledger of run `seed` and a few curation bytes.
+fn state_image(seed: u8) -> StateImage {
+    let mut rng = Rng(u64::from(seed) ^ 0x57A7E);
+    let mut ledger = RunLedger::new();
+    ledger.run_id = u64::from(seed);
+    for _ in 0..rng.below(5) {
+        let rec = StageRecord {
+            input_digest: rng.next(),
+            output_digest: rng.next(),
+            micros: rng.below(1000),
+            last_run: u64::from(seed),
+        };
+        ledger.record(&format!("stage-{}", rng.below(9)), rec);
+    }
+    StateImage { working: replacement(seed), ledger, curation: rng.bytes(0, 64) }
+}
+
+fn write_image(vfs: &dyn Vfs, path: &Path, state: &StateImage) -> Result<()> {
+    write_state(vfs, path, &state.working, &state.ledger, &state.curation)
+}
+
+/// Writes image B over image A through a fault at a seeded write, fsync or
+/// rename site (or one past the last, which never fires). The state then
+/// reads back as exactly A when the fault fired and as exactly B when it
+/// did not: never corrupt, never a mix of the two.
+#[test]
+fn a_state_image_reads_back_as_the_old_one_or_the_new_one_whole() {
+    let cases = sweep_cases();
+    let mut fired = 0u64;
+    for case in 0..cases {
+        let mut rng = Rng(case);
+        let seed_a = rng.next() as u8;
+        let (a, b) = (state_image(seed_a), state_image(seed_a.wrapping_add(1)));
+        // A state image is eight writes (magic, length, CRC, ledger length,
+        // ledger, curation length, curation, catalog), one fsync and one
+        // rename.
+        let (kind, sites) = match rng.next() % 4 {
+            0 => (FaultKind::TornWrite, 8),
+            1 => (FaultKind::BitFlip, 8),
+            2 => (FaultKind::FsyncError, 1),
+            _ => (FaultKind::RenameFail, 1),
+        };
+        let plan = FaultPlan { crash_at: 1 + rng.below(sites + 1), kind, seed: rng.next() };
+        let dir = fresh_dir("state");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.bin");
+        write_image(std_vfs().as_ref(), &path, &a).unwrap();
+        let fault = FaultVfs::new(plan);
+        let wrote = write_image(&fault, &path, &b);
+        let read = read_state(std_vfs().as_ref(), &path)
+            .unwrap_or_else(|e| panic!("case {case} plan {plan:?}: {e}"))
+            .unwrap_or_else(|| panic!("case {case} plan {plan:?}: no state"));
+        let expected = if fault.crashed() {
+            fired += 1;
+            assert!(wrote.is_err(), "case {case} plan {plan:?}: a crashed write returned Ok");
+            &a
+        } else {
+            wrote.unwrap_or_else(|e| panic!("case {case} plan {plan:?}: {e}"));
+            &b
+        };
+        assert!(read == *expected, "case {case} plan {plan:?}: read back neither image whole");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(fired >= cases / 2, "only {fired}/{cases} cases fired their fault");
+    if cases >= 100 {
+        assert!(fired < cases, "no case wrote its new image");
+    }
+}
+
+/// Writing a state image costs one file fsync and one rename, counted by a
+/// fault VFS whose fault never comes.
+#[test]
+fn a_state_image_costs_one_fsync() {
+    let dir = fresh_dir("state-fsync");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("state.bin");
+    for (kind, expected) in [(FaultKind::FsyncError, 1), (FaultKind::RenameFail, 1)] {
+        let vfs = FaultVfs::new(FaultPlan { crash_at: u64::MAX, kind, seed: 0 });
+        write_image(&vfs, &path, &state_image(7)).unwrap();
+        assert_eq!(vfs.sites(), expected, "{kind:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

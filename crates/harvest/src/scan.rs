@@ -21,7 +21,9 @@ pub struct ScanConfig {
     pub roots: Vec<String>,
     /// File extensions to consider (lowercase, no dot); empty = all.
     pub extensions: Vec<String>,
-    /// Path substrings to skip (e.g. `"scratch/"`).
+    /// Path substrings to skip (e.g. `"scratch/"`). One that opens with `/`
+    /// is anchored at the archive root: `"/store/"` skips what lies under
+    /// `store/` and nothing else.
     pub exclude: Vec<String>,
 }
 
@@ -48,7 +50,11 @@ impl Default for ScanConfig {
 impl ScanConfig {
     /// True when the archive-relative path passes the configuration.
     pub fn accepts(&self, rel: &str) -> bool {
-        if self.exclude.iter().any(|e| rel.contains(e.as_str())) {
+        let excludes = |e: &String| match e.strip_prefix('/') {
+            Some(prefix) => rel.starts_with(prefix),
+            None => rel.contains(e.as_str()),
+        };
+        if self.exclude.iter().any(excludes) {
             return false;
         }
         if !self.roots.is_empty()
@@ -70,6 +76,21 @@ impl ScanConfig {
             }
         }
         true
+    }
+
+    /// Keeps the directory `dir` out of a walk of the archive at `archive`
+    /// when it lies inside it, whatever its name: a store nested in the
+    /// archive. Its archive-relative path is excluded as a prefix, so a store
+    /// at `store` does not hide `stations/store_x.csv`.
+    pub fn exclude_dir(&mut self, archive: &Path, dir: &Path) {
+        let real = |p: &Path| p.canonicalize().or_else(|_| std::path::absolute(p));
+        let (Ok(archive), Ok(dir)) = (real(archive), real(dir)) else { return };
+        if let Ok(inside) = dir.strip_prefix(&archive) {
+            let rel = rel_path(Path::new(""), inside);
+            if !rel.is_empty() {
+                self.exclude.push(format!("/{rel}/"));
+            }
+        }
     }
 }
 
@@ -217,6 +238,24 @@ mod tests {
         let c = ScanConfig { exclude: vec!["scratch/".into()], ..ScanConfig::default() };
         assert!(!c.accepts("scratch/x.csv"));
         assert!(c.accepts("keep/x.csv"));
+    }
+
+    #[test]
+    fn an_excluded_dir_is_a_prefix_of_the_archive() {
+        let archive = std::env::temp_dir().join(format!("metamess-excl-{}", std::process::id()));
+        let mut c = ScanConfig::default();
+        c.exclude_dir(&archive, &archive.join("store"));
+        c.exclude_dir(&archive, &archive.join("deep").join("st"));
+        // outside the archive, or the archive itself: nothing to exclude
+        c.exclude_dir(&archive, &std::env::temp_dir().join("elsewhere"));
+        c.exclude_dir(&archive, &archive);
+        assert_eq!(c.exclude[1..], ["/store/".to_string(), "/deep/st/".to_string()]);
+        assert!(!c.accepts("store/catalog/snapshot.bin"));
+        assert!(!c.accepts("deep/st/state/state.bin"));
+        assert!(c.accepts("stations/store_x.csv"));
+        assert!(c.accepts("stations/store/x.csv"));
+        assert!(c.accepts("store_x/a.csv"));
+        assert!(c.accepts("deep/stations/a.csv"));
     }
 
     fn memory(files: &[(&str, &str)]) -> ArchiveInput {

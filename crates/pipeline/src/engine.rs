@@ -41,11 +41,15 @@
 //!
 //! # Durability
 //!
-//! [`save_state`]/[`load_state`] persist the ledger (via the CRC-framed
-//! [`metamess_core::store`] ledger format) together with the working
-//! catalog, vocabulary and curation side-state, next to the catalog
-//! snapshot — so a fresh process resumes incrementality instead of
-//! re-running the world. The published catalog is not part of that state:
+//! [`save_state`]/[`load_state`] persist the ledger together with the
+//! working catalog, vocabulary and curation side-state as one CRC-framed
+//! state image (`<store>/state/state.bin`,
+//! [`metamess_core::store::write_state`]), written whole with one fsync and
+//! one rename — so a fresh process resumes incrementality instead of
+//! re-running the world, and never from parts of two runs. The image is a
+//! cache: one that is damaged is quarantined and costs one cold re-run, and
+//! the files older builds kept beside it are not read. The published
+//! catalog is not part of that state:
 //! the durable store holds it, and a writer restores the published slot
 //! from its `DurableCatalog`. Publish reads that slot, so a slot that does
 //! not hold what the last run published (an empty store, rows lost to
@@ -73,8 +77,7 @@ use crate::pipeline::RunReport;
 use metamess_core::error::{Error, IoContext, Result};
 use metamess_core::id::fnv1a;
 use metamess_core::store::{
-    quarantine_file, read_ledger, read_snapshot, std_vfs, write_ledger, write_snapshot,
-    QuarantineReason, StageRecord,
+    quarantine_file, read_state, std_vfs, write_state, QuarantineReason, StageRecord,
 };
 use metamess_discover::RuleProposal;
 use metamess_harvest::archive_fingerprint;
@@ -276,17 +279,16 @@ pub(crate) fn run_chain(
     Ok(report)
 }
 
-const WORKING_FILE: &str = "working.bin";
-const LEDGER_FILE: &str = "ledger.bin";
-const VOCAB_FILE: &str = "vocabulary.json";
-const SIDECAR_FILE: &str = "curation.json";
+/// The state image under the state dir.
+const STATE_FILE: &str = "state.bin";
 
-/// The context state that is neither a catalog nor the vocabulary,
-/// serialized as one JSON sidecar.
+/// The context state that is neither a catalog nor the ledger: the
+/// curation bytes of the state image, as compact JSON.
 #[derive(Serialize, Deserialize)]
 struct Sidecar {
     run_id: u64,
     publish_count: u64,
+    vocab: Vocabulary,
     external: BTreeMap<String, BTreeMap<String, String>>,
     proposals: Vec<RuleProposal>,
     accepted: Vec<RuleProposal>,
@@ -295,19 +297,30 @@ struct Sidecar {
     expected_datasets: Vec<String>,
 }
 
-/// Persists the pipeline state (working catalog, vocabulary, run ledger,
-/// curation side-state) into `dir`, creating it if needed. A context
-/// restored with [`load_state`], and given the published catalog from the
-/// store, resumes incrementality: an unchanged archive re-run in a fresh
-/// process skips every stage.
+impl Sidecar {
+    /// Decodes curation bytes, rebuilding the vocabulary's synonym index,
+    /// which its JSON leaves out. Bytes that do not decode are corrupt.
+    fn decode(bytes: &[u8]) -> Result<Sidecar> {
+        let mut sidecar: Sidecar = serde_json::from_slice(bytes)
+            .map_err(|e| Error::corrupt(format!("curation state undecodable: {e}")))?;
+        sidecar.vocab.synonyms.reindex();
+        Ok(sidecar)
+    }
+}
+
+/// Persists the pipeline state (working catalog, run ledger, vocabulary,
+/// curation side-state) into `dir` as one state image, creating `dir` if
+/// needed. A context restored with [`load_state`], and given the published
+/// catalog from the store, resumes incrementality: an unchanged archive
+/// re-run in a fresh process skips every stage.
 pub fn save_state(ctx: &PipelineContext, dir: impl AsRef<Path>) -> Result<()> {
     let dir = dir.as_ref();
-    std::fs::create_dir_all(dir).io_ctx(format!("create state dir {}", dir.display()))?;
-    write_snapshot(dir.join(WORKING_FILE), &ctx.catalogs.working)?;
-    ctx.vocab.save(dir.join(VOCAB_FILE))?;
+    let vfs = std_vfs();
+    vfs.create_dir_all(dir).io_ctx(format!("create state dir {}", dir.display()))?;
     let sidecar = Sidecar {
         run_id: ctx.run_id,
         publish_count: ctx.catalogs.publish_count,
+        vocab: ctx.vocab.clone(),
         external: ctx.external.clone(),
         proposals: ctx.proposals.clone(),
         accepted: ctx.accepted.clone(),
@@ -315,18 +328,13 @@ pub fn save_state(ctx: &PipelineContext, dir: impl AsRef<Path>) -> Result<()> {
         discovered_provenance: ctx.discovered_provenance.clone(),
         expected_datasets: ctx.expected_datasets.clone(),
     };
-    let payload = serde_json::to_vec_pretty(&sidecar)
+    let curation = serde_json::to_vec(&sidecar)
         .map_err(|e| Error::invalid(format!("unencodable curation state: {e}")))?;
-    let tmp = dir.join("curation.tmp");
-    std::fs::write(&tmp, &payload).io_ctx(format!("write {}", tmp.display()))?;
-    std::fs::rename(&tmp, dir.join(SIDECAR_FILE)).io_ctx("rename curation state")?;
-    // the ledger goes last: load_state keys off it, so earlier pieces are
-    // guaranteed present whenever the ledger is
-    write_ledger(dir.join(LEDGER_FILE), &ctx.ledger)?;
-    Ok(())
+    let path = dir.join(STATE_FILE);
+    write_state(vfs.as_ref(), &path, &ctx.catalogs.working, &ctx.ledger, &curation)
 }
 
-/// Moves a corrupt state file into `<dir>/quarantine` with a structured
+/// Moves a corrupt state image into `<dir>/quarantine` with a structured
 /// reason sidecar (best-effort) and reports "no resumable state". A damaged
 /// resume cache costs one full re-run — never a crash or a wrong resume.
 fn quarantine_state_file(dir: &Path, path: &Path, detail: String) -> Result<bool> {
@@ -355,57 +363,31 @@ fn quarantine_state_file(dir: &Path, path: &Path, detail: String) -> Result<bool
 }
 
 /// Restores state saved by [`save_state`] into `ctx`. Returns `false`
-/// (leaving `ctx` untouched) when `dir` holds no complete state. A state
-/// file that fails verification is quarantined into `<dir>/quarantine`
-/// (with a `*.reason.json` sidecar) and the function returns `false`, so
-/// the next run starts fresh instead of erroring. The archive input and
-/// configuration are *not* restored — they describe where to wrangle, not
-/// what was wrangled — so callers keep whatever they constructed the
-/// context with. Neither is the published catalog: it is the store's, and
-/// the caller sets `ctx.catalogs.published` from the store it publishes to.
+/// (leaving `ctx` untouched) when `dir` holds no state image. An image that
+/// fails verification, or whose curation bytes do not decode, is
+/// quarantined into `<dir>/quarantine` (with a `*.reason.json` sidecar) and
+/// the function returns `false`, so the next run starts fresh instead of
+/// erroring. The archive input and configuration are *not* restored — they
+/// describe where to wrangle, not what was wrangled — so callers keep
+/// whatever they constructed the context with. Neither is the published
+/// catalog: it is the store's, and the caller sets `ctx.catalogs.published`
+/// from the store it publishes to.
 pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bool> {
     let dir = dir.as_ref();
-    let ledger_path = dir.join(LEDGER_FILE);
-    let ledger = match read_ledger(&ledger_path) {
-        Ok(Some(l)) => l,
+    let path = dir.join(STATE_FILE);
+    let read = read_state(std_vfs().as_ref(), &path).and_then(|state| match state {
+        Some(state) => Ok(Some((Sidecar::decode(&state.curation)?, state))),
+        None => Ok(None),
+    });
+    let (sidecar, state) = match read {
+        Ok(Some(read)) => read,
         Ok(None) => return Ok(false),
-        Err(e) if e.is_corrupt() => return quarantine_state_file(dir, &ledger_path, e.to_string()),
+        Err(e) if e.is_corrupt() => return quarantine_state_file(dir, &path, e.to_string()),
         Err(e) => return Err(e),
     };
-    let working_path = dir.join(WORKING_FILE);
-    let working = match read_snapshot(&working_path) {
-        Ok(Some(c)) => c,
-        Ok(None) => return Ok(false),
-        Err(e) if e.is_corrupt() => {
-            return quarantine_state_file(dir, &working_path, e.to_string())
-        }
-        Err(e) => return Err(e),
-    };
-    let vocab_path = dir.join(VOCAB_FILE);
-    let sidecar_path = dir.join(SIDECAR_FILE);
-    if !vocab_path.exists() || !sidecar_path.exists() {
-        return Ok(false);
-    }
-    let vocab = match Vocabulary::load(&vocab_path) {
-        Ok(v) => v,
-        // The vocabulary is plain JSON (no CRC frame), so any decode
-        // failure on an existing file is corruption.
-        Err(e) => return quarantine_state_file(dir, &vocab_path, e.to_string()),
-    };
-    let bytes = std::fs::read(&sidecar_path).io_ctx(format!("read {}", sidecar_path.display()))?;
-    let sidecar: Sidecar = match serde_json::from_slice::<Sidecar>(&bytes) {
-        Ok(s) => s,
-        Err(e) => {
-            return quarantine_state_file(
-                dir,
-                &sidecar_path,
-                format!("curation state undecodable: {e}"),
-            );
-        }
-    };
-    ctx.catalogs.working = working;
+    ctx.catalogs.working = state.working;
     ctx.catalogs.publish_count = sidecar.publish_count;
-    ctx.vocab = vocab;
+    ctx.vocab = sidecar.vocab;
     ctx.external = sidecar.external;
     ctx.proposals = sidecar.proposals;
     ctx.accepted = sidecar.accepted;
@@ -413,7 +395,7 @@ pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bo
     ctx.discovered_provenance = sidecar.discovered_provenance;
     ctx.expected_datasets = sidecar.expected_datasets;
     ctx.run_id = sidecar.run_id;
-    ctx.ledger = ledger;
+    ctx.ledger = state.ledger;
     Ok(true)
 }
 
@@ -623,6 +605,8 @@ mod tests {
             c.catalogs.working.content_fingerprint()
         );
         assert_eq!(c2.catalogs.publish_count, c.catalogs.publish_count);
+        // the vocabulary comes back with its synonym index rebuilt
+        assert_eq!(c2.vocab, c.vocab);
         let r = Pipeline::standard().run(&mut c2).unwrap();
         assert_eq!(r.executed_count(), 0, "restored state must skip everything: {}", r.render());
 
@@ -674,11 +658,12 @@ mod tests {
             );
             assert!(load_state(&mut fresh, &dirs[cycle - 1]).unwrap());
             save_state(&fresh, &dirs[cycle]).unwrap();
-            for file in [WORKING_FILE, LEDGER_FILE, VOCAB_FILE, SIDECAR_FILE] {
-                let before = std::fs::read(dirs[cycle - 1].join(file)).unwrap();
-                let after = std::fs::read(dirs[cycle].join(file)).unwrap();
-                assert_eq!(before, after, "cycle {cycle}: {file} drifted across save/load/save");
-            }
+            let before = std::fs::read(dirs[cycle - 1].join(STATE_FILE)).unwrap();
+            let after = std::fs::read(dirs[cycle].join(STATE_FILE)).unwrap();
+            assert_eq!(
+                before, after,
+                "cycle {cycle}: the state image drifted across save/load/save"
+            );
         }
     }
 
@@ -726,31 +711,38 @@ mod tests {
         Pipeline::standard().run(&mut c).unwrap();
         save_state(&c, &dir).unwrap();
 
-        // flip a payload byte inside the CRC-framed ledger
-        let ledger = dir.join(LEDGER_FILE);
-        let mut bytes = std::fs::read(&ledger).unwrap();
+        // flip a payload byte inside the CRC-framed image
+        let state = dir.join(STATE_FILE);
+        let mut bytes = std::fs::read(&state).unwrap();
         let ix = bytes.len() - 2;
         bytes[ix] ^= 0x01;
-        std::fs::write(&ledger, &bytes).unwrap();
+        std::fs::write(&state, &bytes).unwrap();
 
         let mut c2 = ctx();
-        assert!(!load_state(&mut c2, &dir).unwrap(), "corrupt ledger must not resume");
+        assert!(!load_state(&mut c2, &dir).unwrap(), "a corrupt image must not resume");
         assert_eq!(c2.run_id, 0, "context untouched");
-        assert!(!ledger.exists(), "corrupt ledger moved away");
+        assert!(!state.exists(), "corrupt image moved away");
         let qdir = dir.join("quarantine");
-        assert!(qdir.join("ledger.bin.0").exists());
-        assert!(qdir.join("ledger.bin.0.reason.json").exists());
+        assert!(qdir.join("state.bin.0").exists());
+        assert!(qdir.join("state.bin.0.reason.json").exists());
 
         // with the damage quarantined, a re-run + save works again
         save_state(&c, &dir).unwrap();
         let mut c3 = ctx();
         assert!(load_state(&mut c3, &dir).unwrap());
+        assert_eq!(c3.run_id, c.run_id);
 
-        // an undecodable curation sidecar is quarantined the same way
-        std::fs::write(dir.join(SIDECAR_FILE), b"]{ not json").unwrap();
+        // a CRC-valid image whose curation bytes are not JSON is
+        // quarantined the same way
+        let vfs = std_vfs();
+        write_state(vfs.as_ref(), &state, &c.catalogs.working, &c.ledger, b"]{ not json").unwrap();
         let mut c4 = ctx();
         assert!(!load_state(&mut c4, &dir).unwrap());
-        assert!(qdir.join("curation.json.0").exists());
+        assert_eq!(c4.run_id, 0, "context untouched");
+        assert!(!state.exists());
+        assert!(qdir.join("state.bin.1").exists());
+        let reason = std::fs::read_to_string(qdir.join("state.bin.1.reason.json")).unwrap();
+        assert!(reason.contains("curation state undecodable"), "{reason}");
     }
 
     struct Misdeclared;

@@ -19,10 +19,15 @@
 //!    returns — then compacts when the WAL has outgrown the snapshot;
 //! 4. saves the vocabulary *only when its version moved* (a rewritten
 //!    vocabulary file forces live readers into a full reload — see the
-//!    delta-publication signature check in `metamess-server`) and persists
-//!    the pipeline state for resume. That state leaves out the published
+//!    delta-publication signature check in `metamess-server`), atomically,
+//!    and persists the pipeline state for resume as one state image, with
+//!    one fsync and one rename. That state leaves out the published
 //!    catalog: the store is its only copy, and a new `Watcher` takes the
 //!    published slot from the store's rows.
+//!
+//! A store nested in the archive, under any name, is kept out of the walk
+//! ([`ScanConfig::exclude_dir`](metamess_harvest::ScanConfig::exclude_dir)):
+//! its files change every cycle and would never let one be skipped.
 //!
 //! Because publishes append to the WAL without checkpointing, a live
 //! `metamess serve` follows them via its WAL-tail delta path without
@@ -126,14 +131,14 @@ impl Watcher {
         store_dir: impl Into<PathBuf>,
         options: WatchOptions,
     ) -> Result<Watcher> {
-        let store_dir = store_dir.into();
+        let (archive_dir, store_dir) = (archive_dir.into(), store_dir.into());
+        let store = DurableCatalog::open(store_dir.join("catalog"), StoreOptions::default())?;
         let mut ctx = PipelineContext::new(
-            ArchiveInput::Dir(archive_dir.into()),
+            ArchiveInput::Dir(archive_dir.clone()),
             Vocabulary::observatory_default(),
         );
         // keep the store out of the scan when it nests inside the archive
-        ctx.harvest.scan.exclude.push(".metamess".into());
-        let store = DurableCatalog::open(store_dir.join("catalog"), StoreOptions::default())?;
+        ctx.harvest.scan.exclude_dir(&archive_dir, &store_dir);
         // the store is what was published, whether or not state resumes
         ctx.catalogs.published = store.catalog();
         let state_dir = store_dir.join("state");
@@ -369,6 +374,20 @@ mod tests {
         assert!(!r2.changed, "unchanged archive must skip the pipeline");
         assert_eq!(r2.mutations, 0);
         assert_eq!(r2.datasets, r1.datasets);
+    }
+
+    #[test]
+    fn a_store_nested_in_the_archive_under_any_name_is_not_scanned() {
+        let (archive, _) = fixture("nested");
+        let store = archive.join("mystore");
+        let w = Watcher::new(&archive, &store, quick_options(Some(4))).unwrap();
+        let mut cycles = Vec::new();
+        w.run(|c| cycles.push(c.clone())).unwrap();
+        assert_eq!(cycles.len(), 4);
+        assert!(cycles[0].changed && cycles[0].datasets > 0);
+        for c in &cycles[1..] {
+            assert!(!c.changed, "cycle {}: the store's own files moved the archive", c.cycle);
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! Both consumers must emit **identical expositions for the same
 //! snapshot**, so the assembly lives in exactly one place: persisted
 //! cross-process history (`<store>/state/telemetry.json`), merged with the
-//! live in-process registry, plus run-ledger-derived gauges (per-stage
-//! timings survive even runs that had telemetry disabled).
+//! live in-process registry, plus gauges from the run ledger in the state
+//! image (per-stage timings survive even runs that had telemetry disabled).
 
+use metamess_core::store::{read_state, std_vfs, StateImage};
 use metamess_telemetry::{labeled, MetricsSnapshot};
 use std::path::Path;
 
@@ -17,9 +18,8 @@ pub fn store_snapshot(store_dir: &Path) -> MetricsSnapshot {
         metamess_telemetry::load_snapshot(&metamess_telemetry::telemetry_path(store_dir))
             .unwrap_or_default();
     snap.merge(&metamess_telemetry::global().snapshot());
-    if let Ok(Some(ledger)) =
-        metamess_core::store::read_ledger(store_dir.join("state").join("ledger.bin"))
-    {
+    let state = store_dir.join("state").join("state.bin");
+    if let Ok(Some(StateImage { ledger, .. })) = read_state(std_vfs().as_ref(), &state) {
         snap.gauges.insert("metamess_pipeline_last_run_id".to_string(), ledger.run_id as i64);
         for (stage, rec) in &ledger.stages {
             let name = labeled("metamess_pipeline_stage_last_micros", "stage", stage);
@@ -50,6 +50,22 @@ mod tests {
             .unwrap();
         let snap = store_snapshot(&dir);
         assert!(snap.counters["metamess_expose_test_total"] >= 9);
+    }
+
+    #[test]
+    fn ledger_gauges_come_from_the_state_image() {
+        use metamess_core::store::{write_state, RunLedger, StageRecord};
+        let dir = tmpstore("state");
+        let mut ledger = RunLedger::new();
+        ledger.run_id = 42;
+        ledger.record("publish", StageRecord { micros: 17, ..StageRecord::default() });
+        let path = dir.join("state").join("state.bin");
+        let working = metamess_core::Catalog::new();
+        write_state(std_vfs().as_ref(), &path, &working, &ledger, b"{}").unwrap();
+        let snap = store_snapshot(&dir);
+        assert_eq!(snap.gauges["metamess_pipeline_last_run_id"], 42);
+        let stage = labeled("metamess_pipeline_stage_last_micros", "stage", "publish");
+        assert_eq!(snap.gauges[&stage], 17);
     }
 
     #[test]

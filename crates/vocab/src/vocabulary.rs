@@ -7,6 +7,7 @@ use crate::synonym::{MatchKind, SynonymTable};
 use crate::taxonomy::{Taxonomy, TaxonomySet};
 use crate::units::UnitRegistry;
 use metamess_core::error::{Error, IoContext, Result};
+use metamess_core::store::{std_vfs, write_atomic};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -282,10 +283,10 @@ impl Vocabulary {
         Ok(v)
     }
 
-    /// Saves to a file.
+    /// Saves to a file, atomically: a reader finds the previous file or
+    /// this one whole.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        std::fs::write(path.as_ref(), self.to_json())
-            .io_ctx(format!("write vocabulary {}", path.as_ref().display()))
+        write_atomic(std_vfs().as_ref(), path.as_ref(), &[self.to_json().as_bytes()], "vocabulary")
     }
 
     /// Loads from a file.

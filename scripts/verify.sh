@@ -39,7 +39,11 @@ cases="${METAMESS_TORTURE_CASES:-1000}"
 echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites ($cases seeded cases, release)"
 # Recovery after an injected fault is the acknowledged prefix; a crash
 # inside a watch publish (apply, one flush, compaction) leaves the acked
-# prefix, and compaction mid-fault never loses acked data. Damaged store payloads decode or are
+# prefix, and compaction mid-fault never loses acked data. A state image
+# written over another through a fault at any write, fsync or rename site
+# reads back as the old image or the new one, whole, and costs one fsync
+# (a_state_image_reads_back_as_the_old_one_or_the_new_one_whole in
+# torture.rs). Damaged store payloads decode or are
 # refused as corrupt: no panic, no allocation on an unchecked count, and a
 # descriptor table (each variable's name, curation, units, context and
 # hierarchy, written once and referred to by number) with a reference past

@@ -8,10 +8,8 @@
 //! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP04)
 //! <store>/catalog/wal.log           catalog WAL (MMWAL004)
 //! <store>/vocabulary.json           published vocabulary (JSON)
-//! <store>/state/working.bin         pipeline working catalog (MMSNAP04)
-//! <store>/state/ledger.bin          run ledger (MMLEDG01)
-//! <store>/state/vocabulary.json     pipeline vocabulary (JSON)
-//! <store>/state/curation.json       curation side-state (JSON)
+//! <store>/state/state.bin           pipeline state image (MMSTATE1): run
+//!                                   ledger, curation state, working catalog
 //! <store>/state/quarantine/         damaged files + reason sidecars
 //! ```
 //!
@@ -20,8 +18,7 @@
 //! generation.
 
 use metamess_core::store::fsck::{
-    apply_repairs, check_catalog_dir, check_ledger, check_snapshot, FsckReport, FsckSeverity,
-    RepairAction,
+    apply_repairs, check_catalog_dir, check_state, FsckReport, FsckSeverity, RepairAction,
 };
 use metamess_core::store::{lock_path, std_vfs, StoreLock, Vfs};
 use metamess_core::{Error, Result};
@@ -33,8 +30,9 @@ pub fn quarantine_dir(store_dir: &Path) -> std::path::PathBuf {
     store_dir.join("state").join("quarantine")
 }
 
-/// Verifies a JSON artifact: present files must parse. Damage proposes
-/// quarantine (JSON files carry no CRC, so parse failure is the signal).
+/// Verifies the published vocabulary: a present file must parse. Damage
+/// proposes quarantine (JSON carries no CRC, so parse failure is the
+/// signal).
 fn check_json(vfs: &dyn Vfs, path: &Path, component: &str, report: &mut FsckReport) {
     report.files_checked += 1;
     if !vfs.exists(path) {
@@ -80,15 +78,11 @@ pub fn run_fsck(store_dir: &Path, repair: bool) -> Result<FsckReport> {
     let _lock = if repair { StoreLock::exclusive(&lock)? } else { StoreLock::shared(&lock)? };
     let vfs = std_vfs();
     let vfs = vfs.as_ref();
-    let state = store_dir.join("state");
     let mut report = FsckReport::default();
 
     check_catalog_dir(vfs, &store_dir.join("catalog"), &mut report);
-    check_snapshot(vfs, &state.join("working.bin"), "state/working", &mut report);
-    check_ledger(vfs, &state.join("ledger.bin"), "state/ledger", &mut report);
     check_json(vfs, &store_dir.join("vocabulary.json"), "vocabulary", &mut report);
-    check_json(vfs, &state.join("vocabulary.json"), "state/vocabulary", &mut report);
-    check_json(vfs, &state.join("curation.json"), "state/curation", &mut report);
+    check_state(vfs, &store_dir.join("state").join("state.bin"), "state", &mut report);
 
     if repair {
         apply_repairs(vfs, &mut report, &quarantine_dir(store_dir))?;

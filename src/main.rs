@@ -322,18 +322,22 @@ fn store_dir(args: &Args) -> Result<PathBuf> {
     Ok(args.value("--store")?.unwrap_or_else(|| Path::new(&args.operands[0]).join(".metamess")))
 }
 
-fn cmd_wrangle(args: &Args) -> Result<()> {
-    let dir = &args.operands[0];
-    let store_dir = store_dir(args)?;
-
+/// A pipeline context over the archive at `dir` whose walk leaves out the
+/// store at `store_dir`, whatever its name, when it lies inside.
+fn archive_context(dir: &str, store_dir: &Path) -> PipelineContext {
     let mut ctx = PipelineContext::new(
         ArchiveInput::Dir(PathBuf::from(dir)),
         Vocabulary::observatory_default(),
     );
-    // keep the store out of the scan
-    ctx.harvest.scan.exclude.push(".metamess".into());
+    ctx.harvest.scan.exclude_dir(Path::new(dir), store_dir);
+    ctx
+}
+
+fn cmd_wrangle(args: &Args) -> Result<()> {
+    let store_dir = store_dir(args)?;
     let (catalog_dir, vocab_path) = store_paths(&store_dir);
     let mut store = DurableCatalog::open(&catalog_dir, StoreOptions::default())?;
+    let mut ctx = archive_context(&args.operands[0], &store_dir);
     // the store is what was published; resume incrementality from the
     // working catalog, vocabulary and run ledger of the previous wrangle so
     // unchanged stages are skipped
@@ -783,11 +787,8 @@ fn cmd_trace(args: &Args) -> Result<()> {
 }
 
 fn cmd_validate(args: &Args) -> Result<()> {
-    let mut ctx = PipelineContext::new(
-        ArchiveInput::Dir(PathBuf::from(&args.operands[0])),
-        Vocabulary::observatory_default(),
-    );
-    ctx.harvest.scan.exclude.push(".metamess".into());
+    let dir = &args.operands[0];
+    let mut ctx = archive_context(dir, &Path::new(dir).join(".metamess"));
     Pipeline::standard().run(&mut ctx)?;
     if ctx.findings.is_empty() {
         println!("no findings");

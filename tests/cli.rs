@@ -148,7 +148,7 @@ fn full_cli_workflow() {
 }
 
 /// fsck on a real wrangled store: clean pass, then three hand-corrupted
-/// artifacts (WAL record, snapshot header, ledger CRC) detected, reported
+/// artifacts (WAL record, snapshot header, state image CRC) detected, reported
 /// as JSON, and quarantined/truncated by --repair.
 #[test]
 fn fsck_detects_and_repairs_corruption() {
@@ -168,6 +168,11 @@ fn fsck_detects_and_repairs_corruption() {
     assert!(stdout.contains("0 error(s)"), "{stdout}");
     assert!(!store.join("state").join("published.bin").exists());
     assert!(!stdout.contains("state/published"), "{stdout}");
+    // the resume state is one image
+    assert!(store.join("state").join("state.bin").exists());
+    for gone in ["working.bin", "ledger.bin", "vocabulary.json", "curation.json"] {
+        assert!(!store.join("state").join(gone).exists(), "state/{gone}");
+    }
 
     // corrupt a WAL record: append garbage that can never frame-decode
     let wal = store.join("catalog").join("wal.log");
@@ -179,12 +184,12 @@ fn fsck_detects_and_repairs_corruption() {
     let mut bytes = std::fs::read(&snap).unwrap();
     bytes[0] ^= 0xff;
     std::fs::write(&snap, &bytes).unwrap();
-    // corrupt the ledger: flip a payload byte so its CRC mismatches
-    let ledger = store.join("state").join("ledger.bin");
-    let mut bytes = std::fs::read(&ledger).unwrap();
+    // corrupt the state image: flip a payload byte so its CRC mismatches
+    let state = store.join("state").join("state.bin");
+    let mut bytes = std::fs::read(&state).unwrap();
     let ix = bytes.len() - 2;
     bytes[ix] ^= 0x08;
-    std::fs::write(&ledger, &bytes).unwrap();
+    std::fs::write(&state, &bytes).unwrap();
 
     // unrepaired damage → nonzero exit, findings on stdout
     let (ok, stdout, stderr) = run(&["fsck", store_s]);
@@ -208,7 +213,8 @@ fn fsck_detects_and_repairs_corruption() {
     assert!(quarantine.exists());
     assert!(quarantine.join("snapshot.bin.0").exists());
     assert!(quarantine.join("snapshot.bin.0.reason.json").exists());
-    assert!(quarantine.join("ledger.bin.0").exists());
+    assert!(quarantine.join("state.bin.0").exists());
+    assert!(!state.exists());
     // the WAL survived: its damaged tail was truncated in place
     assert!(wal.exists());
 
