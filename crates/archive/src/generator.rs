@@ -15,7 +15,7 @@ use metamess_core::error::{IoContext, Result};
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::id::fnv1a;
 use metamess_core::time::{TimeInterval, Timestamp};
-use metamess_core::value::{Record, Value};
+use metamess_core::value::Value;
 use metamess_formats::{write_cdl, write_csv, write_obslog, ColumnDef, FormatKind, ParsedFile};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::path::Path;
@@ -267,7 +267,7 @@ fn build_file(
     let mut truth_vars: Vec<TrueVariable> = Vec::new();
 
     // time column is always first and always clean
-    parsed.columns.push(ColumnDef::with_unit("time", "UTC"));
+    parsed.columns.push(ColumnDef::with_unit("time", "UTC").into());
     truth_vars.push(TrueVariable {
         harvested: "time".into(),
         canonical: "time".into(),
@@ -277,8 +277,8 @@ fn build_file(
 
     let moving = matches!(position, PositionGen::Track { .. });
     if moving {
-        parsed.columns.push(ColumnDef::with_unit("lat", "deg"));
-        parsed.columns.push(ColumnDef::with_unit("lon", "deg"));
+        parsed.columns.push(ColumnDef::with_unit("lat", "deg").into());
+        parsed.columns.push(ColumnDef::with_unit("lon", "deg").into());
         for n in ["lat", "lon"] {
             truth_vars.push(TrueVariable {
                 harvested: n.into(),
@@ -301,7 +301,7 @@ fn build_file(
         }
     }
     for (name, p, cat) in &harvested {
-        parsed.columns.push(ColumnDef::with_unit(name.clone(), p.unit));
+        parsed.columns.push(ColumnDef::with_unit(name.clone(), p.unit).into());
         truth_vars.push(TrueVariable {
             harvested: name.clone(),
             canonical: p.canonical.to_string(),
@@ -320,7 +320,7 @@ fn build_file(
         qa_cols.push(flag_column(vname));
     }
     for q in &qa_cols {
-        parsed.columns.push(ColumnDef::new(q.clone()));
+        parsed.columns.push(ColumnDef::new(q.clone()).into());
         truth_vars.push(TrueVariable {
             harvested: q.clone(),
             canonical: String::new(),
@@ -329,37 +329,34 @@ fn build_file(
         });
     }
 
-    // rows
+    // rows, in row order (the rng draws interleave across columns), each
+    // cell pushed into its column: time, [lat, lon,] variables, QA columns
+    let vars = if moving { 3 } else { 1 };
+    let cols = &mut parsed.columns;
     let mut bbox: Option<GeoBBox> = None;
     let mut t = start;
     for i in 0..rows {
-        let mut rec = Record::new();
-        rec.set("time", Value::Time(t));
+        cols[0].cells.push(Value::Time(t));
         let pt = position.at(i, rows, rng);
         match bbox {
             Some(ref mut b) => b.extend(&pt),
             None => bbox = Some(GeoBBox::point(pt)),
         }
         if moving {
-            rec.set("lat", Value::Float((pt.lat * 10_000.0).round() / 10_000.0));
-            rec.set("lon", Value::Float((pt.lon * 10_000.0).round() / 10_000.0));
+            cols[1].cells.push(Value::Float((pt.lat * 10_000.0).round() / 10_000.0));
+            cols[2].cells.push(Value::Float((pt.lon * 10_000.0).round() / 10_000.0));
         }
-        for (name, p, _) in &harvested {
+        for (col, (_, p, _)) in cols[vars..].iter_mut().zip(&harvested) {
             // occasional missing values
-            if rng.random_bool(0.02) {
-                rec.set(name.clone(), Value::Null);
-            } else {
-                rec.set(name.clone(), Value::Float(seasonal_value(p, t, rng)));
-            }
+            let v = (!rng.random_bool(0.02)).then(|| seasonal_value(p, t, rng));
+            col.cells.push(v.map_or(Value::Null, Value::Float));
         }
-        for q in &qa_cols {
-            rec.set(q.clone(), Value::Int(rng.random_range(0..3i64)));
+        for col in &mut cols[vars + harvested.len()..] {
+            col.cells.push(Value::Int(rng.random_range(0..3i64)));
         }
-        parsed.rows.push(rec);
         t = t.plus_seconds(step_secs);
     }
-    let end =
-        parsed.rows.last().and_then(|r| r.get("time")).and_then(|v| v.as_time()).unwrap_or(start);
+    let end = cols[0].cells.last().and_then(Value::as_time).unwrap_or(start);
 
     let truth = TrueDataset {
         path: path.to_string(),
@@ -440,19 +437,14 @@ pub fn generate(spec: &ArchiveSpec) -> GeneratedArchive {
             // Fahrenheit (the poster's "similar problems in other areas,
             // e.g. units"). Values and the declared unit both switch.
             if !is_buoy && (si + m) % 5 == 4 {
-                let fahrenheit_col = t
-                    .variables
-                    .iter()
-                    .find(|v| v.canonical == "air_temperature")
-                    .map(|v| v.harvested.clone());
-                if let Some(col_name) = fahrenheit_col {
-                    if let Some(col) = parsed.columns.iter_mut().find(|c| c.name == col_name) {
-                        col.unit = Some("degF".into());
-                    }
-                    for row in &mut parsed.rows {
-                        if let Some(v) = row.get(&col_name).and_then(|v| v.as_f64()) {
-                            let f = ((v * 9.0 / 5.0 + 32.0) * 1000.0).round() / 1000.0;
-                            row.set(col_name.clone(), f);
+                let air = t.variables.iter().find(|v| v.canonical == "air_temperature");
+                let col =
+                    air.and_then(|v| parsed.columns.iter_mut().find(|c| c.def.name == v.harvested));
+                if let Some(col) = col {
+                    col.def.unit = Some("degF".into());
+                    for cell in &mut col.cells {
+                        if let Some(v) = cell.as_f64() {
+                            *cell = Value::from(((v * 9.0 / 5.0 + 32.0) * 1000.0).round() / 1000.0);
                         }
                     }
                 }
@@ -597,11 +589,11 @@ mod tests {
         for t in &a.truth.datasets {
             let content = &a.files.iter().find(|(p, _)| p == &t.path).unwrap().1;
             let parsed = metamess_formats::sniff_and_parse(Path::new(&t.path), content).unwrap();
-            assert!(!parsed.rows.is_empty(), "{}", t.path);
+            assert!(parsed.row_count() > 0, "{}", t.path);
             // every truth variable appears as a column
             for v in &t.variables {
                 assert!(
-                    parsed.columns.iter().any(|c| c.name == v.harvested),
+                    parsed.column(&v.harvested).is_some(),
                     "{} missing column {}",
                     t.path,
                     v.harvested

@@ -220,6 +220,15 @@ impl ColumnSummary {
     }
 }
 
+/// Summarizes a column's cells in order, with the default text sample cap.
+impl<'a> FromIterator<&'a Value> for ColumnSummary {
+    fn from_iter<I: IntoIterator<Item = &'a Value>>(cells: I) -> ColumnSummary {
+        let mut s = ColumnSummary::default();
+        cells.into_iter().for_each(|v| s.observe(v));
+        s
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,6 +62,25 @@ fn days_in_month(y: i64, m: u32) -> u32 {
     }
 }
 
+/// The six numbers of `YYYY-MM-DD?HH:MM:SS` (`?` one of `T`, `t`, space),
+/// when `s` is exactly that: the form the archive writers emit, read by
+/// position. [`Timestamp::parse`] reads it to the same numbers the long way.
+fn fixed_fields(s: &str) -> Option<[u32; 6]> {
+    let b = s.as_bytes();
+    if b.len() != 19
+        || (b[4], b[7], b[13], b[16]) != (b'-', b'-', b':', b':')
+        || !matches!(b[10], b'T' | b't' | b' ')
+    {
+        return None;
+    }
+    let num = |from: usize, to: usize| {
+        b[from..to]
+            .iter()
+            .try_fold(0u32, |n, &c| c.is_ascii_digit().then(|| n * 10 + u32::from(c - b'0')))
+    };
+    Some([num(0, 4)?, num(5, 7)?, num(8, 10)?, num(11, 13)?, num(14, 16)?, num(17, 19)?])
+}
+
 impl Timestamp {
     /// The Unix epoch.
     pub const EPOCH: Timestamp = Timestamp(0);
@@ -108,6 +127,9 @@ impl Timestamp {
         let s = s.trim();
         let s = s.strip_suffix('Z').unwrap_or(s);
         let bad = || Error::parse("timestamp", format!("unrecognized timestamp '{s}'"));
+        if let Some([y, mo, d, h, mi, sec]) = fixed_fields(s) {
+            return Timestamp::from_ymd_hms(y.into(), mo, d, h, mi, sec);
+        }
 
         if s.len() == 14 && s.bytes().all(|b| b.is_ascii_digit()) {
             // Compact YYYYMMDDHHMMSS
@@ -141,20 +163,19 @@ impl Timestamp {
         };
         // Truncate fractional seconds.
         let time = time.split('.').next().unwrap_or(time);
-        let parts: Vec<&str> = time.split(':').collect();
-        if parts.len() < 2 || parts.len() > 3 {
+        let mut parts = time.split(':');
+        let h: u32 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+        let mi: u32 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+        let sec: u32 = parts.next().map_or(Ok(0), str::parse).map_err(|_| bad())?;
+        if parts.next().is_some() {
             return Err(bad());
         }
-        let h: u32 = parts[0].parse().map_err(|_| bad())?;
-        let mi: u32 = parts[1].parse().map_err(|_| bad())?;
-        let sec: u32 = if parts.len() == 3 { parts[2].parse().map_err(|_| bad())? } else { 0 };
         Timestamp::from_ymd_hms(y, mo, d, h, mi, sec)
     }
 
     /// Renders `YYYY-MM-DDTHH:MM:SSZ`.
     pub fn to_iso8601(self) -> String {
-        let (y, mo, d, h, mi, s) = self.to_civil();
-        format!("{y:04}-{mo:02}-{d:02}T{h:02}:{mi:02}:{s:02}Z")
+        self.to_string()
     }
 
     /// Renders just the date part, `YYYY-MM-DD`.
@@ -179,9 +200,11 @@ impl Timestamp {
     }
 }
 
+/// `YYYY-MM-DDTHH:MM:SSZ`, as [`Timestamp::to_iso8601`].
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_iso8601())
+        let (y, mo, d, h, mi, s) = self.to_civil();
+        write!(f, "{y:04}-{mo:02}-{d:02}T{h:02}:{mi:02}:{s:02}Z")
     }
 }
 
@@ -306,6 +329,7 @@ mod tests {
             "2010-06-15T12:30:45Z",
             "2010-06-15T12:30:45",
             "2010-06-15 12:30:45",
+            "2010-06-15t12:30:45",
             "2010-06-15T12:30:45.123Z",
             "20100615123045",
         ] {
@@ -324,6 +348,18 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         for s in ["", "notadate", "2010-13-01", "2010-02-30", "2010-06-15X10:00", "2010/06/15"] {
+            assert!(Timestamp::parse(s).is_err(), "input {s:?}");
+        }
+        // the writers' fixed form is read by position; it refuses what the
+        // general path refuses
+        for s in [
+            "2010-13-01T00:00:00Z",
+            "2010-02-30T00:00:00",
+            "2010-06-15T24:00:00",
+            "2010-06-15T12:3x:45",
+            "2010-06-15X12:30:45",
+            "2010-06-15T12:30:45:00",
+        ] {
             assert!(Timestamp::parse(s).is_err(), "input {s:?}");
         }
     }

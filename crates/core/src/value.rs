@@ -10,7 +10,7 @@
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A dynamically typed cell value as harvested from an archive file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,6 +48,9 @@ impl Value {
             "false" | "FALSE" | "False" => return Value::Bool(false),
             _ => {}
         }
+        if let Some(v) = sniff_decimal(t) {
+            return v;
+        }
         if let Ok(i) = t.parse::<i64>() {
             return Value::Int(i);
         }
@@ -57,8 +60,12 @@ impl Value {
             }
             return Value::Null;
         }
-        if let Ok(ts) = Timestamp::parse(t) {
-            return Value::Time(ts);
+        // a timestamp opens with its year (`+` is a year's sign); checking
+        // first spares text the parse error
+        if t.starts_with(|c: char| c.is_ascii_digit() || c == '+') {
+            if let Ok(ts) = Timestamp::parse(t) {
+                return Value::Time(ts);
+            }
         }
         Value::Text(t.to_string())
     }
@@ -109,10 +116,63 @@ impl Value {
         match self {
             Value::Null => Cow::Borrowed(""),
             Value::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
-            Value::Int(i) => Cow::Owned(i.to_string()),
-            Value::Float(f) => Cow::Owned(format_float(*f)),
             Value::Text(s) => Cow::Borrowed(s),
-            Value::Time(t) => Cow::Owned(t.to_iso8601()),
+            Value::Int(_) | Value::Float(_) | Value::Time(_) => {
+                let mut out = String::new();
+                self.render_into(&mut out);
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// Appends what [`Value::render`] returns to `out`: archive writers
+    /// format cells straight into their output, digit by digit.
+    pub fn render_into(&self, out: &mut String) {
+        match self {
+            Value::Null => {}
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => {
+                if *i < 0 {
+                    out.push('-');
+                }
+                push_digits(out, i.unsigned_abs(), 1);
+            }
+            // Keep a trailing ".0" on integral floats so they re-sniff as
+            // floats; otherwise the shortest representation that round-trips.
+            Value::Float(x) if *x == x.trunc() && x.abs() < 1e15 => {
+                if x.is_sign_negative() {
+                    out.push('-');
+                }
+                push_digits(out, x.abs() as u64, 1);
+                out.push_str(".0");
+            }
+            Value::Float(x) => match short_decimal(*x) {
+                Some((int, frac, width)) => {
+                    if *x < 0.0 {
+                        out.push('-');
+                    }
+                    push_digits(out, int, 1);
+                    out.push('.');
+                    push_digits(out, frac, width);
+                }
+                None => {
+                    let _ = write!(out, "{x}");
+                }
+            },
+            Value::Text(s) => out.push_str(s),
+            Value::Time(t) => match t.to_civil() {
+                (y @ 0..=9999, mo, d, h, mi, s) => {
+                    push_digits(out, y as u64, 4);
+                    for (sep, n) in [('-', mo), ('-', d), ('T', h), (':', mi), (':', s)] {
+                        out.push(sep);
+                        push_digits(out, n.into(), 2);
+                    }
+                    out.push('Z');
+                }
+                _ => {
+                    let _ = write!(out, "{t}");
+                }
+            },
         }
     }
 
@@ -133,6 +193,18 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
+}
+
+/// Appends `n` in decimal, zero-padded to `width` digits.
+fn push_digits(out: &mut String, mut n: u64, width: usize) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while n > 0 || buf.len() - at < width {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
 }
 
 impl From<bool> for Value {
@@ -170,15 +242,59 @@ impl From<Timestamp> for Value {
     }
 }
 
-/// Formats a float the way the archive writers do: shortest representation
-/// that round-trips, without scientific notation for typical magnitudes.
-fn format_float(f: f64) -> String {
-    if f == f.trunc() && f.abs() < 1e15 {
-        // Keep a trailing ".0" so the value re-sniffs as a float.
-        format!("{f:.1}")
-    } else {
-        format!("{f}")
+/// A non-integral `x` below 1e6 in magnitude that is the double nearest a
+/// decimal with at most six fractional digits, as that decimal's integer
+/// part, fractional digits and their count. Neighbouring doubles that small
+/// lie far closer than 1e-6, so no other decimal that short reads back as
+/// `x`: the decimal is the shortest round-trip form `{x}` prints, found with
+/// one multiplication and one (correctly rounded) division.
+fn short_decimal(x: f64) -> Option<(u64, u64, usize)> {
+    let scaled = (x * 1e6).round();
+    if !(x.abs() < 1e6 && scaled / 1e6 == x) {
+        return None;
     }
+    let k = scaled.abs() as u64;
+    let (mut frac, mut width) = (k % 1_000_000, 6);
+    while frac != 0 && frac % 10 == 0 {
+        frac /= 10;
+        width -= 1;
+    }
+    Some((k / 1_000_000, frac, width))
+}
+
+/// The common cell shapes `-?D+` and `-?D+.D+` with at most 15 digits, read
+/// without the general parsers: what `str::parse` makes of them, exactly.
+/// A mantissa below 10^15 and a power of ten up to 10^15 are both exact in
+/// an `f64`, so one division rounds the quotient correctly, as the parse
+/// does. Anything else is `None`.
+fn sniff_decimal(t: &str) -> Option<Value> {
+    const POW10: [f64; 16] =
+        [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15];
+    let (neg, digits) = match t.as_bytes() {
+        [b'-', rest @ ..] => (true, rest),
+        all => (false, all),
+    };
+    if digits.is_empty() || digits.len() > 16 {
+        return None;
+    }
+    let (mut mantissa, mut point) = (0u64, None);
+    for (i, &b) in digits.iter().enumerate() {
+        match b {
+            b'0'..=b'9' => mantissa = mantissa * 10 + u64::from(b - b'0'),
+            b'.' if point.is_none() && i > 0 && i + 1 < digits.len() => point = Some(i),
+            _ => return None,
+        }
+    }
+    Some(match point {
+        None if digits.len() <= 15 => {
+            Value::Int(if neg { -(mantissa as i64) } else { mantissa as i64 })
+        }
+        None => return None,
+        Some(at) => {
+            let x = mantissa as f64 / POW10[digits.len() - at - 1];
+            Value::Float(if neg { -x } else { x })
+        }
+    })
 }
 
 /// A named row of values, as produced by file parsers and consumed by the
@@ -312,6 +428,92 @@ mod tests {
         assert_eq!(Value::sniff("-7"), Value::Int(-7));
         assert_eq!(Value::sniff("3.25"), Value::Float(3.25));
         assert_eq!(Value::sniff("1e3"), Value::Float(1000.0));
+    }
+
+    #[test]
+    fn decimal_fast_path_reads_what_the_parsers_read() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for _ in 0..200_000 {
+            let mut t = String::from(["", "-"][next(2) as usize]);
+            (0..1 + next(12)).for_each(|_| t.push((b'0' + next(10) as u8) as char));
+            if next(3) > 0 {
+                t.push('.');
+                (0..1 + next(10)).for_each(|_| t.push((b'0' + next(10) as u8) as char));
+            }
+            let general = match t.parse::<i64>() {
+                Ok(i) => Value::Int(i),
+                Err(_) => Value::Float(t.parse::<f64>().unwrap()),
+            };
+            match (sniff_decimal(&t), &general) {
+                (None, _) => assert!(t.bytes().filter(u8::is_ascii_digit).count() > 15, "{t}"),
+                (Some(Value::Float(a)), Value::Float(b)) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{t}")
+                }
+                (Some(fast), _) => assert_eq!(fast, general, "{t}"),
+            }
+        }
+        for t in ["", "-", ".5", "5.", "1e3", "+5", "1.2.3", "12a", "١٢"] {
+            assert_eq!(sniff_decimal(t), None, "{t}");
+        }
+    }
+
+    #[test]
+    fn short_floats_display_as_the_shortest_round_trip() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for i in 0..300_000 {
+            let r = next();
+            let v = match i % 3 {
+                // k / 10^d, the shape the archive writes
+                0 => (r % 2_000_000_000) as f64 / [1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7][i % 7] - 1e5,
+                // a value rounded to three decimals, as the generator does
+                1 => ((f64::from_bits(r) % 1e7) * 1000.0).round() / 1000.0,
+                // any double
+                _ => f64::from_bits(r),
+            };
+            if v.is_finite() && v != v.trunc() {
+                assert_eq!(Value::Float(v).to_string(), format!("{v}"), "bits {:#x}", v.to_bits());
+            }
+        }
+        for v in [1e-6, -1e-6, 5e-7, 999_999.999_999, -0.5, 0.1, 0.1 + 0.2, 123_456.789_012_5] {
+            assert_eq!(Value::Float(v).to_string(), format!("{v}"));
+        }
+    }
+
+    #[test]
+    fn digits_render_what_the_formatter_renders() {
+        let mut x = 0x853c_49e6_748f_ea9bu64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for i in 0..200_000 {
+            let r = next() as i64 >> (i % 60);
+            assert_eq!(Value::Int(r).render(), r.to_string());
+            let f = (r % 1_000_000_000_000_000) as f64;
+            assert_eq!(Value::Float(f).render(), format!("{f:.1}"));
+            let t = Timestamp(r % 500_000_000_000);
+            let (y, mo, d, h, mi, s) = t.to_civil();
+            let iso = format!("{y:04}-{mo:02}-{d:02}T{h:02}:{mi:02}:{s:02}Z");
+            assert_eq!(Value::Time(t).render(), iso);
+        }
+        for v in [i64::MIN, i64::MAX, 0, -1] {
+            assert_eq!(Value::Int(v).render(), v.to_string());
+        }
+        assert_eq!(Value::Float(-0.0).render(), "-0.0");
     }
 
     #[test]

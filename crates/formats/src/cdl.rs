@@ -20,11 +20,14 @@
 //! }
 //! ```
 //!
-//! `_` is the CDL fill/missing marker.
+//! `_` is the CDL fill/missing marker. A string is quoted, with `\` and `"`
+//! escaped by a backslash; a comma inside one does not split a data list.
 
 use crate::model::{ColumnDef, FormatKind, ParsedFile};
 use metamess_core::error::{Error, Result};
-use metamess_core::value::{Record, Value};
+use metamess_core::value::Value;
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Section {
@@ -34,13 +37,42 @@ enum Section {
     Data,
 }
 
-fn unquote(s: &str) -> String {
+/// `s` trimmed, and without its quotes and escapes when it is a string.
+fn unquote(s: &str) -> Cow<'_, str> {
     let s = s.trim();
-    if s.len() >= 2 && s.starts_with('"') && s.ends_with('"') {
-        s[1..s.len() - 1].replace("\\\"", "\"")
-    } else {
-        s.to_string()
+    match s.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
+        Some(inner) if inner.contains('\\') => {
+            let mut out = String::with_capacity(inner.len());
+            let mut chars = inner.chars().peekable();
+            while let Some(c) = chars.next() {
+                out.push(chars.next_if(|&n| c == '\\' && matches!(n, '\\' | '"')).unwrap_or(c));
+            }
+            out.into()
+        }
+        Some(inner) => inner.into(),
+        None => s.into(),
     }
+}
+
+/// A string as CDL writes it: quoted, with `\` and `"` escaped.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// The comma-separated items of a data list; a comma inside a string does
+/// not split it.
+fn items(list: &str) -> impl Iterator<Item = &str> {
+    let (mut quoted, mut escaped) = (false, false);
+    list.split(move |c| {
+        let split = c == ',' && !quoted;
+        (quoted, escaped) = match c {
+            _ if escaped => (quoted, false),
+            '\\' => (quoted, quoted),
+            '"' => (!quoted, false),
+            _ => (quoted, false),
+        };
+        split
+    })
 }
 
 /// Parses CDL-lite text.
@@ -48,12 +80,12 @@ pub fn parse_cdl(text: &str) -> Result<ParsedFile> {
     let mut out = ParsedFile::new(FormatKind::Cdl);
     let mut section = Section::Preamble;
     let mut name_seen = false;
-    let mut data: Vec<(String, Vec<Value>)> = Vec::new();
     // Data statements can span lines until ';'. Accumulate.
     let mut pending = String::new();
 
     for (ln0, raw) in text.lines().enumerate() {
         let ln = ln0 + 1;
+        let fail = |message: String| Err(Error::parse_at("cdl", message, ln));
         let line = raw.trim();
         if line.is_empty() {
             continue;
@@ -67,32 +99,25 @@ pub fn parse_cdl(text: &str) -> Result<ParsedFile> {
                 .ok_or_else(|| Error::parse_at("cdl", "expected 'netcdf <name> {'", ln))?;
             let name = rest.trim().trim_end_matches('{').trim();
             if name.is_empty() {
-                return Err(Error::parse_at("cdl", "missing dataset name", ln));
+                return fail("missing dataset name".into());
             }
             out.metadata.insert("dataset_name".into(), name.to_string());
             name_seen = true;
             continue;
         }
-        match line {
-            "dimensions:" => {
-                section = Section::Dimensions;
-                continue;
-            }
-            "variables:" => {
-                section = Section::Variables;
-                continue;
-            }
-            "data:" => {
-                section = Section::Data;
-                continue;
-            }
+        let header = match line {
+            "dimensions:" => Some(Section::Dimensions),
+            "variables:" => Some(Section::Variables),
+            "data:" => Some(Section::Data),
             "}" => break,
-            _ => {}
+            _ => None,
+        };
+        if let Some(header) = header {
+            section = header;
+            continue;
         }
         match section {
-            Section::Preamble => {
-                return Err(Error::parse_at("cdl", format!("unexpected line '{line}'"), ln))
-            }
+            Section::Preamble => return fail(format!("unexpected line '{line}'")),
             Section::Dimensions => {
                 // `time = 240 ;` — recorded as metadata for validation.
                 let stmt = line.trim_end_matches(';').trim();
@@ -106,7 +131,7 @@ pub fn parse_cdl(text: &str) -> Result<ParsedFile> {
                 if let Some((lhs, rhs)) = stmt.split_once('=') {
                     // attribute: `var:attr = value` or global `:attr = value`
                     let lhs = lhs.trim();
-                    let rhs = unquote(rhs.trim());
+                    let rhs = unquote(rhs).into_owned();
                     let (var, attr) = lhs
                         .split_once(':')
                         .ok_or_else(|| Error::parse_at("cdl", "attribute without ':'", ln))?;
@@ -115,17 +140,12 @@ pub fn parse_cdl(text: &str) -> Result<ParsedFile> {
                     if var.is_empty() {
                         out.metadata.insert(attr, rhs);
                     } else {
-                        let col =
-                            out.columns.iter_mut().find(|c| c.name == var).ok_or_else(|| {
-                                Error::parse_at(
-                                    "cdl",
-                                    format!("attribute for undeclared variable '{var}'"),
-                                    ln,
-                                )
-                            })?;
+                        let Some(col) = out.columns.iter_mut().find(|c| c.def.name == var) else {
+                            return fail(format!("attribute for undeclared variable '{var}'"));
+                        };
                         match attr.as_str() {
-                            "units" => col.unit = Some(rhs),
-                            "long_name" => col.description = Some(rhs),
+                            "units" => col.def.unit = Some(rhs),
+                            "long_name" => col.def.description = Some(rhs),
                             _ => {} // other attributes tolerated
                         }
                     }
@@ -138,53 +158,44 @@ pub fn parse_cdl(text: &str) -> Result<ParsedFile> {
                     let rest: String = parts.collect::<Vec<_>>().join(" ");
                     let name = rest.split('(').next().unwrap_or("").trim();
                     if name.is_empty() {
-                        return Err(Error::parse_at(
-                            "cdl",
-                            "variable declaration without name",
-                            ln,
-                        ));
+                        return fail("variable declaration without name".into());
                     }
-                    if out.columns.iter().any(|c| c.name == name) {
-                        return Err(Error::parse_at(
-                            "cdl",
-                            format!("duplicate variable '{name}'"),
-                            ln,
-                        ));
+                    if out.column(name).is_some() {
+                        return fail(format!("duplicate variable '{name}'"));
                     }
-                    out.columns.push(ColumnDef::new(name));
+                    out.columns.push(ColumnDef::new(name).into());
                 }
             }
             Section::Data => {
-                pending.push(' ');
-                pending.push_str(line);
-                if !line.ends_with(';') {
-                    continue;
+                if !pending.is_empty() || !line.ends_with(';') {
+                    pending.push(' ');
+                    pending.push_str(line);
+                    if !line.ends_with(';') {
+                        continue;
+                    }
                 }
-                let stmt = pending.trim().trim_end_matches(';').trim().to_string();
-                pending.clear();
+                let stmt = if pending.is_empty() { line } else { pending.as_str() };
                 let (var, list) = stmt
+                    .trim()
+                    .trim_end_matches(';')
                     .split_once('=')
                     .ok_or_else(|| Error::parse_at("cdl", "data statement without '='", ln))?;
                 let var = var.trim();
-                if out.column(var).is_none() {
-                    return Err(Error::parse_at(
-                        "cdl",
-                        format!("data for undeclared variable '{var}'"),
-                        ln,
-                    ));
+                let Some(col) = out.columns.iter_mut().find(|c| c.def.name == var) else {
+                    return fail(format!("data for undeclared variable '{var}'"));
+                };
+                if !col.cells.is_empty() {
+                    return fail(format!("second data for '{var}'"));
                 }
-                let values: Vec<Value> = list
-                    .split(',')
-                    .map(|tok| {
-                        let tok = tok.trim();
-                        if tok == "_" {
-                            Value::Null
-                        } else {
-                            Value::sniff(&unquote(tok))
-                        }
-                    })
-                    .collect();
-                data.push((var.to_string(), values));
+                col.cells.reserve_exact(list.bytes().filter(|&b| b == b',').count() + 1);
+                for item in items(list).map(str::trim) {
+                    col.cells.push(if item == "_" {
+                        Value::Null
+                    } else {
+                        Value::sniff(&unquote(item))
+                    });
+                }
+                pending.clear();
             }
         }
     }
@@ -195,19 +206,10 @@ pub fn parse_cdl(text: &str) -> Result<ParsedFile> {
         return Err(Error::parse("cdl", "unterminated data statement"));
     }
 
-    // Zip per-variable data vectors into rows.
-    let nrows = data.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
-    for i in 0..nrows {
-        let mut rec = Record::new();
-        for col in &out.columns {
-            let v = data
-                .iter()
-                .find(|(n, _)| n == &col.name)
-                .and_then(|(_, vs)| vs.get(i).cloned())
-                .unwrap_or(Value::Null);
-            rec.set(col.name.clone(), v);
-        }
-        out.rows.push(rec);
+    // Variables with fewer values (or none) are padded with nulls.
+    let rows = out.columns.iter().map(|c| c.cells.len()).max().unwrap_or(0);
+    for c in &mut out.columns {
+        c.cells.resize(rows, Value::Null);
     }
     Ok(out)
 }
@@ -216,16 +218,15 @@ pub fn parse_cdl(text: &str) -> Result<ParsedFile> {
 pub fn write_cdl(file: &ParsedFile) -> String {
     let name = file.meta("dataset_name").unwrap_or("dataset");
     let mut out = format!("netcdf {name} {{\n");
-    out.push_str("dimensions:\n");
-    out.push_str(&format!("    time = {} ;\n", file.rows.len()));
-    out.push_str("variables:\n");
+    let _ = write!(out, "dimensions:\n    time = {} ;\nvariables:\n", file.row_count());
     for c in &file.columns {
-        out.push_str(&format!("    double {}(time) ;\n", c.name));
-        if let Some(u) = &c.unit {
-            out.push_str(&format!("        {}:units = \"{}\" ;\n", c.name, u));
+        let ColumnDef { name, unit, description } = &c.def;
+        let _ = writeln!(out, "    double {name}(time) ;");
+        if let Some(u) = unit {
+            let _ = writeln!(out, "        {name}:units = {} ;", quoted(u));
         }
-        if let Some(d) = &c.description {
-            out.push_str(&format!("        {}:long_name = \"{}\" ;\n", c.name, d));
+        if let Some(d) = description {
+            let _ = writeln!(out, "        {name}:long_name = {} ;", quoted(d));
         }
     }
     out.push_str("// global attributes:\n");
@@ -233,29 +234,28 @@ pub fn write_cdl(file: &ParsedFile) -> String {
         if k == "dataset_name" || k.starts_with("dim_") {
             continue;
         }
-        match v.parse::<f64>() {
-            Ok(_) => out.push_str(&format!("    :{k} = {v} ;\n")),
-            Err(_) => out.push_str(&format!("    :{k} = \"{v}\" ;\n")),
-        }
+        let _ = match v.parse::<f64>() {
+            Ok(_) => writeln!(out, "    :{k} = {v} ;"),
+            Err(_) => writeln!(out, "    :{k} = {} ;", quoted(v)),
+        };
     }
     out.push_str("data:\n");
     // a zero-row file writes no data statements (an empty list would read
     // back as one null cell)
-    let columns: &[ColumnDef] = if file.rows.is_empty() { &[] } else { &file.columns };
+    let columns: &[_] = if file.row_count() == 0 { &[] } else { &file.columns };
     for c in columns {
-        let rendered: Vec<String> = file
-            .rows
-            .iter()
-            .map(|r| {
-                let v = r.get(&c.name).cloned().unwrap_or(Value::Null);
-                match v {
-                    Value::Null => "_".to_string(),
-                    Value::Text(s) => format!("\"{s}\""),
-                    other => other.render().into_owned(),
-                }
-            })
-            .collect();
-        out.push_str(&format!(" {} = {} ;\n", c.name, rendered.join(", ")));
+        let _ = write!(out, " {} = ", c.def.name);
+        for (i, v) in c.cells.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            match v {
+                Value::Null => out.push('_'),
+                Value::Text(s) => out.push_str(&quoted(s)),
+                other => other.render_into(&mut out),
+            }
+        }
+        out.push_str(" ;\n");
     }
     out.push_str("}\n");
     out
@@ -292,20 +292,20 @@ data:
         assert_eq!(p.meta("station"), Some("saturn01"));
         assert_eq!(p.meta_f64("latitude"), Some(46.18));
         assert_eq!(p.columns.len(), 2);
-        assert_eq!(p.column("water_temp").unwrap().unit.as_deref(), Some("degC"));
+        assert_eq!(p.column("water_temp").unwrap().def.unit.as_deref(), Some("degC"));
         assert_eq!(
-            p.column("water_temp").unwrap().description.as_deref(),
+            p.column("water_temp").unwrap().def.description.as_deref(),
             Some("water temperature")
         );
-        assert_eq!(p.rows.len(), 3);
-        assert!(p.rows[2].get("water_temp").unwrap().is_null()); // the `_`
-        assert_eq!(p.rows[2].get("sal"), Some(&Value::Float(29.0)));
+        assert_eq!(p.row_count(), 3);
+        assert!(p.cell("water_temp", 2).unwrap().is_null()); // the `_`
+        assert_eq!(p.cell("sal", 2), Some(&Value::Float(29.0)));
     }
 
     #[test]
     fn multiline_data_statement() {
         let p = parse_cdl(SAMPLE).unwrap();
-        assert_eq!(p.rows[1].get("sal"), Some(&Value::Float(28.5)));
+        assert_eq!(p.cell("sal", 1), Some(&Value::Float(28.5)));
     }
 
     #[test]
@@ -320,7 +320,6 @@ data:
         let text = write_cdl(&p);
         let back = parse_cdl(&text).unwrap();
         assert_eq!(back.columns, p.columns);
-        assert_eq!(back.rows, p.rows);
         assert_eq!(back.meta("station"), Some("saturn01"));
     }
 
@@ -341,6 +340,9 @@ data:
         // unterminated data
         let bad4 = "netcdf x {\nvariables:\n double a(t) ;\ndata:\n a = 1, 2\n}";
         assert!(parse_cdl(bad4).is_err());
+        // a second data statement for one variable
+        let bad5 = "netcdf x {\nvariables:\n double a(t) ;\ndata:\n a = 1 ;\n a = 2 ;\n}";
+        assert!(parse_cdl(bad5).is_err());
     }
 
     #[test]
@@ -355,14 +357,41 @@ data:
     fn ragged_data_padded_with_null() {
         let t = "netcdf x {\nvariables:\n double a(t) ;\n double b(t) ;\ndata:\n a = 1, 2, 3 ;\n b = 9 ;\n}";
         let p = parse_cdl(t).unwrap();
-        assert_eq!(p.rows.len(), 3);
-        assert!(p.rows[1].get("b").unwrap().is_null());
+        assert_eq!(p.row_count(), 3);
+        assert!(p.cell("b", 1).unwrap().is_null());
+    }
+
+    /// One row of one text column `a`, written and parsed back.
+    fn text_round_trip(text: &str) -> (String, ParsedFile) {
+        let mut p = ParsedFile::new(FormatKind::Cdl);
+        p.columns.push(ColumnDef::new("a").into());
+        p.columns[0].cells.push(Value::Text(text.into()));
+        let written = write_cdl(&p);
+        let back = parse_cdl(&written).unwrap();
+        assert_eq!(back.columns, p.columns, "{written}");
+        (written, back)
+    }
+
+    #[test]
+    fn text_with_a_comma_stays_one_cell() {
+        let (_, back) = text_round_trip("a, b");
+        assert_eq!(back.row_count(), 1);
+        let t = "netcdf x {\nvariables:\n double a(t) ;\ndata:\n a = \"x, y\", 2 ;\n}";
+        let p = parse_cdl(t).unwrap();
+        assert_eq!(p.cell("a", 0).unwrap().as_text(), Some("x, y"));
+        assert_eq!(p.cell("a", 1), Some(&Value::Int(2)));
+    }
+
+    #[test]
+    fn text_with_quotes_and_backslashes_is_escaped() {
+        let (written, _) = text_round_trip(r#"say "hi", \ bye\"#);
+        assert!(written.contains(r#" a = "say \"hi\", \\ bye\\" ;"#), "{written}");
     }
 
     #[test]
     fn text_values_quoted() {
         let t = "netcdf x {\nvariables:\n double a(t) ;\ndata:\n a = \"hi\", 2 ;\n}";
         let p = parse_cdl(t).unwrap();
-        assert_eq!(p.rows[0].get("a").unwrap().as_text(), Some("hi"));
+        assert_eq!(p.cell("a", 0).unwrap().as_text(), Some("hi"));
     }
 }

@@ -11,7 +11,9 @@
 
 use crate::model::{ColumnDef, FormatKind, ParsedFile};
 use metamess_core::error::{Error, Result};
-use metamess_core::value::{Record, Value};
+use metamess_core::value::Value;
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Parser configuration.
 #[derive(Debug, Clone)]
@@ -33,79 +35,88 @@ impl Default for CsvOptions {
     }
 }
 
-/// Splits one physical CSV text into logical records honoring quotes.
-/// Returns rows of raw fields.
-fn split_rows(text: &str, delim: char) -> Result<Vec<Vec<String>>> {
-    let mut rows = Vec::new();
-    let mut field = String::new();
-    let mut row: Vec<String> = Vec::new();
-    let mut in_quotes = false;
-    let mut chars = text.chars().peekable();
-    let mut line = 1usize;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '\n' => {
-                    line += 1;
-                    field.push(c);
-                }
-                _ => field.push(c),
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                if field.is_empty() {
-                    in_quotes = true;
-                } else {
-                    return Err(Error::parse_at("csv", "quote inside unquoted field", line));
-                }
-            }
-            '\r' => {} // tolerate CRLF
-            '\n' => {
-                line += 1;
-                row.push(std::mem::take(&mut field));
-                rows.push(std::mem::take(&mut row));
-            }
-            c if c == delim => {
-                row.push(std::mem::take(&mut field));
-            }
-            _ => field.push(c),
-        }
-    }
-    if in_quotes {
-        return Err(Error::parse_at("csv", "unterminated quoted field", line));
-    }
-    if !field.is_empty() || !row.is_empty() {
-        row.push(field);
-        rows.push(row);
-    }
-    Ok(rows)
+/// Splits delimited text into rows of fields, honoring quotes. A field
+/// borrows from the text unless it holds a doubled quote, a `\r`, or text
+/// after its closing quote.
+struct Rows<'a> {
+    rest: &'a str,
+    delim: char,
+    line: usize,
 }
 
-/// Auto-detects the delimiter from the first non-comment line.
-fn detect_delimiter(text: &str, comment: char) -> char {
-    for raw in text.lines() {
-        let l = raw.trim();
-        if l.is_empty() || l.starts_with(comment) {
-            continue;
+impl<'a> Rows<'a> {
+    /// Reads the next row into `row`; `false` once the text is used up.
+    fn next_row(&mut self, row: &mut Vec<Cow<'a, str>>) -> Result<bool> {
+        row.clear();
+        if self.rest.is_empty() {
+            return Ok(false);
         }
-        let counts = [
-            (',', l.matches(',').count()),
-            ('\t', l.matches('\t').count()),
-            (';', l.matches(';').count()),
-        ];
-        return counts.iter().max_by_key(|(_, c)| *c).map(|(d, _)| *d).unwrap_or(',');
+        loop {
+            let (field, end) = self.field()?;
+            row.push(field);
+            if end != Some(self.delim) {
+                return Ok(true);
+            }
+        }
     }
-    ','
+
+    /// Reads one field and what ended it: a newline, the delimiter, or
+    /// `None` at the end of the text.
+    fn field(&mut self) -> Result<(Cow<'a, str>, Option<char>)> {
+        let mut field = Cow::Borrowed("");
+        // a quote opens a quoted run while the field is still empty (a CR
+        // outside quotes is dropped, so it does not count)
+        while let Some(body) =
+            self.rest.trim_start_matches('\r').strip_prefix('"').filter(|_| field.is_empty())
+        {
+            // the first quote that is not doubled closes the run
+            let mut from = 0;
+            let close = loop {
+                let Some(q) = body[from..].find('"').map(|q| from + q) else {
+                    self.line += body.matches('\n').count();
+                    return Err(Error::parse_at("csv", "unterminated quoted field", self.line));
+                };
+                if !body[q + 1..].starts_with('"') {
+                    break q;
+                }
+                from = q + 2;
+            };
+            let inner = &body[..close];
+            field =
+                if inner.contains('"') { inner.replace("\"\"", "\"").into() } else { inner.into() };
+            self.line += inner.matches('\n').count();
+            self.rest = &body[close + 1..];
+        }
+        let end = self.rest.find(['\n', self.delim, '"']).unwrap_or(self.rest.len());
+        let (run, tail) = self.rest.split_at(end);
+        let mut tail = tail.chars();
+        let stop = tail.next();
+        self.rest = tail.as_str();
+        match stop {
+            Some('"') => {
+                return Err(Error::parse_at("csv", "quote inside unquoted field", self.line))
+            }
+            Some('\n') => self.line += 1,
+            _ => {}
+        }
+        // CR is dropped outside quotes (CRLF line ends, mostly)
+        let run = run.trim_end_matches('\r');
+        let run = if run.contains('\r') { Cow::Owned(run.replace('\r', "")) } else { run.into() };
+        if field.is_empty() {
+            field = run;
+        } else {
+            field.to_mut().push_str(&run);
+        }
+        Ok((field, stop))
+    }
+}
+
+/// Auto-detects the delimiter from the first non-comment line: the most
+/// frequent of `,`, `\t`, `;` (the last of them on a tie).
+fn detect_delimiter(text: &str, comment: char) -> char {
+    let mut lines = text.lines().map(str::trim);
+    let Some(l) = lines.find(|l| !l.is_empty() && !l.starts_with(comment)) else { return ',' };
+    [',', '\t', ';'].into_iter().max_by_key(|d| l.matches(*d).count()).unwrap_or(',')
 }
 
 /// Extracts an inline unit from a header like `temp (degC)`.
@@ -125,19 +136,9 @@ fn split_inline_unit(header: &str) -> (String, Option<String>) {
 
 /// True when a row looks like a parenthesized units row: every non-empty
 /// field is `(...)`.
-fn is_units_row(fields: &[String]) -> bool {
-    let mut any = false;
-    for f in fields {
-        let f = f.trim();
-        if f.is_empty() {
-            continue;
-        }
-        if !(f.starts_with('(') && f.ends_with(')')) {
-            return false;
-        }
-        any = true;
-    }
-    any
+fn is_units_row(fields: &[Cow<str>]) -> bool {
+    let mut filled = fields.iter().map(|f| f.trim()).filter(|f| !f.is_empty()).peekable();
+    filled.peek().is_some() && filled.all(|f| f.starts_with('(') && f.ends_with(')'))
 }
 
 /// Parses delimited text into a [`ParsedFile`].
@@ -166,48 +167,44 @@ pub fn parse_csv(text: &str, options: &CsvOptions) -> Result<ParsedFile> {
     }
 
     let delim = options.delimiter.unwrap_or_else(|| detect_delimiter(body, options.comment));
-    let mut rows = split_rows(body, delim)?;
-    // Drop trailing all-empty rows.
-    while rows.last().is_some_and(|r| r.iter().all(|f| f.trim().is_empty())) {
-        rows.pop();
-    }
-    if rows.is_empty() {
+    let mut rows = Rows { rest: body, delim, line: 1 };
+    let mut row = Vec::new();
+    if !rows.next_row(&mut row)? || is_blank(&row) {
         return Err(Error::parse("csv", "no header row"));
     }
-    let header = rows.remove(0);
-    let mut columns: Vec<ColumnDef> = Vec::with_capacity(header.len());
-    for h in &header {
+    for h in &row {
         let (name, unit) = split_inline_unit(h);
         if name.is_empty() {
             return Err(Error::parse("csv", "empty column name in header"));
         }
-        if columns.iter().any(|c| c.name == name) {
+        if out.column(&name).is_some() {
             return Err(Error::parse("csv", format!("duplicate column '{name}'")));
         }
-        columns.push(ColumnDef { name, unit, description: None });
+        out.columns.push(ColumnDef { name, unit, description: None }.into());
     }
 
-    // Optional units row.
-    if options.units_row {
-        if let Some(first) = rows.first() {
-            if is_units_row(first) {
-                let units = rows.remove(0);
-                for (c, u) in columns.iter_mut().zip(units.iter()) {
-                    let u = u.trim().trim_start_matches('(').trim_end_matches(')').trim();
-                    if !u.is_empty() && c.unit.is_none() {
-                        c.unit = Some(u.to_string());
-                    }
-                }
+    let lines = rows.rest.bytes().filter(|&b| b == b'\n').count() + 1;
+    out.columns.iter_mut().for_each(|c| c.cells.reserve_exact(lines));
+    let mut more = rows.next_row(&mut row)?;
+    if options.units_row && more && is_units_row(&row) {
+        for (c, u) in out.columns.iter_mut().zip(&row) {
+            let u = u.trim().trim_start_matches('(').trim_end_matches(')').trim();
+            if !u.is_empty() && c.def.unit.is_none() {
+                c.def.unit = Some(u.to_string());
             }
         }
+        more = rows.next_row(&mut row)?;
     }
 
     let mut ragged = 0usize;
-    for fields in rows {
-        if fields.iter().all(|f| f.trim().is_empty()) {
-            continue;
-        }
-        if fields.len() != columns.len() {
+    while more {
+        if is_blank(&row) {
+            // a blank line is no row
+        } else if row.len() == out.columns.len() {
+            for (c, f) in out.columns.iter_mut().zip(&row) {
+                c.cells.push(Value::sniff(f));
+            }
+        } else {
             ragged += 1;
             if ragged > options.max_ragged_rows {
                 return Err(Error::parse(
@@ -215,16 +212,26 @@ pub fn parse_csv(text: &str, options: &CsvOptions) -> Result<ParsedFile> {
                     format!("more than {} ragged rows", options.max_ragged_rows),
                 ));
             }
-            continue;
         }
-        let mut rec = Record::new();
-        for (c, f) in columns.iter().zip(fields.iter()) {
-            rec.set(c.name.clone(), Value::sniff(f));
-        }
-        out.rows.push(rec);
+        more = rows.next_row(&mut row)?;
     }
-    out.columns = columns;
     Ok(out)
+}
+
+/// True when every field of a row is blank.
+fn is_blank(row: &[Cow<str>]) -> bool {
+    row.iter().all(|f| f.trim().is_empty())
+}
+
+/// Quotes what `out` holds past `start` when that holds the delimiter, a
+/// quote or a newline.
+fn quote_from(out: &mut String, start: usize, delimiter: char) {
+    if out[start..].contains([delimiter, '"', '\n']) {
+        let raw = out.split_off(start);
+        out.push('"');
+        out.push_str(&raw.replace('"', "\"\""));
+        out.push('"');
+    }
 }
 
 /// Serializes a [`ParsedFile`] back to CSV (used by the archive generator).
@@ -233,32 +240,29 @@ pub fn parse_csv(text: &str, options: &CsvOptions) -> Result<ParsedFile> {
 pub fn write_csv(file: &ParsedFile, delimiter: char) -> String {
     let mut out = String::new();
     for (k, v) in &file.metadata {
-        out.push_str(&format!("# {k}: {v}\n"));
+        let _ = writeln!(out, "# {k}: {v}");
     }
-    let quote = |s: &str| -> String {
-        if s.contains(delimiter) || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
+    for (j, c) in file.columns.iter().enumerate() {
+        if j > 0 {
+            out.push(delimiter);
         }
-    };
-    let headers: Vec<String> = file
-        .columns
-        .iter()
-        .map(|c| match &c.unit {
-            Some(u) => quote(&format!("{} ({})", c.name, u)),
-            None => quote(&c.name),
-        })
-        .collect();
-    out.push_str(&headers.join(&delimiter.to_string()));
+        let start = out.len();
+        out.push_str(&c.def.name);
+        if let Some(u) = &c.def.unit {
+            let _ = write!(out, " ({u})");
+        }
+        quote_from(&mut out, start, delimiter);
+    }
     out.push('\n');
-    for row in &file.rows {
-        let fields: Vec<String> = file
-            .columns
-            .iter()
-            .map(|c| quote(&row.get(&c.name).cloned().unwrap_or(Value::Null).render()))
-            .collect();
-        out.push_str(&fields.join(&delimiter.to_string()));
+    for i in 0..file.row_count() {
+        for (j, c) in file.columns.iter().enumerate() {
+            if j > 0 {
+                out.push(delimiter);
+            }
+            let start = out.len();
+            c.cells.get(i).unwrap_or(&Value::Null).render_into(&mut out);
+            quote_from(&mut out, start, delimiter);
+        }
         out.push('\n');
     }
     out
@@ -272,9 +276,9 @@ mod tests {
     fn simple_csv() {
         let p = parse_csv("time,temp,sal\n1,10.5,28\n2,10.6,29\n", &CsvOptions::default()).unwrap();
         assert_eq!(p.columns.len(), 3);
-        assert_eq!(p.rows.len(), 2);
-        assert_eq!(p.rows[0].get("temp"), Some(&Value::Float(10.5)));
-        assert_eq!(p.rows[1].get("sal"), Some(&Value::Int(29)));
+        assert_eq!(p.row_count(), 2);
+        assert_eq!(p.cell("temp", 0), Some(&Value::Float(10.5)));
+        assert_eq!(p.cell("sal", 1), Some(&Value::Int(29)));
     }
 
     #[test]
@@ -283,33 +287,33 @@ mod tests {
         let p = parse_csv(text, &CsvOptions::default()).unwrap();
         assert_eq!(p.meta("station"), Some("saturn01"));
         assert_eq!(p.meta_f64("lat"), Some(46.18));
-        assert_eq!(p.rows.len(), 1);
+        assert_eq!(p.row_count(), 1);
     }
 
     #[test]
     fn units_row() {
         let text = "time,temp,sal\n(UTC),(degC),(PSU)\n2010-06-01T00:00:00Z,10.5,28\n";
         let p = parse_csv(text, &CsvOptions::default()).unwrap();
-        assert_eq!(p.column("temp").unwrap().unit.as_deref(), Some("degC"));
-        assert_eq!(p.column("sal").unwrap().unit.as_deref(), Some("PSU"));
-        assert_eq!(p.rows.len(), 1);
+        assert_eq!(p.column("temp").unwrap().def.unit.as_deref(), Some("degC"));
+        assert_eq!(p.column("sal").unwrap().def.unit.as_deref(), Some("PSU"));
+        assert_eq!(p.row_count(), 1);
     }
 
     #[test]
     fn inline_header_units() {
         let text = "time (UTC),water temp (degC)\n2010-06-01,10.0\n";
         let p = parse_csv(text, &CsvOptions::default()).unwrap();
-        assert_eq!(p.columns[1].name, "water temp");
-        assert_eq!(p.columns[1].unit.as_deref(), Some("degC"));
+        assert_eq!(p.columns[1].def.name, "water temp");
+        assert_eq!(p.columns[1].def.unit.as_deref(), Some("degC"));
     }
 
     #[test]
     fn quoted_fields() {
         let text = "name,note\n\"O'Hara, site\",\"said \"\"hi\"\"\"\nplain,\"multi\nline\"\n";
         let p = parse_csv(text, &CsvOptions::default()).unwrap();
-        assert_eq!(p.rows[0].get("name").unwrap().as_text(), Some("O'Hara, site"));
-        assert_eq!(p.rows[0].get("note").unwrap().as_text(), Some("said \"hi\""));
-        assert_eq!(p.rows[1].get("note").unwrap().as_text(), Some("multi\nline"));
+        assert_eq!(p.cell("name", 0).unwrap().as_text(), Some("O'Hara, site"));
+        assert_eq!(p.cell("note", 0).unwrap().as_text(), Some("said \"hi\""));
+        assert_eq!(p.cell("note", 1).unwrap().as_text(), Some("multi\nline"));
     }
 
     #[test]
@@ -326,14 +330,14 @@ mod tests {
         let p = parse_csv("a,b;c\n1,2;3\n", &opts).unwrap();
         // split on ';' only
         assert_eq!(p.columns.len(), 2);
-        assert_eq!(p.columns[0].name, "a,b");
+        assert_eq!(p.columns[0].def.name, "a,b");
     }
 
     #[test]
     fn ragged_rows_skipped_within_budget() {
         let text = "a,b\n1,2\n3\n4,5\n";
         let p = parse_csv(text, &CsvOptions::default()).unwrap();
-        assert_eq!(p.rows.len(), 2);
+        assert_eq!(p.row_count(), 2);
         let strict = CsvOptions { max_ragged_rows: 0, ..CsvOptions::default() };
         assert!(parse_csv(text, &strict).is_err());
     }
@@ -341,8 +345,8 @@ mod tests {
     #[test]
     fn null_sentinels_in_cells() {
         let p = parse_csv("a,b\nNA,-9999\n", &CsvOptions::default()).unwrap();
-        assert!(p.rows[0].get("a").unwrap().is_null());
-        assert!(p.rows[0].get("b").unwrap().is_null());
+        assert!(p.cell("a", 0).unwrap().is_null());
+        assert!(p.cell("b", 0).unwrap().is_null());
     }
 
     #[test]
@@ -361,20 +365,19 @@ mod tests {
         let written = write_csv(&p, ',');
         let back = parse_csv(&written, &CsvOptions::default()).unwrap();
         assert_eq!(back.columns, p.columns);
-        assert_eq!(back.rows, p.rows);
         assert_eq!(back.metadata, p.metadata);
     }
 
     #[test]
     fn crlf_tolerated() {
         let p = parse_csv("a,b\r\n1,2\r\n", &CsvOptions::default()).unwrap();
-        assert_eq!(p.rows.len(), 1);
-        assert_eq!(p.rows[0].get("b"), Some(&Value::Int(2)));
+        assert_eq!(p.row_count(), 1);
+        assert_eq!(p.cell("b", 0), Some(&Value::Int(2)));
     }
 
     #[test]
     fn trailing_blank_lines_ignored() {
         let p = parse_csv("a,b\n1,2\n\n\n", &CsvOptions::default()).unwrap();
-        assert_eq!(p.rows.len(), 1);
+        assert_eq!(p.row_count(), 1);
     }
 }

@@ -16,6 +16,6 @@ mod sniff;
 
 pub use cdl::{parse_cdl, write_cdl};
 pub use csv::{parse_csv, write_csv, CsvOptions};
-pub use model::{ColumnDef, FormatKind, ParsedFile};
+pub use model::{Column, ColumnDef, FormatKind, ParsedFile};
 pub use obslog::{parse_obslog, write_obslog};
 pub use sniff::{parse_as, sniff, sniff_and_parse, sniff_content, sniff_extension};

@@ -1,10 +1,10 @@
 //! The common parse result every format produces.
 //!
 //! Harvesting normalizes "many dataset shapes, sizes, formats" (the paper's
-//! motivation) into one shape: file-level metadata, a column list with
-//! optional units, and data rows.
+//! motivation) into one shape: file-level metadata and a list of columns,
+//! each its definition (name, optional unit) and its cells in row order.
 
-use metamess_core::value::Record;
+use metamess_core::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -59,7 +59,24 @@ impl ColumnDef {
     }
 }
 
-/// A fully parsed archive file.
+/// One column of a parsed file: its definition and its cells.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Column {
+    /// Name, unit and description.
+    pub def: ColumnDef,
+    /// The column's cells, in row order.
+    pub cells: Vec<Value>,
+}
+
+impl From<ColumnDef> for Column {
+    fn from(def: ColumnDef) -> Column {
+        Column { def, cells: Vec::new() }
+    }
+}
+
+/// A fully parsed archive file, stored column by column: cell `i` of every
+/// column belongs to row `i`, and every column holds [`ParsedFile::row_count`]
+/// cells.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParsedFile {
     /// Format that was parsed.
@@ -67,16 +84,19 @@ pub struct ParsedFile {
     /// File-level metadata (station, position, investigator, ...), keys
     /// lowercased.
     pub metadata: BTreeMap<String, String>,
-    /// Column definitions in file order.
-    pub columns: Vec<ColumnDef>,
-    /// Data rows; each row's columns match `columns` by name.
-    pub rows: Vec<Record>,
+    /// Columns in file order, all of the same length.
+    pub columns: Vec<Column>,
 }
 
 impl ParsedFile {
     /// Creates an empty file of a format.
     pub fn new(format: FormatKind) -> ParsedFile {
-        ParsedFile { format, metadata: BTreeMap::new(), columns: Vec::new(), rows: Vec::new() }
+        ParsedFile { format, metadata: BTreeMap::new(), columns: Vec::new() }
+    }
+
+    /// Number of data rows: the length of every column.
+    pub fn row_count(&self) -> usize {
+        self.columns.first().map_or(0, |c| c.cells.len())
     }
 
     /// Metadata value by (case-insensitive) key.
@@ -89,9 +109,17 @@ impl ParsedFile {
         self.meta(key)?.trim().parse().ok()
     }
 
-    /// The column definition for `name`.
-    pub fn column(&self, name: &str) -> Option<&ColumnDef> {
-        self.columns.iter().find(|c| c.name == name)
+    /// The column named `name`.
+    pub fn column(&self, name: &str) -> Option<&Column> {
+        self.columns.iter().find(|c| c.def.name == name)
+    }
+}
+
+#[cfg(test)]
+impl ParsedFile {
+    /// Cell `row` of the column named `name`.
+    pub(crate) fn cell(&self, name: &str, row: usize) -> Option<&Value> {
+        self.column(name)?.cells.get(row)
     }
 }
 
@@ -120,9 +148,10 @@ mod tests {
     #[test]
     fn column_lookup() {
         let mut p = ParsedFile::new(FormatKind::Obslog);
-        p.columns.push(ColumnDef::with_unit("temp", "degC"));
-        assert_eq!(p.column("temp").unwrap().unit.as_deref(), Some("degC"));
+        p.columns.push(ColumnDef::with_unit("temp", "degC").into());
+        assert_eq!(p.column("temp").unwrap().def.unit.as_deref(), Some("degC"));
         assert!(p.column("sal").is_none());
+        assert_eq!(p.row_count(), 0);
     }
 
     #[test]

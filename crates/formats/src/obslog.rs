@@ -22,7 +22,8 @@
 
 use crate::model::{ColumnDef, FormatKind, ParsedFile};
 use metamess_core::error::{Error, Result};
-use metamess_core::value::{Record, Value};
+use metamess_core::value::Value;
+use std::fmt::Write as _;
 
 /// Parses OBSLOG text.
 pub fn parse_obslog(text: &str) -> Result<ParsedFile> {
@@ -87,36 +88,38 @@ pub fn parse_obslog(text: &str) -> Result<ParsedFile> {
     if fields.is_empty() {
         return Err(Error::parse("obslog", "missing '*FIELDS' header"));
     }
-    for (i, f) in fields.iter().enumerate() {
-        if fields[..i].contains(f) {
-            return Err(Error::parse("obslog", format!("duplicate field '{f}'")));
+    for (i, name) in fields.into_iter().enumerate() {
+        if out.column(&name).is_some() {
+            return Err(Error::parse("obslog", format!("duplicate field '{name}'")));
         }
-    }
-    for (i, name) in fields.iter().enumerate() {
         let unit = units.get(i).filter(|u| *u != "-" && !u.is_empty()).cloned();
-        out.columns.push(ColumnDef { name: name.clone(), unit, description: None });
+        out.columns.push(ColumnDef { name, unit, description: None }.into());
     }
 
     // Data block.
+    let rows = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    out.columns.iter_mut().for_each(|c| c.cells.reserve_exact(rows));
     for (ln0, raw) in lines {
         let ln = ln0 + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let cells: Vec<&str> = line.split_whitespace().collect();
-        if cells.len() != fields.len() {
+        // a short or long line fails the whole file, so cells go straight
+        // into their columns and are counted after
+        let (mut cells, mut found) = (line.split_whitespace(), 0);
+        for (col, cell) in out.columns.iter_mut().zip(cells.by_ref()) {
+            col.cells.push(Value::sniff(cell));
+            found += 1;
+        }
+        let found = found + cells.count();
+        if found != out.columns.len() {
             return Err(Error::parse_at(
                 "obslog",
-                format!("expected {} fields, found {}", fields.len(), cells.len()),
+                format!("expected {} fields, found {found}", out.columns.len()),
                 ln,
             ));
         }
-        let mut rec = Record::new();
-        for (name, cell) in fields.iter().zip(cells) {
-            rec.set(name.clone(), Value::sniff(cell));
-        }
-        out.rows.push(rec);
     }
     Ok(out)
 }
@@ -130,37 +133,36 @@ pub fn write_obslog(file: &ParsedFile) -> String {
     for (k, v) in &file.metadata {
         match k.as_str() {
             "lat" | "lon" => continue, // folded into POSITION below
-            _ => out.push_str(&format!("*{}: {}\n", k.to_ascii_uppercase(), v)),
+            _ => {
+                let _ = writeln!(out, "*{}: {v}", k.to_ascii_uppercase());
+            }
         }
     }
     if let (Some(lat), Some(lon)) = (file.meta("lat"), file.meta("lon")) {
-        out.push_str(&format!("*POSITION: {lat} {lon}\n"));
+        let _ = writeln!(out, "*POSITION: {lat} {lon}");
     }
-    let names: Vec<&str> = file.columns.iter().map(|c| c.name.as_str()).collect();
-    out.push_str(&format!("*FIELDS: {}\n", names.join(" ")));
-    if file.columns.iter().any(|c| c.unit.is_some()) {
-        let units: Vec<String> = file
-            .columns
-            .iter()
-            .map(|c| c.unit.clone().unwrap_or_else(|| "-".to_string()))
-            .collect();
-        out.push_str(&format!("*UNITS: {}\n", units.join(" ")));
+    out.push_str("*FIELDS:");
+    file.columns.iter().for_each(|c| out.extend([" ", &c.def.name]));
+    if file.columns.iter().any(|c| c.def.unit.is_some()) {
+        out.push_str("\n*UNITS:");
+        file.columns.iter().for_each(|c| out.extend([" ", c.def.unit.as_deref().unwrap_or("-")]));
     }
-    out.push_str("*END\n");
-    for row in &file.rows {
-        let cells: Vec<String> = file
-            .columns
-            .iter()
-            .map(|c| {
-                let v = row.get(&c.name).cloned().unwrap_or(Value::Null);
-                let s = match v {
-                    Value::Null => "-9999".to_string(),
-                    other => other.render().into_owned(),
-                };
-                s.replace(char::is_whitespace, "_")
-            })
-            .collect();
-        out.push_str(&cells.join(" "));
+    out.push_str("\n*END\n");
+    for i in 0..file.row_count() {
+        for (j, c) in file.columns.iter().enumerate() {
+            if j > 0 {
+                out.push(' ');
+            }
+            let start = out.len();
+            match c.cells.get(i).unwrap_or(&Value::Null) {
+                Value::Null => out.push_str("-9999"),
+                other => other.render_into(&mut out),
+            }
+            if out[start..].contains(char::is_whitespace) {
+                let cell = out.split_off(start);
+                out.push_str(&cell.replace(char::is_whitespace, "_"));
+            }
+        }
         out.push('\n');
     }
     out
@@ -182,9 +184,9 @@ mod tests {
         assert_eq!(p.meta_f64("lat"), Some(46.184));
         assert_eq!(p.meta_f64("lon"), Some(-123.187));
         assert_eq!(p.columns.len(), 3);
-        assert_eq!(p.column("temp").unwrap().unit.as_deref(), Some("degC"));
-        assert_eq!(p.rows.len(), 3);
-        assert!(p.rows[2].get("temp").unwrap().is_null());
+        assert_eq!(p.column("temp").unwrap().def.unit.as_deref(), Some("degC"));
+        assert_eq!(p.row_count(), 3);
+        assert!(p.cell("temp", 2).unwrap().is_null());
     }
 
     #[test]
@@ -198,23 +200,23 @@ mod tests {
     fn units_dash_means_none() {
         let t = "*HEADER\n*FIELDS: a b\n*UNITS: m -\n*END\n1 2\n";
         let p = parse_obslog(t).unwrap();
-        assert_eq!(p.column("a").unwrap().unit.as_deref(), Some("m"));
-        assert!(p.column("b").unwrap().unit.is_none());
+        assert_eq!(p.column("a").unwrap().def.unit.as_deref(), Some("m"));
+        assert!(p.column("b").unwrap().def.unit.is_none());
     }
 
     #[test]
     fn missing_units_row_ok() {
         let t = "*HEADER\n*FIELDS: a b\n*END\n1 2\n";
         let p = parse_obslog(t).unwrap();
-        assert!(p.column("a").unwrap().unit.is_none());
-        assert_eq!(p.rows.len(), 1);
+        assert!(p.column("a").unwrap().def.unit.is_none());
+        assert_eq!(p.row_count(), 1);
     }
 
     #[test]
     fn data_comments_skipped() {
         let t = "*HEADER\n*FIELDS: a\n*END\n1\n# comment\n2\n";
         let p = parse_obslog(t).unwrap();
-        assert_eq!(p.rows.len(), 2);
+        assert_eq!(p.row_count(), 2);
     }
 
     #[test]
@@ -236,7 +238,6 @@ mod tests {
         let text = write_obslog(&p);
         let back = parse_obslog(&text).unwrap();
         assert_eq!(back.columns, p.columns);
-        assert_eq!(back.rows, p.rows);
         assert_eq!(back.meta("station"), p.meta("station"));
         assert_eq!(back.meta("lat"), p.meta("lat"));
     }

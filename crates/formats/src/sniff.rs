@@ -103,7 +103,7 @@ mod tests {
         let p = PathBuf::from("x.csv");
         let parsed = sniff_and_parse(&p, "a,b\n1,2\n").unwrap();
         assert_eq!(parsed.format, FormatKind::Csv);
-        assert_eq!(parsed.rows.len(), 1);
+        assert_eq!(parsed.row_count(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{sweep, Rng, ALPHA, DIGITS, IDENT, LOWER};
-use metamess_core::value::{Record, Value};
+use metamess_core::value::Value;
 use metamess_formats::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,10 +24,13 @@ fn value(rng: &mut Rng) -> Value {
         1 => Value::Int(rng.range(-1_000_000, 1_000_000)),
         2 => Value::Float((rng.float(-1e6, 1e6) * 1000.0).round() / 1000.0),
         _ => loop {
-            // sentinels like "na"/"NaN"/"true" sniff into other types and
-            // cannot round-trip as text — that is by design, skip them
-            let s = name(rng, ALPHA, &format!("{ALPHA}{DIGITS}_"), 10);
-            if matches!(Value::sniff(&s), Value::Text(_)) {
+            // CSV and CDL must quote `,` and `"`; OBSLOG writes a space as
+            // `_` (its documented rule)
+            let s = name(rng, ALPHA, &format!("{ALPHA}{DIGITS}_ ,\""), 10);
+            // sentinels like "na"/"NaN"/"true" sniff into other types, and
+            // edge whitespace is trimmed: neither can round-trip as text —
+            // that is by design, skip them
+            if Value::sniff(&s) == Value::Text(s.clone()) {
                 break Value::Text(s);
             }
         },
@@ -42,24 +45,23 @@ fn parsed_file(rng: &mut Rng, max_cols: usize, max_rows: usize) -> ParsedFile {
         .vec(1, max_cols + 1, |rng| name(rng, LOWER, &format!("{LOWER}{DIGITS}_"), 14))
         .into_iter()
         .collect();
-    let columns: Vec<ColumnDef> = cols
+    let mut out = ParsedFile::new(FormatKind::Csv);
+    out.columns = cols
         .into_iter()
         .enumerate()
         .map(|(i, c)| if i % 2 == 0 { ColumnDef::with_unit(c, "degC") } else { ColumnDef::new(c) })
+        .map(Column::from)
         .collect();
-    let mut out = ParsedFile::new(FormatKind::Csv);
     for _ in 0..rng.size(0, max_rows) {
-        let mut r = Record::new();
-        for (i, c) in columns.iter().enumerate() {
+        for (i, c) in out.columns.iter_mut().enumerate() {
             // an entirely-blank CSV line is indistinguishable from no line
             // at all; keep the first cell non-null
             let v = match value(rng) {
                 Value::Null if i == 0 => Value::Int(0),
                 v => v,
             };
-            r.set(c.name.clone(), v);
+            c.cells.push(v);
         }
-        out.rows.push(r);
     }
     let mut metadata: BTreeMap<String, String> = rng
         .vec(0, 4, |rng| {
@@ -70,8 +72,14 @@ fn parsed_file(rng: &mut Rng, max_cols: usize, max_rows: usize) -> ParsedFile {
     // metadata values must survive trimming in headers
     metadata.retain(|_, v| !v.trim().is_empty() && v.trim() == v.as_str());
     out.metadata = metadata;
-    out.columns = columns;
     out
+}
+
+/// Every column holds as many cells as the file has rows.
+fn assert_rectangular(file: &ParsedFile) {
+    for c in &file.columns {
+        assert_eq!(c.cells.len(), file.row_count(), "column {}", c.def.name);
+    }
 }
 
 #[test]
@@ -79,8 +87,8 @@ fn csv_round_trip() {
     sweep(CASES, |rng| {
         let file = parsed_file(rng, 5, 8);
         let back = parse_csv(&write_csv(&file, ','), &CsvOptions::default()).unwrap();
+        assert_rectangular(&back);
         assert_eq!(back.columns, file.columns);
-        assert_eq!(back.rows, file.rows);
         assert_eq!(back.metadata, file.metadata);
     });
 }
@@ -92,8 +100,8 @@ fn cdl_round_trip() {
         file.format = FormatKind::Cdl;
         file.metadata.insert("dataset_name".into(), "propfile".into());
         let back = parse_cdl(&write_cdl(&file)).unwrap();
+        assert_rectangular(&back);
         assert_eq!(back.columns, file.columns);
-        assert_eq!(back.rows, file.rows);
     });
 }
 
@@ -103,8 +111,16 @@ fn obslog_round_trip() {
         let mut file = parsed_file(rng, 4, 6);
         file.format = FormatKind::Obslog;
         let back = parse_obslog(&write_obslog(&file)).unwrap();
+        // text is written with its whitespace as `_`
+        for c in &mut file.columns {
+            for v in &mut c.cells {
+                if let Value::Text(s) = v {
+                    *v = Value::sniff(&s.replace(char::is_whitespace, "_"));
+                }
+            }
+        }
+        assert_rectangular(&back);
         assert_eq!(back.columns, file.columns);
-        assert_eq!(back.rows, file.rows);
     });
 }
 

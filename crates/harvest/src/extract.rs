@@ -10,7 +10,6 @@ use metamess_core::feature::{DatasetFeature, Provenance, VariableFeature};
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::stats::ColumnSummary;
 use metamess_core::time::{TimeInterval, Timestamp};
-use metamess_core::value::Value;
 use metamess_formats::ParsedFile;
 
 /// Column names treated as coordinate axes rather than variables.
@@ -53,19 +52,10 @@ pub fn extract_feature(
         feature.external.insert("context".into(), ctx.clone());
     }
 
-    // Column summaries in one pass.
-    let mut summaries: Vec<ColumnSummary> =
-        parsed.columns.iter().map(|_| ColumnSummary::default()).collect();
-    for row in &parsed.rows {
-        for (ix, col) in parsed.columns.iter().enumerate() {
-            if let Some(v) = row.get(&col.name) {
-                summaries[ix].observe(v);
-            } else {
-                summaries[ix].observe(&Value::Null);
-            }
-        }
-    }
-    feature.record_count = parsed.rows.len() as u64;
+    // Column summaries, one pass over each column in row order.
+    let summaries: Vec<ColumnSummary> =
+        parsed.columns.iter().map(|c| c.cells.iter().collect()).collect();
+    feature.record_count = parsed.row_count() as u64;
 
     // Spatial extent: metadata point, extended by lat/lon columns.
     let mut bbox: Option<GeoBBox> = None;
@@ -74,15 +64,11 @@ pub fn extract_feature(
             bbox = Some(GeoBBox::point(p));
         }
     }
-    let lat_ix = parsed.columns.iter().position(|c| is_one_of(&c.name, LAT_COLUMNS));
-    let lon_ix = parsed.columns.iter().position(|c| is_one_of(&c.name, LON_COLUMNS));
-    if let (Some(lat_ix), Some(lon_ix)) = (lat_ix, lon_ix) {
-        for row in &parsed.rows {
-            let lat =
-                parsed.columns.get(lat_ix).and_then(|c| row.get(&c.name)).and_then(Value::as_f64);
-            let lon =
-                parsed.columns.get(lon_ix).and_then(|c| row.get(&c.name)).and_then(Value::as_f64);
-            if let (Some(lat), Some(lon)) = (lat, lon) {
+    let lat = parsed.columns.iter().find(|c| is_one_of(&c.def.name, LAT_COLUMNS));
+    let lon = parsed.columns.iter().find(|c| is_one_of(&c.def.name, LON_COLUMNS));
+    if let (Some(lat), Some(lon)) = (lat, lon) {
+        for (lat, lon) in lat.cells.iter().zip(&lon.cells) {
+            if let (Some(lat), Some(lon)) = (lat.as_f64(), lon.as_f64()) {
                 if let Ok(p) = GeoPoint::new(lat, lon) {
                     match bbox {
                         Some(ref mut b) => b.extend(&p),
@@ -96,38 +82,29 @@ pub fn extract_feature(
 
     // Temporal extent: time-typed columns, else `cast`-style metadata.
     let mut time: Option<TimeInterval> = None;
-    for (ix, col) in parsed.columns.iter().enumerate() {
-        if !is_one_of(&col.name, TIME_COLUMNS) && summaries[ix].time_count == 0 {
+    for (col, s) in parsed.columns.iter().zip(&summaries) {
+        if !is_one_of(&col.def.name, TIME_COLUMNS) && s.time_count == 0 {
             continue;
         }
-        if let (Some(lo), Some(hi)) = (summaries[ix].time_min, summaries[ix].time_max) {
+        if let (Some(lo), Some(hi)) = (s.time_min, s.time_max) {
             let iv = TimeInterval::new(Timestamp(lo), Timestamp(hi));
-            time = Some(match time {
-                Some(t) => t.union(&iv),
-                None => iv,
-            });
+            time = Some(time.map_or(iv, |t| t.union(&iv)));
         }
     }
-    if time.is_none() {
-        if let Some(cast) = parsed.meta("cast") {
-            if let Ok(t) = Timestamp::parse(cast) {
-                time = Some(TimeInterval::instant(t));
-            }
-        }
-    }
-    feature.time = time;
+    let cast = || parsed.meta("cast").and_then(|c| Timestamp::parse(c).ok());
+    feature.time = time.or_else(|| cast().map(TimeInterval::instant));
 
     // Variables: every non-coordinate column.
-    for (ix, col) in parsed.columns.iter().enumerate() {
-        if is_one_of(&col.name, TIME_COLUMNS)
-            || is_one_of(&col.name, LAT_COLUMNS)
-            || is_one_of(&col.name, LON_COLUMNS)
+    for (col, s) in parsed.columns.iter().zip(&summaries) {
+        let name = &col.def.name;
+        if is_one_of(name, TIME_COLUMNS)
+            || is_one_of(name, LAT_COLUMNS)
+            || is_one_of(name, LON_COLUMNS)
         {
             continue;
         }
-        let s = &summaries[ix];
-        let mut v = VariableFeature::new(col.name.clone());
-        v.unit = col.unit.clone();
+        let mut v = VariableFeature::new(name.clone());
+        v.unit = col.def.unit.clone();
         v.context = context.clone();
         v.summary = s.numeric.clone();
         v.null_count = s.nulls;

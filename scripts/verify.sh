@@ -63,6 +63,17 @@ echo "==> incremental watch vs cold wrangle, and the pipeline's unit tests ($cas
 # publishes.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-pipeline --lib --test watch_oracle
 
+echo "==> format round trips and golden archive and harvest digests (release)"
+# Each format parses back what its writer wrote, text cells holding commas,
+# quotes and spaces included (OBSLOG writes whitespace as `_`). The archive
+# `generate` writes for two pinned specs, and the features `harvest`
+# extracts from the default one, hash to pinned digests: a changed byte in a
+# written file, or a change in the order or rounding of a column summary,
+# fails here.
+cargo test -q --release -p metamess-formats --test props
+cargo test -q --release -p metamess-archive --test golden
+cargo test -q --release -p metamess-harvest --test golden
+
 echo "==> engine vs reference search and browse, and who holds the rows (release)"
 # Ranking and hit materialization are separate instances of the one scoring
 # routine, both reading name tiers through a per-query memo; check them, the
