@@ -7,15 +7,11 @@
 //! the DESIGN calls out).
 //!
 //! ```text
-//! cargo run --release -p metamess-bench --bin exp3_data_near_here [-- --json [path]]
+//! cargo run --release -p metamess-bench --bin exp3_data_near_here
 //! ```
-//!
-//! `--json` additionally writes a schema-stable `BENCH_search.json` with
-//! per-configuration latency percentiles (p50/p95/p99), cache hit rates,
-//! and the telemetry per-phase breakdown.
 
 use metamess_archive::ArchiveSpec;
-use metamess_bench::{engine_from_ctx, json_flag, wrangle_archive, BenchReport};
+use metamess_bench::{engine_from_ctx, wrangle_archive};
 use metamess_search::{render_results, Query, SearchEngine};
 use std::time::{Duration, Instant};
 
@@ -52,10 +48,6 @@ fn mean(samples: &[u64]) -> Duration {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = json_flag(&args, "BENCH_search.json");
-    let mut report = BenchReport::new("search");
-
     println!("E3: \"Data Near Here\" ranked search\n");
 
     // The poster's query over the standard archive.
@@ -65,8 +57,6 @@ fn main() {
     println!("query> {POSTER_QUERY}\n");
     let poster_hits = engine.search(&q);
     print!("{}", render_results(&poster_hits));
-    report.set("poster.hits", poster_hits.len() as u64);
-    report.set_f64("poster.top_score", poster_hits.first().map(|h| h.score).unwrap_or(0.0));
 
     // Latency vs catalog size, indexed vs linear scan. A *selective* query
     // (tight radius, one month, cruise-only variable) is where candidate
@@ -95,12 +85,6 @@ fn main() {
             mean(&linear),
             speedup
         );
-        let prefix = format!("latency.m{months:03}");
-        report.set(&format!("{prefix}.datasets"), ctx.catalogs.published.len() as u64);
-        report.set(&format!("{prefix}.variables"), ctx.catalogs.published.variable_count() as u64);
-        report.record_samples(&format!("{prefix}.indexed"), &indexed);
-        report.record_samples(&format!("{prefix}.linear"), &linear);
-        report.set_f64(&format!("{prefix}.speedup"), speedup);
     }
 
     // Result cache: repeated queries against an unchanged published catalog
@@ -120,12 +104,6 @@ fn main() {
         stats.hits,
         stats.misses
     );
-    report.record_samples("cache.cold", &cold);
-    report.record_samples("cache.cached", &cached);
-    report.set("cache.hits", stats.hits);
-    report.set("cache.misses", stats.misses);
-    report.set_f64("cache.hit_rate", stats.hit_rate());
-    report.set_f64("cache.speedup", mean(&cold).as_secs_f64() / mean(&cached).as_secs_f64());
 
     // Ablation: synonym expansion on/off for a synonym-heavy query.
     println!("\nablation: vocabulary expansion (query 'with wtemp' — a curated alternate):");
@@ -156,26 +134,4 @@ fn main() {
         hit_rate(&without),
         without.first().map(|h| h.score).unwrap_or(0.0)
     );
-    report.set("ablation.with_vocab.strong_hits", hit_rate(&with_vocab) as u64);
-    report.set("ablation.no_vocab.strong_hits", hit_rate(&without) as u64);
-
-    // Per-phase breakdown from the telemetry histograms accumulated over
-    // every search above (log-bucketed, ≤12.5% relative error).
-    let snap = metamess_telemetry::global().snapshot();
-    for (key, metric) in [
-        ("phase.plan", "metamess_search_plan_micros"),
-        ("phase.probe", "metamess_search_probe_micros"),
-        ("phase.score", "metamess_search_score_micros"),
-        ("phase.merge", "metamess_search_merge_micros"),
-        ("query", "metamess_search_query_micros"),
-    ] {
-        if let Some(h) = snap.histograms.get(metric) {
-            report.record_histogram(key, h);
-        }
-    }
-
-    if let Some(path) = json_path {
-        report.write(&path).expect("write bench report");
-        println!("\nwrote {} metrics to {}", report.len(), path.display());
-    }
 }

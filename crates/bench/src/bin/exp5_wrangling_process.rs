@@ -10,15 +10,11 @@
 //!   incremental rescan).
 //!
 //! ```text
-//! cargo run --release -p metamess-bench --bin exp5_wrangling_process [-- --json [path]]
+//! cargo run --release -p metamess-bench --bin exp5_wrangling_process
 //! ```
-//!
-//! `--json` additionally writes a schema-stable `BENCH_wrangle.json` with
-//! per-stage micros for the cold/no-change/one-file runs, resolution
-//! trajectories, and rerun wall-clock times.
 
 use metamess_archive::{generate, ArchiveSpec};
-use metamess_bench::{domain_knowledge, json_flag, pct, BenchReport};
+use metamess_bench::{domain_knowledge, pct};
 use metamess_pipeline::{
     ArchiveInput, CurationLoop, CuratorPolicy, Pipeline, PipelineContext, RunReport,
 };
@@ -30,25 +26,7 @@ fn fresh_ctx(spec: &ArchiveSpec) -> PipelineContext {
     PipelineContext::new(ArchiveInput::Memory(archive.files), Vocabulary::observatory_default())
 }
 
-/// Records one run's per-stage micros (skipped stages as 0 with a
-/// `.skipped` marker) and final resolution under `prefix`.
-fn record_run(report: &mut BenchReport, prefix: &str, r: &RunReport) {
-    for s in &r.stages {
-        report.set(&format!("{prefix}.stage.{}.micros", s.component), s.micros);
-        report.set(&format!("{prefix}.stage.{}.skipped", s.component), s.is_skipped() as u64);
-    }
-    report.set(&format!("{prefix}.executed"), r.executed_count() as u64);
-    report.set(&format!("{prefix}.skipped"), r.skipped_count() as u64);
-    if let Some(last) = r.stages.last() {
-        report.set_f64(&format!("{prefix}.resolution"), last.resolution_after);
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = json_flag(&args, "BENCH_wrangle.json");
-    let mut report_json = BenchReport::new("wrangle");
-
     let spec = ArchiveSpec::default();
     println!("E5: the metadata wrangling process, stage by stage\n");
 
@@ -62,7 +40,6 @@ fn main() {
         "the mess that's left after known transformations: {}\n",
         pct(1.0 - known_only_resolution)
     );
-    record_run(&mut report_json, "known_only", &report);
 
     // Right panel: the full chain with discovery, curated to fixpoint.
     let mut ctx = fresh_ctx(&spec);
@@ -89,14 +66,6 @@ fn main() {
         pct(full_resolution),
         pct((full_resolution - known_only_resolution) / (1.0 - known_only_resolution).max(1e-9))
     );
-    record_run(&mut report_json, "full", &last);
-    report_json.set("curation.iterations", history.len() as u64);
-    for s in &history {
-        let prefix = format!("curation.iter{:02}", s.iteration);
-        report_json.set(&format!("{prefix}.accepted"), s.accepted as u64);
-        report_json.set(&format!("{prefix}.unresolved"), s.unresolved_after as u64);
-        report_json.set_f64(&format!("{prefix}.resolution"), s.resolution_after);
-    }
 
     // Rerun economics: full first run vs no-change rerun vs one-file change.
     println!("\nrerun cost (curatorial activity 2), on-disk archive:");
@@ -168,31 +137,4 @@ fn main() {
         r3.executed_count(),
         r3.stages.len()
     );
-
-    record_run(&mut report_json, "rerun.cold", &r1);
-    record_run(&mut report_json, "rerun.nochange", &r2);
-    record_run(&mut report_json, "rerun.onefile", &r3);
-    report_json.set("rerun.cold.wall_micros", first.as_micros() as u64);
-    report_json.set("rerun.nochange.wall_micros", rerun.as_micros() as u64);
-    report_json.set("rerun.onefile.wall_micros", incr.as_micros() as u64);
-
-    // Stage-latency distributions from the telemetry histograms accumulated
-    // over every pipeline run above.
-    let snap = metamess_telemetry::global().snapshot();
-    for (name, h) in &snap.histograms {
-        if let Some(stage) = name
-            .strip_prefix("metamess_pipeline_stage_micros{stage=\"")
-            .and_then(|r| r.strip_suffix("\"}"))
-        {
-            report_json.record_histogram(&format!("telemetry.stage.{stage}"), h);
-        }
-    }
-    if let Some(h) = snap.histograms.get("metamess_pipeline_fingerprint_micros") {
-        report_json.record_histogram("telemetry.fingerprint", h);
-    }
-
-    if let Some(path) = json_path {
-        report_json.write(&path).expect("write bench report");
-        println!("\nwrote {} metrics to {}", report_json.len(), path.display());
-    }
 }

@@ -7,10 +7,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod report;
-
-pub use report::{json_flag, BenchReport};
-
 use metamess_archive::{adhoc_synonyms, ArchiveSpec, GroundTruth, MessCategory};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::NameResolution;

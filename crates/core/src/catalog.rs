@@ -247,9 +247,10 @@ impl CatalogPair {
     /// of the working side. Returns the mutations that changed.
     ///
     /// A no-op publish (empty delta) leaves the published snapshot — and
-    /// therefore [`CatalogPair::published_generation`] — untouched, so
-    /// consumers keyed on the published generation (the search result
-    /// cache) survive re-wrangles that change nothing.
+    /// therefore [`CatalogPair::published_generation`] — untouched. A
+    /// watch cycle (and so `metamess wrangle`) then diffs nothing into the
+    /// store, whose generation stands too, so a live server's result cache
+    /// survives re-wrangles that change nothing.
     pub fn publish(&mut self) -> Vec<Mutation> {
         let delta = self.published.diff(&self.working);
         if !delta.is_empty() {

@@ -27,11 +27,12 @@ use std::path::Path;
 /// The eight magic bytes opening a state image.
 const STATE_MAGIC: &[u8; 8] = b"MMSTATE1";
 
-/// What a state image holds.
-#[derive(Debug, Clone, PartialEq)]
+/// What a state image holds, as [`read_state`] parsed it.
+#[derive(Debug, PartialEq)]
 pub struct StateImage {
-    /// The pipeline's working catalog.
-    pub working: Catalog,
+    /// The pipeline's working catalog, parsed but not decoded: a reader
+    /// after the ledger alone decodes no row.
+    pub working: Image,
     /// The run ledger.
     pub ledger: RunLedger,
     /// The pipeline's curation state, in the pipeline's own encoding.
@@ -78,7 +79,7 @@ pub fn read_state(vfs: &dyn Vfs, path: &Path) -> Result<Option<StateImage>> {
         Error::Corrupt { message } => undecodable(message),
         other => other,
     })?;
-    Ok(Some(StateImage { working: image.catalog(), ledger, curation }))
+    Ok(Some(StateImage { working: image, ledger, curation }))
 }
 
 /// The range of the `len:u32`-prefixed part of `bytes` at `*at`, moving
@@ -107,7 +108,10 @@ mod tests {
         d
     }
 
-    fn sample() -> StateImage {
+    /// A state's three parts, its catalog decoded.
+    type Parts = (Catalog, RunLedger, Vec<u8>);
+
+    fn sample() -> Parts {
         let mut working = Catalog::new();
         working.put(DatasetFeature::new("stations/a.csv"));
         working.put(DatasetFeature::new("cruises/b.cdl"));
@@ -118,11 +122,16 @@ mod tests {
             "publish",
             StageRecord { input_digest: 1, output_digest: 2, micros: 3, last_run: 4 },
         );
-        StateImage { working, ledger, curation: br#"{"run_id":4}"#.to_vec() }
+        (working, ledger, br#"{"run_id":4}"#.to_vec())
     }
 
-    fn write(path: &Path, s: &StateImage) {
-        write_state(std_vfs().as_ref(), path, &s.working, &s.ledger, &s.curation).unwrap();
+    fn write(path: &Path, (working, ledger, curation): &Parts) {
+        write_state(std_vfs().as_ref(), path, working, ledger, curation).unwrap();
+    }
+
+    fn read(path: &Path) -> Parts {
+        let s = read_state(std_vfs().as_ref(), path).unwrap().unwrap();
+        (s.working.catalog(), s.ledger, s.curation)
     }
 
     #[test]
@@ -131,13 +140,12 @@ mod tests {
         let p = dir.join("state.bin");
         let s = sample();
         write(&p, &s);
-        assert_eq!(read_state(std_vfs().as_ref(), &p).unwrap().unwrap(), s);
+        assert_eq!(read(&p), s);
         assert!(!dir.join("state.tmp").exists());
         // empty parts are parts too
-        let empty =
-            StateImage { working: Catalog::new(), ledger: RunLedger::new(), curation: vec![] };
+        let empty = (Catalog::new(), RunLedger::new(), vec![]);
         write(&p, &empty);
-        assert_eq!(read_state(std_vfs().as_ref(), &p).unwrap().unwrap(), empty);
+        assert_eq!(read(&p), empty);
     }
 
     #[test]
@@ -146,8 +154,8 @@ mod tests {
         let p = dir.join("state.bin");
         let vfs = std_vfs();
         let s = sample();
-        let ledger = serde_json::to_vec(&s.ledger).unwrap();
-        let catalog = encode_catalog(&s.working);
+        let ledger = serde_json::to_vec(&s.1).unwrap();
+        let catalog = encode_catalog(&s.0);
         let corrupt = |payload: &[&[u8]], why: &str| {
             write_framed(vfs.as_ref(), &p, STATE_MAGIC, payload, "state").unwrap();
             let e = read_state(vfs.as_ref(), &p).unwrap_err();

@@ -34,7 +34,7 @@ use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_core::store::{
     read_state, std_vfs, write_state, DurableCatalog, FaultKind, FaultPlan, FaultVfs, RunLedger,
-    StageRecord, StateImage, StoreOptions, Vfs,
+    StageRecord, StoreOptions, Vfs,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -327,9 +327,12 @@ fn faultless_runs_round_trip() {
     });
 }
 
+/// A state's three parts: working catalog, run ledger, curation bytes.
+type StateParts = (Catalog, RunLedger, Vec<u8>);
+
 /// A state image drawn from `seed`: the catalog [`replacement`] draws, a
 /// ledger of run `seed` and a few curation bytes.
-fn state_image(seed: u8) -> StateImage {
+fn state_image(seed: u8) -> StateParts {
     let mut rng = Rng(u64::from(seed) ^ 0x57A7E);
     let mut ledger = RunLedger::new();
     ledger.run_id = u64::from(seed);
@@ -342,11 +345,11 @@ fn state_image(seed: u8) -> StateImage {
         };
         ledger.record(&format!("stage-{}", rng.below(9)), rec);
     }
-    StateImage { working: replacement(seed), ledger, curation: rng.bytes(0, 64) }
+    (replacement(seed), ledger, rng.bytes(0, 64))
 }
 
-fn write_image(vfs: &dyn Vfs, path: &Path, state: &StateImage) -> Result<()> {
-    write_state(vfs, path, &state.working, &state.ledger, &state.curation)
+fn write_image(vfs: &dyn Vfs, path: &Path, (working, ledger, curation): &StateParts) -> Result<()> {
+    write_state(vfs, path, working, ledger, curation)
 }
 
 /// Writes image B over image A through a fault at a seeded write, fsync or
@@ -388,6 +391,7 @@ fn a_state_image_reads_back_as_the_old_one_or_the_new_one_whole() {
             wrote.unwrap_or_else(|e| panic!("case {case} plan {plan:?}: {e}"));
             &b
         };
+        let read = (read.working.catalog(), read.ledger, read.curation);
         assert!(read == *expected, "case {case} plan {plan:?}: read back neither image whole");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -385,7 +385,7 @@ pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bo
         Err(e) if e.is_corrupt() => return quarantine_state_file(dir, &path, e.to_string()),
         Err(e) => return Err(e),
     };
-    ctx.catalogs.working = state.working;
+    ctx.catalogs.working = state.working.catalog();
     ctx.catalogs.publish_count = sidecar.publish_count;
     ctx.vocab = sidecar.vocab;
     ctx.external = sidecar.external;
@@ -414,8 +414,9 @@ mod tests {
         PipelineContext::new(ArchiveInput::Memory(archive.files), Vocabulary::observatory_default())
     }
 
-    /// Publishes `c` to the store under `store` and saves its state beside
-    /// it, as `metamess wrangle` does.
+    /// Replaces the store's snapshot under `store` with `c`'s published
+    /// catalog and saves its state beside it: the files a writer leaves,
+    /// without the store diff a `Watcher` cycle publishes through.
     fn publish_and_save(c: &PipelineContext, store: &Path) {
         let mut s = DurableCatalog::open(store.join("catalog"), StoreOptions::default()).unwrap();
         s.replace_with(&c.catalogs.published).unwrap();

@@ -9,10 +9,11 @@
 //! 1. walks the archive once ([`PipelineContext::rescan`]) and compares
 //!    its content fingerprint against the previous cycle — an unchanged
 //!    archive skips the pipeline entirely;
-//! 2. runs the curation loop to fixpoint over that same listing (stage
-//!    skipping makes this incremental: only stages whose inputs changed
-//!    re-execute, and no run walks the archive again), which is recorded
-//!    as a wrangle trace like any other run;
+//! 2. runs the curation loop, under [`WatchOptions::curator`], to
+//!    fixpoint over that same listing (stage skipping makes this
+//!    incremental: only stages whose inputs changed re-execute, and no run
+//!    walks the archive again), which is recorded as a wrangle trace like
+//!    any other run;
 //! 3. diffs the store's rows against the freshly published catalog, in
 //!    place, applies the resulting mutations to the WAL and flushes once —
 //!    the cycle's one fsync, so the delta is durable when the cycle
@@ -34,13 +35,18 @@
 //! reopening the store; compaction folds the WAL into a fresh snapshot
 //! when it outgrows the configured ratio.
 //!
+//! `metamess wrangle` is one cycle of a fresh `Watcher`, under a policy
+//! that folds the WAL into the snapshot whenever a cycle published
+//! anything; so a re-wrangle of an unchanged archive writes only the
+//! state image, and this is the one path from the pipeline to a store.
+//!
 //! Cycle telemetry lands in the `metamess_ingest_*` families (see
 //! `README.md § Running metamess as a live service`).
 
 use crate::context::PipelineContext;
-use crate::curator::{CurationLoop, CuratorPolicy};
+use crate::curator::{CurationLoop, CurationStep, CuratorPolicy};
 use crate::engine::{load_state, save_state};
-use crate::pipeline::Pipeline;
+use crate::pipeline::{Pipeline, RunReport};
 use metamess_core::store::CompactionPolicy;
 use metamess_core::{DurableCatalog, Error, Mutation, Result, StoreOptions};
 use metamess_harvest::ArchiveInput;
@@ -60,6 +66,8 @@ pub struct WatchOptions {
     pub max_cycles: Option<u64>,
     /// When a publish goes on to fold the store's WAL into a snapshot.
     pub compaction: CompactionPolicy,
+    /// What the curation loop accepts between pipeline runs.
+    pub curator: CuratorPolicy,
 }
 
 impl Default for WatchOptions {
@@ -68,6 +76,7 @@ impl Default for WatchOptions {
             interval: Duration::from_millis(1000),
             max_cycles: None,
             compaction: CompactionPolicy::default(),
+            curator: CuratorPolicy::default(),
         }
     }
 }
@@ -84,8 +93,14 @@ pub struct CycleReport {
     pub mutations: usize,
     /// Datasets in the published catalog after the cycle.
     pub datasets: usize,
+    /// The vocabulary's version after the cycle.
+    pub vocab_version: u64,
     /// End-to-end cycle latency in µs (scan through durable publish).
     pub micros: u64,
+    /// The curation loop's iterations (empty when the pipeline was skipped).
+    pub history: Vec<CurationStep>,
+    /// The loop's final pipeline run (empty when the pipeline was skipped).
+    pub run: RunReport,
 }
 
 /// Aggregate of a whole [`Watcher::run`].
@@ -148,10 +163,10 @@ impl Watcher {
         Ok(Watcher {
             vocab_path,
             state_dir,
-            options,
             ctx,
             pipeline: Pipeline::standard(),
-            curator: CurationLoop::new(CuratorPolicy::default()),
+            curator: CurationLoop::new(options.curator.clone()),
+            options,
             store,
             failed: None,
             stop: Arc::new(AtomicBool::new(false)),
@@ -184,12 +199,15 @@ impl Watcher {
                 changed: false,
                 mutations: 0,
                 datasets: self.ctx.catalogs.published.len(),
+                vocab_version: self.ctx.vocab.version,
                 micros: started.elapsed().as_micros() as u64,
+                history: Vec::new(),
+                run: RunReport::default(),
             };
             record_cycle(&report, 0);
             return Ok(report);
         }
-        self.curator.fixpoint(&mut self.pipeline, &mut self.ctx)?;
+        let (history, run) = self.curator.fixpoint(&mut self.pipeline, &mut self.ctx)?;
         // The store holds the previously published catalog, as rows; the
         // diff compares them with the new one in place and is exactly the
         // delta this cycle discovered.
@@ -213,7 +231,10 @@ impl Watcher {
             changed: true,
             mutations,
             datasets: self.ctx.catalogs.published.len(),
+            vocab_version: self.ctx.vocab.version,
             micros: started.elapsed().as_micros() as u64,
+            history,
+            run,
         };
         record_cycle(&report, wait_micros);
         Ok(report)
@@ -276,10 +297,10 @@ impl Watcher {
         self.check_failed().map(|()| report)
     }
 
-    /// Datasets in the published catalog: the store's rows at
-    /// [`Watcher::new`], then what each cycle published.
-    pub fn published_len(&self) -> usize {
-        self.ctx.catalogs.published.len()
+    /// The pipeline context: at [`Watcher::new`] the resumed state with the
+    /// store's rows as the published catalog, then what each cycle left.
+    pub fn context(&self) -> &PipelineContext {
+        &self.ctx
     }
 }
 
@@ -357,7 +378,7 @@ mod tests {
         WatchOptions {
             interval: Duration::from_millis(1),
             max_cycles: cycles,
-            compaction: CompactionPolicy::default(),
+            ..WatchOptions::default()
         }
     }
 
@@ -456,7 +477,7 @@ mod tests {
         drop(w);
         let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         assert!(w2.resumed(), "state saved by the first watcher must be restored");
-        assert_eq!(w2.published_len(), r1.datasets);
+        assert_eq!(w2.context().catalogs.published.len(), r1.datasets);
         // Nothing changed on disk, but the fingerprint memory is per
         // process — the cycle runs and publishes an empty delta.
         let r2 = w2.run_cycle().unwrap();
@@ -481,7 +502,11 @@ mod tests {
         copy_dir(&saved, &state);
         let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         assert!(w2.resumed());
-        assert_eq!(w2.published_len(), r2.datasets, "resume reports what the store serves");
+        assert_eq!(
+            w2.context().catalogs.published.len(),
+            r2.datasets,
+            "resume reports what the store serves"
+        );
         let r3 = w2.run_cycle().unwrap();
         assert_eq!(r3.mutations, 0, "the store already holds the second cycle");
         assert_eq!(r3.datasets, r2.datasets);

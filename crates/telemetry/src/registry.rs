@@ -170,7 +170,7 @@ fn help_text(base: &str, kind: &str) -> &'static str {
 }
 
 /// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

@@ -35,6 +35,7 @@
 //! time — so tests are immune to clock steps. The id generator seeds from
 //! OS randomness (`RandomState`), not the time of day.
 
+use crate::registry::json_escape;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
@@ -701,25 +702,6 @@ impl OwnedTrace {
         }
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn render_trace_object(t: &OwnedTrace, out: &mut String) {

@@ -15,7 +15,7 @@ echo "==> no stray println!/eprintln! in library crates"
 # macro), never by printing. CLI binaries, the exp* harnesses and tests are
 # exempt. Comment lines (incl. doc examples) are ignored.
 if grep -rnE '(println|eprintln)!' crates/*/src --include='*.rs' \
-    | grep -v '^crates/bench/src/' \
+    | grep -v '^crates/bench/src/bin/' \
     | grep -vE ':[0-9]+: *//' \
     | grep -vE ':[0-9]+: *#\[' \
     | grep -v 'tests/'; then

@@ -4,17 +4,17 @@
 //! command's operands and flags. Both are generated from [`COMMANDS`] and
 //! [`FLAGS`], the tables the parser reads every command line against.
 //!
-//! `wrangle` runs the full curation loop over an archive directory and
-//! persists the published catalog (snapshot + WAL) plus the vocabulary into
-//! the store directory; `search` and `summary` work from that store. Both
-//! wrangle and search fold their telemetry into
+//! `wrangle` is one cycle of `watch`: it runs the full curation loop over an
+//! archive directory and publishes what changed in the catalog (snapshot +
+//! WAL) and the vocabulary into the store directory; `search` and `summary`
+//! work from that store. Both wrangle and search fold their telemetry into
 //! `<store>/state/telemetry.json`, which `stats` renders as a table,
 //! Prometheus text, or JSON — and their request traces into
 //! `<store>/state/traces.json`, which `trace` renders as span trees.
 
-use metamess::core::store::{read_published, Published, Row};
+use metamess::core::store::{read_published, CompactionPolicy, Published, Row};
 use metamess::core::{Error, Result};
-use metamess::pipeline::Severity;
+use metamess::pipeline::{Severity, WatchOptions, Watcher};
 use metamess::prelude::*;
 use metamess::remote::{PartialPolicy, RemoteOptions, RemoteShardSet};
 use metamess::search::{render_results, render_summary, Partitioner, ShardSpec, MAX_SHARDS};
@@ -90,8 +90,8 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "wrangle",
         operands: &["<dir>"],
-        about: "run the wrangling pipeline and curation loop over an archive directory,\n\
-                and publish its catalog and vocabulary into the store",
+        about: "run the wrangling pipeline and curation loop over an archive directory\n\
+                once, and publish what changed into the store (one `watch` cycle)",
         run: cmd_wrangle,
     },
     Command {
@@ -313,77 +313,67 @@ fn cmd_generate(args: &Args) -> Result<()> {
     Ok(())
 }
 
-fn store_paths(store_dir: &Path) -> (PathBuf, PathBuf) {
-    (store_dir.join("catalog"), store_dir.join("vocabulary.json"))
-}
-
 /// `--store`, or `<dir>/.metamess` beside the archive.
 fn store_dir(args: &Args) -> Result<PathBuf> {
     Ok(args.value("--store")?.unwrap_or_else(|| Path::new(&args.operands[0]).join(".metamess")))
 }
 
-/// A pipeline context over the archive at `dir` whose walk leaves out the
-/// store at `store_dir`, whatever its name, when it lies inside.
-fn archive_context(dir: &str, store_dir: &Path) -> PipelineContext {
-    let mut ctx = PipelineContext::new(
-        ArchiveInput::Dir(PathBuf::from(dir)),
-        Vocabulary::observatory_default(),
-    );
-    ctx.harvest.scan.exclude_dir(Path::new(dir), store_dir);
-    ctx
-}
+/// How a one-shot wrangle compacts: whenever its cycle published anything,
+/// the WAL is folded into a fresh snapshot, and no previous snapshot is kept.
+const FOLD_EVERY_PUBLISH: CompactionPolicy =
+    CompactionPolicy { wal_ratio: 0.0, min_wal_bytes: 0, retain: 0 };
 
+/// One watch cycle: wrangle the archive (resuming from the store's state, so
+/// unchanged stages are skipped), publish what changed and fold it into the
+/// snapshot. A re-wrangle that changes nothing writes only the state image.
 fn cmd_wrangle(args: &Args) -> Result<()> {
     let store_dir = store_dir(args)?;
-    let (catalog_dir, vocab_path) = store_paths(&store_dir);
-    let mut store = DurableCatalog::open(&catalog_dir, StoreOptions::default())?;
-    let mut ctx = archive_context(&args.operands[0], &store_dir);
-    // the store is what was published; resume incrementality from the
-    // working catalog, vocabulary and run ledger of the previous wrangle so
-    // unchanged stages are skipped
-    ctx.catalogs.published = store.catalog();
-    let state_dir = store_dir.join("state");
-    if metamess::pipeline::load_state(&mut ctx, &state_dir)? {
+    let mut options = WatchOptions {
+        max_cycles: Some(1),
+        compaction: FOLD_EVERY_PUBLISH,
+        ..WatchOptions::default()
+    };
+    if args.switch("--expert") {
+        options.curator.manual_synonyms = expert_synonyms();
+    }
+    let watcher = Watcher::new(&args.operands[0], &store_dir, options)?;
+    print_resumed(&watcher, &store_dir);
+    watcher.run(|cycle| {
+        print!("{}", cycle.run.render());
+        for s in &cycle.history {
+            println!(
+                "iteration {}: accepted {}, clarified {}, unresolved {}, resolved {:.1}%",
+                s.iteration,
+                s.accepted,
+                s.clarified,
+                s.unresolved_after,
+                100.0 * s.resolution_after
+            );
+        }
+        println!(
+            "published {} datasets to {} (vocabulary v{})",
+            cycle.datasets,
+            store_dir.display(),
+            cycle.vocab_version
+        );
+    })?;
+    if args.switch("--explain") {
+        print!("{}", metamess::telemetry::global().snapshot().render_table());
+    }
+    persist_telemetry(&store_dir)
+}
+
+/// The line `wrangle` and `watch` open with when they resume a store.
+fn print_resumed(watcher: &Watcher, store_dir: &Path) {
+    if watcher.resumed() {
+        let ctx = watcher.context();
         println!(
             "resuming from {} (run #{}, {} datasets published)",
-            state_dir.display(),
+            store_dir.join("state").display(),
             ctx.run_id,
             ctx.catalogs.published.len()
         );
     }
-    let mut pipeline = Pipeline::standard();
-    let mut policy = CuratorPolicy::default();
-    if args.switch("--expert") {
-        policy.manual_synonyms = expert_synonyms();
-    }
-    let curator = CurationLoop::new(policy);
-    let (history, last) = curator.run_to_fixpoint(&mut pipeline, &mut ctx)?;
-    print!("{}", last.render());
-    for s in &history {
-        println!(
-            "iteration {}: accepted {}, clarified {}, unresolved {}, resolved {:.1}%",
-            s.iteration,
-            s.accepted,
-            s.clarified,
-            s.unresolved_after,
-            100.0 * s.resolution_after
-        );
-    }
-
-    store.replace_with(&ctx.catalogs.published)?;
-    ctx.vocab.save(&vocab_path)?;
-    metamess::pipeline::save_state(&ctx, &state_dir)?;
-    println!(
-        "published {} datasets to {} (vocabulary v{})",
-        ctx.catalogs.published.len(),
-        store_dir.display(),
-        ctx.vocab.version
-    );
-    if args.switch("--explain") {
-        print!("{}", metamess::telemetry::global().snapshot().render_table());
-    }
-    persist_telemetry(&store_dir)?;
-    Ok(())
 }
 
 /// Continuous ingestion: `metamess watch <dir>` — the wrangle loop run
@@ -392,7 +382,7 @@ fn cmd_wrangle(args: &Args) -> Result<()> {
 fn cmd_watch(args: &Args) -> Result<()> {
     let dir = &args.operands[0];
     let store_dir = store_dir(args)?;
-    let mut options = metamess::pipeline::WatchOptions::default();
+    let mut options = WatchOptions::default();
     options.interval = args.value("--interval-ms")?.map_or(options.interval, Duration::from_millis);
     options.max_cycles = args.value("--max-cycles")?.or(options.max_cycles);
     let ratio = args.value_with("--compact-ratio", |r| {
@@ -401,14 +391,8 @@ fn cmd_watch(args: &Args) -> Result<()> {
     options.compaction.wal_ratio = ratio.unwrap_or(options.compaction.wal_ratio);
     options.compaction.retain = args.value("--retain")?.unwrap_or(options.compaction.retain);
 
-    let watcher = metamess::pipeline::Watcher::new(dir, &store_dir, options.clone())?;
-    if watcher.resumed() {
-        println!(
-            "resuming from {} ({} datasets published)",
-            store_dir.join("state").display(),
-            watcher.published_len()
-        );
-    }
+    let watcher = Watcher::new(dir, &store_dir, options.clone())?;
+    print_resumed(&watcher, &store_dir);
     // Bridge SIGTERM / ctrl-c to the watcher's stop flag: the current
     // cycle finishes (its publish is acked and state saved) before exit.
     let stop = watcher.stop_handle();
@@ -506,8 +490,8 @@ fn expert_synonyms() -> Vec<(String, String)> {
 /// `summary`, `browse` and `shardd` may all run beside a live `watch`. The
 /// rows come back encoded; a command decodes what it prints.
 fn read_store(store_dir: &Path) -> Result<(Published, Vocabulary)> {
-    let (catalog_dir, vocab_path) = store_paths(store_dir);
-    Ok((read_published(catalog_dir)?, Vocabulary::load_or_default(vocab_path)?))
+    let published = read_published(store_dir.join("catalog"))?;
+    Ok((published, Vocabulary::load_or_default(store_dir.join("vocabulary.json"))?))
 }
 
 /// `--shards N` (clamped to `1..=MAX_SHARDS` by [`ShardSpec::new`], so 0
@@ -788,7 +772,12 @@ fn cmd_trace(args: &Args) -> Result<()> {
 
 fn cmd_validate(args: &Args) -> Result<()> {
     let dir = &args.operands[0];
-    let mut ctx = archive_context(dir, &Path::new(dir).join(".metamess"));
+    let mut ctx = PipelineContext::new(
+        ArchiveInput::Dir(PathBuf::from(dir)),
+        Vocabulary::observatory_default(),
+    );
+    // the default store's files are not part of the archive
+    ctx.harvest.scan.exclude_dir(Path::new(dir), &Path::new(dir).join(".metamess"));
     Pipeline::standard().run(&mut ctx)?;
     if ctx.findings.is_empty() {
         println!("no findings");

@@ -1,5 +1,6 @@
 //! End-to-end CLI test: generate → wrangle → search → summary → validate.
 
+use metamess::core::store::read_published;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -145,6 +146,41 @@ fn full_cli_workflow() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("counters"), "{stdout}");
     assert!(stdout.contains("metamess_pipeline_stages_skipped_total"), "{stdout}");
+}
+
+/// A re-wrangle of an unchanged archive publishes nothing: the store's files
+/// keep their bytes and mtimes and the generation stands, so a live `serve`
+/// has nothing to reload and keeps its cache.
+#[test]
+fn rewrangling_an_unchanged_archive_leaves_the_store_as_it_was() {
+    let dir = std::env::temp_dir().join(format!("metamess-cli-rewrangle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    run(&["generate", dir_s, "--months", "1", "--stations", "1"]);
+    let (ok, _, stderr) = run(&["wrangle", dir_s]);
+    assert!(ok, "{stderr}");
+    let store = dir.join(".metamess");
+    let files =
+        ["catalog/snapshot.bin", "catalog/wal.log", "vocabulary.json"].map(|f| store.join(f));
+    let look = || {
+        let generation = read_published(store.join("catalog")).unwrap().generation;
+        let bytes = files.each_ref().map(|f| std::fs::read(f).unwrap());
+        let mtimes = files.each_ref().map(|f| std::fs::metadata(f).unwrap().modified().unwrap());
+        (generation, bytes, mtimes)
+    };
+    let before = look();
+    // a rewrite now would show in the mtimes even on a coarse clock
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let (ok, stdout, stderr) = run(&["wrangle", dir_s]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("resuming from"), "{stdout}");
+    assert!(stdout.contains("published"), "{stdout}");
+    let after = look();
+    assert_eq!(after.0, before.0, "the generation moved");
+    for (ix, f) in files.iter().enumerate() {
+        assert!(after.1[ix] == before.1[ix], "{} was rewritten", f.display());
+        assert_eq!(after.2[ix], before.2[ix], "{} was touched", f.display());
+    }
 }
 
 /// fsck on a real wrangled store: clean pass, then three hand-corrupted
