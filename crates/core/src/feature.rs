@@ -9,8 +9,9 @@ use crate::geo::GeoBBox;
 use crate::id::{DatasetId, VariableId};
 use crate::stats::NumericSummary;
 use crate::time::TimeInterval;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Curation flags attached to a variable (the poster's semantic-diversity
 /// table: QA variables are excluded from search, ambiguous ones exposed,
@@ -61,6 +62,67 @@ impl NameResolution {
     }
 }
 
+/// A variable's hierarchy path, root first (e.g. `["physical",
+/// "temperature", "water_temperature"]`): immutable and shared. The
+/// vocabulary hands out one per concept and a decoded image one per
+/// descriptor, so the variables of a concept hold one path between them;
+/// a clone is a reference count, and an empty path allocates nothing. It
+/// reads as a `[String]` and serializes as the JSON array of its levels.
+#[derive(Clone, Default, Serialize)]
+pub struct Hierarchy(Arc<[String]>);
+
+impl Hierarchy {
+    /// True when `a` and `b` are one shared path, not two equal ones.
+    pub fn ptr_eq(a: &Hierarchy, b: &Hierarchy) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl std::ops::Deref for Hierarchy {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        &self.0
+    }
+}
+
+impl From<Vec<String>> for Hierarchy {
+    fn from(levels: Vec<String>) -> Hierarchy {
+        if levels.is_empty() {
+            Hierarchy::default()
+        } else {
+            Hierarchy(levels.into())
+        }
+    }
+}
+
+impl FromIterator<String> for Hierarchy {
+    fn from_iter<I: IntoIterator<Item = String>>(levels: I) -> Hierarchy {
+        levels.into_iter().collect::<Vec<_>>().into()
+    }
+}
+
+impl PartialEq for Hierarchy {
+    fn eq(&self, other: &Hierarchy) -> bool {
+        Hierarchy::ptr_eq(self, other) || self.0 == other.0
+    }
+}
+
+impl Eq for Hierarchy {}
+
+/// Prints as the `Vec<String>` it replaced does.
+impl std::fmt::Debug for Hierarchy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl<'de> Deserialize<'de> for Hierarchy {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Hierarchy, D::Error> {
+        Vec::<String>::deserialize(d).map(Hierarchy::from)
+    }
+}
+
 /// Summary of a single variable (column) of a dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VariableFeature {
@@ -83,7 +145,7 @@ pub struct VariableFeature {
     pub context: Option<String>,
     /// Hierarchy path assigned by the generate-hierarchies stage, root first
     /// (e.g. `["physical", "temperature", "water_temperature"]`).
-    pub hierarchy: Vec<String>,
+    pub hierarchy: Hierarchy,
     /// One-pass numeric summary of the variable's values.
     pub summary: NumericSummary,
     /// Null cells observed.
@@ -105,7 +167,7 @@ impl VariableFeature {
             canonical_unit: None,
             unit_normalized: false,
             context: None,
-            hierarchy: Vec::new(),
+            hierarchy: Hierarchy::default(),
             summary: NumericSummary::new(),
             null_count: 0,
             total_count: 0,
@@ -280,6 +342,28 @@ mod tests {
         d.variable_mut("a").unwrap().resolve("alpha", NameResolution::AlreadyCanonical);
         d.variable_mut("qa_level").unwrap().flags.qa = true;
         assert!((d.resolution_fraction() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_hierarchy_reads_writes_and_prints_as_its_levels() {
+        let levels = vec!["physical".to_string(), "salinity".into()];
+        let h = Hierarchy::from(levels.clone());
+        assert_eq!(*h, levels[..]);
+        assert_eq!(format!("{h:?}"), format!("{levels:?}"));
+        let json = serde_json::to_string(&h).unwrap();
+        assert_eq!(json, serde_json::to_string(&levels).unwrap());
+        assert_eq!(serde_json::from_str::<Hierarchy>(&json).unwrap(), h);
+        // a clone is the same path; an equal path built apart is equal
+        assert!(Hierarchy::ptr_eq(&h, &h.clone()));
+        let apart: Hierarchy = levels.into_iter().collect();
+        assert!(apart == h && !Hierarchy::ptr_eq(&apart, &h));
+        // every empty path is the one static empty slice, however made
+        let empty: Hierarchy = serde_json::from_str("[]").unwrap();
+        assert!(Hierarchy::ptr_eq(&empty, &Hierarchy::default()));
+        assert!(Hierarchy::ptr_eq(
+            &Hierarchy::from(Vec::new()),
+            &VariableFeature::new("x").hierarchy
+        ));
     }
 
     #[test]

@@ -25,7 +25,9 @@ pub mod value;
 
 pub use catalog::{Catalog, CatalogPair, Mutation};
 pub use error::{Error, Result};
-pub use feature::{DatasetFeature, NameResolution, Provenance, VariableFeature, VariableFlags};
+pub use feature::{
+    DatasetFeature, Hierarchy, NameResolution, Provenance, VariableFeature, VariableFlags,
+};
 pub use geo::{GeoBBox, GeoPoint};
 pub use id::{DatasetId, VariableId};
 pub use stats::{ColumnSummary, NumericSummary};

@@ -60,13 +60,15 @@
 
 use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, Result};
-use crate::feature::{DatasetFeature, NameResolution, Provenance, VariableFeature, VariableFlags};
+use crate::feature::{
+    DatasetFeature, Hierarchy, NameResolution, Provenance, VariableFeature, VariableFlags,
+};
 use crate::geo::GeoBBox;
 use crate::id::DatasetId;
 use crate::stats::NumericSummary;
 use crate::time::{TimeInterval, Timestamp};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The format generation this module writes and reads: the digit the
 /// snapshot and WAL magics end in, and the first byte of every payload.
@@ -312,7 +314,6 @@ pub(crate) fn parse_record(payload: &[u8]) -> Result<Record> {
 /// One checked payload that holds rows: a snapshot, or a WAL put. Rows are
 /// read from it in place, for as long as a [`Row`] shares it. Two images are
 /// equal when they hold the same bytes, table and row starts.
-#[derive(PartialEq)]
 pub struct Image {
     /// The payload is `bytes[start..]`: a snapshot keeps the file as it was
     /// read, frame and all, rather than copy 10 MB to drop 16 bytes.
@@ -325,6 +326,22 @@ pub struct Image {
     rows: Vec<usize>,
     generation: u64,
     properties: BTreeMap<String, String>,
+    /// Each descriptor's hierarchy, decoded when a row is first decoded:
+    /// every variable decoded from the image after that shares its
+    /// descriptor's path, and descriptors with equal paths share one.
+    hierarchies: OnceLock<Box<[Hierarchy]>>,
+}
+
+impl PartialEq for Image {
+    fn eq(&self, other: &Image) -> bool {
+        self.bytes == other.bytes
+            && self.start == other.start
+            && self.table == other.table
+            && self.descriptors == other.descriptors
+            && self.rows == other.rows
+            && self.generation == other.generation
+            && self.properties == other.properties
+    }
 }
 
 impl Image {
@@ -392,7 +409,16 @@ impl Image {
             d.finish()?;
             (rows, generation, properties)
         };
-        Ok(Image { bytes, start, table, descriptors, rows, generation, properties })
+        Ok(Image {
+            bytes,
+            start,
+            table,
+            descriptors,
+            rows,
+            generation,
+            properties,
+            hierarchies: OnceLock::new(),
+        })
     }
 
     /// Rows in the image.
@@ -450,15 +476,35 @@ impl Image {
 
     /// Row `ix`, read in place, trusting the parse.
     fn view(&self, ix: usize) -> RowView<'_> {
-        let mut d = Decoder {
+        let mut d = self.reader(self.rows[ix]);
+        RowView { head: d.head().expect(CHECKED), rest: d, image: self }
+    }
+
+    /// A reader of the parsed payload from `pos` on.
+    fn reader(&self, pos: usize) -> Decoder<'_> {
+        Decoder {
             bytes: self.payload(),
-            pos: self.rows[ix],
+            pos,
             table: &self.table,
             descriptors: &self.descriptors,
             parsing: false,
             used: 0,
-        };
-        RowView { head: d.head().expect(CHECKED), rest: d }
+        }
+    }
+
+    /// The hierarchy of each descriptor, in table order, decoded once.
+    fn hierarchies(&self) -> &[Hierarchy] {
+        self.hierarchies.get_or_init(|| {
+            let mut decoded: HashMap<Vec<&str>, Hierarchy> = HashMap::new();
+            let mut of = |start: usize| {
+                let levels = self.reader(start).descriptor().expect(CHECKED).levels.collect();
+                let path = decoded.entry(levels).or_insert_with_key(|levels| {
+                    levels.iter().map(|level| level.to_string()).collect()
+                });
+                path.clone()
+            };
+            self.descriptors.iter().map(|&start| of(start)).collect()
+        })
     }
 }
 
@@ -517,6 +563,8 @@ pub struct RowView<'a> {
     head: Head<'a>,
     /// Positioned after the head, at the row's external metadata.
     rest: Decoder<'a>,
+    /// The image the row is read from, for what its rows share once decoded.
+    image: &'a Image,
 }
 
 /// A searchable variable (not QA, not hidden) as a row holds it.
@@ -619,25 +667,31 @@ impl<'a> RowView<'a> {
         compare.same
     }
 
-    /// The owned feature.
+    /// The owned feature. Its variables share their hierarchies with every
+    /// variable decoded from the image.
     pub(crate) fn decode(&self) -> DatasetFeature {
-        #[derive(Default)]
-        struct Owned {
+        struct Owned<'h> {
             external: BTreeMap<String, String>,
             variables: Vec<VariableFeature>,
+            hierarchies: &'h [Hierarchy],
         }
-        impl<'a> RowSink<'a> for Owned {
+        impl<'a> RowSink<'a> for Owned<'_> {
             fn external(&mut self, key: &'a str, value: &'a str) {
                 self.external.insert(key.to_owned(), value.to_owned());
             }
             fn variables(&mut self, count: usize) {
                 self.variables.reserve_exact(count);
             }
-            fn variable(&mut self, _descriptor: u32, v: Var<'a>) {
-                self.variables.push(v.to_feature());
+            fn variable(&mut self, descriptor: u32, v: Var<'a>) {
+                let hierarchy = self.hierarchies[descriptor as usize].clone();
+                self.variables.push(v.to_feature(hierarchy));
             }
         }
-        let mut owned = Owned::default();
+        let mut owned = Owned {
+            external: BTreeMap::new(),
+            variables: Vec::new(),
+            hierarchies: self.image.hierarchies(),
+        };
         let mut rest = self.rest;
         rest.lists(&mut owned).expect(CHECKED);
         let h = &self.head;
@@ -728,7 +782,16 @@ impl<'a> Encoder<'a> {
             *start += head;
         }
         rows.push(self.out.len());
-        Image { bytes: self.out, start: 0, table, descriptors, rows, generation, properties }
+        Image {
+            bytes: self.out,
+            start: 0,
+            table,
+            descriptors,
+            rows,
+            generation,
+            properties,
+            hierarchies: OnceLock::new(),
+        }
     }
 
     /// Puts header and tables in front of the body and returns how many
@@ -1215,7 +1278,8 @@ impl<'a> Var<'a> {
         }
     }
 
-    fn to_feature(&self) -> VariableFeature {
+    /// The owned variable, with `hierarchy` for the descriptor's levels.
+    fn to_feature(&self, hierarchy: Hierarchy) -> VariableFeature {
         let d = &self.descriptor;
         let resolution = match d.curation & RESOLUTION_MASK {
             0 => NameResolution::Unresolved,
@@ -1234,7 +1298,7 @@ impl<'a> Var<'a> {
             canonical_unit: d.canonical_unit.map(str::to_owned),
             unit_normalized: d.curation & UNIT_NORMALIZED != 0,
             context: d.context.map(str::to_owned),
-            hierarchy: d.levels.map(str::to_owned).collect(),
+            hierarchy,
             summary: self.summary.clone(),
             null_count: self.null_count,
             total_count: self.total_count,
@@ -1687,7 +1751,7 @@ pub(crate) mod tests {
         v.canonical_unit = Some("celsius".into());
         v.unit_normalized = true;
         v.context = Some("water".into());
-        v.hierarchy = vec!["physical".into(), "temperature".into(), canonical.into()];
+        v.hierarchy = vec!["physical".into(), "temperature".into(), canonical.into()].into();
         // decimals, whose mean and m2 are not
         v.summary.observe(4.25);
         v.summary.observe(17.5);

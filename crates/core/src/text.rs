@@ -1,5 +1,7 @@
 //! Small text utilities shared by wrangling stages.
 
+use std::borrow::Cow;
+
 /// Splits an identifier into lowercase word tokens at `_`, `-`, `.`, spaces,
 /// digit/letter boundaries and camelCase humps.
 ///
@@ -37,6 +39,17 @@ pub fn split_identifier(s: &str) -> Vec<String> {
 /// ASCII-lowercases and trims a term for case-insensitive matching.
 pub fn normalize_term(s: &str) -> String {
     s.trim().to_ascii_lowercase()
+}
+
+/// [`normalize_term`] of `s`, borrowed when `s` is already normalized:
+/// the lookup key of an index keyed by normalized terms, found with no
+/// allocation for a caller that holds normalized names.
+pub fn term_key(s: &str) -> Cow<'_, str> {
+    if s.trim().len() == s.len() && !s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Borrowed(s)
+    } else {
+        Cow::Owned(normalize_term(s))
+    }
 }
 
 /// True when two terms are equal after [`normalize_term`].
@@ -85,6 +98,16 @@ mod tests {
         assert_eq!(normalize_term("  DegC "), "degc");
         assert!(term_eq("AirTemp", "airtemp"));
         assert!(!term_eq("air", "water"));
+    }
+
+    #[test]
+    fn term_key_borrows_only_a_normalized_term() {
+        for s in ["air_temperature", "", "a b", "temp2"] {
+            assert!(matches!(term_key(s), Cow::Borrowed(k) if k == s), "{s:?}");
+        }
+        for s in [" DegC", "AirTemp", "sal\t", "\u{a0}x"] {
+            assert!(matches!(term_key(s), Cow::Owned(ref k) if *k == normalize_term(s)), "{s:?}");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn archive_like(i: usize, rng: &mut Rng) -> DatasetFeature {
             format!("{harvested}_qa")
         });
         v.resolve(canonical, NameResolution::KnownTranslation);
-        v.hierarchy = vec![root.into(), family.into(), canonical.into()];
+        v.hierarchy = vec![root.into(), family.into(), canonical.into()].into();
         v.unit = Some("raw".into());
         v.canonical_unit = Some("si".into());
         v.unit_normalized = true;

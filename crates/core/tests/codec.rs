@@ -27,6 +27,11 @@
 //! holds the edges of both forms and `METAMESS_TORTURE_CASES` seeds of
 //! random ones to a bit-exact round trip through a put and a snapshot, to
 //! bytes that re-encode to themselves, and to no more than eight bytes.
+//!
+//! A decoded variable's hierarchy is its image's: variables decoded from one
+//! image with one path hold one shared [`Hierarchy`], and encode to the
+//! bytes they were decoded from
+//! (`decoded_variables_of_one_image_share_each_hierarchy`).
 
 mod catalogs;
 mod common;
@@ -34,7 +39,7 @@ mod common;
 use catalogs::{archive_like, seeded_catalog};
 use common::{sweep, Rng};
 use metamess_core::catalog::{Catalog, Mutation};
-use metamess_core::feature::{DatasetFeature, VariableFeature};
+use metamess_core::feature::{DatasetFeature, Hierarchy, VariableFeature};
 use metamess_core::geo::GeoBBox;
 use metamess_core::id::DatasetId;
 use metamess_core::store::codec::{
@@ -43,7 +48,7 @@ use metamess_core::store::codec::{
 use metamess_core::store::{crc32, Image, Row, Wal, WAL_MAGIC};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Remembers the largest single request each thread has made of the
@@ -504,4 +509,50 @@ fn a_thousand_archive_like_datasets_fit_in_a_thousand_bytes_each() {
         json.len(),
         binary.len()
     );
+}
+
+/// How many distinct paths `variables` hold, checking that each path is
+/// held as one shared [`Hierarchy`].
+fn shared_paths<'a>(variables: impl Iterator<Item = &'a VariableFeature>) -> usize {
+    let mut first: HashMap<&[String], &Hierarchy> = HashMap::new();
+    for v in variables {
+        let held = first.entry(&v.hierarchy[..]).or_insert(&v.hierarchy);
+        assert!(Hierarchy::ptr_eq(held, &v.hierarchy), "{:?} is held twice", v.hierarchy);
+    }
+    first.len()
+}
+
+#[test]
+fn decoded_variables_of_one_image_share_each_hierarchy() {
+    let mut rng = Rng(7);
+    let mut catalog = Catalog::new();
+    for i in 0..60 {
+        catalog.put(archive_like(i, &mut rng));
+    }
+    catalog.put(odd_dataset());
+    let bytes = encode_catalog(&catalog);
+    let image = Arc::new(Image::parse(bytes.clone()).unwrap());
+    let (decoded, _) = decode_catalog(&bytes).unwrap();
+    let whole = image.catalog();
+    let rows: Vec<DatasetFeature> = image.rows().map(|row| row.decode()).collect();
+    // six concepts and the path of none, across many more descriptors
+    assert!(image.descriptors() > 7, "{} descriptors", image.descriptors());
+    assert_eq!(shared_paths(decoded.iter().flat_map(|d| &d.variables)), 7);
+    // every decode of one image hands out the same paths
+    let variables = whole.iter().flat_map(|d| &d.variables);
+    assert_eq!(shared_paths(variables.chain(rows.iter().flat_map(|d| &d.variables))), 7);
+    // and they encode to the bytes they came from
+    assert_eq!(encode_catalog(&decoded), bytes);
+    assert_eq!(encode_catalog(&whole), bytes);
+    for (row, f) in image.rows().zip(&rows) {
+        assert_eq!(put_record(f), put_record(&row.decode()));
+        assert_eq!(f, catalog.get(f.id).unwrap());
+    }
+}
+
+/// A dataset whose one variable has no hierarchy.
+fn odd_dataset() -> DatasetFeature {
+    let mut f = DatasetFeature::new("odd.csv");
+    f.variables.push(VariableFeature::new("station"));
+    f
 }

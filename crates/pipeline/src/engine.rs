@@ -298,13 +298,10 @@ struct Sidecar {
 }
 
 impl Sidecar {
-    /// Decodes curation bytes, rebuilding the vocabulary's synonym index,
-    /// which its JSON leaves out. Bytes that do not decode are corrupt.
+    /// Decodes curation bytes. Bytes that do not decode are corrupt.
     fn decode(bytes: &[u8]) -> Result<Sidecar> {
-        let mut sidecar: Sidecar = serde_json::from_slice(bytes)
-            .map_err(|e| Error::corrupt(format!("curation state undecodable: {e}")))?;
-        sidecar.vocab.synonyms.reindex();
-        Ok(sidecar)
+        serde_json::from_slice(bytes)
+            .map_err(|e| Error::corrupt(format!("curation state undecodable: {e}")))
     }
 }
 

@@ -13,7 +13,7 @@ use crate::context::{CtxView, Severity};
 use metamess_core::catalog::Catalog;
 use metamess_core::error::Result;
 use metamess_core::feature::NameResolution;
-use metamess_core::text::{normalize_term, split_identifier};
+use metamess_core::text::normalize_term;
 use metamess_core::value::Record;
 use metamess_core::DatasetId;
 use metamess_discover::{
@@ -91,15 +91,9 @@ pub fn detect_ambiguity(name: &str, vocab: &metamess_vocab::Vocabulary) -> Vec<S
     if n.len() < 3 || vocab.synonyms.contains(&n) {
         return Vec::new();
     }
-    let mut candidates: Vec<String> = Vec::new();
-    for term in vocab.synonyms.preferred_terms() {
-        let hit = split_identifier(term).iter().any(|tok| tok.starts_with(&n) && tok != &n);
-        if hit {
-            candidates.push(term.to_string());
-        }
-    }
+    let candidates = vocab.synonyms.extending_token(&n);
     if candidates.len() >= 2 {
-        candidates
+        candidates.into_iter().map(String::from).collect()
     } else {
         Vec::new()
     }

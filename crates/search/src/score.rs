@@ -111,7 +111,7 @@ pub struct PreparedTerm {
 impl PreparedTerm {
     /// Prepares one term against the vocabulary.
     pub fn prepare(term: &VariableTerm, vocab: &Vocabulary) -> PreparedTerm {
-        use metamess_core::text::normalize_term;
+        use metamess_core::text::{normalize_term, term_eq};
         let name_norm = normalize_term(&term.name);
         let canon_norm = vocab.synonyms.resolve(&term.name).map(|(c, _)| normalize_term(c));
         let mut expanded: Vec<String> =
@@ -127,19 +127,19 @@ impl PreparedTerm {
         if let Some(canon) = &canon_norm {
             for tax in vocab.taxonomies.iter() {
                 let Some(path) = tax.path_of(canon) else { continue };
-                let mut add = |name: &str, score: f64| {
-                    let k = normalize_term(name);
-                    match related.iter_mut().find(|(r, _)| *r == k) {
-                        Some((_, e)) if score > *e => *e = score,
-                        Some(_) => {}
-                        None => related.push((k, score)),
-                    }
+                let mut add = |name: &str, score: f64| match related
+                    .iter_mut()
+                    .find(|(r, _)| term_eq(r, name))
+                {
+                    Some((_, e)) if score > *e => *e = score,
+                    Some(_) => {}
+                    None => related.push((normalize_term(name), score)),
                 };
                 for child in tax.children_of(canon) {
-                    add(&child, 0.8);
+                    add(child, 0.8);
                     if path.len() >= 2 {
-                        for grandchild in tax.children_of(&child) {
-                            add(&grandchild, 0.6);
+                        for grandchild in tax.children_of(child) {
+                            add(grandchild, 0.6);
                         }
                     }
                 }
@@ -148,8 +148,8 @@ impl PreparedTerm {
                     add(parent, 0.8);
                     if path.len() >= 3 {
                         for sibling in tax.children_of(parent) {
-                            if normalize_term(&sibling) != *canon {
-                                add(&sibling, 0.6);
+                            if !term_eq(sibling, canon) {
+                                add(sibling, 0.6);
                             }
                         }
                     }

@@ -143,7 +143,8 @@ mod tests {
         );
         v.summary.observe(9.5);
         v.summary.observe(14.5);
-        v.hierarchy = vec!["physical".into(), "temperature".into(), "water_temperature".into()];
+        v.hierarchy =
+            vec!["physical".into(), "temperature".into(), "water_temperature".into()].into();
         d.variables.push(v);
         let mut qa = VariableFeature::new("qa_level");
         qa.flags.qa = true;

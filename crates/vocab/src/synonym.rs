@@ -6,8 +6,8 @@
 //! process-improvement example in the poster).
 
 use metamess_core::error::{Error, Result};
-use metamess_core::text::normalize_term;
-use serde::{Deserialize, Serialize};
+use metamess_core::text::{normalize_term, split_identifier, term_key};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::collections::BTreeMap;
 
 /// One preferred term and its known alternates.
@@ -43,6 +43,10 @@ pub enum MatchKind {
 /// preferred term; no alternate equals a preferred term of a *different*
 /// entry (that would make translation ambiguous).
 ///
+/// Only the entries are serialized and compared; the indexes derived from
+/// them are kept up to date by every change and rebuilt when a table is
+/// deserialized.
+///
 /// ```
 /// use metamess_vocab::{MatchKind, SynonymTable};
 ///
@@ -55,13 +59,44 @@ pub enum MatchKind {
 /// // an alternate cannot serve two preferred terms
 /// assert!(table.add_alternate("water_temperature", "airtemp").is_err());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct SynonymTable {
     /// Entries keyed by normalized preferred term.
     entries: BTreeMap<String, TermEntry>,
     /// Reverse index: normalized alternate → normalized preferred term.
     #[serde(skip)]
     reverse: BTreeMap<String, String>,
+    /// Every `(token, key)` of a preferred term: a word token of its
+    /// spelling ([`split_identifier`]) and its normalized key, sorted, so
+    /// the tokens a prefix begins are one run.
+    #[serde(skip)]
+    tokens: Vec<(String, String)>,
+}
+
+/// Equal when the entries are; the indexes follow from them.
+impl PartialEq for SynonymTable {
+    fn eq(&self, other: &SynonymTable) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl<'de> Deserialize<'de> for SynonymTable {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> std::result::Result<SynonymTable, D::Error> {
+        #[derive(Deserialize)]
+        struct Stored {
+            entries: BTreeMap<String, TermEntry>,
+        }
+        let Stored { entries } = Stored::deserialize(d)?;
+        let mut t = SynonymTable::new();
+        for (key, e) in &entries {
+            for alt in &e.alternates {
+                t.reverse.insert(normalize_term(alt), key.clone());
+            }
+            t.add_tokens(key, &e.preferred);
+        }
+        t.entries = entries;
+        Ok(t)
+    }
 }
 
 impl SynonymTable {
@@ -70,12 +105,13 @@ impl SynonymTable {
         SynonymTable::default()
     }
 
-    /// Rebuilds the reverse index; called after deserialization.
-    pub fn reindex(&mut self) {
-        self.reverse.clear();
-        for (key, e) in &self.entries {
-            for alt in &e.alternates {
-                self.reverse.insert(normalize_term(alt), key.clone());
+    /// Files the tokens of the preferred term `preferred`, keyed `key`.
+    fn add_tokens(&mut self, key: &str, preferred: &str) {
+        for token in split_identifier(preferred) {
+            let pair = (token, key.to_string());
+            let at = self.tokens.partition_point(|t| *t < pair);
+            if self.tokens.get(at) != Some(&pair) {
+                self.tokens.insert(at, pair);
             }
         }
     }
@@ -92,7 +128,10 @@ impl SynonymTable {
                 "'{preferred}' is already an alternate of '{owner}'"
             )));
         }
-        self.entries.entry(key).or_insert_with(|| TermEntry::new(preferred));
+        if !self.entries.contains_key(&key) {
+            self.add_tokens(&key, &preferred);
+            self.entries.insert(key, TermEntry::new(preferred));
+        }
         Ok(())
     }
 
@@ -135,12 +174,13 @@ impl SynonymTable {
     }
 
     /// Looks a name up: returns the preferred spelling and how it matched.
+    /// Allocates nothing when `name` is already normalized.
     pub fn resolve(&self, name: &str) -> Option<(&str, MatchKind)> {
-        let key = normalize_term(name);
-        if let Some(e) = self.entries.get(&key) {
+        let key = term_key(name);
+        if let Some(e) = self.entries.get(&*key) {
             return Some((e.preferred.as_str(), MatchKind::Preferred));
         }
-        if let Some(pkey) = self.reverse.get(&key) {
+        if let Some(pkey) = self.reverse.get(&*key) {
             let e = self.entries.get(pkey)?;
             return Some((e.preferred.as_str(), MatchKind::Alternate));
         }
@@ -156,7 +196,26 @@ impl SynonymTable {
 
     /// The entry for a preferred term.
     pub fn entry(&self, preferred: &str) -> Option<&TermEntry> {
-        self.entries.get(&normalize_term(preferred))
+        self.entries.get(&*term_key(preferred))
+    }
+
+    /// The preferred terms, in [`preferred_terms`] order, with a word token
+    /// ([`split_identifier`] of the spelling) that `prefix` begins and is
+    /// not: the meanings a short name such as `temp` may abbreviate
+    /// (`air_temperature`, `water_temperature`, …).
+    ///
+    /// [`preferred_terms`]: SynonymTable::preferred_terms
+    pub fn extending_token(&self, prefix: &str) -> Vec<&str> {
+        let start = self.tokens.partition_point(|(token, _)| token.as_str() < prefix);
+        let mut keys: Vec<&str> = self.tokens[start..]
+            .iter()
+            .take_while(|(token, _)| token.starts_with(prefix))
+            .filter(|(token, _)| token != prefix)
+            .map(|(_, key)| key.as_str())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter().map(|key| self.entries[key].preferred.as_str()).collect()
     }
 
     /// Sets the description of a preferred term.
@@ -338,8 +397,7 @@ mod tests {
     fn text_round_trip() {
         let t = table();
         let text = t.to_text();
-        let mut back = SynonymTable::parse_text(&text).unwrap();
-        back.reindex();
+        let back = SynonymTable::parse_text(&text).unwrap();
         assert_eq!(back.len(), t.len());
         assert_eq!(
             back.resolve("airtemp").map(|(p, _)| p.to_string()),
@@ -377,13 +435,31 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_with_reindex() {
+    fn serde_round_trip_rebuilds_the_indexes() {
         let t = table();
         let json = serde_json::to_string(&t).unwrap();
-        let mut back: SynonymTable = serde_json::from_str(&json).unwrap();
-        back.reindex();
+        assert!(!json.contains("reverse") && !json.contains("tokens"), "{json}");
+        let back: SynonymTable = serde_json::from_str(&json).unwrap();
         assert_eq!(back.resolve("air_temperatrue").unwrap().0, "air_temperature");
+        assert_eq!(back.alternate_count(), t.alternate_count());
+        assert_eq!(back.extending_token("temp"), ["air_temperature"]);
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn extending_token_lists_what_a_prefix_may_abbreviate() {
+        let mut t = table();
+        t.add_preferred("water_temperature").unwrap();
+        t.add_preferred("tempo").unwrap();
+        t.add_preferred("sea_surface_Temperature").unwrap();
+        // in preferred-term order; a token equal to the prefix is no match
+        assert_eq!(
+            t.extending_token("temp"),
+            ["air_temperature", "sea_surface_Temperature", "tempo", "water_temperature"]
+        );
+        assert_eq!(t.extending_token("tempo"), Vec::<&str>::new());
+        assert_eq!(t.extending_token("sal"), ["salinity"]);
+        assert!(t.extending_token("zzz").is_empty());
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! side by side in a [`TaxonomySet`].
 
 use metamess_core::error::{Error, Result};
-use metamess_core::text::term_eq;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use metamess_core::text::{normalize_term, term_eq, term_key};
+use metamess_core::Hierarchy;
+use serde::{Deserialize, Deserializer, Serialize};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 /// A node in a taxonomy: a concept that may contain narrower concepts.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,17 +30,70 @@ impl TaxonomyNode {
 }
 
 /// A single named hierarchy of concepts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Lookups are by name, case-insensitively ([`term_eq`]), and a name that
+/// occurs more than once answers for its first node in depth-first
+/// pre-order. They read an index of the tree, so each costs one probe and
+/// allocates nothing. A deserialized taxonomy is read with its index built;
+/// a change drops it, and the next lookup builds it again. Clones share it,
+/// and it is never serialized or compared.
+#[derive(Clone, Serialize)]
 pub struct Taxonomy {
     /// Taxonomy name, e.g. `"cmop-variables"` or `"cf-standard-names"`.
     pub name: String,
     roots: Vec<TaxonomyNode>,
+    #[serde(skip)]
+    index: OnceLock<Arc<Index>>,
+}
+
+/// What every lookup of a [`Taxonomy`] reads: its nodes in depth-first
+/// pre-order, so the descendants of a node are the run that follows it.
+pub(crate) struct Index {
+    /// Normalized name → its first node.
+    first: HashMap<String, usize>,
+    /// Every node's name.
+    names: Vec<String>,
+    nodes: Vec<Indexed>,
+}
+
+struct Indexed {
+    /// Names from a root down to this node.
+    path: Hierarchy,
+    children: Box<[String]>,
+    /// One past the node's last descendant in `names`.
+    end: usize,
+}
+
+impl Index {
+    fn build(roots: &[TaxonomyNode]) -> Index {
+        fn visit(node: &TaxonomyNode, path: &mut Vec<String>, index: &mut Index) {
+            let at = index.names.len();
+            path.push(node.name.clone());
+            index.first.entry(normalize_term(&node.name)).or_insert(at);
+            index.names.push(node.name.clone());
+            index.nodes.push(Indexed {
+                path: path.clone().into(),
+                children: node.children.iter().map(|c| c.name.clone()).collect(),
+                end: 0,
+            });
+            for child in &node.children {
+                visit(child, path, index);
+            }
+            index.nodes[at].end = index.names.len();
+            path.pop();
+        }
+        let mut index = Index { first: HashMap::new(), names: Vec::new(), nodes: Vec::new() };
+        for root in roots {
+            visit(root, &mut Vec::new(), &mut index);
+        }
+        index
+    }
 }
 
 impl Taxonomy {
     /// Creates an empty taxonomy.
     pub fn new(name: impl Into<String>) -> Taxonomy {
-        Taxonomy { name: name.into(), roots: Vec::new() }
+        Taxonomy { name: name.into(), roots: Vec::new(), index: OnceLock::new() }
     }
 
     /// Inserts a concept path, creating intermediate nodes as needed.
@@ -51,6 +106,7 @@ impl Taxonomy {
         if path.iter().any(|p| p.trim().is_empty()) {
             return Err(Error::invalid("blank segment in taxonomy path"));
         }
+        self.index.take();
         let mut nodes = &mut self.roots;
         for seg in path {
             let ix = match nodes.iter().position(|n| term_eq(&n.name, seg)) {
@@ -65,60 +121,37 @@ impl Taxonomy {
         Ok(())
     }
 
-    /// Finds the path from a root to the (first) node named `name`,
-    /// root first. Case-insensitive.
-    pub fn path_of(&self, name: &str) -> Option<Vec<String>> {
-        fn walk<'a>(nodes: &'a [TaxonomyNode], name: &str, prefix: &mut Vec<&'a str>) -> bool {
-            for n in nodes {
-                prefix.push(&n.name);
-                if term_eq(&n.name, name) || walk(&n.children, name, prefix) {
-                    return true;
-                }
-                prefix.pop();
-            }
-            false
-        }
-        let mut prefix = Vec::new();
-        walk(&self.roots, name, &mut prefix).then(|| prefix.into_iter().map(String::from).collect())
+    /// The lookup index, built here when a change dropped it. Code that
+    /// makes a taxonomy calls it when done, so that the first lookup does
+    /// not pay for the build.
+    pub(crate) fn index(&self) -> &Index {
+        self.index.get_or_init(|| Arc::new(Index::build(&self.roots)))
+    }
+
+    /// The first node named `name`, and the index it is in.
+    fn node(&self, name: &str) -> Option<(usize, &Index)> {
+        let index = self.index();
+        index.first.get(&*term_key(name)).map(|&at| (at, index))
+    }
+
+    /// The path from a root to the node named `name`, root first.
+    pub fn path_of(&self, name: &str) -> Option<&Hierarchy> {
+        self.node(name).map(|(at, index)| &index.nodes[at].path)
     }
 
     /// True when a node named `name` exists anywhere in the hierarchy.
     pub fn contains(&self, name: &str) -> bool {
-        find(&self.roots, name).is_some()
-    }
-
-    /// Broader concepts of `name` (its ancestors, nearest first).
-    pub fn ancestors(&self, name: &str) -> Vec<String> {
-        match self.path_of(name) {
-            Some(mut path) => {
-                path.pop();
-                path.reverse();
-                path
-            }
-            None => Vec::new(),
-        }
+        self.node(name).is_some()
     }
 
     /// All concepts strictly below `name` (depth-first order).
-    pub fn descendants(&self, name: &str) -> Vec<String> {
-        fn collect(node: &TaxonomyNode, out: &mut Vec<String>) {
-            for c in &node.children {
-                out.push(c.name.clone());
-                collect(c, out);
-            }
-        }
-        let mut out = Vec::new();
-        if let Some(n) = find(&self.roots, name) {
-            collect(n, &mut out);
-        }
-        out
+    pub fn descendants(&self, name: &str) -> &[String] {
+        self.node(name).map_or(&[], |(at, index)| &index.names[at + 1..index.nodes[at].end])
     }
 
     /// Direct children of `name` ("expose one level", for hierarchical menus).
-    pub fn children_of(&self, name: &str) -> Vec<String> {
-        find(&self.roots, name)
-            .map(|n| n.children.iter().map(|c| c.name.clone()).collect())
-            .unwrap_or_default()
+    pub fn children_of(&self, name: &str) -> &[String] {
+        self.node(name).map_or(&[], |(at, index)| &index.nodes[at].children)
     }
 
     /// Root concepts.
@@ -134,49 +167,37 @@ impl Taxonomy {
 
     /// Total node count.
     pub fn node_count(&self) -> usize {
-        fn count(nodes: &[TaxonomyNode]) -> usize {
-            nodes.iter().map(|n| 1 + count(&n.children)).sum()
-        }
-        count(&self.roots)
-    }
-
-    /// Renders an indented outline (for curator review and the examples).
-    pub fn render_outline(&self) -> String {
-        fn rec(nodes: &[TaxonomyNode], depth: usize, out: &mut String) {
-            for n in nodes {
-                for _ in 0..depth {
-                    out.push_str("  ");
-                }
-                out.push_str(&n.name);
-                out.push('\n');
-                rec(&n.children, depth + 1, out);
-            }
-        }
-        let mut out = String::new();
-        rec(&self.roots, 0, &mut out);
-        out
-    }
-
-    /// Lowest common ancestor distance between two concepts: number of edges
-    /// from each to their deepest shared ancestor, or `None` when either is
-    /// absent or they share no root. Used by search to score hierarchy
-    /// closeness.
-    pub fn relatedness(&self, a: &str, b: &str) -> Option<usize> {
-        let pa = self.path_of(a)?;
-        let pb = self.path_of(b)?;
-        let shared = pa.iter().zip(pb.iter()).take_while(|(x, y)| x == y).count();
-        if shared == 0 {
-            return None;
-        }
-        Some((pa.len() - shared) + (pb.len() - shared))
+        self.index().names.len()
     }
 }
 
-/// The first node named `name` (case-insensitive), depth first.
-fn find<'a>(nodes: &'a [TaxonomyNode], name: &str) -> Option<&'a TaxonomyNode> {
-    nodes
-        .iter()
-        .find_map(|n| if term_eq(&n.name, name) { Some(n) } else { find(&n.children, name) })
+impl<'de> Deserialize<'de> for Taxonomy {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> std::result::Result<Taxonomy, D::Error> {
+        #[derive(Deserialize)]
+        struct Stored {
+            name: String,
+            roots: Vec<TaxonomyNode>,
+        }
+        let Stored { name, roots } = Stored::deserialize(d)?;
+        let t = Taxonomy { name, roots, index: OnceLock::new() };
+        t.index();
+        Ok(t)
+    }
+}
+
+/// Equal when the names and trees are; the index is not compared.
+impl PartialEq for Taxonomy {
+    fn eq(&self, other: &Taxonomy) -> bool {
+        self.name == other.name && self.roots == other.roots
+    }
+}
+
+impl Eq for Taxonomy {}
+
+impl std::fmt::Debug for Taxonomy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Taxonomy").field("name", &self.name).field("roots", &self.roots).finish()
+    }
 }
 
 /// A set of named taxonomies ("link to multiple taxonomies").
@@ -221,14 +242,10 @@ impl TaxonomySet {
         self.taxonomies.is_empty()
     }
 
-    /// The hierarchy path of `term` in the first taxonomy that knows it.
-    pub fn path_of(&self, term: &str) -> Option<(String, Vec<String>)> {
-        for t in self.taxonomies.values() {
-            if let Some(p) = t.path_of(term) {
-                return Some((t.name.clone(), p));
-            }
-        }
-        None
+    /// The hierarchy path of `term` in the first taxonomy, by name, that
+    /// knows it, with that taxonomy's name.
+    pub fn path_of(&self, term: &str) -> Option<(&str, &Hierarchy)> {
+        self.taxonomies.values().find_map(|t| Some((t.name.as_str(), t.path_of(term)?)))
     }
 }
 
@@ -257,15 +274,12 @@ mod tests {
     #[test]
     fn path_and_ancestors() {
         let t = sample();
-        assert_eq!(
-            t.path_of("water_temperature").unwrap(),
-            vec!["physical".to_string(), "temperature".into(), "water_temperature".into()]
-        );
-        assert_eq!(
-            t.ancestors("water_temperature"),
-            vec!["temperature".to_string(), "physical".into()]
-        );
-        assert!(t.ancestors("missing").is_empty());
+        let path = t.path_of("water_temperature").unwrap();
+        assert_eq!(**path, ["physical", "temperature", "water_temperature"]);
+        // the ancestors are the path above the node, and the nodes on one
+        // path share their prefix of it
+        assert_eq!(**t.path_of("temperature").unwrap(), path[..2]);
+        assert!(t.path_of("missing").is_none());
     }
 
     #[test]
@@ -304,34 +318,22 @@ mod tests {
         t.insert_path(&["PHYSICAL", "salinity"]).unwrap();
         assert_eq!(t.node_count(), 5, "a re-spelled segment reuses its node");
         assert_eq!(t.roots().collect::<Vec<_>>(), [" Physical"]);
-        let path = |leaf: &str| vec![" Physical".to_string(), "TEMPERATURE ".into(), leaf.into()];
-        assert_eq!(t.path_of("  WATER_temperature "), Some(path("water_temperature")));
-        assert_eq!(t.path_of("air_temperature"), Some(path("Air_Temperature")));
+        let path =
+            |leaf: &str| Some(vec![" Physical".to_string(), "TEMPERATURE ".into(), leaf.into()]);
+        assert_eq!(
+            t.path_of("  WATER_temperature ").map(|p| p.to_vec()),
+            path("water_temperature")
+        );
+        assert_eq!(t.path_of("air_temperature").map(|p| p.to_vec()), path("Air_Temperature"));
         assert_eq!(t.path_of("temp"), None, "a prefix is not a match");
         assert_eq!(t.children_of("temperature"), ["water_temperature", "Air_Temperature"]);
         assert_eq!(
             t.descendants(" physical "),
             ["TEMPERATURE ", "water_temperature", "Air_Temperature", "salinity"]
         );
-        assert_eq!(t.ancestors("Salinity\t"), [" Physical"]);
+        assert_eq!(**t.path_of("Salinity\t").unwrap(), [" Physical", "salinity"]);
         assert!(t.contains(" air_temperature ") && !t.contains("air temperature"));
-        assert_eq!(t.relatedness("WATER_TEMPERATURE", " air_temperature"), Some(2));
         assert!(t.children_of("Nitrate").is_empty() && t.descendants("").is_empty());
-    }
-
-    #[test]
-    fn relatedness_distances() {
-        let t = sample();
-        // siblings under temperature: distance 2
-        assert_eq!(t.relatedness("water_temperature", "air_temperature"), Some(2));
-        // same node: 0
-        assert_eq!(t.relatedness("salinity", "salinity"), Some(0));
-        // parent-child: 1
-        assert_eq!(t.relatedness("temperature", "air_temperature"), Some(1));
-        // different roots: None
-        assert_eq!(t.relatedness("salinity", "fluores375"), None);
-        // unknown: None
-        assert_eq!(t.relatedness("salinity", "unknown"), None);
     }
 
     #[test]
@@ -339,13 +341,6 @@ mod tests {
         let mut t = Taxonomy::new("x");
         assert!(t.insert_path(&[]).is_err());
         assert!(t.insert_path(&["a", " "]).is_err());
-    }
-
-    #[test]
-    fn outline_renders_indented() {
-        let t = sample();
-        let o = t.render_outline();
-        assert!(o.contains("physical\n  temperature\n    water_temperature"));
     }
 
     #[test]
@@ -358,7 +353,7 @@ mod tests {
         // path_of finds the first taxonomy (BTreeMap order: "instruments" < "vars")
         let (tax, path) = s.path_of("salinity").unwrap();
         assert_eq!(tax, "instruments");
-        assert_eq!(path, vec!["ctd".to_string(), "salinity".into()]);
+        assert_eq!(**path, ["ctd", "salinity"]);
         assert!(s.get("vars").unwrap().contains("fluores400"));
     }
 
@@ -368,5 +363,43 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: Taxonomy = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
+        // the index is neither written nor compared: a taxonomy that has
+        // answered lookups writes and equals one that has not
+        assert!(t.contains("salinity"));
+        assert_eq!(serde_json::to_string(&t).unwrap(), json);
+        assert_eq!(back.descendants("fluorescence"), t.descendants("fluorescence"));
+    }
+
+    #[test]
+    fn an_insert_after_a_lookup_is_seen_by_the_next_lookup() {
+        let mut t = sample();
+        assert!(t.children_of("salinity").is_empty());
+        t.insert_path(&["physical", "salinity", "practical_salinity"]).unwrap();
+        assert_eq!(t.children_of("SALINITY"), ["practical_salinity"]);
+        assert_eq!(
+            **t.path_of("practical_salinity").unwrap(),
+            ["physical", "salinity", "practical_salinity"]
+        );
+        assert_eq!(
+            t.descendants("physical"),
+            [
+                "temperature",
+                "water_temperature",
+                "air_temperature",
+                "salinity",
+                "practical_salinity"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_name_at_two_depths_answers_for_its_first_node() {
+        let mut t = Taxonomy::new("x");
+        t.insert_path(&["a", "b", "c"]).unwrap();
+        t.insert_path(&["c", "d"]).unwrap();
+        // pre-order meets a/b/c before the root c
+        assert_eq!(**t.path_of("c").unwrap(), ["a", "b", "c"]);
+        assert!(t.children_of("c").is_empty() && t.descendants("c").is_empty());
+        assert_eq!(t.descendants("a"), ["b", "c"]);
     }
 }

@@ -8,6 +8,8 @@ use crate::taxonomy::{Taxonomy, TaxonomySet};
 use crate::units::UnitRegistry;
 use metamess_core::error::{Error, IoContext, Result};
 use metamess_core::store::{std_vfs, write_atomic};
+use metamess_core::text::{normalize_term, term_eq};
+use metamess_core::Hierarchy;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -166,6 +168,8 @@ impl Vocabulary {
         for p in paths {
             tax.insert_path(p).expect("builtin taxonomy path");
         }
+        // built now, so that the first lookup does not pay for it
+        tax.index();
         // Context rules for the classic bare names.
         v.registry.add_context_rule("met_station", "temperature", "air_temperature");
         v.registry.add_context_rule("ctd", "temperature", "water_temperature");
@@ -196,33 +200,26 @@ impl Vocabulary {
         }
     }
 
-    /// The hierarchy path for a canonical term, when any taxonomy knows it.
-    pub fn hierarchy_of(&self, canonical: &str) -> Vec<String> {
-        self.taxonomies.path_of(canonical).map(|(_, p)| p).unwrap_or_default()
+    /// The hierarchy path for a canonical term, in the first taxonomy by
+    /// name that knows it; empty when none does. Every call for one concept
+    /// hands out the same shared path.
+    pub fn hierarchy_of(&self, canonical: &str) -> Hierarchy {
+        self.taxonomies.path_of(canonical).map(|(_, p)| p.clone()).unwrap_or_default()
     }
 
     /// Names related to `term` for search expansion: its alternates, plus
-    /// taxonomy children (so a search for `fluorescence` can match
+    /// taxonomy descendants (so a search for `fluorescence` can match
     /// `fluores375`). Returned names are canonical/alternate spellings.
     pub fn expand_term(&self, term: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let canonical = self
-            .synonyms
-            .resolve(term)
-            .map(|(c, _)| c.to_string())
-            .unwrap_or_else(|| term.to_string());
-        if !out.iter().any(|x: &String| metamess_core::text::term_eq(x, &canonical)) {
-            out.push(canonical.clone());
-        }
-        if let Some(e) = self.synonyms.entry(&canonical) {
-            for a in &e.alternates {
-                out.push(a.clone());
-            }
+        let canonical = self.synonyms.resolve(term).map_or(term, |(c, _)| c);
+        let mut out = vec![canonical.to_string()];
+        if let Some(e) = self.synonyms.entry(canonical) {
+            out.extend(e.alternates.iter().cloned());
         }
         for t in self.taxonomies.iter() {
-            for d in t.descendants(&canonical) {
-                if !out.iter().any(|x| metamess_core::text::term_eq(x, &d)) {
-                    out.push(d);
+            for d in t.descendants(canonical) {
+                if !out.iter().any(|x| term_eq(x, d)) {
+                    out.push(d.clone());
                 }
             }
         }
@@ -238,14 +235,13 @@ impl Vocabulary {
     /// and query planning, so both sides agree on the key space: a dataset
     /// variable is indexed under these keys, and a query term probes them.
     pub fn canonical_keys(&self, term: &str) -> std::collections::BTreeSet<String> {
-        use metamess_core::text::normalize_term;
         let mut out = std::collections::BTreeSet::new();
         if let Some((canon, _)) = self.synonyms.resolve(term) {
             out.insert(normalize_term(canon));
             // every hierarchy ancestor, so a query for a broader concept
             // reaches the leaf variables (and vice versa)
-            for anc in self.hierarchy_of(canon) {
-                out.insert(normalize_term(&anc));
+            if let Some((_, path)) = self.taxonomies.path_of(canon) {
+                out.extend(path.iter().map(|anc| normalize_term(anc)));
             }
         }
         out
@@ -256,7 +252,6 @@ impl Vocabulary {
     /// (canonical + alternates + taxonomy descendants), plus
     /// [`canonical_keys`](Vocabulary::canonical_keys) (canonical + ancestors).
     pub fn expand_keys(&self, term: &str) -> std::collections::BTreeSet<String> {
-        use metamess_core::text::normalize_term;
         let mut keys = self.canonical_keys(term);
         keys.insert(normalize_term(term));
         for e in self.expand_term(term) {
@@ -275,12 +270,9 @@ impl Vocabulary {
         serde_json::to_string_pretty(self).expect("vocabulary serializes")
     }
 
-    /// Deserializes from JSON, rebuilding derived indexes.
+    /// Deserializes from JSON.
     pub fn from_json(json: &str) -> Result<Vocabulary> {
-        let mut v: Vocabulary = serde_json::from_str(json)
-            .map_err(|e| Error::parse("vocabulary json", e.to_string()))?;
-        v.synonyms.reindex();
-        Ok(v)
+        serde_json::from_str(json).map_err(|e| Error::parse("vocabulary json", e.to_string()))
     }
 
     /// Saves to a file, atomically: a reader finds the previous file or
@@ -386,6 +378,8 @@ mod tests {
         assert_eq!(h.last().map(String::as_str), Some("fluores375"));
         assert!(h.contains(&"fluorescence".to_string()));
         assert!(v.hierarchy_of("nope").is_empty());
+        // one concept, one shared path
+        assert!(Hierarchy::ptr_eq(&h, &v.hierarchy_of("FLUORES375")));
     }
 
     #[test]
@@ -416,7 +410,6 @@ mod tests {
 
     #[test]
     fn expand_keys_superset_of_expand_term_and_self() {
-        use metamess_core::text::normalize_term;
         let v = Vocabulary::observatory_default();
         let keys = v.expand_keys("fluorescence");
         assert!(keys.contains(&normalize_term("fluorescence")));
@@ -446,6 +439,31 @@ mod tests {
             VariableResolution::Translated("salinity".into())
         );
         assert_eq!(back.version, v.version);
+        assert_eq!(back, v);
+    }
+
+    #[test]
+    fn a_vocabulary_read_as_part_of_another_struct_resolves() {
+        // a vocabulary deserialized by a caller's derive, not `from_json`:
+        // its alternates and hierarchies resolve all the same
+        #[derive(Serialize, Deserialize)]
+        struct Saved {
+            run: u64,
+            vocab: Vocabulary,
+        }
+        let json =
+            serde_json::to_string(&Saved { run: 7, vocab: Vocabulary::observatory_default() })
+                .unwrap();
+        let back: Saved = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            back.vocab.resolve_variable("atemp", None),
+            VariableResolution::Translated("air_temperature".into())
+        );
+        assert_eq!(
+            back.vocab.hierarchy_of("air_temperature").join("/"),
+            "physical/temperature/air_temperature"
+        );
+        assert_eq!(back.vocab, Vocabulary::observatory_default());
     }
 
     #[test]

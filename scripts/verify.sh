@@ -63,6 +63,14 @@ echo "==> incremental watch vs cold wrangle, and the pipeline's unit tests ($cas
 # publishes.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-pipeline --lib --test watch_oracle
 
+echo "==> vocabulary indexes vs tree walks ($cases seeded cases, release)"
+# Every lookup a vocabulary answers from its indexes — hierarchy paths,
+# term expansions and key sets, taxonomy children and descendants, the
+# candidates of an ambiguous short name — equals a walk of the taxonomy
+# tree and of the synonym table, over random vocabularies with respelled
+# names, a name at two depths and changes after the first lookup.
+METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-vocab --test props
+
 echo "==> format round trips and golden archive and harvest digests (release)"
 # Each format parses back what its writer wrote, text cells holding commas,
 # quotes and spaces included (OBSLOG writes whitespace as `_`). The archive
