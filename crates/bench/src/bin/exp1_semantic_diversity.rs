@@ -42,7 +42,7 @@ fn main() {
     let spec = ArchiveSpec::default();
     println!("E1: Categories of Semantic Diversity (archive seed {})\n", spec.seed);
     let (ctx, truth) = wrangle_archive(&spec);
-    let scores = score_against_truth(&ctx.catalogs.published, &truth);
+    let scores = score_against_truth(&ctx.catalog, &truth);
 
     println!(
         "{:<42} {:<44} {:>8} {:>8} {:>7} {:>9} {:>9}",
@@ -79,5 +79,5 @@ fn main() {
         "\noverall: {total_correct}/{total_injected} variable occurrences handled correctly ({})",
         pct(total_correct as f64 / total_injected.max(1) as f64)
     );
-    println!("final catalog resolution: {}", pct(ctx.catalogs.published.resolution_fraction()));
+    println!("final catalog resolution: {}", pct(ctx.catalog.resolution_fraction()));
 }

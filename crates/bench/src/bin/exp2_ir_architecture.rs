@@ -76,14 +76,14 @@ fn main() {
         let (ctx, truth) = wrangle_archive(&spec);
         let build = t0.elapsed();
         let t1 = Instant::now();
-        let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+        let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
         let index_time = t1.elapsed();
 
         println!(
             "archive: {} months -> {} datasets, {} variables; wrangle {:.2?}, index {:.2?}",
             months,
-            ctx.catalogs.published.len(),
-            ctx.catalogs.published.variable_count(),
+            ctx.catalog.len(),
+            ctx.catalog.variable_count(),
             build,
             index_time
         );

@@ -52,7 +52,7 @@ fn main() {
 
     // The poster's query over the standard archive.
     let (ctx, _) = wrangle_archive(&ArchiveSpec::default());
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
     let q = Query::parse(POSTER_QUERY).unwrap();
     println!("query> {POSTER_QUERY}\n");
     let poster_hits = engine.search(&q);
@@ -70,7 +70,7 @@ fn main() {
     for months in [6usize, 12, 24, 48, 96] {
         let spec = ArchiveSpec { months, stations: 10, ..ArchiveSpec::default() };
         let (ctx, _) = wrangle_archive(&spec);
-        let mut engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+        let mut engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
         let q = Query::parse(SELECTIVE).unwrap();
         engine.use_indexes = true;
         let indexed = sample_uncached(&engine, &q, 200);
@@ -79,8 +79,8 @@ fn main() {
         let speedup = mean(&linear).as_secs_f64() / mean(&indexed).as_secs_f64();
         println!(
             "{:>9} {:>10} {:>14.2?} {:>14.2?} {:>8.2}x",
-            ctx.catalogs.published.len(),
-            ctx.catalogs.published.variable_count(),
+            ctx.catalog.len(),
+            ctx.catalog.variable_count(),
             mean(&indexed),
             mean(&linear),
             speedup
@@ -108,9 +108,9 @@ fn main() {
     // Ablation: synonym expansion on/off for a synonym-heavy query.
     println!("\nablation: vocabulary expansion (query 'with wtemp' — a curated alternate):");
     let (ctx, truth) = wrangle_archive(&ArchiveSpec::default());
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
     let engine_bare = SearchEngine::build(
-        &ctx.catalogs.published,
+        &ctx.catalog,
         metamess_vocab::Vocabulary::new(), // empty vocabulary: no expansion
     );
     let q = Query::parse("with wtemp limit 10").unwrap();

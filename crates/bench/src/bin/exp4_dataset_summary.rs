@@ -16,7 +16,7 @@ use metamess_search::{render_summary, Query, SearchEngine};
 fn main() {
     println!("E4: dataset summary pages\n");
     let (ctx, _) = wrangle_archive(&ArchiveSpec::default());
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
     let q = Query::parse(
         "near 45.5,-124.4 within 50km from 2010-04-01 to 2010-09-30 \
          with temperature between 5 and 10 limit 3",
@@ -40,7 +40,7 @@ fn main() {
     let mut vars_with_unit = 0usize;
     let mut vars_with_canonical_unit = 0usize;
     let mut vars_with_hierarchy = 0usize;
-    for d in ctx.catalogs.published.iter() {
+    for d in ctx.catalog.iter() {
         datasets += 1;
         with_bbox += d.bbox.is_some() as usize;
         with_time += d.time.is_some() as usize;

@@ -39,7 +39,7 @@ fn main() {
     // The value pool: unresolved names with counts + resolved canonicals as
     // anchors (exactly what the discovery stage builds).
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    for d in ctx.catalogs.working.iter() {
+    for d in ctx.catalog.iter() {
         for v in &d.variables {
             if v.flags.qa || v.flags.hidden || v.flags.ambiguous {
                 continue;

@@ -225,7 +225,7 @@ pub fn wrangle_archive(spec: &ArchiveSpec) -> (PipelineContext, GroundTruth) {
 
 /// Builds a search engine over the context's published catalog.
 pub fn engine_from_ctx(ctx: &PipelineContext) -> metamess_search::SearchEngine {
-    metamess_search::SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone())
+    metamess_search::SearchEngine::build(&ctx.catalog, ctx.vocab.clone())
 }
 
 /// Formats a float as a percentage with one decimal.
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn e1_no_wrong_assignment_in_any_category() {
         let (ctx, truth) = wrangle_archive(&ArchiveSpec::default());
-        let scores = score_against_truth(&ctx.catalogs.published, &truth);
+        let scores = score_against_truth(&ctx.catalog, &truth);
         assert_eq!(scores.len(), 8, "seven kinds of mess and the clean names: {scores:?}");
         for (cat, s) in &scores {
             assert!(s.injected > 0, "{cat:?} never injected");
@@ -279,7 +279,7 @@ mod tests {
         assert!(correct * 100 >= injected * 97, "{correct}/{injected} resolved, E1 says ≥ 97 %");
         // clean names must never be broken
         assert_eq!(scores[&MessCategory::Clean].recall(), 1.0);
-        let mix = resolution_mix(&ctx.catalogs.published);
+        let mix = resolution_mix(&ctx.catalog);
         assert!(mix.get("discovered-translation").copied().unwrap_or(0) > 0, "{mix:?}");
     }
 }

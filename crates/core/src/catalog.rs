@@ -1,8 +1,10 @@
-//! The metadata catalog: an ordered map of dataset features plus the
-//! working-vs-published distinction from the poster's process diagram.
+//! The metadata catalog: an ordered map of dataset features.
 //!
-//! All wrangling happens against a *working* catalog; `publish` validates and
-//! atomically promotes a snapshot to the *published* catalog that search uses.
+//! The poster's process diagram wrangles a *working* catalog and promotes it
+//! to a *published* one that search uses. The pipeline holds the working
+//! catalog as one `Catalog`; the published one is the durable store
+//! (`store::DurableCatalog`), and a publish is the store's row diff against
+//! the working catalog.
 
 use crate::error::{Error, Result};
 use crate::feature::DatasetFeature;
@@ -189,7 +191,7 @@ impl Catalog {
     }
 
     /// Differences between this catalog and `other`, as the mutations that
-    /// would turn `self` into `other`. Used by publish and by rerun reports.
+    /// would turn `self` into `other`.
     pub fn diff(&self, other: &Catalog) -> Vec<Mutation> {
         diff_entries(&self.entries, &self.properties, other, |existing, f| existing == f)
     }
@@ -224,51 +226,6 @@ pub(crate) fn diff_entries<T>(
         }
     }
     out
-}
-
-/// A catalog pair implementing the poster's working → published flow.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CatalogPair {
-    /// Catalog being wrangled.
-    pub working: Catalog,
-    /// Last published catalog (what search queries).
-    pub published: Catalog,
-    /// Number of completed publishes.
-    pub publish_count: u64,
-}
-
-impl CatalogPair {
-    /// Creates an empty pair.
-    pub fn new() -> CatalogPair {
-        CatalogPair::default()
-    }
-
-    /// Publishes the working catalog: the published side becomes a snapshot
-    /// of the working side. Returns the mutations that changed.
-    ///
-    /// A no-op publish (empty delta) leaves the published snapshot — and
-    /// therefore [`CatalogPair::published_generation`] — untouched. A
-    /// watch cycle (and so `metamess wrangle`) then diffs nothing into the
-    /// store, whose generation stands too, so a live server's result cache
-    /// survives re-wrangles that change nothing.
-    pub fn publish(&mut self) -> Vec<Mutation> {
-        let delta = self.published.diff(&self.working);
-        if !delta.is_empty() {
-            self.published = self.working.clone();
-        }
-        self.publish_count += 1;
-        delta
-    }
-
-    /// Generation stamp of the published snapshot. Monotone across
-    /// publishes that changed anything (the working side's mutation counter
-    /// carries over on publish), and *stable* across no-op republishes — so
-    /// consumers holding results derived from the published catalog (e.g.
-    /// the search result cache) stay valid exactly as long as the published
-    /// content is unchanged.
-    pub fn published_generation(&self) -> u64 {
-        self.published.generation()
-    }
 }
 
 #[cfg(test)]
@@ -396,63 +353,6 @@ mod tests {
         let fp = b.content_fingerprint();
         b.set_property("k", "v");
         assert_ne!(fp, b.content_fingerprint());
-    }
-
-    #[test]
-    fn noop_publish_keeps_published_snapshot() {
-        let mut pair = CatalogPair::new();
-        pair.working.put(ds("a.csv", &["t"]));
-        pair.publish();
-        let fp = pair.published.content_fingerprint();
-        let gen = pair.published_generation();
-        // generation-only churn on the working side: publish is a no-op
-        let _ = pair.working.iter_mut();
-        let delta = pair.publish();
-        assert!(delta.is_empty());
-        assert_eq!(pair.published.content_fingerprint(), fp);
-        assert_eq!(pair.published_generation(), gen);
-        assert_eq!(pair.publish_count, 2);
-    }
-
-    #[test]
-    fn publish_swaps_and_counts() {
-        let mut pair = CatalogPair::new();
-        pair.working.put(ds("a.csv", &["t"]));
-        let delta = pair.publish();
-        assert_eq!(delta.len(), 1);
-        assert_eq!(pair.published.len(), 1);
-        assert_eq!(pair.publish_count, 1);
-        // Publishing again with no change yields an empty delta.
-        let delta2 = pair.publish();
-        assert!(delta2.is_empty());
-        assert_eq!(pair.publish_count, 2);
-    }
-
-    #[test]
-    fn published_generation_tracks_content_changes() {
-        let mut pair = CatalogPair::new();
-        assert_eq!(pair.published_generation(), 0);
-        pair.working.put(ds("a.csv", &["t"]));
-        pair.publish();
-        let g1 = pair.published_generation();
-        assert!(g1 > 0);
-        // republishing unchanged content keeps the stamp stable
-        pair.publish();
-        assert_eq!(pair.published_generation(), g1);
-        // any working-side mutation moves the stamp on the next publish
-        pair.working.put(ds("b.csv", &[]));
-        pair.publish();
-        assert!(pair.published_generation() > g1);
-    }
-
-    #[test]
-    fn published_isolated_from_working() {
-        let mut pair = CatalogPair::new();
-        pair.working.put(ds("a.csv", &[]));
-        pair.publish();
-        pair.working.put(ds("b.csv", &[]));
-        assert_eq!(pair.published.len(), 1);
-        assert_eq!(pair.working.len(), 2);
     }
 
     #[test]

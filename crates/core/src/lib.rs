@@ -3,7 +3,7 @@
 //! Core types for *Taming the Metadata Mess* (Megler, 2013): the dynamic
 //! value model harvested from archive files, geospatial and temporal
 //! primitives, one-pass summaries, the per-dataset **feature** record, the
-//! metadata **catalog** (working and published), and a durable snapshot+WAL
+//! metadata **catalog**, and a durable snapshot+WAL
 //! store with crash recovery.
 //!
 //! Everything downstream — harvesting, transformation, discovery, ranked
@@ -23,7 +23,7 @@ pub mod text;
 pub mod time;
 pub mod value;
 
-pub use catalog::{Catalog, CatalogPair, Mutation};
+pub use catalog::{Catalog, Mutation};
 pub use error::{Error, Result};
 pub use feature::{
     DatasetFeature, Hierarchy, NameResolution, Provenance, VariableFeature, VariableFlags,

@@ -173,15 +173,14 @@ pub fn check_snapshot(
     checked.map(|(c, _)| c)
 }
 
-/// Checks the pipeline's state image: its frame, run ledger and working
-/// catalog (the curation bytes are the pipeline's, checked by the CRC).
+/// Checks the pipeline's state image: its frame and run ledger (the
+/// curation bytes are the pipeline's, checked by the CRC).
 pub fn check_state(vfs: &dyn Vfs, path: &Path, component: &str, report: &mut FsckReport) {
     record(report, component, path, read_state(vfs, path), |s| {
         format!(
-            "ok: run #{}, {} stages, {} working datasets, {} curation bytes",
+            "ok: run #{}, {} stages, {} curation bytes",
             s.ledger.run_id,
             s.ledger.len(),
-            s.working.len(),
             s.curation.len()
         )
     });
@@ -469,15 +468,13 @@ mod tests {
         let p = dir.join("state.bin");
         let mut l = RunLedger::new();
         l.run_id = 7;
-        let mut working = Catalog::new();
-        working.put(DatasetFeature::new("a.csv"));
         let vfs = std_vfs();
-        write_state(vfs.as_ref(), &p, &working, &l, b"{}").unwrap();
+        write_state(vfs.as_ref(), &p, &l, b"{}").unwrap();
         let mut report = FsckReport::default();
         check_state(vfs.as_ref(), &p, "state", &mut report);
         assert!(report.is_clean());
         let detail = &report.findings[0].detail;
-        assert_eq!(detail, "ok: run #7, 0 stages, 1 working datasets, 2 curation bytes");
+        assert_eq!(detail, "ok: run #7, 0 stages, 2 curation bytes");
 
         let mut bytes = fs::read(&p).unwrap();
         bytes[9] ^= 0xff; // length field

@@ -7,8 +7,10 @@
 //! incrementality: stages whose input digest still matches are skipped
 //! without re-executing anything.
 //!
-//! The ledger is kept as JSON inside the pipeline's state image, beside the
-//! working catalog it describes (`state.rs`).
+//! The ledger is kept as JSON inside the pipeline's state image
+//! (`state.rs`). It names the content fingerprint of the catalog its run
+//! ended with, since the image holds no catalog: a process that resumes it
+//! must hold that catalog, or the records describe inputs it does not have.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -40,6 +42,12 @@ pub struct RunLedger {
     /// per-stage span tree that produced it.
     #[serde(default, skip_serializing_if = "String::is_empty")]
     pub trace_id: String,
+    /// Content fingerprint of the catalog the records were recorded
+    /// against: the working catalog at the end of the last run that
+    /// finished. `None` while a run is under way, after a run that failed,
+    /// and in ledgers written before this field existed.
+    #[serde(default)]
+    pub catalog_fingerprint: Option<u64>,
     /// Stage name → record.
     pub stages: BTreeMap<String, StageRecord>,
 }
@@ -74,6 +82,7 @@ impl RunLedger {
     pub fn clear(&mut self) {
         self.run_id = 0;
         self.trace_id.clear();
+        self.catalog_fingerprint = None;
         self.stages.clear();
     }
 }
@@ -81,7 +90,6 @@ impl RunLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::Catalog;
     use crate::error::Result;
     use crate::store::state::{read_state, write_state};
     use crate::store::vfs::std_vfs;
@@ -98,6 +106,7 @@ mod tests {
     fn sample() -> RunLedger {
         let mut l = RunLedger::new();
         l.run_id = 3;
+        l.catalog_fingerprint = Some(77);
         l.record(
             "scan-archive",
             StageRecord { input_digest: 1, output_digest: 2, micros: 40, last_run: 3 },
@@ -109,10 +118,9 @@ mod tests {
         l
     }
 
-    /// Writes `ledger` in a state image at `path`, beside an empty working
-    /// catalog.
+    /// Writes `ledger` in a state image at `path`, beside empty curation.
     fn write_in_state(path: &Path, ledger: &RunLedger) {
-        write_state(std_vfs().as_ref(), path, &Catalog::new(), ledger, b"").unwrap();
+        write_state(std_vfs().as_ref(), path, ledger, b"").unwrap();
     }
 
     fn read_from_state(path: &Path) -> Result<Option<RunLedger>> {
@@ -155,8 +163,9 @@ mod tests {
         let rec = l.get("publish").unwrap();
         assert_eq!(rec.micros, 11);
         assert_eq!(rec.last_run, 0);
-        // …and before RunLedger grew `trace_id`.
+        // …and before RunLedger grew `trace_id` and `catalog_fingerprint`.
         assert_eq!(l.trace_id, "");
+        assert_eq!(l.catalog_fingerprint, None);
     }
 
     #[test]
@@ -185,5 +194,6 @@ mod tests {
         l.clear();
         assert!(l.is_empty());
         assert_eq!(l.run_id, 0);
+        assert_eq!(l.catalog_fingerprint, None);
     }
 }

@@ -327,15 +327,16 @@ fn faultless_runs_round_trip() {
     });
 }
 
-/// A state's three parts: working catalog, run ledger, curation bytes.
-type StateParts = (Catalog, RunLedger, Vec<u8>);
+/// A state's two parts: run ledger, curation bytes.
+type StateParts = (RunLedger, Vec<u8>);
 
-/// A state image drawn from `seed`: the catalog [`replacement`] draws, a
-/// ledger of run `seed` and a few curation bytes.
+/// A state image drawn from `seed`: a ledger of run `seed`, recorded
+/// against the catalog [`replacement`] draws, and a few curation bytes.
 fn state_image(seed: u8) -> StateParts {
     let mut rng = Rng(u64::from(seed) ^ 0x57A7E);
     let mut ledger = RunLedger::new();
     ledger.run_id = u64::from(seed);
+    ledger.catalog_fingerprint = Some(replacement(seed).content_fingerprint());
     for _ in 0..rng.below(5) {
         let rec = StageRecord {
             input_digest: rng.next(),
@@ -345,11 +346,11 @@ fn state_image(seed: u8) -> StateParts {
         };
         ledger.record(&format!("stage-{}", rng.below(9)), rec);
     }
-    (replacement(seed), ledger, rng.bytes(0, 64))
+    (ledger, rng.bytes(0, 64))
 }
 
-fn write_image(vfs: &dyn Vfs, path: &Path, (working, ledger, curation): &StateParts) -> Result<()> {
-    write_state(vfs, path, working, ledger, curation)
+fn write_image(vfs: &dyn Vfs, path: &Path, (ledger, curation): &StateParts) -> Result<()> {
+    write_state(vfs, path, ledger, curation)
 }
 
 /// Writes image B over image A through a fault at a seeded write, fsync or
@@ -364,12 +365,11 @@ fn a_state_image_reads_back_as_the_old_one_or_the_new_one_whole() {
         let mut rng = Rng(case);
         let seed_a = rng.next() as u8;
         let (a, b) = (state_image(seed_a), state_image(seed_a.wrapping_add(1)));
-        // A state image is eight writes (magic, length, CRC, ledger length,
-        // ledger, curation length, curation, catalog), one fsync and one
-        // rename.
+        // A state image is seven writes (magic, length, CRC, ledger length,
+        // ledger, curation length, curation), one fsync and one rename.
         let (kind, sites) = match rng.next() % 4 {
-            0 => (FaultKind::TornWrite, 8),
-            1 => (FaultKind::BitFlip, 8),
+            0 => (FaultKind::TornWrite, 7),
+            1 => (FaultKind::BitFlip, 7),
             2 => (FaultKind::FsyncError, 1),
             _ => (FaultKind::RenameFail, 1),
         };
@@ -391,7 +391,7 @@ fn a_state_image_reads_back_as_the_old_one_or_the_new_one_whole() {
             wrote.unwrap_or_else(|e| panic!("case {case} plan {plan:?}: {e}"));
             &b
         };
-        let read = (read.working.catalog(), read.ledger, read.curation);
+        let read = (read.ledger, read.curation);
         assert!(read == *expected, "case {case} plan {plan:?}: read back neither image whole");
         let _ = std::fs::remove_dir_all(&dir);
     }

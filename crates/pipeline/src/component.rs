@@ -23,8 +23,6 @@ pub enum Slot {
     Archive,
     /// The working catalog.
     Working,
-    /// The published catalog.
-    Published,
     /// The controlled vocabulary.
     Vocab,
     /// External metadata (source → key → value).
@@ -43,10 +41,9 @@ pub enum Slot {
 
 impl Slot {
     /// Every slot, in declaration order.
-    pub const ALL: [Slot; 10] = [
+    pub const ALL: [Slot; 9] = [
         Slot::Archive,
         Slot::Working,
-        Slot::Published,
         Slot::Vocab,
         Slot::External,
         Slot::Proposals,

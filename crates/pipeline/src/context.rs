@@ -2,7 +2,7 @@
 //! components access it through.
 
 use crate::component::Slot;
-use metamess_core::catalog::{Catalog, CatalogPair};
+use metamess_core::catalog::Catalog;
 use metamess_core::error::Result;
 use metamess_core::store::RunLedger;
 use metamess_discover::RuleProposal;
@@ -39,8 +39,9 @@ pub struct PipelineContext {
     pub archive: ArchiveInput,
     /// Harvest (scan-stage) configuration.
     pub harvest: HarvestConfig,
-    /// Working and published catalogs.
-    pub catalogs: CatalogPair,
+    /// The working catalog: what the stages wrangle, and what a publish
+    /// diffs the store against.
+    pub catalog: Catalog,
     /// The controlled vocabulary (grows as the curator improves it).
     pub vocab: Vocabulary,
     /// External metadata: source → key → value, merged by the
@@ -81,7 +82,7 @@ impl PipelineContext {
                 naming: metamess_harvest::observatory_rules(),
                 ..HarvestConfig::default()
             },
-            catalogs: CatalogPair::new(),
+            catalog: Catalog::new(),
             vocab,
             external: BTreeMap::new(),
             proposals: Vec::new(),
@@ -192,13 +193,13 @@ impl<'a> CtxView<'a> {
     /// The working catalog. Reads [`Slot::Working`].
     pub fn working(&self) -> &Catalog {
         self.assert_read(Slot::Working);
-        &self.ctx.catalogs.working
+        &self.ctx.catalog
     }
 
     /// The working catalog, mutably. Writes [`Slot::Working`].
     pub fn working_mut(&mut self) -> &mut Catalog {
         self.assert_write(Slot::Working);
-        &mut self.ctx.catalogs.working
+        &mut self.ctx.catalog
     }
 
     /// Split borrow: working catalog (mutable) plus vocabulary (shared).
@@ -206,7 +207,7 @@ impl<'a> CtxView<'a> {
     pub fn working_mut_and_vocab(&mut self) -> (&mut Catalog, &Vocabulary) {
         self.assert_write(Slot::Working);
         self.assert_read(Slot::Vocab);
-        (&mut self.ctx.catalogs.working, &self.ctx.vocab)
+        (&mut self.ctx.catalog, &self.ctx.vocab)
     }
 
     /// Split borrow: working catalog (mutable), vocabulary and discovery
@@ -218,7 +219,7 @@ impl<'a> CtxView<'a> {
         self.assert_write(Slot::Working);
         self.assert_read(Slot::Vocab);
         self.assert_read(Slot::Provenance);
-        (&mut self.ctx.catalogs.working, &self.ctx.vocab, &self.ctx.discovered_provenance)
+        (&mut self.ctx.catalog, &self.ctx.vocab, &self.ctx.discovered_provenance)
     }
 
     /// Split borrow: working catalog (mutable) plus external metadata
@@ -228,22 +229,7 @@ impl<'a> CtxView<'a> {
     ) -> (&mut Catalog, &BTreeMap<String, BTreeMap<String, String>>) {
         self.assert_write(Slot::Working);
         self.assert_read(Slot::External);
-        (&mut self.ctx.catalogs.working, &self.ctx.external)
-    }
-
-    /// The published catalog. Reads [`Slot::Published`].
-    pub fn published(&self) -> &Catalog {
-        self.assert_read(Slot::Published);
-        &self.ctx.catalogs.published
-    }
-
-    /// The catalog pair, for the publish stage's working → published
-    /// promotion. Reads [`Slot::Working`] and [`Slot::Published`], writes
-    /// [`Slot::Published`].
-    pub fn publish_pair(&mut self) -> &mut CatalogPair {
-        self.assert_read(Slot::Working);
-        self.assert_write(Slot::Published);
-        &mut self.ctx.catalogs
+        (&mut self.ctx.catalog, &self.ctx.external)
     }
 
     /// The vocabulary. Reads [`Slot::Vocab`].

@@ -181,7 +181,7 @@ impl CurationLoop {
                 .or_insert_with(|| Some(term.to_string()));
         }
         let mut unresolved: Vec<String> = Vec::new();
-        for d in ctx.catalogs.working.iter() {
+        for d in ctx.catalog.iter() {
             for v in &d.variables {
                 if v.resolution.is_resolved() || v.flags.qa || v.flags.hidden {
                     continue;
@@ -239,7 +239,7 @@ impl CurationLoop {
             return 0;
         }
         let mut unresolved: std::collections::BTreeSet<String> = Default::default();
-        for d in ctx.catalogs.working.iter() {
+        for d in ctx.catalog.iter() {
             for v in &d.variables {
                 if !(v.resolution.is_resolved() || v.flags.qa || v.flags.hidden) {
                     unresolved.insert(v.name.clone());
@@ -269,8 +269,7 @@ impl CurationLoop {
     }
 
     fn unresolved_count(ctx: &PipelineContext) -> usize {
-        ctx.catalogs
-            .working
+        ctx.catalog
             .iter()
             .flat_map(|d| d.variables.iter())
             .filter(|v| !(v.resolution.is_resolved() || v.flags.qa || v.flags.hidden))
@@ -307,7 +306,7 @@ impl CurationLoop {
             let manual = self.apply_manual_synonyms(ctx);
             // clarified ambiguities must be re-exposed to known transforms
             if clarified > 0 {
-                for d in ctx.catalogs.working.iter_mut() {
+                for d in ctx.catalog.iter_mut() {
                     for v in &mut d.variables {
                         if v.flags.ambiguous && !v.resolution.is_resolved() {
                             v.flags.ambiguous = false; // re-evaluate next run
@@ -326,7 +325,7 @@ impl CurationLoop {
                 accepted: accepted + abbreviations + manual,
                 clarified,
                 unresolved_after,
-                resolution_after: ctx.catalogs.working.resolution_fraction(),
+                resolution_after: ctx.catalog.resolution_fraction(),
                 warnings: ctx.findings.len(),
                 stages_skipped: last_report.skipped_count(),
             });
@@ -455,7 +454,7 @@ mod tests {
         // may also survive — that tail is the honest residue of curation.
         let mut astn_exposed = 0usize;
         let mut other = 0usize;
-        for d in c.catalogs.working.iter() {
+        for d in c.catalog.iter() {
             for v in &d.variables {
                 if !(v.resolution.is_resolved() || v.flags.qa || v.flags.hidden) {
                     if v.name.ends_with("astn") && v.flags.ambiguous {

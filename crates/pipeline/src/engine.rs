@@ -42,18 +42,24 @@
 //! # Durability
 //!
 //! [`save_state`]/[`load_state`] persist the ledger together with the
-//! working catalog, vocabulary and curation side-state as one CRC-framed
-//! state image (`<store>/state/state.bin`,
-//! [`metamess_core::store::write_state`]), written whole with one fsync and
-//! one rename — so a fresh process resumes incrementality instead of
-//! re-running the world, and never from parts of two runs. The image is a
-//! cache: one that is damaged is quarantined and costs one cold re-run, and
-//! the files older builds kept beside it are not read. The published
-//! catalog is not part of that state:
-//! the durable store holds it, and a writer restores the published slot
-//! from its `DurableCatalog`. Publish reads that slot, so a slot that does
-//! not hold what the last run published (an empty store, rows lost to
-//! `fsck --repair`) re-runs publish and nothing else.
+//! vocabulary and curation side-state as one CRC-framed state image
+//! (`<store>/state/state.bin`, [`metamess_core::store::write_state`]),
+//! written whole with one fsync and one rename — so a fresh process resumes
+//! incrementality instead of re-running the world, and never from parts of
+//! two runs. The image is a cache: one that is damaged, or written in an
+//! older format, is quarantined and costs one full re-run.
+//!
+//! The image holds no catalog. The pipeline holds one, the working catalog,
+//! and after a successful publish the durable store holds the same rows,
+//! so a writer takes its working catalog from its `DurableCatalog`. The
+//! ledger names the content fingerprint of the catalog it was recorded
+//! against (set at the end-of-run projection, cleared when a run starts,
+//! so a run that fails leaves none), and [`load_state`] keeps the ledger
+//! only when the context holds that catalog. A store that does not hold
+//! what the ledger describes — a crash between the store's fsync and the
+//! state's rename, rows lost to `fsck --repair` — therefore re-runs every
+//! stage, and never skips one on the strength of a catalog it does not
+//! have.
 //!
 //! # The one walk
 //!
@@ -77,7 +83,7 @@ use crate::pipeline::RunReport;
 use metamess_core::error::{Error, IoContext, Result};
 use metamess_core::id::fnv1a;
 use metamess_core::store::{
-    quarantine_file, read_state, std_vfs, write_state, QuarantineReason, StageRecord,
+    quarantine_file, read_state, std_vfs, write_state, QuarantineReason, RunLedger, StageRecord,
 };
 use metamess_discover::RuleProposal;
 use metamess_harvest::archive_fingerprint;
@@ -91,7 +97,7 @@ use std::time::Instant;
 /// Bumped when the digest scheme changes, so persisted ledgers from an
 /// older scheme never cause a wrong skip — every digest mismatches and the
 /// chain re-runs once.
-const ENGINE_VERSION: u8 = 1;
+const ENGINE_VERSION: u8 = 2;
 
 /// Fingerprints any serializable slot content via its canonical JSON form.
 fn json_fp<T: Serialize>(value: &T) -> Result<u64> {
@@ -114,8 +120,7 @@ fn slot_fingerprint(slot: Slot, ctx: &PipelineContext) -> Result<u64> {
             buf[8..].copy_from_slice(&config.to_le_bytes());
             fnv1a(&buf)
         }
-        Slot::Working => ctx.catalogs.working.content_fingerprint(),
-        Slot::Published => ctx.catalogs.published.content_fingerprint(),
+        Slot::Working => ctx.catalog.content_fingerprint(),
         Slot::Vocab => json_fp(&ctx.vocab)?,
         Slot::External => json_fp(&ctx.external)?,
         Slot::Proposals => json_fp(&ctx.proposals)?,
@@ -183,6 +188,9 @@ pub(crate) fn run_chain(
 ) -> Result<RunReport> {
     ctx.run_id += 1;
     ctx.harvest.pipeline_run = ctx.run_id;
+    // set again at the end-of-run projection: a run that fails leaves the
+    // ledger naming no catalog
+    ctx.ledger.catalog_fingerprint = None;
     let on = metamess_telemetry::enabled();
     // Every wrangle run gets its own trace (never head-sampled away: runs
     // are rare and each one matters). Executed stages become child spans;
@@ -208,7 +216,7 @@ pub(crate) fn run_chain(
             // along from the ledger.
             sr.micros = 0;
             sr.last_micros = ctx.ledger.get(name).map(|r| r.micros);
-            sr.resolution_after = ctx.catalogs.working.resolution_fraction();
+            sr.resolution_after = ctx.catalog.resolution_fraction();
             event!(Level::Debug, "pipeline", "{name}: skipped (inputs unchanged)");
             report.stages.push(sr);
             continue;
@@ -258,6 +266,7 @@ pub(crate) fn run_chain(
             rec.input_digest = input;
         }
     }
+    ctx.ledger.catalog_fingerprint = Some(fps.get(Slot::Working, ctx)?);
     ctx.ledger.run_id = ctx.run_id;
     if on {
         let r = metamess_telemetry::global();
@@ -282,12 +291,11 @@ pub(crate) fn run_chain(
 /// The state image under the state dir.
 const STATE_FILE: &str = "state.bin";
 
-/// The context state that is neither a catalog nor the ledger: the
+/// The context state that is neither the catalog nor the ledger: the
 /// curation bytes of the state image, as compact JSON.
 #[derive(Serialize, Deserialize)]
 struct Sidecar {
     run_id: u64,
-    publish_count: u64,
     vocab: Vocabulary,
     external: BTreeMap<String, BTreeMap<String, String>>,
     proposals: Vec<RuleProposal>,
@@ -305,18 +313,18 @@ impl Sidecar {
     }
 }
 
-/// Persists the pipeline state (working catalog, run ledger, vocabulary,
-/// curation side-state) into `dir` as one state image, creating `dir` if
-/// needed. A context restored with [`load_state`], and given the published
-/// catalog from the store, resumes incrementality: an unchanged archive
-/// re-run in a fresh process skips every stage.
+/// Persists the pipeline state (run ledger, vocabulary, curation
+/// side-state) into `dir` as one state image, creating `dir` if needed. A
+/// context that holds the same catalog again — a writer takes it from its
+/// store — and restores the image with [`load_state`] resumes
+/// incrementality: an unchanged archive re-run in a fresh process skips
+/// every stage.
 pub fn save_state(ctx: &PipelineContext, dir: impl AsRef<Path>) -> Result<()> {
     let dir = dir.as_ref();
     let vfs = std_vfs();
     vfs.create_dir_all(dir).io_ctx(format!("create state dir {}", dir.display()))?;
     let sidecar = Sidecar {
         run_id: ctx.run_id,
-        publish_count: ctx.catalogs.publish_count,
         vocab: ctx.vocab.clone(),
         external: ctx.external.clone(),
         proposals: ctx.proposals.clone(),
@@ -328,7 +336,7 @@ pub fn save_state(ctx: &PipelineContext, dir: impl AsRef<Path>) -> Result<()> {
     let curation = serde_json::to_vec(&sidecar)
         .map_err(|e| Error::invalid(format!("unencodable curation state: {e}")))?;
     let path = dir.join(STATE_FILE);
-    write_state(vfs.as_ref(), &path, &ctx.catalogs.working, &ctx.ledger, &curation)
+    write_state(vfs.as_ref(), &path, &ctx.ledger, &curation)
 }
 
 /// Moves a corrupt state image into `<dir>/quarantine` with a structured
@@ -359,31 +367,32 @@ fn quarantine_state_file(dir: &Path, path: &Path, detail: String) -> Result<bool
     Ok(false)
 }
 
-/// Restores state saved by [`save_state`] into `ctx`. Returns `false`
-/// (leaving `ctx` untouched) when `dir` holds no state image. An image that
-/// fails verification, or whose curation bytes do not decode, is
-/// quarantined into `<dir>/quarantine` (with a `*.reason.json` sidecar) and
-/// the function returns `false`, so the next run starts fresh instead of
-/// erroring. The archive input and configuration are *not* restored — they
-/// describe where to wrangle, not what was wrangled — so callers keep
-/// whatever they constructed the context with. Neither is the published
-/// catalog: it is the store's, and the caller sets `ctx.catalogs.published`
-/// from the store it publishes to.
+/// Restores state saved by [`save_state`] into `ctx`, whose catalog the
+/// caller has set: a writer sets the store's. Returns `false` (leaving
+/// `ctx` untouched) when `dir` holds no state image. An image that fails
+/// verification, whose curation bytes do not decode, or that an older
+/// build wrote is quarantined into `<dir>/quarantine` (with a
+/// `*.reason.json` sidecar) and the function returns `false`, so the next
+/// run starts fresh instead of erroring. Otherwise the vocabulary and
+/// curation side-state are restored and the function returns `true`; the
+/// ledger is restored only when `ctx.catalog` is the catalog it was
+/// recorded against, and cleared when it is not, so every stage re-runs.
+/// The archive input and configuration are *not* restored — they describe
+/// where to wrangle, not what was wrangled — so callers keep whatever they
+/// constructed the context with.
 pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bool> {
     let dir = dir.as_ref();
     let path = dir.join(STATE_FILE);
     let read = read_state(std_vfs().as_ref(), &path).and_then(|state| match state {
-        Some(state) => Ok(Some((Sidecar::decode(&state.curation)?, state))),
+        Some(state) => Ok(Some((Sidecar::decode(&state.curation)?, state.ledger))),
         None => Ok(None),
     });
-    let (sidecar, state) = match read {
+    let (sidecar, ledger) = match read {
         Ok(Some(read)) => read,
         Ok(None) => return Ok(false),
         Err(e) if e.is_corrupt() => return quarantine_state_file(dir, &path, e.to_string()),
         Err(e) => return Err(e),
     };
-    ctx.catalogs.working = state.working.catalog();
-    ctx.catalogs.publish_count = sidecar.publish_count;
     ctx.vocab = sidecar.vocab;
     ctx.external = sidecar.external;
     ctx.proposals = sidecar.proposals;
@@ -392,7 +401,8 @@ pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bo
     ctx.discovered_provenance = sidecar.discovered_provenance;
     ctx.expected_datasets = sidecar.expected_datasets;
     ctx.run_id = sidecar.run_id;
-    ctx.ledger = state.ledger;
+    let describes_catalog = ledger.catalog_fingerprint == Some(ctx.catalog.content_fingerprint());
+    ctx.ledger = if describes_catalog { ledger } else { RunLedger::new() };
     Ok(true)
 }
 
@@ -411,20 +421,20 @@ mod tests {
         PipelineContext::new(ArchiveInput::Memory(archive.files), Vocabulary::observatory_default())
     }
 
-    /// Replaces the store's snapshot under `store` with `c`'s published
-    /// catalog and saves its state beside it: the files a writer leaves,
-    /// without the store diff a `Watcher` cycle publishes through.
+    /// Replaces the store's snapshot under `store` with `c`'s catalog and
+    /// saves its state beside it: the files a writer leaves, without the
+    /// store diff a `Watcher` cycle publishes through.
     fn publish_and_save(c: &PipelineContext, store: &Path) {
         let mut s = DurableCatalog::open(store.join("catalog"), StoreOptions::default()).unwrap();
-        s.replace_with(&c.catalogs.published).unwrap();
+        s.replace_with(&c.catalog).unwrap();
         save_state(c, store.join("state")).unwrap();
     }
 
-    /// Takes the published slot from the store under `store` and restores
-    /// the state beside it, as a writer does when it opens.
+    /// Takes the catalog from the store under `store` and restores the
+    /// state beside it, as a writer does when it opens.
     fn resume(c: &mut PipelineContext, store: &Path) -> bool {
         let s = DurableCatalog::open(store.join("catalog"), StoreOptions::default()).unwrap();
-        c.catalogs.published = s.catalog();
+        c.catalog = s.catalog();
         load_state(c, store.join("state")).unwrap()
     }
 
@@ -449,16 +459,17 @@ mod tests {
         let mut p = Pipeline::standard();
         let r1 = p.run(&mut c).unwrap();
         assert_eq!(r1.skipped_count(), 0);
-        let published_fp = c.catalogs.published.content_fingerprint();
-        let generation = c.catalogs.published_generation();
+        let fp = c.catalog.content_fingerprint();
+        let generation = c.catalog.generation();
         let r2 = p.run(&mut c).unwrap();
         assert_eq!(r2.executed_count(), 0, "{}", r2.render());
         assert_eq!(r2.skipped_count(), 9);
         for s in &r2.stages {
             assert!(s.is_skipped(), "{} should be skipped", s.component);
         }
-        assert_eq!(c.catalogs.published.content_fingerprint(), published_fp);
-        assert_eq!(c.catalogs.published_generation(), generation);
+        assert_eq!(c.catalog.content_fingerprint(), fp);
+        assert_eq!(c.catalog.generation(), generation);
+        assert_eq!(c.ledger.catalog_fingerprint, Some(fp));
         assert_eq!(r2.run_id, 2);
     }
 
@@ -516,7 +527,7 @@ mod tests {
         // modify one harvested file's values
         let ix = files
             .iter()
-            .position(|(p, _)| c.catalogs.working.get_by_path(p).is_some())
+            .position(|(p, _)| c.catalog.get_by_path(p).is_some())
             .expect("a harvested file");
         files[ix].1 = files[ix].1.replace("10.", "11.");
         c.archive = ArchiveInput::Memory(files);
@@ -535,7 +546,7 @@ mod tests {
         p.run(&mut c).unwrap();
         // expect a dataset that exists: validate must re-run, but its
         // findings are unchanged, so publish early-cuts-off and skips
-        let existing = c.catalogs.working.iter().next().unwrap().path.clone();
+        let existing = c.catalog.iter().next().unwrap().path.clone();
         c.expected_datasets.push(existing);
         let r = p.run(&mut c).unwrap();
         let executed: Vec<&str> =
@@ -565,7 +576,7 @@ mod tests {
         c.expected_datasets.push("missing/ghost.csv".into());
         let err = p.run(&mut c).unwrap_err();
         assert!(err.to_string().contains("block publish"), "{err}");
-        assert!(c.catalogs.published.is_empty());
+        assert_eq!(c.ledger.catalog_fingerprint, None, "a failed run names no catalog");
         // fix the expectation and re-run: the completed scan skips, the
         // dirty validate/publish suffix runs, and publish goes through
         c.expected_datasets.clear();
@@ -573,7 +584,7 @@ mod tests {
         assert!(r.stage("scan-archive").unwrap().is_skipped());
         assert!(!r.stage("validate").unwrap().is_skipped());
         assert!(!r.stage("publish").unwrap().is_skipped());
-        assert!(!c.catalogs.published.is_empty());
+        assert_eq!(c.ledger.catalog_fingerprint, Some(c.catalog.content_fingerprint()));
     }
 
     #[test]
@@ -598,28 +609,20 @@ mod tests {
         let mut c2 = fresh_ctx();
         assert!(resume(&mut c2, &store));
         assert_eq!(c2.run_id, c.run_id);
-        assert_eq!(
-            c2.catalogs.working.content_fingerprint(),
-            c.catalogs.working.content_fingerprint()
-        );
-        assert_eq!(c2.catalogs.publish_count, c.catalogs.publish_count);
+        assert_eq!(c2.catalog.content_fingerprint(), c.catalog.content_fingerprint());
         // the vocabulary comes back with its synonym index rebuilt
         assert_eq!(c2.vocab, c.vocab);
         let r = Pipeline::standard().run(&mut c2).unwrap();
         assert_eq!(r.executed_count(), 0, "restored state must skip everything: {}", r.render());
 
-        // state without the store's published catalog re-runs publish alone
+        // state beside a catalog its ledger does not describe keeps its
+        // knowledge and drops the ledger: every stage re-runs
         let mut bare = fresh_ctx();
         assert!(load_state(&mut bare, store.join("state")).unwrap());
-        assert!(bare.catalogs.published.is_empty());
+        assert!(bare.ledger.is_empty());
+        assert_eq!((bare.run_id, &bare.vocab), (c.run_id, &c.vocab));
         let r = Pipeline::standard().run(&mut bare).unwrap();
-        let executed: Vec<&str> =
-            r.stages.iter().filter(|s| !s.is_skipped()).map(|s| s.component.as_str()).collect();
-        assert_eq!(executed, vec!["publish"], "{}", r.render());
-        assert_eq!(
-            bare.catalogs.published.content_fingerprint(),
-            c.catalogs.published.content_fingerprint()
-        );
+        assert_eq!(r.skipped_count(), 0, "{}", r.render());
 
         // loading from an empty dir is a clean miss
         let empty =
@@ -654,6 +657,7 @@ mod tests {
                 ArchiveInput::Memory(archive.files.clone()),
                 Vocabulary::observatory_default(),
             );
+            fresh.catalog = c.catalog.clone();
             assert!(load_state(&mut fresh, &dirs[cycle - 1]).unwrap());
             save_state(&fresh, &dirs[cycle]).unwrap();
             let before = std::fs::read(dirs[cycle - 1].join(STATE_FILE)).unwrap();
@@ -680,7 +684,7 @@ mod tests {
 
         let mut c = fresh_ctx();
         Pipeline::standard().run(&mut c).unwrap();
-        let published_fp = c.catalogs.published.content_fingerprint();
+        let published_fp = c.catalog.content_fingerprint();
         publish_and_save(&c, &store);
 
         // Second process: nothing changed, so publish has an empty delta
@@ -694,8 +698,7 @@ mod tests {
 
         let mut c3 = fresh_ctx();
         assert!(resume(&mut c3, &store));
-        assert_eq!(c3.catalogs.published.content_fingerprint(), published_fp);
-        assert_eq!(c3.catalogs.publish_count, c.catalogs.publish_count);
+        assert_eq!(c3.catalog.content_fingerprint(), published_fp);
         let r = Pipeline::standard().run(&mut c3).unwrap();
         assert_eq!(r.executed_count(), 0, "{}", r.render());
     }
@@ -733,7 +736,7 @@ mod tests {
         // a CRC-valid image whose curation bytes are not JSON is
         // quarantined the same way
         let vfs = std_vfs();
-        write_state(vfs.as_ref(), &state, &c.catalogs.working, &c.ledger, b"]{ not json").unwrap();
+        write_state(vfs.as_ref(), &state, &c.ledger, b"]{ not json").unwrap();
         let mut c4 = ctx();
         assert!(!load_state(&mut c4, &dir).unwrap());
         assert_eq!(c4.run_id, 0, "context untouched");

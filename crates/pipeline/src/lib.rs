@@ -13,8 +13,10 @@
 //! engine-backed runner uses content fingerprints over those
 //! declarations to skip stages whose inputs are unchanged since the last
 //! run — including across processes, via [`save_state`]/[`load_state`].
-//! That state holds the working catalog; the published catalog is the
-//! durable store's, and a writer restores it from there.
+//! The pipeline holds one catalog; the published one is the durable
+//! store, which a writer diffs against it to publish and restores it from.
+//! The state holds no catalog: its ledger resumes only over the catalog it
+//! was recorded against.
 //!
 //! The [`watch`] module turns the one-shot wrangle into **continuous
 //! ingestion**: a polling loop that re-runs only affected stages when the

@@ -518,10 +518,11 @@ impl Component for GenerateHierarchies {
     }
 }
 
-/// Stage 8: publish — promote the validated working catalog. It reads the
-/// published slot too, since it diffs against it: a slot that no longer
-/// holds what the last run published (an empty store, a store that lost
-/// rows) re-runs publish even when the working catalog is unchanged.
+/// Stage 8: publish — the validation gate before the store write. It
+/// copies nothing and writes no slot: the store is the published catalog,
+/// and the store's row diff against the working catalog, taken after the
+/// run, is the publish ([`crate::Watcher::run_cycle`]). With `strict`,
+/// standing validation errors fail the run, so nothing reaches the store.
 #[derive(Debug, Default)]
 pub struct Publish {
     /// Refuse to publish while validation errors stand.
@@ -534,11 +535,11 @@ impl Component for Publish {
     }
 
     fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Findings, Slot::Published]
+        &[Slot::Working, Slot::Findings]
     }
 
     fn writes(&self) -> &'static [Slot] {
-        &[Slot::Published]
+        &[]
     }
 
     fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
@@ -561,12 +562,8 @@ impl Component for Publish {
                 ));
             }
         }
-        let pair = view.publish_pair();
-        let delta = pair.publish();
-        report.processed = pair.published.len() as u64;
-        report.changed = delta.len() as u64;
-        report.note(format!("publish #{}", pair.publish_count));
-        report.resolution_after = pair.published.resolution_fraction();
+        report.processed = view.working().len() as u64;
+        report.resolution_after = view.working().resolution_fraction();
         Ok(report)
     }
 }
@@ -588,8 +585,8 @@ mod tests {
     fn scan_fills_working_catalog() {
         let mut c = ctx();
         let r = ScanArchive.run_standalone(&mut c).unwrap();
-        assert!(!c.catalogs.working.is_empty());
-        assert_eq!(r.changed as usize, c.catalogs.working.len());
+        assert!(!c.catalog.is_empty());
+        assert_eq!(r.changed as usize, c.catalog.len());
         assert_eq!(r.errors.len(), 3); // the malformed files
         assert!(r.resolution_after < 0.2); // nothing resolved yet
     }
@@ -603,17 +600,17 @@ mod tests {
             Vocabulary::observatory_default(),
         );
         ScanArchive.run_standalone(&mut c).unwrap();
-        let before = c.catalogs.working.len();
+        let before = c.catalog.len();
         // remove one harvested file from the archive
         let ix = files
             .iter()
-            .position(|(p, _)| c.catalogs.working.get_by_path(p).is_some())
+            .position(|(p, _)| c.catalog.get_by_path(p).is_some())
             .expect("some file harvested");
         let removed = files.remove(ix).0;
         c.archive = ArchiveInput::Memory(files);
         let r = ScanArchive.run_standalone(&mut c).unwrap();
-        assert_eq!(c.catalogs.working.len(), before - 1);
-        assert!(c.catalogs.working.get_by_path(&removed).is_none());
+        assert_eq!(c.catalog.len(), before - 1);
+        assert!(c.catalog.get_by_path(&removed).is_none());
         assert!(r.notes.iter().any(|n| n.contains("removed")), "{:?}", r.notes);
     }
 
@@ -621,18 +618,13 @@ mod tests {
     fn known_transformations_resolve_most_names() {
         let mut c = ctx();
         ScanArchive.run_standalone(&mut c).unwrap();
-        let before = c.catalogs.working.resolution_fraction();
+        let before = c.catalog.resolution_fraction();
         let r = PerformKnownTransformations.run_standalone(&mut c).unwrap();
         assert!(r.resolution_after > before);
         assert!(r.resolution_after > 0.5, "{}", r.resolution_after);
         // QA columns got flagged
-        let qa_count: usize = c
-            .catalogs
-            .working
-            .iter()
-            .flat_map(|d| d.variables.iter())
-            .filter(|v| v.flags.qa)
-            .count();
+        let qa_count: usize =
+            c.catalog.iter().flat_map(|d| d.variables.iter()).filter(|v| v.flags.qa).count();
         assert!(qa_count > 0);
     }
 
@@ -656,7 +648,7 @@ mod tests {
         ScanArchive.run_standalone(&mut c).unwrap();
         PerformKnownTransformations.run_standalone(&mut c).unwrap();
         // every bare `temperature` column resolved via its platform context
-        for d in c.catalogs.working.iter() {
+        for d in c.catalog.iter() {
             if let Some(v) = d.variable("temperature") {
                 let ctx_kind = d.external.get("context").unwrap();
                 let expect = match ctx_kind.as_str() {
@@ -695,7 +687,7 @@ mod tests {
         PerformKnownTransformations.run_standalone(&mut c).unwrap();
         // before normalization: range is in Fahrenheit (wintry PNW air ≈
         // 30–60 °F, far above plausible °C)
-        let d = c.catalogs.working.get_by_path("stations/saturn02/2010/04.csv").unwrap();
+        let d = c.catalog.get_by_path("stations/saturn02/2010/04.csv").unwrap();
         let v = d.variable(&harvested).unwrap();
         assert_eq!(v.unit.as_deref(), Some("degF"));
         let (_, hi_f) = v.value_range().unwrap();
@@ -703,7 +695,7 @@ mod tests {
 
         let report = NormalizeUnits.run_standalone(&mut c).unwrap();
         assert!(report.changed >= 1, "{report:?}");
-        let d = c.catalogs.working.get_by_path("stations/saturn02/2010/04.csv").unwrap();
+        let d = c.catalog.get_by_path("stations/saturn02/2010/04.csv").unwrap();
         let v = d.variable(&harvested).unwrap();
         assert_eq!(v.canonical_unit.as_deref(), Some("celsius"));
         assert!(v.unit_normalized);
@@ -715,7 +707,7 @@ mod tests {
         // idempotent on rerun
         let report2 = NormalizeUnits.run_standalone(&mut c).unwrap();
         assert_eq!(report2.changed, 0);
-        let d2 = c.catalogs.working.get_by_path("stations/saturn02/2010/04.csv").unwrap();
+        let d2 = c.catalog.get_by_path("stations/saturn02/2010/04.csv").unwrap();
         assert_eq!(d2.variable(&harvested).unwrap().value_range(), Some((lo_c, hi_c)));
     }
 
@@ -725,8 +717,7 @@ mod tests {
         ScanArchive.run_standalone(&mut c).unwrap();
         PerformKnownTransformations.run_standalone(&mut c).unwrap();
         let before: Vec<Option<(f64, f64)>> = c
-            .catalogs
-            .working
+            .catalog
             .iter()
             .flat_map(|d| d.variables.iter())
             .filter(|v| v.unit.as_deref() == Some("degC"))
@@ -734,8 +725,7 @@ mod tests {
             .collect();
         NormalizeUnits.run_standalone(&mut c).unwrap();
         let after: Vec<Option<(f64, f64)>> = c
-            .catalogs
-            .working
+            .catalog
             .iter()
             .flat_map(|d| d.variables.iter())
             .filter(|v| v.unit.as_deref() == Some("degC"))
@@ -753,8 +743,7 @@ mod tests {
         c.external.insert("saturn01".to_string(), kv);
         let r = AddExternalMetadata.run_standalone(&mut c).unwrap();
         assert!(r.changed > 0);
-        let d =
-            c.catalogs.working.iter().find(|d| d.source.as_deref() == Some("saturn01")).unwrap();
+        let d = c.catalog.iter().find(|d| d.source.as_deref() == Some("saturn01")).unwrap();
         assert_eq!(
             d.external.get("principal_investigator").map(String::as_str),
             Some("V. M. Megler")
@@ -787,7 +776,7 @@ mod tests {
         ScanArchive.run_standalone(&mut c).unwrap();
         PerformKnownTransformations.run_standalone(&mut c).unwrap();
         DiscoverTransformations::default().run_standalone(&mut c).unwrap();
-        let before = c.catalogs.working.resolution_fraction();
+        let before = c.catalog.resolution_fraction();
         // accept everything whose pick is canonical in the vocabulary
         c.accepted =
             c.proposals.iter().filter(|p| c.vocab.synonyms.contains(&p.to)).cloned().collect();
@@ -797,8 +786,7 @@ mod tests {
         assert!(r.resolution_after > before);
         // discovered variables carry method provenance
         let discovered = c
-            .catalogs
-            .working
+            .catalog
             .iter()
             .flat_map(|d| d.variables.iter())
             .find(|v| matches!(v.resolution, NameResolution::DiscoveredTranslation { .. }));
@@ -821,8 +809,7 @@ mod tests {
         let r = GenerateHierarchies.run_standalone(&mut c).unwrap();
         assert!(r.changed > 0);
         let with_h = c
-            .catalogs
-            .working
+            .catalog
             .iter()
             .flat_map(|d| d.variables.iter())
             .filter(|v| !v.hierarchy.is_empty())
@@ -838,8 +825,7 @@ mod tests {
         let mut c = ctx();
         ScanArchive.run_standalone(&mut c).unwrap();
         let r = Publish::default().run_standalone(&mut c).unwrap();
-        assert_eq!(r.processed as usize, c.catalogs.published.len());
-        assert_eq!(c.catalogs.publish_count, 1);
+        assert_eq!(r.processed as usize, c.catalog.len());
 
         c.findings.push(crate::context::ValidationFinding {
             rule: "x".into(),

@@ -250,9 +250,9 @@ mod tests {
     fn feature_sanity_unknown_unit() {
         let mut c = scanned_ctx();
         // plant an unknown unit
-        let id = c.catalogs.working.iter().next().unwrap().id;
-        c.catalogs.working.get_mut(id).unwrap().variables[0].unit = Some("furlongs".into());
-        c.catalogs.working.get_mut(id).unwrap().variables[0].canonical_unit = None;
+        let id = c.catalog.iter().next().unwrap().id;
+        c.catalog.get_mut(id).unwrap().variables[0].unit = Some("furlongs".into());
+        c.catalog.get_mut(id).unwrap().variables[0].canonical_unit = None;
         let findings = FeatureSanity.check(&CtxView::full(&mut c));
         assert!(findings.iter().any(|f| f.message.contains("furlongs")));
     }

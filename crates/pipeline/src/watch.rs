@@ -14,17 +14,27 @@
 //!    incremental: only stages whose inputs changed re-execute, and no run
 //!    walks the archive again), which is recorded as a wrangle trace like
 //!    any other run;
-//! 3. diffs the store's rows against the freshly published catalog, in
-//!    place, applies the resulting mutations to the WAL and flushes once —
-//!    the cycle's one fsync, so the delta is durable when the cycle
-//!    returns — then compacts when the WAL has outgrown the snapshot;
+//! 3. diffs the store's rows against the context's catalog, in place —
+//!    that diff is the publish — applies the resulting mutations to the WAL
+//!    and flushes once — the cycle's one fsync, so the delta is durable
+//!    when the cycle returns — then compacts when the WAL has outgrown the
+//!    snapshot;
 //! 4. saves the vocabulary *only when its version moved* (a rewritten
 //!    vocabulary file forces live readers into a full reload — see the
 //!    delta-publication signature check in `metamess-server`), atomically,
 //!    and persists the pipeline state for resume as one state image, with
-//!    one fsync and one rename. That state leaves out the published
-//!    catalog: the store is its only copy, and a new `Watcher` takes the
-//!    published slot from the store's rows.
+//!    one fsync and one rename. That state holds no catalog: the store is
+//!    the only other copy, and a new `Watcher` takes its catalog from the
+//!    store's rows.
+//!
+//! The ledger resumes only when the store's rows are the catalog it was
+//! recorded against. When none survives — no state, a crash between the
+//! store's fsync and the state's rename, rows the store lost — the next
+//! cycle is a cold wrangle with the restored knowledge: it starts from an
+//! empty catalog, because the store's rows may have been curated with
+//! knowledge the state no longer holds. A dataset it rebuilds equal to its
+//! row but for `provenance.pipeline_run` keeps the row's stamp, so such a
+//! cycle publishes only what changed.
 //!
 //! A store nested in the archive, under any name, is kept out of the walk
 //! ([`ScanConfig::exclude_dir`](metamess_harvest::ScanConfig::exclude_dir)):
@@ -48,7 +58,7 @@ use crate::curator::{CurationLoop, CurationStep, CuratorPolicy};
 use crate::engine::{load_state, save_state};
 use crate::pipeline::{Pipeline, RunReport};
 use metamess_core::store::CompactionPolicy;
-use metamess_core::{DurableCatalog, Error, Mutation, Result, StoreOptions};
+use metamess_core::{Catalog, DurableCatalog, Error, Mutation, Result, StoreOptions};
 use metamess_harvest::ArchiveInput;
 use metamess_telemetry::{global, Stopwatch};
 use metamess_vocab::Vocabulary;
@@ -91,7 +101,8 @@ pub struct CycleReport {
     pub changed: bool,
     /// Mutations published to the store this cycle.
     pub mutations: usize,
-    /// Datasets in the published catalog after the cycle.
+    /// Datasets in the context's catalog after the cycle: what the store
+    /// holds once the cycle published.
     pub datasets: usize,
     /// The vocabulary's version after the cycle.
     pub vocab_version: u64,
@@ -138,7 +149,7 @@ pub struct Watcher {
 
 impl Watcher {
     /// Opens the store under `store_dir` (creating it if needed), takes the
-    /// published catalog from it and restores pipeline state from a
+    /// context's catalog from it and restores pipeline state from a
     /// previous wrangle or watch. Nothing runs until [`Watcher::run`] or
     /// [`Watcher::run_cycle`].
     pub fn new(
@@ -154,8 +165,9 @@ impl Watcher {
         );
         // keep the store out of the scan when it nests inside the archive
         ctx.harvest.scan.exclude_dir(&archive_dir, &store_dir);
-        // the store is what was published, whether or not state resumes
-        ctx.catalogs.published = store.catalog();
+        // the store is what was published; the state's ledger resumes only
+        // if it was recorded against these rows
+        ctx.catalog = store.catalog();
         let state_dir = store_dir.join("state");
         let resumed = load_state(&mut ctx, &state_dir)?;
         let vocab_path = store_dir.join("vocabulary.json");
@@ -198,7 +210,7 @@ impl Watcher {
                 cycle: self.cycle,
                 changed: false,
                 mutations: 0,
-                datasets: self.ctx.catalogs.published.len(),
+                datasets: self.ctx.catalog.len(),
                 vocab_version: self.ctx.vocab.version,
                 micros: started.elapsed().as_micros() as u64,
                 history: Vec::new(),
@@ -207,11 +219,23 @@ impl Watcher {
             record_cycle(&report, 0);
             return Ok(report);
         }
+        // A ledger that names no catalog — none survived, or the last run
+        // failed — describes none: drop it and wrangle cold (see the module
+        // docs), keeping the rows aside for their stamps.
+        let previous = self.ctx.ledger.catalog_fingerprint.is_none().then(|| {
+            self.ctx.ledger.clear();
+            std::mem::take(&mut self.ctx.catalog)
+        });
         let (history, run) = self.curator.fixpoint(&mut self.pipeline, &mut self.ctx)?;
+        if previous.is_some_and(|previous| keep_stamps(&mut self.ctx.catalog, &previous)) {
+            // the stages' records still name the stamps they ran on, so
+            // they re-run once; the scan's, which reads no catalog, holds
+            self.ctx.ledger.catalog_fingerprint = Some(self.ctx.catalog.content_fingerprint());
+        }
         // The store holds the previously published catalog, as rows; the
-        // diff compares them with the new one in place and is exactly the
-        // delta this cycle discovered.
-        let delta = self.store.diff(&self.ctx.catalogs.published);
+        // diff compares them with the context's catalog in place and is
+        // exactly the delta to publish, rows the store lost included.
+        let delta = self.store.diff(&self.ctx.catalog);
         let mutations = delta.len();
         let wait = Stopwatch::start_if(metamess_telemetry::enabled());
         if mutations > 0 {
@@ -230,7 +254,7 @@ impl Watcher {
             cycle: self.cycle,
             changed: true,
             mutations,
-            datasets: self.ctx.catalogs.published.len(),
+            datasets: self.ctx.catalog.len(),
             vocab_version: self.ctx.vocab.version,
             micros: started.elapsed().as_micros() as u64,
             history,
@@ -298,10 +322,28 @@ impl Watcher {
     }
 
     /// The pipeline context: at [`Watcher::new`] the resumed state with the
-    /// store's rows as the published catalog, then what each cycle left.
+    /// store's rows as its catalog, then what each cycle left.
     pub fn context(&self) -> &PipelineContext {
         &self.ctx
     }
+}
+
+/// Gives each dataset of `catalog` that equals its entry in `previous` but
+/// for `provenance.pipeline_run` that entry's stamp, and says whether any
+/// stamp moved: a cold cycle rebuilds what the store already holds, and
+/// must not republish it.
+fn keep_stamps(catalog: &mut Catalog, previous: &Catalog) -> bool {
+    let mut kept = false;
+    for f in catalog.iter_mut() {
+        let Some(old) = previous.get(f.id) else { continue };
+        let run = std::mem::replace(&mut f.provenance.pipeline_run, old.provenance.pipeline_run);
+        if f != old {
+            f.provenance.pipeline_run = run;
+        } else {
+            kept |= run != old.provenance.pipeline_run;
+        }
+    }
+    kept
 }
 
 /// Records one cycle into the `metamess_ingest_*` telemetry families.
@@ -477,7 +519,7 @@ mod tests {
         drop(w);
         let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         assert!(w2.resumed(), "state saved by the first watcher must be restored");
-        assert_eq!(w2.context().catalogs.published.len(), r1.datasets);
+        assert_eq!(w2.context().catalog.len(), r1.datasets);
         // Nothing changed on disk, but the fingerprint memory is per
         // process — the cycle runs and publishes an empty delta.
         let r2 = w2.run_cycle().unwrap();
@@ -502,11 +544,7 @@ mod tests {
         copy_dir(&saved, &state);
         let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         assert!(w2.resumed());
-        assert_eq!(
-            w2.context().catalogs.published.len(),
-            r2.datasets,
-            "resume reports what the store serves"
-        );
+        assert_eq!(w2.context().catalog.len(), r2.datasets, "resume reports what the store serves");
         let r3 = w2.run_cycle().unwrap();
         assert_eq!(r3.mutations, 0, "the store already holds the second cycle");
         assert_eq!(r3.datasets, r2.datasets);
@@ -527,14 +565,59 @@ mod tests {
         drop(s);
         assert_eq!(store_len(&store), r1.datasets - 1);
 
-        // The archive is unchanged, so every stage but publish skips; publish
-        // re-runs because the published slot lost a dataset.
+        // The store no longer holds the catalog the ledger describes, so the
+        // ledger is dropped and every stage re-runs over the store's rows.
         let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         let r2 = w2.run_cycle().unwrap();
         assert_eq!(r2.mutations, 1, "exactly the lost dataset is republished");
         assert_eq!(r2.datasets, r1.datasets);
         drop(w2);
         assert_eq!(store_len(&store), r1.datasets);
+    }
+
+    #[test]
+    fn a_ledger_never_resumes_against_a_catalog_it_does_not_describe() {
+        let (archive, store) = fixture("stale");
+        let state = store.join("state");
+        let saved = store.with_file_name("stale-state-before");
+        let mut w = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        let r1 = w.run_cycle().unwrap();
+        copy_dir(&state, &saved);
+        let upload = add_one_file(&archive);
+        assert_eq!(w.run_cycle().unwrap().datasets, r1.datasets + 1);
+        drop(w);
+        // The store is at the second cycle; the state and the archive are
+        // back at the first. The first cycle's ledger would skip the scan,
+        // which reads only the archive, and keep the upload published.
+        copy_dir(&saved, &state);
+        std::fs::remove_file(&upload).unwrap();
+        let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        assert!(w2.resumed(), "the knowledge is restored");
+        assert!(w2.context().ledger.is_empty(), "the ledger describes another catalog");
+        let r3 = w2.run_cycle().unwrap();
+        assert_eq!(r3.mutations, 1, "the upload's deletion is published");
+        assert_eq!(r3.datasets, r1.datasets);
+        drop(w2);
+
+        let mut cold = PipelineContext::new(
+            ArchiveInput::Dir(archive.clone()),
+            Vocabulary::observatory_default(),
+        );
+        assert!(load_state(&mut cold, &state).unwrap());
+        CurationLoop::new(CuratorPolicy::default())
+            .run_to_fixpoint(&mut Pipeline::standard(), &mut cold)
+            .unwrap();
+        let unstamped = |c: Catalog| {
+            c.into_features()
+                .map(|mut f| {
+                    f.provenance.pipeline_run = 0;
+                    f
+                })
+                .collect::<Vec<_>>()
+        };
+        let published =
+            DurableCatalog::open(store.join("catalog"), StoreOptions::default()).unwrap().catalog();
+        assert_eq!(unstamped(published), unstamped(cold.catalog), "the store is a cold wrangle");
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn pipeline_never_fails_and_resolution_is_monotone() {
         let report = pipeline.run(&mut ctx).unwrap();
 
         // every well-formed dataset published, malformed reported not fatal
-        assert_eq!(ctx.catalogs.published.len(), n_datasets);
+        assert_eq!(ctx.catalog.len(), n_datasets);
         assert_eq!(
             report.stage("scan-archive").unwrap().errors.len(),
             archive.truth.malformed.len()
@@ -111,7 +111,7 @@ fn pipeline_never_fails_and_resolution_is_monotone() {
         }
         // QA flags only on QA-truth columns (marking never misfires)
         for td in &archive.truth.datasets {
-            let d = ctx.catalogs.published.get_by_path(&td.path).unwrap();
+            let d = ctx.catalog.get_by_path(&td.path).unwrap();
             for tv in &td.variables {
                 if let Some(v) = d.variable(&tv.harvested) {
                     if v.flags.qa {
@@ -139,15 +139,15 @@ fn rerun_is_idempotent() {
         );
         let mut pipeline = Pipeline::standard();
         pipeline.run(&mut ctx).unwrap();
-        let first = ctx.catalogs.published.clone();
+        let first = ctx.catalog.clone();
         let r2 = pipeline.run(&mut ctx).unwrap();
         // nothing rescanned, published catalog entries unchanged
         assert_eq!(r2.stage("scan-archive").unwrap().changed, 0);
         let ids1: Vec<_> = first.iter().map(|d| d.id).collect();
-        let ids2: Vec<_> = ctx.catalogs.published.iter().map(|d| d.id).collect();
+        let ids2: Vec<_> = ctx.catalog.iter().map(|d| d.id).collect();
         assert_eq!(ids1, ids2);
         for d in first.iter() {
-            let d2 = ctx.catalogs.published.get(d.id).unwrap();
+            let d2 = ctx.catalog.get(d.id).unwrap();
             assert_eq!(d, d2);
         }
     });
@@ -176,10 +176,7 @@ fn incremental_run_matches_scratch_run() {
         let mut scratch =
             PipelineContext::new(ArchiveInput::Memory(files), Vocabulary::observatory_default());
         Pipeline::standard().run(&mut scratch).unwrap();
-        assert_eq!(
-            normalized_entries(&inc.catalogs.published),
-            normalized_entries(&scratch.catalogs.published)
-        );
+        assert_eq!(normalized_entries(&inc.catalog), normalized_entries(&scratch.catalog));
     });
 }
 
@@ -210,9 +207,9 @@ fn zero_mess_resolves_completely() {
         Pipeline::standard().run(&mut ctx).unwrap();
         // all names are canonical; resolution is total
         assert!(
-            (ctx.catalogs.published.resolution_fraction() - 1.0).abs() < 1e-12,
+            (ctx.catalog.resolution_fraction() - 1.0).abs() < 1e-12,
             "{}",
-            ctx.catalogs.published.resolution_fraction()
+            ctx.catalog.resolution_fraction()
         );
     });
 }

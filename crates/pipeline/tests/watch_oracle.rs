@@ -4,11 +4,15 @@
 //! Each case writes a seeded archive to disk and runs a [`Watcher`] over
 //! it: one cold cycle, then 1–3 cycles of 1–3 edits each (append a row,
 //! copy a file under a new name, rename, delete, or add a file with a messy
-//! header). After every cycle the store's catalog must equal what a fresh
-//! context publishes over the same archive. That context loads the
-//! watcher's saved state, so it knows the vocabulary and curation the
-//! watcher learned, then drops the working catalog, ledger, findings and
-//! proposals and runs the curation loop to fixpoint.
+//! header). Before a cycle's edits, a seeded third of the cycles first
+//! crash and resume: the watcher is dropped, the state image the previous
+//! cycle started from is put back (or removed, when there was none), as if
+//! the process died between the store's fsync and the state's rename, and
+//! a new watcher opens the store. After every cycle the store's catalog
+//! must equal what a fresh context publishes over the same archive. That
+//! context loads the watcher's saved state, so it knows the vocabulary and
+//! curation the watcher learned, then drops the ledger, findings and
+//! proposals and runs the curation loop to fixpoint from an empty catalog.
 //!
 //! The knowledge is held equal on purpose: a watcher keeps synonyms it
 //! learned from files that were later edited away, and a wrangle that never
@@ -121,14 +125,13 @@ fn cold_wrangle(archive: &Path, store: &Path) -> Vec<DatasetFeature> {
         Vocabulary::observatory_default(),
     );
     assert!(load_state(&mut ctx, store.join("state")).unwrap(), "the watcher saved no state");
-    ctx.catalogs.working = Catalog::new();
     ctx.ledger = RunLedger::new();
     ctx.findings.clear();
     ctx.proposals.clear();
     CurationLoop::new(CuratorPolicy::default())
         .run_to_fixpoint(&mut Pipeline::standard(), &mut ctx)
         .unwrap();
-    normalized(&ctx.catalogs.published)
+    normalized(&ctx.catalog)
 }
 
 fn assert_store_matches_cold_wrangle(archive: &Path, store: &Path, cycle: usize) {
@@ -148,11 +151,22 @@ fn an_incremental_watch_publishes_what_a_cold_wrangle_publishes() {
         let _ = std::fs::remove_dir_all(&base);
         let (archive, store): (PathBuf, PathBuf) = (base.join("archive"), base.join("store"));
         generate(&spec(rng)).write_to(&archive).unwrap();
+        let state = store.join("state").join("state.bin");
         let mut watcher = Watcher::new(&archive, &store, WatchOptions::default()).unwrap();
+        let mut previous = std::fs::read(&state).ok();
         watcher.run_cycle().unwrap();
         assert_store_matches_cold_wrangle(&archive, &store, 1);
         let mut n = 0;
         for cycle in 2..2 + rng.size(1, 4) {
+            if rng.below(3) == 0 {
+                drop(watcher);
+                match &previous {
+                    Some(bytes) => std::fs::write(&state, bytes).unwrap(),
+                    None => std::fs::remove_file(&state).unwrap(),
+                }
+                watcher = Watcher::new(&archive, &store, WatchOptions::default()).unwrap();
+            }
+            previous = std::fs::read(&state).ok();
             for _ in 0..rng.size(1, 4) {
                 n += 1;
                 edit(rng, &archive, n);

@@ -60,8 +60,7 @@ mod tests {
         ledger.run_id = 42;
         ledger.record("publish", StageRecord { micros: 17, ..StageRecord::default() });
         let path = dir.join("state").join("state.bin");
-        let working = metamess_core::Catalog::new();
-        write_state(std_vfs().as_ref(), &path, &working, &ledger, b"{}").unwrap();
+        write_state(std_vfs().as_ref(), &path, &ledger, b"{}").unwrap();
         let snap = store_snapshot(&dir);
         assert_eq!(snap.gauges["metamess_pipeline_last_run_id"], 42);
         let stage = labeled("metamess_pipeline_stage_last_micros", "stage", "publish");

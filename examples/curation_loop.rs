@@ -97,7 +97,7 @@ fn main() {
     let mut correct = 0usize;
     let mut total = 0usize;
     for td in &truth.datasets {
-        let Some(d) = ctx.catalogs.published.get_by_path(&td.path) else { continue };
+        let Some(d) = ctx.catalog.get_by_path(&td.path) else { continue };
         for tv in &td.variables {
             if ["time", "lat", "lon"].contains(&tv.harvested.as_str()) {
                 continue;

@@ -20,8 +20,8 @@ fn main() {
     let mut pipeline = Pipeline::standard();
     let curator = CurationLoop::new(CuratorPolicy::default());
     curator.run_to_fixpoint(&mut pipeline, &mut ctx).expect("wrangling succeeds");
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
-    println!("catalog: {} datasets published\n", ctx.catalogs.published.len());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
+    println!("catalog: {} datasets published\n", ctx.catalog.len());
 
     let queries = [
         // the poster's example information need
@@ -61,7 +61,7 @@ fn main() {
     // Hierarchical menus: "collapse or expose as needed" — every concept
     // annotated with (datasets directly here / datasets at or below).
     println!("hierarchical browse menus:");
-    for tree in browse_all(&ctx.catalogs.published, &ctx.vocab) {
+    for tree in browse_all(&ctx.catalog, &ctx.vocab) {
         print!("{}", tree.render());
     }
 }

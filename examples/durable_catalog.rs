@@ -26,7 +26,7 @@ fn main() {
     // Persist the published catalog durably.
     {
         let mut store = DurableCatalog::open(&dir, StoreOptions::default()).expect("store opens");
-        for f in ctx.catalogs.published.iter() {
+        for f in ctx.catalog.iter() {
             store.put(f.clone()).expect("put");
         }
         store.set_property("archive", "cmop-sim").expect("property");

@@ -47,7 +47,7 @@ fn main() {
     // 3. Search the published catalog — the poster's example information
     //    need: observations near (45.5, -124.4) in mid-2010 with
     //    temperature between 5 and 10 °C.
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
     let query = Query::parse(
         "near 45.5,-124.4 within 50km from 2010-04-01 to 2010-09-30 \
          with temperature between 5 and 10 limit 5",

@@ -8,14 +8,15 @@
 //! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP04)
 //! <store>/catalog/wal.log           catalog WAL (MMWAL004)
 //! <store>/vocabulary.json           published vocabulary (JSON)
-//! <store>/state/state.bin           pipeline state image (MMSTATE1): run
-//!                                   ledger, curation state, working catalog
+//! <store>/state/state.bin           pipeline state image (MMSTATE2): run
+//!                                   ledger, curation state
 //! <store>/state/quarantine/         damaged files + reason sidecars
 //! ```
 //!
-//! The catalog directory is the only copy of the published catalog. Beyond
-//! per-file integrity it checks that snapshot + WAL recover to a consistent
-//! generation.
+//! The catalog directory is the only copy of the published catalog: the
+//! state image holds none, and its ledger names the catalog it describes
+//! by fingerprint. Beyond per-file integrity it checks that snapshot + WAL
+//! recover to a consistent generation.
 
 use metamess_core::store::fsck::{
     apply_repairs, check_catalog_dir, check_state, FsckReport, FsckSeverity, RepairAction,

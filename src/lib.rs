@@ -39,8 +39,9 @@
 //! let curator = CurationLoop::new(CuratorPolicy::default());
 //! curator.run_to_fixpoint(&mut pipeline, &mut ctx).unwrap();
 //!
-//! // 3. search the published catalog
-//! let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+//! // 3. search the catalog the run validated (a `Watcher` publishes it to a
+//! //    durable store; here it is searched in memory)
+//! let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
 //! let query = Query::parse("near 46.2,-123.9 with water_temperature").unwrap();
 //! let hits = engine.search(&query);
 //! assert!(!hits.is_empty());

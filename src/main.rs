@@ -371,7 +371,7 @@ fn print_resumed(watcher: &Watcher, store_dir: &Path) {
             "resuming from {} (run #{}, {} datasets published)",
             store_dir.join("state").display(),
             ctx.run_id,
-            ctx.catalogs.published.len()
+            ctx.catalog.len()
         );
     }
 }

@@ -52,10 +52,10 @@ fn wrangled() -> (PipelineContext, GroundTruth) {
 #[test]
 fn pipeline_publishes_every_wellformed_dataset() {
     let (ctx, truth) = wrangled();
-    assert_eq!(ctx.catalogs.published.len(), truth.datasets.len());
+    assert_eq!(ctx.catalog.len(), truth.datasets.len());
     for t in &truth.datasets {
         assert!(
-            ctx.catalogs.published.get_by_path(&t.path).is_some(),
+            ctx.catalog.get_by_path(&t.path).is_some(),
             "{} missing from published catalog",
             t.path
         );
@@ -65,7 +65,7 @@ fn pipeline_publishes_every_wellformed_dataset() {
 #[test]
 fn search_finds_ground_truth_relevant_datasets() {
     let (ctx, truth) = wrangled();
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
 
     // Query: salinity near the estuary during June 2010. Relevance oracle
     // from the truth manifest.
@@ -92,7 +92,7 @@ fn search_finds_ground_truth_relevant_datasets() {
 #[test]
 fn messy_names_are_searchable_after_wrangling() {
     let (ctx, truth) = wrangled();
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
     // Find a dataset whose salinity column was injected with mess and got
     // resolved; it must be reachable through the canonical name.
     let messy: Vec<&metamess::archive::TrueDataset> = truth
@@ -122,7 +122,7 @@ fn messy_names_are_searchable_after_wrangling() {
 #[test]
 fn qa_variables_stay_out_of_search_but_in_summaries() {
     let (ctx, truth) = wrangled();
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
     let qa_dataset = truth
         .datasets
         .iter()
@@ -137,7 +137,7 @@ fn qa_variables_stay_out_of_search_but_in_summaries() {
         assert_eq!(best.breakdown.variables.unwrap_or(0.0), 0.0, "QA leaked into search");
     }
     // …but the dataset summary page still shows it.
-    let d = ctx.catalogs.published.get_by_path(&qa_dataset.path).unwrap();
+    let d = ctx.catalog.get_by_path(&qa_dataset.path).unwrap();
     let summary = render_summary(d);
     assert!(summary.contains(qa_name.as_str()), "summary lacks {qa_name}");
 }
@@ -149,12 +149,12 @@ fn published_catalog_survives_durable_storage() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let mut store = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
-        store.replace_with(&ctx.catalogs.published).unwrap();
+        store.replace_with(&ctx.catalog).unwrap();
     }
     let stored = DurableCatalog::open(&dir, StoreOptions::default()).unwrap().catalog();
-    assert_eq!(stored.len(), ctx.catalogs.published.len());
+    assert_eq!(stored.len(), ctx.catalog.len());
     // spot-check a full feature round trip
-    let original = ctx.catalogs.published.iter().next().unwrap();
+    let original = ctx.catalog.iter().next().unwrap();
     let loaded = stored.get(original.id).unwrap();
     assert_eq!(loaded, original);
 }
@@ -162,7 +162,7 @@ fn published_catalog_survives_durable_storage() {
 #[test]
 fn search_results_and_summaries_render() {
     let (ctx, _) = wrangled();
-    let engine = SearchEngine::build(&ctx.catalogs.published, ctx.vocab.clone());
+    let engine = SearchEngine::build(&ctx.catalog, ctx.vocab.clone());
     let q = Query::parse(
         "near 45.5,-124.4 within 50km from 2010-04-01 to 2010-09-30 \
          with temperature between 5 and 10 limit 5",

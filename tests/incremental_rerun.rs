@@ -34,10 +34,10 @@ fn rerun_after_file_edit_updates_only_that_dataset() {
     content.push('\n');
     std::fs::write(&full, content).unwrap();
 
-    let before_records = ctx.catalogs.working.get_by_path(&target.path).unwrap().record_count;
+    let before_records = ctx.catalog.get_by_path(&target.path).unwrap().record_count;
     let r2 = pipeline.run(&mut ctx).unwrap();
     assert_eq!(r2.stage("scan-archive").unwrap().changed, 1, "only the edited file rescans");
-    let after_records = ctx.catalogs.working.get_by_path(&target.path).unwrap().record_count;
+    let after_records = ctx.catalog.get_by_path(&target.path).unwrap().record_count;
     assert_eq!(after_records, before_records + 1);
 }
 
@@ -50,14 +50,14 @@ fn new_directory_appears_after_scan_config_improvement() {
     ctx.harvest.scan.roots = vec!["stations".into()];
     let mut pipeline = Pipeline::standard();
     pipeline.run(&mut ctx).unwrap();
-    let stations_only = ctx.catalogs.working.len();
-    assert!(ctx.catalogs.working.iter().all(|d| d.path.starts_with("stations/")));
+    let stations_only = ctx.catalog.len();
+    assert!(ctx.catalog.iter().all(|d| d.path.starts_with("stations/")));
 
     // Curator improvement: "specifying an additional directory to scan".
     ctx.harvest.scan.roots.push("cruises".into());
     pipeline.run(&mut ctx).unwrap();
-    assert!(ctx.catalogs.working.len() > stations_only);
-    assert!(ctx.catalogs.working.iter().any(|d| d.path.starts_with("cruises/")));
+    assert!(ctx.catalog.len() > stations_only);
+    assert!(ctx.catalog.iter().any(|d| d.path.starts_with("cruises/")));
 }
 
 #[test]
@@ -76,7 +76,7 @@ fn deleted_file_reported_by_expected_datasets_validator() {
     let victim = &truth.datasets[0].path;
     std::fs::remove_file(dir.join(victim)).unwrap();
     let id = metamess::core::DatasetId::from_path(victim);
-    ctx.catalogs.working.delete(id);
+    ctx.catalog.delete(id);
     pipeline.run(&mut ctx).unwrap();
     let errors: Vec<_> = ctx.validation_errors().collect();
     assert_eq!(errors.len(), 1, "{errors:?}");
@@ -95,5 +95,5 @@ fn malformed_files_reported_every_run_but_never_fatal() {
         assert!(scan.errors.iter().any(|e| e.contains(m.as_str())), "{m} not reported");
     }
     // the wrangled catalog still publishes
-    assert_eq!(ctx.catalogs.published.len(), truth.datasets.len());
+    assert_eq!(ctx.catalog.len(), truth.datasets.len());
 }

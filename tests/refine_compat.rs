@@ -32,7 +32,7 @@ fn poster_rule_applies_to_wrangled_catalog_export() {
     // Export the variable facet the way the poster extracts catalog entries
     // to Refine: one row per (dataset, field).
     let mut rows: Vec<Record> = Vec::new();
-    for d in ctx.catalogs.working.iter() {
+    for d in ctx.catalog.iter() {
         for v in &d.variables {
             let mut r = Record::new();
             r.set("dataset", d.path.clone());
