@@ -6,7 +6,6 @@
 //! (`store::DurableCatalog`), and a publish is the store's row diff against
 //! the working catalog.
 
-use crate::error::{Error, Result};
 use crate::feature::DatasetFeature;
 use crate::id::DatasetId;
 use crate::store::RowView;
@@ -107,11 +106,6 @@ impl Catalog {
     /// Looks up a dataset feature by id.
     pub fn get(&self, id: DatasetId) -> Option<&DatasetFeature> {
         self.entries.get(&id)
-    }
-
-    /// Looks up by id, returning a catalog error when absent.
-    pub fn get_required(&self, id: DatasetId) -> Result<&DatasetFeature> {
-        self.get(id).ok_or_else(|| Error::not_found("dataset", id.to_string()))
     }
 
     /// Mutable lookup by id (bumps the generation since callers will mutate).
@@ -263,13 +257,6 @@ mod tests {
         c.set_property("archive", "cmop-sim");
         assert_eq!(c.generation(), 2);
         assert_eq!(c.property("archive"), Some("cmop-sim"));
-    }
-
-    #[test]
-    fn get_required_errors() {
-        let c = Catalog::new();
-        let e = c.get_required(DatasetId(7)).unwrap_err();
-        assert!(matches!(e, Error::NotFound { .. }));
     }
 
     #[test]

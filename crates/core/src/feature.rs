@@ -6,7 +6,7 @@
 //! catalog's contents." — the poster's IR-architecture figure.
 
 use crate::geo::GeoBBox;
-use crate::id::{DatasetId, VariableId};
+use crate::id::DatasetId;
 use crate::stats::NumericSummary;
 use crate::time::TimeInterval;
 use serde::{Deserialize, Deserializer, Serialize};
@@ -266,11 +266,6 @@ impl DatasetFeature {
     /// Variables that participate in search (not QA, not hidden).
     pub fn searchable_variables(&self) -> impl Iterator<Item = &VariableFeature> {
         self.variables.iter().filter(|v| v.flags.searchable())
-    }
-
-    /// Global id of a variable of this dataset.
-    pub fn variable_id(&self, name: &str) -> VariableId {
-        VariableId::new(self.id, name)
     }
 
     /// Fraction of variables with a resolved canonical name, the per-dataset

@@ -25,29 +25,6 @@ impl fmt::Display for DatasetId {
     }
 }
 
-/// Identifier of a variable *within* a dataset (its harvested column name is
-/// the natural key; this pairs it with the dataset for global uniqueness).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct VariableId {
-    /// Owning dataset.
-    pub dataset: DatasetId,
-    /// Column name exactly as harvested from the file.
-    pub name: String,
-}
-
-impl VariableId {
-    /// Creates a variable id.
-    pub fn new(dataset: DatasetId, name: impl Into<String>) -> VariableId {
-        VariableId { dataset, name: name.into() }
-    }
-}
-
-impl fmt::Display for VariableId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.dataset, self.name)
-    }
-}
-
 /// FNV-1a 64-bit hash. Used for path-derived ids and cheap content
 /// fingerprints; *not* used where collision resistance matters.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -91,7 +68,5 @@ mod tests {
     fn display_forms() {
         let d = DatasetId(0xabc);
         assert_eq!(d.to_string(), "ds-0000000000000abc");
-        let v = VariableId::new(d, "water_temp");
-        assert_eq!(v.to_string(), "ds-0000000000000abc/water_temp");
     }
 }

@@ -29,7 +29,7 @@ pub use feature::{
     DatasetFeature, Hierarchy, NameResolution, Provenance, VariableFeature, VariableFlags,
 };
 pub use geo::{GeoBBox, GeoPoint};
-pub use id::{DatasetId, VariableId};
+pub use id::DatasetId;
 pub use stats::{ColumnSummary, NumericSummary};
 pub use store::{
     DurableCatalog, FaultKind, FaultPlan, FaultVfs, RecoveryReport, RunLedger, StageRecord, StdVfs,

@@ -94,11 +94,6 @@ impl NumericSummary {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
     /// Value range `(min, max)`; `None` when empty.
     pub fn range(&self) -> Option<(f64, f64)> {
         if self.count == 0 {
@@ -196,27 +191,6 @@ impl ColumnSummary {
                 }
             }
         }
-    }
-
-    /// Fraction of non-null cells that are numeric; 0 when all null.
-    pub fn numeric_fraction(&self) -> f64 {
-        let non_null = self.total - self.nulls;
-        if non_null == 0 {
-            0.0
-        } else {
-            self.numeric_count as f64 / non_null as f64
-        }
-    }
-
-    /// The dominant non-null type by count, for type-uniformity validation.
-    pub fn dominant_type(&self) -> &'static str {
-        let pairs = [
-            ("numeric", self.numeric_count),
-            ("text", self.text_count),
-            ("time", self.time_count),
-            ("bool", self.bool_count),
-        ];
-        pairs.iter().max_by_key(|(_, c)| *c).map(|(n, _)| *n).unwrap_or("null")
     }
 }
 
@@ -345,8 +319,6 @@ mod tests {
         assert_eq!(c.text_count, 1);
         assert_eq!(c.time_count, 1);
         assert_eq!(c.bool_count, 1);
-        assert_eq!(c.dominant_type(), "numeric");
-        assert!((c.numeric_fraction() - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -368,12 +340,5 @@ mod tests {
         c.observe(&Value::Text("c".into()));
         assert_eq!(c.text_sample, vec!["a".to_string(), "b".to_string()]);
         assert!(c.text_sample_truncated);
-    }
-
-    #[test]
-    fn numeric_fraction_all_null() {
-        let mut c = ColumnSummary::default();
-        c.observe(&Value::Null);
-        assert_eq!(c.numeric_fraction(), 0.0);
     }
 }

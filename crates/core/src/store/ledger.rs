@@ -2,8 +2,8 @@
 //! between runs — and between *processes*.
 //!
 //! For every stage of the last pipeline run the ledger records the digest
-//! of the stage's declared inputs, the digest of its declared outputs, and
-//! how long it took. A fresh process that loads the ledger resumes
+//! of the stage's declared inputs, how long it took, and which run last
+//! executed it. A fresh process that loads the ledger resumes
 //! incrementality: stages whose input digest still matches are skipped
 //! without re-executing anything.
 //!
@@ -20,8 +20,6 @@ use std::collections::BTreeMap;
 pub struct StageRecord {
     /// Digest of the stage's declared read slots when it last ran.
     pub input_digest: u64,
-    /// Digest of the stage's declared write slots after it last ran.
-    pub output_digest: u64,
     /// Wall-clock duration of the last execution, in microseconds.
     pub micros: u64,
     /// `run_id` of the run that last *executed* this stage (as opposed to
@@ -107,14 +105,8 @@ mod tests {
         let mut l = RunLedger::new();
         l.run_id = 3;
         l.catalog_fingerprint = Some(77);
-        l.record(
-            "scan-archive",
-            StageRecord { input_digest: 1, output_digest: 2, micros: 40, last_run: 3 },
-        );
-        l.record(
-            "publish",
-            StageRecord { input_digest: 9, output_digest: 9, micros: 7, last_run: 3 },
-        );
+        l.record("scan-archive", StageRecord { input_digest: 1, micros: 40, last_run: 3 });
+        l.record("publish", StageRecord { input_digest: 9, micros: 7, last_run: 3 });
         l
     }
 
@@ -156,13 +148,16 @@ mod tests {
 
     #[test]
     fn pre_last_run_payload_decodes_with_zero() {
-        // JSON written before StageRecord grew `last_run`
+        // JSON written before StageRecord grew `last_run`, with a stage
+        // field this build no longer has (older ledgers also carried a
+        // per-stage digest of the written slots): it is skipped
         let old = r#"{"run_id":2,"stages":{"publish":
-            {"input_digest":5,"output_digest":6,"micros":11}}}"#;
+            {"input_digest":5,"retired_field":6,"micros":11}}}"#;
         let l: RunLedger = serde_json::from_str(old).unwrap();
         let rec = l.get("publish").unwrap();
-        assert_eq!(rec.micros, 11);
+        assert_eq!((rec.input_digest, rec.micros), (5, 11));
         assert_eq!(rec.last_run, 0);
+        assert!(!serde_json::to_string(&l).unwrap().contains("retired_field"));
         // …and before RunLedger grew `trace_id` and `catalog_fingerprint`.
         assert_eq!(l.trace_id, "");
         assert_eq!(l.catalog_fingerprint, None);
@@ -185,10 +180,7 @@ mod tests {
     fn record_replaces_and_clear_forgets() {
         let mut l = sample();
         assert_eq!(l.len(), 2);
-        l.record(
-            "publish",
-            StageRecord { input_digest: 1, output_digest: 1, micros: 1, last_run: 4 },
-        );
+        l.record("publish", StageRecord { input_digest: 1, micros: 1, last_run: 4 });
         assert_eq!(l.len(), 2);
         assert_eq!(l.get("publish").unwrap().input_digest, 1);
         l.clear();

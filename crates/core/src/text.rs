@@ -57,12 +57,6 @@ pub fn term_eq(a: &str, b: &str) -> bool {
     a.trim().eq_ignore_ascii_case(b.trim())
 }
 
-/// Joins word tokens with underscores — the canonical identifier shape used
-/// by the vocabulary (`"air temperature"` → `"air_temperature"`).
-pub fn to_snake(tokens: &[String]) -> String {
-    tokens.join("_")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,11 +102,5 @@ mod tests {
         for s in [" DegC", "AirTemp", "sal\t", "\u{a0}x"] {
             assert!(matches!(term_key(s), Cow::Owned(ref k) if *k == normalize_term(s)), "{s:?}");
         }
-    }
-
-    #[test]
-    fn snake_round_trip() {
-        let toks = split_identifier("seaSurfaceTemperature");
-        assert_eq!(to_snake(&toks), "sea_surface_temperature");
     }
 }

@@ -283,11 +283,6 @@ impl TimeInterval {
             self.end = t;
         }
     }
-
-    /// Midpoint instant (rounded toward the start).
-    pub fn midpoint(&self) -> Timestamp {
-        Timestamp(self.start.0 + (self.end.0 - self.start.0) / 2)
-    }
 }
 
 impl fmt::Display for TimeInterval {
@@ -427,7 +422,6 @@ mod tests {
         assert_eq!(a, TimeInterval::new(Timestamp(0), Timestamp(30)));
         let b = TimeInterval::new(Timestamp(100), Timestamp(200));
         assert_eq!(a.union(&b), TimeInterval::new(Timestamp(0), Timestamp(200)));
-        assert_eq!(a.midpoint(), Timestamp(15));
     }
 
     #[test]

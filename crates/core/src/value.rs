@@ -312,25 +312,6 @@ impl Record {
         Record::default()
     }
 
-    /// Creates a record from parallel column/value lists.
-    ///
-    /// Returns an error if the lengths differ or a column name repeats.
-    pub fn from_pairs(columns: Vec<String>, values: Vec<Value>) -> crate::error::Result<Self> {
-        if columns.len() != values.len() {
-            return Err(crate::error::Error::invalid(format!(
-                "record has {} columns but {} values",
-                columns.len(),
-                values.len()
-            )));
-        }
-        for (i, c) in columns.iter().enumerate() {
-            if columns[..i].iter().any(|p| p == c) {
-                return Err(crate::error::Error::invalid(format!("duplicate column name '{c}'")));
-            }
-        }
-        Ok(Record { columns, values })
-    }
-
     /// Appends a column. Replaces the value if the column already exists.
     pub fn set(&mut self, column: impl Into<String>, value: impl Into<Value>) {
         let column = column.into();
@@ -573,17 +554,6 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.get("temp"), Some(&Value::Float(6.0)));
         assert_eq!(r.get("missing"), None);
-    }
-
-    #[test]
-    fn record_from_pairs_validates() {
-        assert!(Record::from_pairs(vec!["a".into()], vec![]).is_err());
-        assert!(Record::from_pairs(vec!["a".into(), "a".into()], vec![Value::Null, Value::Null])
-            .is_err());
-        let r =
-            Record::from_pairs(vec!["a".into(), "b".into()], vec![Value::Int(1), Value::Int(2)])
-                .unwrap();
-        assert_eq!(r.columns(), &["a".to_string(), "b".to_string()]);
     }
 
     #[test]

@@ -340,7 +340,6 @@ fn state_image(seed: u8) -> StateParts {
     for _ in 0..rng.below(5) {
         let rec = StageRecord {
             input_digest: rng.next(),
-            output_digest: rng.next(),
             micros: rng.below(1000),
             last_run: u64::from(seed),
         };

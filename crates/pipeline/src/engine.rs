@@ -17,27 +17,53 @@
 //! stage's declared read slots into an **input digest**. If the digest
 //! matches what the [`RunLedger`] recorded for that stage, the stage is
 //! skipped and reported as [`StageStatus::Skipped`]; otherwise it runs
-//! against a [`CtxView`] scoped to its declaration, its written slots are
-//! re-fingerprinted, and the ledger is updated. Dirtiness cascades
-//! automatically: a stage that actually changes a written slot moves that
+//! against a [`CtxView`] scoped to its declaration, its written slots drop
+//! out of the run's fingerprint memo, and the ledger is updated. Dirtiness
+//! cascades automatically: a stage that changes a written slot moves that
 //! slot's fingerprint, which changes the input digest of every downstream
 //! reader — and a stage that rewrites a slot with identical content does
 //! *not* (early cutoff).
+//!
+//! # Asking the catalog, not re-encoding it
+//!
+//! The working catalog's fingerprint encodes the whole catalog, so the
+//! engine takes it only where it can change a decision. The catalog counts
+//! its own mutations ([`Catalog::generation`]), and the run notes that
+//! count when it starts:
+//!
+//! * once a stage of the run has moved the generation, a later stage that
+//!   reads the catalog runs without a digest. An edit that happens to
+//!   rebuild the previous run's catalog exactly then costs a re-run the
+//!   digest would have skipped; stages are idempotent, so the re-run is
+//!   only work;
+//! * a stage that declares a catalog write but leaves the generation where
+//!   it was keeps the memoized fingerprint (in debug builds the engine
+//!   checks that the catalog's content did not move either);
+//! * the scan puts a re-harvested feature only when it differs from the
+//!   catalog's entry, so an archive edit that rebuilds identical features
+//!   moves no generation and the stages after it still skip.
+//!
+//! A run therefore fingerprints the catalog at most twice: once for the
+//! first stage that reads it unedited, and once at the end-of-run
+//! projection. `metamess_pipeline_catalog_fingerprints_total` counts them.
+//!
+//! [`Catalog::generation`]: metamess_core::Catalog::generation
 //!
 //! # End-of-run digest projection
 //!
 //! Read-write slots (the working catalog, the vocabulary) evolve *during*
 //! a run, so a stage's as-seen input digest would never match on the next
 //! run even when nothing external changed. After a successful chain run
-//! the engine therefore re-records, for each stage that executed, the
-//! input digest computed against the **final** slot state. This is sound
-//! because every stage is idempotent on its own output — re-running any
-//! stage on end-of-run state is a no-op (the seed's idempotence tests
-//! assert exactly this) — and it is what makes an unchanged re-run skip
-//! every stage immediately. Stages that were skipped keep their previous
-//! ledger entries, and a run that fails mid-chain performs no projection,
-//! so stale digests only ever cause a redundant (idempotent) re-run, never
-//! a wrongly skipped one.
+//! the engine therefore records, for each stage that executed, the input
+//! digest computed against the **final** slot state, and names that
+//! catalog's fingerprint in the ledger. This is sound because every stage
+//! is idempotent on its own output — re-running any stage on end-of-run
+//! state is a no-op (the seed's idempotence tests assert exactly this) —
+//! and it is what makes an unchanged re-run skip every stage immediately.
+//! Stages that were skipped keep their previous ledger entries. A stage
+//! that ran without a digest keeps no record until the projection, and a
+//! run that fails mid-chain performs no projection, so stale digests only
+//! ever cause a redundant (idempotent) re-run, never a wrongly skipped one.
 //!
 //! # Durability
 //!
@@ -56,8 +82,8 @@
 //! against (set at the end-of-run projection, cleared when a run starts,
 //! so a run that fails leaves none), and [`load_state`] keeps the ledger
 //! only when the context holds that catalog. A store that does not hold
-//! what the ledger describes — a crash between the store's fsync and the
-//! state's rename, rows lost to `fsck --repair` — therefore re-runs every
+//! what the ledger describes — a crash between a watcher's state rename
+//! and its store fsync, rows lost to `fsck --repair` — therefore re-runs every
 //! stage, and never skips one on the strength of a catalog it does not
 //! have.
 //!
@@ -120,7 +146,14 @@ fn slot_fingerprint(slot: Slot, ctx: &PipelineContext) -> Result<u64> {
             buf[8..].copy_from_slice(&config.to_le_bytes());
             fnv1a(&buf)
         }
-        Slot::Working => ctx.catalog.content_fingerprint(),
+        Slot::Working => {
+            if metamess_telemetry::enabled() {
+                metamess_telemetry::global()
+                    .counter("metamess_pipeline_catalog_fingerprints_total")
+                    .add(1);
+            }
+            ctx.catalog.content_fingerprint()
+        }
         Slot::Vocab => json_fp(&ctx.vocab)?,
         Slot::External => json_fp(&ctx.external)?,
         Slot::Proposals => json_fp(&ctx.proposals)?,
@@ -191,6 +224,9 @@ pub(crate) fn run_chain(
     // set again at the end-of-run projection: a run that fails leaves the
     // ledger naming no catalog
     ctx.ledger.catalog_fingerprint = None;
+    // the catalog as the ledger last saw it; once a stage of this run has
+    // edited it, a stage that reads it runs without asking the ledger
+    let unedited = ctx.catalog.generation();
     let on = metamess_telemetry::enabled();
     // Every wrangle run gets its own trace (never head-sampled away: runs
     // are rare and each one matters). Executed stages become child spans;
@@ -201,15 +237,21 @@ pub(crate) fn run_chain(
     let mut fingerprint_micros = 0u64;
     let mut fps = SlotFps::default();
     let mut report = RunReport { run_id: ctx.run_id, stages: Vec::new() };
-    let mut executed: Vec<usize> = Vec::new();
+    let mut executed: Vec<(usize, u64)> = Vec::new();
     for (ix, c) in components.iter_mut().enumerate() {
         let name = c.name();
         let reads = c.reads();
         let writes = c.writes();
-        let fp_timer = Stopwatch::start_if(on);
-        let input = digest(name, reads, &mut fps, ctx)?;
-        fingerprint_micros += fp_timer.micros();
-        if ctx.ledger.get(name).map(|r| r.input_digest) == Some(input) {
+        let edited = ctx.catalog.generation() != unedited;
+        let input = if edited && reads.contains(&Slot::Working) {
+            None
+        } else {
+            let fp_timer = Stopwatch::start_if(on);
+            let input = digest(name, reads, &mut fps, ctx)?;
+            fingerprint_micros += fp_timer.micros();
+            Some(input)
+        };
+        if input.is_some() && ctx.ledger.get(name).map(|r| r.input_digest) == input {
             let mut sr = StageReport::skipped(name, "inputs unchanged since last run");
             // micros stays an explicit 0 — the skip cost only the digest
             // check above; what the stage cost when it last executed rides
@@ -221,27 +263,37 @@ pub(crate) fn run_chain(
             report.stages.push(sr);
             continue;
         }
+        let generation = ctx.catalog.generation();
+        // the debug check below fingerprints outside the engine's count
+        let before = (cfg!(debug_assertions) && writes.contains(&Slot::Working))
+            .then(|| ctx.catalog.content_fingerprint());
         let started = Instant::now();
         let mut sr = {
             let mut view = CtxView::scoped(ctx, name, reads, writes);
             c.run(&mut view)?
         };
         sr.micros = started.elapsed().as_micros() as u64;
-        for w in writes {
-            fps.invalidate(*w);
-        }
-        let fp_timer = Stopwatch::start_if(on);
-        let output = digest(name, writes, &mut fps, ctx)?;
-        fingerprint_micros += fp_timer.micros();
-        ctx.ledger.record(
-            name,
-            StageRecord {
-                input_digest: input,
-                output_digest: output,
-                micros: sr.micros,
-                last_run: ctx.run_id,
-            },
+        let same_catalog = ctx.catalog.generation() == generation;
+        debug_assert!(
+            !same_catalog || before.is_none_or(|fp| fp == ctx.catalog.content_fingerprint()),
+            "{name} changed the catalog without moving its generation"
         );
+        for w in writes {
+            if !(*w == Slot::Working && same_catalog) {
+                fps.invalidate(*w);
+            }
+        }
+        match input {
+            Some(input_digest) => ctx.ledger.record(
+                name,
+                StageRecord { input_digest, micros: sr.micros, last_run: ctx.run_id },
+            ),
+            // digested at the projection; until then no record of it may
+            // match, so a run that fails first re-runs it
+            None => {
+                ctx.ledger.stages.remove(name);
+            }
+        }
         if on {
             metamess_telemetry::global()
                 .histogram(&labeled("metamess_pipeline_stage_micros", "stage", name))
@@ -250,21 +302,19 @@ pub(crate) fn run_chain(
             metamess_telemetry::trace::record_span(name, sr.micros, None);
         }
         event!(Level::Info, "pipeline", "{name}: ran in {}µs", sr.micros);
-        executed.push(ix);
+        executed.push((ix, sr.micros));
         report.stages.push(sr);
     }
     // End-of-run projection (see module docs): stages that ran get their
-    // input digest re-recorded against the final slot state, so an
-    // unchanged re-run skips them immediately. Skipped stages keep their
-    // previous entries.
-    for ix in &executed {
-        let name = components[*ix].name();
+    // input digest recorded against the final slot state, so an unchanged
+    // re-run skips them immediately. Skipped stages keep their previous
+    // entries.
+    for &(ix, micros) in &executed {
+        let name = components[ix].name();
         let fp_timer = Stopwatch::start_if(on);
-        let input = digest(name, components[*ix].reads(), &mut fps, ctx)?;
+        let input_digest = digest(name, components[ix].reads(), &mut fps, ctx)?;
         fingerprint_micros += fp_timer.micros();
-        if let Some(rec) = ctx.ledger.stages.get_mut(name) {
-            rec.input_digest = input;
-        }
+        ctx.ledger.record(name, StageRecord { input_digest, micros, last_run: ctx.run_id });
     }
     ctx.ledger.catalog_fingerprint = Some(fps.get(Slot::Working, ctx)?);
     ctx.ledger.run_id = ctx.run_id;

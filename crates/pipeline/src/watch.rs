@@ -15,26 +15,28 @@
 //!    walks the archive again), which is recorded as a wrangle trace like
 //!    any other run;
 //! 3. diffs the store's rows against the context's catalog, in place —
-//!    that diff is the publish — applies the resulting mutations to the WAL
-//!    and flushes once — the cycle's one fsync, so the delta is durable
-//!    when the cycle returns — then compacts when the WAL has outgrown the
-//!    snapshot;
-//! 4. saves the vocabulary *only when its version moved* (a rewritten
+//!    that diff is the publish — and persists the pipeline state for
+//!    resume as one state image, with one fsync and one rename. That state
+//!    holds no catalog: the store is the only other copy, and a new
+//!    `Watcher` takes its catalog from the store's rows;
+//! 4. applies the diff's mutations to the WAL and flushes once — the
+//!    cycle's one store fsync, so the delta is durable when the cycle
+//!    returns — then compacts when the WAL has outgrown the snapshot;
+//! 5. saves the vocabulary *only when its version moved* (a rewritten
 //!    vocabulary file forces live readers into a full reload — see the
-//!    delta-publication signature check in `metamess-server`), atomically,
-//!    and persists the pipeline state for resume as one state image, with
-//!    one fsync and one rename. That state holds no catalog: the store is
-//!    the only other copy, and a new `Watcher` takes its catalog from the
-//!    store's rows.
+//!    delta-publication signature check in `metamess-server`), atomically.
 //!
-//! The ledger resumes only when the store's rows are the catalog it was
-//! recorded against. When none survives — no state, a crash between the
-//! store's fsync and the state's rename, rows the store lost — the next
-//! cycle is a cold wrangle with the restored knowledge: it starts from an
-//! empty catalog, because the store's rows may have been curated with
-//! knowledge the state no longer holds. A dataset it rebuilds equal to its
-//! row but for `provenance.pipeline_run` keeps the row's stamp, so such a
-//! cycle publishes only what changed.
+//! The state is written before the store, so what a cycle learned is never
+//! behind what the store holds: a crash between the two leaves a state
+//! whose ledger names a catalog the store does not hold. The ledger resumes
+//! only when the store's rows are the catalog it was recorded against.
+//! When none survives — no state, a crash between the state's rename and
+//! the store's fsync, rows the store lost — the next cycle is a cold
+//! wrangle with the restored knowledge: it starts from an empty catalog,
+//! because the store's rows may have been curated with knowledge the state
+//! does not hold. A dataset it rebuilds equal to its row but for
+//! `provenance.pipeline_run` keeps the row's stamp, so such a cycle
+//! publishes only what changed.
 //!
 //! A store nested in the archive, under any name, is kept out of the walk
 //! ([`ScanConfig::exclude_dir`](metamess_harvest::ScanConfig::exclude_dir)):
@@ -237,6 +239,11 @@ impl Watcher {
         // exactly the delta to publish, rows the store lost included.
         let delta = self.store.diff(&self.ctx.catalog);
         let mutations = delta.len();
+        // The state goes first, so what the cycle learned is never behind
+        // the store: after a crash before the flush, its ledger names a
+        // catalog the store does not hold, and the next cycle wrangles cold
+        // with this cycle's knowledge.
+        save_state(&self.ctx, &self.state_dir)?;
         let wait = Stopwatch::start_if(metamess_telemetry::enabled());
         if mutations > 0 {
             self.publish(delta)?;
@@ -248,7 +255,6 @@ impl Watcher {
             self.ctx.vocab.save(&self.vocab_path)?;
             self.last_vocab_version = Some(self.ctx.vocab.version);
         }
-        save_state(&self.ctx, &self.state_dir)?;
         self.last_fingerprint = Some(fingerprint);
         let report = CycleReport {
             cycle: self.cycle,

@@ -6,13 +6,21 @@
 //! copy a file under a new name, rename, delete, or add a file with a messy
 //! header). Before a cycle's edits, a seeded third of the cycles first
 //! crash and resume: the watcher is dropped, the state image the previous
-//! cycle started from is put back (or removed, when there was none), as if
-//! the process died between the store's fsync and the state's rename, and
-//! a new watcher opens the store. After every cycle the store's catalog
-//! must equal what a fresh context publishes over the same archive. That
-//! context loads the watcher's saved state, so it knows the vocabulary and
-//! curation the watcher learned, then drops the ledger, findings and
-//! proposals and runs the curation loop to fixpoint from an empty catalog.
+//! cycle started from is put back (or removed, when there was none), so the
+//! state is a cycle behind the store (a watcher writes its state before the
+//! store's fsync, so a crash cannot leave that, but a restored backup can),
+//! and a new watcher opens the store. A seeded third of the edit cycles,
+//! drawn from a generator of their own, fail instead: the cycle's state
+//! write meets a directory where the image's temporary file goes and the
+//! cycle returns an error; with the obstacle gone, a new watcher runs one
+//! more cycle over the same archive. Its store (datasets and vocabulary
+//! file) must then equal the store of a twin watcher that got the same
+//! archive, edits and crashes on a copy and never failed. After every cycle
+//! the store's catalog must equal what a fresh context publishes over the
+//! same archive. That context loads the watcher's saved state, so it knows
+//! the vocabulary and curation the watcher learned, then drops the ledger,
+//! findings and proposals and runs the curation loop to fixpoint from an
+//! empty catalog.
 //!
 //! The knowledge is held equal on purpose: a watcher keeps synonyms it
 //! learned from files that were later edited away, and a wrangle that never
@@ -134,13 +142,96 @@ fn cold_wrangle(archive: &Path, store: &Path) -> Vec<DatasetFeature> {
     normalized(&ctx.catalog)
 }
 
+/// Asserts that two dataset lists in the same order are equal, naming the
+/// first dataset that differs.
+fn assert_same_datasets(ours: &[DatasetFeature], theirs: &[DatasetFeature], what: &str) {
+    let paths = |c: &[DatasetFeature]| c.iter().map(|f| f.path.clone()).collect::<Vec<_>>();
+    assert_eq!(paths(ours), paths(theirs), "{what}: published paths");
+    for (a, b) in ours.iter().zip(theirs) {
+        assert_eq!(a, b, "{what}: {}", a.path);
+    }
+}
+
 fn assert_store_matches_cold_wrangle(archive: &Path, store: &Path, cycle: usize) {
     let watched = normalized(&read_published(store.join("catalog")).unwrap().catalog());
-    let cold = cold_wrangle(archive, store);
-    let paths = |c: &[DatasetFeature]| c.iter().map(|f| f.path.clone()).collect::<Vec<_>>();
-    assert_eq!(paths(&watched), paths(&cold), "cycle {cycle}: published paths");
-    for (w, c) in watched.iter().zip(&cold) {
-        assert_eq!(w, c, "cycle {cycle}: {}", w.path);
+    assert_same_datasets(&watched, &cold_wrangle(archive, store), &format!("cycle {cycle}"));
+}
+
+/// A watcher over its own archive and store.
+struct Side {
+    archive: PathBuf,
+    store: PathBuf,
+    watcher: Option<Watcher>,
+    /// The state image the last cycle started from, if there was one.
+    previous: Option<Vec<u8>>,
+}
+
+impl Side {
+    /// Writes `spec`'s archive under `dir` and opens a watcher over it.
+    fn new(dir: &Path, spec: &ArchiveSpec) -> Side {
+        let (archive, store) = (dir.join("archive"), dir.join("store"));
+        generate(spec).write_to(&archive).unwrap();
+        let mut side = Side { archive, store, watcher: None, previous: None };
+        side.reopen();
+        side
+    }
+
+    fn state(&self) -> PathBuf {
+        self.store.join("state").join("state.bin")
+    }
+
+    /// Drops the watcher, then opens a new one over the same store.
+    fn reopen(&mut self) {
+        self.watcher = None;
+        self.watcher =
+            Some(Watcher::new(&self.archive, &self.store, WatchOptions::default()).unwrap());
+    }
+
+    fn cycle(&mut self) {
+        self.previous = std::fs::read(self.state()).ok();
+        self.watcher.as_mut().unwrap().run_cycle().unwrap();
+    }
+
+    /// The state falls a cycle behind the store: the image the last cycle
+    /// started from is put back (or removed, when there was none) and a new
+    /// watcher opens the store.
+    fn crash(&mut self) {
+        self.watcher = None;
+        match &self.previous {
+            Some(bytes) => std::fs::write(self.state(), bytes).unwrap(),
+            None => std::fs::remove_file(self.state()).unwrap(),
+        }
+        self.reopen();
+    }
+
+    /// A cycle whose state write fails — a directory sits where the
+    /// image's temporary file goes — returns an error; with the obstacle
+    /// gone, a new watcher runs one more cycle over the same archive.
+    fn fail_to_save_state_then_resume(&mut self) {
+        let obstacle = self.state().with_extension("tmp");
+        std::fs::create_dir_all(&obstacle).unwrap();
+        self.previous = std::fs::read(self.state()).ok();
+        let failed = self.watcher.as_mut().unwrap().run_cycle();
+        std::fs::remove_dir_all(&obstacle).unwrap();
+        match failed {
+            // edits that cancel out (a copy, then its deletion) leave
+            // nothing to wrangle and no state to write
+            Ok(report) => assert!(!report.changed, "the state write must fail"),
+            Err(_) => {
+                self.reopen();
+                self.watcher.as_mut().unwrap().run_cycle().unwrap();
+            }
+        }
+    }
+
+    /// The store's datasets, in id order.
+    fn published(&self) -> Vec<DatasetFeature> {
+        read_published(self.store.join("catalog")).unwrap().catalog().into_features().collect()
+    }
+
+    /// The store's vocabulary file.
+    fn vocabulary(&self) -> Vec<u8> {
+        std::fs::read(self.store.join("vocabulary.json")).unwrap()
     }
 }
 
@@ -148,31 +239,39 @@ fn assert_store_matches_cold_wrangle(archive: &Path, store: &Path, cycle: usize)
 fn an_incremental_watch_publishes_what_a_cold_wrangle_publishes() {
     let base = std::env::temp_dir().join(format!("mm-watch-oracle-{}", std::process::id()));
     sweep(cases(), |rng| {
+        // the fault steps draw from a generator of their own, so each seed
+        // keeps the archive, edits and crashes it drew without them
+        let mut faults = Rng(rng.0 ^ 0xFA_0175);
         let _ = std::fs::remove_dir_all(&base);
-        let (archive, store): (PathBuf, PathBuf) = (base.join("archive"), base.join("store"));
-        generate(&spec(rng)).write_to(&archive).unwrap();
-        let state = store.join("state").join("state.bin");
-        let mut watcher = Watcher::new(&archive, &store, WatchOptions::default()).unwrap();
-        let mut previous = std::fs::read(&state).ok();
-        watcher.run_cycle().unwrap();
-        assert_store_matches_cold_wrangle(&archive, &store, 1);
+        let spec = spec(rng);
+        // the twin gets the same archive, edits and crashes, and no fault
+        let (mut side, mut twin) = (Side::new(&base, &spec), Side::new(&base.join("twin"), &spec));
+        side.cycle();
+        twin.cycle();
+        assert_store_matches_cold_wrangle(&side.archive, &side.store, 1);
         let mut n = 0;
         for cycle in 2..2 + rng.size(1, 4) {
             if rng.below(3) == 0 {
-                drop(watcher);
-                match &previous {
-                    Some(bytes) => std::fs::write(&state, bytes).unwrap(),
-                    None => std::fs::remove_file(&state).unwrap(),
-                }
-                watcher = Watcher::new(&archive, &store, WatchOptions::default()).unwrap();
+                side.crash();
+                twin.crash();
             }
-            previous = std::fs::read(&state).ok();
             for _ in 0..rng.size(1, 4) {
                 n += 1;
-                edit(rng, &archive, n);
+                edit(&mut Rng(rng.0), &twin.archive, n);
+                edit(rng, &side.archive, n);
             }
-            watcher.run_cycle().unwrap();
-            assert_store_matches_cold_wrangle(&archive, &store, cycle);
+            if faults.below(3) == 0 {
+                side.fail_to_save_state_then_resume();
+                // a second twin cycle would see no edit and publish nothing
+                twin.cycle();
+                let what = format!("cycle {cycle}, after a failed state write");
+                assert_same_datasets(&side.published(), &twin.published(), &what);
+                assert!(side.vocabulary() == twin.vocabulary(), "{what}: the vocabulary");
+            } else {
+                side.cycle();
+                twin.cycle();
+            }
+            assert_store_matches_cold_wrangle(&side.archive, &side.store, cycle);
         }
     });
     let _ = std::fs::remove_dir_all(&base);

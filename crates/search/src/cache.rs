@@ -153,13 +153,6 @@ impl ResultCache {
     pub fn clear(&self) {
         self.inner().entries.clear();
     }
-
-    /// Zeroes the hit/miss counters (entries are kept) — `metamess stats
-    /// --reset` starts a fresh measurement window without losing the cache.
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -249,17 +242,5 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.stats().hits, 1);
-    }
-
-    #[test]
-    fn reset_stats_keeps_entries() {
-        let c = ResultCache::new(4);
-        c.put("q1".into(), 1, hits("a.csv"));
-        assert!(c.get("q1", 1).is_some());
-        assert!(c.get("q2", 1).is_none());
-        c.reset_stats();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(c.len(), 1, "entries survive a counter reset");
-        assert!(c.get("q1", 1).is_some());
     }
 }

@@ -401,12 +401,6 @@ impl ShardedEngine {
         self.execute_plan(query, &plan, explain)
     }
 
-    /// Runs a ranked search with a pre-built plan (reusable across repeated
-    /// executions of the same query shape).
-    pub fn search_with_plan(&self, query: &Query, plan: &QueryPlan) -> Vec<SearchHit> {
-        self.execute_plan(query, plan, None)
-    }
-
     /// Scatter-gather over the shards in this address space, none of which
     /// can fail.
     fn execute_plan(

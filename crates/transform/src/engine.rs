@@ -40,11 +40,6 @@ impl ApplyReport {
     pub fn total_changed(&self) -> u64 {
         self.ops.iter().map(|o| o.cells_changed).sum()
     }
-
-    /// Total evaluation errors across all operations.
-    pub fn total_errors(&self) -> u64 {
-        self.ops.iter().map(|o| o.errors).sum()
-    }
 }
 
 /// Strips Refine's optional `grel:` language prefix.
@@ -422,7 +417,6 @@ mod tests {
         ];
         let report = apply_operations(&mut t, &ops).unwrap();
         assert_eq!(report.total_changed(), 3);
-        assert_eq!(report.total_errors(), 0);
     }
 
     #[test]

@@ -257,16 +257,6 @@ impl UnitRegistry {
         }
     }
 
-    /// Adds an alias to an existing unit.
-    pub fn add_alias(&mut self, unit: &str, alias: &str) -> Result<()> {
-        let key = normalize_term(unit);
-        if !self.units.contains_key(&key) {
-            return Err(Error::not_found("unit", unit));
-        }
-        self.aliases.insert(normalize_term(alias), key);
-        Ok(())
-    }
-
     /// Resolves a harvested unit string to its canonical definition.
     pub fn resolve(&self, raw: &str) -> Option<&UnitDef> {
         let key = normalize_term(raw);
@@ -425,14 +415,6 @@ mod tests {
         assert_eq!(r.affine_to("C", "C").unwrap(), (1.0, 0.0));
         assert!(r.affine_to("C", "m").is_err());
         assert!(r.affine_to("uM", "mg/L").is_err());
-    }
-
-    #[test]
-    fn add_alias_dynamic() {
-        let mut r = UnitRegistry::builtin();
-        r.add_alias("celsius", "grad").unwrap();
-        assert_eq!(r.resolve("grad").unwrap().name, "celsius");
-        assert!(r.add_alias("nonexistent", "x").is_err());
     }
 
     #[test]

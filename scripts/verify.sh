@@ -63,6 +63,14 @@ echo "==> incremental watch vs cold wrangle, and the pipeline's unit tests ($cas
 # publishes.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-pipeline --lib --test watch_oracle
 
+echo "==> the engine's debug invariant under the watch oracle (300 seeded cases, debug)"
+# A stage that declares a working-catalog write but leaves the catalog's
+# generation where it was keeps the engine's memoized catalog fingerprint;
+# only a debug build asserts that its content did not move either, and the
+# release step above compiles that check away. 300 seeds keep this step
+# under about 2 minutes on two cores (tier-1 runs 40).
+METAMESS_TORTURE_CASES=300 cargo test -q -p metamess-pipeline --lib --test watch_oracle
+
 echo "==> vocabulary indexes vs tree walks ($cases seeded cases, release)"
 # Every lookup a vocabulary answers from its indexes — hierarchy paths,
 # term expansions and key sets, taxonomy children and descendants, the
