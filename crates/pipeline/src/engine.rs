@@ -38,10 +38,7 @@
 //!   only work;
 //! * a stage that declares a catalog write but leaves the generation where
 //!   it was keeps the memoized fingerprint (in debug builds the engine
-//!   checks that the catalog's content did not move either);
-//! * the scan puts a re-harvested feature only when it differs from the
-//!   catalog's entry, so an archive edit that rebuilds identical features
-//!   moves no generation and the stages after it still skip.
+//!   checks that the catalog's content did not move either).
 //!
 //! A run therefore fingerprints the catalog at most twice: once for the
 //! first stage that reads it unedited, and once at the end-of-run

@@ -62,9 +62,7 @@ impl Component for ScanArchive {
         // Replace working entries for scanned files; keep previously
         // harvested, unchanged ones (they are in `reused`); drop entries for
         // files the scan no longer produced (removed, excluded by config, or
-        // no longer parseable) so working mirrors the archive exactly. Only
-        // a real change touches the catalog: a feature rebuilt equal to its
-        // entry leaves the catalog, and its generation, as they were.
+        // no longer parseable) so working mirrors the archive exactly.
         let keep: BTreeSet<DatasetId> =
             hr.features.iter().chain(hr.reused.iter()).map(|f| f.id).collect();
         let working = view.working_mut();
@@ -77,9 +75,7 @@ impl Component for ScanArchive {
             report.note(format!("{} removed (no longer in archive)", stale.len()));
         }
         for f in hr.features {
-            if working.get(f.id) != Some(&f) {
-                working.put(f);
-            }
+            working.put(f);
         }
         report.resolution_after = working.resolution_fraction();
         Ok(report)

@@ -25,6 +25,8 @@
 //! 5. saves the vocabulary *only when its version moved* (a rewritten
 //!    vocabulary file forces live readers into a full reload — see the
 //!    delta-publication signature check in `metamess-server`), atomically.
+//!    A new `Watcher` takes the version from the file, so a file a crash
+//!    left behind the state is rewritten by its first cycle.
 //!
 //! The state is written before the store, so what a cycle learned is never
 //! behind what the store holds: a crash between the two leaves a state
@@ -173,7 +175,10 @@ impl Watcher {
         let state_dir = store_dir.join("state");
         let resumed = load_state(&mut ctx, &state_dir)?;
         let vocab_path = store_dir.join("vocabulary.json");
-        let last_vocab_version = vocab_path.exists().then_some(ctx.vocab.version);
+        // the version the file holds, not the state's: a crash after the
+        // state's write and before the file's leaves the file behind, and
+        // the next changed cycle must rewrite it
+        let last_vocab_version = Vocabulary::load(&vocab_path).ok().map(|v| v.version);
         Ok(Watcher {
             vocab_path,
             state_dir,
@@ -556,6 +561,34 @@ mod tests {
         assert_eq!(r3.datasets, r2.datasets);
         drop(w2);
         assert_eq!(store_len(&store), r2.datasets);
+    }
+
+    #[test]
+    fn a_vocabulary_a_cycle_failed_to_write_is_written_by_the_next_watcher() {
+        let (archive, store) = fixture("vocab");
+        let vocab = store.join("vocabulary.json");
+        let mut w = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        w.run_cycle().unwrap();
+        let published = Vocabulary::load(&vocab).unwrap().version;
+        let extra = archive.join("extra");
+        std::fs::create_dir_all(&extra).unwrap();
+        std::fs::write(
+            extra.join("messy.csv"),
+            "time,phospate,salinty\n2010-01-01T00:00:00Z,9.5,28.1\n2010-01-01T01:00:00Z,9.7,28.3\n",
+        )
+        .unwrap();
+        // a directory where the file's temporary copy goes fails the write,
+        // after the state and the store took the cycle
+        let obstacle = vocab.with_extension("tmp");
+        std::fs::create_dir(&obstacle).unwrap();
+        assert!(w.run_cycle().is_err(), "the vocabulary write must fail");
+        std::fs::remove_dir(&obstacle).unwrap();
+        drop(w);
+        let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        let learned = w2.context().vocab.to_json();
+        assert!(w2.context().vocab.version > published, "the new file taught the curator");
+        assert_eq!(w2.run_cycle().unwrap().mutations, 0);
+        assert_eq!(std::fs::read_to_string(&vocab).unwrap(), learned);
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //! state is a cycle behind the store (a watcher writes its state before the
 //! store's fsync, so a crash cannot leave that, but a restored backup can),
 //! and a new watcher opens the store. A seeded third of the edit cycles,
-//! drawn from a generator of their own, fail instead: the cycle's state
-//! write meets a directory where the image's temporary file goes and the
-//! cycle returns an error; with the obstacle gone, a new watcher runs one
-//! more cycle over the same archive. Its store (datasets and vocabulary
-//! file) must then equal the store of a twin watcher that got the same
-//! archive, edits and crashes on a copy and never failed. After every cycle
+//! drawn up front from a generator of their own, fail instead: a directory
+//! sits where the temporary file of one of the cycle's writes goes — the
+//! state image, written before the store's flush, or the vocabulary file,
+//! written after it — and the cycle returns an error; with the obstacle
+//! gone, a new watcher runs one more cycle over the same archive. Its
+//! store (datasets and vocabulary file) must then equal the store of a
+//! twin watcher that got the same archive, edits and crashes on a copy and
+//! never failed; after a failed vocabulary write, whose state was saved,
+//! the twin restarts too, so the two watchers' run ids stay in step. Only
+//! a seed that meets a fault builds a twin. After every cycle
 //! the store's catalog must equal what a fresh context publishes over the
 //! same archive. That context loads the watcher's saved state, so it knows
 //! the vocabulary and curation the watcher learned, then drops the ledger,
@@ -204,22 +208,32 @@ impl Side {
         self.reopen();
     }
 
-    /// A cycle whose state write fails — a directory sits where the
-    /// image's temporary file goes — returns an error; with the obstacle
+    /// A cycle whose `fault` write fails — a directory sits where the
+    /// file's temporary copy goes — returns an error; with the obstacle
     /// gone, a new watcher runs one more cycle over the same archive.
-    fn fail_to_save_state_then_resume(&mut self) {
-        let obstacle = self.state().with_extension("tmp");
+    /// Says whether the cycle failed and a new watcher took over.
+    fn fail_then_resume(&mut self, fault: Fault) -> bool {
+        let obstacle = match fault {
+            Fault::State => self.state(),
+            Fault::Vocabulary => self.store.join("vocabulary.json"),
+        }
+        .with_extension("tmp");
         std::fs::create_dir_all(&obstacle).unwrap();
         self.previous = std::fs::read(self.state()).ok();
         let failed = self.watcher.as_mut().unwrap().run_cycle();
         std::fs::remove_dir_all(&obstacle).unwrap();
         match failed {
             // edits that cancel out (a copy, then its deletion) leave
-            // nothing to wrangle and no state to write
-            Ok(report) => assert!(!report.changed, "the state write must fail"),
+            // nothing to wrangle and no state to write; a cycle that
+            // teaches the curator nothing leaves no vocabulary to write
+            Ok(report) => {
+                assert!(fault == Fault::Vocabulary || !report.changed, "the state write must fail");
+                false
+            }
             Err(_) => {
                 self.reopen();
                 self.watcher.as_mut().unwrap().run_cycle().unwrap();
+                true
             }
         }
     }
@@ -235,41 +249,77 @@ impl Side {
     }
 }
 
+/// The write an edit cycle fails.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    /// The state image's, before the store's flush.
+    State,
+    /// The vocabulary file's, after the store's flush.
+    Vocabulary,
+}
+
+/// A third of the draws fail a write, half of those the state's.
+fn fault(rng: &mut Rng) -> Option<Fault> {
+    match rng.below(6) {
+        0 => Some(Fault::State),
+        1 => Some(Fault::Vocabulary),
+        _ => None,
+    }
+}
+
 #[test]
 fn an_incremental_watch_publishes_what_a_cold_wrangle_publishes() {
     let base = std::env::temp_dir().join(format!("mm-watch-oracle-{}", std::process::id()));
     sweep(cases(), |rng| {
-        // the fault steps draw from a generator of their own, so each seed
-        // keeps the archive, edits and crashes it drew without them
+        // the faults draw from a generator of their own, so each seed keeps
+        // the archive, edits and crashes it drew without them
         let mut faults = Rng(rng.0 ^ 0xFA_0175);
         let _ = std::fs::remove_dir_all(&base);
         let spec = spec(rng);
-        // the twin gets the same archive, edits and crashes, and no fault
-        let (mut side, mut twin) = (Side::new(&base, &spec), Side::new(&base.join("twin"), &spec));
+        let schedule: Vec<Option<Fault>> =
+            (0..rng.size(1, 4)).map(|_| fault(&mut faults)).collect();
+        let mut side = Side::new(&base, &spec);
+        // only a seed that meets a fault pays for a twin: it gets the same
+        // archive, edits and crashes, and no fault
+        let mut twin =
+            schedule.iter().any(Option::is_some).then(|| Side::new(&base.join("twin"), &spec));
         side.cycle();
-        twin.cycle();
+        twin.iter_mut().for_each(Side::cycle);
         assert_store_matches_cold_wrangle(&side.archive, &side.store, 1);
         let mut n = 0;
-        for cycle in 2..2 + rng.size(1, 4) {
+        for (cycle, fault) in (2..).zip(schedule) {
             if rng.below(3) == 0 {
                 side.crash();
-                twin.crash();
+                twin.iter_mut().for_each(Side::crash);
             }
             for _ in 0..rng.size(1, 4) {
                 n += 1;
-                edit(&mut Rng(rng.0), &twin.archive, n);
+                if let Some(twin) = &twin {
+                    edit(&mut Rng(rng.0), &twin.archive, n);
+                }
                 edit(rng, &side.archive, n);
             }
-            if faults.below(3) == 0 {
-                side.fail_to_save_state_then_resume();
-                // a second twin cycle would see no edit and publish nothing
-                twin.cycle();
-                let what = format!("cycle {cycle}, after a failed state write");
-                assert_same_datasets(&side.published(), &twin.published(), &what);
-                assert!(side.vocabulary() == twin.vocabulary(), "{what}: the vocabulary");
-            } else {
-                side.cycle();
-                twin.cycle();
+            match (fault, &mut twin) {
+                (Some(fault), Some(twin)) => {
+                    let resumed = side.fail_then_resume(fault);
+                    // a second twin cycle would see no edit and publish nothing
+                    twin.cycle();
+                    if resumed && fault == Fault::Vocabulary {
+                        // the side's new watcher resumed the state the failed
+                        // cycle saved and ran one more cycle, all skipped; the
+                        // twin restarts too, so their run ids, and the stamps
+                        // later cycles give, stay in step
+                        twin.reopen();
+                        twin.cycle();
+                    }
+                    let what = format!("cycle {cycle}, after a failed {fault:?} write");
+                    assert_same_datasets(&side.published(), &twin.published(), &what);
+                    assert!(side.vocabulary() == twin.vocabulary(), "{what}: the vocabulary");
+                }
+                _ => {
+                    side.cycle();
+                    twin.iter_mut().for_each(Side::cycle);
+                }
             }
             assert_store_matches_cold_wrangle(&side.archive, &side.store, cycle);
         }
