@@ -55,16 +55,18 @@ impl Catalog {
         properties: BTreeMap<String, String>,
         generation: u64,
     ) -> Catalog {
+        // a decoded feature's lists are already at exact capacity
         let entries = rows.map(|view| (view.id(), view.decode())).collect();
         Catalog { entries, properties, generation }
     }
 
     /// Applies one mutation, bumping the generation. The mutation is
-    /// consumed: a `Put` moves its feature into the catalog.
+    /// consumed: a `Put` moves its feature into the catalog, its lists cut
+    /// to what they hold.
     pub fn apply(&mut self, m: Mutation) {
         match m {
             Mutation::Put(f) => {
-                self.entries.insert(f.id, *f);
+                self.entries.insert(f.id, exact(*f));
             }
             Mutation::Delete(id) => {
                 self.entries.remove(&id);
@@ -189,6 +191,16 @@ impl Catalog {
     pub fn diff(&self, other: &Catalog) -> Vec<Mutation> {
         diff_entries(&self.entries, &self.properties, other, |existing, f| existing == f)
     }
+}
+
+/// `f` with no room in its lists beyond what it holds. A catalog keeps
+/// every feature it takes this way: a harvester pushes variables one by
+/// one, which leaves up to half the vector empty, and the catalog holds
+/// each feature for as long as it is not replaced.
+fn exact(mut f: DatasetFeature) -> DatasetFeature {
+    f.variables.shrink_to_fit();
+    f.external.shrink_to_fit();
+    f
 }
 
 /// The mutations that turn a catalog of `entries` and `properties` into

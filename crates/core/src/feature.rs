@@ -208,6 +208,117 @@ pub struct Provenance {
     pub format: String,
 }
 
+/// A dataset's external metadata: key → value, in key order. A dataset
+/// holds a handful of pairs, so they are one sorted vector, where a
+/// `BTreeMap` would hold a 544-byte node for the first. Its JSON and
+/// `Debug` forms are a `BTreeMap<String, String>`'s.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct ExternalMetadata(Vec<(String, String)>);
+
+impl ExternalMetadata {
+    /// No pairs; allocates nothing.
+    pub fn new() -> ExternalMetadata {
+        ExternalMetadata::default()
+    }
+
+    /// Sets `key` to `value`; returns the value it replaced, if any.
+    pub fn insert(&mut self, key: String, value: String) -> Option<String> {
+        match self.position(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.0[at].1, value)),
+            Err(at) => {
+                self.0.insert(at, (key, value));
+                None
+            }
+        }
+    }
+
+    /// The value of `key`.
+    pub fn get(&self, key: &str) -> Option<&String> {
+        self.position(key).ok().map(|at| &self.0[at].1)
+    }
+
+    /// The pairs, in key order.
+    pub fn iter(&self) -> ExternalIter<'_> {
+        ExternalIter(self.0.iter())
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when there are no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Room for `additional` more pairs and no more.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.0.reserve_exact(additional);
+    }
+
+    /// Drops the room no pair uses.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.0.shrink_to_fit();
+    }
+
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+}
+
+/// The pairs of an [`ExternalMetadata`], in key order.
+#[derive(Clone)]
+pub struct ExternalIter<'a>(std::slice::Iter<'a, (String, String)>);
+
+impl<'a> Iterator for ExternalIter<'a> {
+    type Item = (&'a String, &'a String);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ExternalIter<'_> {}
+
+impl<'a> IntoIterator for &'a ExternalMetadata {
+    type Item = (&'a String, &'a String);
+    type IntoIter = ExternalIter<'a>;
+
+    fn into_iter(self) -> ExternalIter<'a> {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for ExternalMetadata {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for ExternalMetadata {
+    fn json(&self, out: &mut serde::ser::JsonOut) {
+        out.begin_object();
+        for (k, v) in self {
+            out.entry(k, v);
+        }
+        out.end_object();
+    }
+}
+
+/// Reads a JSON object as a `BTreeMap` does: a key given twice keeps its
+/// last value.
+impl<'de> Deserialize<'de> for ExternalMetadata {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<ExternalMetadata, D::Error> {
+        let pairs = BTreeMap::<String, String>::deserialize(d)?;
+        Ok(ExternalMetadata(pairs.into_iter().collect()))
+    }
+}
+
 /// The catalog entry for one dataset: everything search and the dataset
 /// summary page need, and nothing else.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -230,7 +341,7 @@ pub struct DatasetFeature {
     pub variables: Vec<VariableFeature>,
     /// External metadata merged in by the add-external-metadata stage
     /// (key → value, e.g. `"principal_investigator" → "..."`).
-    pub external: BTreeMap<String, String>,
+    pub external: ExternalMetadata,
     /// Scan/run provenance.
     pub provenance: Provenance,
 }
@@ -248,7 +359,7 @@ impl DatasetFeature {
             time: None,
             record_count: 0,
             variables: Vec::new(),
-            external: BTreeMap::new(),
+            external: ExternalMetadata::new(),
             provenance: Provenance::default(),
         }
     }
@@ -359,6 +470,14 @@ mod tests {
             &Hierarchy::from(Vec::new()),
             &VariableFeature::new("x").hierarchy
         ));
+    }
+
+    /// A catalog holds one of each per dataset and per variable: growing
+    /// either grows every catalog by as much.
+    #[test]
+    fn a_feature_and_a_variable_keep_their_size() {
+        assert!(std::mem::size_of::<DatasetFeature>() <= 248);
+        assert!(std::mem::size_of::<VariableFeature>() <= 224);
     }
 
     #[test]

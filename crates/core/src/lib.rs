@@ -26,7 +26,8 @@ pub mod value;
 pub use catalog::{Catalog, Mutation};
 pub use error::{Error, Result};
 pub use feature::{
-    DatasetFeature, Hierarchy, NameResolution, Provenance, VariableFeature, VariableFlags,
+    DatasetFeature, ExternalMetadata, Hierarchy, NameResolution, Provenance, VariableFeature,
+    VariableFlags,
 };
 pub use geo::{GeoBBox, GeoPoint};
 pub use id::DatasetId;

@@ -61,7 +61,8 @@
 use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, Result};
 use crate::feature::{
-    DatasetFeature, Hierarchy, NameResolution, Provenance, VariableFeature, VariableFlags,
+    DatasetFeature, ExternalIter, ExternalMetadata, Hierarchy, NameResolution, Provenance,
+    VariableFeature, VariableFlags,
 };
 use crate::geo::GeoBBox;
 use crate::id::DatasetId;
@@ -189,24 +190,24 @@ pub fn encode_rows_of<'a>(
     properties: &BTreeMap<String, String>,
     rows: impl ExactSizeIterator<Item = &'a Row>,
 ) -> Image {
-    /// Hands a row's lists on to the encoder. The external pairs are held
-    /// until the variable count arrives, because their own count goes first.
-    /// A descriptor of a source image is entered once and renumbered by its
-    /// number after that: the new number of each one met so far is kept,
-    /// by the address of its image, which every row borrowed here keeps
-    /// alive.
+    /// Hands a row's lists on to the encoder. A descriptor of a source
+    /// image is entered once and renumbered by its number after that: the
+    /// new number of each one met so far is kept, by the address of its
+    /// image, which every row borrowed here keeps alive.
     struct Transcode<'a> {
         e: Encoder<'a>,
-        external: Vec<(&'a str, &'a str)>,
         image: *const Image,
         renumbered: HashMap<(*const Image, u32), u64>,
     }
     impl<'a> RowSink<'a> for Transcode<'a> {
+        fn externals(&mut self, count: usize) {
+            self.e.varint(count as u64);
+        }
         fn external(&mut self, key: &'a str, value: &'a str) {
-            self.external.push((key, value));
+            self.e.text(key);
+            self.e.text(value);
         }
         fn variables(&mut self, count: usize) {
-            self.e.externals(self.external.drain(..));
             self.e.varint(count as u64);
         }
         fn variable(&mut self, descriptor: u32, v: Var<'a>) {
@@ -218,7 +219,6 @@ pub fn encode_rows_of<'a>(
     }
     let mut t = Transcode {
         e: Encoder::new(Vec::new(), 1024),
-        external: Vec::new(),
         image: std::ptr::null(),
         renumbered: HashMap::new(),
     };
@@ -642,7 +642,7 @@ impl<'a> RowView<'a> {
     /// key order in every row this module writes.
     pub(crate) fn matches(&self, f: &DatasetFeature) -> bool {
         struct Compare<'f> {
-            external: std::collections::btree_map::Iter<'f, String, String>,
+            external: ExternalIter<'f>,
             variables: std::slice::Iter<'f, VariableFeature>,
             same: bool,
         }
@@ -671,11 +671,14 @@ impl<'a> RowView<'a> {
     /// variable decoded from the image.
     pub(crate) fn decode(&self) -> DatasetFeature {
         struct Owned<'h> {
-            external: BTreeMap<String, String>,
+            external: ExternalMetadata,
             variables: Vec<VariableFeature>,
             hierarchies: &'h [Hierarchy],
         }
         impl<'a> RowSink<'a> for Owned<'_> {
+            fn externals(&mut self, count: usize) {
+                self.external.reserve_exact(count);
+            }
             fn external(&mut self, key: &'a str, value: &'a str) {
                 self.external.insert(key.to_owned(), value.to_owned());
             }
@@ -688,7 +691,7 @@ impl<'a> RowView<'a> {
             }
         }
         let mut owned = Owned {
-            external: BTreeMap::new(),
+            external: ExternalMetadata::new(),
             variables: Vec::new(),
             hierarchies: self.image.hierarchies(),
         };
@@ -1315,6 +1318,8 @@ impl<'a> Var<'a> {
 /// Every method defaults to doing nothing, so `()` — the check at parse —
 /// only reads.
 trait RowSink<'a> {
+    /// How many external metadata pairs follow.
+    fn externals(&mut self, _count: usize) {}
     /// One external metadata pair.
     fn external(&mut self, _key: &'a str, _value: &'a str) {}
     /// How many variables follow.
@@ -1580,7 +1585,9 @@ impl<'a> Decoder<'a> {
     /// A row's external pairs, handed to `sink`; returns how many
     /// variables follow them.
     fn externals(&mut self, sink: &mut impl RowSink<'a>) -> Result<usize> {
-        for _ in 0..self.count(MIN_PAIR)? {
+        let count = self.count(MIN_PAIR)?;
+        sink.externals(count);
+        for _ in 0..count {
             let key = self.text()?;
             sink.external(key, self.text()?);
         }

@@ -46,6 +46,13 @@ pub struct RunLedger {
     /// and in ledgers written before this field existed.
     #[serde(default)]
     pub catalog_fingerprint: Option<u64>,
+    /// Digest of what the watch cycle that last ran over these records
+    /// wrangled — the archive listing and the watcher's settings — set once
+    /// the cycle's curation loop finished. `None` after any other run, and
+    /// in ledgers written before this field existed: a watcher that resumes
+    /// a ledger naming the archive it finds again runs no cycle for it.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub cycle_input: Option<u64>,
     /// Stage name → record.
     pub stages: BTreeMap<String, StageRecord>,
 }
@@ -81,6 +88,7 @@ impl RunLedger {
         self.run_id = 0;
         self.trace_id.clear();
         self.catalog_fingerprint = None;
+        self.cycle_input = None;
         self.stages.clear();
     }
 }

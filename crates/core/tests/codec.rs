@@ -556,3 +556,54 @@ fn odd_dataset() -> DatasetFeature {
     f.variables.push(VariableFeature::new("station"));
     f
 }
+
+/// The bytes a dataset with 0, 1 and 3 external pairs encodes to as a put
+/// record, and the content fingerprint of a catalog holding it: the format
+/// and the pipeline's digests, which the pairs' in-memory form must not
+/// move. The pairs are inserted out of key order; a row holds them in key
+/// order.
+#[test]
+fn external_pairs_encode_to_their_golden_bytes_and_fingerprints() {
+    /// The pairs, the put record's hex and the catalog's fingerprint.
+    type Case = (&'static [(&'static str, &'static str)], &'static str, u64);
+    let cases: [Case; 3] = [
+        (
+            &[],
+            concat!(
+                "0401010000f71c0a3fe64522da1a73746174696f6e732f73617475726e30312f323031302e6373761a73",
+                "746174696f6e732f73617475726e30312f323031302e637376000000000000000000000000000000",
+            ),
+            8_809_346_692_407_844_086,
+        ),
+        (
+            &[("context", "buoy")],
+            concat!(
+                "0401030007636f6e746578740462756f7900f71c0a3fe64522da1a73746174696f6e732f73617475726e",
+                "30312f323031302e6373761a73746174696f6e732f73617475726e30312f323031302e63737600000000",
+                "00000000000000000001010200",
+            ),
+            862_160_126_887_737_087,
+        ),
+        (
+            &[("station", "saturn01"), ("context", "buoy"), ("principal_investigator", "Megler")],
+            concat!(
+                "0401070007636f6e746578740462756f79167072696e636970616c5f696e76657374696761746f72064d",
+                "65676c65720773746174696f6e0873617475726e303100f71c0a3fe64522da1a73746174696f6e732f73",
+                "617475726e30312f323031302e6373761a73746174696f6e732f73617475726e30312f323031302e6373",
+                "76000000000000000000000000000301020304050600",
+            ),
+            15_957_810_224_926_003_952,
+        ),
+    ];
+    for (pairs, golden, fingerprint) in cases {
+        let mut f = DatasetFeature::new("stations/saturn01/2010.csv");
+        for (k, v) in pairs {
+            f.external.insert(k.to_string(), v.to_string());
+        }
+        let hex: String = put_record(&f).iter().map(|b| format!("{b:02x}")).collect();
+        let mut catalog = Catalog::new();
+        catalog.put(f);
+        assert_eq!(hex, golden, "{} pairs", pairs.len());
+        assert_eq!(catalog.content_fingerprint(), fingerprint, "{} pairs", pairs.len());
+    }
+}

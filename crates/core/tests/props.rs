@@ -5,12 +5,13 @@ mod common;
 
 use common::{printable, sweep, Rng, LOWER};
 use metamess_core::catalog::{Catalog, Mutation};
-use metamess_core::feature::DatasetFeature;
+use metamess_core::feature::{DatasetFeature, ExternalMetadata};
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::stats::NumericSummary;
 use metamess_core::store::{crc32, Wal};
 use metamess_core::time::{TimeInterval, Timestamp};
 use metamess_core::value::Value;
+use std::collections::BTreeMap;
 
 const CASES: u64 = 256;
 
@@ -253,4 +254,38 @@ fn wal_replay_equals_memory_after_random_workload() {
         rebuilt.apply(m);
     }
     assert_eq!(rebuilt, mem);
+}
+
+#[test]
+fn external_metadata_reads_and_writes_as_a_btree_map() {
+    sweep(CASES, |rng| {
+        let (mut pairs, mut tree) = (ExternalMetadata::new(), BTreeMap::new());
+        // few keys from a short alphabet, so inserts often replace
+        let key = |rng: &mut Rng| rng.string("abc_", 0, 3);
+        for _ in 0..rng.size(0, 12) {
+            let (k, v) = (key(rng), rng.string(&printable(), 0, 6));
+            assert_eq!(pairs.insert(k.clone(), v.clone()), tree.insert(k, v));
+        }
+        for _ in 0..4 {
+            let k = key(rng);
+            assert_eq!(pairs.get(&k), tree.get(&k));
+        }
+        assert_eq!((pairs.len(), pairs.is_empty()), (tree.len(), tree.is_empty()));
+        assert!(pairs.iter().eq(tree.iter()));
+        assert!((&pairs).into_iter().eq(&tree));
+        let json = serde_json::to_string(&pairs).unwrap();
+        assert_eq!(json, serde_json::to_string(&tree).unwrap());
+        assert_eq!(serde_json::from_str::<ExternalMetadata>(&json).unwrap(), pairs);
+        assert_eq!(
+            serde_json::to_string_pretty(&pairs).unwrap(),
+            serde_json::to_string_pretty(&tree).unwrap()
+        );
+        assert_eq!(format!("{pairs:?}"), format!("{tree:?}"));
+        assert_eq!(format!("{pairs:#?}"), format!("{tree:#?}"));
+    });
+    // keys out of order, and one given twice, read as the map reads them
+    let json = r#"{"b":"1","a":"2","b":"3"}"#;
+    let pairs: ExternalMetadata = serde_json::from_str(json).unwrap();
+    let tree: BTreeMap<String, String> = serde_json::from_str(json).unwrap();
+    assert!(pairs.iter().eq(tree.iter()));
 }

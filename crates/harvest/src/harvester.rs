@@ -15,7 +15,12 @@ use metamess_telemetry::{event, Counter, Histogram, Level, Stopwatch};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-struct HarvestMetrics {
+pub(crate) struct HarvestMetrics {
+    /// `metamess_harvest_files_read_total` — files the archive walk read
+    /// (and fingerprinted), one add per file.
+    pub(crate) files_read: Arc<Counter>,
+    /// `metamess_harvest_bytes_read_total` — the bytes of those files.
+    pub(crate) bytes_read: Arc<Counter>,
     /// `metamess_harvest_files_scanned_total` — files the scan listed.
     files_scanned: Arc<Counter>,
     /// `metamess_harvest_files_parsed_total` — files sniffed, parsed and
@@ -32,11 +37,13 @@ struct HarvestMetrics {
     extract_micros: Arc<Histogram>,
 }
 
-fn harvest_metrics() -> &'static HarvestMetrics {
+pub(crate) fn harvest_metrics() -> &'static HarvestMetrics {
     static METRICS: OnceLock<HarvestMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let r = metamess_telemetry::global();
         HarvestMetrics {
+            files_read: r.counter("metamess_harvest_files_read_total"),
+            bytes_read: r.counter("metamess_harvest_bytes_read_total"),
             files_scanned: r.counter("metamess_harvest_files_scanned_total"),
             files_parsed: r.counter("metamess_harvest_files_parsed_total"),
             files_reused: r.counter("metamess_harvest_files_reused_total"),

@@ -7,6 +7,7 @@
 //! or a watch cycle takes it once, and the engine's archive digest and the
 //! harvester both read that one listing.
 
+use crate::harvester::harvest_metrics;
 use metamess_core::error::{Error, IoContext, Result};
 use metamess_core::id::fnv1a;
 use serde::{Deserialize, Serialize};
@@ -121,11 +122,19 @@ impl ArchiveInput {
     /// through a symlink (`up -> ..` would loop); a symlink to a file is
     /// read like the file.
     pub fn scan(&self, config: &ScanConfig) -> Result<Vec<FileEntry>> {
+        let metrics = metamess_telemetry::enabled().then(harvest_metrics);
+        let read = |rel: String, bytes: &[u8]| {
+            if let Some(m) = metrics {
+                m.files_read.add(1);
+                m.bytes_read.add(bytes.len() as u64);
+            }
+            FileEntry::of(rel, bytes)
+        };
         let mut out = Vec::new();
         match self {
             ArchiveInput::Memory(files) => {
                 for (rel, content) in files.iter().filter(|(rel, _)| config.accepts(rel)) {
-                    out.push(FileEntry::of(rel.clone(), content.as_bytes()));
+                    out.push(read(rel.clone(), content.as_bytes()));
                 }
             }
             ArchiveInput::Dir(root) => {
@@ -148,7 +157,7 @@ impl ArchiveInput {
                         if config.accepts(&rel) {
                             let bytes = std::fs::read(&path)
                                 .io_ctx(format!("read file {}", path.display()))?;
-                            out.push(FileEntry::of(rel, &bytes));
+                            out.push(read(rel, &bytes));
                         }
                     }
                 }

@@ -219,8 +219,9 @@ pub(crate) fn run_chain(
     ctx.run_id += 1;
     ctx.harvest.pipeline_run = ctx.run_id;
     // set again at the end-of-run projection: a run that fails leaves the
-    // ledger naming no catalog
+    // ledger naming no catalog; a watch cycle names its input once done
     ctx.ledger.catalog_fingerprint = None;
+    ctx.ledger.cycle_input = None;
     // the catalog as the ledger last saw it; once a stage of this run has
     // edited it, a stage that reads it runs without asking the ledger
     let unedited = ctx.catalog.generation();

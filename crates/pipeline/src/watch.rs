@@ -7,8 +7,10 @@
 //! [`DurableCatalog`] it publishes to. Each **cycle**:
 //!
 //! 1. walks the archive once ([`PipelineContext::rescan`]) and compares
-//!    its content fingerprint against the previous cycle — an unchanged
-//!    archive skips the pipeline entirely;
+//!    its content fingerprint, with the watcher's settings, against the
+//!    previous cycle's — in a new `Watcher`, against what the resumed
+//!    ledger names ([`cycle_input`](metamess_core::RunLedger::cycle_input))
+//!    — and an unchanged archive skips the pipeline entirely;
 //! 2. runs the curation loop, under [`WatchOptions::curator`], to
 //!    fixpoint over that same listing (stage skipping makes this
 //!    incremental: only stages whose inputs changed re-execute, and no run
@@ -61,6 +63,7 @@ use crate::context::PipelineContext;
 use crate::curator::{CurationLoop, CurationStep, CuratorPolicy};
 use crate::engine::{load_state, save_state};
 use crate::pipeline::{Pipeline, RunReport};
+use metamess_core::id::fnv1a;
 use metamess_core::store::CompactionPolicy;
 use metamess_core::{Catalog, DurableCatalog, Error, Mutation, Result, StoreOptions};
 use metamess_harvest::ArchiveInput;
@@ -145,7 +148,11 @@ pub struct Watcher {
     /// with it.
     failed: Option<String>,
     stop: Arc<AtomicBool>,
-    last_fingerprint: Option<u64>,
+    /// Digest of the scan configuration, the naming rules and the curator
+    /// policy: with the archive's fingerprint, what a cycle wrangles.
+    settings: u64,
+    /// What the last wrangled cycle's input was ([`Watcher::input`]).
+    last_input: Option<u64>,
     last_vocab_version: Option<u64>,
     cycle: u64,
     resumed: bool,
@@ -177,8 +184,14 @@ impl Watcher {
         let vocab_path = store_dir.join("vocabulary.json");
         // the version the file holds, not the state's: a crash after the
         // state's write and before the file's leaves the file behind, and
-        // the next changed cycle must rewrite it
+        // the next cycle, changed or not, must rewrite it
         let last_vocab_version = Vocabulary::load(&vocab_path).ok().map(|v| v.version);
+        let settings =
+            serde_json::to_vec(&(&ctx.harvest.scan, &ctx.harvest.naming, &options.curator))
+                .map_err(|e| Error::invalid(format!("unencodable watch settings: {e}")))?;
+        // a ledger that describes the store's rows names the input its last
+        // cycle wrangled: the same input again needs no cycle
+        let last_input = ctx.ledger.cycle_input;
         Ok(Watcher {
             vocab_path,
             state_dir,
@@ -189,7 +202,8 @@ impl Watcher {
             store,
             failed: None,
             stop: Arc::new(AtomicBool::new(false)),
-            last_fingerprint: None,
+            settings: fnv1a(&settings),
+            last_input,
             last_vocab_version,
             cycle: 0,
             resumed,
@@ -211,8 +225,10 @@ impl Watcher {
     pub fn run_cycle(&mut self) -> Result<CycleReport> {
         let started = Instant::now();
         self.cycle += 1;
-        let fingerprint = self.ctx.rescan()?;
-        if self.last_fingerprint == Some(fingerprint) {
+        let archive = self.ctx.rescan()?;
+        let input = self.input(archive);
+        if self.last_input == Some(input) {
+            self.save_vocabulary()?;
             let report = CycleReport {
                 cycle: self.cycle,
                 changed: false,
@@ -239,6 +255,7 @@ impl Watcher {
             // they re-run once; the scan's, which reads no catalog, holds
             self.ctx.ledger.catalog_fingerprint = Some(self.ctx.catalog.content_fingerprint());
         }
+        self.ctx.ledger.cycle_input = Some(input);
         // The store holds the previously published catalog, as rows; the
         // diff compares them with the context's catalog in place and is
         // exactly the delta to publish, rows the store lost included.
@@ -254,13 +271,8 @@ impl Watcher {
             self.publish(delta)?;
         }
         let wait_micros = wait.micros();
-        // Rewriting the vocabulary forces live readers into a full reload,
-        // so only save it when the curator actually moved the version.
-        if self.last_vocab_version != Some(self.ctx.vocab.version) {
-            self.ctx.vocab.save(&self.vocab_path)?;
-            self.last_vocab_version = Some(self.ctx.vocab.version);
-        }
-        self.last_fingerprint = Some(fingerprint);
+        self.save_vocabulary()?;
+        self.last_input = Some(input);
         let report = CycleReport {
             cycle: self.cycle,
             changed: true,
@@ -273,6 +285,27 @@ impl Watcher {
         };
         record_cycle(&report, wait_micros);
         Ok(report)
+    }
+
+    /// Saves the vocabulary when the file holds another version: the
+    /// curator moved it, or a crash left the file behind the state.
+    /// Rewriting it forces live readers into a full reload, so nothing else
+    /// does.
+    fn save_vocabulary(&mut self) -> Result<()> {
+        if self.last_vocab_version != Some(self.ctx.vocab.version) {
+            self.ctx.vocab.save(&self.vocab_path)?;
+            self.last_vocab_version = Some(self.ctx.vocab.version);
+        }
+        Ok(())
+    }
+
+    /// What a cycle over an archive with the content fingerprint
+    /// `archive` wrangles, under this watcher's settings.
+    fn input(&self, archive: u64) -> u64 {
+        let mut bytes = [0u8; 16];
+        bytes[..8].copy_from_slice(&archive.to_le_bytes());
+        bytes[8..].copy_from_slice(&self.settings.to_le_bytes());
+        fnv1a(&bytes)
     }
 
     /// Appends `delta` to the WAL and flushes it with one fsync, then
@@ -587,7 +620,9 @@ mod tests {
         let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         let learned = w2.context().vocab.to_json();
         assert!(w2.context().vocab.version > published, "the new file taught the curator");
-        assert_eq!(w2.run_cycle().unwrap().mutations, 0);
+        // the state names the archive as it is, so the cycle runs no stage
+        let r = w2.run_cycle().unwrap();
+        assert!(!r.changed && r.mutations == 0, "{r:?}");
         assert_eq!(std::fs::read_to_string(&vocab).unwrap(), learned);
     }
 
@@ -657,6 +692,38 @@ mod tests {
         let published =
             DurableCatalog::open(store.join("catalog"), StoreOptions::default()).unwrap().catalog();
         assert_eq!(unstamped(published), unstamped(cold.catalog), "the store is a cold wrangle");
+    }
+
+    #[test]
+    fn a_watcher_reopened_over_an_unchanged_archive_runs_no_cycle() {
+        let (archive, store) = fixture("reopened");
+        let state = store.join("state").join("state.bin");
+        let mut w = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        w.run_cycle().unwrap();
+        drop(w);
+        let written = std::fs::read(&state).unwrap();
+        let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        let run_id = w2.context().run_id;
+        let r = w2.run_cycle().unwrap();
+        assert!(!r.changed && r.run.stages.is_empty(), "{r:?}");
+        assert_eq!(w2.context().run_id, run_id);
+        assert_eq!(std::fs::read(&state).unwrap(), written, "the state was rewritten");
+        drop(w2);
+        // a curator policy the state was not curated under wrangles anew
+        let expert = WatchOptions {
+            curator: CuratorPolicy {
+                manual_synonyms: vec![("salinity".into(), "salinty".into())],
+                ..CuratorPolicy::default()
+            },
+            ..quick_options(None)
+        };
+        let mut w3 = Watcher::new(&archive, &store, expert).unwrap();
+        assert!(w3.run_cycle().unwrap().changed);
+        drop(w3);
+        // and so does an archive the state has not seen
+        add_one_file(&archive);
+        let mut w4 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
+        assert_eq!(w4.run_cycle().unwrap().mutations, 1);
     }
 
     #[test]

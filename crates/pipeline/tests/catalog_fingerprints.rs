@@ -1,18 +1,30 @@
 //! Counted work: how many times a watch cycle fingerprints the working
-//! catalog (`metamess_pipeline_catalog_fingerprints_total`). Each such
+//! catalog (`metamess_pipeline_catalog_fingerprints_total`), and what its
+//! walk reads (`metamess_harvest_{files,bytes}_read_total`). Each such
 //! fingerprint encodes the whole catalog, so the count is what a cycle pays
-//! for its digests in catalog-sized units.
+//! for its digests in catalog-sized units; an unchanged archive costs the
+//! walk and nothing else, in a running watcher and in a reopened one.
 //!
-//! The counter lives in the global registry, so this file is its own test
-//! binary and holds one test: nothing else moves the count between the
+//! The counters live in the global registry, so this file is its own test
+//! binary and holds one test: nothing else moves the counts between the
 //! reads.
 
 use metamess_archive::{generate, ArchiveSpec};
+use metamess_harvest::ScanConfig;
 use metamess_pipeline::{CycleReport, WatchOptions, Watcher};
 use std::path::{Path, PathBuf};
 
+fn count(name: &str) -> u64 {
+    metamess_telemetry::global().counter(name).get()
+}
+
 fn fingerprints() -> u64 {
-    metamess_telemetry::global().counter("metamess_pipeline_catalog_fingerprints_total").get()
+    count("metamess_pipeline_catalog_fingerprints_total")
+}
+
+/// Files and bytes the walks have read.
+fn reads() -> (u64, u64) {
+    (count("metamess_harvest_files_read_total"), count("metamess_harvest_bytes_read_total"))
 }
 
 /// Runs one cycle; returns its report and the fingerprints it took.
@@ -20,6 +32,26 @@ fn cycle(w: &mut Watcher) -> (CycleReport, u64) {
     let before = fingerprints();
     let report = w.run_cycle().unwrap();
     (report, fingerprints() - before)
+}
+
+/// The files under `archive` a scan with the default configuration takes,
+/// and their bytes, found by a walk of this test's own.
+fn archive_files(archive: &Path) -> (u64, u64) {
+    let (config, mut files, mut bytes) = (ScanConfig::default(), 0, 0);
+    let mut stack = vec![archive.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for e in std::fs::read_dir(&dir).unwrap() {
+            let p = e.unwrap().path();
+            let rel = p.strip_prefix(archive).unwrap().to_str().unwrap();
+            if p.is_dir() {
+                stack.push(p);
+            } else if config.accepts(rel) {
+                files += 1;
+                bytes += std::fs::metadata(&p).unwrap().len();
+            }
+        }
+    }
+    (files, bytes)
 }
 
 /// The pipeline runs of a cycle: the first, then one per curation step.
@@ -81,10 +113,29 @@ fn a_changed_cycle_fingerprints_the_catalog_at_most_twice_per_run() {
     assert!(messy.changed);
     assert!(n <= 2 * runs(&messy), "new file: {n} fingerprints over {} runs", runs(&messy));
 
-    // an unchanged archive runs no pipeline at all
+    // an unchanged archive runs no pipeline at all; its walk reads every
+    // file the scan takes, whole
+    let before = reads();
     let (idle, n) = cycle(&mut w);
     assert!(!idle.changed);
     assert_eq!(n, 0);
+    let after = reads();
+    let (files, bytes) = archive_files(&archive);
+    assert!(files > 0);
+    assert_eq!((after.0 - before.0, after.1 - before.1), (files, bytes));
+    drop(w);
+
+    // nor does a reopened watcher: the state's ledger names the archive and
+    // the settings its last cycle wrangled, so the state stays as it was
+    let state = store.join("state").join("state.bin");
+    let written = std::fs::read(&state).unwrap();
+    let mut w = Watcher::new(&archive, &store, WatchOptions::default()).unwrap();
+    let run_id = w.context().run_id;
+    let (reopened, n) = cycle(&mut w);
+    assert!(!reopened.changed, "{reopened:?}");
+    assert_eq!(n, 0);
+    assert_eq!(w.context().run_id, run_id);
+    assert!(std::fs::read(&state).unwrap() == written, "the state was rewritten");
     drop(w);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -306,9 +306,9 @@ fn an_incremental_watch_publishes_what_a_cold_wrangle_publishes() {
                     twin.cycle();
                     if resumed && fault == Fault::Vocabulary {
                         // the side's new watcher resumed the state the failed
-                        // cycle saved and ran one more cycle, all skipped; the
-                        // twin restarts too, so their run ids, and the stamps
-                        // later cycles give, stay in step
+                        // cycle saved and ran one more cycle, which that state
+                        // skips; the twin restarts too, so their run ids, and
+                        // the stamps later cycles give, stay in step
                         twin.reopen();
                         twin.cycle();
                     }

@@ -35,6 +35,13 @@ echo "==> trace zero-allocation gate (METAMESS_TELEMETRY=0 alloc guard)"
 # test asserts exactly zero heap allocations for begin/span/end.
 METAMESS_TELEMETRY=0 cargo test -q -p metamess-server --test alloc_guard
 
+echo "==> catalog memory budget (release)"
+# A catalog keeps each feature it takes at the size of its metadata: the
+# variables at exact capacity, the external pairs in one sorted vector. The
+# counting-allocator test holds the live heap bytes per dataset of a catalog
+# of harvester-built features under a budget set from measurement.
+cargo test -q --release -p metamess-core --test memory_budget
+
 cases="${METAMESS_TORTURE_CASES:-1000}"
 echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites ($cases seeded cases, release)"
 # Recovery after an injected fault is the acknowledged prefix; a crash

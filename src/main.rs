@@ -339,7 +339,11 @@ fn cmd_wrangle(args: &Args) -> Result<()> {
     let watcher = Watcher::new(&args.operands[0], &store_dir, options)?;
     print_resumed(&watcher, &store_dir);
     watcher.run(|cycle| {
-        print!("{}", cycle.run.render());
+        if cycle.changed {
+            print!("{}", cycle.run.render());
+        } else {
+            println!("archive unchanged since the last wrangle: no stage ran");
+        }
         for s in &cycle.history {
             println!(
                 "iteration {}: accepted {}, clarified {}, unresolved {}, resolved {:.1}%",

@@ -141,16 +141,21 @@ fn full_cli_workflow() {
     assert!(ok);
     assert!(!stdout.contains("metamess_search_queries_total"), "{stdout}");
 
-    // wrangle --explain on an unchanged archive prints the live registry
+    // wrangle --explain on an unchanged archive prints the live registry:
+    // one cycle, skipped before any stage, over a walk of the archive
     let (ok, stdout, stderr) = run(&["wrangle", dir_s, "--expert", "--explain"]);
     assert!(ok, "{stderr}");
+    assert!(stdout.contains("archive unchanged"), "{stdout}");
     assert!(stdout.contains("counters"), "{stdout}");
-    assert!(stdout.contains("metamess_pipeline_stages_skipped_total"), "{stdout}");
+    let skipped = stdout.lines().find(|l| l.contains("metamess_ingest_cycles_skipped_total"));
+    assert!(skipped.is_some_and(|l| l.ends_with(" 1")), "{stdout}");
+    assert!(stdout.contains("metamess_harvest_files_read_total"), "{stdout}");
 }
 
 /// A re-wrangle of an unchanged archive publishes nothing: the store's files
 /// keep their bytes and mtimes and the generation stands, so a live `serve`
-/// has nothing to reload and keeps its cache.
+/// has nothing to reload and keeps its cache. Nor does it rewrite the state:
+/// the state names the archive its last cycle wrangled.
 #[test]
 fn rewrangling_an_unchanged_archive_leaves_the_store_as_it_was() {
     let dir = std::env::temp_dir().join(format!("metamess-cli-rewrangle-{}", std::process::id()));
@@ -160,8 +165,8 @@ fn rewrangling_an_unchanged_archive_leaves_the_store_as_it_was() {
     let (ok, _, stderr) = run(&["wrangle", dir_s]);
     assert!(ok, "{stderr}");
     let store = dir.join(".metamess");
-    let files =
-        ["catalog/snapshot.bin", "catalog/wal.log", "vocabulary.json"].map(|f| store.join(f));
+    let files = ["catalog/snapshot.bin", "catalog/wal.log", "vocabulary.json", "state/state.bin"]
+        .map(|f| store.join(f));
     let look = || {
         let generation = read_published(store.join("catalog")).unwrap().generation;
         let bytes = files.each_ref().map(|f| std::fs::read(f).unwrap());
