@@ -114,17 +114,6 @@ impl GroundTruth {
         self.datasets.iter().find(|d| d.path == path)
     }
 
-    /// Count of injected variables per category across the archive.
-    pub fn category_counts(&self) -> std::collections::BTreeMap<MessCategory, usize> {
-        let mut m = std::collections::BTreeMap::new();
-        for d in &self.datasets {
-            for v in &d.variables {
-                *m.entry(v.category).or_insert(0) += 1;
-            }
-        }
-        m
-    }
-
     /// Datasets whose truth satisfies all the given predicates — the
     /// relevance oracle used by the search-quality experiments.
     pub fn relevant<'a>(

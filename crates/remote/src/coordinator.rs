@@ -9,8 +9,8 @@
 //! is therefore not written here; what is:
 //!
 //! * **Transport and fan-out.** Each phase dials its shards side by side
-//!   on scoped threads. A shard whose advertised temporal bound excludes
-//!   the query is not dialed at all (the coordinator prunes it).
+//!   on scoped threads. An empty shard is not asked to probe, and a shard
+//!   the probe left without candidates is not asked to score.
 //! * **Retries.** Probes are idempotent, so failures are retried within a
 //!   budget (exponential backoff with deterministic jitter). Scoring gets
 //!   one attempt — by the time it starts the shard answered its probe
@@ -45,7 +45,6 @@ use crate::wire::{
     WireError,
 };
 use metamess_core::error::{Error, Result};
-use metamess_core::time::TimeInterval;
 use metamess_search::fanout::{scatter_gather, ProbeSummary, ScoreWork, ShardBackend};
 use metamess_search::{Query, SearchHit};
 use metamess_telemetry::trace;
@@ -195,7 +194,6 @@ pub struct RemoteShardSet {
     addrs: Vec<String>,
     circuits: Vec<Mutex<CircuitInner>>,
     generation: u64,
-    partitioner: String,
 }
 
 impl RemoteShardSet {
@@ -267,12 +265,6 @@ impl RemoteShardSet {
                     labels[slot], h.generation, first.generation
                 )));
             }
-            if h.partitioner != first.partitioner {
-                return Err(Error::invalid(format!(
-                    "{} partitions by {} but the fleet partitions by {}",
-                    labels[slot], h.partitioner, first.partitioner
-                )));
-            }
             let id = h.shard_id as usize;
             if id >= n || hello[id].is_some() {
                 return Err(Error::invalid(format!(
@@ -287,18 +279,8 @@ impl RemoteShardSet {
         let hello: Vec<HelloResponse> =
             hello.into_iter().map(|h| h.expect("all slots placed")).collect();
         let generation = first.generation;
-        let partitioner = first.partitioner;
         let circuits = (0..n).map(|_| Mutex::new(CircuitInner::default())).collect();
-        Ok(RemoteShardSet {
-            transport,
-            opts,
-            hello,
-            slots,
-            addrs,
-            circuits,
-            generation,
-            partitioner,
-        })
+        Ok(RemoteShardSet { transport, opts, hello, slots, addrs, circuits, generation })
     }
 
     /// Shards in the fleet.
@@ -309,11 +291,6 @@ impl RemoteShardSet {
     /// The fleet's catalog generation (validated identical at connect).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The fleet's partitioner spelling.
-    pub fn partitioner(&self) -> &str {
-        &self.partitioner
     }
 
     /// The configured partial policy.
@@ -543,10 +520,6 @@ impl ShardBackend for Fleet<'_> {
         self.set.hello[shard].datasets as usize
     }
 
-    fn time_bound(&self, shard: usize) -> Option<TimeInterval> {
-        self.set.hello[shard].bounds.time_interval()
-    }
-
     fn probe(
         &self,
         shard: usize,
@@ -590,12 +563,6 @@ impl ShardBackend for Fleet<'_> {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("scatter call never panics")).collect()
         })
-    }
-
-    fn probes_pruned(&self, count: usize) {
-        if metamess_telemetry::enabled() {
-            remote_metrics().probe_prunes.add(count as u64);
-        }
     }
 
     /// Fail or degrade; a generation conflict is never degradable.

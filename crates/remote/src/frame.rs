@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic       b"MMSHRD01"
-//!      8     2  version     u16 LE, currently 1
+//!      8     2  version     u16 LE, currently 2
 //!     10     1  kind        FrameKind as u8
 //!     11     1  flags       reserved, must be 0
 //!     12    16  trace id    u128 LE (0 = untraced)
@@ -33,8 +33,10 @@ use std::io::{Read, Write};
 /// The 8-byte frame magic (protocol family + framing revision).
 pub const MAGIC: [u8; 8] = *b"MMSHRD01";
 
-/// The protocol version this build speaks.
-pub const PROTO_VERSION: u16 = 1;
+/// The protocol version this build speaks. Bump it whenever a payload's
+/// shape changes: a peer of any other version is refused by name before
+/// it can misread one.
+pub const PROTO_VERSION: u16 = 2;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 36;
@@ -49,7 +51,7 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 pub enum FrameKind {
     /// Coordinator → shardd: identify yourself.
     Hello = 1,
-    /// Shardd → coordinator: shard id/count, generation, pruning bounds.
+    /// Shardd → coordinator: shard id/count, generation, dataset count.
     HelloOk = 2,
     /// Coordinator → shardd: probe this query.
     Probe = 3,

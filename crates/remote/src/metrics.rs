@@ -21,9 +21,6 @@ pub struct RemoteMetrics {
     /// `metamess_remote_partial_total` — degraded responses served with
     /// `partial: true`.
     pub partials: Arc<Counter>,
-    /// `metamess_remote_probe_prunes_total` — probe dials skipped
-    /// entirely because the shard's advertised bound excluded the query.
-    pub probe_prunes: Arc<Counter>,
     /// `metamess_remote_rtt_micros` — per-shard round-trip latency, with
     /// trace-id exemplars linking slow dials to request traces.
     pub rtt_micros: Arc<Histogram>,
@@ -43,7 +40,6 @@ pub fn remote_metrics() -> &'static RemoteMetrics {
             timeouts: r.counter("metamess_remote_timeouts_total"),
             resets: r.counter("metamess_remote_resets_total"),
             partials: r.counter("metamess_remote_partial_total"),
-            probe_prunes: r.counter("metamess_remote_probe_prunes_total"),
             rtt_micros: r.histogram("metamess_remote_rtt_micros"),
             open_circuits: r.gauge("metamess_remote_open_circuits"),
         }

@@ -18,7 +18,7 @@
 
 use crate::frame::{Frame, FrameKind};
 use crate::wire::{
-    HelloResponse, ProbeRequest, ProbeResponse, ScoreRequest, ScoreResponse, ShardBounds, WireError,
+    HelloResponse, ProbeRequest, ProbeResponse, ScoreRequest, ScoreResponse, WireError,
 };
 use metamess_core::catalog::Catalog;
 use metamess_core::error::{Error, Result};
@@ -48,7 +48,6 @@ pub struct ShardHost {
     vocab: Vocabulary,
     shard_id: u32,
     shard_count: u32,
-    partitioner: String,
     generation: u64,
 }
 
@@ -103,7 +102,6 @@ impl ShardHost {
             vocab,
             shard_id: shard_id as u32,
             shard_count: spec.count() as u32,
-            partitioner: spec.partitioner().as_str().to_string(),
             generation,
         })
     }
@@ -142,10 +140,8 @@ impl ShardHost {
                 let response = HelloResponse {
                     shard_id: self.shard_id,
                     shard_count: self.shard_count,
-                    partitioner: self.partitioner.clone(),
                     generation: self.generation,
                     datasets: self.engine.len() as u64,
-                    bounds: ShardBounds::new(self.engine.bbox_bound(), self.engine.time_bound()),
                 };
                 Ok(Frame::new(FrameKind::HelloOk, request.trace_id, &response))
             }

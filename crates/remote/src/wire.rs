@@ -5,9 +5,9 @@
 //! the in-process coordinator exactly:
 //!
 //! 1. **Hello / HelloOk** (once per connection-set): the shardd
-//!    identifies which shard of which layout it hosts, at which catalog
-//!    generation, with which pruning bounds. The coordinator validates
-//!    the fleet covers `0..n` exactly once at one generation.
+//!    identifies which shard of how many it hosts, at which catalog
+//!    generation, and how many datasets it holds. The coordinator
+//!    validates the fleet covers `0..n` exactly once at one generation.
 //! 2. **Probe / ProbeOk**: the coordinator sends the [`Query`]; the
 //!    shardd prepares its own `QueryPlan` against its own vocabulary
 //!    (vocabularies are part of the store, so both sides hold the same
@@ -21,8 +21,6 @@
 //! coordinator rejects a mid-query publish as a conflict rather than
 //! silently merging hits from two different catalogs.
 
-use metamess_core::geo::GeoBBox;
-use metamess_core::time::{TimeInterval, Timestamp};
 use metamess_search::fanout::{ProbeSummary, ScoreWork};
 use metamess_search::{Query, SearchHit};
 use serde::{Deserialize, Serialize};
@@ -31,30 +29,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HelloRequest {}
 
-/// The shard's pruning bounds, flattened for the wire.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ShardBounds {
-    /// `[min_lat, max_lat, min_lon, max_lon]`, when any member has a bbox.
-    pub bbox: Option<[f64; 4]>,
-    /// `[start, end]` epoch seconds, when any member has a time interval.
-    pub time: Option<[i64; 2]>,
-}
-
-impl ShardBounds {
-    /// Flattens engine bounds.
-    pub fn new(bbox: Option<&GeoBBox>, time: Option<&TimeInterval>) -> ShardBounds {
-        ShardBounds {
-            bbox: bbox.map(|b| [b.min_lat, b.max_lat, b.min_lon, b.max_lon]),
-            time: time.map(|t| [t.start.0, t.end.0]),
-        }
-    }
-
-    /// The temporal bound as an interval (for pre-dial pruning).
-    pub fn time_interval(&self) -> Option<TimeInterval> {
-        self.time.map(|[s, e]| TimeInterval::new(Timestamp(s), Timestamp(e)))
-    }
-}
-
 /// Shardd → coordinator: who I am.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HelloResponse {
@@ -62,14 +36,10 @@ pub struct HelloResponse {
     pub shard_id: u32,
     /// Total shards in the layout.
     pub shard_count: u32,
-    /// Partitioner spelling (`hash` | `spatial` | `temporal`).
-    pub partitioner: String,
     /// Catalog generation the hosted engine was built against.
     pub generation: u64,
     /// Datasets in this shard.
     pub datasets: u64,
-    /// Pruning bounds.
-    pub bounds: ShardBounds,
 }
 
 /// Coordinator → shardd: probe this query.
@@ -112,17 +82,4 @@ pub struct ScoreResponse {
 pub struct WireError {
     /// Human-readable failure description.
     pub message: String,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bounds_roundtrip_time_interval() {
-        let t = TimeInterval::new(Timestamp(100), Timestamp(900));
-        let b = ShardBounds::new(None, Some(&t));
-        assert_eq!(b.time_interval(), Some(t));
-        assert_eq!(ShardBounds::default().time_interval(), None);
-    }
 }

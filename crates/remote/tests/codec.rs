@@ -97,6 +97,35 @@ fn any_other_version_is_invalid() {
     });
 }
 
+/// A coordinator built before version 2 opens with this Hello (its bytes,
+/// as that build encodes `HelloRequest {}`). This build refuses it by
+/// version, from a slice and from a stream alike, instead of answering a
+/// peer whose Hello and probe payloads differ from its own.
+#[test]
+fn a_version_1_hello_is_refused_by_name() {
+    const V1_HELLO: &str = "4d4d5348524430310100010000000000000000000000000000000000\
+                            0200000043bfa6a37b7d";
+    let bytes: Vec<u8> = (0..V1_HELLO.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&V1_HELLO[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(bytes.len(), HEADER_LEN + 2, "the header and `{{}}`");
+    let refused = |outcome: Result<Frame, Error>| match outcome {
+        Err(Error::Invalid { message }) => {
+            assert!(message.contains("version 1 "), "{message}");
+            assert!(message.contains(&format!("speaks {PROTO_VERSION}")), "{message}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    };
+    refused(frame::decode(&bytes));
+    refused(frame::read_frame(&mut &bytes[..]).map(|f| f.expect("a frame, not EOF")));
+    // the same frame at this build's version decodes
+    let mut current = bytes.clone();
+    current[8..10].copy_from_slice(&PROTO_VERSION.to_le_bytes());
+    let hello = frame::decode(&current).unwrap();
+    assert_eq!((hello.kind, hello.trace_id, &hello.payload[..]), (FrameKind::Hello, 0, &b"{}"[..]));
+}
+
 /// Arbitrary garbage never panics the decoder or the stream reader.
 #[test]
 fn garbage_never_panics() {

@@ -1,9 +1,10 @@
 //! Differential sweep, frame backend: the coordinator over real shard
 //! hosts behind the in-memory [`FaultTransport`] (production codec and
 //! handler, no faults injected) returns the naive reference search's
-//! answer, bit for bit, at shard counts {1, 2, 4, 8} × {hash, spatial,
-//! temporal} — the same cases and oracle as the direct-backend sweep in
-//! `crates/search/tests/`. One degrade case per seed: with a shard dead the
+//! answer, bit for bit, at hashed shard counts {1, 2, 4, 8} — the same
+//! cases and oracle as the direct-backend sweep in `crates/search/tests/`
+//! (the fleet always searches with its indexes: there is no index-off mode
+//! to sweep). One degrade case per seed: with a shard dead the
 //! answer is the reference over the healthy shards' datasets.
 
 #[path = "../../search/tests/common/mod.rs"]
@@ -47,16 +48,14 @@ fn every_remote_layout_agrees_with_the_reference() {
         let c = catalog(&mut rng);
         let qs = queries(&mut rng, c.len());
         let expected: Vec<_> = qs.iter().map(|q| reference_search(&c, &vocab, q)).collect();
-        for partitioner in [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal] {
-            for shards in [1usize, 2, 4, 8] {
-                let spec = ShardSpec::new(shards, partitioner);
-                let (set, _) = fleet(&c, &vocab, spec, PartialPolicy::Fail);
-                for (q, want) in qs.iter().zip(&expected) {
-                    let out = set.search(q).unwrap();
-                    assert!(!out.partial && out.failed.is_empty());
-                    let what = format!("seed {seed}, {shards} {partitioner:?} shards, {q:?}");
-                    assert_bit_equal(&out.hits, want, &what);
-                }
+        for shards in [1usize, 2, 4, 8] {
+            let spec = ShardSpec::new(shards, Partitioner::Hash);
+            let (set, _) = fleet(&c, &vocab, spec, PartialPolicy::Fail);
+            for (q, want) in qs.iter().zip(&expected) {
+                let out = set.search(q).unwrap();
+                assert!(!out.partial && out.failed.is_empty());
+                let what = format!("seed {seed}, {shards} shards, {q:?}");
+                assert_bit_equal(&out.hits, want, &what);
             }
         }
     }
@@ -70,9 +69,7 @@ fn a_degraded_answer_is_the_reference_over_the_healthy_shards() {
         let c = catalog(&mut rng);
         // the spatial query: every shard with data is dialed
         let q = &queries(&mut rng, c.len())[2];
-        let partitioner =
-            [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal][seed as usize % 3];
-        let spec = ShardSpec::new(4, partitioner);
+        let spec = ShardSpec::new(4, Partitioner::Hash);
         let lost = build_shard(&c, &vocab, spec, seed as usize % 4);
         let mut healthy = c.clone();
         for l in 0..lost.len() {
@@ -83,7 +80,7 @@ fn a_degraded_answer_is_the_reference_over_the_healthy_shards() {
         let out = set.search(q).unwrap();
         // an empty shard is never dialed, so it cannot fail
         assert_eq!(out.partial, !lost.is_empty(), "seed {seed}");
-        let what = format!("seed {seed}, shard {} of 4 {partitioner:?} lost, {q:?}", seed % 4);
+        let what = format!("seed {seed}, shard {} of 4 lost, {q:?}", seed % 4);
         assert_bit_equal(&out.hits, &reference_search(&healthy, &vocab, q), &what);
     }
 }

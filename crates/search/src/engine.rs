@@ -1,20 +1,16 @@
 //! The search engine: the catalog cut into shards, the scatter-gather
 //! over them, and the generation-stamped result cache.
 //!
-//! The catalog is partitioned into `1..=MAX_SHARDS` shards at build time
-//! (see [`ShardSpec`]); each [`ShardEngine`](crate::ShardEngine) owns its
-//! own R-tree, interval index, and term postings, together with pruning
-//! bounds (the union of member bboxes / time intervals). A query runs
-//! through [`scatter_gather`](crate::fanout::scatter_gather) — the same
-//! coordinator the remote shard protocol uses — over the shards in this
-//! address space: a shard whose bound excludes the query window skips the
-//! index walk, and a shard left with no candidates is never scored at all
-//! — on spatially or temporally partitioned catalogs a selective query
-//! touches a fraction of the datasets.
+//! The catalog is hashed into `1..=MAX_SHARDS` shards at build time (see
+//! [`ShardSpec`]); each [`ShardEngine`](crate::ShardEngine) owns its own
+//! R-tree, interval index, and term postings. A query runs through
+//! [`scatter_gather`](crate::fanout::scatter_gather) — the same coordinator
+//! the remote shard protocol uses — over the shards in this address space;
+//! a shard left with no candidates is never scored at all.
 //!
 //! # Determinism
 //!
-//! Results are **bit-identical** across shard counts and partitioners:
+//! Results are **bit-identical** at every shard count:
 //!
 //! * every per-dataset index decision (window membership, term postings)
 //!   depends only on the dataset itself, so the union of per-shard
@@ -47,7 +43,7 @@ use crate::explain::{search_metrics, SearchExplain};
 use crate::fanout::{scatter_gather, LocalShards};
 use crate::plan::QueryPlan;
 use crate::query::Query;
-use crate::score::{Extent, ScoreBreakdown};
+use crate::score::ScoreBreakdown;
 use crate::shard::{ShardEngine, ShardSpec};
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::DatasetFeature;
@@ -79,35 +75,25 @@ pub struct SearchHit {
 
 /// Cuts datasets (in catalog order) into per-shard member lists — `(global
 /// index, item)` pairs in ascending global order — according to `spec`,
-/// each placed by its id and extent. Every engine and every standalone shard
+/// each placed by its id (`id_of`). Every engine and every standalone shard
 /// is built from this one assignment, so a `shardd` process and the
 /// in-process coordinator agree on which datasets shard `k` of `n` holds.
 /// Only the shards `keep` admits get their members; the other items are
 /// dropped.
 pub(crate) fn partition<T>(
     items: impl IntoIterator<Item = T>,
-    placed: &[(DatasetId, Extent)],
+    id_of: impl Fn(&T) -> DatasetId,
     spec: ShardSpec,
     keep: impl Fn(usize) -> bool,
 ) -> Vec<Vec<(usize, T)>> {
-    let assignment = spec.partitioner().assign(placed, spec.count());
     let mut members: Vec<Vec<(usize, T)>> = (0..spec.count()).map(|_| Vec::new()).collect();
-    for (gix, (item, s)) in items.into_iter().zip(assignment).enumerate() {
+    for (gix, item) in items.into_iter().enumerate() {
+        let s = spec.shard_of(id_of(&item));
         if keep(s) {
             members[s].push((gix, item));
         }
     }
     members
-}
-
-/// Where each row of `rows` is: what [`partition`] places it by.
-pub(crate) fn placed_rows(rows: &[Row]) -> Vec<(DatasetId, Extent)> {
-    rows.iter()
-        .map(|row| {
-            let view = row.view();
-            (view.id(), Extent::of_row(&view))
-        })
-        .collect()
 }
 
 /// The historical name: a [`ShardedEngine`] with one shard behaves exactly
@@ -157,16 +143,14 @@ impl ShardedEngine {
         vocab: Vocabulary,
         spec: ShardSpec,
     ) -> ShardedEngine {
-        let spec = ShardSpec::new(spec.count(), spec.partitioner());
-        let placed = placed_rows(&rows);
-        debug_assert!(placed.windows(2).all(|w| w[0].0 < w[1].0), "not in catalog order");
+        debug_assert!(rows.windows(2).all(|w| w[0].id() < w[1].id()), "not in catalog order");
         let total = rows.len();
-        let layout = partition(rows, &placed, spec, |_| true);
+        let layout = partition(rows, Row::id, spec, |_| true);
         let shards = ShardEngine::build_all(&layout, &vocab);
         let mut by_id: HashMap<DatasetId, (u32, u32)> = HashMap::with_capacity(total);
         for (s, members) in layout.iter().enumerate() {
-            for (l, (gix, _)) in members.iter().enumerate() {
-                by_id.insert(placed[*gix].0, (s as u32, l as u32));
+            for (l, (_, row)) in members.iter().enumerate() {
+                by_id.insert(row.id(), (s as u32, l as u32));
             }
         }
         ShardedEngine {
@@ -565,54 +549,35 @@ mod tests {
             Query::parse("from 2010-07-01 to 2010-09-30 with salinity limit 6").unwrap(),
             Query::new(),
         ];
-        for partitioner in [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal] {
-            for shards in [1usize, 2, 4, 8] {
-                let e = SearchEngine::build_sharded(
-                    &c,
-                    vocab.clone(),
-                    ShardSpec::new(shards, partitioner),
-                );
-                for q in &queries {
-                    assert_eq!(
-                        e.search_uncached(q),
-                        reference.search_uncached(q),
-                        "partitioner={partitioner:?} shards={shards}"
-                    );
-                }
+        for shards in [1usize, 2, 4, 8] {
+            let spec = ShardSpec::new(shards, Partitioner::Hash);
+            let e = SearchEngine::build_sharded(&c, vocab.clone(), spec);
+            for q in &queries {
+                assert_eq!(e.search_uncached(q), reference.search_uncached(q), "shards={shards}");
             }
         }
     }
 
     #[test]
-    fn spatial_partitioning_prunes_far_shards() {
+    fn a_shard_left_without_candidates_is_pruned() {
         let c = two_cluster_catalog();
         let vocab = Vocabulary::observatory_default();
-        let e = SearchEngine::build_sharded(&c, vocab, ShardSpec::new(2, Partitioner::Spatial));
-        // selective region query over the north cluster only
-        let q = Query::parse("in 45.9,-124.1..46.2,-123.9 limit 5").unwrap();
-        let (hits, ex) = e.search_explain(&q);
-        assert!(!ex.full_scan, "north cluster must satisfy limit*3 from the indexes");
-        assert_eq!(ex.shards, 2);
-        assert_eq!(ex.shards_visited, 1);
-        assert_eq!(ex.shards_pruned, 1, "the southern shard must be pruned");
-        assert_eq!(ex.pruned_datasets, 60);
-        assert!(ex.shard_bound_skips >= 1);
-        assert!(hits.iter().all(|h| h.path.starts_with("north/")));
-    }
-
-    #[test]
-    fn temporal_partitioning_prunes_off_window_shards() {
-        let c = two_cluster_catalog();
-        let vocab = Vocabulary::observatory_default();
-        let e = SearchEngine::build_sharded(&c, vocab, ShardSpec::new(2, Partitioner::Temporal));
-        // the south cluster holds months 7..=12; a window over the start of
-        // the year (plus the 1-window pad) only reaches the north shard
-        let q = Query::parse("from 2010-01-01 to 2010-02-15 limit 5").unwrap();
-        let (_, ex) = e.search_explain(&q);
-        assert!(!ex.full_scan);
-        assert_eq!(ex.shards_visited, 1);
-        assert_eq!(ex.shards_pruned, 1);
-        assert_eq!(ex.pruned_datasets, 60);
+        let reference = SearchEngine::build(&c, vocab.clone());
+        // more shards than the 60 northern datasets: a selective query over
+        // the north leaves some shards, south-only, without a candidate
+        let e = SearchEngine::build_sharded(&c, vocab, ShardSpec::new(64, Partitioner::Hash));
+        let occupied = e.shards().iter().filter(|s| !s.is_empty()).count();
+        for q in ["in 45.9,-124.1..46.2,-123.9 limit 5", "from 2010-01-01 to 2010-02-15 limit 5"] {
+            let q = Query::parse(q).unwrap();
+            let (hits, ex) = e.search_explain(&q);
+            assert!(!ex.full_scan, "the north must satisfy limit*3 from the indexes: {q:?}");
+            assert_eq!(ex.shards, 64);
+            assert!(ex.shards_pruned >= 1, "{q:?}: {ex:?}");
+            assert_eq!(ex.shards_visited + ex.shards_pruned, occupied, "{q:?}");
+            assert!(ex.pruned_datasets >= ex.shards_pruned, "{q:?}: {ex:?}");
+            assert!(hits.iter().all(|h| h.path.starts_with("north/")), "{q:?}");
+            assert_eq!(hits[..], reference.search_uncached(&q)[..], "{q:?}");
+        }
     }
 
     #[test]
@@ -686,7 +651,7 @@ mod tests {
         let e1 = SearchEngine::build(&c, vocab.clone()).with_shared_cache(shared.clone());
         let q = Query::parse("with salinity limit 3").unwrap();
         let first = e1.search(&q);
-        let e2 = SearchEngine::build_sharded(&c, vocab, ShardSpec::new(4, Partitioner::Spatial))
+        let e2 = SearchEngine::build_sharded(&c, vocab, ShardSpec::new(4, Partitioner::Hash))
             .with_shared_cache(shared.clone());
         let second = e2.search(&q);
         assert_eq!(first, second);
@@ -719,7 +684,7 @@ mod tests {
         let e = SearchEngine::build_sharded(
             &Catalog::new(),
             Vocabulary::observatory_default(),
-            ShardSpec::new(8, Partitioner::Spatial),
+            ShardSpec::new(8, Partitioner::Hash),
         );
         assert!(e.search(&Query::parse("with salinity").unwrap()).is_empty());
     }

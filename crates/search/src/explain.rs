@@ -40,8 +40,6 @@ pub struct SearchExplain {
     pub shards_visited: usize,
     /// Non-empty shards skipped entirely (no candidates after the probe).
     pub shards_pruned: usize,
-    /// Index walks skipped because a shard bound excluded the query window.
-    pub shard_bound_skips: usize,
     /// Datasets living in pruned shards — the probe work pruning avoided.
     pub pruned_datasets: usize,
 }
@@ -106,6 +104,13 @@ pub(crate) struct SearchMetrics {
     /// scored vs. skipped with zero candidates.
     pub shards_visited: Arc<Counter>,
     pub shards_pruned: Arc<Counter>,
+    /// `metamess_search_rows_indexed_total` — datasets an engine build
+    /// filed into its shards' indexes, one add per build.
+    pub rows_indexed: Arc<Counter>,
+    /// `metamess_search_candidates_scored_total` — candidates scored by
+    /// uncached searches, one add per scatter-gather of the count
+    /// [`SearchExplain::candidates`] reports.
+    pub candidates_scored: Arc<Counter>,
 }
 
 pub(crate) fn search_metrics() -> &'static SearchMetrics {
@@ -126,6 +131,8 @@ pub(crate) fn search_metrics() -> &'static SearchMetrics {
             shard_score_micros: r.histogram("metamess_search_shard_score_micros"),
             shards_visited: r.counter("metamess_search_shards_visited_total"),
             shards_pruned: r.counter("metamess_search_shards_pruned_total"),
+            rows_indexed: r.counter("metamess_search_rows_indexed_total"),
+            candidates_scored: r.counter("metamess_search_candidates_scored_total"),
         }
     })
 }

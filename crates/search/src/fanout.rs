@@ -9,7 +9,7 @@
 //! `metamess-remote` speaks the frame protocol to `metamess shardd`
 //! processes. Both backends answer a probe and a score request with the
 //! same functions of this module, so the answer is bit-identical at any
-//! shard count, partitioner and location:
+//! shard count and location:
 //!
 //! * [`probe_summary`] is one shard's candidate generation, in fixed-width
 //!   integers so it can cross a wire;
@@ -30,17 +30,15 @@
 //! partition assignment as `ShardedEngine::build_sharded`, so a fleet of
 //! `shardd` processes covers the catalog without overlap or gaps.
 
-use crate::engine::{partition, placed_rows, SearchHit};
+use crate::engine::{partition, SearchHit};
 use crate::explain::{search_metrics, SearchExplain};
 use crate::plan::QueryPlan;
 use crate::query::Query;
-use crate::score::Extent;
-use crate::shard::{expanded_time, ShardEngine, ShardSpec};
+use crate::shard::{ShardEngine, ShardSpec};
 use crate::topk::{rank_cmp, LightHit, LightTopK};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::store::{Image, Row};
-use metamess_core::time::TimeInterval;
 use metamess_telemetry::{trace, Histogram, Stopwatch};
 use metamess_vocab::Vocabulary;
 use std::cmp::Ordering;
@@ -59,8 +57,6 @@ pub struct ProbeSummary {
     pub certain: Vec<u32>,
     /// Nearest-neighbour candidates as `(distance, global ix, local ix)`.
     pub near: Vec<(f64, u64, u32)>,
-    /// Index walks skipped because the shard bound excluded the query.
-    pub bound_skips: u32,
 }
 
 /// The candidate-generation over-fetch: how many nearest neighbours each
@@ -143,28 +139,6 @@ pub fn plan_scatter(query: &Query, summaries: &[ProbeSummary]) -> (bool, Vec<Sco
     (full_scan, works)
 }
 
-/// Whether a probe of a shard can be skipped outright for this query,
-/// given the shard's temporal pruning bound. Only a pure time-window
-/// query qualifies: spatial queries always collect nearest neighbours
-/// (distance has no bound) and variable terms consult postings the
-/// coordinator cannot see. When it returns `true`, the shard's probe is
-/// exactly the empty summary (one bound skip when the shard has a bound),
-/// so synthesizing that changes nothing downstream.
-pub fn probe_prunable(query: &Query, time_bound: Option<&TimeInterval>) -> bool {
-    if query.is_empty() || query.spatial.is_some() || !query.variables.is_empty() {
-        return false;
-    }
-    match &query.time {
-        Some(window) => match time_bound {
-            Some(bound) => !bound.overlaps(&expanded_time(window)),
-            // No member carries a time interval — the interval index is
-            // empty and a time-only probe cannot select anything.
-            None => true,
-        },
-        None => false,
-    }
-}
-
 /// Scores one shard's assigned work and returns its `query.limit`-best
 /// hits under the global rank order `(score desc, path asc)`, best first.
 /// Candidates are scored from the shard's own arrays, allocation-free, into
@@ -222,8 +196,8 @@ pub fn merge_hits(per_shard: Vec<Vec<SearchHit>>, limit: usize) -> Vec<SearchHit
 }
 
 /// Where the shards of one catalog live, as far as [`scatter_gather`]
-/// needs to know: how big each is, what its temporal bound is, and how to
-/// ask it to probe and to score. A shard that cannot answer reports a
+/// needs to know: how big each is, and how to ask it to probe and to
+/// score. A shard that cannot answer reports a
 /// `Failure`; [`ShardBackend::tolerate`] then decides whether the query
 /// goes on without it.
 pub trait ShardBackend: Sync {
@@ -238,8 +212,6 @@ pub trait ShardBackend: Sync {
     fn shard_count(&self) -> usize;
     /// Datasets in shard `shard`.
     fn shard_len(&self, shard: usize) -> usize;
-    /// Union of the time intervals of shard `shard`'s members.
-    fn time_bound(&self, shard: usize) -> Option<TimeInterval>;
     /// Candidate generation on one shard ([`probe_summary`]).
     fn probe(&self, shard: usize, query: &Query) -> Result<ProbeSummary, Self::Failure>;
     /// The shard's `limit`-best hits over `work` ([`score_top`]).
@@ -264,10 +236,6 @@ pub trait ShardBackend: Sync {
         phase: &'static str,
         failure: Self::Failure,
     ) -> Result<(), Self::Error>;
-    /// Told, before any shard is asked, how many probes the coordinator
-    /// will not send because the shard's time bound excludes the query
-    /// ([`probe_prunable`]). For a backend that counts saved round trips.
-    fn probes_pruned(&self, _count: usize) {}
 }
 
 /// Shards in this address space: every call is a function call and none
@@ -291,10 +259,6 @@ impl ShardBackend for LocalShards<'_> {
 
     fn shard_len(&self, shard: usize) -> usize {
         self.shards[shard].len()
-    }
-
-    fn time_bound(&self, shard: usize) -> Option<TimeInterval> {
-        self.shards[shard].time_bound().copied()
     }
 
     fn probe(&self, shard: usize, query: &Query) -> Result<ProbeSummary, Infallible> {
@@ -367,8 +331,8 @@ fn ask_shards<B: ShardBackend, T: Send>(
     Ok(answers)
 }
 
-/// Runs one ranked query over a backend's shards: probe every shard that
-/// can hold a candidate, admit nearest neighbours globally and decide the
+/// Runs one ranked query over a backend's shards: probe every non-empty
+/// shard, admit nearest neighbours globally and decide the
 /// full-scan fallback on the cross-shard total ([`plan_scatter`]), score
 /// the shards left with work, merge their top-`limit` lists. With
 /// `use_indexes` off (the ablation switch), or an empty query, nothing is
@@ -391,31 +355,15 @@ pub fn scatter_gather<B: ShardBackend>(
     let probe = Stopwatch::start_if(timed);
     let probe_span = trace::enter("search.probe");
     let forced = !use_indexes || query.is_empty();
-    let mut bound_skips = 0;
     let (full_scan, mut works) = if forced {
         (true, vec![ScoreWork::Full; n])
     } else {
-        let bounds: Vec<Option<TimeInterval>> = (0..n).map(|k| backend.time_bound(k)).collect();
-        let prunable: Vec<bool> =
-            bounds.iter().map(|b| probe_prunable(query, b.as_ref())).collect();
-        backend.probes_pruned(prunable.iter().filter(|&&p| p).count());
         let histogram = &search_metrics().shard_probe_micros;
         let probed = ask_shards(backend, "probe", B::SPANS.0, histogram, &mut failed, |k| {
-            (lens[k] > 0 && !prunable[k]).then(|| backend.probe(k, query))
+            (lens[k] > 0).then(|| backend.probe(k, query))
         })?;
-        let summaries: Vec<ProbeSummary> = probed
-            .into_iter()
-            .enumerate()
-            .map(|(k, summary)| {
-                summary.unwrap_or_else(|| ProbeSummary {
-                    // what the shard's own probe reports for a pruned
-                    // time window
-                    bound_skips: u32::from(prunable[k] && bounds[k].is_some()),
-                    ..ProbeSummary::default()
-                })
-            })
-            .collect();
-        bound_skips = summaries.iter().map(|s| s.bound_skips as usize).sum();
+        let summaries: Vec<ProbeSummary> =
+            probed.into_iter().map(Option::unwrap_or_default).collect();
         plan_scatter(query, &summaries)
     };
     // A shard the probe lost, or an empty one, has nothing to score; a
@@ -464,6 +412,7 @@ pub fn scatter_gather<B: ShardBackend>(
         m.merge_micros.record(merge_micros);
         m.shards_visited.add(visited as u64);
         m.shards_pruned.add(pruned as u64);
+        m.candidates_scored.add(candidates as u64);
         trace::record_span("search.merge", merge_micros, None);
         trace::note_shards(visited as u32, pruned as u32);
     }
@@ -477,7 +426,6 @@ pub fn scatter_gather<B: ShardBackend>(
         ex.shards = n;
         ex.shards_visited = visited;
         ex.shards_pruned = pruned;
-        ex.shard_bound_skips = bound_skips;
         ex.pruned_datasets = pruned_datasets;
     }
     let failed = (0..n as u32).filter(|&k| failed[k as usize]).collect();
@@ -496,9 +444,9 @@ pub fn build_shard(
     spec: ShardSpec,
     shard_ix: usize,
 ) -> ShardEngine {
-    let spec = checked(spec, shard_ix);
-    let placed: Vec<_> = catalog.iter().map(|d| (d.id, Extent::of(d))).collect();
-    let members = partition(catalog.iter(), &placed, spec, |s| s == shard_ix).swap_remove(shard_ix);
+    check_shard(spec, shard_ix);
+    let members =
+        partition(catalog.iter(), |d| d.id, spec, |s| s == shard_ix).swap_remove(shard_ix);
     let features: Vec<&DatasetFeature> = members.iter().map(|&(_, d)| d).collect();
     let image = Arc::new(Image::encode(&features));
     let members: Vec<(usize, Row)> =
@@ -515,17 +463,14 @@ pub fn build_shard_from(
     spec: ShardSpec,
     shard_ix: usize,
 ) -> ShardEngine {
-    let spec = checked(spec, shard_ix);
-    let placed = placed_rows(&rows);
-    let members = partition(rows, &placed, spec, |s| s == shard_ix).swap_remove(shard_ix);
+    check_shard(spec, shard_ix);
+    let members = partition(rows, Row::id, spec, |s| s == shard_ix).swap_remove(shard_ix);
     ShardEngine::build_all(&[members], vocab).remove(0)
 }
 
-/// `spec` clamped, with `shard_ix` one of its shards.
-fn checked(spec: ShardSpec, shard_ix: usize) -> ShardSpec {
-    let spec = ShardSpec::new(spec.count(), spec.partitioner());
+/// Asserts that `shard_ix` is one of `spec`'s shards.
+fn check_shard(spec: ShardSpec, shard_ix: usize) {
     assert!(shard_ix < spec.count(), "shard index {shard_ix} out of 0..{}", spec.count());
-    spec
 }
 
 #[cfg(test)]
@@ -535,7 +480,7 @@ mod tests {
     use crate::ShardedEngine;
     use metamess_core::feature::{NameResolution, VariableFeature};
     use metamess_core::geo::{GeoBBox, GeoPoint};
-    use metamess_core::time::Timestamp;
+    use metamess_core::time::{TimeInterval, Timestamp};
 
     fn make_dataset(
         path: &str,
@@ -586,7 +531,7 @@ mod tests {
     fn build_shard_partitions_cover_the_catalog_exactly() {
         let c = two_cluster_catalog();
         let vocab = Vocabulary::observatory_default();
-        let spec = ShardSpec::new(4, Partitioner::Spatial);
+        let spec = ShardSpec::new(4, Partitioner::Hash);
         let local = ShardedEngine::build_sharded(&c, vocab.clone(), spec);
         let mut total = 0usize;
         for (k, member) in local.shards().iter().enumerate() {
@@ -598,28 +543,6 @@ mod tests {
             total += standalone.len();
         }
         assert_eq!(total, local.len());
-    }
-
-    #[test]
-    fn probe_prunable_only_for_excluded_time_windows() {
-        let c = two_cluster_catalog();
-        let vocab = Vocabulary::observatory_default();
-        let spec = ShardSpec::new(2, Partitioner::Temporal);
-        let south = build_shard(&c, &vocab, spec, 1); // months 7..=12
-        let early = Query::parse("from 2010-01-01 to 2010-02-15 limit 5").unwrap();
-        assert!(probe_prunable(&early, south.time_bound()));
-        // the synthesized empty summary matches the real probe
-        let plan = QueryPlan::prepare(&early, &vocab);
-        let real = probe_summary(&south, &early, &plan, generous(early.limit));
-        assert!(real.certain.is_empty() && real.near.is_empty());
-        // overlapping window, spatial, and variable queries must dial
-        let late = Query::parse("from 2010-08-01 to 2010-09-30").unwrap();
-        assert!(!probe_prunable(&late, south.time_bound()));
-        let spatial = Query::parse("near 46.0,-124.0 from 2010-01-01 to 2010-02-15").unwrap();
-        assert!(!probe_prunable(&spatial, south.time_bound()));
-        let var = Query::parse("from 2010-01-01 to 2010-02-15 with salinity").unwrap();
-        assert!(!probe_prunable(&var, south.time_bound()));
-        assert!(!probe_prunable(&Query::new(), south.time_bound()));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! ## Sharding, top-k, and caching
 //!
-//! * The catalog is partitioned into shards at build time ([`ShardSpec`]):
-//!   each [`ShardEngine`] has its own indexes plus pruning bounds. One
-//!   coordinator, [`fanout::scatter_gather`], probes the shards, prunes
-//!   those whose bounds exclude the query, and merges per-shard results —
-//!   bit-identical to the unsharded engine at any shard count. Where the
+//! * The catalog is hashed into shards at build time ([`ShardSpec`]): each
+//!   [`ShardEngine`] has its own indexes. One coordinator,
+//!   [`fanout::scatter_gather`], probes the shards, skips scoring those left
+//!   without candidates, and merges per-shard results — bit-identical to
+//!   the unsharded engine at any shard count. Where the
 //!   shards live is behind [`fanout::ShardBackend`]: in this address space
 //!   for [`ShardedEngine`], in `metamess shardd` processes for crate
 //!   `metamess-remote`.

@@ -1,22 +1,18 @@
-//! Catalog shards: partitioning, per-shard indexes, and pruning bounds.
+//! Catalog shards: the hash layout and per-shard indexes.
 //!
 //! A [`ShardEngine`] is one slice of the catalog with its own R-tree,
-//! interval index, and term postings, plus *pruning bounds* — the union of
-//! its members' bounding boxes and time intervals. The coordinator (see
-//! `fanout.rs`) probes every shard, but a shard whose bound cannot
-//! intersect the query window skips its index walk entirely, and a shard
-//! that ends up with no candidates is never scored at all.
+//! interval index, and term postings. The coordinator (see `fanout.rs`)
+//! probes every non-empty shard; a shard that ends up with no candidates is
+//! never scored at all.
 //!
-//! # Partitioner contract
+//! # Layout contract
 //!
-//! A partitioner maps every dataset to exactly one shard, deterministically
-//! from the catalog snapshot (catalog iteration order is `DatasetId`
-//! order). The assignment only affects *where* a dataset lives, never
-//! *whether* it is considered: the coordinator unions per-shard candidate
-//! sets, so results are bit-identical for every partitioner and shard
-//! count. Spatial/temporal partitioners exist purely to make the pruning
-//! bounds tight — co-locating datasets that are close in space (or time)
-//! means selective queries rule out whole shards.
+//! A layout is a shard count: each dataset lives in the shard its mixed
+//! `DatasetId` names modulo that count, decided from the dataset alone, so a
+//! `shardd` process and the in-process engine agree on every shard's
+//! members. Where a dataset lives never decides *whether* it is considered:
+//! the coordinator unions per-shard candidate sets, so results are
+//! bit-identical at every shard count.
 //!
 //! # Determinism of the nearest-neighbour merge
 //!
@@ -28,6 +24,7 @@
 //! engine's single `nearest` call would.
 
 use crate::engine::SearchHit;
+use crate::explain::search_metrics;
 use crate::fanout::ProbeSummary;
 use crate::interval::IntervalIndex;
 use crate::plan::QueryPlan;
@@ -42,13 +39,12 @@ use metamess_core::store::{Image, Row, SearchableVariable};
 use metamess_core::text::normalize_term;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Hard ceiling on the shard count. Beyond a few hundred shards the
-/// per-shard fixed probe cost dominates any pruning win, and an absurd
-/// `--shards` must not allocate an absurd number of index structures.
+/// per-shard fixed probe cost dominates, and an absurd `--shards` must not
+/// allocate an absurd number of index structures.
 pub const MAX_SHARDS: usize = 256;
 
 /// Clamps a requested shard count into the supported `1..=MAX_SHARDS`
@@ -57,58 +53,11 @@ pub fn clamp_shards(requested: usize) -> usize {
     requested.clamp(1, MAX_SHARDS)
 }
 
-/// How datasets are assigned to shards at build time.
+/// How datasets are assigned to shards: by hash, the only layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioner {
-    /// Mixed `DatasetId` modulo shard count: uniform load, loose bounds.
+    /// Mixed `DatasetId` modulo shard count: uniform load.
     Hash,
-    /// Contiguous ranges of datasets ordered by bbox centre (datasets
-    /// without a bbox fill the trailing shards): tight spatial bounds.
-    Spatial,
-    /// Contiguous ranges ordered by interval start (timeless datasets
-    /// trail): tight temporal bounds.
-    Temporal,
-}
-
-impl Partitioner {
-    /// Parses the CLI spelling (`hash` | `spatial` | `temporal`).
-    pub fn parse(text: &str) -> Option<Partitioner> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "hash" => Some(Partitioner::Hash),
-            "spatial" => Some(Partitioner::Spatial),
-            "temporal" => Some(Partitioner::Temporal),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Partitioner::Hash => "hash",
-            Partitioner::Spatial => "spatial",
-            Partitioner::Temporal => "temporal",
-        }
-    }
-
-    /// Maps each dataset (in catalog order), placed by its id and extent,
-    /// to a shard in `0..count`. Features and rows place alike, so a
-    /// builder can decide what to keep before it encodes anything.
-    pub(crate) fn assign(&self, placed: &[(DatasetId, Extent)], count: usize) -> Vec<usize> {
-        match self {
-            Partitioner::Hash => {
-                placed.iter().map(|(id, _)| (mix64(id.0) % count as u64) as usize).collect()
-            }
-            Partitioner::Spatial => contiguous_by_key(placed.len(), count, |ix| {
-                placed[ix].1.bbox.as_ref().map(|b| {
-                    let c = b.center();
-                    (c.lon, c.lat)
-                })
-            }),
-            Partitioner::Temporal => contiguous_by_key(placed.len(), count, |ix| {
-                placed[ix].1.time.as_ref().map(|t| (t.start.0 as f64, t.end.0 as f64))
-            }),
-        }
-    }
 }
 
 /// SplitMix64 finalizer: `DatasetId`s are FNV hashes of paths, whose low
@@ -121,45 +70,22 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Sorts `0..n` by an optional key (`None` sorts last, ties broken by
-/// index for determinism) and cuts the order into `count` contiguous
-/// chunks.
-fn contiguous_by_key<K: PartialOrd>(
-    n: usize,
-    count: usize,
-    key: impl Fn(usize) -> Option<K>,
-) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| match (key(a), key(b)) {
-        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal).then_with(|| a.cmp(&b)),
-        (Some(_), None) => Ordering::Less,
-        (None, Some(_)) => Ordering::Greater,
-        (None, None) => a.cmp(&b),
-    });
-    let chunk = n.div_ceil(count).max(1);
-    let mut out = vec![0usize; n];
-    for (pos, &ix) in order.iter().enumerate() {
-        out[ix] = (pos / chunk).min(count - 1);
-    }
-    out
-}
-
-/// How a sharded engine is laid out: shard count plus partitioner. The
-/// count is clamped to `1..=MAX_SHARDS` at construction, so a spec is
-/// always valid by the time it reaches a builder.
+/// How a sharded engine is laid out: a hashed shard count, clamped to
+/// `1..=MAX_SHARDS` at construction, so a spec is always valid by the time
+/// it reaches a builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     count: usize,
-    partitioner: Partitioner,
 }
 
 impl ShardSpec {
-    /// A spec with a clamped shard count.
-    pub fn new(count: usize, partitioner: Partitioner) -> ShardSpec {
-        ShardSpec { count: clamp_shards(count), partitioner }
+    /// A spec with a clamped shard count. The partitioner is always
+    /// [`Partitioner::Hash`], the one layout.
+    pub fn new(count: usize, _partitioner: Partitioner) -> ShardSpec {
+        ShardSpec { count: clamp_shards(count) }
     }
 
-    /// The unsharded layout: one hash shard.
+    /// The unsharded layout: one shard.
     pub fn single() -> ShardSpec {
         ShardSpec::new(1, Partitioner::Hash)
     }
@@ -169,9 +95,9 @@ impl ShardSpec {
         self.count
     }
 
-    /// The partitioner assigning datasets to shards.
-    pub fn partitioner(&self) -> Partitioner {
-        self.partitioner
+    /// The shard in `0..count` that dataset `id` lives in.
+    pub(crate) fn shard_of(&self, id: DatasetId) -> usize {
+        (mix64(id.0) % self.count as u64) as usize
     }
 }
 
@@ -181,7 +107,7 @@ impl Default for ShardSpec {
     }
 }
 
-/// One slice of the catalog with its own indexes and pruning bounds.
+/// One slice of the catalog with its own indexes.
 pub struct ShardEngine {
     /// The members, still encoded. Each shares its image, so the engine a
     /// delta derives from this one points at the same bytes instead of
@@ -213,10 +139,6 @@ pub struct ShardEngine {
     rtree: RTree,
     intervals: IntervalIndex,
     terms: BTreeMap<Arc<str>, Vec<u32>>,
-    /// Union of member bboxes (None when no member has one).
-    bbox_bound: Option<GeoBBox>,
-    /// Union of member time intervals (None when no member has one).
-    time_bound: Option<TimeInterval>,
 }
 
 impl ShardEngine {
@@ -231,6 +153,10 @@ impl ShardEngine {
         let table: Arc<[VarNames]> = spellings.table.into();
         for shard in &mut shards {
             shard.spellings = Arc::clone(&table);
+        }
+        if metamess_telemetry::enabled() {
+            let rows = layout.iter().map(Vec::len).sum::<usize>();
+            search_metrics().rows_indexed.add(rows as u64);
         }
         shards
     }
@@ -260,8 +186,6 @@ impl ShardEngine {
         let mut time_entries = Vec::new();
         // by key id, so filing a variable compares no strings
         let mut postings: Vec<Vec<u32>> = Vec::new();
-        let mut bbox_bound: Option<GeoBBox> = None;
-        let mut time_bound: Option<TimeInterval> = None;
         for (ix, (gix, row)) in members.iter().enumerate() {
             let local = u32::try_from(ix).expect("a shard's members fit a u32");
             let view = row.view();
@@ -271,17 +195,9 @@ impl ShardEngine {
             path_ends.push(paths.len());
             if let Some(b) = view.bbox() {
                 spatial_entries.push((b, ix));
-                bbox_bound = Some(match bbox_bound {
-                    Some(acc) => acc.union(&b),
-                    None => b,
-                });
             }
             if let Some(t) = view.time() {
                 time_entries.push((t, ix));
-                time_bound = Some(match time_bound {
-                    Some(acc) => TimeInterval::new(acc.start.min(t.start), acc.end.max(t.end)),
-                    None => t,
-                });
             }
             let memo = spellings.memo_of(row.image());
             view.searchable_variables(|v| {
@@ -310,8 +226,6 @@ impl ShardEngine {
             rtree: RTree::build(spatial_entries),
             intervals: IntervalIndex::build(time_entries),
             terms,
-            bbox_bound,
-            time_bound,
             rows,
             extents,
             spellings: Arc::default(),
@@ -360,50 +274,24 @@ impl ShardEngine {
         &self.var_keys[self.key_starts[local_ix] as usize..self.key_starts[local_ix + 1] as usize]
     }
 
-    /// Union of member bounding boxes (the spatial pruning bound).
-    pub fn bbox_bound(&self) -> Option<&GeoBBox> {
-        self.bbox_bound.as_ref()
-    }
-
-    /// Union of member time intervals (the temporal pruning bound).
-    pub fn time_bound(&self) -> Option<&TimeInterval> {
-        self.time_bound.as_ref()
-    }
-
-    /// Candidate generation against this shard's indexes. Window walks are
-    /// skipped (and counted) when the shard bound excludes the query;
-    /// nearest-neighbour lists are always collected — distance has no
-    /// bound — and merged globally by the coordinator.
+    /// Candidate generation against this shard's indexes. Nearest-neighbour
+    /// lists are always collected and merged globally by the coordinator.
     pub(crate) fn probe(&self, query: &Query, plan: &QueryPlan, generous: usize) -> ProbeSummary {
         let mut p = ProbeSummary::default();
         if let Some(spatial) = &query.spatial {
             match spatial {
                 SpatialTerm::Near { point, radius_km } => {
                     self.collect_near(point, generous, &mut p);
-                    let window = near_window(point, *radius_km);
-                    if self.bound_admits_bbox(&window) {
-                        self.rtree.intersecting_into(&window, &mut p.certain);
-                    } else if !self.rtree.is_empty() {
-                        p.bound_skips += 1;
-                    }
+                    self.rtree.intersecting_into(&near_window(point, *radius_km), &mut p.certain);
                 }
                 SpatialTerm::Region(region) => {
-                    if self.bound_admits_bbox(region) {
-                        self.rtree.intersecting_into(region, &mut p.certain);
-                    } else if !self.rtree.is_empty() {
-                        p.bound_skips += 1;
-                    }
+                    self.rtree.intersecting_into(region, &mut p.certain);
                     self.collect_near(&region.center(), generous, &mut p);
                 }
             }
         }
         if let Some(window) = &query.time {
-            let expanded = expanded_time(window);
-            if self.time_bound.as_ref().is_some_and(|b| b.overlaps(&expanded)) {
-                self.intervals.overlapping_into(&expanded, &mut p.certain);
-            } else if !self.intervals.is_empty() {
-                p.bound_skips += 1;
-            }
+            self.intervals.overlapping_into(&expanded_time(window), &mut p.certain);
         }
         for keys in &plan.term_keys {
             for k in keys {
@@ -417,10 +305,6 @@ impl ShardEngine {
         p.certain.sort_unstable();
         p.certain.dedup();
         p
-    }
-
-    fn bound_admits_bbox(&self, window: &GeoBBox) -> bool {
-        self.bbox_bound.as_ref().is_some_and(|b| b.intersects(window))
     }
 
     fn collect_near(
@@ -604,10 +488,6 @@ mod tests {
         ShardEngine::build_all(&[members(features)], vocab).remove(0)
     }
 
-    fn placed(features: &[DatasetFeature]) -> Vec<(DatasetId, Extent)> {
-        features.iter().map(|d| (d.id, Extent::of(d))).collect()
-    }
-
     fn feature(path: &str, lat: f64, lon: f64, month: u32) -> DatasetFeature {
         let mut d = DatasetFeature::new(path);
         d.bbox = Some(GeoBBox::point(GeoPoint::new(lat, lon).unwrap()));
@@ -631,69 +511,21 @@ mod tests {
     #[test]
     fn spec_clamps_on_construction() {
         assert_eq!(ShardSpec::new(0, Partitioner::Hash).count(), 1);
-        assert_eq!(ShardSpec::new(4096, Partitioner::Spatial).count(), MAX_SHARDS);
+        assert_eq!(ShardSpec::new(4096, Partitioner::Hash).count(), MAX_SHARDS);
         assert_eq!(ShardSpec::default(), ShardSpec::single());
         assert_eq!(ShardSpec::single().count(), 1);
     }
 
     #[test]
-    fn partitioner_parses_cli_spellings() {
-        assert_eq!(Partitioner::parse("hash"), Some(Partitioner::Hash));
-        assert_eq!(Partitioner::parse(" SPATIAL "), Some(Partitioner::Spatial));
-        assert_eq!(Partitioner::parse("temporal"), Some(Partitioner::Temporal));
-        assert_eq!(Partitioner::parse("geo"), None);
-        for p in [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal] {
-            assert_eq!(Partitioner::parse(p.as_str()), Some(p));
-        }
-    }
-
-    #[test]
     fn every_partitioner_assigns_every_dataset_exactly_once() {
-        let datasets: Vec<DatasetFeature> = (0..23)
-            .map(|i| feature(&format!("d{i}.csv"), 45.0 + i as f64 * 0.1, -124.0, 1 + i % 12))
-            .collect();
-        let placed = placed(&datasets);
-        for p in [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal] {
-            let assignment = p.assign(&placed, 4);
-            assert_eq!(assignment.len(), datasets.len());
-            assert!(assignment.iter().all(|&s| s < 4), "{p:?}");
-            // deterministic
-            assert_eq!(assignment, p.assign(&placed, 4));
-        }
-    }
-
-    #[test]
-    fn spatial_partitioner_places_unlocated_datasets_last() {
-        let mut datasets: Vec<DatasetFeature> =
-            (0..8).map(|i| feature(&format!("d{i}.csv"), 45.0 + i as f64, -124.0, 1)).collect();
-        let mut bare = DatasetFeature::new("bare.csv");
-        bare.time = None;
-        datasets.push(bare);
-        let placed = placed(&datasets);
-        let assignment = Partitioner::Spatial.assign(&placed, 3);
-        assert_eq!(assignment[8], 2, "dataset without bbox must land in the last shard");
-        let temporal = Partitioner::Temporal.assign(&placed, 3);
-        assert_eq!(temporal[8], 2, "dataset without time must land in the last shard");
-    }
-
-    #[test]
-    fn shard_bounds_cover_all_members() {
-        let vocab = Vocabulary::observatory_default();
-        let features: Vec<DatasetFeature> = (0..6)
-            .map(|i| {
-                feature(&format!("d{i}.csv"), 44.0 + i as f64, -124.0 + i as f64, 1 + i as u32)
-            })
-            .collect();
-        let shard = shard_of(&features, &vocab);
-        let bbox = shard.bbox_bound().expect("members have bboxes");
-        let time = shard.time_bound().expect("members have intervals");
-        for d in &features {
-            let b = d.bbox.as_ref().unwrap();
-            assert!(bbox.intersects(b));
-            assert!(time.overlaps(d.time.as_ref().unwrap()));
-            assert!(bbox.min_lat <= b.min_lat && bbox.max_lat >= b.max_lat);
-        }
-        assert_eq!(shard.len(), 6);
+        let ids: Vec<DatasetId> =
+            (0..23).map(|i| DatasetId::from_path(&format!("d{i}.csv"))).collect();
+        let spec = ShardSpec::new(4, Partitioner::Hash);
+        let assignment: Vec<usize> = ids.iter().map(|&id| spec.shard_of(id)).collect();
+        assert!(assignment.iter().all(|&s| s < 4), "{assignment:?}");
+        // deterministic, and every shard gets some of the 23
+        assert_eq!(assignment, ids.iter().map(|&id| spec.shard_of(id)).collect::<Vec<_>>());
+        assert!((0..4).all(|s| assignment.contains(&s)), "{assignment:?}");
     }
 
     #[test]
@@ -707,7 +539,6 @@ mod tests {
         let p = shard.probe(&q, &plan, 50);
         assert!(p.certain.is_empty());
         assert!(p.near.is_empty());
-        assert_eq!(p.bound_skips, 0, "an empty shard has nothing to prune");
     }
 
     /// What a shard files and scores, as a per-variable build over the
@@ -897,20 +728,5 @@ mod tests {
             let ranked = shard.score(&q, &plan.prepared, &mut memo, ix);
             assert_eq!(hit.score.to_bits(), ranked.to_bits());
         }
-    }
-
-    #[test]
-    fn bound_excludes_far_query_window() {
-        let vocab = Vocabulary::observatory_default();
-        let features: Vec<DatasetFeature> =
-            (0..4).map(|i| feature(&format!("d{i}.csv"), 45.0, -124.0, 6)).collect();
-        let shard = shard_of(&features, &vocab);
-        // Region query on the other side of the globe: the bound excludes
-        // it, so the intersect walk is skipped — but nearest still runs.
-        let q = Query::parse("in 50.0,-10.0..51.0,-9.0").unwrap();
-        let plan = QueryPlan::prepare(&q, &vocab);
-        let p = shard.probe(&q, &plan, 50);
-        assert_eq!(p.bound_skips, 1);
-        assert_eq!(p.near.len(), 4, "nearest candidates are distance-based, never pruned");
     }
 }

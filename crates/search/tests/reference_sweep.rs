@@ -1,7 +1,7 @@
 //! Differential sweep, direct backend: for seeded catalogs and queries the
 //! in-process coordinator returns the naive reference search's answer, bit
-//! for bit, at shard counts {1, 2, 4, 8} × {hash, spatial, temporal}, with
-//! the indexes on and off — including layouts with more shards than
+//! for bit, at hashed shard counts {1, 2, 4, 8}, with the indexes on and
+//! off — including layouts with more shards than
 //! datasets (empty shards), limits beyond the catalog size and the empty
 //! query. `common` says which cases are drawn and why.
 //!
@@ -27,8 +27,7 @@ use metamess_vocab::Vocabulary;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-const PARTITIONERS: [Partitioner; 3] =
-    [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn every_local_layout_agrees_with_the_reference() {
@@ -40,31 +39,27 @@ fn every_local_layout_agrees_with_the_reference() {
         let c = catalog(&mut rng);
         let qs = queries(&mut rng, c.len());
         let expected: Vec<_> = qs.iter().map(|q| reference_search(&c, &vocab, q)).collect();
-        for partitioner in PARTITIONERS {
-            for shards in [1usize, 2, 4, 8] {
-                let spec = ShardSpec::new(shards, partitioner);
-                let mut engine = SearchEngine::build_sharded(&c, vocab.clone(), spec);
-                for use_indexes in [true, false] {
-                    engine.use_indexes = use_indexes;
-                    for (q, want) in qs.iter().zip(&expected) {
-                        let what = format!(
-                            "seed {seed}, {shards} {partitioner:?} shards, indexes {use_indexes}, {q:?}"
-                        );
-                        // every (engine, mode, query) is new to the cache
-                        let (hits, explain) = engine.search_explain(q);
-                        assert!(!explain.cache_hit, "{what}");
-                        assert_bit_equal(&hits, want, &what);
-                        indexed += usize::from(!explain.full_scan);
-                        pruned += usize::from(explain.shards_pruned > 0);
-                    }
+        for shards in SHARD_COUNTS {
+            let spec = ShardSpec::new(shards, Partitioner::Hash);
+            let mut engine = SearchEngine::build_sharded(&c, vocab.clone(), spec);
+            for use_indexes in [true, false] {
+                engine.use_indexes = use_indexes;
+                for (q, want) in qs.iter().zip(&expected) {
+                    let what =
+                        format!("seed {seed}, {shards} shards, indexes {use_indexes}, {q:?}");
+                    // every (engine, mode, query) is new to the cache
+                    let (hits, explain) = engine.search_explain(q);
+                    assert!(!explain.cache_hit, "{what}");
+                    assert_bit_equal(&hits, want, &what);
+                    indexed += usize::from(!explain.full_scan);
+                    pruned += usize::from(explain.shards_pruned > 0);
                 }
             }
         }
     }
-    assert!(
-        indexed > 500 && pruned > 20,
-        "the sweep left the index path idle: {indexed}, {pruned}"
-    );
+    // the hash layout's share of the cases: 404 indexed, 8 with a shard
+    // pruned
+    assert!(indexed > 300 && pruned > 5, "the sweep left the index path idle: {indexed}, {pruned}");
 }
 
 #[test]
@@ -79,36 +74,30 @@ fn a_successor_shares_what_the_delta_left_alone_and_answers_like_a_rebuild() {
         let mut after = before.clone();
         mutations.iter().cloned().for_each(|m| after.apply(m));
         let qs = queries(&mut rng, after.len());
-        for partitioner in PARTITIONERS {
-            for shards in [1usize, 3] {
-                let spec = ShardSpec::new(shards, partitioner);
-                let what = format!("seed {seed}, {shards} {partitioner:?} shards");
-                let engine = SearchEngine::build_sharded(&before, vocab.clone(), spec);
-                let next = engine.successor(&mutations);
-                assert_eq!(next.generation(), after.generation(), "{what}");
-                assert_eq!(next.len(), after.len(), "{what}");
-                assert!(Arc::ptr_eq(next.cache(), engine.cache()), "{what}: the cache moves on");
-                let old_images = images(engine.rows());
-                for row in next.rows() {
-                    let d = row.decode();
-                    assert_eq!(Some(&d), after.get(d.id), "{what}: {}", d.path);
-                    if touched.contains(&d.id) {
-                        let image = Arc::as_ptr(row.image());
-                        assert!(!old_images.contains_key(&image), "{what}: {} is not new", d.path);
-                    } else {
-                        let old = engine.row(d.id).expect("untouched, so it was there");
-                        assert!(
-                            Arc::ptr_eq(row.image(), old.image()),
-                            "{what}: {} was copied",
-                            d.path
-                        );
-                        shared += 1;
-                    }
+        for shards in SHARD_COUNTS {
+            let spec = ShardSpec::new(shards, Partitioner::Hash);
+            let what = format!("seed {seed}, {shards} shards");
+            let engine = SearchEngine::build_sharded(&before, vocab.clone(), spec);
+            let next = engine.successor(&mutations);
+            assert_eq!(next.generation(), after.generation(), "{what}");
+            assert_eq!(next.len(), after.len(), "{what}");
+            assert!(Arc::ptr_eq(next.cache(), engine.cache()), "{what}: the cache moves on");
+            let old_images = images(engine.rows());
+            for row in next.rows() {
+                let d = row.decode();
+                assert_eq!(Some(&d), after.get(d.id), "{what}: {}", d.path);
+                if touched.contains(&d.id) {
+                    let image = Arc::as_ptr(row.image());
+                    assert!(!old_images.contains_key(&image), "{what}: {} is not new", d.path);
+                } else {
+                    let old = engine.row(d.id).expect("untouched, so it was there");
+                    assert!(Arc::ptr_eq(row.image(), old.image()), "{what}: {} was copied", d.path);
+                    shared += 1;
                 }
-                for q in &qs {
-                    let want = reference_search(&after, &vocab, q);
-                    assert_bit_equal(&next.search_uncached(q), &want, &format!("{what}, {q:?}"));
-                }
+            }
+            for q in &qs {
+                let want = reference_search(&after, &vocab, q);
+                assert_bit_equal(&next.search_uncached(q), &want, &format!("{what}, {q:?}"));
             }
         }
         // Once the engine it came from is gone, a successor's rows are the
@@ -124,31 +113,30 @@ fn standalone_shards_cover_the_catalog_exactly_once() {
     let vocab = Vocabulary::observatory_default();
     for seed in 0..40u64 {
         let c = catalog(&mut Rng(seed));
-        for partitioner in PARTITIONERS {
-            for shards in [1usize, 2, 5, 8] {
-                let spec = ShardSpec::new(shards, partitioner);
-                let what = format!("seed {seed}, {shards} {partitioner:?} shards");
-                let whole = SearchEngine::build_sharded(&c, vocab.clone(), spec);
-                let image = Arc::new(Image::encode(&c.iter().collect::<Vec<_>>()));
-                let mut seen = BTreeSet::new();
-                for k in 0..shards {
-                    let encoded = build_shard(&c, &vocab, spec, k);
-                    let kept = build_shard_from(image.rows().collect(), &vocab, spec, k);
-                    let paths = |s: &ShardEngine| -> Vec<String> {
-                        (0..s.len()).map(|l| s.path(l).to_string()).collect()
-                    };
-                    assert_eq!(paths(&encoded), paths(&whole.shards()[k]), "{what}, shard {k}");
-                    assert_eq!(paths(&kept), paths(&encoded), "{what}, shard {k}");
-                    assert!(sole_holders(encoded.rows().iter()), "{what}, shard {k}");
-                    for l in 0..encoded.len() {
-                        let d = encoded.row(l).decode();
-                        assert_eq!(Some(&d), c.get(d.id), "{what}: {}", d.path);
-                        assert_eq!(kept.row(l).decode(), d, "{what}: {}", d.path);
-                        assert!(seen.insert(d.id), "{what}: {} is in two shards", d.path);
-                    }
+        // 5: a count that is not a power of two
+        for shards in [1usize, 2, 5, 8] {
+            let spec = ShardSpec::new(shards, Partitioner::Hash);
+            let what = format!("seed {seed}, {shards} shards");
+            let whole = SearchEngine::build_sharded(&c, vocab.clone(), spec);
+            let image = Arc::new(Image::encode(&c.iter().collect::<Vec<_>>()));
+            let mut seen = BTreeSet::new();
+            for k in 0..shards {
+                let encoded = build_shard(&c, &vocab, spec, k);
+                let kept = build_shard_from(image.rows().collect(), &vocab, spec, k);
+                let paths = |s: &ShardEngine| -> Vec<String> {
+                    (0..s.len()).map(|l| s.path(l).to_string()).collect()
+                };
+                assert_eq!(paths(&encoded), paths(&whole.shards()[k]), "{what}, shard {k}");
+                assert_eq!(paths(&kept), paths(&encoded), "{what}, shard {k}");
+                assert!(sole_holders(encoded.rows().iter()), "{what}, shard {k}");
+                for l in 0..encoded.len() {
+                    let d = encoded.row(l).decode();
+                    assert_eq!(Some(&d), c.get(d.id), "{what}: {}", d.path);
+                    assert_eq!(kept.row(l).decode(), d, "{what}: {}", d.path);
+                    assert!(seen.insert(d.id), "{what}: {} is in two shards", d.path);
                 }
-                assert_eq!(seen.len(), c.len(), "{what}: a dataset is in no shard");
             }
+            assert_eq!(seen.len(), c.len(), "{what}: a dataset is in no shard");
         }
     }
 }
@@ -170,7 +158,7 @@ fn browse_menus_count_what_the_reference_counts() {
         assert_eq!(browse_all(&before, &vocab), want_before, "seed {seed}");
         for shards in [1usize, 2, 4] {
             let what = format!("seed {seed}, {shards} shards");
-            let spec = ShardSpec::new(shards, PARTITIONERS[seed as usize % 3]);
+            let spec = ShardSpec::new(shards, Partitioner::Hash);
             let engine = SearchEngine::build_sharded(&before, vocab.clone(), spec);
             assert_eq!(engine.browse(), want_before, "{what}");
             let next = engine.successor(&mutations);

@@ -1,7 +1,6 @@
 //! Seeded sweeps over the sharded engine: for random catalogs and queries,
 //! sharded scatter-gather search is **bit-identical** to the unsharded
-//! engine across shard counts {1, 2, 4, 8}, every partitioner (including
-//! the pruning-enabled spatial/temporal layouts), empty shards (more
+//! engine across hashed shard counts {1, 2, 4, 8}, empty shards (more
 //! shards than datasets), datasets without bboxes or time intervals, and
 //! both index modes. Each property runs on `CASES` generators; a failure
 //! names its seed.
@@ -14,26 +13,24 @@ use metamess_vocab::Vocabulary;
 
 const CASES: u64 = 48;
 
-const PARTITIONERS: [Partitioner; 3] =
-    [Partitioner::Hash, Partitioner::Spatial, Partitioner::Temporal];
-
 #[test]
 fn sharded_search_is_bit_identical_to_unsharded() {
     let vocab = Vocabulary::observatory_default();
     sweep(CASES, |rng| {
         let (catalog, query) = (any_catalog(rng), any_query(rng));
-        let (partitioner, full_scan) = (*rng.pick(&PARTITIONERS), rng.coin());
-        let mut reference = SearchEngine::build(&catalog, vocab.clone());
-        reference.use_indexes = !full_scan;
-        let expected = reference.search_uncached(&query);
-        // shard counts beyond the catalog size leave shards empty — those
-        // must contribute nothing, not break the merge
-        for shards in [1usize, 2, 4, 8] {
-            let spec = ShardSpec::new(shards, partitioner);
-            let mut engine = SearchEngine::build_sharded(&catalog, vocab.clone(), spec);
-            engine.use_indexes = !full_scan;
-            let got = engine.search_uncached(&query);
-            assert_eq!(got, expected, "partitioner={partitioner:?} shards={shards}");
+        for use_indexes in [true, false] {
+            let mut reference = SearchEngine::build(&catalog, vocab.clone());
+            reference.use_indexes = use_indexes;
+            let expected = reference.search_uncached(&query);
+            // shard counts beyond the catalog size leave shards empty —
+            // those must contribute nothing, not break the merge
+            for shards in [1usize, 2, 4, 8] {
+                let spec = ShardSpec::new(shards, Partitioner::Hash);
+                let mut engine = SearchEngine::build_sharded(&catalog, vocab.clone(), spec);
+                engine.use_indexes = use_indexes;
+                let got = engine.search_uncached(&query);
+                assert_eq!(got, expected, "shards={shards} indexes={use_indexes}");
+            }
         }
     });
 }
@@ -43,7 +40,7 @@ fn sharded_cached_path_equals_uncached() {
     let vocab = Vocabulary::observatory_default();
     sweep(CASES, |rng| {
         let (catalog, query) = (any_catalog(rng), any_query(rng));
-        let spec = ShardSpec::new(4, *rng.pick(&PARTITIONERS));
+        let spec = ShardSpec::new(4, Partitioner::Hash);
         let engine = SearchEngine::build_sharded(&catalog, vocab.clone(), spec);
         let first = engine.search(&query); // miss: fills the cache
         let cached = engine.search(&query); // hit: shares the allocation
@@ -58,7 +55,7 @@ fn explain_shard_accounting_is_consistent() {
     sweep(CASES, |rng| {
         let (catalog, query) = (any_catalog(rng), any_query(rng));
         let shards = rng.size(1, 9);
-        let spec = ShardSpec::new(shards, *rng.pick(&PARTITIONERS));
+        let spec = ShardSpec::new(shards, Partitioner::Hash);
         let engine = SearchEngine::build_sharded(&catalog, vocab.clone(), spec);
         let (_, ex) = engine.search_explain(&query);
         assert_eq!(ex.shards, shards);

@@ -550,22 +550,25 @@ mod tests {
     fn open_sharded_clamps_and_keeps_layout_across_reloads() {
         use metamess_search::Partitioner;
         let dir = fixture_store("sharded");
-        let spec = ShardSpec::new(0, Partitioner::Spatial); // clamped to 1
+        let spec = ShardSpec::new(0, Partitioner::Hash); // clamped to 1
         let state = ServeState::open_sharded(&dir, spec).unwrap();
         assert_eq!(state.shard_spec().count(), 1);
-        let dir = fixture_store("sharded4");
-        let state = ServeState::open_sharded(&dir, ShardSpec::new(4, Partitioner::Hash)).unwrap();
-        assert_eq!(state.epoch().engine.shard_count(), 4);
-        // a publish + reload swaps the whole shard set atomically inside
-        // the epoch — the new epoch has the same layout
-        publish_one_more(&dir, "2014/08/c.csv");
-        match state.reload().unwrap() {
-            ReloadOutcome::Reloaded { .. } => {}
-            other => panic!("expected a swap, got {other:?}"),
+        for shards in [1usize, 2, 4, 8] {
+            let dir = fixture_store(&format!("sharded{shards}"));
+            let spec = ShardSpec::new(shards, Partitioner::Hash);
+            let state = ServeState::open_sharded(&dir, spec).unwrap();
+            assert_eq!(state.epoch().engine.shard_count(), shards);
+            // a publish + reload swaps the whole shard set atomically inside
+            // the epoch — the new epoch has the same layout
+            publish_one_more(&dir, "2014/08/c.csv");
+            match state.reload().unwrap() {
+                ReloadOutcome::Reloaded { .. } => {}
+                other => panic!("{shards} shards: expected a swap, got {other:?}"),
+            }
+            let epoch = state.epoch();
+            assert_eq!(epoch.engine.shard_count(), shards);
+            assert_eq!(epoch.datasets, 3);
         }
-        let epoch = state.epoch();
-        assert_eq!(epoch.engine.shard_count(), 4);
-        assert_eq!(epoch.datasets, 3);
     }
 
     #[test]

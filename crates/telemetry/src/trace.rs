@@ -777,17 +777,6 @@ fn parse_trace_value(v: &serde_json::Value) -> Option<OwnedTrace> {
     Some(t)
 }
 
-/// Parses the document produced by [`render_traces_json`]. Structural
-/// mismatch reads as `None`, never as an empty list.
-pub fn parse_traces_json(text: &str) -> Option<Vec<OwnedTrace>> {
-    let v: serde_json::Value = serde_json::from_str(text).ok()?;
-    let mut out = Vec::new();
-    for t in v.get("traces")?.as_array()? {
-        out.push(parse_trace_value(t)?);
-    }
-    Some(out)
-}
-
 // ── persistence ─────────────────────────────────────────────────────────
 
 /// Where a store keeps its persisted traces (next to `telemetry.json`).
@@ -1017,11 +1006,15 @@ mod tests {
                 },
             ],
         };
+        // read back by the reader persisted traces go through
         let json = render_traces_json(std::slice::from_ref(&t));
-        let parsed = parse_traces_json(&json).expect("round trip");
+        let doc: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let traces = doc.get("traces").and_then(|v| v.as_array()).expect("a traces array");
+        let parsed: Vec<OwnedTrace> =
+            traces.iter().map(parse_trace_value).collect::<Option<_>>().expect("round trip");
         assert_eq!(parsed, vec![t.clone()]);
-        assert!(parse_traces_json("{\"nope\":1}").is_none());
-        assert!(parse_traces_json("not json").is_none());
+        let nope: serde_json::Value = serde_json::from_str("{\"nope\":1}").unwrap();
+        assert!(parse_trace_value(&nope).is_none(), "a structural mismatch reads as None");
         let tree = t.render_tree();
         assert!(tree.contains("trace 00000000000000000000000000000abc"), "{tree}");
         assert!(tree.contains("[slow]"));

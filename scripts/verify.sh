@@ -102,10 +102,12 @@ echo "==> engine vs reference search and browse, and who holds the rows (release
 # routine, both reading name tiers through a per-query memo; check them, the
 # memo against the one-dataset reference (the search crate's unit tests),
 # and the engine's browse menus, against the naive references at serve's opt
-# level. A serving epoch holds rows of the store's images and shares them
-# across a delta; check that at the same opt level.
+# level. A shardd fleet answers like local shards, and the frame codec
+# refuses a peer of another protocol version (a version-1 Hello by name),
+# over real sockets too. A serving epoch holds rows of the store's images
+# and shares them across a delta; check that at the same opt level.
 cargo test -q --release -p metamess-search --lib --test reference_sweep --test shard_props
-cargo test -q --release -p metamess-remote --test reference_sweep
+cargo test -q --release -p metamess-remote --test reference_sweep --test e2e --test codec
 cargo test -q --release -p metamess-server --test ownership
 
 echo "==> flight recorder under concurrent writers and readers (release)"

@@ -179,7 +179,6 @@ const FLAGS: &[Flag] = &[
     flag("watch", "--retain", "N", "previous snapshots kept (default 2)"),
     flag("search", "--explain", "", "append the plan/probe/score/merge breakdown"),
     flag("search", "--shards", "N", "search N shards (clamped to 1..=256)"),
-    flag("search", "--partition", "hash|spatial|temporal", "shard layout (default hash)"),
     flag("search", "--remote", "H:P,...", "search this shardd fleet instead"),
     flag("search", "--partial-policy", "fail|degrade", "degrade: skip down shards, marked partial"),
     flag("stats", "--prometheus", "", "Prometheus text exposition"),
@@ -188,14 +187,12 @@ const FLAGS: &[Flag] = &[
     flag("fsck", "--json", "", "emit the machine-readable report"),
     flag("fsck", "--repair", "", "truncate damaged WAL tails, quarantine corrupt files"),
     flag("shardd", "--shard-id", "K/N", "the shard to host (required; K < N <= 256)"),
-    flag("shardd", "--partition", "hash|spatial|temporal", "shard layout (default hash)"),
     flag("shardd", "--listen", "H:P", "listen address (default 127.0.0.1:0, a free port)"),
     flag("serve", "--addr", "H:P", "listen address (default 127.0.0.1:0, a free port)"),
     flag("serve", "--workers", "N", "worker threads (default 4, clamped to 1..=256)"),
     flag("serve", "--queue-depth", "N", "queued requests before 503 (default 64, <= 4096)"),
     flag("serve", "--drain-grace-ms", "N", "how long a drain waits for workers (default 500)"),
     flag("serve", "--shards", "N", "search N shards (clamped to 1..=256)"),
-    flag("serve", "--partition", "hash|spatial|temporal", "shard layout (default hash)"),
     flag("serve", "--slow-ms", "N", "slower requests enter the slow log (default 100)"),
     flag("serve", "--trace-sample-rate", "F", "traced share, 0.0..=1.0 (default 1.0)"),
     flag("serve", "--remote", "H:P,...", "search this shardd fleet instead"),
@@ -498,14 +495,10 @@ fn read_store(store_dir: &Path) -> Result<(Published, Vocabulary)> {
     Ok((published, Vocabulary::load_or_default(store_dir.join("vocabulary.json"))?))
 }
 
-/// `--shards N` (clamped to `1..=MAX_SHARDS` by [`ShardSpec::new`], so 0
-/// means unsharded) in the `--partition` layout.
+/// `--shards N`, hashed (clamped to `1..=MAX_SHARDS` by [`ShardSpec::new`],
+/// so 0 means unsharded).
 fn shard_spec(args: &Args) -> Result<ShardSpec> {
-    Ok(ShardSpec::new(args.value("--shards")?.unwrap_or(1), partitioner(args)?))
-}
-
-fn partitioner(args: &Args) -> Result<Partitioner> {
-    Ok(args.value_with("--partition", Partitioner::parse)?.unwrap_or(Partitioner::Hash))
+    Ok(ShardSpec::new(args.value("--shards")?.unwrap_or(1), Partitioner::Hash))
 }
 
 /// Dials the `--remote` shardd fleet, if one is named, under
@@ -657,7 +650,7 @@ fn cmd_shardd(args: &Args) -> Result<()> {
                 .filter(|(k, n)| *n >= 1 && *n <= MAX_SHARDS && k < n)
         })?
         .ok_or_else(|| Error::invalid("shardd needs --shard-id K/N"))?;
-    let spec = ShardSpec::new(shard_count, partitioner(args)?);
+    let spec = ShardSpec::new(shard_count, Partitioner::Hash);
     let listen: String = args.value("--listen")?.unwrap_or_else(|| "127.0.0.1:0".into());
 
     let (published, vocab) = read_store(store_dir)?;
@@ -708,9 +701,8 @@ fn cmd_serve(args: &Args) -> Result<()> {
     let mut state = metamess::server::ServeState::open_sharded(&store_dir, spec)?;
     if let Some(set) = connect_remote(args)? {
         println!(
-            "remote fleet connected: {} shard(s), partition {}, generation {}",
+            "remote fleet connected: {} shard(s), generation {}",
             set.shard_count(),
-            set.partitioner(),
             set.generation()
         );
         state.set_remote(std::sync::Arc::new(set));
@@ -857,9 +849,9 @@ mod tests {
         assert!(error(search, "st --remote --explain x").contains("--remote"));
         assert!(error(command("summary"), "st").contains("<dataset-path>"));
         assert!(error(command("fsck"), "st repair").contains("repair"));
-        let bad = parse(search, &argv("st --partition zodiac x")).unwrap();
-        let bad = bad.value_with("--partition", Partitioner::parse).unwrap_err().to_string();
-        assert!(bad.contains("--partition \"zodiac\""), "{bad}");
+        let bad = parse(search, &argv("st --partial-policy zodiac x")).unwrap();
+        let bad = bad.value_with("--partial-policy", PartialPolicy::parse).unwrap_err().to_string();
+        assert!(bad.contains("--partial-policy \"zodiac\""), "{bad}");
     }
 
     /// README's "Command line" block names every command, and each of its

@@ -268,8 +268,8 @@ fn fsck_detects_and_repairs_corruption() {
 }
 
 /// Sharded search through the CLI: identical bytes to unsharded output,
-/// clamped shard counts, shard telemetry in `stats`, and a clean error for
-/// an unknown partitioner.
+/// clamped shard counts, shard telemetry in `stats`, and `--partition`
+/// refused as an unknown flag.
 #[test]
 fn sharded_search_cli() {
     let dir = std::env::temp_dir().join(format!("metamess-cli-shard-{}", std::process::id()));
@@ -293,12 +293,12 @@ fn sharded_search_cli() {
     assert!(ok, "{stderr}");
     let baseline = results(baseline);
     assert!(baseline.contains("1. ["), "{baseline}");
-    for partition in ["hash", "spatial", "temporal"] {
-        let mut sharded = vec!["search", store_s, "--shards", "4", "--partition", partition];
+    for shards in ["2", "4", "8"] {
+        let mut sharded = vec!["search", store_s, "--shards", shards];
         sharded.extend_from_slice(&query);
         let (ok, stdout, stderr) = run(&sharded);
         assert!(ok, "{stderr}");
-        assert_eq!(results(stdout), baseline, "--partition {partition} changed the results");
+        assert_eq!(results(stdout), baseline, "--shards {shards} changed the results");
     }
 
     // --shards 0 means "unsharded" (clamped to 1), not an error
@@ -320,10 +320,14 @@ fn sharded_search_cli() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("metamess_search_shards_visited_total"), "{stdout}");
 
-    // an unknown partitioner is a clean error
-    let (ok, _, stderr) = run(&["search", store_s, "--shards", "2", "--partition", "zodiac", "x"]);
-    assert!(!ok);
-    assert!(stderr.contains("--partition"), "{stderr}");
+    // hash is the only layout: `--partition` is an unknown flag, whatever
+    // its value
+    for partition in ["hash", "zodiac"] {
+        let args = ["search", store_s, "--shards", "2", "--partition", partition, "x"];
+        let (ok, _, stderr) = run(&args);
+        assert!(!ok);
+        assert!(stderr.contains("has no flag --partition"), "{stderr}");
+    }
 }
 
 #[test]

@@ -161,7 +161,7 @@ impl Drop for Daemon {
 }
 
 /// `search --remote` over two real `shardd` processes prints what local
-/// `--shards 2 --partition hash` prints; bad remote flags are refused, and
+/// `--shards 2` prints; bad remote flags and `--partition` are refused, and
 /// each daemon stops on SIGTERM.
 #[test]
 fn remote_search_cli_matches_local_sharding() {
@@ -202,7 +202,7 @@ fn remote_search_cli_matches_local_sharding() {
         stdout.lines().filter(|l| !l.starts_with("trace: ")).map(|l| format!("{l}\n")).collect()
     };
     let query = ["near", "46.2,-123.9", "within", "50km", "with", "salinity", "limit", "5"];
-    let mut local = vec!["search", store_s, "--shards", "2", "--partition", "hash"];
+    let mut local = vec!["search", store_s, "--shards", "2"];
     local.extend_from_slice(&query);
     let mut remote = vec!["search", store_s, "--remote", &fleet];
     remote.extend_from_slice(&query);
@@ -218,6 +218,8 @@ fn remote_search_cli_matches_local_sharding() {
     };
     refused(&["shardd", store_s, "--shard-id", "2/2"], "--shard-id");
     refused(&["search", store_s, "--remote", &fleet, "--explain", "with", "salinity"], "--explain");
+    refused(&["shardd", store_s, "--shard-id", "0/2", "--partition", "hash"], "--partition");
+    refused(&["serve", store_s, "--shards", "2", "--partition", "hash"], "--partition");
 
     // one at a time: each daemon folds its telemetry into the same store
     for (mut child, mut stdout, addr) in daemons {
