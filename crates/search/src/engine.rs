@@ -558,26 +558,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_shard_left_without_candidates_is_pruned() {
+    /// Searches `q` over 64 hash shards of the two-cluster catalog — more
+    /// shards than its 60 northern datasets — and checks that a query
+    /// selecting only the north leaves some south-only shards without a
+    /// candidate, that those shards are pruned (not scored) and counted, and
+    /// that the answer is still the unsharded one.
+    fn assert_north_only_query_prunes_south_shards(q: &str) {
         let c = two_cluster_catalog();
         let vocab = Vocabulary::observatory_default();
         let reference = SearchEngine::build(&c, vocab.clone());
-        // more shards than the 60 northern datasets: a selective query over
-        // the north leaves some shards, south-only, without a candidate
         let e = SearchEngine::build_sharded(&c, vocab, ShardSpec::new(64, Partitioner::Hash));
         let occupied = e.shards().iter().filter(|s| !s.is_empty()).count();
-        for q in ["in 45.9,-124.1..46.2,-123.9 limit 5", "from 2010-01-01 to 2010-02-15 limit 5"] {
-            let q = Query::parse(q).unwrap();
-            let (hits, ex) = e.search_explain(&q);
-            assert!(!ex.full_scan, "the north must satisfy limit*3 from the indexes: {q:?}");
-            assert_eq!(ex.shards, 64);
-            assert!(ex.shards_pruned >= 1, "{q:?}: {ex:?}");
-            assert_eq!(ex.shards_visited + ex.shards_pruned, occupied, "{q:?}");
-            assert!(ex.pruned_datasets >= ex.shards_pruned, "{q:?}: {ex:?}");
-            assert!(hits.iter().all(|h| h.path.starts_with("north/")), "{q:?}");
-            assert_eq!(hits[..], reference.search_uncached(&q)[..], "{q:?}");
-        }
+        let q = Query::parse(q).unwrap();
+        let (hits, ex) = e.search_explain(&q);
+        assert!(!ex.full_scan, "the north must satisfy limit*3 from the indexes: {q:?}");
+        assert_eq!(ex.shards, 64);
+        assert!(ex.shards_pruned >= 1, "{q:?}: {ex:?}");
+        assert_eq!(ex.shards_visited + ex.shards_pruned, occupied, "{q:?}");
+        assert!(ex.pruned_datasets >= ex.shards_pruned, "{q:?}: {ex:?}");
+        assert!(hits.iter().all(|h| h.path.starts_with("north/")), "{q:?}");
+        assert_eq!(hits[..], reference.search_uncached(&q)[..], "{q:?}");
+    }
+
+    #[test]
+    fn spatial_partitioning_prunes_far_shards() {
+        // a selective region query over the north cluster only
+        assert_north_only_query_prunes_south_shards("in 45.9,-124.1..46.2,-123.9 limit 5");
+    }
+
+    #[test]
+    fn temporal_partitioning_prunes_off_window_shards() {
+        // the south cluster holds months 7..=12; a window over the start of
+        // the year (plus the 1-window pad) only reaches northern datasets
+        assert_north_only_query_prunes_south_shards("from 2010-01-01 to 2010-02-15 limit 5");
     }
 
     #[test]
