@@ -472,12 +472,13 @@ mod tests {
         ));
     }
 
-    /// A catalog holds one of each per dataset and per variable: growing
-    /// either grows every catalog by as much.
+    /// A catalog holds one of each per dataset and per variable, and a
+    /// variable one summary: growing any grows every catalog by as much.
     #[test]
     fn a_feature_and_a_variable_keep_their_size() {
         assert!(std::mem::size_of::<DatasetFeature>() <= 248);
-        assert!(std::mem::size_of::<VariableFeature>() <= 224);
+        assert!(std::mem::size_of::<VariableFeature>() <= 216);
+        assert_eq!(std::mem::size_of::<NumericSummary>(), 32);
     }
 
     #[test]

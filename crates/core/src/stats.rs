@@ -1,13 +1,13 @@
 //! Streaming summaries used to build catalog features in a single scan.
 //!
 //! The paper's architecture scans each dataset once and keeps only a summary
-//! ("feature") per variable: these accumulators compute min/max/mean/variance
-//! (Welford), null counts, and a small value sample without a second pass.
+//! ("feature") per variable: these accumulators compute min/max/mean, null
+//! counts, and a small value sample without a second pass.
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 
-/// One-pass numeric summary: count, min, max, mean, variance (Welford).
+/// One-pass numeric summary: count, min, max and running mean.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct NumericSummary {
     /// Number of finite numeric observations.
@@ -18,14 +18,12 @@ pub struct NumericSummary {
     pub max: f64,
     /// Running mean.
     pub mean: f64,
-    /// Sum of squared deviations from the mean (Welford's M2).
-    pub(crate) m2: f64,
 }
 
 impl NumericSummary {
     /// An empty summary.
     pub fn new() -> NumericSummary {
-        NumericSummary { count: 0, min: f64::INFINITY, max: f64::NEG_INFINITY, mean: 0.0, m2: 0.0 }
+        NumericSummary { count: 0, min: f64::INFINITY, max: f64::NEG_INFINITY, mean: 0.0 }
     }
 
     /// Feeds one observation. Non-finite values are ignored.
@@ -40,29 +38,7 @@ impl NumericSummary {
         if x > self.max {
             self.max = x;
         }
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Merges another summary into this one (parallel Welford combination).
-    pub fn merge(&mut self, other: &NumericSummary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.mean += (x - self.mean) / self.count as f64;
     }
 
     /// True when no observations were fed.
@@ -82,16 +58,6 @@ impl NumericSummary {
         self.min = lo.min(hi);
         self.max = lo.max(hi);
         self.mean = self.mean * scale + offset;
-        self.m2 *= scale * scale;
-    }
-
-    /// Population variance; `None` until at least one observation.
-    pub fn variance(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.m2 / self.count as f64)
-        }
     }
 
     /// Value range `(min, max)`; `None` when empty.
@@ -217,7 +183,6 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.range(), Some((2.0, 6.0)));
         assert!((s.mean - 4.0).abs() < 1e-12);
-        assert!((s.variance().unwrap() - 8.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -225,7 +190,6 @@ mod tests {
         let s = NumericSummary::new();
         assert!(s.is_empty());
         assert_eq!(s.range(), None);
-        assert_eq!(s.variance(), None);
     }
 
     #[test]
@@ -234,28 +198,6 @@ mod tests {
         s.observe(f64::NAN);
         s.observe(f64::INFINITY);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let mut whole = NumericSummary::new();
-        for &x in &xs {
-            whole.observe(x);
-        }
-        let mut left = NumericSummary::new();
-        let mut right = NumericSummary::new();
-        for &x in &xs[..37] {
-            left.observe(x);
-        }
-        for &x in &xs[37..] {
-            right.observe(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count, whole.count);
-        assert!((left.mean - whole.mean).abs() < 1e-9);
-        assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-        assert_eq!(left.range(), whole.range());
     }
 
     #[test]
@@ -272,7 +214,6 @@ mod tests {
         assert!((f.mean - c.mean).abs() < 1e-9);
         assert!((f.min - c.min).abs() < 1e-9);
         assert!((f.max - c.max).abs() < 1e-9);
-        assert!((f.variance().unwrap() - c.variance().unwrap()).abs() < 1e-6);
     }
 
     #[test]
@@ -289,19 +230,6 @@ mod tests {
         let mut s = NumericSummary::new();
         s.affine_transform(2.0, 1.0);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = NumericSummary::new();
-        a.observe(1.0);
-        let b = NumericSummary::new();
-        let mut a2 = a.clone();
-        a2.merge(&b);
-        assert_eq!(a2, a);
-        let mut c = NumericSummary::new();
-        c.merge(&a);
-        assert_eq!(c, a);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!                canonical_unit:ref? context:ref? count:varint level:ref*
 //! catalog     := generation:varint  count:varint (key:str value:str)*  count:varint row*
 //! put         := row        delete := id:u64le        set-property := key:str value:str
-//! variable    := descriptor:varint decimals:u8 n:varint min max mean m2 nulls:varint total:varint
+//! variable    := descriptor:varint decimals:u8 n:varint min max mean nulls:varint total:varint
 //! ```
 //!
 //! Counts, lengths and table references are LEB128 varints. A number — a
-//! bbox corner, a summary's min, max, mean or m2 — is written as a decimal
+//! bbox corner, a summary's min, max or mean — is written as a decimal
 //! when it has one: `m / 10^s` bit for bit, `s ≤ 7`, as the varint
 //! `zigzag(m) << 3 | s` with the smallest such `s`. Anything else — ±inf,
 //! NaN payloads, −0.0, subnormals, more digits — is its eight little-endian
@@ -73,7 +73,7 @@ use std::sync::{Arc, OnceLock};
 
 /// The format generation this module writes and reads: the digit the
 /// snapshot and WAL magics end in, and the first byte of every payload.
-pub const FORMAT_VERSION: u8 = 4;
+pub const FORMAT_VERSION: u8 = 5;
 
 const KIND_CATALOG: u8 = 0;
 const KIND_PUT: u8 = 1;
@@ -88,9 +88,11 @@ const HAS_TIME: u8 = 1 << 2;
 const POINT: u8 = 1 << 3;
 
 // In the dataset tag and the variable's decimals byte, bit 4 + i is set
-// when the i-th number the row or variable writes is a decimal.
+// when the i-th number the row or variable writes is a decimal: a row
+// writes up to four bbox corners, a variable its min, max and mean.
 const FIRST_DECIMAL: u8 = 1 << 4;
 const DECIMALS: u8 = 0xf0;
+const VARIABLE_DECIMALS: u8 = 0x70;
 
 /// `10^s` for each decimal scale `s`, each exact as an `f64`.
 const POWERS: [f64; 8] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7];
@@ -126,7 +128,7 @@ const UNIT_NORMALIZED: u8 = 1 << 6;
 /// The fewest bytes a row, a variable, a string pair, a table entry and a
 /// descriptor can take: what bounds a count read from the payload.
 const MIN_ROW: usize = 25;
-const MIN_VARIABLE: usize = 9;
+const MIN_VARIABLE: usize = 8;
 const MIN_PAIR: usize = 2;
 const MIN_ENTRY: usize = 1;
 const MIN_DESCRIPTOR: usize = 4;
@@ -933,7 +935,7 @@ impl<'a> Encoder<'a> {
     fn numbered_variable(&mut self, descriptor: u64, v: &Var<'a>) {
         self.varint(descriptor);
         let s = &v.summary;
-        let summary = Numbers::of(&[s.min, s.max, s.mean, s.m2]);
+        let summary = Numbers::of(&[s.min, s.max, s.mean]);
         self.out.push(summary.decimals);
         self.varint(s.count);
         summary.write(self);
@@ -1632,13 +1634,12 @@ impl<'a> Decoder<'a> {
     /// What a variable holds after its descriptor number: its summary, and
     /// its null and total counts.
     fn counts(&mut self) -> Result<(NumericSummary, u64, u64)> {
-        let decimals = self.tags(DECIMALS, "variable decimals")?;
+        let decimals = self.tags(VARIABLE_DECIMALS, "variable decimals")?;
         let summary = NumericSummary {
             count: self.varint()?,
             min: self.number(decimals, 0)?,
             max: self.number(decimals, 1)?,
             mean: self.number(decimals, 2)?,
-            m2: self.number(decimals, 3)?,
         };
         Ok((summary, self.varint()?, self.varint()?))
     }
@@ -1734,6 +1735,32 @@ pub(crate) mod tests {
         older_snapshot(b"MMSNAP03", &[3, KIND_CATALOG, 0, 0, 0, 0])
     }
 
+    /// A whole format 4 snapshot file: the old magic framing
+    /// [`two_datasets`] as format 4 encoded it, each variable with a fourth
+    /// number, the sum of squared deviations a variance was taken from.
+    pub(crate) fn format_4_snapshot() -> Vec<u8> {
+        older_snapshot(b"MMSNAP04", &unhex(FORMAT_4_TWO_DATASETS))
+    }
+
+    /// [`two_datasets`]' payload in format 4, as its golden test pinned it.
+    const FORMAT_4_TWO_DATASETS: &str = concat!(
+        "0400100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
+        "65720641546173746e0b66696e6765727072696e741177617465725f74656d70657261747572650464656743",
+        "0763656c7369757305776174657208706879736963616c0b74656d70657261747572650871615f6c6576656c",
+        "000773746174696f6e066f666673657404040f530506070809030a0b060c002c000e0000000f000000030107",
+        "617263686976650373696d02776e3803bbd25d20136372756973652f63312f63617374332e63646c1b636173",
+        "74206174206372756973652f63312f63617374332e63646cf700f13892c204c99b01a80fffc50a80b2f4b309",
+        "ac02efcdab89674523018096010301010203020030039235f115abaaaaaaaa2a2540abaaaaaaaa12564002ae",
+        "0201c000000000000000f07f000000000000f0ff00000000680277578a05ca43076f64642e637376076f6464",
+        "2e6373761ae1390b6a20df63fa5ec000000000000000000000000d000302c000000000000000f07f00000000",
+        "0000f0ff0000000003c001000000000000008000000000000000800000000001c000000000000000f07f0000",
+        "00000000f0ff00000007",
+    );
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
     /// Every field set, every tag bit used, both signs of a timestamp.
     fn rich(path: &str, canonical: &str) -> DatasetFeature {
         let mut f = DatasetFeature::new(path);
@@ -1759,7 +1786,7 @@ pub(crate) mod tests {
         v.unit_normalized = true;
         v.context = Some("water".into());
         v.hierarchy = vec!["physical".into(), "temperature".into(), canonical.into()].into();
-        // decimals, whose mean and m2 are not
+        // decimals, whose mean is not
         v.summary.observe(4.25);
         v.summary.observe(17.5);
         v.summary.observe(10.0);
@@ -1840,26 +1867,37 @@ pub(crate) mod tests {
     #[test]
     fn golden_two_dataset_snapshot() {
         const GOLDEN: &str = concat!(
-            "0400100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
+            "0500100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
             "65720641546173746e0b66696e6765727072696e741177617465725f74656d70657261747572650464656743",
             "0763656c7369757305776174657208706879736963616c0b74656d70657261747572650871615f6c6576656c",
             "000773746174696f6e066f666673657404040f530506070809030a0b060c002c000e0000000f000000030107",
             "617263686976650373696d02776e3803bbd25d20136372756973652f63312f63617374332e63646c1b636173",
             "74206174206372756973652f63312f63617374332e63646cf700f13892c204c99b01a80fffc50a80b2f4b309",
-            "ac02efcdab89674523018096010301010203020030039235f115abaaaaaaaa2a2540abaaaaaaaa12564002ae",
-            "0201c000000000000000f07f000000000000f0ff00000000680277578a05ca43076f64642e637376076f6464",
-            "2e6373761ae1390b6a20df63fa5ec000000000000000000000000d000302c000000000000000f07f00000000",
-            "0000f0ff0000000003c001000000000000008000000000000000800000000001c000000000000000f07f0000",
-            "00000000f0ff00000007",
+            "ac02efcdab89674523018096010301010203020030039235f115abaaaaaaaa2a254002ae0201400000000000",
+            "0000f07f000000000000f0ff000000680277578a05ca43076f64642e637376076f64642e6373761ae1390b6a",
+            "20df63fa5ec000000000000000000000000d0003024000000000000000f07f000000000000f0ff0000000340",
+            "0100000000000000800000000000000080000000014000000000000000f07f000000000000f0ff000007",
         );
         let hex: String =
             encode_catalog(&two_datasets()).iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, GOLDEN);
-        let bytes: Vec<u8> = (0..GOLDEN.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
-            .collect();
-        assert_eq!(decode_catalog(&bytes).unwrap().0, two_datasets());
+        assert_eq!(decode_catalog(&unhex(GOLDEN)).unwrap().0, two_datasets());
+        // format 4 wrote a fourth number to each variable: 12 bytes more
+        // here, 8 for ATastn's and 1 for each of the four others' 0
+        let format_4 = unhex(FORMAT_4_TWO_DATASETS);
+        assert_eq!(format_4.len() - GOLDEN.len() / 2, 12);
+        let e = decode_catalog(&format_4).unwrap_err();
+        assert!(e.is_corrupt() && e.to_string().contains("payload format 4, expected 5"), "{e}");
+    }
+
+    /// The magics end in the digit of the format the payloads carry, so a
+    /// format bump that moves one and not the others fails here.
+    #[test]
+    fn each_magic_names_the_format_its_payloads_carry() {
+        use crate::store::{SNAPSHOT_MAGIC, WAL_MAGIC};
+        assert_eq!(SNAPSHOT_MAGIC[7], b'0' + FORMAT_VERSION);
+        assert_eq!(WAL_MAGIC[7], b'0' + FORMAT_VERSION);
+        assert_eq!(encode_catalog(&Catalog::new())[0], FORMAT_VERSION);
     }
 
     #[test]
@@ -1955,7 +1993,7 @@ pub(crate) mod tests {
         // another format generation
         let mut next = put.clone();
         next[0] = FORMAT_VERSION + 1;
-        corrupt(decode_mutation(&next).map(drop), "payload format 5");
+        corrupt(decode_mutation(&next).map(drop), "payload format 6");
         // the kind format 2 gave a `Clear`
         corrupt(decode_mutation(&[FORMAT_VERSION, 4, 0, 0]).map(drop), "kind 4 is not a mutation");
         // bytes left over, bytes missing
@@ -1994,12 +2032,14 @@ pub(crate) mod tests {
             .map(drop),
             "overflows 64 bits",
         );
-        // a tag bit nobody wrote: the variable's decimals byte, eight bytes
-        // from the end
-        let mut tagged = one_number_put(&[0], DECIMALS, &[0]);
-        let decimals = tagged.len() - 8;
-        tagged[decimals] |= 1;
-        corrupt(decode_mutation(&tagged).map(drop), "variable decimals tag");
+        // tag bits nobody wrote in the variable's decimals byte, seven bytes
+        // from the end: a low bit, and the bit format 4 gave a fourth number
+        for bit in [1, 1 << 7] {
+            let mut tagged = one_number_put(&[0], VARIABLE_DECIMALS, &[0]);
+            let decimals = tagged.len() - 7;
+            tagged[decimals] |= bit;
+            corrupt(decode_mutation(&tagged).map(drop), "variable decimals tag");
+        }
     }
 
     /// The descriptor "v": name "v", nothing optional, unresolved, no
@@ -2026,17 +2066,17 @@ pub(crate) mod tests {
 
     /// A variable of descriptor `number` that saw nothing but zeros, each
     /// number a decimal.
-    fn zeros(number: u8) -> [u8; 9] {
-        [number, DECIMALS, 0, 0, 0, 0, 0, 0, 0]
+    fn zeros(number: u8) -> [u8; 8] {
+        [number, VARIABLE_DECIMALS, 0, 0, 0, 0, 0, 0]
     }
 
     /// A put of one dataset with one variable, "v", that saw one number:
     /// `dataset` is the dataset tag and the corners it writes, `decimals`
     /// the variable's decimals byte and `min` the bytes of its minimum; its
-    /// max, mean and m2 are the decimal 0 and must be marked so.
+    /// max and mean are the decimal 0 and must be marked so.
     fn one_number_put(dataset: &[u8], decimals: u8, min: &[u8]) -> Vec<u8> {
         // descriptor 0, the decimals, the count, then the numbers
-        let variable = [&[0, decimals, 1], min, &[0, 0, 0, 0, 0]].concat();
+        let variable = [&[0, decimals, 1], min, &[0, 0, 0, 0]].concat();
         put_of(&[V], dataset, &[&variable])
     }
 
@@ -2060,7 +2100,7 @@ pub(crate) mod tests {
         // a reference past the table
         corrupt(put_of(&[V], &[0], &[&zeros(1)]), "descriptor reference 1 at byte");
         let mut far = put_of(&[V], &[0], &[&zeros(0)]);
-        far.splice(far.len() - 9..far.len() - 8, HUGE_COUNT);
+        far.splice(far.len() - 8..far.len() - 7, HUGE_COUNT);
         corrupt(far, "descriptor reference 4611686018427387904");
         // an entry equal to an earlier one, an entry never used, and two
         // used out of first-use order
@@ -2108,7 +2148,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_number_in_a_form_its_writer_would_not_choose_is_corrupt() {
-        const SUMMARY: u8 = 0b1110_0000; // max, mean and m2 are decimals
+        const SUMMARY: u8 = 0b0110_0000; // max and mean are decimals
         const MIN: u8 = FIRST_DECIMAL;
         let min = |put: Vec<u8>| match decode_mutation(&put) {
             Ok(Mutation::Put(f)) => Ok(f.variables[0].summary.min),

@@ -395,6 +395,7 @@ impl DurableCatalog {
     /// Logs a put as its image's payload, then keeps the image's one row.
     fn append_put(&mut self, f: &DatasetFeature) -> Result<()> {
         let put = put_image(f, &mut self.scratch);
+        rows_encoded(1);
         self.unfolded += 1;
         self.wal.append_payload(put.payload())?;
         let row = put.into_row();
@@ -439,6 +440,7 @@ impl DurableCatalog {
         let records = self.rows.len() + other.properties().len() + other.len();
         let generation = self.generation + records as u64;
         let snapshot = Arc::new(catalog_image(other, generation));
+        rows_encoded(other.len());
         write_payload_with(self.vfs.as_ref(), &self.dir.join("snapshot.bin"), snapshot.payload())?;
         self.rows = snapshot.rows().map(|row| (row.id(), row)).collect();
         self.properties = snapshot.properties().clone();
@@ -474,6 +476,7 @@ impl DurableCatalog {
     /// images of the puts it folds in are freed.
     fn write_snapshot(&mut self, path: &Path) -> Result<()> {
         let snapshot = encode_rows_of(self.generation, &self.properties, self.rows.values());
+        rows_encoded(self.rows.len());
         write_payload_with(self.vfs.as_ref(), path, snapshot.payload())?;
         let snapshot = Arc::new(snapshot);
         for (held, row) in self.rows.values_mut().zip(snapshot.rows()) {
@@ -620,6 +623,13 @@ fn snapshot_written(timer: &Stopwatch) {
         let m = store_metrics();
         m.snapshot_writes.inc();
         m.checkpoint_micros.record(timer.micros());
+    }
+}
+
+/// Counts `rows` encoded into a payload the writer is about to write.
+fn rows_encoded(rows: usize) {
+    if metamess_telemetry::enabled() {
+        store_metrics().rows_encoded.add(rows as u64);
     }
 }
 

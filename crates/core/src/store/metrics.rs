@@ -19,6 +19,10 @@ pub(crate) struct StoreMetrics {
     /// `metamess_core_wal_fsync_failures_total` — flush_and_sync calls that
     /// returned an error (the record may not be durable).
     pub wal_fsync_failures: Arc<Counter>,
+    /// `metamess_core_rows_encoded_total` — rows a writer encoded into a
+    /// payload: one per WAL put, and every row of each snapshot a
+    /// checkpoint, a compaction or a whole-catalog replacement writes.
+    pub rows_encoded: Arc<Counter>,
     /// `metamess_core_snapshot_writes_total` — snapshots written by a
     /// checkpoint or a whole-catalog replacement (compactions count too).
     pub snapshot_writes: Arc<Counter>,
@@ -56,6 +60,7 @@ pub(crate) fn store_metrics() -> &'static StoreMetrics {
             wal_bytes: r.counter("metamess_core_wal_bytes_total"),
             wal_fsyncs: r.counter("metamess_core_wal_fsyncs_total"),
             wal_fsync_failures: r.counter("metamess_core_wal_fsync_failures_total"),
+            rows_encoded: r.counter("metamess_core_rows_encoded_total"),
             snapshot_writes: r.counter("metamess_core_snapshot_writes_total"),
             recovery_replayed: r.counter("metamess_core_recovery_replayed_total"),
             recovery_truncated_bytes: r.counter("metamess_core_recovery_truncated_bytes_total"),

@@ -570,29 +570,29 @@ fn external_pairs_encode_to_their_golden_bytes_and_fingerprints() {
         (
             &[],
             concat!(
-                "0401010000f71c0a3fe64522da1a73746174696f6e732f73617475726e30312f323031302e6373761a73",
+                "0501010000f71c0a3fe64522da1a73746174696f6e732f73617475726e30312f323031302e6373761a73",
                 "746174696f6e732f73617475726e30312f323031302e637376000000000000000000000000000000",
             ),
-            8_809_346_692_407_844_086,
+            2_739_756_089_769_887_553,
         ),
         (
             &[("context", "buoy")],
             concat!(
-                "0401030007636f6e746578740462756f7900f71c0a3fe64522da1a73746174696f6e732f73617475726e",
+                "0501030007636f6e746578740462756f7900f71c0a3fe64522da1a73746174696f6e732f73617475726e",
                 "30312f323031302e6373761a73746174696f6e732f73617475726e30312f323031302e63737600000000",
                 "00000000000000000001010200",
             ),
-            862_160_126_887_737_087,
+            4_639_345_124_050_368_070,
         ),
         (
             &[("station", "saturn01"), ("context", "buoy"), ("principal_investigator", "Megler")],
             concat!(
-                "0401070007636f6e746578740462756f79167072696e636970616c5f696e76657374696761746f72064d",
+                "0501070007636f6e746578740462756f79167072696e636970616c5f696e76657374696761746f72064d",
                 "65676c65720773746174696f6e0873617475726e303100f71c0a3fe64522da1a73746174696f6e732f73",
                 "617475726e30312f323031302e6373761a73746174696f6e732f73617475726e30312f323031302e6373",
                 "76000000000000000000000000000301020304050600",
             ),
-            15_957_810_224_926_003_952,
+            10_132_261_334_645_141_815,
         ),
     ];
     for (pairs, golden, fingerprint) in cases {

@@ -54,14 +54,18 @@ echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites 
 # refused as corrupt: no panic, no allocation on an unchecked count, and a
 # descriptor table (each variable's name, curation, units, context and
 # hierarchy, written once and referred to by number) with a reference past
-# it, an entry repeated or never used, or an unknown tag bit is refused. Every
+# it, an entry repeated or never used, or an unknown tag bit is refused. A
+# format 5 variable writes three numbers (min, max, mean), so a decimals
+# byte with bit 7 set (format 4's fourth number, the dropped Welford m2) is
+# corrupt, and a format 4 file is refused by name and left as it is. Every
 # f64, which a row writes as its short decimal when it has one and as its
 # eight bits otherwise, comes back bit for bit and has one encoding. An
 # image the encoder builds is what parsing its payload finds; the writer's
 # checkpoint writes the decoded catalog's bytes, and its row-wise diff is
-# the decoded catalog's diff.
+# the decoded catalog's diff. The writer encodes each row once per payload
+# it writes (metamess_core_rows_encoded_total, its own test binary).
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
-  --test torture --test torture_group_commit --test codec --test durable
+  --test torture --test torture_group_commit --test codec --test durable --test work_counters
 
 echo "==> incremental watch vs cold wrangle, and the pipeline's unit tests ($cases seeded cases, release)"
 # A watch cycle walks the archive once and every stage reads that listing;

@@ -5,8 +5,8 @@
 //! a `metamess` store directory is laid out:
 //!
 //! ```text
-//! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP04)
-//! <store>/catalog/wal.log           catalog WAL (MMWAL004)
+//! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP05)
+//! <store>/catalog/wal.log           catalog WAL (MMWAL005)
 //! <store>/vocabulary.json           published vocabulary (JSON)
 //! <store>/state/state.bin           pipeline state image (MMSTATE2): run
 //!                                   ledger, curation state

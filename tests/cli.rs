@@ -267,6 +267,96 @@ fn fsck_detects_and_repairs_corruption() {
     assert!(ok, "{stderr}");
 }
 
+/// A snapshot payload format 4 wrote, the one its codec golden test
+/// pinned: two datasets whose variables carry a fourth number, Welford's
+/// `m2`.
+const FORMAT_4_PAYLOAD: &str = concat!(
+    "0400100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
+    "65720641546173746e0b66696e6765727072696e741177617465725f74656d70657261747572650464656743",
+    "0763656c7369757305776174657208706879736963616c0b74656d70657261747572650871615f6c6576656c",
+    "000773746174696f6e066f666673657404040f530506070809030a0b060c002c000e0000000f000000030107",
+    "617263686976650373696d02776e3803bbd25d20136372756973652f63312f63617374332e63646c1b636173",
+    "74206174206372756973652f63312f63617374332e63646cf700f13892c204c99b01a80fffc50a80b2f4b309",
+    "ac02efcdab89674523018096010301010203020030039235f115abaaaaaaaa2a2540abaaaaaaaa12564002ae",
+    "0201c000000000000000f07f000000000000f0ff00000000680277578a05ca43076f64642e637376076f6464",
+    "2e6373761ae1390b6a20df63fa5ec000000000000000000000000d000302c000000000000000f07f00000000",
+    "0000f0ff0000000003c001000000000000008000000000000000800000000001c000000000000000f07f0000",
+    "00000000f0ff00000007",
+);
+
+/// Runs `args`, which must exit within 20 s: a command that took an
+/// unreadable store for a readable one would serve it until killed.
+fn run_bounded(args: &[&str]) -> (bool, String) {
+    let mut child = Command::new(bin())
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("{args:?} still running after 20 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    (out.status.success(), String::from_utf8_lossy(&out.stderr).to_string())
+}
+
+/// A store format 4 wrote is refused by name by its readers, and `fsck
+/// --repair` sets none of it aside: the files are whole, only older.
+#[test]
+fn a_format_4_store_is_refused_by_name_and_left_as_it_was() {
+    let dir = std::env::temp_dir().join(format!("metamess-cli-format4-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    run(&["generate", dir_s, "--months", "1", "--stations", "1"]);
+    let (ok, _, stderr) = run(&["wrangle", dir_s]);
+    assert!(ok, "{stderr}");
+    let store = dir.join(".metamess");
+    let store_s = store.to_str().unwrap();
+    // the catalog as format 4 left it: a snapshot and an emptied log
+    let payload: Vec<u8> = (0..FORMAT_4_PAYLOAD.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&FORMAT_4_PAYLOAD[i..i + 2], 16).unwrap())
+        .collect();
+    let mut snapshot = b"MMSNAP04".to_vec();
+    snapshot.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    snapshot.extend_from_slice(&metamess::core::store::crc32(&payload).to_le_bytes());
+    snapshot.extend_from_slice(&payload);
+    let files = [
+        (store.join("catalog/snapshot.bin"), snapshot),
+        (store.join("catalog/wal.log"), b"MMWAL004".to_vec()),
+    ];
+    for (path, bytes) in &files {
+        std::fs::write(path, bytes).unwrap();
+    }
+    let named = "store format 4; re-wrangle, this build reads format 5";
+    for args in [
+        &["search", store_s, "with", "salinity"][..],
+        &["serve", store_s, "--addr", "127.0.0.1:0", "--workers", "1"],
+    ] {
+        let (ok, stderr) = run_bounded(args);
+        assert!(!ok && stderr.contains(named), "{args:?}: {stderr}");
+    }
+    for args in [&["fsck", store_s][..], &["fsck", store_s, "--repair"]] {
+        let (ok, stdout, _) = run(args);
+        assert!(!ok, "{args:?}");
+        assert_eq!(stdout.matches(named).count(), 2, "{args:?}: {stdout}");
+        assert!(stdout.contains("0 repair(s) applied"), "{args:?}: {stdout}");
+    }
+    for (path, bytes) in &files {
+        assert!(
+            std::fs::read(path).unwrap() == *bytes,
+            "{} was moved or rewritten",
+            path.display()
+        );
+    }
+    assert!(!store.join("state/quarantine").exists());
+}
+
 /// Sharded search through the CLI: identical bytes to unsharded output,
 /// clamped shard counts, shard telemetry in `stats`, and `--partition`
 /// refused as an unknown flag.
