@@ -6,11 +6,12 @@
 //! (`store::DurableCatalog`), and a publish is the store's row diff against
 //! the working catalog.
 
-use crate::feature::DatasetFeature;
+use crate::feature::{DatasetFeature, VariableDescriptor, VariableFeature};
 use crate::id::DatasetId;
-use crate::store::RowView;
+use crate::store::{Image, RowView};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// A single mutation applied to a catalog. This is also the WAL record type:
 /// replaying mutations in order reconstructs the catalog.
@@ -33,12 +34,67 @@ pub enum Mutation {
 ///
 /// Iteration order is deterministic (by [`DatasetId`]) so that snapshots,
 /// diffs and experiment output are reproducible.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// The catalog keeps each distinct [`VariableDescriptor`] once: a feature
+/// it takes, by a put or from a store's rows, has each variable's
+/// descriptor swapped for the catalog's equal one, and a clone shares them
+/// all. A write through a variable copies its descriptor first
+/// ([`VariableFeature`]'s `DerefMut`), and [`Catalog::share_descriptors`]
+/// shares the copies again.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Catalog {
     entries: BTreeMap<DatasetId, DatasetFeature>,
     properties: BTreeMap<String, String>,
     /// Monotonic count of mutations applied; used as an optimistic version.
     generation: u64,
+    #[serde(skip)]
+    descriptors: Descriptors,
+}
+
+/// The descriptors a catalog shares, one `Arc` per distinct value: looked
+/// up by value, never iterated in an order anything sees.
+#[derive(Clone, Default)]
+struct Descriptors(HashSet<Arc<VariableDescriptor>>);
+
+impl Descriptors {
+    /// The shared descriptor equal to `d`, which `d` becomes if there is
+    /// none yet.
+    fn intern(&mut self, d: &Arc<VariableDescriptor>) -> Arc<VariableDescriptor> {
+        match self.0.get(&**d) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                self.0.insert(Arc::clone(d));
+                Arc::clone(d)
+            }
+        }
+    }
+
+    /// Points `v` at the shared descriptor equal to its own.
+    fn share(&mut self, v: &mut VariableFeature) {
+        let shared = self.intern(v.descriptor());
+        v.share(shared);
+    }
+}
+
+/// Compares content and generation; which descriptors are shared is not
+/// content.
+impl PartialEq for Catalog {
+    fn eq(&self, other: &Catalog) -> bool {
+        self.entries == other.entries
+            && self.properties == other.properties
+            && self.generation == other.generation
+    }
+}
+
+/// Prints content and generation, as [`PartialEq`] compares them.
+impl std::fmt::Debug for Catalog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Catalog")
+            .field("entries", &self.entries)
+            .field("properties", &self.properties)
+            .field("generation", &self.generation)
+            .finish()
+    }
 }
 
 impl Catalog {
@@ -55,9 +111,20 @@ impl Catalog {
         properties: BTreeMap<String, String>,
         generation: u64,
     ) -> Catalog {
+        // each image's descriptors are swapped for the catalog's once, and
         // a decoded feature's lists are already at exact capacity
-        let entries = rows.map(|view| (view.id(), view.decode())).collect();
-        Catalog { entries, properties, generation }
+        let mut descriptors = Descriptors::default();
+        let mut shared: HashMap<*const Image, Box<[Arc<VariableDescriptor>]>> = HashMap::new();
+        let entries = rows
+            .map(|view| {
+                let image = view.image();
+                let table = shared.entry(image).or_insert_with(|| {
+                    image.decoded_descriptors().iter().map(|d| descriptors.intern(d)).collect()
+                });
+                (view.id(), view.decode_with(table))
+            })
+            .collect();
+        Catalog { entries, properties, generation, descriptors }
     }
 
     /// Applies one mutation, bumping the generation. The mutation is
@@ -66,7 +133,11 @@ impl Catalog {
     pub fn apply(&mut self, m: Mutation) {
         match m {
             Mutation::Put(f) => {
-                self.entries.insert(f.id, exact(*f));
+                let mut f = exact(*f);
+                for v in &mut f.variables {
+                    self.descriptors.share(v);
+                }
+                self.entries.insert(f.id, f);
             }
             Mutation::Delete(id) => {
                 self.entries.remove(&id);
@@ -150,6 +221,19 @@ impl Catalog {
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut DatasetFeature> {
         self.generation += 1;
         self.entries.values_mut()
+    }
+
+    /// Points every variable at the catalog's shared descriptor equal to its
+    /// own — the copies writes made, and variables pushed through
+    /// [`Catalog::get_mut`] — and drops the shared descriptors no variable
+    /// holds any more. The content and the generation stay as they are.
+    pub fn share_descriptors(&mut self) {
+        for f in self.entries.values_mut() {
+            for v in &mut f.variables {
+                self.descriptors.share(v);
+            }
+        }
+        self.descriptors.0.retain(|d| Arc::strong_count(d) > 1);
     }
 
     /// Current generation (mutation count).

@@ -9,9 +9,12 @@ use crate::geo::GeoBBox;
 use crate::id::DatasetId;
 use crate::stats::NumericSummary;
 use crate::time::TimeInterval;
+use metamess_telemetry::Counter;
 use serde::{Deserialize, Deserializer, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
 /// Curation flags attached to a variable (the poster's semantic-diversity
 /// table: QA variables are excluded from search, ambiguous ones exposed,
@@ -123,9 +126,13 @@ impl<'de> Deserialize<'de> for Hierarchy {
     }
 }
 
-/// Summary of a single variable (column) of a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VariableFeature {
+/// What describes a variable: its names, curation, units, context and
+/// hierarchy — everything but its numbers. A catalog's variables repeat a
+/// small vocabulary of these (the poster's semantic-diversity table), so a
+/// [`VariableFeature`] holds its descriptor behind a shared `Arc`, and a
+/// catalog keeps each distinct one once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VariableDescriptor {
     /// Column name exactly as harvested from the file.
     pub name: String,
     /// Canonical variable name after wrangling, when resolved.
@@ -138,7 +145,6 @@ pub struct VariableFeature {
     pub canonical_unit: Option<String>,
     /// True once the normalize-units stage has converted the summary into
     /// the canonical unit (guards against double conversion on rerun).
-    #[serde(default)]
     pub unit_normalized: bool,
     /// Source context ("Source-context naming variations" category):
     /// e.g. `air` vs `water` for a bare `temperature` column.
@@ -146,20 +152,14 @@ pub struct VariableFeature {
     /// Hierarchy path assigned by the generate-hierarchies stage, root first
     /// (e.g. `["physical", "temperature", "water_temperature"]`).
     pub hierarchy: Hierarchy,
-    /// One-pass numeric summary of the variable's values.
-    pub summary: NumericSummary,
-    /// Null cells observed.
-    pub null_count: u64,
-    /// Total cells observed.
-    pub total_count: u64,
     /// Curation flags.
     pub flags: VariableFlags,
 }
 
-impl VariableFeature {
-    /// Creates an unresolved feature for a harvested column name.
-    pub fn new(name: impl Into<String>) -> VariableFeature {
-        VariableFeature {
+impl VariableDescriptor {
+    /// An unresolved descriptor of a harvested column name.
+    pub(crate) fn new(name: impl Into<String>) -> VariableDescriptor {
+        VariableDescriptor {
             name: name.into(),
             canonical_name: None,
             resolution: NameResolution::Unresolved,
@@ -168,9 +168,6 @@ impl VariableFeature {
             unit_normalized: false,
             context: None,
             hierarchy: Hierarchy::default(),
-            summary: NumericSummary::new(),
-            null_count: 0,
-            total_count: 0,
             flags: VariableFlags::default(),
         }
     }
@@ -186,10 +183,195 @@ impl VariableFeature {
         self.canonical_name = Some(canonical.into());
         self.resolution = how;
     }
+}
+
+/// Hashes the names and the context alone: they tell most descriptors
+/// apart, and equality compares the rest.
+impl Hash for VariableDescriptor {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.name, &self.canonical_name, &self.context).hash(state);
+    }
+}
+
+/// Summary of a single variable (column) of a dataset: a shared
+/// [`VariableDescriptor`] plus the variable's own numbers, 56 bytes.
+///
+/// The descriptor's fields read and write as the variable's own
+/// (`v.name`, `v.hierarchy = …`) through `Deref` / `DerefMut`. A write is
+/// copy-on-write: a descriptor the variable shares — with a catalog's
+/// other variables, a clone or a decoded image — is copied first
+/// (`metamess_core_descriptor_copies_total` counts the copies), so a write
+/// through one variable never changes another. Its JSON and `Debug` forms
+/// are one flat object, the descriptor's fields among the numbers.
+#[derive(Clone, PartialEq)]
+pub struct VariableFeature {
+    descriptor: Arc<VariableDescriptor>,
+    /// One-pass numeric summary of the variable's values.
+    pub summary: NumericSummary,
+    /// Null cells observed.
+    pub null_count: u64,
+    /// Total cells observed.
+    pub total_count: u64,
+}
+
+impl VariableFeature {
+    /// Creates an unresolved feature for a harvested column name.
+    pub fn new(name: impl Into<String>) -> VariableFeature {
+        VariableFeature::with_descriptor(Arc::new(VariableDescriptor::new(name)))
+    }
+
+    /// A variable with `descriptor` and no values observed.
+    pub(crate) fn with_descriptor(descriptor: Arc<VariableDescriptor>) -> VariableFeature {
+        VariableFeature {
+            descriptor,
+            summary: NumericSummary::new(),
+            null_count: 0,
+            total_count: 0,
+        }
+    }
+
+    /// The descriptor, as the variable shares it.
+    pub fn descriptor(&self) -> &Arc<VariableDescriptor> {
+        &self.descriptor
+    }
+
+    /// Points the variable at `shared`, a descriptor equal to its own.
+    pub(crate) fn share(&mut self, shared: Arc<VariableDescriptor>) {
+        debug_assert!(shared == self.descriptor, "a variable shares only an equal descriptor");
+        self.descriptor = shared;
+    }
 
     /// Value range `(min, max)` when the variable is numeric and non-empty.
     pub fn value_range(&self) -> Option<(f64, f64)> {
         self.summary.range()
+    }
+}
+
+impl Deref for VariableFeature {
+    type Target = VariableDescriptor;
+
+    fn deref(&self) -> &VariableDescriptor {
+        &self.descriptor
+    }
+}
+
+/// Copy-on-write: a shared descriptor is copied, and the copy counted,
+/// before the first write reaches it.
+impl DerefMut for VariableFeature {
+    fn deref_mut(&mut self) -> &mut VariableDescriptor {
+        if Arc::get_mut(&mut self.descriptor).is_none() {
+            count_descriptor_copy();
+        }
+        Arc::make_mut(&mut self.descriptor)
+    }
+}
+
+/// Adds one to `metamess_core_descriptor_copies_total` when telemetry is on.
+fn count_descriptor_copy() {
+    static COPIES: OnceLock<Arc<Counter>> = OnceLock::new();
+    if metamess_telemetry::enabled() {
+        COPIES
+            .get_or_init(|| {
+                metamess_telemetry::global().counter("metamess_core_descriptor_copies_total")
+            })
+            .add(1);
+    }
+}
+
+/// Prints as the one flat struct a variable was before its descriptor was
+/// shared.
+impl std::fmt::Debug for VariableFeature {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let d = &**self;
+        f.debug_struct("VariableFeature")
+            .field("name", &d.name)
+            .field("canonical_name", &d.canonical_name)
+            .field("resolution", &d.resolution)
+            .field("unit", &d.unit)
+            .field("canonical_unit", &d.canonical_unit)
+            .field("unit_normalized", &d.unit_normalized)
+            .field("context", &d.context)
+            .field("hierarchy", &d.hierarchy)
+            .field("summary", &self.summary)
+            .field("null_count", &self.null_count)
+            .field("total_count", &self.total_count)
+            .field("flags", &d.flags)
+            .finish()
+    }
+}
+
+/// One flat JSON object, in the order the fields were declared before the
+/// descriptor was shared.
+impl Serialize for VariableFeature {
+    fn json(&self, out: &mut serde::ser::JsonOut) {
+        let d = &**self;
+        out.begin_object();
+        out.key("name");
+        d.name.json(out);
+        out.key("canonical_name");
+        d.canonical_name.json(out);
+        out.key("resolution");
+        d.resolution.json(out);
+        out.key("unit");
+        d.unit.json(out);
+        out.key("canonical_unit");
+        d.canonical_unit.json(out);
+        out.key("unit_normalized");
+        d.unit_normalized.json(out);
+        out.key("context");
+        d.context.json(out);
+        out.key("hierarchy");
+        d.hierarchy.json(out);
+        out.key("summary");
+        self.summary.json(out);
+        out.key("null_count");
+        self.null_count.json(out);
+        out.key("total_count");
+        self.total_count.json(out);
+        out.key("flags");
+        d.flags.json(out);
+        out.end_object();
+    }
+}
+
+/// The flat JSON form of a [`VariableFeature`], read.
+#[derive(Deserialize)]
+struct FlatVariable {
+    name: String,
+    canonical_name: Option<String>,
+    resolution: NameResolution,
+    unit: Option<String>,
+    canonical_unit: Option<String>,
+    #[serde(default)]
+    unit_normalized: bool,
+    context: Option<String>,
+    hierarchy: Hierarchy,
+    summary: NumericSummary,
+    null_count: u64,
+    total_count: u64,
+    flags: VariableFlags,
+}
+
+impl<'de> Deserialize<'de> for VariableFeature {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<VariableFeature, D::Error> {
+        let v = FlatVariable::deserialize(d)?;
+        let descriptor = VariableDescriptor {
+            name: v.name,
+            canonical_name: v.canonical_name,
+            resolution: v.resolution,
+            unit: v.unit,
+            canonical_unit: v.canonical_unit,
+            unit_normalized: v.unit_normalized,
+            context: v.context,
+            hierarchy: v.hierarchy,
+            flags: v.flags,
+        };
+        Ok(VariableFeature {
+            descriptor: Arc::new(descriptor),
+            summary: v.summary,
+            null_count: v.null_count,
+            total_count: v.total_count,
+        })
     }
 }
 
@@ -477,7 +659,7 @@ mod tests {
     #[test]
     fn a_feature_and_a_variable_keep_their_size() {
         assert!(std::mem::size_of::<DatasetFeature>() <= 248);
-        assert!(std::mem::size_of::<VariableFeature>() <= 216);
+        assert!(std::mem::size_of::<VariableFeature>() <= 64);
         assert_eq!(std::mem::size_of::<NumericSummary>(), 32);
     }
 

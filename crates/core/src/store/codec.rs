@@ -62,7 +62,7 @@ use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, Result};
 use crate::feature::{
     DatasetFeature, ExternalIter, ExternalMetadata, Hierarchy, NameResolution, Provenance,
-    VariableFeature, VariableFlags,
+    VariableDescriptor, VariableFeature, VariableFlags,
 };
 use crate::geo::GeoBBox;
 use crate::id::DatasetId;
@@ -216,7 +216,7 @@ pub fn encode_rows_of<'a>(
             let e = &mut self.e;
             let renumbered = self.renumbered.entry((self.image, descriptor));
             let number = *renumbered.or_insert_with(|| e.descriptor(&v.descriptor));
-            e.numbered_variable(number, &v);
+            e.numbered_variable(number, &v.summary, v.null_count, v.total_count);
         }
     }
     let mut t = Transcode {
@@ -328,10 +328,10 @@ pub struct Image {
     rows: Vec<usize>,
     generation: u64,
     properties: BTreeMap<String, String>,
-    /// Each descriptor's hierarchy, decoded when a row is first decoded:
-    /// every variable decoded from the image after that shares its
-    /// descriptor's path, and descriptors with equal paths share one.
-    hierarchies: OnceLock<Box<[Hierarchy]>>,
+    /// Each descriptor, decoded when a row is first decoded: every variable
+    /// decoded from the image after that shares its descriptor, and
+    /// descriptors with equal paths share one hierarchy.
+    decoded: OnceLock<Box<[Arc<VariableDescriptor>]>>,
 }
 
 impl PartialEq for Image {
@@ -419,7 +419,7 @@ impl Image {
             rows,
             generation,
             properties,
-            hierarchies: OnceLock::new(),
+            decoded: OnceLock::new(),
         })
     }
 
@@ -494,16 +494,16 @@ impl Image {
         }
     }
 
-    /// The hierarchy of each descriptor, in table order, decoded once.
-    fn hierarchies(&self) -> &[Hierarchy] {
-        self.hierarchies.get_or_init(|| {
-            let mut decoded: HashMap<Vec<&str>, Hierarchy> = HashMap::new();
+    /// Each descriptor, in table order, decoded once.
+    pub(crate) fn decoded_descriptors(&self) -> &[Arc<VariableDescriptor>] {
+        self.decoded.get_or_init(|| {
+            let mut paths: HashMap<Vec<&str>, Hierarchy> = HashMap::new();
             let mut of = |start: usize| {
-                let levels = self.reader(start).descriptor().expect(CHECKED).levels.collect();
-                let path = decoded.entry(levels).or_insert_with_key(|levels| {
+                let d = self.reader(start).descriptor().expect(CHECKED);
+                let path = paths.entry(d.levels.collect()).or_insert_with_key(|levels| {
                     levels.iter().map(|level| level.to_string()).collect()
                 });
-                path.clone()
+                Arc::new(d.owned(path.clone()))
             };
             self.descriptors.iter().map(|&start| of(start)).collect()
         })
@@ -669,13 +669,25 @@ impl<'a> RowView<'a> {
         compare.same
     }
 
-    /// The owned feature. Its variables share their hierarchies with every
+    /// The owned feature. Its variables share their descriptors with every
     /// variable decoded from the image.
     pub(crate) fn decode(&self) -> DatasetFeature {
+        self.decode_with(self.image.decoded_descriptors())
+    }
+
+    /// The image this row is read from.
+    pub(crate) fn image(&self) -> &'a Image {
+        self.image
+    }
+
+    /// The owned feature, each variable holding the entry of `descriptors`
+    /// its descriptor number names: the image's own, or a catalog's equal
+    /// ones in their place.
+    pub(crate) fn decode_with(&self, descriptors: &[Arc<VariableDescriptor>]) -> DatasetFeature {
         struct Owned<'h> {
             external: ExternalMetadata,
             variables: Vec<VariableFeature>,
-            hierarchies: &'h [Hierarchy],
+            descriptors: &'h [Arc<VariableDescriptor>],
         }
         impl<'a> RowSink<'a> for Owned<'_> {
             fn externals(&mut self, count: usize) {
@@ -688,15 +700,16 @@ impl<'a> RowView<'a> {
                 self.variables.reserve_exact(count);
             }
             fn variable(&mut self, descriptor: u32, v: Var<'a>) {
-                let hierarchy = self.hierarchies[descriptor as usize].clone();
-                self.variables.push(v.to_feature(hierarchy));
+                let mut feature =
+                    VariableFeature::with_descriptor(self.descriptors[descriptor as usize].clone());
+                feature.summary = v.summary;
+                feature.null_count = v.null_count;
+                feature.total_count = v.total_count;
+                self.variables.push(feature);
             }
         }
-        let mut owned = Owned {
-            external: ExternalMetadata::new(),
-            variables: Vec::new(),
-            hierarchies: self.image.hierarchies(),
-        };
+        let mut owned =
+            Owned { external: ExternalMetadata::new(), variables: Vec::new(), descriptors };
         let mut rest = self.rest;
         rest.lists(&mut owned).expect(CHECKED);
         let h = &self.head;
@@ -735,6 +748,9 @@ struct Encoder<'a> {
     descriptor_starts: Vec<usize>,
     /// Each of them by what it holds, borrowed: looked up, never iterated.
     descriptor_numbers: HashMap<Descriptor<'a>, u64>,
+    /// The number of each shared descriptor met so far, by its address,
+    /// which the features borrowed for `'a` keep alive.
+    descriptor_addresses: HashMap<*const VariableDescriptor, u64>,
     /// Where each row written so far starts in the body.
     rows: Vec<usize>,
 }
@@ -749,6 +765,7 @@ impl<'a> Encoder<'a> {
             descriptors: Vec::new(),
             descriptor_starts: Vec::new(),
             descriptor_numbers: HashMap::new(),
+            descriptor_addresses: HashMap::new(),
             rows: Vec::new(),
         }
     }
@@ -795,7 +812,7 @@ impl<'a> Encoder<'a> {
             rows,
             generation,
             properties,
-            hierarchies: OnceLock::new(),
+            decoded: OnceLock::new(),
         }
     }
 
@@ -881,7 +898,8 @@ impl<'a> Encoder<'a> {
         self.externals(f.external.iter().map(|(key, value)| (&key[..], &value[..])));
         self.varint(f.variables.len() as u64);
         for v in &f.variables {
-            self.variable(&Var::of(v));
+            let descriptor = self.shared_descriptor(v);
+            self.numbered_variable(descriptor, &v.summary, v.null_count, v.total_count);
         }
     }
 
@@ -926,21 +944,37 @@ impl<'a> Encoder<'a> {
         }
     }
 
-    fn variable(&mut self, v: &Var<'a>) {
-        let descriptor = self.descriptor(&v.descriptor);
-        self.numbered_variable(descriptor, v);
+    /// The number of `v`'s descriptor, looked up by the address of the
+    /// descriptor it shares first: the variables of a catalog that shares
+    /// each distinct descriptor once read a descriptor's strings once per
+    /// payload. An address missed is looked up by what it holds, so the
+    /// number, and the bytes, are the same whether or not descriptors are
+    /// shared.
+    fn shared_descriptor(&mut self, v: &'a VariableFeature) -> u64 {
+        let at = Arc::as_ptr(v.descriptor());
+        if let Some(&number) = self.descriptor_addresses.get(&at) {
+            return number;
+        }
+        let number = self.descriptor(&Var::of(v).descriptor);
+        self.descriptor_addresses.insert(at, number);
+        number
     }
 
     /// A variable whose descriptor has the number `descriptor`.
-    fn numbered_variable(&mut self, descriptor: u64, v: &Var<'a>) {
+    fn numbered_variable(
+        &mut self,
+        descriptor: u64,
+        s: &NumericSummary,
+        null_count: u64,
+        total_count: u64,
+    ) {
         self.varint(descriptor);
-        let s = &v.summary;
         let summary = Numbers::of(&[s.min, s.max, s.mean]);
         self.out.push(summary.decimals);
         self.varint(s.count);
         summary.write(self);
-        self.varint(v.null_count);
-        self.varint(v.total_count);
+        self.varint(null_count);
+        self.varint(total_count);
     }
 
     /// The number of descriptor `d`, entered into the descriptor table on
@@ -1282,35 +1316,33 @@ impl<'a> Var<'a> {
             total_count: v.total_count,
         }
     }
+}
 
-    /// The owned variable, with `hierarchy` for the descriptor's levels.
-    fn to_feature(&self, hierarchy: Hierarchy) -> VariableFeature {
-        let d = &self.descriptor;
-        let resolution = match d.curation & RESOLUTION_MASK {
+impl Descriptor<'_> {
+    /// The owned descriptor, with `hierarchy` for its levels.
+    fn owned(self, hierarchy: Hierarchy) -> VariableDescriptor {
+        let resolution = match self.curation & RESOLUTION_MASK {
             0 => NameResolution::Unresolved,
             1 => NameResolution::AlreadyCanonical,
             2 => NameResolution::KnownTranslation,
             RESOLUTION_DISCOVERED => NameResolution::DiscoveredTranslation {
-                method: d.method.expect(CHECKED).to_owned(),
+                method: self.method.expect(CHECKED).to_owned(),
             },
             _ => NameResolution::Curated,
         };
-        VariableFeature {
-            name: d.name.to_owned(),
-            canonical_name: d.canonical.map(str::to_owned),
+        VariableDescriptor {
+            name: self.name.to_owned(),
+            canonical_name: self.canonical.map(str::to_owned),
             resolution,
-            unit: d.unit.map(str::to_owned),
-            canonical_unit: d.canonical_unit.map(str::to_owned),
-            unit_normalized: d.curation & UNIT_NORMALIZED != 0,
-            context: d.context.map(str::to_owned),
+            unit: self.unit.map(str::to_owned),
+            canonical_unit: self.canonical_unit.map(str::to_owned),
+            unit_normalized: self.curation & UNIT_NORMALIZED != 0,
+            context: self.context.map(str::to_owned),
             hierarchy,
-            summary: self.summary.clone(),
-            null_count: self.null_count,
-            total_count: self.total_count,
             flags: VariableFlags {
-                qa: d.curation & FLAG_QA != 0,
-                ambiguous: d.curation & FLAG_AMBIGUOUS != 0,
-                hidden: d.curation & FLAG_HIDDEN != 0,
+                qa: self.curation & FLAG_QA != 0,
+                ambiguous: self.curation & FLAG_AMBIGUOUS != 0,
+                hidden: self.curation & FLAG_HIDDEN != 0,
             },
         }
     }

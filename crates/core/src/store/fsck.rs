@@ -17,7 +17,7 @@ use super::state::read_state;
 use super::vfs::Vfs;
 use super::wal::{TailRead, Wal};
 use crate::catalog::Catalog;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -65,6 +65,10 @@ pub struct FsckFinding {
     /// `None` until a repair ran.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub repaired: Option<String>,
+    /// The format generation a whole file declares that this build does
+    /// not read; present only on such a file's `Error` finding.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub format: Option<u8>,
 }
 
 /// Aggregated outcome of an fsck run, serializable as `--json` output.
@@ -95,7 +99,19 @@ impl FsckReport {
             detail: detail.into(),
             proposed,
             repaired: None,
+            format: None,
         });
+    }
+
+    /// Appends the `Error` finding of a file that could not be read: a
+    /// damaged one proposes quarantine, and one in a format this build
+    /// does not read names that format and proposes nothing.
+    fn push_unreadable(&mut self, component: &str, path: &Path, e: &Error) {
+        let proposed = e.is_corrupt().then_some(RepairAction::Quarantine);
+        self.push(component, path, FsckSeverity::Error, e.to_string(), proposed);
+        if let Error::UnsupportedFormat { found, .. } = e {
+            self.findings.last_mut().expect("just pushed").format = Some(*found);
+        }
     }
 
     /// Number of `Error`-severity findings.
@@ -111,6 +127,17 @@ impl FsckReport {
     /// True when nothing worse than `Info` was found.
     pub fn is_clean(&self) -> bool {
         self.error_count() == 0 && self.warn_count() == 0
+    }
+
+    /// The format of the files this build does not read, when those are
+    /// all that stands unrepaired: the oldest one, if every unrepaired
+    /// `Error` finding names a format, else `None`.
+    pub fn unsupported_format(&self) -> Option<u8> {
+        let unrepaired = self
+            .findings
+            .iter()
+            .filter(|f| f.severity == FsckSeverity::Error && f.repaired.is_none());
+        unrepaired.map(|f| f.format).collect::<Option<Vec<u8>>>()?.into_iter().min()
     }
 
     /// True when every `Error` finding was repaired.
@@ -143,8 +170,7 @@ fn record<T>(
             None
         }
         Err(e) => {
-            let proposed = e.is_corrupt().then_some(RepairAction::Quarantine);
-            report.push(component, path, FsckSeverity::Error, e.to_string(), proposed);
+            report.push_unreadable(component, path, &e);
             None
         }
     }
@@ -232,8 +258,7 @@ pub fn check_wal(
             Some(tail)
         }
         Err(e) => {
-            let proposed = e.is_corrupt().then_some(RepairAction::Quarantine);
-            report.push(component, path, FsckSeverity::Error, e.to_string(), proposed);
+            report.push_unreadable(component, path, &e);
             None
         }
     }

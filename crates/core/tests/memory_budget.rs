@@ -1,10 +1,11 @@
 //! What a [`Catalog`] holds per dataset, in live heap bytes.
 //!
 //! A harvester builds a feature as `harvest/src/extract.rs` does: variables
-//! pushed one by one, which leaves a vector up to half empty, and one to
-//! five external pairs. The catalog keeps each feature it takes with its
-//! lists at exact capacity and its external pairs in one sorted vector, so
-//! what it holds is the size of the metadata, not of how it was grown.
+//! pushed one by one, which leaves a vector up to half empty, each with a
+//! descriptor of its own, and one to five external pairs. The catalog keeps
+//! each feature it takes with its lists at exact capacity, its external
+//! pairs in one sorted vector and each distinct variable descriptor once,
+//! so what it holds is the size of the metadata, not of how it was grown.
 //!
 //! The counting allocator is process-global, so this file is its own test
 //! binary and holds one test: nothing else allocates in the window.
@@ -54,10 +55,11 @@ const DATASETS: usize = 2_000;
 /// Live heap bytes per dataset the catalog may hold. Measured: 2 631 with
 /// the external pairs in a `BTreeMap` and the variables as the harvester
 /// grew them; 1 975 with both at their size; 1 931 once a variable's
-/// summary no longer kept Welford's `m2`. Most of what is left is the
-/// variables at 216 bytes each, the catalog's own tree of 248-byte
-/// features, and strings.
-const BUDGET: usize = 2_006;
+/// summary no longer kept Welford's `m2`; 978 once the catalog kept each
+/// distinct variable descriptor once (32 here) and a variable became that
+/// shared descriptor plus its numbers, 56 bytes. Most of what is left is
+/// the catalog's own tree of 248-byte features, the variables and strings.
+const BUDGET: usize = 1_053;
 
 const COLUMNS: [(&str, &str); 8] = [
     ("wtemp", "degC"),

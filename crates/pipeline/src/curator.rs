@@ -297,6 +297,7 @@ impl CurationLoop {
         ctx: &mut PipelineContext,
     ) -> Result<(Vec<CurationStep>, RunReport)> {
         let mut history = Vec::new();
+        let unedited = ctx.catalog.generation();
         let mut last_report = pipeline.run_scanned(ctx)?;
         for iteration in 1..=self.policy.max_iterations {
             let before_unresolved = Self::unresolved_count(ctx);
@@ -335,6 +336,7 @@ impl CurationLoop {
                 break;
             }
         }
+        ctx.share_descriptors_since(unedited);
         Ok((history, last_report))
     }
 }

@@ -154,7 +154,10 @@ impl Pipeline {
     /// execute in order. Stops at the first hard error.
     pub fn run(&mut self, ctx: &mut PipelineContext) -> Result<RunReport> {
         ctx.rescan()?;
-        self.run_scanned(ctx)
+        let unedited = ctx.catalog.generation();
+        let report = self.run_scanned(ctx)?;
+        ctx.share_descriptors_since(unedited);
+        Ok(report)
     }
 
     /// Runs the chain over the listing `ctx` already holds, reading no

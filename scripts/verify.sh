@@ -63,9 +63,14 @@ echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites 
 # image the encoder builds is what parsing its payload finds; the writer's
 # checkpoint writes the decoded catalog's bytes, and its row-wise diff is
 # the decoded catalog's diff. The writer encodes each row once per payload
-# it writes (metamess_core_rows_encoded_total, its own test binary).
+# it writes (metamess_core_rows_encoded_total, its own test binary). A
+# catalog keeps each distinct variable descriptor once — built by puts,
+# decoded from a snapshot and WAL puts, or cloned —, a write through one
+# variable copies its descriptor and changes no other, and a catalog that
+# shares its descriptors encodes to the bytes of one that does not.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
-  --test torture --test torture_group_commit --test codec --test durable --test work_counters
+  --test torture --test torture_group_commit --test codec --test durable --test work_counters \
+  --test descriptors
 
 echo "==> incremental watch vs cold wrangle, and the pipeline's unit tests ($cases seeded cases, release)"
 # A watch cycle walks the archive once and every stage reads that listing;
@@ -119,6 +124,18 @@ echo "==> flight recorder under concurrent writers and readers (release)"
 # stays within its bound, never hands out a torn record and keeps each
 # writer's records newest first.
 cargo test -q --release -p metamess-telemetry --test trace_props
+
+echo "==> the benchmark builds against these crates and repeats itself (release)"
+# benchmark/src is built from the crates' public API as they stand, so a
+# change that breaks it fails here. run.sh stages the crates under
+# benchmark/.stage and may rewrite benchmark/Cargo.lock, so it runs in a
+# copy of the working tree; the same seed twice must give the same
+# answers_digest and counts.
+copy="$(mktemp -d)"
+git ls-files -z -co --exclude-standard \
+  | tar --null --ignore-failed-read -T - -cf - 2>/dev/null | tar -xf - -C "$copy"
+CARGO_TARGET_DIR="$copy/target" bash "$copy/benchmark/run.sh" --selftest
+rm -rf "$copy"
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

@@ -630,6 +630,12 @@ fn cmd_fsck(args: &Args) -> Result<()> {
         print!("{}", metamess::fsck::render_report(&report));
     }
     if report.error_count() > 0 && !report.fully_repaired() {
+        // a store left in an older format is whole: name the format
+        if let Some(found) = report.unsupported_format() {
+            let supported = metamess::core::store::codec::FORMAT_VERSION;
+            let store = store_dir.display().to_string();
+            return Err(Error::unsupported_format(store, found, supported));
+        }
         return Err(Error::corrupt(format!(
             "fsck found {} unrepaired error(s) in {}",
             report.error_count(),

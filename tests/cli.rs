@@ -342,10 +342,13 @@ fn a_format_4_store_is_refused_by_name_and_left_as_it_was() {
         assert!(!ok && stderr.contains(named), "{args:?}: {stderr}");
     }
     for args in [&["fsck", store_s][..], &["fsck", store_s, "--repair"]] {
-        let (ok, stdout, _) = run(args);
+        let (ok, stdout, stderr) = run(args);
         assert!(!ok, "{args:?}");
         assert_eq!(stdout.matches(named).count(), 2, "{args:?}: {stdout}");
         assert!(stdout.contains("0 repair(s) applied"), "{args:?}: {stdout}");
+        // the last line names the format, not damage
+        let last = stderr.lines().last().unwrap_or_default();
+        assert!(last.contains(named) && !last.contains("corrupt"), "{args:?}: {stderr}");
     }
     for (path, bytes) in &files {
         assert!(
