@@ -6,7 +6,7 @@
 //! (`store::DurableCatalog`), and a publish is the store's row diff against
 //! the working catalog.
 
-use crate::feature::{DatasetFeature, VariableDescriptor, VariableFeature};
+use crate::feature::{count_descriptor_copy, DatasetFeature, VariableDescriptor};
 use crate::id::DatasetId;
 use crate::store::{Image, RowView};
 use serde::{Deserialize, Serialize};
@@ -38,9 +38,8 @@ pub enum Mutation {
 /// The catalog keeps each distinct [`VariableDescriptor`] once: a feature
 /// it takes, by a put or from a store's rows, has each variable's
 /// descriptor swapped for the catalog's equal one, and a clone shares them
-/// all. A write through a variable copies its descriptor first
-/// ([`VariableFeature`]'s `DerefMut`), and [`Catalog::share_descriptors`]
-/// shares the copies again.
+/// all. Curation rewrites the descriptors, not the variables
+/// ([`Catalog::map_descriptors`]), so they stay shared.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Catalog {
     entries: BTreeMap<DatasetId, DatasetFeature>,
@@ -67,12 +66,6 @@ impl Descriptors {
                 Arc::clone(d)
             }
         }
-    }
-
-    /// Points `v` at the shared descriptor equal to its own.
-    fn share(&mut self, v: &mut VariableFeature) {
-        let shared = self.intern(v.descriptor());
-        v.share(shared);
     }
 }
 
@@ -135,7 +128,7 @@ impl Catalog {
             Mutation::Put(f) => {
                 let mut f = exact(*f);
                 for v in &mut f.variables {
-                    self.descriptors.share(v);
+                    v.repoint(self.descriptors.intern(v.descriptor()));
                 }
                 self.entries.insert(f.id, f);
             }
@@ -223,17 +216,64 @@ impl Catalog {
         self.entries.values_mut()
     }
 
-    /// Points every variable at the catalog's shared descriptor equal to its
-    /// own — the copies writes made, and variables pushed through
-    /// [`Catalog::get_mut`] — and drops the shared descriptors no variable
-    /// holds any more. The content and the generation stay as they are.
-    pub fn share_descriptors(&mut self) {
-        for f in self.entries.values_mut() {
-            for v in &mut f.variables {
-                self.descriptors.share(v);
+    /// Rewrites descriptors, not variables. `decide` is asked once for
+    /// each distinct key the variables hold — a descriptor, by its `Arc`,
+    /// and the [`DatasetFeature::context`] of the variable's dataset — with
+    /// the number of variables holding it, keys in catalog order of first
+    /// use. A decision other than `None` or the descriptor itself is
+    /// interned among the catalog's shared descriptors, counted in
+    /// `metamess_core_descriptor_copies_total`, and every variable holding
+    /// the key is pointed at it; no variable's descriptor is copied. Shared
+    /// descriptors no variable holds any more are dropped, and the
+    /// generation moves by one only if a variable moved.
+    ///
+    /// Returns the moved variables, (dataset, index) in catalog order, for
+    /// a caller that rewrites their numbers too.
+    pub fn map_descriptors(
+        &mut self,
+        mut decide: impl FnMut(&VariableDescriptor, Option<&str>, usize) -> Option<VariableDescriptor>,
+    ) -> Vec<(DatasetId, usize)> {
+        // every variable's key number, and each key with its holders; a
+        // context is hashed once per dataset, by its number
+        let (mut contexts, mut numbers) = (HashMap::new(), HashMap::new());
+        let mut keys: Vec<(&VariableDescriptor, Option<&str>, usize)> = Vec::new();
+        let mut key_of = Vec::new();
+        for f in self.entries.values() {
+            let context = f.context();
+            let next = contexts.len();
+            let c = *contexts.entry(context).or_insert(next);
+            for v in &f.variables {
+                let k = *numbers.entry((Arc::as_ptr(v.descriptor()), c)).or_insert_with(|| {
+                    keys.push((v.descriptor(), context, 0));
+                    keys.len() - 1
+                });
+                keys[k].2 += 1;
+                key_of.push(k);
             }
         }
+        let descriptors = &mut self.descriptors;
+        let to: Vec<_> = keys
+            .into_iter()
+            .map(|(d, context, holders)| {
+                let new = decide(d, context, holders).filter(|new| new != d)?;
+                count_descriptor_copy();
+                Some(descriptors.intern(&Arc::new(new)))
+            })
+            .collect();
+        let mut moved = Vec::new();
+        let mut key_of = key_of.into_iter();
+        for f in self.entries.values_mut() {
+            for (ix, v) in f.variables.iter_mut().enumerate() {
+                if let Some(to) = key_of.next().and_then(|k| to[k].as_ref()) {
+                    v.repoint(Arc::clone(to));
+                    moved.push((f.id, ix));
+                }
+            }
+        }
+        self.generation += u64::from(!moved.is_empty());
+        drop(to);
         self.descriptors.0.retain(|d| Arc::strong_count(d) > 1);
+        moved
     }
 
     /// Current generation (mutation count).
@@ -380,7 +420,7 @@ mod tests {
         let mut c = Catalog::new();
         assert_eq!(c.resolution_fraction(), 1.0);
         let mut d = ds("a.csv", &["x", "y"]);
-        d.variable_mut("x").unwrap().resolve("xx", NameResolution::KnownTranslation);
+        d.variables[0].resolve("xx", NameResolution::KnownTranslation);
         c.put(d);
         c.put(ds("b.csv", &["z"]));
         assert!((c.resolution_fraction() - 1.0 / 3.0).abs() < 1e-12);

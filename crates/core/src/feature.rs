@@ -201,8 +201,10 @@ impl Hash for VariableDescriptor {
 /// copy-on-write: a descriptor the variable shares — with a catalog's
 /// other variables, a clone or a decoded image — is copied first
 /// (`metamess_core_descriptor_copies_total` counts the copies), so a write
-/// through one variable never changes another. Its JSON and `Debug` forms
-/// are one flat object, the descriptor's fields among the numbers.
+/// through one variable never changes another. A catalog's curation
+/// rewrites descriptors instead, each distinct one once
+/// ([`crate::catalog::Catalog::map_descriptors`]). Its JSON and `Debug`
+/// forms are one flat object, the descriptor's fields among the numbers.
 #[derive(Clone, PartialEq)]
 pub struct VariableFeature {
     descriptor: Arc<VariableDescriptor>,
@@ -235,10 +237,9 @@ impl VariableFeature {
         &self.descriptor
     }
 
-    /// Points the variable at `shared`, a descriptor equal to its own.
-    pub(crate) fn share(&mut self, shared: Arc<VariableDescriptor>) {
-        debug_assert!(shared == self.descriptor, "a variable shares only an equal descriptor");
-        self.descriptor = shared;
+    /// Points the variable at `descriptor`, which replaces its own.
+    pub(crate) fn repoint(&mut self, descriptor: Arc<VariableDescriptor>) {
+        self.descriptor = descriptor;
     }
 
     /// Value range `(min, max)` when the variable is numeric and non-empty.
@@ -267,7 +268,7 @@ impl DerefMut for VariableFeature {
 }
 
 /// Adds one to `metamess_core_descriptor_copies_total` when telemetry is on.
-fn count_descriptor_copy() {
+pub(crate) fn count_descriptor_copy() {
     static COPIES: OnceLock<Arc<Counter>> = OnceLock::new();
     if metamess_telemetry::enabled() {
         COPIES
@@ -551,9 +552,11 @@ impl DatasetFeature {
         self.variables.iter().find(|v| v.name == name)
     }
 
-    /// Mutable lookup by harvested name.
-    pub fn variable_mut(&mut self, name: &str) -> Option<&mut VariableFeature> {
-        self.variables.iter_mut().find(|v| v.name == name)
+    /// The platform context the harvester recorded for the dataset
+    /// (`external["context"]`, e.g. `met_station`): what a bare
+    /// `temperature` column measures depends on it.
+    pub fn context(&self) -> Option<&str> {
+        self.external.get("context").map(String::as_str)
     }
 
     /// Variables that participate in search (not QA, not hidden).
@@ -615,7 +618,7 @@ mod tests {
         d.variables.push(VariableFeature::new("sal"));
         assert!(d.variable("temp").is_some());
         assert!(d.variable("none").is_none());
-        d.variable_mut("sal").unwrap().flags.qa = true;
+        d.variables[1].flags.qa = true;
         assert_eq!(d.searchable_variables().count(), 1);
     }
 
@@ -627,8 +630,8 @@ mod tests {
         d.variables.push(VariableFeature::new("b"));
         d.variables.push(VariableFeature::new("qa_level"));
         assert_eq!(d.resolution_fraction(), 0.0);
-        d.variable_mut("a").unwrap().resolve("alpha", NameResolution::AlreadyCanonical);
-        d.variable_mut("qa_level").unwrap().flags.qa = true;
+        d.variables[0].resolve("alpha", NameResolution::AlreadyCanonical);
+        d.variables[2].flags.qa = true;
         assert!((d.resolution_fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 

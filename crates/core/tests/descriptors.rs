@@ -7,8 +7,9 @@
 //! changes no other variable: not in its catalog, not in a clone, not in a
 //! twin decoded from the catalog's image. A catalog that shares its
 //! descriptors encodes to the bytes of one whose every variable holds a
-//! private descriptor, and [`Catalog::share_descriptors`] shares the copies
-//! writes made again and drops what no variable holds.
+//! private descriptor. [`Catalog::map_descriptors`] rewrites what a write
+//! through each variable rewrites, holding one allocation per result and
+//! dropping what no variable holds.
 //!
 //! Seeded sweeps over `tests/catalogs`; `METAMESS_TORTURE_CASES` scales them
 //! (default 40 seeds).
@@ -146,34 +147,99 @@ fn a_shared_catalog_encodes_to_the_bytes_of_a_private_one() {
     });
 }
 
-#[test]
-fn sharing_again_shares_the_copies_and_drops_what_no_variable_holds() {
-    let mut catalog = seeded_catalog(&mut Rng(11));
-    let distinct = assert_one_allocation_each("put", &[&catalog]);
-    let mut lonely = DatasetFeature::new("stations/lonely.csv");
-    lonely.variables.push(VariableFeature::new("lonely"));
-    let id = lonely.id;
-    catalog.put(lonely);
-    let unheld = Arc::downgrade(catalog.get(id).unwrap().variables[0].descriptor());
-
-    // a write through every variable copies every descriptor, and the
-    // lonely variable's moves to a name of its own
-    for f in catalog.iter_mut() {
-        for v in &mut f.variables {
-            let _: &mut VariableDescriptor = v;
+/// A seeded rewrite decided by a descriptor and its dataset's context:
+/// left alone, a flag flipped, a hierarchy naming the context, or one
+/// descriptor for every name.
+fn seeded_rewrite(
+    rng: &mut Rng,
+) -> impl Fn(&VariableDescriptor, Option<&str>) -> Option<VariableDescriptor> {
+    let salt = rng.below(4) as usize;
+    let merged = (**VariableFeature::new("merged").descriptor()).clone();
+    move |d, context| {
+        let mut d = d.clone();
+        match (d.name.len() + salt) % 4 {
+            0 => return None,
+            1 => d.flags.hidden ^= true,
+            2 => d.hierarchy = vec!["mapped".to_string(), context.unwrap_or("-").into()].into(),
+            _ => d = merged.clone(),
         }
+        Some(d)
     }
-    let private = |c: &Catalog| {
-        c.iter().flat_map(|f| &f.variables).all(|v| Arc::strong_count(v.descriptor()) == 1)
-    };
-    assert!(private(&catalog));
-    catalog.get_mut(id).unwrap().variables[0].name = "renamed".into();
-    let (generation, content) = (catalog.generation(), encode_catalog(&catalog));
+}
 
-    catalog.share_descriptors();
-    assert_eq!(assert_one_allocation_each("shared again", &[&catalog]), distinct + 1);
-    assert!(!private(&catalog));
-    assert!(unheld.upgrade().is_none(), "a descriptor no variable holds is dropped");
-    assert_eq!(catalog.generation(), generation, "sharing is not a mutation");
-    assert_eq!(encode_catalog(&catalog), content);
+#[test]
+fn a_map_over_descriptors_rewrites_what_a_write_through_each_variable_rewrites() {
+    sweep(cases(), |rng| {
+        let mut mapped = Catalog::new();
+        for i in 0..rng.size(8, 25) {
+            let mut f = seeded_dataset(i, rng);
+            if rng.coin() {
+                let platform = f.external.get("platform").cloned().unwrap();
+                f.external.insert("context".into(), platform);
+            }
+            mapped.put(f);
+        }
+        let mut lonely = DatasetFeature::new("stations/lonely.csv");
+        lonely.variables.push(VariableFeature::new("lonely"));
+        let lonely_id = lonely.id;
+        mapped.put(lonely);
+        let rewrite = seeded_rewrite(rng);
+
+        // the same rewrite through each variable of a clone
+        let expected = {
+            let mut written = mapped.clone();
+            let mut moved = Vec::new();
+            for f in written.iter_mut() {
+                let context = f.context().map(str::to_owned);
+                for (ix, v) in f.variables.iter_mut().enumerate() {
+                    match rewrite(v, context.as_deref()) {
+                        Some(new) if new != **v => {
+                            let d: &mut VariableDescriptor = v;
+                            *d = new;
+                            moved.push((f.id, ix));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            let features: Vec<_> = written.iter().collect();
+            let payload = Image::encode(&features).payload().to_vec();
+            (written.content_fingerprint(), payload, moved)
+        };
+
+        // one decision per (descriptor, context) key, told its holders
+        let mut keys = HashMap::new();
+        for f in mapped.iter() {
+            for v in &f.variables {
+                *keys
+                    .entry((Arc::as_ptr(v.descriptor()), f.context().map(str::to_owned)))
+                    .or_insert(0) += 1;
+            }
+        }
+        let unheld = Arc::downgrade(mapped.get(lonely_id).unwrap().variables[0].descriptor());
+        let generation = mapped.generation();
+        let mut asked = HashMap::new();
+        let moved = mapped.map_descriptors(|d, context, holders| {
+            let key = (d as *const VariableDescriptor, context.map(str::to_owned));
+            assert!(asked.insert(key, holders).is_none(), "{:?} asked twice", d.name);
+            rewrite(d, context)
+        });
+        assert_eq!(asked, keys);
+
+        assert_eq!(mapped.content_fingerprint(), expected.0);
+        let features: Vec<_> = mapped.iter().collect();
+        assert_eq!(Image::encode(&features).payload(), &expected.1[..]);
+        assert_one_allocation_each("mapped", &[&mapped]);
+        assert_eq!(moved, expected.2);
+        // the lonely descriptor is dropped once its one variable moves
+        assert_eq!(unheld.upgrade().is_none(), moved.contains(&(lonely_id, 0)));
+        assert_eq!(mapped.generation(), generation + u64::from(!moved.is_empty()));
+
+        // a map that decides nothing, or the descriptor itself, moves nothing
+        let (generation, content) = (mapped.generation(), encode_catalog(&mapped));
+        assert!(mapped.map_descriptors(|_, _, _| None).is_empty());
+        assert!(mapped.map_descriptors(|d, _, _| Some(d.clone())).is_empty());
+        assert_eq!(mapped.generation(), generation);
+        assert_eq!(encode_catalog(&mapped), content);
+    });
 }

@@ -106,18 +106,6 @@ impl PipelineContext {
         Ok(archive_fingerprint(&self.listing))
     }
 
-    /// Shares again the variable descriptors the stages and the curator
-    /// copied, by writing through a variable, since the working catalog
-    /// stood at `generation`, and drops those no variable holds any more
-    /// ([`Catalog::share_descriptors`]). Called where a pipeline run or a
-    /// curation loop returns, not between the runs of one loop: a variable
-    /// written in two runs then copies its descriptor once.
-    pub(crate) fn share_descriptors_since(&mut self, generation: u64) {
-        if self.catalog.generation() != generation {
-            self.catalog.share_descriptors();
-        }
-    }
-
     /// Errors among the findings.
     pub fn validation_errors(&self) -> impl Iterator<Item = &ValidationFinding> {
         self.findings.iter().filter(|f| f.severity == Severity::Error)

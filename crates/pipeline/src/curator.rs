@@ -297,7 +297,6 @@ impl CurationLoop {
         ctx: &mut PipelineContext,
     ) -> Result<(Vec<CurationStep>, RunReport)> {
         let mut history = Vec::new();
-        let unedited = ctx.catalog.generation();
         let mut last_report = pipeline.run_scanned(ctx)?;
         for iteration in 1..=self.policy.max_iterations {
             let before_unresolved = Self::unresolved_count(ctx);
@@ -307,13 +306,13 @@ impl CurationLoop {
             let manual = self.apply_manual_synonyms(ctx);
             // clarified ambiguities must be re-exposed to known transforms
             if clarified > 0 {
-                for d in ctx.catalog.iter_mut() {
-                    for v in &mut d.variables {
-                        if v.flags.ambiguous && !v.resolution.is_resolved() {
-                            v.flags.ambiguous = false; // re-evaluate next run
-                        }
-                    }
-                }
+                ctx.catalog.map_descriptors(|v, _, _| {
+                    (v.flags.ambiguous && !v.resolution.is_resolved()).then(|| {
+                        let mut d = v.clone();
+                        d.flags.ambiguous = false; // re-evaluate next run
+                        d
+                    })
+                });
             }
             if accepted + clarified + abbreviations + manual > 0 {
                 ctx.vocab.bump_version();
@@ -336,7 +335,6 @@ impl CurationLoop {
                 break;
             }
         }
-        ctx.share_descriptors_since(unedited);
         Ok((history, last_report))
     }
 }

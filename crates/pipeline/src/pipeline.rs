@@ -154,10 +154,7 @@ impl Pipeline {
     /// execute in order. Stops at the first hard error.
     pub fn run(&mut self, ctx: &mut PipelineContext) -> Result<RunReport> {
         ctx.rescan()?;
-        let unedited = ctx.catalog.generation();
-        let report = self.run_scanned(ctx)?;
-        ctx.share_descriptors_since(unedited);
-        Ok(report)
+        self.run_scanned(ctx)
     }
 
     /// Runs the chain over the listing `ctx` already holds, reading no

@@ -12,7 +12,7 @@ use crate::component::{Component, Slot, StageReport};
 use crate::context::{CtxView, Severity};
 use metamess_core::catalog::Catalog;
 use metamess_core::error::Result;
-use metamess_core::feature::NameResolution;
+use metamess_core::feature::{NameResolution, VariableDescriptor};
 use metamess_core::text::normalize_term;
 use metamess_core::value::Record;
 use metamess_core::DatasetId;
@@ -22,7 +22,7 @@ use metamess_discover::{
 use metamess_harvest::harvest;
 use metamess_transform::apply_operations;
 use metamess_vocab::VariableResolution;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Stage 1: harvest the archive's listing (the context's last rescan) into
 /// the working catalog (incremental on rerun — unchanged files keep their
@@ -122,11 +122,12 @@ impl Component for PerformKnownTransformations {
     fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
         // First pass: note newly detected ambiguous names in the registry so
-        // verdicts are consistent across datasets.
+        // verdicts are consistent across datasets, each name once.
+        let mut seen: HashSet<&str> = HashSet::new();
         let mut to_note: Vec<(String, Vec<String>)> = Vec::new();
         for d in view.working().iter() {
             for v in &d.variables {
-                if v.resolution.is_resolved() || v.flags.qa || v.flags.hidden {
+                if !unresolved(v) || !seen.insert(&v.name) {
                     continue;
                 }
                 let candidates = detect_ambiguity(&v.name, view.vocab());
@@ -141,65 +142,68 @@ impl Component for PerformKnownTransformations {
         }
 
         let (working, vocab, provenance) = view.working_mut_vocab_provenance();
-        for d in working.iter_mut() {
-            let context = d.external.get("context").cloned();
-            for v in &mut d.variables {
-                report.processed += 1;
-                // canonical units are cheap and independent of names
-                if v.canonical_unit.is_none() {
-                    if let Some(u) = &v.unit {
-                        if let Some(def) = vocab.units.resolve(u) {
-                            v.canonical_unit = Some(def.name.clone());
-                        }
-                    }
-                }
-                if v.resolution.is_resolved() || v.flags.qa || v.flags.hidden {
-                    continue;
-                }
-                match vocab.resolve_variable(&v.name, context.as_deref()) {
-                    VariableResolution::Canonical(c) => {
-                        v.resolve(c, NameResolution::AlreadyCanonical);
-                        report.changed += 1;
-                    }
-                    VariableResolution::Translated(c) => {
-                        // entries that reached the table through discovery
-                        // keep their discovery provenance
-                        let how = match provenance.get(&normalize_term(&v.name)) {
-                            Some(method) => {
-                                NameResolution::DiscoveredTranslation { method: method.clone() }
-                            }
-                            None => NameResolution::KnownTranslation,
-                        };
-                        v.resolve(c, how);
-                        report.changed += 1;
-                    }
-                    VariableResolution::Qa => {
-                        v.flags.qa = true;
-                        report.changed += 1;
-                    }
-                    VariableResolution::Ambiguous { .. } => {
-                        if !v.flags.ambiguous {
-                            v.flags.ambiguous = true;
-                            report.changed += 1;
-                        }
-                    }
-                    VariableResolution::Hidden => {
-                        v.flags.hidden = true;
-                        report.changed += 1;
-                    }
-                    VariableResolution::LeaveAsIs => {
-                        let name = v.name.clone();
-                        v.resolve(name, NameResolution::Curated);
-                        report.changed += 1;
-                    }
-                    VariableResolution::Unknown => {}
-                }
-                // a clarified ambiguity clears the exposure flag
-                if v.flags.ambiguous && v.resolution.is_resolved() {
-                    v.flags.ambiguous = false;
-                }
+        working.map_descriptors(|v, context, holders| {
+            let n = holders as u64;
+            report.processed += n;
+            // canonical units are cheap and independent of names
+            let unit = match (&v.canonical_unit, &v.unit) {
+                (None, Some(u)) => vocab.units.resolve(u),
+                _ => None,
+            };
+            if unit.is_none() && !unresolved(v) {
+                return None;
             }
-        }
+            let mut d = v.clone();
+            if let Some(def) = unit {
+                d.canonical_unit = Some(def.name.clone());
+            }
+            if !unresolved(&d) {
+                return Some(d);
+            }
+            match vocab.resolve_variable(&d.name, context) {
+                VariableResolution::Canonical(c) => {
+                    d.resolve(c, NameResolution::AlreadyCanonical);
+                    report.changed += n;
+                }
+                VariableResolution::Translated(c) => {
+                    // entries that reached the table through discovery keep
+                    // their discovery provenance
+                    let how = match provenance.get(&normalize_term(&d.name)) {
+                        Some(method) => {
+                            NameResolution::DiscoveredTranslation { method: method.clone() }
+                        }
+                        None => NameResolution::KnownTranslation,
+                    };
+                    d.resolve(c, how);
+                    report.changed += n;
+                }
+                VariableResolution::Qa => {
+                    d.flags.qa = true;
+                    report.changed += n;
+                }
+                VariableResolution::Ambiguous { .. } => {
+                    if !d.flags.ambiguous {
+                        d.flags.ambiguous = true;
+                        report.changed += n;
+                    }
+                }
+                VariableResolution::Hidden => {
+                    d.flags.hidden = true;
+                    report.changed += n;
+                }
+                VariableResolution::LeaveAsIs => {
+                    let name = d.name.clone();
+                    d.resolve(name, NameResolution::Curated);
+                    report.changed += n;
+                }
+                VariableResolution::Unknown => {}
+            }
+            // a clarified ambiguity clears the exposure flag
+            if d.flags.ambiguous && d.resolution.is_resolved() {
+                d.flags.ambiguous = false;
+            }
+            Some(d)
+        });
         report.note(format!(
             "{} ambiguous names awaiting curator",
             vocab.registry.undecided().count()
@@ -235,35 +239,47 @@ impl Component for NormalizeUnits {
     fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
         let (working, vocab) = view.working_mut_and_vocab();
-        for d in working.iter_mut() {
-            for v in &mut d.variables {
-                if v.unit_normalized {
-                    continue;
-                }
-                report.processed += 1;
-                let Some(raw_unit) = v.unit.clone() else {
-                    v.unit_normalized = true;
-                    continue;
-                };
-                let Some(def) = vocab.units.resolve(&raw_unit) else { continue };
-                let target = match def.dimension {
-                    metamess_vocab::Dimension::Temperature => "celsius",
-                    _ => {
-                        v.canonical_unit = Some(def.name.clone());
-                        v.unit_normalized = true;
-                        continue;
+        // each converted unit spelling: its affine map, and the conversion
+        let mut affine: HashMap<String, ((f64, f64), String)> = HashMap::new();
+        let mut failed = Ok(());
+        let moved = working.map_descriptors(|v, _, holders| {
+            if v.unit_normalized || failed.is_err() {
+                return None;
+            }
+            report.processed += holders as u64;
+            let mut d = v.clone();
+            d.unit_normalized = true;
+            let Some(raw_unit) = &v.unit else { return Some(d) };
+            let def = vocab.units.resolve(raw_unit)?;
+            let target = match def.dimension {
+                metamess_vocab::Dimension::Temperature => "celsius",
+                _ => &def.name,
+            };
+            if def.name != target {
+                match vocab.units.affine_to(raw_unit, target) {
+                    Ok(ab) => {
+                        affine.insert(raw_unit.clone(), (ab, format!("{} -> {target}", def.name)))
+                    }
+                    Err(e) => {
+                        failed = Err(e);
+                        return None;
                     }
                 };
-                if def.name != target {
-                    let (a, b) = vocab.units.affine_to(&raw_unit, target)?;
-                    v.summary.affine_transform(a, b);
-                    report.changed += 1;
-                    report.note(format!("{}/{}: {} -> {}", d.path, v.name, def.name, target));
-                }
-                v.canonical_unit = Some(target.to_string());
-                v.unit_normalized = true;
+                report.changed += holders as u64;
+            }
+            d.canonical_unit = Some(target.to_string());
+            Some(d)
+        });
+        // the numbers of the variables whose unit converted
+        for (id, ix) in moved {
+            let d = working.get_mut(id).expect("a moved variable's dataset");
+            let v = &mut d.variables[ix];
+            if let Some(((a, b), conversion)) = v.unit.as_ref().and_then(|u| affine.get(u)) {
+                v.summary.affine_transform(*a, *b);
+                report.note(format!("{}/{}: {conversion}", d.path, v.name));
             }
         }
+        failed?;
         report.resolution_after = working.resolution_fraction();
         Ok(report)
     }
@@ -431,54 +447,60 @@ impl Component for PerformDiscoveredTransformations {
             report.resolution_after = view.working().resolution_fraction();
             return Ok(report);
         }
-        // Export: one record per unresolved variable.
-        let mut rows: Vec<Record> = Vec::new();
-        let mut keys: Vec<(DatasetId, String)> = Vec::new();
-        for d in view.working().iter() {
-            for v in &d.variables {
-                if v.resolution.is_resolved() || v.flags.qa || v.flags.hidden {
-                    continue;
-                }
-                let mut r = Record::new();
-                r.set("dataset", d.path.clone());
-                r.set("field", v.name.clone());
-                rows.push(r);
-                keys.push((d.id, v.name.clone()));
-            }
+        // Export: one record per distinct unresolved name. The accepted
+        // rules are facet-free mass-edits of `field`, so a rename depends
+        // on the name alone.
+        let mut names: BTreeSet<&str> = BTreeSet::new();
+        for v in view.working().iter().flat_map(|d| &d.variables).filter(|v| unresolved(v)) {
+            report.processed += 1;
+            names.insert(&v.name);
         }
-        report.processed = rows.len() as u64;
+        let mut rows: Vec<Record> = names
+            .iter()
+            .map(|name| {
+                let mut r = Record::new();
+                r.set("field", name.to_string());
+                r
+            })
+            .collect();
         let ops: Vec<metamess_transform::Operation> =
             view.accepted().iter().map(|p| p.operation.clone()).collect();
         let method_of: BTreeMap<String, String> =
             view.accepted().iter().map(|p| (p.to.clone(), p.method.clone())).collect();
         let apply = apply_operations(&mut rows, &ops)?;
-        report.note(format!("{} cells rewritten by {} rules", apply.total_changed(), ops.len()));
+        report.note(format!("{} names rewritten by {} rules", apply.total_changed(), ops.len()));
+        let renamed: HashMap<String, String> = names
+            .into_iter()
+            .zip(rows)
+            .filter_map(|(name, row)| {
+                let new_name = row.get("field")?.as_text()?;
+                (!new_name.is_empty() && new_name != name)
+                    .then(|| (name.to_string(), new_name.to_string()))
+            })
+            .collect();
 
         // Fold back: a changed `field` is a discovered translation.
         let (working, vocab) = view.working_mut_and_vocab();
-        for ((id, original_name), row) in keys.into_iter().zip(rows.iter()) {
-            let new_name = row.get("field").and_then(|v| v.as_text()).unwrap_or_default();
-            if new_name.is_empty() || new_name == original_name {
-                continue;
-            }
+        let moved = working.map_descriptors(|v, _, _| {
+            let new_name = renamed.get(&v.name).filter(|_| unresolved(v))?;
             // resolve the cluster pick through the synonym table when it is
             // an alternate spelling of a canonical term
-            let canonical = vocab
-                .synonyms
-                .resolve(new_name)
-                .map(|(c, _)| c.to_string())
-                .unwrap_or_else(|| new_name.to_string());
+            let canonical = vocab.synonyms.resolve(new_name).map_or(new_name.as_str(), |(c, _)| c);
             let method = method_of.get(new_name).cloned().unwrap_or_else(|| "unknown".into());
-            if let Some(d) = working.get_mut(id) {
-                if let Some(v) = d.variable_mut(&original_name) {
-                    v.resolve(canonical, NameResolution::DiscoveredTranslation { method });
-                    report.changed += 1;
-                }
-            }
-        }
+            let mut d = v.clone();
+            d.resolve(canonical, NameResolution::DiscoveredTranslation { method });
+            Some(d)
+        });
+        report.changed = moved.len() as u64;
         report.resolution_after = working.resolution_fraction();
         Ok(report)
     }
+}
+
+/// Whether discovery's rules may rename `v`: its name is neither resolved
+/// nor flagged QA or hidden.
+fn unresolved(v: &VariableDescriptor) -> bool {
+    !(v.resolution.is_resolved() || v.flags.qa || v.flags.hidden)
 }
 
 /// Stage 6: generate hierarchies — assign each resolved variable its
@@ -502,17 +524,13 @@ impl Component for GenerateHierarchies {
     fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
         let (working, vocab) = view.working_mut_and_vocab();
-        for d in working.iter_mut() {
-            for v in &mut d.variables {
-                report.processed += 1;
-                let Some(canonical) = &v.canonical_name else { continue };
-                let path = vocab.hierarchy_of(canonical);
-                if !path.is_empty() && v.hierarchy != path {
-                    v.hierarchy = path;
-                    report.changed += 1;
-                }
-            }
-        }
+        let moved = working.map_descriptors(|v, _, holders| {
+            report.processed += holders as u64;
+            let path = vocab.hierarchy_of(v.canonical_name.as_ref()?);
+            (!path.is_empty() && v.hierarchy != path)
+                .then(|| VariableDescriptor { hierarchy: path, ..v.clone() })
+        });
+        report.changed = moved.len() as u64;
         report.resolution_after = working.resolution_fraction();
         Ok(report)
     }

@@ -270,57 +270,6 @@ impl SynonymTable {
         }
         conflicts
     }
-
-    /// Parses the curator-friendly text form, one entry per line:
-    ///
-    /// ```text
-    /// air_temperature: airtemp, air_temp, AT
-    /// salinity
-    /// # comments and blank lines ignored
-    /// ```
-    pub fn parse_text(text: &str) -> Result<SynonymTable> {
-        let mut t = SynonymTable::new();
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (pref, alts) = match line.split_once(':') {
-                Some((p, a)) => (p.trim(), a),
-                None => (line, ""),
-            };
-            if pref.is_empty() {
-                return Err(Error::parse_at("synonym table", "missing preferred term", ln + 1));
-            }
-            t.add_preferred(pref)
-                .map_err(|e| Error::parse_at("synonym table", e.to_string(), ln + 1))?;
-            for alt in alts.split(',') {
-                let alt = alt.trim();
-                if alt.is_empty() {
-                    continue;
-                }
-                t.add_alternate(pref, alt)
-                    .map_err(|e| Error::parse_at("synonym table", e.to_string(), ln + 1))?;
-            }
-        }
-        Ok(t)
-    }
-
-    /// Renders the curator-friendly text form (inverse of [`parse_text`]).
-    ///
-    /// [`parse_text`]: SynonymTable::parse_text
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for e in self.entries.values() {
-            out.push_str(&e.preferred);
-            if !e.alternates.is_empty() {
-                out.push_str(": ");
-                out.push_str(&e.alternates.join(", "));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -391,35 +340,6 @@ mod tests {
         let mut t = SynonymTable::new();
         assert!(t.add_preferred("  ").is_err());
         assert!(t.add_alternate("x", "").is_err());
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let t = table();
-        let text = t.to_text();
-        let back = SynonymTable::parse_text(&text).unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(
-            back.resolve("airtemp").map(|(p, _)| p.to_string()),
-            Some("air_temperature".to_string())
-        );
-    }
-
-    #[test]
-    fn parse_text_with_comments() {
-        let t = SynonymTable::parse_text(
-            "# header\n\nwater_temperature: wtemp, watertemp\nsalinity: sal\n",
-        )
-        .unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.resolve("sal").unwrap().0, "salinity");
-    }
-
-    #[test]
-    fn parse_text_conflict_reports_line() {
-        let e = SynonymTable::parse_text("a: x\nb: x\n").unwrap_err();
-        let msg = e.to_string();
-        assert!(msg.contains("line 2"), "{msg}");
     }
 
     #[test]

@@ -66,18 +66,24 @@ echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites 
 # it writes (metamess_core_rows_encoded_total, its own test binary). A
 # catalog keeps each distinct variable descriptor once — built by puts,
 # decoded from a snapshot and WAL puts, or cloned —, a write through one
-# variable copies its descriptor and changes no other, and a catalog that
-# shares its descriptors encodes to the bytes of one that does not.
+# variable changes no other, a catalog that shares its descriptors encodes
+# to the bytes of one that does not, and a map over the descriptors
+# rewrites what the same rewrite through each variable does, one
+# allocation per result.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
   --test torture --test torture_group_commit --test codec --test durable --test work_counters \
   --test descriptors
 
-echo "==> incremental watch vs cold wrangle, and the pipeline's unit tests ($cases seeded cases, release)"
+echo "==> incremental watch vs cold wrangle, the pipeline's unit tests and counted work ($cases seeded cases, release)"
 # A watch cycle walks the archive once and every stage reads that listing;
 # after seeded edit cycles (append, copy, rename, delete, messy header) the
 # watcher's store holds what a cold wrangle with the same curated knowledge
-# publishes.
-METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-pipeline --lib --test watch_oracle
+# publishes. The counted-work bounds hold at the benchmark's opt level too:
+# curation makes one descriptor per (descriptor, context) key it rewrites
+# (descriptor_copies), and a run fingerprints the catalog at most twice
+# (catalog_fingerprints); each is its own test binary.
+METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-pipeline --lib \
+  --test watch_oracle --test descriptor_copies --test catalog_fingerprints
 
 echo "==> the engine's debug invariant under the watch oracle (300 seeded cases, debug)"
 # A stage that declares a working-catalog write but leaves the catalog's
