@@ -7,7 +7,7 @@
 //! * right panel — the full chain with discover/perform-discovered,
 //!   showing "the mess that's left" shrinking stage by stage;
 //! * plus the rerun economics of curatorial activity 2 (full scan vs
-//!   incremental rescan).
+//!   incremental rescan, and a watch cycle over an unchanged archive).
 //!
 //! ```text
 //! cargo run --release -p metamess-bench --bin exp5_wrangling_process
@@ -16,7 +16,8 @@
 use metamess_archive::{generate, ArchiveSpec};
 use metamess_bench::{domain_knowledge, pct};
 use metamess_pipeline::{
-    ArchiveInput, CurationLoop, CuratorPolicy, Pipeline, PipelineContext, RunReport,
+    ArchiveInput, CurationLoop, CuratorPolicy, Pipeline, PipelineContext, RunReport, WatchOptions,
+    Watcher,
 };
 use metamess_vocab::Vocabulary;
 use std::time::Instant;
@@ -68,73 +69,77 @@ fn main() {
     );
 
     // Rerun economics: full first run vs no-change rerun vs one-file change.
+    // Every run executes every stage; the scan re-parses only the files
+    // whose content moved and reuses the rest.
     println!("\nrerun cost (curatorial activity 2), on-disk archive:");
     let dir = std::env::temp_dir().join(format!("metamess-exp5-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let archive = generate(&spec);
-    archive.write_to(&dir).expect("write archive");
-    let mut ctx =
-        PipelineContext::new(ArchiveInput::Dir(dir.clone()), Vocabulary::observatory_default());
+    let archive_dir = dir.join("archive");
+    archive.write_to(&archive_dir).expect("write archive");
+    let mut ctx = PipelineContext::new(
+        ArchiveInput::Dir(archive_dir.clone()),
+        Vocabulary::observatory_default(),
+    );
     let mut pipeline = Pipeline::standard();
-    let t0 = Instant::now();
-    let r1 = pipeline.run(&mut ctx).expect("first run");
-    let first = t0.elapsed();
-    let t1 = Instant::now();
-    let r2 = pipeline.run(&mut ctx).expect("rerun");
-    let rerun = t1.elapsed();
+    let timed = |pipeline: &mut Pipeline, ctx: &mut PipelineContext| {
+        let t = Instant::now();
+        let report = pipeline.run(ctx).expect("runs");
+        (report, t.elapsed())
+    };
+    let (r1, first) = timed(&mut pipeline, &mut ctx);
+    let (r2, rerun) = timed(&mut pipeline, &mut ctx);
     // touch one file
-    let victim = &archive.truth.datasets[0].path;
-    let full = dir.join(victim);
-    let mut content = std::fs::read_to_string(&full).unwrap();
-    content.push('\n');
-    std::fs::write(&full, content).unwrap();
-    let t2 = Instant::now();
-    let r3 = pipeline.run(&mut ctx).expect("incremental");
-    let incr = t2.elapsed();
-    println!(
-        "  first run:        {:>10.2?}  ({} files parsed)",
-        first,
-        r1.stage("scan-archive").unwrap().changed
-    );
-    println!(
-        "  no-change rerun:  {:>10.2?}  ({} files parsed)",
-        rerun,
-        r2.stage("scan-archive").unwrap().changed
-    );
-    println!(
-        "  one-file change:  {:>10.2?}  ({} files parsed)",
-        incr,
-        r3.stage("scan-archive").unwrap().changed
-    );
-
-    // Stage-level incrementality: the engine skips stages whose declared
-    // inputs are unchanged, so the no-change rerun executes nothing and the
-    // one-file edit re-runs only the dirty suffix.
-    fn cell(r: &RunReport, name: &str) -> String {
-        match r.stage(name) {
-            Some(s) if s.is_skipped() => "skip".to_string(),
-            Some(s) => s.micros.to_string(),
-            None => "?".to_string(),
-        }
+    let touch = || {
+        let full = archive_dir.join(&archive.truth.datasets[0].path);
+        let mut content = std::fs::read_to_string(&full).unwrap();
+        content.push('\n');
+        std::fs::write(&full, content).unwrap();
+    };
+    touch();
+    let (r3, incr) = timed(&mut pipeline, &mut ctx);
+    for (what, r, took) in [
+        ("first run:", &r1, first),
+        ("no-change rerun:", &r2, rerun),
+        ("one-file change:", &r3, incr),
+    ] {
+        let (parsed, reused) = scan_counts(r);
+        println!("  {what:<17} {took:>10.2?}  ({parsed} files parsed, {reused} reused)");
     }
-    println!("\nper-stage cold vs incremental (micros; 'skip' = inputs unchanged):");
+
+    println!("\nper-stage cold vs incremental (micros):");
     println!("  {:<34} {:>10} {:>12} {:>12}", "stage", "cold", "no-change", "one-file");
-    for s in &r1.stages {
+    for (ix, s) in r1.stages.iter().enumerate() {
         println!(
             "  {:<34} {:>10} {:>12} {:>12}",
-            s.component,
-            cell(&r1, &s.component),
-            cell(&r2, &s.component),
-            cell(&r3, &s.component)
+            s.component, s.micros, r2.stages[ix].micros, r3.stages[ix].micros
         );
     }
-    println!(
-        "  stages executed: cold {}/{}, no-change rerun {}/{}, one-file edit {}/{}",
-        r1.executed_count(),
-        r1.stages.len(),
-        r2.executed_count(),
-        r2.stages.len(),
-        r3.executed_count(),
-        r3.stages.len()
-    );
+
+    // The skip a rerun does get: a watch cycle over an archive its last
+    // cycle already wrangled runs no stage.
+    println!("\nwatch cycles over the same archive:");
+    let mut watcher = Watcher::new(&archive_dir, dir.join("store"), WatchOptions::default())
+        .expect("open the watcher");
+    let cycles =
+        [("cold cycle:", false), ("unchanged archive:", false), ("one-file change:", true)];
+    for (what, edit) in cycles {
+        if edit {
+            touch();
+        }
+        let c = watcher.run_cycle().expect("a cycle");
+        let ran = if c.changed {
+            format!("{} curation iteration(s), {} published", c.history.len(), c.mutations)
+        } else {
+            "skipped: no stage ran".to_string()
+        };
+        println!("  {what:<19} {:>8.2} ms  ({ran})", c.micros as f64 / 1e3);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The files a run's scan parsed and the ones it reused unparsed.
+fn scan_counts(r: &RunReport) -> (u64, u64) {
+    let scan = r.stage("scan-archive").expect("the chain scans");
+    (scan.changed, scan.processed - scan.changed - scan.errors.len() as u64)
 }

@@ -26,27 +26,19 @@ fn run_profile(name: &str, policy: CuratorPolicy, spec: &ArchiveSpec) {
     let (history, _) = curator.run_to_fixpoint(&mut pipeline, &mut ctx).expect("converges");
     println!("curator profile: {name}");
     println!(
-        "  {:>5} {:>9} {:>9} {:>10} {:>11} {:>10} {:>9} {:>8}",
-        "iter",
-        "reviewed",
-        "accepted",
-        "clarified",
-        "unresolved",
-        "mess left",
-        "warnings",
-        "skipped"
+        "  {:>5} {:>9} {:>9} {:>10} {:>11} {:>10} {:>9}",
+        "iter", "reviewed", "accepted", "clarified", "unresolved", "mess left", "warnings"
     );
     for s in &history {
         println!(
-            "  {:>5} {:>9} {:>9} {:>10} {:>11} {:>10} {:>9} {:>8}",
+            "  {:>5} {:>9} {:>9} {:>10} {:>11} {:>10} {:>9}",
             s.iteration,
             s.reviewed,
             s.accepted,
             s.clarified,
             s.unresolved_after,
             pct(1.0 - s.resolution_after),
-            s.warnings,
-            s.stages_skipped
+            s.warnings
         );
     }
     println!(

@@ -1,31 +1,27 @@
-//! The durable run ledger: what the incremental pipeline engine remembers
-//! between runs — and between *processes*.
+//! The durable run ledger: what the pipeline remembers between runs — and
+//! between *processes*.
 //!
-//! For every stage of the last pipeline run the ledger records the digest
-//! of the stage's declared inputs, how long it took, and which run last
-//! executed it. A fresh process that loads the ledger resumes
-//! incrementality: stages whose input digest still matches are skipped
-//! without re-executing anything.
+//! It names the content fingerprint of the catalog the last pipeline run,
+//! curation loop or watch cycle ended with, and what a watch cycle wrangled
+//! ([`RunLedger::cycle_input`]): a watcher that resumes it over the same
+//! archive and settings runs no cycle. For every stage of the last run it
+//! records how long the stage took (`metamess_pipeline_stage_last_micros`).
 //!
 //! The ledger is kept as JSON inside the pipeline's state image
-//! (`state.rs`). It names the content fingerprint of the catalog its run
-//! ended with, since the image holds no catalog: a process that resumes it
-//! must hold that catalog, or the records describe inputs it does not have.
+//! (`state.rs`). Since the image holds no catalog, a process that resumes
+//! it must hold the catalog it names, or it describes a catalog the process
+//! does not have.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// What the ledger remembers about one stage of the last run.
+/// What the ledger remembers about one stage of the last run. Ledgers
+/// written before the stages ran on every run also carry a per-stage input
+/// digest and the run that last executed the stage; decoding skips them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageRecord {
-    /// Digest of the stage's declared read slots when it last ran.
-    pub input_digest: u64,
-    /// Wall-clock duration of the last execution, in microseconds.
+    /// Wall-clock duration of the stage's last run, in microseconds.
     pub micros: u64,
-    /// `run_id` of the run that last *executed* this stage (as opposed to
-    /// skipping it). Zero in ledgers written before this field existed.
-    #[serde(default)]
-    pub last_run: u64,
 }
 
 /// Per-stage records of the most recent pipeline run.
@@ -40,10 +36,10 @@ pub struct RunLedger {
     /// per-stage span tree that produced it.
     #[serde(default, skip_serializing_if = "String::is_empty")]
     pub trace_id: String,
-    /// Content fingerprint of the catalog the records were recorded
-    /// against: the working catalog at the end of the last run that
-    /// finished. `None` while a run is under way, after a run that failed,
-    /// and in ledgers written before this field existed.
+    /// Content fingerprint of the catalog the ledger describes: the working
+    /// catalog at the end of the last pipeline run, curation loop or watch
+    /// cycle that finished. `None` while a run is under way, after a run
+    /// that failed, and in ledgers written before this field existed.
     #[serde(default)]
     pub catalog_fingerprint: Option<u64>,
     /// Digest of what the watch cycle that last ran over these records
@@ -83,7 +79,8 @@ impl RunLedger {
         self.stages.is_empty()
     }
 
-    /// Forgets everything (forces the next run to execute every stage).
+    /// Forgets everything: the ledger then names no catalog, so a watcher
+    /// wrangles its next cycle cold.
     pub fn clear(&mut self) {
         self.run_id = 0;
         self.trace_id.clear();
@@ -113,8 +110,8 @@ mod tests {
         let mut l = RunLedger::new();
         l.run_id = 3;
         l.catalog_fingerprint = Some(77);
-        l.record("scan-archive", StageRecord { input_digest: 1, micros: 40, last_run: 3 });
-        l.record("publish", StageRecord { input_digest: 9, micros: 7, last_run: 3 });
+        l.record("scan-archive", StageRecord { micros: 40 });
+        l.record("publish", StageRecord { micros: 7 });
         l
     }
 
@@ -156,16 +153,18 @@ mod tests {
 
     #[test]
     fn pre_last_run_payload_decodes_with_zero() {
-        // JSON written before StageRecord grew `last_run`, with a stage
-        // field this build no longer has (older ledgers also carried a
-        // per-stage digest of the written slots): it is skipped
+        // JSON written by older builds, with stage fields this build no
+        // longer has (the run that last executed the stage, a digest of
+        // the written slots): they are skipped, and only the timing is
+        // kept. `tests/cli.rs` resumes a whole image of that form.
         let old = r#"{"run_id":2,"stages":{"publish":
-            {"input_digest":5,"retired_field":6,"micros":11}}}"#;
+            {"retired_field":6,"micros":11,"last_run":2}}}"#;
         let l: RunLedger = serde_json::from_str(old).unwrap();
-        let rec = l.get("publish").unwrap();
-        assert_eq!((rec.input_digest, rec.micros), (5, 11));
-        assert_eq!(rec.last_run, 0);
-        assert!(!serde_json::to_string(&l).unwrap().contains("retired_field"));
+        assert_eq!(l.get("publish"), Some(&StageRecord { micros: 11 }));
+        let json = serde_json::to_string(&l).unwrap();
+        for retired in ["retired_field", "last_run"] {
+            assert!(!json.contains(retired), "{json}");
+        }
         // …and before RunLedger grew `trace_id` and `catalog_fingerprint`.
         assert_eq!(l.trace_id, "");
         assert_eq!(l.catalog_fingerprint, None);
@@ -188,9 +187,9 @@ mod tests {
     fn record_replaces_and_clear_forgets() {
         let mut l = sample();
         assert_eq!(l.len(), 2);
-        l.record("publish", StageRecord { input_digest: 1, micros: 1, last_run: 4 });
+        l.record("publish", StageRecord { micros: 1 });
         assert_eq!(l.len(), 2);
-        assert_eq!(l.get("publish").unwrap().input_digest, 1);
+        assert_eq!(l.get("publish").unwrap().micros, 1);
         l.clear();
         assert!(l.is_empty());
         assert_eq!(l.run_id, 0);

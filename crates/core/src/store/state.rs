@@ -116,7 +116,7 @@ mod tests {
         let mut ledger = RunLedger::new();
         ledger.run_id = 4;
         ledger.catalog_fingerprint = Some(0x5eed);
-        ledger.record("publish", StageRecord { input_digest: 1, micros: 3, last_run: 4 });
+        ledger.record("publish", StageRecord { micros: 3 });
         (ledger, br#"{"run_id":4}"#.to_vec())
     }
 

@@ -338,11 +338,7 @@ fn state_image(seed: u8) -> StateParts {
     ledger.run_id = u64::from(seed);
     ledger.catalog_fingerprint = Some(replacement(seed).content_fingerprint());
     for _ in 0..rng.below(5) {
-        let rec = StageRecord {
-            input_digest: rng.next(),
-            micros: rng.below(1000),
-            last_run: u64::from(seed),
-        };
+        let rec = StageRecord { micros: rng.below(1000) };
         ledger.record(&format!("stage-{}", rng.below(9)), rec);
     }
     (ledger, rng.bytes(0, 64))

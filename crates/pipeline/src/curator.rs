@@ -10,6 +10,7 @@
 //!    stopping condition.
 
 use crate::context::PipelineContext;
+use crate::engine;
 use crate::pipeline::{Pipeline, RunReport};
 use metamess_core::error::Result;
 use metamess_discover::RuleProposal;
@@ -71,11 +72,6 @@ pub struct CurationStep {
     pub resolution_after: f64,
     /// Validation warnings outstanding.
     pub warnings: usize,
-    /// Stages the incremental engine skipped in this iteration's run
-    /// (inputs unchanged — e.g. the archive rescan once nothing on disk
-    /// moved).
-    #[serde(default)]
-    pub stages_skipped: usize,
 }
 
 /// The iterated run/improve/rerun loop.
@@ -276,21 +272,37 @@ impl CurationLoop {
             .count()
     }
 
+    /// Entries and candidates of the vocabulary's ambiguity registry: a
+    /// name the curator exposes as ambiguous grows it.
+    fn exposures(ctx: &PipelineContext) -> usize {
+        ctx.vocab.registry.ambiguous_entries().map(|e| 1 + e.candidates.len()).sum()
+    }
+
     /// Rescans the archive once, then runs the pipeline repeatedly over that
     /// listing, curating between runs, until no iteration makes progress
     /// (or the iteration cap is hit). Returns the per-iteration history and
-    /// the final run's report.
+    /// the report of the last run. The ledger then names the catalog the
+    /// loop ended with.
     pub fn run_to_fixpoint(
         &self,
         pipeline: &mut Pipeline,
         ctx: &mut PipelineContext,
     ) -> Result<(Vec<CurationStep>, RunReport)> {
         ctx.rescan()?;
-        self.fixpoint(pipeline, ctx)
+        let out = self.fixpoint(pipeline, ctx)?;
+        engine::name_catalog(ctx);
+        Ok(out)
     }
 
     /// [`CurationLoop::run_to_fixpoint`] over the listing `ctx` already
-    /// holds, reading no archive.
+    /// holds, reading no archive and naming no catalog.
+    ///
+    /// A curator step that accepts, clarifies and exposes nothing changes
+    /// nothing the chain reads: the vocabulary, the discovery provenance and
+    /// the catalog stay as the last run left them, and the accepted rules
+    /// are none, so perform-discovered-transformations would find nothing to
+    /// apply. Every stage is idempotent on its own output, so running the
+    /// chain again could change nothing, and the loop stops before it.
     pub(crate) fn fixpoint(
         &self,
         pipeline: &mut Pipeline,
@@ -300,6 +312,7 @@ impl CurationLoop {
         let mut last_report = pipeline.run_scanned(ctx)?;
         for iteration in 1..=self.policy.max_iterations {
             let before_unresolved = Self::unresolved_count(ctx);
+            let before_exposures = Self::exposures(ctx);
             let (reviewed, accepted) = self.review_proposals(ctx);
             let clarified = self.clarify_ambiguities(ctx);
             let abbreviations = self.resolve_abbreviations(ctx);
@@ -314,10 +327,13 @@ impl CurationLoop {
                     })
                 });
             }
-            if accepted + clarified + abbreviations + manual > 0 {
+            let improved = accepted + clarified + abbreviations + manual > 0;
+            if improved {
                 ctx.vocab.bump_version();
             }
-            last_report = pipeline.run_scanned(ctx)?;
+            if improved || Self::exposures(ctx) != before_exposures {
+                last_report = pipeline.run_scanned(ctx)?;
+            }
             let unresolved_after = Self::unresolved_count(ctx);
             history.push(CurationStep {
                 iteration,
@@ -327,11 +343,8 @@ impl CurationLoop {
                 unresolved_after,
                 resolution_after: ctx.catalog.resolution_fraction(),
                 warnings: ctx.findings.len(),
-                stages_skipped: last_report.skipped_count(),
             });
-            let progressed = accepted + clarified + abbreviations + manual > 0
-                || unresolved_after < before_unresolved;
-            if !progressed {
+            if !improved && unresolved_after >= before_unresolved {
                 break;
             }
         }
@@ -470,45 +483,76 @@ mod tests {
     }
 
     #[test]
-    fn fixpoint_iterations_skip_clean_stages() {
+    fn the_default_curator_reaches_its_fixpoint_in_three_iterations() {
+        // E7's default profile: the loop converges within three iterations
+        // and never leaves more names unresolved than the run before it
         let mut c = ctx(&ArchiveSpec::default());
         let mut p = Pipeline::standard();
         let curator = CurationLoop::new(CuratorPolicy::default());
-        let (history, last) = curator.run_to_fixpoint(&mut p, &mut c).unwrap();
-        assert!(!history.is_empty());
-        // The archive never changes inside the loop, so every iteration's
-        // rerun skips at least the scan stage instead of re-walking and
-        // re-parsing the whole archive (the old behaviour re-ran the full
-        // chain every iteration).
+        let before = {
+            let mut first = ctx(&ArchiveSpec::default());
+            Pipeline::standard().run(&mut first).unwrap();
+            CurationLoop::unresolved_count(&first)
+        };
+        let (history, _) = curator.run_to_fixpoint(&mut p, &mut c).unwrap();
+        assert!(!history.is_empty() && history.len() <= 3, "{history:?}");
+        let mut unresolved = before;
         for step in &history {
-            assert!(step.stages_skipped >= 1, "iteration skipped nothing: {history:?}");
+            assert!(step.unresolved_after <= unresolved, "{before} before the loop: {history:?}");
+            unresolved = step.unresolved_after;
         }
-        assert!(last.stage("scan-archive").unwrap().is_skipped());
-        // the final, unproductive iteration finds almost every stage clean
-        assert!(
-            history.last().unwrap().stages_skipped >= 7,
-            "final iteration should be near-total skip: {history:?}"
-        );
+        // the last iteration is the one that changed nothing
+        let last = history.last().unwrap();
+        assert_eq!((last.accepted, last.clarified), (0, 0), "{history:?}");
     }
 
     #[test]
-    fn a_fixpoint_over_a_held_listing_reads_no_archive() {
+    fn a_fixpoint_over_a_held_listing_walks_no_archive() {
         let dir = std::env::temp_dir().join(format!("mm-curator-held-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        generate(&ArchiveSpec::tiny()).write_to(&dir).unwrap();
+        let archive = generate(&ArchiveSpec::tiny());
+        archive.write_to(&dir).unwrap();
         let mut c =
             PipelineContext::new(ArchiveInput::Dir(dir.clone()), Vocabulary::observatory_default());
         let mut p = Pipeline::standard();
         let curator = CurationLoop::new(CuratorPolicy::default());
         curator.run_to_fixpoint(&mut p, &mut c).unwrap();
+        let fp = c.catalog.content_fingerprint();
         c.rescan().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
-        // every digest comes from the held listing: nothing moved, so no
-        // stage runs and nothing reads the (now missing) archive
-        let (_, last) = curator.fixpoint(&mut p, &mut c).unwrap();
-        assert_eq!(last.executed_count(), 0, "{}", last.render());
+        // the chain runs over the held listing: every file that parsed is
+        // reused unread, and only those that never parsed are reached for
+        let (history, last) = curator.fixpoint(&mut p, &mut c).unwrap();
+        assert_eq!(history.len(), 1, "{history:?}");
+        let scan = last.stage("scan-archive").unwrap();
+        assert_eq!(scan.changed, 0, "{:?}", scan.notes);
+        assert_eq!(scan.errors.len(), archive.truth.malformed.len(), "{:?}", scan.errors);
+        assert_eq!(c.catalog.content_fingerprint(), fp);
         // the entry point walks the archive, and there is none
         assert!(curator.run_to_fixpoint(&mut p, &mut c).is_err());
+    }
+
+    #[test]
+    fn a_name_exposed_in_a_step_that_accepts_nothing_is_flagged_before_the_loop_stops() {
+        let mut files = generate(&ArchiveSpec::tiny()).files;
+        let mut c = PipelineContext::new(
+            ArchiveInput::Memory(files.clone()),
+            Vocabulary::observatory_default(),
+        );
+        let mut p = Pipeline::standard();
+        let curator = CurationLoop::new(CuratorPolicy::default());
+        curator.run_to_fixpoint(&mut p, &mut c).unwrap();
+        // an upload whose only new name abbreviates two canonical terms
+        // (water_pressure, wave_period): the curator accepts nothing and
+        // exposes the name as ambiguous, which the chain must see
+        let upload = "extra/upload.csv";
+        files.push((upload.into(), "time,WPastn\n2010-01-01T00:00:00Z,3.5\n".into()));
+        c.archive = ArchiveInput::Memory(files);
+        let (history, _) = curator.run_to_fixpoint(&mut p, &mut c).unwrap();
+        assert_eq!(history.iter().map(|h| h.accepted + h.clarified).sum::<usize>(), 0);
+        assert!(c.vocab.registry.ambiguous_entries().any(|e| e.name == "WPastn"));
+        let v = c.catalog.get_by_path(upload).unwrap().variable("WPastn").unwrap();
+        assert!(v.flags.ambiguous, "{v:?}");
     }
 
     #[test]

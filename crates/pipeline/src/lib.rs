@@ -9,20 +9,21 @@
 //! poster's four curatorial activities as an iterated run/improve/rerun
 //! loop.
 //!
-//! Components declare the context [`Slot`]s they read and write, and the
-//! engine-backed runner uses content fingerprints over those
-//! declarations to skip stages whose inputs are unchanged since the last
-//! run — including across processes, via [`save_state`]/[`load_state`].
-//! The pipeline holds one catalog; the published one is the durable
-//! store, which a writer diffs against it to publish and restores it from.
-//! The state holds no catalog: its ledger resumes only over the catalog it
-//! was recorded against.
+//! A run executes every stage of the chain; the scan stage re-parses only
+//! the files whose content moved. What is not re-done is decided once per
+//! loop or cycle: the curation loop stops before a run its curator step
+//! gave nothing new to do, and a watcher skips a cycle whose archive and
+//! settings its last cycle already wrangled — including across processes,
+//! via [`save_state`]/[`load_state`]. The pipeline holds one catalog; the
+//! published one is the durable store, which a writer diffs against it to
+//! publish and restores it from. The state holds no catalog: its ledger
+//! resumes only over the catalog it names.
 //!
 //! The [`watch`] module turns the one-shot wrangle into **continuous
-//! ingestion**: a polling loop that re-runs only affected stages when the
-//! archive changes and appends each cycle's catalog delta to the store's
-//! WAL with one fsync, so a live `metamess serve` can apply it without
-//! reopening the store.
+//! ingestion**: a polling loop that re-wrangles when the archive changes
+//! and appends each cycle's catalog delta to the store's WAL with one
+//! fsync, so a live `metamess serve` can apply it without reopening the
+//! store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +38,8 @@ mod stages;
 mod validate;
 pub mod watch;
 
-pub use component::{Component, Slot, StageReport, StageStatus};
-pub use context::{CtxView, PipelineContext, Severity, ValidationFinding};
+pub use component::{Component, StageReport};
+pub use context::{PipelineContext, Severity, ValidationFinding};
 pub use curator::{CurationLoop, CurationStep, CuratorPolicy};
 pub use engine::{load_state, save_state};
 pub use metamess_harvest::ArchiveInput;

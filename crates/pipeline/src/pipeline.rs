@@ -1,8 +1,8 @@
 //! The pipeline runner: composes components into the metadata processing
-//! chain and runs (and re-runs) it through the incremental engine,
-//! recording the shrinking "mess that's left" after every stage.
+//! chain and runs (and re-runs) it, recording the shrinking "mess that's
+//! left" after every stage.
 
-use crate::component::{Component, Slot, StageReport, StageStatus};
+use crate::component::{Component, StageReport};
 use crate::context::PipelineContext;
 use crate::engine;
 use crate::stages::{
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 pub struct RunReport {
     /// Run identifier.
     pub run_id: u64,
-    /// Per-stage reports, in execution order (skipped stages included).
+    /// Per-stage reports, in execution order.
     pub stages: Vec<StageReport>,
 }
 
@@ -34,21 +34,8 @@ impl RunReport {
         self.stages.iter().find(|s| s.component == name)
     }
 
-    /// Number of stages that actually executed.
-    pub fn executed_count(&self) -> usize {
-        self.stages.iter().filter(|s| !s.is_skipped()).count()
-    }
-
-    /// Number of stages the engine skipped.
-    pub fn skipped_count(&self) -> usize {
-        self.stages.iter().filter(|s| s.is_skipped()).count()
-    }
-
     /// Renders a compact text table of the run. The stage column is sized
     /// to the longest component name, so long names never break alignment.
-    /// Skipped stages show 0 micros (the skip costs only a digest check)
-    /// and carry the duration of their last actual execution in the `last`
-    /// column.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let name_w =
@@ -56,42 +43,23 @@ impl RunReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "run #{:<3} {:<name_w$} {:>8} {:>9} {:>9} {:>7} {:>10} {:>9} {:>9}",
-            self.run_id,
-            "stage",
-            "status",
-            "processed",
-            "changed",
-            "errors",
-            "resolved",
-            "micros",
-            "last"
+            "run #{:<3} {:<name_w$} {:>9} {:>9} {:>7} {:>10} {:>9}",
+            self.run_id, "stage", "processed", "changed", "errors", "resolved", "micros"
         );
         for s in &self.stages {
-            let status = match &s.status {
-                StageStatus::Ran => "ran",
-                StageStatus::Skipped { .. } => "skipped",
-            };
-            let last = s.last_micros.map(|m| m.to_string()).unwrap_or_else(|| "-".to_string());
             let _ = writeln!(
                 out,
-                "         {:<name_w$} {:>8} {:>9} {:>9} {:>7} {:>9.1}% {:>9} {:>9}",
+                "         {:<name_w$} {:>9} {:>9} {:>7} {:>9.1}% {:>9}",
                 s.component,
-                status,
                 s.processed,
                 s.changed,
                 s.errors.len(),
                 100.0 * s.resolution_after,
-                s.micros,
-                last
+                s.micros
             );
         }
-        let _ = writeln!(
-            out,
-            "         {} stage(s) ran, {} skipped (inputs unchanged)",
-            self.executed_count(),
-            self.skipped_count()
-        );
+        let micros: u64 = self.stages.iter().map(|s| s.micros).sum();
+        let _ = writeln!(out, "         {} stage(s) ran in {micros}µs", self.stages.len());
         out
     }
 }
@@ -143,22 +111,18 @@ impl Pipeline {
         self.components.iter().map(|c| c.name()).collect()
     }
 
-    /// Each component's declared dataflow: `(name, reads, writes)`.
-    pub fn declarations(&self) -> Vec<(&'static str, &'static [Slot], &'static [Slot])> {
-        self.components.iter().map(|c| (c.name(), c.reads(), c.writes())).collect()
-    }
-
-    /// Rescans the archive once, then runs the chain through the
-    /// incremental engine: stages whose declared inputs are unchanged since
-    /// the context's last run are skipped (and reported as such); the rest
-    /// execute in order. Stops at the first hard error.
+    /// Rescans the archive once, then runs every stage of the chain in
+    /// order, stopping at the first hard error. The ledger then names the
+    /// catalog the run ended with.
     pub fn run(&mut self, ctx: &mut PipelineContext) -> Result<RunReport> {
         ctx.rescan()?;
-        self.run_scanned(ctx)
+        let report = self.run_scanned(ctx)?;
+        engine::name_catalog(ctx);
+        Ok(report)
     }
 
     /// Runs the chain over the listing `ctx` already holds, reading no
-    /// archive.
+    /// archive and naming no catalog.
     pub(crate) fn run_scanned(&mut self, ctx: &mut PipelineContext) -> Result<RunReport> {
         engine::run_chain(&mut self.components, ctx)
     }
@@ -182,7 +146,6 @@ mod tests {
         let report = Pipeline::standard().run(&mut c).unwrap();
         assert_eq!(report.run_id, 1);
         assert_eq!(report.stages.len(), 9);
-        assert_eq!(report.executed_count(), 9); // first run skips nothing
         assert!(!c.catalog.is_empty());
         // resolution is monotone across resolution-affecting stages
         let traj = report.resolution_trajectory();
@@ -238,9 +201,8 @@ mod tests {
         assert!(text.contains("scan-archive"));
         assert!(text.contains("publish"));
         assert!(text.contains('%'));
-        assert!(text.contains("status"));
-        assert!(text.contains("last"));
-        assert!(text.contains("9 stage(s) ran, 0 skipped"));
+        assert!(text.contains("micros"));
+        assert!(text.contains("9 stage(s) ran in "));
     }
 
     #[test]
@@ -252,7 +214,7 @@ mod tests {
             stages: vec![
                 StageReport::new("short"),
                 StageReport::new(long),
-                StageReport::skipped("skippy", "inputs unchanged"),
+                StageReport { micros: 12, ..StageReport::new("timed") },
             ],
         };
         let text = report.render();
@@ -266,33 +228,8 @@ mod tests {
         assert_eq!(lines[2].len(), lines[3].len());
         assert!(lines[0].contains(" stage "));
         assert!(lines[2].contains(long));
-        assert!(lines[3].contains("skipped"));
-        assert!(lines[4].contains("2 stage(s) ran, 1 skipped"));
-    }
-
-    #[test]
-    fn every_stage_declares_nonempty_dataflow() {
-        for pipeline in [Pipeline::standard(), Pipeline::known_only()] {
-            let decls = pipeline.declarations();
-            assert!(!decls.is_empty());
-            let mut seen = std::collections::BTreeSet::new();
-            for (name, reads, writes) in decls {
-                assert!(!reads.is_empty(), "stage '{name}' declares no reads");
-                // publish is a gate: the store write comes after the run
-                assert!(
-                    !writes.is_empty() || name == "publish",
-                    "stage '{name}' declares no writes"
-                );
-                assert!(seen.insert(name), "duplicate stage name '{name}'");
-                // declarations are duplicate-free
-                for (ix, s) in reads.iter().enumerate() {
-                    assert!(!reads[ix + 1..].contains(s), "'{name}' repeats read {s:?}");
-                }
-                for (ix, s) in writes.iter().enumerate() {
-                    assert!(!writes[ix + 1..].contains(s), "'{name}' repeats write {s:?}");
-                }
-            }
-        }
+        assert!(lines[3].contains("timed"));
+        assert!(lines[4].contains("3 stage(s) ran in 12µs"));
     }
 
     #[test]

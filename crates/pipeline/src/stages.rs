@@ -3,13 +3,12 @@
 //! discover transformations → perform discovered transformations →
 //! generate hierarchies → (validate) → publish.
 //!
-//! Every component declares the context slots it reads and writes (see
-//! [`Slot`]) and runs against a [`CtxView`] scoped to that declaration; the
-//! incremental engine uses the declarations to skip stages whose inputs are
-//! unchanged.
+//! Each component borrows the context fields it reads and writes directly.
+//! Every stage is idempotent on its own output: run again over what it left,
+//! it changes nothing.
 
-use crate::component::{Component, Slot, StageReport};
-use crate::context::{CtxView, Severity};
+use crate::component::{Component, StageReport};
+use crate::context::{PipelineContext, Severity};
 use metamess_core::catalog::Catalog;
 use metamess_core::error::Result;
 use metamess_core::feature::{NameResolution, VariableDescriptor};
@@ -35,19 +34,11 @@ impl Component for ScanArchive {
         "scan-archive"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        // the working catalog is only consulted as a reuse cache: the
-        // stage's output depends solely on archive content + configuration
-        &[Slot::Archive]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        &[Slot::Working]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
-        let hr = harvest(view.archive(), view.scan(), view.harvest_config(), Some(view.working()));
+        // the working catalog is only consulted as a reuse cache: a file
+        // whose content is unchanged keeps its feature, unparsed
+        let hr = harvest(&ctx.archive, &ctx.listing, &ctx.harvest, Some(&ctx.catalog));
         report.processed = hr.scanned as u64;
         report.changed = hr.features.len() as u64;
         report.note(format!(
@@ -65,7 +56,7 @@ impl Component for ScanArchive {
         // no longer parseable) so working mirrors the archive exactly.
         let keep: BTreeSet<DatasetId> =
             hr.features.iter().chain(hr.reused.iter()).map(|f| f.id).collect();
-        let working = view.working_mut();
+        let working = &mut ctx.catalog;
         let stale: Vec<DatasetId> =
             working.iter().map(|d| d.id).filter(|id| !keep.contains(id)).collect();
         for id in &stale {
@@ -109,28 +100,18 @@ impl Component for PerformKnownTransformations {
         "perform-known-transformations"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Vocab, Slot::Provenance]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        // the vocabulary is written too: newly detected ambiguous names are
-        // noted in its registry so verdicts are consistent across datasets
-        &[Slot::Working, Slot::Vocab]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
         // First pass: note newly detected ambiguous names in the registry so
         // verdicts are consistent across datasets, each name once.
         let mut seen: HashSet<&str> = HashSet::new();
         let mut to_note: Vec<(String, Vec<String>)> = Vec::new();
-        for d in view.working().iter() {
+        for d in ctx.catalog.iter() {
             for v in &d.variables {
                 if !unresolved(v) || !seen.insert(&v.name) {
                     continue;
                 }
-                let candidates = detect_ambiguity(&v.name, view.vocab());
+                let candidates = detect_ambiguity(&v.name, &ctx.vocab);
                 if !candidates.is_empty() {
                     to_note.push((v.name.clone(), candidates));
                 }
@@ -138,10 +119,11 @@ impl Component for PerformKnownTransformations {
         }
         for (name, candidates) in to_note {
             let refs: Vec<&str> = candidates.iter().map(String::as_str).collect();
-            view.vocab_mut().registry.note_ambiguous(&name, &refs);
+            ctx.vocab.registry.note_ambiguous(&name, &refs);
         }
 
-        let (working, vocab, provenance) = view.working_mut_vocab_provenance();
+        let (working, vocab, provenance) =
+            (&mut ctx.catalog, &ctx.vocab, &ctx.discovered_provenance);
         working.map_descriptors(|v, context, holders| {
             let n = holders as u64;
             report.processed += n;
@@ -228,17 +210,9 @@ impl Component for NormalizeUnits {
         "normalize-units"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Vocab]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        &[Slot::Working]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
-        let (working, vocab) = view.working_mut_and_vocab();
+        let (working, vocab) = (&mut ctx.catalog, &ctx.vocab);
         // each converted unit spelling: its affine map, and the conversion
         let mut affine: HashMap<String, ((f64, f64), String)> = HashMap::new();
         let mut failed = Ok(());
@@ -295,17 +269,9 @@ impl Component for AddExternalMetadata {
         "add-external-metadata"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::External]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        &[Slot::Working]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
-        let (working, external) = view.working_mut_and_external();
+        let (working, external) = (&mut ctx.catalog, &ctx.external);
         for d in working.iter_mut() {
             report.processed += 1;
             let Some(source) = &d.source else { continue };
@@ -382,17 +348,9 @@ impl Component for DiscoverTransformations {
         "discover-transformations"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Vocab]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        &[Slot::Proposals]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
-        let pool = Self::value_pool(view.working());
+        let pool = Self::value_pool(&ctx.catalog);
         report.processed = pool.len() as u64;
 
         let mut clusters = Vec::new();
@@ -405,7 +363,7 @@ impl Component for DiscoverTransformations {
         let mut proposals = clusters_to_rules(&clusters, "field");
         // Drop proposals whose variants are all already known to the
         // vocabulary, and dedupe by (to, from) signature.
-        let vocab = view.vocab();
+        let vocab = &ctx.vocab;
         let mut seen: BTreeSet<String> = Default::default();
         proposals.retain(|p| {
             let any_new = p.from.iter().any(|f| !vocab.synonyms.contains(f));
@@ -414,8 +372,8 @@ impl Component for DiscoverTransformations {
         });
         report.changed = proposals.len() as u64;
         report.note(format!("{} clusters, {} proposals", clusters.len(), proposals.len()));
-        *view.proposals_mut() = proposals;
-        report.resolution_after = view.working().resolution_fraction();
+        ctx.proposals = proposals;
+        report.resolution_after = ctx.catalog.resolution_fraction();
         Ok(report)
     }
 }
@@ -432,26 +390,18 @@ impl Component for PerformDiscoveredTransformations {
         "perform-discovered-transformations"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Vocab, Slot::Accepted]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        &[Slot::Working]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
-        if view.accepted().is_empty() {
+        if ctx.accepted.is_empty() {
             report.note("no accepted proposals");
-            report.resolution_after = view.working().resolution_fraction();
+            report.resolution_after = ctx.catalog.resolution_fraction();
             return Ok(report);
         }
         // Export: one record per distinct unresolved name. The accepted
         // rules are facet-free mass-edits of `field`, so a rename depends
         // on the name alone.
         let mut names: BTreeSet<&str> = BTreeSet::new();
-        for v in view.working().iter().flat_map(|d| &d.variables).filter(|v| unresolved(v)) {
+        for v in ctx.catalog.iter().flat_map(|d| &d.variables).filter(|v| unresolved(v)) {
             report.processed += 1;
             names.insert(&v.name);
         }
@@ -464,9 +414,9 @@ impl Component for PerformDiscoveredTransformations {
             })
             .collect();
         let ops: Vec<metamess_transform::Operation> =
-            view.accepted().iter().map(|p| p.operation.clone()).collect();
+            ctx.accepted.iter().map(|p| p.operation.clone()).collect();
         let method_of: BTreeMap<String, String> =
-            view.accepted().iter().map(|p| (p.to.clone(), p.method.clone())).collect();
+            ctx.accepted.iter().map(|p| (p.to.clone(), p.method.clone())).collect();
         let apply = apply_operations(&mut rows, &ops)?;
         report.note(format!("{} names rewritten by {} rules", apply.total_changed(), ops.len()));
         let renamed: HashMap<String, String> = names
@@ -480,7 +430,7 @@ impl Component for PerformDiscoveredTransformations {
             .collect();
 
         // Fold back: a changed `field` is a discovered translation.
-        let (working, vocab) = view.working_mut_and_vocab();
+        let (working, vocab) = (&mut ctx.catalog, &ctx.vocab);
         let moved = working.map_descriptors(|v, _, _| {
             let new_name = renamed.get(&v.name).filter(|_| unresolved(v))?;
             // resolve the cluster pick through the synonym table when it is
@@ -513,17 +463,9 @@ impl Component for GenerateHierarchies {
         "generate-hierarchies"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Vocab]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        &[Slot::Working]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
-        let (working, vocab) = view.working_mut_and_vocab();
+        let (working, vocab) = (&mut ctx.catalog, &ctx.vocab);
         let moved = working.map_descriptors(|v, _, holders| {
             report.processed += holders as u64;
             let path = vocab.hierarchy_of(v.canonical_name.as_ref()?);
@@ -552,19 +494,11 @@ impl Component for Publish {
         "publish"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Findings]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        &[]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
         if self.strict {
-            let errors: Vec<String> = view
-                .findings()
+            let errors: Vec<String> = ctx
+                .findings
                 .iter()
                 .filter(|f| f.severity == Severity::Error)
                 .map(|f| f.message.clone())
@@ -580,8 +514,8 @@ impl Component for Publish {
                 ));
             }
         }
-        report.processed = view.working().len() as u64;
-        report.resolution_after = view.working().resolution_fraction();
+        report.processed = ctx.catalog.len() as u64;
+        report.resolution_after = ctx.catalog.resolution_fraction();
         Ok(report)
     }
 }

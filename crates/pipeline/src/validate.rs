@@ -6,8 +6,8 @@
 //! terms; determining that expected datasets show up" — plus sanity checks
 //! on the features themselves.
 
-use crate::component::{Component, Slot, StageReport};
-use crate::context::{CtxView, Severity, ValidationFinding};
+use crate::component::{Component, StageReport};
+use crate::context::{PipelineContext, Severity, ValidationFinding};
 use metamess_core::error::Result;
 use std::collections::BTreeMap;
 
@@ -15,9 +15,8 @@ use std::collections::BTreeMap;
 pub trait Validator {
     /// Rule name, shown in findings.
     fn rule(&self) -> &'static str;
-    /// Checks the context (through the validate stage's scoped view),
-    /// emitting findings.
-    fn check(&self, view: &CtxView<'_>) -> Vec<ValidationFinding>;
+    /// Checks the context, emitting findings.
+    fn check(&self, ctx: &PipelineContext) -> Vec<ValidationFinding>;
 }
 
 /// "Verifying that all files in a directory are of the same type."
@@ -28,9 +27,9 @@ impl Validator for FileTypeUniformity {
         "file-type-uniformity"
     }
 
-    fn check(&self, view: &CtxView<'_>) -> Vec<ValidationFinding> {
+    fn check(&self, ctx: &PipelineContext) -> Vec<ValidationFinding> {
         let mut by_dir: BTreeMap<&str, BTreeMap<&str, usize>> = BTreeMap::new();
-        for d in view.working().iter() {
+        for d in ctx.catalog.iter() {
             let dir = d.path.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
             *by_dir.entry(dir).or_default().entry(d.provenance.format.as_str()).or_insert(0) += 1;
         }
@@ -59,15 +58,15 @@ impl Validator for NamesInVocabulary {
         "names-in-vocabulary"
     }
 
-    fn check(&self, view: &CtxView<'_>) -> Vec<ValidationFinding> {
+    fn check(&self, ctx: &PipelineContext) -> Vec<ValidationFinding> {
         let mut out = Vec::new();
-        for d in view.working().iter() {
+        for d in ctx.catalog.iter() {
             for v in &d.variables {
                 let handled = v.resolution.is_resolved()
                     || v.flags.qa
                     || v.flags.hidden
                     || v.flags.ambiguous
-                    || view.vocab().synonyms.contains(&v.name);
+                    || ctx.vocab.synonyms.contains(&v.name);
                 if !handled {
                     out.push(ValidationFinding {
                         rule: self.rule().into(),
@@ -93,10 +92,10 @@ impl Validator for ExpectedDatasets {
         "expected-datasets"
     }
 
-    fn check(&self, view: &CtxView<'_>) -> Vec<ValidationFinding> {
-        view.expected()
+    fn check(&self, ctx: &PipelineContext) -> Vec<ValidationFinding> {
+        ctx.expected_datasets
             .iter()
-            .filter(|p| view.working().get_by_path(p).is_none())
+            .filter(|p| ctx.catalog.get_by_path(p).is_none())
             .map(|p| ValidationFinding {
                 rule: self.rule().into(),
                 severity: Severity::Error,
@@ -116,9 +115,9 @@ impl Validator for FeatureSanity {
         "feature-sanity"
     }
 
-    fn check(&self, view: &CtxView<'_>) -> Vec<ValidationFinding> {
+    fn check(&self, ctx: &PipelineContext) -> Vec<ValidationFinding> {
         let mut out = Vec::new();
-        for d in view.working().iter() {
+        for d in ctx.catalog.iter() {
             if d.record_count == 0 {
                 out.push(ValidationFinding {
                     rule: self.rule().into(),
@@ -129,7 +128,7 @@ impl Validator for FeatureSanity {
             }
             for v in &d.variables {
                 if let Some(u) = &v.unit {
-                    if v.canonical_unit.is_none() && !view.vocab().units.contains(u) {
+                    if v.canonical_unit.is_none() && !ctx.vocab.units.contains(u) {
                         out.push(ValidationFinding {
                             rule: self.rule().into(),
                             severity: Severity::Warning,
@@ -171,25 +170,17 @@ impl Component for Validate {
         "validate"
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        &[Slot::Working, Slot::Vocab, Slot::Expected]
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        &[Slot::Findings]
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
-        view.findings_mut().clear();
+        ctx.findings.clear();
         for v in &self.validators {
-            let findings = v.check(view);
+            let findings = v.check(ctx);
             report.note(format!("{}: {} findings", v.rule(), findings.len()));
-            view.findings_mut().extend(findings);
+            ctx.findings.extend(findings);
         }
         report.processed = self.validators.len() as u64;
-        report.changed = view.findings().len() as u64;
-        report.resolution_after = view.working().resolution_fraction();
+        report.changed = ctx.findings.len() as u64;
+        report.resolution_after = ctx.catalog.resolution_fraction();
         Ok(report)
     }
 }
@@ -216,10 +207,10 @@ mod tests {
     #[test]
     fn names_in_vocabulary_flags_unresolved() {
         let mut c = scanned_ctx();
-        let before = NamesInVocabulary.check(&CtxView::full(&mut c)).len();
+        let before = NamesInVocabulary.check(&c).len();
         assert!(before > 0);
         PerformKnownTransformations.run_standalone(&mut c).unwrap();
-        let after = NamesInVocabulary.check(&CtxView::full(&mut c)).len();
+        let after = NamesInVocabulary.check(&c).len();
         assert!(after < before, "{after} !< {before}");
     }
 
@@ -228,7 +219,7 @@ mod tests {
         let mut c = scanned_ctx();
         c.expected_datasets.push("stations/saturn01/2010/01.csv".into());
         c.expected_datasets.push("stations/ghost/2099/01.csv".into());
-        let findings = ExpectedDatasets.check(&CtxView::full(&mut c));
+        let findings = ExpectedDatasets.check(&c);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].severity, Severity::Error);
         assert!(findings[0].message.contains("ghost"));
@@ -236,14 +227,13 @@ mod tests {
 
     #[test]
     fn file_type_uniformity_detects_mixed_dirs() {
-        let mut c = scanned_ctx();
+        let c = scanned_ctx();
         // saturn02's files alternate csv/cdl in the tiny archive
-        let findings = FileTypeUniformity.check(&CtxView::full(&mut c));
+        let findings = FileTypeUniformity.check(&c);
         assert!(findings.iter().any(|f| f.message.contains("mixes formats")), "{findings:?}");
         // make all of one dir a single format: no finding for clean dirs
         let clean_dirs: Vec<String> = findings.iter().filter_map(|f| f.path.clone()).collect();
         assert!(!clean_dirs.is_empty());
-        let _ = &mut c;
     }
 
     #[test]
@@ -253,7 +243,7 @@ mod tests {
         let id = c.catalog.iter().next().unwrap().id;
         c.catalog.get_mut(id).unwrap().variables[0].unit = Some("furlongs".into());
         c.catalog.get_mut(id).unwrap().variables[0].canonical_unit = None;
-        let findings = FeatureSanity.check(&CtxView::full(&mut c));
+        let findings = FeatureSanity.check(&c);
         assert!(findings.iter().any(|f| f.message.contains("furlongs")));
     }
 

@@ -2,8 +2,8 @@
 //! publish each cycle's catalog delta to the durable store inline.
 //!
 //! A [`Watcher`] owns everything one `metamess watch` process needs: the
-//! pipeline context (with its fingerprint ledger, so unchanged stages are
-//! skipped), the standard pipeline, the curation loop, and the
+//! pipeline context (with its ledger, which names what the last cycle
+//! wrangled), the standard pipeline, the curation loop, and the
 //! [`DurableCatalog`] it publishes to. Each **cycle**:
 //!
 //! 1. walks the archive once ([`PipelineContext::rescan`]) and compares
@@ -12,10 +12,12 @@
 //!    ledger names ([`cycle_input`](metamess_core::RunLedger::cycle_input))
 //!    — and an unchanged archive skips the pipeline entirely;
 //! 2. runs the curation loop, under [`WatchOptions::curator`], to
-//!    fixpoint over that same listing (stage skipping makes this
-//!    incremental: only stages whose inputs changed re-execute, and no run
-//!    walks the archive again), which is recorded as a wrangle trace like
-//!    any other run;
+//!    fixpoint over that same listing: the chain once, then once more after
+//!    each curator step that changed something the chain reads, each run
+//!    recorded as a wrangle trace. No run walks the archive again, and the
+//!    scan stage re-parses only the files whose content moved. The ledger
+//!    then names the catalog the loop ended with — the cycle's one
+//!    whole-catalog fingerprint;
 //! 3. diffs the store's rows against the context's catalog, in place —
 //!    that diff is the publish — and persists the pipeline state for
 //!    resume as one state image, with one fsync and one rename. That state
@@ -61,7 +63,7 @@
 
 use crate::context::PipelineContext;
 use crate::curator::{CurationLoop, CurationStep, CuratorPolicy};
-use crate::engine::{load_state, save_state};
+use crate::engine::{load_state, name_catalog, save_state};
 use crate::pipeline::{Pipeline, RunReport};
 use metamess_core::id::fnv1a;
 use metamess_core::store::CompactionPolicy;
@@ -239,7 +241,7 @@ impl Watcher {
                 history: Vec::new(),
                 run: RunReport::default(),
             };
-            record_cycle(&report, 0);
+            record_cycle(&report, 0, self.pipeline.component_names().len());
             return Ok(report);
         }
         // A ledger that names no catalog — none survived, or the last run
@@ -250,11 +252,10 @@ impl Watcher {
             std::mem::take(&mut self.ctx.catalog)
         });
         let (history, run) = self.curator.fixpoint(&mut self.pipeline, &mut self.ctx)?;
-        if previous.is_some_and(|previous| keep_stamps(&mut self.ctx.catalog, &previous)) {
-            // the stages' records still name the stamps they ran on, so
-            // they re-run once; the scan's, which reads no catalog, holds
-            self.ctx.ledger.catalog_fingerprint = Some(self.ctx.catalog.content_fingerprint());
+        if let Some(previous) = previous {
+            keep_stamps(&mut self.ctx.catalog, &previous);
         }
+        name_catalog(&mut self.ctx);
         self.ctx.ledger.cycle_input = Some(input);
         // The store holds the previously published catalog, as rows; the
         // diff compares them with the context's catalog in place and is
@@ -283,7 +284,7 @@ impl Watcher {
             history,
             run,
         };
-        record_cycle(&report, wait_micros);
+        record_cycle(&report, wait_micros, 0);
         Ok(report)
     }
 
@@ -373,29 +374,27 @@ impl Watcher {
 }
 
 /// Gives each dataset of `catalog` that equals its entry in `previous` but
-/// for `provenance.pipeline_run` that entry's stamp, and says whether any
-/// stamp moved: a cold cycle rebuilds what the store already holds, and
-/// must not republish it.
-fn keep_stamps(catalog: &mut Catalog, previous: &Catalog) -> bool {
-    let mut kept = false;
+/// for `provenance.pipeline_run` that entry's stamp: a cold cycle rebuilds
+/// what the store already holds, and must not republish it.
+fn keep_stamps(catalog: &mut Catalog, previous: &Catalog) {
     for f in catalog.iter_mut() {
         let Some(old) = previous.get(f.id) else { continue };
         let run = std::mem::replace(&mut f.provenance.pipeline_run, old.provenance.pipeline_run);
         if f != old {
             f.provenance.pipeline_run = run;
-        } else {
-            kept |= run != old.provenance.pipeline_run;
         }
     }
-    kept
 }
 
-/// Records one cycle into the `metamess_ingest_*` telemetry families.
-fn record_cycle(report: &CycleReport, publish_wait_micros: u64) {
+/// Records one cycle into the `metamess_ingest_*` telemetry families, and
+/// the `stages_not_run` stages a skipped cycle did not run into
+/// `metamess_pipeline_stages_skipped_total`.
+fn record_cycle(report: &CycleReport, publish_wait_micros: u64, stages_not_run: usize) {
     if !metamess_telemetry::enabled() {
         return;
     }
     let g = global();
+    g.counter("metamess_pipeline_stages_skipped_total").add(stages_not_run as u64);
     g.counter("metamess_ingest_cycles_total").add(1);
     if !report.changed {
         g.counter("metamess_ingest_cycles_skipped_total").add(1);
@@ -564,8 +563,8 @@ mod tests {
         let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         assert!(w2.resumed(), "state saved by the first watcher must be restored");
         assert_eq!(w2.context().catalog.len(), r1.datasets);
-        // Nothing changed on disk, but the fingerprint memory is per
-        // process — the cycle runs and publishes an empty delta.
+        // Nothing changed on disk, and the resumed ledger names what the
+        // first watcher wrangled: the cycle publishes nothing.
         let r2 = w2.run_cycle().unwrap();
         assert_eq!(r2.mutations, 0, "an unchanged archive re-wrangle publishes nothing");
         assert_eq!(r2.datasets, r1.datasets);
@@ -731,10 +730,14 @@ mod tests {
         let (archive, store) = fixture("intact");
         let mut w = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         w.run_cycle().unwrap();
+        let ledger = w.context().ledger.clone();
         drop(w);
+        // the store holds the catalog the ledger names: the ledger resumes
+        // whole, and its cycle input skips the cycle before any stage
         let mut w2 = Watcher::new(&archive, &store, quick_options(None)).unwrap();
         assert!(w2.resumed());
-        let r = w2.pipeline.run(&mut w2.ctx).unwrap();
-        assert_eq!(r.executed_count(), 0, "{}", r.render());
+        assert_eq!(w2.context().ledger, ledger);
+        let r = w2.run_cycle().unwrap();
+        assert!(!r.changed && r.run.stages.is_empty() && r.history.is_empty(), "{r:?}");
     }
 }

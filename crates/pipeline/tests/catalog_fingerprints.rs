@@ -1,9 +1,12 @@
 //! Counted work: how many times a watch cycle fingerprints the working
-//! catalog (`metamess_pipeline_catalog_fingerprints_total`), and what its
-//! walk reads (`metamess_harvest_{files,bytes}_read_total`). Each such
-//! fingerprint encodes the whole catalog, so the count is what a cycle pays
-//! for its digests in catalog-sized units; an unchanged archive costs the
-//! walk and nothing else, in a running watcher and in a reopened one.
+//! catalog (`metamess_pipeline_catalog_fingerprints_total`), how many
+//! stages it runs (`metamess_pipeline_stages_{ran,skipped}_total`), and
+//! what its walk reads (`metamess_harvest_{files,bytes}_read_total`). Each
+//! fingerprint encodes the whole catalog, so a cycle takes one, to name the
+//! catalog it ended with, however many curation iterations it runs; an edit
+//! that teaches the curator nothing runs the chain once; an unchanged
+//! archive costs the walk and nothing else, in a running watcher and in a
+//! reopened one.
 //!
 //! The counters live in the global registry, so this file is its own test
 //! binary and holds one test: nothing else moves the counts between the
@@ -27,11 +30,27 @@ fn reads() -> (u64, u64) {
     (count("metamess_harvest_files_read_total"), count("metamess_harvest_bytes_read_total"))
 }
 
-/// Runs one cycle; returns its report and the fingerprints it took.
-fn cycle(w: &mut Watcher) -> (CycleReport, u64) {
-    let before = fingerprints();
+/// Stages run and stages skipped so far.
+fn stages() -> (u64, u64) {
+    (count("metamess_pipeline_stages_ran_total"), count("metamess_pipeline_stages_skipped_total"))
+}
+
+/// What one cycle cost: the fingerprints it took, the stages it ran and
+/// the stages it skipped.
+struct Cost {
+    fingerprints: u64,
+    ran: u64,
+    skipped: u64,
+}
+
+/// Runs one cycle; returns its report and what it cost.
+fn cycle(w: &mut Watcher) -> (CycleReport, Cost) {
+    let (fps, (ran, skipped)) = (fingerprints(), stages());
     let report = w.run_cycle().unwrap();
-    (report, fingerprints() - before)
+    let after = stages();
+    let cost =
+        Cost { fingerprints: fingerprints() - fps, ran: after.0 - ran, skipped: after.1 - skipped };
+    (report, cost)
 }
 
 /// The files under `archive` a scan with the default configuration takes,
@@ -54,11 +73,6 @@ fn archive_files(archive: &Path) -> (u64, u64) {
     (files, bytes)
 }
 
-/// The pipeline runs of a cycle: the first, then one per curation step.
-fn runs(report: &CycleReport) -> u64 {
-    1 + report.history.len() as u64
-}
-
 /// The first `.csv` under `<archive>/stations`, in path order.
 fn a_station_file(archive: &Path) -> PathBuf {
     let mut stack = vec![archive.join("stations")];
@@ -77,7 +91,7 @@ fn a_station_file(archive: &Path) -> PathBuf {
 }
 
 #[test]
-fn a_changed_cycle_fingerprints_the_catalog_at_most_twice_per_run() {
+fn a_watch_cycle_fingerprints_the_catalog_at_most_once() {
     if !metamess_telemetry::enabled() {
         return; // METAMESS_TELEMETRY=0: no counter moves
     }
@@ -87,20 +101,25 @@ fn a_changed_cycle_fingerprints_the_catalog_at_most_twice_per_run() {
     generate(&ArchiveSpec::tiny()).write_to(&archive).unwrap();
     let mut w = Watcher::new(&archive, &store, WatchOptions::default()).unwrap();
 
-    // a cold wrangle: the curation loop runs the pipeline several times
+    // a cold wrangle: the curation loop runs the chain once per iteration
+    // that taught it something, and names the catalog once at the end
     let (cold, n) = cycle(&mut w);
     assert!(cold.changed && cold.datasets > 0);
-    assert!(n <= 2 * runs(&cold), "cold cycle: {n} fingerprints over {} runs", runs(&cold));
+    assert!(cold.history.len() >= 2, "the curator learned nothing: {:?}", cold.history);
+    assert_eq!(n.fingerprints, 1, "cold cycle of {} iterations", cold.history.len());
+    assert_eq!(n.ran, 9 * cold.history.len() as u64, "{:?}", cold.history);
+    assert_eq!(n.skipped, 0);
 
-    // an appended row teaches the curator nothing: one run re-curates the
-    // edited dataset, one confirms the fixpoint
+    // an appended row teaches the curator nothing: the chain runs once to
+    // re-curate the edited dataset, and the loop stops
     let path = a_station_file(&archive);
     let text = std::fs::read_to_string(&path).unwrap();
     let last = text.lines().rev().find(|l| !l.trim().is_empty()).unwrap().to_string();
     std::fs::write(&path, format!("{text}{last}\n")).unwrap();
     let (appended, n) = cycle(&mut w);
     assert!(appended.changed && appended.mutations > 0, "{appended:?}");
-    assert!(n <= 2, "an appended row took {n} fingerprints over {} runs", runs(&appended));
+    assert_eq!(appended.history.len(), 1, "{:?}", appended.history);
+    assert_eq!((n.fingerprints, n.ran, n.skipped), (1, 9, 0));
 
     // a file with headers the vocabulary does not know yet
     std::fs::create_dir_all(archive.join("extra")).unwrap();
@@ -111,14 +130,15 @@ fn a_changed_cycle_fingerprints_the_catalog_at_most_twice_per_run() {
     .unwrap();
     let (messy, n) = cycle(&mut w);
     assert!(messy.changed);
-    assert!(n <= 2 * runs(&messy), "new file: {n} fingerprints over {} runs", runs(&messy));
+    assert_eq!(n.fingerprints, 1, "new file, {} iterations", messy.history.len());
+    assert!(n.ran <= 9 * messy.history.len() as u64, "{:?}", messy.history);
 
-    // an unchanged archive runs no pipeline at all; its walk reads every
-    // file the scan takes, whole
+    // an unchanged archive runs no stage: the skipped cycle counts the
+    // nine it did not run; its walk reads every file the scan takes, whole
     let before = reads();
     let (idle, n) = cycle(&mut w);
     assert!(!idle.changed);
-    assert_eq!(n, 0);
+    assert_eq!((n.fingerprints, n.ran, n.skipped), (0, 0, 9));
     let after = reads();
     let (files, bytes) = archive_files(&archive);
     assert!(files > 0);
@@ -133,7 +153,7 @@ fn a_changed_cycle_fingerprints_the_catalog_at_most_twice_per_run() {
     let run_id = w.context().run_id;
     let (reopened, n) = cycle(&mut w);
     assert!(!reopened.changed, "{reopened:?}");
-    assert_eq!(n, 0);
+    assert_eq!((n.fingerprints, n.ran, n.skipped), (0, 0, 9));
     assert_eq!(w.context().run_id, run_id);
     assert!(std::fs::read(&state).unwrap() == written, "the state was rewritten");
     drop(w);

@@ -19,10 +19,10 @@ use metamess_core::feature::VariableDescriptor;
 use metamess_core::store::RunLedger;
 use metamess_core::DatasetId;
 use metamess_pipeline::{
-    AddExternalMetadata, ArchiveInput, Component, CtxView, CurationLoop, CuratorPolicy,
+    AddExternalMetadata, ArchiveInput, Component, CurationLoop, CuratorPolicy,
     DiscoverTransformations, GenerateHierarchies, NormalizeUnits, PerformDiscoveredTransformations,
-    PerformKnownTransformations, Pipeline, PipelineContext, Publish, ScanArchive, Slot,
-    StageReport, Validate, WatchOptions, Watcher,
+    PerformKnownTransformations, Pipeline, PipelineContext, Publish, ScanArchive, StageReport,
+    Validate, WatchOptions, Watcher,
 };
 use metamess_vocab::Vocabulary;
 use std::collections::HashSet;
@@ -90,19 +90,11 @@ impl Component for Tallied {
         self.stage.name()
     }
 
-    fn reads(&self) -> &'static [Slot] {
-        self.stage.reads()
-    }
-
-    fn writes(&self) -> &'static [Slot] {
-        self.stage.writes()
-    }
-
-    fn run(&mut self, view: &mut CtxView<'_>) -> Result<StageReport> {
-        self.tally.lock().unwrap().look(view.working(), false);
-        let report = self.stage.run(view)?;
+    fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
+        self.tally.lock().unwrap().look(&ctx.catalog, false);
+        let report = self.stage.run(ctx)?;
         let after_a_scan = self.stage.name() == "scan-archive";
-        self.tally.lock().unwrap().look(view.working(), after_a_scan);
+        self.tally.lock().unwrap().look(&ctx.catalog, after_a_scan);
         Ok(report)
     }
 }
@@ -177,7 +169,7 @@ fn curation_makes_a_descriptor_once_per_key_it_rewrites_and_a_rerun_none() {
     ctx.ledger = RunLedger::new();
     let before = copies();
     let report = Pipeline::standard().run(&mut ctx).unwrap();
-    assert_eq!(report.skipped_count(), 0, "{}", report.render());
+    assert_eq!(report.stages.len(), 9, "{}", report.render());
     assert_eq!(copies() - before, 0, "a re-run made descriptors");
 
     // a watcher's edit cycle: an appended row re-harvests one dataset, and
@@ -198,9 +190,10 @@ fn curation_makes_a_descriptor_once_per_key_it_rewrites_and_a_rerun_none() {
     // a harvested key: what curation leaves as harvested, and the context
     let harvested: HashSet<_> =
         edited.variables.iter().map(|v| (&v.name, &v.unit, &v.context)).collect();
-    let runs = 1 + edit.history.len() as u64;
     println!(
-        "an edit cycle of {runs} runs made {made} descriptors for {} keys of {} variables",
+        "an edit cycle of {} curation iterations made {made} descriptors for {} keys of {} \
+         variables",
+        edit.history.len(),
         harvested.len(),
         edited.variables.len()
     );

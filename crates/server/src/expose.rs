@@ -58,7 +58,7 @@ mod tests {
         let dir = tmpstore("state");
         let mut ledger = RunLedger::new();
         ledger.run_id = 42;
-        ledger.record("publish", StageRecord { micros: 17, ..StageRecord::default() });
+        ledger.record("publish", StageRecord { micros: 17 });
         let path = dir.join("state").join("state.bin");
         write_state(std_vfs().as_ref(), &path, &ledger, b"{}").unwrap();
         let snap = store_snapshot(&dir);

@@ -75,22 +75,23 @@ METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-core \
   --test descriptors
 
 echo "==> incremental watch vs cold wrangle, the pipeline's unit tests and counted work ($cases seeded cases, release)"
-# A watch cycle walks the archive once and every stage reads that listing;
-# after seeded edit cycles (append, copy, rename, delete, messy header) the
-# watcher's store holds what a cold wrangle with the same curated knowledge
-# publishes. The counted-work bounds hold at the benchmark's opt level too:
-# curation makes one descriptor per (descriptor, context) key it rewrites
-# (descriptor_copies), and a run fingerprints the catalog at most twice
-# (catalog_fingerprints); each is its own test binary.
+# A watch cycle walks the archive once and the scan stage reads that
+# listing; after seeded edit cycles (append, copy, rename, delete, messy
+# header) the watcher's store holds what a cold wrangle with the same
+# curated knowledge publishes. The counted-work bounds hold at the
+# benchmark's opt level too: curation makes one descriptor per (descriptor,
+# context) key it rewrites (descriptor_copies), and a watch cycle
+# fingerprints the catalog at most once and runs the chain once for an edit
+# that teaches the curator nothing (catalog_fingerprints); each is its own
+# test binary.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-pipeline --lib \
   --test watch_oracle --test descriptor_copies --test catalog_fingerprints
 
-echo "==> the engine's debug invariant under the watch oracle (300 seeded cases, debug)"
-# A stage that declares a working-catalog write but leaves the catalog's
-# generation where it was keeps the engine's memoized catalog fingerprint;
-# only a debug build asserts that its content did not move either, and the
-# release step above compiles that check away. 300 seeds keep this step
-# under about 2 minutes on two cores (tier-1 runs 40).
+echo "==> the watch oracle and the pipeline's unit tests in a debug build (300 seeded cases, debug)"
+# A debug build checks every integer operation for overflow and runs every
+# debug_assert!, which the release step above compiles away; this runs them
+# under the oracle's edits, crashes and failed writes. 300 seeds keep this
+# step under about 2 minutes on two cores (tier-1 runs 40).
 METAMESS_TORTURE_CASES=300 cargo test -q -p metamess-pipeline --lib --test watch_oracle
 
 echo "==> vocabulary indexes vs tree walks ($cases seeded cases, release)"

@@ -321,8 +321,9 @@ const FOLD_EVERY_PUBLISH: CompactionPolicy =
     CompactionPolicy { wal_ratio: 0.0, min_wal_bytes: 0, retain: 0 };
 
 /// One watch cycle: wrangle the archive (resuming from the store's state, so
-/// unchanged stages are skipped), publish what changed and fold it into the
-/// snapshot. A re-wrangle that changes nothing writes only the state image.
+/// an archive the last wrangle already took runs no stage), publish what
+/// changed and fold it into the snapshot. A re-wrangle that changes nothing
+/// writes nothing.
 fn cmd_wrangle(args: &Args) -> Result<()> {
     let store_dir = store_dir(args)?;
     let mut options = WatchOptions {

@@ -188,6 +188,68 @@ fn rewrangling_an_unchanged_archive_leaves_the_store_as_it_was() {
     }
 }
 
+/// A state image written before every run executed every stage: its ledger
+/// gives each stage the digest of its inputs and the run that last executed
+/// it. The image is the one a wrangle writes, with its ledger re-encoded in
+/// that older form and framed again.
+fn rewrite_in_the_per_stage_digest_form(state: &std::path::Path) -> Vec<u8> {
+    use metamess::core::store::{crc32, read_state, std_vfs};
+    let image = read_state(std_vfs().as_ref(), state).unwrap().expect("a state image");
+    let json = serde_json::to_string(&image.ledger).unwrap();
+    let mut ledger = String::new();
+    for (ix, piece) in json.split(r#"{"micros":"#).enumerate() {
+        match piece.split_once('}') {
+            Some((micros, rest)) if ix > 0 => ledger.push_str(&format!(
+                r#"{{"input_digest":{},"micros":{micros},"last_run":{}}}{rest}"#,
+                0x9e37_79b9_u64 * ix as u64,
+                image.ledger.run_id
+            )),
+            _ => ledger.push_str(piece),
+        }
+    }
+    assert_eq!(ledger.matches("input_digest").count(), image.ledger.stages.len(), "{ledger}");
+    let mut payload = (ledger.len() as u32).to_le_bytes().to_vec();
+    payload.extend_from_slice(ledger.as_bytes());
+    payload.extend_from_slice(&(image.curation.len() as u32).to_le_bytes());
+    payload.extend_from_slice(&image.curation);
+    let mut bytes = b"MMSTATE2".to_vec();
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    std::fs::write(state, &bytes).unwrap();
+    bytes
+}
+
+#[test]
+fn a_state_with_per_stage_digests_resumes_and_runs_no_cycle() {
+    let dir = std::env::temp_dir().join(format!("metamess-cli-older-state-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    run(&["generate", dir_s, "--months", "1", "--stations", "1"]);
+    let (ok, _, stderr) = run(&["wrangle", dir_s]);
+    assert!(ok, "{stderr}");
+    let store = dir.join(".metamess");
+    let state = store.join("state").join("state.bin");
+    let older = rewrite_in_the_per_stage_digest_form(&state);
+
+    // the older ledger resumes: the archive is the one it names, so the
+    // wrangle runs no cycle and writes no state
+    let (ok, stdout, stderr) = run(&["wrangle", dir_s]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("resuming from"), "{stdout}");
+    assert!(stdout.contains("no stage ran"), "{stdout}");
+    assert!(std::fs::read(&state).unwrap() == older, "the state was rewritten");
+    assert!(!store.join("state").join("quarantine").exists(), "the state was quarantined");
+
+    // and its per-stage timings are still the stage gauges
+    let (ok, stdout, stderr) = run(&["stats", store.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    for stage in ["scan-archive", "validate", "publish"] {
+        let gauge = format!("metamess_pipeline_stage_last_micros{{stage=\"{stage}\"}}");
+        assert!(stdout.contains(&gauge), "{gauge} missing: {stdout}");
+    }
+}
+
 /// fsck on a real wrangled store: clean pass, then three hand-corrupted
 /// artifacts (WAL record, snapshot header, state image CRC) detected, reported
 /// as JSON, and quarantined/truncated by --repair.
