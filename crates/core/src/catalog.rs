@@ -11,6 +11,7 @@ use crate::id::DatasetId;
 use crate::store::{Image, RowView};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A single mutation applied to a catalog. This is also the WAL record type:
@@ -235,7 +236,8 @@ impl Catalog {
     ) -> Vec<(DatasetId, usize)> {
         // every variable's key number, and each key with its holders; a
         // context is hashed once per dataset, by its number
-        let (mut contexts, mut numbers) = (HashMap::new(), HashMap::new());
+        let mut contexts = HashMap::new();
+        let mut numbers: HashMap<_, _, BuildHasherDefault<WordHasher>> = HashMap::default();
         let mut keys: Vec<(&VariableDescriptor, Option<&str>, usize)> = Vec::new();
         let mut key_of = Vec::new();
         for f in self.entries.values() {
@@ -314,6 +316,38 @@ impl Catalog {
     /// would turn `self` into `other`.
     pub fn diff(&self, other: &Catalog) -> Vec<Mutation> {
         diff_entries(&self.entries, &self.properties, other, |existing, f| existing == f)
+    }
+}
+
+/// A hasher for keys of addresses and integers, such as
+/// [`Catalog::map_descriptors`]' (descriptor address, context number): each
+/// word is folded in by a rotate, an xor and a multiply (the Fx hash), and
+/// the result is rotated so that the multiply's well-mixed high bits pick
+/// the bucket. Addresses are not input anyone chooses, so the map needs
+/// none of SipHash's resistance to chosen collisions, and it hashes the
+/// key of every variable of a catalog.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 

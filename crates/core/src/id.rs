@@ -17,6 +17,12 @@ impl DatasetId {
     pub fn from_path(path: &str) -> DatasetId {
         DatasetId(fnv1a(path.as_bytes()))
     }
+
+    /// The id of the path that is `dir` followed by `name`, hashed without
+    /// joining them: `from_path(&format!("{dir}{name}"))`.
+    pub fn from_parts(dir: &str, name: &str) -> DatasetId {
+        DatasetId(fnv1a_from(fnv1a(dir.as_bytes()), name.as_bytes()))
+    }
 }
 
 impl fmt::Display for DatasetId {
@@ -28,9 +34,12 @@ impl fmt::Display for DatasetId {
 /// FNV-1a 64-bit hash. Used for path-derived ids and cheap content
 /// fingerprints; *not* used where collision resistance matters.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a 64 of `bytes`, continued from the hash `h` of what precedes them.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);
@@ -54,6 +63,14 @@ mod tests {
         let a = DatasetId::from_path("a.csv");
         let b = DatasetId::from_path("b.csv");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn an_id_from_parts_is_the_id_of_the_joined_path() {
+        for (dir, name) in [("stations/saturn01/2010/", "06.csv"), ("", "top.csv"), ("a/", "")] {
+            let joined = format!("{dir}{name}");
+            assert_eq!(DatasetId::from_parts(dir, name), DatasetId::from_path(&joined));
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!                canonical_unit:ref? context:ref? count:varint level:ref*
 //! catalog     := generation:varint  count:varint (key:str value:str)*  count:varint row*
 //! put         := row        delete := id:u64le        set-property := key:str value:str
-//! variable    := descriptor:varint decimals:u8 n:varint min max mean nulls:varint total:varint
+//! row         := dir:varint name:str id:u64le? title:str tag:u8 source:ref? corners
+//!                time? records:varint fingerprint:u64le file_len:varint run:varint
+//!                format:ref externals:varint (key:ref value:ref)* count:varint variable*
+//! variable    := descriptor:varint decimals:u8 n:varint min max mean nulls:varint total:varint?
 //! ```
 //!
 //! Counts, lengths and table references are LEB128 varints. A number — a
@@ -23,8 +26,11 @@
 //! and a box whose corners meet is written as a point, two numbers. Strings
 //! that repeat across a curated catalog — variable names, canonical names,
 //! units, contexts, hierarchy levels, source, format, external keys and
-//! values — are written once, in the table, and referenced by index; `path`
-//! and `title` belong to one dataset and are written in place. What
+//! values — are written once, in the table, and referenced by index; so is
+//! the directory of a path, everything up to and including its last `/`
+//! (the empty string at the top level), which the datasets of one directory
+//! share. The name after it and the `title` belong to one dataset and are
+//! written in place. What
 //! describes a variable — its name, curation, units, context and hierarchy
 //! — repeats too: each distinct descriptor is written once, in the
 //! descriptor table, and a variable refers to it by number, so variables of
@@ -34,9 +40,17 @@
 //! tables and is decodable on its own, from any
 //! [`Wal::read_tail`](super::Wal::read_tail) offset.
 //!
+//! A row stores only what it alone knows. Its id is the hash of its path
+//! ([`DatasetId::from_parts`] over the directory, then the name), so it is
+//! not written: the `dir` word is the directory's table reference shifted
+//! left by one, and its low bit is set only for a row whose id is not that
+//! hash, which then writes its id after the name. A variable's total count
+//! is most often the row's record count; bit 0 of its decimals byte says
+//! so, and the total is then not written.
+//!
 //! A payload that holds rows — a snapshot, or a WAL put — is kept as an
 //! [`Image`]: its bytes, its string table, where each descriptor and each
-//! row starts. A
+//! row starts, and each row's id, found once. A
 //! [`Row`] is a shared image and a row number; its [`RowView`] reads the
 //! fields a search engine needs in place, without allocating, and
 //! [`Row::decode`] builds the owned [`DatasetFeature`] for the callers that
@@ -50,13 +64,15 @@
 //! is allocated for it, every reference by its table, every tag by its known
 //! bits, every number by the form its writer would have chosen, every
 //! descriptor by the earlier ones (none repeats, and each is first used in
-//! table order), and a payload must be consumed exactly, so one catalog has
-//! one encoding. All
+//! table order), every path by where its writer would have split it, every
+//! id and total by whether its writer would have written it, the rows of a
+//! catalog by their ids, which ascend, and a payload must be consumed
+//! exactly, so one catalog has one encoding. All
 //! failures are [`Error::Corrupt`]. Reading a parsed image again checks
 //! nothing and cannot fail. Bytes this
 //! module has just encoded are not parsed: [`Image::encode`], [`put_image`],
 //! [`encode_rows_of`] and the publish's `catalog_image` build the image from
-//! the encoder's own tables and row starts.
+//! the encoder's own tables, row starts and ids.
 
 use crate::catalog::{Catalog, Mutation};
 use crate::error::{Error, Result};
@@ -73,7 +89,7 @@ use std::sync::{Arc, OnceLock};
 
 /// The format generation this module writes and reads: the digit the
 /// snapshot and WAL magics end in, and the first byte of every payload.
-pub const FORMAT_VERSION: u8 = 5;
+pub const FORMAT_VERSION: u8 = 6;
 
 const KIND_CATALOG: u8 = 0;
 const KIND_PUT: u8 = 1;
@@ -93,6 +109,13 @@ const POINT: u8 = 1 << 3;
 const FIRST_DECIMAL: u8 = 1 << 4;
 const DECIMALS: u8 = 0xf0;
 const VARIABLE_DECIMALS: u8 = 0x70;
+/// In the variable's decimals byte: its total count is its row's record
+/// count, and is not written.
+const TOTAL_IS_RECORDS: u8 = 1;
+
+/// The low bit of a row's `dir` word: the row's id is not the hash of its
+/// path, and follows the name.
+const OWN_ID: u64 = 1;
 
 /// `10^s` for each decimal scale `s`, each exact as an `f64`.
 const POWERS: [f64; 8] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7];
@@ -127,8 +150,8 @@ const UNIT_NORMALIZED: u8 = 1 << 6;
 
 /// The fewest bytes a row, a variable, a string pair, a table entry and a
 /// descriptor can take: what bounds a count read from the payload.
-const MIN_ROW: usize = 25;
-const MIN_VARIABLE: usize = 8;
+const MIN_ROW: usize = 18;
+const MIN_VARIABLE: usize = 7;
 const MIN_PAIR: usize = 2;
 const MIN_ENTRY: usize = 1;
 const MIN_DESCRIPTOR: usize = 4;
@@ -227,7 +250,7 @@ pub fn encode_rows_of<'a>(
     t.e.catalog_head(generation, properties, rows.len());
     for row in rows {
         let view = row.view();
-        t.e.head(&view.head);
+        t.e.head(&view.head, view.id);
         t.image = Arc::as_ptr(row.image());
         let mut rest = view.rest;
         rest.lists(&mut t).expect(CHECKED);
@@ -326,6 +349,9 @@ pub struct Image {
     descriptors: Vec<usize>,
     /// Where each row starts in the payload, then where the last one ends.
     rows: Vec<usize>,
+    /// Each row's id, found once: a row writes it only when it is not the
+    /// hash of the row's path.
+    ids: Vec<DatasetId>,
     generation: u64,
     properties: BTreeMap<String, String>,
     /// Each descriptor, decoded when a row is first decoded: every variable
@@ -341,6 +367,7 @@ impl PartialEq for Image {
             && self.table == other.table
             && self.descriptors == other.descriptors
             && self.rows == other.rows
+            && self.ids == other.ids
             && self.generation == other.generation
             && self.properties == other.properties
     }
@@ -358,7 +385,8 @@ impl Image {
 
     /// Encodes `features` as the rows of one image, in the order given: how
     /// a search engine built from features rather than from a store holds
-    /// them.
+    /// them. The image is never parsed; its payload would parse only with
+    /// its rows in ascending id order, as a catalog's are.
     pub fn encode(features: &[&DatasetFeature]) -> Image {
         catalog_encoder(0, &BTreeMap::new(), features.iter().copied()).finish_image(
             KIND_CATALOG,
@@ -377,7 +405,9 @@ impl Image {
     }
 
     /// Reads the body of a catalog or put payload whose header has been
-    /// read, checking every row, and keeps where each one starts.
+    /// read, checking every row, and keeps where each one starts and its
+    /// id. The rows of a catalog are in ascending id order, as every
+    /// catalog is written.
     fn with_body(
         bytes: Vec<u8>,
         start: usize,
@@ -386,7 +416,7 @@ impl Image {
         descriptors: Vec<usize>,
         body: usize,
     ) -> Result<Image> {
-        let (rows, generation, properties) = {
+        let (rows, ids, generation, properties) = {
             let mut d = Decoder::parsing(&bytes[start..], body, &table, &descriptors);
             let (generation, properties, count) = if kind == KIND_CATALOG {
                 let generation = d.varint()?;
@@ -403,13 +433,21 @@ impl Image {
                 return Err(Error::corrupt(format!("{count} rows: at most 2^32 are numbered")));
             }
             let mut rows = Vec::with_capacity(count + 1);
+            let mut ids: Vec<DatasetId> = Vec::with_capacity(count);
             for _ in 0..count {
-                rows.push(d.pos);
-                d.row()?;
+                let at = d.pos;
+                rows.push(at);
+                let id = d.row()?;
+                if ids.last().is_some_and(|&before| before >= id) {
+                    return Err(Error::corrupt(format!(
+                        "the row at byte {at} is {id}, not after the row before it"
+                    )));
+                }
+                ids.push(id);
             }
             rows.push(d.pos);
             d.finish()?;
-            (rows, generation, properties)
+            (rows, ids, generation, properties)
         };
         Ok(Image {
             bytes,
@@ -417,6 +455,7 @@ impl Image {
             table,
             descriptors,
             rows,
+            ids,
             generation,
             properties,
             decoded: OnceLock::new(),
@@ -479,7 +518,7 @@ impl Image {
     /// Row `ix`, read in place, trusting the parse.
     fn view(&self, ix: usize) -> RowView<'_> {
         let mut d = self.reader(self.rows[ix]);
-        RowView { head: d.head().expect(CHECKED), rest: d, image: self }
+        RowView { id: self.ids[ix], head: d.head().expect(CHECKED), rest: d, image: self }
     }
 
     /// A reader of the parsed payload from `pos` on.
@@ -491,6 +530,7 @@ impl Image {
             descriptors: &self.descriptors,
             parsing: false,
             used: 0,
+            records: 0,
         }
     }
 
@@ -529,11 +569,9 @@ pub struct Row {
 }
 
 impl Row {
-    /// The dataset's id, read straight from the row's first eight bytes.
+    /// The dataset's id, as its image found it once.
     pub fn id(&self) -> DatasetId {
-        let at = self.image.rows[self.index as usize];
-        let bytes = &self.image.payload()[at..at + 8];
-        DatasetId(u64::from_le_bytes(bytes.try_into().expect("eight bytes")))
+        self.image.ids[self.index as usize]
     }
 
     /// The row read in place.
@@ -554,7 +592,11 @@ impl Row {
 
 impl std::fmt::Debug for Row {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Row").field("id", &self.id()).field("path", &self.view().path()).finish()
+        let (dir, name) = self.view().path();
+        f.debug_struct("Row")
+            .field("id", &self.id())
+            .field("path", &format_args!("{dir}{name}"))
+            .finish()
     }
 }
 
@@ -562,6 +604,7 @@ impl std::fmt::Debug for Row {
 /// dataset, borrowed from the image, and nothing allocated to read it.
 #[derive(Clone, Copy)]
 pub struct RowView<'a> {
+    id: DatasetId,
     head: Head<'a>,
     /// Positioned after the head, at the row's external metadata.
     rest: Decoder<'a>,
@@ -587,12 +630,14 @@ pub struct SearchableVariable<'a> {
 impl<'a> RowView<'a> {
     /// Stable id.
     pub fn id(&self) -> DatasetId {
-        self.head.id
+        self.id
     }
 
-    /// Archive-relative path.
-    pub fn path(&self) -> &'a str {
-        self.head.path
+    /// Archive-relative path, as the row holds it: its directory, up to and
+    /// including the last `/` (empty at the top level), and the name after
+    /// it. The path is the two joined.
+    pub fn path(&self) -> (&'a str, &'a str) {
+        (self.head.dir, self.head.name)
     }
 
     /// Human-readable title.
@@ -659,6 +704,8 @@ impl<'a> RowView<'a> {
                 self.same &= self.variables.next().is_some_and(|want| v == Var::of(want));
             }
         }
+        // equal heads have equal ids: each is the hash of the one path, or
+        // written by both
         if self.head != Head::of(f) {
             return false;
         }
@@ -714,8 +761,8 @@ impl<'a> RowView<'a> {
         rest.lists(&mut owned).expect(CHECKED);
         let h = &self.head;
         DatasetFeature {
-            id: h.id,
-            path: h.path.to_owned(),
+            id: self.id,
+            path: [h.dir, h.name].concat(),
             title: h.title.to_owned(),
             source: h.source.map(str::to_owned),
             bbox: h.bbox,
@@ -753,6 +800,11 @@ struct Encoder<'a> {
     descriptor_addresses: HashMap<*const VariableDescriptor, u64>,
     /// Where each row written so far starts in the body.
     rows: Vec<usize>,
+    /// The id of each row written so far.
+    ids: Vec<DatasetId>,
+    /// The record count of the row being written: each of its variables
+    /// whose total count is this one writes no total.
+    records: u64,
 }
 
 impl<'a> Encoder<'a> {
@@ -767,6 +819,8 @@ impl<'a> Encoder<'a> {
             descriptor_numbers: HashMap::new(),
             descriptor_addresses: HashMap::new(),
             rows: Vec::new(),
+            ids: Vec::new(),
+            records: 0,
         }
     }
 
@@ -810,6 +864,7 @@ impl<'a> Encoder<'a> {
             table,
             descriptors,
             rows,
+            ids: self.ids,
             generation,
             properties,
             decoded: OnceLock::new(),
@@ -849,6 +904,7 @@ impl<'a> Encoder<'a> {
         }
         self.varint(rows as u64);
         self.rows.reserve_exact(rows + 1);
+        self.ids.reserve_exact(rows);
     }
 
     fn bytes(&mut self, b: &[u8]) {
@@ -873,10 +929,16 @@ impl<'a> Encoder<'a> {
         self.bytes(s.as_bytes());
     }
 
-    /// A string by table reference, entered into the table on first use. A
-    /// table of a few dozen strings — a put's — is scanned; a longer one is
-    /// indexed, from the entry that makes it longer on.
+    /// A string by table reference, entered into the table on first use.
     fn text(&mut self, s: &'a str) {
+        let ix = self.entry(s);
+        self.varint(ix);
+    }
+
+    /// The table index of `s`, which is entered on first use. A table of a
+    /// few dozen strings — a put's — is scanned; a longer one is indexed,
+    /// from the entry that makes it longer on.
+    fn entry(&mut self, s: &'a str) -> u64 {
         let next = self.table.len() as u64;
         let ix = if self.table.len() < SCANNED_TABLE {
             self.table.iter().position(|t| *t == s).map_or(next, |ix| ix as u64)
@@ -890,11 +952,11 @@ impl<'a> Encoder<'a> {
         if ix == next {
             self.table.push(s);
         }
-        self.varint(ix);
+        ix
     }
 
     fn row(&mut self, f: &'a DatasetFeature) {
-        self.head(&Head::of(f));
+        self.head(&Head::of(f), f.id);
         self.externals(f.external.iter().map(|(key, value)| (&key[..], &value[..])));
         self.varint(f.variables.len() as u64);
         for v in &f.variables {
@@ -903,11 +965,17 @@ impl<'a> Encoder<'a> {
         }
     }
 
-    /// The fixed part of a row, which starts it.
-    fn head(&mut self, h: &Head<'a>) {
+    /// The fixed part of a row, which starts it, of the dataset `id`.
+    fn head(&mut self, h: &Head<'a>, id: DatasetId) {
         self.rows.push(self.out.len());
-        self.bytes(&h.id.0.to_le_bytes());
-        self.str(h.path);
+        self.ids.push(id);
+        self.records = h.record_count;
+        let dir = self.entry(h.dir) << 1;
+        self.varint(dir | h.own_id.map_or(0, |_| OWN_ID));
+        self.str(h.name);
+        if let Some(id) = h.own_id {
+            self.bytes(&id.0.to_le_bytes());
+        }
         self.str(h.title);
         let (shape, corners) = match &h.bbox {
             None => (0, Numbers::of(&[])),
@@ -960,7 +1028,8 @@ impl<'a> Encoder<'a> {
         number
     }
 
-    /// A variable whose descriptor has the number `descriptor`.
+    /// A variable of the row being written whose descriptor has the number
+    /// `descriptor`.
     fn numbered_variable(
         &mut self,
         descriptor: u64,
@@ -970,11 +1039,14 @@ impl<'a> Encoder<'a> {
     ) {
         self.varint(descriptor);
         let summary = Numbers::of(&[s.min, s.max, s.mean]);
-        self.out.push(summary.decimals);
+        let implied = total_count == self.records;
+        self.out.push(summary.decimals | tag(implied, TOTAL_IS_RECORDS));
         self.varint(s.count);
         summary.write(self);
         self.varint(null_count);
-        self.varint(total_count);
+        if !implied {
+            self.varint(total_count);
+        }
     }
 
     /// The number of descriptor `d`, entered into the descriptor table on
@@ -1161,11 +1233,15 @@ fn header(payload: &[u8]) -> Result<Header> {
 
 /// The fixed part of a row, borrowed from the payload and its table, or
 /// from the feature about to be encoded. Equal heads are the same fields of
-/// equal features.
+/// equal features, ids included.
 #[derive(Clone, Copy, PartialEq)]
 struct Head<'a> {
-    id: DatasetId,
-    path: &'a str,
+    /// The path up to and including its last `/`, or empty.
+    dir: &'a str,
+    /// The path after `dir`.
+    name: &'a str,
+    /// The id, when it is not the hash of the path.
+    own_id: Option<DatasetId>,
     title: &'a str,
     source: Option<&'a str>,
     bbox: Option<GeoBBox>,
@@ -1179,9 +1255,11 @@ struct Head<'a> {
 
 impl<'a> Head<'a> {
     fn of(f: &'a DatasetFeature) -> Head<'a> {
+        let (dir, name) = f.path.split_at(f.path.rfind('/').map_or(0, |last| last + 1));
         Head {
-            id: f.id,
-            path: &f.path,
+            dir,
+            name,
+            own_id: (f.id != DatasetId::from_parts(dir, name)).then_some(f.id),
             title: &f.title,
             source: f.source.as_deref(),
             bbox: f.bbox,
@@ -1378,6 +1456,9 @@ struct Decoder<'a> {
     parsing: bool,
     /// While parsing: how many descriptors the rows read so far use.
     used: u32,
+    /// The record count of the row being read: the total count of each of
+    /// its variables that writes none.
+    records: u64,
 }
 
 impl<'a> Decoder<'a> {
@@ -1388,7 +1469,7 @@ impl<'a> Decoder<'a> {
         table: &'a Table,
         descriptors: &'a [usize],
     ) -> Decoder<'a> {
-        Decoder { bytes, pos, table, descriptors, parsing: true, used: 0 }
+        Decoder { bytes, pos, table, descriptors, parsing: true, used: 0, records: 0 }
     }
 
     /// The payload must have been consumed exactly, and every descriptor
@@ -1503,6 +1584,11 @@ impl<'a> Decoder<'a> {
     /// A string by table reference.
     fn text(&mut self) -> Result<&'a str> {
         let ix = self.varint()?;
+        self.entry(ix)
+    }
+
+    /// Entry `ix` of the table, whose reference was just read.
+    fn entry(&self, ix: u64) -> Result<&'a str> {
         self.table.get(ix).ok_or_else(|| {
             Error::corrupt(format!(
                 "string reference {ix} at byte {}: the table has {} entries",
@@ -1532,20 +1618,36 @@ impl<'a> Decoder<'a> {
         Ok(tags)
     }
 
-    /// Reads one row, checking every byte of it. The descriptors were
-    /// checked with their table, so of a variable's only the number is.
-    fn row(&mut self) -> Result<()> {
-        self.head()?;
+    /// Reads one row, checking every byte of it, and returns its id. The
+    /// descriptors were checked with their table, so of a variable's only
+    /// the number is.
+    fn row(&mut self) -> Result<DatasetId> {
+        let at = self.pos;
+        let head = self.head()?;
+        let hash = DatasetId::from_parts(head.dir, head.name);
+        if head.own_id == Some(hash) {
+            return Err(Error::corrupt(format!(
+                "the row at byte {at} writes the id its path hashes to"
+            )));
+        }
         for _ in 0..self.externals(&mut ())? {
             self.descriptor_number()?;
             self.counts()?;
         }
-        Ok(())
+        Ok(head.own_id.unwrap_or(hash))
     }
 
     fn head(&mut self) -> Result<Head<'a>> {
-        let id = DatasetId(self.u64_le()?);
-        let path = self.str()?;
+        let at = self.pos;
+        let word = self.varint()?;
+        let dir = self.entry(word >> 1)?;
+        let name = self.str()?;
+        if self.parsing && (!(dir.is_empty() || dir.ends_with('/')) || name.contains('/')) {
+            return Err(Error::corrupt(format!(
+                "the path {dir:?} + {name:?} at byte {at} is not split at its last '/'"
+            )));
+        }
+        let own_id = if word & OWN_ID == 0 { None } else { Some(DatasetId(self.u64_le()?)) };
         let title = self.str()?;
         let at = self.pos;
         let tags = self.tags(HAS_SOURCE | HAS_BBOX | HAS_TIME | POINT | DECIMALS, "dataset")?;
@@ -1590,14 +1692,16 @@ impl<'a> Decoder<'a> {
             let end = start.wrapping_add(self.signed()?);
             Some(TimeInterval { start: Timestamp(start), end: Timestamp(end) })
         };
+        self.records = self.varint()?;
         Ok(Head {
-            id,
-            path,
+            dir,
+            name,
+            own_id,
             title,
             source,
             bbox,
             time,
-            record_count: self.varint()?,
+            record_count: self.records,
             content_fingerprint: self.u64_le()?,
             file_len: self.varint()?,
             pipeline_run: self.varint()?,
@@ -1666,14 +1770,25 @@ impl<'a> Decoder<'a> {
     /// What a variable holds after its descriptor number: its summary, and
     /// its null and total counts.
     fn counts(&mut self) -> Result<(NumericSummary, u64, u64)> {
-        let decimals = self.tags(VARIABLE_DECIMALS, "variable decimals")?;
+        let decimals = self.tags(VARIABLE_DECIMALS | TOTAL_IS_RECORDS, "variable decimals")?;
         let summary = NumericSummary {
             count: self.varint()?,
             min: self.number(decimals, 0)?,
             max: self.number(decimals, 1)?,
             mean: self.number(decimals, 2)?,
         };
-        Ok((summary, self.varint()?, self.varint()?))
+        let null_count = self.varint()?;
+        if decimals & TOTAL_IS_RECORDS != 0 {
+            return Ok((summary, null_count, self.records));
+        }
+        let at = self.pos;
+        let total_count = self.varint()?;
+        if self.parsing && total_count == self.records {
+            return Err(Error::corrupt(format!(
+                "total {total_count} at byte {at} is written but is the row's record count"
+            )));
+        }
+        Ok((summary, null_count, total_count))
     }
 
     /// One entry of the descriptor table.
@@ -1789,6 +1904,27 @@ pub(crate) mod tests {
         "00000000f0ff00000007",
     );
 
+    /// A whole format 5 snapshot file: the old magic framing
+    /// [`two_datasets`] as format 5 encoded it, each row with its id and its
+    /// whole path, and each variable with its total count.
+    pub(crate) fn format_5_snapshot() -> Vec<u8> {
+        older_snapshot(b"MMSNAP05", &unhex(FORMAT_5_TWO_DATASETS))
+    }
+
+    /// [`two_datasets`]' payload in format 5, as its golden test pinned it.
+    const FORMAT_5_TWO_DATASETS: &str = concat!(
+        "0500100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
+        "65720641546173746e0b66696e6765727072696e741177617465725f74656d70657261747572650464656743",
+        "0763656c7369757305776174657208706879736963616c0b74656d70657261747572650871615f6c6576656c",
+        "000773746174696f6e066f666673657404040f530506070809030a0b060c002c000e0000000f000000030107",
+        "617263686976650373696d02776e3803bbd25d20136372756973652f63312f63617374332e63646c1b636173",
+        "74206174206372756973652f63312f63617374332e63646cf700f13892c204c99b01a80fffc50a80b2f4b309",
+        "ac02efcdab89674523018096010301010203020030039235f115abaaaaaaaa2a254002ae0201400000000000",
+        "0000f07f000000000000f0ff000000680277578a05ca43076f64642e637376076f64642e6373761ae1390b6a",
+        "20df63fa5ec000000000000000000000000d0003024000000000000000f07f000000000000f0ff0000000340",
+        "0100000000000000800000000000000080000000014000000000000000f07f000000000000f0ff000007",
+    );
+
     fn unhex(hex: &str) -> Vec<u8> {
         (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
     }
@@ -1861,7 +1997,8 @@ pub(crate) mod tests {
         // a repeated string is spelled once, however often it is used
         let spelled = |s: &str| bytes.windows(s.len()).filter(|w| *w == s.as_bytes()).count();
         assert_eq!(spelled("water_temperature"), 1);
-        assert_eq!(table_entries, 16);
+        assert_eq!(spelled("cruise/c1/"), 2, "the title's, and the directory's table entry");
+        assert_eq!(table_entries, 17);
         // five variables, four descriptors: the QA variable's is shared
         assert_eq!(Image::parse(bytes).unwrap().descriptors(), 4);
     }
@@ -1899,27 +2036,32 @@ pub(crate) mod tests {
     #[test]
     fn golden_two_dataset_snapshot() {
         const GOLDEN: &str = concat!(
-            "0500100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
-            "65720641546173746e0b66696e6765727072696e741177617465725f74656d70657261747572650464656743",
-            "0763656c7369757305776174657208706879736963616c0b74656d70657261747572650871615f6c6576656c",
-            "000773746174696f6e066f666673657404040f530506070809030a0b060c002c000e0000000f000000030107",
-            "617263686976650373696d02776e3803bbd25d20136372756973652f63312f63617374332e63646c1b636173",
-            "74206174206372756973652f63312f63617374332e63646cf700f13892c204c99b01a80fffc50a80b2f4b309",
-            "ac02efcdab89674523018096010301010203020030039235f115abaaaaaaaa2a254002ae0201400000000000",
-            "0000f07f000000000000f0ff000000680277578a05ca43076f64642e637376076f64642e6373761ae1390b6a",
-            "20df63fa5ec000000000000000000000000d0003024000000000000000f07f000000000000f0ff0000000340",
-            "0100000000000000800000000000000080000000014000000000000000f07f000000000000f0ff000007",
+            "0600110a6372756973652f63312f0873617475726e303103637376167072696e636970616c5f696e76657374",
+            "696761746f72064d65676c65720641546173746e0b66696e6765727072696e741177617465725f74656d7065",
+            "72617475726504646567430763656c7369757305776174657208706879736963616c0b74656d706572617475",
+            "72650871615f6c6576656c000773746174696f6e066f666673657404050f53060708090a030b0c070d002c00",
+            "0f00000010000000030107617263686976650373696d02000963617374332e63646c1b636173742061742063",
+            "72756973652f63312f63617374332e63646cf701f13892c204c99b01a80fffc50a80b2f4b309ac02efcdab89",
+            "674523018096010302010304020030039235f115abaaaaaaaa2a254002ae02014000000000000000f07f0000",
+            "00000000f0ff0000001c076f64642e637376076f64642e6373761ae1390b6a20df63fa5ec000000000000000",
+            "000000000e0003024100000000000000f07f000000000000f0ff000003410100000000000000800000000000",
+            "0000800000014000000000000000f07f000000000000f0ff000007",
         );
         let hex: String =
             encode_catalog(&two_datasets()).iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, GOLDEN);
         assert_eq!(decode_catalog(&unhex(GOLDEN)).unwrap().0, two_datasets());
+        // format 5 wrote each row's id, 16 bytes here, and each variable's
+        // total, 1 byte for each of odd.csv's two whose total is its record
+        // count; its paths were whole, and "cruise/c1/" entering the table
+        // costs 2 bytes more here, odd.csv's reference to "" 1
+        let format_5 = unhex(FORMAT_5_TWO_DATASETS);
+        assert_eq!(format_5.len() - GOLDEN.len() / 2, 16 + 2 - 2 - 1);
+        let e = decode_catalog(&format_5).unwrap_err();
+        assert!(e.is_corrupt() && e.to_string().contains("payload format 5, expected 6"), "{e}");
         // format 4 wrote a fourth number to each variable: 12 bytes more
-        // here, 8 for ATastn's and 1 for each of the four others' 0
-        let format_4 = unhex(FORMAT_4_TWO_DATASETS);
-        assert_eq!(format_4.len() - GOLDEN.len() / 2, 12);
-        let e = decode_catalog(&format_4).unwrap_err();
-        assert!(e.is_corrupt() && e.to_string().contains("payload format 4, expected 5"), "{e}");
+        // than format 5, 8 for ATastn's and 1 for each of the four others' 0
+        assert_eq!(unhex(FORMAT_4_TWO_DATASETS).len() - format_5.len(), 12);
     }
 
     /// The magics end in the digit of the format the payloads carry, so a
@@ -1955,7 +2097,8 @@ pub(crate) mod tests {
             // the view reads the same fields in place
             let view = row.view();
             assert_eq!((row.id(), view.id()), (want.id, want.id));
-            assert_eq!((view.path(), view.title()), (&want.path[..], &want.title[..]));
+            let (dir, name) = view.path();
+            assert_eq!(([dir, name].concat(), view.title()), (want.path.clone(), &want.title[..]));
             assert_eq!((view.bbox(), view.time()), (want.bbox, want.time));
             assert_eq!(view.variable_count(), want.variables.len());
             let mut searchable = Vec::new();
@@ -1993,8 +2136,9 @@ pub(crate) mod tests {
         let encoded = Arc::new(Image::encode(&features.iter().collect::<Vec<_>>()));
         assert_eq!(encoded.len(), 3);
         // one table for all of them: b.csv spells nothing a.csv did not, and
-        // odd.csv adds its two names and its empty format
-        assert_eq!(encoded.table_entries(), put.table_entries() + 3);
+        // odd.csv adds its two names; its empty format is the directory of
+        // every one of them, "", which a.csv entered
+        assert_eq!(encoded.table_entries(), put.table_entries() + 2);
         for (row, f) in encoded.rows().zip(&features) {
             assert_eq!(row.id(), f.id);
             assert!(Arc::ptr_eq(row.image(), &encoded));
@@ -2025,7 +2169,7 @@ pub(crate) mod tests {
         // another format generation
         let mut next = put.clone();
         next[0] = FORMAT_VERSION + 1;
-        corrupt(decode_mutation(&next).map(drop), "payload format 6");
+        corrupt(decode_mutation(&next).map(drop), "payload format 7");
         // the kind format 2 gave a `Clear`
         corrupt(decode_mutation(&[FORMAT_VERSION, 4, 0, 0]).map(drop), "kind 4 is not a mutation");
         // bytes left over, bytes missing
@@ -2034,11 +2178,12 @@ pub(crate) mod tests {
         corrupt(decode_mutation(&long).map(drop), "1 bytes past the end");
         corrupt(decode_mutation(&put[..put.len() - 1]).map(drop), "1 more expected, 0 left");
         corrupt(decode_mutation(&[]).map(drop), "payload ends");
-        // a reference past the table: a put with a one-entry table, no
-        // descriptors, and a first reference (its source) to entry 1
-        let mut bad = vec![FORMAT_VERSION, KIND_PUT, 1, 0, 0];
-        bad.extend_from_slice(&[0; 8]); // id
-        bad.extend_from_slice(&[0, 0, HAS_SOURCE, 1]); // path "", title "", source → 1
+        // a reference past the table: a put with a one-entry table, "", no
+        // descriptors, and a reference to entry 1 for its source or for its
+        // directory
+        let bad = [FORMAT_VERSION, KIND_PUT, 1, 0, 0, 0, 0, 0, HAS_SOURCE, 1];
+        corrupt(decode_mutation(&bad).map(drop), "string reference 1");
+        let bad = [FORMAT_VERSION, KIND_PUT, 1, 0, 0, 1 << 1, 0, 0, 0];
         corrupt(decode_mutation(&bad).map(drop), "string reference 1");
         // a count the payload has no room for, before anything is reserved
         let mut huge = vec![FORMAT_VERSION, KIND_CATALOG];
@@ -2064,13 +2209,69 @@ pub(crate) mod tests {
             .map(drop),
             "overflows 64 bits",
         );
-        // tag bits nobody wrote in the variable's decimals byte, seven bytes
+        // tag bits nobody wrote in the variable's decimals byte, six bytes
         // from the end: a low bit, and the bit format 4 gave a fourth number
-        for bit in [1, 1 << 7] {
+        for bit in [1 << 1, 1 << 7] {
             let mut tagged = one_number_put(&[0], VARIABLE_DECIMALS, &[0]);
-            let decimals = tagged.len() - 7;
+            let decimals = tagged.len() - 6;
             tagged[decimals] |= bit;
             corrupt(decode_mutation(&tagged).map(drop), "variable decimals tag");
+        }
+    }
+
+    #[test]
+    fn what_a_row_implies_it_does_not_write() {
+        let corrupt = |put: Vec<u8>, why: &str| {
+            let e = decode_mutation(&put).unwrap_err();
+            assert!(e.is_corrupt() && e.to_string().contains(why), "{why}: {e}");
+        };
+        let row = |put: Vec<u8>| match decode_mutation(&put).unwrap() {
+            Mutation::Put(f) => *f,
+            other => panic!("{other:?}"),
+        };
+        // the put of `path` ("" and "v" in the table), whose dir word and
+        // name are `path`, and which writes `variable`
+        let put = |path: &[u8], variable: &[u8]| {
+            let mut put = vec![FORMAT_VERSION, KIND_PUT, 2, 1, b'v', 0, 1];
+            put.extend_from_slice(V);
+            put.extend_from_slice(path);
+            put.extend_from_slice(&[0, 0, 0]); // title "", no tag, 0 records
+            put.extend_from_slice(&[0; 8]); // fingerprint
+            put.extend_from_slice(&[0, 0, 0, 0, 1]); // file len, run, format, no pairs
+            put.extend_from_slice(variable);
+            put
+        };
+        let top = [1 << 1, 1, b'a'];
+        assert_eq!(row(put(&top, &zeros(0))).id, DatasetId::from_path("a"));
+        // a total that is the record count is implied, never written
+        let mut written = zeros(0).to_vec();
+        written[1] &= !TOTAL_IS_RECORDS;
+        written.push(0);
+        corrupt(put(&top, &written), "total 0 at byte 37 is written but is the row's record count");
+        *written.last_mut().unwrap() = 9;
+        assert_eq!(row(put(&top, &written)).variables[0].total_count, 9);
+        // an id that is its path's hash is implied, never written
+        let own =
+            [&[1 << 1 | OWN_ID as u8, 1, b'a'][..], &DatasetId::from_path("a").0.to_le_bytes()];
+        corrupt(put(&own.concat(), &zeros(0)), "the row at byte 11 writes the id its path hashes");
+        let own = [&[1 << 1 | OWN_ID as u8, 1, b'a'][..], &7u64.to_le_bytes()];
+        assert_eq!(row(put(&own.concat(), &zeros(0))).id, DatasetId(7));
+        // a path is split at its last '/': a directory without one, or a
+        // name with one, is another encoding of a path a writer splits
+        let not_split = "is not split at its last '/'";
+        corrupt(put(&[0, 1, b'a'], &zeros(0)), not_split); // "v" + "a"
+        corrupt(put(&[1 << 1, 2, b'a', b'/'], &zeros(0)), not_split);
+    }
+
+    #[test]
+    fn the_rows_of_a_catalog_ascend_by_id() {
+        let (a, b) = (DatasetFeature::new("a.csv"), DatasetFeature::new("b.csv"));
+        let ascending = if a.id < b.id { [&a, &b] } else { [&b, &a] };
+        let image = Image::encode(&ascending);
+        assert_eq!(Image::parse(image.payload().to_vec()).unwrap(), image);
+        for rows in [[ascending[1], ascending[0]], [&a, &a]] {
+            let e = Image::parse(Image::encode(&rows).payload().to_vec()).unwrap_err();
+            assert!(e.is_corrupt() && e.to_string().contains("not after the row before"), "{e}");
         }
     }
 
@@ -2080,14 +2281,13 @@ pub(crate) mod tests {
     /// The descriptor "v" with the unit "v".
     const V_UNIT: &[u8] = &[0, HAS_UNIT, 0, 0, 0];
 
-    /// A put of one dataset whose string table is "v" and whose descriptor
-    /// table is `descriptors`: `dataset` is the dataset tag and the corners
-    /// it writes, and `variables` the bytes of each variable.
+    /// A put of one dataset whose string table is "v" and "" and whose
+    /// descriptor table is `descriptors`: `dataset` is the dataset tag and
+    /// the corners it writes, and `variables` the bytes of each variable.
     fn put_of(descriptors: &[&[u8]], dataset: &[u8], variables: &[&[u8]]) -> Vec<u8> {
-        let mut put = vec![FORMAT_VERSION, KIND_PUT, 1, 1, b'v', descriptors.len() as u8];
+        let mut put = vec![FORMAT_VERSION, KIND_PUT, 2, 1, b'v', 0, descriptors.len() as u8];
         put.extend(descriptors.concat());
-        put.extend_from_slice(&[0; 8]); // id
-        put.extend_from_slice(&[0, 0]); // path "", title ""
+        put.extend_from_slice(&[1 << 1, 0, 0]); // path "" + "", title ""
         put.extend_from_slice(dataset);
         put.push(0); // record count
         put.extend_from_slice(&[0; 8]); // fingerprint
@@ -2097,9 +2297,9 @@ pub(crate) mod tests {
     }
 
     /// A variable of descriptor `number` that saw nothing but zeros, each
-    /// number a decimal.
-    fn zeros(number: u8) -> [u8; 8] {
-        [number, VARIABLE_DECIMALS, 0, 0, 0, 0, 0, 0]
+    /// number a decimal, and whose total is its row's record count.
+    fn zeros(number: u8) -> [u8; 7] {
+        [number, VARIABLE_DECIMALS | TOTAL_IS_RECORDS, 0, 0, 0, 0, 0]
     }
 
     /// A put of one dataset with one variable, "v", that saw one number:
@@ -2107,8 +2307,9 @@ pub(crate) mod tests {
     /// the variable's decimals byte and `min` the bytes of its minimum; its
     /// max and mean are the decimal 0 and must be marked so.
     fn one_number_put(dataset: &[u8], decimals: u8, min: &[u8]) -> Vec<u8> {
-        // descriptor 0, the decimals, the count, then the numbers
-        let variable = [&[0, decimals, 1], min, &[0, 0, 0, 0]].concat();
+        // descriptor 0, the decimals, the count, then the numbers and the
+        // null count
+        let variable = [&[0, decimals | TOTAL_IS_RECORDS, 1], min, &[0, 0, 0]].concat();
         put_of(&[V], dataset, &[&variable])
     }
 
@@ -2132,14 +2333,14 @@ pub(crate) mod tests {
         // a reference past the table
         corrupt(put_of(&[V], &[0], &[&zeros(1)]), "descriptor reference 1 at byte");
         let mut far = put_of(&[V], &[0], &[&zeros(0)]);
-        far.splice(far.len() - 8..far.len() - 7, HUGE_COUNT);
+        far.splice(far.len() - 7..far.len() - 6, HUGE_COUNT);
         corrupt(far, "descriptor reference 4611686018427387904");
         // an entry equal to an earlier one, an entry never used, and two
         // used out of first-use order
-        corrupt(put_of(&[V, V], &[0], &[&zeros(0), &zeros(1)]), "descriptor 1 at byte 10 repeats");
-        corrupt(put_of(&[V, V_UNIT], &[0], &[&zeros(0)]), "descriptor 1 at byte 10 is never used");
+        corrupt(put_of(&[V, V], &[0], &[&zeros(0), &zeros(1)]), "descriptor 1 at byte 11 repeats");
+        corrupt(put_of(&[V, V_UNIT], &[0], &[&zeros(0)]), "descriptor 1 at byte 11 is never used");
         let swapped = put_of(&[V, V_UNIT], &[0], &[&zeros(1), &zeros(0)]);
-        corrupt(swapped, "descriptor 1 at byte 40 is used before descriptor 0");
+        corrupt(swapped, "descriptor 1 at byte 34 is used before descriptor 0");
         // tag bits nobody wrote, in the entry and in the variable
         corrupt(put_of(&[&[0, FIRST_DECIMAL, 0, 0]], &[0], &[&zeros(0)]), "presence tag");
         corrupt(put_of(&[&[0, 0, 0x80, 0]], &[0], &[&zeros(0)]), "curation tag");
@@ -2149,13 +2350,13 @@ pub(crate) mod tests {
         corrupt(put_of(&[V], &[0], &[&unknown]), "variable decimals tag");
         // a count the payload cannot hold, refused before anything is
         // reserved for it: 2^62, and one entry more than there are bytes for
-        let mut huge = vec![FORMAT_VERSION, KIND_PUT, 1, 1, b'v'];
+        let mut huge = vec![FORMAT_VERSION, KIND_PUT, 2, 1, b'v', 0];
         huge.extend_from_slice(&HUGE_COUNT);
         corrupt(huge, "count 4611686018427387904");
         let mut room = put_of(&[V], &[0], &[&zeros(0)]);
-        let fits = (room.len() - 6) / MIN_DESCRIPTOR;
-        room[5] = fits as u8 + 1;
-        corrupt(room, &format!("count {} at byte 6: the payload has room for {fits}", fits + 1));
+        let fits = (room.len() - 7) / MIN_DESCRIPTOR;
+        room[6] = fits as u8 + 1;
+        corrupt(room, &format!("count {} at byte 7: the payload has room for {fits}", fits + 1));
         // a payload that holds no rows uses no descriptor
         let mut delete = vec![FORMAT_VERSION, KIND_DELETE, 1, 1, b'v', 1];
         delete.extend_from_slice(V);

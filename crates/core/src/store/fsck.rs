@@ -386,7 +386,7 @@ mod tests {
         assert_eq!(report.files_checked, 2);
         let snapshot = &report.findings.iter().find(|f| f.component == "catalog/snapshot");
         let detail = &snapshot.unwrap().detail;
-        assert!(detail.starts_with("ok: format 5, 1 datasets at generation "), "{detail}");
+        assert!(detail.starts_with("ok: format 6, 1 datasets at generation "), "{detail}");
         assert!(detail.contains(" table entries, 0 descriptors, "), "{detail}");
     }
 
@@ -462,11 +462,14 @@ mod tests {
 
     #[test]
     fn an_older_format_is_a_mismatch_with_nothing_to_repair() {
-        use crate::store::codec::tests::{format_1_snapshot, format_3_snapshot, format_4_snapshot};
+        use crate::store::codec::tests::{
+            format_1_snapshot, format_3_snapshot, format_4_snapshot, format_5_snapshot,
+        };
         for (format, snapshot, wal) in [
             (1, format_1_snapshot(), b"MMWAL001"),
             (3, format_3_snapshot(), b"MMWAL003"),
             (4, format_4_snapshot(), b"MMWAL004"),
+            (5, format_5_snapshot(), b"MMWAL005"),
         ] {
             let dir = tmpdir(&format!("v{format}"));
             fs::write(dir.join("snapshot.bin"), &snapshot).unwrap();

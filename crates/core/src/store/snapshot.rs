@@ -1,6 +1,6 @@
 //! Point-in-time catalog snapshots.
 //!
-//! Layout: `MMSNAP05` magic, u32 payload length, u32 CRC-32, payload (the
+//! Layout: `MMSNAP06` magic, u32 payload length, u32 CRC-32, payload (the
 //! framing shared with the state image — see `frame.rs`); the payload is the
 //! binary catalog encoding of [`codec`](super::codec). Snapshots are
 //! written to a temporary file, fsynced, then atomically renamed into place
@@ -15,7 +15,7 @@ use std::path::Path;
 
 /// The eight magic bytes opening every snapshot file. Its last digit is the
 /// format.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP05";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP06";
 
 /// What a snapshot file holds around its catalog: what `fsck` reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +150,7 @@ mod tests {
         let p = dir.join("snapshot.bin");
         fs::write(&p, crate::store::codec::tests::format_1_snapshot()).unwrap();
         let e = read_snapshot(&p).unwrap_err();
-        assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 5, .. }), "{e}");
+        assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 6, .. }), "{e}");
         assert!(!e.is_corrupt());
     }
 
@@ -161,9 +161,9 @@ mod tests {
         let file = crate::store::codec::tests::format_2_snapshot();
         fs::write(&p, &file).unwrap();
         let e = read_snapshot(&p).unwrap_err();
-        assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 5, .. }), "{e}");
+        assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 6, .. }), "{e}");
         assert!(!e.is_corrupt());
-        assert!(e.to_string().contains("store format 2; re-wrangle, this build reads format 5"));
+        assert!(e.to_string().contains("store format 2; re-wrangle, this build reads format 6"));
         assert_eq!(fs::read(&p).unwrap(), file);
         // a digit that names no older format is damage
         fs::write(&p, [&b"MMSNAP09"[..], &file[8..]].concat()).unwrap();
@@ -177,9 +177,9 @@ mod tests {
         let file = crate::store::codec::tests::format_3_snapshot();
         fs::write(&p, &file).unwrap();
         let e = read_snapshot(&p).unwrap_err();
-        assert!(matches!(e, Error::UnsupportedFormat { found: 3, supported: 5, .. }), "{e}");
+        assert!(matches!(e, Error::UnsupportedFormat { found: 3, supported: 6, .. }), "{e}");
         assert!(!e.is_corrupt());
-        assert!(e.to_string().contains("store format 3; re-wrangle, this build reads format 5"));
+        assert!(e.to_string().contains("store format 3; re-wrangle, this build reads format 6"));
         assert_eq!(fs::read(&p).unwrap(), file);
     }
 
@@ -190,9 +190,22 @@ mod tests {
         let file = crate::store::codec::tests::format_4_snapshot();
         fs::write(&p, &file).unwrap();
         let e = read_snapshot(&p).unwrap_err();
-        assert!(matches!(e, Error::UnsupportedFormat { found: 4, supported: 5, .. }), "{e}");
+        assert!(matches!(e, Error::UnsupportedFormat { found: 4, supported: 6, .. }), "{e}");
         assert!(!e.is_corrupt());
-        assert!(e.to_string().contains("store format 4; re-wrangle, this build reads format 5"));
+        assert!(e.to_string().contains("store format 4; re-wrangle, this build reads format 6"));
+        assert_eq!(fs::read(&p).unwrap(), file);
+    }
+
+    #[test]
+    fn format_5_is_refused_by_name_not_as_damage() {
+        let dir = tmpdir("v5");
+        let p = dir.join("snapshot.bin");
+        let file = crate::store::codec::tests::format_5_snapshot();
+        fs::write(&p, &file).unwrap();
+        let e = read_snapshot(&p).unwrap_err();
+        assert!(matches!(e, Error::UnsupportedFormat { found: 5, supported: 6, .. }), "{e}");
+        assert!(!e.is_corrupt());
+        assert!(e.to_string().contains("store format 5; re-wrangle, this build reads format 6"));
         assert_eq!(fs::read(&p).unwrap(), file);
     }
 

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! file   := MAGIC record*
-//! MAGIC  := b"MMWAL005"                       (8 bytes)
+//! MAGIC  := b"MMWAL006"                       (8 bytes)
 //! record := len:u32 crc:u32 payload:[u8; len]
 //! ```
 //!
@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 /// The eight magic bytes opening every WAL file. Its last digit is the
 /// format.
-pub const WAL_MAGIC: &[u8; 8] = b"MMWAL005";
+pub const WAL_MAGIC: &[u8; 8] = b"MMWAL006";
 /// Refuse to read a single record larger than this (corruption guard).
 const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
@@ -365,7 +365,7 @@ mod tests {
         v1.extend_from_slice(payload);
         fs::write(&wal, &v1).unwrap();
         for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
-            assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 5, .. }), "{e}");
+            assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
         assert_eq!(fs::read(&wal).unwrap(), v1);
@@ -383,7 +383,7 @@ mod tests {
         v2.extend_from_slice(&payload);
         fs::write(&wal, &v2).unwrap();
         for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
-            assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 5, .. }), "{e}");
+            assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
         assert_eq!(fs::read(&wal).unwrap(), v2);
@@ -405,7 +405,7 @@ mod tests {
         v3.extend_from_slice(&payload);
         fs::write(&wal, &v3).unwrap();
         for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
-            assert!(matches!(e, Error::UnsupportedFormat { found: 3, supported: 5, .. }), "{e}");
+            assert!(matches!(e, Error::UnsupportedFormat { found: 3, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
         assert_eq!(fs::read(&wal).unwrap(), v3);
@@ -428,7 +428,7 @@ mod tests {
         v4.extend_from_slice(&payload);
         fs::write(&wal, &v4).unwrap();
         for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
-            assert!(matches!(e, Error::UnsupportedFormat { found: 4, supported: 5, .. }), "{e}");
+            assert!(matches!(e, Error::UnsupportedFormat { found: 4, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
         assert_eq!(fs::read(&wal).unwrap(), v4);
@@ -436,6 +436,29 @@ mod tests {
         fs::write(&wal, b"MMWAL004").unwrap();
         assert!(matches!(Wal::open(&wal, true).unwrap_err(), Error::UnsupportedFormat { .. }));
         assert_eq!(fs::read(&wal).unwrap(), b"MMWAL004");
+    }
+
+    #[test]
+    fn format_5_log_is_refused_by_name_and_never_appended_to() {
+        let dir = tmpdir("v5");
+        let wal = dir.join("wal.log");
+        // a format 5 delete record: version 5, kind 2, no table, no
+        // descriptors, the id
+        let mut v5 = b"MMWAL005".to_vec();
+        let payload = [&[5u8, 2, 0, 0][..], &7u64.to_le_bytes()].concat();
+        v5.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v5.extend_from_slice(&crc32(&payload).to_le_bytes());
+        v5.extend_from_slice(&payload);
+        fs::write(&wal, &v5).unwrap();
+        for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
+            assert!(matches!(e, Error::UnsupportedFormat { found: 5, supported: 6, .. }), "{e}");
+            assert!(!e.is_corrupt());
+        }
+        assert_eq!(fs::read(&wal).unwrap(), v5);
+        // the bare magic a checkpoint leaves is refused alike
+        fs::write(&wal, b"MMWAL005").unwrap();
+        assert!(matches!(Wal::open(&wal, true).unwrap_err(), Error::UnsupportedFormat { .. }));
+        assert_eq!(fs::read(&wal).unwrap(), b"MMWAL005");
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! tests. (`common` stays std only, for every crate; this needs the core's
 //! types.)
 
+#![allow(dead_code)] // each test file draws only some of the catalogs
+
 use crate::common::Rng;
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};

@@ -45,7 +45,7 @@ use metamess_core::id::DatasetId;
 use metamess_core::store::codec::{
     decode_catalog, decode_mutation, encode_catalog, encode_mutation, encode_rows_of, put_image,
 };
-use metamess_core::store::{crc32, Image, Row, Wal, WAL_MAGIC};
+use metamess_core::store::{crc32, DurableCatalog, Image, Row, StoreOptions, Wal, WAL_MAGIC};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -134,7 +134,11 @@ fn image_rows(bytes: &[u8]) -> metamess_core::Result<BTreeMap<DatasetId, Vec<u8>
         view.searchable_variables(|v| searchable.push(v));
         let decoded = row.decode();
         assert_eq!((view.id(), row.id()), (decoded.id, decoded.id));
-        assert_eq!((view.path(), view.title()), (&decoded.path[..], &decoded.title[..]));
+        let (dir, name) = view.path();
+        assert_eq!(
+            ([dir, name].concat(), view.title()),
+            (decoded.path.clone(), &decoded.title[..])
+        );
         assert_eq!(searchable.len(), decoded.searchable_variables().count());
         assert_eq!(view.variable_count(), decoded.variables.len());
         rows.insert(row.id(), put_record(&decoded));
@@ -161,18 +165,25 @@ fn image_agrees_with_the_decoder(bytes: &[u8]) -> bool {
 /// A small valid snapshot payload and a small valid WAL record payload.
 fn images() -> (Vec<u8>, Vec<u8>) {
     let mut rng = Rng(19);
+    let catalog = images_catalog(&mut rng);
+    let mut record = Vec::new();
+    encode_mutation(&Mutation::Put(Box::new(archive_like(3, &mut rng))), &mut record);
+    (encode_catalog(&catalog), record)
+}
+
+/// The catalog of [`images`]' snapshot, drawn from `rng` (seeded 19): three
+/// datasets of the archive's shape, and one whose variable never saw a
+/// number (+inf and −inf in the image).
+fn images_catalog(rng: &mut Rng) -> Catalog {
     let mut catalog = Catalog::new();
     for i in 0..3 {
-        catalog.put(archive_like(i, &mut rng));
+        catalog.put(archive_like(i, rng));
     }
-    // a variable that never saw a number: +inf and −inf in the image
     let mut text_only = DatasetFeature::new("notes.csv");
     text_only.variables.push(VariableFeature::new("station"));
     catalog.put(text_only);
     catalog.set_property("archive", "sim");
-    let mut record = Vec::new();
-    encode_mutation(&Mutation::Put(Box::new(archive_like(3, &mut rng))), &mut record);
-    (encode_catalog(&catalog), record)
+    catalog
 }
 
 /// 2^62 as a varint: a count no payload has room for.
@@ -201,6 +212,62 @@ fn mutate(image: &[u8], rng: &mut Rng) -> Vec<u8> {
     bytes
 }
 
+/// The snapshot payloads of `catalog` and of the catalog whose variable `v`
+/// of dataset `ix` has a total that is not its row's record count, both at
+/// one generation, and where that variable's decimals byte is: the first
+/// byte in which the two differ.
+fn decimals_byte(catalog: &Catalog, ix: usize, v: usize) -> (Vec<u8>, Vec<u8>, usize) {
+    let (mut implied, mut written) = (catalog.clone(), catalog.clone());
+    let _ = implied.iter_mut();
+    let f = written.iter_mut().nth(ix).unwrap();
+    f.variables[v].total_count = f.record_count + 1;
+    let (implied, written) = (encode_catalog(&implied), encode_catalog(&written));
+    let at = implied.iter().zip(&written).position(|(a, b)| a != b).unwrap();
+    (implied, written, at)
+}
+
+/// Where, in `payload`, the `dir` word of the row whose path ends in the
+/// name `name` is: the varint just before the name's length and bytes.
+fn dir_word(payload: &[u8], name: &str) -> std::ops::Range<usize> {
+    let spelled = [&[name.len() as u8][..], name.as_bytes()].concat();
+    let end = payload.windows(spelled.len()).position(|w| w == spelled).unwrap();
+    let start = (0..end - 1).rev().find(|&at| payload[at] & 0x80 == 0).map_or(0, |at| at + 1);
+    start..end
+}
+
+/// `v` as a varint.
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// The snapshot of `images`' catalog damaged where format 6 reads what a
+/// row implies: a variable's "total is the record count" bit cleared (its
+/// total is then read from the bytes that follow) or set over a written
+/// total, and a row's `dir` word replaced by another reference, one past
+/// the table, or one that marks an own id.
+fn implied_field_mutants(rng: &mut Rng) -> Vec<Vec<u8>> {
+    let catalog = images_catalog(&mut Rng(19));
+    let bytes = encode_catalog(&catalog);
+    let ix = rng.size(0, catalog.len());
+    let f = catalog.iter().nth(ix).unwrap();
+    let (mut cleared, mut set, at) = decimals_byte(&catalog, ix, rng.size(0, f.variables.len()));
+    assert_eq!((cleared[at] & 1, set[at] & 1), (1, 0), "the decimals byte");
+    cleared[at] &= !1;
+    set[at] |= 1;
+    let (_, table) = decode_catalog(&bytes).unwrap();
+    let word = dir_word(&bytes, f.path.rsplit('/').next().unwrap());
+    let reference = rng.below(table as u64 + 2);
+    let mut moved = bytes.clone();
+    moved.splice(word, varint(reference << 1 | rng.below(2)));
+    vec![cleared, set, moved]
+}
+
 fn cases() -> u64 {
     std::env::var("METAMESS_TORTURE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(300)
 }
@@ -225,6 +292,9 @@ fn mutated_payloads_decode_or_are_corrupt() {
     sweep(cases(), |rng| {
         for _ in 0..12 {
             undecodable += !image_agrees_with_the_decoder(&mutate(&snapshot, rng)) as u64;
+        }
+        for mutant in implied_field_mutants(rng) {
+            image_agrees_with_the_decoder(&mutant);
         }
         let mut first_bad = None;
         for _ in 0..12 {
@@ -315,6 +385,77 @@ fn encoder_built_images_are_what_their_payloads_parse_to() {
     parses_to_itself(&empty);
     let none = encode_rows_of(0, &BTreeMap::new(), std::iter::empty::<&Row>());
     assert_eq!(none.payload(), empty.payload());
+}
+
+/// A catalog of the archive's shape whose paths are at the top level, deep
+/// or the archive's own, in which some variables' totals are not their
+/// rows' record counts and some datasets' ids are not their paths' hashes.
+fn paths_totals_and_ids(rng: &mut Rng) -> Catalog {
+    let mut catalog = Catalog::new();
+    for i in 0..rng.size(1, 12) {
+        let mut f = archive_like(i, rng);
+        match rng.below(3) {
+            0 => f.path = format!("top-{i}.csv"),
+            1 => f.path = format!("a/b/c/d/e/f/{i}/deep.csv"),
+            _ => {}
+        }
+        f.id = DatasetId::from_path(&f.path);
+        if rng.coin() {
+            let v = rng.size(0, f.variables.len());
+            f.variables[v].total_count = rng.below(f.record_count + 2);
+        }
+        if rng.below(4) == 0 {
+            f.id = DatasetId(rng.next());
+        }
+        catalog.put(f);
+    }
+    catalog
+}
+
+#[test]
+fn what_a_row_implies_and_what_it_writes_round_trip() {
+    sweep(cases(), |rng| {
+        let catalog = paths_totals_and_ids(rng);
+        let bytes = encode_catalog(&catalog);
+        assert_eq!(decode_catalog(&bytes).unwrap().0, catalog);
+        let image = Arc::new(Image::parse(bytes).unwrap());
+        for (row, f) in image.rows().zip(catalog.iter()) {
+            let (dir, name) = row.view().path();
+            assert_eq!((row.id(), [dir, name].concat()), (f.id, f.path.clone()));
+            assert!(name.len() < f.path.len() || !f.path.contains('/'), "{dir} + {name}");
+            assert_eq!(row.decode(), *f);
+            let m = Mutation::Put(Box::new(f.clone()));
+            assert_eq!(decode_mutation(&put_record(f)).unwrap(), m);
+        }
+    });
+}
+
+/// A dataset whose id is not the hash of its path keeps its id: the row
+/// writes it, behind the `dir` word's marker, through the log, a
+/// checkpoint and a replacement.
+#[test]
+fn a_store_keeps_an_id_that_is_not_its_paths_hash() {
+    let dir = std::env::temp_dir().join(format!("metamess-codec-own-id-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut own = archive_like(0, &mut Rng(5));
+    own.id = DatasetId(7);
+    let hashed = archive_like(1, &mut Rng(6));
+    let mut store = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
+    store.put(own.clone()).unwrap();
+    store.put(hashed.clone()).unwrap();
+    let want = store.catalog();
+    assert_eq!(want.get(DatasetId(7)), Some(&own));
+    drop(store);
+    for step in ["the log", "a checkpoint", "a replacement"] {
+        let mut store = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
+        assert!(store.catalog().iter().eq(want.iter()), "after {step}");
+        assert_eq!(store.catalog().get(DatasetId::from_path(&own.path)), None);
+        match step {
+            "the log" => store.checkpoint().unwrap(),
+            _ => store.replace_with(&want).unwrap(),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -564,38 +705,42 @@ fn odd_dataset() -> DatasetFeature {
 /// order.
 #[test]
 fn external_pairs_encode_to_their_golden_bytes_and_fingerprints() {
-    /// The pairs, the put record's hex and the catalog's fingerprint.
-    type Case = (&'static [(&'static str, &'static str)], &'static str, u64);
+    /// The pairs, the put record's hex, the catalog's fingerprint, and the
+    /// record's length in format 5.
+    type Case = (&'static [(&'static str, &'static str)], &'static str, u64, usize);
     let cases: [Case; 3] = [
         (
             &[],
             concat!(
-                "0501010000f71c0a3fe64522da1a73746174696f6e732f73617475726e30312f323031302e6373761a73",
-                "746174696f6e732f73617475726e30312f323031302e637376000000000000000000000000000000",
+                "0601021273746174696f6e732f73617475726e30312f00000008323031302e6373761a73746174696f6e",
+                "732f73617475726e30312f323031302e637376000000000000000000000000010000",
             ),
-            2_739_756_089_769_887_553,
+            3_101_079_681_275_697_325,
+            82,
         ),
         (
             &[("context", "buoy")],
             concat!(
-                "0501030007636f6e746578740462756f7900f71c0a3fe64522da1a73746174696f6e732f73617475726e",
-                "30312f323031302e6373761a73746174696f6e732f73617475726e30312f323031302e63737600000000",
-                "00000000000000000001010200",
+                "0601041273746174696f6e732f73617475726e30312f0007636f6e746578740462756f79000008323031",
+                "302e6373761a73746174696f6e732f73617475726e30312f323031302e63737600000000000000000000",
+                "00000101020300",
             ),
-            4_639_345_124_050_368_070,
+            13_982_510_857_997_978_718,
+            97,
         ),
         (
             &[("station", "saturn01"), ("context", "buoy"), ("principal_investigator", "Megler")],
             concat!(
-                "0501070007636f6e746578740462756f79167072696e636970616c5f696e76657374696761746f72064d",
-                "65676c65720773746174696f6e0873617475726e303100f71c0a3fe64522da1a73746174696f6e732f73",
-                "617475726e30312f323031302e6373761a73746174696f6e732f73617475726e30312f323031302e6373",
-                "76000000000000000000000000000301020304050600",
+                "0601081273746174696f6e732f73617475726e30312f0007636f6e746578740462756f79167072696e63",
+                "6970616c5f696e76657374696761746f72064d65676c65720773746174696f6e0873617475726e303100",
+                "0008323031302e6373761a73746174696f6e732f73617475726e30312f323031302e6373760000000000",
+                "00000000000000010302030405060700",
             ),
-            10_132_261_334_645_141_815,
+            11_551_223_942_594_595_087,
+            148,
         ),
     ];
-    for (pairs, golden, fingerprint) in cases {
+    for (pairs, golden, fingerprint, format_5) in cases {
         let mut f = DatasetFeature::new("stations/saturn01/2010.csv");
         for (k, v) in pairs {
             f.external.insert(k.to_string(), v.to_string());
@@ -605,5 +750,8 @@ fn external_pairs_encode_to_their_golden_bytes_and_fingerprints() {
         catalog.put(f);
         assert_eq!(hex, golden, "{} pairs", pairs.len());
         assert_eq!(catalog.content_fingerprint(), fingerprint, "{} pairs", pairs.len());
+        // format 5 wrote the id and the path whole: 8 + 27 bytes, where
+        // the directory's table entry, its reference and the name take 29
+        assert_eq!(format_5 - golden.len() / 2, 8 + 27 - 29, "{} pairs", pairs.len());
     }
 }

@@ -10,6 +10,7 @@ use crate::naming::{infer_path_facts, NamingRule};
 use crate::scan::{ArchiveInput, FileEntry, ScanConfig};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
+use metamess_core::id::DatasetId;
 use metamess_formats::sniff_and_parse;
 use metamess_telemetry::{event, Counter, Histogram, Level, Stopwatch};
 use std::path::Path;
@@ -79,8 +80,9 @@ pub struct HarvestError {
 pub struct HarvestReport {
     /// Newly extracted features (changed or new files).
     pub features: Vec<DatasetFeature>,
-    /// Features reused unchanged from the previous catalog.
-    pub reused: Vec<DatasetFeature>,
+    /// Ids of the features reused unchanged from the previous catalog,
+    /// which still holds them.
+    pub reused: Vec<DatasetId>,
     /// Files that failed to parse.
     pub errors: Vec<HarvestError>,
     /// Files scanned in total.
@@ -104,7 +106,7 @@ fn process_entry(
                 if on {
                     harvest_metrics().files_reused.inc();
                 }
-                report.reused.push(existing.clone());
+                report.reused.push(existing.id);
                 return;
             }
         }

@@ -55,7 +55,7 @@ impl Component for ScanArchive {
         // files the scan no longer produced (removed, excluded by config, or
         // no longer parseable) so working mirrors the archive exactly.
         let keep: BTreeSet<DatasetId> =
-            hr.features.iter().chain(hr.reused.iter()).map(|f| f.id).collect();
+            hr.features.iter().map(|f| f.id).chain(hr.reused.iter().copied()).collect();
         let working = &mut ctx.catalog;
         let stale: Vec<DatasetId> =
             working.iter().map(|d| d.id).filter(|id| !keep.contains(id)).collect();

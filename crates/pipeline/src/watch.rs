@@ -528,7 +528,7 @@ mod tests {
         let on_disk = metamess_core::store::read_published(store.join("catalog")).unwrap();
         assert_eq!(on_disk.rows.len(), r.datasets);
         assert!(
-            on_disk.rows.iter().any(|row| row.view().path().contains("fresh_upload")),
+            on_disk.rows.iter().any(|row| row.view().path().1.contains("fresh_upload")),
             "the uploaded file must be published before the cycle returns"
         );
     }

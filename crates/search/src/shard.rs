@@ -173,7 +173,8 @@ impl ShardEngine {
         let (mut variables, mut path_bytes) = (0, 0);
         for (_, row) in members {
             let view = row.view();
-            path_bytes += view.path().len();
+            let (dir, name) = view.path();
+            path_bytes += dir.len() + name.len();
             variables += view.variable_count();
         }
         let mut var_keys = Vec::with_capacity(variables);
@@ -191,7 +192,9 @@ impl ShardEngine {
             let view = row.view();
             global_ix.push(*gix);
             extents.push(Extent::of_row(&view));
-            paths.push_str(view.path());
+            let (dir, name) = view.path();
+            paths.push_str(dir);
+            paths.push_str(name);
             path_ends.push(paths.len());
             if let Some(b) = view.bbox() {
                 spatial_entries.push((b, ix));

@@ -77,7 +77,7 @@ fn every_reader_serves_the_prefix_and_leaves_a_half_written_record_alone() {
         other => panic!("expected the completed record as a delta, got {other:?}"),
     }
     assert_eq!(state.epoch().datasets, 4);
-    assert!(state.epoch().engine.rows().any(|row| row.view().path() == "2014/08/s4.csv"));
+    assert!(state.epoch().engine.rows().any(|row| row.view().path() == ("2014/08/", "s4.csv")));
     assert_eq!(std::fs::read(&wal).unwrap(), complete);
 }
 

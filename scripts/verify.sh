@@ -35,12 +35,15 @@ echo "==> trace zero-allocation gate (METAMESS_TELEMETRY=0 alloc guard)"
 # test asserts exactly zero heap allocations for begin/span/end.
 METAMESS_TELEMETRY=0 cargo test -q -p metamess-server --test alloc_guard
 
-echo "==> catalog memory budget (release)"
+echo "==> catalog memory and store budgets (release)"
 # A catalog keeps each feature it takes at the size of its metadata: the
 # variables at exact capacity, the external pairs in one sorted vector. The
 # counting-allocator test holds the live heap bytes per dataset of a catalog
-# of harvester-built features under a budget set from measurement.
-cargo test -q --release -p metamess-core --test memory_budget
+# of harvester-built features under a budget set from measurement, and
+# store_budget the snapshot bytes per dataset a 2 000-dataset catalog laid
+# out in directories publishes to: a row that writes more than it alone
+# knows fails there before the benchmark's store_bytes_per_dataset moves.
+cargo test -q --release -p metamess-core --test memory_budget --test store_budget
 
 cases="${METAMESS_TORTURE_CASES:-1000}"
 echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites ($cases seeded cases, release)"
@@ -55,9 +58,13 @@ echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites 
 # descriptor table (each variable's name, curation, units, context and
 # hierarchy, written once and referred to by number) with a reference past
 # it, an entry repeated or never used, or an unknown tag bit is refused. A
-# format 5 variable writes three numbers (min, max, mean), so a decimals
-# byte with bit 7 set (format 4's fourth number, the dropped Welford m2) is
-# corrupt, and a format 4 file is refused by name and left as it is. Every
+# format 6 row writes only what it alone knows: its id is its path's hash
+# unless a marker in its directory reference says it writes one, its
+# directory is a table reference, and a variable whose total is its row's
+# record count says so with bit 0 of its decimals byte and writes none; the
+# sweep flips that bit and points directory references elsewhere and past
+# the table. A decimals byte with bit 7 set (format 4's fourth number) is
+# corrupt, and a format 4 or 5 file is refused by name and left as it is. Every
 # f64, which a row writes as its short decimal when it has one and as its
 # eight bits otherwise, comes back bit for bit and has one encoding. An
 # image the encoder builds is what parsing its payload finds; the writer's

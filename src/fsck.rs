@@ -5,8 +5,8 @@
 //! a `metamess` store directory is laid out:
 //!
 //! ```text
-//! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP05)
-//! <store>/catalog/wal.log           catalog WAL (MMWAL005)
+//! <store>/catalog/snapshot.bin      catalog snapshot (MMSNAP06)
+//! <store>/catalog/wal.log           catalog WAL (MMWAL006)
 //! <store>/vocabulary.json           published vocabulary (JSON)
 //! <store>/state/state.bin           pipeline state image (MMSTATE2): run
 //!                                   ledger, curation state
@@ -16,7 +16,10 @@
 //! The catalog directory is the only copy of the published catalog: the
 //! state image holds none, and its ledger names the catalog it describes
 //! by fingerprint. Beyond per-file integrity it checks that snapshot + WAL
-//! recover to a consistent generation.
+//! recover to a consistent generation. A catalog file of an older format
+//! (1 to 5: format 5 rows still wrote their ids, whole paths and every
+//! variable's total) is whole, so it is reported by its format, with
+//! nothing to repair, and left as it is.
 
 use metamess_core::store::fsck::{
     apply_repairs, check_catalog_dir, check_state, FsckReport, FsckSeverity, RepairAction,

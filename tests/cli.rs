@@ -367,11 +367,43 @@ fn run_bounded(args: &[&str]) -> (bool, String) {
     (out.status.success(), String::from_utf8_lossy(&out.stderr).to_string())
 }
 
+/// A snapshot payload format 5 wrote, the one its codec golden test
+/// pinned: two datasets whose rows write their ids and whole paths, and
+/// whose variables write their totals.
+const FORMAT_5_PAYLOAD: &str = concat!(
+    "0500100873617475726e303103637376167072696e636970616c5f696e76657374696761746f72064d65676c",
+    "65720641546173746e0b66696e6765727072696e741177617465725f74656d70657261747572650464656743",
+    "0763656c7369757305776174657208706879736963616c0b74656d70657261747572650871615f6c6576656c",
+    "000773746174696f6e066f666673657404040f530506070809030a0b060c002c000e0000000f000000030107",
+    "617263686976650373696d02776e3803bbd25d20136372756973652f63312f63617374332e63646c1b636173",
+    "74206174206372756973652f63312f63617374332e63646cf700f13892c204c99b01a80fffc50a80b2f4b309",
+    "ac02efcdab89674523018096010301010203020030039235f115abaaaaaaaa2a254002ae0201400000000000",
+    "0000f07f000000000000f0ff000000680277578a05ca43076f64642e637376076f64642e6373761ae1390b6a",
+    "20df63fa5ec000000000000000000000000d0003024000000000000000f07f000000000000f0ff0000000340",
+    "0100000000000000800000000000000080000000014000000000000000f07f000000000000f0ff000007",
+);
+
 /// A store format 4 wrote is refused by name by its readers, and `fsck
 /// --repair` sets none of it aside: the files are whole, only older.
 #[test]
 fn a_format_4_store_is_refused_by_name_and_left_as_it_was() {
-    let dir = std::env::temp_dir().join(format!("metamess-cli-format4-{}", std::process::id()));
+    refused_by_name_and_left_as_it_was(4, FORMAT_4_PAYLOAD);
+}
+
+/// A store format 5 wrote, whose rows format 6 would read otherwise, is
+/// refused alike.
+#[test]
+fn a_format_5_store_is_refused_by_name_and_left_as_it_was() {
+    refused_by_name_and_left_as_it_was(5, FORMAT_5_PAYLOAD);
+}
+
+/// Puts a catalog of `format` in a wrangled store, as that format left it:
+/// a snapshot whose payload is `payload_hex` and an emptied log. `search`
+/// and `serve` refuse it by name, `fsck` and `fsck --repair` report it and
+/// repair nothing, and the files stay byte for byte.
+fn refused_by_name_and_left_as_it_was(format: u8, payload_hex: &str) {
+    let dir =
+        std::env::temp_dir().join(format!("metamess-cli-format{format}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().unwrap();
     run(&["generate", dir_s, "--months", "1", "--stations", "1"]);
@@ -379,38 +411,37 @@ fn a_format_4_store_is_refused_by_name_and_left_as_it_was() {
     assert!(ok, "{stderr}");
     let store = dir.join(".metamess");
     let store_s = store.to_str().unwrap();
-    // the catalog as format 4 left it: a snapshot and an emptied log
-    let payload: Vec<u8> = (0..FORMAT_4_PAYLOAD.len())
+    let payload: Vec<u8> = (0..payload_hex.len())
         .step_by(2)
-        .map(|i| u8::from_str_radix(&FORMAT_4_PAYLOAD[i..i + 2], 16).unwrap())
+        .map(|i| u8::from_str_radix(&payload_hex[i..i + 2], 16).unwrap())
         .collect();
-    let mut snapshot = b"MMSNAP04".to_vec();
+    let mut snapshot = format!("MMSNAP0{format}").into_bytes();
     snapshot.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     snapshot.extend_from_slice(&metamess::core::store::crc32(&payload).to_le_bytes());
     snapshot.extend_from_slice(&payload);
     let files = [
         (store.join("catalog/snapshot.bin"), snapshot),
-        (store.join("catalog/wal.log"), b"MMWAL004".to_vec()),
+        (store.join("catalog/wal.log"), format!("MMWAL00{format}").into_bytes()),
     ];
     for (path, bytes) in &files {
         std::fs::write(path, bytes).unwrap();
     }
-    let named = "store format 4; re-wrangle, this build reads format 5";
+    let named = format!("store format {format}; re-wrangle, this build reads format 6");
     for args in [
         &["search", store_s, "with", "salinity"][..],
         &["serve", store_s, "--addr", "127.0.0.1:0", "--workers", "1"],
     ] {
         let (ok, stderr) = run_bounded(args);
-        assert!(!ok && stderr.contains(named), "{args:?}: {stderr}");
+        assert!(!ok && stderr.contains(&named), "{args:?}: {stderr}");
     }
     for args in [&["fsck", store_s][..], &["fsck", store_s, "--repair"]] {
         let (ok, stdout, stderr) = run(args);
         assert!(!ok, "{args:?}");
-        assert_eq!(stdout.matches(named).count(), 2, "{args:?}: {stdout}");
+        assert_eq!(stdout.matches(&named).count(), 2, "{args:?}: {stdout}");
         assert!(stdout.contains("0 repair(s) applied"), "{args:?}: {stdout}");
         // the last line names the format, not damage
         let last = stderr.lines().last().unwrap_or_default();
-        assert!(last.contains(named) && !last.contains("corrupt"), "{args:?}: {stderr}");
+        assert!(last.contains(&named) && !last.contains("corrupt"), "{args:?}: {stderr}");
     }
     for (path, bytes) in &files {
         assert!(
