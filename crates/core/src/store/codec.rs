@@ -54,9 +54,12 @@
 //! [`Row`] is a shared image and a row number; its [`RowView`] reads the
 //! fields a search engine needs in place, without allocating, and
 //! [`Row::decode`] builds the owned [`DatasetFeature`] for the callers that
-//! want one. Every reader of a row — [`decode_catalog`], [`decode_mutation`],
-//! the view — goes through the same `Decoder` routines, and every writer of
-//! one — a feature's row, or a row transcoded from another image by
+//! want one. A WAL record is parsed into a [`WalRecord`], a put's row
+//! still encoded: recovery, a serving delta and `fsck` all lay those
+//! records over rows ([`apply_records`](super::apply_records)), and none
+//! decodes them. Every reader of a row — [`decode_catalog`], the view —
+//! goes through the same `Decoder` routines, and every writer of one — a
+//! feature's row, or a row transcoded from another image by
 //! [`encode_rows_of`] — through the same `Encoder` routines.
 //!
 //! An image is checked in full when it is parsed, and the checks trust
@@ -299,36 +302,36 @@ pub fn encode_mutation(m: &Mutation, out: &mut Vec<u8>) {
     *out = e.finish(kind);
 }
 
-/// Decodes one WAL record's payload.
-pub fn decode_mutation(payload: &[u8]) -> Result<Mutation> {
-    Ok(match parse_record(payload)? {
-        Record::Put(row) => Mutation::Put(Box::new(row.decode())),
-        Record::Delete(id) => Mutation::Delete(id),
-        Record::SetProperty { key, value } => Mutation::SetProperty { key, value },
-    })
-}
-
-/// One WAL record as a store load applies it: a put stays encoded, as the
-/// one row of an image of its own.
-pub(crate) enum Record {
+/// One WAL record as every reader of the log applies it: the mutation it
+/// logged, with a put still encoded, as the one row of an image of its own.
+#[derive(Debug, Clone)]
+pub enum WalRecord {
+    /// A dataset put: its row replaces the row of its id.
     Put(Row),
+    /// A dataset delete.
     Delete(DatasetId),
-    SetProperty { key: String, value: String },
+    /// A catalog property set.
+    SetProperty {
+        /// Property key.
+        key: String,
+        /// Property value.
+        value: String,
+    },
 }
 
-/// Parses one WAL record's payload.
-pub(crate) fn parse_record(payload: &[u8]) -> Result<Record> {
+/// Parses one WAL record's payload, checking all of it.
+pub fn parse_record(payload: &[u8]) -> Result<WalRecord> {
     let Header { kind, table, descriptors, body } = header(payload)?;
     if kind == KIND_PUT {
         let image = Image::with_body(payload.to_vec(), 0, kind, table, descriptors, body)?;
-        return Ok(Record::Put(image.into_row()));
+        return Ok(WalRecord::Put(image.into_row()));
     }
     let mut d = Decoder::parsing(payload, body, &table, &descriptors);
     let record = match kind {
-        KIND_DELETE => Record::Delete(DatasetId(d.u64_le()?)),
+        KIND_DELETE => WalRecord::Delete(DatasetId(d.u64_le()?)),
         KIND_SET_PROPERTY => {
             let key = d.str()?.to_owned();
-            Record::SetProperty { key, value: d.str()?.to_owned() }
+            WalRecord::SetProperty { key, value: d.str()?.to_owned() }
         }
         other => return Err(Error::corrupt(format!("payload kind {other} is not a mutation"))),
     };
@@ -1841,6 +1844,20 @@ pub(crate) mod tests {
     use super::*;
     use crate::geo::GeoPoint;
 
+    /// The mutation `record` logs, its put's row decoded.
+    pub(crate) fn mutation(record: WalRecord) -> Mutation {
+        match record {
+            WalRecord::Put(row) => Mutation::Put(Box::new(row.decode())),
+            WalRecord::Delete(id) => Mutation::Delete(id),
+            WalRecord::SetProperty { key, value } => Mutation::SetProperty { key, value },
+        }
+    }
+
+    /// Parses one WAL record's payload into the mutation it logs.
+    fn parse_mutation(payload: &[u8]) -> Result<Mutation> {
+        parse_record(payload).map(mutation)
+    }
+
     /// A dataset whose floats JSON could not carry: a variable that never
     /// saw a number (`min = +inf`, `max = −inf`) and one that saw only
     /// `−0.0`.
@@ -2013,7 +2030,7 @@ pub(crate) mod tests {
             Mutation::SetProperty { key: "vocabulary".into(), value: "v7 — ünïcode".into() },
         ] {
             encode_mutation(&m, &mut buf);
-            assert_eq!(decode_mutation(&buf).unwrap(), m);
+            assert_eq!(parse_mutation(&buf).unwrap(), m);
         }
     }
 
@@ -2165,26 +2182,26 @@ pub(crate) mod tests {
         };
         // one kind read as the other
         corrupt(decode_catalog(&put).map(drop), "kind 1 is not a catalog");
-        corrupt(decode_mutation(&snapshot).map(drop), "kind 0 is not a mutation");
+        corrupt(parse_mutation(&snapshot).map(drop), "kind 0 is not a mutation");
         // another format generation
         let mut next = put.clone();
         next[0] = FORMAT_VERSION + 1;
-        corrupt(decode_mutation(&next).map(drop), "payload format 7");
+        corrupt(parse_mutation(&next).map(drop), "payload format 7");
         // the kind format 2 gave a `Clear`
-        corrupt(decode_mutation(&[FORMAT_VERSION, 4, 0, 0]).map(drop), "kind 4 is not a mutation");
+        corrupt(parse_mutation(&[FORMAT_VERSION, 4, 0, 0]).map(drop), "kind 4 is not a mutation");
         // bytes left over, bytes missing
         let mut long = put.clone();
         long.push(0);
-        corrupt(decode_mutation(&long).map(drop), "1 bytes past the end");
-        corrupt(decode_mutation(&put[..put.len() - 1]).map(drop), "1 more expected, 0 left");
-        corrupt(decode_mutation(&[]).map(drop), "payload ends");
+        corrupt(parse_mutation(&long).map(drop), "1 bytes past the end");
+        corrupt(parse_mutation(&put[..put.len() - 1]).map(drop), "1 more expected, 0 left");
+        corrupt(parse_mutation(&[]).map(drop), "payload ends");
         // a reference past the table: a put with a one-entry table, "", no
         // descriptors, and a reference to entry 1 for its source or for its
         // directory
         let bad = [FORMAT_VERSION, KIND_PUT, 1, 0, 0, 0, 0, 0, HAS_SOURCE, 1];
-        corrupt(decode_mutation(&bad).map(drop), "string reference 1");
+        corrupt(parse_mutation(&bad).map(drop), "string reference 1");
         let bad = [FORMAT_VERSION, KIND_PUT, 1, 0, 0, 1 << 1, 0, 0, 0];
-        corrupt(decode_mutation(&bad).map(drop), "string reference 1");
+        corrupt(parse_mutation(&bad).map(drop), "string reference 1");
         // a count the payload has no room for, before anything is reserved
         let mut huge = vec![FORMAT_VERSION, KIND_CATALOG];
         huge.extend_from_slice(&HUGE_COUNT);
@@ -2215,17 +2232,17 @@ pub(crate) mod tests {
             let mut tagged = one_number_put(&[0], VARIABLE_DECIMALS, &[0]);
             let decimals = tagged.len() - 6;
             tagged[decimals] |= bit;
-            corrupt(decode_mutation(&tagged).map(drop), "variable decimals tag");
+            corrupt(parse_mutation(&tagged).map(drop), "variable decimals tag");
         }
     }
 
     #[test]
     fn what_a_row_implies_it_does_not_write() {
         let corrupt = |put: Vec<u8>, why: &str| {
-            let e = decode_mutation(&put).unwrap_err();
+            let e = parse_mutation(&put).unwrap_err();
             assert!(e.is_corrupt() && e.to_string().contains(why), "{why}: {e}");
         };
-        let row = |put: Vec<u8>| match decode_mutation(&put).unwrap() {
+        let row = |put: Vec<u8>| match parse_mutation(&put).unwrap() {
             Mutation::Put(f) => *f,
             other => panic!("{other:?}"),
         };
@@ -2315,7 +2332,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_descriptor_table_in_any_form_but_its_one_is_corrupt() {
-        let variables = |put: Vec<u8>| match decode_mutation(&put) {
+        let variables = |put: Vec<u8>| match parse_mutation(&put) {
             Ok(Mutation::Put(f)) => Ok(f.variables),
             Ok(other) => panic!("{other:?}"),
             Err(e) => Err(e),
@@ -2361,7 +2378,7 @@ pub(crate) mod tests {
         let mut delete = vec![FORMAT_VERSION, KIND_DELETE, 1, 1, b'v', 1];
         delete.extend_from_slice(V);
         delete.extend_from_slice(&7u64.to_le_bytes());
-        let e = decode_mutation(&delete).unwrap_err();
+        let e = parse_mutation(&delete).unwrap_err();
         assert!(e.is_corrupt() && e.to_string().contains("descriptor 0 at byte 6 is never used"));
     }
 
@@ -2383,7 +2400,7 @@ pub(crate) mod tests {
     fn a_number_in_a_form_its_writer_would_not_choose_is_corrupt() {
         const SUMMARY: u8 = 0b0110_0000; // max and mean are decimals
         const MIN: u8 = FIRST_DECIMAL;
-        let min = |put: Vec<u8>| match decode_mutation(&put) {
+        let min = |put: Vec<u8>| match parse_mutation(&put) {
             Ok(Mutation::Put(f)) => Ok(f.variables[0].summary.min),
             Ok(other) => panic!("{other:?}"),
             Err(e) => Err(e),
@@ -2439,6 +2456,6 @@ pub(crate) mod tests {
         // format 2 counted 39 bytes to a variable, and would have found no
         // room for 40 in this row
         assert!(record.len() < 40 * 39);
-        assert_eq!(decode_mutation(&record).unwrap(), Mutation::Put(Box::new(f)));
+        assert_eq!(parse_mutation(&record).unwrap(), Mutation::Put(Box::new(f)));
     }
 }

@@ -28,7 +28,7 @@
 //! checkpoint transcodes rows into the snapshot without decoding one, and a
 //! replacement keeps the rows of the snapshot it wrote.
 
-use super::codec::{catalog_image, encode_rows_of, parse_record, put_image, Record, Row};
+use super::codec::{catalog_image, encode_rows_of, put_image, Image, Row, WalRecord};
 use super::lock::{lock_path, StoreLock};
 use super::metrics::store_metrics;
 use super::quarantine::{quarantine_file, QuarantineReason, Quarantined};
@@ -120,7 +120,7 @@ fn load(
         read => read?,
     };
     let wal_path = dir.join("wal.log");
-    let tail = match Wal::read_records_with(vfs, &wal_path, 0, parse_record) {
+    let tail = match Wal::read_from(vfs, &wal_path, 0) {
         Err(e) if e.is_corrupt() => {
             unverifiable(&wal_path, e)?;
             TailRead::default()
@@ -128,29 +128,9 @@ fn load(
         read => read?,
     };
     let snapshot_loaded = snapshot.is_some();
-    let (mut rows, mut properties, mut generation) = match snapshot.map(Arc::new) {
-        Some(image) => (
-            image.rows().map(|row| (row.id(), row)).collect(),
-            image.properties().clone(),
-            image.generation(),
-        ),
-        None => (BTreeMap::new(), BTreeMap::new(), 0),
-    };
-    let wal_mutations = tail.mutations.len();
-    for record in tail.mutations {
-        match record {
-            Record::Put(row) => {
-                rows.insert(row.id(), row);
-            }
-            Record::Delete(id) => {
-                rows.remove(&id);
-            }
-            Record::SetProperty { key, value } => {
-                properties.insert(key, value);
-            }
-        }
-        generation += 1;
-    }
+    let (mut rows, mut properties, mut generation) = snapshot_state(snapshot);
+    let wal_mutations = tail.records.len();
+    generation += apply_records(&mut rows, &mut properties, tail.records);
     if metamess_telemetry::enabled() {
         store_metrics().recovery_replayed.add(wal_mutations as u64);
     }
@@ -163,6 +143,48 @@ fn load(
         wal_offset: tail.new_offset,
         stopped_early: tail.stopped_early,
     })
+}
+
+/// What recovery lays the WAL's records over: the rows of the snapshot's
+/// image by id, its properties and its generation — all empty without one.
+pub(crate) fn snapshot_state(
+    snapshot: Option<Image>,
+) -> (BTreeMap<DatasetId, Row>, BTreeMap<String, String>, u64) {
+    match snapshot.map(Arc::new) {
+        Some(image) => (
+            image.rows().map(|row| (row.id(), row)).collect(),
+            image.properties().clone(),
+            image.generation(),
+        ),
+        None => (BTreeMap::new(), BTreeMap::new(), 0),
+    }
+}
+
+/// Lays WAL `records` over `rows` and `properties` in log order, the way
+/// recovery does: a put's row takes its id's place, a delete removes its
+/// id, a property record sets its key. Returns the generation step, one per
+/// record, as a catalog applying the same mutations counts them. A put's
+/// row is kept as the one row of its own image; nothing is decoded.
+pub fn apply_records(
+    rows: &mut BTreeMap<DatasetId, Row>,
+    properties: &mut BTreeMap<String, String>,
+    records: Vec<WalRecord>,
+) -> u64 {
+    let step = records.len() as u64;
+    for record in records {
+        match record {
+            WalRecord::Put(row) => {
+                rows.insert(row.id(), row);
+            }
+            WalRecord::Delete(id) => {
+                rows.remove(&id);
+            }
+            WalRecord::SetProperty { key, value } => {
+                properties.insert(key, value);
+            }
+        }
+    }
+    step
 }
 
 /// When and how a [`DurableCatalog`] folds its WAL into a fresh snapshot.
@@ -1114,7 +1136,7 @@ mod tests {
         // The WAL was folded: everything lives in the snapshot now.
         assert_eq!(s.pending_wal_records(), 0);
         let r = Wal::read_tail(dir.join("wal.log"), 0).unwrap();
-        assert!(r.mutations.is_empty() && r.stopped_early.is_none());
+        assert!(r.records.is_empty() && r.stopped_early.is_none());
         assert_eq!(s.catalog().len(), 1);
     }
 

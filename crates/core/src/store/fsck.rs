@@ -10,15 +10,17 @@
 //! reported as such and proposed nothing: it is whole, and the build that
 //! wrote it can still read it.
 
-use super::codec::FORMAT_VERSION;
+use super::codec::{Image, Row, FORMAT_VERSION};
+use super::durable::{apply_records, snapshot_state};
 use super::quarantine::{quarantine_file, QuarantineReason};
-use super::snapshot::inspect_snapshot_with;
+use super::snapshot::read_image_with;
 use super::state::read_state;
 use super::vfs::Vfs;
 use super::wal::{TailRead, Wal};
-use crate::catalog::Catalog;
 use crate::error::{Error, Result};
+use crate::id::DatasetId;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// How bad a finding is.
@@ -176,27 +178,25 @@ fn record<T>(
     }
 }
 
-/// Checks a catalog snapshot file. Returns the decoded catalog when the
-/// file is present and healthy.
+/// Checks a catalog snapshot file. Returns its image, checked in full and
+/// not decoded, when the file is present and healthy.
 pub fn check_snapshot(
     vfs: &dyn Vfs,
     path: &Path,
     component: &str,
     report: &mut FsckReport,
-) -> Option<Catalog> {
-    let read = inspect_snapshot_with(vfs, path);
-    let checked = record(report, component, path, read, |(c, info)| {
+) -> Option<Image> {
+    record(report, component, path, read_image_with(vfs, path), |image| {
         format!(
             "ok: format {FORMAT_VERSION}, {} datasets at generation {}, {} table entries, {} \
              descriptors, {} bytes per dataset",
-            c.len(),
-            c.generation(),
-            info.table_entries,
-            info.descriptors,
-            info.payload_bytes / c.len().max(1)
+            image.len(),
+            image.generation(),
+            image.table_entries(),
+            image.descriptors(),
+            image.payload().len() / image.len().max(1)
         )
-    });
-    checked.map(|(c, _)| c)
+    })
 }
 
 /// Checks the pipeline's state image: its frame and run ledger (the
@@ -217,7 +217,7 @@ pub fn check_state(vfs: &dyn Vfs, path: &Path, component: &str, report: &mut Fsc
 /// proposing truncation to where it stopped (the records before are still
 /// returned); a log that cannot be read at all (bad magic) proposes
 /// quarantine, and one in an older format proposes nothing. Returns the
-/// decoded records when anything was readable.
+/// parsed records when anything was readable.
 pub fn check_wal(
     vfs: &dyn Vfs,
     path: &Path,
@@ -229,14 +229,14 @@ pub fn check_wal(
         report.push(component, path, FsckSeverity::Info, "absent", None);
         return None;
     }
-    match Wal::read_tail_with(vfs, path, 0) {
+    match Wal::read_from(vfs, path, 0) {
         Ok(tail) => {
             match &tail.stopped_early {
                 None => report.push(
                     component,
                     path,
                     FsckSeverity::Info,
-                    format!("ok: {} records", tail.mutations.len()),
+                    format!("ok: {} records", tail.records.len()),
                     None,
                 ),
                 Some(reason) => {
@@ -249,7 +249,7 @@ pub fn check_wal(
                             "damaged tail ({reason}): {} of {total} bytes invalid after {} good \
                              records",
                             total.saturating_sub(tail.new_offset),
-                            tail.mutations.len()
+                            tail.records.len()
                         ),
                         Some(RepairAction::TruncateTo { len: tail.new_offset }),
                     );
@@ -265,53 +265,31 @@ pub fn check_wal(
 }
 
 /// Checks one durable-catalog directory (`snapshot.bin` + `wal.log`):
-/// individual file integrity plus snapshot/WAL agreement — the recovered
-/// catalog must reconstruct, and its generation must equal the snapshot
-/// generation advanced by every replayed WAL record. Returns the recovered
-/// catalog when reconstruction succeeded.
-pub fn check_catalog_dir(vfs: &dyn Vfs, dir: &Path, report: &mut FsckReport) -> Option<Catalog> {
-    let snap = check_snapshot(vfs, &dir.join("snapshot.bin"), "catalog/snapshot", report);
-    let wal = check_wal(vfs, &dir.join("wal.log"), "catalog/wal", report);
-    let (snap_gen, mut recovered) = match snap {
-        Some(c) => (c.generation(), c),
-        None => (0, Catalog::new()),
-    };
-    let tail = wal?;
-    let wal_records = tail.mutations.len();
-    for m in tail.mutations {
-        recovered.apply(m);
-    }
-    let expected = snap_gen + wal_records as u64;
-    if recovered.generation() != expected {
-        report.push(
-            "catalog",
-            dir,
-            FsckSeverity::Warn,
-            format!(
-                "generation disagreement: snapshot at {} + {} wal records should recover to \
-                 {}, got {}",
-                snap_gen,
-                wal_records,
-                expected,
-                recovered.generation()
-            ),
-            None,
-        );
-    } else {
-        report.push(
-            "catalog",
-            dir,
-            FsckSeverity::Info,
-            format!(
-                "recovered: {} entries at generation {} ({} wal records past the snapshot)",
-                recovered.len(),
-                recovered.generation(),
-                wal_records
-            ),
-            None,
-        );
-    }
-    Some(recovered)
+/// each file's integrity, then recovery — the WAL's records laid over the
+/// snapshot's rows as a store load lays them. Returns the recovered rows
+/// when the WAL could be read.
+pub fn check_catalog_dir(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    report: &mut FsckReport,
+) -> Option<BTreeMap<DatasetId, Row>> {
+    let snapshot = check_snapshot(vfs, &dir.join("snapshot.bin"), "catalog/snapshot", report);
+    let tail = check_wal(vfs, &dir.join("wal.log"), "catalog/wal", report)?;
+    let (mut rows, mut properties, generation) = snapshot_state(snapshot);
+    let wal_records = tail.records.len();
+    let generation = generation + apply_records(&mut rows, &mut properties, tail.records);
+    report.push(
+        "catalog",
+        dir,
+        FsckSeverity::Info,
+        format!(
+            "recovered: {} entries at generation {generation} ({wal_records} wal records past \
+             the snapshot)",
+            rows.len()
+        ),
+        None,
+    );
+    Some(rows)
 }
 
 /// Applies the proposed repair of every unrepaired `Error` finding:

@@ -22,11 +22,11 @@ mod state;
 mod vfs;
 mod wal;
 
-pub use codec::{Image, Row, RowView, SearchableVariable};
+pub use codec::{Image, Row, RowView, SearchableVariable, WalRecord};
 pub use crc::{crc32, Crc32};
 pub use durable::{
-    read_published, CompactionPolicy, CompactionReport, DurableCatalog, Published, RecoveryReport,
-    StoreOptions,
+    apply_records, read_published, CompactionPolicy, CompactionReport, DurableCatalog, Published,
+    RecoveryReport, StoreOptions,
 };
 pub use frame::write_atomic;
 pub use fsck::{FsckFinding, FsckReport, FsckSeverity};

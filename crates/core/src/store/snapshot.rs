@@ -9,7 +9,6 @@
 use super::codec::{Image, FORMAT_VERSION};
 use super::frame::{read_framed, write_framed};
 use super::vfs::Vfs;
-use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use std::path::Path;
 
@@ -17,35 +16,9 @@ use std::path::Path;
 /// format.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MMSNAP06";
 
-/// What a snapshot file holds around its catalog: what `fsck` reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SnapshotInfo {
-    /// Entries in the payload's string table.
-    pub(crate) table_entries: usize,
-    /// Entries in the payload's descriptor table.
-    pub(crate) descriptors: usize,
-    /// Payload bytes (the file is 16 bytes of frame longer).
-    pub(crate) payload_bytes: usize,
-}
-
 /// Writes a catalog payload as a snapshot at `path`, atomically.
 pub(crate) fn write_payload_with(vfs: &dyn Vfs, path: &Path, payload: &[u8]) -> Result<()> {
     write_framed(vfs, path, SNAPSHOT_MAGIC, &[payload], "snapshot")
-}
-
-/// Reads and decodes a snapshot, also returning the [`SnapshotInfo`].
-pub(crate) fn inspect_snapshot_with(
-    vfs: &dyn Vfs,
-    path: impl AsRef<Path>,
-) -> Result<Option<(Catalog, SnapshotInfo)>> {
-    Ok(read_image_with(vfs, path)?.map(|image| {
-        let info = SnapshotInfo {
-            table_entries: image.table_entries(),
-            descriptors: image.descriptors(),
-            payload_bytes: image.payload().len(),
-        };
-        (image.catalog(), info)
-    }))
 }
 
 /// A snapshot's payload as an [`Image`], checked in full and not decoded:
@@ -93,6 +66,7 @@ pub(crate) fn older_format(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::feature::DatasetFeature;
     use crate::store::codec::encode_catalog;
     use crate::store::vfs::std_vfs;

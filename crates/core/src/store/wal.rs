@@ -10,9 +10,10 @@
 //!
 //! `crc` is the CRC-32 of the payload. The payload is the binary encoding
 //! of a [`Mutation`](crate::catalog::Mutation), with a string table of its
-//! own ([`codec`](super::codec)), so a record decodes from any record
-//! boundary. A record that fails its length,
-//! CRC or decode check stops the read there — the decoder never looks past
+//! own ([`codec`](super::codec)), so a record parses from any record
+//! boundary. Every reader — recovery, a serving delta, fsck — reads it here
+//! as a [`WalRecord`], a put still encoded. A record that fails its length,
+//! CRC or parse check stops the read there — the decoder never looks past
 //! it, so damage anywhere reads as a damaged tail (a crash or a writer
 //! mid-append is the usual cause). What happens next is the caller's
 //! policy: [`DurableCatalog::open`](super::DurableCatalog::open), the one
@@ -25,7 +26,7 @@
 //! against the real file system or the fault-injecting
 //! [`FaultVfs`](super::FaultVfs) used by the crash-torture suite.
 
-use super::codec::{decode_mutation, encode_mutation};
+use super::codec::{encode_mutation, parse_record, WalRecord};
 use super::crc::crc32;
 use super::metrics::store_metrics;
 use super::snapshot::older_format;
@@ -49,10 +50,10 @@ const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 /// still holds, or the two would corrupt each other. Damage here therefore
 /// only *stops* the read; what to do about it is the caller's policy (a
 /// reader serves the prefix, the one writer truncates to `new_offset`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailRead<M = Mutation> {
-    /// Complete, CRC-valid mutations decoded from `offset` onwards.
-    pub mutations: Vec<M>,
+#[derive(Debug, Clone, Default)]
+pub struct TailRead {
+    /// Complete, CRC-valid records parsed from `offset` onwards.
+    pub records: Vec<WalRecord>,
     /// Byte offset just past the last valid record — pass this back as the
     /// next poll's `offset`.
     pub new_offset: u64,
@@ -61,12 +62,6 @@ pub struct TailRead<M = Mutation> {
     /// callers should re-poll from `new_offset` rather than assume
     /// corruption.
     pub stopped_early: Option<String>,
-}
-
-impl<M> Default for TailRead<M> {
-    fn default() -> TailRead<M> {
-        TailRead { mutations: Vec::new(), new_offset: 0, stopped_early: None }
-    }
 }
 
 /// An open write-ahead log.
@@ -137,23 +132,12 @@ impl Wal {
     /// underneath us) is an [`Error::Invalid`] so the caller can fall back
     /// to a full reload.
     pub fn read_tail(path: impl AsRef<Path>, offset: u64) -> Result<TailRead> {
-        Wal::read_tail_with(std_vfs().as_ref(), path, offset)
+        Wal::read_from(std_vfs().as_ref(), path.as_ref(), offset)
     }
 
     /// [`Wal::read_tail`] through an explicit [`Vfs`]. Every reader of a
-    /// WAL — recovery, serving, fsck — decodes its records here.
-    pub fn read_tail_with(vfs: &dyn Vfs, path: impl AsRef<Path>, offset: u64) -> Result<TailRead> {
-        Wal::read_records_with(vfs, path.as_ref(), offset, decode_mutation)
-    }
-
-    /// [`Wal::read_tail_with`], each record's payload handed to `parse`
-    /// instead of decoded: a store load keeps a put as the image it is.
-    pub(crate) fn read_records_with<M>(
-        vfs: &dyn Vfs,
-        path: &Path,
-        offset: u64,
-        parse: impl Fn(&[u8]) -> Result<M>,
-    ) -> Result<TailRead<M>> {
+    /// WAL — recovery, serving, fsck — parses its records here.
+    pub(crate) fn read_from(vfs: &dyn Vfs, path: &Path, offset: u64) -> Result<TailRead> {
         let bytes = match vfs.read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -181,7 +165,7 @@ impl Wal {
             }
             pos = WAL_MAGIC.len();
         }
-        let mut mutations = Vec::new();
+        let mut records = Vec::new();
         let mut stopped_early = None;
         while pos < bytes.len() {
             if pos + 8 > bytes.len() {
@@ -205,8 +189,8 @@ impl Wal {
                 stopped_early = Some("crc mismatch".into());
                 break;
             }
-            match parse(payload) {
-                Ok(m) => mutations.push(m),
+            match parse_record(payload) {
+                Ok(record) => records.push(record),
                 Err(e) => {
                     stopped_early = Some(format!("undecodable mutation: {e}"));
                     break;
@@ -214,7 +198,7 @@ impl Wal {
             }
             pos = end;
         }
-        Ok(TailRead { mutations, new_offset: pos as u64, stopped_early })
+        Ok(TailRead { records, new_offset: pos as u64, stopped_early })
     }
 
     /// Appends one mutation. The record is durable after this call when the
@@ -299,6 +283,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::feature::DatasetFeature;
+    use crate::store::codec::tests::mutation;
     use crate::store::{DurableCatalog, StoreOptions};
     use std::fs::{self, OpenOptions};
 
@@ -343,15 +328,16 @@ mod tests {
         }
         let r = read_all(&wal);
         assert!(r.stopped_early.is_none());
-        assert_eq!(r.mutations[..5], written[..5]);
+        let read: Vec<Mutation> = r.records.into_iter().map(mutation).collect();
+        assert_eq!(read[..5], written[..5]);
         let (mut back, mut original) = (Vec::new(), Vec::new());
-        encode_mutation(&r.mutations[5], &mut back);
+        encode_mutation(&read[5], &mut back);
         encode_mutation(&written[5], &mut original);
         assert_eq!(back, original);
         // every record carries its own string table: the last one decodes
         // without the five before it
         let last = r.new_offset - 8 - original.len() as u64;
-        assert_eq!(Wal::read_tail(&wal, last).unwrap().mutations.len(), 1);
+        assert_eq!(Wal::read_tail(&wal, last).unwrap().records.len(), 1);
     }
 
     #[test]
@@ -464,7 +450,9 @@ mod tests {
     #[test]
     fn replay_missing_file_is_empty() {
         let dir = tmpdir("missing");
-        assert_eq!(read_all(&dir.join("nope.log")), TailRead::default());
+        let r = read_all(&dir.join("nope.log"));
+        assert!(r.records.is_empty() && r.stopped_early.is_none());
+        assert_eq!(r.new_offset, 0);
     }
 
     #[test]
@@ -480,7 +468,7 @@ mod tests {
             w.append(&put("b.csv")).unwrap();
         }
         let r = read_all(&wal);
-        assert_eq!(r.mutations.len(), 2);
+        assert_eq!(r.records.len(), 2);
         assert!(r.stopped_early.is_none());
     }
 
@@ -501,7 +489,7 @@ mod tests {
 
         // A read salvages the first record and says where it stopped.
         let r = read_all(&wal);
-        assert_eq!(r.mutations.len(), 1);
+        assert_eq!(r.records.len(), 1);
         assert!(r.stopped_early.is_some());
         // The writer's open truncates there …
         let store = DurableCatalog::open(&dir, StoreOptions::default()).unwrap();
@@ -513,7 +501,7 @@ mod tests {
         w.append(&put("c.csv")).unwrap();
         drop(w);
         let r2 = read_all(&wal);
-        assert_eq!(r2.mutations.len(), 2);
+        assert_eq!(r2.records.len(), 2);
         assert!(r2.stopped_early.is_none());
     }
 
@@ -530,7 +518,7 @@ mod tests {
         bytes[ix] ^= 0x40;
         fs::write(&wal, &bytes).unwrap();
         let r = read_all(&wal);
-        assert!(r.mutations.is_empty());
+        assert!(r.records.is_empty());
         assert_eq!(r.stopped_early.as_deref(), Some("crc mismatch"));
         assert_eq!(r.new_offset, WAL_MAGIC.len() as u64);
     }
@@ -552,7 +540,7 @@ mod tests {
         bytes.extend_from_slice(junk);
         fs::write(&wal, &bytes).unwrap();
         let r = read_all(&wal);
-        assert_eq!(r.mutations.len(), 1, "the valid prefix survives");
+        assert_eq!(r.records.len(), 1, "the valid prefix survives");
         assert!(r.stopped_early.unwrap().starts_with("undecodable mutation"));
         assert!(r.new_offset < bytes.len() as u64);
     }
@@ -576,8 +564,8 @@ mod tests {
         w.append(&put("b.csv")).unwrap();
         drop(w);
         let r = read_all(&wal);
-        assert_eq!(r.mutations.len(), 1);
-        assert!(matches!(&r.mutations[0], Mutation::Put(f) if f.path == "b.csv"));
+        assert_eq!(r.records.len(), 1);
+        assert!(matches!(&r.records[0], WalRecord::Put(row) if row.decode().path == "b.csv"));
     }
 
     #[test]
@@ -590,7 +578,7 @@ mod tests {
         bytes.extend_from_slice(b"junk");
         fs::write(&wal, &bytes).unwrap();
         let r = read_all(&wal);
-        assert!(r.mutations.is_empty());
+        assert!(r.records.is_empty());
         assert!(r.stopped_early.unwrap().contains("exceeds cap"));
     }
 
@@ -601,18 +589,18 @@ mod tests {
         let mut w = Wal::open(&wal, true).unwrap();
         w.append(&put("a.csv")).unwrap();
         let first = Wal::read_tail(&wal, 0).unwrap();
-        assert_eq!(first.mutations.len(), 1);
+        assert_eq!(first.records.len(), 1);
         assert!(first.stopped_early.is_none());
         // Nothing new: same offset comes back, no mutations.
         let idle = Wal::read_tail(&wal, first.new_offset).unwrap();
-        assert!(idle.mutations.is_empty());
+        assert!(idle.records.is_empty());
         assert_eq!(idle.new_offset, first.new_offset);
         // The writer appends; the reader picks up only the new records.
         w.append(&put("b.csv")).unwrap();
         w.append(&put("c.csv")).unwrap();
         let next = Wal::read_tail(&wal, first.new_offset).unwrap();
-        assert_eq!(next.mutations.len(), 2);
-        assert!(matches!(&next.mutations[0], Mutation::Put(f) if f.path == "b.csv"));
+        assert_eq!(next.records.len(), 2);
+        assert!(matches!(&next.records[0], WalRecord::Put(row) if row.decode().path == "b.csv"));
     }
 
     #[test]
@@ -629,7 +617,7 @@ mod tests {
         f.set_len(full - 10).unwrap();
         drop(f);
         let r = Wal::read_tail(&wal, 0).unwrap();
-        assert_eq!(r.mutations.len(), 1, "complete prefix decoded");
+        assert_eq!(r.records.len(), 1, "complete prefix parsed");
         assert!(r.stopped_early.is_some());
         // Crucially the file is untouched: a live writer could still be
         // holding the rest of that record.
@@ -644,7 +632,7 @@ mod tests {
         bytes.extend_from_slice(&payload);
         fs::write(&wal, &bytes).unwrap();
         let r2 = Wal::read_tail(&wal, r.new_offset).unwrap();
-        assert_eq!(r2.mutations.len(), 1);
+        assert_eq!(r2.records.len(), 1);
         assert!(r2.stopped_early.is_none());
     }
 
@@ -660,7 +648,7 @@ mod tests {
         assert!(Wal::read_tail(&wal, len + 1).is_err());
         // Missing file with a zero offset is benign (nothing yet).
         let r = Wal::read_tail(dir.join("nope.log"), 0).unwrap();
-        assert!(r.mutations.is_empty());
+        assert!(r.records.is_empty());
     }
 
     #[test]
@@ -680,7 +668,7 @@ mod tests {
         }
         // A read through the real fs salvages the acknowledged record.
         let r = read_all(&wal);
-        assert_eq!(r.mutations.len(), 1);
-        assert!(matches!(&r.mutations[0], Mutation::Put(f) if f.path == "a.csv"));
+        assert_eq!(r.records.len(), 1);
+        assert!(matches!(&r.records[0], WalRecord::Put(row) if row.decode().path == "a.csv"));
     }
 }

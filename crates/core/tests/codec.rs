@@ -43,9 +43,11 @@ use metamess_core::feature::{DatasetFeature, Hierarchy, VariableFeature};
 use metamess_core::geo::GeoBBox;
 use metamess_core::id::DatasetId;
 use metamess_core::store::codec::{
-    decode_catalog, decode_mutation, encode_catalog, encode_mutation, encode_rows_of, put_image,
+    decode_catalog, encode_catalog, encode_mutation, encode_rows_of, parse_record, put_image,
 };
-use metamess_core::store::{crc32, DurableCatalog, Image, Row, StoreOptions, Wal, WAL_MAGIC};
+use metamess_core::store::{
+    crc32, DurableCatalog, Image, Row, StoreOptions, Wal, WalRecord, WAL_MAGIC,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -88,6 +90,15 @@ unsafe impl GlobalAlloc for LargestRequest {
 
 #[global_allocator]
 static GLOBAL: LargestRequest = LargestRequest;
+
+/// The mutation one WAL record's payload logs, its put's row decoded.
+fn parse_mutation(payload: &[u8]) -> metamess_core::Result<Mutation> {
+    Ok(match parse_record(payload)? {
+        WalRecord::Put(row) => Mutation::Put(Box::new(row.decode())),
+        WalRecord::Delete(id) => Mutation::Delete(id),
+        WalRecord::SetProperty { key, value } => Mutation::SetProperty { key, value },
+    })
+}
 
 /// Runs `decode` on `bytes` and holds it to the contract: no panic (the
 /// sweep names the seed), nothing but `Corrupt` for an error, and no single
@@ -276,7 +287,7 @@ fn cases() -> u64 {
 fn mutated_payloads_decode_or_are_corrupt() {
     let (snapshot, record) = images();
     assert!(image_agrees_with_the_decoder(&snapshot));
-    assert!(decodes_or_is_corrupt(&record, decode_mutation));
+    assert!(decodes_or_is_corrupt(&record, parse_mutation));
     assert!(decodes_or_is_corrupt(&record, image_rows));
     let dir = std::env::temp_dir().join(format!("metamess-codec-hostile-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -300,11 +311,11 @@ fn mutated_payloads_decode_or_are_corrupt() {
         for _ in 0..12 {
             let mutant = mutate(&record, rng);
             let parsed = decodes_or_is_corrupt(&mutant, image_rows);
-            if !decodes_or_is_corrupt(&mutant, decode_mutation) {
+            if !decodes_or_is_corrupt(&mutant, parse_mutation) {
                 undecodable += 1;
                 first_bad.get_or_insert(mutant);
             } else if let (Ok(Mutation::Put(f)), Ok(rows)) =
-                (decode_mutation(&mutant), image_rows(&mutant))
+                (parse_mutation(&mutant), image_rows(&mutant))
             {
                 // a put record decodes alike as a mutation and as an image
                 let mut record = Vec::new();
@@ -319,7 +330,7 @@ fn mutated_payloads_decode_or_are_corrupt() {
         let log = [&WAL_MAGIC[..], &framed(&record), &framed(&bad), &framed(&record)].concat();
         std::fs::write(&wal, log).unwrap();
         let tail = Wal::read_tail(&wal, 0).unwrap();
-        assert_eq!(tail.mutations.len(), 1);
+        assert_eq!(tail.records.len(), 1);
         assert_eq!(tail.new_offset, (WAL_MAGIC.len() + 8 + record.len()) as u64);
         assert!(tail.stopped_early.unwrap().starts_with("undecodable mutation"));
     });
@@ -336,7 +347,7 @@ fn every_strict_prefix_is_corrupt() {
         assert!(!decodes_or_is_corrupt(&snapshot[..n], image_rows), "snapshot cut at {n}");
     }
     for n in 0..record.len() {
-        assert!(!decodes_or_is_corrupt(&record[..n], decode_mutation), "record cut at {n}");
+        assert!(!decodes_or_is_corrupt(&record[..n], parse_mutation), "record cut at {n}");
         assert!(!decodes_or_is_corrupt(&record[..n], image_rows), "record cut at {n}");
     }
 }
@@ -425,7 +436,7 @@ fn what_a_row_implies_and_what_it_writes_round_trip() {
             assert!(name.len() < f.path.len() || !f.path.contains('/'), "{dir} + {name}");
             assert_eq!(row.decode(), *f);
             let m = Mutation::Put(Box::new(f.clone()));
-            assert_eq!(decode_mutation(&put_record(f)).unwrap(), m);
+            assert_eq!(parse_mutation(&put_record(f)).unwrap(), m);
         }
     });
 }
@@ -585,7 +596,7 @@ fn round_trips(numbers: &[f64]) -> usize {
     for (at, window) in numbers.windows(4).enumerate() {
         for f in holding(at, window.try_into().unwrap()) {
             let record = put_record(&f);
-            let Mutation::Put(back) = decode_mutation(&record).unwrap() else { panic!("a put") };
+            let Mutation::Put(back) = parse_mutation(&record).unwrap() else { panic!("a put") };
             assert_eq!(bits(&back), bits(&f), "{}: {window:?}", f.path);
             assert_eq!(put_record(&back), record, "{}: {window:?}", f.path);
             catalog.put(f);

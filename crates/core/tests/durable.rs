@@ -12,6 +12,11 @@
 //! publish it replaced: a delete of each row held, each property, a put per
 //! dataset and a checkpoint leave the same snapshot bytes, generation and
 //! rows.
+//!
+//! Every reader lays WAL records over rows with `apply_records`, and a
+//! serving delta lays the records past its offset over the rows it read
+//! before: a log cut at any record boundary, read, and the records after
+//! the cut laid over that read, gives what a read of the whole log gives.
 
 mod catalogs;
 mod common;
@@ -21,7 +26,10 @@ use common::{sweep, Rng};
 use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::id::DatasetId;
 use metamess_core::store::codec::{encode_catalog, encode_mutation};
-use metamess_core::store::{DurableCatalog, StoreOptions};
+use metamess_core::store::{
+    apply_records, read_published, DurableCatalog, Row, StoreOptions, Wal, WAL_MAGIC,
+};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -249,4 +257,55 @@ fn a_replacement_writes_what_its_records_would_have_folded_into() {
             }
         }
     });
+}
+
+/// Where each record of the log `log` ends, after the magic's end.
+fn record_boundaries(log: &[u8]) -> Vec<usize> {
+    let mut ends = vec![WAL_MAGIC.len()];
+    while let Some(&end) = ends.last().filter(|&&end| end < log.len()) {
+        let len = u32::from_le_bytes(log[end..end + 4].try_into().unwrap());
+        ends.push(end + 8 + len as usize);
+    }
+    ends
+}
+
+#[test]
+fn records_laid_over_a_read_cut_at_any_record_give_the_read_of_the_whole_log() {
+    let _serial = serial();
+    let mut laid = 0;
+    sweep(CASES, |rng| {
+        let (dir, cut) = (fresh_dir("whole-log"), fresh_dir("cut-log"));
+        let mut store = open(&dir);
+        store.replace_with(&seeded_catalog(rng)).unwrap();
+        edit_store(&mut store, rng);
+        edit_store(&mut store, rng);
+        store.flush().unwrap();
+        drop(store);
+        let whole = read_published(&dir).unwrap();
+        let log = std::fs::read(dir.join("wal.log")).unwrap();
+        std::fs::create_dir_all(&cut).unwrap();
+        std::fs::copy(dir.join("snapshot.bin"), cut.join("snapshot.bin")).unwrap();
+        for k in record_boundaries(&log) {
+            let what = format!("the log cut at byte {k} of {}", log.len());
+            std::fs::write(cut.join("wal.log"), &log[..k]).unwrap();
+            let read = read_published(&cut).unwrap();
+            assert_eq!(read.wal_offset, k as u64, "{what}");
+            let tail = Wal::read_tail(dir.join("wal.log"), read.wal_offset).unwrap();
+            laid += tail.records.len();
+            let mut rows: BTreeMap<_, _> = read.rows.into_iter().map(|r| (r.id(), r)).collect();
+            let mut properties = read.properties;
+            let step = apply_records(&mut rows, &mut properties, tail.records);
+            assert_eq!(read.generation + step, whole.generation, "{what}");
+            assert_eq!(tail.new_offset, whole.wal_offset, "{what}");
+            assert_eq!(properties, whole.properties, "{what}");
+            assert!(rows.keys().copied().eq(whole.rows.iter().map(Row::id)), "{what}");
+            // a row is the snapshot's, or the one row of its put's image
+            for (row, want) in rows.values().zip(&whole.rows) {
+                assert_eq!(row.image().payload(), want.image().payload(), "{what}: {row:?}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&cut);
+    });
+    assert!(laid > 0, "no seed logged a record");
 }

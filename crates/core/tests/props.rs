@@ -8,7 +8,7 @@ use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::{DatasetFeature, ExternalMetadata};
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::stats::NumericSummary;
-use metamess_core::store::{crc32, Wal};
+use metamess_core::store::{apply_records, crc32, Row, Wal};
 use metamess_core::time::{TimeInterval, Timestamp};
 use metamess_core::value::Value;
 use std::collections::BTreeMap;
@@ -246,11 +246,11 @@ fn wal_replay_equals_memory_after_random_workload() {
     }
     let tail = Wal::read_tail(&wal_path, 0).unwrap();
     assert!(tail.stopped_early.is_none());
-    let mut rebuilt = Catalog::new();
-    for m in tail.mutations {
-        rebuilt.apply(m);
-    }
-    assert_eq!(rebuilt, mem);
+    let (mut rows, mut properties) = (BTreeMap::new(), BTreeMap::new());
+    let generation = apply_records(&mut rows, &mut properties, tail.records);
+    assert_eq!(generation, mem.generation());
+    assert!(rows.values().map(Row::decode).eq(mem.iter().cloned()));
+    assert_eq!(&properties, mem.properties());
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //!
 //! Running and *re*-running the process is curatorial activity 2; the
 //! harvester skips files whose length and content fingerprint match what the
-//! previous catalog recorded, reusing the stored feature.
+//! previous catalog recorded, reusing the stored feature, and files whose
+//! length and fingerprint match a parse failure it is handed, reporting
+//! that failure again: a file is read once per content, parsed or not.
 
 use crate::extract::extract_feature;
 use crate::naming::{infer_path_facts, NamingRule};
@@ -13,6 +15,7 @@ use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_formats::sniff_and_parse;
 use metamess_telemetry::{event, Counter, Histogram, Level, Stopwatch};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -31,7 +34,8 @@ pub(crate) struct HarvestMetrics {
     /// feature was reused.
     files_reused: Arc<Counter>,
     /// `metamess_harvest_parse_errors_total` — unreadable or unparseable
-    /// files (reported, never fatal).
+    /// files read (reported, never fatal); a remembered failure, reported
+    /// without a read, is not counted again.
     parse_errors: Arc<Counter>,
     /// `metamess_harvest_extract_micros` — read + sniff + parse + extract
     /// latency per processed file.
@@ -65,14 +69,18 @@ pub struct HarvestConfig {
     pub pipeline_run: u64,
 }
 
-/// One file the harvester could not read — reported, never fatal: a single
-/// bad file must not stop an archive scan.
-#[derive(Debug)]
+/// One file the harvester could not read or parse — reported, never fatal:
+/// a single bad file must not stop an archive scan.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HarvestError {
     /// Archive-relative path.
     pub rel_path: String,
     /// What went wrong.
-    pub error: metamess_core::error::Error,
+    pub message: String,
+    /// The listed length and fingerprint of a file whose bytes did not
+    /// parse: a harvest handed this error reports it for the same bytes
+    /// without reading them. `None` for a file that could not be read.
+    pub unparsable: Option<(u64, u64)>,
 }
 
 /// Outcome of a harvest pass.
@@ -89,11 +97,13 @@ pub struct HarvestReport {
     pub scanned: usize,
 }
 
-/// Processes one scanned file into `report`: reused, extracted, or an error.
+/// Processes one scanned file into `report`: reused, extracted, or an
+/// error — remembered in `failed` (by path), or met reading or parsing it.
 fn process_entry(
     archive: &ArchiveInput,
     config: &HarvestConfig,
     previous: Option<&Catalog>,
+    failed: &HashMap<&str, &HarvestError>,
     entry: &FileEntry,
     report: &mut HarvestReport,
 ) {
@@ -111,14 +121,25 @@ fn process_entry(
             }
         }
     }
+    let listed = (entry.len, entry.fingerprint);
+    if let Some(&e) = failed.get(entry.rel_path.as_str()) {
+        if e.unparsable == Some(listed) {
+            report.errors.push(e.clone());
+            return;
+        }
+    }
+    let error = |e: metamess_core::error::Error, unparsable| {
+        if on {
+            harvest_metrics().parse_errors.inc();
+        }
+        let message = e.to_string();
+        HarvestError { rel_path: entry.rel_path.clone(), message, unparsable }
+    };
     let timer = Stopwatch::start_if(on);
     let content = match archive.read(&entry.rel_path) {
         Ok(c) => c,
         Err(e) => {
-            if on {
-                harvest_metrics().parse_errors.inc();
-            }
-            report.errors.push(HarvestError { rel_path: entry.rel_path.clone(), error: e });
+            report.errors.push(error(e, None));
             return;
         }
     };
@@ -141,11 +162,8 @@ fn process_entry(
             report.features.push(feature);
         }
         Err(e) => {
-            if on {
-                harvest_metrics().parse_errors.inc();
-            }
             event!(Level::Debug, "harvest", "unparseable {}: {e}", entry.rel_path);
-            report.errors.push(HarvestError { rel_path: entry.rel_path.clone(), error: e });
+            report.errors.push(error(e, Some(listed)));
         }
     }
 }
@@ -153,19 +171,24 @@ fn process_entry(
 /// Harvests the listed files of `archive`. `entries` is the listing
 /// [`ArchiveInput::scan`] returned; the harvester never lists on its own.
 /// When `previous` is given, unchanged files (same length and fingerprint)
-/// reuse their stored feature instead of re-parsing.
+/// reuse their stored feature instead of re-parsing. `failed` are the
+/// errors of an earlier harvest: a file listed with the length and
+/// fingerprint its bytes failed to parse at is reported as it was, unread.
 pub fn harvest(
     archive: &ArchiveInput,
     entries: &[FileEntry],
     config: &HarvestConfig,
     previous: Option<&Catalog>,
+    failed: &[HarvestError],
 ) -> HarvestReport {
     if metamess_telemetry::enabled() {
         harvest_metrics().files_scanned.add(entries.len() as u64);
     }
+    let failed: HashMap<&str, &HarvestError> =
+        failed.iter().map(|e| (e.rel_path.as_str(), e)).collect();
     let mut report = HarvestReport { scanned: entries.len(), ..HarvestReport::default() };
     for entry in entries {
-        process_entry(archive, config, previous, entry, &mut report);
+        process_entry(archive, config, previous, &failed, entry, &mut report);
     }
     event!(
         Level::Info,
@@ -196,7 +219,7 @@ mod tests {
         previous: Option<&Catalog>,
     ) -> HarvestReport {
         let entries = archive.scan(&config.scan).unwrap();
-        harvest(archive, &entries, config, previous)
+        harvest(archive, &entries, config, previous, &[])
     }
 
     fn tiny() -> (ArchiveInput, metamess_archive::GeneratedArchive) {

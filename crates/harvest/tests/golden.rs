@@ -85,7 +85,7 @@ fn features_harvested_from_the_default_archive_are_pinned() {
     let config =
         HarvestConfig { naming: observatory_rules(), pipeline_run: 1, ..Default::default() };
     let entries = archive.scan(&ScanConfig::default()).unwrap();
-    let report = harvest(&archive, &entries, &config, None);
+    let report = harvest(&archive, &entries, &config, None, &[]);
     assert_eq!(report.errors.len(), 3, "the three malformed files");
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for f in &report.features {

@@ -4,7 +4,7 @@ use metamess_core::catalog::Catalog;
 use metamess_core::error::Result;
 use metamess_core::store::RunLedger;
 use metamess_discover::RuleProposal;
-use metamess_harvest::{archive_fingerprint, ArchiveInput, FileEntry, HarvestConfig};
+use metamess_harvest::{archive_fingerprint, ArchiveInput, FileEntry, HarvestConfig, HarvestError};
 use metamess_vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -70,6 +70,10 @@ pub struct PipelineContext {
     /// The archive's listing from the last [`PipelineContext::rescan`]: what
     /// the scan stage harvests.
     pub(crate) listing: Vec<FileEntry>,
+    /// The files of the listing the last scan stage could not harvest: one
+    /// whose bytes failed to parse is reported from here, unread, while it
+    /// is listed with the same bytes.
+    pub(crate) failed: Vec<HarvestError>,
 }
 
 impl PipelineContext {
@@ -92,6 +96,7 @@ impl PipelineContext {
             run_id: 0,
             ledger: RunLedger::new(),
             listing: Vec::new(),
+            failed: Vec::new(),
         }
     }
 

@@ -521,7 +521,8 @@ mod tests {
         c.rescan().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         // the chain runs over the held listing: every file that parsed is
-        // reused unread, and only those that never parsed are reached for
+        // reused unread, and those that never parsed are reported as the
+        // last scan found them, unread too
         let (history, last) = curator.fixpoint(&mut p, &mut c).unwrap();
         assert_eq!(history.len(), 1, "{history:?}");
         let scan = last.stage("scan-archive").unwrap();

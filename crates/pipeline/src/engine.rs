@@ -68,7 +68,7 @@
 //!   keyed by name.
 
 use crate::component::Component;
-use crate::context::{PipelineContext, ValidationFinding};
+use crate::context::PipelineContext;
 use crate::pipeline::RunReport;
 use metamess_core::error::{Error, IoContext, Result};
 use metamess_core::store::{
@@ -174,7 +174,9 @@ pub(crate) fn name_catalog(ctx: &mut PipelineContext) {
 const STATE_FILE: &str = "state.bin";
 
 /// The context state that is neither the catalog nor the ledger: the
-/// curation bytes of the state image, as compact JSON.
+/// curation bytes of the state image, as compact JSON. Validation findings
+/// are not in it: every run validates afresh before anything reads them,
+/// and the `findings` an older image holds are skipped as an unknown key.
 #[derive(Serialize, Deserialize)]
 struct Sidecar {
     run_id: u64,
@@ -182,7 +184,6 @@ struct Sidecar {
     external: BTreeMap<String, BTreeMap<String, String>>,
     proposals: Vec<RuleProposal>,
     accepted: Vec<RuleProposal>,
-    findings: Vec<ValidationFinding>,
     discovered_provenance: BTreeMap<String, String>,
     expected_datasets: Vec<String>,
 }
@@ -210,7 +211,6 @@ pub fn save_state(ctx: &PipelineContext, dir: impl AsRef<Path>) -> Result<()> {
         external: ctx.external.clone(),
         proposals: ctx.proposals.clone(),
         accepted: ctx.accepted.clone(),
-        findings: ctx.findings.clone(),
         discovered_provenance: ctx.discovered_provenance.clone(),
         expected_datasets: ctx.expected_datasets.clone(),
     };
@@ -278,7 +278,6 @@ pub fn load_state(ctx: &mut PipelineContext, dir: impl AsRef<Path>) -> Result<bo
     ctx.external = sidecar.external;
     ctx.proposals = sidecar.proposals;
     ctx.accepted = sidecar.accepted;
-    ctx.findings = sidecar.findings;
     ctx.discovered_provenance = sidecar.discovered_provenance;
     ctx.expected_datasets = sidecar.expected_datasets;
     ctx.run_id = sidecar.run_id;
@@ -503,6 +502,29 @@ mod tests {
         assert!(resume(&mut c3, &store));
         assert_eq!(c3.catalog.content_fingerprint(), published_fp);
         assert_eq!(c3.ledger.catalog_fingerprint, Some(published_fp));
+    }
+
+    #[test]
+    fn a_state_image_that_holds_findings_still_resumes() {
+        let dir =
+            std::env::temp_dir().join(format!("metamess-engine-findings-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut c = ctx();
+        Pipeline::standard().run(&mut c).unwrap();
+        assert!(!c.findings.is_empty(), "the tiny archive validates clean");
+        save_state(&c, &dir).unwrap();
+        // the image an older build wrote: the same, and the run's findings
+        let (vfs, path) = (std_vfs(), dir.join(STATE_FILE));
+        let state = read_state(vfs.as_ref(), &path).unwrap().unwrap();
+        let rest = std::str::from_utf8(&state.curation[1..]).unwrap();
+        let findings = serde_json::to_string(&c.findings).unwrap();
+        let older = format!("{{\"findings\":{findings},{rest}");
+        write_state(vfs.as_ref(), &path, &state.ledger, older.as_bytes()).unwrap();
+        let mut c2 = ctx();
+        c2.catalog = c.catalog.clone();
+        assert!(load_state(&mut c2, &dir).unwrap());
+        assert_eq!((c2.run_id, &c2.vocab, &c2.ledger), (c.run_id, &c.vocab, &c.ledger));
+        assert!(c2.findings.is_empty(), "findings are the next run's to compute");
     }
 
     #[test]

@@ -37,8 +37,9 @@ impl Component for ScanArchive {
     fn run(&mut self, ctx: &mut PipelineContext) -> Result<StageReport> {
         let mut report = StageReport::new(self.name());
         // the working catalog is only consulted as a reuse cache: a file
-        // whose content is unchanged keeps its feature, unparsed
-        let hr = harvest(&ctx.archive, &ctx.listing, &ctx.harvest, Some(&ctx.catalog));
+        // whose content is unchanged keeps its feature, unparsed, and one
+        // whose content failed to parse is reported again, unread
+        let hr = harvest(&ctx.archive, &ctx.listing, &ctx.harvest, Some(&ctx.catalog), &ctx.failed);
         report.processed = hr.scanned as u64;
         report.changed = hr.features.len() as u64;
         report.note(format!(
@@ -48,7 +49,7 @@ impl Component for ScanArchive {
             hr.errors.len()
         ));
         for e in &hr.errors {
-            report.errors.push(format!("{}: {}", e.rel_path, e.error));
+            report.errors.push(format!("{}: {}", e.rel_path, e.message));
         }
         // Replace working entries for scanned files; keep previously
         // harvested, unchanged ones (they are in `reused`); drop entries for
@@ -69,6 +70,7 @@ impl Component for ScanArchive {
             working.put(f);
         }
         report.resolution_after = working.resolution_fraction();
+        ctx.failed = hr.errors;
         Ok(report)
     }
 }

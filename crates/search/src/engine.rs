@@ -45,13 +45,13 @@ use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::score::ScoreBreakdown;
 use crate::shard::{ShardEngine, ShardSpec};
-use metamess_core::catalog::{Catalog, Mutation};
+use metamess_core::catalog::Catalog;
 use metamess_core::feature::DatasetFeature;
 use metamess_core::id::DatasetId;
 use metamess_core::store::{Image, Row};
 use metamess_telemetry::{event, trace, Level, Stopwatch};
 use metamess_vocab::{Taxonomy, Vocabulary};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One ranked search result.
@@ -163,45 +163,6 @@ impl ShardedEngine {
             cache: Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
             use_indexes: true,
         }
-    }
-
-    /// The engine over this engine's catalog after `mutations`: same
-    /// vocabulary, layout and result cache, the generation advanced by one
-    /// per mutation (where a catalog applying them lands). The puts are
-    /// encoded into one new image; every row the mutations leave alone is
-    /// *shared* with this engine, image and all, and never decoded.
-    pub fn successor(&self, mutations: &[Mutation]) -> ShardedEngine {
-        let puts: Vec<&DatasetFeature> = mutations
-            .iter()
-            .filter_map(|m| match m {
-                Mutation::Put(f) => Some(&**f),
-                Mutation::Delete(_) | Mutation::SetProperty { .. } => None,
-            })
-            .collect();
-        let image = Arc::new(Image::encode(&puts));
-        let mut fresh = image.rows();
-        let mut rows: BTreeMap<DatasetId, Row> =
-            self.rows().map(|row| (row.id(), row.clone())).collect();
-        for m in mutations {
-            match m {
-                Mutation::Put(f) => {
-                    rows.insert(f.id, fresh.next().expect("one row per put"));
-                }
-                Mutation::Delete(id) => {
-                    rows.remove(id);
-                }
-                Mutation::SetProperty { .. } => {}
-            }
-        }
-        let mut next = ShardedEngine::from_rows(
-            rows.into_values().collect(),
-            self.generation + mutations.len() as u64,
-            self.vocab.clone(),
-            self.spec,
-        )
-        .with_shared_cache(Arc::clone(&self.cache));
-        next.use_indexes = self.use_indexes;
-        next
     }
 
     /// Every indexed dataset, still encoded, shard by shard.

@@ -666,9 +666,10 @@ mod tests {
         let mut datasets = spelling_datasets();
         // one spelling under two descriptors of one image: the units differ
         datasets[5].variables[0].unit = Some("psu".into());
-        // members as a successor holds them: a snapshot's rows, and a put's
-        // image for each dataset written since — in catalog order, so the
-        // images interleave and number one descriptor differently
+        // members as a store read or a delta holds them: a snapshot's rows,
+        // and a put's image for each dataset written since — in catalog
+        // order, so the images interleave and number one descriptor
+        // differently
         let snapshot: Vec<&DatasetFeature> = datasets.iter().step_by(2).collect();
         let snapshot = Arc::new(Image::encode(&snapshot));
         let puts: Vec<Arc<Image>> = datasets

@@ -2,8 +2,7 @@
 //! (`metamess_search_rows_indexed_total`) and the candidates uncached
 //! searches score (`metamess_search_candidates_scored_total`). A build over
 //! N rows indexes N; a search scores what its explain reports as candidates;
-//! a cache hit scores nothing. What a delta's successor indexes is printed,
-//! not asserted: it rebuilds the whole catalog today.
+//! a cache hit scores nothing.
 //!
 //! The counters live in the global registry, so this file is its own test
 //! binary and holds one test: nothing else moves the counts between the
@@ -12,7 +11,6 @@
 mod common;
 
 use common::{catalog, queries, Rng};
-use metamess_core::catalog::Mutation;
 use metamess_search::{Partitioner, SearchEngine, ShardSpec};
 use metamess_vocab::Vocabulary;
 
@@ -56,17 +54,4 @@ fn builds_count_their_rows_and_searches_their_candidates() {
             assert_eq!(scored(), before, "{what}: a cache hit scores nothing");
         }
     }
-
-    // A one-put delta: recorded, for the segment that will index only it.
-    let engine = SearchEngine::build(&c, vocab);
-    let mut edited = c.iter().next().expect("a drawn catalog is not empty").clone();
-    edited.title.push_str(" (edited)");
-    let before = indexed();
-    let next = engine.successor(&[Mutation::Put(Box::new(edited))]);
-    assert_eq!(next.len(), c.len());
-    println!(
-        "successor of a 1-put delta over {} rows indexed {} rows",
-        c.len(),
-        indexed() - before
-    );
 }

@@ -25,8 +25,9 @@
 //!   result: `survived` is always 0, and `dropped` adds the entries the
 //!   cache held at the swap, all of them stale from then on (the generation
 //!   stamp moved, as on a full reload).
-//! * `metamess_server_delta_apply_micros` — delta apply latency (successor
-//!   engine and browse trees, once the tail is read).
+//! * `metamess_server_delta_apply_micros` — delta apply latency (the tail's
+//!   records laid over the epoch's rows, the engine built from them and its
+//!   browse trees, once the tail is read).
 //! * `metamess_server_panics_total` — panics caught by the worker pool
 //!   (the request gets a 500 or a dropped connection; the worker lives).
 //! * `metamess_server_conn_open` — connections currently owned by the

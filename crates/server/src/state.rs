@@ -27,24 +27,27 @@
 //! ## One way forward
 //!
 //! [`ServeState::reload`] and [`ServeState::poll_reload`] are the same
-//! routine, `advance`, forced or not. It gets the next engine one of two
-//! ways. When only the WAL grew since the last look (a live writer
-//! publishing deltas without checkpointing), the next engine is the current
-//! engine's [`successor`](SearchEngine::successor) under the records past
-//! the stored offset — sharing every row they leave alone, and landing on
-//! exactly the generation a fresh load would compute, because the
-//! generation is the mutation count. No row is decoded for it, and the
-//! result cache is left to the generation stamp as on any other swap.
-//! Anything else — snapshot replaced (compaction), vocabulary changed, WAL
-//! reset — and every forced reload reads the store afresh.
+//! routine, `advance`, forced or not, and it builds every next engine the
+//! way an open does, with [`SearchEngine::from_rows`]; only where the rows
+//! come from differs. When only the WAL grew since the last look (a live
+//! writer publishing deltas without checkpointing), they are the current
+//! epoch's rows with the records past the stored offset laid over them by
+//! [`apply_records`], as recovery lays them: the epoch holds exactly the
+//! rows a fresh load would — every row the records leave alone shared with
+//! the old epoch, each put the one row of an image of its own — at the
+//! generation a fresh load computes, one per record. No row is decoded for
+//! it, and the result cache is left to the generation stamp as on any other
+//! swap. Anything else — snapshot replaced (compaction), vocabulary
+//! changed, WAL reset — and every forced reload reads the store afresh.
 
 use crate::metrics;
-use metamess_core::store::{lock_path, read_published, StoreLock, Wal};
-use metamess_core::Result;
+use metamess_core::store::{apply_records, lock_path, read_published, Row, StoreLock, Wal};
+use metamess_core::{DatasetId, Result};
 use metamess_remote::RemoteShardSet;
 use metamess_search::{BrowseTree, ResultCache, SearchEngine, ShardSpec, DEFAULT_CACHE_CAPACITY};
 use metamess_telemetry::{event, Level};
 use metamess_vocab::Vocabulary;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -68,8 +71,19 @@ pub struct EngineEpoch {
 }
 
 impl EngineEpoch {
-    /// Epoch number `epoch` over `engine`.
-    fn new(engine: SearchEngine, epoch: u64) -> EngineEpoch {
+    /// Epoch number `epoch` over `rows`, in catalog order, at catalog
+    /// `generation`, its engine built by the one construction path and
+    /// sharing the server's result cache.
+    fn over(
+        rows: Vec<Row>,
+        generation: u64,
+        vocab: Vocabulary,
+        spec: ShardSpec,
+        cache: &Arc<ResultCache>,
+        epoch: u64,
+    ) -> EngineEpoch {
+        let engine = SearchEngine::from_rows(rows, generation, vocab, spec)
+            .with_shared_cache(Arc::clone(cache));
         EngineEpoch {
             browse: engine.browse(),
             generation: engine.generation(),
@@ -107,7 +121,7 @@ pub enum ReloadOutcome {
         to: u64,
         /// The new epoch number.
         epoch: u64,
-        /// Mutations decoded from the WAL tail and applied.
+        /// WAL records read from the tail and applied.
         mutations: usize,
     },
 }
@@ -169,7 +183,7 @@ struct ReloadState {
     signature: StoreSignature,
     /// WAL bytes the current epoch's engine reflects: where the next tail
     /// read resumes. The catalog itself is not kept — the engine has the
-    /// rows, and a delta derives the next engine from it.
+    /// rows, and a delta lays the tail's records over them.
     wal_offset: u64,
 }
 
@@ -384,7 +398,7 @@ impl ServeState {
         } else {
             None
         };
-        if let Some(tail) = tail.as_ref().filter(|t| t.mutations.is_empty()) {
+        if let Some(tail) = tail.as_ref().filter(|t| t.records.is_empty()) {
             // Growth that holds no complete record yet (a writer
             // mid-append), or that an earlier read already consumed. Either
             // way the next change to the file is what brings news.
@@ -393,14 +407,17 @@ impl ServeState {
             return Ok(ReloadOutcome::Unchanged { generation: from });
         }
         let started = std::time::Instant::now();
-        let delta = tail.map(|tail| (previous.engine.successor(&tail.mutations), tail));
         let epoch = previous.epoch + 1;
-        let (next, wal_offset, outcome) = match delta {
-            Some((engine, tail)) => {
-                let to = engine.generation();
+        let (next, wal_offset, outcome) = match tail {
+            Some(tail) => {
                 warn_stopped_early(&self.store_dir, &tail.stopped_early);
-                let next = EngineEpoch::new(engine, epoch);
-                let mutations = tail.mutations.len();
+                let mutations = tail.records.len();
+                let mut rows: BTreeMap<DatasetId, Row> =
+                    previous.engine.rows().map(|row| (row.id(), row.clone())).collect();
+                let to = from + apply_records(&mut rows, &mut BTreeMap::new(), tail.records);
+                let rows = rows.into_values().collect();
+                let vocab = previous.engine.vocabulary().clone();
+                let next = EngineEpoch::over(rows, to, vocab, self.spec, &self.cache, epoch);
                 let micros = started.elapsed().as_micros() as u64;
                 metrics::record_delta_apply(mutations, self.cache.len(), micros);
                 (next, tail.new_offset, ReloadOutcome::DeltaApplied { from, to, epoch, mutations })
@@ -466,9 +483,8 @@ fn load(
     let published = read_published(store_dir.join("catalog"))?;
     let vocab = Vocabulary::load_or_default(store_dir.join("vocabulary.json"))?;
     warn_stopped_early(store_dir, &published.stopped_early);
-    let engine = SearchEngine::from_rows(published.rows, published.generation, vocab, spec)
-        .with_shared_cache(cache.clone());
-    Ok((EngineEpoch::new(engine, epoch), published.wal_offset))
+    let next = EngineEpoch::over(published.rows, published.generation, vocab, spec, cache, epoch);
+    Ok((next, published.wal_offset))
 }
 
 /// One `Warn` per WAL read that left bytes behind: a writer mid-append

@@ -158,11 +158,13 @@ const PUBLISH_BUDGET_PER_DATASET: u64 = 1;
 const WRITER_OPEN_BUDGET_PER_DATASET: u64 = 1;
 
 /// A one-put WAL delta applied by the poll, with 32 entries in the result
-/// cache, per dataset: 967 allocations over the 240 datasets (4.0 each) —
-/// the successor engine and its menus — when the generation stamp alone
-/// invalidates the cache; 3 333 (13.9 each) when every cached entry's query
-/// was parsed, planned and checked against the touched rows to re-stamp the
-/// ones a delta provably left alone.
+/// cache, per dataset: 1 093 allocations over the 240 datasets (4.6 each) —
+/// the tail's record parsed, laid over the epoch's rows, and the engine and
+/// menus built from them — when the generation stamp alone invalidates the
+/// cache; 1 117 while the put was decoded and encoded again into a new
+/// image, and 3 333 (13.9 each) when every cached entry's query was parsed,
+/// planned and checked against the touched rows to re-stamp the ones a
+/// delta provably left alone.
 const DELTA_BUDGET_PER_DATASET: u64 = 5;
 
 #[test]
@@ -281,7 +283,7 @@ fn warm_keep_alive_search_stays_within_allocation_budget() {
     // Scenario 7: a live writer's one-put delta, applied by the poll over
     // the fixture store while 32 distinct queries sit in the result cache.
     // The cache is left to the generation stamp, so what the apply costs is
-    // the successor engine and its menus, however full the cache is.
+    // the rows, the engine and its menus, however full the cache is.
     for limit in 1..=32 {
         let q = Query::parse(&format!("with water_temperature limit {limit}")).unwrap();
         state.epoch().engine.search(&q);

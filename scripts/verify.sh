@@ -89,10 +89,12 @@ echo "==> incremental watch vs cold wrangle, the pipeline's unit tests and count
 # benchmark's opt level too: curation makes one descriptor per (descriptor,
 # context) key it rewrites (descriptor_copies), and a watch cycle
 # fingerprints the catalog at most once and runs the chain once for an edit
-# that teaches the curator nothing (catalog_fingerprints); each is its own
+# that teaches the curator nothing (catalog_fingerprints), and a file that
+# never parsed is read once per content (harvest_failures); each is its own
 # test binary.
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-pipeline --lib \
-  --test watch_oracle --test descriptor_copies --test catalog_fingerprints
+  --test watch_oracle --test descriptor_copies --test catalog_fingerprints \
+  --test harvest_failures
 
 echo "==> the watch oracle and the pipeline's unit tests in a debug build (300 seeded cases, debug)"
 # A debug build checks every integer operation for overflow and runs every
@@ -127,11 +129,14 @@ echo "==> engine vs reference search and browse, and who holds the rows (release
 # and the engine's browse menus, against the naive references at serve's opt
 # level. A shardd fleet answers like local shards, and the frame codec
 # refuses a peer of another protocol version (a version-1 Hello by name),
-# over real sockets too. A serving epoch holds rows of the store's images
-# and shares them across a delta; check that at the same opt level.
+# over real sockets too. A serving epoch holds rows of the store's images,
+# and a WAL-tail delta lays the tail's records over them as recovery does:
+# it shares every row it leaves alone and answers like a reopened store;
+# check that at the same opt level, over $cases seeded deltas (about 3 s
+# for 1000 on two cores).
 cargo test -q --release -p metamess-search --lib --test reference_sweep --test shard_props
 cargo test -q --release -p metamess-remote --test reference_sweep --test e2e --test codec
-cargo test -q --release -p metamess-server --test ownership
+METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-server --test ownership
 
 echo "==> flight recorder under concurrent writers and readers (release)"
 # At full optimisation the writers and readers overlap the most: the ring
