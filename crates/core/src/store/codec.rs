@@ -55,7 +55,7 @@
 //! fields a search engine needs in place, without allocating, and
 //! [`Row::decode`] builds the owned [`DatasetFeature`] for the callers that
 //! want one. A WAL record is parsed into a [`WalRecord`], a put's row
-//! still encoded: recovery, a serving delta and `fsck` all lay those
+//! still encoded: recovery (every load) and `fsck` both lay those
 //! records over rows ([`apply_records`](super::apply_records)), and none
 //! decodes them. Every reader of a row — [`decode_catalog`], the view —
 //! goes through the same `Decoder` routines, and every writer of one — a

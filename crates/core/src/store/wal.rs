@@ -11,7 +11,7 @@
 //! `crc` is the CRC-32 of the payload. The payload is the binary encoding
 //! of a [`Mutation`](crate::catalog::Mutation), with a string table of its
 //! own ([`codec`](super::codec)), so a record parses from any record
-//! boundary. Every reader — recovery, a serving delta, fsck — reads it here
+//! boundary. Every reader — recovery, a server's load, fsck — reads it here
 //! as a [`WalRecord`], a put still encoded. A record that fails its length,
 //! CRC or parse check stops the read there — the decoder never looks past
 //! it, so damage anywhere reads as a damaged tail (a crash or a writer

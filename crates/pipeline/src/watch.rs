@@ -26,9 +26,9 @@
 //! 4. applies the diff's mutations to the WAL and flushes once — the
 //!    cycle's one store fsync, so the delta is durable when the cycle
 //!    returns — then compacts when the WAL has outgrown the snapshot;
-//! 5. saves the vocabulary *only when its version moved* (a rewritten
-//!    vocabulary file forces live readers into a full reload — see the
-//!    delta-publication signature check in `metamess-server`), atomically.
+//! 5. saves the vocabulary *only when its version moved* (a live server's
+//!    poll reads a rewritten vocabulary file again, and otherwise keeps
+//!    the one it serves), atomically.
 //!    A new `Watcher` takes the version from the file, so a file a crash
 //!    left behind the state is rewritten by its first cycle.
 //!
@@ -48,10 +48,10 @@
 //! ([`ScanConfig::exclude_dir`](metamess_harvest::ScanConfig::exclude_dir)):
 //! its files change every cycle and would never let one be skipped.
 //!
-//! Because publishes append to the WAL without checkpointing, a live
-//! `metamess serve` follows them via its WAL-tail delta path without
-//! reopening the store; compaction folds the WAL into a fresh snapshot
-//! when it outgrows the configured ratio.
+//! Publishes append to the WAL without checkpointing; a live `metamess
+//! serve` reads the store again at the poll after each one, and compaction
+//! folds the WAL into a fresh snapshot when it outgrows the configured
+//! ratio.
 //!
 //! `metamess wrangle` is one cycle of a fresh `Watcher`, under a policy
 //! that folds the WAL into the snapshot whenever a cycle published

@@ -6,8 +6,7 @@
 //! was computed against (see `Catalog::generation` / the publish flow in
 //! `metamess-core`); a lookup only hits when the stamp matches the engine's
 //! current generation, so republishing invalidates stale entries without
-//! any explicit flush. The cache is safe to share across engine rebuilds
-//! (wrap it in an `Arc` and hand it to the next engine).
+//! any explicit flush.
 //!
 //! Result lists are stored as `Arc<[SearchHit]>`: a hit bumps a reference
 //! count instead of cloning every `SearchHit` (each of which owns strings

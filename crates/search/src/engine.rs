@@ -26,16 +26,12 @@
 //!
 //! # Result caching
 //!
-//! Repeated queries against an unchanged catalog are served from a
-//! generation-stamped LRU [`ResultCache`]: entries carry the catalog
-//! generation captured at build time, so an engine built over a
-//! republished (changed) catalog never returns stale hits even when the
-//! cache is shared across rebuilds. Cache hits are allocation-free — the
+//! Repeated queries against an unchanged catalog are served from the
+//! engine's own LRU [`ResultCache`], its entries stamped with the catalog
+//! generation captured at build time. Cache hits are allocation-free — the
 //! stored `Arc<[SearchHit]>` is cloned by reference count. Use
 //! [`ShardedEngine::search_uncached`] to bypass the cache (the benches do,
-//! for cold-path measurements). The shard layout is deliberately *not*
-//! part of the cache key: results are bit-identical across layouts, so a
-//! rebuild with a different `--shards` can reuse a warm shared cache.
+//! for cold-path measurements).
 
 use crate::browse::{count, BrowseTree};
 use crate::cache::{CacheStats, ResultCache, DEFAULT_CACHE_CAPACITY};
@@ -103,7 +99,9 @@ pub type SearchEngine = ShardedEngine;
 
 /// The "Data Near Here" search engine: shard coordinator + result cache.
 pub struct ShardedEngine {
-    vocab: Vocabulary,
+    /// Shared with every engine built from the same handle: a server's
+    /// epochs hold one vocabulary until its file moves.
+    vocab: Arc<Vocabulary>,
     shards: Vec<ShardEngine>,
     spec: ShardSpec,
     /// `DatasetId → (shard, local index)`, for O(1) hit-to-feature lookup.
@@ -112,7 +110,7 @@ pub struct ShardedEngine {
     total: usize,
     /// Catalog generation captured at build time; stamps cache entries.
     generation: u64,
-    cache: Arc<ResultCache>,
+    cache: ResultCache,
     /// Use the indexes for candidate generation (true) or score every
     /// dataset (false) — the ablation switch.
     pub use_indexes: bool,
@@ -120,7 +118,7 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Builds an unsharded (single-shard) engine over a catalog snapshot.
-    pub fn build(catalog: &Catalog, vocab: Vocabulary) -> ShardedEngine {
+    pub fn build(catalog: &Catalog, vocab: impl Into<Arc<Vocabulary>>) -> ShardedEngine {
         ShardedEngine::build_sharded(catalog, vocab, ShardSpec::single())
     }
 
@@ -128,7 +126,11 @@ impl ShardedEngine {
     /// encoding every feature into one image: no feature is cloned. The
     /// shard count is clamped to `1..=MAX_SHARDS` regardless of how the
     /// spec was produced.
-    pub fn build_sharded(catalog: &Catalog, vocab: Vocabulary, spec: ShardSpec) -> ShardedEngine {
+    pub fn build_sharded(
+        catalog: &Catalog,
+        vocab: impl Into<Arc<Vocabulary>>,
+        spec: ShardSpec,
+    ) -> ShardedEngine {
         let image = Arc::new(Image::encode(&catalog.iter().collect::<Vec<_>>()));
         ShardedEngine::from_rows(image.rows().collect(), catalog.generation(), vocab, spec)
     }
@@ -140,9 +142,10 @@ impl ShardedEngine {
     pub fn from_rows(
         rows: Vec<Row>,
         generation: u64,
-        vocab: Vocabulary,
+        vocab: impl Into<Arc<Vocabulary>>,
         spec: ShardSpec,
     ) -> ShardedEngine {
+        let vocab = vocab.into();
         debug_assert!(rows.windows(2).all(|w| w[0].id() < w[1].id()), "not in catalog order");
         let total = rows.len();
         let layout = partition(rows, Row::id, spec, |_| true);
@@ -160,7 +163,7 @@ impl ShardedEngine {
             by_id,
             total,
             generation,
-            cache: Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
+            cache: ResultCache::new(DEFAULT_CACHE_CAPACITY),
             use_indexes: true,
         }
     }
@@ -178,14 +181,6 @@ impl ShardedEngine {
         count(&taxonomies, self.shards.iter().flat_map(|s| s.concepts()))
     }
 
-    /// Replaces the result cache with a shared one, so the cache (and its
-    /// generation-stamped entries) can outlive engine rebuilds across
-    /// publishes.
-    pub fn with_shared_cache(mut self, cache: Arc<ResultCache>) -> ShardedEngine {
-        self.cache = cache;
-        self
-    }
-
     /// Number of indexed datasets.
     pub fn len(&self) -> usize {
         self.total
@@ -197,7 +192,7 @@ impl ShardedEngine {
     }
 
     /// The vocabulary the engine expands terms with.
-    pub fn vocabulary(&self) -> &Vocabulary {
+    pub fn vocabulary(&self) -> &Arc<Vocabulary> {
         &self.vocab
     }
 
@@ -222,8 +217,8 @@ impl ShardedEngine {
         &self.shards
     }
 
-    /// The result cache (shared handle).
-    pub fn cache(&self) -> &Arc<ResultCache> {
+    /// The result cache.
+    pub fn cache(&self) -> &ResultCache {
         &self.cache
     }
 
@@ -593,43 +588,6 @@ mod tests {
         // both runs missed: the ablation switch is part of the cache key
         assert_eq!(e.cache_stats().misses, 2);
         assert_eq!(e.cache_stats().hits, 0);
-    }
-
-    #[test]
-    fn shared_cache_invalidated_by_generation() {
-        let shared = Arc::new(ResultCache::new(16));
-        let vocab = Vocabulary::observatory_default();
-        let mut c = catalog();
-        let e1 = SearchEngine::build(&c, vocab.clone()).with_shared_cache(shared.clone());
-        let q = Query::parse("with salinity limit 3").unwrap();
-        let before = e1.search(&q);
-        assert_eq!(shared.stats().misses, 1);
-
-        // catalog changes → new generation → the shared entry must not hit
-        c.put(make_dataset("new_site.csv", 45.9, -124.0, 6, &[("sal", "salinity", 30.0, 34.0)]));
-        let e2 = SearchEngine::build(&c, vocab).with_shared_cache(shared.clone());
-        assert_ne!(e1.generation(), e2.generation());
-        let after = e2.search(&q);
-        assert_eq!(shared.stats().misses, 2, "stale generation must rescore");
-        assert_ne!(before, after, "new dataset should change salinity results");
-    }
-
-    #[test]
-    fn shared_cache_works_across_shard_layouts() {
-        // Results are bit-identical across layouts, so the layout is not
-        // part of the cache key: a rebuild with a different shard count
-        // reuses the warm cache.
-        let shared = Arc::new(ResultCache::new(16));
-        let vocab = Vocabulary::observatory_default();
-        let c = catalog();
-        let e1 = SearchEngine::build(&c, vocab.clone()).with_shared_cache(shared.clone());
-        let q = Query::parse("with salinity limit 3").unwrap();
-        let first = e1.search(&q);
-        let e2 = SearchEngine::build_sharded(&c, vocab, ShardSpec::new(4, Partitioner::Hash))
-            .with_shared_cache(shared.clone());
-        let second = e2.search(&q);
-        assert_eq!(first, second);
-        assert_eq!(shared.stats().hits, 1, "same generation, same key → warm hit");
     }
 
     #[test]

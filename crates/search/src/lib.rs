@@ -36,9 +36,8 @@
 //!   [`ShardedEngine::dataset`].
 //! * A generation-stamped LRU [`ResultCache`] serves repeated queries
 //!   against an unchanged published catalog without rescoring; entries are
-//!   invalidated simply by the catalog generation moving — on a publish, a
-//!   reload or a delta applied in place alike — and hit/miss counters are
-//!   exposed for the benches.
+//!   stale simply by the catalog generation moving, and each engine owns
+//!   its cache; hit/miss counters are exposed for the benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

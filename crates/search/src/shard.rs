@@ -109,9 +109,8 @@ impl Default for ShardSpec {
 
 /// One slice of the catalog with its own indexes.
 pub struct ShardEngine {
-    /// The members, still encoded. Each shares its image, so the engine a
-    /// delta derives from this one points at the same bytes instead of
-    /// copying them.
+    /// The members, still encoded, each sharing the image the store read
+    /// returned instead of copying its bytes.
     rows: Vec<Row>,
     /// Each dataset's bbox and time interval, read out of its row: with the
     /// variable keys below, everything scoring a candidate reads.
@@ -666,7 +665,7 @@ mod tests {
         let mut datasets = spelling_datasets();
         // one spelling under two descriptors of one image: the units differ
         datasets[5].variables[0].unit = Some("psu".into());
-        // members as a store read or a delta holds them: a snapshot's rows,
+        // members as a store read holds them: a snapshot's rows,
         // and a put's image for each dataset written since — in catalog
         // order, so the images interleave and number one descriptor
         // differently

@@ -132,18 +132,6 @@ pub fn delta(rng: &mut Rng, catalog: &Catalog) -> Vec<Mutation> {
     mutations
 }
 
-/// The datasets a delta puts or deletes.
-pub fn touched_ids(mutations: &[Mutation]) -> BTreeSet<DatasetId> {
-    mutations
-        .iter()
-        .map(|m| match m {
-            Mutation::Put(f) => f.id,
-            Mutation::Delete(id) => *id,
-            other => panic!("`delta` draws no {other:?}"),
-        })
-        .collect()
-}
-
 fn window(rng: &mut Rng, q: Query) -> Query {
     let start = rng.below(300);
     q.between(day(start), day(start + 1 + rng.below(120)))

@@ -249,8 +249,6 @@ fn reload(state: &ServeState) -> Response {
         previous_generation: Option<u64>,
         #[serde(skip_serializing_if = "Option::is_none")]
         epoch: Option<u64>,
-        #[serde(skip_serializing_if = "Option::is_none")]
-        mutations: Option<usize>,
     }
     match state.reload() {
         Ok(ReloadOutcome::Unchanged { generation }) => Response::json(
@@ -260,7 +258,6 @@ fn reload(state: &ServeState) -> Response {
                 generation,
                 previous_generation: None,
                 epoch: None,
-                mutations: None,
             }),
         ),
         Ok(ReloadOutcome::Reloaded { from, to, epoch }) => Response::json(
@@ -270,19 +267,6 @@ fn reload(state: &ServeState) -> Response {
                 generation: to,
                 previous_generation: Some(from),
                 epoch: Some(epoch),
-                mutations: None,
-            }),
-        ),
-        // `reload()` always reads afresh, but the variant is matched for
-        // completeness — the poll loop shares this rendering in logs.
-        Ok(ReloadOutcome::DeltaApplied { from, to, epoch, mutations }) => Response::json(
-            200,
-            render(&ReloadBody {
-                outcome: "delta",
-                generation: to,
-                previous_generation: Some(from),
-                epoch: Some(epoch),
-                mutations: Some(mutations),
             }),
         ),
         Err(e) => error_json(503, &format!("reload failed; previous epoch still serving: {e}")),

@@ -12,22 +12,21 @@
 //!   accepted vs shed connections.
 //! * `metamess_server_queue_depth` — connections waiting right now.
 //! * `metamess_server_reloads_total` — hot catalog reloads that swapped an
-//!   epoch.
+//!   epoch (polled or `/admin/reload`).
 //! * `metamess_server_reload_failures_total` — reloads (polled or
 //!   `/admin/reload`) that could not read the store; the previous epoch
 //!   kept serving.
-//! * `metamess_server_delta_applies_total` /
-//!   `metamess_server_delta_mutations_total` — epochs produced by applying
-//!   a WAL-tail delta in place (no store reopen), and the mutations those
-//!   deltas carried.
-//! * `metamess_server_delta_cache_survived_total` /
-//!   `metamess_server_delta_cache_dropped_total` — a delta keeps no cached
-//!   result: `survived` is always 0, and `dropped` adds the entries the
-//!   cache held at the swap, all of them stale from then on (the generation
-//!   stamp moved, as on a full reload).
-//! * `metamess_server_delta_apply_micros` — delta apply latency (the tail's
-//!   records laid over the epoch's rows, the engine built from them and its
-//!   browse trees, once the tail is read).
+//! * `metamess_server_delta_apply_micros` — per swap, how long the reload
+//!   took: the store read, the engine built from its rows, its browse
+//!   trees.
+//! * `metamess_server_delta_cache_dropped_total` /
+//!   `metamess_server_delta_cache_survived_total` — per swap, the entries
+//!   the old epoch's result cache held, all of them stale (the new epoch
+//!   starts with an empty cache of its own), and 0.
+//!
+//!   The benchmark reads these three under their `delta` names, so the
+//!   names are pinned until it stops (ROADMAP 1A(c)); what they time and
+//!   count is reloads.
 //! * `metamess_server_panics_total` — panics caught by the worker pool
 //!   (the request gets a 500 or a dropped connection; the worker lives).
 //! * `metamess_server_conn_open` — connections currently owned by the
@@ -78,11 +77,17 @@ pub(crate) fn set_queue_depth(depth: usize) {
     }
 }
 
-/// Records one epoch-swapping hot reload.
-pub(crate) fn record_reload() {
-    if metamess_telemetry::enabled() {
-        global().counter("metamess_server_reloads_total").add(1);
+/// Records one epoch-swapping hot reload: how long it took and the cached
+/// results the old epoch held.
+pub(crate) fn record_reload(dropped: usize, micros: u64) {
+    if !metamess_telemetry::enabled() {
+        return;
     }
+    let g = global();
+    g.counter("metamess_server_reloads_total").add(1);
+    g.histogram("metamess_server_delta_apply_micros").record(micros);
+    g.counter("metamess_server_delta_cache_dropped_total").add(dropped as u64);
+    g.counter("metamess_server_delta_cache_survived_total").add(0);
 }
 
 /// Records one reload that failed to read the store.
@@ -90,21 +95,6 @@ pub(crate) fn record_reload_failure() {
     if metamess_telemetry::enabled() {
         global().counter("metamess_server_reload_failures_total").add(1);
     }
-}
-
-/// Records one in-place delta application: the mutation count it carried,
-/// the cached results it left stale, and how long the whole apply took.
-pub(crate) fn record_delta_apply(mutations: usize, dropped: usize, micros: u64) {
-    if !metamess_telemetry::enabled() {
-        return;
-    }
-    let g = global();
-    g.counter("metamess_server_delta_applies_total").add(1);
-    g.counter("metamess_server_delta_mutations_total").add(mutations as u64);
-    // Always 0, but registered: readers of the delta counters ask for it.
-    g.counter("metamess_server_delta_cache_survived_total").add(0);
-    g.counter("metamess_server_delta_cache_dropped_total").add(dropped as u64);
-    g.histogram("metamess_server_delta_apply_micros").record(micros);
 }
 
 /// Records one caught panic (in a handler or a connection); the worker

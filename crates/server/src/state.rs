@@ -5,18 +5,14 @@
 //! for nanoseconds) and then runs entirely against that immutable epoch. A
 //! hot reload builds the next epoch **off to the side** and swaps the
 //! pointer — in-flight requests keep the epoch they started with, so a
-//! reload never invalidates a request mid-execution.
-//!
-//! The [`ResultCache`] is shared *across* epochs: entries are stamped with
-//! the catalog generation, so a swap that advances the generation — a full
-//! reload or a delta alike — invalidates stale entries by construction,
-//! while a reload that finds the same generation keeps the warm cache.
+//! reload never invalidates a request mid-execution. Each epoch's engine
+//! owns its result cache: an epoch is swapped in only when the catalog
+//! generation moved, so no cached entry could be served across a swap.
 //!
 //! The server is a **reader** of a store that `metamess watch` may be
-//! appending to: it loads through [`read_published`] and follows the WAL
-//! with [`Wal::read_tail`], neither of which ever modifies `snapshot.bin`
-//! or `wal.log`. A half-written record at the end of the log is simply not
-//! served yet.
+//! appending to: it loads through [`read_published`], which never modifies
+//! `snapshot.bin` or `wal.log`. A half-written record at the end of the log
+//! is simply not served yet.
 //!
 //! Fault model under reload: if reading the store fails (a snapshot or
 //! vocabulary that does not decode, or `fsck --repair` holding the
@@ -27,31 +23,24 @@
 //! ## One way forward
 //!
 //! [`ServeState::reload`] and [`ServeState::poll_reload`] are the same
-//! routine, `advance`, forced or not, and it builds every next engine the
-//! way an open does, with [`SearchEngine::from_rows`]; only where the rows
-//! come from differs. When only the WAL grew since the last look (a live
-//! writer publishing deltas without checkpointing), they are the current
-//! epoch's rows with the records past the stored offset laid over them by
-//! [`apply_records`], as recovery lays them: the epoch holds exactly the
-//! rows a fresh load would — every row the records leave alone shared with
-//! the old epoch, each put the one row of an image of its own — at the
-//! generation a fresh load computes, one per record. No row is decoded for
-//! it, and the result cache is left to the generation stamp as on any other
-//! swap. Anything else — snapshot replaced (compaction), vocabulary
-//! changed, WAL reset — and every forced reload reads the store afresh.
+//! routine, `advance`, forced or not. A poll that finds the store's files
+//! as it last saw them does nothing; anything else reads the store afresh,
+//! as an open does, and builds the next engine with
+//! [`SearchEngine::from_rows`]. A poll whose `vocabulary.json` is the one
+//! the serving epoch was read with keeps that epoch's vocabulary (an
+//! `Arc`, not a copy); a forced reload reads it too.
 
 use crate::metrics;
-use metamess_core::store::{apply_records, lock_path, read_published, Row, StoreLock, Wal};
-use metamess_core::{DatasetId, Result};
+use metamess_core::store::{lock_path, read_published, StoreLock};
+use metamess_core::Result;
 use metamess_remote::RemoteShardSet;
-use metamess_search::{BrowseTree, ResultCache, SearchEngine, ShardSpec, DEFAULT_CACHE_CAPACITY};
+use metamess_search::{BrowseTree, SearchEngine, ShardSpec};
 use metamess_telemetry::{event, Level};
 use metamess_vocab::Vocabulary;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::SystemTime;
+use std::time::{Instant, SystemTime};
 
 /// One immutable generation of serving state.
 pub struct EngineEpoch {
@@ -68,30 +57,6 @@ pub struct EngineEpoch {
     pub epoch: u64,
     /// Datasets in the catalog.
     pub datasets: usize,
-}
-
-impl EngineEpoch {
-    /// Epoch number `epoch` over `rows`, in catalog order, at catalog
-    /// `generation`, its engine built by the one construction path and
-    /// sharing the server's result cache.
-    fn over(
-        rows: Vec<Row>,
-        generation: u64,
-        vocab: Vocabulary,
-        spec: ShardSpec,
-        cache: &Arc<ResultCache>,
-        epoch: u64,
-    ) -> EngineEpoch {
-        let engine = SearchEngine::from_rows(rows, generation, vocab, spec)
-            .with_shared_cache(Arc::clone(cache));
-        EngineEpoch {
-            browse: engine.browse(),
-            generation: engine.generation(),
-            datasets: engine.len(),
-            engine,
-            epoch,
-        }
-    }
 }
 
 /// What a reload attempt concluded.
@@ -111,94 +76,52 @@ pub enum ReloadOutcome {
         /// The new epoch number.
         epoch: u64,
     },
-    /// A WAL-tail delta was applied in place: the snapshot was **not**
-    /// read again. Cached results of the old generation miss from now on,
-    /// as after [`Reloaded`](ReloadOutcome::Reloaded).
-    DeltaApplied {
-        /// Generation served before the delta.
-        from: u64,
-        /// Generation served after the delta.
-        to: u64,
-        /// The new epoch number.
-        epoch: u64,
-        /// WAL records read from the tail and applied.
-        mutations: usize,
-    },
 }
-
-/// Length + mtime of the files whose change implies a republish; lets the
-/// poll loop skip rebuilding the engine when nothing moved on disk.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct StoreSignature(Vec<(PathBuf, FileStamp)>);
 
 /// A file's length and mtime; `None` when it is not there.
 type FileStamp = Option<(u64, Option<SystemTime>)>;
 
+fn stamp(path: &Path) -> FileStamp {
+    std::fs::metadata(path).ok().map(|m| (m.len(), m.modified().ok()))
+}
+
+/// Stamps of the files whose change implies a republish; lets the poll
+/// loop skip reading the store when nothing moved on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StoreSignature {
+    /// `catalog/snapshot.bin` and `catalog/wal.log`.
+    catalog: [FileStamp; 2],
+    vocabulary: FileStamp,
+}
+
 impl StoreSignature {
-    const SNAPSHOT: usize = 0;
-    const WAL: usize = 1;
-    const VOCAB: usize = 2;
-
     fn capture(store_dir: &Path) -> StoreSignature {
-        let files = [
-            store_dir.join("catalog").join("snapshot.bin"),
-            store_dir.join("catalog").join("wal.log"),
-            store_dir.join("vocabulary.json"),
-        ];
-        StoreSignature(
-            files
-                .into_iter()
-                .map(|p| {
-                    let sig = std::fs::metadata(&p).ok().map(|m| (m.len(), m.modified().ok()));
-                    (p, sig)
-                })
-                .collect(),
-        )
-    }
-
-    /// The delta-publication precondition: the WAL strictly grew (or
-    /// appeared) and nothing else moved. A changed snapshot means a
-    /// checkpoint or compaction replaced the base; a changed vocabulary
-    /// moves every index key; a shrunk WAL means a reset. All of those need
-    /// a full reload.
-    fn only_wal_grew(&self, newer: &StoreSignature) -> bool {
-        if self.0[Self::SNAPSHOT] != newer.0[Self::SNAPSHOT]
-            || self.0[Self::VOCAB] != newer.0[Self::VOCAB]
-        {
-            return false;
-        }
-        let len = |sig: &StoreSignature| sig.0[Self::WAL].1.map(|(len, _)| len);
-        match (len(self), len(newer)) {
-            (Some(old), Some(new)) => new > old,
-            (None, Some(_)) => true,
-            _ => false,
+        let catalog = store_dir.join("catalog");
+        StoreSignature {
+            catalog: [stamp(&catalog.join("snapshot.bin")), stamp(&catalog.join("wal.log"))],
+            vocabulary: stamp(&store_dir.join("vocabulary.json")),
         }
     }
 }
 
-/// Everything the reload lock guards: what the store looked like when the
-/// current epoch was read from it.
+/// Everything the reload lock guards.
 struct ReloadState {
-    /// Last on-disk signature, for cheap change detection.
-    signature: StoreSignature,
-    /// WAL bytes the current epoch's engine reflects: where the next tail
-    /// read resumes. The catalog itself is not kept — the engine has the
-    /// rows, and a delta lays the tail's records over them.
-    wal_offset: u64,
+    /// The store's files when a reload last looked at them.
+    seen: StoreSignature,
+    /// `vocabulary.json` when the serving epoch's vocabulary was read.
+    vocabulary: FileStamp,
 }
 
-/// Everything the worker pool shares: store handle, current epoch, cache.
+/// Everything the worker pool shares: store handle, current epoch.
 pub struct ServeState {
     store_dir: PathBuf,
     /// Shard layout every epoch is built with: a hot reload rebuilds the
     /// whole shard set off to the side and swaps it atomically inside the
     /// epoch, so requests never observe a half-resharded catalog.
     spec: ShardSpec,
-    /// Generation-stamped result cache, shared across epochs.
-    cache: Arc<ResultCache>,
     current: RwLock<Arc<EngineEpoch>>,
-    /// Serializes reloads (poll thread vs `/admin/reload`) and holds the
-    /// last on-disk signature plus the WAL offset it goes with.
+    /// Serializes reloads (poll thread vs `/admin/reload`) and holds what
+    /// they saw of the store.
     reload_state: Mutex<ReloadState>,
     reloads: AtomicU64,
     /// Cached `/healthz` JSON body keyed by `(epoch, reloads)`: the
@@ -245,18 +168,16 @@ impl ServeState {
     pub fn open_sharded(store_dir: impl Into<PathBuf>, spec: ShardSpec) -> Result<ServeState> {
         let store_dir = store_dir.into();
         let lock = StoreLock::shared(lock_path(&store_dir.join("catalog")))?;
-        let cache = Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY));
         // Signature before the load: a publish landing mid-load then shows
         // up as a change on the first poll (one redundant reload) instead
         // of being folded into the stored signature and never noticed.
-        let signature = StoreSignature::capture(&store_dir);
-        let (epoch, wal_offset) = load(&store_dir, spec, &cache, 0)?;
+        let seen = StoreSignature::capture(&store_dir);
+        let epoch = load(&store_dir, spec, None, 0)?;
         Ok(ServeState {
             store_dir,
             spec,
-            cache,
             current: RwLock::new(Arc::new(epoch)),
-            reload_state: Mutex::new(ReloadState { signature, wal_offset }),
+            reload_state: Mutex::new(ReloadState { seen, vocabulary: seen.vocabulary }),
             reloads: AtomicU64::new(0),
             healthz_cache: Mutex::new(None),
             trace_slow_micros: AtomicU64::new(100_000),
@@ -367,85 +288,51 @@ impl ServeState {
     }
 
     /// Cheap poll-path reload: does nothing when the on-disk signature
-    /// (sizes + mtimes) is unchanged; applies the WAL tail in place when
-    /// only the WAL grew (live delta publication); reads the store afresh
-    /// for everything else.
+    /// (sizes + mtimes) is unchanged, and reads the store afresh otherwise.
     pub fn poll_reload(&self) -> Result<ReloadOutcome> {
         self.advance(false)
     }
 
     /// Brings the served epoch up to what the store holds now. `force`
-    /// skips both shortcuts — "nothing moved on disk" and "only the WAL
-    /// grew" — and reads snapshot and WAL afresh.
+    /// reads the store, vocabulary included, even when nothing moved.
     fn advance(&self, force: bool) -> Result<ReloadOutcome> {
         let mut at = self.reload_state.lock().unwrap_or_else(PoisonError::into_inner);
         // Capture before reading: a publish landing in between makes the
-        // next poll see a signature change and advance redundantly — the
-        // safe direction. Capturing after would fold that publish into the
+        // next poll see a signature change and read again — the safe
+        // direction. Capturing after would fold that publish into the
         // stored signature and serve the stale epoch until yet another one.
         let observed = StoreSignature::capture(&self.store_dir);
         let previous = self.epoch();
         let from = previous.generation;
-        if !force && at.signature == observed {
+        if !force && at.seen == observed {
             return Ok(ReloadOutcome::Unchanged { generation: from });
         }
-        // Only the WAL grew: the records past the stored offset. A tail
-        // that cannot be read from there (offset beyond the file, bad
-        // magic) means the log was reset or replaced underneath us: the
-        // store is read afresh below.
-        let tail = if !force && at.signature.only_wal_grew(&observed) {
-            Wal::read_tail(self.store_dir.join("catalog").join("wal.log"), at.wal_offset).ok()
-        } else {
-            None
-        };
-        if let Some(tail) = tail.as_ref().filter(|t| t.records.is_empty()) {
-            // Growth that holds no complete record yet (a writer
-            // mid-append), or that an earlier read already consumed. Either
-            // way the next change to the file is what brings news.
-            warn_stopped_early(&self.store_dir, &tail.stopped_early);
-            at.signature = observed;
-            return Ok(ReloadOutcome::Unchanged { generation: from });
-        }
-        let started = std::time::Instant::now();
+        let started = Instant::now();
+        // A poll keeps the serving vocabulary unless its file moved since
+        // that vocabulary was read.
+        let keep = !force && at.vocabulary == observed.vocabulary;
+        let vocab = keep.then(|| Arc::clone(previous.engine.vocabulary()));
         let epoch = previous.epoch + 1;
-        let (next, wal_offset, outcome) = match tail {
-            Some(tail) => {
-                warn_stopped_early(&self.store_dir, &tail.stopped_early);
-                let mutations = tail.records.len();
-                let mut rows: BTreeMap<DatasetId, Row> =
-                    previous.engine.rows().map(|row| (row.id(), row.clone())).collect();
-                let to = from + apply_records(&mut rows, &mut BTreeMap::new(), tail.records);
-                let rows = rows.into_values().collect();
-                let vocab = previous.engine.vocabulary().clone();
-                let next = EngineEpoch::over(rows, to, vocab, self.spec, &self.cache, epoch);
-                let micros = started.elapsed().as_micros() as u64;
-                metrics::record_delta_apply(mutations, self.cache.len(), micros);
-                (next, tail.new_offset, ReloadOutcome::DeltaApplied { from, to, epoch, mutations })
-            }
-            None => {
-                let (next, wal_offset) = load(&self.store_dir, self.spec, &self.cache, epoch)
-                    .inspect_err(|e| {
-                        metrics::record_reload_failure();
-                        event!(
-                            Level::Warn,
-                            "serve",
-                            "reload of {} failed, generation {from} keeps serving: {e}",
-                            self.store_dir.display()
-                        );
-                    })?;
-                let to = next.generation;
-                (next, wal_offset, ReloadOutcome::Reloaded { from, to, epoch })
-            }
-        };
-        at.signature = observed;
-        at.wal_offset = wal_offset;
+        let next = load(&self.store_dir, self.spec, vocab, epoch).inspect_err(|e| {
+            metrics::record_reload_failure();
+            event!(
+                Level::Warn,
+                "serve",
+                "reload of {} failed, generation {from} keeps serving: {e}",
+                self.store_dir.display()
+            );
+        })?;
+        at.seen = observed;
         if next.generation == from {
             return Ok(ReloadOutcome::Unchanged { generation: from });
         }
+        at.vocabulary = observed.vocabulary;
+        let to = next.generation;
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         self.reloads.fetch_add(1, Ordering::Relaxed);
-        metrics::record_reload();
-        Ok(outcome)
+        let micros = started.elapsed().as_micros() as u64;
+        metrics::record_reload(previous.engine.cache().len(), micros);
+        Ok(ReloadOutcome::Reloaded { from, to, epoch })
     }
 }
 
@@ -472,27 +359,25 @@ fn render_healthz(
 
 /// Reads what the store published into serving epoch number `epoch` — the
 /// rows the read returned go into the engine as they are, none decoded —
-/// and says how many WAL bytes that epoch reflects. Nothing on disk is
-/// touched; the `ServeState` lifetime lock is what keeps repairers out.
+/// with `vocab`, or with the store's vocabulary read afresh when that is
+/// `None`. Nothing on disk is touched; the `ServeState` lifetime lock is
+/// what keeps repairers out.
 fn load(
     store_dir: &Path,
     spec: ShardSpec,
-    cache: &Arc<ResultCache>,
+    vocab: Option<Arc<Vocabulary>>,
     epoch: u64,
-) -> Result<(EngineEpoch, u64)> {
+) -> Result<EngineEpoch> {
     let published = read_published(store_dir.join("catalog"))?;
-    let vocab = Vocabulary::load_or_default(store_dir.join("vocabulary.json"))?;
-    warn_stopped_early(store_dir, &published.stopped_early);
-    let next = EngineEpoch::over(published.rows, published.generation, vocab, spec, cache, epoch);
-    Ok((next, published.wal_offset))
-}
-
-/// One `Warn` per WAL read that left bytes behind: a writer mid-append
-/// (the next poll picks the record up) looks the same from here as a
-/// damaged tail (which stays until `fsck --repair` or the writer's next
-/// open), so an operator seeing this repeat for one store should run fsck.
-fn warn_stopped_early(store_dir: &Path, stopped_early: &Option<String>) {
-    if let Some(reason) = stopped_early {
+    let vocab = match vocab {
+        Some(vocab) => vocab,
+        None => Arc::new(Vocabulary::load_or_default(store_dir.join("vocabulary.json"))?),
+    };
+    if let Some(reason) = &published.stopped_early {
+        // A writer mid-append (a later read picks the record up) looks the
+        // same from here as a damaged tail (which stays until `fsck
+        // --repair` or the writer's next open), so an operator seeing this
+        // repeat for one store should run fsck.
         event!(
             Level::Warn,
             "serve",
@@ -500,6 +385,14 @@ fn warn_stopped_early(store_dir: &Path, stopped_early: &Option<String>) {
             store_dir.display()
         );
     }
+    let engine = SearchEngine::from_rows(published.rows, published.generation, vocab, spec);
+    Ok(EngineEpoch {
+        browse: engine.browse(),
+        generation: engine.generation(),
+        datasets: engine.len(),
+        engine,
+        epoch,
+    })
 }
 
 #[cfg(test)]
@@ -688,16 +581,19 @@ mod tests {
         let after = state.epoch();
         assert_eq!(after.epoch, before.epoch, "failed reload must not swap the epoch");
         assert_eq!(after.datasets, before.datasets);
-        // Once the store reads again the same poll goes through.
+        // Once the store reads again the same poll goes through, with the
+        // vocabulary read afresh: its file moved since the serving epoch's.
         Vocabulary::observatory_default().save(dir.join("vocabulary.json")).unwrap();
         assert!(matches!(state.poll_reload().unwrap(), ReloadOutcome::Reloaded { .. }));
+        assert!(!Arc::ptr_eq(state.epoch().engine.vocabulary(), before.engine.vocabulary()));
     }
 
     /// Warms the cache with `with salinity limit 2`, lets a live writer
     /// append one `var` dataset at `path` to the WAL only, and checks the
-    /// delta apply: the cached list is recomputed into what a server
-    /// opening the store afresh answers, and the newcomer is in it exactly
-    /// when `ranks`.
+    /// poll that follows: it swaps in an epoch one generation on, with the
+    /// serving vocabulary and a cache of its own, whose answer to the
+    /// cached query is what a server opening the store afresh answers, the
+    /// newcomer in it exactly when `ranks`.
     fn check_delta_put(name: &str, var: &str, path: &str, ranks: bool) {
         let dir = fixture_store_vars(name);
         let state = ServeState::open(&dir).unwrap();
@@ -706,21 +602,16 @@ mod tests {
         let cached = before.engine.search(&q);
         assert_eq!(cached.len(), 2);
         append_without_checkpoint(&dir, dataset(path, var));
-        match state.poll_reload().unwrap() {
-            ReloadOutcome::DeltaApplied { from, to, epoch, mutations } => {
-                assert_eq!(from, before.generation);
-                assert!(to > from, "generation must advance monotonically");
-                assert_eq!(epoch, before.epoch + 1);
-                assert_eq!(mutations, 1);
-            }
-            other => panic!("expected a delta apply, got {other:?}"),
-        }
+        let (from, to) = (before.generation, before.generation + 1);
+        let epoch = before.epoch + 1;
+        assert_eq!(state.poll_reload().unwrap(), ReloadOutcome::Reloaded { from, to, epoch });
         assert_eq!(state.reloads(), 1);
         let after = state.epoch();
-        assert_eq!(after.datasets, 3, "the delta-applied epoch sees the new dataset");
+        assert_eq!(after.datasets, 3, "the polled epoch sees the new dataset");
+        assert!(Arc::ptr_eq(after.engine.vocabulary(), before.engine.vocabulary()));
         let hits = after.engine.search(&Query::parse(&format!("with {var}")).unwrap());
         assert!(hits.iter().any(|h| h.path == path), "new dataset must be searchable");
-        // The generation stamp moved, so the cached list is recomputed …
+        // The new epoch's cache starts empty, so the query is scored again …
         let again = after.engine.search(&q);
         assert!(!Arc::ptr_eq(&cached, &again), "a stale entry must be recomputed");
         // … into what a server opening the store afresh answers.
@@ -733,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_publication_applies_wal_tail_without_reopening() {
+    fn a_polled_wal_put_answers_like_a_reopened_store() {
         // Turbidity sits under `biogeochemical`, salinity under `physical`:
         // the newcomer is no candidate for the cached query.
         check_delta_put("delta", "turbidity", "2014/08/turb01.csv", false);
@@ -752,18 +643,18 @@ mod tests {
         let state = ServeState::open(&dir).unwrap();
         append_without_checkpoint(&dir, dataset("2014/08/temp01.csv", "water_temperature"));
         let to = match state.poll_reload().unwrap() {
-            ReloadOutcome::DeltaApplied { to, .. } => to,
-            other => panic!("expected a delta apply, got {other:?}"),
+            ReloadOutcome::Reloaded { to, .. } => to,
+            other => panic!("expected a swap, got {other:?}"),
         };
-        // A checkpoint replaces the snapshot, forcing the next poll down
-        // the full-reload path — which must agree on the generation the
-        // delta computed (generation continuity).
+        // A checkpoint folds the WAL into a new snapshot: the next poll
+        // reads it, and it must land on the generation the WAL's record
+        // gave (generation continuity).
         let mut s = DurableCatalog::open(dir.join("catalog"), StoreOptions::default()).unwrap();
         s.checkpoint().unwrap();
         drop(s);
         match state.poll_reload().unwrap() {
             ReloadOutcome::Unchanged { generation } => assert_eq!(generation, to),
-            other => panic!("a checkpoint of already-applied state must be unchanged: {other:?}"),
+            other => panic!("a checkpoint of already-served state must be unchanged: {other:?}"),
         }
     }
 

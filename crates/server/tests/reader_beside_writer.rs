@@ -3,12 +3,21 @@
 //! flushes of its buffer. Every way of reading the store serves the complete
 //! prefix and leaves the file byte-identical (the half record is the
 //! writer's, not damage to clear away); once the writer completes the
-//! record, the next poll applies it as a delta from the stored offset.
+//! record, the next poll reads the store again and serves it.
 
 use metamess_core::store::read_published;
 use metamess_core::{DatasetFeature, DurableCatalog, StoreOptions, VariableFeature};
 use metamess_server::{ReloadOutcome, ServeState};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
+
+/// Held by each test here while it reloads: `metamess_server_reloads_total`
+/// is one counter for the whole process.
+static RELOADS: Mutex<()> = Mutex::new(());
+
+fn reloads_total() -> u64 {
+    metamess_telemetry::global().counter("metamess_server_reloads_total").get()
+}
 
 fn dataset(path: &str) -> DatasetFeature {
     let mut f = DatasetFeature::new(path);
@@ -37,6 +46,7 @@ fn store(name: &str) -> PathBuf {
 
 #[test]
 fn every_reader_serves_the_prefix_and_leaves_a_half_written_record_alone() {
+    let _reloads = RELOADS.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = store("half");
     let wal = dir.join("catalog").join("wal.log");
     let prefix = std::fs::metadata(&wal).unwrap().len();
@@ -67,15 +77,10 @@ fn every_reader_serves_the_prefix_and_leaves_a_half_written_record_alone() {
     assert_eq!(state.poll_reload().unwrap(), ReloadOutcome::Unchanged { generation });
     untouched("poll_reload");
 
-    // The writer completes its record: the poll resumes where the load
-    // stopped, without reading the snapshot again.
+    // The writer completes its record: the next poll serves it.
     std::fs::write(&wal, &complete).unwrap();
-    match state.poll_reload().unwrap() {
-        ReloadOutcome::DeltaApplied { from, to, mutations, .. } => {
-            assert_eq!((from, to, mutations), (generation, generation + 1, 1));
-        }
-        other => panic!("expected the completed record as a delta, got {other:?}"),
-    }
+    let (from, to) = (generation, generation + 1);
+    assert_eq!(state.poll_reload().unwrap(), ReloadOutcome::Reloaded { from, to, epoch: 1 });
     assert_eq!(state.epoch().datasets, 4);
     assert!(state.epoch().engine.rows().any(|row| row.view().path() == ("2014/08/", "s4.csv")));
     assert_eq!(std::fs::read(&wal).unwrap(), complete);
@@ -83,6 +88,7 @@ fn every_reader_serves_the_prefix_and_leaves_a_half_written_record_alone() {
 
 #[test]
 fn a_poll_that_finds_only_half_a_record_waits_for_the_rest() {
+    let _reloads = RELOADS.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = store("poll-half");
     let wal = dir.join("catalog").join("wal.log");
     let state = ServeState::open(&dir).unwrap();
@@ -94,16 +100,19 @@ fn a_poll_that_finds_only_half_a_record_waits_for_the_rest() {
     let complete = std::fs::read(&wal).unwrap();
     let half = prefix + (complete.len() - prefix) / 2;
     std::fs::write(&wal, &complete[..half]).unwrap();
+    let counted = reloads_total();
     for _ in 0..5 {
         assert_eq!(state.poll_reload().unwrap(), ReloadOutcome::Unchanged { generation });
         assert_eq!(std::fs::read(&wal).unwrap(), complete[..half]);
     }
     assert_eq!(state.reloads(), 0);
+    assert_eq!(reloads_total(), counted, "an unchanged poll counts no reload");
     // … and takes it once it is whole.
     std::fs::write(&wal, &complete).unwrap();
-    assert!(matches!(
-        state.poll_reload().unwrap(),
-        ReloadOutcome::DeltaApplied { mutations: 1, .. }
-    ));
+    let (from, to) = (generation, generation + 1);
+    assert_eq!(state.poll_reload().unwrap(), ReloadOutcome::Reloaded { from, to, epoch: 1 });
     assert_eq!(state.epoch().datasets, 4);
+    if metamess_telemetry::enabled() {
+        assert_eq!(reloads_total(), counted + 1, "a swap counts one reload");
+    }
 }

@@ -130,10 +130,11 @@ echo "==> engine vs reference search and browse, and who holds the rows (release
 # level. A shardd fleet answers like local shards, and the frame codec
 # refuses a peer of another protocol version (a version-1 Hello by name),
 # over real sockets too. A serving epoch holds rows of the store's images,
-# and a WAL-tail delta lays the tail's records over them as recovery does:
-# it shares every row it leaves alone and answers like a reopened store;
-# check that at the same opt level, over $cases seeded deltas (about 3 s
-# for 1000 on two cores).
+# and after a live writer's WAL tail (puts, deletes and a property record)
+# the poll swaps in an epoch that answers like a reopened store and like the
+# reference, cached and uncached, while the old epoch's images go with it;
+# check that at the same opt level, over $cases seeded tails and 1 to 32
+# shards.
 cargo test -q --release -p metamess-search --lib --test reference_sweep --test shard_props
 cargo test -q --release -p metamess-remote --test reference_sweep --test e2e --test codec
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-server --test ownership

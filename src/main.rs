@@ -98,7 +98,7 @@ const COMMANDS: &[Command] = &[
         name: "watch",
         operands: &["<dir>"],
         about: "re-wrangle the archive as it changes and append each delta to the\n\
-                store's WAL with one fsync, where a live `serve` applies it in place;\n\
+                store's WAL with one fsync, where a live `serve`'s next poll reads it;\n\
                 ctrl-c stops after the current cycle",
         run: cmd_watch,
     },
