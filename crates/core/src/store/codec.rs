@@ -38,7 +38,7 @@
 //! tables are ordered by first use, never by hash order, so one catalog
 //! always encodes to the same bytes. A WAL record carries its own small
 //! tables and is decodable on its own, from any
-//! [`Wal::read_tail`](super::Wal::read_tail) offset.
+//! [`Wal::read_from`](super::Wal::read_from) offset.
 //!
 //! A row stores only what it alone knows. Its id is the hash of its path
 //! ([`DatasetId::from_parts`] over the directory, then the name), so it is

@@ -70,7 +70,7 @@ pub struct Published {
     pub snapshot_loaded: bool,
     /// Number of WAL mutations applied on top of the snapshot.
     pub wal_mutations: usize,
-    /// WAL bytes `rows` reflects: where [`Wal::read_tail`] resumes.
+    /// WAL bytes `rows` reflects: where [`Wal::read_from`] resumes.
     pub wal_offset: u64,
     /// Why the WAL read stopped before end of file (`None` when it consumed
     /// everything): a writer mid-append, or a damaged tail.
@@ -1135,7 +1135,7 @@ mod tests {
         assert!(s.maybe_compact(&policy).unwrap().is_some());
         // The WAL was folded: everything lives in the snapshot now.
         assert_eq!(s.pending_wal_records(), 0);
-        let r = Wal::read_tail(dir.join("wal.log"), 0).unwrap();
+        let r = Wal::read_from(std_vfs().as_ref(), &dir.join("wal.log"), 0).unwrap();
         assert!(r.records.is_empty() && r.stopped_early.is_none());
         assert_eq!(s.catalog().len(), 1);
     }

@@ -43,7 +43,7 @@ pub const WAL_MAGIC: &[u8; 8] = b"MMWAL006";
 /// Refuse to read a single record larger than this (corruption guard).
 const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
-/// Outcome of a [`Wal::read_tail`] read.
+/// Outcome of a [`Wal::read_from`] read.
 ///
 /// A tail read never mutates the log: a reader beside a WAL that another
 /// process is appending to must not truncate bytes the writer's buffer
@@ -119,25 +119,18 @@ impl Wal {
         Ok(Wal { path, writer, appended: 0, sync_on_append, scratch: Vec::new() })
     }
 
-    /// Reads complete records from byte `offset` onwards without opening the
-    /// log for writing and without ever truncating it, using the standard
-    /// file system.
+    /// Reads complete records from byte `offset` onwards through `vfs`,
+    /// without opening the log for writing and without ever truncating it.
+    /// Every reader of a WAL — recovery, serving, fsck — parses its records
+    /// here.
     ///
-    /// This is the polling primitive for a live reader (e.g. `metamess
-    /// serve` following a `metamess watch` writer): an incomplete or invalid
-    /// record merely stops the read — the writer may still be mid-append —
-    /// and the caller re-polls from [`TailRead::new_offset`]. Passing
-    /// `offset = 0` starts after the magic header; an `offset` beyond the
-    /// current file length (the log shrank, i.e. was reset or compacted
-    /// underneath us) is an [`Error::Invalid`] so the caller can fall back
-    /// to a full reload.
-    pub fn read_tail(path: impl AsRef<Path>, offset: u64) -> Result<TailRead> {
-        Wal::read_from(std_vfs().as_ref(), path.as_ref(), offset)
-    }
-
-    /// [`Wal::read_tail`] through an explicit [`Vfs`]. Every reader of a
-    /// WAL — recovery, serving, fsck — parses its records here.
-    pub(crate) fn read_from(vfs: &dyn Vfs, path: &Path, offset: u64) -> Result<TailRead> {
+    /// An incomplete or invalid record merely stops the read — a writer may
+    /// still be mid-append — and a later read resumes from
+    /// [`TailRead::new_offset`]. Passing `offset = 0` starts after the magic
+    /// header; an `offset` beyond the current file length (the log shrank,
+    /// i.e. was reset or compacted underneath us) is an [`Error::Invalid`]
+    /// so the caller can fall back to a full reload.
+    pub fn read_from(vfs: &dyn Vfs, path: &Path, offset: u64) -> Result<TailRead> {
         let bytes = match vfs.read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -300,7 +293,7 @@ mod tests {
 
     /// Everything the log holds, and whether the read reached its end.
     fn read_all(path: &Path) -> TailRead {
-        Wal::read_tail(path, 0).unwrap()
+        Wal::read_from(std_vfs().as_ref(), path, 0).unwrap()
     }
 
     #[test]
@@ -337,7 +330,7 @@ mod tests {
         // every record carries its own string table: the last one decodes
         // without the five before it
         let last = r.new_offset - 8 - original.len() as u64;
-        assert_eq!(Wal::read_tail(&wal, last).unwrap().records.len(), 1);
+        assert_eq!(Wal::read_from(std_vfs().as_ref(), &wal, last).unwrap().records.len(), 1);
     }
 
     #[test]
@@ -350,7 +343,10 @@ mod tests {
         v1.extend_from_slice(&crc32(payload).to_le_bytes());
         v1.extend_from_slice(payload);
         fs::write(&wal, &v1).unwrap();
-        for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
+        for e in [
+            Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap_err(),
+            Wal::open(&wal, true).unwrap_err(),
+        ] {
             assert!(matches!(e, Error::UnsupportedFormat { found: 1, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
@@ -368,7 +364,10 @@ mod tests {
         v2.extend_from_slice(&crc32(&payload).to_le_bytes());
         v2.extend_from_slice(&payload);
         fs::write(&wal, &v2).unwrap();
-        for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
+        for e in [
+            Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap_err(),
+            Wal::open(&wal, true).unwrap_err(),
+        ] {
             assert!(matches!(e, Error::UnsupportedFormat { found: 2, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
@@ -390,7 +389,10 @@ mod tests {
         v3.extend_from_slice(&crc32(&payload).to_le_bytes());
         v3.extend_from_slice(&payload);
         fs::write(&wal, &v3).unwrap();
-        for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
+        for e in [
+            Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap_err(),
+            Wal::open(&wal, true).unwrap_err(),
+        ] {
             assert!(matches!(e, Error::UnsupportedFormat { found: 3, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
@@ -413,7 +415,10 @@ mod tests {
         v4.extend_from_slice(&crc32(&payload).to_le_bytes());
         v4.extend_from_slice(&payload);
         fs::write(&wal, &v4).unwrap();
-        for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
+        for e in [
+            Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap_err(),
+            Wal::open(&wal, true).unwrap_err(),
+        ] {
             assert!(matches!(e, Error::UnsupportedFormat { found: 4, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
@@ -436,7 +441,10 @@ mod tests {
         v5.extend_from_slice(&crc32(&payload).to_le_bytes());
         v5.extend_from_slice(&payload);
         fs::write(&wal, &v5).unwrap();
-        for e in [Wal::read_tail(&wal, 0).unwrap_err(), Wal::open(&wal, true).unwrap_err()] {
+        for e in [
+            Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap_err(),
+            Wal::open(&wal, true).unwrap_err(),
+        ] {
             assert!(matches!(e, Error::UnsupportedFormat { found: 5, supported: 6, .. }), "{e}");
             assert!(!e.is_corrupt());
         }
@@ -550,7 +558,7 @@ mod tests {
         let dir = tmpdir("magic");
         let wal = dir.join("wal.log");
         fs::write(&wal, b"NOTAWAL0rest").unwrap();
-        assert!(Wal::read_tail(&wal, 0).unwrap_err().is_corrupt());
+        assert!(Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap_err().is_corrupt());
     }
 
     #[test]
@@ -588,17 +596,17 @@ mod tests {
         let wal = dir.join("wal.log");
         let mut w = Wal::open(&wal, true).unwrap();
         w.append(&put("a.csv")).unwrap();
-        let first = Wal::read_tail(&wal, 0).unwrap();
+        let first = Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap();
         assert_eq!(first.records.len(), 1);
         assert!(first.stopped_early.is_none());
         // Nothing new: same offset comes back, no mutations.
-        let idle = Wal::read_tail(&wal, first.new_offset).unwrap();
+        let idle = Wal::read_from(std_vfs().as_ref(), &wal, first.new_offset).unwrap();
         assert!(idle.records.is_empty());
         assert_eq!(idle.new_offset, first.new_offset);
         // The writer appends; the reader picks up only the new records.
         w.append(&put("b.csv")).unwrap();
         w.append(&put("c.csv")).unwrap();
-        let next = Wal::read_tail(&wal, first.new_offset).unwrap();
+        let next = Wal::read_from(std_vfs().as_ref(), &wal, first.new_offset).unwrap();
         assert_eq!(next.records.len(), 2);
         assert!(matches!(&next.records[0], WalRecord::Put(row) if row.decode().path == "b.csv"));
     }
@@ -616,7 +624,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&wal).unwrap();
         f.set_len(full - 10).unwrap();
         drop(f);
-        let r = Wal::read_tail(&wal, 0).unwrap();
+        let r = Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap();
         assert_eq!(r.records.len(), 1, "complete prefix parsed");
         assert!(r.stopped_early.is_some());
         // Crucially the file is untouched: a live writer could still be
@@ -631,7 +639,7 @@ mod tests {
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         fs::write(&wal, &bytes).unwrap();
-        let r2 = Wal::read_tail(&wal, r.new_offset).unwrap();
+        let r2 = Wal::read_from(std_vfs().as_ref(), &wal, r.new_offset).unwrap();
         assert_eq!(r2.records.len(), 1);
         assert!(r2.stopped_early.is_none());
     }
@@ -645,9 +653,9 @@ mod tests {
             w.append(&put("a.csv")).unwrap();
         }
         let len = fs::metadata(&wal).unwrap().len();
-        assert!(Wal::read_tail(&wal, len + 1).is_err());
+        assert!(Wal::read_from(std_vfs().as_ref(), &wal, len + 1).is_err());
         // Missing file with a zero offset is benign (nothing yet).
-        let r = Wal::read_tail(dir.join("nope.log"), 0).unwrap();
+        let r = Wal::read_from(std_vfs().as_ref(), &dir.join("nope.log"), 0).unwrap();
         assert!(r.records.is_empty());
     }
 

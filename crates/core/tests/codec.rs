@@ -46,7 +46,7 @@ use metamess_core::store::codec::{
     decode_catalog, encode_catalog, encode_mutation, encode_rows_of, parse_record, put_image,
 };
 use metamess_core::store::{
-    crc32, DurableCatalog, Image, Row, StoreOptions, Wal, WalRecord, WAL_MAGIC,
+    crc32, std_vfs, DurableCatalog, Image, Row, StoreOptions, Wal, WalRecord, WAL_MAGIC,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -329,7 +329,7 @@ fn mutated_payloads_decode_or_are_corrupt() {
         let Some(bad) = first_bad else { return };
         let log = [&WAL_MAGIC[..], &framed(&record), &framed(&bad), &framed(&record)].concat();
         std::fs::write(&wal, log).unwrap();
-        let tail = Wal::read_tail(&wal, 0).unwrap();
+        let tail = Wal::read_from(std_vfs().as_ref(), &wal, 0).unwrap();
         assert_eq!(tail.records.len(), 1);
         assert_eq!(tail.new_offset, (WAL_MAGIC.len() + 8 + record.len()) as u64);
         assert!(tail.stopped_early.unwrap().starts_with("undecodable mutation"));

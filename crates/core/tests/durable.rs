@@ -27,7 +27,7 @@ use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::id::DatasetId;
 use metamess_core::store::codec::{encode_catalog, encode_mutation};
 use metamess_core::store::{
-    apply_records, read_published, DurableCatalog, Row, StoreOptions, Wal, WAL_MAGIC,
+    apply_records, read_published, std_vfs, DurableCatalog, Row, StoreOptions, Wal, WAL_MAGIC,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -290,7 +290,8 @@ fn records_laid_over_a_read_cut_at_any_record_give_the_read_of_the_whole_log() {
             std::fs::write(cut.join("wal.log"), &log[..k]).unwrap();
             let read = read_published(&cut).unwrap();
             assert_eq!(read.wal_offset, k as u64, "{what}");
-            let tail = Wal::read_tail(dir.join("wal.log"), read.wal_offset).unwrap();
+            let tail =
+                Wal::read_from(std_vfs().as_ref(), &dir.join("wal.log"), read.wal_offset).unwrap();
             laid += tail.records.len();
             let mut rows: BTreeMap<_, _> = read.rows.into_iter().map(|r| (r.id(), r)).collect();
             let mut properties = read.properties;

@@ -8,7 +8,7 @@ use metamess_core::catalog::{Catalog, Mutation};
 use metamess_core::feature::{DatasetFeature, ExternalMetadata};
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::stats::NumericSummary;
-use metamess_core::store::{apply_records, crc32, Row, Wal};
+use metamess_core::store::{apply_records, crc32, std_vfs, Row, Wal};
 use metamess_core::time::{TimeInterval, Timestamp};
 use metamess_core::value::Value;
 use std::collections::BTreeMap;
@@ -244,7 +244,7 @@ fn wal_replay_equals_memory_after_random_workload() {
         }
         wal.flush_and_sync().unwrap();
     }
-    let tail = Wal::read_tail(&wal_path, 0).unwrap();
+    let tail = Wal::read_from(std_vfs().as_ref(), &wal_path, 0).unwrap();
     assert!(tail.stopped_early.is_none());
     let (mut rows, mut properties) = (BTreeMap::new(), BTreeMap::new());
     let generation = apply_records(&mut rows, &mut properties, tail.records);

@@ -16,8 +16,8 @@
 //!   depends only on the dataset itself, so the union of per-shard
 //!   candidate sets equals the unsharded candidate set;
 //! * per-shard nearest-neighbour lists are merged under the global total
-//!   order `(distance, global index)` before admission — exactly the order
-//!   the unsharded R-tree emits (see `shard.rs`);
+//!   order `(distance, id)` before admission — exactly the order the
+//!   unsharded R-tree emits (see `shard.rs`);
 //! * the full-scan fallback fires on the *cross-shard* candidate total,
 //!   the same number the unsharded probe would count;
 //! * scoring is pure and the rank order `(score desc, path asc)` is a
@@ -47,7 +47,6 @@ use metamess_core::id::DatasetId;
 use metamess_core::store::{Image, Row};
 use metamess_telemetry::{event, trace, Level, Stopwatch};
 use metamess_vocab::{Taxonomy, Vocabulary};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One ranked search result.
@@ -69,11 +68,11 @@ pub struct SearchHit {
     pub breakdown: ScoreBreakdown,
 }
 
-/// Cuts datasets (in catalog order) into per-shard member lists — `(global
-/// index, item)` pairs in ascending global order — according to `spec`,
-/// each placed by its id (`id_of`). Every engine and every standalone shard
-/// is built from this one assignment, so a `shardd` process and the
-/// in-process coordinator agree on which datasets shard `k` of `n` holds.
+/// Cuts datasets (in catalog order) into per-shard member lists, each in
+/// catalog order, according to `spec`, each placed by its id (`id_of`).
+/// Every engine and every standalone shard is built from this one
+/// assignment, so a `shardd` process and the in-process coordinator agree
+/// on which datasets shard `k` of `n` holds.
 /// Only the shards `keep` admits get their members; the other items are
 /// dropped.
 pub(crate) fn partition<T>(
@@ -81,12 +80,12 @@ pub(crate) fn partition<T>(
     id_of: impl Fn(&T) -> DatasetId,
     spec: ShardSpec,
     keep: impl Fn(usize) -> bool,
-) -> Vec<Vec<(usize, T)>> {
-    let mut members: Vec<Vec<(usize, T)>> = (0..spec.count()).map(|_| Vec::new()).collect();
-    for (gix, item) in items.into_iter().enumerate() {
+) -> Vec<Vec<T>> {
+    let mut members: Vec<Vec<T>> = (0..spec.count()).map(|_| Vec::new()).collect();
+    for item in items {
         let s = spec.shard_of(id_of(&item));
         if keep(s) {
-            members[s].push((gix, item));
+            members[s].push(item);
         }
     }
     members
@@ -104,8 +103,6 @@ pub struct ShardedEngine {
     vocab: Arc<Vocabulary>,
     shards: Vec<ShardEngine>,
     spec: ShardSpec,
-    /// `DatasetId → (shard, local index)`, for O(1) hit-to-feature lookup.
-    by_id: HashMap<DatasetId, (u32, u32)>,
     /// Total datasets across shards.
     total: usize,
     /// Catalog generation captured at build time; stamps cache entries.
@@ -149,18 +146,11 @@ impl ShardedEngine {
         debug_assert!(rows.windows(2).all(|w| w[0].id() < w[1].id()), "not in catalog order");
         let total = rows.len();
         let layout = partition(rows, Row::id, spec, |_| true);
-        let shards = ShardEngine::build_all(&layout, &vocab);
-        let mut by_id: HashMap<DatasetId, (u32, u32)> = HashMap::with_capacity(total);
-        for (s, members) in layout.iter().enumerate() {
-            for (l, (_, row)) in members.iter().enumerate() {
-                by_id.insert(row.id(), (s as u32, l as u32));
-            }
-        }
+        let shards = ShardEngine::build_all(layout, &vocab);
         ShardedEngine {
             vocab,
             shards,
             spec,
-            by_id,
             total,
             generation,
             cache: ResultCache::new(DEFAULT_CACHE_CAPACITY),
@@ -233,9 +223,11 @@ impl ShardedEngine {
         self.row(id).map(Row::decode)
     }
 
-    /// The row of dataset `id`, as the engine shares it. O(1).
+    /// The row of dataset `id`, as the engine shares it: a binary search of
+    /// the rows of the one shard `id` can live in, which are in id order.
     pub fn row(&self, id: DatasetId) -> Option<&Row> {
-        self.by_id.get(&id).map(|&(s, l)| self.shards[s as usize].row(l as usize))
+        let rows = self.shards[self.spec.shard_of(id)].rows();
+        rows.binary_search_by_key(&id, Row::id).ok().map(|l| &rows[l])
     }
 
     /// Prepares a reusable [`QueryPlan`] for a query (vocabulary expansion,

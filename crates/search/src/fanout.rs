@@ -14,7 +14,7 @@
 //! * [`probe_summary`] is one shard's candidate generation, in fixed-width
 //!   integers so it can cross a wire;
 //! * [`plan_scatter`] makes the coordinator's decisions — the global
-//!   nearest-neighbour admission under `(distance, global index)` and the
+//!   nearest-neighbour admission under `(distance, id)` and the
 //!   cross-shard `candidates < limit*3` full-scan fallback — from
 //!   summaries alone;
 //! * [`score_top`] selects each shard's `limit`-best candidates under the
@@ -37,7 +37,6 @@ use crate::query::Query;
 use crate::shard::{ShardEngine, ShardSpec};
 use crate::topk::{rank_cmp, LightHit, LightTopK};
 use metamess_core::catalog::Catalog;
-use metamess_core::feature::DatasetFeature;
 use metamess_core::store::{Image, Row};
 use metamess_telemetry::{trace, Histogram, Stopwatch};
 use metamess_vocab::Vocabulary;
@@ -47,15 +46,14 @@ use std::sync::Arc;
 
 /// What one shard's probe produced, in wire-friendly form. The local
 /// candidate indices are `u32` (shards are bounded well below 4G members)
-/// and the nearest list keeps `(distance, global index, local index)` —
-/// everything [`plan_scatter`] needs to admit nearest neighbours
-/// globally.
+/// and the nearest list keeps `(distance, id, local index)` — everything
+/// [`plan_scatter`] needs to admit nearest neighbours globally.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ProbeSummary {
     /// Local indices selected by the window/term indexes (ascending,
     /// unique).
     pub certain: Vec<u32>,
-    /// Nearest-neighbour candidates as `(distance, global ix, local ix)`.
+    /// Nearest-neighbour candidates as `(distance, DatasetId, local ix)`.
     pub near: Vec<(f64, u64, u32)>,
 }
 
@@ -99,14 +97,13 @@ pub fn plan_scatter(query: &Query, summaries: &[ProbeSummary]) -> (bool, Vec<Sco
     let mut certain: Vec<Vec<u32>> = summaries.iter().map(|s| s.certain.clone()).collect();
     if !forced && query.spatial.is_some() {
         // Admit nearest candidates under the global total order
-        // `(distance, global index)`, truncated to `generous` — the exact
-        // set the unsharded R-tree's single `nearest` call selects (each
-        // shard's list is its `generous`-smallest under the same order,
-        // and the global smallest are always among the per-shard
-        // smallest).
+        // `(distance, id)`, truncated to `generous` — the exact set the
+        // unsharded R-tree's single `nearest` call selects (each shard's
+        // list is its `generous`-smallest under the same order, and the
+        // global smallest are always among the per-shard smallest).
         let mut near: Vec<(f64, u64, usize, u32)> = Vec::new();
         for (s, summary) in summaries.iter().enumerate() {
-            near.extend(summary.near.iter().map(|&(dist, gix, lix)| (dist, gix, s, lix)));
+            near.extend(summary.near.iter().map(|&(dist, id, lix)| (dist, id, s, lix)));
         }
         near.sort_by(|a, b| {
             a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal).then_with(|| a.1.cmp(&b.1))
@@ -155,12 +152,12 @@ pub fn score_top(
     _vocab: &Vocabulary,
     work: &ScoreWork,
 ) -> Vec<SearchHit> {
-    // `(score desc, path asc)`, looking paths up lazily — ties on score
-    // are rare, so most comparisons never touch a string.
+    // `(score desc, path asc)`, reading paths from the rows lazily — ties
+    // on score are rare, so most comparisons never touch a string.
     let light_cmp = |a: &LightHit, b: &LightHit| {
         b.0.partial_cmp(&a.0)
             .unwrap_or(Ordering::Equal)
-            .then_with(|| shard.path(a.1 as usize).cmp(shard.path(b.1 as usize)))
+            .then_with(|| shard.cmp_paths(a.1 as usize, b.1 as usize))
     };
     let rank_lt = |a: &LightHit, b: &LightHit| light_cmp(a, b) == Ordering::Less;
     let mut lights: Vec<LightHit> = Vec::new();
@@ -447,11 +444,8 @@ pub fn build_shard(
     check_shard(spec, shard_ix);
     let members =
         partition(catalog.iter(), |d| d.id, spec, |s| s == shard_ix).swap_remove(shard_ix);
-    let features: Vec<&DatasetFeature> = members.iter().map(|&(_, d)| d).collect();
-    let image = Arc::new(Image::encode(&features));
-    let members: Vec<(usize, Row)> =
-        members.iter().map(|&(gix, _)| gix).zip(image.rows()).collect();
-    ShardEngine::build_all(&[members], vocab).remove(0)
+    let image = Arc::new(Image::encode(&members));
+    ShardEngine::build_all(vec![image.rows().collect()], vocab).remove(0)
 }
 
 /// [`build_shard`] over the rows of a store read (in catalog order, as
@@ -465,7 +459,7 @@ pub fn build_shard_from(
 ) -> ShardEngine {
     check_shard(spec, shard_ix);
     let members = partition(rows, Row::id, spec, |s| s == shard_ix).swap_remove(shard_ix);
-    ShardEngine::build_all(&[members], vocab).remove(0)
+    ShardEngine::build_all(vec![members], vocab).remove(0)
 }
 
 /// Asserts that `shard_ix` is one of `spec`'s shards.
@@ -478,7 +472,7 @@ mod tests {
     use super::*;
     use crate::shard::Partitioner;
     use crate::ShardedEngine;
-    use metamess_core::feature::{NameResolution, VariableFeature};
+    use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
     use metamess_core::geo::{GeoBBox, GeoPoint};
     use metamess_core::time::{TimeInterval, Timestamp};
 

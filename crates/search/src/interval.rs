@@ -1,69 +1,90 @@
-//! A static interval index over dataset time extents.
+//! A static interval index over time extents the caller keeps.
 //!
-//! Intervals are stored sorted by start with a prefix-maximum of ends;
-//! stabbing/overlap queries binary-search the start array and walk only the
-//! prefix that can still overlap, pruning with the max-end table. O(log n +
-//! answer) in practice for the skewed, short-interval workloads catalogs
-//! have.
+//! The index holds the items in order of start, with a prefix-maximum of
+//! ends, and reads each item's interval through the caller's `interval`
+//! function, from wherever the caller already keeps it (a shard reads its
+//! extents). Stabbing/overlap queries binary-search the start order and walk
+//! only the prefix that can still overlap, pruning with the max-end table.
+//! O(log n + answer) in practice for the skewed, short-interval workloads
+//! catalogs have.
 
 use metamess_core::time::{TimeInterval, Timestamp};
+
+/// The interval of payload `p`, which the index holds.
+fn item_interval(interval: impl Fn(usize) -> Option<TimeInterval>, p: usize) -> TimeInterval {
+    interval(p).expect("an indexed item has an interval")
+}
 
 /// Static interval index mapping intervals to payload indices.
 #[derive(Debug)]
 pub struct IntervalIndex {
-    /// Entries sorted by (start, payload).
-    starts: Vec<(TimeInterval, u32)>,
-    /// `max_end[i]` = max end among `starts[..=i]`.
+    /// Payloads sorted by (start, payload).
+    order: Vec<u32>,
+    /// `max_end[i]` = max end among the intervals of `order[..=i]`.
     max_end: Vec<Timestamp>,
 }
 
 impl IntervalIndex {
-    /// Builds the index from `(interval, payload)` pairs.
+    /// Builds the index over items `0..len`, each item's payload its
+    /// position and `interval` its interval; an item without one is left
+    /// out. Every query must read the same intervals through its
+    /// `interval`.
     ///
     /// # Panics
     ///
     /// When a payload does not fit a `u32`.
-    pub fn build(entries: Vec<(TimeInterval, usize)>) -> IntervalIndex {
-        let mut entries: Vec<(TimeInterval, u32)> = entries
-            .into_iter()
-            .map(|(iv, payload)| (iv, u32::try_from(payload).expect("payloads fit a u32")))
-            .collect();
-        entries.sort_by(|a, b| a.0.start.cmp(&b.0.start).then(a.1.cmp(&b.1)));
-        let mut max_end = Vec::with_capacity(entries.len());
+    pub fn build(len: usize, interval: impl Fn(usize) -> Option<TimeInterval>) -> IntervalIndex {
+        let timed = || (0..len).filter(|&p| interval(p).is_some());
+        let mut order: Vec<u32> = Vec::with_capacity(timed().count());
+        order.extend(timed().map(|p| u32::try_from(p).expect("payloads fit a u32")));
+        let at = |p: u32| item_interval(&interval, p as usize);
+        order.sort_by(|&a, &b| at(a).start.cmp(&at(b).start).then(a.cmp(&b)));
         let mut cur = Timestamp(i64::MIN);
-        for (iv, _) in &entries {
-            if iv.end > cur {
-                cur = iv.end;
-            }
-            max_end.push(cur);
-        }
-        IntervalIndex { starts: entries, max_end }
+        let max_end = order
+            .iter()
+            .map(|&p| {
+                cur = cur.max(at(p).end);
+                cur
+            })
+            .collect();
+        IntervalIndex { order, max_end }
     }
 
     /// Number of indexed intervals.
     pub fn len(&self) -> usize {
-        self.starts.len()
+        self.order.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
+        self.order.is_empty()
     }
 
-    /// Payloads of all intervals overlapping `query`, ascending payload order.
-    pub fn overlapping(&self, query: &TimeInterval) -> Vec<usize> {
+    /// Payloads of all intervals overlapping `query`, ascending payload
+    /// order. `interval` is each payload's interval, as built.
+    pub fn overlapping(
+        &self,
+        query: &TimeInterval,
+        interval: impl Fn(usize) -> Option<TimeInterval>,
+    ) -> Vec<usize> {
         let mut out = Vec::new();
-        self.overlapping_into(query, &mut out);
-        let mut out: Vec<usize> = out.into_iter().map(|p| p as usize).collect();
+        self.for_each_overlapping(query, interval, |p| out.push(p as usize));
         out.sort_unstable();
         out
     }
 
-    /// Appends to `out` the payloads of all intervals overlapping `query`,
-    /// in no particular order, allocating nothing but `out`'s growth.
-    pub fn overlapping_into(&self, query: &TimeInterval, out: &mut Vec<u32>) {
+    /// Hands `each` the payloads of all intervals overlapping `query`, in
+    /// no particular order, allocating nothing. `interval` is each
+    /// payload's interval, as built.
+    pub fn for_each_overlapping(
+        &self,
+        query: &TimeInterval,
+        interval: impl Fn(usize) -> Option<TimeInterval>,
+        mut each: impl FnMut(u32),
+    ) {
         // Entries with start > query.end can never overlap.
-        let hi = self.starts.partition_point(|(iv, _)| iv.start <= query.end);
+        let at = |p: u32| item_interval(&interval, p as usize);
+        let hi = self.order.partition_point(|&p| at(p).start <= query.end);
         // Walk backward from hi, pruning when even the best end is too early.
         let mut i = hi;
         while i > 0 {
@@ -71,16 +92,21 @@ impl IntervalIndex {
             if self.max_end[i] < query.start {
                 break; // nothing in the prefix reaches the query
             }
-            let (iv, payload) = &self.starts[i];
-            if iv.end >= query.start {
-                out.push(*payload);
+            let payload = self.order[i];
+            if at(payload).end >= query.start {
+                each(payload);
             }
         }
     }
 
-    /// Payloads of intervals containing the instant `t`.
-    pub fn stabbing(&self, t: Timestamp) -> Vec<usize> {
-        self.overlapping(&TimeInterval::instant(t))
+    /// Payloads of intervals containing the instant `t`, ascending.
+    /// `interval` is each payload's interval, as built.
+    pub fn stabbing(
+        &self,
+        t: Timestamp,
+        interval: impl Fn(usize) -> Option<TimeInterval>,
+    ) -> Vec<usize> {
+        self.overlapping(&TimeInterval::instant(t), interval)
     }
 }
 
@@ -92,57 +118,70 @@ mod tests {
         TimeInterval::new(Timestamp(a), Timestamp(b))
     }
 
-    fn entries() -> Vec<(TimeInterval, usize)> {
-        vec![
-            (iv(0, 10), 0),
-            (iv(5, 15), 1),
-            (iv(20, 30), 2),
-            (iv(25, 26), 3),
-            (iv(40, 100), 4),
-            (iv(50, 60), 5),
-            (iv(0, 200), 6), // long interval spanning everything
+    fn entries() -> Vec<Option<TimeInterval>> {
+        [
+            iv(0, 10),
+            iv(5, 15),
+            iv(20, 30),
+            iv(25, 26),
+            iv(40, 100),
+            iv(50, 60),
+            iv(0, 200), // long interval spanning everything
         ]
+        .map(Some)
+        .to_vec()
     }
 
-    fn linear(entries: &[(TimeInterval, usize)], q: &TimeInterval) -> Vec<usize> {
-        let mut v: Vec<usize> =
-            entries.iter().filter(|(i, _)| i.overlaps(q)).map(|(_, p)| *p).collect();
-        v.sort_unstable();
-        v
+    fn build(entries: &[Option<TimeInterval>]) -> IntervalIndex {
+        IntervalIndex::build(entries.len(), |p| entries[p])
+    }
+
+    fn linear(entries: &[Option<TimeInterval>], q: &TimeInterval) -> Vec<usize> {
+        (0..entries.len()).filter(|&i| entries[i].unwrap().overlaps(q)).collect()
     }
 
     #[test]
     fn empty() {
-        let ix = IntervalIndex::build(vec![]);
+        let ix = IntervalIndex::build(2, |_| None);
         assert!(ix.is_empty());
-        assert!(ix.overlapping(&iv(0, 10)).is_empty());
+        assert!(ix.overlapping(&iv(0, 10), |_| unreachable!("nothing indexed")).is_empty());
     }
 
     #[test]
     fn overlap_matches_linear() {
         let e = entries();
-        let ix = IntervalIndex::build(e.clone());
+        let ix = build(&e);
         assert_eq!(ix.len(), e.len());
         for q in [iv(0, 5), iv(12, 22), iv(27, 45), iv(300, 400), iv(-10, -1), iv(55, 55)] {
-            assert_eq!(ix.overlapping(&q), linear(&e, &q), "query {q}");
+            assert_eq!(ix.overlapping(&q, |i| e[i]), linear(&e, &q), "query {q}");
         }
     }
 
     #[test]
     fn stabbing() {
-        let ix = IntervalIndex::build(entries());
-        assert_eq!(ix.stabbing(Timestamp(7)), vec![0, 1, 6]);
-        assert_eq!(ix.stabbing(Timestamp(25)), vec![2, 3, 6]);
-        assert_eq!(ix.stabbing(Timestamp(199)), vec![6]);
-        assert_eq!(ix.stabbing(Timestamp(201)), Vec::<usize>::new());
+        let e = entries();
+        let ix = build(&e);
+        assert_eq!(ix.stabbing(Timestamp(7), |i| e[i]), vec![0, 1, 6]);
+        assert_eq!(ix.stabbing(Timestamp(25), |i| e[i]), vec![2, 3, 6]);
+        assert_eq!(ix.stabbing(Timestamp(199), |i| e[i]), vec![6]);
+        assert_eq!(ix.stabbing(Timestamp(201), |i| e[i]), Vec::<usize>::new());
     }
 
     #[test]
     fn closed_boundaries() {
-        let ix = IntervalIndex::build(vec![(iv(10, 20), 0)]);
-        assert_eq!(ix.overlapping(&iv(20, 30)), vec![0]); // touch at end
-        assert_eq!(ix.overlapping(&iv(0, 10)), vec![0]); // touch at start
-        assert_eq!(ix.overlapping(&iv(21, 30)), Vec::<usize>::new());
+        let e = [Some(iv(10, 20))];
+        let ix = build(&e);
+        assert_eq!(ix.overlapping(&iv(20, 30), |i| e[i]), vec![0]); // touch at end
+        assert_eq!(ix.overlapping(&iv(0, 10), |i| e[i]), vec![0]); // touch at start
+        assert_eq!(ix.overlapping(&iv(21, 30), |i| e[i]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn payloads_are_positions_and_gaps_are_skipped() {
+        let e = [None, Some(iv(0, 10)), None, Some(iv(5, 6))];
+        let ix = build(&e);
+        assert_eq!(ix.len(), 2);
+        assert_eq!(ix.overlapping(&iv(5, 5), |i| e[i]), vec![1, 3]);
     }
 
     #[test]
@@ -155,19 +194,19 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let e: Vec<(TimeInterval, usize)> = (0..300)
-            .map(|i| {
+        let e: Vec<Option<TimeInterval>> = (0..300)
+            .map(|_| {
                 let a = (next() % 10_000) as i64;
                 let len = (next() % 500) as i64;
-                (iv(a, a + len), i)
+                Some(iv(a, a + len))
             })
             .collect();
-        let ix = IntervalIndex::build(e.clone());
+        let ix = build(&e);
         for _ in 0..100 {
             let a = (next() % 11_000) as i64 - 500;
             let len = (next() % 800) as i64;
             let q = iv(a, a + len);
-            assert_eq!(ix.overlapping(&q), linear(&e, &q), "query {q}");
+            assert_eq!(ix.overlapping(&q, |i| e[i]), linear(&e, &q), "query {q}");
         }
     }
 }

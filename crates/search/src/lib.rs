@@ -30,10 +30,12 @@
 //!   The rank order `(score desc, path asc)` is a strict total order, so
 //!   the merged result does not depend on the layout.
 //! * A shard holds each dataset as the encoded row of a store image
-//!   ([`metamess_core::store::Row`]) and builds its columns — extents,
-//!   variable keys, paths — from the rows' views; no `DatasetFeature` is
-//!   decoded to build or to search. One is decoded only for
-//!   [`ShardedEngine::dataset`].
+//!   ([`metamess_core::store::Row`]) and builds its columns — extents and
+//!   variable keys — from the rows' views; a hit's id, path and title are
+//!   read from its row, and no `DatasetFeature` is decoded to build or to
+//!   search. One is decoded only for [`ShardedEngine::dataset`]. The R-tree
+//!   and interval index keep an order over the extents, not copies of them,
+//!   and a term past 1/32 of a shard's rows is a bitmap.
 //! * A generation-stamped LRU [`ResultCache`] serves repeated queries
 //!   against an unchanged published catalog without rescoring; entries are
 //!   stale simply by the catalog generation moving, and each engine owns
@@ -49,6 +51,7 @@ mod explain;
 pub mod fanout;
 mod interval;
 mod plan;
+mod postings;
 mod query;
 mod rtree;
 mod score;

@@ -1,34 +1,26 @@
-//! A static STR-packed R-tree over dataset bounding boxes.
+//! A static STR-packed R-tree over boxes the caller keeps.
 //!
 //! The catalog is rebuilt (not incrementally mutated) on publish, so a
 //! bulk-loaded static tree is the right shape: Sort-Tile-Recursive packing,
 //! intersection queries, and best-first nearest-neighbour by box distance.
+//!
+//! The tree holds one box per node and the items' order, nothing per item:
+//! a query reads an item's box through the caller's `bbox` function, from
+//! wherever the caller already keeps it (a shard reads its extents). It is
+//! one flat array, implicit in its indices: leaf `j` holds the items
+//! `order[8j..8j + 8]`, and node `k` of a level above the leaves has the
+//! nodes `8k..8k + 8` of the level below as its children.
 
 use metamess_core::geo::{GeoBBox, GeoPoint};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 const NODE_CAPACITY: usize = 8;
 
-/// One indexed item: a bounding box and the caller's payload index.
-#[derive(Debug, Clone)]
-struct Item {
-    bbox: GeoBBox,
-    payload: u32,
-}
-
-#[derive(Debug)]
-enum Node {
-    Leaf { bbox: GeoBBox, items: Vec<Item> },
-    Inner { bbox: GeoBBox, children: Vec<Node> },
-}
-
-impl Node {
-    fn bbox(&self) -> &GeoBBox {
-        match self {
-            Node::Leaf { bbox, .. } | Node::Inner { bbox, .. } => bbox,
-        }
-    }
+/// The box of payload `p`, which the tree holds.
+fn item_box(bbox: impl Fn(usize) -> Option<GeoBBox>, p: usize) -> GeoBBox {
+    bbox(p).expect("an indexed item has a box")
 }
 
 fn union_all(boxes: impl Iterator<Item = GeoBBox>) -> GeoBBox {
@@ -40,122 +32,175 @@ fn union_all(boxes: impl Iterator<Item = GeoBBox>) -> GeoBBox {
 /// Static R-tree mapping bounding boxes to payload indices.
 #[derive(Debug)]
 pub struct RTree {
-    root: Option<Node>,
-    len: usize,
+    /// The payloads in STR order: the items of the leaves, leaf by leaf.
+    order: Vec<u32>,
+    /// Node boxes, level by level from the leaves up to the root, which is
+    /// the last: level `l` is `nodes[levels[l]..levels[l + 1]]`.
+    nodes: Vec<GeoBBox>,
+    levels: Vec<usize>,
 }
 
 impl RTree {
-    /// Bulk-loads the tree (STR packing) from `(bbox, payload)` pairs.
+    /// Bulk-loads the tree (STR packing) over items `0..len`, each item's
+    /// payload its position and `bbox` its box; an item without a box is
+    /// left out. Every query must read the same boxes through its `bbox`.
     ///
     /// # Panics
     ///
     /// When a payload does not fit a `u32`.
-    pub fn build(entries: Vec<(GeoBBox, usize)>) -> RTree {
-        let len = entries.len();
-        if entries.is_empty() {
-            return RTree { root: None, len: 0 };
+    pub fn build(len: usize, bbox: impl Fn(usize) -> Option<GeoBBox>) -> RTree {
+        let boxed = || (0..len).filter(|&p| bbox(p).is_some());
+        let mut order: Vec<u32> = Vec::with_capacity(boxed().count());
+        order.extend(boxed().map(|p| u32::try_from(p).expect("payloads fit a u32")));
+        if order.is_empty() {
+            return RTree { order, nodes: Vec::new(), levels: vec![0] };
         }
-        let mut items: Vec<Item> = entries
-            .into_iter()
-            .map(|(bbox, payload)| Item {
-                bbox,
-                payload: u32::try_from(payload).expect("payloads fit a u32"),
-            })
-            .collect();
+        let at = |p: &u32| item_box(&bbox, *p as usize);
+        let by = |key: fn(&GeoPoint) -> f64| {
+            move |a: &u32, b: &u32| {
+                key(&at(a).center()).partial_cmp(&key(&at(b).center())).unwrap_or(Ordering::Equal)
+            }
+        };
         // STR: sort by center lon, slice, sort each slice by center lat.
-        items.sort_by(|a, b| {
-            a.bbox.center().lon.partial_cmp(&b.bbox.center().lon).unwrap_or(Ordering::Equal)
-        });
-        let leaf_count = items.len().div_ceil(NODE_CAPACITY);
+        // Each slice is a whole number of leaves, so every leaf but the last
+        // is full and leaf `j` starts at item `8j`.
+        order.sort_by(by(|c| c.lon));
+        let leaf_count = order.len().div_ceil(NODE_CAPACITY);
         let slice_count = (leaf_count as f64).sqrt().ceil() as usize;
-        let slice_size = items.len().div_ceil(slice_count);
-        let mut leaves: Vec<Node> = Vec::with_capacity(leaf_count);
-        for slice in items.chunks_mut(slice_size.max(1)) {
-            slice.sort_by(|a, b| {
-                a.bbox.center().lat.partial_cmp(&b.bbox.center().lat).unwrap_or(Ordering::Equal)
-            });
-            for group in slice.chunks(NODE_CAPACITY) {
-                let bbox = union_all(group.iter().map(|i| i.bbox));
-                leaves.push(Node::Leaf { bbox, items: group.to_vec() });
-            }
+        let slice_size = order.len().div_ceil(slice_count).next_multiple_of(NODE_CAPACITY);
+        for slice in order.chunks_mut(slice_size) {
+            slice.sort_by(by(|c| c.lat));
         }
+        // a level has an eighth of the nodes of the one below, rounded up
+        let mut nodes_total = 0;
+        let mut level = leaf_count;
+        while level > 1 {
+            nodes_total += level;
+            level = level.div_ceil(NODE_CAPACITY);
+        }
+        let mut nodes: Vec<GeoBBox> = Vec::with_capacity(nodes_total + 1);
+        nodes.extend(order.chunks(NODE_CAPACITY).map(|leaf| union_all(leaf.iter().map(at))));
+        let mut levels = vec![0, nodes.len()];
         // Pack upward until a single root remains.
-        let mut level = leaves;
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(NODE_CAPACITY));
-            let mut iter = level.into_iter().peekable();
-            while iter.peek().is_some() {
-                let children: Vec<Node> = iter.by_ref().take(NODE_CAPACITY).collect();
-                let bbox = union_all(children.iter().map(|c| *c.bbox()));
-                next.push(Node::Inner { bbox, children });
+        while levels[levels.len() - 1] - levels[levels.len() - 2] > 1 {
+            let below = levels[levels.len() - 2]..levels[levels.len() - 1];
+            for start in below.clone().step_by(NODE_CAPACITY) {
+                let children = start..(start + NODE_CAPACITY).min(below.end);
+                nodes.push(union_all(children.map(|c| nodes[c])));
             }
-            level = next;
+            levels.push(nodes.len());
         }
-        RTree { root: level.pop(), len }
+        RTree { order, nodes, levels }
     }
 
     /// Number of indexed items.
     pub fn len(&self) -> usize {
-        self.len
+        self.order.len()
     }
 
     /// True when the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.order.is_empty()
+    }
+
+    /// Levels of nodes, the leaves' included.
+    fn height(&self) -> usize {
+        self.levels.len() - 1
+    }
+
+    /// The box of node `node` of level `level`.
+    fn node(&self, level: usize, node: usize) -> &GeoBBox {
+        &self.nodes[self.levels[level] + node]
+    }
+
+    /// What node `node` of level `level` holds: indices into `order` for a
+    /// leaf, node numbers of the level below otherwise.
+    fn children(&self, level: usize, node: usize) -> Range<usize> {
+        let below =
+            if level == 0 { self.order.len() } else { self.levels[level] - self.levels[level - 1] };
+        node * NODE_CAPACITY..((node + 1) * NODE_CAPACITY).min(below)
     }
 
     /// Payload indices whose boxes intersect `query`, in ascending payload
-    /// order (deterministic).
-    pub fn intersecting(&self, query: &GeoBBox) -> Vec<usize> {
+    /// order (deterministic). `bbox` is each payload's box, as built.
+    pub fn intersecting(
+        &self,
+        query: &GeoBBox,
+        bbox: impl Fn(usize) -> Option<GeoBBox>,
+    ) -> Vec<usize> {
         let mut out = Vec::new();
-        self.intersecting_into(query, &mut out);
-        let mut out: Vec<usize> = out.into_iter().map(|p| p as usize).collect();
+        self.for_each_intersecting(query, bbox, |p| out.push(p as usize));
         out.sort_unstable();
         out
     }
 
-    /// Appends to `out` the payload indices whose boxes intersect `query`,
-    /// in no particular order, allocating nothing but `out`'s growth.
-    pub fn intersecting_into(&self, query: &GeoBBox, out: &mut Vec<u32>) {
-        fn walk(node: &Node, query: &GeoBBox, out: &mut Vec<u32>) {
-            if !node.bbox().intersects(query) {
+    /// Hands `each` the payload indices whose boxes intersect `query`, in
+    /// no particular order, allocating nothing. `bbox` is each payload's
+    /// box, as built.
+    pub fn for_each_intersecting(
+        &self,
+        query: &GeoBBox,
+        bbox: impl Fn(usize) -> Option<GeoBBox>,
+        mut each: impl FnMut(u32),
+    ) {
+        fn walk(
+            tree: &RTree,
+            level: usize,
+            node: usize,
+            query: &GeoBBox,
+            bbox: &impl Fn(usize) -> Option<GeoBBox>,
+            each: &mut impl FnMut(u32),
+        ) {
+            if !tree.node(level, node).intersects(query) {
                 return;
             }
-            match node {
-                Node::Leaf { items, .. } => {
-                    out.extend(items.iter().filter(|i| i.bbox.intersects(query)).map(|i| i.payload))
+            if level == 0 {
+                for &p in &tree.order[tree.children(0, node)] {
+                    if item_box(bbox, p as usize).intersects(query) {
+                        each(p);
+                    }
                 }
-                Node::Inner { children, .. } => children.iter().for_each(|c| walk(c, query, out)),
+            } else {
+                for child in tree.children(level, node) {
+                    walk(tree, level - 1, child, query, bbox, each);
+                }
             }
         }
-        if let Some(root) = &self.root {
-            walk(root, query, out);
+        if !self.is_empty() {
+            walk(self, self.height() - 1, 0, query, &bbox, &mut each);
         }
     }
 
     /// The `k` payloads whose boxes are nearest to `point` (by box
-    /// distance), nearest first. Best-first search over node distances.
-    pub fn nearest(&self, point: &GeoPoint, k: usize) -> Vec<(usize, f64)> {
-        #[derive(Debug)]
-        struct Candidate<'a> {
+    /// distance), nearest first, ties by ascending payload. Best-first
+    /// search over node distances. `bbox` is each payload's box, as built.
+    pub fn nearest(
+        &self,
+        point: &GeoPoint,
+        k: usize,
+        bbox: impl Fn(usize) -> Option<GeoBBox>,
+    ) -> Vec<(usize, f64)> {
+        /// A node `(level, number)`, or an item when `node` is `None`.
+        struct Candidate {
             dist: f64,
-            node: Option<&'a Node>, // None = concrete item
+            node: Option<(usize, usize)>,
             payload: usize,
         }
-        impl PartialEq for Candidate<'_> {
+        impl PartialEq for Candidate {
             fn eq(&self, other: &Self) -> bool {
                 self.dist == other.dist
             }
         }
-        impl Eq for Candidate<'_> {}
-        impl PartialOrd for Candidate<'_> {
+        impl Eq for Candidate {}
+        impl PartialOrd for Candidate {
             fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
                 Some(self.cmp(other))
             }
         }
-        impl Ord for Candidate<'_> {
+        impl Ord for Candidate {
             fn cmp(&self, other: &Self) -> Ordering {
-                // min-heap by distance
+                // min-heap by distance; a node (payload 0) opens before an
+                // item at its distance, so items leave in payload order
                 other
                     .dist
                     .partial_cmp(&self.dist)
@@ -165,12 +210,13 @@ impl RTree {
         }
 
         let mut out = Vec::new();
-        let Some(root) = &self.root else { return out };
-        if k == 0 {
+        if self.is_empty() || k == 0 {
             return out;
         }
+        let root = (self.height() - 1, 0);
         let mut heap = BinaryHeap::new();
-        heap.push(Candidate { dist: root.bbox().distance_km(point), node: Some(root), payload: 0 });
+        let dist = self.node(root.0, root.1).distance_km(point);
+        heap.push(Candidate { dist, node: Some(root), payload: 0 });
         while let Some(c) = heap.pop() {
             match c.node {
                 None => {
@@ -179,22 +225,17 @@ impl RTree {
                         break;
                     }
                 }
-                Some(Node::Leaf { items, .. }) => {
-                    for i in items {
-                        heap.push(Candidate {
-                            dist: i.bbox.distance_km(point),
-                            node: None,
-                            payload: i.payload as usize,
-                        });
+                Some((0, leaf)) => {
+                    for &p in &self.order[self.children(0, leaf)] {
+                        let payload = p as usize;
+                        let dist = item_box(&bbox, payload).distance_km(point);
+                        heap.push(Candidate { dist, node: None, payload });
                     }
                 }
-                Some(Node::Inner { children, .. }) => {
-                    for ch in children {
-                        heap.push(Candidate {
-                            dist: ch.bbox().distance_km(point),
-                            node: Some(ch),
-                            payload: 0,
-                        });
+                Some((level, node)) => {
+                    for child in self.children(level, node) {
+                        let dist = self.node(level - 1, child).distance_km(point);
+                        heap.push(Candidate { dist, node: Some((level - 1, child)), payload: 0 });
                     }
                 }
             }
@@ -207,45 +248,44 @@ impl RTree {
 mod tests {
     use super::*;
 
-    fn boxes(n: usize) -> Vec<(GeoBBox, usize)> {
+    fn boxes(n: usize) -> Vec<Option<GeoBBox>> {
         // deterministic grid of small boxes over the estuary region
         (0..n)
             .map(|i| {
                 let lat = 45.0 + (i % 20) as f64 * 0.05;
                 let lon = -124.5 + (i / 20) as f64 * 0.05;
-                (
-                    GeoBBox {
-                        min_lat: lat,
-                        max_lat: lat + 0.02,
-                        min_lon: lon,
-                        max_lon: lon + 0.02,
-                    },
-                    i,
-                )
+                Some(GeoBBox {
+                    min_lat: lat,
+                    max_lat: lat + 0.02,
+                    min_lon: lon,
+                    max_lon: lon + 0.02,
+                })
             })
             .collect()
     }
 
-    fn linear_intersecting(entries: &[(GeoBBox, usize)], q: &GeoBBox) -> Vec<usize> {
-        let mut v: Vec<usize> =
-            entries.iter().filter(|(b, _)| b.intersects(q)).map(|(_, p)| *p).collect();
-        v.sort_unstable();
-        v
+    fn build(boxes: &[Option<GeoBBox>]) -> RTree {
+        RTree::build(boxes.len(), |p| boxes[p])
+    }
+
+    fn linear_intersecting(boxes: &[Option<GeoBBox>], q: &GeoBBox) -> Vec<usize> {
+        (0..boxes.len()).filter(|&i| boxes[i].unwrap().intersects(q)).collect()
     }
 
     #[test]
     fn empty_tree() {
-        let t = RTree::build(vec![]);
+        let t = RTree::build(3, |_| None);
         assert!(t.is_empty());
         let q = GeoBBox::new(0.0, 1.0, 0.0, 1.0).unwrap();
-        assert!(t.intersecting(&q).is_empty());
-        assert!(t.nearest(&GeoPoint { lat: 0.0, lon: 0.0 }, 3).is_empty());
+        let never = |_: usize| -> Option<GeoBBox> { unreachable!("an empty tree reads no box") };
+        assert!(t.intersecting(&q, never).is_empty());
+        assert!(t.nearest(&GeoPoint { lat: 0.0, lon: 0.0 }, 3, never).is_empty());
     }
 
     #[test]
     fn intersection_matches_linear_scan() {
         let entries = boxes(137);
-        let tree = RTree::build(entries.clone());
+        let tree = build(&entries);
         assert_eq!(tree.len(), 137);
         for (qlat, qlon, dlat, dlon) in [
             (45.0, -124.5, 0.3, 0.3),
@@ -259,52 +299,61 @@ mod tests {
                 min_lon: qlon,
                 max_lon: qlon + dlon,
             };
-            assert_eq!(tree.intersecting(&q), linear_intersecting(&entries, &q), "{q}");
+            assert_eq!(
+                tree.intersecting(&q, |i| entries[i]),
+                linear_intersecting(&entries, &q),
+                "{q}"
+            );
         }
     }
 
     #[test]
     fn nearest_matches_linear_scan() {
         let entries = boxes(100);
-        let tree = RTree::build(entries.clone());
+        let tree = build(&entries);
         let p = GeoPoint { lat: 45.37, lon: -124.12 };
-        let got = tree.nearest(&p, 5);
-        // linear reference
+        let got = tree.nearest(&p, 5, |i| entries[i]);
         let mut all: Vec<(usize, f64)> =
-            entries.iter().map(|(b, ix)| (*ix, b.distance_km(&p))).collect();
+            entries.iter().enumerate().map(|(ix, b)| (ix, b.unwrap().distance_km(&p))).collect();
         all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        let want: Vec<f64> = all[..5].iter().map(|x| x.1).collect();
-        let got_d: Vec<f64> = got.iter().map(|x| x.1).collect();
-        for (g, w) in got_d.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-9, "{got_d:?} vs {want:?}");
-        }
-        // distances are nondecreasing
-        for w in got.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
+        assert_eq!(got, all[..5]);
     }
 
     #[test]
     fn nearest_k_larger_than_len() {
         let entries = boxes(3);
-        let tree = RTree::build(entries);
+        let tree = build(&entries);
         let p = GeoPoint { lat: 45.0, lon: -124.5 };
-        assert_eq!(tree.nearest(&p, 10).len(), 3);
+        assert_eq!(tree.nearest(&p, 10, |i| entries[i]).len(), 3);
     }
 
     #[test]
     fn single_item_tree() {
         let b = GeoBBox::new(45.0, 46.0, -124.0, -123.0).unwrap();
-        let t = RTree::build(vec![(b, 7)]);
-        assert_eq!(t.intersecting(&b), vec![7]);
+        let mut boxes = vec![None; 8];
+        boxes[7] = Some(b);
+        let t = build(&boxes);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.intersecting(&b, |p| boxes[p]), vec![7]);
         let inside = GeoPoint { lat: 45.5, lon: -123.5 };
-        assert_eq!(t.nearest(&inside, 1), vec![(7, 0.0)]);
+        assert_eq!(t.nearest(&inside, 1, |p| boxes[p]), vec![(7, 0.0)]);
     }
 
     #[test]
     fn duplicate_boxes_all_returned() {
         let b = GeoBBox::new(45.0, 45.1, -124.0, -123.9).unwrap();
-        let t = RTree::build(vec![(b, 0), (b, 1), (b, 2)]);
-        assert_eq!(t.intersecting(&b), vec![0, 1, 2]);
+        let t = build(&[Some(b); 3]);
+        assert_eq!(t.intersecting(&b, |_| Some(b)), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn every_leaf_but_the_last_is_full() {
+        // slices of 8 leaves' worth, one short slice at the end
+        for n in [1, 7, 8, 9, 64, 65, 100, 137, 1000] {
+            let t = build(&boxes(n));
+            assert_eq!(t.levels[1], n.div_ceil(NODE_CAPACITY), "{n} items");
+            assert_eq!(t.levels[t.height()] - t.levels[t.height() - 1], 1, "one root");
+            assert_eq!(t.nodes.len(), t.nodes.capacity(), "{n} items: nodes sized once");
+        }
     }
 }

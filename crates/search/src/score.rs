@@ -356,6 +356,11 @@ impl Interner {
     pub(crate) fn key(&self, id: u32) -> &Arc<str> {
         &self.keys[id as usize]
     }
+
+    /// Keys numbered so far: their numbers are `0..len`.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
 }
 
 /// Name-match strength between a prepared query term and one variable:
@@ -743,8 +748,7 @@ mod tests {
                 })
                 .collect();
             let image = Arc::new(Image::encode(&datasets.iter().collect::<Vec<_>>()));
-            let shard =
-                ShardEngine::build_all(&[image.rows().enumerate().collect()], &vocab).remove(0);
+            let shard = ShardEngine::build_all(vec![image.rows().collect()], &vocab).remove(0);
             let q = Query::new().with_variable(term, Some((2.0, 6.0))).with_variable("turb", None);
             let prepared: Vec<PreparedTerm> =
                 q.variables.iter().map(|t| PreparedTerm::prepare(t, &vocab)).collect();

@@ -16,18 +16,20 @@
 //!
 //! # Determinism of the nearest-neighbour merge
 //!
-//! `RTree::nearest` emits items in `(distance, payload index)` order, and
-//! shard members keep ascending global-index order, so each shard's
-//! nearest list is its `generous`-smallest under the global total order
-//! `(distance, global index)`. Merging the per-shard lists under that same
-//! order and truncating therefore selects exactly the set the unsharded
-//! engine's single `nearest` call would.
+//! `RTree::nearest` emits items in `(distance, payload index)` order, and a
+//! shard's members are in ascending id order, so each shard's nearest list
+//! is its `generous`-smallest under the global total order `(distance,
+//! id)`. Merging the per-shard lists under that same order and truncating
+//! therefore selects exactly the set the unsharded engine's single
+//! `nearest` call would: the unsharded engine's members are the whole
+//! catalog, in the same id order.
 
 use crate::engine::SearchHit;
 use crate::explain::search_metrics;
 use crate::fanout::ProbeSummary;
 use crate::interval::IntervalIndex;
 use crate::plan::QueryPlan;
+use crate::postings::{Bitmap, Postings};
 use crate::query::{Query, SpatialTerm};
 use crate::rtree::RTree;
 use crate::score::{
@@ -39,7 +41,8 @@ use metamess_core::store::{Image, Row, SearchableVariable};
 use metamess_core::text::normalize_term;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Hard ceiling on the shard count. Beyond a few hundred shards the
@@ -107,13 +110,17 @@ impl Default for ShardSpec {
     }
 }
 
-/// One slice of the catalog with its own indexes.
+/// One slice of the catalog with its own indexes. It holds each fact once:
+/// a member's id, path and title are read from its row, and the R-tree and
+/// interval index keep only an order over the extents.
 pub struct ShardEngine {
     /// The members, still encoded, each sharing the image the store read
-    /// returned instead of copying its bytes.
+    /// returned instead of copying its bytes. In ascending id order, as the
+    /// catalog is: the local index orders members as their ids do.
     rows: Vec<Row>,
     /// Each dataset's bbox and time interval, read out of its row: with the
-    /// variable keys below, everything scoring a candidate reads.
+    /// variable keys below, everything scoring a candidate reads, and the
+    /// boxes and intervals the two indexes order.
     extents: Vec<Extent>,
     /// The spelling table of the build this shard came from, shared by all
     /// of that build's shards: each spelling's name keys and raw name, by
@@ -126,116 +133,94 @@ pub struct ShardEngine {
     /// allocator happened to put 25 000 little vectors.
     var_keys: Vec<VarKey>,
     key_starts: Vec<u32>,
-    /// Every member's path back to back — dataset `ix` has
-    /// `paths[path_ends[ix - 1]..path_ends[ix]]` — for the rank order's
-    /// tie-break and the hits.
-    paths: String,
-    path_ends: Vec<usize>,
-    /// Local index → position in the full catalog order. Strictly
-    /// increasing (members are added in catalog order), which the
-    /// nearest-merge determinism argument relies on.
-    global_ix: Vec<usize>,
+    /// Over `extents`' boxes.
     rtree: RTree,
+    /// Over `extents`' intervals.
     intervals: IntervalIndex,
-    terms: BTreeMap<Arc<str>, Vec<u32>>,
+    /// Each index key's rows: a bitmap when the key is dense, a list when
+    /// not.
+    postings: Postings,
 }
 
 impl ShardEngine {
-    /// Builds one shard per member list of `layout` (each `(global index,
-    /// row)` pairs in ascending global order), numbering every variable's
-    /// spelling in one table against `vocab` that all of them share. Reads
-    /// each row in place; decodes none.
-    pub(crate) fn build_all(layout: &[Vec<(usize, Row)>], vocab: &Vocabulary) -> Vec<ShardEngine> {
-        let mut spellings = Spellings::new(vocab);
-        let mut shards: Vec<ShardEngine> =
-            layout.iter().map(|members| ShardEngine::build(members, &mut spellings)).collect();
-        let table: Arc<[VarNames]> = spellings.table.into();
-        for shard in &mut shards {
-            shard.spellings = Arc::clone(&table);
-        }
+    /// Builds one shard per member list of `layout` (each in ascending id
+    /// order, which the nearest-neighbour merge and the engine's row lookup
+    /// rely on), numbering every variable's spelling in one table against
+    /// `vocab` that all of them share. Reads each row in place; decodes
+    /// none. Each shard keeps its member list as its rows.
+    pub(crate) fn build_all(layout: Vec<Vec<Row>>, vocab: &Vocabulary) -> Vec<ShardEngine> {
+        let (mut shards, table) = {
+            let mut spellings = Spellings::new(vocab);
+            let shards: Vec<ShardEngine> =
+                layout.iter().map(|members| ShardEngine::build(members, &mut spellings)).collect();
+            (shards, Arc::<[VarNames]>::from(spellings.table))
+        };
         if metamess_telemetry::enabled() {
             let rows = layout.iter().map(Vec::len).sum::<usize>();
             search_metrics().rows_indexed.add(rows as u64);
+        }
+        for (shard, mut members) in shards.iter_mut().zip(layout) {
+            members.shrink_to_fit();
+            shard.rows = members;
+            shard.spellings = Arc::clone(&table);
         }
         shards
     }
 
     /// One shard of [`ShardEngine::build_all`], its spelling ids into
-    /// `spellings` — which is still growing, so the shard's own table is
-    /// left empty for the caller to fill in when the build is done.
-    fn build<'a>(members: &'a [(usize, Row)], spellings: &mut Spellings<'a>) -> ShardEngine {
-        let mut rows = Vec::with_capacity(members.len());
+    /// `spellings` — which is still growing, so the shard's own table, and
+    /// its rows, which the table borrows from, are left empty for the
+    /// caller to fill in when the build is done.
+    fn build<'a>(members: &'a [Row], spellings: &mut Spellings<'a>) -> ShardEngine {
         let mut extents = Vec::with_capacity(members.len());
         // sized once, for every variable of the members, and cut to the
         // searchable ones at the end: growing by doubling would hold two
         // copies of the largest array of the shard while it moved
-        let (mut variables, mut path_bytes) = (0, 0);
-        for (_, row) in members {
-            let view = row.view();
-            let (dir, name) = view.path();
-            path_bytes += dir.len() + name.len();
-            variables += view.variable_count();
-        }
+        let variables = members.iter().map(|row| row.view().variable_count()).sum();
         let mut var_keys = Vec::with_capacity(variables);
         let mut key_starts = Vec::with_capacity(members.len() + 1);
         key_starts.push(0u32);
-        let mut paths = String::with_capacity(path_bytes);
-        let mut path_ends = Vec::with_capacity(members.len());
-        let mut global_ix = Vec::with_capacity(members.len());
-        let mut spatial_entries = Vec::new();
-        let mut time_entries = Vec::new();
-        // by key id, so filing a variable compares no strings
-        let mut postings: Vec<Vec<u32>> = Vec::new();
-        for (ix, (gix, row)) in members.iter().enumerate() {
-            let local = u32::try_from(ix).expect("a shard's members fit a u32");
+        for row in members {
             let view = row.view();
-            global_ix.push(*gix);
             extents.push(Extent::of_row(&view));
-            let (dir, name) = view.path();
-            paths.push_str(dir);
-            paths.push_str(name);
-            path_ends.push(paths.len());
-            if let Some(b) = view.bbox() {
-                spatial_entries.push((b, ix));
-            }
-            if let Some(t) = view.time() {
-                time_entries.push((t, ix));
-            }
             let memo = spellings.memo_of(row.image());
             view.searchable_variables(|v| {
-                let (spelling, keys) = spellings.of(memo, &v);
-                for &k in keys {
-                    let k = k as usize;
-                    if k >= postings.len() {
-                        postings.resize_with(k + 1, Vec::new);
-                    }
-                    if postings[k].last() != Some(&local) {
-                        postings[k].push(local);
-                    }
-                }
-                var_keys.push(VarKey::new(spelling, v.value_range));
+                var_keys.push(VarKey::new(spellings.of(memo, &v), v.value_range));
             });
             key_starts.push(u32::try_from(var_keys.len()).expect("a shard's variables fit a u32"));
-            rows.push(row.clone());
         }
         var_keys.shrink_to_fit();
-        let terms = (0u32..)
-            .zip(postings)
-            .filter(|(_, posting)| !posting.is_empty())
-            .map(|(k, posting)| (Arc::clone(spellings.keys.key(k)), posting))
-            .collect();
+        let postings = {
+            let Spellings { keys, key_ids, .. } = &*spellings;
+            // each of a member's index keys once, however many of its
+            // variables file it; by key id, so filing compares no strings
+            Postings::build(
+                members.len(),
+                keys.len(),
+                |k| Arc::clone(keys.key(k)),
+                |add| {
+                    let mut last = vec![u32::MAX; keys.len()];
+                    for (local, ends) in (0u32..).zip(key_starts.windows(2)) {
+                        for key in &var_keys[ends[0] as usize..ends[1] as usize] {
+                            for &k in key_ids[key.spelling() as usize].iter() {
+                                if std::mem::replace(&mut last[k as usize], local) != local {
+                                    add(k, local);
+                                }
+                            }
+                        }
+                    }
+                },
+            )
+        };
         ShardEngine {
-            rtree: RTree::build(spatial_entries),
-            intervals: IntervalIndex::build(time_entries),
-            terms,
-            rows,
+            rtree: RTree::build(extents.len(), |ix| extents[ix].bbox),
+            intervals: IntervalIndex::build(extents.len(), |ix| extents[ix].time),
+            postings,
+            rows: Vec::new(),
             extents,
             spellings: Arc::default(),
             var_keys,
             key_starts,
-            paths,
-            path_ends,
-            global_ix,
         }
     }
 
@@ -254,15 +239,24 @@ impl ShardEngine {
         &self.rows[local_ix]
     }
 
-    /// The rows by local index.
+    /// The rows by local index, in ascending id order.
     pub fn rows(&self) -> &[Row] {
         &self.rows
     }
 
-    /// The path of the dataset at a local index.
-    pub fn path(&self, local_ix: usize) -> &str {
-        let start = local_ix.checked_sub(1).map_or(0, |before| self.path_ends[before]);
-        &self.paths[start..self.path_ends[local_ix]]
+    /// The path of the dataset at a local index, joined from its row's
+    /// directory and name.
+    pub fn path(&self, local_ix: usize) -> String {
+        let (dir, name) = self.rows[local_ix].view().path();
+        [dir, name].concat()
+    }
+
+    /// `self.path(a).cmp(&self.path(b))`, joining neither: the rank order's
+    /// tie-break.
+    pub(crate) fn cmp_paths(&self, a: usize, b: usize) -> Ordering {
+        let ((a_dir, a_name), (b_dir, b_name)) =
+            (self.rows[a].view().path(), self.rows[b].view().path());
+        a_dir.bytes().chain(a_name.bytes()).cmp(b_dir.bytes().chain(b_name.bytes()))
     }
 
     /// The concepts of each member's searchable variables, member by member:
@@ -276,48 +270,37 @@ impl ShardEngine {
         &self.var_keys[self.key_starts[local_ix] as usize..self.key_starts[local_ix + 1] as usize]
     }
 
-    /// Candidate generation against this shard's indexes. Nearest-neighbour
-    /// lists are always collected and merged globally by the coordinator.
+    /// Candidate generation against this shard's indexes: the window, time
+    /// and term hits united in one bitmap over the shard's rows, read out
+    /// ascending. Nearest-neighbour lists are always collected and merged
+    /// globally by the coordinator.
     pub(crate) fn probe(&self, query: &Query, plan: &QueryPlan, generous: usize) -> ProbeSummary {
-        let mut p = ProbeSummary::default();
+        let mut near = Vec::new();
+        let mut certain = Bitmap::new(self.len());
         if let Some(spatial) = &query.spatial {
-            match spatial {
-                SpatialTerm::Near { point, radius_km } => {
-                    self.collect_near(point, generous, &mut p);
-                    self.rtree.intersecting_into(&near_window(point, *radius_km), &mut p.certain);
-                }
-                SpatialTerm::Region(region) => {
-                    self.rtree.intersecting_into(region, &mut p.certain);
-                    self.collect_near(&region.center(), generous, &mut p);
-                }
+            let (window, centre) = match spatial {
+                SpatialTerm::Near { point, radius_km } => (near_window(point, *radius_km), *point),
+                SpatialTerm::Region(region) => (*region, region.center()),
+            };
+            let bbox = |ix: usize| self.extents[ix].bbox;
+            for (ix, dist) in self.rtree.nearest(&centre, generous, bbox) {
+                near.push((dist, self.rows[ix].id().0, ix as u32));
             }
+            self.rtree.for_each_intersecting(&window, bbox, |ix| certain.insert(ix));
         }
         if let Some(window) = &query.time {
-            self.intervals.overlapping_into(&expanded_time(window), &mut p.certain);
+            let interval = |ix: usize| self.extents[ix].time;
+            let window = expanded_time(window);
+            self.intervals.for_each_overlapping(&window, interval, |ix| certain.insert(ix));
         }
         for keys in &plan.term_keys {
             for k in keys {
-                if let Some(postings) = self.terms.get(k.as_str()) {
-                    p.certain.extend_from_slice(postings);
+                if let Some(posting) = self.postings.get(k) {
+                    certain.union(posting);
                 }
             }
         }
-        // one flat vector, sorted and deduplicated: set semantics without a
-        // node per candidate
-        p.certain.sort_unstable();
-        p.certain.dedup();
-        p
-    }
-
-    fn collect_near(
-        &self,
-        point: &metamess_core::geo::GeoPoint,
-        generous: usize,
-        p: &mut ProbeSummary,
-    ) {
-        for (ix, dist) in self.rtree.nearest(point, generous) {
-            p.near.push((dist, self.global_ix[ix] as u64, ix as u32));
-        }
+        ProbeSummary { certain: certain.rows(), near }
     }
 
     /// An empty memo of `terms` query terms' name tiers over this shard's
@@ -342,8 +325,8 @@ impl ShardEngine {
     }
 
     /// Scores one local candidate into a hit with its explained breakdown:
-    /// the same keys and memo, raw names from the spelling table, path from
-    /// the shard's paths, and only the title read from the row.
+    /// the same keys and memo, raw names from the spelling table, and id,
+    /// path and title read from the row.
     pub(crate) fn score_hit(
         &self,
         query: &Query,
@@ -354,10 +337,12 @@ impl ShardEngine {
         let breakdown =
             explain_keys(query, prepared, memo, &self.extents[local_ix], self.keys(local_ix));
         let row = &self.rows[local_ix];
+        let view = row.view();
+        let (dir, name) = view.path();
         SearchHit {
             id: row.id(),
-            path: self.path(local_ix).to_owned(),
-            title: row.view().title().to_owned(),
+            path: [dir, name].concat(),
+            title: view.title().to_owned(),
             score: breakdown.total,
             breakdown,
         }
@@ -431,8 +416,8 @@ impl<'a> Spellings<'a> {
     }
 
     /// The id of the spelling of `v`, a variable of the image whose memo is
-    /// `memo`, and the ids of its index keys, worked out on first sight.
-    fn of(&mut self, memo: usize, v: &SearchableVariable<'a>) -> (u32, &[u32]) {
+    /// `memo`, worked out (with the ids of its index keys) on first sight.
+    fn of(&mut self, memo: usize, v: &SearchableVariable<'a>) -> u32 {
         let Spellings { vocab, keys, ids, key_ids, table, memos, .. } = self;
         let id = &mut memos[memo][v.descriptor as usize];
         if *id == UNSEEN {
@@ -446,7 +431,7 @@ impl<'a> Spellings<'a> {
                 id
             });
         }
-        (*id, &key_ids[*id as usize])
+        *id
     }
 }
 
@@ -474,20 +459,22 @@ pub(crate) fn expanded_time(window: &TimeInterval) -> TimeInterval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::Posting;
     use metamess_core::feature::{DatasetFeature, VariableFeature};
     use metamess_core::geo::GeoPoint;
     use metamess_core::store::Image;
     use metamess_core::time::Timestamp;
+    use std::collections::BTreeMap;
 
     /// `features` encoded into one image, as the members of one shard.
-    fn members(features: &[DatasetFeature]) -> Vec<(usize, Row)> {
+    fn members(features: &[DatasetFeature]) -> Vec<Row> {
         let image = Arc::new(Image::encode(&features.iter().collect::<Vec<_>>()));
-        image.rows().enumerate().collect()
+        image.rows().collect()
     }
 
     /// One shard over `features`, built alone.
     fn shard_of(features: &[DatasetFeature], vocab: &Vocabulary) -> ShardEngine {
-        ShardEngine::build_all(&[members(features)], vocab).remove(0)
+        ShardEngine::build_all(vec![members(features)], vocab).remove(0)
     }
 
     fn feature(path: &str, lat: f64, lon: f64, month: u32) -> DatasetFeature {
@@ -631,9 +618,7 @@ mod tests {
     ) {
         for (features, shard) in parts.iter().zip(shards) {
             let (terms, var_keys) = per_variable_build(features, vocab);
-            let got: BTreeMap<String, Vec<u32>> =
-                shard.terms.iter().map(|(k, p)| (k.to_string(), p.clone())).collect();
-            assert_eq!(got, terms);
+            assert_eq!(posting_lists(shard), terms);
             for (ix, want) in var_keys.iter().enumerate() {
                 let got: Vec<(VarNames, Option<(f64, f64)>)> = shard
                     .keys(ix)
@@ -652,7 +637,7 @@ mod tests {
         // two shards from one table: the second looks up what the first
         // resolved, and both hold the one table the build made
         let (first, second) = datasets.split_at(4);
-        let shards = ShardEngine::build_all(&[members(first), members(second)], &vocab);
+        let shards = ShardEngine::build_all(vec![members(first), members(second)], &vocab);
         assert!(Arc::ptr_eq(&shards[0].spellings, &shards[1].spellings));
         assert_eq!(shards[0].spellings.len(), 7, "one entry per searchable spelling");
         builds_per_variable(&shards, &[first, second], &vocab);
@@ -685,13 +670,12 @@ mod tests {
             })
             .collect();
         assert!(rows.iter().zip(&datasets).all(|(row, f)| row.id() == f.id));
-        let members: Vec<(usize, Row)> = rows.into_iter().enumerate().collect();
-        let (first, second) = members.split_at(3);
-        let shards = ShardEngine::build_all(&[first.to_vec(), second.to_vec()], &vocab);
+        let (first, second) = rows.split_at(3);
+        let shards = ShardEngine::build_all(vec![first.to_vec(), second.to_vec()], &vocab);
         builds_per_variable(&shards, &[&datasets[..3], &datasets[3..]], &vocab);
         // the table is the one a build over a single image makes: each
         // searchable spelling once, in first-seen order
-        let whole = ShardEngine::build_all(&[self::members(&datasets)], &vocab);
+        let whole = ShardEngine::build_all(vec![self::members(&datasets)], &vocab);
         assert_eq!(*shards[0].spellings, *whole[0].spellings);
         assert_eq!(shards[0].spellings.len(), 7);
     }
@@ -730,6 +714,159 @@ mod tests {
             assert_eq!(hit.score.to_bits(), want.total.to_bits());
             let ranked = shard.score(&q, &plan.prepared, &mut memo, ix);
             assert_eq!(hit.score.to_bits(), ranked.to_bits());
+        }
+    }
+
+    /// Each term's rows, as the shard files them, whichever form they take.
+    fn posting_lists(shard: &ShardEngine) -> BTreeMap<String, Vec<u32>> {
+        let rows = |posting| {
+            let mut set = Bitmap::new(shard.len());
+            set.union(posting);
+            set.rows()
+        };
+        shard.postings.iter().map(|(term, posting)| (term.to_string(), rows(posting))).collect()
+    }
+
+    /// A xorshift generator: the cases below are a pure function of the seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn float(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.below(1 << 20) as f64 / (1 << 20) as f64
+        }
+    }
+
+    /// `n` datasets, most with a box and a time, with 0..3 variables of a
+    /// pool; `edge` is a variable of exactly `n / 32` of them (whole 32nds
+    /// only) and `past_edge` of one more.
+    fn probe_catalog(rng: &mut Rng, n: usize) -> Vec<DatasetFeature> {
+        const POOL: [&str; 5] = ["salinity", "wtemp", "turbidity", "mystery", "sonde_serial"];
+        let edge = if n.is_multiple_of(32) { n / 32 } else { 0 };
+        (0..n)
+            .map(|i| {
+                let mut d = DatasetFeature::new(format!("p/{i:03}.csv"));
+                if rng.below(5) > 0 {
+                    let (lat, lon) = (rng.float(44.0, 48.0), rng.float(-126.0, -122.0));
+                    let half = rng.float(0.0, 0.3) * rng.below(2) as f64;
+                    d.bbox = GeoBBox::new(lat - half, lat + half, lon - half, lon + half).ok();
+                }
+                if rng.below(5) > 0 {
+                    let start =
+                        Timestamp::from_ymd(2012, 1, 1).unwrap().plus_days(rng.below(300) as i64);
+                    d.time =
+                        Some(TimeInterval::new(start, start.plus_days(1 + rng.below(40) as i64)));
+                }
+                let mut names: Vec<&str> = (0..rng.below(3))
+                    .map(|_| POOL[rng.below(POOL.len() as u64) as usize])
+                    .collect();
+                if edge > 0 && i % 32 == 0 {
+                    names.push("edge");
+                }
+                if edge > 0 && (i % 32 == 1 || i == n - 1) {
+                    names.push("past_edge");
+                }
+                for name in names {
+                    let mut v = VariableFeature::new(name);
+                    v.summary.observe(rng.float(0.0, 10.0));
+                    d.variables.push(v);
+                }
+                d
+            })
+            .collect()
+    }
+
+    /// The union a probe made before it had a bitmap, each part found by
+    /// brute force: window, padded-time and posting hits appended, then
+    /// sorted and deduplicated.
+    fn sorted_union(
+        features: &[DatasetFeature],
+        terms: &BTreeMap<String, Vec<u32>>,
+        q: &Query,
+        plan: &QueryPlan,
+    ) -> Vec<u32> {
+        let mut all = Vec::new();
+        let hits = |keep: &dyn Fn(&DatasetFeature) -> bool| {
+            (0u32..).zip(features).filter(|(_, d)| keep(d)).map(|(ix, _)| ix).collect::<Vec<_>>()
+        };
+        if let Some(spatial) = &q.spatial {
+            let window = match spatial {
+                SpatialTerm::Near { point, radius_km } => near_window(point, *radius_km),
+                SpatialTerm::Region(region) => *region,
+            };
+            all.extend(hits(&|d| d.bbox.is_some_and(|b| b.intersects(&window))));
+        }
+        if let Some(window) = &q.time {
+            let window = expanded_time(window);
+            all.extend(hits(&|d| d.time.is_some_and(|t| t.overlaps(&window))));
+        }
+        for k in plan.term_keys.iter().flatten() {
+            all.extend(terms.get(k).into_iter().flatten());
+        }
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
+    #[test]
+    fn the_bitmap_probe_finds_what_the_sorted_union_found() {
+        let vocab = Vocabulary::observatory_default();
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for case in 0..240 {
+            // an empty shard, a shard of one, whole 32nds of rows, any size
+            let n = match case % 4 {
+                0 if case < 8 => case / 4,
+                1 => 32 * (1 + rng.below(6) as usize),
+                _ => rng.below(300) as usize,
+            };
+            let features = probe_catalog(&mut rng, n);
+            let shard = shard_of(&features, &vocab);
+            let (terms, _) = per_variable_build(&features, &vocab);
+            assert_eq!(posting_lists(&shard), terms, "case {case}");
+            if n.is_multiple_of(32) && n > 0 {
+                assert!(
+                    matches!(shard.postings.get("edge"), Some(Posting::Sparse(r)) if r.len() * 32 == n)
+                );
+                assert!(matches!(shard.postings.get("past_edge"), Some(Posting::Dense(_))));
+            }
+            for _ in 0..6 {
+                let mut q = Query::new().limit(1 + rng.below(8) as usize);
+                match rng.below(3) {
+                    0 => {
+                        q = q
+                            .near(
+                                rng.float(44.0, 48.0),
+                                rng.float(-126.0, -122.0),
+                                rng.float(1.0, 80.0),
+                            )
+                            .unwrap()
+                    }
+                    1 => {
+                        let (lat, lon) = (rng.float(44.0, 48.0), rng.float(-126.0, -122.0));
+                        q = q.in_region(GeoBBox::new(lat, lat + 0.5, lon, lon + 0.5).unwrap());
+                    }
+                    _ => {}
+                }
+                if rng.below(2) == 0 {
+                    let start =
+                        Timestamp::from_ymd(2012, 1, 1).unwrap().plus_days(rng.below(330) as i64);
+                    q = q.between(start, start.plus_days(rng.below(20) as i64));
+                }
+                for name in ["edge", "past_edge", "salinity", "water_temperature", "mystery"] {
+                    if rng.below(3) == 0 {
+                        q = q.with_variable(name, None);
+                    }
+                }
+                let plan = QueryPlan::prepare(&q, &vocab);
+                let got = shard.probe(&q, &plan, 50).certain;
+                assert_eq!(got, sorted_union(&features, &terms, &q, &plan), "case {case}: {q:?}");
+            }
         }
     }
 }

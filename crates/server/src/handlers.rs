@@ -237,9 +237,12 @@ fn debug_traces(req: &Request) -> Response {
     Response::json(200, trace::render_traces_json(&traces))
 }
 
-/// `POST /admin/reload`: force a reload check now. A failed read keeps
-/// the current epoch serving and reports 503 (the store is transiently
-/// unavailable — e.g. an `fsck --repair` holds the exclusive lock).
+/// `POST /admin/reload`: force a reload check now. `"reloaded"` when a new
+/// epoch was swapped in — the generation moved, or only `vocabulary.json`
+/// did (then `previous_generation` equals `generation`) — `"unchanged"`
+/// otherwise. A failed read keeps the current epoch serving and reports
+/// 503 (the store is transiently unavailable — e.g. an `fsck --repair`
+/// holds the exclusive lock).
 fn reload(state: &ServeState) -> Response {
     #[derive(Serialize)]
     struct ReloadBody {

@@ -7,7 +7,8 @@
 //! pointer — in-flight requests keep the epoch they started with, so a
 //! reload never invalidates a request mid-execution. Each epoch's engine
 //! owns its result cache: an epoch is swapped in only when the catalog
-//! generation moved, so no cached entry could be served across a swap.
+//! generation or the vocabulary moved, so no cached entry could be served
+//! across a swap.
 //!
 //! The server is a **reader** of a store that `metamess watch` may be
 //! appending to: it loads through [`read_published`], which never modifies
@@ -28,7 +29,11 @@
 //! as an open does, and builds the next engine with
 //! [`SearchEngine::from_rows`]. A poll whose `vocabulary.json` is the one
 //! the serving epoch was read with keeps that epoch's vocabulary (an
-//! `Arc`, not a copy); a forced reload reads it too.
+//! `Arc`, not a copy); a forced reload reads it too. The next epoch is
+//! swapped in when the generation moved, or when `vocabulary.json` is not
+//! the one the serving epoch was read with: the watcher writes it after
+//! the WAL flush, so a poll between the two must not keep the old
+//! vocabulary until the next publish.
 
 use crate::metrics;
 use metamess_core::store::{lock_path, read_published, StoreLock};
@@ -62,12 +67,14 @@ pub struct EngineEpoch {
 /// What a reload attempt concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReloadOutcome {
-    /// Store generation unchanged; previous epoch kept (cache stays warm).
+    /// Store generation and vocabulary unchanged; previous epoch kept
+    /// (cache stays warm).
     Unchanged {
         /// The generation still being served.
         generation: u64,
     },
-    /// A new epoch was swapped in.
+    /// A new epoch was swapped in: the generation moved, or only
+    /// `vocabulary.json` did (then `from == to`).
     Reloaded {
         /// Generation served before the swap.
         from: u64,
@@ -282,7 +289,8 @@ impl ServeState {
     }
 
     /// Reads the store afresh and swaps in a new epoch if the generation
-    /// advanced. On error the previous epoch keeps serving.
+    /// advanced or `vocabulary.json` moved. On error the previous epoch
+    /// keeps serving.
     pub fn reload(&self) -> Result<ReloadOutcome> {
         self.advance(true)
     }
@@ -323,7 +331,7 @@ impl ServeState {
             );
         })?;
         at.seen = observed;
-        if next.generation == from {
+        if next.generation == from && at.vocabulary == observed.vocabulary {
             return Ok(ReloadOutcome::Unchanged { generation: from });
         }
         at.vocabulary = observed.vocabulary;
@@ -635,6 +643,42 @@ mod tests {
         // A third salinity dataset is a candidate for the cached query and
         // ranks first (an equal score, an earlier path).
         check_delta_put("deltaev", "salinity", "2014/07/s0.csv", true);
+    }
+
+    #[test]
+    fn a_poll_that_finds_only_the_vocabulary_moved_serves_it() {
+        let dir = fixture_store_vars("vocabonly");
+        let mut vocab = Vocabulary::observatory_default();
+        vocab.save(dir.join("vocabulary.json")).unwrap();
+        let state = ServeState::open(&dir).unwrap();
+        let put = "2014/08/s3.csv";
+        append_without_checkpoint(&dir, dataset(put, "salinity"));
+        let g = state.epoch().generation + 1;
+        assert_eq!(
+            state.poll_reload().unwrap(),
+            ReloadOutcome::Reloaded { from: g - 1, to: g, epoch: 1 }
+        );
+        let q = Query::parse("with saltiness").unwrap();
+        let unknown = state.epoch().engine.search(&q);
+        // what a watcher does after its WAL flush: the vocabulary learns a
+        // spelling, and the generation stays where the put left it
+        vocab.synonyms.add_alternate("salinity", "saltiness").unwrap();
+        vocab.save(dir.join("vocabulary.json")).unwrap();
+        assert_eq!(
+            state.poll_reload().unwrap(),
+            ReloadOutcome::Reloaded { from: g, to: g, epoch: 2 }
+        );
+        assert_eq!(state.reloads(), 2);
+        let after = state.epoch();
+        assert_eq!((after.generation, after.epoch), (g, 2));
+        assert!(after.engine.vocabulary().synonyms.contains("saltiness"));
+        let hits = after.engine.search(&q);
+        assert!(hits.iter().any(|h| h.path == put), "the synonym finds the put: {hits:?}");
+        assert_ne!(hits[..], unknown[..], "the old vocabulary did not know the synonym");
+        assert_eq!(hits, ServeState::open(&dir).unwrap().epoch().engine.search(&q));
+        // nothing moved since: the next poll and a forced reload keep it
+        assert_eq!(state.poll_reload().unwrap(), ReloadOutcome::Unchanged { generation: g });
+        assert_eq!(state.reload().unwrap(), ReloadOutcome::Unchanged { generation: g });
     }
 
     #[test]

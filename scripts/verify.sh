@@ -35,7 +35,7 @@ echo "==> trace zero-allocation gate (METAMESS_TELEMETRY=0 alloc guard)"
 # test asserts exactly zero heap allocations for begin/span/end.
 METAMESS_TELEMETRY=0 cargo test -q -p metamess-server --test alloc_guard
 
-echo "==> catalog memory and store budgets (release)"
+echo "==> catalog memory, store and engine budgets (release)"
 # A catalog keeps each feature it takes at the size of its metadata: the
 # variables at exact capacity, the external pairs in one sorted vector. The
 # counting-allocator test holds the live heap bytes per dataset of a catalog
@@ -43,7 +43,11 @@ echo "==> catalog memory and store budgets (release)"
 # store_budget the snapshot bytes per dataset a 2 000-dataset catalog laid
 # out in directories publishes to: a row that writes more than it alone
 # knows fails there before the benchmark's store_bytes_per_dataset moves.
+# engine_budget holds the live heap bytes per dataset a two-shard search
+# engine keeps beside the store image of a 20 000-dataset catalog shaped
+# like the benchmark's, and checks its answers against the reference.
 cargo test -q --release -p metamess-core --test memory_budget --test store_budget
+cargo test -q --release -p metamess-search --test engine_budget
 
 cases="${METAMESS_TORTURE_CASES:-1000}"
 echo "==> crash-consistency, watch-publish, hostile-bytes and writer-row suites ($cases seeded cases, release)"
