@@ -496,9 +496,19 @@ impl Image {
     }
 
     /// Entries in the payload's descriptor table: one past the largest
-    /// [`SearchableVariable::descriptor`] a row of the image hands out.
+    /// descriptor number [`RowView::numbered_variables`] hands out.
     pub fn descriptors(&self) -> usize {
         self.descriptors.len()
+    }
+
+    /// The spelling of descriptor `number`, below [`Image::descriptors`]:
+    /// the name as harvested and the name search matches (the canonical name
+    /// when resolved), or `None` when its variables are QA or hidden, which
+    /// search never reads. Every variable of the image with that number has
+    /// this spelling.
+    pub fn searchable_spelling(&self, number: u32) -> Option<(&str, &str)> {
+        let d = self.reader(self.descriptors[number as usize]).descriptor().expect(CHECKED);
+        (d.curation & (FLAG_QA | FLAG_HIDDEN) == 0).then(|| (d.name, d.canonical.unwrap_or(d.name)))
     }
 
     /// The payload, as encoded.
@@ -615,21 +625,6 @@ pub struct RowView<'a> {
     image: &'a Image,
 }
 
-/// A searchable variable (not QA, not hidden) as a row holds it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SearchableVariable<'a> {
-    /// The name as harvested.
-    pub name: &'a str,
-    /// The name search matches: the canonical name when resolved.
-    pub search_name: &'a str,
-    /// `(min, max)` of the values seen, when any were numbers.
-    pub value_range: Option<(f64, f64)>,
-    /// The number of the variable's descriptor in its row's image, below
-    /// [`Image::descriptors`]: variables of one image with one number have
-    /// one name and one search name.
-    pub descriptor: u32,
-}
-
 impl<'a> RowView<'a> {
     /// Stable id.
     pub fn id(&self) -> DatasetId {
@@ -665,24 +660,18 @@ impl<'a> RowView<'a> {
         rest.externals(&mut ()).expect(CHECKED)
     }
 
-    /// Hands `each` the row's searchable variables, in column order.
-    pub fn searchable_variables(&self, each: impl FnMut(SearchableVariable<'a>)) {
-        struct Searchable<F>(F);
-        impl<'a, F: FnMut(SearchableVariable<'a>)> RowSink<'a> for Searchable<F> {
-            fn variable(&mut self, descriptor: u32, v: Var<'a>) {
-                let d = &v.descriptor;
-                if d.curation & (FLAG_QA | FLAG_HIDDEN) == 0 {
-                    (self.0)(SearchableVariable {
-                        name: d.name,
-                        search_name: d.canonical.unwrap_or(d.name),
-                        value_range: v.summary.range(),
-                        descriptor,
-                    });
-                }
-            }
-        }
+    /// Hands `each` the descriptor number and the value range (`(min, max)`
+    /// of the values seen, when any were numbers) of every variable of the
+    /// row, searchable or not, in column order. No descriptor is read: what
+    /// a number stands for is [`Image::searchable_spelling`]'s, once per
+    /// image.
+    pub fn numbered_variables(&self, mut each: impl FnMut(u32, Option<(f64, f64)>)) {
         let mut rest = self.rest;
-        rest.lists(&mut Searchable(each)).expect(CHECKED);
+        for _ in 0..rest.externals(&mut ()).expect(CHECKED) {
+            let (number, _) = rest.descriptor_number().expect(CHECKED);
+            let (summary, _, _) = rest.counts().expect(CHECKED);
+            each(number, summary.range());
+        }
     }
 
     /// Whether the row decodes to a feature `== f`, found without decoding
@@ -1858,6 +1847,21 @@ pub(crate) mod tests {
         parse_record(payload).map(mutation)
     }
 
+    /// A searchable variable as search reads it: descriptor number, name,
+    /// search name and value range.
+    type Searchable<'a> = (u32, &'a str, &'a str, Option<(f64, f64)>);
+
+    /// The searchable variables of `row`, in column order.
+    fn searchable_variables(row: &Row) -> Vec<Searchable<'_>> {
+        let mut searchable = Vec::new();
+        row.view().numbered_variables(|number, range| {
+            if let Some((name, search_name)) = row.image().searchable_spelling(number) {
+                searchable.push((number, name, search_name, range));
+            }
+        });
+        searchable
+    }
+
     /// A dataset whose floats JSON could not carry: a variable that never
     /// saw a number (`min = +inf`, `max = −inf`) and one that saw only
     /// `−0.0`.
@@ -2118,24 +2122,17 @@ pub(crate) mod tests {
             assert_eq!(([dir, name].concat(), view.title()), (want.path.clone(), &want.title[..]));
             assert_eq!((view.bbox(), view.time()), (want.bbox, want.time));
             assert_eq!(view.variable_count(), want.variables.len());
-            let mut searchable = Vec::new();
-            view.searchable_variables(|v| searchable.push(v));
-            let expected: Vec<SearchableVariable> = want
+            let searchable = searchable_variables(&row);
+            let expected: Vec<_> = want
                 .searchable_variables()
                 .zip(numbers)
-                .map(|(v, &descriptor)| SearchableVariable {
-                    name: &v.name,
-                    search_name: v.search_name(),
-                    value_range: v.value_range(),
-                    descriptor,
-                })
+                .map(|(v, &number)| (number, &v.name[..], v.search_name(), v.value_range()))
                 .collect();
             // ±inf ranges compare equal; −0.0 is checked by its bits below
             assert_eq!(searchable, expected, "{}", want.path);
         }
         let offset = image.rows().nth(1).unwrap();
-        let mut ranges = Vec::new();
-        offset.view().searchable_variables(|v| ranges.push(v.value_range));
+        let ranges: Vec<_> = searchable_variables(&offset).into_iter().map(|v| v.3).collect();
         assert_eq!(ranges[0], None, "a variable that never saw a number");
         let (lo, hi) = ranges[1].unwrap();
         assert!(lo.is_sign_negative() && hi.is_sign_negative(), "−0.0 stays −0.0");

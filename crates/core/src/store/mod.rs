@@ -22,7 +22,7 @@ mod state;
 mod vfs;
 mod wal;
 
-pub use codec::{Image, Row, RowView, SearchableVariable, WalRecord};
+pub use codec::{Image, Row, RowView, WalRecord};
 pub use crc::{crc32, Crc32};
 pub use durable::{
     apply_records, read_published, CompactionPolicy, CompactionReport, DurableCatalog, Published,

@@ -537,14 +537,14 @@ impl ShardBackend for Fleet<'_> {
         shard: usize,
         query: &Query,
         work: &ScoreWork,
-    ) -> std::result::Result<Vec<SearchHit>, ShardFailure> {
+    ) -> std::result::Result<(Vec<SearchHit>, usize), ShardFailure> {
         let request = Frame::new(
             FrameKind::Score,
             self.trace_id,
             &ScoreRequest { query: query.clone(), work: work.clone() },
         );
         self.set.call(shard, &request, FrameKind::ScoreOk, false, |r: ScoreResponse| {
-            (r.generation, r.hits)
+            (r.generation, (r.hits, r.scored as usize))
         })
     }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic       b"MMSHRD01"
-//!      8     2  version     u16 LE, currently 2
+//!      8     2  version     u16 LE, currently 3
 //!     10     1  kind        FrameKind as u8
 //!     11     1  flags       reserved, must be 0
 //!     12    16  trace id    u128 LE (0 = untraced)
@@ -36,7 +36,7 @@ pub const MAGIC: [u8; 8] = *b"MMSHRD01";
 /// The protocol version this build speaks. Bump it whenever a payload's
 /// shape changes: a peer of any other version is refused by name before
 /// it can misread one.
-pub const PROTO_VERSION: u16 = 2;
+pub const PROTO_VERSION: u16 = 3;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 36;

@@ -23,7 +23,9 @@ use crate::wire::{
 use metamess_core::catalog::Catalog;
 use metamess_core::error::{Error, Result};
 use metamess_core::store::Row;
-use metamess_search::fanout::{build_shard, build_shard_from, generous, probe_summary, score_top};
+use metamess_search::fanout::{
+    build_shard, build_shard_from, generous, probe_summary, score_counted,
+};
 use metamess_search::{QueryPlan, ShardEngine, ShardSpec};
 use metamess_vocab::Vocabulary;
 use std::io::ErrorKind;
@@ -156,8 +158,10 @@ impl ShardHost {
             FrameKind::Score => {
                 let req: ScoreRequest = request.parse_payload()?;
                 let plan = QueryPlan::prepare(&req.query, &self.vocab);
-                let hits = score_top(&self.engine, &req.query, &plan, &self.vocab, &req.work);
-                let response = ScoreResponse { generation: self.generation, hits };
+                let (hits, scored) =
+                    score_counted(&self.engine, &req.query, &plan, &self.vocab, &req.work);
+                let response =
+                    ScoreResponse { generation: self.generation, hits, scored: scored as u64 };
                 Ok(Frame::new(FrameKind::ScoreOk, request.trace_id, &response))
             }
             other => Err(Error::invalid(format!(

@@ -15,7 +15,7 @@
 //! 3. **Score / ScoreOk**: after replaying the global admission from all
 //!    summaries, the coordinator tells each shard exactly what to score
 //!    ([`ScoreWork`]); the shardd returns its top-`limit`
-//!    [`SearchHit`]s.
+//!    [`SearchHit`]s and how many candidates it scored exactly.
 //!
 //! Every response carries the shardd's catalog generation; the
 //! coordinator rejects a mid-query publish as a conflict rather than
@@ -74,6 +74,8 @@ pub struct ScoreResponse {
     pub generation: u64,
     /// This shard's top-`limit` hits, best first.
     pub hits: Vec<SearchHit>,
+    /// Candidates the shard scored exactly to find them.
+    pub scored: u64,
 }
 
 /// Shardd → coordinator: the request failed (carried in an `Error`

@@ -30,6 +30,9 @@ pub struct SearchExplain {
     pub expanded_keys: usize,
     /// Candidates the probe phase selected for scoring.
     pub candidates: usize,
+    /// Candidates scored exactly: at most `candidates`, less those the
+    /// shards' score bounds showed could not rank.
+    pub scored: usize,
     /// The probe fell back to scoring the whole catalog.
     pub full_scan: bool,
     /// Hits returned.
@@ -72,7 +75,10 @@ impl SearchExplain {
                 self.shards, self.shards_visited, self.shards_pruned, self.pruned_datasets
             ));
         }
-        out.push_str(&format!("  score {:>8} µs\n", self.score_micros));
+        out.push_str(&format!(
+            "  score {:>8} µs  ({} of them scored)\n",
+            self.score_micros, self.scored
+        ));
         out.push_str(&format!("  merge {:>8} µs\n", self.merge_micros));
         out.push_str(&format!("  total {:>8} µs  ({} hits)\n", self.total_micros, self.results));
         out
@@ -107,9 +113,9 @@ pub(crate) struct SearchMetrics {
     /// `metamess_search_rows_indexed_total` — datasets an engine build
     /// filed into its shards' indexes, one add per build.
     pub rows_indexed: Arc<Counter>,
-    /// `metamess_search_candidates_scored_total` — candidates scored by
-    /// uncached searches, one add per scatter-gather of the count
-    /// [`SearchExplain::candidates`] reports.
+    /// `metamess_search_candidates_scored_total` — candidates scored
+    /// exactly by uncached searches, one add per scatter-gather of the count
+    /// [`SearchExplain::scored`] reports.
     pub candidates_scored: Arc<Counter>,
 }
 
@@ -151,11 +157,12 @@ mod tests {
             total_micros: 1240,
             expanded_keys: 7,
             candidates: 150,
+            scored: 12,
             results: 10,
             ..SearchExplain::default()
         };
         let text = ex.render();
-        for needle in ["plan", "probe", "score", "merge", "total", "150 candidates"] {
+        for needle in ["plan", "probe", "score", "merge", "total", "150 candidates", "12 of them"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
         assert!(text.contains("indexed"));

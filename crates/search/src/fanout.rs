@@ -17,8 +17,10 @@
 //!   nearest-neighbour admission under `(distance, id)` and the
 //!   cross-shard `candidates < limit*3` full-scan fallback — from
 //!   summaries alone;
-//! * [`score_top`] selects each shard's `limit`-best candidates under the
-//!   global rank order `(score desc, path asc)`. Because that order is a
+//! * [`score_counted`] (and [`score_top`], its hits alone) selects each
+//!   shard's `limit`-best candidates under the global rank order
+//!   `(score desc, path asc)`, scoring only those whose score bound can
+//!   reach the `limit`-th score. Because that order is a
 //!   *strict total* order (paths are unique per catalog), every global
 //!   top-`limit` hit is necessarily in its own shard's top-`limit`, so
 //!   [`merge_hits`] — flatten, sort under the same order, truncate —
@@ -41,6 +43,7 @@ use metamess_core::store::{Image, Row};
 use metamess_telemetry::{trace, Histogram, Stopwatch};
 use metamess_vocab::Vocabulary;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -137,7 +140,32 @@ pub fn plan_scatter(query: &Query, summaries: &[ProbeSummary]) -> (bool, Vec<Sco
 }
 
 /// Scores one shard's assigned work and returns its `query.limit`-best
-/// hits under the global rank order `(score desc, path asc)`, best first.
+/// hits under the global rank order `(score desc, path asc)`, best first:
+/// [`score_counted`]'s hits.
+pub fn score_top(
+    shard: &ShardEngine,
+    query: &Query,
+    plan: &QueryPlan,
+    vocab: &Vocabulary,
+    work: &ScoreWork,
+) -> Vec<SearchHit> {
+    score_counted(shard, query, plan, vocab, work).0
+}
+
+/// Scores one shard's assigned work and returns its `query.limit`-best
+/// hits under the global rank order `(score desc, path asc)`, best first,
+/// and how many candidates it scored exactly to find them.
+///
+/// Each candidate first gets an upper bound on its score from its extent
+/// and the query's term postings, and the candidates are offered best
+/// bound first. Once `limit` are kept, a
+/// candidate whose bound is below the `limit`-th score cannot rank, and
+/// neither can any after it: scoring stops there (MaxScore, Turtle & Flood
+/// 1995). A bound equal to that score can at best tie it, and a tie ranks
+/// by path, so such a candidate is scored only when its path sorts before
+/// the `limit`-th hit's. A query no bound is sound for, or a candidate
+/// whose bound is NaN, has every candidate scored in the order given.
+///
 /// Candidates are scored from the shard's own arrays, allocation-free, into
 /// a bounded top-k of light `(score, local index)` pairs; only the
 /// `≤ limit` survivors are materialized (strings + breakdown), from the same
@@ -145,13 +173,13 @@ pub fn plan_scatter(query: &Query, summaries: &[ProbeSummary]) -> (bool, Vec<Sco
 /// query terms' name tiers per spelling, so a hit's score is the score it
 /// ranked by. The shard resolved every name against the vocabulary it was
 /// built with, so `_vocab` is no longer read.
-pub fn score_top(
+pub fn score_counted(
     shard: &ShardEngine,
     query: &Query,
     plan: &QueryPlan,
     _vocab: &Vocabulary,
     work: &ScoreWork,
-) -> Vec<SearchHit> {
+) -> (Vec<SearchHit>, usize) {
     // `(score desc, path asc)`, reading paths from the rows lazily — ties
     // on score are rare, so most comparisons never touch a string.
     let light_cmp = |a: &LightHit, b: &LightHit| {
@@ -162,23 +190,68 @@ pub fn score_top(
     let rank_lt = |a: &LightHit, b: &LightHit| light_cmp(a, b) == Ordering::Less;
     let mut lights: Vec<LightHit> = Vec::new();
     let mut memo = shard.tier_memo(plan.prepared.len());
+    let mut scored = 0;
     {
         let mut topk = LightTopK::new(query.limit, &mut lights);
-        let mut offer = |ix: u32| {
+        let offer = |ix: u32, bound: Option<f64>| {
+            // a candidate bounded by the k-th score ties it at best, and a
+            // tie ranks by path
+            if let (Some(bound), Some((kth, kth_ix))) = (bound, topk.kth()) {
+                if bound == kth && shard.cmp_paths(ix as usize, kth_ix as usize).is_gt() {
+                    return Some(kth);
+                }
+            }
             let s = shard.score(query, &plan.prepared, &mut memo, ix as usize);
             topk.push((s, ix), &rank_lt);
+            scored += 1;
+            topk.kth().map(|(kth, _)| kth)
         };
         match work {
             ScoreWork::Skip => {}
-            ScoreWork::Full => (0..shard.len() as u32).for_each(&mut offer),
-            ScoreWork::List(ixs) => ixs.iter().copied().for_each(&mut offer),
+            ScoreWork::Full => admit(shard, query, plan, 0..shard.len() as u32, offer),
+            ScoreWork::List(ixs) => admit(shard, query, plan, ixs.iter().copied(), offer),
         }
     }
     lights.sort_by(light_cmp);
-    lights
+    let hits = lights
         .iter()
         .map(|&(_, lix)| shard.score_hit(query, &plan.prepared, &mut memo, lix as usize))
-        .collect()
+        .collect();
+    (hits, scored)
+}
+
+/// Hands `offer` the candidates that can rank, best bound first, until the
+/// next bound is below the `limit`-th score `offer` returns; every
+/// candidate, in the order given, when the query has no sound bound or a
+/// candidate's bound is NaN.
+fn admit(
+    shard: &ShardEngine,
+    query: &Query,
+    plan: &QueryPlan,
+    candidates: impl Iterator<Item = u32> + Clone,
+    mut offer: impl FnMut(u32, Option<f64>) -> Option<f64>,
+) {
+    // a bound is never negative, and the bits of a float that is not
+    // negative order as the float does
+    let bounded = shard.ceilings(query, plan).and_then(|ceilings| {
+        let bounds: Vec<(u64, u32)> =
+            candidates.clone().map(|ix| (ceilings.bound(ix).to_bits(), ix)).collect();
+        (!bounds.iter().any(|&(b, _)| f64::from_bits(b).is_nan())).then(|| BinaryHeap::from(bounds))
+    });
+    let Some(mut queue) = bounded else {
+        candidates.for_each(|ix| {
+            offer(ix, None);
+        });
+        return;
+    };
+    let mut kth = None;
+    while let Some((bits, ix)) = queue.pop() {
+        let bound = f64::from_bits(bits);
+        if kth.is_some_and(|kth| bound < kth) {
+            break;
+        }
+        kth = offer(ix, Some(bound));
+    }
 }
 
 /// Merges per-shard top-`limit` hit lists into the global top-`limit`,
@@ -211,13 +284,14 @@ pub trait ShardBackend: Sync {
     fn shard_len(&self, shard: usize) -> usize;
     /// Candidate generation on one shard ([`probe_summary`]).
     fn probe(&self, shard: usize, query: &Query) -> Result<ProbeSummary, Self::Failure>;
-    /// The shard's `limit`-best hits over `work` ([`score_top`]).
+    /// The shard's `limit`-best hits over `work`, and how many candidates
+    /// it scored exactly ([`score_counted`]).
     fn score(
         &self,
         shard: usize,
         query: &Query,
         work: &ScoreWork,
-    ) -> Result<Vec<SearchHit>, Self::Failure>;
+    ) -> Result<(Vec<SearchHit>, usize), Self::Failure>;
     /// Runs `call(k)` for every shard `k` and gathers the results in shard
     /// order; one after the other unless the backend has something to
     /// wait for.
@@ -267,8 +341,8 @@ impl ShardBackend for LocalShards<'_> {
         shard: usize,
         query: &Query,
         work: &ScoreWork,
-    ) -> Result<Vec<SearchHit>, Infallible> {
-        Ok(score_top(&self.shards[shard], query, self.plan, self.vocab, work))
+    ) -> Result<(Vec<SearchHit>, usize), Infallible> {
+        Ok(score_counted(&self.shards[shard], query, self.plan, self.vocab, work))
     }
 
     fn tolerate(&self, _: usize, _: &'static str, failure: Infallible) -> Result<(), Infallible> {
@@ -395,8 +469,10 @@ pub fn scatter_gather<B: ShardBackend>(
     let score_micros = scoring.micros();
 
     let merge = Stopwatch::start_if(timed);
-    let hits =
-        merge_hits(per_shard.into_iter().map(Option::unwrap_or_default).collect(), query.limit);
+    let (per_shard, scored): (Vec<Vec<SearchHit>>, Vec<usize>) =
+        per_shard.into_iter().map(Option::unwrap_or_default).unzip();
+    let scored: usize = scored.iter().sum();
+    let hits = merge_hits(per_shard, query.limit);
     let merge_micros = merge.micros();
 
     if on {
@@ -409,7 +485,7 @@ pub fn scatter_gather<B: ShardBackend>(
         m.merge_micros.record(merge_micros);
         m.shards_visited.add(visited as u64);
         m.shards_pruned.add(pruned as u64);
-        m.candidates_scored.add(candidates as u64);
+        m.candidates_scored.add(scored as u64);
         trace::record_span("search.merge", merge_micros, None);
         trace::note_shards(visited as u32, pruned as u32);
     }
@@ -418,6 +494,7 @@ pub fn scatter_gather<B: ShardBackend>(
         ex.score_micros = score_micros;
         ex.merge_micros = merge_micros;
         ex.candidates = candidates;
+        ex.scored = scored;
         ex.full_scan = full_scan;
         ex.results = hits.len();
         ex.shards = n;

@@ -131,6 +131,12 @@ impl Bitmap {
         set(&mut self.0, row);
     }
 
+    /// Whether `row` is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, row: u32) -> bool {
+        self.0[row as usize / 64] & (1 << (row % 64)) != 0
+    }
+
     /// Adds every row of `posting`, which is over the same rows.
     pub(crate) fn union(&mut self, posting: Posting<'_>) {
         match posting {

@@ -16,7 +16,7 @@
 
 use crate::query::{Query, SpatialTerm, VariableTerm};
 use metamess_core::feature::{DatasetFeature, VariableFeature};
-use metamess_core::geo::GeoBBox;
+use metamess_core::geo::{GeoBBox, GeoPoint};
 use metamess_core::store::RowView;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
@@ -163,6 +163,13 @@ impl PreparedTerm {
     /// Whether `key` is one of the term's expanded spellings.
     fn expands_to(&self, key: &str) -> bool {
         self.expanded.binary_search_by(|e| e.as_str().cmp(key)).is_ok()
+    }
+
+    /// The hierarchy-related concepts, normalized, with their similarity:
+    /// the only names a variable can score on without sharing an index key
+    /// with the term, its concept being one of its own keys.
+    pub(crate) fn related(&self) -> &[(String, f64)] {
+        &self.related
     }
 
     /// The similarity of the hierarchy-related concept `concept`, if it is one.
@@ -475,6 +482,214 @@ pub(crate) fn score_keys<S: ScoreSink>(
         weighted / total_weight
     } else {
         0.0
+    }
+}
+
+/// How far below its exact value a candidate's distance bound is put: the
+/// haversine [`score_keys`] computes can fall short of the exact distance
+/// by a few units in the last place, and by up to about 2·10⁻⁸ of it where
+/// `asin` nears π/2, half way round the globe.
+const DISTANCE_SHORTFALL: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
+
+/// The same in kilometres, for gaps so small that the radians they are
+/// computed in round away most of their digits.
+const DISTANCE_SLACK_KM: f64 = 1e-9;
+
+/// A lower bound on the great-circle distance between two points whose
+/// latitudes are `lat_gap` degrees apart and longitudes `lon_gap`, one of
+/// them at a latitude whose cosine is at least `cos_lat`; without a
+/// trigonometric call. The latitude gap alone, R·|Δφ|, is never more than
+/// the distance while it is at most half way round. So is 2R·√a for any
+/// `a` below the haversine's
+/// sin²(Δφ/2) + cos φ₁·cos φ₂·sin²(Δλ/2), since asin y ≥ y; and `a` is
+/// made of sin x ≥ x − x³/6 (for x ≥ 0, and ≥ 0 up to √6) and
+/// cos φ₂ ≥ cos φ₁ − |Δφ|. The larger of the two, less the margins above.
+fn distance_below(lat_gap: f64, lon_gap: f64, cos_lat: f64) -> f64 {
+    use metamess_core::geo::EARTH_RADIUS_KM as R;
+    let sin_below = |x: f64| (x - x * x * x / 6.0).max(0.0);
+    let (dlat, dlon) = (lat_gap.to_radians(), lon_gap.to_radians());
+    let (s, t) = (sin_below(dlat / 2.0), sin_below(dlon / 2.0));
+    let a = s * s + cos_lat * (cos_lat - dlat).max(0.0) * t * t;
+    let lat_only = if dlat <= std::f64::consts::PI { R * dlat } else { 0.0 };
+    let d = lat_only.max(2.0 * R * a.sqrt().min(1.0));
+    d * DISTANCE_SHORTFALL - DISTANCE_SLACK_KM
+}
+
+/// What an upper bound on a query's [`score_keys`] reads of a spatial term:
+/// where it is, and how a distance turns into a similarity.
+#[derive(Debug, Clone, Copy)]
+enum SpaceBound {
+    /// `bbox_score` of a `near` term: 1 within `radius`, decaying over
+    /// `scale` beyond it. `cos_lat` is the cosine of the point's latitude.
+    Near { point: GeoPoint, radius: f64, scale: f64, cos_lat: f64 },
+    /// `bbox_score` of a region: 1 on it, decaying over `scale` off it.
+    /// `cos_lat` is the least cosine of a latitude on it.
+    Region { region: GeoBBox, scale: f64, cos_lat: f64 },
+}
+
+impl SpaceBound {
+    /// An upper bound on `bbox_score` for `bbox`: the score's decay of a
+    /// [`distance_below`] the distance it decays with, from the latitude
+    /// and longitude gaps between the term and the box. NaN for a box that
+    /// is not [`on_globe`], whose score may be NaN or measure its gaps
+    /// otherwise.
+    fn ceiling(&self, bbox: Option<&GeoBBox>) -> f64 {
+        let Some(b) = bbox else { return 0.0 };
+        if !on_globe(b) {
+            return f64::NAN;
+        }
+        let decayed = |x: f64| exp_above(x).min(1.0);
+        match *self {
+            SpaceBound::Near { point: p, radius, scale, cos_lat } => {
+                let lat_gap = (b.min_lat - p.lat).max(p.lat - b.max_lat).max(0.0);
+                let lon_gap = (b.min_lon - p.lon).max(p.lon - b.max_lon).max(0.0);
+                let d = distance_below(lat_gap, lon_gap, cos_lat);
+                if d <= radius {
+                    1.0
+                } else {
+                    decayed(-(d - radius) / scale)
+                }
+            }
+            SpaceBound::Region { region: r, scale, cos_lat } => {
+                let lat_gap = (r.min_lat - b.max_lat).max(b.min_lat - r.max_lat).max(0.0);
+                let lon_gap = (r.min_lon - b.max_lon).max(b.min_lon - r.max_lon).max(0.0);
+                let d = distance_below(lat_gap, lon_gap, cos_lat);
+                if d <= 0.0 {
+                    1.0
+                } else {
+                    decayed(-d / scale)
+                }
+            }
+        }
+    }
+}
+
+/// Whether `b`'s corners are places, as [`GeoPoint::new`] accepts them,
+/// and each minimum is at most its maximum: the boxes whose gaps
+/// [`SpaceBound`] measures as the score does, within its margins. Beyond a
+/// pole the haversine's cosines turn negative and a latitude gap is no
+/// longer a distance; far beyond ±180 the radians the haversine subtracts
+/// lose more of a longitude gap than the margins allow. `Query` and
+/// `GeoBBox` deserialize without these checks.
+fn on_globe(b: &GeoBBox) -> bool {
+    let place =
+        |lat: f64, lon: f64| (-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon);
+    place(b.min_lat, b.min_lon)
+        && place(b.max_lat, b.max_lon)
+        && b.min_lat <= b.max_lat
+        && b.min_lon <= b.max_lon
+}
+
+/// The cosine of latitude `lat` (degrees), rounded down past the error of
+/// `cos` and never below 0.
+fn cos_below(lat: f64) -> f64 {
+    (lat.to_radians().cos() * DISTANCE_SHORTFALL).max(0.0)
+}
+
+/// At least what `exp` gives for any `y ≤ x`: `exp` is within about an
+/// ulp of e^x where its result is normal, which the raise by 2⁻³⁰ covers
+/// many times over, and the floor of 10⁻³⁰⁰ covers results so small that
+/// their error is not relative.
+fn exp_above(x: f64) -> f64 {
+    const RAISE: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
+    (x.exp() * RAISE).max(1e-300)
+}
+
+/// At least [`interval_score`]: the same arithmetic where the intervals
+/// overlap, and [`exp_above`] for the decay of a gap.
+fn interval_ceiling(window: &TimeInterval, extent: Option<&TimeInterval>) -> f64 {
+    match extent {
+        Some(extent) if !window.overlaps(extent) => {
+            let gap = window.gap_secs(extent) as f64;
+            let scale = (window.duration_secs().max(86_400)) as f64;
+            0.5 * exp_above(-gap / scale)
+        }
+        _ => interval_score(window, extent),
+    }
+}
+
+/// What bounds a query's scores from above, worked out once per query: a
+/// candidate's bound reads its [`Extent`] and, per variable term, a ceiling
+/// on the term's similarity that the caller found without reading the
+/// candidate's variables. Each facet's bound is at least the facet's
+/// similarity, in floating point, and the weighted average is taken with
+/// the operations of [`score_keys`] in its order; with weights that are
+/// finite and not negative each of them is monotone, so the bound is at
+/// least the score, bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ceiling {
+    space: Option<SpaceBound>,
+}
+
+impl Ceiling {
+    /// The ceiling of `query`, or `None` when no bound is sound: a weight
+    /// that is negative, NaN or infinite, weights whose sum overflows, a
+    /// radius that is not finite, or a point or region not [`on_globe`].
+    pub(crate) fn of(query: &Query) -> Option<Ceiling> {
+        let w = &query.weights;
+        let weights_ok = [w.space, w.time, w.variables].iter().all(|w| *w >= 0.0)
+            && (w.space + w.time + w.variables).is_finite();
+        if !weights_ok {
+            return None;
+        }
+        let space = match query.spatial {
+            None => None,
+            Some(SpatialTerm::Near { point, radius_km }) => {
+                let sound = on_globe(&GeoBBox::point(point)) && radius_km.is_finite();
+                Some(sound.then(|| SpaceBound::Near {
+                    point,
+                    radius: radius_km,
+                    scale: radius_km.max(0.1),
+                    cos_lat: cos_below(point.lat),
+                })?)
+            }
+            Some(SpatialTerm::Region(region)) => {
+                let scale = (region.area_km2().sqrt()).max(10.0);
+                Some((on_globe(&region) && scale.is_finite()).then(|| SpaceBound::Region {
+                    region,
+                    scale,
+                    cos_lat: cos_below(region.min_lat).min(cos_below(region.max_lat)),
+                })?)
+            }
+        };
+        Some(Ceiling { space })
+    }
+
+    /// An upper bound on the score of a candidate at `extent` whose
+    /// similarity to variable term `t` of `terms` is at most
+    /// `term_ceiling(t)`: never negative (the weights are not, nor is any
+    /// facet's bound), and NaN only when the extent holds a number that is
+    /// not finite.
+    pub(crate) fn bound(
+        &self,
+        query: &Query,
+        extent: &Extent,
+        terms: usize,
+        term_ceiling: impl Fn(usize) -> f64,
+    ) -> f64 {
+        let mut weighted = 0.0;
+        let mut total_weight = 0.0;
+        if let Some(space) = &self.space {
+            weighted += query.weights.space * space.ceiling(extent.bbox.as_ref());
+            total_weight += query.weights.space;
+        }
+        if let Some(window) = &query.time {
+            weighted += query.weights.time * interval_ceiling(window, extent.time.as_ref());
+            total_weight += query.weights.time;
+        }
+        if terms > 0 {
+            let mut sum = 0.0;
+            for t in 0..terms {
+                sum += term_ceiling(t);
+            }
+            weighted += query.weights.variables * (sum / terms as f64);
+            total_weight += query.weights.variables;
+        }
+        if total_weight > 0.0 {
+            weighted / total_weight
+        } else {
+            0.0
+        }
     }
 }
 
@@ -816,6 +1031,98 @@ mod tests {
         assert_eq!(b.variables, Some(1.0));
         assert!(b.total > 0.99);
         assert_eq!(b.variable_matches.len(), 1);
+    }
+
+    #[test]
+    fn a_space_bound_is_at_least_the_spatial_score() {
+        // a xorshift, so that the cases are a function of the seed alone
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut float = |lo: f64, hi: f64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            lo + (hi - lo) * (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut reached = 0;
+        for case in 0..200_000 {
+            // near the poles, the equator and either side of the
+            // antimeridian, or anywhere; boxes from a point to a hemisphere
+            let centre = |float: &mut dyn FnMut(f64, f64) -> f64| match case % 4 {
+                0 => (
+                    float(80.0, 90.0) * if case % 8 == 0 { 1.0 } else { -1.0 },
+                    float(-180.0, 180.0),
+                ),
+                1 => {
+                    (float(-1.0, 1.0), float(170.0, 180.0) * if case % 8 == 1 { 1.0 } else { -1.0 })
+                }
+                2 => (float(40.0, 50.0), float(-130.0, -120.0)),
+                _ => (float(-90.0, 90.0), float(-180.0, 180.0)),
+            };
+            let (lat, lon) = centre(&mut float);
+            let size = [0.0, 1e-9, 0.01, 1.0, 30.0, 90.0][case % 6];
+            let (h, w) = (float(0.0, size), float(0.0, 2.0 * size));
+            let bbox = GeoBBox {
+                min_lat: (lat - h).max(-90.0),
+                max_lat: (lat + h).min(90.0),
+                min_lon: (lon - w).max(-180.0),
+                max_lon: (lon + w).min(180.0),
+            };
+            let (qlat, qlon) = centre(&mut float);
+            let term = if case % 3 == 0 {
+                let (h, w) = (float(0.0, size), float(0.0, size));
+                SpatialTerm::Region(GeoBBox {
+                    min_lat: (qlat - h).max(-90.0),
+                    max_lat: (qlat + h).min(90.0),
+                    min_lon: (qlon - w).max(-180.0),
+                    max_lon: (qlon + w).min(180.0),
+                })
+            } else {
+                let radius = [0.1, 1.0, 25.0, 300.0, 5000.0][case % 5];
+                SpatialTerm::Near { point: GeoPoint { lat: qlat, lon: qlon }, radius_km: radius }
+            };
+            let q = Query { spatial: Some(term.clone()), ..Query::new() };
+            let bound = Ceiling::of(&q).unwrap().space.unwrap().ceiling(Some(&bbox));
+            let exact = bbox_score(&term, Some(&bbox));
+            assert!(bound >= exact, "case {case}: {bound} < {exact} for {term:?} and {bbox:?}");
+            reached += usize::from(exact > 0.0 && exact < 1.0 && bound < exact * 1.01);
+        }
+        assert!(reached > 10_000, "the bound is seldom tight: {reached}");
+        // a box or region with a minimum above its maximum is measured by
+        // the score in its own way: no bound for it
+        let inverted = GeoBBox { min_lat: 50.0, max_lat: -50.0, min_lon: 0.0, max_lon: 1.0 };
+        let near = Query::new().near(40.0, 0.5, 10.0).unwrap();
+        assert!(Ceiling::of(&near).unwrap().space.unwrap().ceiling(Some(&inverted)).is_nan());
+        assert!(Ceiling::of(&Query::new().in_region(inverted)).is_none());
+        // nor beyond a pole, where the haversine wraps: (100, 0) is about
+        // 19 km from (80, 179) by the score's own distance
+        let beyond = GeoBBox { min_lat: 80.0, max_lat: 95.0, min_lon: 0.0, max_lon: 1.0 };
+        assert!(Ceiling::of(&near).unwrap().space.unwrap().ceiling(Some(&beyond)).is_nan());
+        assert!(Ceiling::of(&Query::new().in_region(beyond)).is_none());
+        let point = GeoPoint { lat: 100.0, lon: 0.0 };
+        let term = SpatialTerm::Near { point, radius_km: 25.0 };
+        let far = GeoBBox::point(GeoPoint { lat: 80.0, lon: 179.0 });
+        assert_eq!(bbox_score(&term, Some(&far)), 1.0);
+        assert!(Ceiling::of(&Query { spatial: Some(term), ..Query::new() }).is_none());
+        // nor far beyond ±180, where the radians the haversine subtracts
+        // lose the digits of a longitude gap
+        let east = GeoBBox { min_lat: 0.0, max_lat: 1.0, min_lon: 170.0, max_lon: 1e10 };
+        assert!(Ceiling::of(&near).unwrap().space.unwrap().ceiling(Some(&east)).is_nan());
+        assert!(Ceiling::of(&Query::new().in_region(east)).is_none());
+        let term = SpatialTerm::Near { point: GeoPoint { lat: 0.0, lon: 1e10 }, radius_km: 1.0 };
+        assert!(Ceiling::of(&Query { spatial: Some(term), ..Query::new() }).is_none());
+    }
+
+    #[test]
+    fn exp_above_is_at_least_exp() {
+        for i in 0..=20_000 {
+            let x = -(i as f64) * 0.0745; // down to about −1490
+            let (above, exact) = (exp_above(x), x.exp());
+            assert!(above >= exact, "{x}: {above} < {exact}");
+            assert!(exact < 1e-300 || above <= exact * 1.000_000_01, "{x}: {above} vs {exact}");
+        }
+        for x in [0.0, -0.0, -f64::MIN_POSITIVE, -1e-300, -1.0, -709.0, -745.2, f64::NEG_INFINITY] {
+            assert!(exp_above(x) >= x.exp(), "{x}");
+        }
     }
 
     #[test]

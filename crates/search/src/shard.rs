@@ -33,11 +33,11 @@ use crate::postings::{Bitmap, Postings};
 use crate::query::{Query, SpatialTerm};
 use crate::rtree::RTree;
 use crate::score::{
-    explain_keys, score_keys, Extent, Interner, PreparedTerm, TierMemo, VarKey, VarNames,
+    explain_keys, score_keys, Ceiling, Extent, Interner, PreparedTerm, TierMemo, VarKey, VarNames,
 };
 use metamess_core::geo::GeoBBox;
 use metamess_core::id::DatasetId;
-use metamess_core::store::{Image, Row, SearchableVariable};
+use metamess_core::store::{Image, Row};
 use metamess_core::text::normalize_term;
 use metamess_core::time::TimeInterval;
 use metamess_vocab::Vocabulary;
@@ -184,8 +184,10 @@ impl ShardEngine {
             let view = row.view();
             extents.push(Extent::of_row(&view));
             let memo = spellings.memo_of(row.image());
-            view.searchable_variables(|v| {
-                var_keys.push(VarKey::new(spellings.of(memo, &v), v.value_range));
+            view.numbered_variables(|number, range| {
+                if let Some(spelling) = spellings.of(memo, row.image(), number) {
+                    var_keys.push(VarKey::new(spelling, range));
+                }
             });
             key_starts.push(u32::try_from(var_keys.len()).expect("a shard's variables fit a u32"));
         }
@@ -303,6 +305,42 @@ impl ShardEngine {
         ProbeSummary { certain: certain.rows(), near }
     }
 
+    /// What bounds `query`'s scores on this shard: the query's [`Ceiling`]
+    /// and, per variable term, the rows whose postings say how well the term
+    /// can match them. `None` when no bound is sound ([`Ceiling::of`]).
+    pub(crate) fn ceilings<'s>(
+        &'s self,
+        query: &'s Query,
+        plan: &QueryPlan,
+    ) -> Option<ShardCeiling<'s>> {
+        let ceiling = Ceiling::of(query)?;
+        let terms = plan
+            .prepared
+            .iter()
+            .zip(&plan.term_keys)
+            .map(|(pt, keys)| {
+                let mut named = Bitmap::new(self.len());
+                for k in keys {
+                    if let Some(posting) = self.postings.get(k) {
+                        named.union(posting);
+                    }
+                }
+                let mut related = (Bitmap::new(self.len()), 0.0f64);
+                for (concept, tier) in pt.related() {
+                    if keys.contains(concept) {
+                        continue;
+                    }
+                    if let Some(posting) = self.postings.get(concept) {
+                        related.0.union(posting);
+                        related.1 = related.1.max(*tier);
+                    }
+                }
+                TermHits { named, related }
+            })
+            .collect();
+        Some(ShardCeiling { shard: self, query, ceiling, terms })
+    }
+
     /// An empty memo of `terms` query terms' name tiers over this shard's
     /// spelling table: one per query, for [`ShardEngine::score`] and
     /// [`ShardEngine::score_hit`] alike.
@@ -349,6 +387,57 @@ impl ShardEngine {
     }
 }
 
+/// Which of a shard's rows one variable term can score on, read from the
+/// postings of the query's plan. A name tier of 1, 0.9 or 0.85 needs a
+/// variable to share an index key with the term: its raw and search
+/// spellings and its concept are among its keys, and the term's own
+/// spelling, its canonical and its expansions among the term's. The
+/// hierarchy tiers (0.8, 0.6) need the variable's concept to be one the term
+/// is related to. A similarity is a tier times a range match of at most 1,
+/// so a row in neither set scores 0 on the term.
+struct TermHits {
+    /// Rows with a variable filed under one of the term's keys.
+    named: Bitmap,
+    /// Rows with a variable filed under a related concept that is not one
+    /// of the term's keys, and the highest tier of those concepts.
+    related: (Bitmap, f64),
+}
+
+impl TermHits {
+    /// An upper bound on the term's similarity to row `row`.
+    #[inline]
+    fn ceiling(&self, row: u32) -> f64 {
+        if self.named.contains(row) {
+            1.0
+        } else if self.related.0.contains(row) {
+            self.related.1
+        } else {
+            0.0
+        }
+    }
+}
+
+/// One query's upper bounds on its scores over one shard
+/// ([`ShardEngine::ceilings`]).
+pub(crate) struct ShardCeiling<'s> {
+    shard: &'s ShardEngine,
+    query: &'s Query,
+    ceiling: Ceiling,
+    terms: Vec<TermHits>,
+}
+
+impl ShardCeiling<'_> {
+    /// An upper bound on the score of the shard's row `local_ix`, from its
+    /// extent and the term postings that hold it: at least
+    /// [`ShardEngine::score`], bit for bit, or NaN.
+    #[inline]
+    pub(crate) fn bound(&self, local_ix: u32) -> f64 {
+        let extent = &self.shard.extents[local_ix as usize];
+        self.ceiling
+            .bound(self.query, extent, self.terms.len(), |t| self.terms[t].ceiling(local_ix))
+    }
+}
+
 /// The inverted-index keys a searchable variable spelled `(name,
 /// search_name)` is filed under: its canonical concept and every hierarchy
 /// ancestor (the helper query planning shares), plus its raw and search
@@ -367,8 +456,8 @@ pub(crate) fn index_keys(name: &str, search_name: &str, vocab: &Vocabulary) -> B
 /// shard reads off the variable. So each distinct spelling is resolved
 /// once, here, and numbered in first-seen order. A variable's image has
 /// already numbered its descriptor, and one descriptor has one spelling, so
-/// the spelling is looked up by the borrowed pair once per descriptor of
-/// each image, and by the descriptor's number after that.
+/// a descriptor is read, and its spelling looked up by the borrowed pair,
+/// once per image; every variable after that is its descriptor's number.
 struct Spellings<'a> {
     vocab: &'a Vocabulary,
     /// Every key of every spelling, shared by all of them.
@@ -382,13 +471,17 @@ struct Spellings<'a> {
     table: Vec<VarNames>,
     /// For each image met, by address, which entry of `memos` is its.
     images: HashMap<*const Image, usize>,
-    /// One per image met: by descriptor number, the spelling id, or
-    /// [`UNSEEN`] before a variable of that descriptor is met.
+    /// One per image met: by descriptor number, the spelling id,
+    /// [`UNSEARCHED`] for a QA or hidden descriptor, or [`UNSEEN`] before a
+    /// variable of that descriptor is met.
     memos: Vec<Box<[u32]>>,
 }
 
 /// A descriptor no variable of the build has been met with yet.
 const UNSEEN: u32 = u32::MAX;
+
+/// A descriptor of QA or hidden variables, which search does not read.
+const UNSEARCHED: u32 = u32::MAX - 1;
 
 impl<'a> Spellings<'a> {
     /// An empty table over `vocab`.
@@ -415,23 +508,29 @@ impl<'a> Spellings<'a> {
         })
     }
 
-    /// The id of the spelling of `v`, a variable of the image whose memo is
-    /// `memo`, worked out (with the ids of its index keys) on first sight.
-    fn of(&mut self, memo: usize, v: &SearchableVariable<'a>) -> u32 {
+    /// The id of the spelling of descriptor `number` of `image`, whose memo
+    /// is `memo`, worked out (with the ids of its index keys) on first
+    /// sight; `None` when its variables are not searchable.
+    fn of(&mut self, memo: usize, image: &'a Image, number: u32) -> Option<u32> {
         let Spellings { vocab, keys, ids, key_ids, table, memos, .. } = self;
-        let id = &mut memos[memo][v.descriptor as usize];
+        let id = &mut memos[memo][number as usize];
         if *id == UNSEEN {
-            let (name, search_name) = (v.name, v.search_name);
-            *id = *ids.entry((name, search_name)).or_insert_with(|| {
-                let id = u32::try_from(table.len()).expect("a build's spellings fit a u32");
-                table.push(VarNames::resolve(name, search_name, vocab, |s| keys.intern(s)));
-                key_ids.push(
-                    index_keys(name, search_name, vocab).iter().map(|k| keys.id(k)).collect(),
-                );
-                id
-            });
+            *id = match image.searchable_spelling(number) {
+                None => UNSEARCHED,
+                Some((name, search_name)) => *ids.entry((name, search_name)).or_insert_with(|| {
+                    let id = u32::try_from(table.len())
+                        .ok()
+                        .filter(|&id| id < UNSEARCHED)
+                        .expect("a build's spellings fit a u32");
+                    table.push(VarNames::resolve(name, search_name, vocab, |s| keys.intern(s)));
+                    key_ids.push(
+                        index_keys(name, search_name, vocab).iter().map(|k| keys.id(k)).collect(),
+                    );
+                    id
+                }),
+            };
         }
-        *id
+        (*id != UNSEARCHED).then_some(*id)
     }
 }
 
@@ -715,6 +814,77 @@ mod tests {
             let ranked = shard.score(&q, &plan.prepared, &mut memo, ix);
             assert_eq!(hit.score.to_bits(), ranked.to_bits());
         }
+    }
+
+    #[test]
+    fn a_term_ceiling_is_at_least_what_the_term_scores() {
+        use metamess_core::feature::NameResolution;
+        // the default vocabulary, and a second taxonomy that files concepts
+        // under other parents, so that a term's relatives are not all among
+        // the keys its first taxonomy gives it
+        let mut vocab = Vocabulary::observatory_default();
+        let platforms = vocab.taxonomies.get_or_create("platforms");
+        for path in [
+            &["platform", "ctd", "salinity"][..],
+            &["platform", "ctd", "water_temperature"],
+            &["platform", "buoy", "wtemp"],
+            &["platform", "buoy", "fluores375"],
+            &["fluorescence", "turbidity"],
+        ] {
+            platforms.insert_path(path).unwrap();
+        }
+        let mut names: BTreeSet<String> =
+            ["mystery", "platform", "ctd", "buoy"].map(String::from).into();
+        for entry in vocab.synonyms.entries() {
+            names.insert(entry.preferred.clone());
+            names.extend(entry.alternates.iter().cloned());
+        }
+        for taxonomy in vocab.taxonomies.iter() {
+            for root in taxonomy.roots() {
+                names.insert(root.to_string());
+                names.extend(taxonomy.descendants(root).iter().cloned());
+            }
+        }
+        // each name unresolved, resolved as the synonym table resolves it,
+        // and resolved to the next name over
+        let listed: Vec<&String> = names.iter().collect();
+        let features: Vec<DatasetFeature> = (0..listed.len() * 3)
+            .map(|i| {
+                let name = listed[i / 3];
+                let mut v = VariableFeature::new(name.as_str());
+                match (i % 3, vocab.synonyms.resolve(name)) {
+                    (1, Some((canonical, _))) => {
+                        v.resolve(canonical, NameResolution::KnownTranslation)
+                    }
+                    (2, _) => v.resolve(
+                        listed[(i / 3 + 1) % listed.len()].as_str(),
+                        NameResolution::Curated,
+                    ),
+                    _ => {}
+                }
+                v.summary.observe(1.0);
+                let mut d = DatasetFeature::new(format!("v{i:04}.csv"));
+                d.variables.push(v);
+                d
+            })
+            .collect();
+        let shard = shard_of(&features, &vocab);
+        let mut reached = 0;
+        for term in &names {
+            let q = Query::new().with_variable(term.as_str(), None);
+            let plan = QueryPlan::prepare(&q, &vocab);
+            let ceilings = shard.ceilings(&q, &plan).unwrap();
+            let mut memo = shard.tier_memo(1);
+            for row in 0..shard.len() {
+                let exact = shard.score_hit(&q, &plan.prepared, &mut memo, row).breakdown;
+                let exact = exact.variables.unwrap();
+                let ceiling = ceilings.terms[0].ceiling(row as u32);
+                assert!(exact <= ceiling, "{term} vs {}: {exact} > {ceiling}", shard.path(row));
+                assert_eq!(ceilings.bound(row as u32), ceiling, "{term}: a term alone");
+                reached += usize::from(exact > 0.0 && exact < 0.85 && exact == ceiling);
+            }
+        }
+        assert!(reached > 0, "no hierarchy tier was met");
     }
 
     /// Each term's rows, as the shard files them, whichever form they take.

@@ -62,6 +62,12 @@ impl<'a> LightTopK<'a> {
         }
     }
 
+    /// The `k`-th best candidate kept, once `k` are: one that ranks after it
+    /// cannot be kept any more.
+    pub(crate) fn kth(&self) -> Option<LightHit> {
+        (self.k > 0 && self.heap.len() == self.k).then(|| self.heap[0])
+    }
+
     fn sift_up(&mut self, mut ix: usize, rank_lt: &dyn Fn(&LightHit, &LightHit) -> bool) {
         while ix > 0 {
             let parent = (ix - 1) / 2;

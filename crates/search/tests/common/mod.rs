@@ -186,9 +186,15 @@ pub fn any_query(rng: &mut Rng) -> Query {
 /// by `(score desc, path asc)`, keep the best `limit`. No index, no
 /// candidate generation, no shards, no top-k heap.
 pub fn reference_search(catalog: &Catalog, vocab: &Vocabulary, query: &Query) -> Vec<SearchHit> {
+    reference_top(reference_scores(catalog, vocab, query), query.limit)
+}
+
+/// The oracle's first half: every dataset of `catalog` as a hit, scored
+/// and explained by the exact scorer, in catalog order.
+pub fn reference_scores(catalog: &Catalog, vocab: &Vocabulary, query: &Query) -> Vec<SearchHit> {
     let prepared: Vec<PreparedTerm> =
         query.variables.iter().map(|t| PreparedTerm::prepare(t, vocab)).collect();
-    let mut hits: Vec<SearchHit> = catalog
+    catalog
         .iter()
         .map(|d| {
             let breakdown = score_dataset_prepared(query, &prepared, d, vocab);
@@ -200,11 +206,16 @@ pub fn reference_search(catalog: &Catalog, vocab: &Vocabulary, query: &Query) ->
                 breakdown,
             }
         })
-        .collect();
+        .collect()
+}
+
+/// The oracle's second half: `hits` sorted by `(score desc, path asc)`,
+/// the best `limit` kept.
+pub fn reference_top(mut hits: Vec<SearchHit>, limit: usize) -> Vec<SearchHit> {
     hits.sort_by(|a, b| {
         b.score.partial_cmp(&a.score).expect("scores are not NaN").then(a.path.cmp(&b.path))
     });
-    hits.truncate(query.limit);
+    hits.truncate(limit);
     hits
 }
 

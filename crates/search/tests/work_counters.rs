@@ -1,8 +1,8 @@
 //! Counted work in search: the rows an engine build files into its indexes
 //! (`metamess_search_rows_indexed_total`) and the candidates uncached
-//! searches score (`metamess_search_candidates_scored_total`). A build over
-//! N rows indexes N; a search scores what its explain reports as candidates;
-//! a cache hit scores nothing.
+//! searches score exactly (`metamess_search_candidates_scored_total`). A
+//! build over N rows indexes N; a search scores what its explain reports as
+//! scored, never more than its candidates; a cache hit scores nothing.
 //!
 //! The counters live in the global registry, so this file is its own test
 //! binary and holds one test: nothing else moves the counts between the
@@ -43,7 +43,12 @@ fn builds_count_their_rows_and_searches_their_candidates() {
             engine.use_indexes = use_indexes;
             let what = format!("{shards} shards, indexes {use_indexes}");
             let before = scored();
-            let explained: usize = qs.iter().map(|q| engine.search_explain(q).1.candidates).sum();
+            let mut explained = 0;
+            for q in &qs {
+                let ex = engine.search_explain(q).1;
+                assert!(ex.scored <= ex.candidates, "{what}: {q:?}: {ex:?}");
+                explained += ex.scored;
+            }
             assert!(explained > 0, "{what}: nothing was scored");
             assert_eq!(scored() - before, explained as u64, "{what}");
             // the same queries again: every one a cache hit

@@ -140,6 +140,17 @@ echo "==> engine vs reference search and browse, and who holds the rows (release
 # check that at the same opt level, over $cases seeded tails and 1 to 32
 # shards.
 cargo test -q --release -p metamess-search --lib --test reference_sweep --test shard_props
+
+echo "==> score bounds against the reference, and the scores counted ($cases seeded cases, release)"
+# A shard offers its candidates best score bound first and stops below its
+# limit-th score; over seeded 200-2 000-dataset catalogs (polar clusters,
+# twins, NaN and infinite ranges, odd weights) the answer is the
+# reference's over the same candidates, bit for bit, at 1, 2 and 8 shards
+# with the indexes on and off, and fewer than half the candidates are
+# scored. metamess_search_candidates_scored_total adds the exact scores
+# each search's explain reports (work_counters, its own test binary).
+METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-search \
+  --test bound_sweep --test work_counters
 cargo test -q --release -p metamess-remote --test reference_sweep --test e2e --test codec
 METAMESS_TORTURE_CASES="$cases" cargo test -q --release -p metamess-server --test ownership
 
