@@ -66,8 +66,18 @@ pub struct GeoBBox {
 }
 
 impl GeoBBox {
-    /// Creates a box, validating ranges and ordering.
+    /// Creates a box, validating ranges and ordering ([`GeoBBox::check`]).
     pub fn new(min_lat: f64, max_lat: f64, min_lon: f64, max_lon: f64) -> Result<GeoBBox> {
+        let bbox = GeoBBox { min_lat, max_lat, min_lon, max_lon };
+        bbox.check()?;
+        Ok(bbox)
+    }
+
+    /// Whether the box is a place: both corners are points
+    /// [`GeoPoint::new`] accepts, and each minimum is at most its maximum.
+    /// The one definition of a valid box; deserialization does not check it.
+    pub fn check(&self) -> Result<()> {
+        let GeoBBox { min_lat, max_lat, min_lon, max_lon } = *self;
         GeoPoint::new(min_lat, min_lon)?;
         GeoPoint::new(max_lat, max_lon)?;
         if min_lat > max_lat || min_lon > max_lon {
@@ -75,7 +85,7 @@ impl GeoBBox {
                 "bounding box not normalized: lat [{min_lat}, {max_lat}] lon [{min_lon}, {max_lon}]"
             )));
         }
-        Ok(GeoBBox { min_lat, max_lat, min_lon, max_lon })
+        Ok(())
     }
 
     /// A degenerate box containing a single point.
@@ -221,6 +231,14 @@ mod tests {
         assert!(GeoBBox::new(46.0, 45.0, -124.0, -123.0).is_err());
         assert!(GeoBBox::new(45.0, 46.0, -123.0, -124.0).is_err());
         assert!(GeoBBox::new(45.0, 46.0, -124.0, -123.0).is_ok());
+        // `check` holds what `new` holds, for a box built any other way
+        let corners =
+            |min_lat, max_lat, min_lon, max_lon| GeoBBox { min_lat, max_lat, min_lon, max_lon };
+        assert!(corners(80.0, 95.0, 0.0, 1.0).check().is_err());
+        assert!(corners(0.0, 1.0, 170.0, 1e10).check().is_err());
+        assert!(corners(f64::NAN, 1.0, 0.0, 1.0).check().is_err());
+        assert!(corners(50.0, -50.0, 0.0, 1.0).check().is_err());
+        assert!(corners(-90.0, 90.0, -180.0, 180.0).check().is_ok());
     }
 
     #[test]

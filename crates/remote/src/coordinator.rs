@@ -321,8 +321,10 @@ impl RemoteShardSet {
     }
 
     /// Runs one fan-out search. See the module docs for the failure
-    /// semantics.
+    /// semantics. A query [`Query::check`] refuses is an error before any
+    /// shard is asked, so it never counts against a shard's circuit.
     pub fn search(&self, query: &Query) -> Result<RemoteSearch> {
+        query.check()?;
         let on = metamess_telemetry::enabled();
         if on {
             remote_metrics().queries.inc();

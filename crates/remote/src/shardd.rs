@@ -149,6 +149,7 @@ impl ShardHost {
             }
             FrameKind::Probe => {
                 let req: ProbeRequest = request.parse_payload()?;
+                req.query.check()?;
                 let plan = QueryPlan::prepare(&req.query, &self.vocab);
                 let summary =
                     probe_summary(&self.engine, &req.query, &plan, generous(req.query.limit));
@@ -157,6 +158,7 @@ impl ShardHost {
             }
             FrameKind::Score => {
                 let req: ScoreRequest = request.parse_payload()?;
+                req.query.check()?;
                 let plan = QueryPlan::prepare(&req.query, &self.vocab);
                 let (hits, scored) =
                     score_counted(&self.engine, &req.query, &plan, &self.vocab, &req.work);

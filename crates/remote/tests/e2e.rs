@@ -199,3 +199,43 @@ fn killing_one_shardd_mid_run_degrades_cleanly_and_trips_the_circuit() {
         d.shutdown();
     }
 }
+
+#[test]
+fn a_refused_query_gets_an_error_frame_from_shardd_not_hits() {
+    use metamess_remote::wire::{ProbeRequest, ScoreRequest, WireError};
+    use metamess_remote::{Frame, FrameKind, TcpTransport, Transport};
+    use metamess_search::SpatialTerm;
+    let c = catalog();
+    let vocab = Vocabulary::observatory_default();
+    let spec = ShardSpec::new(2, Partitioner::Hash);
+    let (daemons, addrs) = spawn_fleet(&c, &vocab, spec);
+    let point = GeoPoint { lat: 100.0, lon: -125.0 };
+    let query =
+        Query { spatial: Some(SpatialTerm::Near { point, radius_km: 25.0 }), ..Query::new() };
+    let transport =
+        TcpTransport::new(addrs.clone(), Duration::from_millis(300), Duration::from_secs(1));
+    let probe = Frame::new(FrameKind::Probe, 7, &ProbeRequest { query: query.clone() });
+    let score = Frame::new(
+        FrameKind::Score,
+        8,
+        &ScoreRequest { query: query.clone(), work: ScoreWork::Full },
+    );
+    for (shard, request) in [(0, &probe), (1, &score)] {
+        let response = transport.exchange(shard, request).unwrap();
+        assert_eq!(response.kind, FrameKind::Error, "shard {shard}");
+        assert_eq!(response.trace_id, request.trace_id);
+        let e: WireError = response.parse_payload().unwrap();
+        assert!(e.message.contains("near: latitude 100"), "{}", e.message);
+    }
+    // the coordinator refuses it before asking a shard, and the shards
+    // still answer a query that names a place
+    let set = RemoteShardSet::connect(&addrs, fast_opts(PartialPolicy::Degrade)).unwrap();
+    assert!(matches!(set.search(&query), Err(Error::Invalid { .. })));
+    let q = Query::parse("near 47.0,-125.0 with water_temperature limit 4").unwrap();
+    let out = set.search(&q).unwrap();
+    assert!(!out.partial && !out.hits.is_empty());
+    assert!(set.health().iter().all(|h| h.state == CircuitState::Healthy));
+    for d in daemons {
+        d.shutdown();
+    }
+}

@@ -247,7 +247,8 @@ impl ShardedEngine {
     /// Runs a ranked search, returning at most `query.limit` hits, best
     /// first (ties broken by path for determinism). Served from the result
     /// cache when this exact query was answered before against the same
-    /// catalog generation; hits share the cached allocation.
+    /// catalog generation; hits share the cached allocation. A query
+    /// [`Query::check`] refuses gets no hits, and is not cached.
     pub fn search(&self, query: &Query) -> Arc<[SearchHit]> {
         self.search_explained(query, None)
     }
@@ -266,6 +267,9 @@ impl ShardedEngine {
         query: &Query,
         mut explain: Option<&mut SearchExplain>,
     ) -> Arc<[SearchHit]> {
+        if query.check().is_err() {
+            return Arc::new([]);
+        }
         let on = metamess_telemetry::enabled();
         let total = Stopwatch::start_if(on || explain.is_some());
         let key = self.cache_key(query);
@@ -308,8 +312,12 @@ impl ShardedEngine {
     }
 
     /// Runs a ranked search without consulting or filling the result cache
-    /// (cold path; used by benches and the cache property tests).
+    /// (cold path; used by benches and the cache property tests). A query
+    /// [`Query::check`] refuses gets no hits.
     pub fn search_uncached(&self, query: &Query) -> Vec<SearchHit> {
+        if query.check().is_err() {
+            return Vec::new();
+        }
         self.search_uncached_explained(query, None)
     }
 

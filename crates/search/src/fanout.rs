@@ -163,8 +163,8 @@ pub fn score_top(
 /// neither can any after it: scoring stops there (MaxScore, Turtle & Flood
 /// 1995). A bound equal to that score can at best tie it, and a tie ranks
 /// by path, so such a candidate is scored only when its path sorts before
-/// the `limit`-th hit's. A query no bound is sound for, or a candidate
-/// whose bound is NaN, has every candidate scored in the order given.
+/// the `limit`-th hit's. The bound holds for a query that passed
+/// [`Query::check`], and every way a query enters asks that first.
 ///
 /// Candidates are scored from the shard's own arrays, allocation-free, into
 /// a bounded top-k of light `(score, local index)` pairs; only the
@@ -188,29 +188,35 @@ pub fn score_counted(
             .then_with(|| shard.cmp_paths(a.1 as usize, b.1 as usize))
     };
     let rank_lt = |a: &LightHit, b: &LightHit| light_cmp(a, b) == Ordering::Less;
+    let (every, listed) = match work {
+        ScoreWork::Skip => return (Vec::new(), 0),
+        ScoreWork::Full => (0..shard.len() as u32, &[][..]),
+        ScoreWork::List(ixs) => (0..0, &ixs[..]),
+    };
+    // a bound is never negative, and the bits of a float that is not
+    // negative order as the float does
+    let ceilings = shard.ceilings(query, plan);
+    let mut queue: BinaryHeap<(u64, u32)> =
+        every.chain(listed.iter().copied()).map(|ix| (ceilings.bound(ix).to_bits(), ix)).collect();
     let mut lights: Vec<LightHit> = Vec::new();
     let mut memo = shard.tier_memo(plan.prepared.len());
     let mut scored = 0;
-    {
-        let mut topk = LightTopK::new(query.limit, &mut lights);
-        let offer = |ix: u32, bound: Option<f64>| {
-            // a candidate bounded by the k-th score ties it at best, and a
-            // tie ranks by path
-            if let (Some(bound), Some((kth, kth_ix))) = (bound, topk.kth()) {
-                if bound == kth && shard.cmp_paths(ix as usize, kth_ix as usize).is_gt() {
-                    return Some(kth);
-                }
+    let mut topk = LightTopK::new(query.limit, &mut lights);
+    while let Some((bits, ix)) = queue.pop() {
+        let bound = f64::from_bits(bits);
+        if let Some((kth, kth_ix)) = topk.kth() {
+            // none below the k-th score can rank; one bounded by it ties it
+            // at best, and a tie ranks by path
+            if bound < kth {
+                break;
             }
-            let s = shard.score(query, &plan.prepared, &mut memo, ix as usize);
-            topk.push((s, ix), &rank_lt);
-            scored += 1;
-            topk.kth().map(|(kth, _)| kth)
-        };
-        match work {
-            ScoreWork::Skip => {}
-            ScoreWork::Full => admit(shard, query, plan, 0..shard.len() as u32, offer),
-            ScoreWork::List(ixs) => admit(shard, query, plan, ixs.iter().copied(), offer),
+            if bound == kth && shard.cmp_paths(ix as usize, kth_ix as usize).is_gt() {
+                continue;
+            }
         }
+        let s = shard.score(query, &plan.prepared, &mut memo, ix as usize);
+        topk.push((s, ix), &rank_lt);
+        scored += 1;
     }
     lights.sort_by(light_cmp);
     let hits = lights
@@ -218,40 +224,6 @@ pub fn score_counted(
         .map(|&(_, lix)| shard.score_hit(query, &plan.prepared, &mut memo, lix as usize))
         .collect();
     (hits, scored)
-}
-
-/// Hands `offer` the candidates that can rank, best bound first, until the
-/// next bound is below the `limit`-th score `offer` returns; every
-/// candidate, in the order given, when the query has no sound bound or a
-/// candidate's bound is NaN.
-fn admit(
-    shard: &ShardEngine,
-    query: &Query,
-    plan: &QueryPlan,
-    candidates: impl Iterator<Item = u32> + Clone,
-    mut offer: impl FnMut(u32, Option<f64>) -> Option<f64>,
-) {
-    // a bound is never negative, and the bits of a float that is not
-    // negative order as the float does
-    let bounded = shard.ceilings(query, plan).and_then(|ceilings| {
-        let bounds: Vec<(u64, u32)> =
-            candidates.clone().map(|ix| (ceilings.bound(ix).to_bits(), ix)).collect();
-        (!bounds.iter().any(|&(b, _)| f64::from_bits(b).is_nan())).then(|| BinaryHeap::from(bounds))
-    });
-    let Some(mut queue) = bounded else {
-        candidates.for_each(|ix| {
-            offer(ix, None);
-        });
-        return;
-    };
-    let mut kth = None;
-    while let Some((bits, ix)) = queue.pop() {
-        let bound = f64::from_bits(bits);
-        if kth.is_some_and(|kth| bound < kth) {
-            break;
-        }
-        kth = offer(ix, Some(bound));
-    }
 }
 
 /// Merges per-shard top-`limit` hit lists into the global top-`limit`,

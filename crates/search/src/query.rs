@@ -149,6 +149,48 @@ impl Query {
         self.spatial.is_none() && self.time.is_none() && self.variables.is_empty()
     }
 
+    /// Refuses a query that names no place, range or weight: a `near` point
+    /// [`GeoPoint::new`] refuses, a radius that is negative or not finite, a
+    /// region [`GeoBBox::check`] refuses, a value range whose low end is not
+    /// at most its high end, a weight that is negative or not finite, or
+    /// weights whose sum is not finite.
+    ///
+    /// Every way a query enters — the parser, the HTTP handler, a shard
+    /// daemon's frames and the engine's search calls — asks this, so the
+    /// scorer and its bound read only what passed. Deserialization does not.
+    pub fn check(&self) -> Result<()> {
+        let named = |field: &str, e: Error| match e {
+            Error::Invalid { message } => Error::invalid(format!("{field}: {message}")),
+            e => e,
+        };
+        match &self.spatial {
+            Some(SpatialTerm::Near { point, radius_km }) => {
+                GeoPoint::new(point.lat, point.lon).map_err(|e| named("near", e))?;
+                if !(radius_km.is_finite() && *radius_km >= 0.0) {
+                    return Err(Error::invalid(format!("radius_km {radius_km} is not finite ≥ 0")));
+                }
+            }
+            Some(SpatialTerm::Region(region)) => region.check().map_err(|e| named("region", e))?,
+            None => {}
+        }
+        // an inverted range measures a gap of its own, and scores without end
+        for VariableTerm { name, range } in &self.variables {
+            if let Some((lo, hi)) = range.filter(|(lo, hi)| lo.is_nan() || hi.is_nan() || lo > hi) {
+                return Err(Error::invalid(format!("range of {name}: {lo} is not ≤ {hi}")));
+            }
+        }
+        let Weights { space, time, variables } = self.weights;
+        for (field, w) in [("space", space), ("time", time), ("variables", variables)] {
+            if !(w.is_finite() && w >= 0.0) {
+                return Err(Error::invalid(format!("weights.{field} {w} is not finite ≥ 0")));
+            }
+        }
+        if !(space + time + variables).is_finite() {
+            return Err(Error::invalid("weights sum past the largest finite number"));
+        }
+        Ok(())
+    }
+
     /// Parses the text query language; see the module docs for the grammar.
     pub fn parse(text: &str) -> Result<Query> {
         let tokens: Vec<&str> = text.split_whitespace().collect();
@@ -250,6 +292,7 @@ impl Query {
                 }
             }
         }
+        q.check()?;
         Ok(q)
     }
 }
@@ -362,6 +405,47 @@ mod tests {
         ] {
             assert!(Query::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn check_refuses_what_names_no_place_range_or_weight() {
+        let near = |lat, lon, radius_km| Query {
+            spatial: Some(SpatialTerm::Near { point: GeoPoint { lat, lon }, radius_km }),
+            ..Query::new()
+        };
+        let region = |min_lat, max_lat| {
+            Query::new().in_region(GeoBBox { min_lat, max_lat, min_lon: 0.0, max_lon: 1.0 })
+        };
+        let weighted = |space, time| Query {
+            weights: Weights { space, time, variables: 0.0 },
+            ..Query::new()
+        };
+        let mut ranged = Query::new();
+        ranged.variables.push(VariableTerm { name: "t".into(), range: Some((10.0, 5.0)) });
+        for (q, field) in [
+            (near(100.0, 0.0, 25.0), "near: latitude 100"),
+            (near(0.0, 180.5, 25.0), "near: longitude 180.5"),
+            (near(45.0, -124.0, f64::NAN), "radius_km NaN"),
+            (near(45.0, -124.0, -1.0), "radius_km -1"),
+            (near(45.0, -124.0, f64::INFINITY), "radius_km inf"),
+            (region(50.0, -50.0), "region: bounding box not normalized"),
+            (region(80.0, 95.0), "region: latitude 95"),
+            (ranged, "range of t: 10"),
+            (weighted(-1.0, 1.0), "weights.space -1"),
+            (weighted(1.0, f64::NAN), "weights.time NaN"),
+            (weighted(f64::MAX, f64::MAX), "weights sum"),
+        ] {
+            let e = q.check().unwrap_err().to_string();
+            assert!(e.contains(field), "{q:?}: {e}");
+        }
+        // a zero radius and weights that sum to zero are sound: the score is 0
+        for q in [near(45.0, -124.0, -0.0), weighted(0.0, 0.0), Query::new(), region(-90.0, 90.0)] {
+            assert!(q.check().is_ok(), "{q:?}");
+        }
+        // the parser asks it too: an infinite radius parses as a number
+        let e = Query::parse("near 45,-124 within infkm").unwrap_err().to_string();
+        assert!(e.contains("radius_km inf"), "{e}");
+        assert!(Query::parse("with t between NaN and 5").is_err());
     }
 
     #[test]

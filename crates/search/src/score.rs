@@ -321,12 +321,18 @@ pub(crate) struct Extent {
 impl Extent {
     /// The extent of `dataset`.
     pub(crate) fn of(dataset: &DatasetFeature) -> Extent {
-        Extent { bbox: dataset.bbox, time: dataset.time }
+        Extent::new(dataset.bbox, dataset.time)
     }
 
     /// The extent of the dataset `row` holds.
     pub(crate) fn of_row(row: &RowView<'_>) -> Extent {
-        Extent { bbox: row.bbox(), time: row.time() }
+        Extent::new(row.bbox(), row.time())
+    }
+
+    /// A box [`GeoBBox::check`] refuses is no place, and counts as no box:
+    /// the scorer, its bound and the R-tree read only boxes on the globe.
+    fn new(bbox: Option<GeoBBox>, time: Option<TimeInterval>) -> Extent {
+        Extent { bbox: bbox.filter(|b| b.check().is_ok()), time }
     }
 }
 
@@ -530,14 +536,13 @@ enum SpaceBound {
 impl SpaceBound {
     /// An upper bound on `bbox_score` for `bbox`: the score's decay of a
     /// [`distance_below`] the distance it decays with, from the latitude
-    /// and longitude gaps between the term and the box. NaN for a box that
-    /// is not [`on_globe`], whose score may be NaN or measure its gaps
-    /// otherwise.
+    /// and longitude gaps between the term and the box. Both must be on the
+    /// globe ([`GeoBBox::check`]): beyond a pole the haversine's cosines
+    /// turn negative and a latitude gap is no longer a distance, and far
+    /// beyond ±180 the radians it subtracts lose more of a longitude gap
+    /// than the margins allow.
     fn ceiling(&self, bbox: Option<&GeoBBox>) -> f64 {
         let Some(b) = bbox else { return 0.0 };
-        if !on_globe(b) {
-            return f64::NAN;
-        }
         let decayed = |x: f64| exp_above(x).min(1.0);
         match *self {
             SpaceBound::Near { point: p, radius, scale, cos_lat } => {
@@ -562,22 +567,6 @@ impl SpaceBound {
             }
         }
     }
-}
-
-/// Whether `b`'s corners are places, as [`GeoPoint::new`] accepts them,
-/// and each minimum is at most its maximum: the boxes whose gaps
-/// [`SpaceBound`] measures as the score does, within its margins. Beyond a
-/// pole the haversine's cosines turn negative and a latitude gap is no
-/// longer a distance; far beyond ±180 the radians the haversine subtracts
-/// lose more of a longitude gap than the margins allow. `Query` and
-/// `GeoBBox` deserialize without these checks.
-fn on_globe(b: &GeoBBox) -> bool {
-    let place =
-        |lat: f64, lon: f64| (-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon);
-    place(b.min_lat, b.min_lon)
-        && place(b.max_lat, b.max_lon)
-        && b.min_lat <= b.max_lat
-        && b.min_lon <= b.max_lon
 }
 
 /// The cosine of latitude `lat` (degrees), rounded down past the error of
@@ -613,8 +602,8 @@ fn interval_ceiling(window: &TimeInterval, extent: Option<&TimeInterval>) -> f64
 /// on the term's similarity that the caller found without reading the
 /// candidate's variables. Each facet's bound is at least the facet's
 /// similarity, in floating point, and the weighted average is taken with
-/// the operations of [`score_keys`] in its order; with weights that are
-/// finite and not negative each of them is monotone, so the bound is at
+/// the operations of [`score_keys`] in its order; with the weights
+/// [`Query::check`] accepts each of them is monotone, so the bound is at
 /// least the score, bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ceiling {
@@ -622,44 +611,28 @@ pub(crate) struct Ceiling {
 }
 
 impl Ceiling {
-    /// The ceiling of `query`, or `None` when no bound is sound: a weight
-    /// that is negative, NaN or infinite, weights whose sum overflows, a
-    /// radius that is not finite, or a point or region not [`on_globe`].
-    pub(crate) fn of(query: &Query) -> Option<Ceiling> {
-        let w = &query.weights;
-        let weights_ok = [w.space, w.time, w.variables].iter().all(|w| *w >= 0.0)
-            && (w.space + w.time + w.variables).is_finite();
-        if !weights_ok {
-            return None;
-        }
-        let space = match query.spatial {
-            None => None,
-            Some(SpatialTerm::Near { point, radius_km }) => {
-                let sound = on_globe(&GeoBBox::point(point)) && radius_km.is_finite();
-                Some(sound.then(|| SpaceBound::Near {
-                    point,
-                    radius: radius_km,
-                    scale: radius_km.max(0.1),
-                    cos_lat: cos_below(point.lat),
-                })?)
-            }
-            Some(SpatialTerm::Region(region)) => {
-                let scale = (region.area_km2().sqrt()).max(10.0);
-                Some((on_globe(&region) && scale.is_finite()).then(|| SpaceBound::Region {
-                    region,
-                    scale,
-                    cos_lat: cos_below(region.min_lat).min(cos_below(region.max_lat)),
-                })?)
-            }
-        };
-        Some(Ceiling { space })
+    /// The ceiling of `query`, which must have passed [`Query::check`].
+    pub(crate) fn of(query: &Query) -> Ceiling {
+        let space = query.spatial.as_ref().map(|term| match *term {
+            SpatialTerm::Near { point, radius_km } => SpaceBound::Near {
+                point,
+                radius: radius_km,
+                scale: radius_km.max(0.1),
+                cos_lat: cos_below(point.lat),
+            },
+            SpatialTerm::Region(region) => SpaceBound::Region {
+                region,
+                scale: (region.area_km2().sqrt()).max(10.0),
+                cos_lat: cos_below(region.min_lat).min(cos_below(region.max_lat)),
+            },
+        });
+        Ceiling { space }
     }
 
     /// An upper bound on the score of a candidate at `extent` whose
     /// similarity to variable term `t` of `terms` is at most
-    /// `term_ceiling(t)`: never negative (the weights are not, nor is any
-    /// facet's bound), and NaN only when the extent holds a number that is
-    /// not finite.
+    /// `term_ceiling(t)`: never negative or NaN (the weights are neither,
+    /// nor is any facet's bound).
     pub(crate) fn bound(
         &self,
         query: &Query,
@@ -1081,35 +1054,35 @@ mod tests {
                 SpatialTerm::Near { point: GeoPoint { lat: qlat, lon: qlon }, radius_km: radius }
             };
             let q = Query { spatial: Some(term.clone()), ..Query::new() };
-            let bound = Ceiling::of(&q).unwrap().space.unwrap().ceiling(Some(&bbox));
+            let bound = Ceiling::of(&q).space.unwrap().ceiling(Some(&bbox));
             let exact = bbox_score(&term, Some(&bbox));
             assert!(bound >= exact, "case {case}: {bound} < {exact} for {term:?} and {bbox:?}");
             reached += usize::from(exact > 0.0 && exact < 1.0 && bound < exact * 1.01);
         }
         assert!(reached > 10_000, "the bound is seldom tight: {reached}");
-        // a box or region with a minimum above its maximum is measured by
-        // the score in its own way: no bound for it
-        let inverted = GeoBBox { min_lat: 50.0, max_lat: -50.0, min_lon: 0.0, max_lon: 1.0 };
-        let near = Query::new().near(40.0, 0.5, 10.0).unwrap();
-        assert!(Ceiling::of(&near).unwrap().space.unwrap().ceiling(Some(&inverted)).is_nan());
-        assert!(Ceiling::of(&Query::new().in_region(inverted)).is_none());
-        // nor beyond a pole, where the haversine wraps: (100, 0) is about
-        // 19 km from (80, 179) by the score's own distance
-        let beyond = GeoBBox { min_lat: 80.0, max_lat: 95.0, min_lon: 0.0, max_lon: 1.0 };
-        assert!(Ceiling::of(&near).unwrap().space.unwrap().ceiling(Some(&beyond)).is_nan());
-        assert!(Ceiling::of(&Query::new().in_region(beyond)).is_none());
-        let point = GeoPoint { lat: 100.0, lon: 0.0 };
-        let term = SpatialTerm::Near { point, radius_km: 25.0 };
-        let far = GeoBBox::point(GeoPoint { lat: 80.0, lon: 179.0 });
-        assert_eq!(bbox_score(&term, Some(&far)), 1.0);
-        assert!(Ceiling::of(&Query { spatial: Some(term), ..Query::new() }).is_none());
-        // nor far beyond ±180, where the radians the haversine subtracts
-        // lose the digits of a longitude gap
-        let east = GeoBBox { min_lat: 0.0, max_lat: 1.0, min_lon: 170.0, max_lon: 1e10 };
-        assert!(Ceiling::of(&near).unwrap().space.unwrap().ceiling(Some(&east)).is_nan());
-        assert!(Ceiling::of(&Query::new().in_region(east)).is_none());
-        let term = SpatialTerm::Near { point: GeoPoint { lat: 0.0, lon: 1e10 }, radius_km: 1.0 };
-        assert!(Ceiling::of(&Query { spatial: Some(term), ..Query::new() }).is_none());
+        // A box inverted, beyond a pole (where the haversine wraps: (100, 0)
+        // is about 19 km from (80, 179) by the score's own distance) or far
+        // beyond ±180 (where its radians lose a longitude gap's digits) is
+        // no box to the scorer, and a query naming one is refused.
+        use metamess_core::store::Image;
+        let off = [
+            GeoBBox { min_lat: 50.0, max_lat: -50.0, min_lon: 0.0, max_lon: 1.0 },
+            GeoBBox { min_lat: 80.0, max_lat: 95.0, min_lon: 0.0, max_lon: 1.0 },
+            GeoBBox { min_lat: 0.0, max_lat: 1.0, min_lon: 170.0, max_lon: 1e10 },
+            GeoBBox { min_lat: f64::NAN, max_lat: 1.0, min_lon: 0.0, max_lon: 1.0 },
+        ];
+        for bbox in off {
+            let mut d = DatasetFeature::new("off.csv");
+            d.bbox = Some(bbox);
+            assert!(Extent::of(&d).bbox.is_none(), "{bbox:?}");
+            let image = Arc::new(Image::encode(&[&d]));
+            assert!(image.rows().all(|row| Extent::of_row(&row.view()).bbox.is_none()));
+            assert!(Query::new().in_region(bbox).check().is_err(), "{bbox:?}");
+        }
+        for point in [GeoPoint { lat: 100.0, lon: 0.0 }, GeoPoint { lat: 0.0, lon: 1e10 }] {
+            let near = SpatialTerm::Near { point, radius_km: 25.0 };
+            assert!(Query { spatial: Some(near), ..Query::new() }.check().is_err(), "{point:?}");
+        }
     }
 
     #[test]

@@ -307,13 +307,9 @@ impl ShardEngine {
 
     /// What bounds `query`'s scores on this shard: the query's [`Ceiling`]
     /// and, per variable term, the rows whose postings say how well the term
-    /// can match them. `None` when no bound is sound ([`Ceiling::of`]).
-    pub(crate) fn ceilings<'s>(
-        &'s self,
-        query: &'s Query,
-        plan: &QueryPlan,
-    ) -> Option<ShardCeiling<'s>> {
-        let ceiling = Ceiling::of(query)?;
+    /// can match them. `query` must have passed [`Query::check`].
+    pub(crate) fn ceilings<'s>(&'s self, query: &'s Query, plan: &QueryPlan) -> ShardCeiling<'s> {
+        let ceiling = Ceiling::of(query);
         let terms = plan
             .prepared
             .iter()
@@ -338,7 +334,7 @@ impl ShardEngine {
                 TermHits { named, related }
             })
             .collect();
-        Some(ShardCeiling { shard: self, query, ceiling, terms })
+        ShardCeiling { shard: self, query, ceiling, terms }
     }
 
     /// An empty memo of `terms` query terms' name tiers over this shard's
@@ -429,7 +425,7 @@ pub(crate) struct ShardCeiling<'s> {
 impl ShardCeiling<'_> {
     /// An upper bound on the score of the shard's row `local_ix`, from its
     /// extent and the term postings that hold it: at least
-    /// [`ShardEngine::score`], bit for bit, or NaN.
+    /// [`ShardEngine::score`], bit for bit.
     #[inline]
     pub(crate) fn bound(&self, local_ix: u32) -> f64 {
         let extent = &self.shard.extents[local_ix as usize];
@@ -873,7 +869,7 @@ mod tests {
         for term in &names {
             let q = Query::new().with_variable(term.as_str(), None);
             let plan = QueryPlan::prepare(&q, &vocab);
-            let ceilings = shard.ceilings(&q, &plan).unwrap();
+            let ceilings = shard.ceilings(&q, &plan);
             let mut memo = shard.tier_memo(1);
             for row in 0..shard.len() {
                 let exact = shard.score_hit(&q, &plan.prepared, &mut memo, row).breakdown;

@@ -10,25 +10,25 @@
 //! datasets with no bbox or no time, QA and hidden variables, and value
 //! ranges that are NaN or infinite. The queries are near a point, over a
 //! region or nowhere, with a time window or not, with 0 to 3 terms, limits
-//! of 1, 2, 10, 50 and `MAX_LIMIT`, and weights that are zero, negative or
-//! NaN now and then.
+//! of 1, 2, 10, 50 and `MAX_LIMIT`, and weights that are zero now and then.
 //!
 //! With the indexes off every shard scores all it holds, and the answer is
 //! `reference_search`'s. With them on, the probe's candidate generation is
 //! an approximation of its own (`common` says where it is exact), so the
 //! oracle is the reference over the candidates the probe admitted. Both at
 //! 1, 2 and 8 shards. Over the sweep fewer than half the candidates may be
-//! scored, so the bound path is not idle, though a limit of `MAX_LIMIT` and
-//! an odd weight score most or all of theirs (about 47 % are scored over
-//! 1 000 seeds, a third over the default 4). A second test holds two
-//! catalogs where a latitude beyond a pole, query side or dataset side,
-//! would prune the best answer if it were bounded.
+//! scored, so the bound path is not idle, though a limit of `MAX_LIMIT`
+//! scores most of its candidates (about a third are scored over 1 000
+//! seeds, a quarter over the default 4). A second test holds a latitude
+//! beyond a pole: refused in a query, no box in a dataset. A third swaps
+//! numbers in the JSON of swept queries: what is not refused is answered
+//! as the reference answers it.
 //!
 //! `METAMESS_TORTURE_CASES` sets the number of seeds (default 4).
 
 mod common;
 
-use common::{assert_bit_equal, reference_scores, reference_top, sweep, Rng};
+use common::{assert_bit_equal, reference_scores, reference_search, reference_top, sweep, Rng};
 use metamess_core::catalog::Catalog;
 use metamess_core::feature::{DatasetFeature, NameResolution, VariableFeature};
 use metamess_core::geo::{GeoBBox, GeoPoint};
@@ -162,7 +162,7 @@ fn catalog(rng: &mut Rng) -> Catalog {
 }
 
 fn weight(rng: &mut Rng) -> f64 {
-    *rng.pick(&[0.0, 0.5, 1.0, 2.0, -1.0, f64::NAN])
+    *rng.pick(&[0.0, 0.5, 1.0, 2.0])
 }
 
 fn query(rng: &mut Rng) -> Query {
@@ -196,8 +196,7 @@ fn query(rng: &mut Rng) -> Query {
         });
         q = q.with_variable(*rng.pick(NAMES), range);
     }
-    // an odd weight most often leaves no bound sound: every candidate is
-    // scored, which the guard below counts against the bounds
+    // weights [`Query::check`] refuses are the mutant test's
     if rng.below(4) == 0 {
         q.weights.space = weight(rng);
         q.weights.time = weight(rng);
@@ -275,42 +274,154 @@ fn bounded_scoring_returns_what_scoring_every_candidate_returns() {
 
 /// A latitude beyond ±90 is not a place, and the haversine the score takes
 /// for it wraps over the pole: a dataset 20° of latitude from a query point
-/// can score as if beside it. JSON queries and catalogs are not checked for
-/// it, so the bound must not prune on such a latitude, query side or
-/// dataset side: the one answer that scores 1 ranks first.
+/// would score as if beside it. A query naming one is refused where it
+/// enters, and gets no hits; a dataset's box reaching past a pole is no
+/// box, to the engine as to the oracle, and its spatial score is 0.
 #[test]
-fn latitudes_beyond_the_poles_are_scored_in_full() {
+fn a_latitude_beyond_a_pole_is_refused_in_a_query_and_no_box_in_a_dataset() {
     let vocab = Vocabulary::observatory_default();
     let at =
         |lat: f64, lon: f64| GeoBBox { min_lat: lat, max_lat: lat, min_lon: lon, max_lon: lon };
-    let beyond = |near: GeoPoint, datasets: &[GeoBBox]| {
+    let engines = |datasets: &[GeoBBox]| {
         let mut c = Catalog::new();
         for (ix, bbox) in datasets.iter().enumerate() {
             let mut d = DatasetFeature::new(format!("casts/{ix:03}.csv"));
             d.bbox = Some(*bbox);
             c.put(d);
         }
-        let near = SpatialTerm::Near { point: near, radius_km: 25.0 };
-        let q = Query { spatial: Some(near), ..Query::new().limit(1) };
-        let want = reference_top(reference_scores(&c, &vocab, &q), q.limit);
-        assert_eq!(want[0].score, 1.0, "{:?}", want[0]);
-        for shards in [1, 2] {
-            let spec = ShardSpec::new(shards, Partitioner::Hash);
-            let mut engine = SearchEngine::build_sharded(&c, vocab.clone(), spec);
-            engine.use_indexes = false;
-            let (hits, explain) = engine.search_explain(&q);
-            assert_bit_equal(&hits, &want, &format!("{shards} shards: {q:?}"));
-            assert_eq!(explain.scored, explain.candidates, "{shards} shards");
-        }
+        let engines: Vec<SearchEngine> = [1, 2]
+            .into_iter()
+            .map(|n| {
+                SearchEngine::build_sharded(&c, vocab.clone(), ShardSpec::new(n, Partitioner::Hash))
+            })
+            .collect();
+        (c, engines)
     };
-    // the query's point beyond the north pole, the answer 20° of latitude
-    // from it, the others closer in latitude but not in fact
+    let near = |lat: f64, lon: f64| {
+        let near = SpatialTerm::Near { point: GeoPoint { lat, lon }, radius_km: 25.0 };
+        Query { spatial: Some(near), ..Query::new().limit(50) }
+    };
+    // the query's point beyond the north pole, a dataset 20° of latitude
+    // from it that the haversine puts beside it
     let mut datasets = vec![at(80.0, 179.0)];
     datasets.extend((0..40).map(|i| at(89.5, i as f64 * 0.1)));
-    beyond(GeoPoint { lat: 100.0, lon: 0.0 }, &datasets);
-    // the answer's box beyond the pole, the query's point in range
+    let (_, engines_of) = engines(&datasets);
+    let q = near(100.0, 0.0);
+    assert!(q.check().is_err());
+    for engine in &engines_of {
+        assert!(engine.search(&q).is_empty());
+        assert!(engine.search_uncached(&q).is_empty());
+    }
+    // a dataset's box reaching to 93°, the query's point in range
     let mut datasets =
         vec![GeoBBox { min_lat: 92.0, max_lat: 93.0, min_lon: 179.0, max_lon: 180.0 }];
     datasets.extend((0..40).map(|i| at(86.0, i as f64 * 0.1)));
-    beyond(GeoPoint { lat: 88.0, lon: 0.0 }, &datasets);
+    let (c, mut engines_of) = engines(&datasets);
+    let q = near(88.0, 0.0);
+    let every = reference_scores(&c, &vocab, &q);
+    assert_eq!(
+        every.iter().find(|h| h.path == "casts/000.csv").unwrap().breakdown.space,
+        Some(0.0)
+    );
+    let want = reference_top(every, q.limit);
+    for engine in &mut engines_of {
+        for use_indexes in [false, true] {
+            engine.use_indexes = use_indexes;
+            let (hits, explain) = engine.search_explain(&q);
+            let what = format!("{} shards, indexes {use_indexes}", engine.shard_count());
+            assert_bit_equal(&hits, &want, &what);
+            assert!(explain.scored <= explain.candidates, "{what}: {explain:?}");
+        }
+    }
+}
+
+/// What a mutant's numbers are swapped for: the JSON reader's NaN, signs,
+/// zeros, a latitude and a longitude just off the globe, the largest
+/// magnitudes and a subnormal.
+const MUTANT_NUMBERS: [&str; 8] =
+    ["null", "-1", "-0.0", "0", "90.0000001", "180.5", "1e308", "1e-320"];
+
+/// The byte spans of the numbers in a JSON text, outside its strings.
+fn number_spans(json: &str) -> Vec<(usize, usize)> {
+    let (mut spans, mut in_string, mut escaped, mut start) = (Vec::new(), false, false, None);
+    for (i, c) in json.char_indices() {
+        let numeric = c.is_ascii_digit() || "+-.eE".contains(c);
+        match start {
+            Some(s) if !numeric => {
+                spans.push((s, i));
+                start = None;
+            }
+            None if !in_string && (c.is_ascii_digit() || c == '-') => start = Some(i),
+            _ => {}
+        }
+        if in_string {
+            (in_string, escaped) = (escaped || c != '"', !escaped && c == '\\');
+        } else if c == '"' {
+            in_string = true;
+        }
+    }
+    spans
+}
+
+/// Swept queries as JSON with one number swapped for one of
+/// [`MUTANT_NUMBERS`], or a region's corners swapped, read back: each is
+/// refused — it does not deserialize, or [`Query::check`] errs and the
+/// engine answers nothing — or answered bit for bit as the reference
+/// answers it, with the indexes off, at 1 and 2 shards, scoring at most its
+/// candidates. Both outcomes occur, and nothing panics.
+#[test]
+fn query_json_mutants_are_refused_or_answered_as_the_reference_answers() {
+    let vocab = Vocabulary::observatory_default();
+    let (mut refused, mut answered) = (0, 0);
+    sweep(cases(), |rng| {
+        let c = catalog(rng);
+        let mut engines: Vec<SearchEngine> = [1, 2]
+            .into_iter()
+            .map(|n| {
+                SearchEngine::build_sharded(&c, vocab.clone(), ShardSpec::new(n, Partitioner::Hash))
+            })
+            .collect();
+        for engine in &mut engines {
+            engine.use_indexes = false;
+        }
+        for _ in 0..3 {
+            let mut q = query(rng);
+            let json = serde_json::to_string(&q).unwrap();
+            let spans = number_spans(&json);
+            let (from, to) = spans[rng.below(spans.len() as u64) as usize];
+            let mut mutants: Vec<String> = MUTANT_NUMBERS
+                .iter()
+                .map(|n| format!("{}{n}{}", &json[..from], &json[to..]))
+                .collect();
+            if let Some(SpatialTerm::Region(r)) = &mut q.spatial {
+                (r.min_lat, r.max_lat, r.min_lon, r.max_lon) =
+                    (r.max_lat, r.min_lat, r.max_lon, r.min_lon);
+                mutants.push(serde_json::to_string(&q).unwrap());
+            }
+            for mutant in mutants {
+                let Ok(m) = serde_json::from_str::<Query>(&mutant) else {
+                    refused += 1;
+                    continue;
+                };
+                if m.check().is_err() {
+                    for engine in &engines {
+                        assert!(engine.search(&m).is_empty(), "{mutant}");
+                        assert!(engine.search_uncached(&m).is_empty(), "{mutant}");
+                    }
+                    refused += 1;
+                    continue;
+                }
+                let want = reference_search(&c, &vocab, &m);
+                for engine in &engines {
+                    let (hits, explain) = engine.search_explain(&m);
+                    let what = format!("{} shards: {mutant}", engine.shard_count());
+                    assert_bit_equal(&hits, &want, &what);
+                    assert!(explain.scored <= explain.candidates, "{what}: {explain:?}");
+                }
+                answered += 1;
+            }
+        }
+    });
+    println!("{refused} mutants refused, {answered} answered");
+    assert!(refused > 0 && answered > 0, "{refused} refused, {answered} answered");
 }

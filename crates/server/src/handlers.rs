@@ -64,7 +64,8 @@ fn render<T: Serialize>(body: &T) -> String {
 
 /// `POST /search`: either `{"q": "<text query>", "limit": n?}` in the
 /// poster's query language, or a full structured [`Query`] document (the
-/// JSON form a serialized `Query` round-trips through).
+/// JSON form a serialized `Query` round-trips through). A query that does
+/// not parse, or that [`Query::check`] refuses, is a 400.
 fn search(state: &ServeState, req: &Request) -> Response {
     let value: serde_json::Value = match serde_json::from_slice(&req.body) {
         Ok(v) => v,
@@ -72,16 +73,17 @@ fn search(state: &ServeState, req: &Request) -> Response {
     };
     let query = match value.get("q").and_then(serde_json::Value::as_str) {
         Some(text) => match Query::parse(text) {
-            Ok(mut q) => {
-                if let Some(limit) = value.get("limit").and_then(serde_json::Value::as_u64) {
-                    q.limit = limit.clamp(1, metamess_search::MAX_LIMIT as u64) as usize;
-                }
-                q
-            }
+            Ok(q) => match value.get("limit").and_then(serde_json::Value::as_u64) {
+                Some(limit) => q.limit(usize::try_from(limit).unwrap_or(usize::MAX)),
+                None => q,
+            },
             Err(e) => return error_json(400, &format!("unparseable query: {e}")),
         },
         None => match serde_json::from_value::<Query>(value) {
-            Ok(q) => q,
+            Ok(q) => match q.check() {
+                Ok(()) => q,
+                Err(e) => return error_json(400, &format!("refused structured query: {e}")),
+            },
             Err(e) => return error_json(400, &format!("invalid structured query: {e}")),
         },
     };

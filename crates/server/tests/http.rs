@@ -244,6 +244,38 @@ fn absurd_limit_is_clamped_not_fatal() {
 }
 
 #[test]
+fn a_query_that_names_no_place_or_weight_is_400_naming_the_field() {
+    let server = serve(fixture_store("refused"), |_| {});
+    let near = |radius: &str| {
+        format!(
+            r#"{{"spatial":{{"Near":{{"point":{{"lat":45,"lon":-124}},"radius_km":{radius}}}}}}}"#
+        )
+    };
+    let weights = |space: &str| {
+        format!(r#"{{"weights":{{"space":{space},"time":1,"variables":1}},"limit":3}}"#)
+    };
+    let inverted = r#"{"spatial":{"Region":{"min_lat":50,"max_lat":-50,"min_lon":0,"max_lon":1}}}"#;
+    for (body, field) in [
+        (near("null"), "radius_km NaN"),
+        (weights("-1"), "weights.space -1"),
+        (weights("null"), "weights.space NaN"),
+        (inverted.to_string(), "region: bounding box not normalized"),
+        (r#"{"q":"near 45,-124 within infkm"}"#.to_string(), "radius_km inf"),
+    ] {
+        let (status, _, got) = post(server.addr, "/search", &body);
+        let got = String::from_utf8_lossy(&got);
+        assert_eq!(status, 400, "{body}: {got}");
+        assert!(got.contains(field), "{body}: {got}");
+    }
+    // the same shapes with numbers that name a place and a weight answer
+    let (status, _, got) = post(server.addr, "/search", &near("25"));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&got));
+    let (status, _, got) = post(server.addr, "/search", &weights("0"));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&got));
+    server.stop();
+}
+
+#[test]
 fn concurrent_responses_match_single_threaded_bit_for_bit() {
     let server = serve(fixture_store("concurrent"), |c| c.workers = 4);
     let requests: Vec<Vec<u8>> = vec![

@@ -48,6 +48,11 @@ fn full_cli_workflow() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("1. ["), "{stdout}");
 
+    // a query that names no radius is refused where it is parsed
+    let (ok, out, err) = run(&["search", store_s, "near", "45,-124", "within", "infkm"]);
+    assert!(!ok, "{out}");
+    assert!(err.contains("radius_km inf"), "{err}");
+
     // the search printed its trace id; `metamess trace --id` replays the
     // span tree from the persisted flight recorder
     let tid = stdout
