@@ -110,8 +110,12 @@ impl Query {
         Query { limit: 10, ..Query::default() }
     }
 
-    /// Builder: spatial point + radius.
+    /// Builder: spatial point + radius, raised to 0.1 km; a NaN or negative
+    /// radius is refused, as [`Query::check`] refuses it.
     pub fn near(mut self, lat: f64, lon: f64, radius_km: f64) -> Result<Query> {
+        if radius_km.is_nan() || radius_km < 0.0 {
+            return Err(Error::invalid(format!("radius_km {radius_km} is not finite ≥ 0")));
+        }
         self.spatial = Some(SpatialTerm::Near {
             point: GeoPoint::new(lat, lon)?,
             radius_km: radius_km.max(0.1),
@@ -402,6 +406,8 @@ mod tests {
             "in 45,-124",
             "during 2010-06-01-02",
             "limit x",
+            "near 45,-124 within NaNkm",
+            "near 45,-124 within -5km",
         ] {
             assert!(Query::parse(bad).is_err(), "{bad}");
         }

@@ -23,6 +23,9 @@ if grep -rnE '(println|eprintln)!' crates/*/src --include='*.rs' \
   exit 1
 fi
 
+echo "==> non-test lines, per crate (printed, not gated)"
+scripts/loc.sh
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -52,6 +52,9 @@ fn full_cli_workflow() {
     let (ok, out, err) = run(&["search", store_s, "near", "45,-124", "within", "infkm"]);
     assert!(!ok, "{out}");
     assert!(err.contains("radius_km inf"), "{err}");
+    let (ok, out, err) = run(&["search", store_s, "near", "45,-124", "within", "-5km"]);
+    assert!(!ok, "{out}");
+    assert!(err.contains("radius_km -5"), "{err}");
 
     // the search printed its trace id; `metamess trace --id` replays the
     // span tree from the persisted flight recorder
